@@ -1,13 +1,19 @@
 package hawq_test
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
 
 	"hawq/internal/bench"
+	"hawq/internal/engine"
 	"hawq/internal/hdfs"
+	"hawq/internal/plan"
+	"hawq/internal/planner"
+	"hawq/internal/sqlparser"
 	"hawq/internal/stinger"
+	"hawq/internal/tx"
 )
 
 // benchConfig is a deliberately tiny configuration so the full set of
@@ -138,4 +144,88 @@ func BenchmarkHDFSWriteDelete(b *testing.B) {
 		fs.WriteFile("/bench", []byte("x"), hdfs.CreateOptions{})
 		fs.Delete("/bench", false)
 	}
+}
+
+// floorPlans boots a 4-segment engine with one empty hash-distributed
+// table and plans the two statements whose dispatch is pure fixed cost:
+// a direct-dispatch key lookup (one QE) and a four-QE gather. They are
+// the statements behind the tracked benchmark's
+// cluster.dispatch_direct_floor_us / cluster.dispatch_floor_us probes.
+func floorPlans(b *testing.B) (e *engine.Engine, direct, gather4 *plan.Plan) {
+	e, err := engine.New(engine.Config{Segments: 4, SpillDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	if _, err := e.NewSession().Execute("CREATE TABLE bench_empty (k BIGINT, v BIGINT) DISTRIBUTED BY (k)"); err != nil {
+		b.Fatal(err)
+	}
+	cl := e.Cluster()
+	t := cl.TxMgr.Begin(tx.ReadCommitted)
+	defer t.Abort()
+	mustPlan := func(sql string) *plan.Plan {
+		stmt, err := sqlparser.ParseOne(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := &planner.Planner{Cat: cl.Cat(), Snap: t.Snapshot(), NumSegments: cl.NumSegments()}
+		pl, err := p.PlanSelect(stmt.(*sqlparser.SelectStmt))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pl
+	}
+	return e, mustPlan("SELECT v FROM bench_empty WHERE k = 1"), mustPlan("SELECT count(*) FROM bench_empty")
+}
+
+// BenchmarkDispatchFloor is the fixed cost every statement pays before
+// its first row: gang launch, interconnect stream set-up and teardown
+// on an empty table, for a one-QE direct dispatch and a four-QE gather.
+func BenchmarkDispatchFloor(b *testing.B) {
+	e, direct, gather4 := floorPlans(b)
+	for _, c := range []struct {
+		name string
+		pl   *plan.Plan
+	}{{"direct", direct}, {"gather4", gather4}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Cluster().Dispatch(context.Background(), c.pl, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var planShipSink any
+
+// BenchmarkPlanShip prices the three ways a plan can reach an executor:
+// the §3.1 wire form (gob + quicklz encode, decode) and the in-process
+// structural clone the plan cache hands out per hit. Dispatch uses
+// neither codec per statement; this keeps their cost on record.
+func BenchmarkPlanShip(b *testing.B) {
+	_, direct, _ := floorPlans(b)
+	enc, err := plan.Encode(direct)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			planShipSink, _ = plan.Encode(direct)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			planShipSink, _ = plan.Decode(enc)
+		}
+	})
+	b.Run("clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			planShipSink, _ = direct.Clone()
+		}
+	})
 }

@@ -22,6 +22,7 @@ import (
 	"hawq/internal/clock"
 	"hawq/internal/compress"
 	"hawq/internal/executor"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/interconnect"
 	"hawq/internal/obs"
@@ -540,6 +541,106 @@ type QueryResult struct {
 	Stats []obs.SliceStats
 }
 
+// dispatch is one statement's QD-side state: the plan every gang member
+// executes, what the gang piggybacks back (segfile updates, stats, the
+// first QE error) and the per-node workload-manager resources. One
+// allocation and one mutex per statement.
+type dispatch struct {
+	c     *Cluster
+	ctx   context.Context
+	query uint64
+	p     *plan.Plan
+	hub   *executor.FilterHub
+
+	cancelOnce sync.Once
+
+	mu    sync.Mutex
+	res   QueryResult
+	qeErr error
+	// nodeRes is nil for unmanaged queries (no memory grant, no
+	// work_mem): their slices run with zero-valued resources.
+	nodeRes map[int]queryNodeRes
+}
+
+func (d *dispatch) addUpdate(u executor.SegFileUpdate) {
+	d.mu.Lock()
+	d.res.Updates = append(d.res.Updates, u)
+	d.mu.Unlock()
+}
+
+func (d *dispatch) addStats(ss obs.SliceStats) {
+	d.mu.Lock()
+	d.res.Stats = append(d.res.Stats, ss)
+	d.mu.Unlock()
+}
+
+// resFor returns segID's share of the query's workload-manager resources
+// (§2.1's resource manager): one memory account and one workfile store
+// per node, shared by all the query's slices on that node.
+func (d *dispatch) resFor(segID int) queryNodeRes {
+	if d.nodeRes == nil {
+		return queryNodeRes{}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nr, ok := d.nodeRes[segID]
+	if !ok {
+		nr = queryNodeRes{
+			mem:  resource.NewAccount(d.p.MemGrant),
+			work: resource.NewStore(d.c.cfg.SpillDir, fmt.Sprintf("q%d-seg%d", d.query, segID), d.c.spillCodec),
+		}
+		d.nodeRes[segID] = nr
+	}
+	return nr
+}
+
+// cancel tears the whole query down: it unblocks every receiver so no
+// QE (or the QD) waits on a gang member that died (§2.6: in-flight
+// queries fail and restart).
+func (d *dispatch) cancel() {
+	d.cancelOnce.Do(func() {
+		d.c.qdNode.CancelQuery(d.query)
+		for _, seg := range d.c.segments {
+			seg.mu.Lock()
+			node := seg.node
+			seg.mu.Unlock()
+			if node != nil {
+				node.CancelQuery(d.query)
+			}
+		}
+	})
+}
+
+// execContext builds the executor context of one slice execution on one
+// node.
+func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localHost string) *executor.Context {
+	c, nr := d.c, d.resFor(segID)
+	ectx := &executor.Context{
+		Ctx:             d.ctx,
+		Query:           d.query,
+		Segment:         segID,
+		FS:              c.FS,
+		Net:             net,
+		External:        c.External,
+		SpillDir:        c.cfg.SpillDir,
+		Mem:             nr.mem,
+		WorkMem:         d.p.WorkMem,
+		Work:            nr.work,
+		OnSegFileUpdate: d.addUpdate,
+		LocalHost:       localHost,
+		MotionPayload:   c.cfg.MotionPayload,
+		RowMode:         c.cfg.RowMode,
+		Clock:           c.clk,
+		Filters:         d.hub,
+	}
+	if d.p.CollectStats {
+		// Per-query instrumentation: every slice execution gets a
+		// StatsRecorder and ships its bundle back on completion.
+		ectx.Stats = executor.NewStatsRecorder(c.clk, d.p.Slices[sliceID].Root, sliceID, segID)
+	}
+	return ectx
+}
+
 // Dispatch runs a sliced plan: gangs of QEs execute the non-top slices
 // on their segments while the QD consumes the top slice, gathering the
 // final result (§2.4). ctx is the per-query cancellation context
@@ -547,172 +648,79 @@ type QueryResult struct {
 // interconnect stream of the query is canceled so all slices — QD and
 // QEs alike — tear down within bounded time, and the returned error is
 // the cancellation cause. A nil ctx runs uncancellable.
+//
+// Metadata dispatch (§3.1): the plan is self-described — a QE needs
+// nothing beyond it — and in this one-process cluster the gang executes
+// the QD's *plan.Plan itself rather than each member decoding a
+// serialized copy. That is sound because execution only reads plan
+// nodes; the one per-query binding, the clock behind current_date, is
+// stamped here before any gang member starts, so p must not be
+// dispatched concurrently with itself. plan.Encode/Decode remain the
+// wire form, proven equivalent by TestSelfDescribedPlanExecutes.
 func (c *Cluster) Dispatch(ctx context.Context, p *plan.Plan, onRow func(types.Row) error) (*QueryResult, error) {
-	query := c.nextQuery.Add(1)
-	res := &QueryResult{Schema: p.Schema}
-
-	// Metadata dispatch (§3.1): serialize the self-described plan once;
-	// every QE decodes its own copy, proving no catalog access is
-	// needed beyond the plan itself.
-	encoded, err := plan.Encode(p)
-	if err != nil {
-		return nil, err
-	}
-
-	var updMu sync.Mutex
-	onUpdate := func(u executor.SegFileUpdate) {
-		updMu.Lock()
-		res.Updates = append(res.Updates, u)
-		updMu.Unlock()
-	}
-
-	// Per-query instrumentation: when the plan asks for stats, every
-	// slice execution gets a StatsRecorder and ships its bundle back
-	// here on completion — piggybacked on the query result exactly like
-	// the SegFileUpdate metadata above.
-	var statsMu sync.Mutex
-	var onStats func(obs.SliceStats)
-	if p.CollectStats {
-		onStats = func(ss obs.SliceStats) {
-			statsMu.Lock()
-			res.Stats = append(res.Stats, ss)
-			statsMu.Unlock()
+	d := &dispatch{c: c, ctx: ctx, query: c.nextQuery.Add(1), p: p, hub: newFilterHub(p)}
+	d.res.Schema = p.Schema
+	p.Walk(func(n plan.Node) {
+		for _, e := range plan.NodeExprs(n) {
+			expr.BindClock(e, c.clk)
 		}
-	}
-
-	// Workload management (§2.1's resource manager): when the plan
-	// carries a memory grant or work_mem, every node gets one memory
-	// account and one workfile store, shared by all the query's slices on
-	// that node. Stores are torn down when the dispatch returns — normal
-	// completion, error, or cancel — so no spill files outlive the query.
-	managed := p.MemGrant > 0 || p.WorkMem > 0
-	var resMu sync.Mutex
-	nodeRes := map[int]*queryNodeRes{}
-	resFor := func(segID int) *queryNodeRes {
-		if !managed {
-			return &queryNodeRes{}
-		}
-		resMu.Lock()
-		defer resMu.Unlock()
-		nr, ok := nodeRes[segID]
-		if !ok {
-			nr = &queryNodeRes{
-				mem:  resource.NewAccount(p.MemGrant),
-				work: resource.NewStore(c.cfg.SpillDir, fmt.Sprintf("q%d-seg%d", query, segID), c.spillCodec),
-			}
-			nodeRes[segID] = nr
-		}
-		return nr
-	}
-	defer func() {
-		resMu.Lock()
-		defer resMu.Unlock()
-		for _, nr := range nodeRes {
-			nr.work.Cleanup()
-		}
-	}()
-
-	// Runtime bloom filters (compressed execution): when the plan carries
-	// filter specs, every slice execution on this in-process cluster
-	// shares one FilterHub. Each spec expects one publisher per gang
-	// member of the slice containing its hash join — after a
-	// redistribute, each member holds only its partition of the build
-	// keys, so probe scans may only consult the union.
-	hub := newFilterHub(p)
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, 64)
-	var cancelOnce sync.Once
-	cancel := func() {
-		cancelOnce.Do(func() {
-			// Tear the whole query down: unblock every receiver so no
-			// QE (or the QD) waits on a gang member that died (§2.6:
-			// in-flight queries fail and restart).
-			c.qdNode.CancelQuery(query)
-			for _, seg := range c.segments {
-				seg.mu.Lock()
-				node := seg.node
-				seg.mu.Unlock()
-				if node != nil {
-					node.CancelQuery(query)
-				}
-			}
-		})
-	}
-	// Watch the query context: the instant it fires, cancel every
-	// interconnect stream so no slice stays blocked in a motion wait.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if ctx != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				cancel()
-			case <-watchDone:
+	})
+	if p.MemGrant > 0 || p.WorkMem > 0 {
+		// Stores are torn down when the dispatch returns — normal
+		// completion, error, or cancel — so no spill files outlive the
+		// query.
+		d.nodeRes = map[int]queryNodeRes{}
+		defer func() {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			for _, nr := range d.nodeRes {
+				nr.work.Cleanup()
 			}
 		}()
 	}
+	// The instant the query context fires, cancel every interconnect
+	// stream so no slice stays blocked in a motion wait.
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, d.cancel)
+		defer stop()
+	}
 
+	var wg sync.WaitGroup
 	for si := 1; si < len(p.Slices); si++ {
-		slice := p.Slices[si]
-		for _, segID := range slice.Segments {
+		for _, segID := range p.Slices[si].Segments {
 			wg.Add(1)
 			go func(si, segID int) {
 				defer wg.Done()
-				if err := c.runQE(ctx, query, encoded, si, segID, resFor(segID), p.WorkMem, hub, onUpdate, onStats); err != nil {
-					select {
-					case errCh <- fmt.Errorf("segment %d slice %d: %w", segID, si, err):
-					default:
+				if err := d.runQE(si, segID); err != nil {
+					d.mu.Lock()
+					if d.qeErr == nil {
+						d.qeErr = fmt.Errorf("segment %d slice %d: %w", segID, si, err)
 					}
-					cancel()
+					d.mu.Unlock()
+					d.cancel()
 				}
 			}(si, segID)
 		}
 	}
 
 	// Top slice on the QD.
-	qdRes := resFor(plan.QDSegment)
-	qdCtx := &executor.Context{
-		Ctx:             ctx,
-		Query:           query,
-		Segment:         plan.QDSegment,
-		FS:              c.FS,
-		Net:             c.qdNode,
-		External:        c.External,
-		SpillDir:        c.cfg.SpillDir,
-		Mem:             qdRes.mem,
-		WorkMem:         p.WorkMem,
-		Work:            qdRes.work,
-		OnSegFileUpdate: onUpdate,
-		MotionPayload:   c.cfg.MotionPayload,
-		RowMode:         c.cfg.RowMode,
-		Clock:           c.clk,
-		Filters:         hub,
-	}
-	if onStats != nil {
-		qdCtx.Stats = executor.NewStatsRecorder(c.clk, p.Slices[0].Root, 0, plan.QDSegment)
-	}
-	op, err := executor.Build(qdCtx, p.Slices[0].Root)
-	var topErr error
-	if err != nil {
-		topErr = err
-	} else {
+	qdCtx := d.execContext(0, plan.QDSegment, c.qdNode, "")
+	op, topErr := executor.Build(qdCtx, p.Slices[0].Root)
+	if topErr == nil {
 		topErr = executor.Drain(qdCtx, op, func(row types.Row) error {
 			if onRow != nil {
 				return onRow(row)
 			}
-			res.Rows = append(res.Rows, row.Clone())
+			d.res.Rows = append(d.res.Rows, row.Clone())
 			return nil
 		})
 	}
 	if topErr != nil {
-		cancel()
-	}
-	if topErr == nil && onStats != nil {
-		onStats(qdCtx.Stats.Stats())
+		d.cancel()
+	} else if qdCtx.Stats != nil {
+		d.addStats(qdCtx.Stats.Stats())
 	}
 	wg.Wait()
-	close(errCh)
 	// A canceled query reports its cancellation cause (statement
 	// timeout, client cancel): the individual slice errors are just the
 	// teardown it triggered.
@@ -721,25 +729,23 @@ func (c *Cluster) Dispatch(ctx context.Context, p *plan.Plan, onRow func(types.R
 	}
 	// A QE failure is the root cause; the QD error is usually just the
 	// cancellation it triggered.
-	for err := range errCh {
-		if err != nil {
-			return nil, err
-		}
+	if d.qeErr != nil {
+		return nil, d.qeErr
 	}
 	if topErr != nil {
 		return nil, topErr
 	}
-	return res, nil
+	res := d.res // a copy: the result must not pin the dispatch state
+	return &res, nil
 }
 
-// runQE executes one slice as a QE on one segment. The QE decodes the
-// self-described plan itself — stateless segment, no catalog round trip.
-func (c *Cluster) runQE(ctx context.Context, query uint64, encodedPlan []byte, sliceID, segID int, nr *queryNodeRes, workMem int64, hub *executor.FilterHub, onUpdate func(executor.SegFileUpdate), onStats func(obs.SliceStats)) error {
-	var net interconnect.Node
-	var localHost string
-	if segID == plan.QDSegment {
-		net = c.qdNode
-	} else {
+// runQE executes one slice of the dispatched plan as a QE on one
+// segment — a stateless segment: no catalog round trip, everything it
+// reads is in the plan.
+func (d *dispatch) runQE(sliceID, segID int) error {
+	c := d.c
+	net, localHost := c.qdNode, ""
+	if segID != plan.QDSegment {
 		seg := c.segments[segID]
 		seg.mu.Lock()
 		if seg.node == nil {
@@ -756,41 +762,16 @@ func (c *Cluster) runQE(ctx context.Context, query uint64, encodedPlan []byte, s
 			}
 			seg.mu.Lock()
 		}
-		net = seg.node
-		localHost = seg.LocalHost
+		net, localHost = seg.node, seg.LocalHost
 		seg.mu.Unlock()
 	}
-	decoded, err := plan.Decode(encodedPlan)
-	if err != nil {
-		return err
-	}
-	ectx := &executor.Context{
-		Ctx:             ctx,
-		Query:           query,
-		Segment:         segID,
-		FS:              c.FS,
-		Net:             net,
-		External:        c.External,
-		SpillDir:        c.cfg.SpillDir,
-		Mem:             nr.mem,
-		WorkMem:         workMem,
-		Work:            nr.work,
-		OnSegFileUpdate: onUpdate,
-		LocalHost:       localHost,
-		MotionPayload:   c.cfg.MotionPayload,
-		RowMode:         c.cfg.RowMode,
-		Clock:           c.clk,
-		Filters:         hub,
-	}
-	if onStats != nil {
-		ectx.Stats = executor.NewStatsRecorder(c.clk, decoded.Slices[sliceID].Root, sliceID, segID)
-	}
-	if err := executor.RunSlice(ectx, decoded, sliceID); err != nil {
+	ectx := d.execContext(sliceID, segID, net, localHost)
+	if err := executor.RunSlice(ectx, d.p, sliceID); err != nil {
 		return err
 	}
 	// Ship this slice's stats back to the QD, piggybacked on completion.
-	if onStats != nil {
-		onStats(ectx.Stats.Stats())
+	if ectx.Stats != nil {
+		d.addStats(ectx.Stats.Stats())
 	}
 	return nil
 }

@@ -24,10 +24,9 @@ func newLaneManager() *laneManager {
 	return &laneManager{busy: map[int64]map[int]tx.XID{}}
 }
 
-// acquire picks the lowest free lane for a table, preferring lanes whose
-// files already exist (maxExisting is the highest segno in the catalog;
-// -1 when the table has no files yet).
-func (lm *laneManager) acquire(tableOID int64, xid tx.XID, maxExisting int) int {
+// acquire picks the lowest free lane for a table, which also prefers
+// lanes whose files already exist.
+func (lm *laneManager) acquire(tableOID int64, xid tx.XID) int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	lanes := lm.busy[tableOID]
@@ -43,7 +42,6 @@ func (lm *laneManager) acquire(tableOID int64, xid tx.XID, maxExisting int) int 
 		}
 		segno++
 	}
-	_ = maxExisting
 	lanes[segno] = xid
 	return segno
 }
@@ -72,14 +70,13 @@ func LanePath(tableOID int64, segID, segno int) string {
 // per-segment lane files at their committed lengths and arranges release
 // at transaction end.
 func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]catalog.SegFile, error) {
+	segno := c.lanes.acquire(desc.OID, t.XID())
+	// Read the lane's committed lengths only now that it is ours. The
+	// previous owner releases it after its commit is visible, so a
+	// snapshot taken from here on sees that commit; one taken before the
+	// acquire may not, and truncating to its stale logical length would
+	// destroy the previous owner's committed rows.
 	snap := t.Snapshot()
-	maxSeg := -1
-	for segID := range c.segments {
-		if n := c.Cat().MaxSegNo(snap, desc.OID, segID); n > maxSeg {
-			maxSeg = n
-		}
-	}
-	segno := c.lanes.acquire(desc.OID, t.XID(), maxSeg)
 	released := false
 	release := func() {
 		if !released {

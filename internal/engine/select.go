@@ -183,11 +183,11 @@ func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.S
 // and the transaction has no uncommitted plan-relevant catalog writes of
 // its own (the cache key's catalog version only covers committed state).
 //
-// Cached entries hold pristine decoded plans — parameters unbound, no
-// resource stamps — keyed by canonical SQL + cluster shape + planner
-// flags, and validated against the snapshot's catalog version. A hit
-// deep-clones the entry (sharing immutable leaves, far cheaper than a
-// decompress + gob decode) and binds the current EXECUTE arguments; a
+// Cached entries hold pristine plans — parameters unbound, no resource
+// stamps — keyed by canonical SQL + cluster shape + planner flags, and
+// validated against the snapshot's catalog version. A hit deep-clones
+// the entry (sharing immutable leaves; the statement's only copy — the
+// dispatcher ships no second one) and binds the current EXECUTE arguments; a
 // miss plans generically when the statement has placeholders (so the
 // plan is value-independent), stores a pristine clone, then binds.
 // Statements whose generic planning fails (e.g. a $n LIKE pattern) fall

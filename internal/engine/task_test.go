@@ -13,10 +13,11 @@ import (
 	"hawq/internal/tx"
 )
 
-// newSimEngine boots an engine on a simulated clock. The scheduler's
-// ticker never fires on its own under clock.Sim, so every maintenance
-// pass happens exactly when the test calls TickOnce — the whole suite
-// is deterministic.
+// newSimEngine boots an engine on a simulated clock and stops the
+// scheduler's own loop: sim.Advance would fire its ticker too, and that
+// background pass raced the test's TickOnce into an extra task run
+// (seen under -race). Every maintenance pass now happens exactly when
+// the test calls TickOnce — the whole suite is deterministic.
 func newSimEngine(t testing.TB, segments int, mut func(*Config)) (*Engine, *clock.Sim) {
 	t.Helper()
 	sim := clock.NewSim(time.Unix(0, 0))
@@ -29,6 +30,9 @@ func newSimEngine(t testing.TB, segments int, mut func(*Config)) (*Engine, *cloc
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
+	if sched := e.TaskScheduler(); sched != nil {
+		sched.Stop()
+	}
 	// Move off the zero instant so "never ran" (0) stays distinguishable
 	// from real timestamps.
 	sim.Advance(time.Second)

@@ -16,7 +16,6 @@ import (
 
 	"hawq/internal/catalog"
 	"hawq/internal/clock"
-	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/interconnect"
 	"hawq/internal/plan"
@@ -160,13 +159,10 @@ type Operator interface {
 // carries a StatsRecorder, every operator (this node and, through the
 // recursion, its children) is wrapped in a stats decorator; parents
 // capture decorated children, so rows are counted at every plan edge.
+//
+// Build and the operators it returns only read the plan: every member
+// of a gang executes the same *plan.Plan (see cluster.Dispatch).
 func Build(ctx *Context, n plan.Node) (Operator, error) {
-	// Bind the query's clock into this node's scalar expressions so
-	// time-dependent builtins (current_date) evaluate against executor
-	// time — deterministic under clock.Sim — instead of the wall.
-	for _, e := range plan.NodeExprs(n) {
-		expr.BindClock(e, ctx.Clock)
-	}
 	op, err := buildNode(ctx, n)
 	if err != nil || ctx.Stats == nil {
 		return op, err
@@ -250,15 +246,8 @@ func RunSlice(ctx *Context, p *plan.Plan, sliceID int) error {
 	// after that sweep — only the slice itself is guaranteed to see the
 	// node its streams actually live on.
 	if ctx.Ctx != nil && ctx.Net != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Ctx.Done():
-				ctx.Net.CancelQuery(ctx.Query)
-			case <-watchDone:
-			}
-		}()
+		stop := context.AfterFunc(ctx.Ctx, func() { ctx.Net.CancelQuery(ctx.Query) })
+		defer stop()
 	}
 	if err := op.Open(); err != nil {
 		return errors.Join(err, op.Close())

@@ -14,8 +14,9 @@ import (
 // wall time to the operator's OpStats slot, and the spilling/motion
 // operators additionally record spill and interconnect traffic through
 // the statsSink hook. Node identity is the preorder index of the plan
-// node within the slice tree — identical on the QD's plan and on every
-// QE's gob-decoded copy, so merged stats line up without negotiation.
+// node within the slice tree — identical on the QD and on every QE
+// (and across the plan's wire form), so merged stats line up without
+// negotiation.
 type StatsRecorder struct {
 	slice   int
 	segment int

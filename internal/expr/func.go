@@ -12,12 +12,12 @@ import (
 type FuncCall struct {
 	Name string
 	Args []Expr
-	// impl and clk are segment-local bindings, deliberately rebuilt
-	// after decode by RebindFuncs/BindClock (§3.1); only Name and Args
-	// travel on the wire.
+	// impl and clk are local bindings, deliberately rebuilt after decode
+	// by RebindFuncs/BindClock (§3.1); only Name and Args travel on the
+	// wire.
 	//hawqcheck:ignore wiresafe impl is rebound by RebindFuncs after decode
 	impl *builtin
-	//hawqcheck:ignore wiresafe clk is rebound by BindClock at executor Build
+	//hawqcheck:ignore wiresafe clk is rebound by BindClock at cluster.Dispatch
 	clk clock.Clock
 }
 

@@ -9,7 +9,7 @@ import (
 // Param is a $n placeholder in a generic (parameterized) plan. The
 // planner emits Param nodes when planning a prepared statement without
 // argument values so the plan can be cached and reused; BindParams fills
-// V on a freshly decoded copy before dispatch. Fields are exported so the
+// V on the statement's own clone before dispatch. Fields are exported so the
 // node survives the gob plan codec.
 type Param struct {
 	Idx   int        // 0-based parameter index

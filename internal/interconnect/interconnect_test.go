@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"hawq/internal/clock"
 )
 
 // buildUDP creates n segment nodes (0..n-1) plus a QD node.
@@ -181,6 +183,103 @@ func TestUDPSenderBeforeReceiver(t *testing.T) {
 	}
 	if got != 10 {
 		t.Fatalf("got %d messages", got)
+	}
+}
+
+// An early sender must not depend on the retransmission timer: on a
+// simulated clock no timer fires unless the test advances it, so the
+// sender can only finish if the receiving node buffers and acknowledges
+// packets that beat OpenRecv.
+func TestUDPEarlyArrivalIsBufferedAndAcked(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	_, nodes := buildUDP(t, 1, UDPConfig{Clock: sim})
+	before := udpRetransmits.Value()
+	s, err := nodes[0].OpenSend(StreamID{Query: 8, Motion: 3, Sender: 0, Receiver: QDSeg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 4 // udpSend's initial cwnd
+	for i := 0; i < window; i++ {
+		if err := s.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close before the receiver opened: %v", err)
+	}
+	sim.Advance(50 * time.Millisecond) // far past rtoInit
+	recv, err := nodes[QDSeg].OpenRecv(8, 3, []SegID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	for want := 0; ; want++ {
+		item, done, err := recv.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			if want != window {
+				t.Fatalf("got %d payloads, want %d", want, window)
+			}
+			break
+		}
+		if len(item.Data) != 1 || item.Data[0] != byte(want) {
+			t.Fatalf("payload %d = %v", want, item.Data)
+		}
+	}
+	if d := udpRetransmits.Value() - before; d != 0 {
+		t.Errorf("interconnect.udp_retransmits grew by %d, want 0", d)
+	}
+}
+
+// A canceled query's early arrivals are discarded, and a buffer whose
+// senders went quiet expires into a cancellation tombstone, so the
+// receiver fails cleanly instead of waiting for acknowledged data that
+// is gone.
+func TestUDPEarlyArrivalDiscardAndExpiry(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	_, nodes := buildUDP(t, 1, UDPConfig{Clock: sim})
+	qd := nodes[QDSeg].(*UDPNode)
+	buffered := func() int {
+		qd.mu.Lock()
+		defer qd.mu.Unlock()
+		return len(qd.early)
+	}
+	for _, query := range []uint64{11, 12} {
+		s, err := nodes[0].OpenSend(StreamID{Query: query, Motion: 1, Sender: 0, Receiver: QDSeg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := buffered(); got != 2 {
+		t.Fatalf("early buffers = %d, want 2", got)
+	}
+	qd.CancelQuery(11)
+	if got := buffered(); got != 1 {
+		t.Fatalf("early buffers after cancel = %d, want 1", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for buffered() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("quiet early buffer never expired")
+		}
+		sim.Advance(30 * time.Second)
+		time.Sleep(time.Millisecond) // let timerLoop take the tick
+	}
+	recv, err := qd.OpenRecv(12, 1, []SegID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	if _, _, err := recv.Recv(); err != ErrCanceled {
+		t.Fatalf("Recv after expiry = %v, want ErrCanceled", err)
 	}
 }
 

@@ -2,9 +2,11 @@ package interconnect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hawq/internal/clock"
@@ -102,6 +104,11 @@ const (
 	// queryAfter is how long a sender waits with an empty unacked queue
 	// and no capacity before sending a status query (§4.5).
 	queryAfter = 50 * time.Millisecond
+	// tombstoneTTL is how long a node remembers a closed receiver, a
+	// canceled query and a quiet early-arrival buffer; tombstoneSweep
+	// is how often timerLoop looks for expired ones.
+	tombstoneTTL   = time.Minute
+	tombstoneSweep = time.Second
 )
 
 // UDPNode is one endpoint of the UDP interconnect: a single UDP socket
@@ -119,8 +126,9 @@ type UDPNode struct {
 	recvs    map[motionKey]*udpRecv
 	ended    map[motionKey]time.Time // closed receivers; answer stray data with STOP
 	canceled map[uint64]time.Time    // recently canceled queries; late-opened streams are born canceled
-	rng      *rand.Rand
-	lossRate float64
+	early    map[motionKey]*earlyBuf // packets that beat their receiver's OpenRecv
+	rng      *rand.Rand              // loss injection; guarded by mu
+	lossRate atomic.Uint64           // math.Float64bits of the injected loss probability
 	closed   bool
 	done     chan struct{}
 	wg       sync.WaitGroup
@@ -147,10 +155,11 @@ func NewUDPNode(seg SegID, book *AddrBook, cfg UDPConfig) (*UDPNode, error) {
 		recvs:    map[motionKey]*udpRecv{},
 		ended:    map[motionKey]time.Time{},
 		canceled: map[uint64]time.Time{},
+		early:    map[motionKey]*earlyBuf{},
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(seg))),
-		lossRate: cfg.LossRate,
 		done:     make(chan struct{}),
 	}
+	n.SetLossRate(cfg.LossRate)
 	book.SetUDP(seg, conn.LocalAddr().(*net.UDPAddr))
 	n.wg.Add(2)
 	go n.recvLoop()
@@ -194,19 +203,20 @@ func (n *UDPNode) Close() error {
 // The chaos scheduler uses it to model loss bursts and stalled peers
 // (rate 1 silences the node entirely) without rebuilding the cluster.
 func (n *UDPNode) SetLossRate(rate float64) {
-	n.mu.Lock()
-	n.lossRate = rate
-	n.mu.Unlock()
+	n.lossRate.Store(math.Float64bits(rate))
 }
 
-// transmit writes one packet, subject to injected loss.
+// transmit writes one packet, subject to injected loss. Without loss
+// injection (every non-chaos run) it takes no lock.
 func (n *UDPNode) transmit(raddr *net.UDPAddr, buf []byte) {
-	n.mu.Lock()
-	drop := n.lossRate > 0 && n.rng.Float64() < n.lossRate
-	n.mu.Unlock()
-	if drop {
-		udpPacketsDropped.Inc()
-		return
+	if rate := math.Float64frombits(n.lossRate.Load()); rate > 0 {
+		n.mu.Lock()
+		drop := n.rng.Float64() < rate
+		n.mu.Unlock()
+		if drop {
+			udpPacketsDropped.Inc()
+			return
+		}
 	}
 	udpPacketsSent.Inc()
 	udpBytesSent.Add(int64(len(buf)))
@@ -248,21 +258,26 @@ func (n *UDPNode) dispatch(h header, payload []byte, raddr *net.UDPAddr) {
 		key := motionKey{Query: h.Query, Motion: h.Motion, Receiver: h.Receiver}
 		n.mu.Lock()
 		r := n.recvs[key]
-		_, endedRecently := n.ended[key]
-		n.mu.Unlock()
+		// With no receiver, reply (if its Type gets set) answers for it.
+		reply := header{Query: h.Query, Motion: h.Motion, Sender: h.Sender, Receiver: h.Receiver}
 		if r == nil {
-			if endedRecently {
+			if _, endedRecently := n.ended[key]; endedRecently {
 				// Straggling sender for a finished stream: stop it.
-				n.transmit(raddr, encodePacket(header{
-					Type: ptStop, Query: h.Query, Motion: h.Motion,
-					Sender: h.Sender, Receiver: h.Receiver,
-				}, nil))
+				reply.Type = ptStop
+			} else if _, c := n.canceled[h.Query]; !c {
+				// The receiver has not set up yet (a hash join opens its
+				// probe motion only after draining the build side): keep
+				// the packet for OpenRecv and acknowledge it, so a healthy
+				// sender never waits out a retransmission timer.
+				reply.Type, reply.SR = ptAck, n.bufferEarlyLocked(key, h, payload, raddr)
 			}
-			// Otherwise the receiver has not set up yet; drop and let
-			// the sender retransmit.
-			return
 		}
-		r.handlePacket(h, payload, raddr)
+		n.mu.Unlock()
+		if r != nil {
+			r.handlePacket(h, payload, raddr)
+		} else if reply.Type != 0 {
+			n.transmit(raddr, encodePacket(reply, nil))
+		}
 	case ptAck, ptDup, ptOOO, ptStop:
 		n.mu.Lock()
 		s := n.sends[sid]
@@ -288,6 +303,7 @@ func (n *UDPNode) timerLoop() {
 	defer n.wg.Done()
 	t := n.clk.NewTicker(2 * time.Millisecond)
 	defer t.Stop()
+	var nextSweep time.Time
 	for {
 		select {
 		case <-n.done:
@@ -299,21 +315,42 @@ func (n *UDPNode) timerLoop() {
 		for _, s := range n.sends {
 			sends = append(sends, s)
 		}
-		// Expire old tombstones of finished receivers.
 		now := n.clk.Now()
-		for k, at := range n.ended {
-			if now.Sub(at) > time.Minute {
-				delete(n.ended, k)
-			}
-		}
-		for q, at := range n.canceled {
-			if now.Sub(at) > time.Minute {
-				delete(n.canceled, q)
-			}
+		if !now.Before(nextSweep) {
+			nextSweep = now.Add(tombstoneSweep)
+			n.sweepLocked(now)
 		}
 		n.mu.Unlock()
 		for _, s := range sends {
 			s.tick(now)
+		}
+	}
+}
+
+// sweepLocked expires what the node remembers about finished work.
+// Every statement leaves a tombstone behind for tombstoneTTL, so the
+// maps hold tens of thousands of entries on a busy node: timerLoop
+// sweeps them once per tombstoneSweep, not on every 2 ms tick. Callers
+// hold n.mu.
+func (n *UDPNode) sweepLocked(now time.Time) {
+	for k, at := range n.ended {
+		if now.Sub(at) > tombstoneTTL {
+			delete(n.ended, k)
+		}
+	}
+	for q, at := range n.canceled {
+		if now.Sub(at) > tombstoneTTL {
+			delete(n.canceled, q)
+		}
+	}
+	for k, e := range n.early {
+		if now.Sub(e.seen) > tombstoneTTL {
+			// Its senders went quiet and no receiver ever came. The
+			// data was acknowledged, so it cannot be dropped silently:
+			// a receiver that still shows up is born canceled and its
+			// query fails cleanly.
+			delete(n.early, k)
+			n.canceled[k.Query] = now
 		}
 	}
 }
@@ -368,11 +405,12 @@ func (n *UDPNode) OpenRecv(query uint64, motion int16, senders []SegID) (RecvStr
 		r.conns[s] = &rcvConn{sender: s, expected: 1, pending: map[uint32][]byte{}}
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.closed {
+		n.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if _, dup := n.recvs[key]; dup {
+		n.mu.Unlock()
 		return nil, fmt.Errorf("interconnect: recv stream q%d/m%d already open", query, motion)
 	}
 	if _, c := n.canceled[query]; c {
@@ -382,7 +420,59 @@ func (n *UDPNode) OpenRecv(query uint64, motion int16, senders []SegID) (RecvStr
 		close(r.cancel)
 	}
 	n.recvs[key] = r
+	early := n.early[key]
+	delete(n.early, key)
+	n.mu.Unlock()
+	// Replay what arrived before this call. The receive goroutine may
+	// already be feeding r newer packets; handlePacket parks those in the
+	// out-of-order ring until the replay catches up.
+	if early != nil {
+		for _, p := range early.pkts {
+			r.handlePacket(p.h, p.payload, p.raddr)
+		}
+	}
 	return r, nil
+}
+
+// earlyBuf holds the DATA/EOS packets of one motion that arrived before
+// its receiver called OpenRecv (GPDB's UDPIFC keeps the same start-up
+// cache). It is bounded by the sender's own flow control: nothing has
+// been consumed, so each sender may have RecvWindow packets plus its EOS
+// outstanding, and only in-order packets are kept.
+type earlyBuf struct {
+	pkts []earlyPkt
+	next map[SegID]uint32 // per sender: the next in-order seq to keep
+	seen time.Time        // last sign of life from any sender
+}
+
+type earlyPkt struct {
+	h       header
+	payload []byte
+	raddr   *net.UDPAddr
+}
+
+// bufferEarlyLocked files one packet for a receiver that is not open yet
+// and returns the SR to acknowledge: the sender's highest in-order seq
+// kept (the ack's SC stays 0, nothing is consumed). A gap or an over-cap
+// packet is not kept and the sender's retransmission covers it, as
+// before. Callers hold n.mu.
+func (n *UDPNode) bufferEarlyLocked(key motionKey, h header, payload []byte, raddr *net.UDPAddr) (sr uint32) {
+	e := n.early[key]
+	if e == nil {
+		e = &earlyBuf{next: map[SegID]uint32{}}
+		n.early[key] = e
+	}
+	e.seen = n.clk.Now()
+	next := e.next[h.Sender]
+	if next == 0 {
+		next = 1
+	}
+	if h.Type != ptQuery && h.Seq == next && int(next) <= n.cfg.RecvWindow+1 {
+		e.pkts = append(e.pkts, earlyPkt{h: h, payload: payload, raddr: raddr})
+		next++
+		e.next[h.Sender] = next
+	}
+	return next - 1
 }
 
 // outPkt is one sent-but-unacknowledged packet in the expiration queue.
@@ -906,6 +996,11 @@ func (n *UDPNode) CancelQuery(query uint64) {
 		// startup racing the cancel) are born canceled; timerLoop expires
 		// the tombstone.
 		n.canceled[query] = n.clk.Now()
+	}
+	for key := range n.early {
+		if key.Query == query {
+			delete(n.early, key)
+		}
 	}
 	var victims []*udpRecv
 	for key, r := range n.recvs {

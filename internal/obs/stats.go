@@ -8,8 +8,8 @@ import "time"
 // int64s; after the slice finishes the struct is published by value.
 type OpStats struct {
 	// Slice and Node identify the operator: Node is the preorder index
-	// of the plan node within its slice's tree, identical on the QD's
-	// plan and on every QE's gob-decoded copy.
+	// of the plan node within its slice's tree, identical on the QD
+	// and on every QE (and across the plan's wire form).
 	Slice int
 	Node  int
 	// Label is the plan node's display label ("Table Scan (t)", ...).

@@ -10,9 +10,9 @@ import (
 // slice, node, and expression is fresh, while immutable leaves (table
 // descriptors, schemas, segment-file lists, key-column slices) are
 // shared. It exists for the plan cache: a cached plan is handed out as
-// a clone per execution, so parameter binding, resource stamping, and
-// deferred direct dispatch mutate only the copy — at a fraction of the
-// cost of a decompress + gob decode of the encoded form.
+// a clone per execution, so parameter binding, resource stamping,
+// deferred direct dispatch and clock binding mutate only the copy — the
+// one copy a statement makes: every gang member executes it as is.
 func (p *Plan) Clone() (*Plan, error) {
 	cp := *p
 	cp.Slices = make([]*Slice, len(p.Slices))

@@ -43,12 +43,12 @@ func init() {
 	gob.Register(&expr.Param{})
 }
 
-// planCodec compresses serialized plans; complex plans reach megabytes,
-// so HAWQ compresses them before dispatch (§3.1).
+// planCodec compresses serialized plans: complex plans reach megabytes (§3.1).
 const planCodec = "quicklz"
 
-// Encode serializes a self-described plan for dispatch to segments:
-// gob-encoded, then compressed.
+// Encode serializes a self-described plan into its wire form: gob-encoded,
+// then compressed. The in-process dispatcher shares the *Plan with its
+// gang instead; TestSelfDescribedPlanExecutes proves the two equivalent.
 func Encode(p *Plan) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {

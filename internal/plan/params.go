@@ -9,9 +9,9 @@ import (
 
 // BindParams binds every expr.Param placeholder in the plan to its
 // positional argument value, casting each value to the kind the planner
-// inferred at prepare time. It is called on a freshly decoded plan copy
-// (cached plans stay pristine) before dispatch; the dispatcher's
-// re-encode then ships the bound values to the QEs.
+// inferred at prepare time. It is called on the statement's own clone
+// (cached plans stay pristine) before dispatch; the gang executes that
+// clone, bound values included.
 func (p *Plan) BindParams(args []types.Datum) error {
 	// A plan may reference a prefix of the EXECUTE arguments: a scalar
 	// subquery planned on its own uses only the placeholders it

@@ -10,9 +10,12 @@
 # (scan→filter→project with per-operator stats off vs on; the on/off
 # delta is the EXPLAIN ANALYZE instrumentation cost and must stay
 # under 5%), the master crash-recovery microbench (rebooting the
-# catalog from a ~10k-record durable WAL), and the hawq-check
-# self-benchmark (one full ten-analyzer
-# run over the repository; budget <10s), and writes the results to
+# catalog from a ~10k-record durable WAL), the dispatch floor (a
+# one-QE direct dispatch and a four-QE gather on an empty table: the
+# fixed cost of every statement) with the three ways a plan can reach
+# an executor (gob+quicklz encode, decode, structural clone), and the
+# hawq-check self-benchmark (one full ten-analyzer run over the
+# repository; budget <10s), and writes the results to
 # BENCH_micro.json as {"BenchmarkName/variant": {ns_op, b_op,
 # allocs_op}}.
 #
@@ -50,15 +53,18 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery'
-PKGS="./internal/types ./internal/storage ./internal/executor ./internal/cluster"
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip'
+PKGS="./internal/types ./internal/storage ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
+# -p 1: one package at a time. go test runs package binaries in
+# parallel by default, and two benchmarks sharing two cores time each
+# other, not themselves.
 echo "==> go test -bench (benchtime $BENCHTIME, count $COUNT)"
-go test "${RACE[@]+"${RACE[@]}"}" -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" $PKGS | tee "$RAW"
+go test -p 1 "${RACE[@]+"${RACE[@]}"}" -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" $PKGS | tee "$RAW"
 
 # The static-analysis self-benchmark always runs a single iteration:
 # one full-tree run is seconds, so repeating it with the 2s benchtime

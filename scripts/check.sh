@@ -35,6 +35,14 @@
 #                                  protocol survives hostile frames,
 #                                  and a 16-session hawq-bench
 #                                  concurrency cell runs end to end
+#   4e. benchmark module         — benchmark/ is a Go module of its
+#                                  own, so the root go vet / go test
+#                                  never compile it: vet it and run its
+#                                  smoke tests here, so a change to an
+#                                  API its probes call (plan.Encode/
+#                                  Decode/Clone, cluster.Dispatch,
+#                                  session, interconnect.NewUDPNode)
+#                                  fails locally, not in the pipeline
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -99,6 +107,9 @@ go test -race -count=1 \
 go test -race -count=1 \
     -run 'TestConcurrentPreparedExecutionWithDDL|TestPlanCache|TestPrepareExecuteDeallocate' ./internal/engine
 go run -race ./cmd/hawq-bench -exp concurrency -concurrency 16 -ops 64
+
+echo "==> benchmark module (go vet + go test in benchmark/)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "==> bench smoke (-benchtime=1x -race)"
 scripts/bench.sh --smoke
