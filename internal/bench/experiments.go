@@ -101,32 +101,46 @@ func Fig7(cfg Config) (*Report, error) {
 	return r, nil
 }
 
-// perQuery measures HAWQ vs Stinger per query (Figures 8 and 9).
+// perQuery measures HAWQ, on each of its three storage formats, against
+// Stinger per query (Figures 8 and 9). The speedup column is the
+// paper's comparison: HAWQ's default format (AO) over Stinger.
 func perQuery(cfg Config, title string, queries []int, paperNote string) (*Report, error) {
 	cfg.Defaults()
+	formats := []string{"row", "column", "parquet"}
 	r := &Report{
 		Title:   title,
-		Columns: []string{"query", "HAWQ s", "Stinger s", "speedup"},
+		Columns: []string{"query", "AO s", "CO s", "Parquet s", "Stinger s", "speedup"},
 		Notes:   []string{paperNote},
 	}
-	e, err := newHAWQ(cfg, cfg.SFLarge, "row", "quicklz", 0, tpch.DistHash, nil)
-	if err != nil {
-		return nil, err
+	sessions := make([]*engine.Session, len(formats))
+	for i, format := range formats {
+		e, err := newHAWQ(cfg, cfg.SFLarge, format, "quicklz", 0, tpch.DistHash, nil)
+		if err != nil {
+			return nil, err
+		}
+		defer e.Close()
+		sessions[i] = e.NewSession()
 	}
-	defer e.Close()
 	se, err := newStinger(cfg, cfg.SFLarge, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer se.Close()
-	s := e.NewSession()
 	for _, q := range queries {
-		hawqTime, err := bestOf(3, func() error {
-			_, err := s.Query(tpch.Queries[q])
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("hawq Q%d: %w", q, err)
+		row := []string{fmt.Sprintf("Q%d", q)}
+		var aoTime time.Duration
+		for i, s := range sessions {
+			d, err := bestOf(3, func() error {
+				_, err := s.Query(tpch.Queries[q])
+				return err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("hawq %s Q%d: %w", formats[i], q, err)
+			}
+			if i == 0 {
+				aoTime = d
+			}
+			row = append(row, seconds(d))
 		}
 		stTime, err := bestOf(3, func() error {
 			_, _, err := se.Query(tpch.Queries[q])
@@ -135,10 +149,8 @@ func perQuery(cfg Config, title string, queries []int, paperNote string) (*Repor
 		if err != nil {
 			return nil, fmt.Errorf("stinger Q%d: %w", q, err)
 		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("Q%d", q), seconds(hawqTime), seconds(stTime),
-			fmt.Sprintf("%.1fx", stTime.Seconds()/hawqTime.Seconds()),
-		})
+		r.Rows = append(r.Rows, append(row, seconds(stTime),
+			fmt.Sprintf("%.1fx", stTime.Seconds()/aoTime.Seconds())))
 	}
 	return r, nil
 }

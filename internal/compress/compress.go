@@ -21,7 +21,10 @@ type Codec interface {
 	Name() string
 	// Compress appends the compressed form of src to dst.
 	Compress(dst, src []byte) []byte
-	// Decompress appends the decompressed form of src to dst.
+	// Decompress appends the decompressed form of src to dst. With a nil
+	// dst the result may share memory with src (the identity codec
+	// returns src itself, copying nothing): a caller that passes nil reads
+	// the result and must not write to it, nor reuse src while it does.
 	Decompress(dst, src []byte) ([]byte, error)
 }
 
@@ -84,7 +87,12 @@ func (noneCodec) Name() string { return "none" }
 
 func (noneCodec) Compress(dst, src []byte) []byte { return append(dst, src...) }
 
-func (noneCodec) Decompress(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
+func (noneCodec) Decompress(dst, src []byte) ([]byte, error) {
+	if dst == nil {
+		return src, nil
+	}
+	return append(dst, src...), nil
+}
 
 // flateCodec wraps compress/zlib or compress/gzip at a fixed level.
 type flateCodec struct {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -119,6 +120,23 @@ func TestDecompressAppendsToDst(t *testing.T) {
 	}
 }
 
+// TestNoneDecompressCopiesOnlyIntoDst pins the identity codec's side of
+// the Codec contract: with a nil dst the stored bytes come back as they
+// are, and a non-nil dst — even an empty one — is appended to, never
+// aliased to src.
+func TestNoneDecompressCopiesOnlyIntoDst(t *testing.T) {
+	c, _ := Lookup("none")
+	src := []byte("payload")
+	out, err := c.Decompress(nil, src)
+	if err != nil || &out[0] != &src[0] || len(out) != len(src) {
+		t.Errorf("nil dst: got %q (err %v), want src itself", out, err)
+	}
+	out, err = c.Decompress([]byte{}, src)
+	if err != nil || string(out) != "payload" || &out[0] == &src[0] {
+		t.Errorf("empty dst: got %q (err %v), want a copy", out, err)
+	}
+}
+
 func TestDecompressCorruptInput(t *testing.T) {
 	for _, name := range []string{"quicklz", "rle", "zlib-5", "gzip-5"} {
 		c, _ := Lookup(name)
@@ -163,4 +181,76 @@ func BenchmarkZlib1Compress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Compress(nil, data)
 	}
+}
+
+func BenchmarkLZDecompress(b *testing.B) {
+	data := mixedBytes(3, 1<<20)
+	c, _ := Lookup("quicklz")
+	comp := c.Compress(nil, data)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Decompress(nil, comp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLZDecompressRejectsHostileStreams pins the decoder's error paths a
+// checksum cannot catch for it: a length header no stream of that size
+// can honour (which would otherwise size the output buffer), a zero or
+// out-of-block match offset, and streams that end mid-op.
+func TestLZDecompressRejectsHostileStreams(t *testing.T) {
+	c, _ := Lookup("quicklz")
+	for name, stream := range map[string][]byte{
+		"huge length header":    {0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x10, 'a'},
+		"zero match offset":     {8, 0x40, 'a', 'b', 'c', 'd', 0, 0},
+		"offset before block":   {8, 0x40, 'a', 'b', 'c', 'd', 9, 0},
+		"truncated offset":      {8, 0x40, 'a', 'b', 'c', 'd', 4},
+		"truncated literals":    {8, 0x40, 'a', 'b'},
+		"truncated extension":   {40, 0xF0, 255},
+		"short of header count": {9, 0x40, 'a', 'b', 'c', 'd', 4, 0},
+	} {
+		if out, err := c.Decompress([]byte("keep"), stream); err == nil {
+			t.Errorf("%s: decoded to %q", name, out)
+		} else if string(out) != "keep" {
+			t.Errorf("%s: dst not returned intact on error: %q", name, out)
+		}
+	}
+	// The overlapping-match loop and the bulk copy agree with the
+	// compressor on periods shorter and longer than a match.
+	for _, period := range []int{1, 2, 3, 4, 5, 7, 64, 300} {
+		data := bytes.Repeat(randomBytes(int64(period), period), 2000/period+3)
+		got, err := c.Decompress(nil, c.Compress(nil, data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("period %d: round trip failed (err %v)", period, err)
+		}
+	}
+}
+
+// FuzzLZDecompress treats the input both as a compressed stream (the
+// decoder must fail cleanly or produce exactly the length its header
+// promises, never panic or over-allocate) and as raw bytes (which must
+// survive a compress/decompress round trip).
+func FuzzLZDecompress(f *testing.F) {
+	c, _ := Lookup("quicklz")
+	for _, raw := range [][]byte{nil, []byte("a"), []byte(strings.Repeat("abcdefg", 100)), mixedBytes(5, 4096), bytes.Repeat([]byte{7}, 1000)} {
+		comp := c.Compress(nil, raw)
+		f.Add(comp)
+		f.Add(comp[:len(comp)/2])
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x10, 'a'})
+	f.Add([]byte{8, 0x40, 'a', 'b', 'c', 'd', 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if out, err := c.Decompress(nil, data); err == nil {
+			want, _ := binary.Uvarint(data)
+			if uint64(len(out)) != want {
+				t.Fatalf("decoded %d bytes, header says %d", len(out), want)
+			}
+		}
+		got, err := c.Decompress(nil, c.Compress(nil, data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("round trip of %d raw bytes failed: %v", len(data), err)
+		}
+	})
 }

@@ -127,8 +127,19 @@ func (c lzCodec) Decompress(dst, src []byte) ([]byte, error) {
 		return dst, fmt.Errorf("%s: truncated header", c.name)
 	}
 	src = src[consumed:]
+	// No stream byte yields more than 255 output bytes (a length
+	// extension byte), so a larger claim is corruption; refusing it here
+	// is what lets the header size the output buffer once instead of
+	// growing into it.
+	if want > 255*uint64(len(src)) {
+		return dst, fmt.Errorf("%s: header claims %d bytes from a %d-byte stream", c.name, want, len(src))
+	}
 	base := len(dst)
 	out := dst
+	if cap(out)-base < int(want) {
+		out = make([]byte, base, base+int(want))
+		copy(out, dst)
+	}
 	pos := 0
 	for pos < len(src) {
 		token := src[pos]
@@ -153,9 +164,6 @@ func (c lzCodec) Decompress(dst, src []byte) ([]byte, error) {
 		}
 		out = append(out, src[pos:pos+litLen]...)
 		pos += litLen
-		if len(out)-base == int(want) && pos == len(src) {
-			break
-		}
 		// A trailing op may be literal-only (no match follows).
 		if pos == len(src) {
 			break
@@ -167,10 +175,15 @@ func (c lzCodec) Decompress(dst, src []byte) ([]byte, error) {
 		pos += 2
 		matchLen := ml + lzMinMatch
 		start := len(out) - offset
-		if start < base {
-			return dst, fmt.Errorf("%s: match offset before block start", c.name)
+		if offset == 0 || start < base {
+			return dst, fmt.Errorf("%s: match offset outside the block", c.name)
 		}
-		// Byte-by-byte copy: matches may overlap their own output.
+		if offset >= matchLen {
+			out = append(out, out[start:start+matchLen]...)
+			continue
+		}
+		// The match overlaps its own output (a short period repeated):
+		// each byte may be one this loop just wrote.
 		for k := 0; k < matchLen; k++ {
 			out = append(out, out[start+k])
 		}

@@ -142,7 +142,7 @@ func (s *Session) mergeSegFiles(ctx context.Context, t *tx.Tx, desc *catalog.Tab
 		deleteSegFilePhysical(fs, desc, merged)
 	})
 	for _, f := range files {
-		err := storage.Scan(fs, desc.Storage, desc.Schema, f, nil, func(row types.Row) error {
+		err := storage.Scan(fs, desc.Storage, desc.Schema, f, desc.Schema.AllCols(), func(row types.Row) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}

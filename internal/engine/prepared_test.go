@@ -277,3 +277,34 @@ func TestConcurrentPreparedExecutionWithDDL(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectDispatchWhenKeyIsNotFirstOutput: a point lookup whose
+// distribution key is the table's last column and only its filter
+// references it. The scan outputs (v, k) — the key at position 1, table
+// column 2 — and direct dispatch, constant or deferred to bind time,
+// must still hash to the segment the insert path stored the row on: a
+// wrong index would send the one-QE gang to an empty segment.
+func TestDirectDispatchWhenKeyIsNotFirstOutput(t *testing.T) {
+	e := newTestEngine(t, 4)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE kv (pad TEXT, v TEXT, k INT8) DISTRIBUTED BY (k)")
+	var vals []string
+	for i := 0; i < 64; i++ {
+		vals = append(vals, fmt.Sprintf("('pad-%d', 'value-%d', %d)", i, i, i))
+	}
+	mustExec(t, s, "INSERT INTO kv VALUES "+strings.Join(vals, ", "))
+	explain := strings.Join(rowsString(mustExec(t, s, "EXPLAIN SELECT v FROM kv WHERE k = 7")), "\n")
+	if !strings.Contains(explain, "Slice 1 (segments [") || !strings.Contains(explain, "cols=2/3") {
+		t.Fatalf("point lookup is not a narrow direct dispatch:\n%s", explain)
+	}
+	mustExec(t, s, "PREPARE getv AS SELECT v FROM kv WHERE k = $1")
+	for i := 0; i < 64; i++ {
+		want := fmt.Sprintf("value-%d", i)
+		for _, sql := range []string{fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i), fmt.Sprintf("EXECUTE getv (%d)", i)} {
+			res := mustExec(t, s, sql)
+			if len(res.Rows) != 1 || res.Rows[0][0].Str() != want {
+				t.Fatalf("%s = %v, want %s", sql, rowsString(res), want)
+			}
+		}
+	}
+}

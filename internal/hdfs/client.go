@@ -289,13 +289,15 @@ func (r *FileReader) ReadAt(p []byte, off int64) (int, error) {
 		if rem := b.length - boff; want > rem {
 			want = rem
 		}
-		data, err := r.readReplicated(b, boff, want)
+		n, err := r.readReplicated(b, boff, p[read:read+int(want)])
 		if err != nil {
 			return read, err
 		}
-		copy(p[read:], data)
-		read += len(data)
-		off += int64(len(data))
+		if n == 0 {
+			return read, fmt.Errorf("hdfs: read %s: replica shorter than its block: %w", r.path, io.ErrUnexpectedEOF)
+		}
+		read += n
+		off += int64(n)
 	}
 	if read < len(p) {
 		return read, io.EOF
@@ -313,25 +315,27 @@ func (r *FileReader) findBlock(off int64) (int, int64) {
 	panic("hdfs: offset out of range")
 }
 
-func (r *FileReader) readReplicated(b *blockMeta, off, n int64) ([]byte, error) {
+// readReplicated fills p from the first replica of b that answers,
+// starting at block offset off, and returns the bytes read.
+func (r *FileReader) readReplicated(b *blockMeta, off int64, p []byte) (int, error) {
 	var lastErr error
 	for i, dn := range b.locs {
-		data, err := dn.readBlock(b.id, off, n)
+		n, err := dn.readBlock(b.id, off, p)
 		if err == nil {
 			if i == 0 {
 				hdfsLocalReads.Inc()
 			} else {
 				hdfsRemoteReads.Inc()
 			}
-			hdfsReadBytes.Add(int64(len(data)))
-			return data, nil
+			hdfsReadBytes.Add(int64(n))
+			return n, nil
 		}
 		lastErr = err
 	}
 	if lastErr == nil {
 		lastErr = ErrBlockLost
 	}
-	return nil, fmt.Errorf("hdfs: read %s: %w", r.path, lastErr)
+	return 0, fmt.Errorf("hdfs: read %s: %w", r.path, lastErr)
 }
 
 // Read implements io.Reader.

@@ -151,35 +151,33 @@ func (dn *DataNode) appendBlock(id BlockID, data []byte) error {
 	return nil
 }
 
-// readBlock returns a copy of the block bytes in [off, off+n). n < 0 reads
-// to the end of the block.
-func (dn *DataNode) readBlock(id BlockID, off, n int64) ([]byte, error) {
+// readBlock copies the block's bytes from off onward into p and returns
+// how many it copied (fewer than len(p) only when the replica ends
+// first). The reader's buffer is filled straight from the replica under
+// the read lock — the only copy a read makes — and the I/O model is
+// charged for the bytes moved once the lock is released.
+func (dn *DataNode) readBlock(id BlockID, off int64, p []byte) (int, error) {
 	dn.mu.RLock()
 	if !dn.alive {
 		dn.mu.RUnlock()
-		return nil, fmt.Errorf("datanode %s down: %w", dn.name, ErrBlockLost)
+		return 0, fmt.Errorf("datanode %s down: %w", dn.name, ErrBlockLost)
 	}
 	vi, ok := dn.blockVol[id]
 	if !ok {
 		dn.mu.RUnlock()
-		return nil, fmt.Errorf("datanode %s: %w", dn.name, ErrBlockLost)
+		return 0, fmt.Errorf("datanode %s: %w", dn.name, ErrBlockLost)
 	}
 	data := dn.volumes[vi].blocks[id]
 	if off > int64(len(data)) {
 		dn.mu.RUnlock()
-		return nil, fmt.Errorf("datanode %s: read past block end", dn.name)
+		return 0, fmt.Errorf("datanode %s: read past block end", dn.name)
 	}
-	end := int64(len(data))
-	if n >= 0 && off+n < end {
-		end = off + n
-	}
-	out := make([]byte, end-off)
-	copy(out, data[off:end])
+	n := copy(p, data[off:])
 	dn.mu.RUnlock()
-	if d := dn.io.delay(len(out)); d > 0 {
+	if d := dn.io.delay(n); d > 0 {
 		dn.clk.Sleep(d)
 	}
-	return out, nil
+	return n, nil
 }
 
 // truncateBlock shortens a replica to length n.

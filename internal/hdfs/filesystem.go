@@ -336,11 +336,13 @@ func (fs *FileSystem) ReplicationCheck() int {
 				}
 				continue
 			}
+			data := make([]byte, b.length)
 			//hawqcheck:ignore lockorder — simulated disk latency: the injected clock sleep is virtual (instant) under clock.Sim
-			data, err := live[0].readBlock(b.id, 0, -1)
+			n, err := live[0].readBlock(b.id, 0, data)
 			if err != nil {
 				continue
 			}
+			data = data[:n]
 			for _, dn := range fs.nodes {
 				if len(live) >= fs.cfg.Replication {
 					break

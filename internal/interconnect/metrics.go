@@ -8,14 +8,14 @@ import "hawq/internal/obs"
 // transmit point (a dropped packet is one loss-injection casualty, not
 // also a send); received counts only packets that decoded cleanly.
 var (
-	udpPacketsSent   = obs.GetCounter("interconnect.udp_packets_sent")
-	udpBytesSent     = obs.GetCounter("interconnect.udp_bytes_sent")
-	udpPacketsRecv   = obs.GetCounter("interconnect.udp_packets_recv")
-	udpBytesRecv     = obs.GetCounter("interconnect.udp_bytes_recv")
+	udpPacketsSent    = obs.GetCounter("interconnect.udp_packets_sent")
+	udpBytesSent      = obs.GetCounter("interconnect.udp_bytes_sent")
+	udpPacketsRecv    = obs.GetCounter("interconnect.udp_packets_recv")
+	udpBytesRecv      = obs.GetCounter("interconnect.udp_bytes_recv")
 	udpPacketsDropped = obs.GetCounter("interconnect.udp_packets_dropped")
-	udpRetransmits   = obs.GetCounter("interconnect.udp_retransmits")
-	tcpMsgsSent      = obs.GetCounter("interconnect.tcp_msgs_sent")
-	tcpBytesSent     = obs.GetCounter("interconnect.tcp_bytes_sent")
-	tcpMsgsRecv      = obs.GetCounter("interconnect.tcp_msgs_recv")
-	tcpBytesRecv     = obs.GetCounter("interconnect.tcp_bytes_recv")
+	udpRetransmits    = obs.GetCounter("interconnect.udp_retransmits")
+	tcpMsgsSent       = obs.GetCounter("interconnect.tcp_msgs_sent")
+	tcpBytesSent      = obs.GetCounter("interconnect.tcp_bytes_sent")
+	tcpMsgsRecv       = obs.GetCounter("interconnect.tcp_msgs_recv")
+	tcpBytesRecv      = obs.GetCounter("interconnect.tcp_bytes_recv")
 )

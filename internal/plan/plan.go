@@ -105,7 +105,13 @@ type RuntimeFilterTarget struct {
 // QE scans only the files whose SegmentID matches its own.
 type Scan struct {
 	Table *catalog.TableDesc
-	// Proj are the table column indexes produced, in output order.
+	// Proj are the table column indexes produced, in output order: the
+	// columns the query references, chosen by the planner, and nothing
+	// else. Empty (or nil — the wire form does not tell them apart)
+	// means no columns: a COUNT(*) scan emits zero-width rows. Every
+	// other index in a plan (Filter's ColRefs, RuntimeFilters, join keys
+	// and motion hash columns above) is an output position — a position
+	// in Proj — never a table column index.
 	Proj []int
 	// Filter is evaluated over the projected row; nil means no filter.
 	Filter expr.Expr
@@ -125,7 +131,7 @@ func (s *Scan) Children() []Node { return nil }
 
 // Label implements Node.
 func (s *Scan) Label() string {
-	l := fmt.Sprintf("Table Scan (%s)", s.Table.Name)
+	l := fmt.Sprintf("Table Scan (%s) cols=%d/%d", s.Table.Name, len(s.Proj), s.Table.Schema.Len())
 	if s.Filter != nil {
 		l += fmt.Sprintf(" filter: %s", s.Filter)
 	}

@@ -55,6 +55,19 @@ func (s *scope) resolve(id *sqlparser.Ident) (int, error) {
 	return found, nil
 }
 
+// binds reports whether any column of the scope answers to the
+// identifier (an ambiguous name still binds here, not further out).
+func (s *scope) binds(id *sqlparser.Ident) bool {
+	qual := strings.ToLower(id.Qualifier())
+	name := strings.ToLower(id.Column())
+	for _, c := range s.cols {
+		if c.name == name && (qual == "" || c.qual == qual) {
+			return true
+		}
+	}
+	return false
+}
+
 // binder turns syntax expressions into bound executable expressions.
 type binder struct {
 	scope *scope

@@ -374,6 +374,7 @@ func (p *Planner) asSemiUnit(c sqlparser.Expr, units []*fromUnit) (*semiUnit, bo
 func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error) {
 	sub := su.sub
 	outerScope := outer.scope()
+	subScope := p.fromScope(sub.From)
 
 	// Split the subquery's WHERE into correlated equalities (outer col =
 	// inner col) and local predicates.
@@ -386,12 +387,12 @@ func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error
 				_, rOuterErr := outerScope.resolve(r)
 				// A correlated equality has one side that only resolves
 				// in the outer scope and one that resolves locally.
-				if lOuterErr == nil && p.resolvesInSub(r, sub) && !p.resolvesInSub(l, sub) {
+				if lOuterErr == nil && subScope.binds(r) && !subScope.binds(l) {
 					corrOuter = append(corrOuter, l)
 					corrInner = append(corrInner, r)
 					continue
 				}
-				if rOuterErr == nil && p.resolvesInSub(l, sub) && !p.resolvesInSub(r, sub) {
+				if rOuterErr == nil && subScope.binds(l) && !subScope.binds(r) {
 					corrOuter = append(corrOuter, r)
 					corrInner = append(corrInner, l)
 					continue
@@ -459,23 +460,3 @@ func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error
 	}
 	return p.joinRelations(outer, innerRel, leftKeys, rightKeys, kind, nil)
 }
-
-// resolvesInSub reports whether an identifier binds inside the
-// subquery's own FROM tables (the correlation test: identifiers that do
-// NOT resolve locally must come from the outer query).
-func (p *Planner) resolvesInSub(id *sqlparser.Ident, sub *sqlparser.SelectStmt) bool {
-	for _, ref := range sub.From {
-		u, err := p.newFromUnit(refShallow(ref))
-		if err != nil {
-			continue
-		}
-		if _, err := u.scope.resolve(id); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// refShallow strips derived tables to avoid re-planning them during the
-// correlation test; base tables pass through.
-func refShallow(ref sqlparser.TableRef) sqlparser.TableRef { return ref }

@@ -242,46 +242,53 @@ func conjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// identRefs collects the identifiers in a syntax expression (not
-// descending into subqueries).
-func identRefs(e sqlparser.Expr, out *[]*sqlparser.Ident) {
+// identRefs collects the identifiers in a syntax expression. Subqueries
+// are not descended into: sub is called on each instead.
+func identRefs(e sqlparser.Expr, out *[]*sqlparser.Ident, sub func(*sqlparser.SelectStmt)) {
 	switch v := e.(type) {
 	case nil:
 	case *sqlparser.Ident:
 		*out = append(*out, v)
 	case *sqlparser.BinExpr:
-		identRefs(v.L, out)
-		identRefs(v.R, out)
+		identRefs(v.L, out, sub)
+		identRefs(v.R, out, sub)
 	case *sqlparser.UnExpr:
-		identRefs(v.E, out)
+		identRefs(v.E, out, sub)
 	case *sqlparser.FuncExpr:
 		for _, a := range v.Args {
-			identRefs(a, out)
+			identRefs(a, out, sub)
 		}
 	case *sqlparser.LikeExpr:
-		identRefs(v.E, out)
+		identRefs(v.E, out, sub)
 	case *sqlparser.InExpr:
-		identRefs(v.E, out)
+		identRefs(v.E, out, sub)
 		for _, it := range v.List {
-			identRefs(it, out)
+			identRefs(it, out, sub)
+		}
+		if v.Sub != nil {
+			sub(v.Sub)
 		}
 	case *sqlparser.BetweenExpr:
-		identRefs(v.E, out)
-		identRefs(v.Lo, out)
-		identRefs(v.Hi, out)
+		identRefs(v.E, out, sub)
+		identRefs(v.Lo, out, sub)
+		identRefs(v.Hi, out, sub)
 	case *sqlparser.IsNullExpr:
-		identRefs(v.E, out)
+		identRefs(v.E, out, sub)
 	case *sqlparser.CaseExpr:
-		identRefs(v.Operand, out)
+		identRefs(v.Operand, out, sub)
 		for _, w := range v.Whens {
-			identRefs(w.Cond, out)
-			identRefs(w.Result, out)
+			identRefs(w.Cond, out, sub)
+			identRefs(w.Result, out, sub)
 		}
-		identRefs(v.Else, out)
+		identRefs(v.Else, out, sub)
 	case *sqlparser.CastExpr:
-		identRefs(v.E, out)
+		identRefs(v.E, out, sub)
 	case *sqlparser.ExtractExpr:
-		identRefs(v.E, out)
+		identRefs(v.E, out, sub)
+	case *sqlparser.ExistsExpr:
+		sub(v.Sub)
+	case *sqlparser.SubqueryExpr:
+		sub(v.Sub)
 	}
 }
 

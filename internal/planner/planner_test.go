@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,6 +42,10 @@ func fixture(t *testing.T) (*Planner, *tx.Tx) {
 		intCol("r_orderkey"), intCol("r_v"))
 	mk("tiny", catalog.DistPolicy{Cols: []int{0}}, 5,
 		intCol("t_k"), types.Column{Name: "t_name", Kind: types.KindString})
+	// Distributed on its last column, so a narrow scan's output position
+	// of the key differs from its table index.
+	mk("customer", catalog.DistPolicy{Cols: []int{2}}, 1500,
+		types.Column{Name: "c_comment", Kind: types.KindString}, types.Column{Name: "c_name", Kind: types.KindString}, intCol("c_custkey"))
 	return &Planner{Cat: cat, Snap: tr.Snapshot(), NumSegments: 4}, tr
 }
 
@@ -440,11 +445,81 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 			}
 		}
 	})
+	// The distribution key referenced only by the filter: the scan
+	// outputs (c_name, c_custkey), so the key sits at output position 1
+	// while desc.Dist.Cols says table column 2. The deferred choice must
+	// still be made, and land where the constant plan and the full-width
+	// plan land.
+	p.GenericParams = true
+	pl = planOf(t, p, "SELECT c_name FROM customer WHERE c_custkey = $1")
+	p.GenericParams = false
+	if len(pl.DeferredDirect) != 1 {
+		t.Fatalf("key referenced only by the filter: deferred direct = %+v:\n%s", pl.DeferredDirect, pl.Explain())
+	}
+	if err := pl.BindParams([]types.Datum{types.NewInt64(42)}); err != nil {
+		t.Fatal(err)
+	}
+	got = pl.Slices[pl.DeferredDirect[0].SliceID].Segments
+	for _, sql := range []string{"SELECT c_name FROM customer WHERE c_custkey = 42", "SELECT * FROM customer WHERE c_custkey = 42"} {
+		want := planOf(t, p, sql).Slices[1].Segments
+		if len(want) != 1 || !sameCols(got, want) {
+			t.Fatalf("bound segments = %v, %q dispatches to %v", got, sql, want)
+		}
+	}
+	// The key not referenced at all: nothing pins it, nothing is
+	// deferred, the whole gang runs.
+	p.GenericParams = true
+	pl = planOf(t, p, "SELECT c_name FROM customer WHERE c_name = $1")
+	if len(pl.DeferredDirect) != 0 || len(pl.Slices[1].Segments) != 4 {
+		t.Fatalf("unreferenced key: deferred %+v, segments %v", pl.DeferredDirect, pl.Slices[1].Segments)
+	}
 	// With direct dispatch disabled nothing is deferred.
 	p.DisableDirectDispatch = true
-	p.GenericParams = true
 	pl = planOf(t, p, "SELECT * FROM orders WHERE o_orderkey = $1")
 	if len(pl.DeferredDirect) != 0 {
 		t.Fatalf("ablation still deferred: %+v", pl.DeferredDirect)
+	}
+}
+
+// TestRefNamesMatchResolvedScope: refNames decides where an identifier
+// binds before anything is planned, so the names it derives for a FROM
+// item must be the names the planned item's scope really exposes — alias
+// handling, `*` and `t.*` expansion and positional output names included.
+// A name it missed would be taken for a reference to an enclosing block
+// and its column pruned from under the subquery that uses it.
+func TestRefNamesMatchResolvedScope(t *testing.T) {
+	p, tr := fixture(t)
+	defer tr.Abort()
+	for _, from := range []string{
+		"orders",
+		"orders o",
+		"(SELECT o_orderkey AS k, o_custkey, o_orderkey + 1, count(*) FROM orders GROUP BY o_orderkey, o_custkey) d",
+		"(SELECT * FROM tiny) d",
+		"(SELECT t.*, l_tax FROM tiny t, lineitem WHERE t_k = l_orderkey) d",
+		"(SELECT * FROM (SELECT t_name, t_k FROM tiny) x) d",
+		"orders o JOIN lineitem l ON o.o_orderkey = l.l_orderkey",
+		"orders o LEFT JOIN (SELECT * FROM tiny) d ON o.o_orderkey = d.t_k",
+		"tiny RIGHT JOIN randtab ON t_k = r_orderkey",
+	} {
+		stmt, err := sqlparser.ParseOne("SELECT * FROM " + from)
+		if err != nil {
+			t.Fatalf("%s: %v", from, err)
+		}
+		ref := stmt.(*sqlparser.SelectStmt).From[0]
+		u, err := p.newFromUnit(ref, &colRefs{star: true})
+		if err != nil {
+			t.Fatalf("%s: %v", from, err)
+		}
+		want := map[scopeCol]int{}
+		for _, c := range u.scope.cols {
+			want[c]++
+		}
+		got := map[scopeCol]int{}
+		for _, c := range p.refNames(ref) {
+			got[c]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: refNames %v, planned scope %v", from, p.refNames(ref), u.scope.cols)
+		}
 	}
 }

@@ -18,6 +18,12 @@ type fromUnit struct {
 	rel    *relation // materialized lazily
 	scope  *scope    // available before materialization for name tests
 	pushed []sqlparser.Expr
+	// desc and proj are set for base tables: proj lists the table column
+	// indexes the block references, ascending — the scan's output. scope
+	// covers exactly those, so every index resolved through it is an
+	// output position, not a table position.
+	desc *catalog.TableDesc
+	proj []int
 }
 
 // planFromWhere resolves FROM, classifies WHERE conjuncts (pushdown, join
@@ -29,9 +35,10 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 		one := &plan.Values{Rows: []types.Row{{}}, Schema: types.NewSchema()}
 		return &relation{node: one, dist: distInfo{kind: distQD}, rows: 1}, nil
 	}
+	need := p.blockRefs(stmt)
 	var units []*fromUnit
 	for _, ref := range stmt.From {
-		u, err := p.newFromUnit(ref)
+		u, err := p.newFromUnit(ref, need)
 		if err != nil {
 			return nil, err
 		}
@@ -109,8 +116,10 @@ func (p *Planner) scalarSubquery() func(*sqlparser.SelectStmt) (types.Datum, err
 	return p.SubqueryEval
 }
 
-// newFromUnit resolves one FROM item far enough to answer name lookups.
-func (p *Planner) newFromUnit(ref sqlparser.TableRef) (*fromUnit, error) {
+// newFromUnit resolves one FROM item far enough to answer name lookups,
+// exposing only what the enclosing block references (need): a base
+// table's referenced columns, a derived table's referenced outputs.
+func (p *Planner) newFromUnit(ref sqlparser.TableRef, need *colRefs) (*fromUnit, error) {
 	u := &fromUnit{ref: ref}
 	switch v := ref.(type) {
 	case *sqlparser.TableName:
@@ -118,17 +127,18 @@ func (p *Planner) newFromUnit(ref sqlparser.TableRef) (*fromUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		alias := v.Alias
-		if alias == "" {
-			alias = v.Name
+		names := desc.Schema.Names()
+		u.desc = desc
+		u.proj = []int{}
+		for i, used := range need.used(strings.ToLower(aliasOf(v)), names) {
+			if used {
+				u.proj = append(u.proj, i)
+			}
 		}
-		cols := make([]scopeCol, desc.Schema.Len())
-		for i, c := range desc.Schema.Columns {
-			cols[i] = scopeCol{qual: strings.ToLower(alias), name: strings.ToLower(c.Name)}
-		}
-		u.scope = &scope{cols: cols, schema: desc.Schema}
+		u.scope = &scope{schema: desc.Schema.Project(u.proj)}
+		u.scope.cols = tableCols(u.scope.schema.Names(), aliasOf(v))
 	case *sqlparser.SubqueryRef:
-		rel, err := p.planQuery(v.Select)
+		rel, err := p.planQuery(pruneOutputs(v.Select, strings.ToLower(v.Alias), need))
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +149,7 @@ func (p *Planner) newFromUnit(ref sqlparser.TableRef) (*fromUnit, error) {
 		u.rel = &relation{node: rel.node, cols: cols, dist: rel.dist, rows: rel.rows}
 		u.scope = u.rel.scope()
 	case *sqlparser.Join:
-		rel, err := p.planExplicitJoin(v)
+		rel, err := p.planExplicitJoin(v, need)
 		if err != nil {
 			return nil, err
 		}
@@ -170,16 +180,7 @@ func (p *Planner) materialize(u *fromUnit) error {
 		}
 		return nil
 	}
-	v := u.ref.(*sqlparser.TableName)
-	desc, err := p.Cat.LookupTable(p.Snap, v.Name)
-	if err != nil {
-		return err
-	}
-	alias := v.Alias
-	if alias == "" {
-		alias = v.Name
-	}
-	rel, err := p.scanRelation(desc, alias, u.pushed, u.scope)
+	rel, err := p.scanRelation(u.desc, u.proj, u.pushed, u.scope)
 	if err != nil {
 		return err
 	}
@@ -187,8 +188,11 @@ func (p *Planner) materialize(u *fromUnit) error {
 	return nil
 }
 
-// scanRelation builds the (possibly partitioned) scan of one table.
-func (p *Planner) scanRelation(desc *catalog.TableDesc, alias string, pushed []sqlparser.Expr, sc *scope) (*relation, error) {
+// scanRelation builds the (possibly partitioned) scan of one table,
+// producing the table columns proj; sc names them in that order, so the
+// bound filter, like everything above the scan, indexes output
+// positions.
+func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sqlparser.Expr, sc *scope) (*relation, error) {
 	var filter expr.Expr
 	sel := 1.0
 	b := &binder{scope: sc, subquery: p.scalarSubquery(), params: p.paramBinder()}
@@ -204,10 +208,6 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, alias string, pushed []s
 		}
 		sel *= selectivity(c)
 	}
-	proj := make([]int, desc.Schema.Len())
-	for i := range proj {
-		proj[i] = i
-	}
 	var node plan.Node
 	var totalRows float64
 	if desc.IsExternal() {
@@ -217,7 +217,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, alias string, pushed []s
 		}
 		node = &plan.ExternalScan{
 			Table: desc, Proj: proj, Filter: filter, PushedFilter: pushedStr,
-			Schema: desc.Schema, NumSegments: p.NumSegments,
+			Schema: sc.schema, NumSegments: p.NumSegments,
 		}
 		totalRows = p.tableRows(desc)
 	} else if desc.IsPartitionParent() {
@@ -227,22 +227,22 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, alias string, pushed []s
 		}
 		var inputs []plan.Node
 		for _, kid := range kids {
-			if !p.DisablePartitionElim && p.partitionPruned(kid, pushed, sc) {
+			if !p.DisablePartitionElim && p.partitionPruned(kid, pushed, sc, proj) {
 				continue
 			}
 			inputs = append(inputs, &plan.Scan{
 				Table: kid, Proj: proj, Filter: filter,
 				SegFiles: p.Cat.AllSegFiles(p.Snap, kid.OID),
-				Schema:   desc.Schema,
+				Schema:   sc.schema,
 			})
 			totalRows += p.tableRows(kid)
 		}
-		node = &plan.Append{Inputs: inputs, Schema: desc.Schema}
+		node = &plan.Append{Inputs: inputs, Schema: sc.schema}
 	} else {
 		node = &plan.Scan{
 			Table: desc, Proj: proj, Filter: filter,
 			SegFiles: p.Cat.AllSegFiles(p.Snap, desc.OID),
-			Schema:   desc.Schema,
+			Schema:   sc.schema,
 		}
 		totalRows = p.tableRows(desc)
 	}
@@ -251,20 +251,27 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, alias string, pushed []s
 		cols: sc.cols,
 		rows: totalRows*sel + 1,
 	}
-	switch {
-	case desc.IsExternal(), desc.Dist.Random:
-		rel.dist = distInfo{kind: distRandom}
-	default:
-		cols := desc.Dist.Cols
-		if len(cols) == 0 {
-			cols = []int{0} // default distribution: first column
+	// The rows are hashed on the table's distribution columns wherever
+	// they sit, but the relation can only say so — and so colocate,
+	// aggregate locally or dispatch directly — when the scan outputs
+	// them; unreferenced, the key is gone exactly as if projected away.
+	var distCols []int
+	if !desc.IsExternal() && !desc.Dist.Random {
+		distCols = desc.Dist.Cols
+		if len(distCols) == 0 {
+			distCols = []int{0} // default distribution: first column
 		}
-		rel.dist = distInfo{kind: distHash, cols: cols}
+		distCols = outputPositions(proj, distCols)
+	}
+	if distCols == nil {
+		rel.dist = distInfo{kind: distRandom}
+	} else {
+		rel.dist = distInfo{kind: distHash, cols: distCols}
 		// Direct dispatch: all dist cols pinned by equality constants
 		// (segment known now) or by $n placeholders (segment chosen at
 		// bind time, so generic cached plans keep the fast path).
 		if !p.DisableDirectDispatch {
-			if seg, keys, ok := p.directSegment(desc, cols, pushed, sc); ok {
+			if seg, keys, ok := p.directSegment(distCols, pushed, sc); ok {
 				if keys == nil {
 					rel.direct = []int{seg}
 				} else {
@@ -276,14 +283,34 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, alias string, pushed []s
 	return rel, nil
 }
 
+// outputPositions translates table column indexes into positions in a
+// scan's output (proj), or returns nil when the scan does not output
+// every one of them.
+func outputPositions(proj, tableCols []int) []int {
+	out := make([]int, len(tableCols))
+	for i, tc := range tableCols {
+		out[i] = -1
+		for pos, c := range proj {
+			if c == tc {
+				out[i] = pos
+			}
+		}
+		if out[i] < 0 {
+			return nil
+		}
+	}
+	return out
+}
+
 // directSegment checks for "distcol = const" (or, in generic mode,
 // "distcol = $n") constraints pinning the scan to one segment (§3:
-// single value lookup). When every distribution column is pinned and at
-// least one pin is a placeholder, the segment cannot be computed yet:
-// the per-column value sources come back as keys for the plan to
-// resolve in BindParams. With constants only, keys is nil and the
-// segment is final.
-func (p *Planner) directSegment(desc *catalog.TableDesc, distCols []int, pushed []sqlparser.Expr, sc *scope) (int, []plan.DirectKey, bool) {
+// single value lookup); distCols are the distribution columns as scan
+// output positions, the index space sc resolves into. When every
+// distribution column is pinned and at least one pin is a placeholder,
+// the segment cannot be computed yet: the per-column value sources come
+// back as keys for the plan to resolve in BindParams. With constants
+// only, keys is nil and the segment is final.
+func (p *Planner) directSegment(distCols []int, pushed []sqlparser.Expr, sc *scope) (int, []plan.DirectKey, bool) {
 	keys := make([]plan.DirectKey, len(distCols))
 	pinned := make([]bool, len(distCols))
 	found, params := 0, 0
@@ -370,8 +397,9 @@ func normalizeHashKey(d types.Datum) types.Datum {
 }
 
 // partitionPruned decides whether a child partition cannot contain
-// matching rows given the pushed-down conjuncts.
-func (p *Planner) partitionPruned(kid *catalog.TableDesc, pushed []sqlparser.Expr, sc *scope) bool {
+// matching rows given the pushed-down conjuncts; proj maps the positions
+// sc resolves to back to table columns, where PartCol lives.
+func (p *Planner) partitionPruned(kid *catalog.TableDesc, pushed []sqlparser.Expr, sc *scope, proj []int) bool {
 	for _, c := range pushed {
 		be, ok := c.(*sqlparser.BinExpr)
 		if !ok {
@@ -388,7 +416,7 @@ func (p *Planner) partitionPruned(kid *catalog.TableDesc, pushed []sqlparser.Exp
 			continue
 		}
 		idx, err := sc.resolve(ident)
-		if err != nil || idx != kid.PartCol {
+		if err != nil || proj[idx] != kid.PartCol {
 			continue
 		}
 		b := &binder{scope: sc, params: p.paramBinder()}
@@ -470,7 +498,7 @@ func flipComparison(op string) string {
 // to. ambiguous is set when an identifier resolves in multiple units.
 func (p *Planner) unitsReferenced(e sqlparser.Expr, units []*fromUnit) (refs []int, ambiguous bool) {
 	var ids []*sqlparser.Ident
-	identRefs(e, &ids)
+	identRefs(e, &ids, func(*sqlparser.SelectStmt) {}) // subqueries name their own tables
 	seen := map[int]bool{}
 	for _, id := range ids {
 		hits := 0
@@ -508,15 +536,15 @@ func equiJoinSides(e sqlparser.Expr) (*sqlparser.Ident, *sqlparser.Ident, bool) 
 }
 
 // planExplicitJoin plans an explicit JOIN ... ON tree.
-func (p *Planner) planExplicitJoin(j *sqlparser.Join) (*relation, error) {
-	lu, err := p.newFromUnit(j.Left)
+func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation, error) {
+	lu, err := p.newFromUnit(j.Left, need)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.materialize(lu); err != nil {
 		return nil, err
 	}
-	ru, err := p.newFromUnit(j.Right)
+	ru, err := p.newFromUnit(j.Right, need)
 	if err != nil {
 		return nil, err
 	}

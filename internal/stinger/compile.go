@@ -31,7 +31,7 @@ func (e *Engine) reader(r *rel) func(split, nsplits int, fn func(types.Row) erro
 		base := r.base
 		return func(split, nsplits int, fn func(types.Row) error) error {
 			idx := 0
-			return storage.Scan(e.FS, orcSpec, base.Schema, base.sf, nil, func(row types.Row) error {
+			return storage.Scan(e.FS, orcSpec, base.Schema, base.sf, base.Schema.AllCols(), func(row types.Row) error {
 				mine := idx%nsplits == split
 				idx++
 				if !mine {

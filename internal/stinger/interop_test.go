@@ -50,7 +50,7 @@ func TestMapReduceReadsHAWQTableFiles(t *testing.T) {
 	read := func(split, nsplits int, fn func(types.Row) error) error {
 		idx := 0
 		for _, sf := range segFiles {
-			err := storage.Scan(cl.FS, desc.Storage, desc.Schema, sf, nil, func(row types.Row) error {
+			err := storage.Scan(cl.FS, desc.Storage, desc.Schema, sf, desc.Schema.AllCols(), func(row types.Row) error {
 				mine := idx%nsplits == split
 				idx++
 				if !mine {

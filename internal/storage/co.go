@@ -137,10 +137,16 @@ func scanCOVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, pr
 		return nil // never committed
 	}
 	if len(proj) == 0 {
-		// Zero-column scan (COUNT(*)): walk column 0's block headers and
-		// emit batches of empty rows — under v2 this never decompresses
-		// a single page.
-		data, err := readRegion(fs, ColFilePath(sf.Path, 0), sf.ColLens[0])
+		// Zero-column scan (COUNT(*)): every column file carries the row
+		// counts, so walk the block headers of the smallest one and emit
+		// batches of empty rows — no page is checksummed or decompressed.
+		c := 0
+		for i, l := range sf.ColLens {
+			if l < sf.ColLens[c] {
+				c = i
+			}
+		}
+		data, err := readRegion(fs, ColFilePath(sf.Path, c), sf.ColLens[c])
 		if err != nil {
 			return err
 		}

@@ -98,20 +98,16 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 }
 
 // Scan reads the committed contents of one segment file, calling fn for
-// every row. proj selects the output columns (nil means all, in schema
-// order); emitted rows contain exactly the projected columns in proj
-// order. Scanning is bounded by the logical lengths in sf, so bytes
-// appended by uncommitted or aborted transactions are never surfaced.
+// every row. proj selects the output columns; emitted rows contain
+// exactly the projected columns in proj order. A nil or empty proj means
+// no columns — rows of width zero, one per stored row — never "all":
+// a scan that wants every column passes schema.AllCols(). Scanning is
+// bounded by the logical lengths in sf, so bytes appended by uncommitted
+// or aborted transactions are never surfaced.
 func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(types.Row) error) error {
 	codec, err := compress.Lookup(spec.Codec)
 	if err != nil {
 		return err
-	}
-	if proj == nil {
-		proj = make([]int, schema.Len())
-		for i := range proj {
-			proj[i] = i
-		}
 	}
 	switch spec.Orientation {
 	case catalog.OrientRow, "":
@@ -136,12 +132,6 @@ func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sc
 	codec, err := compress.Lookup(spec.Codec)
 	if err != nil {
 		return err
-	}
-	if proj == nil {
-		proj = make([]int, schema.Len())
-		for i := range proj {
-			proj[i] = i
-		}
 	}
 	switch spec.Orientation {
 	case catalog.OrientRow, "":
@@ -174,12 +164,6 @@ func ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types
 	codec, err := compress.Lookup(spec.Codec)
 	if err != nil {
 		return err
-	}
-	if proj == nil {
-		proj = make([]int, schema.Len())
-		for i := range proj {
-			proj[i] = i
-		}
 	}
 	switch spec.Orientation {
 	case catalog.OrientColumn:
@@ -253,12 +237,22 @@ type pageHdr struct {
 	off int
 }
 
+// verify checks the stored bytes against the header's checksum.
+func (h *pageHdr) verify() error {
+	if crc32.ChecksumIEEE(h.comp) != h.crc {
+		return fmt.Errorf("storage: block checksum mismatch at offset %d", h.off)
+	}
+	return nil
+}
+
 // payload verifies the checksum and decompresses the page. Deferring
 // this until after the zone-map decision is what makes page skipping
-// pay: a skipped page costs exactly one header parse.
+// pay: a skipped page costs exactly one header parse. The result is
+// read-only: under the identity codec it is the region buffer itself,
+// which lives as long as anything references it.
 func (h *pageHdr) payload(codec compress.Codec) ([]byte, error) {
-	if crc32.ChecksumIEEE(h.comp) != h.crc {
-		return nil, fmt.Errorf("storage: block checksum mismatch at offset %d", h.off)
+	if err := h.verify(); err != nil {
+		return nil, err
 	}
 	raw, err := codec.Decompress(nil, h.comp)
 	if err != nil {

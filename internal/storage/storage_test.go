@@ -29,6 +29,10 @@ func testSchema() *types.Schema {
 	)
 }
 
+// allCols is the explicit "every column" projection (a nil proj means
+// none).
+var allCols = testSchema().AllCols()
+
 func testRows(n int) []types.Row {
 	r := rand.New(rand.NewSource(7))
 	rows := make([]types.Row, n)
@@ -100,7 +104,7 @@ func TestRoundTripAllFormats(t *testing.T) {
 			if sf.Tuples != int64(len(rows)) {
 				t.Errorf("tuples = %d", sf.Tuples)
 			}
-			got := scanAll(t, fs, spec, sf, nil)
+			got := scanAll(t, fs, spec, sf, allCols)
 			if len(got) != len(rows) {
 				t.Fatalf("rows = %d, want %d", len(got), len(rows))
 			}
@@ -157,7 +161,7 @@ func TestLogicalLengthHidesUncommittedTail(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got := scanAll(t, fs, spec, committed, nil)
+		got := scanAll(t, fs, spec, committed, allCols)
 		if len(got) != 1000 {
 			t.Fatalf("%s: visible rows = %d, want 1000 (uncommitted tail leaked)", spec.Orientation, len(got))
 		}
@@ -189,7 +193,7 @@ func TestAppendResumeAcrossSessions(t *testing.T) {
 		if sf.Tuples != 600 {
 			t.Errorf("%s: tuples = %d", spec.Orientation, sf.Tuples)
 		}
-		got := scanAll(t, fs, spec, sf, nil)
+		got := scanAll(t, fs, spec, sf, allCols)
 		if len(got) != 600 {
 			t.Fatalf("%s: rows = %d", spec.Orientation, len(got))
 		}
@@ -213,9 +217,20 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err := fs.WriteFile(sf.Path, data, hdfs.CreateOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	err = Scan(fs, spec, testSchema(), sf, nil, func(types.Row) error { return nil })
-	if err == nil {
-		t.Fatal("corruption not detected")
+	// Every AO scan checksums every block, whatever it projects: a
+	// zero-column COUNT(*) reads row counts off the headers, and still
+	// does not answer from a corrupted file.
+	for _, proj := range [][]int{allCols, {1}, {}} {
+		if err := Scan(fs, spec, testSchema(), sf, proj, func(types.Row) error { return nil }); err == nil {
+			t.Errorf("Scan proj %v: corruption not detected", proj)
+		}
+		err := ScanBatches(fs, spec, testSchema(), sf, proj, func(b *types.Batch) error {
+			types.PutBatch(b)
+			return nil
+		})
+		if err == nil {
+			t.Errorf("ScanBatches proj %v: corruption not detected", proj)
+		}
 	}
 }
 
@@ -223,7 +238,7 @@ func TestEmptyFileScan(t *testing.T) {
 	fs := testFS(t)
 	for _, spec := range allSpecs {
 		sf := catalog.SegFile{Path: "/data/none/0/1"}
-		got := scanAll(t, fs, spec, sf, nil)
+		got := scanAll(t, fs, spec, sf, allCols)
 		if len(got) != 0 {
 			t.Errorf("%s: empty scan returned %d rows", spec.Orientation, len(got))
 		}

@@ -49,8 +49,8 @@ func TestScanVecBatchesParity(t *testing.T) {
 		t.Run(spec.Orientation+"/"+spec.Codec, func(t *testing.T) {
 			fs := testFS(t)
 			sf := writeAll(t, fs, spec, rows)
-			want := scanAll(t, fs, spec, sf, nil)
-			got := scanAllVec(t, fs, spec, sf, nil, nil, nil)
+			want := scanAll(t, fs, spec, sf, allCols)
+			got := scanAllVec(t, fs, spec, sf, allCols, nil, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("vec scan diverges from row scan (%d vs %d rows)", len(got), len(want))
 			}
@@ -71,7 +71,7 @@ func TestZoneMapSkipsPages(t *testing.T) {
 			// k = row index, ascending: k < 100 lives in the first page.
 			preds := []ZonePred{{Col: 0, Op: ZoneLt, Val: types.NewInt64(100)}}
 			var st ScanStats
-			got := scanAllVec(t, fs, spec, sf, nil, preds, &st)
+			got := scanAllVec(t, fs, spec, sf, allCols, preds, &st)
 			if st.PagesSkipped == 0 {
 				t.Fatalf("no pages skipped on a selective sorted-key predicate")
 			}
@@ -268,11 +268,11 @@ func TestV1FormatStillScans(t *testing.T) {
 		spec := catalog.StorageSpec{Orientation: catalog.OrientColumn, Codec: "quicklz"}
 		sf := writeV1CO(t, fs, codec, "/data/v1/co", rows, 700)
 		for _, got := range [][]types.Row{
-			scanAll(t, fs, spec, sf, nil),
-			scanAllVec(t, fs, spec, sf, nil, nil, nil),
+			scanAll(t, fs, spec, sf, allCols),
+			scanAllVec(t, fs, spec, sf, allCols, nil, nil),
 			// Zone predicates over v1 pages (no zone maps) must not
 			// prune anything.
-			scanAllVec(t, fs, spec, sf, nil, []ZonePred{{Col: 0, Op: ZoneLt, Val: types.NewInt64(10)}}, nil),
+			scanAllVec(t, fs, spec, sf, allCols, []ZonePred{{Col: 0, Op: ZoneLt, Val: types.NewInt64(10)}}, nil),
 		} {
 			if len(got) != len(rows) {
 				t.Fatalf("scanned %d of %d v1 rows", len(got), len(rows))
@@ -293,8 +293,8 @@ func TestV1FormatStillScans(t *testing.T) {
 		spec := catalog.StorageSpec{Orientation: catalog.OrientParquet, Codec: "snappy"}
 		sf := writeV1Parquet(t, fs, codec, "/data/v1/pq", rows, 700)
 		for _, got := range [][]types.Row{
-			scanAll(t, fs, spec, sf, nil),
-			scanAllVec(t, fs, spec, sf, nil, nil, nil),
+			scanAll(t, fs, spec, sf, allCols),
+			scanAllVec(t, fs, spec, sf, allCols, nil, nil),
 		} {
 			if len(got) != len(rows) {
 				t.Fatalf("scanned %d of %d v1 rows", len(got), len(rows))
@@ -313,7 +313,7 @@ func TestScanVecBatchesRowOrientation(t *testing.T) {
 	fs := testFS(t)
 	spec := catalog.StorageSpec{Orientation: catalog.OrientRow, Codec: "none"}
 	sf := writeAll(t, fs, spec, testRows(10))
-	err := ScanVecBatches(fs, spec, testSchema(), sf, nil, nil, nil, func(vb *types.VecBatch) error {
+	err := ScanVecBatches(fs, spec, testSchema(), sf, allCols, nil, nil, func(vb *types.VecBatch) error {
 		types.PutVecBatch(vb)
 		return nil
 	})

@@ -1,7 +1,6 @@
 package types
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -196,21 +195,18 @@ func DecodeBatch(buf []byte, b *Batch) (int, error) {
 	b.Reset(0)
 	pos := 0
 	for pos < len(buf) {
-		n, c := binary.Uvarint(buf[pos:])
-		if c <= 0 {
-			return 0, fmt.Errorf("types: truncated row header")
-		}
-		if n > uint64(len(buf)-pos-c) {
-			return 0, fmt.Errorf("types: row header claims %d columns, only %d bytes left", n, len(buf)-pos-c)
+		n, c, err := rowHeader(buf[pos:])
+		if err != nil {
+			return 0, err
 		}
 		if b.n == 0 {
-			b.Reset(int(n))
-		} else if int(n) != b.width {
+			b.Reset(n)
+		} else if n != b.width {
 			return 0, fmt.Errorf("types: batch width changed from %d to %d", b.width, n)
 		}
 		pos += c
 		row := b.AddRow()
-		for j := 0; j < int(n); j++ {
+		for j := 0; j < n; j++ {
 			d, sz, err := DecodeDatum(buf[pos:])
 			if err != nil {
 				return 0, fmt.Errorf("row %d column %d: %w", b.n-1, j, err)

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -204,11 +205,22 @@ func FuzzDecodeDatum(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
+	f.Add([]byte{byte(KindDecimal)})
+	f.Add([]byte{byte(KindDecimal), 2})
+	f.Add([]byte{byte(KindString), 5, 'h', 'i'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; on success the datum must survive a
 		// re-encode/re-decode cycle (byte equality is too strong: the
 		// varint decoder tolerates non-canonical encodings).
 		d, n, err := DecodeDatum(data)
+		// SkipDatum is DecodeDatum without the value: it must step over
+		// exactly the same bytes and refuse exactly the same inputs, or a
+		// projected row walk would lose its place in (or accept) a row
+		// that a full decode rejects.
+		sn, serr := SkipDatum(data)
+		if (err == nil) != (serr == nil) || sn != n {
+			t.Fatalf("decode consumed %d (err %v), skip %d (err %v)", n, err, sn, serr)
+		}
 		if err != nil {
 			return
 		}
@@ -220,7 +232,9 @@ func FuzzDecodeDatum(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(d, d2) {
+		// Compared as canonical encodings: NaN is a legal float payload
+		// and is not DeepEqual to itself.
+		if !bytes.Equal(re, EncodeDatum(nil, d2)) {
 			t.Fatalf("round trip changed datum: %v != %v", d, d2)
 		}
 	})
@@ -263,4 +277,37 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeRowColsMatchesDecodeRow: the projected walk places exactly
+// the wanted columns, consumes what a full decode consumes, and reports
+// a row cut short inside a column it only skips.
+func TestDecodeRowColsMatchesDecodeRow(t *testing.T) {
+	row := Row{NewInt64(7), NewString("skipped text"), NewDecimal(1250, 2), Null, NewString("kept")}
+	enc := EncodeRow(nil, row)
+	enc = append(enc, 0xEE) // the next row's bytes are not this row's
+	full, size, err := DecodeRow(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range [][]int{{}, {0}, {-1, -1, 0}, {1, -1, -1, -1, 0}, {0, 1, 2, 3, 4, 5, 6}} {
+		out := make(Row, 7)
+		n, ncols, err := DecodeRowCols(enc, slot, out)
+		if err != nil || n != size || ncols != len(row) {
+			t.Fatalf("slot %v: consumed %d of %d, %d columns, err %v", slot, n, size, ncols, err)
+		}
+		for c, s := range slot {
+			if s >= 0 && c < len(full) && !reflect.DeepEqual(out[s], full[c]) {
+				t.Fatalf("slot %v: column %d = %v, want %v", slot, c, out[s], full[c])
+			}
+		}
+	}
+	// Cut inside column 1's string body; column 0 is all the caller wants.
+	cut := EncodeRow(nil, row)[:6]
+	if _, _, err := DecodeRowCols(cut, []int{0}, make(Row, 1)); err == nil {
+		t.Fatal("row truncated inside a skipped column decoded cleanly")
+	}
+	if _, _, err := DecodeRowCols([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, nil, nil); err == nil {
+		t.Fatal("hostile column count accepted")
+	}
 }

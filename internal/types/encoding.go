@@ -97,33 +97,30 @@ func EncodeRow(buf []byte, r Row) []byte {
 	return buf
 }
 
-// DecodeRow decodes a row produced by EncodeRow, returning the row and the
-// number of bytes consumed.
-func DecodeRow(buf []byte) (Row, int, error) {
-	return DecodeRowInto(buf, nil)
-}
-
-// DecodeRowInto decodes a row like DecodeRow but reuses row's backing
-// storage when it has capacity, returning the (possibly reallocated)
-// row. It never panics on truncated or corrupt input: the column count
-// in the header is validated against the bytes actually present before
-// any allocation.
-func DecodeRowInto(buf []byte, row Row) (Row, int, error) {
+// rowHeader reads an encoded row's column count. Every datum encodes to
+// at least one byte, so a count beyond the remaining bytes is
+// corruption; rejecting it here keeps a hostile header from forcing a
+// huge allocation in the callers.
+func rowHeader(buf []byte) (ncols, consumed int, err error) {
 	n, consumed := binary.Uvarint(buf)
 	if consumed <= 0 {
-		return nil, 0, fmt.Errorf("types: truncated row header")
+		return 0, 0, fmt.Errorf("types: truncated row header")
 	}
-	// Every datum encodes to at least one byte, so a count beyond the
-	// remaining bytes is corruption; checking first keeps a hostile
-	// header from forcing a huge allocation.
 	if n > uint64(len(buf)-consumed) {
-		return nil, 0, fmt.Errorf("types: row header claims %d columns, only %d bytes left", n, len(buf)-consumed)
+		return 0, 0, fmt.Errorf("types: row header claims %d columns, only %d bytes left", n, len(buf)-consumed)
 	}
-	if row == nil || uint64(cap(row)) < n {
-		row = make(Row, n)
+	return int(n), consumed, nil
+}
+
+// DecodeRow decodes a row produced by EncodeRow, returning the row and the
+// number of bytes consumed. It never panics on truncated or corrupt
+// input.
+func DecodeRow(buf []byte) (Row, int, error) {
+	n, pos, err := rowHeader(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	row = row[:n]
-	pos := consumed
+	row := make(Row, n)
 	for i := range row {
 		d, sz, err := DecodeDatum(buf[pos:])
 		if err != nil {
@@ -133,6 +130,33 @@ func DecodeRowInto(buf []byte, row Row) (Row, int, error) {
 		pos += sz
 	}
 	return row, pos, nil
+}
+
+// DecodeRowCols walks one encoded row once and decodes only the columns
+// the caller wants: stored column c lands in out[slot[c]] when
+// slot[c] >= 0, and every other column — those past len(slot) too — is
+// stepped over with SkipDatum, which stores no Datum and allocates no
+// string. It returns the bytes consumed and the stored column count, so
+// the caller can tell a row too narrow for its projection. Truncation
+// inside a skipped column is reported like any other corruption.
+func DecodeRowCols(buf []byte, slot []int, out Row) (consumed, ncols int, err error) {
+	ncols, pos, err := rowHeader(buf)
+	if err != nil {
+		return 0, 0, err
+	}
+	for c := 0; c < ncols; c++ {
+		var sz int
+		if c < len(slot) && slot[c] >= 0 {
+			out[slot[c]], sz, err = DecodeDatum(buf[pos:])
+		} else {
+			sz, err = SkipDatum(buf[pos:])
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("column %d: %w", c, err)
+		}
+		pos += sz
+	}
+	return pos, ncols, nil
 }
 
 // HashDatum feeds a normalized representation of d into h so that datums

@@ -46,6 +46,15 @@ func (s *Schema) Names() []string {
 	return out
 }
 
+// AllCols returns the identity projection [0, Len()).
+func (s *Schema) AllCols() []int {
+	idx := make([]int, len(s.Columns))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // Project returns a new schema containing the columns at the given indexes.
 func (s *Schema) Project(idx []int) *Schema {
 	cols := make([]Column, len(idx))

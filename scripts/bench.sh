@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh runs the vectorized-execution micro-benchmarks (row vs batch
 # for encode/decode, storage scans — including the encoded CO path with
-# zone-map page skipping against the filter-batch baseline — the
-# scan→filter→project pipeline, hash aggregation, and motion loopback),
+# zone-map page skipping against the filter-batch baseline, and a
+# query-sized projection of a 16-column table against all of it
+# (ScanAO/proj3of16, ScanCO/proj4of16 beside their /full16) — the
+# quicklz page decompressor, the scan→filter→project pipeline, hash aggregation, and motion loopback),
 # the runtime bloom-filter join microbench (probe-side scan with the
 # build-side filter off vs on) plus the workload-manager
 # spill microbench (in-memory vs workfile-spilling hash join, with
@@ -53,8 +55,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip'
-PKGS="./internal/types ./internal/storage ./internal/executor ./internal/cluster ."
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip'
+PKGS="./internal/types ./internal/compress ./internal/storage ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"
 RAW="$(mktemp)"

@@ -2,6 +2,8 @@
 # check.sh is the repository's correctness gate. It runs, in order:
 #
 #   1. go build ./...            — everything compiles
+#   1b. gofmt -l                 — every tracked .go file (both
+#                                  modules) is gofmt-clean
 #   2. go vet ./...              — stdlib static analysis
 #   3. go run ./cmd/hawq-check   — the project's own invariant suite:
 #                                  the per-function v1 analyzers
@@ -66,6 +68,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l"
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
