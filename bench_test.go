@@ -13,7 +13,9 @@ import (
 	"hawq/internal/planner"
 	"hawq/internal/sqlparser"
 	"hawq/internal/stinger"
+	"hawq/internal/tpch"
 	"hawq/internal/tx"
+	"hawq/internal/types"
 )
 
 // benchConfig is a deliberately tiny configuration so the full set of
@@ -144,6 +146,42 @@ func BenchmarkHDFSWriteDelete(b *testing.B) {
 		fs.WriteFile("/bench", []byte("x"), hdfs.CreateOptions{})
 		fs.Delete("/bench", false)
 	}
+}
+
+// BenchmarkPointLookup is the tracked benchmark's `point` statement in
+// process: a prepared `SELECT c_name, c_acctbal FROM customer WHERE
+// c_custkey = $1` on TPC-H SF 0.01 row tables, keys cycling over the
+// 1500 customers — plan-cache hit, clone, bind, direct dispatch to one
+// QE, and a scan of that segment's customer file from its block cache.
+func BenchmarkPointLookup(b *testing.B) {
+	e, err := engine.New(engine.Config{Segments: 4, SpillDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	if _, err := tpch.Load(e, tpch.LoadOptions{Scale: tpch.Scale{SF: 0.01}, Orientation: "row", Distribution: tpch.DistHash}); err != nil {
+		b.Fatal(err)
+	}
+	s := e.NewSession()
+	if err := s.Prepare("point", "SELECT c_name, c_acctbal FROM customer WHERE c_custkey = $1"); err != nil {
+		b.Fatal(err)
+	}
+	lookup := func(i int) {
+		res, err := s.ExecutePrepared("point", types.NewInt64(int64(i%1500+1)))
+		if err != nil || len(res.Rows) != 1 {
+			b.Fatalf("key %d: %v, %v", i%1500+1, res, err)
+		}
+	}
+	b.Run("prepared", func(b *testing.B) {
+		for i := 0; i < 3000; i++ { // every segment's blocks seen twice
+			lookup(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lookup(i)
+		}
+	})
 }
 
 // floorPlans boots a 4-segment engine with one empty hash-distributed

@@ -21,7 +21,11 @@ import (
 //     deferred put is already pending;
 //   - escaping arena view: a Row obtained from Batch.Row/AddRow that is
 //     used after the batch is released, or returned while a deferred
-//     put is pending — retain rows past release with Row.Clone.
+//     put is pending — retain rows past release with Row.Clone. A
+//     column Vector taken out of VecBatch.Cols is a view in the same
+//     sense: once the batch is back in the pool its next user refills
+//     the vector's slices, or — when the vector was shared by the block
+//     cache — the slot now holds someone else's column.
 //
 // The analysis is deliberately intraprocedural and source-ordered:
 // conditional puts (inside if/for/select arms) only poison their own
@@ -127,9 +131,9 @@ func (b *batchLifeScan) stmt(st ast.Stmt) {
 				delete(b.released, obj)
 				delete(b.deferPut, obj)
 			}
-			if isRowType(obj.Type(), b.c.BatchPkg) && i < len(s.Rhs) {
+			if isViewType(obj.Type(), b.c.BatchPkg) && i < len(s.Rhs) {
 				b.trackRow(obj, s.Rhs[i])
-			} else if isRowType(obj.Type(), b.c.BatchPkg) && len(s.Rhs) == 1 {
+			} else if isViewType(obj.Type(), b.c.BatchPkg) && len(s.Rhs) == 1 {
 				b.trackRow(obj, s.Rhs[0])
 			}
 		}
@@ -186,7 +190,7 @@ func (b *batchLifeScan) stmt(st ast.Stmt) {
 						b.checkUses(v)
 					}
 					for i, name := range vs.Names {
-						if obj := b.pkg.Info.Defs[name]; obj != nil && isRowType(obj.Type(), b.c.BatchPkg) && i < len(vs.Values) {
+						if obj := b.pkg.Info.Defs[name]; obj != nil && isViewType(obj.Type(), b.c.BatchPkg) && i < len(vs.Values) {
 							b.trackRow(obj, vs.Values[i])
 						}
 					}
@@ -261,16 +265,34 @@ func (b *batchLifeScan) checkUses(n ast.Node) {
 			return true
 		}
 		if owner, ok := b.rowOwner[obj]; ok && !b.rowCloned[obj] && b.released[owner] {
+			if putNameFor(owner.Type()) == "PutVecBatch" {
+				b.report(id.Pos(), fmt.Sprintf("column vector %s used after PutVecBatch(%s); the batch's next user owns that slot", id.Name, nameOf(owner)))
+				return true
+			}
 			b.report(id.Pos(), fmt.Sprintf("arena row %s used after %s(%s); retain rows past release with Clone", id.Name, putNameFor(owner.Type()), nameOf(owner)))
 		}
 		return true
 	})
 }
 
-// trackRow records that a row-typed variable aliases a batch arena
-// (b.Row(i) / b.AddRow()) or is a safe Clone.
+// trackRow records that a view-typed variable aliases a pooled batch —
+// a row of its arena (b.Row(i) / b.AddRow()), or a column vector of an
+// encoded batch (vb.Cols[i], &vb.Cols[i]) — or is a safe Clone.
 func (b *batchLifeScan) trackRow(obj types.Object, rhs ast.Expr) {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	rhs = ast.Unparen(rhs)
+	if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		rhs = ast.Unparen(u.X)
+	}
+	if ix, ok := rhs.(*ast.IndexExpr); ok {
+		if sel, ok := ast.Unparen(ix.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Cols" {
+			if recv := exprObject(b.pkg, sel.X); recv != nil && isBatchPtr(recv.Type(), b.c.BatchPkg) {
+				b.rowOwner[obj] = recv
+				delete(b.rowCloned, obj)
+			}
+		}
+		return
+	}
+	call, ok := rhs.(*ast.CallExpr)
 	if !ok {
 		return
 	}
@@ -369,12 +391,16 @@ func putNameFor(t types.Type) string {
 	return "PutBatch"
 }
 
-// isRowType reports whether t is batchpkg.Row.
-func isRowType(t types.Type, batchPkg string) bool {
+// isViewType reports whether t can alias a pooled batch's memory:
+// batchpkg.Row, or batchpkg.Vector by value or by pointer.
+func isViewType(t types.Type, batchPkg string) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == batchPkg && obj.Name() == "Row"
+	return obj.Pkg() != nil && obj.Pkg().Path() == batchPkg && (obj.Name() == "Row" || obj.Name() == "Vector")
 }

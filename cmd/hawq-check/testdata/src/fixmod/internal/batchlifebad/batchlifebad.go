@@ -109,3 +109,35 @@ func CleanVecReassign() int {
 	vb = fixtypes.GetVecBatch(4)
 	return vb.SelCount()
 }
+
+// VecColumnAfterPut keeps a column vector past its batch's release: by
+// then the pool's next user owns the slot, and what it finds there is
+// either its own refill or — when the cache shared the vector — nothing.
+func VecColumnAfterPut() int {
+	vb := fixtypes.GetVecBatch(4)
+	v := &vb.Cols[0]
+	fixtypes.PutVecBatch(vb)
+	return v.N
+}
+
+// VecSharedColumnAfterPut copies a shared vector out by value; the
+// copy still aliases the cache's slices but no longer says so.
+func VecSharedColumnAfterPut(cached fixtypes.Vector) int64 {
+	vb := fixtypes.GetVecBatch(1)
+	vb.Cols[0] = cached
+	col := vb.Cols[0]
+	fixtypes.PutVecBatch(vb)
+	return col.Values[0]
+}
+
+// CleanSharedVector reads a cache-shared vector while it owns the batch
+// and releases it; the pool drops the shared slices, the cache keeps
+// them.
+func CleanSharedVector(cached fixtypes.Vector) int64 {
+	vb := fixtypes.GetVecBatch(1)
+	vb.Cols[0] = cached
+	v := &vb.Cols[0]
+	first := v.Values[0]
+	fixtypes.PutVecBatch(vb)
+	return first
+}

@@ -39,18 +39,39 @@ func GetBatch(n int) *Batch { return &Batch{rows: make([]Row, 0, n)} }
 // (or any arena row view into it) afterwards.
 func PutBatch(b *Batch) { b.rows = b.rows[:0] }
 
+// Vector is one column of an encoded batch. A Shared vector's slices
+// belong to a cache: the pool drops them on reuse instead of refilling
+// them.
+type Vector struct {
+	N      int
+	Values []int64
+	Shared bool
+}
+
 // VecBatch is the pooled encoded-column batch, released through
 // PutVecBatch with the same single-owner discipline as Batch.
 type VecBatch struct {
-	sel []int32
+	Cols []Vector
+	sel  []int32
 }
 
 // SelCount returns the number of selected rows.
 func (vb *VecBatch) SelCount() int { return len(vb.sel) }
 
 // GetVecBatch takes an encoded batch from the pool.
-func GetVecBatch(n int) *VecBatch { return &VecBatch{sel: make([]int32, 0, n)} }
+func GetVecBatch(n int) *VecBatch {
+	return &VecBatch{Cols: make([]Vector, n), sel: make([]int32, 0, n)}
+}
 
 // PutVecBatch returns an encoded batch to the pool; the caller must
 // not touch it afterwards.
-func PutVecBatch(vb *VecBatch) { vb.sel = vb.sel[:0] }
+func PutVecBatch(vb *VecBatch) {
+	vb.sel = vb.sel[:0]
+	for i := range vb.Cols {
+		if v := &vb.Cols[i]; v.Shared {
+			*v = Vector{}
+		} else {
+			v.N, v.Values = 0, v.Values[:0]
+		}
+	}
+}

@@ -102,24 +102,28 @@ func Fig7(cfg Config) (*Report, error) {
 }
 
 // perQuery measures HAWQ, on each of its three storage formats, against
-// Stinger per query (Figures 8 and 9). The speedup column is the
-// paper's comparison: HAWQ's default format (AO) over Stinger.
+// Stinger per query (Figures 8 and 9). Every format is timed cold — the
+// segments' block caches dropped before each run, so the scan reads,
+// checksums, decompresses and decodes its blocks — and warm, once the
+// blocks it needs are cached. The speedup column is the paper's
+// comparison, which reads storage: HAWQ's default format (AO), cold,
+// over Stinger.
 func perQuery(cfg Config, title string, queries []int, paperNote string) (*Report, error) {
 	cfg.Defaults()
 	formats := []string{"row", "column", "parquet"}
 	r := &Report{
 		Title:   title,
-		Columns: []string{"query", "AO s", "CO s", "Parquet s", "Stinger s", "speedup"},
+		Columns: []string{"query", "AO cold s", "AO warm s", "CO cold s", "CO warm s", "Parquet cold s", "Parquet warm s", "Stinger s", "speedup"},
 		Notes:   []string{paperNote},
 	}
-	sessions := make([]*engine.Session, len(formats))
+	engines := make([]*engine.Engine, len(formats))
 	for i, format := range formats {
 		e, err := newHAWQ(cfg, cfg.SFLarge, format, "quicklz", 0, tpch.DistHash, nil)
 		if err != nil {
 			return nil, err
 		}
 		defer e.Close()
-		sessions[i] = e.NewSession()
+		engines[i] = e
 	}
 	se, err := newStinger(cfg, cfg.SFLarge, nil)
 	if err != nil {
@@ -129,18 +133,34 @@ func perQuery(cfg Config, title string, queries []int, paperNote string) (*Repor
 	for _, q := range queries {
 		row := []string{fmt.Sprintf("Q%d", q)}
 		var aoTime time.Duration
-		for i, s := range sessions {
-			d, err := bestOf(3, func() error {
+		for i, e := range engines {
+			s := e.NewSession()
+			run := func() error {
 				_, err := s.Query(tpch.Queries[q])
 				return err
-			})
+			}
+			cold := time.Duration(1<<62 - 1)
+			for n := 0; n < 3; n++ {
+				e.Cluster().DropCaches()
+				d, err := bestOf(1, run)
+				if err != nil {
+					return nil, fmt.Errorf("hawq %s Q%d: %w", formats[i], q, err)
+				}
+				cold = min(cold, d)
+			}
+			// The last cold run was the blocks' first touch; one more
+			// admits them, and the timed runs hit.
+			if err := run(); err != nil {
+				return nil, fmt.Errorf("hawq %s Q%d: %w", formats[i], q, err)
+			}
+			warm, err := bestOf(3, run)
 			if err != nil {
 				return nil, fmt.Errorf("hawq %s Q%d: %w", formats[i], q, err)
 			}
 			if i == 0 {
-				aoTime = d
+				aoTime = cold
 			}
-			row = append(row, seconds(d))
+			row = append(row, seconds(cold), seconds(warm))
 		}
 		stTime, err := bestOf(3, func() error {
 			_, _, err := se.Query(tpch.Queries[q])

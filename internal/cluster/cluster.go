@@ -29,6 +29,7 @@ import (
 	"hawq/internal/plan"
 	"hawq/internal/resource"
 	"hawq/internal/retry"
+	"hawq/internal/storage"
 	"hawq/internal/tx"
 	"hawq/internal/types"
 	"hawq/internal/wal"
@@ -169,6 +170,11 @@ func (c *Cluster) Config() Config { return c.cfg }
 type Segment struct {
 	ID        int
 	LocalHost string // collocated DataNode
+	// cache holds decoded blocks of the HDFS files this segment's QEs
+	// scan. It is soft state: validated against HDFS on every scan, lost
+	// when the process dies (Kill), never needed for correctness. The
+	// pointer never changes after New; Kill empties the cache in place.
+	cache *storage.BlockCache
 
 	mu   sync.Mutex
 	node interconnect.Node
@@ -246,7 +252,7 @@ func New(cfg Config) (*Cluster, error) {
 		known[si.ID] = si
 	}
 	for i := 0; i < cfg.Segments; i++ {
-		seg := &Segment{ID: i, LocalHost: fmt.Sprintf("dn%d", i%cfg.DataNodes)}
+		seg := &Segment{ID: i, LocalHost: fmt.Sprintf("dn%d", i%cfg.DataNodes), cache: storage.NewBlockCache()}
 		if seg.node, err = c.newNode(interconnect.SegID(i)); err != nil {
 			boot.Abort()
 			return nil, err
@@ -328,6 +334,15 @@ func (c *Cluster) RestartPolicy() retry.Policy {
 // Segment returns the i'th segment.
 func (c *Cluster) Segment(i int) *Segment { return c.segments[i] }
 
+// DropCaches empties every segment's block cache, so the next scan of
+// anything reads HDFS: an operation for tests and operators that need a
+// cold read, not a setting.
+func (c *Cluster) DropCaches() {
+	for _, s := range c.segments {
+		s.cache.Drop()
+	}
+}
+
 // Close shuts the cluster down, returning the combined endpoint close
 // errors.
 func (c *Cluster) Close() error {
@@ -340,6 +355,7 @@ func (c *Cluster) Close() error {
 	c.mu.Unlock()
 	err := c.master.Close()
 	err = errors.Join(err, c.qdNode.Close())
+	c.DropCaches()
 	for _, s := range c.segments {
 		s.mu.Lock()
 		if s.node != nil {
@@ -358,9 +374,10 @@ func (s *Segment) Down() bool {
 }
 
 // Kill simulates a segment process failure: its interconnect endpoint
-// dies and future dispatches fail until the fault detector marks it down
-// and sessions fail over.
+// dies, its block cache is gone with the process, and future dispatches
+// fail until the fault detector marks it down and sessions fail over.
 func (s *Segment) Kill() {
+	s.cache.Drop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.node != nil {
@@ -632,6 +649,11 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 		RowMode:         c.cfg.RowMode,
 		Clock:           c.clk,
 		Filters:         d.hub,
+	}
+	if segID != plan.QDSegment {
+		// Scans read through the executing segment's block cache; the QD
+		// scans no table.
+		ectx.Cache = c.segments[segID].cache
 	}
 	if d.p.CollectStats {
 		// Per-query instrumentation: every slice execution gets a

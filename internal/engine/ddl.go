@@ -370,35 +370,40 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 		if rows == 0 {
 			continue
 		}
-		// Column statistics via self-issued aggregates. Partition
-		// children get their own per-column stats too: partition
-		// elimination prices each child scan individually, and the
-		// stats refresh must be observable in EXPLAIN after an
+		// Column statistics via one self-issued statement per table: four
+		// aggregates per column, so a row table is walked once, not once
+		// per column. Partition children get their own per-column stats
+		// too: partition elimination prices each child scan individually,
+		// and the stats refresh must be observable in EXPLAIN after an
 		// auto-ANALYZE pass invalidates cached plans.
+		var q strings.Builder
+		q.WriteString("SELECT ")
 		for i, col := range desc.Schema.Columns {
-			q := fmt.Sprintf("SELECT min(%s), max(%s), count(DISTINCT %s), count(%s) FROM %s",
-				col.Name, col.Name, col.Name, col.Name, desc.Name)
-			sel, err := sqlparser.ParseOne(q)
-			if err != nil {
-				return nil, err
+			if i > 0 {
+				q.WriteString(", ")
 			}
-			out, _, err := s.runSelectRows(ctx, t, sel.(*sqlparser.SelectStmt))
-			if err != nil {
-				return nil, err
-			}
-			if len(out) != 1 {
-				continue
-			}
-			r := out[0]
-			cs := catalog.ColStats{
+			fmt.Fprintf(&q, "min(%[1]s), max(%[1]s), count(DISTINCT %[1]s), count(%[1]s)", col.Name)
+		}
+		fmt.Fprintf(&q, " FROM %s", desc.Name)
+		sel, err := sqlparser.ParseOne(q.String())
+		if err != nil {
+			return nil, err
+		}
+		out, _, err := s.runSelectRows(ctx, t, sel.(*sqlparser.SelectStmt))
+		if err != nil {
+			return nil, err
+		}
+		if len(out) != 1 {
+			continue
+		}
+		for i := range desc.Schema.Columns {
+			r := out[0][4*i:]
+			cat.SetColStats(t, desc.OID, i, catalog.ColStats{
 				Min:       r[0],
 				Max:       r[1],
 				NDistinct: float64(r[2].Int()),
-			}
-			if rows > 0 {
-				cs.NullFrac = 1 - float64(r[3].Int())/float64(rows)
-			}
-			cat.SetColStats(t, desc.OID, i, cs)
+				NullFrac:  1 - float64(r[3].Int())/float64(rows),
+			})
 		}
 	}
 	return &Result{Tag: "ANALYZE"}, nil

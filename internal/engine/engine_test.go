@@ -442,6 +442,59 @@ func TestAnalyzeImprovesStats(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOneStatementPerTable: ANALYZE asks for every column's
+// aggregates in one statement per table; the statistics it stores are
+// what the former statement per column returns, on every storage format
+// and for partition children, NULLs and an all-NULL column included.
+func TestAnalyzeOneStatementPerTable(t *testing.T) {
+	e := newTestEngine(t, 3)
+	s := e.NewSession()
+	tables := []string{"an_ao", "an_co", "an_pq"}
+	for i, with := range []string{
+		"WITH (appendonly=true, orientation=row, compresstype=quicklz)",
+		"WITH (appendonly=true, orientation=column, compresstype=quicklz)",
+		"WITH (appendonly=true, orientation=parquet)",
+	} {
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, v TEXT, d DATE, amt DECIMAL(10,2), void TEXT) %s DISTRIBUTED BY (k)", tables[i], with))
+	}
+	mustExec(t, s, `CREATE TABLE an_part (k INT8, d DATE, amt DECIMAL(10,2))
+		DISTRIBUTED BY (k) PARTITION BY RANGE (d)
+		(START (DATE '2008-01-01') INCLUSIVE END (DATE '2008-04-01') EXCLUSIVE EVERY (INTERVAL '1 month'))`)
+	var vals, parts []string
+	for i := 0; i < 300; i++ {
+		v := fmt.Sprintf("'v%d'", i%17)
+		if i%11 == 0 {
+			v = "NULL"
+		}
+		vals = append(vals, fmt.Sprintf("(%d, %s, DATE '2008-0%d-1%d', %d.25, NULL)", i%40, v, i%3+1, i%9, i))
+		parts = append(parts, fmt.Sprintf("(%d, DATE '2008-0%d-1%d', %d.50)", i, i%3+1, i%9, i%7))
+	}
+	for _, name := range tables {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", name, strings.Join(vals, ", ")))
+	}
+	mustExec(t, s, "INSERT INTO an_part VALUES "+strings.Join(parts, ", "))
+	mustExec(t, s, "ANALYZE")
+
+	tr := e.cl.TxMgr.Begin(0)
+	defer tr.Commit()
+	cat := e.cl.Cat()
+	for _, name := range append(tables, "an_part", "an_part_1_prt_1", "an_part_1_prt_2", "an_part_1_prt_3") {
+		desc, err := cat.LookupTable(tr.Snapshot(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := mustExec(t, s, "SELECT count(*) FROM "+name).Rows[0][0].Int()
+		for i, col := range desc.Schema.Columns {
+			r := mustExec(t, s, fmt.Sprintf("SELECT min(%[1]s), max(%[1]s), count(DISTINCT %[1]s), count(%[1]s) FROM %[2]s", col.Name, name)).Rows[0]
+			got, ok := cat.ColStatsFor(tr.Snapshot(), desc.OID, i)
+			want := fmt.Sprintf("min %v max %v ndistinct %d nullfrac %.6f", r[0], r[1], r[2].Int(), 1-float64(r[3].Int())/float64(rows))
+			if have := fmt.Sprintf("min %v max %v ndistinct %.0f nullfrac %.6f", got.Min, got.Max, got.NDistinct, got.NullFrac); !ok || have != want {
+				t.Errorf("%s.%s: stored %q, per-column statement says %q", name, col.Name, have, want)
+			}
+		}
+	}
+}
+
 func TestExplainShowsSlices(t *testing.T) {
 	e := newTestEngine(t, 2)
 	s := e.NewSession()

@@ -9,7 +9,7 @@ func TestShowMetrics(t *testing.T) {
 	e := newTestEngine(t, 2)
 	s := e.NewSession()
 	setupAccounts(t, s)
-	mustExec(t, s, "SELECT count(*) FROM accounts")
+	mustExec(t, s, "SELECT count(owner) FROM accounts")
 
 	res := mustExec(t, s, "SHOW metrics")
 	if len(res.Rows) == 0 {
@@ -27,13 +27,17 @@ func TestShowMetrics(t *testing.T) {
 	}
 	// The registry is process-wide, so only lower-bound assertions are
 	// safe; this session alone ran several statements and a dispatch.
-	for _, name := range []string{"engine.queries", "interconnect.tcp_msgs_sent", "types.batch_gets"} {
+	for _, name := range []string{"engine.queries", "interconnect.tcp_msgs_sent", "types.batch_gets",
+		"storage.cache_hits", "storage.cache_misses", "storage.cache_evictions", "storage.cache_bytes"} {
 		if _, ok := vals[name]; !ok {
 			t.Errorf("SHOW metrics missing %q", name)
 		}
 	}
 	if vals["engine.queries"] < 2 {
 		t.Errorf("engine.queries = %d, want >= 2", vals["engine.queries"])
+	}
+	if vals["storage.cache_misses"] < 1 {
+		t.Errorf("storage.cache_misses = %d after a table scan", vals["storage.cache_misses"])
 	}
 }
 
@@ -50,17 +54,21 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// 1ns threshold: every statement qualifies on a wall clock.
 	mustExec(t, s, "SET slow_query_log_threshold = '1ns'")
-	mustExec(t, s, "SELECT count(*) FROM accounts")
+	mustExec(t, s, "SELECT count(owner) FROM accounts")
 	entries := e.SlowLog().Entries()
 	if len(entries) == 0 {
 		t.Fatal("slow log empty after slow statement")
 	}
 	last := entries[len(entries)-1]
-	if !strings.Contains(last.SQL, "SELECT count(*) FROM accounts") {
+	if !strings.Contains(last.SQL, "SELECT count(owner) FROM accounts") {
 		t.Errorf("slow log SQL = %q", last.SQL)
 	}
 	if !strings.Contains(last.Summary, "-> ") || !strings.Contains(last.Summary, "rows=") {
 		t.Errorf("slow log summary is not an analyze tree:\n%s", last.Summary)
+	}
+	// The scan's block-cache counts ride the same per-operator stats.
+	if !strings.Contains(last.Summary, " cache=") {
+		t.Errorf("slow log summary carries no cache=hits/misses:\n%s", last.Summary)
 	}
 
 	res := mustExec(t, s, "SHOW slow_queries")

@@ -20,6 +20,7 @@ import (
 	"hawq/internal/interconnect"
 	"hawq/internal/plan"
 	"hawq/internal/resource"
+	"hawq/internal/storage"
 	"hawq/internal/types"
 )
 
@@ -54,6 +55,9 @@ type Context struct {
 	Segment int
 	// FS is the HDFS client.
 	FS *hdfs.FileSystem
+	// Cache is the executing segment's block cache, through which table
+	// scans read storage (nil — the QD, tests — reads uncached).
+	Cache *storage.BlockCache
 	// Net is this node's interconnect endpoint (nil for plans without
 	// motions).
 	Net interconnect.Node

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"hawq/internal/catalog"
 	"hawq/internal/expr"
 	"hawq/internal/obs"
 	"hawq/internal/plan"
@@ -22,26 +21,25 @@ const scanBatchDepth = 4
 
 // scanOp streams the committed rows of the segment files belonging to
 // this segment. The push-style storage scan runs in a goroutine feeding
-// a bounded channel, which keeps the operator pull-based. By default the
-// channel carries pooled batches decoded a storage block at a time, with
-// the scan's filter applied batch-wise before handoff; Context.RowMode
-// falls back to the tuple-at-a-time channel.
+// a bounded channel, which keeps the operator pull-based;
+// Context.RowMode falls back to the tuple-at-a-time channel.
 //
-// Columnar tables (CO, Parquet) instead run the compressed-execution
-// producer: pages arrive as still-encoded types.VecBatch vectors, zone
-// maps prune pages before decompression, runtime bloom filters narrow
-// the selection before decode, and the vector filter kernels consume
-// the scan predicate's kernelizable conjuncts. A consumer that called
-// EnableVec receives the encoded batches as-is through NextVecBatch;
-// otherwise the producer materializes survivors (and applies any
-// residual predicate) into ordinary pooled batches.
+// Every format is a vector source: blocks arrive through the segment's
+// block cache as types.VecBatch column vectors (columnar pages still
+// encoded, row-oriented blocks transposed into flat vectors), zone maps
+// prune pages before decompression, runtime bloom filters narrow the
+// selection before decode, and the vector filter kernels consume the
+// scan predicate's kernelizable conjuncts — all before a row is
+// materialized. A consumer that called EnableVec receives the batches
+// as-is through NextVecBatch; otherwise the producer materializes
+// survivors (and applies any residual predicate) into ordinary pooled
+// batches.
 type scanOp struct {
 	ctx  *Context
 	node *plan.Scan
 
 	rowMode bool
-	canVec  bool // columnar storage: the vec producer is available
-	vecMode bool // consumer called EnableVec: deliver encoded batches
+	vecMode bool // consumer called EnableVec: deliver vector batches
 	ch      chan *types.Batch
 	vch     chan *types.VecBatch
 	rowCh   chan types.Row
@@ -57,19 +55,15 @@ type scanOp struct {
 
 func newScanOp(ctx *Context, node *plan.Scan) *scanOp {
 	s := &scanOp{ctx: ctx, node: node, rowMode: ctx.RowMode}
-	switch node.Table.Storage.Orientation {
-	case catalog.OrientColumn, catalog.OrientParquet:
-		s.canVec = !s.rowMode
-	}
-	if s.canVec {
+	if !s.rowMode {
 		s.zonePreds = zonePredsFromFilter(node.Filter, node.Schema.Len())
 	}
 	return s
 }
 
 // zonePredsFromFilter extracts the pushdown-able conjuncts of a scan
-// filter: <ColRef> <comparison> <non-NULL Const> over the projected
-// width, the shape zone maps can refute per page.
+// filter: <ColRef> <comparison> <non-NULL constant operand> over the
+// projected width, the shape zone maps can refute per page.
 func zonePredsFromFilter(filter expr.Expr, width int) []storage.ZonePred {
 	if filter == nil {
 		return nil
@@ -84,15 +78,15 @@ func zonePredsFromFilter(filter expr.Expr, width int) []storage.ZonePred {
 		if !ok || cr.Idx >= width {
 			continue
 		}
-		cst, ok := bo.R.(*expr.Const)
-		if !ok || cst.D.IsNull() {
+		val, ok := expr.ConstOperand(bo.R)
+		if !ok {
 			continue
 		}
 		op, ok := zoneOpOf(bo.Op)
 		if !ok {
 			continue
 		}
-		preds = append(preds, storage.ZonePred{Col: cr.Idx, Op: op, Val: cst.D})
+		preds = append(preds, storage.ZonePred{Col: cr.Idx, Op: op, Val: val})
 	}
 	return preds
 }
@@ -121,12 +115,12 @@ func zoneOpOf(op expr.BinOpKind) (storage.ZoneOp, bool) {
 // producer goroutine exits; Stats is read only after Close joins it).
 func (s *scanOp) setOpStats(st *obs.OpStats) { s.opStats = st }
 
-// EnableVec implements VecSource: encoded delivery is possible when the
-// storage is columnar, the context allows batches, and the whole scan
-// filter is consumable by the vector kernels (no residual — a residual
-// would force materialization before handoff, defeating the point).
+// EnableVec implements VecSource: vector delivery is possible when the
+// context allows batches and the whole scan filter is consumable by the
+// vector kernels (no residual — a residual would force materialization
+// before handoff, defeating the point).
 func (s *scanOp) EnableVec() bool {
-	if !s.canVec || s.open {
+	if s.rowMode || s.open {
 		return s.vecMode
 	}
 	if !expr.VecFilterable(s.node.Filter, s.node.Schema.Len()) {
@@ -149,24 +143,20 @@ func (s *scanOp) Open() error {
 	case s.rowMode:
 		s.rowCh = make(chan types.Row, 256)
 		go s.produceRows()
-	case s.canVec:
-		if s.vecMode {
-			s.vch = make(chan *types.VecBatch, scanBatchDepth)
-		} else {
-			s.ch = make(chan *types.Batch, scanBatchDepth)
-		}
+	case s.vecMode:
+		s.vch = make(chan *types.VecBatch, scanBatchDepth)
 		go s.produceVec()
 	default:
 		s.ch = make(chan *types.Batch, scanBatchDepth)
-		go s.produceBatches()
+		go s.produceVec()
 	}
 	return nil
 }
 
-// produceVec is the compressed-execution producer for columnar tables:
-// per page set it applies runtime bloom filters (before decode), then
-// the vector filter kernels, then either hands the encoded batch to a
-// vec consumer or materializes survivors into a pooled batch.
+// produceVec is the batch producer: per block it applies runtime bloom
+// filters (before decode), then the vector filter kernels, then either
+// hands the vector batch to a vec consumer or materializes survivors
+// into a pooled batch.
 func (s *scanOp) produceVec() {
 	defer s.wg.Done()
 	st := &storage.ScanStats{}
@@ -176,6 +166,8 @@ func (s *scanOp) produceVec() {
 		if s.opStats != nil {
 			s.opStats.PagesSkipped += st.PagesSkipped
 			s.opStats.RTFilterRows += rtfRemoved
+			s.opStats.CacheHits += st.CacheHits
+			s.opStats.CacheMisses += st.CacheMisses
 		}
 	}()
 	if s.vecMode {
@@ -187,7 +179,7 @@ func (s *scanOp) produceVec() {
 		if sf.SegmentID != s.ctx.Segment {
 			continue
 		}
-		err := storage.ScanVecBatches(s.ctx.FS, s.node.Table.Storage, s.node.Table.Schema, sf, s.node.Proj, s.zonePreds, st, func(vb *types.VecBatch) error {
+		err := s.ctx.Cache.ScanVecBatches(s.ctx.FS, s.node.Table.Storage, s.node.Table.Schema, sf, s.node.Proj, s.zonePreds, st, func(vb *types.VecBatch) error {
 			for _, t := range s.node.RuntimeFilters {
 				if t.Col >= len(vb.Cols) || vb.SelCount() == 0 {
 					continue
@@ -276,47 +268,6 @@ func (s *scanOp) NextVecBatch() (*types.VecBatch, error) {
 		}
 	}
 	return vb, nil
-}
-
-// produceBatches pushes filtered batches onto s.ch until exhaustion,
-// error, stop, or query cancellation.
-func (s *scanOp) produceBatches() {
-	defer s.wg.Done()
-	defer close(s.ch)
-	for _, sf := range s.node.SegFiles {
-		if sf.SegmentID != s.ctx.Segment {
-			continue
-		}
-		err := storage.ScanBatches(s.ctx.FS, s.node.Table.Storage, s.node.Table.Schema, sf, s.node.Proj, func(b *types.Batch) error {
-			if s.node.Filter != nil {
-				if err := expr.FilterBatch(s.node.Filter, b); err != nil {
-					types.PutBatch(b)
-					return err
-				}
-			}
-			if b.Len() == 0 {
-				types.PutBatch(b)
-				return nil
-			}
-			select {
-			case s.ch <- b:
-				return nil
-			case <-s.stop:
-				types.PutBatch(b)
-				return errScanStopped
-			case <-s.ctx.doneCh():
-				types.PutBatch(b)
-				return s.ctx.cause()
-			}
-		})
-		if err == errScanStopped {
-			return
-		}
-		if err != nil {
-			s.errc <- err
-			return
-		}
-	}
 }
 
 // produceRows is the RowMode producer: one channel send per row.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"hawq/internal/catalog"
@@ -378,4 +379,91 @@ func BenchmarkJoinRuntimeFilter(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
+}
+
+// TestScanStatsIdenticalColdAndWarm runs a scan that zone maps prune
+// and a same-slice runtime filter narrows through a segment block
+// cache: first touch, the pass that admits, the pass served from
+// memory. Rows, pages skipped and runtime-filter removals must not
+// depend on which it was — zone bytes live in the cached directory, and
+// blooms and kernels run on cached vectors as on fresh ones — for a
+// column table and for a row table (no zone maps there).
+func TestScanStatsIdenticalColdAndWarm(t *testing.T) {
+	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 0, 20000)
+	for i := 0; i < 20000; i++ { // sorted key: tight zone maps
+		rows = append(rows, types.Row{types.NewInt64(int64(i)), types.NewInt64(int64(i % 7))})
+	}
+	co, coFiles := writeCOTable(t, fs, 7, "zoned_co", intsSchema("k", "v"), rows)
+	ao, aoFiles := writeCOTable(t, fs, 8, "zoned_ao", intsSchema("k", "v"), nil)
+	ao.Storage = catalog.StorageSpec{Orientation: catalog.OrientRow, Codec: "quicklz"}
+	w, err := storage.NewWriter(fs, ao.Storage, ao.Schema, aoFiles[0], hdfs.CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aoFiles[0].LogicalLen, _ = w.Lens()
+	aoFiles[0].Tuples = w.Tuples()
+
+	for _, tc := range []struct {
+		desc  *catalog.TableDesc
+		files []catalog.SegFile
+	}{{co, coFiles}, {ao, aoFiles}} {
+		cache := storage.NewBlockCache()
+		build := valuesNode(intsSchema("bk", "bv"), []int64{42, 1}, []int64{4242, 2}, []int64{19000, 3})
+		var first obs.OpStats
+		for pass := 0; pass < 3; pass++ {
+			j := runtimeFilterJoin(tc.desc, tc.files, build, true)
+			j.Left.(*plan.Scan).Filter = expr.NewBinOp(expr.OpLt, &expr.ColRef{Idx: 0, K: types.KindInt64}, expr.NewConst(types.NewInt64(5000)))
+			ctx := &Context{Segment: 0, FS: fs, Cache: cache, Filters: NewFilterHub()}
+			ctx.Filters.Expect(1, 1)
+			ctx.Stats = NewStatsRecorder(nil, j, 0, 0)
+			op, err := Build(ctx, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := Drain(nil, op, func(types.Row) error { n++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			var scan obs.OpStats
+			for _, st := range ctx.Stats.Stats().Ops {
+				if strings.HasPrefix(st.Label, "Table Scan") {
+					scan = st
+				}
+			}
+			name := tc.desc.Storage.Orientation
+			if n != 2 {
+				t.Fatalf("%s pass %d: %d joined rows, want 2", name, pass, n)
+			}
+			switch pass {
+			case 0:
+				first = scan
+				if scan.CacheHits != 0 || scan.CacheMisses == 0 || scan.RTFilterRows == 0 {
+					t.Errorf("%s cold pass: %+v", name, scan)
+				}
+				if name == catalog.OrientColumn && scan.PagesSkipped == 0 {
+					t.Errorf("%s: the filter skipped no page", name)
+				}
+			default:
+				if scan.Rows != first.Rows || scan.PagesSkipped != first.PagesSkipped || scan.RTFilterRows != first.RTFilterRows {
+					t.Errorf("%s pass %d: rows %d pages_skipped %d rtfilter %d, cold pass had %d %d %d", name, pass,
+						scan.Rows, scan.PagesSkipped, scan.RTFilterRows, first.Rows, first.PagesSkipped, first.RTFilterRows)
+				}
+				if pass == 2 && (scan.CacheMisses != 0 || scan.CacheHits != first.CacheMisses) {
+					t.Errorf("%s warm pass: cache=%d/%d, cold pass missed %d", name, scan.CacheHits, scan.CacheMisses, first.CacheMisses)
+				}
+			}
+		}
+	}
 }

@@ -29,10 +29,10 @@ func FilterBatch(pred Expr, b *types.Batch) error {
 }
 
 // filterKernel compiles the pattern <ColRef> <comparison> <non-null
-// Const> into an in-place compaction loop. The returned kernel reports
-// whether it handled the batch (false sends the caller to the generic
-// path, e.g. on a column index beyond the batch width). nil means the
-// predicate doesn't match the pattern.
+// constant operand> into an in-place compaction loop. The returned
+// kernel reports whether it handled the batch (false sends the caller
+// to the generic path, e.g. on a column index beyond the batch width).
+// nil means the predicate doesn't match the pattern.
 func filterKernel(pred Expr) func(*types.Batch) bool {
 	bo, ok := pred.(*BinOp)
 	if !ok || !bo.Op.IsComparison() {
@@ -42,11 +42,11 @@ func filterKernel(pred Expr) func(*types.Batch) bool {
 	if !ok {
 		return nil
 	}
-	cst, ok := bo.R.(*Const)
-	if !ok || cst.D.IsNull() {
+	want, ok := ConstOperand(bo.R)
+	if !ok {
 		return nil
 	}
-	op, want := bo.Op, cst.D
+	op := bo.Op
 	return func(b *types.Batch) bool {
 		if col.Idx >= b.Width() {
 			return false

@@ -30,9 +30,25 @@ func AndAll(conjuncts []Expr) Expr {
 	return out
 }
 
+// ConstOperand returns the value of an operand that is fixed for the
+// whole execution: a literal, or a $n placeholder that has been bound.
+// A prepared statement's plan is the statement's own clone and is bound
+// before the executor sees it, so to a kernel or a zone map `col = $1`
+// is `col = 42`. NULL (as a literal or a binding) and an unbound
+// placeholder report false: no comparison kernel handles them.
+func ConstOperand(e Expr) (types.Datum, bool) {
+	switch v := e.(type) {
+	case *Const:
+		return v.D, !v.D.IsNull()
+	case *Param:
+		return v.V, v.Bound && !v.V.IsNull()
+	}
+	return types.Null, false
+}
+
 // vecPred is one compiled kernelizable conjunct: <ColRef> <comparison>
-// <non-NULL Const>, the same shape filterKernel vectorizes on decoded
-// batches.
+// <non-NULL constant operand>, the same shape filterKernel vectorizes
+// on decoded batches.
 type vecPred struct {
 	col  int
 	op   BinOpKind
@@ -49,11 +65,11 @@ func compileVecPred(e Expr) (vecPred, bool) {
 	if !ok {
 		return vecPred{}, false
 	}
-	cst, ok := bo.R.(*Const)
-	if !ok || cst.D.IsNull() {
+	want, ok := ConstOperand(bo.R)
+	if !ok {
 		return vecPred{}, false
 	}
-	return vecPred{col: col.Idx, op: bo.Op, want: cst.D}, true
+	return vecPred{col: col.Idx, op: bo.Op, want: want}, true
 }
 
 // VecFilterable reports whether every conjunct of pred has the

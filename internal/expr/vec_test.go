@@ -254,3 +254,73 @@ func TestConjunctsAndAll(t *testing.T) {
 		t.Error("single conjunct should come back unchanged")
 	}
 }
+
+// TestBoundParamIsAConstant: a bound $n is to the kernels what a literal
+// is — `col = $1` narrows the selection in FilterVec and compacts in
+// FilterBatch without a residual — while an unbound or NULL-bound
+// placeholder is left to the generic path, which still answers as SQL
+// says: NULL keeps no row, unbound is the protocol error.
+func TestBoundParamIsAConstant(t *testing.T) {
+	day := types.MustParseDate("1995-03-15")
+	cols := [][]types.Datum{
+		{types.NewInt64(1), types.NewInt64(2), types.NewInt64(2), types.Null},
+		{types.NewString("a"), types.NewString("b"), types.NewString("a"), types.NewString("b")},
+		{day, types.NewDate(0), day, types.Null},
+	}
+	for j, tc := range []struct {
+		val  types.Datum
+		want []int32
+	}{
+		{types.NewInt64(2), []int32{1, 2}},
+		{types.NewString("a"), []int32{0, 2}},
+		{day, []int32{0, 2}},
+	} {
+		param := &Param{Idx: 0, K: tc.val.K}
+		pred := &BinOp{Op: OpEq, L: &ColRef{Idx: j}, R: param}
+		if VecFilterable(pred, 3) || filterKernel(pred) != nil {
+			t.Fatalf("col %d: unbound parameter was kernelized", j)
+		}
+		if err := BindParams(pred, []types.Datum{tc.val}); err != nil {
+			t.Fatal(err)
+		}
+		if !VecFilterable(pred, 3) || filterKernel(pred) == nil {
+			t.Fatalf("col %d: bound %v parameter is not kernelized", j, tc.val.K)
+		}
+		vb := buildVecBatch(cols, []types.VecEnc{types.VecFlat, types.VecDict, types.VecRaw})
+		residual, err := FilterVec(pred, vb)
+		if err != nil || residual != nil || !reflect.DeepEqual(vb.Sel, tc.want) {
+			t.Fatalf("col %d: FilterVec sel %v residual %v err %v, want %v", j, vb.Sel, residual, err, tc.want)
+		}
+		types.PutVecBatch(vb)
+	}
+	// NULL-bound: not kernelized, and the generic path keeps nothing.
+	pred := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}
+	if err := BindParams(pred, []types.Datum{types.Null}); err != nil {
+		t.Fatal(err)
+	}
+	if VecFilterable(pred, 3) || filterKernel(pred) != nil {
+		t.Fatal("NULL-bound parameter was kernelized")
+	}
+	vb := buildVecBatch(cols, []types.VecEnc{types.VecFlat, types.VecFlat, types.VecFlat})
+	defer types.PutVecBatch(vb)
+	residual, err := FilterVec(pred, vb)
+	if err != nil || residual == nil {
+		t.Fatalf("NULL-bound: residual %v err %v", residual, err)
+	}
+	b := types.GetBatch(0)
+	defer types.PutBatch(b)
+	if err := vb.Materialize(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := FilterBatch(residual, b); err != nil || b.Len() != 0 {
+		t.Fatalf("col = NULL kept %d rows, err %v", b.Len(), err)
+	}
+	// Unbound: the generic path reports it.
+	unbound := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}
+	if err := vb.Materialize(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := FilterBatch(unbound, b); err == nil {
+		t.Fatal("unbound parameter evaluated")
+	}
+}

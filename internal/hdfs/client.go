@@ -35,7 +35,8 @@ func (fs *FileSystem) Create(p string, opts CreateOptions) (*FileWriter, error) 
 	if writer == "" {
 		writer = "anonymous"
 	}
-	f := &fileMeta{lease: writer, modTime: fs.clk.Now()}
+	fs.nextFile++
+	f := &fileMeta{id: fs.nextFile, lease: writer, modTime: fs.clk.Now()}
 	fs.files[p] = f
 	fs.mkdirLocked(path.Dir(p))
 	return &FileWriter{fs: fs, path: p, meta: f, preferred: opts.PreferredHost}, nil
@@ -228,6 +229,7 @@ func (fs *FileSystem) Truncate(p string, length int64) error {
 		}
 	}
 	f.blocks = f.blocks[:keep]
+	f.gen++
 	f.modTime = fs.clk.Now()
 	hdfsTruncates.Inc()
 	return nil
@@ -254,7 +256,7 @@ func (fs *FileSystem) Open(p string) (*FileReader, error) {
 	for _, b := range blocks {
 		length += b.length
 	}
-	return &FileReader{fs: fs, path: p, blocks: blocks, length: length}, nil
+	return &FileReader{fs: fs, path: p, blocks: blocks, length: length, id: f.id, gen: f.gen}, nil
 }
 
 // FileReader reads an HDFS file. It implements io.Reader, io.ReaderAt,
@@ -266,12 +268,18 @@ type FileReader struct {
 	path   string
 	blocks []blockMeta
 	length int64
+	id     uint64
+	gen    uint64
 	pos    int64
 	closed bool
 }
 
 // Size returns the file length at open time.
 func (r *FileReader) Size() int64 { return r.length }
+
+// Identity returns the file's FileStatus.FileID and Generation at open
+// time, taken under the same NameNode lock as the block list.
+func (r *FileReader) Identity() (fileID, generation uint64) { return r.id, r.gen }
 
 // ReadAt implements io.ReaderAt.
 func (r *FileReader) ReadAt(p []byte, off int64) (int, error) {

@@ -24,10 +24,19 @@ type FileSystem struct {
 	files     map[string]*fileMeta
 	dirs      map[string]bool
 	nextBlock BlockID
+	nextFile  uint64
 	rr        int // round-robin cursor for block placement
 }
 
 type fileMeta struct {
+	// id is assigned at Create and never reused: a path that is deleted
+	// and created again is a different file. gen counts the truncations
+	// that shortened the file (real HDFS bumps the last block's generation
+	// stamp). Together they tell a reader that bytes it saw at an offset
+	// earlier are still the bytes at that offset: appends never rewrite,
+	// so only a new id or a new gen can change what an offset holds.
+	id      uint64
+	gen     uint64
 	blocks  []blockMeta
 	lease   string // writer identity; "" when closed
 	modTime time.Time
@@ -132,7 +141,11 @@ func (fs *FileSystem) Stat(p string) (FileStatus, error) {
 	if !ok {
 		return FileStatus{}, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
-	return FileStatus{Path: p, Length: f.length(), Blocks: len(f.blocks), ModTime: f.modTime}, nil
+	return f.status(p), nil
+}
+
+func (f *fileMeta) status(p string) FileStatus {
+	return FileStatus{Path: p, Length: f.length(), Blocks: len(f.blocks), ModTime: f.modTime, FileID: f.id, Generation: f.gen}
 }
 
 // List returns the immediate children of a directory, sorted by path.
@@ -169,7 +182,7 @@ func (fs *FileSystem) List(dir string) ([]FileStatus, error) {
 			}
 			continue
 		}
-		out = append(out, FileStatus{Path: p, Length: f.length(), Blocks: len(f.blocks), ModTime: f.modTime})
+		out = append(out, f.status(p))
 	}
 	for d := range fs.dirs {
 		if path.Dir(d) == dir && d != "/" && !seen[d] {

@@ -93,6 +93,13 @@ type FileStatus struct {
 	Length  int64
 	Blocks  int
 	ModTime time.Time
+	// FileID identifies the file itself rather than its path: it is
+	// assigned at creation, survives Rename and is never reused.
+	// Generation counts the truncations that shortened the file. Bytes
+	// read at an offset stay valid for as long as both are unchanged
+	// (files are append-only otherwise). Both are zero for directories.
+	FileID     uint64
+	Generation uint64
 }
 
 // BlockLocation reports where one block of a file lives, for

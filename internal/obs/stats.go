@@ -35,6 +35,11 @@ type OpStats struct {
 	// RTFilterRows counts probe-side rows a scan dropped via runtime
 	// bloom filters before decode (scan operators only).
 	RTFilterRows int64
+	// CacheHits and CacheMisses count the (block, column) vectors a scan
+	// took from its segment's block cache and those it had to read and
+	// decode (scan operators only).
+	CacheHits   int64
+	CacheMisses int64
 	// Wall is cumulative wall time spent inside the operator and its
 	// children (inclusive, Postgres-style), measured on the injected
 	// clock.Clock — zero under clock.Sim unless the test advances time.

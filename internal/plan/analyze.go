@@ -34,6 +34,10 @@ type NodeStats struct {
 	// bloom filters before decode (scans only).
 	PagesSkipped int64
 	RTFilterRows int64
+	// CacheHits and CacheMisses are summed over the gang: block-cache
+	// lookups of (block, column) vectors by scans.
+	CacheHits   int64
+	CacheMisses int64
 	// PeakMem is the largest single-segment memory high-water mark.
 	PeakMem int64
 	// MaxWall is the slowest gang member's cumulative operator time.
@@ -79,6 +83,8 @@ func (p *Plan) MergeStats(stats []obs.SliceStats) [][]NodeStats {
 			n.SpillFiles += op.SpillFiles
 			n.PagesSkipped += op.PagesSkipped
 			n.RTFilterRows += op.RTFilterRows
+			n.CacheHits += op.CacheHits
+			n.CacheMisses += op.CacheMisses
 			if op.PeakMem > n.PeakMem {
 				n.PeakMem = op.PeakMem
 			}
@@ -114,6 +120,9 @@ func (p *Plan) ExplainAnalyze(stats []obs.SliceStats, resultRows int, elapsed ti
 		}
 		for _, n := range merged[si] {
 			fmt.Fprintf(&b, "%s-> %s (rows=%d batches=%d", strings.Repeat("  ", n.Depth+1), n.Label, n.Rows, n.Batches)
+			if n.CacheHits+n.CacheMisses > 0 {
+				fmt.Fprintf(&b, " cache=%d/%d", n.CacheHits, n.CacheMisses)
+			}
 			if n.Bytes > 0 {
 				fmt.Fprintf(&b, " bytes=%d", n.Bytes)
 			}

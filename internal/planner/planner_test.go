@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hawq/internal/catalog"
+	"hawq/internal/expr"
 	"hawq/internal/plan"
 	"hawq/internal/sqlparser"
 	"hawq/internal/tx"
@@ -456,8 +457,25 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	if len(pl.DeferredDirect) != 1 {
 		t.Fatalf("key referenced only by the filter: deferred direct = %+v:\n%s", pl.DeferredDirect, pl.Explain())
 	}
+	// Until it is bound the scan's filter is a residual; once bound it is
+	// a constant comparison the vector kernels (and zone maps) consume.
+	kernelized := func() bool {
+		ok := false
+		pl.Walk(func(n plan.Node) {
+			if sc, isScan := n.(*plan.Scan); isScan {
+				ok = sc.Filter != nil && expr.VecFilterable(sc.Filter, sc.Schema.Len())
+			}
+		})
+		return ok
+	}
+	if kernelized() {
+		t.Fatal("unbound $1 filter reported kernelizable")
+	}
 	if err := pl.BindParams([]types.Datum{types.NewInt64(42)}); err != nil {
 		t.Fatal(err)
+	}
+	if !kernelized() {
+		t.Fatalf("bound $1 filter is still a residual:\n%s", pl.Explain())
 	}
 	got = pl.Slices[pl.DeferredDirect[0].SliceID].Segments
 	for _, sql := range []string{"SELECT c_name FROM customer WHERE c_custkey = 42", "SELECT * FROM customer WHERE c_custkey = 42"} {

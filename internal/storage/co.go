@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
@@ -127,153 +126,35 @@ func (w *coWriter) Lens() (int64, []int64) {
 // Tuples implements Writer.
 func (w *coWriter) Tuples() int64 { return w.tuples }
 
-// scanCOVec is the CO scan core: it walks the projected column files'
-// aligned blocks in lockstep, consults every page's zone map against
-// the pushed-down predicates before touching the payload, and hands
-// surviving pages to fn as still-encoded vectors. Both the batch and
-// row scan paths are wrappers over it.
-func scanCOVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
+// coLayout is the scan layout of a CO lane: the projected columns'
+// files, walked in lockstep, one single-column page per block. A
+// zero-column scan (COUNT(*)) walks only the smallest column file —
+// every one of them carries the row counts — and reads no payload.
+func coLayout(sf catalog.SegFile, proj []int) (*layout, error) {
+	l := &layout{parse: parseBlock}
 	if len(sf.ColLens) == 0 {
-		return nil // never committed
+		return l, nil // never committed
+	}
+	add := func(c int) int {
+		l.paths = append(l.paths, ColFilePath(sf.Path, c))
+		l.lens = append(l.lens, sf.ColLens[c])
+		return len(l.paths) - 1
 	}
 	if len(proj) == 0 {
-		// Zero-column scan (COUNT(*)): every column file carries the row
-		// counts, so walk the block headers of the smallest one and emit
-		// batches of empty rows — no page is checksummed or decompressed.
 		c := 0
-		for i, l := range sf.ColLens {
-			if l < sf.ColLens[c] {
+		for i, n := range sf.ColLens {
+			if n < sf.ColLens[c] {
 				c = i
 			}
 		}
-		data, err := readRegion(fs, ColFilePath(sf.Path, c), sf.ColLens[c])
-		if err != nil {
-			return err
-		}
-		it := &blockIter{data: data}
-		for {
-			h, err := it.nextHeader()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			vb := types.GetVecBatch(0)
-			vb.SetLen(h.rows)
-			if err := fn(vb); err != nil {
-				return err
-			}
-		}
+		add(c)
+		return l, nil
 	}
-	iters := make([]*blockIter, len(proj))
-	for j, c := range proj {
+	for _, c := range proj {
 		if c >= len(sf.ColLens) {
-			return fmt.Errorf("storage: CO projection column %d out of range", c)
-		}
-		data, err := readRegion(fs, ColFilePath(sf.Path, c), sf.ColLens[c])
-		if err != nil {
-			return err
-		}
-		iters[j] = &blockIter{data: data}
-	}
-	hdrs := make([]pageHdr, len(proj))
-	for {
-		// Advance all columns to their next aligned block header.
-		rc := -1
-		for j, it := range iters {
-			h, err := it.nextHeader()
-			if err == io.EOF {
-				if j == 0 {
-					return nil
-				}
-				return fmt.Errorf("storage: CO column files out of sync (early EOF)")
-			}
-			if err != nil {
-				return err
-			}
-			if rc == -1 {
-				rc = h.rows
-			} else if h.rows != rc {
-				return fmt.Errorf("storage: CO block row counts diverge (%d vs %d)", rc, h.rows)
-			}
-			hdrs[j] = h
-		}
-		if rc <= 0 {
-			continue
-		}
-		// One impossible conjunct against any column's zone map rules
-		// out the whole aligned page set before any checksum work.
-		skip := false
-		for j := range hdrs {
-			if !pageMayMatch(hdrs[j].zone, j, preds) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			st.notePageSkipped()
-			continue
-		}
-		vb := types.GetVecBatch(len(proj))
-		vb.SetLen(rc)
-		for j := range hdrs {
-			raw, err := hdrs[j].payload(codec)
-			if err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-			if err := decodePage(hdrs[j].enc, raw, rc, &vb.Cols[j]); err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-		}
-		if err := fn(vb); err != nil {
-			return err
+			return nil, fmt.Errorf("storage: CO projection column %d out of range", c)
 		}
 	}
-}
-
-// scanCOBatches reads only the projected column files and materializes
-// each aligned block set into one batch arena. It accepts both v1 and
-// v2 column files (the vec core treats a v1 block as one flat page).
-func scanCOBatches(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, proj []int, fn func(*types.Batch) error) error {
-	return scanCOVec(fs, codec, sf, proj, nil, nil, func(vb *types.VecBatch) error {
-		b := types.GetBatch(0)
-		if err := vb.Materialize(b); err != nil {
-			types.PutBatch(b)
-			types.PutVecBatch(vb)
-			return err
-		}
-		types.PutVecBatch(vb)
-		return fn(b)
-	})
-}
-
-// scanCO reads only the projected column files and zips their block
-// streams back into rows.
-func scanCO(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, proj []int, fn func(types.Row) error) error {
-	cols := make([][]types.Datum, len(proj))
-	return scanCOVec(fs, codec, sf, proj, nil, nil, func(vb *types.VecBatch) error {
-		n := vb.Len()
-		for j := range vb.Cols {
-			var err error
-			cols[j], err = vb.Cols[j].Decode(cols[j][:0])
-			if err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-		}
-		types.PutVecBatch(vb)
-		for i := 0; i < n; i++ {
-			out := make(types.Row, len(proj))
-			for j := range cols {
-				out[j] = cols[j][i]
-			}
-			if err := fn(out); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	l.project(proj, func(c int) colSrc { return colSrc{file: add(c)} })
+	return l, nil
 }

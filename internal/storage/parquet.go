@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
@@ -140,204 +141,99 @@ func (w *parquetWriter) Lens() (int64, []int64) { return w.total, nil }
 // Tuples implements Writer.
 func (w *parquetWriter) Tuples() int64 { return w.tuples }
 
-// pqGroup is one parsed row-group header: everything needed for a skip
-// decision plus the offsets to fetch individual chunks lazily.
-type pqGroup struct {
-	rows  int
-	ncols int
-	// encs and zones are per-column page metadata; nil slices for v1
-	// groups (flat encoding, no zone information).
-	encs      []byte
-	zones     [][]byte
-	chunkLens []int
-	// offsets locates each column's crc32+chunk within d.
-	offsets []int
-	d       []byte
-}
-
-// chunk verifies and decompresses column c's chunk.
-func (g *pqGroup) chunk(c int, codec compress.Codec) ([]byte, error) {
-	if c >= g.ncols {
-		return nil, fmt.Errorf("storage: projection column %d out of range", c)
+// parseGroup is the parseFn of Parquet files: one v1 or v2 row group,
+// a chunk per column. Every group of a file has the same column count.
+func parseGroup(d []byte, off int64, dir *fileDir) error {
+	short := truncated("storage: truncated group header")
+	if len(d) == 0 {
+		return short
 	}
-	raw := g.d[g.offsets[c]+4 : g.offsets[c]+4+g.chunkLens[c]]
-	if crc32.ChecksumIEEE(raw) != binary.BigEndian.Uint32(g.d[g.offsets[c]:]) {
-		return nil, fmt.Errorf("storage: chunk checksum mismatch (col %d)", c)
-	}
-	return codec.Decompress(nil, raw)
-}
-
-// enc returns column c's page encoding (flat for v1 groups).
-func (g *pqGroup) enc(c int) byte {
-	if g.encs == nil {
-		return pageEncFlat
-	}
-	return g.encs[c]
-}
-
-// zone returns column c's zone bytes (nil for v1 groups).
-func (g *pqGroup) zone(c int) []byte {
-	if g.zones == nil {
-		return nil
-	}
-	return g.zones[c]
-}
-
-// parseGroup parses the group header at data[pos:], returning the group
-// and the offset of the next one.
-func parseGroup(data []byte, pos int) (pqGroup, int, error) {
-	var g pqGroup
-	d := data[pos:]
 	v2 := false
 	switch d[0] {
 	case groupMagic:
 	case groupMagicV2:
 		v2 = true
 	default:
-		return g, 0, fmt.Errorf("storage: bad row group magic 0x%02x at %d", d[0], pos)
+		return fmt.Errorf("storage: bad row group magic 0x%02x at %d", d[0], off)
 	}
 	p := 1
 	rowCount, n := binary.Uvarint(d[p:])
 	if n <= 0 {
-		return g, 0, fmt.Errorf("storage: truncated group header")
+		return short
 	}
 	p += n
 	ncols, n := binary.Uvarint(d[p:])
 	if n <= 0 {
-		return g, 0, fmt.Errorf("storage: truncated group header")
+		return short
 	}
 	p += n
-	g.rows, g.ncols = int(rowCount), int(ncols)
-	if v2 {
-		g.encs = make([]byte, g.ncols)
-		g.zones = make([][]byte, g.ncols)
-		for i := 0; i < g.ncols; i++ {
+	// Every column costs at least a length byte and a checksum.
+	if rowCount > math.MaxInt32 {
+		return fmt.Errorf("storage: row group at %d claims %d rows", off, rowCount)
+	}
+	if ncols > uint64(len(d)) {
+		return short
+	}
+	if dir.per != 0 && len(dir.blocks) > 0 && int(ncols) != dir.per {
+		return fmt.Errorf("storage: row group at %d has %d columns, earlier groups %d", off, ncols, dir.per)
+	}
+	// Nothing is appended until the whole group has parsed: a truncated
+	// parse is retried on a longer window.
+	nchunks, nzones := len(dir.chunks), len(dir.zones)
+	fail := func(err error) error {
+		dir.chunks, dir.zones = dir.chunks[:nchunks], dir.zones[:nzones]
+		return err
+	}
+	for i := 0; i < int(ncols); i++ {
+		ch := chunkMeta{rawLen: -1, zoneOff: int32(len(dir.zones))}
+		if v2 {
 			if p >= len(d) {
-				return g, 0, fmt.Errorf("storage: truncated column metadata")
+				return fail(truncated("storage: truncated column metadata"))
 			}
-			g.encs[i] = d[p]
+			ch.enc = d[p]
 			p++
 			zoneLen, n := binary.Uvarint(d[p:])
 			if n <= 0 {
-				return g, 0, fmt.Errorf("storage: truncated column metadata")
+				return fail(truncated("storage: truncated column metadata"))
 			}
 			p += n
 			if uint64(len(d)-p) < zoneLen {
-				return g, 0, fmt.Errorf("storage: truncated zone map")
+				return fail(truncated("storage: truncated zone map"))
 			}
-			g.zones[i] = d[p : p+int(zoneLen)]
+			ch.zoneLen = int32(zoneLen)
+			dir.zones = append(dir.zones, d[p:p+int(zoneLen)]...)
 			p += int(zoneLen)
 		}
+		dir.chunks = append(dir.chunks, ch)
 	}
-	g.chunkLens = make([]int, g.ncols)
-	for i := range g.chunkLens {
+	for i := nchunks; i < len(dir.chunks); i++ {
 		l, n := binary.Uvarint(d[p:])
 		if n <= 0 {
-			return g, 0, fmt.Errorf("storage: truncated chunk length")
+			return fail(truncated("storage: truncated chunk length"))
 		}
-		g.chunkLens[i] = int(l)
+		if l > uint64(len(d)) {
+			return fail(truncated("storage: truncated row group body"))
+		}
+		dir.chunks[i].compLen = int32(l)
 		p += n
 	}
-	g.offsets = make([]int, g.ncols)
-	off := p
-	for i := range g.chunkLens {
-		g.offsets[i] = off
-		off += 4 + g.chunkLens[i]
+	end := off + int64(p)
+	for i := nchunks; i < len(dir.chunks); i++ {
+		dir.chunks[i].off = end
+		end += 4 + int64(dir.chunks[i].compLen)
 	}
-	if off > len(d) {
-		return g, 0, fmt.Errorf("storage: truncated row group body")
+	if end-off > int64(len(d)) {
+		return fail(truncated("storage: truncated row group body"))
 	}
-	g.d = d
-	return g, pos + off, nil
-}
-
-// scanParquetVec is the Parquet scan core: it walks row groups,
-// consults the projected columns' zone maps before decompressing
-// anything, and hands surviving groups to fn as still-encoded vectors.
-func scanParquetVec(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
-	data, err := readRegion(fs, sf.Path, sf.LogicalLen)
-	if err != nil {
-		return err
-	}
-	pos := 0
-	for pos < len(data) {
-		g, next, err := parseGroup(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = next
-		skip := false
-		for j, c := range proj {
-			if c >= g.ncols {
-				return fmt.Errorf("storage: projection column %d out of range", c)
-			}
-			if !pageMayMatch(g.zone(c), j, preds) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			st.notePageSkipped()
-			continue
-		}
-		vb := types.GetVecBatch(len(proj))
-		vb.SetLen(g.rows)
-		for j, c := range proj {
-			raw, err := g.chunk(c, codec)
-			if err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-			if err := decodePage(g.enc(c), raw, g.rows, &vb.Cols[j]); err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-		}
-		if err := fn(vb); err != nil {
-			return err
-		}
-	}
+	dir.per = int(ncols)
+	dir.blocks = append(dir.blocks, blockMeta{off: off, end: end, rows: int32(rowCount)})
 	return nil
 }
 
-// scanParquet walks row groups, decompressing only projected columns.
-func scanParquet(fs *hdfs.FileSystem, codec compress.Codec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(types.Row) error) error {
-	cols := make([][]types.Datum, len(proj))
-	return scanParquetVec(fs, codec, sf, proj, nil, nil, func(vb *types.VecBatch) error {
-		n := vb.Len()
-		for j := range vb.Cols {
-			var err error
-			cols[j], err = vb.Cols[j].Decode(cols[j][:0])
-			if err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-		}
-		types.PutVecBatch(vb)
-		for i := 0; i < n; i++ {
-			out := make(types.Row, len(proj))
-			for j := range cols {
-				out[j] = cols[j][i]
-			}
-			if err := fn(out); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// scanParquetBatches materializes each row group column-wise into one
-// batch, exploiting the PAX layout. It accepts both v1 and v2 groups.
-func scanParquetBatches(fs *hdfs.FileSystem, codec compress.Codec, sf catalog.SegFile, proj []int, fn func(*types.Batch) error) error {
-	return scanParquetVec(fs, codec, sf, proj, nil, nil, func(vb *types.VecBatch) error {
-		b := types.GetBatch(0)
-		if err := vb.Materialize(b); err != nil {
-			types.PutBatch(b)
-			types.PutVecBatch(vb)
-			return err
-		}
-		types.PutVecBatch(vb)
-		return fn(b)
-	})
+// parquetLayout is the scan layout of a Parquet lane: one file of row
+// groups, a single-column page per projected column and group.
+func parquetLayout(sf catalog.SegFile, proj []int) *layout {
+	l := &layout{paths: []string{sf.Path}, lens: []int64{sf.LogicalLen}, parse: parseGroup}
+	l.project(proj, func(c int) colSrc { return colSrc{chunk: c} })
+	return l
 }

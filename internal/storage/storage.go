@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
@@ -49,6 +48,10 @@ var pagesSkipped = obs.GetCounter("storage.pages_skipped")
 type ScanStats struct {
 	// PagesSkipped counts logical pages skipped via zone maps.
 	PagesSkipped int64
+	// CacheHits and CacheMisses count the (block, stored column) lookups
+	// a scan made in its segment's block cache; both stay zero for an
+	// uncached scan.
+	CacheHits, CacheMisses int64
 }
 
 // notePageSkipped records one logical page pruned by a zone map.
@@ -105,74 +108,89 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 // bounded by the logical lengths in sf, so bytes appended by uncommitted
 // or aborted transactions are never surfaced.
 func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(types.Row) error) error {
-	codec, err := compress.Lookup(spec.Codec)
-	if err != nil {
-		return err
-	}
-	switch spec.Orientation {
-	case catalog.OrientRow, "":
-		return scanAO(fs, codec, sf, proj, fn)
-	case catalog.OrientColumn:
-		return scanCO(fs, codec, sf, proj, fn)
-	case catalog.OrientParquet:
-		return scanParquet(fs, codec, schema, sf, proj, fn)
-	default:
-		return fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
-	}
+	cols := make([][]types.Datum, len(proj))
+	return ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
+		n := vb.Len()
+		for j := range vb.Cols {
+			var err error
+			cols[j], err = vb.Cols[j].Decode(cols[j][:0])
+			if err != nil {
+				types.PutVecBatch(vb)
+				return err
+			}
+		}
+		types.PutVecBatch(vb)
+		for i := 0; i < n; i++ {
+			out := make(types.Row, len(proj))
+			for j := range cols {
+				out[j] = cols[j][i]
+			}
+			if err := fn(out); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // ScanBatches is the batch variant of Scan: fn receives the projected
-// rows decoded one storage block (AO, CO) or row group (Parquet) at a
-// time into a pooled types.Batch. The columnar formats decode straight
-// into the batch arena column by column, exploiting their layout instead
-// of materializing row-by-row. Ownership of each batch transfers to fn,
-// which must release it with types.PutBatch (or hand it on) — the scan
-// never touches a batch again after fn returns.
+// rows of one storage block (AO, CO) or row group (Parquet) at a time,
+// materialized column by column into a pooled types.Batch. Ownership of
+// each batch transfers to fn, which must release it with types.PutBatch
+// (or hand it on) — the scan never touches a batch again after fn
+// returns.
 func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(*types.Batch) error) error {
-	codec, err := compress.Lookup(spec.Codec)
-	if err != nil {
-		return err
-	}
-	switch spec.Orientation {
-	case catalog.OrientRow, "":
-		return scanAOBatches(fs, codec, sf, proj, fn)
-	case catalog.OrientColumn:
-		return scanCOBatches(fs, codec, sf, proj, fn)
-	case catalog.OrientParquet:
-		return scanParquetBatches(fs, codec, sf, proj, fn)
-	default:
-		return fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
-	}
+	return ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
+		b := types.GetBatch(0)
+		err := vb.Materialize(b)
+		types.PutVecBatch(vb)
+		if err != nil {
+			types.PutBatch(b)
+			return err
+		}
+		return fn(b)
+	})
 }
 
-// ErrNoVecScan reports that a storage orientation has no encoded-vector
-// scan path (AO stores whole rows, so there are no column vectors to
-// hand over); callers fall back to ScanBatches.
-var ErrNoVecScan = fmt.Errorf("storage: orientation has no vector scan")
-
-// ScanVecBatches is the compressed-execution variant of ScanBatches for
-// the columnar formats: fn receives each page set as a types.VecBatch
-// of still-encoded column vectors (flat pages arrive as undecoded
-// VecRaw streams), so predicate and aggregation kernels can run before
-// any decode. Pages ruled out by preds against the on-page zone maps
-// are skipped before checksum and decompression and counted in st.
+// ScanVecBatches is the scan every other entry point wraps: fn receives
+// each block as a types.VecBatch of column vectors, so predicate and
+// aggregation kernels can run before anything is materialized. The
+// columnar formats hand their pages over still encoded (flat pages as
+// undecoded VecRaw streams); a row-oriented block is transposed once
+// into flat vectors. Pages ruled out by preds against the on-page zone
+// maps are skipped before checksum and decompression and counted in st.
 // Ownership of each vec batch transfers to fn, which must release it
 // with types.PutVecBatch (or hand it on).
 //
-// Row orientation returns ErrNoVecScan.
+// This entry point reads storage every time. A segment's scans go
+// through its BlockCache instead.
 func ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
+	return (*BlockCache)(nil).ScanVecBatches(fs, spec, schema, sf, proj, preds, st, fn)
+}
+
+// ScanVecBatches is the package-level ScanVecBatches through the cache:
+// the same batches, with every vector taken from memory when the cache
+// holds it and shared read-only (Vector.Shared) when it does.
+func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
 	codec, err := compress.Lookup(spec.Codec)
 	if err != nil {
 		return err
 	}
+	var l *layout
 	switch spec.Orientation {
+	case catalog.OrientRow, "":
+		l = aoLayout(sf, proj)
 	case catalog.OrientColumn:
-		return scanCOVec(fs, codec, sf, proj, preds, st, fn)
+		l, err = coLayout(sf, proj)
 	case catalog.OrientParquet:
-		return scanParquetVec(fs, codec, sf, proj, preds, st, fn)
+		l = parquetLayout(sf, proj)
 	default:
-		return ErrNoVecScan
+		err = fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
 	}
+	if err != nil {
+		return err
+	}
+	return c.scan(fs, codec, l, preds, st, fn)
 }
 
 // ColFilePath returns the HDFS path of column i of a CO table lane.
@@ -216,156 +234,4 @@ func appendBlockV2(dst []byte, codec compress.Codec, rowCount int, enc byte, zon
 	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(comp))
 	dst = append(dst, crc[:]...)
 	return append(dst, comp...)
-}
-
-// pageHdr is one parsed block header: everything needed for a skip
-// decision, plus the still-compressed, still-unverified payload for
-// pages that survive it.
-type pageHdr struct {
-	// rows is the page row count.
-	rows int
-	// enc is the page encoding (pageEncFlat for v1 blocks).
-	enc byte
-	// zone holds the zone-map bytes (nil for v1 blocks).
-	zone []byte
-	// comp is the compressed payload; crc is its expected checksum and
-	// rawLen the expected decompressed length.
-	comp   []byte
-	crc    uint32
-	rawLen int
-	// off is the block's offset in the region, for error messages.
-	off int
-}
-
-// verify checks the stored bytes against the header's checksum.
-func (h *pageHdr) verify() error {
-	if crc32.ChecksumIEEE(h.comp) != h.crc {
-		return fmt.Errorf("storage: block checksum mismatch at offset %d", h.off)
-	}
-	return nil
-}
-
-// payload verifies the checksum and decompresses the page. Deferring
-// this until after the zone-map decision is what makes page skipping
-// pay: a skipped page costs exactly one header parse. The result is
-// read-only: under the identity codec it is the region buffer itself,
-// which lives as long as anything references it.
-func (h *pageHdr) payload(codec compress.Codec) ([]byte, error) {
-	if err := h.verify(); err != nil {
-		return nil, err
-	}
-	raw, err := codec.Decompress(nil, h.comp)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	if len(raw) != h.rawLen {
-		return nil, fmt.Errorf("storage: block raw length %d, want %d", len(raw), h.rawLen)
-	}
-	return raw, nil
-}
-
-// blockIter walks the blocks in a byte region.
-type blockIter struct {
-	data []byte
-	pos  int
-}
-
-// nextHeader parses the next block's header (v1 or v2), advancing the
-// iterator past the whole block, or returns io.EOF at the end of the
-// region. The payload stays compressed and unverified inside the
-// returned header until pageHdr.payload is asked for it.
-func (it *blockIter) nextHeader() (pageHdr, error) {
-	var h pageHdr
-	if it.pos >= len(it.data) {
-		return h, io.EOF
-	}
-	d := it.data[it.pos:]
-	h.off = it.pos
-	p := 1
-	switch d[0] {
-	case blockMagic:
-	case blockMagicV2:
-		if len(d) < 2 {
-			return h, fmt.Errorf("storage: truncated block header")
-		}
-		h.enc = d[1]
-		p = 2
-	default:
-		return h, fmt.Errorf("storage: bad block magic 0x%02x at offset %d", d[0], it.pos)
-	}
-	rowCount, n := binary.Uvarint(d[p:])
-	if n <= 0 {
-		return h, fmt.Errorf("storage: truncated block header")
-	}
-	p += n
-	h.rows = int(rowCount)
-	if d[0] == blockMagicV2 {
-		zoneLen, n := binary.Uvarint(d[p:])
-		if n <= 0 {
-			return h, fmt.Errorf("storage: truncated block header")
-		}
-		p += n
-		if uint64(len(d)-p) < zoneLen {
-			return h, fmt.Errorf("storage: truncated zone map")
-		}
-		h.zone = d[p : p+int(zoneLen)]
-		p += int(zoneLen)
-	}
-	rawLen, n := binary.Uvarint(d[p:])
-	if n <= 0 {
-		return h, fmt.Errorf("storage: truncated block header")
-	}
-	p += n
-	h.rawLen = int(rawLen)
-	compLen, n := binary.Uvarint(d[p:])
-	if n <= 0 {
-		return h, fmt.Errorf("storage: truncated block header")
-	}
-	p += n
-	if len(d) < p+4+int(compLen) {
-		return h, fmt.Errorf("storage: truncated block body")
-	}
-	h.crc = binary.BigEndian.Uint32(d[p:])
-	p += 4
-	h.comp = d[p : p+int(compLen)]
-	it.pos += p + int(compLen)
-	return h, nil
-}
-
-// next returns the next block's row count and decompressed payload, or
-// io.EOF at the end of the region. For v2 blocks the payload is the
-// page-encoded stream (callers that need row values go through
-// decodePage); AO files only ever contain v1 flat blocks.
-func (it *blockIter) next(codec compress.Codec) (int, []byte, error) {
-	h, err := it.nextHeader()
-	if err != nil {
-		return 0, nil, err
-	}
-	raw, err := h.payload(codec)
-	if err != nil {
-		return 0, nil, err
-	}
-	return h.rows, raw, nil
-}
-
-// readRegion reads [0, length) of an HDFS file. A zero length yields nil
-// without touching the file (the file may not even exist yet when a
-// table has never committed an insert on this lane).
-func readRegion(fs *hdfs.FileSystem, path string, length int64) ([]byte, error) {
-	if length == 0 {
-		return nil, nil
-	}
-	r, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	if r.Size() < length {
-		return nil, fmt.Errorf("storage: %s physical length %d below logical %d", path, r.Size(), length)
-	}
-	buf := make([]byte, length)
-	if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf, nil
 }

@@ -53,22 +53,7 @@ func testRows(n int) []types.Row {
 // writeAll writes rows and returns the committed SegFile.
 func writeAll(t *testing.T, fs *hdfs.FileSystem, spec catalog.StorageSpec, rows []types.Row) catalog.SegFile {
 	t.Helper()
-	sf := catalog.SegFile{Path: "/data/t/0/1"}
-	w, err := NewWriter(fs, spec, testSchema(), sf, hdfs.CreateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sf.LogicalLen, sf.ColLens = w.Lens()
-	sf.Tuples = w.Tuples()
-	return sf
+	return appendRows(t, fs, spec, catalog.SegFile{Path: "/data/t/0/1"}, rows)
 }
 
 func scanAll(t *testing.T, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int) []types.Row {

@@ -19,11 +19,19 @@ var vecSpecs = []catalog.StorageSpec{
 	{Orientation: catalog.OrientParquet, Codec: "snappy"},
 }
 
-// scanAllVec materializes every vec batch a vector scan produces.
+// scanAllVec materializes every vec batch an uncached vector scan
+// produces.
 func scanAllVec(t *testing.T, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats) []types.Row {
 	t.Helper()
+	return scanAllCached(t, nil, fs, spec, sf, proj, preds, st)
+}
+
+// scanAllCached materializes every vec batch a scan through c produces
+// (nil: uncached).
+func scanAllCached(t *testing.T, c *BlockCache, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats) []types.Row {
+	t.Helper()
 	var out []types.Row
-	err := ScanVecBatches(fs, spec, testSchema(), sf, proj, preds, st, func(vb *types.VecBatch) error {
+	err := c.ScanVecBatches(fs, spec, testSchema(), sf, proj, preds, st, func(vb *types.VecBatch) error {
 		b := types.GetBatch(0)
 		defer types.PutBatch(b)
 		defer types.PutVecBatch(vb)
@@ -308,17 +316,33 @@ func TestV1FormatStillScans(t *testing.T) {
 	})
 }
 
-// TestScanVecBatchesRowOrientation pins the AO fallback contract.
+// TestScanVecBatchesRowOrientation: an AO block arrives transposed into
+// one flat vector per projected column, strings of a column sharing one
+// backing allocation.
 func TestScanVecBatchesRowOrientation(t *testing.T) {
 	fs := testFS(t)
 	spec := catalog.StorageSpec{Orientation: catalog.OrientRow, Codec: "none"}
-	sf := writeAll(t, fs, spec, testRows(10))
+	rows := testRows(10)
+	sf := writeAll(t, fs, spec, rows)
+	seen := 0
 	err := ScanVecBatches(fs, spec, testSchema(), sf, allCols, nil, nil, func(vb *types.VecBatch) error {
-		types.PutVecBatch(vb)
+		defer types.PutVecBatch(vb)
+		for j := range vb.Cols {
+			v := &vb.Cols[j]
+			if v.Enc != types.VecFlat || v.N != vb.Len() || len(v.Values) != vb.Len() || v.Shared {
+				t.Errorf("col %d: enc %d, N %d, %d values, shared %v", j, v.Enc, v.N, len(v.Values), v.Shared)
+			}
+			for i, d := range v.Values {
+				if d != rows[seen+i][j] {
+					t.Errorf("row %d col %d: %v, want %v", seen+i, j, d, rows[seen+i][j])
+				}
+			}
+		}
+		seen += vb.Len()
 		return nil
 	})
-	if err != ErrNoVecScan {
-		t.Fatalf("AO vec scan: got %v, want ErrNoVecScan", err)
+	if err != nil || seen != len(rows) {
+		t.Fatalf("AO vec scan: %d rows, err %v", seen, err)
 	}
 }
 

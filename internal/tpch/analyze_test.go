@@ -61,6 +61,8 @@ func TestExplainAnalyzeQ1Golden(t *testing.T) {
 		"Gather Motion",
 		"rows=4",
 		"bytes=",
+		" cols=7/16 ",
+		" cache=",
 		"Execution: result rows=4 time=0s",
 	} {
 		if !strings.Contains(a, want) {

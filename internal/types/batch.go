@@ -87,9 +87,23 @@ func (b *Batch) AddRow() Row {
 // Extend appends n rows initialized to NULL (used by columnar readers
 // that fill the batch column by column).
 func (b *Batch) Extend(n int) {
-	for i := 0; i < n; i++ {
-		b.AddRow()
+	old := len(b.arena)
+	b.extendRaw(n)
+	clear(b.arena[old:])
+}
+
+// extendRaw appends n rows without initializing them when the arena has
+// room: for a caller that goes on to write every cell itself.
+func (b *Batch) extendRaw(n int) {
+	b.n += n
+	need := len(b.arena) + n*b.width
+	if need <= cap(b.arena) {
+		b.arena = b.arena[:need]
+		return
 	}
+	grown := make([]Datum, need, max(need, 2*cap(b.arena)))
+	copy(grown, b.arena)
+	b.arena = grown
 }
 
 // AppendRow appends a copy of r. The first row appended to an empty

@@ -279,10 +279,10 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// TestDecodeRowColsMatchesDecodeRow: the projected walk places exactly
-// the wanted columns, consumes what a full decode consumes, and reports
-// a row cut short inside a column it only skips.
-func TestDecodeRowColsMatchesDecodeRow(t *testing.T) {
+// TestDecodeRowVecsMatchesDecodeRow: the projected walk appends exactly
+// the wanted columns to their builders, consumes what a full decode
+// consumes, and reports a row cut short inside a column it only skips.
+func TestDecodeRowVecsMatchesDecodeRow(t *testing.T) {
 	row := Row{NewInt64(7), NewString("skipped text"), NewDecimal(1250, 2), Null, NewString("kept")}
 	enc := EncodeRow(nil, row)
 	enc = append(enc, 0xEE) // the next row's bytes are not this row's
@@ -291,23 +291,43 @@ func TestDecodeRowColsMatchesDecodeRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, slot := range [][]int{{}, {0}, {-1, -1, 0}, {1, -1, -1, -1, 0}, {0, 1, 2, 3, 4, 5, 6}} {
-		out := make(Row, 7)
-		n, ncols, err := DecodeRowCols(enc, slot, out)
-		if err != nil || n != size || ncols != len(row) {
-			t.Fatalf("slot %v: consumed %d of %d, %d columns, err %v", slot, n, size, ncols, err)
+		vecs := make([]Vector, 7)
+		cols := make([]FlatBuilder, 7)
+		for i := range cols {
+			cols[i].Reset(&vecs[i], 2, i%2 == 0)
+		}
+		// Two rows, so that strings of one column share their backing.
+		for r := 0; r < 2; r++ {
+			n, ncols, err := DecodeRowVecs(enc, slot, cols)
+			if err != nil || n != size || ncols != len(row) {
+				t.Fatalf("slot %v: consumed %d of %d, %d columns, err %v", slot, n, size, ncols, err)
+			}
+		}
+		for i := range cols {
+			cols[i].Finish()
 		}
 		for c, s := range slot {
-			if s >= 0 && c < len(full) && !reflect.DeepEqual(out[s], full[c]) {
-				t.Fatalf("slot %v: column %d = %v, want %v", slot, c, out[s], full[c])
+			if s < 0 || c >= len(full) {
+				continue
+			}
+			v := vecs[s]
+			if v.Enc != VecFlat || v.N != 2 || !reflect.DeepEqual(v.Values, []Datum{full[c], full[c]}) {
+				t.Fatalf("slot %v: column %d = %+v, want twice %v", slot, c, v, full[c])
 			}
 		}
 	}
 	// Cut inside column 1's string body; column 0 is all the caller wants.
+	var v Vector
+	one := make([]FlatBuilder, 1)
+	one[0].Reset(&v, 1, false)
 	cut := EncodeRow(nil, row)[:6]
-	if _, _, err := DecodeRowCols(cut, []int{0}, make(Row, 1)); err == nil {
+	if _, _, err := DecodeRowVecs(cut, []int{0}, one); err == nil {
 		t.Fatal("row truncated inside a skipped column decoded cleanly")
 	}
-	if _, _, err := DecodeRowCols([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, nil, nil); err == nil {
+	if _, _, err := DecodeRowVecs(cut, []int{-1, 0}, one); err == nil {
+		t.Fatal("row truncated inside a wanted string decoded cleanly")
+	}
+	if _, _, err := DecodeRowVecs([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, nil, nil); err == nil {
 		t.Fatal("hostile column count accepted")
 	}
 }

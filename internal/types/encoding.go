@@ -132,14 +132,15 @@ func DecodeRow(buf []byte) (Row, int, error) {
 	return row, pos, nil
 }
 
-// DecodeRowCols walks one encoded row once and decodes only the columns
-// the caller wants: stored column c lands in out[slot[c]] when
-// slot[c] >= 0, and every other column — those past len(slot) too — is
-// stepped over with SkipDatum, which stores no Datum and allocates no
-// string. It returns the bytes consumed and the stored column count, so
-// the caller can tell a row too narrow for its projection. Truncation
-// inside a skipped column is reported like any other corruption.
-func DecodeRowCols(buf []byte, slot []int, out Row) (consumed, ncols int, err error) {
+// DecodeRowVecs walks one encoded row once and appends only the columns
+// the caller wants to column builders: stored column c goes to
+// cols[slot[c]] when slot[c] >= 0, and every other column — those past
+// len(slot) too — is stepped over with SkipDatum, which stores no Datum
+// and copies no string. It returns the bytes consumed and the stored
+// column count, so the caller can tell a row too narrow for its
+// projection. Truncation inside a skipped column is reported like any
+// other corruption.
+func DecodeRowVecs(buf []byte, slot []int, cols []FlatBuilder) (consumed, ncols int, err error) {
 	ncols, pos, err := rowHeader(buf)
 	if err != nil {
 		return 0, 0, err
@@ -147,7 +148,7 @@ func DecodeRowCols(buf []byte, slot []int, out Row) (consumed, ncols int, err er
 	for c := 0; c < ncols; c++ {
 		var sz int
 		if c < len(slot) && slot[c] >= 0 {
-			out[slot[c]], sz, err = DecodeDatum(buf[pos:])
+			sz, err = cols[slot[c]].AppendEncoded(buf[pos:])
 		} else {
 			sz, err = SkipDatum(buf[pos:])
 		}

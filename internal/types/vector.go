@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hawq/internal/obs"
 )
@@ -48,16 +49,126 @@ type Vector struct {
 	Runs []int32
 	// Codes holds the per-row dictionary indexes (VecDict).
 	Codes []int32
+	// Shared marks a vector whose slices belong to someone else — the
+	// segment block cache hands the same vector to every scan that hits
+	// it. A shared vector is read-only, and a pooled batch that carried
+	// one drops the slices on reuse instead of appending into them.
+	Shared bool
 }
 
-// reset clears the vector for reuse, retaining slice capacity.
+// reset clears the vector for reuse, retaining the capacity of slices it
+// owns and letting go of slices it does not.
 func (v *Vector) reset() {
+	if v.Shared {
+		*v = Vector{}
+		return
+	}
 	v.Enc = VecFlat
 	v.N = 0
 	v.Raw = nil
 	v.Values = v.Values[:0]
 	v.Runs = v.Runs[:0]
 	v.Codes = v.Codes[:0]
+}
+
+// datumSize is the in-memory size of one Datum, without its string bytes.
+const datumSize = int64(unsafe.Sizeof(Datum{}))
+
+// MemBytes returns the memory the vector's slices occupy, counting each
+// value's string bytes once (values of one vector that share a backing
+// string are still counted separately: an upper bound).
+func (v *Vector) MemBytes() int64 {
+	n := int64(cap(v.Raw)) + int64(cap(v.Values))*datumSize + int64(cap(v.Runs)+cap(v.Codes))*4
+	for i := range v.Values {
+		n += int64(len(v.Values[i].S))
+	}
+	return n
+}
+
+// FlatBuilder fills one VecFlat vector from encoded datums. String and
+// bytes payloads are collected in one scratch buffer and become
+// substrings of a single allocation in Finish, so a column of a
+// thousand strings costs the collector two objects, not a thousand and
+// one. The zero value is ready for Reset; reusing a builder reuses its
+// scratch.
+type FlatBuilder struct {
+	v     *Vector
+	vals  []Datum
+	arena []byte
+	// ends holds the end offset in arena of every string-kind value
+	// appended so far, in order.
+	ends []int32
+}
+
+// Reset points the builder at v, which Finish will make a VecFlat
+// vector of up to rows values. With exact set, v gets a fresh slice of
+// exactly that capacity (the caller means to keep the vector beyond the
+// batch that carries it); otherwise v's own capacity is reused.
+func (b *FlatBuilder) Reset(v *Vector, rows int, exact bool) {
+	v.reset()
+	if exact || cap(v.Values) < rows {
+		v.Values = make([]Datum, 0, rows)
+	}
+	b.v, b.vals = v, v.Values
+	b.arena = b.arena[:0]
+	b.ends = b.ends[:0]
+}
+
+// AppendEncoded decodes the datum at the head of buf onto the vector and
+// returns the bytes it occupied.
+func (b *FlatBuilder) AppendEncoded(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("types: decode on empty buffer")
+	}
+	switch k := Kind(buf[0]); k {
+	case KindInt32, KindInt64, KindDate:
+		i, n := binary.Varint(buf[1:])
+		if n <= 0 {
+			return 0, fmt.Errorf("types: truncated varint")
+		}
+		b.vals = append(b.vals, Datum{K: k, I: i})
+		return 1 + n, nil
+	case KindString, KindBytes:
+		l, n := binary.Uvarint(buf[1:])
+		if n <= 0 {
+			return 0, fmt.Errorf("types: truncated string length")
+		}
+		pos := 1 + n
+		if uint64(len(buf)-pos) < l {
+			return 0, fmt.Errorf("types: truncated string body")
+		}
+		b.arena = append(b.arena, buf[pos:pos+int(l)]...)
+		b.ends = append(b.ends, int32(len(b.arena)))
+		b.vals = append(b.vals, Datum{K: k})
+		return pos + int(l), nil
+	}
+	d, n, err := DecodeDatum(buf)
+	if err != nil {
+		return 0, err
+	}
+	b.vals = append(b.vals, d)
+	return n, nil
+}
+
+// Finish completes the vector: the values are handed over and every
+// string-kind value receives its substring of the one backing
+// allocation.
+func (b *FlatBuilder) Finish() {
+	v := b.v
+	v.Values, v.N = b.vals, len(b.vals)
+	b.v, b.vals = nil, nil
+	if len(b.ends) == 0 {
+		return
+	}
+	s := string(b.arena)
+	k, start := 0, int32(0)
+	for i := range v.Values {
+		if d := &v.Values[i]; d.K == KindString || d.K == KindBytes {
+			d.S = s[start:b.ends[k]]
+			start = b.ends[k]
+			k++
+		}
+	}
 }
 
 // SkipDatum returns the encoded size of the next datum in buf without
@@ -204,29 +315,34 @@ func (vb *VecBatch) SelCount() int {
 // makes filtering before decode profitable.
 func (vb *VecBatch) Materialize(b *Batch) error {
 	b.Reset(len(vb.Cols))
-	out := vb.SelCount()
-	b.Extend(out)
+	// Every column writes every surviving row's cell below, so the rows
+	// need no initializing.
+	b.extendRaw(vb.SelCount())
+	if b.n == 0 {
+		return nil
+	}
 	for j := range vb.Cols {
-		if err := materializeCol(&vb.Cols[j], vb.Sel, b, j); err != nil {
+		if err := materializeCol(&vb.Cols[j], vb.Sel, b.arena[j:], b.width); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// materializeCol writes column j's surviving values into b, honoring
-// the selection vector sel (nil = all rows).
-func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
+// materializeCol writes one column's surviving values into out, a view
+// of a batch arena that starts at the column's cell of row 0: row i's
+// cell is out[i*width]. sel is the selection vector (nil = all rows).
+func materializeCol(v *Vector, sel []int32, out []Datum, width int) error {
 	switch v.Enc {
 	case VecFlat:
 		if sel == nil {
-			for i := 0; i < v.N; i++ {
-				b.Row(i)[j] = v.Values[i]
+			for i, d := range v.Values[:v.N] {
+				out[i*width] = d
 			}
 			return nil
 		}
 		for oi, ri := range sel {
-			b.Row(oi)[j] = v.Values[ri]
+			out[oi*width] = v.Values[ri]
 		}
 		return nil
 	case VecRaw:
@@ -237,7 +353,7 @@ func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
 				if err != nil {
 					return fmt.Errorf("types: vector row %d: %w", i, err)
 				}
-				b.Row(i)[j] = d
+				out[i*width] = d
 				pos += n
 			}
 			return nil
@@ -255,7 +371,7 @@ func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
 			if err != nil {
 				return fmt.Errorf("types: vector row %d: %w", next, err)
 			}
-			b.Row(oi)[j] = d
+			out[oi*width] = d
 			pos += n
 			next++
 		}
@@ -265,7 +381,7 @@ func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
 			i := 0
 			for k, run := range v.Runs {
 				for r := int32(0); r < run; r++ {
-					b.Row(i)[j] = v.Values[k]
+					out[i*width] = v.Values[k]
 					i++
 				}
 			}
@@ -287,7 +403,7 @@ func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
 			if k >= len(v.Runs) {
 				return fmt.Errorf("types: selection index %d beyond RLE runs (%d rows)", ri, v.N)
 			}
-			b.Row(oi)[j] = v.Values[k]
+			out[oi*width] = v.Values[k]
 		}
 		return nil
 	case VecDict:
@@ -297,7 +413,7 @@ func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
 				if int(c) >= len(v.Values) {
 					return fmt.Errorf("types: dict code %d out of range (%d entries)", c, len(v.Values))
 				}
-				b.Row(i)[j] = v.Values[c]
+				out[i*width] = v.Values[c]
 			}
 			return nil
 		}
@@ -306,7 +422,7 @@ func materializeCol(v *Vector, sel []int32, b *Batch, j int) error {
 			if int(c) >= len(v.Values) {
 				return fmt.Errorf("types: dict code %d out of range (%d entries)", c, len(v.Values))
 			}
-			b.Row(oi)[j] = v.Values[c]
+			out[oi*width] = v.Values[c]
 		}
 		return nil
 	default:

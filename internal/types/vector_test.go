@@ -179,3 +179,95 @@ func TestVecPoolCountersBalance(t *testing.T) {
 		t.Fatalf("in_use after put = %d, want %d", got, base)
 	}
 }
+
+// TestPooledBatchDropsSharedVectors: a vector the block cache shares
+// travels in a pooled batch like any other, but when the batch goes back
+// to the pool the next user must get fresh slices, not the cache's —
+// whereas a vector the batch owns keeps its capacity for reuse. The
+// next user here does what the storage decoders do: append.
+func TestPooledBatchDropsSharedVectors(t *testing.T) {
+	cachedVals := []Datum{NewInt64(1), NewString("kept"), NewInt64(3)}
+	cached := []Vector{
+		{Enc: VecFlat, N: 3, Values: cachedVals, Shared: true},
+		{Enc: VecRaw, N: 1, Raw: EncodeDatum(nil, NewInt64(9)), Shared: true},
+		{Enc: VecRLE, N: 3, Values: []Datum{NewInt64(5)}, Runs: []int32{3}, Shared: true},
+		{Enc: VecDict, N: 2, Values: []Datum{NewString("d")}, Codes: []int32{0, 0}, Shared: true},
+	}
+	want := make([]Vector, len(cached))
+	for i, v := range cached {
+		want[i] = Vector{Enc: v.Enc, N: v.N, Raw: append([]byte(nil), v.Raw...), Values: append([]Datum(nil), v.Values...),
+			Runs: append([]int32(nil), v.Runs...), Codes: append([]int32(nil), v.Codes...), Shared: true}
+	}
+	vb := GetVecBatch(len(cached) + 1)
+	copy(vb.Cols, cached)
+	owned := &vb.Cols[len(cached)]
+	owned.Values = append(owned.Values, NewInt64(7), NewInt64(8))
+	owned.N = 2
+	ownedCap := cap(owned.Values)
+	PutVecBatch(vb)
+
+	// Whichever batch the pool hands out next — the same object in
+	// practice — nothing appended to it may land in cached memory.
+	for round := 0; round < 4; round++ {
+		next := GetVecBatch(len(cached) + 1)
+		for j := range next.Cols {
+			v := &next.Cols[j]
+			if v.Shared || v.N != 0 || len(v.Values)+len(v.Runs)+len(v.Codes)+len(v.Raw) != 0 {
+				t.Fatalf("round %d col %d: reused vector not empty: %+v", round, j, v)
+			}
+			if round == 0 && next == vb && j < len(cached) && cap(v.Values)+cap(v.Runs)+cap(v.Codes) != 0 {
+				t.Fatalf("col %d kept capacity of slices it shared with the cache", j)
+			}
+			v.Values = append(v.Values, NewString("overwritten"), NewString("overwritten"), NewString("overwritten"))
+			v.Runs = append(v.Runs, -1, -1, -1)
+			v.Codes = append(v.Codes, -1, -1, -1)
+		}
+		if round == 0 && next == vb && cap(next.Cols[len(cached)].Values) < ownedCap {
+			t.Error("a vector the batch owned lost its capacity")
+		}
+		for j := range next.Cols {
+			next.Cols[j].Values, next.Cols[j].Runs, next.Cols[j].Codes = next.Cols[j].Values[:0], next.Cols[j].Runs[:0], next.Cols[j].Codes[:0]
+		}
+		PutVecBatch(next)
+	}
+	for i := range cached {
+		got := cached[i]
+		if !reflect.DeepEqual(got.Values, want[i].Values) || !reflect.DeepEqual(got.Runs, want[i].Runs) ||
+			!reflect.DeepEqual(got.Codes, want[i].Codes) || !reflect.DeepEqual(got.Raw, want[i].Raw) {
+			t.Errorf("cached vector %d was written through a pooled batch: %+v", i, got)
+		}
+	}
+}
+
+// TestFlatBuilderSharesOneStringBacking: a column's strings are
+// substrings of one allocation, in order, NULLs and non-strings
+// untouched, and an exact build allocates exactly the rows asked for.
+func TestFlatBuilderSharesOneStringBacking(t *testing.T) {
+	vals := []Datum{NewString("alpha"), Null, NewString(""), NewBytes([]byte("be")), NewInt64(4), NewString("gamma")}
+	var enc []byte
+	for _, d := range vals {
+		enc = EncodeDatum(enc, d)
+	}
+	for _, exact := range []bool{false, true} {
+		var v Vector
+		var b FlatBuilder
+		b.Reset(&v, len(vals), exact)
+		for pos := 0; pos < len(enc); {
+			n, err := b.AppendEncoded(enc[pos:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos += n
+		}
+		b.Finish()
+		if v.Enc != VecFlat || v.N != len(vals) || !reflect.DeepEqual(v.Values, vals) {
+			t.Fatalf("exact=%v: built %+v", exact, v)
+		}
+		if exact && cap(v.Values) != len(vals) {
+			t.Errorf("exact build has capacity %d for %d rows", cap(v.Values), len(vals))
+		}
+		if got, want := v.MemBytes(), int64(cap(v.Values))*datumSize+int64(len("alphabegamma")); got != want {
+			t.Errorf("MemBytes = %d, want %d", got, want)
+		}
+	}
+}

@@ -3,7 +3,9 @@
 # for encode/decode, storage scans — including the encoded CO path with
 # zone-map page skipping against the filter-batch baseline, and a
 # query-sized projection of a 16-column table against all of it
-# (ScanAO/proj3of16, ScanCO/proj4of16 beside their /full16) — the
+# (ScanAO/proj3of16, ScanCO/proj4of16 beside their /full16), and that
+# projection through a segment block cache emptied before every scan
+# and left warm (ScanAO/{cold,warm}, ScanCO/{cold,warm}) — the
 # quicklz page decompressor, the scan→filter→project pipeline, hash aggregation, and motion loopback),
 # the runtime bloom-filter join microbench (probe-side scan with the
 # build-side filter off vs on) plus the workload-manager
@@ -15,7 +17,8 @@
 # catalog from a ~10k-record durable WAL), the dispatch floor (a
 # one-QE direct dispatch and a four-QE gather on an empty table: the
 # fixed cost of every statement) with the three ways a plan can reach
-# an executor (gob+quicklz encode, decode, structural clone), and the
+# an executor (gob+quicklz encode, decode, structural clone), the
+# prepared point lookup on warm block caches (PointLookup/prepared), and the
 # hawq-check self-benchmark (one full ten-analyzer run over the
 # repository; budget <10s), and writes the results to
 # BENCH_micro.json as {"BenchmarkName/variant": {ns_op, b_op,
@@ -55,7 +58,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip'
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
 PKGS="./internal/types ./internal/compress ./internal/storage ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"

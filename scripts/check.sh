@@ -16,6 +16,10 @@
 #                                  the -json report under build/ (an
 #                                  untracked artifacts dir) for CI
 #                                  upload.
+#   3b. suppression budget       — the number of //hawqcheck:ignore
+#                                  directives may fall, never rise: a
+#                                  new finding is fixed, not waved
+#                                  through
 #   4. go test -race ./...       — full test suite under the race
 #                                  detector, including the goroutine
 #                                  leak checkers wired into TestMain
@@ -45,6 +49,16 @@
 #                                  Decode/Clone, cluster.Dispatch,
 #                                  session, interconnect.NewUDPNode)
 #                                  fails locally, not in the pipeline
+#   4f. block-cache gate         — warm equals cold and stale is
+#                                  impossible, re-run explicitly under
+#                                  -race: the invalidation cases (abort
+#                                  then rewrite at the same offsets,
+#                                  DROP + CREATE, compaction under
+#                                  readers, older snapshots, a reader
+#                                  racing an appender), capacity and
+#                                  corruption at the storage layer, the
+#                                  pooled-batch ownership test, and the
+#                                  TPC-H differential on all formats
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -87,6 +101,16 @@ echo "==> hawq-check -json report (build/hawq-check-report.json)"
 mkdir -p build
 go run ./cmd/hawq-check -json ./... > build/hawq-check-report.json
 
+echo "==> hawqcheck:ignore budget"
+# Raise this number only with a reason in the commit message; lower it
+# whenever a suppression goes away.
+ignore_budget=88
+ignores="$(git ls-files -z --cached --others --exclude-standard '*.go' | xargs -0 grep -h '//hawqcheck:ignore' | wc -l)"
+if (( ignores > ignore_budget )); then
+    echo "hawqcheck:ignore count rose to $ignores (budget $ignore_budget): fix the finding instead of suppressing it" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -120,6 +144,12 @@ go run -race ./cmd/hawq-bench -exp concurrency -concurrency 16 -ops 64
 
 echo "==> benchmark module (go vet + go test in benchmark/)"
 (cd benchmark && go vet ./... && go test ./...)
+
+echo "==> block-cache gate (-race)"
+go test -race -count=1 -run 'TestCache|TestProjectionParity' ./internal/storage ./internal/engine
+go test -race -count=1 -run 'TestPooledBatchDropsSharedVectors' ./internal/types
+go test -race -count=1 -run 'TestScanStatsIdenticalColdAndWarm' ./internal/executor
+go test -race -count=1 -run 'TestWarmEqualsCold' ./internal/tpch
 
 echo "==> bench smoke (-benchtime=1x -race)"
 scripts/bench.sh --smoke
