@@ -71,14 +71,6 @@ type Config struct {
 	// SpillCodec optionally compresses workfile frames ("quicklz",
 	// "zlib-1", ...; empty or "none" disables compression).
 	SpillCodec string
-	// MotionPayload caps the encoded bytes a motion accumulates per
-	// interconnect send (0: executor.DefaultMotionPayload). It must stay
-	// at or below the interconnect's maximum payload — see
-	// interconnect.UDPConfig.MaxPayload.
-	MotionPayload int
-	// RowMode disables the executor's vectorized batch path cluster-wide,
-	// forcing tuple-at-a-time execution (debugging escape hatch).
-	RowMode bool
 	// WALDisk is the device the master's catalog WAL is persisted on
 	// (wal.NewDirDisk for real files, wal.NewFaultDisk under the crash
 	// harness). nil keeps the log volatile and in-memory, as before this
@@ -645,8 +637,6 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 		Work:            nr.work,
 		OnSegFileUpdate: d.addUpdate,
 		LocalHost:       localHost,
-		MotionPayload:   c.cfg.MotionPayload,
-		RowMode:         c.cfg.RowMode,
 		Clock:           c.clk,
 		Filters:         d.hub,
 	}

@@ -13,10 +13,9 @@ import (
 // hashAggOp groups input rows by the group expressions and folds each
 // aggregate. It serves all three phases (§3's two-phase aggregation):
 // the planner arranges the specs so that a partial phase's outputs line
-// up with the final phase's inputs. Input is consumed batch-at-a-time
-// when available; the encoded group key is rebuilt in a reused scratch
-// buffer per row, and the map lookup is non-allocating — only a new
-// group pays for a key copy.
+// up with the final phase's inputs. The encoded group key is rebuilt in
+// a reused scratch buffer per input row, and the map lookup is
+// non-allocating — only a new group pays for a key copy.
 //
 // When the group table outgrows its memory budget the agg spills
 // hybrid-style: groups already in memory keep absorbing their rows,
@@ -28,7 +27,6 @@ type hashAggOp struct {
 	ctx  *Context
 	node *plan.HashAgg
 	in   Operator
-	bin  BatchOperator
 
 	mem      memBudget
 	groups   map[string]*aggGroup
@@ -78,11 +76,9 @@ func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &hashAggOp{ctx: ctx, node: node, in: in, bin: ctx.batchInput(in), mem: memBudget{ctx: ctx}}
-	if !ctx.RowMode {
-		if vs, ok := in.(VecSource); ok && vs.EnableVec() {
-			a.vecIn = vs
-		}
+	a := &hashAggOp{ctx: ctx, node: node, in: in, mem: memBudget{ctx: ctx}}
+	if vs, ok := in.(VecSource); ok && vs.EnableVec() {
+		a.vecIn = vs
 	}
 	return a, nil
 }
@@ -309,7 +305,7 @@ func (a *hashAggOp) Open() error {
 				return err
 			}
 		}
-	} else if err := drainRows(a.ctx, a.bin, a.in, a.absorb); err != nil {
+	} else if err := drainRows(a.ctx, a.in, a.absorb); err != nil {
 		return err
 	}
 	if err := a.sealSpill(); err != nil {
@@ -377,26 +373,30 @@ func (a *hashAggOp) loadPart() error {
 	return nil
 }
 
-// Next implements Operator.
-func (a *hashAggOp) Next() (types.Row, bool, error) {
-	for {
-		if a.emitted < len(a.order) {
-			grp := a.groups[a.order[a.emitted]]
-			a.emitted++
-			out := make(types.Row, 0, len(grp.keys)+len(grp.accs))
-			out = append(out, grp.keys...)
-			for _, acc := range grp.accs {
-				out = append(out, acc.Result())
+// NextBatch implements Operator: groups are appended to b as key columns
+// then aggregate results, a spilled agg loading its next partition
+// whenever the table in memory runs out.
+func (a *hashAggOp) NextBatch(b *types.Batch) (bool, error) {
+	b.Reset(len(a.node.Groups) + len(a.node.Aggs))
+	for b.Len() < types.DefaultBatchRows {
+		if a.emitted == len(a.order) {
+			if len(a.pending) == 0 {
+				break
 			}
-			return out, true, nil
+			if err := a.loadPart(); err != nil {
+				return false, err
+			}
+			continue
 		}
-		if len(a.pending) == 0 {
-			return nil, false, nil
-		}
-		if err := a.loadPart(); err != nil {
-			return nil, false, err
+		grp := a.groups[a.order[a.emitted]]
+		a.emitted++
+		out := b.AddRow()
+		n := copy(out, grp.keys)
+		for i, acc := range grp.accs {
+			out[n+i] = acc.Result()
 		}
 	}
+	return b.Len() > 0, nil
 }
 
 // Close implements Operator: removes any partitions a cancel or error

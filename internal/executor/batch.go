@@ -4,142 +4,28 @@ import (
 	"hawq/internal/types"
 )
 
-// BatchOperator extends Operator with batch-at-a-time iteration — the
-// executor's vectorized fast path. Scan, Select, Project, Append and the
-// motion operators implement it natively; AsBatch adapts everything
-// else, so a whole pipeline can always be driven in batches.
-type BatchOperator interface {
-	Operator
-	// NextBatch fills b with the next batch of rows, destroying b's
-	// previous contents (and invalidating any row views into it).
-	// ok=false signals end of stream; an operator may legitimately
-	// return ok=true with an empty batch, so callers loop rather than
-	// treat emptiness as EOS.
-	NextBatch(b *types.Batch) (ok bool, err error)
-}
-
-// AsBatch returns op as a BatchOperator, wrapping row-only operators in
-// an adapter that accumulates up to types.DefaultBatchRows per batch.
-func AsBatch(op Operator) BatchOperator {
-	if b, ok := op.(BatchOperator); ok {
-		return b
-	}
-	return &rowBatchAdapter{in: op}
-}
-
-// rowBatchAdapter lifts a row-only operator into the batch interface by
-// copying rows into the batch arena. It is the compatibility fallback
-// that lets Build assemble a batch pipeline over any operator.
-type rowBatchAdapter struct {
-	in Operator
-}
-
-// Open implements Operator.
-func (a *rowBatchAdapter) Open() error { return a.in.Open() }
-
-// Next implements Operator.
-func (a *rowBatchAdapter) Next() (types.Row, bool, error) { return a.in.Next() }
-
-// Close implements Operator.
-func (a *rowBatchAdapter) Close() error { return a.in.Close() }
-
-// NextBatch implements BatchOperator.
-func (a *rowBatchAdapter) NextBatch(b *types.Batch) (bool, error) {
-	return nextBatchFromRows(a.in, b)
-}
-
-// nextBatchFromRows fills b by pulling rows from a row iterator, up to
-// types.DefaultBatchRows per call. The wrapped operator must tolerate
-// Next after end of stream (all executor operators do).
-func nextBatchFromRows(in Operator, b *types.Batch) (bool, error) {
-	b.Reset(0)
-	for b.Len() < types.DefaultBatchRows {
-		row, ok, err := in.Next()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			break
-		}
-		b.AppendRow(row)
-	}
-	return b.Len() > 0, nil
-}
-
-// batchCursor serves rows one at a time out of a batch stream; it is the
-// row-interface fallback embedded in batch-native operators. Rows it
-// returns are views into its batch, valid until the cursor crosses a
-// batch boundary.
-type batchCursor struct {
-	b   *types.Batch
-	idx int
-}
-
-// next returns the next row from src, refilling the cursor's batch as
-// needed.
-func (c *batchCursor) next(src BatchOperator) (types.Row, bool, error) {
-	//hawqcheck:ignore ctxflow — bounded by src.NextBatch, whose producers observe cancellation
-	for {
-		if c.b != nil && c.idx < c.b.Len() {
-			row := c.b.Row(c.idx)
-			c.idx++
-			return row, true, nil
-		}
-		if c.b == nil {
-			c.b = types.GetBatch(0)
-		}
-		ok, err := src.NextBatch(c.b)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c.idx = 0
-	}
-}
-
-// release returns the cursor's batch to the pool.
-func (c *batchCursor) release() {
-	if c.b != nil {
-		types.PutBatch(c.b)
-		c.b = nil
-	}
-}
-
-// drainRows pulls every row from an already-open input and invokes fn
-// per row, using the batch path when bin is non-nil (rows passed to fn
-// are then views into a reused arena, valid only during the call). The
-// blocking operators (sort, hash agg, join builds, insert) consume their
-// inputs through this; checking the query context once per pull keeps
-// even a fully-pipelined build loop cancellable.
-func drainRows(ctx *Context, bin BatchOperator, in Operator, fn func(types.Row) error) error {
-	if bin == nil {
-		for {
-			if err := ctx.canceled(); err != nil {
-				return err
-			}
-			row, ok, err := in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := fn(row); err != nil {
-				return err
-			}
-		}
-	}
+// drainRows pulls every batch from an already-open input and invokes fn
+// per row (a nil fn discards them). Rows passed to fn are views into a
+// reused arena, valid only during the call. Drain and the blocking
+// operators (sort, hash agg, join builds, insert) consume their inputs
+// through this; checking the query context once per pull keeps even a
+// fully-pipelined build loop cancellable.
+func drainRows(ctx *Context, in Operator, fn func(types.Row) error) error {
 	b := types.GetBatch(0)
 	defer types.PutBatch(b)
 	for {
 		if err := ctx.canceled(); err != nil {
 			return err
 		}
-		ok, err := bin.NextBatch(b)
+		ok, err := in.NextBatch(b)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return nil
+		}
+		if fn == nil {
+			continue
 		}
 		for i := 0; i < b.Len(); i++ {
 			if err := fn(b.Row(i)); err != nil {
@@ -149,32 +35,45 @@ func drainRows(ctx *Context, bin BatchOperator, in Operator, fn func(types.Row) 
 	}
 }
 
-// rowReader pulls rows from an operator, transparently using the batch
-// path when bin is non-nil. Streaming consumers that genuinely need
-// row-at-a-time access (join probes) read through this; a returned row
-// stays valid until the next read crosses a batch boundary.
-type rowReader struct {
-	in  Operator
-	bin BatchOperator
-	cur batchCursor
+// batchCursor serves an operator's output one row at a time, for a
+// consumer that genuinely probes row-wise (the join probe sides). A row
+// it returns is a view into the cursor's batch, valid until the next
+// call crosses a batch boundary.
+type batchCursor struct {
+	ctx *Context
+	src Operator
+	b   *types.Batch
+	idx int
 }
 
-// next returns the next input row.
-func (r *rowReader) next() (types.Row, bool, error) {
-	if r.bin == nil {
-		return r.in.Next()
+// next returns the next row of src, refilling the cursor's batch as
+// needed.
+func (c *batchCursor) next() (types.Row, bool, error) {
+	for {
+		if c.b != nil && c.idx < c.b.Len() {
+			row := c.b.Row(c.idx)
+			c.idx++
+			return row, true, nil
+		}
+		if err := c.ctx.canceled(); err != nil {
+			return nil, false, err
+		}
+		if c.b == nil {
+			c.b = types.GetBatch(0)
+		}
+		ok, err := c.src.NextBatch(c.b)
+		c.idx = 0
+		if err != nil || !ok {
+			c.b.Reset(0) // whatever src left there is not output
+			return nil, false, err
+		}
 	}
-	return r.cur.next(r.bin)
 }
 
-// release frees the reader's cursor batch.
-func (r *rowReader) release() { r.cur.release() }
-
-// batchInput resolves the batch interface for an input operator unless
-// the context forces the row-only compatibility path.
-func (ctx *Context) batchInput(in Operator) BatchOperator {
-	if ctx.RowMode {
-		return nil
+// release returns the cursor's batch to the pool.
+func (c *batchCursor) release() {
+	if c.b != nil {
+		types.PutBatch(c.b)
+		c.b = nil
 	}
-	return AsBatch(in)
 }

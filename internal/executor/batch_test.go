@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"hawq/internal/hdfs"
 	"hawq/internal/interconnect"
 	"hawq/internal/plan"
+	"hawq/internal/resource"
 	"hawq/internal/storage"
 	"hawq/internal/types"
 )
@@ -60,148 +63,276 @@ func sfpTree(desc *catalog.TableDesc, segFiles []catalog.SegFile) plan.Node {
 	}
 }
 
-// collectRowPump drives the pure row interface (no Drain batch pump),
-// the baseline the vectorized path is measured against.
-func collectRowPump(tb testing.TB, ctx *Context, n plan.Node) []types.Row {
-	tb.Helper()
-	op, err := Build(ctx, n)
-	if err != nil {
-		tb.Fatal(err)
+// intsTableRows regenerates the rows writeIntsTable wrote, for the
+// reference.
+func intsTableRows(nrows int) []types.Row {
+	rows := make([]types.Row, nrows)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt64(int64(i)), types.NewInt64(int64(i % 97)), types.NewInt64(int64(i % 7))}
 	}
-	if err := op.Open(); err != nil {
-		tb.Fatal(err)
-	}
-	var out []types.Row
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row.Clone())
-	}
-	if err := op.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return out
+	return rows
 }
 
-// TestBatchRowParity runs representative pipelines in both execution
-// modes and requires identical results.
-func TestBatchRowParity(t *testing.T) {
-	fs, desc, segFiles := writeIntsTable(t, 3000)
+// seqRows builds n rows of (i, f(i)).
+func seqRows(n int, f func(i int) int64) [][]int64 {
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i), f(i)}
+	}
+	return rows
+}
+
+// TestPipelinesMatchReference runs representative operator trees and
+// requires the rows the plain-loop reference computes, including the
+// cases where an operator's output, or its input, crosses a batch
+// boundary part-way through.
+func TestPipelinesMatchReference(t *testing.T) {
+	const nrows = 3000
+	fs, desc, segFiles := writeIntsTable(t, nrows)
+	tables := map[string][]types.Row{desc.Name: intsTableRows(nrows)}
 	colK := &expr.ColRef{Idx: 0, K: types.KindInt64}
 	colV := &expr.ColRef{Idx: 1, K: types.KindInt64}
-	trees := map[string]plan.Node{
-		"scan-filter-project": sfpTree(desc, segFiles),
-		"agg": &plan.HashAgg{
-			Input:  &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: desc.Schema},
+	scan := func(proj []int, names ...string) *plan.Scan {
+		return &plan.Scan{Table: desc, Proj: proj, SegFiles: segFiles, Schema: intsSchema(names...)}
+	}
+	// One probe key with more build matches than a batch holds: emission
+	// must resume mid-match-list on the next call. rv runs 0..2499.
+	fat := func(kind plan.JoinKind, extra expr.Expr) *plan.HashJoin {
+		left := valuesNode(intsSchema("lk", "lv"), []int64{7, 1}, []int64{8, 2}, []int64{7, 3}, []int64{9, 4})
+		left.Rows = append(left.Rows, types.Row{types.Null, types.NewInt64(5)})
+		build := [][]int64{{9, -1}}
+		for i := 0; i < 2500; i++ {
+			build = append(build, []int64{7, int64(i)})
+		}
+		right := valuesNode(intsSchema("rk", "rv"), build...)
+		return &plan.HashJoin{Kind: kind, Left: left, Right: right, LeftKeys: []int{0}, RightKeys: []int{0},
+			ExtraPred: extra, Schema: left.Schema.Concat(right.Schema)}
+	}
+	rv := &expr.ColRef{Idx: 3, K: types.KindInt64}
+	extras := map[string]expr.Expr{
+		"":            nil,
+		"/extra-some": expr.NewBinOp(expr.OpGe, rv, expr.NewConst(types.NewInt64(1200))),
+		"/extra-none": expr.NewBinOp(expr.OpLt, rv, expr.NewConst(types.NewInt64(-5))),
+	}
+	type tree struct {
+		node    plan.Node
+		ordered bool
+		ctx     func(t *testing.T) *Context
+	}
+	plain := func(*testing.T) *Context { return &Context{Segment: 0, FS: fs} }
+	trees := map[string]tree{
+		"scan-filter-project": {sfpTree(desc, segFiles), true, plain},
+		"agg": {&plan.HashAgg{
+			Input:  scan([]int{0, 1, 2}, "k", "v", "w"),
 			Phase:  plan.AggSingle,
 			Groups: []expr.Expr{colV},
 			Aggs:   []expr.AggSpec{{Kind: expr.AggSum, Arg: colK}, {Kind: expr.AggCountStar}},
 			Schema: intsSchema("v", "sum", "count"),
-		},
-		"sort": &plan.Sort{
-			Input: &plan.Scan{Table: desc, Proj: []int{1, 0}, SegFiles: segFiles, Schema: intsSchema("v", "k")},
+		}, false, plain},
+		"sort": {&plan.Sort{
+			Input: scan([]int{1, 0}, "v", "k"),
 			Keys:  []plan.OrderKey{{Col: 0}, {Col: 1, Desc: true}},
-		},
-		"join": &plan.HashJoin{
+		}, true, plain},
+		"join": {&plan.HashJoin{
 			Kind:      plan.InnerJoin,
-			Left:      &plan.Scan{Table: desc, Proj: []int{0, 1}, SegFiles: segFiles, Schema: intsSchema("k", "v")},
+			Left:      scan([]int{0, 1}, "k", "v"),
 			Right:     valuesNode(intsSchema("rk"), []int64{3}, []int64{5}, []int64{90}),
 			LeftKeys:  []int{1},
 			RightKeys: []int{0},
 			Schema:    intsSchema("k", "v", "rk"),
-		},
+		}, true, plain},
+		"nestloop-left": {&plan.NestLoopJoin{
+			Kind:   plan.LeftJoin,
+			Left:   scan([]int{0, 1}, "k", "v"),
+			Right:  valuesNode(intsSchema("b"), []int64{2}, []int64{6}, []int64{50}),
+			Pred:   expr.NewBinOp(expr.OpLt, colV, &expr.ColRef{Idx: 2, K: types.KindInt64}),
+			Schema: intsSchema("k", "v", "b"),
+		}, true, plain},
+		"distinct": {&plan.Distinct{Input: scan([]int{1, 2}, "v", "w")}, true, plain},
+		// OFFSET ends inside the first batch, LIMIT inside the third.
+		"limit-cuts-batches": {&plan.Limit{N: 1500, Offset: 1000,
+			Input: valuesNode(intsSchema("a", "b"), seqRows(3000, func(i int) int64 { return int64(-i) })...),
+		}, true, plain},
+		// OFFSET swallows whole batches, LIMIT takes two rows off a seam.
+		"limit-on-seam": {&plan.Limit{N: 2, Offset: 2*int64(types.DefaultBatchRows) - 1,
+			Input: valuesNode(intsSchema("a", "b"), seqRows(3000, func(i int) int64 { return int64(i % 5) })...),
+		}, true, plain},
+		// Each run is 2500 rows, i.e. three 1024-row workfile frames: the
+		// merge crosses reader-batch boundaries in every run.
+		"sort-workfile-merge": {&plan.Sort{
+			Input: valuesNode(intsSchema("k", "v"), seqRows(10000, func(i int) int64 { return int64((i * 7919) % 1000) })...),
+			Keys:  []plan.OrderKey{{Col: 1}},
+		}, true, func(t *testing.T) *Context {
+			ctx, _ := spillCtx(t, 1<<30)
+			ctx.SortMemRows = 2500
+			return ctx
+		}},
 	}
-	for name, tree := range trees {
+	for _, kind := range []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.SemiJoin, plan.AntiJoin} {
+		for name, extra := range extras {
+			trees[fmt.Sprintf("fat-join-%d%s", kind, name)] = tree{fat(kind, extra), true, plain}
+		}
+	}
+	for name, tr := range trees {
 		t.Run(name, func(t *testing.T) {
-			rowCtx := &Context{Segment: 0, FS: fs, RowMode: true}
-			batchCtx := &Context{Segment: 0, FS: fs}
-			want := rowsToInts(collectRowPump(t, rowCtx, tree))
-			got := rowsToInts(collect(t, batchCtx, tree))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch result diverges from row result\nbatch: %d rows\nrow:   %d rows", len(got), len(want))
-			}
+			sameRows(t, collect(t, tr.ctx(t), tr.node), refRows(t, tr.node, tables), tr.ordered)
 		})
 	}
 }
 
-// TestBatchPipelineAllocBudget pins the amortized allocation cost of the
-// vectorized scan → filter → project path: well under one allocation per
-// row (the row path pays several per row). Catches regressions that
-// reintroduce per-row allocation.
-func TestBatchPipelineAllocBudget(t *testing.T) {
-	const nrows = 4096
-	fs, desc, segFiles := writeIntsTable(t, nrows)
-	tree := sfpTree(desc, segFiles)
-	ctx := &Context{Segment: 0, FS: fs}
-	run := func() {
-		op, err := Build(ctx, tree)
+// TestSpilledAggFillsBatchesAcrossPartitions: 3000 groups under a 1 KiB
+// work_mem — the table in memory holds a handful, the rest come back a
+// partition at a time. The groups must be the reference's, and every
+// batch but the last full: emission does not stop at a partition's end.
+func TestSpilledAggFillsBatchesAcrossPartitions(t *testing.T) {
+	ctx, st := spillCtx(t, 1<<10)
+	tree := &plan.HashAgg{
+		Input:  valuesNode(intsSchema("g", "v"), seqRows(9000, func(i int) int64 { return int64(i % 3000) })...),
+		Phase:  plan.AggSingle,
+		Groups: []expr.Expr{&expr.ColRef{Idx: 1, K: types.KindInt64}},
+		Aggs:   []expr.AggSpec{{Kind: expr.AggSum, Arg: &expr.ColRef{Idx: 0, K: types.KindInt64}}, {Kind: expr.AggCountStar}},
+		Schema: intsSchema("g", "sum", "count"),
+	}
+	op := mustBuild(t, ctx, tree)
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := types.GetBatch(0)
+	defer types.PutBatch(b)
+	var sizes []int
+	var got []types.Row
+	for {
+		ok, err := op.NextBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		if err := Drain(nil, op, func(types.Row) error { n++; return nil }); err != nil {
-			t.Fatal(err)
+		if !ok {
+			break
 		}
-		if n == 0 {
-			t.Fatal("no rows")
+		sizes = append(sizes, b.Len())
+		for i := 0; i < b.Len(); i++ {
+			got = append(got, b.Row(i).Clone())
 		}
 	}
-	run() // warm pools before measuring
-	avg := testing.AllocsPerRun(5, run)
-	if avg > nrows/4 {
-		t.Errorf("batch pipeline allocates %.0f times per %d rows (budget %d)", avg, nrows, nrows/4)
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1024, 1024, 952}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("batch sizes %v, want %v", sizes, want)
+	}
+	if st.Live() != 0 {
+		t.Errorf("%d workfiles leaked", st.Live())
+	}
+	sameRows(t, got, refRows(t, tree, nil), false)
+}
+
+// TestDistinctHonoursMemoryGrant: DISTINCT's key set is charged to the
+// query's grant — a grant it outgrows is a clean out-of-memory error
+// with nothing left reserved, and a grant it fits reports its peak.
+func TestDistinctHonoursMemoryGrant(t *testing.T) {
+	tree := &plan.Distinct{Input: valuesNode(intsSchema("a", "b"), seqRows(5000, func(i int) int64 { return int64(i) })...)}
+	ctx := &Context{Segment: 0, Mem: resource.NewAccount(4 << 10)}
+	err := Drain(nil, mustBuild(t, ctx, tree), func(types.Row) error { return nil })
+	if !errors.Is(err, resource.ErrOutOfMemory) {
+		t.Fatalf("got %v, want ErrOutOfMemory", err)
+	}
+	if got := ctx.Mem.Used(); got != 0 {
+		t.Fatalf("reservation leaked after OOM: %d bytes", got)
+	}
+
+	ctx = &Context{Segment: 0, Mem: resource.NewAccount(8 << 20)}
+	ctx.Stats = NewStatsRecorder(nil, tree, 0, 0)
+	if got := len(collect(t, ctx, tree)); got != 5000 {
+		t.Fatalf("distinct rows = %d", got)
+	}
+	if peak := ctx.Stats.Stats().Ops[0].PeakMem; peak == 0 || peak != ctx.Mem.Peak() {
+		t.Errorf("PeakMem = %d, account peak %d", peak, ctx.Mem.Peak())
+	}
+	if got := ctx.Mem.Used(); got != 0 {
+		t.Errorf("reservation leaked: %d bytes", got)
 	}
 }
 
-// BenchmarkScanFilterProject is the headline row-vs-batch comparison:
-// the full scan → filter → project pipeline, both modes.
+// TestBatchPipelineAllocBudget pins the amortized allocation cost of the
+// operators that write into the caller's batch: well under one
+// allocation per output row. Catches regressions that reintroduce
+// per-row allocation.
+func TestBatchPipelineAllocBudget(t *testing.T) {
+	const nrows = 4096
+	fs, desc, segFiles := writeIntsTable(t, nrows)
+	scan := &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: desc.Schema}
+	colK := &expr.ColRef{Idx: 0, K: types.KindInt64}
+	var build [][]int64
+	for i := 0; i < 97; i++ {
+		build = append(build, []int64{int64(i)})
+	}
+	ctx := &Context{Segment: 0, FS: fs}
+	rows := 0
+	drain := func(tree plan.Node) func() {
+		return func() {
+			rows = 0
+			if err := Drain(nil, mustBuild(t, ctx, tree), func(types.Row) error { rows++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, tree := range map[string]plan.Node{
+		"scan-filter-project": sfpTree(desc, segFiles),
+		// Every probe row matches once: 4096 output rows over a build side
+		// of 97 cloned rows.
+		"join": &plan.HashJoin{
+			Kind: plan.InnerJoin, Left: scan, Right: valuesNode(intsSchema("rk"), build...),
+			LeftKeys: []int{1}, RightKeys: []int{0}, Schema: intsSchema("k", "v", "w", "rk"),
+		},
+	} {
+		run := drain(tree)
+		run() // warm pools before measuring
+		if rows < nrows/4 {
+			t.Fatalf("%s: %d rows", name, rows)
+		}
+		if avg := testing.AllocsPerRun(5, run); avg > nrows/4 {
+			t.Errorf("%s allocates %.0f times per %d rows (budget %d)", name, avg, nrows, nrows/4)
+		}
+	}
+	// 4096 groups out. The table pays a few allocations per group going
+	// in (key, accumulators, map entry) — what a run costs that stops
+	// before the first output row — and emitting them must add none per
+	// row on top.
+	agg := &plan.HashAgg{
+		Input: scan, Phase: plan.AggSingle, Groups: []expr.Expr{colK},
+		Aggs:   []expr.AggSpec{{Kind: expr.AggCountStar}},
+		Schema: intsSchema("k", "count"),
+	}
+	errStop := errors.New("stop")
+	absorbOnly := func() {
+		if err := Drain(nil, mustBuild(t, ctx, agg), func(types.Row) error { return errStop }); !errors.Is(err, errStop) {
+			t.Fatal(err)
+		}
+	}
+	full := drain(agg)
+	full()
+	if rows != nrows {
+		t.Fatalf("agg: %d groups", rows)
+	}
+	absorbOnly()
+	in, out := testing.AllocsPerRun(5, absorbOnly), testing.AllocsPerRun(5, full)
+	if out-in > nrows/4 {
+		t.Errorf("emitting %d groups allocates %.0f times beyond the %.0f of absorbing them (budget %d)", nrows, out-in, in, nrows/4)
+	}
+}
+
+// BenchmarkScanFilterProject is the headline pipeline: the full scan →
+// filter → project tree drained at the QD edge.
 func BenchmarkScanFilterProject(b *testing.B) {
 	const nrows = 20000
 	fs, desc, segFiles := writeIntsTable(b, nrows)
 	tree := sfpTree(desc, segFiles)
-	b.Run("row", func(b *testing.B) {
-		ctx := &Context{Segment: 0, FS: fs, RowMode: true}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op, err := Build(ctx, tree)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := op.Open(); err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				_, ok, err := op.Next()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				n++
-			}
-			op.Close()
-			if n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		ctx := &Context{Segment: 0, FS: fs}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			op, err := Build(ctx, tree)
-			if err != nil {
-				b.Fatal(err)
-			}
 			n := 0
-			if err := Drain(nil, op, func(types.Row) error { n++; return nil }); err != nil {
+			if err := Drain(nil, mustBuild(b, ctx, tree), func(types.Row) error { n++; return nil }); err != nil {
 				b.Fatal(err)
 			}
 			if n == 0 {
@@ -211,8 +342,8 @@ func BenchmarkScanFilterProject(b *testing.B) {
 	})
 }
 
-// BenchmarkHashAgg compares row and batch input consumption of the hash
-// aggregate (grouped sum over a storage scan).
+// BenchmarkHashAgg measures the hash aggregate's input consumption
+// (grouped sum over a storage scan).
 func BenchmarkHashAgg(b *testing.B) {
 	const nrows = 20000
 	fs, desc, segFiles := writeIntsTable(b, nrows)
@@ -225,25 +356,20 @@ func BenchmarkHashAgg(b *testing.B) {
 		Aggs:   []expr.AggSpec{{Kind: expr.AggSum, Arg: colK}, {Kind: expr.AggCountStar}},
 		Schema: intsSchema("v", "sum", "count"),
 	}
-	for _, mode := range []struct {
-		name    string
-		rowMode bool
-	}{{"row", true}, {"batch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ctx := &Context{Segment: 0, FS: fs, RowMode: mode.rowMode}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				err := Drain(nil, mustBuild(b, ctx, tree), func(types.Row) error { n++; return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != 97 {
-					b.Fatalf("groups = %d", n)
-				}
+	b.Run("batch", func(b *testing.B) {
+		ctx := &Context{Segment: 0, FS: fs}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			err := Drain(nil, mustBuild(b, ctx, tree), func(types.Row) error { n++; return nil })
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if n != 97 {
+				b.Fatalf("groups = %d", n)
+			}
+		}
+	})
 }
 
 func mustBuild(tb testing.TB, ctx *Context, n plan.Node) Operator {
@@ -258,8 +384,7 @@ func mustBuild(tb testing.TB, ctx *Context, n plan.Node) Operator {
 var loopbackQuery atomic.Uint64
 
 // BenchmarkMotionLoopback sends rows through a gather motion between two
-// in-process UDP nodes and drains them on the receiver, comparing the
-// row and batch motion paths end to end.
+// in-process UDP nodes and drains them on the receiver.
 func BenchmarkMotionLoopback(b *testing.B) {
 	const nrows = 1024
 	var rows [][]int64
@@ -267,52 +392,41 @@ func BenchmarkMotionLoopback(b *testing.B) {
 		rows = append(rows, []int64{int64(i), int64(i * 3), int64(i % 11), int64(-i)})
 	}
 	schema := intsSchema("a", "b", "c", "d")
-	for _, mode := range []struct {
-		name    string
-		rowMode bool
-	}{{"row", true}, {"batch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			book := interconnect.NewAddrBook()
-			send, err := interconnect.NewUDPNode(0, book, interconnect.UDPConfig{})
-			if err != nil {
+	b.Run("batch", func(b *testing.B) {
+		book := interconnect.NewAddrBook()
+		send, err := interconnect.NewUDPNode(0, book, interconnect.UDPConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer send.Close()
+		recvNode, err := interconnect.NewUDPNode(interconnect.SegID(plan.QDSegment), book, interconnect.UDPConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer recvNode.Close()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			query := loopbackQuery.Add(1)
+			done := make(chan error, 1)
+			go func() {
+				motion := &plan.Motion{ID: 1, Type: plan.GatherMotion,
+					Input: valuesNode(schema, rows...), Receivers: []int{plan.QDSegment}}
+				ctx := &Context{Query: query, Segment: 0, Net: send}
+				p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0}}}}
+				done <- RunSlice(ctx, p, 1)
+			}()
+			recv := &plan.MotionRecv{ID: 1, Senders: []int{0}, Schema: schema}
+			ctx := &Context{Query: query, Segment: plan.QDSegment, Net: recvNode}
+			n := 0
+			if err := Drain(nil, mustBuild(b, ctx, recv), func(types.Row) error { n++; return nil }); err != nil {
 				b.Fatal(err)
 			}
-			defer send.Close()
-			recvNode, err := interconnect.NewUDPNode(interconnect.SegID(plan.QDSegment), book, interconnect.UDPConfig{})
-			if err != nil {
+			if n != nrows {
+				b.Fatalf("received %d rows", n)
+			}
+			if err := <-done; err != nil {
 				b.Fatal(err)
 			}
-			defer recvNode.Close()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				query := loopbackQuery.Add(1)
-				done := make(chan error, 1)
-				go func() {
-					motion := &plan.Motion{ID: 1, Type: plan.GatherMotion,
-						Input: valuesNode(schema, rows...), Receivers: []int{plan.QDSegment}}
-					ctx := &Context{Query: query, Segment: 0, Net: send, RowMode: mode.rowMode}
-					p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0}}}}
-					done <- RunSlice(ctx, p, 1)
-				}()
-				recv := &plan.MotionRecv{ID: 1, Senders: []int{0}, Schema: schema}
-				ctx := &Context{Query: query, Segment: plan.QDSegment, Net: recvNode, RowMode: mode.rowMode}
-				var n int
-				if mode.rowMode {
-					// Pure row baseline: pump Next directly (Drain would
-					// engage the receiver's batch interface).
-					n = len(collectRowPump(b, ctx, recv))
-				} else {
-					if err := Drain(nil, mustBuild(b, ctx, recv), func(types.Row) error { n++; return nil }); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if n != nrows {
-					b.Fatalf("received %d rows", n)
-				}
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -1,5 +1,6 @@
 // Package executor implements HAWQ's pipelined query executor (§2.4, §3):
-// Volcano-style operators over types.Row, motion operators bound to the
+// pull-based operators that hand each other types.Batch arenas through
+// one contract (Operator.NextBatch), motion operators bound to the
 // interconnect, two-phase hash aggregation, hash and nested-loop joins,
 // an external sort that spills to segment-local disk (§2.6), and the
 // Insert operator that appends to HDFS segment files and piggybacks the
@@ -88,17 +89,6 @@ type Context struct {
 	// LocalHost is the DataNode collocated with this segment, used for
 	// write locality.
 	LocalHost string
-	// MotionPayload caps the encoded bytes a motion accumulates before
-	// each interconnect send (0 = DefaultMotionPayload). It must stay
-	// at or below the interconnect's maximum payload — see
-	// interconnect.UDPConfig.MaxPayload — or sends fail outright.
-	// Benchmarks and the cluster tune it per interconnect.
-	MotionPayload int
-	// RowMode disables the batch fast path, forcing every operator onto
-	// the tuple-at-a-time compatibility interface. Benchmarks use it as
-	// the baseline; it is also the escape hatch if a batch operator
-	// misbehaves.
-	RowMode bool
 	// Clock is the node's time source for operator wall-time statistics
 	// (nil = wall clock; the chaos harness and golden tests inject
 	// clock.Sim so recorded durations are deterministic).
@@ -148,12 +138,18 @@ func (ctx *Context) cause() error {
 	return context.Cause(ctx.Ctx)
 }
 
-// Operator is a Volcano-style iterator.
+// Operator is a pull-based batch iterator: the one contract every
+// executor operator speaks.
 type Operator interface {
 	// Open prepares the operator (and its children).
 	Open() error
-	// Next returns the next row; ok=false signals end of stream.
-	Next() (row types.Row, ok bool, err error)
+	// NextBatch fills b with the next batch of rows, destroying b's
+	// previous contents (and invalidating any row views into it).
+	// ok=false signals end of stream; an operator may legitimately
+	// return ok=true with an empty batch, so callers loop rather than
+	// treat emptiness as EOS. Calls after end of stream keep returning
+	// ok=false.
+	NextBatch(b *types.Batch) (ok bool, err error)
 	// Close releases resources. Closing before exhaustion propagates
 	// cancellation (e.g. motion STOP) upstream.
 	Close() error
@@ -189,13 +185,13 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &selectOp{ctx: ctx, in: in, bin: AsBatch(in), pred: v.Pred}, nil
+		return &selectOp{ctx: ctx, in: in, pred: v.Pred}, nil
 	case *plan.Project:
 		in, err := Build(ctx, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		return &projectOp{in: in, bin: AsBatch(in), exprs: v.Exprs}, nil
+		return &projectOp{in: in, exprs: v.Exprs}, nil
 	case *plan.HashJoin:
 		return newHashJoinOp(ctx, v)
 	case *plan.NestLoopJoin:
@@ -219,7 +215,7 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{ctx: ctx, in: in}, nil
+		return &distinctOp{ctx: ctx, in: in, mem: memBudget{ctx: ctx}}, nil
 	case *plan.Values:
 		return &valuesOp{rows: v.Rows}, nil
 	case *plan.Insert:
@@ -236,8 +232,7 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 // RunSlice executes one slice to completion on this node, discarding
 // output (every non-top slice's root is a Motion whose side effect is
 // sending). The top slice is instead consumed through Build + Drain by
-// the dispatcher. The slice is pumped batch-at-a-time whenever the root
-// supports it and the context doesn't force RowMode.
+// the dispatcher.
 func RunSlice(ctx *Context, p *plan.Plan, sliceID int) error {
 	s := p.Slices[sliceID]
 	op, err := Build(ctx, s.Root)
@@ -253,96 +248,23 @@ func RunSlice(ctx *Context, p *plan.Plan, sliceID int) error {
 		stop := context.AfterFunc(ctx.Ctx, func() { ctx.Net.CancelQuery(ctx.Query) })
 		defer stop()
 	}
-	if err := op.Open(); err != nil {
-		return errors.Join(err, op.Close())
-	}
-	if bop, ok := op.(BatchOperator); ok && !ctx.RowMode {
-		b := types.GetBatch(0)
-		for {
-			if err := ctx.canceled(); err != nil {
-				types.PutBatch(b)
-				return errors.Join(err, op.Close())
-			}
-			ok, err := bop.NextBatch(b)
-			if err != nil {
-				types.PutBatch(b)
-				return errors.Join(err, op.Close())
-			}
-			if !ok {
-				break
-			}
-		}
-		types.PutBatch(b)
-		return op.Close()
-	}
-	for {
-		if err := ctx.canceled(); err != nil {
-			return errors.Join(err, op.Close())
-		}
-		_, ok, err := op.Next()
-		if err != nil {
-			return errors.Join(err, op.Close())
-		}
-		if !ok {
-			break
-		}
-	}
-	return op.Close()
+	return Drain(ctx, op, nil)
 }
 
-// Drain pulls every row from an operator tree (used by the QD for the
-// top slice) and invokes fn per row, batch-at-a-time when the root
-// supports it. Rows passed to fn may be views into a reused batch
-// arena: they are valid only during the call, and fn must Clone any row
-// it retains. A nil ctx (or a ctx without a cancellation context)
-// drains to exhaustion; otherwise the pump stops with the cancellation
-// cause as soon as the query context is done, so no partial result can
-// ever be mistaken for a complete one.
+// Drain pulls every batch from an operator tree (used by the QD for the
+// top slice) and invokes fn per row; a nil fn discards the rows. Rows
+// passed to fn are views into a reused batch arena: they are valid only
+// during the call, and fn must Clone any row it retains. A nil ctx (or a
+// ctx without a cancellation context) drains to exhaustion; otherwise
+// the pump stops with the cancellation cause as soon as the query
+// context is done, so no partial result can ever be mistaken for a
+// complete one.
 func Drain(ctx *Context, op Operator, fn func(types.Row) error) error {
 	if err := op.Open(); err != nil {
 		return errors.Join(err, op.Close())
 	}
-	if bop, ok := op.(BatchOperator); ok {
-		b := types.GetBatch(0)
-		err := func() error {
-			for {
-				if err := ctx.canceled(); err != nil {
-					return err
-				}
-				ok, err := bop.NextBatch(b)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				for i := 0; i < b.Len(); i++ {
-					if err := fn(b.Row(i)); err != nil {
-						return err
-					}
-				}
-			}
-		}()
-		types.PutBatch(b)
-		if err != nil {
-			return errors.Join(err, op.Close())
-		}
-		return op.Close()
-	}
-	for {
-		if err := ctx.canceled(); err != nil {
-			return errors.Join(err, op.Close())
-		}
-		row, ok, err := op.Next()
-		if err != nil {
-			return errors.Join(err, op.Close())
-		}
-		if !ok {
-			break
-		}
-		if err := fn(row); err != nil {
-			return errors.Join(err, op.Close())
-		}
+	if err := drainRows(ctx, op, fn); err != nil {
+		return errors.Join(err, op.Close())
 	}
 	return op.Close()
 }

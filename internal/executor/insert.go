@@ -20,7 +20,6 @@ type insertOp struct {
 	ctx  *Context
 	node *plan.Insert
 	in   Operator
-	bin  BatchOperator
 
 	writers map[int]storage.Writer // target index -> open writer
 	count   int64
@@ -32,7 +31,7 @@ func newInsertOp(ctx *Context, node *plan.Insert) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &insertOp{ctx: ctx, node: node, in: in, bin: ctx.batchInput(in)}, nil
+	return &insertOp{ctx: ctx, node: node, in: in}, nil
 }
 
 // Open implements Operator.
@@ -60,13 +59,14 @@ func (i *insertOp) writerFor(ti int) (storage.Writer, error) {
 	return w, nil
 }
 
-// Next implements Operator: consumes all input, then emits one count row.
-func (i *insertOp) Next() (types.Row, bool, error) {
+// NextBatch implements Operator: consumes all input, then emits one
+// count row.
+func (i *insertOp) NextBatch(b *types.Batch) (bool, error) {
 	if i.done {
-		return nil, false, nil
+		return false, nil
 	}
 	schema := i.node.Targets[0].Table.Schema
-	err := drainRows(i.ctx, i.bin, i.in, func(row types.Row) error {
+	err := drainRows(i.ctx, i.in, func(row types.Row) error {
 		if len(row) != schema.Len() {
 			return fmt.Errorf("executor: insert row width %d, table %s has %d columns",
 				len(row), i.node.Targets[0].Table.Name, schema.Len())
@@ -91,12 +91,12 @@ func (i *insertOp) Next() (types.Row, bool, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	// Close writers and piggyback the new physical state (§3.1).
 	for ti, w := range i.writers {
 		if err := w.Close(); err != nil {
-			return nil, false, err
+			return false, err
 		}
 		sf := i.node.Targets[ti].Files[i.ctx.Segment]
 		sf.LogicalLen, sf.ColLens = w.Lens()
@@ -107,7 +107,9 @@ func (i *insertOp) Next() (types.Row, bool, error) {
 	}
 	i.writers = nil
 	i.done = true
-	return types.Row{types.NewInt64(i.count)}, true, nil
+	b.Reset(1)
+	b.AddRow()[0] = types.NewInt64(i.count)
+	return true, nil
 }
 
 // Close implements Operator.

@@ -9,10 +9,10 @@ import (
 )
 
 // hashJoinOp builds a hash table on the right input and probes with the
-// left. NULL join keys never match (SQL semantics). Both sides are
-// consumed batch-at-a-time when available: the build side through
-// drainRows (cloning retained rows out of the arena), the probe side
-// through a rowReader.
+// left. NULL join keys never match (SQL semantics). The build side is
+// consumed through drainRows (cloning retained rows out of the arena),
+// the probe side row-wise through a batchCursor, and output rows are
+// written straight into the caller's batch.
 //
 // When the build side outgrows its memory budget the join degrades to
 // partitioned (grace) spilling: both sides are partitioned into
@@ -24,9 +24,7 @@ type hashJoinOp struct {
 	ctx         *Context
 	node        *plan.HashJoin
 	left, right Operator
-	leftR       rowReader
-	rightBin    BatchOperator
-	rightWidth  int
+	leftCur     batchCursor
 
 	mem   memBudget
 	table map[string]*buildBucket
@@ -50,11 +48,7 @@ type hashJoinOp struct {
 	curPart  joinPart        // partition currently loaded (files removed when its probe is exhausted)
 	probeCur *wfCursor       // probe rows of the current partition
 
-	// probe state
-	cur        types.Row
-	curMatches []types.Row
-	curIdx     int
-	curMatched bool
+	probe joinProbe
 }
 
 // joinPart is one build/probe partition pair awaiting its in-memory
@@ -74,10 +68,10 @@ func newHashJoinOp(ctx *Context, node *plan.HashJoin) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &hashJoinOp{ctx: ctx, node: node, left: l, right: r, rightWidth: node.Right.OutSchema().Len()}
+	j := &hashJoinOp{ctx: ctx, node: node, left: l, right: r}
 	j.mem = memBudget{ctx: ctx}
-	j.leftR = rowReader{in: l, bin: ctx.batchInput(l)}
-	j.rightBin = ctx.batchInput(r)
+	j.leftCur = batchCursor{ctx: ctx, src: l}
+	j.probe = newJoinProbe(node.Kind, node.ExtraPred, node.Right.OutSchema().Len())
 	return j, nil
 }
 
@@ -134,7 +128,7 @@ func (j *hashJoinOp) Open() error {
 		}
 	}
 	j.table = make(map[string]*buildBucket)
-	err := drainRows(j.ctx, j.rightBin, j.right, func(row types.Row) error {
+	err := drainRows(j.ctx, j.right, func(row types.Row) error {
 		var valid bool
 		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.RightKeys)
 		if !valid {
@@ -199,7 +193,7 @@ func (j *hashJoinOp) Open() error {
 	}
 	// Grace phase: the probe side streams straight into its own
 	// partition files — no memory growth — and each partition pair is
-	// then joined in memory by probeNext.
+	// then joined in memory as probeNext walks them.
 	if err := j.buildSP.finish(); err != nil {
 		return err
 	}
@@ -207,7 +201,7 @@ func (j *hashJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
-	err = drainRows(j.ctx, j.leftR.bin, j.left, func(row types.Row) error {
+	err = drainRows(j.ctx, j.left, func(row types.Row) error {
 		var valid bool
 		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.LeftKeys)
 		if !valid {
@@ -262,7 +256,7 @@ func (j *hashJoinOp) spillBuild() error {
 // next partition pair as each one is exhausted.
 func (j *hashJoinOp) probeNext() (types.Row, bool, error) {
 	if !j.spilled {
-		return j.leftR.next()
+		return j.leftCur.next()
 	}
 	for {
 		if j.probeCur != nil {
@@ -428,92 +422,42 @@ func (j *hashJoinOp) reroute(f *resource.File, keys []int, sp *spillPartition, k
 	}
 }
 
-// Next implements Operator.
-func (j *hashJoinOp) Next() (types.Row, bool, error) {
-	for {
-		// Emit pending matches of the current probe row.
-		for j.curIdx < len(j.curMatches) {
-			r := j.curMatches[j.curIdx]
-			j.curIdx++
-			out := concatRows(j.cur, r)
-			if j.node.ExtraPred != nil {
-				ok, err := expr.EvalBool(j.node.ExtraPred, out)
-				if err != nil {
-					return nil, false, err
+// NextBatch implements Operator: probe rows are looked up one at a time
+// and their output appended to b until it holds a full batch; a probe
+// row with more matches than fit resumes on the next call.
+func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
+	b.Reset(0)
+	for b.Len() < types.DefaultBatchRows {
+		if j.probe.cur == nil {
+			row, ok, err := j.probeNext()
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				break
+			}
+			var valid bool
+			j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.LeftKeys)
+			var matches []types.Row
+			if valid {
+				if bkt := j.table[string(j.keyBuf)]; bkt != nil {
+					matches = bkt.rows
 				}
-				if !ok {
-					continue
-				}
 			}
-			switch j.node.Kind {
-			case plan.InnerJoin, plan.LeftJoin:
-				j.curMatched = true
-				return out, true, nil
-			case plan.SemiJoin:
-				row := j.cur
-				j.cur, j.curMatches = nil, nil
-				return row, true, nil
-			case plan.AntiJoin:
-				// A surviving match disqualifies the probe row.
-				j.cur, j.curMatches = nil, nil
-				goto nextProbe
-			}
+			j.probe.start(row, matches)
 		}
-		// Current probe row exhausted without a surviving match.
-		if j.cur != nil {
-			switch j.node.Kind {
-			case plan.LeftJoin:
-				row := j.cur
-				matched := j.curMatched
-				j.cur = nil
-				if !matched {
-					nulls := make(types.Row, j.rightWidth)
-					return concatRows(row, nulls), true, nil
-				}
-			case plan.AntiJoin:
-				row := j.cur
-				j.cur = nil
-				return row, true, nil
-			}
-		}
-	nextProbe:
-		row, ok, err := j.probeNext()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		var valid bool
-		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.LeftKeys)
-		var matches []types.Row
-		if valid {
-			if bkt := j.table[string(j.keyBuf)]; bkt != nil {
-				matches = bkt.rows
-			}
-		}
-		switch j.node.Kind {
-		case plan.InnerJoin, plan.SemiJoin:
-			if len(matches) == 0 {
-				goto nextProbe
-			}
-			j.cur, j.curMatches, j.curIdx, j.curMatched = row, matches, 0, false
-		case plan.LeftJoin:
-			j.cur, j.curMatches, j.curIdx, j.curMatched = row, matches, 0, false
-		case plan.AntiJoin:
-			if len(matches) == 0 {
-				return row, true, nil
-			}
-			j.cur, j.curMatches, j.curIdx, j.curMatched = row, matches, 0, false
+		if err := j.probe.emit(b); err != nil {
+			return false, err
 		}
 	}
+	return b.Len() > 0, nil
 }
 
 // Close implements Operator: beyond the inputs, it tears down any
 // remaining spill state — a canceled grace join removes its partition
 // files here rather than waiting for the store-wide cleanup.
 func (j *hashJoinOp) Close() error {
-	j.leftR.release()
+	j.leftCur.release()
 	if j.probeCur != nil {
 		j.probeCur.close()
 		j.probeCur = nil
@@ -540,29 +484,88 @@ func (j *hashJoinOp) Close() error {
 	return err
 }
 
-func concatRows(a, b types.Row) types.Row {
-	out := make(types.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
+// joinProbe is the probe-side state both joins share: the current probe
+// row, the build rows it may pair with, and how far emission got. The
+// probe row is a view into its cursor's batch and the candidates are
+// build-side clones, so neither moves while output is appended to the
+// caller's batch.
+type joinProbe struct {
+	kind  plan.JoinKind
+	pred  expr.Expr // evaluated over probe‖build; nil passes every pair
+	nulls types.Row // the build side of an unmatched left-outer row
+	pair  types.Row // scratch probe‖build row for pred
+
+	cur     types.Row // nil: the next probe row is due
+	cands   []types.Row
+	idx     int
+	matched bool
+}
+
+func newJoinProbe(kind plan.JoinKind, pred expr.Expr, rightWidth int) joinProbe {
+	return joinProbe{kind: kind, pred: pred, nulls: make(types.Row, rightWidth)}
+}
+
+// start makes row the current probe row with cands as the build rows to
+// pair it with.
+func (p *joinProbe) start(row types.Row, cands []types.Row) {
+	p.cur, p.cands, p.idx, p.matched = row, cands, 0, false
+}
+
+// passes evaluates the join predicate over one probe‖build pair.
+func (p *joinProbe) passes(build types.Row) (bool, error) {
+	if p.pred == nil {
+		return true, nil
+	}
+	p.pair = append(append(p.pair[:0], p.cur...), build...)
+	return expr.EvalBool(p.pred, p.pair)
+}
+
+// emit appends the current probe row's output to b. It returns with the
+// probe row still current when b filled up before its candidates ran
+// out; otherwise the row is finished and cur is nil.
+func (p *joinProbe) emit(b *types.Batch) error {
+	pairs := p.kind == plan.InnerJoin || p.kind == plan.LeftJoin
+	for p.idx < len(p.cands) {
+		if b.Len() >= types.DefaultBatchRows {
+			return nil
+		}
+		build := p.cands[p.idx]
+		p.idx++
+		ok, err := p.passes(build)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		p.matched = true
+		if !pairs {
+			break // semi/anti: the first surviving pair decides
+		}
+		b.AppendConcat(p.cur, build)
+	}
+	switch {
+	case p.kind == plan.LeftJoin && !p.matched:
+		b.AppendConcat(p.cur, p.nulls)
+	case p.kind == plan.SemiJoin && p.matched, p.kind == plan.AntiJoin && !p.matched:
+		b.AppendRow(p.cur)
+	}
+	p.cur = nil
+	return nil
 }
 
 // nestLoopOp materializes the right input and evaluates an arbitrary
 // predicate against each pair (non-equi joins over a broadcast input).
 type nestLoopOp struct {
-	ctx      *Context
-	node     *plan.NestLoopJoin
-	left     Operator
-	right    Operator
-	leftR    rowReader
-	rightBin BatchOperator
+	ctx     *Context
+	node    *plan.NestLoopJoin
+	left    Operator
+	right   Operator
+	leftCur batchCursor
 
-	mem        memBudget
-	inner      []types.Row
-	rightWidth int
-	cur        types.Row
-	idx        int
-	matched    bool
+	mem   memBudget
+	inner []types.Row
+	probe joinProbe
 }
 
 func newNestLoopOp(ctx *Context, node *plan.NestLoopJoin) (Operator, error) {
@@ -574,10 +577,10 @@ func newNestLoopOp(ctx *Context, node *plan.NestLoopJoin) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &nestLoopOp{ctx: ctx, node: node, left: l, right: r, rightWidth: node.Right.OutSchema().Len()}
+	n := &nestLoopOp{ctx: ctx, node: node, left: l, right: r}
 	n.mem = memBudget{ctx: ctx}
-	n.leftR = rowReader{in: l, bin: ctx.batchInput(l)}
-	n.rightBin = ctx.batchInput(r)
+	n.leftCur = batchCursor{ctx: ctx, src: l}
+	n.probe = newJoinProbe(node.Kind, node.Pred, node.Right.OutSchema().Len())
 	return n, nil
 }
 
@@ -592,7 +595,7 @@ func (n *nestLoopOp) Open() error {
 	if err := n.right.Open(); err != nil {
 		return err
 	}
-	err := drainRows(n.ctx, n.rightBin, n.right, func(row types.Row) error {
+	err := drainRows(n.ctx, n.right, func(row types.Row) error {
 		// Nest-loop inners are small broadcast inputs by construction;
 		// there is no spill path, so only the hard grant applies.
 		if err := n.mem.growHard(rowMem(row)); err != nil {
@@ -610,67 +613,36 @@ func (n *nestLoopOp) Open() error {
 	return n.left.Open()
 }
 
-// Next implements Operator.
-func (n *nestLoopOp) Next() (types.Row, bool, error) {
-	// Each left row restarts the inner scan; with a selective predicate
-	// the loop can run far past one output row, so observe cancellation
-	// per outer iteration.
-	for {
-		if err := n.ctx.canceled(); err != nil {
-			return nil, false, err
+// NextBatch implements Operator.
+func (n *nestLoopOp) NextBatch(b *types.Batch) (bool, error) {
+	b.Reset(0)
+	for b.Len() < types.DefaultBatchRows {
+		if n.probe.cur == nil {
+			// Each left row restarts the inner scan; with a selective
+			// predicate the loop can run far past one output row, so
+			// observe cancellation per outer row.
+			if err := n.ctx.canceled(); err != nil {
+				return false, err
+			}
+			row, ok, err := n.leftCur.next()
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				break
+			}
+			n.probe.start(row, n.inner)
 		}
-		if n.cur == nil {
-			row, ok, err := n.leftR.next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.cur, n.idx, n.matched = row, 0, false
-		}
-		for n.idx < len(n.inner) {
-			out := concatRows(n.cur, n.inner[n.idx])
-			n.idx++
-			pass := true
-			if n.node.Pred != nil {
-				var err error
-				pass, err = expr.EvalBool(n.node.Pred, out)
-				if err != nil {
-					return nil, false, err
-				}
-			}
-			if !pass {
-				continue
-			}
-			n.matched = true
-			switch n.node.Kind {
-			case plan.InnerJoin, plan.LeftJoin:
-				return out, true, nil
-			case plan.SemiJoin:
-				row := n.cur
-				n.cur = nil
-				return row, true, nil
-			case plan.AntiJoin:
-				n.idx = len(n.inner)
-			}
-		}
-		// Inner exhausted for this outer row.
-		row := n.cur
-		n.cur = nil
-		switch n.node.Kind {
-		case plan.LeftJoin:
-			if !n.matched {
-				return concatRows(row, make(types.Row, n.rightWidth)), true, nil
-			}
-		case plan.AntiJoin:
-			if !n.matched {
-				return row, true, nil
-			}
+		if err := n.probe.emit(b); err != nil {
+			return false, err
 		}
 	}
+	return b.Len() > 0, nil
 }
 
 // Close implements Operator.
 func (n *nestLoopOp) Close() error {
-	n.leftR.release()
+	n.leftCur.release()
 	n.mem.releaseAll()
 	err := n.left.Close()
 	if cerr := n.right.Close(); err == nil {

@@ -9,8 +9,8 @@ import (
 	"hawq/internal/types"
 )
 
-// DefaultMotionPayload is the payload size motions accumulate before
-// sending when Context.MotionPayload is unset. It must stay under the
+// DefaultMotionPayload is the encoded size a motion accumulates per
+// receiver before each interconnect send. It must stay under the
 // interconnect's maximum payload (interconnect.UDPConfig.MaxPayload,
 // 8 KiB by default for the UDP transport) with headroom for the rows
 // that straddle the flush threshold.
@@ -18,10 +18,9 @@ const DefaultMotionPayload = 7 * 1024
 
 // motionSendOp is the send half of a motion: it drives its input subtree
 // and routes encoded tuple batches to receiver streams. It is always the
-// root operator of a non-top slice. The batch path pulls whole batches
-// from its input and routes them row-wise into the per-receiver buffers;
-// the wire format (concatenated EncodeRow frames) is identical on both
-// paths, so senders and receivers interoperate regardless of mode.
+// root operator of a non-top slice. It pulls whole batches from its
+// input and routes them row-wise into the per-receiver buffers; the wire
+// format is a concatenation of EncodeRow frames.
 type motionSendOp struct {
 	ctx  *Context
 	node *plan.Motion
@@ -32,12 +31,10 @@ type motionSendOp struct {
 	hashCols []int
 	norm     types.Row
 	normIdx  []int
-	target   int
 	rr       int
 	done     bool
 	inClosed bool
 	in       Operator
-	bin      BatchOperator
 	// st, when stats are collected, is charged the payload bytes this
 	// sender pushed onto the interconnect (OpStats.Bytes).
 	st *obs.OpStats
@@ -54,13 +51,7 @@ func newMotionSendOp(ctx *Context, node *plan.Motion) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	target := ctx.MotionPayload
-	if target <= 0 {
-		target = DefaultMotionPayload
-	}
-	m := &motionSendOp{ctx: ctx, node: node, in: in, hashCols: node.HashCols, target: target}
-	m.bin = ctx.batchInput(in)
-	return m, nil
+	return &motionSendOp{ctx: ctx, node: node, in: in, hashCols: node.HashCols}, nil
 }
 
 // Open implements Operator: opens one stream per receiver.
@@ -101,46 +92,15 @@ func (m *motionSendOp) finish() error {
 	return m.in.Close()
 }
 
-// Next implements Operator: pumps the input through the router. The
-// returned rows are meaningless to the caller (RunSlice discards them);
-// end-of-stream flushes and closes every stream with EOS.
-func (m *motionSendOp) Next() (types.Row, bool, error) {
-	if m.done {
-		return nil, false, nil
-	}
-	row, ok, err := m.in.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, m.finish()
-	}
-	if err := m.route(row); err != nil {
-		return nil, false, err
-	}
-	if m.allStopped() {
-		// Every receiver said stop: the slice can quit early.
-		m.done = true
-		m.inClosed = true
-		return nil, false, m.in.Close()
-	}
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator: it pumps one input batch through
-// the router per call. The caller's batch is used as the pull buffer;
-// its contents after the call are routed-and-encoded leftovers of no
+// NextBatch implements Operator: it pumps one input batch through the
+// router per call. The caller's batch is used as the pull buffer; its
+// contents after the call are routed-and-encoded leftovers of no
 // interest to the caller (RunSlice discards them).
 func (m *motionSendOp) NextBatch(b *types.Batch) (bool, error) {
 	if m.done {
 		return false, nil
 	}
-	if m.bin == nil {
-		// RowMode: serve the batch interface over the row pump.
-		_, ok, err := m.Next()
-		return ok, err
-	}
-	ok, err := m.bin.NextBatch(b)
+	ok, err := m.in.NextBatch(b)
 	if err != nil {
 		return false, err
 	}
@@ -151,6 +111,7 @@ func (m *motionSendOp) NextBatch(b *types.Batch) (bool, error) {
 		return false, err
 	}
 	if m.allStopped() {
+		// Every receiver said stop: the slice can quit early.
 		m.done = true
 		m.inClosed = true
 		return false, m.in.Close()
@@ -167,33 +128,8 @@ func (m *motionSendOp) allStopped() bool {
 	return len(m.stopped) > 0
 }
 
-// route appends the row to the right receiver buffer(s).
-func (m *motionSendOp) route(row types.Row) error {
-	switch m.node.Type {
-	case plan.GatherMotion:
-		return m.add(0, row)
-	case plan.BroadcastMotion:
-		for i := range m.streams {
-			if err := m.add(i, row); err != nil {
-				return err
-			}
-		}
-		return nil
-	case plan.RedistributeMotion:
-		if len(m.hashCols) == 0 {
-			// RANDOMLY-distributed target: round-robin (§2.3).
-			m.rr++
-			return m.add(m.rr%len(m.streams), row)
-		}
-		h := m.hashRow(row)
-		return m.add(int(h%uint64(len(m.streams))), row)
-	default:
-		return fmt.Errorf("executor: bad motion type %d", m.node.Type)
-	}
-}
-
-// routeBatch routes every row of a batch, amortizing the per-row type
-// switch of route.
+// routeBatch appends every row of a batch to the right receiver
+// buffer(s).
 func (m *motionSendOp) routeBatch(b *types.Batch) error {
 	switch m.node.Type {
 	case plan.GatherMotion:
@@ -246,7 +182,7 @@ func (m *motionSendOp) add(i int, row types.Row) error {
 		return nil
 	}
 	m.bufs[i] = types.EncodeRow(m.bufs[i], row)
-	if len(m.bufs[i]) >= m.target {
+	if len(m.bufs[i]) >= DefaultMotionPayload {
 		return m.flush(i)
 	}
 	return nil
@@ -301,9 +237,8 @@ func (m *motionSendOp) Close() error {
 }
 
 // motionRecvOp is the receive half of a motion: it decodes tuple batches
-// from the interconnect. The batch path decodes one interconnect payload
-// into one batch per NextBatch call; the row path decodes the same
-// payloads incrementally.
+// from the interconnect, one interconnect payload into one batch per
+// NextBatch call.
 type motionRecvOp struct {
 	ctx  *Context
 	node *plan.MotionRecv
@@ -341,38 +276,8 @@ func (m *motionRecvOp) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (m *motionRecvOp) Next() (types.Row, bool, error) {
-	for {
-		if m.pos < len(m.buf) {
-			row, n, err := types.DecodeRow(m.buf[m.pos:])
-			if err != nil {
-				return nil, false, err
-			}
-			m.pos += n
-			return row, true, nil
-		}
-		if m.done {
-			return nil, false, nil
-		}
-		item, done, err := m.stream.Recv()
-		if err != nil {
-			return nil, false, err
-		}
-		if done {
-			m.done = true
-			return nil, false, nil
-		}
-		if m.st != nil {
-			m.st.Bytes += int64(len(item.Data))
-		}
-		m.buf, m.pos = item.Data, 0
-	}
-}
-
-// NextBatch implements BatchOperator: one received payload becomes one
-// batch (a payload is a concatenation of EncodeRow frames regardless of
-// how the sender produced it).
+// NextBatch implements Operator: one received payload (a concatenation
+// of EncodeRow frames) becomes one batch.
 func (m *motionRecvOp) NextBatch(b *types.Batch) (bool, error) {
 	for {
 		if m.pos < len(m.buf) {

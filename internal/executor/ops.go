@@ -15,14 +15,95 @@ import (
 // errScanStopped aborts a storage push-scan when the consumer closed.
 var errScanStopped = errors.New("executor: scan stopped")
 
-// scanBatchDepth is the batch-channel depth between the storage reader
-// goroutine and the scan operator (each entry is a whole block's rows).
+// scanBatchDepth is the batch-channel depth between a scan's producer
+// goroutine and the operator (each entry is a whole block's rows).
 const scanBatchDepth = 4
+
+// batchFeed is the bounded channel between a push-style producer
+// goroutine (a storage or PXF scan) and the pull-based operator in front
+// of it. The producer is joined by close, and exits — returning its
+// in-flight batch to the pool — when the consumer abandons the scan
+// early or the per-query context is canceled.
+type batchFeed struct {
+	ch   chan *types.Batch
+	errc chan error
+	stop chan struct{}
+	wg   sync.WaitGroup
+	open bool
+}
+
+// start runs produce in a goroutine; its error, unless it is the
+// consumer's own stop, surfaces from next after the last batch.
+func (f *batchFeed) start(produce func() error) {
+	f.ch = make(chan *types.Batch, scanBatchDepth)
+	f.errc = make(chan error, 1)
+	f.stop = make(chan struct{})
+	f.open = true
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		defer close(f.ch)
+		if err := produce(); err != nil && err != errScanStopped {
+			f.errc <- err
+		}
+	}()
+}
+
+// send hands b to the consumer, or releases it when the consumer
+// stopped or the query was canceled.
+func (f *batchFeed) send(ctx *Context, b *types.Batch) error {
+	select {
+	case f.ch <- b:
+		return nil
+	case <-f.stop:
+		types.PutBatch(b)
+		return errScanStopped
+	case <-ctx.doneCh():
+		types.PutBatch(b)
+		return ctx.cause()
+	}
+}
+
+// err reports the producer's failure once its channel is closed.
+func (f *batchFeed) err() error {
+	select {
+	case err := <-f.errc:
+		return err
+	default:
+		return nil
+	}
+}
+
+// next swaps the next produced batch into b, recycling b's previous
+// arena through the pool.
+func (f *batchFeed) next(b *types.Batch) (bool, error) {
+	nb, ok := <-f.ch
+	if !ok {
+		return false, f.err()
+	}
+	*b, *nb = *nb, *b
+	types.PutBatch(nb)
+	return true, nil
+}
+
+// close stops the producer, drains any batches it already handed off
+// back into the pool, and joins the goroutine so no scan work (or pooled
+// batch) outlives the operator.
+func (f *batchFeed) close() {
+	if !f.open {
+		return
+	}
+	f.open = false
+	close(f.stop)
+	for b := range f.ch {
+		types.PutBatch(b)
+	}
+	f.wg.Wait()
+}
 
 // scanOp streams the committed rows of the segment files belonging to
 // this segment. The push-style storage scan runs in a goroutine feeding
-// a bounded channel, which keeps the operator pull-based;
-// Context.RowMode falls back to the tuple-at-a-time channel.
+// a bounded channel, which keeps the operator pull-based.
 //
 // Every format is a vector source: blocks arrive through the segment's
 // block cache as types.VecBatch column vectors (columnar pages still
@@ -35,30 +116,19 @@ const scanBatchDepth = 4
 // survivors (and applies any residual predicate) into ordinary pooled
 // batches.
 type scanOp struct {
+	batchFeed
 	ctx  *Context
 	node *plan.Scan
 
-	rowMode bool
 	vecMode bool // consumer called EnableVec: deliver vector batches
-	ch      chan *types.Batch
 	vch     chan *types.VecBatch
-	rowCh   chan types.Row
-	errc    chan error
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	open    bool
-	cur     batchCursor
 
 	zonePreds []storage.ZonePred
 	opStats   *obs.OpStats
 }
 
 func newScanOp(ctx *Context, node *plan.Scan) *scanOp {
-	s := &scanOp{ctx: ctx, node: node, rowMode: ctx.RowMode}
-	if !s.rowMode {
-		s.zonePreds = zonePredsFromFilter(node.Filter, node.Schema.Len())
-	}
-	return s
+	return &scanOp{ctx: ctx, node: node, zonePreds: zonePredsFromFilter(node.Filter, node.Schema.Len())}
 }
 
 // zonePredsFromFilter extracts the pushdown-able conjuncts of a scan
@@ -116,49 +186,30 @@ func zoneOpOf(op expr.BinOpKind) (storage.ZoneOp, bool) {
 func (s *scanOp) setOpStats(st *obs.OpStats) { s.opStats = st }
 
 // EnableVec implements VecSource: vector delivery is possible when the
-// context allows batches and the whole scan filter is consumable by the
-// vector kernels (no residual — a residual would force materialization
-// before handoff, defeating the point).
+// whole scan filter is consumable by the vector kernels (no residual — a
+// residual would force materialization before handoff, defeating the
+// point).
 func (s *scanOp) EnableVec() bool {
-	if s.rowMode || s.open {
-		return s.vecMode
+	if !s.open && expr.VecFilterable(s.node.Filter, s.node.Schema.Len()) {
+		s.vecMode = true
 	}
-	if !expr.VecFilterable(s.node.Filter, s.node.Schema.Len()) {
-		return false
-	}
-	s.vecMode = true
-	return true
+	return s.vecMode
 }
 
-// Open implements Operator: it starts the storage reader goroutine. The
-// producer is joined by Close, and exits — returning its in-flight
-// arena batch to the pool — when the consumer abandons the scan early
-// (Close) or the per-query context is canceled.
+// Open implements Operator: it starts the storage reader goroutine.
 func (s *scanOp) Open() error {
-	s.errc = make(chan error, 1)
-	s.stop = make(chan struct{})
-	s.open = true
-	s.wg.Add(1)
-	switch {
-	case s.rowMode:
-		s.rowCh = make(chan types.Row, 256)
-		go s.produceRows()
-	case s.vecMode:
+	if s.vecMode {
 		s.vch = make(chan *types.VecBatch, scanBatchDepth)
-		go s.produceVec()
-	default:
-		s.ch = make(chan *types.Batch, scanBatchDepth)
-		go s.produceVec()
 	}
+	s.start(s.produce)
 	return nil
 }
 
-// produceVec is the batch producer: per block it applies runtime bloom
+// produce is the scan's producer: per block it applies runtime bloom
 // filters (before decode), then the vector filter kernels, then either
 // hands the vector batch to a vec consumer or materializes survivors
 // into a pooled batch.
-func (s *scanOp) produceVec() {
-	defer s.wg.Done()
+func (s *scanOp) produce() error {
 	st := &storage.ScanStats{}
 	var rtfRemoved int64
 	var hashBuf []byte
@@ -172,8 +223,6 @@ func (s *scanOp) produceVec() {
 	}()
 	if s.vecMode {
 		defer close(s.vch)
-	} else {
-		defer close(s.ch)
 	}
 	for _, sf := range s.node.SegFiles {
 		if sf.SegmentID != s.ctx.Segment {
@@ -235,198 +284,46 @@ func (s *scanOp) produceVec() {
 				types.PutBatch(b)
 				return nil
 			}
-			select {
-			case s.ch <- b:
-				return nil
-			case <-s.stop:
-				types.PutBatch(b)
-				return errScanStopped
-			case <-s.ctx.doneCh():
-				types.PutBatch(b)
-				return s.ctx.cause()
-			}
+			return s.send(s.ctx, b)
 		})
-		if err == errScanStopped {
-			return
-		}
 		if err != nil {
-			s.errc <- err
-			return
+			return err
 		}
 	}
+	return nil
 }
 
 // NextVecBatch implements VecSource.
 func (s *scanOp) NextVecBatch() (*types.VecBatch, error) {
 	vb, ok := <-s.vch
 	if !ok {
-		select {
-		case err := <-s.errc:
-			return nil, err
-		default:
-			return nil, nil
-		}
+		return nil, s.err()
 	}
 	return vb, nil
 }
 
-// produceRows is the RowMode producer: one channel send per row.
-func (s *scanOp) produceRows() {
-	defer s.wg.Done()
-	defer close(s.rowCh)
-	for _, sf := range s.node.SegFiles {
-		if sf.SegmentID != s.ctx.Segment {
-			continue
-		}
-		err := storage.Scan(s.ctx.FS, s.node.Table.Storage, s.node.Table.Schema, sf, s.node.Proj, func(row types.Row) error {
-			if s.node.Filter != nil {
-				ok, err := expr.EvalBool(s.node.Filter, row)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-			select {
-			case s.rowCh <- row:
-				return nil
-			case <-s.stop:
-				return errScanStopped
-			case <-s.ctx.doneCh():
-				return s.ctx.cause()
-			}
-		})
-		if err == errScanStopped {
-			return
-		}
-		if err != nil {
-			s.errc <- err
-			return
-		}
-	}
-}
+// NextBatch implements Operator.
+func (s *scanOp) NextBatch(b *types.Batch) (bool, error) { return s.next(b) }
 
-// NextBatch implements BatchOperator: it swaps the next decoded batch
-// into b, recycling b's previous arena through the pool.
-func (s *scanOp) NextBatch(b *types.Batch) (bool, error) {
-	if s.rowMode {
-		return nextBatchFromRows(s, b)
-	}
-	if s.vecMode {
-		// A consumer that enabled the vector path but pulls decoded
-		// batches anyway (mixed pipelines) gets survivors materialized.
-		vb, err := s.NextVecBatch()
-		if err != nil || vb == nil {
-			return false, err
-		}
-		err = vb.Materialize(b)
-		types.PutVecBatch(vb)
-		return err == nil, err
-	}
-	nb, ok := <-s.ch
-	if !ok {
-		select {
-		case err := <-s.errc:
-			return false, err
-		default:
-			return false, nil
-		}
-	}
-	*b, *nb = *nb, *b
-	types.PutBatch(nb)
-	return true, nil
-}
-
-// Next implements Operator.
-func (s *scanOp) Next() (types.Row, bool, error) {
-	if !s.rowMode {
-		return s.cur.next(s)
-	}
-	row, ok := <-s.rowCh
-	if !ok {
-		select {
-		case err := <-s.errc:
-			return nil, false, err
-		default:
-			return nil, false, nil
-		}
-	}
-	return row, true, nil
-}
-
-// Close implements Operator: it stops the producer, drains any batches
-// it already handed off back into the pool, and joins the goroutine so
-// no scan work (or pooled batch) outlives the operator.
+// Close implements Operator. The producer exits on the feed's stop, so
+// whatever it left in the vector channel is drained after the join.
 func (s *scanOp) Close() error {
-	if s.open {
-		s.open = false
-		close(s.stop)
-		// Drain so the producer goroutine exits.
-		switch {
-		case s.rowMode:
-			for range s.rowCh {
-			}
-		case s.vecMode:
-			for vb := range s.vch {
-				types.PutVecBatch(vb)
-			}
-		default:
-			for b := range s.ch {
-				types.PutBatch(b)
-			}
+	s.close()
+	if s.vch != nil {
+		for vb := range s.vch {
+			types.PutVecBatch(vb)
 		}
-		s.wg.Wait()
+		s.vch = nil
 	}
-	s.cur.release()
 	return nil
 }
 
-// externalScanOp bridges to the PXF engine.
+// externalScanOp bridges to the PXF engine, whose push-style row
+// callback fills pooled batches in a producer goroutine.
 type externalScanOp struct {
-	scanOpBase
+	batchFeed
 	ctx  *Context
 	node *plan.ExternalScan
-}
-
-// scanOpBase shares the channel plumbing between row-push scan-like
-// operators.
-type scanOpBase struct {
-	ch   chan types.Row
-	errc chan error
-	stop chan struct{}
-	wg   sync.WaitGroup
-	open bool
-}
-
-func (b *scanOpBase) init() {
-	b.ch = make(chan types.Row, 256)
-	b.errc = make(chan error, 1)
-	b.stop = make(chan struct{})
-	b.open = true
-}
-
-func (b *scanOpBase) next() (types.Row, bool, error) {
-	row, ok := <-b.ch
-	if !ok {
-		select {
-		case err := <-b.errc:
-			return nil, false, err
-		default:
-			return nil, false, nil
-		}
-	}
-	return row, true, nil
-}
-
-func (b *scanOpBase) close() {
-	if b.open {
-		b.open = false
-		close(b.stop)
-		for range b.ch {
-		}
-		b.wg.Wait()
-	}
 }
 
 func newExternalScanOp(ctx *Context, node *plan.ExternalScan) (Operator, error) {
@@ -438,39 +335,38 @@ func newExternalScanOp(ctx *Context, node *plan.ExternalScan) (Operator, error) 
 
 // Open implements Operator.
 func (e *externalScanOp) Open() error {
-	e.init()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer close(e.ch)
-		err := e.ctx.External.ScanExternal(e.node, e.ctx.Segment, func(row types.Row) error {
-			if e.node.Filter != nil {
-				ok, err := expr.EvalBool(e.node.Filter, row)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-			select {
-			case e.ch <- row:
-				return nil
-			case <-e.stop:
-				return errScanStopped
-			case <-e.ctx.doneCh():
-				return e.ctx.cause()
-			}
-		})
-		if err != nil && err != errScanStopped {
-			e.errc <- err
-		}
-	}()
+	e.start(e.produce)
 	return nil
 }
 
-// Next implements Operator.
-func (e *externalScanOp) Next() (types.Row, bool, error) { return e.next() }
+// produce copies the rows that pass the scan filter into a batch and
+// hands it over each time it reaches types.DefaultBatchRows.
+func (e *externalScanOp) produce() error {
+	b := types.GetBatch(0)
+	err := e.ctx.External.ScanExternal(e.node, e.ctx.Segment, func(row types.Row) error {
+		if e.node.Filter != nil {
+			ok, err := expr.EvalBool(e.node.Filter, row)
+			if err != nil || !ok {
+				return err
+			}
+		}
+		b.AppendRow(row)
+		if b.Len() < types.DefaultBatchRows {
+			return nil
+		}
+		full := b
+		b = types.GetBatch(0)
+		return e.send(e.ctx, full)
+	})
+	if err != nil || b.Len() == 0 {
+		types.PutBatch(b)
+		return err
+	}
+	return e.send(e.ctx, b)
+}
+
+// NextBatch implements Operator.
+func (e *externalScanOp) NextBatch(b *types.Batch) (bool, error) { return e.next(b) }
 
 // Close implements Operator.
 func (e *externalScanOp) Close() error {
@@ -478,10 +374,9 @@ func (e *externalScanOp) Close() error {
 	return nil
 }
 
-// appendOp concatenates children (partition scans), serving both the
-// row and batch interfaces over whichever each child supports.
+// appendOp concatenates children (partition scans).
 type appendOp struct {
-	ops []BatchOperator
+	ops []Operator
 	cur int
 }
 
@@ -492,7 +387,7 @@ func newAppendOp(ctx *Context, node *plan.Append) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.ops = append(a.ops, AsBatch(op))
+		a.ops = append(a.ops, op)
 	}
 	return a, nil
 }
@@ -517,24 +412,7 @@ func (a *appendOp) advance() error {
 	return nil
 }
 
-// Next implements Operator.
-func (a *appendOp) Next() (types.Row, bool, error) {
-	for a.cur < len(a.ops) {
-		row, ok, err := a.ops[a.cur].Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-		if err := a.advance(); err != nil {
-			return nil, false, err
-		}
-	}
-	return nil, false, nil
-}
-
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (a *appendOp) NextBatch(b *types.Batch) (bool, error) {
 	for a.cur < len(a.ops) {
 		ok, err := a.ops[a.cur].NextBatch(b)
@@ -563,46 +441,25 @@ func (a *appendOp) Close() error {
 	return err
 }
 
-// selectOp filters rows; the batch path compacts each input batch in
-// place. Its loops skip an unbounded number of non-matching inputs, so
-// both check the query context each iteration.
+// selectOp filters rows, compacting each input batch in place. Its loop
+// skips an unbounded number of non-matching batches, so it checks the
+// query context each iteration.
 type selectOp struct {
 	ctx  *Context
 	in   Operator
-	bin  BatchOperator
 	pred expr.Expr
 }
 
 // Open implements Operator.
 func (s *selectOp) Open() error { return s.in.Open() }
 
-// Next implements Operator.
-func (s *selectOp) Next() (types.Row, bool, error) {
-	for {
-		if err := s.ctx.canceled(); err != nil {
-			return nil, false, err
-		}
-		row, ok, err := s.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := expr.EvalBool(s.pred, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return row, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (s *selectOp) NextBatch(b *types.Batch) (bool, error) {
 	for {
 		if err := s.ctx.canceled(); err != nil {
 			return false, err
 		}
-		ok, err := s.bin.NextBatch(b)
+		ok, err := s.in.NextBatch(b)
 		if err != nil || !ok {
 			return false, err
 		}
@@ -618,11 +475,10 @@ func (s *selectOp) NextBatch(b *types.Batch) (bool, error) {
 // Close implements Operator.
 func (s *selectOp) Close() error { return s.in.Close() }
 
-// projectOp computes expressions; the batch path evaluates them over a
-// reused scratch batch into the caller's output batch.
+// projectOp computes expressions, evaluating them over a reused scratch
+// batch into the caller's output batch.
 type projectOp struct {
 	in      Operator
-	bin     BatchOperator
 	exprs   []expr.Expr
 	scratch *types.Batch
 }
@@ -630,29 +486,12 @@ type projectOp struct {
 // Open implements Operator.
 func (p *projectOp) Open() error { return p.in.Open() }
 
-// Next implements Operator.
-func (p *projectOp) Next() (types.Row, bool, error) {
-	row, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(types.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (p *projectOp) NextBatch(b *types.Batch) (bool, error) {
 	if p.scratch == nil {
 		p.scratch = types.GetBatch(0)
 	}
-	ok, err := p.bin.NextBatch(p.scratch)
+	ok, err := p.in.NextBatch(p.scratch)
 	if err != nil || !ok {
 		return false, err
 	}
@@ -668,8 +507,9 @@ func (p *projectOp) Close() error {
 	return p.in.Close()
 }
 
-// limitOp implements LIMIT/OFFSET; closing early propagates STOP through
-// motion operators below.
+// limitOp implements LIMIT/OFFSET by cutting its input batches; once the
+// limit is reached it stops pulling, and the early Close propagates STOP
+// through motion operators below.
 type limitOp struct {
 	ctx     *Context
 	in      Operator
@@ -677,49 +517,61 @@ type limitOp struct {
 	offset  int64
 	seen    int64
 	skipped int64
-	done    bool
 }
 
 // Open implements Operator.
 func (l *limitOp) Open() error { return l.in.Open() }
 
-// Next implements Operator.
-func (l *limitOp) Next() (types.Row, bool, error) {
-	if l.done || l.seen >= l.n {
-		return nil, false, nil
-	}
-	// The OFFSET-skipping phase can consume unboundedly many input rows
-	// before producing one, so observe cancellation each iteration.
-	for {
+// NextBatch implements Operator.
+func (l *limitOp) NextBatch(b *types.Batch) (bool, error) {
+	// The OFFSET-skipping phase can consume unboundedly many input
+	// batches before producing one, so observe cancellation each
+	// iteration.
+	for l.seen < l.n {
 		if err := l.ctx.canceled(); err != nil {
-			return nil, false, err
+			return false, err
 		}
-		row, ok, err := l.in.Next()
+		ok, err := l.in.NextBatch(b)
 		if err != nil || !ok {
-			l.done = true
-			return nil, false, err
+			return false, err
 		}
-		if l.skipped < l.offset {
-			l.skipped++
-			continue
+		rows := int64(b.Len())
+		lo := min(l.offset-l.skipped, rows)
+		hi := min(lo+l.n-l.seen, rows)
+		l.skipped += lo
+		l.seen += hi - lo
+		b.Slice(int(lo), int(hi))
+		if hi > lo {
+			return true, nil
 		}
-		l.seen++
-		return row, true, nil
 	}
+	return false, nil
 }
 
 // Close implements Operator.
 func (l *limitOp) Close() error { return l.in.Close() }
 
-// distinctOp removes duplicates by full-row encoding. Like selectOp its
-// loop can skip unboundedly many duplicates, so it checks the query
-// context each iteration.
+// distinctKeyMem is the retained cost of one DISTINCT key beyond its
+// encoded bytes: string header plus map-entry overhead.
+const distinctKeyMem = 48
+
+// distinctOp removes duplicates by full-row encoding, compacting each
+// input batch in place. Every retained key is charged to the query's
+// memory grant; there is no spill path, so exhausting the grant is a
+// clean out-of-memory error. Like selectOp its loop can skip
+// unboundedly many duplicates, so it checks the query context each
+// iteration.
 type distinctOp struct {
 	ctx  *Context
 	in   Operator
+	mem  memBudget
 	seen map[string]struct{}
 	buf  []byte
 }
+
+// setOpStats implements statsSink: DISTINCT charges its key-set peak to
+// this slot.
+func (d *distinctOp) setOpStats(st *obs.OpStats) { d.mem.st = st }
 
 // Open implements Operator.
 func (d *distinctOp) Open() error {
@@ -727,27 +579,42 @@ func (d *distinctOp) Open() error {
 	return d.in.Open()
 }
 
-// Next implements Operator.
-func (d *distinctOp) Next() (types.Row, bool, error) {
+// NextBatch implements Operator.
+func (d *distinctOp) NextBatch(b *types.Batch) (bool, error) {
 	for {
 		if err := d.ctx.canceled(); err != nil {
-			return nil, false, err
+			return false, err
 		}
-		row, ok, err := d.in.Next()
+		ok, err := d.in.NextBatch(b)
 		if err != nil || !ok {
-			return nil, false, err
+			return false, err
 		}
-		d.buf = types.EncodeRow(d.buf[:0], row)
-		if _, dup := d.seen[string(d.buf)]; dup {
-			continue
+		kept := 0
+		for i := 0; i < b.Len(); i++ {
+			d.buf = types.EncodeRow(d.buf[:0], b.Row(i))
+			if _, dup := d.seen[string(d.buf)]; dup {
+				continue
+			}
+			if err := d.mem.growHard(int64(len(d.buf)) + distinctKeyMem); err != nil {
+				return false, err
+			}
+			d.seen[string(d.buf)] = struct{}{}
+			b.MoveRow(kept, i)
+			kept++
 		}
-		d.seen[string(d.buf)] = struct{}{}
-		return row, true, nil
+		b.Truncate(kept)
+		if kept > 0 {
+			return true, nil
+		}
 	}
 }
 
 // Close implements Operator.
-func (d *distinctOp) Close() error { return d.in.Close() }
+func (d *distinctOp) Close() error {
+	d.seen = nil
+	d.mem.releaseAll()
+	return d.in.Close()
+}
 
 // valuesOp emits literal rows.
 type valuesOp struct {
@@ -761,14 +628,15 @@ func (v *valuesOp) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (v *valuesOp) Next() (types.Row, bool, error) {
-	if v.pos >= len(v.rows) {
-		return nil, false, nil
+// NextBatch implements Operator.
+func (v *valuesOp) NextBatch(b *types.Batch) (bool, error) {
+	b.Reset(0)
+	end := min(v.pos+types.DefaultBatchRows, len(v.rows))
+	for _, row := range v.rows[v.pos:end] {
+		b.AppendRow(row)
 	}
-	row := v.rows[v.pos]
-	v.pos++
-	return row, true, nil
+	v.pos = end
+	return b.Len() > 0, nil
 }
 
 // Close implements Operator.

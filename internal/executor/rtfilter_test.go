@@ -278,11 +278,13 @@ func TestZoneMapStats(t *testing.T) {
 	}
 }
 
-// TestAggVecMatchesRowPath is the encoded-execution property test at
+// TestAggVecMatchesBatchPath is the encoded-execution property test at
 // the operator level: a hash aggregate absorbing still-encoded vector
-// batches from a CO scan must produce exactly the rows the row-at-a-time
-// path does, across random data shapes.
-func TestAggVecMatchesRowPath(t *testing.T) {
+// batches from a CO scan (NextVecBatch) must produce exactly the rows it
+// does absorbing decoded batches (NextBatch — the same filter in a
+// Select above the scan, which is no VecSource), and both must match
+// the plain-loop reference, across random data shapes.
+func TestAggVecMatchesBatchPath(t *testing.T) {
 	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -304,13 +306,17 @@ func TestAggVecMatchesRowPath(t *testing.T) {
 			rows = append(rows, types.Row{g, types.NewInt64(int64(i / 50)), types.NewInt64(rng.Int63n(1000))})
 		}
 		desc, segFiles := writeCOTable(t, fs, int64(10+trial), fmt.Sprintf("agg%d", trial), schema, rows)
-		mkAgg := func() *plan.HashAgg {
+		filter := expr.NewBinOp(expr.OpGe, &expr.ColRef{Idx: 1, K: types.KindInt64}, expr.NewConst(types.NewInt64(3)))
+		mkAgg := func(pushed bool) *plan.HashAgg {
+			scan := &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: schema}
+			var in plan.Node = scan
+			if pushed {
+				scan.Filter = filter
+			} else {
+				in = &plan.Select{Input: scan, Pred: filter}
+			}
 			return &plan.HashAgg{
-				Input: &plan.Scan{
-					Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles,
-					Filter: expr.NewBinOp(expr.OpGe, &expr.ColRef{Idx: 1, K: types.KindInt64}, expr.NewConst(types.NewInt64(3))),
-					Schema: schema,
-				},
+				Input:  in,
 				Phase:  plan.AggSingle,
 				Groups: []expr.Expr{&expr.ColRef{Idx: 0, K: types.KindString}},
 				Aggs: []expr.AggSpec{
@@ -326,14 +332,15 @@ func TestAggVecMatchesRowPath(t *testing.T) {
 				),
 			}
 		}
-		vecRows := collect(t, &Context{Segment: 0, FS: fs}, mkAgg())
-		rowRows := collect(t, &Context{Segment: 0, FS: fs, RowMode: true}, mkAgg())
-		key := func(r types.Row) string { return fmt.Sprint(r) }
-		sort.Slice(vecRows, func(i, j int) bool { return key(vecRows[i]) < key(vecRows[j]) })
-		sort.Slice(rowRows, func(i, j int) bool { return key(rowRows[i]) < key(rowRows[j]) })
-		if !reflect.DeepEqual(vecRows, rowRows) {
-			t.Fatalf("trial %d: vec agg != row agg\nvec=%v\nrow=%v", trial, vecRows, rowRows)
+		ctx := &Context{Segment: 0, FS: fs}
+		for _, pushed := range []bool{true, false} {
+			if vec := mustBuild(t, ctx, mkAgg(pushed)).(*hashAggOp).vecIn != nil; vec != pushed {
+				t.Fatalf("trial %d: filter pushed=%v but vector absorb=%v", trial, pushed, vec)
+			}
 		}
+		want := refRows(t, mkAgg(true), map[string][]types.Row{desc.Name: rows})
+		sameRows(t, collect(t, ctx, mkAgg(true)), want, false)
+		sameRows(t, collect(t, ctx, mkAgg(false)), want, false)
 	}
 }
 

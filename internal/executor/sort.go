@@ -26,7 +26,6 @@ const defaultSortMemRows = 1 << 18
 type sortOp struct {
 	ctx  *Context
 	in   Operator
-	bin  BatchOperator
 	keys []plan.OrderKey
 
 	mem      memBudget
@@ -37,7 +36,6 @@ type sortOp struct {
 	// merge state
 	heads    []types.Row // current head row per source (runs + final buf)
 	sources  []rowSource
-	lastSrc  int // source whose head was handed out by the last Next
 	inClosed bool
 }
 
@@ -62,7 +60,7 @@ func newSortOp(ctx *Context, in Operator, keys []plan.OrderKey) *sortOp {
 	if lim <= 0 {
 		lim = defaultSortMemRows
 	}
-	return &sortOp{ctx: ctx, in: in, bin: ctx.batchInput(in), keys: keys, memLimit: lim, mem: memBudget{ctx: ctx}, lastSrc: -1}
+	return &sortOp{ctx: ctx, in: in, keys: keys, memLimit: lim, mem: memBudget{ctx: ctx}}
 }
 
 // compareRows orders rows by the sort keys (NULLs first, as in
@@ -85,7 +83,7 @@ func (s *sortOp) Open() error {
 	if err := s.in.Open(); err != nil {
 		return err
 	}
-	err := drainRows(s.ctx, s.bin, s.in, func(row types.Row) error {
+	err := drainRows(s.ctx, s.in, func(row types.Row) error {
 		c := row.Clone()
 		over, err := s.mem.grow(rowMem(c))
 		if err != nil {
@@ -125,7 +123,6 @@ func (s *sortOp) Open() error {
 			s.heads[i] = row
 		}
 	}
-	s.lastSrc = -1
 	return nil
 }
 
@@ -189,37 +186,35 @@ func (s *sortOp) spill() error {
 	return nil
 }
 
-// Next implements Operator: k-way merge across runs. Refilling the
-// source that produced the previous row is deferred to the next call —
-// a workfile run's head is a view into its reader batch, so advancing
-// the source any earlier would invalidate the row just handed out.
-func (s *sortOp) Next() (types.Row, bool, error) {
-	if s.lastSrc >= 0 {
-		row, ok, err := s.sources[s.lastSrc].next()
+// NextBatch implements Operator: k-way merge across runs. A workfile
+// run's head is a view into its reader batch, so it is copied into b
+// before its source advances.
+func (s *sortOp) NextBatch(b *types.Batch) (bool, error) {
+	b.Reset(0)
+	for b.Len() < types.DefaultBatchRows {
+		best := -1
+		for i, h := range s.heads {
+			if h == nil {
+				continue
+			}
+			if best == -1 || compareRows(h, s.heads[best], s.keys) < 0 {
+				best = i
+			}
+		}
+		if best == -1 {
+			break
+		}
+		b.AppendRow(s.heads[best])
+		row, ok, err := s.sources[best].next()
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
-		if ok {
-			s.heads[s.lastSrc] = row
-		} else {
-			s.heads[s.lastSrc] = nil
+		if !ok {
+			row = nil
 		}
-		s.lastSrc = -1
+		s.heads[best] = row
 	}
-	best := -1
-	for i, h := range s.heads {
-		if h == nil {
-			continue
-		}
-		if best == -1 || compareRows(h, s.heads[best], s.keys) < 0 {
-			best = i
-		}
-	}
-	if best == -1 {
-		return nil, false, nil
-	}
-	s.lastSrc = best
-	return s.heads[best], true, nil
+	return b.Len() > 0, nil
 }
 
 // Close implements Operator.

@@ -213,8 +213,15 @@ func TestSpillOOMWithoutStore(t *testing.T) {
 
 func TestSpillObservesCancel(t *testing.T) {
 	// Cancel the query mid-probe of a spilled join: the operator must
-	// surface the cause and leave no workfiles behind after Close.
-	left, right := bigJoinInputs()
+	// surface the cause and leave no workfiles behind after Close. The
+	// probe side is long enough that the first output batch leaves most
+	// partitions unjoined.
+	_, right := bigJoinInputs()
+	var lrows [][]int64
+	for i := 0; i < 8000; i++ {
+		lrows = append(lrows, []int64{int64(i % 150), int64(i)})
+	}
+	left := valuesNode(intsSchema("lk", "lv"), lrows...)
 	j := &plan.HashJoin{
 		Kind: plan.InnerJoin, Left: left, Right: right,
 		LeftKeys: []int{0}, RightKeys: []int{0},
@@ -232,13 +239,15 @@ func TestSpillObservesCancel(t *testing.T) {
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := op.Next(); err != nil || !ok {
-		t.Fatalf("first probe row: ok=%v err=%v", ok, err)
+	b := types.GetBatch(0)
+	defer types.PutBatch(b)
+	if ok, err := op.NextBatch(b); err != nil || !ok {
+		t.Fatalf("first probe batch: ok=%v err=%v", ok, err)
 	}
 	cancel(cause)
 	var lastErr error
 	for i := 0; i < 1_000_000; i++ {
-		_, ok, err := op.Next()
+		ok, err := op.NextBatch(b)
 		if err != nil {
 			lastErr = err
 			break
@@ -253,7 +262,7 @@ func TestSpillObservesCancel(t *testing.T) {
 	if st.Live() != 0 {
 		t.Fatalf("%d workfiles survive cancel + Close", st.Live())
 	}
-	if lastErr != nil && !errors.Is(lastErr, cause) {
-		t.Fatalf("unexpected error: %v", lastErr)
+	if !errors.Is(lastErr, cause) {
+		t.Fatalf("got %v after the cancel, want its cause", lastErr)
 	}
 }

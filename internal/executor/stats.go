@@ -70,12 +70,9 @@ type statsSink interface {
 	setOpStats(*obs.OpStats)
 }
 
-// wrap decorates a freshly built operator with stats recording,
-// preserving batch-ness: a BatchOperator input gets a decorator that is
-// itself a BatchOperator, so RunSlice/Drain still choose the vectorized
-// pump and parents still capture the batch interface through AsBatch.
-// Nodes the recorder has not numbered (synthetic nodes an operator
-// constructor invented) pass through unwrapped.
+// wrap decorates a freshly built operator with stats recording. Nodes
+// the recorder has not numbered (synthetic nodes an operator constructor
+// invented) pass through unwrapped.
 func (r *StatsRecorder) wrap(n plan.Node, op Operator) Operator {
 	st, ok := r.byNode[n]
 	if !ok {
@@ -84,63 +81,35 @@ func (r *StatsRecorder) wrap(n plan.Node, op Operator) Operator {
 	if sink, ok := op.(statsSink); ok {
 		sink.setOpStats(st)
 	}
-	if bop, ok := op.(BatchOperator); ok {
-		d := &batchStatsOp{rowStatsOp: rowStatsOp{in: op, st: st, clk: r.clk}, bin: bop}
-		d.vs, _ = op.(VecSource)
-		return d
-	}
-	return &rowStatsOp{in: op, st: st, clk: r.clk}
+	d := &statsOp{in: op, st: st, clk: r.clk}
+	d.vs, _ = op.(VecSource)
+	return d
 }
 
-// rowStatsOp decorates a row-only operator: rows emitted and inclusive
+// statsOp decorates an operator: rows and batches emitted, and inclusive
 // wall time (children included, Postgres-style — the child's decorator
-// runs inside this one's clock window).
-type rowStatsOp struct {
+// runs inside this one's clock window). Accounting is amortized: two
+// clock reads and two adds per batch (~1k rows), so EXPLAIN ANALYZE
+// stays within the instrumentation-overhead budget.
+type statsOp struct {
 	in  Operator
 	st  *obs.OpStats
 	clk clock.Clock
+	vs  VecSource // non-nil when the wrapped operator can emit encoded vectors
 }
 
 // Open implements Operator.
-func (o *rowStatsOp) Open() error {
+func (o *statsOp) Open() error {
 	start := o.clk.Now()
 	err := o.in.Open()
 	o.st.Wall += o.clk.Since(start)
 	return err
 }
 
-// Next implements Operator.
-func (o *rowStatsOp) Next() (types.Row, bool, error) {
+// NextBatch implements Operator.
+func (o *statsOp) NextBatch(b *types.Batch) (bool, error) {
 	start := o.clk.Now()
-	row, ok, err := o.in.Next()
-	o.st.Wall += o.clk.Since(start)
-	if ok && err == nil {
-		o.st.Rows++
-	}
-	return row, ok, err
-}
-
-// Close implements Operator.
-func (o *rowStatsOp) Close() error {
-	start := o.clk.Now()
-	err := o.in.Close()
-	o.st.Wall += o.clk.Since(start)
-	return err
-}
-
-// batchStatsOp decorates a vectorized operator. Batch-path accounting
-// is amortized: two clock reads and two adds per batch (~1k rows), so
-// EXPLAIN ANALYZE stays within the instrumentation-overhead budget.
-type batchStatsOp struct {
-	rowStatsOp
-	bin BatchOperator
-	vs  VecSource // non-nil when the wrapped operator can emit encoded vectors
-}
-
-// NextBatch implements BatchOperator.
-func (o *batchStatsOp) NextBatch(b *types.Batch) (bool, error) {
-	start := o.clk.Now()
-	ok, err := o.bin.NextBatch(b)
+	ok, err := o.in.NextBatch(b)
 	o.st.Wall += o.clk.Since(start)
 	if ok && err == nil {
 		o.st.Batches++
@@ -149,15 +118,23 @@ func (o *batchStatsOp) NextBatch(b *types.Batch) (bool, error) {
 	return ok, err
 }
 
+// Close implements Operator.
+func (o *statsOp) Close() error {
+	start := o.clk.Now()
+	err := o.in.Close()
+	o.st.Wall += o.clk.Since(start)
+	return err
+}
+
 // EnableVec implements VecSource by delegation; a decorated operator
 // without a vector path reports false.
-func (o *batchStatsOp) EnableVec() bool {
+func (o *statsOp) EnableVec() bool {
 	return o.vs != nil && o.vs.EnableVec()
 }
 
 // NextVecBatch implements VecSource, charging the encoded batch's
 // selected rows to the same slot the decoded path would.
-func (o *batchStatsOp) NextVecBatch() (*types.VecBatch, error) {
+func (o *statsOp) NextVecBatch() (*types.VecBatch, error) {
 	start := o.clk.Now()
 	vb, err := o.vs.NextVecBatch()
 	o.st.Wall += o.clk.Since(start)

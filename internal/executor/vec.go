@@ -15,9 +15,9 @@ import (
 type VecSource interface {
 	// EnableVec switches the operator into encoded-vector delivery for
 	// this execution. It reports false when the vector path is
-	// unavailable (row-oriented storage, RowMode, or a filter the vector
-	// kernels cannot fully consume), in which case the consumer falls
-	// back to NextBatch. Must be called before Open.
+	// unavailable (a filter the vector kernels cannot fully consume), in
+	// which case the consumer falls back to NextBatch. Must be called
+	// before Open.
 	EnableVec() bool
 	// NextVecBatch returns the next vector batch with the scan's filter
 	// already applied to its selection, or nil at end of stream.

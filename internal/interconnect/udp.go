@@ -19,7 +19,7 @@ type UDPConfig struct {
 	// MaxPayload is the largest Send payload in bytes (default 8 KiB:
 	// one datagram per payload, comfortably under typical MTU+jumbo
 	// limits without IP fragmentation). The executor's motion operators
-	// must keep their accumulation target (executor.Context.MotionPayload)
+	// must keep their accumulation target (executor.DefaultMotionPayload)
 	// at or below this, with headroom for the row that straddles the
 	// flush threshold — Send fails outright on oversized payloads.
 	MaxPayload int

@@ -78,7 +78,7 @@ func (w *aoWriter) Tuples() int64 { return w.tuples }
 // aoLayout is the scan layout of an AO lane: one file of row-major
 // blocks, each transposed into a flat vector per projected column.
 func aoLayout(sf catalog.SegFile, proj []int) *layout {
-	l := &layout{paths: []string{sf.Path}, lens: []int64{sf.LogicalLen}, parse: parseBlock, rowMajor: true}
+	l := &layout{paths: []string{sf.Path}, lens: []int64{sf.LogicalLen}, parse: parseAOBlock, rowMajor: true}
 	l.project(proj, func(c int) colSrc { return colSrc{col: c} })
 	return l
 }

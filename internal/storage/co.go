@@ -131,7 +131,7 @@ func (w *coWriter) Tuples() int64 { return w.tuples }
 // zero-column scan (COUNT(*)) walks only the smallest column file —
 // every one of them carries the row counts — and reads no payload.
 func coLayout(sf catalog.SegFile, proj []int) (*layout, error) {
-	l := &layout{parse: parseBlock}
+	l := &layout{parse: parseCOBlock}
 	if len(sf.ColLens) == 0 {
 		return l, nil // never committed
 	}

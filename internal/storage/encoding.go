@@ -7,12 +7,12 @@ import (
 	"hawq/internal/types"
 )
 
-// Per-page lightweight encodings (the enc byte in a v2 page header).
+// Per-page lightweight encodings (the enc byte in a page header).
 // The payload these describe is what gets compressed by the block
 // codec, so a well-encoded page is both smaller on disk and cheaper to
 // evaluate: predicates run once per run or per dictionary entry.
 const (
-	// pageEncFlat is the v1 layout: one EncodeDatum per row.
+	// pageEncFlat is one EncodeDatum per row.
 	pageEncFlat = 0
 	// pageEncRLE stores (runLen uvarint, EncodeDatum value) pairs.
 	pageEncRLE = 1

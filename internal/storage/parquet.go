@@ -13,12 +13,7 @@ import (
 	"hawq/internal/types"
 )
 
-// groupMagic marks a v1 row group: flat chunks, no page metadata.
-// Readers still accept it for files written before encodings and zone
-// maps existed.
-const groupMagic = 0xB3
-
-// groupMagicV2 marks a v2 row group carrying a per-column encoding
+// groupMagicV2 marks a row group, which carries a per-column encoding
 // byte and zone map ahead of the chunk lengths, so a scan can skip a
 // group (or decide how to decode a chunk) from the header alone.
 const groupMagicV2 = 0xB4
@@ -141,19 +136,14 @@ func (w *parquetWriter) Lens() (int64, []int64) { return w.total, nil }
 // Tuples implements Writer.
 func (w *parquetWriter) Tuples() int64 { return w.tuples }
 
-// parseGroup is the parseFn of Parquet files: one v1 or v2 row group,
-// a chunk per column. Every group of a file has the same column count.
+// parseGroup is the parseFn of Parquet files: one row group, a chunk
+// per column. Every group of a file has the same column count.
 func parseGroup(d []byte, off int64, dir *fileDir) error {
 	short := truncated("storage: truncated group header")
 	if len(d) == 0 {
 		return short
 	}
-	v2 := false
-	switch d[0] {
-	case groupMagic:
-	case groupMagicV2:
-		v2 = true
-	default:
+	if d[0] != groupMagicV2 {
 		return fmt.Errorf("storage: bad row group magic 0x%02x at %d", d[0], off)
 	}
 	p := 1
@@ -186,24 +176,22 @@ func parseGroup(d []byte, off int64, dir *fileDir) error {
 	}
 	for i := 0; i < int(ncols); i++ {
 		ch := chunkMeta{rawLen: -1, zoneOff: int32(len(dir.zones))}
-		if v2 {
-			if p >= len(d) {
-				return fail(truncated("storage: truncated column metadata"))
-			}
-			ch.enc = d[p]
-			p++
-			zoneLen, n := binary.Uvarint(d[p:])
-			if n <= 0 {
-				return fail(truncated("storage: truncated column metadata"))
-			}
-			p += n
-			if uint64(len(d)-p) < zoneLen {
-				return fail(truncated("storage: truncated zone map"))
-			}
-			ch.zoneLen = int32(zoneLen)
-			dir.zones = append(dir.zones, d[p:p+int(zoneLen)]...)
-			p += int(zoneLen)
+		if p >= len(d) {
+			return fail(truncated("storage: truncated column metadata"))
 		}
+		ch.enc = d[p]
+		p++
+		zoneLen, n := binary.Uvarint(d[p:])
+		if n <= 0 {
+			return fail(truncated("storage: truncated column metadata"))
+		}
+		p += n
+		if uint64(len(d)-p) < zoneLen {
+			return fail(truncated("storage: truncated zone map"))
+		}
+		ch.zoneLen = int32(zoneLen)
+		dir.zones = append(dir.zones, d[p:p+int(zoneLen)]...)
+		p += int(zoneLen)
 		dir.chunks = append(dir.chunks, ch)
 	}
 	for i := nchunks; i < len(dir.chunks); i++ {

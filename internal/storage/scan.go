@@ -34,7 +34,7 @@ type chunkMeta struct {
 	// zoneOff and zoneLen locate the chunk's zone-map bytes in the
 	// directory's zone arena (zoneLen 0: no zone information).
 	zoneOff, zoneLen int32
-	// enc is the page encoding (pageEncFlat for v1 blocks and AO).
+	// enc is the page encoding (pageEncFlat for AO).
 	enc byte
 }
 
@@ -89,22 +89,32 @@ func (e truncated) Error() string { return string(e) }
 // chunkMetas and their zone bytes. The whole block must lie inside d.
 type parseFn func(d []byte, off int64, dir *fileDir) error
 
-// parseBlock is the parseFn of AO and CO files: one v1 or v2 block (see
-// appendBlock, appendBlockV2).
-func parseBlock(d []byte, off int64, dir *fileDir) error {
+// parseAOBlock is the parseFn of AO files: a flat block (appendBlock).
+func parseAOBlock(d []byte, off int64, dir *fileDir) error {
+	return parseBlock(blockMagic, d, off, dir)
+}
+
+// parseCOBlock is the parseFn of CO files: a block that carries its page
+// encoding and zone map (appendBlockV2).
+func parseCOBlock(d []byte, off int64, dir *fileDir) error {
+	return parseBlock(blockMagicV2, d, off, dir)
+}
+
+// parseBlock parses one block of the format magic names; any other
+// first byte is not a block of this file.
+func parseBlock(magic byte, d []byte, off int64, dir *fileDir) error {
 	short := truncated("storage: truncated block header")
 	if len(d) < 2 {
 		return short
 	}
+	if d[0] != magic {
+		return fmt.Errorf("storage: bad block magic 0x%02x at offset %d", d[0], off)
+	}
 	ch := chunkMeta{zoneOff: int32(len(dir.zones))}
 	p := 1
-	switch d[0] {
-	case blockMagic:
-	case blockMagicV2:
+	if magic == blockMagicV2 {
 		ch.enc = d[1]
 		p = 2
-	default:
-		return fmt.Errorf("storage: bad block magic 0x%02x at offset %d", d[0], off)
 	}
 	rowCount, n := binary.Uvarint(d[p:])
 	if n <= 0 {
@@ -112,7 +122,7 @@ func parseBlock(d []byte, off int64, dir *fileDir) error {
 	}
 	p += n
 	var zone []byte
-	if d[0] == blockMagicV2 {
+	if magic == blockMagicV2 {
 		zoneLen, n := binary.Uvarint(d[p:])
 		if n <= 0 {
 			return short

@@ -26,15 +26,13 @@ import (
 // DefaultBlockTarget is the uncompressed block size writers aim for.
 const DefaultBlockTarget = 64 * 1024
 
-// blockMagic marks a v1 block: flat datum payload, no page metadata.
-// Readers still accept it so files written before encodings and zone
-// maps keep scanning.
+// blockMagic marks an AO block: flat datum payload, no page metadata (a
+// row-oriented payload has no per-column encoding to describe).
 const blockMagic = 0xA7
 
-// blockMagicV2 marks a v2 block, whose header additionally carries the
-// page encoding byte and the zone-map bytes. CO writers emit only v2
-// blocks; AO blocks stay v1 (a row-oriented payload has no per-column
-// encoding to describe).
+// blockMagicV2 marks a CO block, whose header additionally carries the
+// page encoding byte and the zone-map bytes. Each format's reader
+// accepts its own magic only.
 const blockMagicV2 = 0xA8
 
 // pagesSkipped counts pages (CO aligned block sets, Parquet row groups)
@@ -198,7 +196,7 @@ func ColFilePath(base string, col int) string {
 	return fmt.Sprintf("%s.c%d", base, col)
 }
 
-// appendBlock frames payload as one checksummed, compressed v1 block:
+// appendBlock frames payload as one checksummed, compressed AO block:
 //
 //	magic(1) | rowCount uvarint | rawLen uvarint | compLen uvarint |
 //	crc32(comp)(4) | comp bytes

@@ -1,13 +1,11 @@
 package storage
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hawq/internal/catalog"
-	"hawq/internal/compress"
 	"hawq/internal/hdfs"
 	"hawq/internal/types"
 )
@@ -188,132 +186,44 @@ func TestEncodePageChoosesEncodings(t *testing.T) {
 	}
 }
 
-// writeV1CO writes rows in the pre-zone-map v1 CO format (flat pages,
-// 0xA7 block framing), replicating the old writer byte for byte.
-func writeV1CO(t *testing.T, fs *hdfs.FileSystem, codec compress.Codec, path string, rows []types.Row, pageRows int) catalog.SegFile {
-	t.Helper()
-	ncols := len(rows[0])
-	sf := catalog.SegFile{Path: path, ColLens: make([]int64, ncols), Tuples: int64(len(rows))}
-	for c := 0; c < ncols; c++ {
-		w, err := fs.CreateOrAppend(ColFilePath(path, c), hdfs.CreateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(rows); i += pageRows {
-			end := min(i+pageRows, len(rows))
-			var raw []byte
-			for _, r := range rows[i:end] {
-				raw = types.EncodeDatum(raw, r[c])
-			}
-			block := appendBlock(nil, codec, end-i, raw)
-			if _, err := w.Write(block); err != nil {
-				t.Fatal(err)
-			}
-			sf.ColLens[c] += int64(len(block))
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		sf.LogicalLen += sf.ColLens[c]
-	}
-	return sf
-}
-
-// writeV1Parquet writes rows in the pre-zone-map v1 Parquet format
-// (0xB3 groups without column metadata).
-func writeV1Parquet(t *testing.T, fs *hdfs.FileSystem, codec compress.Codec, path string, rows []types.Row, groupRows int) catalog.SegFile {
-	t.Helper()
-	ncols := len(rows[0])
-	sf := catalog.SegFile{Path: path, Tuples: int64(len(rows))}
-	w, err := fs.CreateOrAppend(path, hdfs.CreateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(rows); i += groupRows {
-		end := min(i+groupRows, len(rows))
-		chunks := make([][]byte, ncols)
-		for c := 0; c < ncols; c++ {
-			var raw []byte
-			for _, r := range rows[i:end] {
-				raw = types.EncodeDatum(raw, r[c])
-			}
-			chunks[c] = codec.Compress(nil, raw)
-		}
-		out := []byte{groupMagic}
-		out = binary.AppendUvarint(out, uint64(end-i))
-		out = binary.AppendUvarint(out, uint64(ncols))
-		for _, c := range chunks {
-			out = binary.AppendUvarint(out, uint64(len(c)))
-		}
-		for _, c := range chunks {
-			var crc [4]byte
-			binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(c))
-			out = append(out, crc[:]...)
-			out = append(out, c...)
-		}
-		if _, err := w.Write(out); err != nil {
-			t.Fatal(err)
-		}
-		sf.LogicalLen += int64(len(out))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return sf
-}
-
-// TestV1FormatStillScans round-trips old-format fixture bytes through
-// the new readers: files written before page encodings and zone maps
-// must scan identically through the row, batch, and vector paths.
-func TestV1FormatStillScans(t *testing.T) {
-	rows := testRows(3000)
-	t.Run("co", func(t *testing.T) {
+// TestOldMagicIsBadMagic: the readers of the retired formats are gone —
+// a CO block under the flat-block magic (0xA7, AO's) or a Parquet group
+// under the old group magic (0xB3) is a clean bad-magic error from every
+// scan entry point, cached or not, never a mis-scan of the bytes behind
+// it.
+func TestOldMagicIsBadMagic(t *testing.T) {
+	for _, tc := range []struct {
+		spec  catalog.StorageSpec
+		magic byte
+	}{
+		{catalog.StorageSpec{Orientation: catalog.OrientColumn, Codec: "quicklz"}, blockMagic},
+		{catalog.StorageSpec{Orientation: catalog.OrientParquet, Codec: "snappy"}, 0xB3},
+	} {
 		fs := testFS(t)
-		codec, err := compress.Lookup("quicklz")
+		sf := writeAll(t, fs, tc.spec, testRows(3000))
+		path := sf.Path
+		if tc.spec.Orientation == catalog.OrientColumn {
+			path = ColFilePath(sf.Path, 0)
+		}
+		data, err := fs.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := catalog.StorageSpec{Orientation: catalog.OrientColumn, Codec: "quicklz"}
-		sf := writeV1CO(t, fs, codec, "/data/v1/co", rows, 700)
-		for _, got := range [][]types.Row{
-			scanAll(t, fs, spec, sf, allCols),
-			scanAllVec(t, fs, spec, sf, allCols, nil, nil),
-			// Zone predicates over v1 pages (no zone maps) must not
-			// prune anything.
-			scanAllVec(t, fs, spec, sf, allCols, []ZonePred{{Col: 0, Op: ZoneLt, Val: types.NewInt64(10)}}, nil),
-		} {
-			if len(got) != len(rows) {
-				t.Fatalf("scanned %d of %d v1 rows", len(got), len(rows))
-			}
-			for i := range rows {
-				if !reflect.DeepEqual(got[i], rows[i]) {
-					t.Fatalf("v1 row %d mismatch: %v != %v", i, got[i], rows[i])
-				}
-			}
-		}
-	})
-	t.Run("parquet", func(t *testing.T) {
-		fs := testFS(t)
-		codec, err := compress.Lookup("snappy")
-		if err != nil {
+		data[0] = tc.magic
+		if err := fs.WriteFile(path, data, hdfs.CreateOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		spec := catalog.StorageSpec{Orientation: catalog.OrientParquet, Codec: "snappy"}
-		sf := writeV1Parquet(t, fs, codec, "/data/v1/pq", rows, 700)
-		for _, got := range [][]types.Row{
-			scanAll(t, fs, spec, sf, allCols),
-			scanAllVec(t, fs, spec, sf, allCols, nil, nil),
+		drop := func(vb *types.VecBatch) error { types.PutVecBatch(vb); return nil }
+		for name, err := range map[string]error{
+			"Scan":           Scan(fs, tc.spec, testSchema(), sf, allCols, func(types.Row) error { return nil }),
+			"ScanVecBatches": ScanVecBatches(fs, tc.spec, testSchema(), sf, allCols, nil, nil, drop),
+			"cached":         NewBlockCache().ScanVecBatches(fs, tc.spec, testSchema(), sf, allCols, nil, nil, drop),
 		} {
-			if len(got) != len(rows) {
-				t.Fatalf("scanned %d of %d v1 rows", len(got), len(rows))
-			}
-			for i := range rows {
-				if !reflect.DeepEqual(got[i], rows[i]) {
-					t.Fatalf("v1 row %d mismatch", i)
-				}
+			if err == nil || !strings.Contains(err.Error(), "magic") {
+				t.Errorf("%s %s over magic 0x%02x: %v", tc.spec.Orientation, name, tc.magic, err)
 			}
 		}
-	})
+	}
 }
 
 // TestScanVecBatchesRowOrientation: an AO block arrives transposed into

@@ -109,14 +109,23 @@ func (b *Batch) extendRaw(n int) {
 // AppendRow appends a copy of r. The first row appended to an empty
 // zero-width batch fixes the batch width; afterwards every row must
 // match it (a mismatch indicates a planner bug and panics).
-func (b *Batch) AppendRow(r Row) {
+func (b *Batch) AppendRow(r Row) { b.AppendConcat(r, nil) }
+
+// AppendConcat appends one row holding a copy of l followed by a copy of
+// r — a join's output row, built in the arena rather than in a slice of
+// its own. Width rules are AppendRow's, over len(l)+len(r).
+func (b *Batch) AppendConcat(l, r Row) {
+	w := len(l) + len(r)
 	if b.n == 0 && b.width == 0 {
-		b.width = len(r)
+		b.width = w
 	}
-	if len(r) != b.width {
-		panic(fmt.Sprintf("types: appending %d-column row to %d-column batch", len(r), b.width))
+	if w != b.width {
+		panic(fmt.Sprintf("types: appending %d-column row to %d-column batch", w, b.width))
 	}
-	copy(b.AddRow(), r)
+	b.extendRaw(1)
+	row := b.arena[len(b.arena)-w:]
+	copy(row, l)
+	copy(row[len(l):], r)
 }
 
 // MoveRow copies row src over row dst (dst <= src), the primitive batch
@@ -132,6 +141,16 @@ func (b *Batch) MoveRow(dst, src int) {
 func (b *Batch) Truncate(n int) {
 	b.n = n
 	b.arena = b.arena[:n*b.width]
+}
+
+// Slice keeps rows [lo, hi) and drops the rest, moving the kept rows to
+// the front of the arena (LIMIT/OFFSET cutting inside a batch).
+func (b *Batch) Slice(lo, hi int) {
+	if lo > 0 {
+		copy(b.arena, b.arena[lo*b.width:hi*b.width])
+	}
+	b.n = hi - lo
+	b.arena = b.arena[:b.n*b.width]
 }
 
 // batchPool recycles batches (and their arenas) across pipeline stages.

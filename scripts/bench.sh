@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh runs the vectorized-execution micro-benchmarks (row vs batch
-# for encode/decode, storage scans — including the encoded CO path with
+# bench.sh runs the execution micro-benchmarks (row vs batch for
+# encode/decode and the storage-level scans, which still serve
+# compaction and the Stinger baseline — including the encoded CO path with
 # zone-map page skipping against the filter-batch baseline, and a
 # query-sized projection of a 16-column table against all of it
 # (ScanAO/proj3of16, ScanCO/proj4of16 beside their /full16), and that
@@ -38,12 +39,13 @@
 #                               # BENCH_concurrency.json (the smoke
 #                               # sweep's JSON goes under build/)
 #
-# The row/batch pairs share one benchmark with /row and /batch
-# sub-benchmarks, so the JSON always carries both sides of each
-# comparison. Full runs repeat every benchmark 3 times and keep the
-# fastest sample per name, so a single noisy scheduling quantum on a
-# shared machine cannot fake a regression (or an overhead) that is
-# not there.
+# The types and storage benchmarks carry /row and /batch sub-benchmarks
+# side by side. The executor has one data path, so its benchmarks have
+# only the /batch name they always had (the last row-path numbers are
+# archived in EXPERIMENTS.md). Full runs repeat every benchmark 3 times
+# and keep the fastest sample per name, so a single noisy scheduling
+# quantum on a shared machine cannot fake a regression (or an overhead)
+# that is not there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
