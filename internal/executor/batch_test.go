@@ -253,6 +253,86 @@ func TestDistinctHonoursMemoryGrant(t *testing.T) {
 	}
 }
 
+// TestVecScanErrorReachesAgg: a hash agg absorbing encoded vectors from a
+// scan that fails must return the scan's error, never the aggregate of
+// whatever arrived first. The producer's end-of-stream and its error
+// reach the consumer from different steps of its goroutine, so each case
+// is looped (scripts/check.sh re-runs the test under -cpu 2,8).
+func TestVecScanErrorReachesAgg(t *testing.T) {
+	colK := &expr.ColRef{Idx: 0, K: types.KindInt64}
+	colV := &expr.ColRef{Idx: 1, K: types.KindInt64}
+	for _, tc := range []struct {
+		name         string
+		nrows, iters int
+		lenDelta     int64 // added to every committed column length
+	}{
+		// Lengths past the physical end: the scan fails before its first
+		// block. Cheap, so this is the case with the iterations.
+		{"fails-at-open", 3000, 20000, 64},
+		// Lengths that cut the second block short: the first block's
+		// groups are in the agg when the scan fails.
+		{"fails-after-a-block", 10000, 1000, -5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, err := hdfs.New(hdfs.Config{DataNodes: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]types.Row, tc.nrows)
+			for i := range rows {
+				rows[i] = types.Row{types.NewInt64(int64(i)), types.NewInt64(int64(i % 13))}
+			}
+			desc, segFiles := writeCOTable(t, fs, 7, "bad", intsSchema("k", "v"), rows)
+			for i := range segFiles[0].ColLens {
+				segFiles[0].ColLens[i] += tc.lenDelta
+			}
+			tree := &plan.HashAgg{
+				Input:  &plan.Scan{Table: desc, Proj: []int{0, 1}, SegFiles: segFiles, Schema: desc.Schema},
+				Phase:  plan.AggSingle,
+				Groups: []expr.Expr{colV},
+				Aggs:   []expr.AggSpec{{Kind: expr.AggSum, Arg: colK}},
+				Schema: intsSchema("v", "sum"),
+			}
+			if vs, ok := mustBuild(t, &Context{Segment: 0, FS: fs}, tree.Input).(VecSource); !ok || !vs.EnableVec() {
+				t.Fatal("scan did not enter vector mode: the test no longer covers the vec hand-off")
+			}
+			iters := tc.iters
+			if testing.Short() {
+				iters /= 10
+			}
+			for i := 0; i < iters; i++ {
+				n := 0
+				err := Drain(nil, mustBuild(t, &Context{Segment: 0, FS: fs}, tree), func(types.Row) error { n++; return nil })
+				if err == nil {
+					t.Fatalf("iteration %d: failing scan drained cleanly with %d groups", i, n)
+				}
+			}
+		})
+	}
+}
+
+// TestVecModeScanRejectsNextBatch: a scan switched to vector delivery
+// and then pulled through NextBatch reports an error rather than a clean
+// empty result.
+func TestVecModeScanRejectsNextBatch(t *testing.T) {
+	fs, desc, segFiles := writeIntsTable(t, 100)
+	op := mustBuild(t, &Context{Segment: 0, FS: fs}, &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: desc.Schema})
+	if !op.(VecSource).EnableVec() {
+		t.Fatal("unfiltered scan refused vector mode")
+	}
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := types.GetBatch(0)
+	defer types.PutBatch(b)
+	if ok, err := op.NextBatch(b); ok || err == nil {
+		t.Fatalf("NextBatch in vector mode = (%v, %v), want an error", ok, err)
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBatchPipelineAllocBudget pins the amortized allocation cost of the
 // operators that write into the caller's batch: well under one
 // allocation per output row. Catches regressions that reintroduce

@@ -19,13 +19,28 @@ var errScanStopped = errors.New("executor: scan stopped")
 // goroutine and the operator (each entry is a whole block's rows).
 const scanBatchDepth = 4
 
+// feedItem is one hand-off from a producer goroutine: a materialized
+// batch or, from a scan in vector mode, a still-encoded vector batch.
+type feedItem struct {
+	b  *types.Batch
+	vb *types.VecBatch
+}
+
+// release returns the item's batch to its pool.
+func (it feedItem) release() {
+	types.PutBatch(it.b)
+	types.PutVecBatch(it.vb)
+}
+
 // batchFeed is the bounded channel between a push-style producer
 // goroutine (a storage or PXF scan) and the pull-based operator in front
-// of it. The producer is joined by close, and exits — returning its
-// in-flight batch to the pool — when the consumer abandons the scan
-// early or the per-query context is canceled.
+// of it. It owns the whole producer lifecycle for both kinds of batch:
+// one channel, one end-of-stream, one error path. The producer is joined
+// by close, and exits — returning its in-flight batch to the pool — when
+// the consumer abandons the scan early or the per-query context is
+// canceled.
 type batchFeed struct {
-	ch   chan *types.Batch
+	ch   chan feedItem
 	errc chan error
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -33,9 +48,11 @@ type batchFeed struct {
 }
 
 // start runs produce in a goroutine; its error, unless it is the
-// consumer's own stop, surfaces from next after the last batch.
+// consumer's own stop, surfaces from next/nextVec after the last batch.
+// The error is published before the channel closes, so a consumer that
+// sees end-of-stream always sees the error with it.
 func (f *batchFeed) start(produce func() error) {
-	f.ch = make(chan *types.Batch, scanBatchDepth)
+	f.ch = make(chan feedItem, scanBatchDepth)
 	f.errc = make(chan error, 1)
 	f.stop = make(chan struct{})
 	f.open = true
@@ -49,17 +66,17 @@ func (f *batchFeed) start(produce func() error) {
 	}()
 }
 
-// send hands b to the consumer, or releases it when the consumer
-// stopped or the query was canceled.
-func (f *batchFeed) send(ctx *Context, b *types.Batch) error {
+// put hands it to the consumer, or releases it when the consumer stopped
+// or the query was canceled.
+func (f *batchFeed) put(ctx *Context, it feedItem) error {
 	select {
-	case f.ch <- b:
+	case f.ch <- it:
 		return nil
 	case <-f.stop:
-		types.PutBatch(b)
+		it.release()
 		return errScanStopped
 	case <-ctx.doneCh():
-		types.PutBatch(b)
+		it.release()
 		return ctx.cause()
 	}
 }
@@ -75,19 +92,39 @@ func (f *batchFeed) err() error {
 }
 
 // next swaps the next produced batch into b, recycling b's previous
-// arena through the pool.
+// arena through the pool. A vector batch here means the consumer enabled
+// vector delivery and then pulled rows: an error, never a silent
+// end-of-stream.
 func (f *batchFeed) next(b *types.Batch) (bool, error) {
-	nb, ok := <-f.ch
+	it, ok := <-f.ch
 	if !ok {
 		return false, f.err()
 	}
-	*b, *nb = *nb, *b
-	types.PutBatch(nb)
+	if it.b == nil {
+		it.release()
+		return false, errors.New("executor: NextBatch on a scan in vector mode")
+	}
+	*b, *it.b = *it.b, *b
+	types.PutBatch(it.b)
 	return true, nil
 }
 
-// close stops the producer, drains any batches it already handed off
-// back into the pool, and joins the goroutine so no scan work (or pooled
+// nextVec returns the next produced vector batch (the caller releases
+// it), or nil at end of stream.
+func (f *batchFeed) nextVec() (*types.VecBatch, error) {
+	it, ok := <-f.ch
+	if !ok {
+		return nil, f.err()
+	}
+	if it.vb == nil {
+		it.release()
+		return nil, errors.New("executor: NextVecBatch on a scan in row-batch mode")
+	}
+	return it.vb, nil
+}
+
+// close stops the producer, drains whatever it already handed off back
+// into the pools, and joins the goroutine so no scan work (or pooled
 // batch) outlives the operator.
 func (f *batchFeed) close() {
 	if !f.open {
@@ -95,8 +132,8 @@ func (f *batchFeed) close() {
 	}
 	f.open = false
 	close(f.stop)
-	for b := range f.ch {
-		types.PutBatch(b)
+	for it := range f.ch {
+		it.release()
 	}
 	f.wg.Wait()
 }
@@ -121,7 +158,6 @@ type scanOp struct {
 	node *plan.Scan
 
 	vecMode bool // consumer called EnableVec: deliver vector batches
-	vch     chan *types.VecBatch
 
 	zonePreds []storage.ZonePred
 	opStats   *obs.OpStats
@@ -198,9 +234,6 @@ func (s *scanOp) EnableVec() bool {
 
 // Open implements Operator: it starts the storage reader goroutine.
 func (s *scanOp) Open() error {
-	if s.vecMode {
-		s.vch = make(chan *types.VecBatch, scanBatchDepth)
-	}
 	s.start(s.produce)
 	return nil
 }
@@ -221,9 +254,6 @@ func (s *scanOp) produce() error {
 			s.opStats.CacheMisses += st.CacheMisses
 		}
 	}()
-	if s.vecMode {
-		defer close(s.vch)
-	}
 	for _, sf := range s.node.SegFiles {
 		if sf.SegmentID != s.ctx.Segment {
 			continue
@@ -256,16 +286,7 @@ func (s *scanOp) produce() error {
 			}
 			if s.vecMode {
 				// vecMode requires VecFilterable, so residual is nil here.
-				select {
-				case s.vch <- vb:
-					return nil
-				case <-s.stop:
-					types.PutVecBatch(vb)
-					return errScanStopped
-				case <-s.ctx.doneCh():
-					types.PutVecBatch(vb)
-					return s.ctx.cause()
-				}
+				return s.put(s.ctx, feedItem{vb: vb})
 			}
 			b := types.GetBatch(0)
 			err = vb.Materialize(b)
@@ -284,7 +305,7 @@ func (s *scanOp) produce() error {
 				types.PutBatch(b)
 				return nil
 			}
-			return s.send(s.ctx, b)
+			return s.put(s.ctx, feedItem{b: b})
 		})
 		if err != nil {
 			return err
@@ -294,27 +315,14 @@ func (s *scanOp) produce() error {
 }
 
 // NextVecBatch implements VecSource.
-func (s *scanOp) NextVecBatch() (*types.VecBatch, error) {
-	vb, ok := <-s.vch
-	if !ok {
-		return nil, s.err()
-	}
-	return vb, nil
-}
+func (s *scanOp) NextVecBatch() (*types.VecBatch, error) { return s.nextVec() }
 
 // NextBatch implements Operator.
 func (s *scanOp) NextBatch(b *types.Batch) (bool, error) { return s.next(b) }
 
-// Close implements Operator. The producer exits on the feed's stop, so
-// whatever it left in the vector channel is drained after the join.
+// Close implements Operator.
 func (s *scanOp) Close() error {
 	s.close()
-	if s.vch != nil {
-		for vb := range s.vch {
-			types.PutVecBatch(vb)
-		}
-		s.vch = nil
-	}
 	return nil
 }
 
@@ -356,13 +364,13 @@ func (e *externalScanOp) produce() error {
 		}
 		full := b
 		b = types.GetBatch(0)
-		return e.send(e.ctx, full)
+		return e.put(e.ctx, feedItem{b: full})
 	})
 	if err != nil || b.Len() == 0 {
 		types.PutBatch(b)
 		return err
 	}
-	return e.send(e.ctx, b)
+	return e.put(e.ctx, feedItem{b: b})
 }
 
 // NextBatch implements Operator.

@@ -59,6 +59,12 @@
 #                                  corruption at the storage layer, the
 #                                  pooled-batch ownership test, and the
 #                                  TPC-H differential on all formats
+#   4g. scan-error gate          — a failing scan under a vector-mode
+#                                  hash agg must surface its error, not
+#                                  a partial aggregate: the looped case
+#                                  re-run under -race at -cpu 2,8, the
+#                                  widths at which the lost-error
+#                                  ordering was reproduced
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -150,6 +156,9 @@ go test -race -count=1 -run 'TestCache|TestProjectionParity' ./internal/storage 
 go test -race -count=1 -run 'TestPooledBatchDropsSharedVectors' ./internal/types
 go test -race -count=1 -run 'TestScanStatsIdenticalColdAndWarm' ./internal/executor
 go test -race -count=1 -run 'TestWarmEqualsCold' ./internal/tpch
+
+echo "==> scan-error gate (-race -cpu 2,8)"
+go test -race -count=1 -cpu 2,8 -run 'TestVecScanErrorReachesAgg|TestVecModeScanRejectsNextBatch' ./internal/executor
 
 echo "==> bench smoke (-benchtime=1x -race)"
 scripts/bench.sh --smoke
