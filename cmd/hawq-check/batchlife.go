@@ -25,7 +25,9 @@ import (
 //     column Vector taken out of VecBatch.Cols is a view in the same
 //     sense: once the batch is back in the pool its next user refills
 //     the vector's slices, or — when the vector was shared by the block
-//     cache — the slot now holds someone else's column.
+//     cache — the slot now holds someone else's column. So is a typed
+//     slice read out of such a column (vb.Cols[i].Ints), which no longer
+//     even says whose it is.
 //
 // The analysis is deliberately intraprocedural and source-ordered:
 // conditional puts (inside if/for/select arms) only poison their own
@@ -131,9 +133,12 @@ func (b *batchLifeScan) stmt(st ast.Stmt) {
 				delete(b.released, obj)
 				delete(b.deferPut, obj)
 			}
-			if isViewType(obj.Type(), b.c.BatchPkg) && i < len(s.Rhs) {
+			if !isViewType(obj.Type(), b.c.BatchPkg) && !isSlice(obj.Type()) {
+				continue
+			}
+			if i < len(s.Rhs) {
 				b.trackRow(obj, s.Rhs[i])
-			} else if isViewType(obj.Type(), b.c.BatchPkg) && len(s.Rhs) == 1 {
+			} else if len(s.Rhs) == 1 {
 				b.trackRow(obj, s.Rhs[0])
 			}
 		}
@@ -283,6 +288,13 @@ func (b *batchLifeScan) trackRow(obj types.Object, rhs ast.Expr) {
 	if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		rhs = ast.Unparen(u.X)
 	}
+	// A field read out of a column (vb.Cols[i].Ints) aliases what the
+	// column does.
+	if sel, ok := rhs.(*ast.SelectorExpr); ok {
+		if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok && isSlice(b.pkg.Info.TypeOf(sel)) {
+			rhs = ix
+		}
+	}
 	if ix, ok := rhs.(*ast.IndexExpr); ok {
 		if sel, ok := ast.Unparen(ix.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Cols" {
 			if recv := exprObject(b.pkg, sel.X); recv != nil && isBatchPtr(recv.Type(), b.c.BatchPkg) {
@@ -389,6 +401,16 @@ func putNameFor(t types.Type) string {
 		}
 	}
 	return "PutBatch"
+}
+
+// isSlice reports whether t is a slice: what a column's typed storage
+// is read out as.
+func isSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Slice)
+	return ok
 }
 
 // isViewType reports whether t can alias a pooled batch's memory:

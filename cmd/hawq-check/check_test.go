@@ -49,6 +49,7 @@ func TestFixtures(t *testing.T) {
 		{"goleakbad", analyzerGoleak},
 		{"errdropbad", analyzerErrdrop},
 		{"simbad", analyzerDeterminism},
+		{"planorderbad", analyzerDeterminism},
 		{"docbad", analyzerDocstrings},
 		{"lockorderbad", analyzerLockorder},
 		{"ctxflowbad", analyzerCtxflow},
@@ -61,7 +62,8 @@ func TestFixtures(t *testing.T) {
 			c := newFixtureChecker(t, tc.analyzer)
 			switch tc.analyzer {
 			case analyzerDeterminism:
-				c.DeterminismPkgs = []string{"fixmod/internal/" + tc.dir}
+				c.DeterminismPkgs = []string{"fixmod/internal/simbad"}
+				c.PlanOrderPkgs = []string{"fixmod/internal/planorderbad"}
 			case analyzerCtxflow:
 				c.CtxflowPkgs = []string{"fixmod/internal/" + tc.dir}
 			case analyzerBatchlife:

@@ -51,6 +51,10 @@ type Checker struct {
 	// DeterminismPkgs are the import paths whose code must route
 	// time/rand through injected sources (the simulated components).
 	DeterminismPkgs []string
+	// PlanOrderPkgs are the import paths whose output is a plan: one
+	// statement over one snapshot must plan one way, so nothing there
+	// may range over a map (the determinism analyzer's second rule).
+	PlanOrderPkgs []string
 	// CtxflowPkgs are the import paths whose unbounded loops and
 	// blocking selects must observe query cancellation (ctx.Done /
 	// Ctx.Err on some path) — the ctxflow analyzer's scope.
@@ -123,6 +127,13 @@ var defaultDeterminismPkgs = []string{
 	"internal/wal",
 }
 
+// defaultPlanOrderPkgs lists the packages (relative to the module path)
+// that build plans, where map iteration order would become plan choice.
+var defaultPlanOrderPkgs = []string{
+	"internal/plan",
+	"internal/planner",
+}
+
 // defaultCtxflowPkgs lists the query-path packages (relative to the
 // module path) whose unbounded loops must observe cancellation: the
 // packages a stuck query would wedge.
@@ -158,6 +169,9 @@ func NewChecker(dir string) (*Checker, error) {
 	}
 	for _, p := range defaultDeterminismPkgs {
 		c.DeterminismPkgs = append(c.DeterminismPkgs, modPath+"/"+p)
+	}
+	for _, p := range defaultPlanOrderPkgs {
+		c.PlanOrderPkgs = append(c.PlanOrderPkgs, modPath+"/"+p)
 	}
 	for _, p := range defaultCtxflowPkgs {
 		c.CtxflowPkgs = append(c.CtxflowPkgs, modPath+"/"+p)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // analyzerDeterminism enforces replayability in the simulated
@@ -16,9 +17,16 @@ import (
 // seeded *rand.Rand so fault-injection experiments replay
 // deterministically. Constructing a seeded generator (rand.New,
 // rand.NewSource, rand.NewZipf) is allowed — that is the convention.
+//
+// Its second rule covers the packages that build plans
+// (Checker.PlanOrderPkgs — internal/plan, internal/planner): a range
+// over a map there is a finding, because Go randomizes map iteration
+// and whatever the loop chooses among becomes a plan choice — the greedy
+// join order once drew two to six plans for one statement that way.
+// Collect the keys and sort them, or keep a slice beside the map.
 var analyzerDeterminism = &Analyzer{
 	Name: nameDeterminism,
-	Doc:  "direct time.Now/time.Sleep/global math/rand in simulated components",
+	Doc:  "direct time.Now/time.Sleep/global math/rand in simulated components; map ranges in plan builders",
 	Run:  runDeterminism,
 }
 
@@ -45,13 +53,20 @@ var seededRandConstructors = map[string]bool{
 }
 
 func runDeterminism(c *Checker, pkg *Package) {
-	simulated := false
-	for _, p := range c.DeterminismPkgs {
-		if pkg.Path == p {
-			simulated = true
+	if slices.Contains(c.PlanOrderPkgs, pkg.Path) {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if r, ok := n.(*ast.RangeStmt); ok {
+					if _, isMap := pkg.Info.TypeOf(r.X).Underlying().(*types.Map); isMap {
+						c.report(pkg, r.Pos(), nameDeterminism,
+							"range over a map where plans are built; iteration order is random and must not reach a plan — range over sorted keys or a slice")
+					}
+				}
+				return true
+			})
 		}
 	}
-	if !simulated {
+	if !slices.Contains(c.DeterminismPkgs, pkg.Path) {
 		return
 	}
 	for _, file := range pkg.Files {

@@ -141,3 +141,25 @@ func CleanSharedVector(cached fixtypes.Vector) int64 {
 	fixtypes.PutVecBatch(vb)
 	return first
 }
+
+// VecTypedSliceAfterPut reads a column's typed storage out and keeps it
+// past the release: a bare slice, with nothing left to say the pool's
+// next user is about to build into it.
+func VecTypedSliceAfterPut() int64 {
+	vb := fixtypes.GetVecBatch(1)
+	vals := vb.Cols[0].Values
+	fixtypes.PutVecBatch(vb)
+	return vals[0]
+}
+
+// CleanTypedSlice sums a column's typed storage while it owns the batch.
+func CleanTypedSlice() int64 {
+	vb := fixtypes.GetVecBatch(1)
+	vals := vb.Cols[0].Values
+	var sum int64
+	for _, x := range vals {
+		sum += x
+	}
+	fixtypes.PutVecBatch(vb)
+	return sum
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hawq/internal/engine"
+	"hawq/internal/types"
 )
 
 func testServer(t *testing.T) *Server {
@@ -254,5 +255,69 @@ func TestConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestMistypedComparisonIsAnError: a comparison of operands that do not
+// compare — a DATE with a BIGINT, a TEXT with a number, in text or
+// through a placeholder — is an error on the connection that sent it,
+// on row and column tables alike. It used to reach types.Compare, which
+// panics, in a QE goroutine nothing recovers: one statement from one
+// client ended the process, every other session with it. The second
+// connection here is that other session.
+func TestMistypedComparisonIsAnError(t *testing.T) {
+	srv := testServer(t)
+	a, err := Connect(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Connect(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, with := range []string{"appendonly=true", "appendonly=true, orientation=column"} {
+		ddl := fmt.Sprintf("DROP TABLE IF EXISTS t; CREATE TABLE t (k INT8, d DATE, s TEXT) WITH (%s) DISTRIBUTED BY (k); "+
+			"INSERT INTO t VALUES (1, DATE '1995-01-01', 'abc'), (2, DATE '1995-01-02', 'def')", with)
+		if _, err := a.Query(ddl); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			"SELECT k FROM t WHERE d = 9131",
+			"SELECT k FROM t WHERE s = 1",
+			"SELECT k FROM t WHERE k = 'abc'",
+			"SELECT k FROM t WHERE s < d",
+			"SELECT k FROM t WHERE d BETWEEN 1 AND 2",
+			"SELECT k FROM t WHERE s IN (1, 2)",
+			"SELECT CASE k WHEN 'one' THEN 1 ELSE 0 END FROM t",
+			"SELECT count(*) FROM t WHERE 9131 = d",
+		} {
+			if _, err := a.Query(sql); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+				t.Errorf("%s (%s): err %v, want a cannot-compare error", sql, with, err)
+			}
+			if res, err := b.QueryOne("SELECT count(*) FROM t WHERE d = DATE '1995-01-02' AND s = 'def' AND k = 2"); err != nil || res.Rows[0][0].Int() != 1 {
+				t.Fatalf("the other connection after %s: %v %+v", sql, err, res)
+			}
+		}
+		// A placeholder nothing types at prepare time takes the kind of
+		// what the client sends; what it is compared with decides.
+		if err := a.Prepare("p", "SELECT count(*) FROM t WHERE $1 = $2"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.ExecPrepared("p", types.NewInt64(1), types.NewString("x")); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+			t.Errorf("$1 = $2 with a number and a string: err %v", err)
+		}
+		if res, err := a.ExecPrepared("p", types.NewInt64(1), types.NewInt64(1)); err != nil || res.Rows[0][0].Int() != 2 {
+			t.Errorf("$1 = $2 with two numbers: %v %+v", err, res)
+		}
+		if err := a.Deallocate("p"); err != nil {
+			t.Fatal(err)
+		}
+		// What does compare still does: a date with a date string, a
+		// decimal with an integer.
+		if res, err := a.QueryOne("SELECT count(*) FROM t WHERE d = '1995-01-01' AND d BETWEEN '1994-12-31' AND '1995-01-01' AND k < 1.5"); err != nil || res.Rows[0][0].Int() != 1 {
+			t.Errorf("comparable operands: %v %+v", err, res)
+		}
 	}
 }

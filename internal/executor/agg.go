@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 
 	"hawq/internal/expr"
@@ -13,9 +15,10 @@ import (
 // hashAggOp groups input rows by the group expressions and folds each
 // aggregate. It serves all three phases (§3's two-phase aggregation):
 // the planner arranges the specs so that a partial phase's outputs line
-// up with the final phase's inputs. The encoded group key is rebuilt in
-// a reused scratch buffer per input row, and the map lookup is
-// non-allocating — only a new group pays for a key copy.
+// up with the final phase's inputs. A group is a dense id: the map from
+// encoded group key to id is consulted without allocating, only a new
+// group pays for a key copy, and each aggregate keeps the state of every
+// group in one expr.GroupAcc.
 //
 // When the group table outgrows its memory budget the agg spills
 // hybrid-style: groups already in memory keep absorbing their rows,
@@ -29,7 +32,9 @@ type hashAggOp struct {
 	in   Operator
 
 	mem      memBudget
-	groups   map[string]*aggGroup
+	groups   map[string]int32
+	keys     []types.Row     // by group id
+	accs     []expr.GroupAcc // by aggregate
 	order    []string
 	emitted  int
 	inClosed bool
@@ -43,14 +48,27 @@ type hashAggOp struct {
 	keyScratch types.Row
 	keyBuf     []byte
 
-	// vecIn is set when the input can deliver still-encoded vector
-	// batches (compressed execution): Open then absorbs through
-	// absorbVec, which evaluates group/agg expressions over per-column
-	// iterators and reuses one run- or dictionary-level group lookup
-	// where the encoding allows.
-	vecIn      VecSource
-	vecIters   []vecIter
-	vecScratch types.Row
+	// vecIn is set when the input delivers vector batches: Open then
+	// absorbs through absorbVec, a column at a time. prog computes the
+	// group expressions that are not plain columns, then the aggregate
+	// arguments; groupAt and argAt say where each is among its results
+	// (-1: a plain group column, read from the batch; COUNT(*), which
+	// has no argument).
+	vecIn   VecSource
+	prog    *expr.VecProg
+	groupAt []int
+	argAt   []int
+	// Per-batch scratch: the group of every surviving row, the group
+	// columns with the entry of every surviving row in each, the memo of
+	// groups by entry combination, the previous row's key, and the
+	// reader that rebuilds a whole row for the spill file.
+	gids    []int32
+	gvecs   []*types.Vector
+	gents   [][]int32
+	entBufs [][]int32
+	memo    []int32
+	prevKey []byte
+	rr      types.RowReader
 }
 
 // aggPart is one spilled partition of not-yet-aggregated input rows.
@@ -60,16 +78,16 @@ type aggPart struct {
 	level int
 }
 
-type aggGroup struct {
-	keys types.Row
-	accs []expr.Accumulator
-}
-
 // aggGroupMem estimates the retained bytes of one new group: cloned
 // key row, map key string, accumulators, and map-entry overhead.
 func aggGroupMem(keys types.Row, keyLen, naccs int) int64 {
 	return rowMem(keys) + int64(keyLen) + int64(48*naccs) + 96
 }
+
+// memoLimit bounds the entry combinations absorbVec remembers groups
+// for: a few dictionary or run-length group columns, not their product
+// gone wild.
+const memoLimit = 1 << 12
 
 func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 	in, err := Build(ctx, node.Input)
@@ -79,6 +97,29 @@ func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 	a := &hashAggOp{ctx: ctx, node: node, in: in, mem: memBudget{ctx: ctx}}
 	if vs, ok := in.(VecSource); ok && vs.EnableVec() {
 		a.vecIn = vs
+		var exprs []expr.Expr
+		at := func(e expr.Expr) int {
+			exprs = append(exprs, e)
+			return len(exprs) - 1
+		}
+		for _, g := range node.Groups {
+			if _, plain := g.(*expr.ColRef); plain {
+				a.groupAt = append(a.groupAt, -1)
+			} else {
+				a.groupAt = append(a.groupAt, at(g))
+			}
+		}
+		for _, spec := range node.Aggs {
+			if spec.Kind == expr.AggCountStar {
+				a.argAt = append(a.argAt, -1)
+			} else {
+				a.argAt = append(a.argAt, at(spec.Arg))
+			}
+		}
+		a.prog = expr.CompileVec(exprs)
+		a.gvecs = make([]*types.Vector, len(node.Groups))
+		a.gents = make([][]int32, len(node.Groups))
+		a.entBufs = make([][]int32, len(node.Groups))
 	}
 	return a, nil
 }
@@ -89,22 +130,70 @@ func (a *hashAggOp) setOpStats(st *obs.OpStats) {
 	a.mem.st = st
 }
 
+// newTable starts an empty group table.
+func (a *hashAggOp) newTable() {
+	a.groups = make(map[string]int32)
+	a.keys = a.keys[:0]
+	a.order = a.order[:0]
+	a.emitted = 0
+	a.accs = a.accs[:0]
+	for _, spec := range a.node.Aggs {
+		a.accs = append(a.accs, expr.NewGroupAcc(spec))
+	}
+}
+
+// lookup returns the group whose encoded key is a.keyBuf, or -1.
+func (a *hashAggOp) lookup() int32 {
+	if g, ok := a.groups[string(a.keyBuf)]; ok {
+		return g
+	}
+	return -1
+}
+
+// addGroup creates the group whose encoded key is a.keyBuf and whose key
+// values are keys (copied). It returns -1 instead when the table may
+// not grow — spilling has begun, or begins with this group — and the
+// row that asked must be diverted to a.sp.
+func (a *hashAggOp) addGroup(keys types.Row) (int32, error) {
+	if a.sp != nil {
+		return -1, nil
+	}
+	cost := aggGroupMem(keys, len(a.keyBuf), len(a.node.Aggs))
+	if a.noSpill {
+		if err := a.mem.growHard(cost); err != nil {
+			return -1, err
+		}
+	} else {
+		over, err := a.mem.grow(cost)
+		if err != nil {
+			return -1, err
+		}
+		if over {
+			a.sp, err = newSpillPartition(a.ctx, a.level, a.mem.st)
+			return -1, err
+		}
+	}
+	return a.newGroup(keys), nil
+}
+
+// newGroup enters a group into the table, unaccounted.
+func (a *hashAggOp) newGroup(keys types.Row) int32 {
+	g := int32(len(a.keys))
+	a.keys = append(a.keys, keys.Clone())
+	for _, acc := range a.accs {
+		acc.Grow(len(a.keys))
+	}
+	key := string(a.keyBuf)
+	a.groups[key] = g
+	a.order = append(a.order, key)
+	return g
+}
+
 // absorb folds one input row into its group, creating the group on first
 // sight — or, once spilling has begun, diverting rows for unseen keys to
 // their partition file. row may be an arena view; only datum values are
 // retained.
 func (a *hashAggOp) absorb(row types.Row) error {
-	grp, err := a.lookupGroup(row)
-	if err != nil || grp == nil {
-		return err // diverted to spill (or failed)
-	}
-	return a.accumulate(grp, row)
-}
-
-// lookupGroup finds or creates the group for row, leaving the encoded
-// group key in a.keyBuf. A nil group (and nil error) means the row was
-// diverted to a spill partition and is fully handled.
-func (a *hashAggOp) lookupGroup(row types.Row) (*aggGroup, error) {
 	if cap(a.keyScratch) < len(a.node.Groups) {
 		a.keyScratch = make(types.Row, len(a.node.Groups))
 	}
@@ -113,152 +202,171 @@ func (a *hashAggOp) lookupGroup(row types.Row) (*aggGroup, error) {
 	for i, g := range a.node.Groups {
 		v, err := g.Eval(row)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		keys[i] = v
 		a.keyBuf = types.EncodeDatum(a.keyBuf, v)
 	}
-	grp := a.groups[string(a.keyBuf)]
-	if grp == nil {
-		if a.sp != nil {
-			return nil, a.sp.addBytes(a.keyBuf, row)
-		}
-		cost := aggGroupMem(keys, len(a.keyBuf), len(a.node.Aggs))
-		if a.noSpill {
-			if err := a.mem.growHard(cost); err != nil {
-				return nil, err
-			}
-		} else {
-			over, err := a.mem.grow(cost)
-			if err != nil {
-				return nil, err
-			}
-			if over {
-				sp, err := newSpillPartition(a.ctx, a.level, a.mem.st)
-				if err != nil {
-					return nil, err
-				}
-				a.sp = sp
-				return nil, a.sp.addBytes(a.keyBuf, row)
-			}
-		}
-		grp = &aggGroup{keys: keys.Clone(), accs: make([]expr.Accumulator, len(a.node.Aggs))}
-		for i, spec := range a.node.Aggs {
-			grp.accs[i] = expr.NewAccumulator(spec)
-		}
-		key := string(a.keyBuf)
-		a.groups[key] = grp
-		a.order = append(a.order, key)
-	}
-	return grp, nil
-}
-
-// accumulate folds one row into an existing group.
-func (a *hashAggOp) accumulate(grp *aggGroup, row types.Row) error {
-	for i, spec := range a.node.Aggs {
-		if spec.Kind == expr.AggCountStar {
-			grp.accs[i].Add(types.NewInt64(1))
-			continue
-		}
-		v, err := spec.Arg.Eval(row)
-		if err != nil {
+	g := a.lookup()
+	if g < 0 {
+		var err error
+		if g, err = a.addGroup(keys); err != nil {
 			return err
 		}
-		grp.accs[i].Add(v)
+		if g < 0 {
+			return a.sp.addBytes(a.keyBuf, row)
+		}
+	}
+	for i, spec := range a.node.Aggs {
+		v := types.NewInt64(1)
+		if spec.Kind != expr.AggCountStar {
+			var err error
+			if v, err = spec.Arg.Eval(row); err != nil {
+				return err
+			}
+		}
+		a.accs[i].Add(g, v)
 	}
 	return nil
 }
 
-// absorbVec folds one still-encoded vector batch: selected rows are
-// assembled into a reused scratch row through per-column iterators (so
-// unselected rows of raw pages are skipped, not decoded), and when the
-// single group column arrives dictionary- or run-length-encoded the
-// group lookup is cached per code/run instead of re-encoded per row.
+// absorbVec folds one vector batch a column at a time: the group
+// expressions and aggregate arguments are evaluated as vectors over the
+// surviving rows, every row's group is resolved, and each aggregate
+// takes its argument vector and the group ids in one call. No row is
+// assembled unless it goes to a spill file.
 func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
-	ncols := len(vb.Cols)
-	if cap(a.vecIters) < ncols {
-		a.vecIters = make([]vecIter, ncols)
-	}
-	iters := a.vecIters[:ncols]
-	for j := range iters {
-		iters[j].reset(&vb.Cols[j])
-	}
-	if cap(a.vecScratch) < ncols {
-		a.vecScratch = make(types.Row, ncols)
-	}
-	scratch := a.vecScratch[:ncols]
-
-	// Group-key specialization: a single ColRef group over an encoded
-	// column lets one lookup serve a whole run or dictionary code.
-	gcol := -1
-	var gv *types.Vector
-	if len(a.node.Groups) == 1 {
-		if cr, ok := a.node.Groups[0].(*expr.ColRef); ok && cr.Idx < ncols {
-			gcol = cr.Idx
-			gv = &vb.Cols[gcol]
-		}
-	}
-	var codeGroups []*aggGroup
-	if gv != nil && gv.Enc == types.VecDict {
-		codeGroups = make([]*aggGroup, len(gv.Values))
-	}
-	var runGrp *aggGroup
-	runK := -1
-
-	emit := func(ri int32) error {
-		for j := range iters {
-			d, err := iters[j].at(ri)
-			if err != nil {
-				return err
-			}
-			scratch[j] = d
-		}
-		var grp *aggGroup
-		var err error
-		switch {
-		case codeGroups != nil:
-			c := gv.Codes[ri]
-			if grp = codeGroups[c]; grp == nil {
-				grp, err = a.lookupGroup(scratch)
-				// Never cache a spill diversion: later rows of this code
-				// must divert too, row by row.
-				if grp != nil && a.sp == nil {
-					codeGroups[c] = grp
-				}
-			}
-		case gv != nil && gv.Enc == types.VecRLE:
-			if k := iters[gcol].k; runK == k && runGrp != nil {
-				grp = runGrp
-			} else {
-				grp, err = a.lookupGroup(scratch)
-				if grp != nil && a.sp == nil {
-					runGrp, runK = grp, k
-				} else {
-					runGrp, runK = nil, -1
-				}
-			}
-		default:
-			grp, err = a.lookupGroup(scratch)
-		}
-		if err != nil || grp == nil {
-			return err
-		}
-		return a.accumulate(grp, scratch)
-	}
-	if sel := vb.Sel; sel != nil {
-		for _, ri := range sel {
-			if err := emit(ri); err != nil {
-				return err
-			}
-		}
+	m := vb.SelCount()
+	if m == 0 {
 		return nil
 	}
-	for i, n := 0, vb.Len(); i < n; i++ {
-		if err := emit(int32(i)); err != nil {
-			return err
+	if err := a.prog.Eval(vb); err != nil {
+		return err
+	}
+	if cap(a.gids) < m {
+		a.gids = make([]int32, m)
+	}
+	gids := a.gids[:m]
+	diverted, err := a.groupIDs(vb, gids)
+	if err != nil {
+		return err
+	}
+	for i, acc := range a.accs {
+		var v *types.Vector
+		if a.argAt[i] >= 0 {
+			v = a.prog.Result(a.argAt[i])
+		}
+		if !diverted {
+			acc.AddVec(gids, v)
+			continue
+		}
+		// Some rows of this batch went to the spill file: the others
+		// are folded one by one.
+		for r, g := range gids {
+			if g < 0 {
+				continue
+			}
+			d := types.NewInt64(1)
+			if v != nil {
+				d = v.Datum(r)
+			}
+			acc.Add(g, d)
 		}
 	}
 	return nil
+}
+
+// groupIDs resolves the group of every surviving row of vb into gids,
+// creating groups on first sight; a row diverted to the spill partition
+// gets -1, and diverted reports whether any was. A group column that
+// arrives dictionary- or run-length-encoded is looked up once per entry:
+// when every group expression is such a column, the group of each
+// combination of entries is remembered for the batch. Otherwise the key
+// is encoded per row straight from the typed vectors, and looked up
+// unless it repeats the previous row's.
+func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, err error) {
+	combos := 1
+	for j, g := range a.node.Groups {
+		if a.groupAt[j] >= 0 {
+			a.gvecs[j], a.gents[j] = a.prog.Result(a.groupAt[j]), nil
+			combos = memoLimit + 1
+			continue
+		}
+		col := g.(*expr.ColRef).Idx
+		if col >= len(vb.Cols) {
+			return false, fmt.Errorf("executor: group column %d out of range (batch width %d)", col, len(vb.Cols))
+		}
+		v := &vb.Cols[col]
+		a.gvecs[j] = v
+		a.gents[j], a.entBufs[j] = v.EntryIndex(vb.Sel, a.entBufs[j])
+		if v.Enc == types.VecFlat || v.Entries() == 0 {
+			combos = memoLimit + 1
+		} else if combos <= memoLimit {
+			combos *= v.Entries()
+		}
+	}
+	memo := a.memo[:0]
+	if len(a.node.Groups) > 0 && combos <= memoLimit {
+		for range combos {
+			memo = append(memo, -1)
+		}
+		a.memo = memo
+	}
+	if cap(a.keyScratch) < len(a.node.Groups) {
+		a.keyScratch = make(types.Row, len(a.node.Groups))
+	}
+	keys := a.keyScratch[:len(a.node.Groups)]
+	entry := func(j, r int) int {
+		if a.gents[j] != nil {
+			return int(a.gents[j][r])
+		}
+		return r
+	}
+	prev := int32(-1)
+	for r := range gids {
+		combo := 0
+		if len(memo) > 0 {
+			for j, v := range a.gvecs {
+				combo = combo*v.Entries() + entry(j, r)
+			}
+			if g := memo[combo]; g >= 0 {
+				gids[r] = g
+				continue
+			}
+		}
+		a.keyBuf = a.keyBuf[:0]
+		for j, v := range a.gvecs {
+			a.keyBuf = v.AppendEncoded(a.keyBuf, entry(j, r))
+		}
+		if prev >= 0 && bytes.Equal(a.keyBuf, a.prevKey) {
+			gids[r] = prev
+			continue
+		}
+		g := a.lookup()
+		if g < 0 {
+			for j, v := range a.gvecs {
+				keys[j] = v.Datum(entry(j, r))
+			}
+			if g, err = a.addGroup(keys); err != nil {
+				return false, err
+			}
+		}
+		if g < 0 {
+			// Never remembered: later rows of this key must divert too.
+			if !diverted {
+				diverted = true
+				a.rr.Reset(vb, nil)
+			}
+			if err := a.sp.addBytes(a.keyBuf, a.rr.Row(r)); err != nil {
+				return false, err
+			}
+		} else if len(memo) > 0 {
+			memo[combo] = g
+		}
+		gids[r], prev = g, g
+		a.prevKey = append(a.prevKey[:0], a.keyBuf...)
+	}
+	return diverted, nil
 }
 
 // sealSpill completes the current pass's spill partition (if any) and
@@ -282,9 +390,7 @@ func (a *hashAggOp) Open() error {
 	if err := a.in.Open(); err != nil {
 		return err
 	}
-	a.groups = make(map[string]*aggGroup)
-	a.order = a.order[:0]
-	a.emitted = 0
+	a.newTable()
 	a.level = 0
 	a.noSpill = false
 	if a.vecIn != nil {
@@ -316,12 +422,8 @@ func (a *hashAggOp) Open() error {
 	// carries count 0, so the final SUM over partial counts is 0 rather
 	// than NULL.
 	if len(a.node.Groups) == 0 && len(a.groups) == 0 && len(a.pending) == 0 {
-		grp := &aggGroup{accs: make([]expr.Accumulator, len(a.node.Aggs))}
-		for i, spec := range a.node.Aggs {
-			grp.accs[i] = expr.NewAccumulator(spec)
-		}
-		a.groups[""] = grp
-		a.order = append(a.order, "")
+		a.keyBuf = a.keyBuf[:0]
+		a.newGroup(nil)
 	}
 	// Deterministic output order helps tests; production order is
 	// arbitrary anyway. (A spilled agg is only sorted within each
@@ -337,9 +439,7 @@ func (a *hashAggOp) loadPart() error {
 	part := a.pending[0]
 	a.pending = a.pending[1:]
 	a.mem.releaseAll()
-	a.groups = make(map[string]*aggGroup)
-	a.order = a.order[:0]
-	a.emitted = 0
+	a.newTable()
 	a.level = part.level
 	a.noSpill = part.level > maxSpillLevel
 	cur, err := openCursor(part.file)
@@ -388,12 +488,12 @@ func (a *hashAggOp) NextBatch(b *types.Batch) (bool, error) {
 			}
 			continue
 		}
-		grp := a.groups[a.order[a.emitted]]
+		g := a.groups[a.order[a.emitted]]
 		a.emitted++
 		out := b.AddRow()
-		n := copy(out, grp.keys)
-		for i, acc := range grp.accs {
-			out[n+i] = acc.Result()
+		n := copy(out, a.keys[g])
+		for i, acc := range a.accs {
+			out[n+i] = acc.Result(g)
 		}
 	}
 	return b.Len() > 0, nil
@@ -403,6 +503,8 @@ func (a *hashAggOp) NextBatch(b *types.Batch) (bool, error) {
 // left unprocessed and returns the memory reservation.
 func (a *hashAggOp) Close() error {
 	a.groups = nil
+	a.keys = nil
+	a.accs = nil
 	a.order = nil
 	a.sp.remove()
 	a.sp = nil

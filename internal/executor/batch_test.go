@@ -3,6 +3,7 @@ package executor
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -398,6 +399,21 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 	in, out := testing.AllocsPerRun(5, absorbOnly), testing.AllocsPerRun(5, full)
 	if out-in > nrows/4 {
 		t.Errorf("emitting %d groups allocates %.0f times beyond the %.0f of absorbing them (budget %d)", nrows, out-in, in, nrows/4)
+	}
+	// The Q1 shape over warm vectors: absorbing a batch costs a constant
+	// number of allocations, not one per row — building the operators and
+	// growing their scratch, then nothing that scales with the 16 000 rows.
+	li, liFiles := writeCOTable(t, fs, 20, "li", liSchema, liRows(rand.New(rand.NewSource(3)), 4*nrows))
+	filter, groups, aggs := q1Shape()
+	warm := &Context{Segment: 0, FS: fs, Cache: newWarmCache(t, fs, li, liFiles)}
+	q1 := func() {
+		if got := collect(t, warm, liAgg(li, liFiles, filter, true, groups, aggs)); len(got) != 12 {
+			t.Fatalf("q1 shape: %d groups", len(got))
+		}
+	}
+	q1()
+	if avg := testing.AllocsPerRun(5, q1); avg > nrows/4 {
+		t.Errorf("the Q1 shape allocates %.0f times over %d rows (budget %d)", avg, 4*nrows, nrows/4)
 	}
 }
 

@@ -163,141 +163,26 @@ func (f *FilterHub) Lookup(id int32) *Bloom {
 	return e.merged
 }
 
-// applyBloomVec narrows vb.Sel to the rows of v whose key hash may be
-// in the filter, evaluating the membership test once per dictionary
-// entry or run where the encoding allows, and returning the number of
-// rows removed. buf is hash scratch, returned for reuse.
-func applyBloomVec(v *types.Vector, bloom *Bloom, vb *types.VecBatch, buf []byte) (int, []byte, error) {
+// applyBloomVec narrows vb.Sel to the rows of column col whose key hash
+// may be in the filter — one membership test per dictionary entry or run
+// where the column has those — and returns the number of rows removed.
+// buf is hash scratch, returned for reuse.
+func applyBloomVec(col int, bloom *Bloom, vb *types.VecBatch, buf []byte) (int, []byte) {
 	before := vb.SelCount()
-	pass := func(d types.Datum) bool {
-		if d.IsNull() {
-			// NULL keys never join; the filter exists to shed probe rows
-			// for Inner/Semi joins, where NULL-key rows are dropped anyway.
+	v := &vb.Cols[col]
+	vb.Narrow(col, func(e int) bool {
+		// NULL keys never join; the filter exists to shed probe rows
+		// for Inner/Semi joins, where NULL-key rows are dropped anyway.
+		if v.Null(e) {
 			return false
 		}
 		var h uint64
-		buf, h = rtfHash(buf, d)
+		buf, h = rtfHash(buf, v.Datum(e))
 		return bloom.MayContain(h)
-	}
-	var out []int32
-	n := vb.Len()
-	sel := vb.Sel
-	switch v.Enc {
-	case types.VecDict:
-		entry := make([]bool, len(v.Values))
-		for i, d := range v.Values {
-			entry[i] = pass(d)
-		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if entry[v.Codes[i]] {
-					out = append(out, int32(i))
-				}
-			}
-		} else {
-			for _, ri := range sel {
-				if entry[v.Codes[ri]] {
-					out = append(out, ri)
-				}
-			}
-		}
-	case types.VecRLE:
-		if sel == nil {
-			i := int32(0)
-			for k, run := range v.Runs {
-				if pass(v.Values[k]) {
-					for r := int32(0); r < run; r++ {
-						out = append(out, i+r)
-					}
-				}
-				i += run
-			}
-		} else {
-			if len(v.Runs) == 0 {
-				return 0, buf, fmt.Errorf("executor: non-empty selection over empty RLE vector")
-			}
-			k, runEnd := 0, v.Runs[0]
-			verdict := pass(v.Values[0])
-			for _, ri := range sel {
-				for k < len(v.Runs) && ri >= runEnd {
-					k++
-					if k < len(v.Runs) {
-						runEnd += v.Runs[k]
-						verdict = pass(v.Values[k])
-					}
-				}
-				if k >= len(v.Runs) {
-					return 0, buf, fmt.Errorf("executor: selection index %d beyond RLE runs", ri)
-				}
-				if verdict {
-					out = append(out, ri)
-				}
-			}
-		}
-	case types.VecFlat:
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if pass(v.Values[i]) {
-					out = append(out, int32(i))
-				}
-			}
-		} else {
-			for _, ri := range sel {
-				if pass(v.Values[ri]) {
-					out = append(out, ri)
-				}
-			}
-		}
-	case types.VecRaw:
-		pos, next := 0, int32(0)
-		decodeAt := func(ri int32) (types.Datum, error) {
-			for next < ri {
-				sz, err := types.SkipDatum(v.Raw[pos:])
-				if err != nil {
-					return types.Null, err
-				}
-				pos += sz
-				next++
-			}
-			d, sz, err := types.DecodeDatum(v.Raw[pos:])
-			if err != nil {
-				return types.Null, err
-			}
-			pos += sz
-			next++
-			return d, nil
-		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				d, err := decodeAt(int32(i))
-				if err != nil {
-					return 0, buf, err
-				}
-				if pass(d) {
-					out = append(out, int32(i))
-				}
-			}
-		} else {
-			for _, ri := range sel {
-				d, err := decodeAt(ri)
-				if err != nil {
-					return 0, buf, err
-				}
-				if pass(d) {
-					out = append(out, ri)
-				}
-			}
-		}
-	default:
-		return 0, buf, fmt.Errorf("executor: runtime filter over bad vector encoding %d", v.Enc)
-	}
-	if out == nil {
-		out = []int32{}
-	}
-	vb.Sel = out
-	removed := before - len(out)
+	})
+	removed := before - vb.SelCount()
 	if removed > 0 {
 		rtfRowsRemoved.Add(int64(removed))
 	}
-	return removed, buf, nil
+	return removed, buf
 }

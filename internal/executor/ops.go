@@ -20,7 +20,7 @@ var errScanStopped = errors.New("executor: scan stopped")
 const scanBatchDepth = 4
 
 // feedItem is one hand-off from a producer goroutine: a materialized
-// batch or, from a scan in vector mode, a still-encoded vector batch.
+// batch or, from a scan in vector mode, a vector batch.
 type feedItem struct {
 	b  *types.Batch
 	vb *types.VecBatch
@@ -143,15 +143,15 @@ func (f *batchFeed) close() {
 // a bounded channel, which keeps the operator pull-based.
 //
 // Every format is a vector source: blocks arrive through the segment's
-// block cache as types.VecBatch column vectors (columnar pages still
-// encoded, row-oriented blocks transposed into flat vectors), zone maps
-// prune pages before decompression, runtime bloom filters narrow the
-// selection before decode, and the vector filter kernels consume the
-// scan predicate's kernelizable conjuncts — all before a row is
-// materialized. A consumer that called EnableVec receives the batches
-// as-is through NextVecBatch; otherwise the producer materializes
-// survivors (and applies any residual predicate) into ordinary pooled
-// batches.
+// block cache as types.VecBatch typed column vectors (columnar pages
+// decoded once, keeping their runs or dictionary; row-oriented blocks
+// transposed into flat vectors), zone maps prune pages before
+// decompression, runtime bloom filters and then the whole scan
+// predicate — kernels first, the rest row by row over the survivors —
+// narrow the selection, all before a row is materialized. A consumer
+// that called EnableVec receives the batches as-is through NextVecBatch;
+// otherwise the producer materializes the survivors into ordinary
+// pooled batches.
 type scanOp struct {
 	batchFeed
 	ctx  *Context
@@ -160,41 +160,20 @@ type scanOp struct {
 	vecMode bool // consumer called EnableVec: deliver vector batches
 
 	zonePreds []storage.ZonePred
+	filter    *expr.VecFilter
 	opStats   *obs.OpStats
 }
 
 func newScanOp(ctx *Context, node *plan.Scan) *scanOp {
-	return &scanOp{ctx: ctx, node: node, zonePreds: zonePredsFromFilter(node.Filter, node.Schema.Len())}
-}
-
-// zonePredsFromFilter extracts the pushdown-able conjuncts of a scan
-// filter: <ColRef> <comparison> <non-NULL constant operand> over the
-// projected width, the shape zone maps can refute per page.
-func zonePredsFromFilter(filter expr.Expr, width int) []storage.ZonePred {
-	if filter == nil {
-		return nil
+	s := &scanOp{ctx: ctx, node: node, filter: expr.CompileFilter(node.Filter)}
+	// What the filter compares with a constant, over the projected
+	// width, is what zone maps can refute per page.
+	for _, cmp := range s.filter.Cmps() {
+		if op, ok := zoneOpOf(cmp.Op); ok && cmp.Col < node.Schema.Len() {
+			s.zonePreds = append(s.zonePreds, storage.ZonePred{Col: cmp.Col, Op: op, Val: cmp.Val})
+		}
 	}
-	var preds []storage.ZonePred
-	for _, c := range expr.Conjuncts(filter, nil) {
-		bo, ok := c.(*expr.BinOp)
-		if !ok {
-			continue
-		}
-		cr, ok := bo.L.(*expr.ColRef)
-		if !ok || cr.Idx >= width {
-			continue
-		}
-		val, ok := expr.ConstOperand(bo.R)
-		if !ok {
-			continue
-		}
-		op, ok := zoneOpOf(bo.Op)
-		if !ok {
-			continue
-		}
-		preds = append(preds, storage.ZonePred{Col: cr.Idx, Op: op, Val: val})
-	}
-	return preds
+	return s
 }
 
 // zoneOpOf maps a comparison operator onto its zone-map counterpart.
@@ -221,12 +200,10 @@ func zoneOpOf(op expr.BinOpKind) (storage.ZoneOp, bool) {
 // producer goroutine exits; Stats is read only after Close joins it).
 func (s *scanOp) setOpStats(st *obs.OpStats) { s.opStats = st }
 
-// EnableVec implements VecSource: vector delivery is possible when the
-// whole scan filter is consumable by the vector kernels (no residual — a
-// residual would force materialization before handoff, defeating the
-// point).
+// EnableVec implements VecSource: a scan that has not started yet can
+// always deliver vectors.
 func (s *scanOp) EnableVec() bool {
-	if !s.open && expr.VecFilterable(s.node.Filter, s.node.Schema.Len()) {
+	if !s.open {
 		s.vecMode = true
 	}
 	return s.vecMode
@@ -239,9 +216,8 @@ func (s *scanOp) Open() error {
 }
 
 // produce is the scan's producer: per block it applies runtime bloom
-// filters (before decode), then the vector filter kernels, then either
-// hands the vector batch to a vec consumer or materializes survivors
-// into a pooled batch.
+// filters, then the scan predicate, then either hands the vector batch
+// to a vec consumer or materializes survivors into a pooled batch.
 func (s *scanOp) produce() error {
 	st := &storage.ScanStats{}
 	var rtfRemoved int64
@@ -267,16 +243,11 @@ func (s *scanOp) produce() error {
 				if bloom == nil {
 					continue // not published yet: pass unfiltered, stay correct
 				}
-				removed, buf, err := applyBloomVec(&vb.Cols[t.Col], bloom, vb, hashBuf)
-				hashBuf = buf
-				if err != nil {
-					types.PutVecBatch(vb)
-					return err
-				}
+				var removed int
+				removed, hashBuf = applyBloomVec(t.Col, bloom, vb, hashBuf)
 				rtfRemoved += int64(removed)
 			}
-			residual, err := expr.FilterVec(s.node.Filter, vb)
-			if err != nil {
+			if err := s.filter.Apply(vb); err != nil {
 				types.PutVecBatch(vb)
 				return err
 			}
@@ -285,26 +256,11 @@ func (s *scanOp) produce() error {
 				return nil
 			}
 			if s.vecMode {
-				// vecMode requires VecFilterable, so residual is nil here.
 				return s.put(s.ctx, feedItem{vb: vb})
 			}
 			b := types.GetBatch(0)
-			err = vb.Materialize(b)
+			vb.Materialize(b)
 			types.PutVecBatch(vb)
-			if err != nil {
-				types.PutBatch(b)
-				return err
-			}
-			if residual != nil {
-				if err := expr.FilterBatch(residual, b); err != nil {
-					types.PutBatch(b)
-					return err
-				}
-			}
-			if b.Len() == 0 {
-				types.PutBatch(b)
-				return nil
-			}
 			return s.put(s.ctx, feedItem{b: b})
 		})
 		if err != nil {

@@ -278,72 +278,6 @@ func TestZoneMapStats(t *testing.T) {
 	}
 }
 
-// TestAggVecMatchesBatchPath is the encoded-execution property test at
-// the operator level: a hash aggregate absorbing still-encoded vector
-// batches from a CO scan (NextVecBatch) must produce exactly the rows it
-// does absorbing decoded batches (NextBatch — the same filter in a
-// Select above the scan, which is no VecSource), and both must match
-// the plain-loop reference, across random data shapes.
-func TestAggVecMatchesBatchPath(t *testing.T) {
-	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	schema := types.NewSchema(
-		types.Column{Name: "g", Kind: types.KindString},
-		types.Column{Name: "k", Kind: types.KindInt64},
-		types.Column{Name: "v", Kind: types.KindInt64},
-	)
-	for trial := 0; trial < 4; trial++ {
-		n := 500 + rng.Intn(3000)
-		rows := make([]types.Row, 0, n)
-		for i := 0; i < n; i++ {
-			g := types.NewString(fmt.Sprintf("g%d", rng.Intn(5)))
-			if rng.Intn(10) == 0 {
-				g = types.Null
-			}
-			rows = append(rows, types.Row{g, types.NewInt64(int64(i / 50)), types.NewInt64(rng.Int63n(1000))})
-		}
-		desc, segFiles := writeCOTable(t, fs, int64(10+trial), fmt.Sprintf("agg%d", trial), schema, rows)
-		filter := expr.NewBinOp(expr.OpGe, &expr.ColRef{Idx: 1, K: types.KindInt64}, expr.NewConst(types.NewInt64(3)))
-		mkAgg := func(pushed bool) *plan.HashAgg {
-			scan := &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: schema}
-			var in plan.Node = scan
-			if pushed {
-				scan.Filter = filter
-			} else {
-				in = &plan.Select{Input: scan, Pred: filter}
-			}
-			return &plan.HashAgg{
-				Input:  in,
-				Phase:  plan.AggSingle,
-				Groups: []expr.Expr{&expr.ColRef{Idx: 0, K: types.KindString}},
-				Aggs: []expr.AggSpec{
-					{Kind: expr.AggSum, Arg: &expr.ColRef{Idx: 2, K: types.KindInt64}},
-					{Kind: expr.AggCountStar},
-					{Kind: expr.AggMin, Arg: &expr.ColRef{Idx: 1, K: types.KindInt64}},
-				},
-				Schema: types.NewSchema(
-					types.Column{Name: "g", Kind: types.KindString},
-					types.Column{Name: "s", Kind: types.KindInt64},
-					types.Column{Name: "c", Kind: types.KindInt64},
-					types.Column{Name: "m", Kind: types.KindInt64},
-				),
-			}
-		}
-		ctx := &Context{Segment: 0, FS: fs}
-		for _, pushed := range []bool{true, false} {
-			if vec := mustBuild(t, ctx, mkAgg(pushed)).(*hashAggOp).vecIn != nil; vec != pushed {
-				t.Fatalf("trial %d: filter pushed=%v but vector absorb=%v", trial, pushed, vec)
-			}
-		}
-		want := refRows(t, mkAgg(true), map[string][]types.Row{desc.Name: rows})
-		sameRows(t, collect(t, ctx, mkAgg(true)), want, false)
-		sameRows(t, collect(t, ctx, mkAgg(false)), want, false)
-	}
-}
-
 // BenchmarkJoinRuntimeFilter measures the probe-side effect of runtime
 // bloom filters: a selective build side against a 50k-row CO probe
 // table, with the filter off and on.

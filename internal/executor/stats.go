@@ -95,7 +95,7 @@ type statsOp struct {
 	in  Operator
 	st  *obs.OpStats
 	clk clock.Clock
-	vs  VecSource // non-nil when the wrapped operator can emit encoded vectors
+	vs  VecSource // non-nil when the wrapped operator can emit vector batches
 }
 
 // Open implements Operator.
@@ -132,8 +132,8 @@ func (o *statsOp) EnableVec() bool {
 	return o.vs != nil && o.vs.EnableVec()
 }
 
-// NextVecBatch implements VecSource, charging the encoded batch's
-// selected rows to the same slot the decoded path would.
+// NextVecBatch implements VecSource, charging the vector batch's
+// selected rows to the same slot the row path would.
 func (o *statsOp) NextVecBatch() (*types.VecBatch, error) {
 	start := o.clk.Now()
 	vb, err := o.vs.NextVecBatch()

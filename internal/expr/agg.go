@@ -225,3 +225,216 @@ func (d *distinctAcc) Add(v types.Datum) {
 }
 
 func (d *distinctAcc) Result() types.Datum { return d.inner.Result() }
+
+// GroupAcc folds one aggregate for every group of a hash aggregate at
+// once. Groups are the dense ids the aggregate hands out; the state of
+// each is the Accumulator of the same spec, held by value in one slice,
+// so the row-at-a-time Add is that accumulator's and the column-at-a-time
+// AddVec must only agree with it.
+type GroupAcc interface {
+	// Grow makes room for the groups below n.
+	Grow(n int)
+	// Add folds d into group g.
+	Add(g int32, d types.Datum)
+	// AddVec folds entry i of v, a flat vector, into group gids[i] for
+	// every i, in order. A nil v is COUNT(*)'s: every row counts.
+	AddVec(gids []int32, v *types.Vector)
+	// Result returns group g's aggregate.
+	Result(g int32) types.Datum
+}
+
+// NewGroupAcc builds the grouped accumulator for a spec. SUM, COUNT, MIN
+// and MAX take typed vectors in tight loops; AVG and DISTINCT keep one
+// Accumulator per group and take a vector a Datum at a time.
+func NewGroupAcc(s AggSpec) GroupAcc {
+	switch {
+	case s.Distinct || s.Kind == AggAvg:
+		return &anyAccs{spec: s}
+	case s.Kind == AggSum:
+		return &sumAccs{}
+	case s.Kind == AggMin:
+		return &minmaxAccs{accCol[minmaxAcc, *minmaxAcc]{zero: minmaxAcc{want: -1}}}
+	case s.Kind == AggMax:
+		return &minmaxAccs{accCol[minmaxAcc, *minmaxAcc]{zero: minmaxAcc{want: 1}}}
+	}
+	return &countAccs{accCol[countAcc, *countAcc]{zero: countAcc{star: s.Kind == AggCountStar}}}
+}
+
+// accCol is the part of a GroupAcc every accumulator shares: a slice of
+// accumulator values, one per group.
+type accCol[A any, P interface {
+	*A
+	Accumulator
+}] struct {
+	zero A
+	accs []A
+}
+
+// Grow implements GroupAcc.
+func (c *accCol[A, P]) Grow(n int) {
+	for len(c.accs) < n {
+		c.accs = append(c.accs, c.zero)
+	}
+}
+
+// Add implements GroupAcc.
+func (c *accCol[A, P]) Add(g int32, d types.Datum) { P(&c.accs[g]).Add(d) }
+
+// Result implements GroupAcc.
+func (c *accCol[A, P]) Result(g int32) types.Datum { return P(&c.accs[g]).Result() }
+
+// addRows is AddVec a Datum at a time, for a vector no loop below takes.
+func (c *accCol[A, P]) addRows(gids []int32, v *types.Vector) {
+	for i, g := range gids {
+		P(&c.accs[g]).Add(v.Datum(i))
+	}
+}
+
+// isNull reads bit i of a null bitmap that may be empty.
+func isNull(nulls []uint64, i int) bool {
+	return len(nulls) != 0 && nulls[i>>6]>>(uint(i)&63)&1 != 0
+}
+
+type countAccs struct {
+	accCol[countAcc, *countAcc]
+}
+
+// AddVec implements GroupAcc.
+func (c *countAccs) AddVec(gids []int32, v *types.Vector) {
+	switch {
+	case v == nil || v.Class() != types.ClassNull && !v.Mixed && len(v.Nulls) == 0:
+		for _, g := range gids {
+			c.accs[g].n++
+		}
+	case v.Mixed || len(v.Nulls) != 0:
+		for i, g := range gids {
+			if !v.Null(i) {
+				c.accs[g].n++
+			}
+		}
+	}
+}
+
+type sumAccs struct {
+	accCol[sumAcc, *sumAcc]
+}
+
+// AddVec implements GroupAcc. A running sum already of the vector's kind
+// — the same decimal scale, an integer, a float — takes the next value
+// with one machine add, which is what types.Add computes for those; the
+// first value of a group and any change of kind go through sumAcc.Add.
+func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
+	switch v.Class() {
+	case types.ClassNull:
+	case types.ClassInt:
+		ints := isInt(v.Kind)
+		if !ints && v.Kind != types.KindDecimal {
+			c.addRows(gids, v)
+			return
+		}
+		d := types.Datum{K: v.Kind, Scale: v.Scale}
+		for i, g := range gids {
+			a := &c.accs[g]
+			switch {
+			case isNull(v.Nulls, i):
+			case a.seen && ints && isInt(a.cur.K):
+				a.cur.K = types.KindInt64
+				a.cur.I += v.Ints[i]
+			case a.seen && a.cur.K == types.KindDecimal && !ints && a.cur.Scale == v.Scale:
+				a.cur.I += v.Ints[i]
+			default:
+				d.I = v.Ints[i]
+				a.Add(d)
+			}
+		}
+	case types.ClassFloat:
+		for i, g := range gids {
+			a := &c.accs[g]
+			switch {
+			case isNull(v.Nulls, i):
+			case a.seen && a.cur.K == types.KindFloat64:
+				a.cur.F += v.Floats[i]
+			default:
+				a.Add(types.Datum{K: types.KindFloat64, F: v.Floats[i]})
+			}
+		}
+	default:
+		c.addRows(gids, v)
+	}
+}
+
+type minmaxAccs struct {
+	accCol[minmaxAcc, *minmaxAcc]
+}
+
+// AddVec implements GroupAcc: integers, dates and decimals of the
+// running value's kind and scale, and floats, compare as machine values;
+// everything else goes through minmaxAcc.Add.
+func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
+	want := c.zero.want
+	switch v.Class() {
+	case types.ClassNull:
+	case types.ClassInt:
+		d := types.Datum{K: v.Kind, Scale: v.Scale}
+		for i, g := range gids {
+			a := &c.accs[g]
+			x := v.Ints[i]
+			switch {
+			case isNull(v.Nulls, i):
+			case a.seen && a.cur.K == v.Kind && a.cur.Scale == v.Scale:
+				if want < 0 && x < a.cur.I || want > 0 && x > a.cur.I {
+					a.cur.I = x
+				}
+			default:
+				d.I = x
+				a.Add(d)
+			}
+		}
+	case types.ClassFloat:
+		for i, g := range gids {
+			a := &c.accs[g]
+			x := v.Floats[i]
+			switch {
+			case isNull(v.Nulls, i):
+			case a.seen && a.cur.K == types.KindFloat64:
+				if want < 0 && x < a.cur.F || want > 0 && x > a.cur.F {
+					a.cur.F = x
+				}
+			default:
+				a.Add(types.Datum{K: types.KindFloat64, F: x})
+			}
+		}
+	default:
+		c.addRows(gids, v)
+	}
+}
+
+// anyAccs keeps one Accumulator per group: AVG, and anything DISTINCT.
+type anyAccs struct {
+	spec AggSpec
+	accs []Accumulator
+}
+
+// Grow implements GroupAcc.
+func (c *anyAccs) Grow(n int) {
+	for len(c.accs) < n {
+		c.accs = append(c.accs, NewAccumulator(c.spec))
+	}
+}
+
+// Add implements GroupAcc.
+func (c *anyAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
+
+// AddVec implements GroupAcc.
+func (c *anyAccs) AddVec(gids []int32, v *types.Vector) {
+	for i, g := range gids {
+		d := types.NewInt64(1)
+		if v != nil {
+			d = v.Datum(i)
+		}
+		c.accs[g].Add(d)
+	}
+}
+
+// Result implements GroupAcc.
+func (c *anyAccs) Result(g int32) types.Datum { return c.accs[g].Result() }

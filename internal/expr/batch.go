@@ -29,7 +29,7 @@ func FilterBatch(pred Expr, b *types.Batch) error {
 }
 
 // filterKernel compiles the pattern <ColRef> <comparison> <non-null
-// constant operand> into an in-place compaction loop. The returned
+// operand fixed for the execution> into an in-place compaction loop. The returned
 // kernel reports whether it handled the batch (false sends the caller
 // to the generic path, e.g. on a column index beyond the batch width).
 // nil means the predicate doesn't match the pattern.
@@ -42,8 +42,8 @@ func filterKernel(pred Expr) func(*types.Batch) bool {
 	if !ok {
 		return nil
 	}
-	want, ok := ConstOperand(bo.R)
-	if !ok {
+	want, ok := ExecConst(bo.R)
+	if !ok || want.IsNull() {
 		return nil
 	}
 	op := bo.Op

@@ -2,59 +2,17 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"hawq/internal/testutil"
 	"hawq/internal/types"
 )
 
-// buildVecBatch encodes the column-major values into one VecBatch,
-// choosing the per-column encoding by colEnc[j].
-func buildVecBatch(cols [][]types.Datum, colEnc []types.VecEnc) *types.VecBatch {
-	n := len(cols[0])
-	vb := types.GetVecBatch(len(cols))
-	vb.SetLen(n)
-	for j, vals := range cols {
-		v := &vb.Cols[j]
-		v.N = n
-		switch colEnc[j] {
-		case types.VecFlat:
-			v.Enc = types.VecFlat
-			v.Values = append(v.Values, vals...)
-		case types.VecRaw:
-			v.Enc = types.VecRaw
-			var raw []byte
-			for _, d := range vals {
-				raw = types.EncodeDatum(raw, d)
-			}
-			v.Raw = raw
-		case types.VecRLE:
-			v.Enc = types.VecRLE
-			for i := 0; i < n; i++ {
-				if len(v.Values) > 0 && vals[i] == v.Values[len(v.Values)-1] {
-					v.Runs[len(v.Runs)-1]++
-					continue
-				}
-				v.Values = append(v.Values, vals[i])
-				v.Runs = append(v.Runs, 1)
-			}
-		case types.VecDict:
-			v.Enc = types.VecDict
-			index := map[types.Datum]int32{}
-			for _, d := range vals {
-				c, ok := index[d]
-				if !ok {
-					c = int32(len(v.Values))
-					index[d] = c
-					v.Values = append(v.Values, d)
-				}
-				v.Codes = append(v.Codes, c)
-			}
-		}
-	}
-	return vb
-}
+var vecEncs = []types.VecEnc{types.VecFlat, types.VecRLE, types.VecDict}
 
 // lowCardDatum draws from a small domain so predicates hit runs and
 // dictionary entries, including NULLs.
@@ -73,14 +31,65 @@ func lowCardDatum(rng *rand.Rand) types.Datum {
 	}
 }
 
+// FilterVec compiles pred and applies it to one batch.
+func FilterVec(pred Expr, vb *types.VecBatch) error {
+	return CompileFilter(pred).Apply(vb)
+}
+
+// selOf returns the surviving rows of vb, a nil selection spelled out.
+func selOf(vb *types.VecBatch) []int32 {
+	if vb.Sel != nil {
+		return append([]int32{}, vb.Sel...)
+	}
+	out := []int32{}
+	for i := 0; i < vb.Len(); i++ {
+		out = append(out, int32(i))
+	}
+	return out
+}
+
+// rowAt assembles row r of column-major values.
+func rowAt(cols [][]types.Datum, r int) types.Row {
+	row := make(types.Row, len(cols))
+	for j := range cols {
+		row[j] = cols[j][r]
+	}
+	return row
+}
+
+// wantSel is the row semantics of a filter: the rows of sel (nil: all)
+// for which EvalBool says true.
+func wantSel(t *testing.T, pred Expr, cols [][]types.Datum, sel []int32) []int32 {
+	t.Helper()
+	out := []int32{}
+	keep := func(r int32) {
+		pass, err := EvalBool(pred, rowAt(cols, int(r)))
+		if err != nil {
+			t.Fatalf("%s: %v", pred, err)
+		}
+		if pass {
+			out = append(out, r)
+		}
+	}
+	if sel == nil {
+		for r := range cols[0] {
+			keep(int32(r))
+		}
+	} else {
+		for _, r := range sel {
+			keep(r)
+		}
+	}
+	return out
+}
+
 // TestFilterVecMatchesFilterBatch is the property test: for random
 // batches, random per-column encodings, and random conjunctions of
-// kernelizable predicates, filtering in the encoded domain then
+// kernel and non-kernel predicates, filtering the vectors then
 // materializing must be byte-identical to materializing then running
-// the decoded-path FilterBatch.
+// the row-batch FilterBatch.
 func TestFilterVecMatchesFilterBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	encs := []types.VecEnc{types.VecFlat, types.VecRaw, types.VecRLE, types.VecDict}
 	for trial := 0; trial < 300; trial++ {
 		ncols := 1 + rng.Intn(3)
 		n := 1 + rng.Intn(200)
@@ -100,16 +109,11 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 		}
 		colEnc := make([]types.VecEnc, ncols)
 		for j := range colEnc {
-			colEnc[j] = encs[rng.Intn(len(encs))]
-			if colEnc[j] == types.VecRLE {
-				// RLE requires comparable adjacent values; any column
-				// works, runs may just be length 1.
-				continue
-			}
+			colEnc[j] = vecEncs[rng.Intn(len(vecEncs))]
 		}
-		// Build a conjunction of up to 3 kernelizable predicates over
+		// Build a conjunction of up to 3 predicates over
 		// class-homogeneous columns (types.Compare panics across
-		// classes, and the planner never emits such comparisons).
+		// classes, and the binder lets no such comparison through).
 		nPreds := 1 + rng.Intn(3)
 		var pred Expr
 		for p := 0; p < nPreds; p++ {
@@ -135,7 +139,7 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 				}
 				ok := true
 				for _, d := range cols[col] {
-					if !d.IsNull() && !sameCompareClass(d.K, want.K) {
+					if !d.IsNull() && !types.Comparable(d.K, want.K) {
 						ok = false
 						break
 					}
@@ -144,7 +148,13 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 					continue // fewer conjuncts this trial
 				}
 			}
-			c := &BinOp{Op: op, L: &ColRef{Idx: col}, R: &Const{D: want}}
+			var c Expr = &BinOp{Op: op, L: &ColRef{Idx: col}, R: &Const{D: want}}
+			switch rng.Intn(4) {
+			case 0: // no kernel: evaluated over the rows the kernels leave
+				c = &BinOp{Op: OpOr, L: c, R: &IsNull{E: &ColRef{Idx: col}}}
+			case 1:
+				c = &BinOp{Op: commuted[op], L: &Const{D: want}, R: &ColRef{Idx: col}}
+			}
 			if pred == nil {
 				pred = c
 			} else {
@@ -156,33 +166,25 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 		}
 
 		// Reference: materialize everything, then FilterBatch.
-		vbRef := buildVecBatch(cols, colEnc)
+		vbRef := testutil.VecBatch(cols, colEnc)
 		ref := types.GetBatch(0)
-		if err := vbRef.Materialize(ref); err != nil {
-			t.Fatal(err)
-		}
+		vbRef.Materialize(ref)
 		types.PutVecBatch(vbRef)
 		if err := FilterBatch(pred, ref); err != nil {
 			t.Fatal(err)
 		}
 
-		// Encoded path: FilterVec then materialize survivors.
-		vb := buildVecBatch(cols, colEnc)
-		residual, err := FilterVec(pred, vb)
-		if err != nil {
+		// Vector path: FilterVec then materialize survivors.
+		vb := testutil.VecBatch(cols, colEnc)
+		if err := FilterVec(pred, vb); err != nil {
 			t.Fatal(err)
-		}
-		if residual != nil {
-			t.Fatalf("trial %d: kernelizable predicate left residual %v", trial, residual)
 		}
 		got := types.GetBatch(0)
-		if err := vb.Materialize(got); err != nil {
-			t.Fatal(err)
-		}
+		vb.Materialize(got)
 		types.PutVecBatch(vb)
 
 		if got.Len() != ref.Len() {
-			t.Fatalf("trial %d (enc %v): vec path kept %d rows, decoded path %d", trial, colEnc, got.Len(), ref.Len())
+			t.Fatalf("trial %d (enc %v) %s: vec path kept %d rows, row path %d", trial, colEnc, pred, got.Len(), ref.Len())
 		}
 		for i := 0; i < got.Len(); i++ {
 			if !reflect.DeepEqual(got.Row(i), ref.Row(i)) {
@@ -194,47 +196,36 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 	}
 }
 
-// sameCompareClass mirrors types.Compare's comparability classes.
-func sameCompareClass(a, b types.Kind) bool {
-	num := func(k types.Kind) bool {
-		return k == types.KindInt32 || k == types.KindInt64 || k == types.KindFloat64 || k == types.KindDecimal
-	}
-	str := func(k types.Kind) bool { return k == types.KindString || k == types.KindBytes }
-	switch {
-	case num(a) && num(b), str(a) && str(b):
-		return true
-	default:
-		return a == b
-	}
-}
-
-// TestFilterVecResidual checks non-kernelizable conjuncts come back as
-// the residual while kernelizable ones are consumed.
+// TestFilterVecResidual: a conjunct without a kernel is reported as the
+// residual and applied all the same, to the rows the kernels left, so
+// the selection that comes out is the whole predicate's.
 func TestFilterVecResidual(t *testing.T) {
 	cols := [][]types.Datum{{types.NewInt64(1), types.NewInt64(2), types.NewInt64(3)}}
-	vb := buildVecBatch(cols, []types.VecEnc{types.VecFlat})
+	vb := testutil.VecBatch(cols, []types.VecEnc{types.VecFlat})
 	defer types.PutVecBatch(vb)
 	kernel := &BinOp{Op: OpGt, L: &ColRef{Idx: 0}, R: &Const{D: types.NewInt64(1)}}
-	// col+0 > 1 has a non-Const/non-ColRef shape on the left: residual.
-	hard := &BinOp{Op: OpGt, L: &BinOp{Op: OpAdd, L: &ColRef{Idx: 0}, R: &Const{D: types.NewInt64(0)}}, R: &Const{D: types.NewInt64(1)}}
-	residual, err := FilterVec(&BinOp{Op: OpAnd, L: kernel, R: hard}, vb)
-	if err != nil {
+	// col+0 < 3 has neither a column nor a constant on the left.
+	hard := &BinOp{Op: OpLt, L: &BinOp{Op: OpAdd, L: &ColRef{Idx: 0}, R: &Const{D: types.NewInt64(0)}}, R: &Const{D: types.NewInt64(3)}}
+	f := CompileFilter(&BinOp{Op: OpAnd, L: kernel, R: hard})
+	if f.Residual() != Expr(hard) {
+		t.Fatalf("residual = %v, want %v", f.Residual(), hard)
+	}
+	if err := f.Apply(vb); err != nil {
 		t.Fatal(err)
 	}
-	if residual == nil {
-		t.Fatal("non-kernelizable conjunct was not returned as residual")
+	if !reflect.DeepEqual(vb.Sel, []int32{1}) {
+		t.Fatalf("kept rows %v, want [1]", vb.Sel)
 	}
-	if got := vb.SelCount(); got != 2 {
-		t.Fatalf("kernel conjunct kept %d rows, want 2", got)
+	if CompileFilter(kernel).Residual() != nil {
+		t.Error("kernel shape left a residual")
 	}
-	if VecFilterable(kernel, 1) == false {
-		t.Error("kernel shape reported unfilterable")
+	if CompileFilter(nil).Residual() != nil {
+		t.Error("nil predicate left a residual")
 	}
-	if VecFilterable(hard, 1) {
-		t.Error("hard shape reported filterable")
-	}
-	if !VecFilterable(nil, 0) {
-		t.Error("nil predicate should be filterable")
+	// A column beyond the batch is the row path's error, not a panic.
+	wide := CompileFilter(&BinOp{Op: OpEq, L: &ColRef{Idx: 5}, R: &Const{D: types.NewInt64(1)}})
+	if err := wide.Apply(vb); err == nil {
+		t.Error("comparison with a column the batch does not have passed")
 	}
 }
 
@@ -256,10 +247,11 @@ func TestConjunctsAndAll(t *testing.T) {
 }
 
 // TestBoundParamIsAConstant: a bound $n is to the kernels what a literal
-// is — `col = $1` narrows the selection in FilterVec and compacts in
-// FilterBatch without a residual — while an unbound or NULL-bound
-// placeholder is left to the generic path, which still answers as SQL
-// says: NULL keeps no row, unbound is the protocol error.
+// is — `col = $1` narrows the selection in a kernel and compacts in
+// FilterBatch — and so is anything computed from bound values alone,
+// while an unbound or NULL-bound placeholder is left to the row path,
+// which still answers as SQL says: NULL keeps no row, unbound is the
+// protocol error.
 func TestBoundParamIsAConstant(t *testing.T) {
 	day := types.MustParseDate("1995-03-15")
 	cols := [][]types.Datum{
@@ -267,6 +259,7 @@ func TestBoundParamIsAConstant(t *testing.T) {
 		{types.NewString("a"), types.NewString("b"), types.NewString("a"), types.NewString("b")},
 		{day, types.NewDate(0), day, types.Null},
 	}
+	encs := []types.VecEnc{types.VecFlat, types.VecDict, types.VecRLE}
 	for j, tc := range []struct {
 		val  types.Datum
 		want []int32
@@ -277,50 +270,534 @@ func TestBoundParamIsAConstant(t *testing.T) {
 	} {
 		param := &Param{Idx: 0, K: tc.val.K}
 		pred := &BinOp{Op: OpEq, L: &ColRef{Idx: j}, R: param}
-		if VecFilterable(pred, 3) || filterKernel(pred) != nil {
+		if CompileFilter(pred).Residual() == nil || filterKernel(pred) != nil {
 			t.Fatalf("col %d: unbound parameter was kernelized", j)
 		}
 		if err := BindParams(pred, []types.Datum{tc.val}); err != nil {
 			t.Fatal(err)
 		}
-		if !VecFilterable(pred, 3) || filterKernel(pred) == nil {
+		if CompileFilter(pred).Residual() != nil || filterKernel(pred) == nil {
 			t.Fatalf("col %d: bound %v parameter is not kernelized", j, tc.val.K)
 		}
-		vb := buildVecBatch(cols, []types.VecEnc{types.VecFlat, types.VecDict, types.VecRaw})
-		residual, err := FilterVec(pred, vb)
-		if err != nil || residual != nil || !reflect.DeepEqual(vb.Sel, tc.want) {
-			t.Fatalf("col %d: FilterVec sel %v residual %v err %v, want %v", j, vb.Sel, residual, err, tc.want)
+		vb := testutil.VecBatch(cols, encs)
+		if err := FilterVec(pred, vb); err != nil || !reflect.DeepEqual(vb.Sel, tc.want) {
+			t.Fatalf("col %d: FilterVec sel %v err %v, want %v", j, vb.Sel, err, tc.want)
 		}
 		types.PutVecBatch(vb)
 	}
-	// NULL-bound: not kernelized, and the generic path keeps nothing.
+	// $1 + 1 with $1 bound is fixed for the execution too.
+	sum := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &BinOp{Op: OpAdd, L: &Param{Idx: 0, K: types.KindInt64}, R: &Const{D: types.NewInt64(1)}}}
+	if _, ok := ExecConst(sum.R); ok {
+		t.Fatal("an expression over an unbound parameter has a value")
+	}
+	if err := BindParams(sum, []types.Datum{types.NewInt64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := ExecConst(sum.R); !ok || d != types.NewInt64(2) || CompileFilter(sum).Residual() != nil {
+		t.Fatalf("$1 + 1 bound to 1: %v %v", d, ok)
+	}
+	// NULL-bound: no kernel, and the row path keeps nothing.
 	pred := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}
 	if err := BindParams(pred, []types.Datum{types.Null}); err != nil {
 		t.Fatal(err)
 	}
-	if VecFilterable(pred, 3) || filterKernel(pred) != nil {
+	if CompileFilter(pred).Residual() == nil || filterKernel(pred) != nil {
 		t.Fatal("NULL-bound parameter was kernelized")
 	}
-	vb := buildVecBatch(cols, []types.VecEnc{types.VecFlat, types.VecFlat, types.VecFlat})
+	vb := testutil.VecBatch(cols, []types.VecEnc{types.VecFlat, types.VecFlat, types.VecFlat})
 	defer types.PutVecBatch(vb)
-	residual, err := FilterVec(pred, vb)
-	if err != nil || residual == nil {
-		t.Fatalf("NULL-bound: residual %v err %v", residual, err)
+	if err := FilterVec(pred, vb); err != nil || vb.SelCount() != 0 {
+		t.Fatalf("col = NULL kept %d rows, err %v", vb.SelCount(), err)
+	}
+	// Unbound: the row path reports it, on vectors and on rows.
+	unbound := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}
+	vb.Sel = nil
+	if err := FilterVec(unbound, vb); err == nil {
+		t.Fatal("unbound parameter evaluated over vectors")
 	}
 	b := types.GetBatch(0)
 	defer types.PutBatch(b)
-	if err := vb.Materialize(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := FilterBatch(residual, b); err != nil || b.Len() != 0 {
-		t.Fatalf("col = NULL kept %d rows, err %v", b.Len(), err)
-	}
-	// Unbound: the generic path reports it.
-	unbound := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}
-	if err := vb.Materialize(b); err != nil {
-		t.Fatal(err)
-	}
+	vb.Sel = nil
+	vb.Materialize(b)
 	if err := FilterBatch(unbound, b); err == nil {
 		t.Fatal("unbound parameter evaluated")
+	}
+}
+
+// kernelColumns returns named columns of n rows covering every kind the
+// kernels take, each without NULLs, with some and with only NULLs, plus
+// the columns that land in the Mixed fallback.
+func kernelColumns(rng *rand.Rand, n int) (names []string, cols map[string][]types.Datum) {
+	gen := []struct {
+		name string
+		g    func(i int) types.Datum
+	}{
+		{"int64", func(i int) types.Datum { return types.NewInt64(int64(i/7) - 3) }},
+		{"int32", func(int) types.Datum { return types.NewInt32(int32(rng.Intn(9) - 4)) }},
+		{"bigint", func(int) types.Datum { return types.NewInt64(rng.Int63() - math.MaxInt64/2) }},
+		{"date", func(i int) types.Datum { return types.NewDate(int32(9000 + i/5)) }},
+		{"bool", func(int) types.Datum { return types.NewBool(rng.Intn(2) == 0) }},
+		{"dec2", func(int) types.Datum { return types.NewDecimal(rng.Int63n(6000)-1000, 2) }},
+		{"dec4", func(int) types.Datum { return types.NewDecimal(rng.Int63n(90000), 4) }},
+		{"dec5", func(int) types.Datum { return types.NewDecimal(rng.Int63n(90000), 5) }},
+		{"bigdec", func(int) types.Datum { return types.NewDecimal(rng.Int63n(1<<40)<<12, 2) }},
+		{"float", func(int) types.Datum {
+			return types.NewFloat64([]float64{0, -0.0, 1.5, 24, math.NaN(), math.Inf(1), -7.25}[rng.Intn(7)])
+		}},
+		{"string", func(int) types.Datum { return types.NewString([]string{"", "a", "ab", "b", "MAIL"}[rng.Intn(5)]) }},
+		{"scales", func(int) types.Datum { return types.NewDecimal(rng.Int63n(3000), int8(1+rng.Intn(2))) }},
+		{"numbers", func(int) types.Datum {
+			return []types.Datum{types.NewInt64(24), types.NewFloat64(23.5), types.NewDecimal(2450, 2)}[rng.Intn(3)]
+		}},
+	}
+	cols = map[string][]types.Datum{}
+	for _, c := range gen {
+		plain, some, all := make([]types.Datum, n), make([]types.Datum, n), make([]types.Datum, n)
+		for i := range plain {
+			plain[i] = c.g(i)
+			if some[i] = c.g(i); rng.Intn(4) == 0 {
+				some[i] = types.Null
+			}
+		}
+		cols[c.name], cols[c.name+"?"], cols[c.name+"!"] = plain, some, all
+		names = append(names, c.name, c.name+"?", c.name+"!")
+	}
+	return names, cols
+}
+
+// kindOf is the kind of a test column's non-NULL values (KindNull:
+// several, or none).
+func kindOf(vals []types.Datum) types.Kind {
+	k := types.KindNull
+	for _, d := range vals {
+		if !d.IsNull() {
+			if k != types.KindNull && k != d.K {
+				return types.KindNull
+			}
+			k = d.K
+		}
+	}
+	return k
+}
+
+// eachPair reports whether ok holds of the kinds of every pair of
+// non-NULL values a and b hold in the same row.
+func eachPair(a, b []types.Datum, ok func(a, b types.Kind) bool) bool {
+	for i := range a {
+		if !a[i].IsNull() && !b[i].IsNull() && !ok(a[i].K, b[i].K) {
+			return false
+		}
+	}
+	return true
+}
+
+// testSels are the selections every kernel is tried under.
+func testSels(n int) [][]int32 {
+	var sparse []int32
+	for i := 1; i < n; i += 3 {
+		sparse = append(sparse, int32(i))
+	}
+	return [][]int32{nil, sparse, {}}
+}
+
+// TestKernelsMatchRowSemantics holds every comparison and arithmetic
+// kernel to the row semantics, not to itself: generated vectors of every
+// kind × {no NULL, some, all NULL} × {flat, RLE, dict} × the Mixed
+// fallback × {no, sparse, empty selection}, against EvalBool / Eval per
+// row, bit for bit — decimal scale alignment (l_quantity < 24), decimal
+// against float, constants no scale can hold, const ⋄ col commuting,
+// BETWEEN, NULL constants, col ⋄ col, date ± int, wrapping integers, the
+// decimal product that overflows into a float, division and its zeros.
+func TestKernelsMatchRowSemantics(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 41
+	names, cols := kernelColumns(rng, n)
+	consts := []types.Datum{
+		types.Null, types.NewInt64(24), types.NewInt64(0), types.NewInt32(-2),
+		types.NewDecimal(2400, 2), types.NewDecimal(5, 1), types.NewDecimal(5, 3), types.NewDecimal(math.MaxInt64/10, 0),
+		types.NewFloat64(23.5), types.NewFloat64(math.NaN()),
+		types.NewDate(9004), types.NewBool(true), types.NewString("ab"), types.NewBytes([]byte("b")),
+	}
+	ops := []BinOpKind{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	// partners are the columns every column meets as the other operand.
+	partners := []string{"int64", "int32?", "bigint", "date?", "bool", "dec2", "dec2?", "dec4", "bigdec?", "float?",
+		"string?", "scales", "numbers?", "int64!"}
+	comparable := func(vals []types.Datum, k types.Kind) bool {
+		for _, d := range vals {
+			if !d.IsNull() && k != types.KindNull && !types.Comparable(d.K, k) {
+				return false
+			}
+		}
+		return true
+	}
+	filters := 0
+	checkFilter := func(pred Expr, data [][]types.Datum) {
+		for _, enc := range vecEncs {
+			for _, sel := range testSels(n) {
+				encs := make([]types.VecEnc, len(data))
+				for j := range encs {
+					encs[j] = enc
+				}
+				vb := testutil.VecBatch(data, encs)
+				if sel != nil {
+					vb.Sel = append(make([]int32, 0, len(sel)), sel...)
+				}
+				if err := FilterVec(pred, vb); err != nil {
+					t.Fatalf("%s: %v", pred, err)
+				}
+				if got, want := selOf(vb), wantSel(t, pred, data, sel); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s enc %d sel %v over %v:\n got %v\nwant %v", pred, enc, sel, data, got, want)
+				}
+				types.PutVecBatch(vb)
+				filters++
+			}
+		}
+	}
+	for _, name := range names {
+		vals := cols[name]
+		col := &ColRef{Idx: 0, Name: name}
+		for _, c := range consts {
+			if !comparable(vals, c.K) {
+				continue
+			}
+			for _, op := range ops {
+				checkFilter(&BinOp{Op: op, L: col, R: &Const{D: c}}, [][]types.Datum{vals})
+				if op == OpEq || op == OpLt || op == OpGe {
+					checkFilter(&BinOp{Op: op, L: &Const{D: c}, R: col}, [][]types.Datum{vals})
+				}
+			}
+			for _, hi := range []types.Datum{types.Null, types.NewInt32(30), types.NewDecimal(5, 3), types.NewFloat64(23.5),
+				types.NewDate(9010), types.NewBool(true), types.NewString("b")} {
+				if comparable(vals, hi.K) {
+					checkFilter(&Between{E: col, Lo: &Const{D: c}, Hi: &Const{D: hi}}, [][]types.Datum{vals})
+				}
+			}
+		}
+		for _, other := range partners {
+			if !eachPair(vals, cols[other], types.Comparable) {
+				continue
+			}
+			for _, op := range ops {
+				checkFilter(&BinOp{Op: op, L: col, R: &ColRef{Idx: 1, Name: other}}, [][]types.Datum{vals, cols[other]})
+			}
+		}
+	}
+
+	// Arithmetic: every pair of columns and constants types.arith takes.
+	numeric := func(k types.Kind) bool {
+		return k == types.KindInt32 || k == types.KindInt64 || k == types.KindDecimal || k == types.KindFloat64
+	}
+	defined := func(op BinOpKind) func(a, b types.Kind) bool {
+		return func(a, b types.Kind) bool {
+			if a == types.KindDate {
+				return (b == types.KindInt32 || b == types.KindInt64) && (op == OpAdd || op == OpSub) || b == types.KindDate && op == OpSub
+			}
+			return numeric(a) && numeric(b)
+		}
+	}
+	progs := 0
+	checkProg := func(exprs []Expr, data [][]types.Datum) {
+		for _, enc := range vecEncs {
+			for _, sel := range testSels(n) {
+				encs := make([]types.VecEnc, len(data))
+				for j := range encs {
+					encs[j] = enc
+				}
+				vb := testutil.VecBatch(data, encs)
+				vb.Sel = sel
+				p := CompileVec(exprs)
+				// Twice: the second batch runs in the first one's scratch.
+				for round := 0; round < 2; round++ {
+					if err := p.Eval(vb); err != nil {
+						t.Fatalf("%v: %v", exprs, err)
+					}
+					rows := selOf(vb)
+					for i, e := range exprs {
+						res := p.Result(i)
+						if res.Enc != types.VecFlat || res.N != len(rows) {
+							t.Fatalf("%s: result of %d rows, enc %d, want %d flat", e, res.N, res.Enc, len(rows))
+						}
+						for pos, r := range rows {
+							want, err := e.Eval(rowAt(data, int(r)))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got := res.Datum(pos); string(types.EncodeDatum(nil, got)) != string(types.EncodeDatum(nil, want)) {
+								t.Fatalf("%s enc %d sel %v row %d (%v): got %#v, want %#v", e, enc, sel, r, rowAt(data, int(r)), got, want)
+							}
+						}
+					}
+				}
+				types.PutVecBatch(vb)
+				progs++
+			}
+		}
+	}
+	// An operand is a column of the batch or a constant; values is what
+	// it holds row by row.
+	type operand struct {
+		e      Expr
+		values []types.Datum
+	}
+	var operands []operand
+	for _, c := range consts {
+		values := make([]types.Datum, n)
+		for i := range values {
+			values[i] = c
+		}
+		operands = append(operands, operand{&Const{D: c}, values})
+	}
+	colAt := map[string]int{}
+	var data [][]types.Datum
+	for _, name := range names {
+		colAt[name] = len(data)
+		data = append(data, cols[name])
+		operands = append(operands, operand{&ColRef{Idx: colAt[name], Name: name}, cols[name]})
+	}
+	for _, l := range operands {
+		for _, r := range operands {
+			if c, isCol := r.e.(*ColRef); isCol && !slices.Contains(partners, c.Name) {
+				continue
+			}
+			_, lc := l.e.(*Const)
+			_, rc := r.e.(*Const)
+			if lc && rc {
+				continue
+			}
+			var exprs []Expr
+			for _, op := range []BinOpKind{OpAdd, OpSub, OpMul, OpDiv} {
+				if eachPair(l.values, r.values, defined(op)) {
+					exprs = append(exprs, &BinOp{Op: op, L: l.e, R: r.e})
+				}
+			}
+			if len(exprs) > 0 {
+				checkProg(exprs, data)
+			}
+		}
+	}
+	// The Q1 shape: shared subtrees, constants on the left, three levels.
+	price, disc, tax := &ColRef{Idx: colAt["dec2"], Name: "dec2"}, &ColRef{Idx: colAt["dec2?"], Name: "dec2?"}, &ColRef{Idx: colAt["dec4"], Name: "dec4"}
+	one := &Const{D: types.NewInt64(1)}
+	discounted := &BinOp{Op: OpMul, L: price, R: &BinOp{Op: OpSub, L: one, R: disc}}
+	charged := &BinOp{Op: OpMul, L: discounted, R: &BinOp{Op: OpAdd, L: one, R: tax}}
+	fn, err := NewFuncCall("abs", []Expr{disc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkProg([]Expr{price, discounted, charged, discounted, one, &BinOp{Op: OpMul, L: fn, R: price},
+		&Case{Whens: []When{{Cond: &BinOp{Op: OpGt, L: disc, R: one}, Result: price}}, Else: tax}}, data)
+	if p := CompileVec([]Expr{discounted, charged}); len(p.nodes) != 8 {
+		t.Errorf("l_extendedprice * (1 - l_discount) compiled %d nodes for two expressions that share it, want 8", len(p.nodes))
+	}
+	t.Logf("%d filters and %d programs checked", filters, progs)
+}
+
+// TestGroupAccMatchesAccumulator: folding a vector with AddVec gives
+// every group what folding its rows one Add at a time gives, bit for
+// bit, for every aggregate over every kind of column — including a
+// running sum that changes kind midway and groups fed by two batches.
+func TestGroupAccMatchesAccumulator(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, groups = 200, 5
+	names, cols := kernelColumns(rng, n)
+	gids := make([]int32, n)
+	for i := range gids {
+		gids[i] = int32(rng.Intn(groups))
+	}
+	arg := &ColRef{Idx: 0}
+	for _, name := range names {
+		for _, spec := range []AggSpec{
+			{Kind: AggCount, Arg: arg}, {Kind: AggCountStar}, {Kind: AggSum, Arg: arg}, {Kind: AggMin, Arg: arg},
+			{Kind: AggMax, Arg: arg}, {Kind: AggAvg, Arg: arg}, {Kind: AggCount, Arg: arg, Distinct: true},
+		} {
+			// SUM and AVG are defined over numbers, MIN and MAX over
+			// values of one comparable class.
+			numbers, class := true, true
+			for _, d := range cols[name] {
+				numbers = numbers && (d.IsNull() || types.Comparable(d.K, types.KindInt64))
+				class = class && (d.IsNull() || types.Comparable(d.K, kindOf(cols[name])) || numbers)
+			}
+			if (spec.Kind == AggSum || spec.Kind == AggAvg) && !numbers || (spec.Kind == AggMin || spec.Kind == AggMax) && !class {
+				continue
+			}
+			acc := NewGroupAcc(spec)
+			acc.Grow(groups)
+			want := make([]Accumulator, groups)
+			for g := range want {
+				want[g] = NewAccumulator(spec)
+			}
+			// Two batches, the second of another column of the same
+			// name's family so a sum may meet a second kind.
+			for _, vals := range [][]types.Datum{cols[name], cols[name][:n/2]} {
+				v := testutil.Vector(types.VecFlat, vals)
+				if spec.Kind == AggCountStar {
+					acc.AddVec(gids[:len(vals)], nil)
+				} else {
+					acc.AddVec(gids[:len(vals)], &v)
+				}
+				for i, d := range vals {
+					if spec.Kind == AggCountStar {
+						d = types.NewInt64(1)
+					}
+					want[gids[i]].Add(d)
+				}
+			}
+			for g := range want {
+				got, w := acc.Result(int32(g)), want[g].Result()
+				if string(types.EncodeDatum(nil, got)) != string(types.EncodeDatum(nil, w)) {
+					t.Errorf("%s over %s group %d: AddVec %#v, Add %#v", spec, name, g, got, w)
+				}
+			}
+		}
+	}
+}
+
+// benchColumn returns n values of a kind that arrive sorted-ish, so that
+// all three encodings make sense of them.
+func benchColumn(kind string, n int) ([]types.Datum, types.Datum) {
+	vals := make([]types.Datum, n)
+	for i := range vals {
+		x := int64(i / 64)
+		switch kind {
+		case "int":
+			vals[i] = types.NewInt64(x)
+		case "date":
+			vals[i] = types.NewDate(int32(9000 + x))
+		case "decimal":
+			vals[i] = types.NewDecimal(x*100, 2)
+		case "string":
+			vals[i] = types.NewString(fmt.Sprintf("key%03d", x))
+		}
+	}
+	return vals, vals[n/2]
+}
+
+// BenchmarkVecFilter times one col < const kernel over 4 096 rows of
+// each kind in each encoding; about half the rows pass.
+func BenchmarkVecFilter(b *testing.B) {
+	const n = 4096
+	for _, kind := range []string{"int", "date", "decimal", "string"} {
+		vals, mid := benchColumn(kind, n)
+		for i, enc := range []string{"flat", "rle", "dict"} {
+			b.Run(kind+"/"+enc, func(b *testing.B) {
+				vb := testutil.VecBatch([][]types.Datum{vals}, []types.VecEnc{vecEncs[i]})
+				defer types.PutVecBatch(vb)
+				f := CompileFilter(&BinOp{Op: OpLt, L: &ColRef{Idx: 0}, R: &Const{D: mid}})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					vb.Sel = nil
+					if err := f.Apply(vb); err != nil || vb.SelCount() != n/2 {
+						b.Fatalf("kept %d rows, err %v", vb.SelCount(), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkVecArith times l_extendedprice * (1 - l_discount) * (1 +
+// l_tax) over 4 096 rows of decimals.
+func BenchmarkVecArith(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(1))
+	cols := make([][]types.Datum, 3)
+	for j := range cols {
+		cols[j] = make([]types.Datum, n)
+		for i := range cols[j] {
+			cols[j][i] = types.NewDecimal(rng.Int63n(10), 2)
+		}
+	}
+	for i := range cols[0] {
+		cols[0][i] = types.NewDecimal(90000+rng.Int63n(10000000), 2)
+	}
+	one := &Const{D: types.NewInt64(1)}
+	e := &BinOp{Op: OpMul, L: &BinOp{Op: OpMul, L: &ColRef{Idx: 0}, R: &BinOp{Op: OpSub, L: one, R: &ColRef{Idx: 1}}},
+		R: &BinOp{Op: OpAdd, L: one, R: &ColRef{Idx: 2}}}
+	b.Run("decimal", func(b *testing.B) {
+		vb := testutil.VecBatch(cols, []types.VecEnc{types.VecFlat, types.VecFlat, types.VecFlat})
+		defer types.PutVecBatch(vb)
+		p := CompileVec([]Expr{e})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := p.Eval(vb); err != nil || p.Result(0).Kind != types.KindDecimal {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestKernelsTakeWhatTheyShould pins which shapes run as kernels and
+// which are left to the row path, so that the differential test above
+// cannot pass by never leaving the row path.
+func TestKernelsTakeWhatTheyShould(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	_, cols := kernelColumns(rng, 32)
+	for _, tc := range []struct {
+		col    string
+		val    types.Datum
+		kernel bool
+	}{
+		{"int64", types.NewInt64(3), true}, {"int32?", types.NewDecimal(300, 2), true}, {"int64", types.NewDecimal(35, 1), false},
+		{"int64", types.NewFloat64(3), false}, {"date", types.NewDate(9001), true}, {"bool", types.NewBool(true), true},
+		{"dec2", types.NewInt64(24), true}, {"dec2?", types.NewDecimal(5, 1), true}, {"dec2", types.NewDecimal(5, 3), false},
+		{"dec2", types.NewDecimal(500, 4), true}, {"dec2", types.NewDecimal(math.MaxInt64/10, 0), false},
+		{"float", types.NewDecimal(2400, 2), true}, {"float?", types.NewFloat64(math.NaN()), true},
+		{"string", types.NewBytes([]byte("a")), true}, {"scales", types.NewInt64(1), false}, {"dec2!", types.NewInt64(1), true},
+	} {
+		for _, enc := range vecEncs {
+			vb := testutil.VecBatch([][]types.Datum{cols[tc.col]}, []types.VecEnc{enc})
+			if got := cmpConst(vb, ColCmp{Col: 0, Op: OpLe, Val: tc.val}); got != tc.kernel {
+				t.Errorf("%s <= %v (enc %d): kernel %v, want %v", tc.col, tc.val, enc, got, tc.kernel)
+			}
+			types.PutVecBatch(vb)
+		}
+	}
+	for _, tc := range []struct {
+		l, r   string
+		kernel bool
+	}{
+		{"date", "date?", true}, {"int64", "int32?", true}, {"dec2", "dec2?", true}, {"dec2", "dec4", false},
+		{"int64", "float", false}, {"float", "float?", true}, {"string", "string?", true}, {"scales", "dec2", false},
+	} {
+		vb := testutil.VecBatch([][]types.Datum{cols[tc.l], cols[tc.r]}, []types.VecEnc{types.VecFlat, types.VecFlat})
+		if got := cmpCols(vb, 0, 1, OpLt); got != tc.kernel {
+			t.Errorf("%s < %s: kernel %v, want %v", tc.l, tc.r, got, tc.kernel)
+		}
+		types.PutVecBatch(vb)
+		vb = testutil.VecBatch([][]types.Datum{cols[tc.l], cols[tc.r]}, []types.VecEnc{types.VecFlat, types.VecDict})
+		if cmpCols(vb, 0, 1, OpLt) {
+			t.Errorf("%s < %s took a dictionary operand", tc.l, tc.r)
+		}
+		types.PutVecBatch(vb)
+	}
+	for _, tc := range []struct {
+		l      string
+		op     BinOpKind
+		r      string
+		kind   types.Kind
+		scale  int8
+		kernel bool
+	}{
+		{"int64", OpMul, "int32?", types.KindInt64, 0, true}, {"bigint", OpMul, "bigint", types.KindInt64, 0, true},
+		{"dec2", OpAdd, "dec4", types.KindDecimal, 4, true}, {"dec2", OpMul, "dec4", types.KindDecimal, 6, true},
+		{"dec4", OpMul, "dec5", 0, 0, false}, {"bigdec", OpMul, "bigdec", 0, 0, false}, {"dec2", OpSub, "int64", types.KindDecimal, 2, true},
+		{"date", OpAdd, "int32", types.KindDate, 0, true}, {"date", OpSub, "date?", types.KindInt64, 0, true}, {"date", OpMul, "int64", 0, 0, false},
+		{"float", OpMul, "dec2?", types.KindFloat64, 0, true}, {"int64", OpAdd, "float", types.KindFloat64, 0, true},
+		{"scales", OpAdd, "dec2", 0, 0, false}, {"dec2!", OpAdd, "scales", types.KindNull, 0, true}, {"bool", OpAdd, "bool", 0, 0, false},
+	} {
+		vb := testutil.VecBatch([][]types.Datum{cols[tc.l], cols[tc.r]}, []types.VecEnc{types.VecFlat, types.VecRLE})
+		p := CompileVec([]Expr{&BinOp{Op: tc.op, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}}})
+		p.rows = vb.Len()
+		for i := range p.nodes[:2] {
+			p.nodes[i].res = &p.nodes[i].out
+			p.column(&p.nodes[i], vb)
+		}
+		n := &p.nodes[2]
+		if got := p.arith(n); got != tc.kernel || got && (n.out.Kind != tc.kind || n.out.Scale != tc.scale || n.out.Mixed) {
+			t.Errorf("%s %s %s: kernel %v of kind %s scale %d, want %v of %s scale %d", tc.l, tc.op, tc.r, got, n.out.Kind, n.out.Scale, tc.kernel, tc.kind, tc.scale)
+		}
+		types.PutVecBatch(vb)
 	}
 }

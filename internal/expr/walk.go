@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hawq/internal/clock"
+	"hawq/internal/types"
 )
 
 // Walk visits e and every sub-expression in evaluation order.
@@ -84,4 +85,83 @@ func BindClock(e Expr, c clock.Clock) {
 			f.clk = c
 		}
 	})
+}
+
+// Fold evaluates e at bind time when it is made of literals alone, and
+// returns the constant in its place: add_days(1998-12-01, -90) is
+// 1998-09-02 and 1 - 0.05 is 0.95 before the plan exists, so zone maps,
+// partition elimination, the filter kernels and EXPLAIN all see the
+// value. Anything else comes back as it is. Two things are never
+// literals: a $n placeholder, whose value differs between executions of
+// one cached plan, and a clock builtin such as current_date, whose value
+// is the execution's, not the plan's; both wait for ExecConst. A literal
+// expression that cannot be evaluated — abs('x') panics in types.Compare
+// — is a statement the binder refuses, here rather than in a QE.
+func Fold(e Expr) (folded Expr, err error) {
+	if _, leaf := e.(*Const); leaf {
+		return e, nil
+	}
+	literal := true
+	Walk(e, func(x Expr) {
+		switch v := x.(type) {
+		case *ColRef, *Param:
+			literal = false
+		case *FuncCall:
+			literal = literal && v.impl.evalClock == nil
+		}
+	})
+	if !literal {
+		return e, nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			folded, err = nil, fmt.Errorf("expr: cannot evaluate %s: %v", e, r)
+		}
+	}()
+	d, err := e.Eval(nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewConst(d), nil
+}
+
+// CheckComparison reports an error when x is a comparison — one of
+// = <> < <= > >=, BETWEEN, IN — of two operands types.Compare cannot
+// order (types.Comparable): a DATE with a BIGINT, a TEXT with a number.
+// Compare panics on those, inside a QE, so no such node may reach a
+// plan: the binder asks of every comparison it builds, and the plan asks
+// again once placeholders have values, a bound $n counting as the kind
+// of its value. NULL and operands of unknown kind compare with
+// everything (to NULL). Only x itself is looked at, not what is under it.
+func CheckComparison(x Expr) error {
+	kind := func(e Expr) types.Kind {
+		if p, ok := e.(*Param); ok && p.Bound {
+			return p.V.K
+		}
+		return e.Kind()
+	}
+	pair := func(l, r Expr) error {
+		if lk, rk := kind(l), kind(r); lk != types.KindNull && rk != types.KindNull && !types.Comparable(lk, rk) {
+			return fmt.Errorf("cannot compare %s with %s in %s", lk, rk, x)
+		}
+		return nil
+	}
+	switch v := x.(type) {
+	case *BinOp:
+		if v.Op.IsComparison() {
+			return pair(v.L, v.R)
+		}
+	case *Between:
+		if err := pair(v.E, v.Lo); err != nil {
+			return err
+		}
+		return pair(v.E, v.Hi)
+	case *InList:
+		for _, item := range v.Items {
+			if err := pair(v.E, item); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

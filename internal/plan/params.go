@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"hawq/internal/expr"
 	"hawq/internal/types"
@@ -33,6 +34,7 @@ func (p *Plan) BindParams(args []types.Datum) error {
 		}
 		cast[i] = c
 	}
+	untyped := slices.Contains(p.ParamKinds, types.KindNull)
 	var bindErr error
 	p.Walk(func(n Node) {
 		for _, e := range NodeExprs(n) {
@@ -41,6 +43,17 @@ func (p *Plan) BindParams(args []types.Datum) error {
 			}
 			if err := expr.BindParams(e, cast); err != nil && bindErr == nil {
 				bindErr = err
+			}
+			// A placeholder whose kind nothing fixed at prepare time
+			// arrives as whatever the client sent: it must still be
+			// something its comparison can order. The others were cast
+			// to the kind the binder checked.
+			if untyped {
+				expr.Walk(e, func(x expr.Expr) {
+					if err := expr.CheckComparison(x); err != nil && bindErr == nil {
+						bindErr = fmt.Errorf("plan: %w", err)
+					}
+				})
 			}
 		}
 	})

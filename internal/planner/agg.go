@@ -282,15 +282,18 @@ func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.
 		}
 	}
 	var node plan.Node = final
-	if needsReassembly(specs) {
+	if needsReassembly(specs, lowering) {
 		node = &plan.Project{Input: final, Exprs: projExprs, Schema: outSchema}
 	}
 	return &relation{node: node, dist: finalDist, rows: estGroups}, nil
 }
 
-func needsReassembly(specs []expr.AggSpec) bool {
-	for _, s := range specs {
-		if s.Kind == expr.AggAvg {
+// needsReassembly reports whether the final phase's outputs are not
+// already the query's aggregates in order: an AVG is divided out of two
+// of them, and two aggregates may read one.
+func needsReassembly(specs []expr.AggSpec, lowering [][]int) bool {
+	for i, s := range specs {
+		if s.Kind == expr.AggAvg || lowering[i][0] != i {
 			return true
 		}
 	}
@@ -298,20 +301,31 @@ func needsReassembly(specs []expr.AggSpec) bool {
 }
 
 // lowerPartial produces the partial-phase specs and a map from original
-// aggregate index to its partial output offsets.
+// aggregate index to its partial output offsets. An aggregate the partial
+// phase already computes — same function, same DISTINCT flag, same
+// argument as rendered — is not computed again: sum(x) serves sum(x) and
+// avg(x) alike, so TPC-H Q1 carries 9 partials, not 11.
 func lowerPartial(specs []expr.AggSpec) ([]expr.AggSpec, [][]int) {
 	var out []expr.AggSpec
+	slot := func(s expr.AggSpec) int {
+		for i, have := range out {
+			if have.String() == s.String() {
+				return i
+			}
+		}
+		out = append(out, s)
+		return len(out) - 1
+	}
 	lowering := make([][]int, len(specs))
 	for i, s := range specs {
 		if s.Kind == expr.AggAvg {
-			lowering[i] = []int{len(out), len(out) + 1}
-			out = append(out,
-				expr.AggSpec{Kind: expr.AggSum, Arg: s.Arg},
-				expr.AggSpec{Kind: expr.AggCount, Arg: s.Arg})
+			lowering[i] = []int{
+				slot(expr.AggSpec{Kind: expr.AggSum, Arg: s.Arg}),
+				slot(expr.AggSpec{Kind: expr.AggCount, Arg: s.Arg}),
+			}
 			continue
 		}
-		lowering[i] = []int{len(out)}
-		out = append(out, s)
+		lowering[i] = []int{slot(s)}
 	}
 	return out, lowering
 }

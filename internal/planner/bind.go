@@ -91,7 +91,25 @@ type aggScope struct {
 	schema *types.Schema
 }
 
+// bind binds e and folds what it binds to when that is made of literals
+// alone (expr.Fold): operands are bound, hence folded, first, so a
+// constant subtree collapses from the leaves up.
 func (b *binder) bind(e sqlparser.Expr) (expr.Expr, error) {
+	bound, err := b.bindNode(e)
+	if err != nil {
+		return nil, err
+	}
+	if err := expr.CheckComparison(bound); err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
+	}
+	folded, err := expr.Fold(bound)
+	if err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
+	}
+	return folded, nil
+}
+
+func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 	if b.aggScope != nil {
 		if col, ok := b.aggScope.lookup(e); ok {
 			c := b.aggScope.schema.Columns[col]
@@ -182,6 +200,7 @@ func (b *binder) bind(e sqlparser.Expr) (expr.Expr, error) {
 				return nil, err
 			}
 			b.params.infer(items[i], inner)
+			_, items[i] = coerceComparison(inner, items[i])
 		}
 		return &expr.InList{E: inner, Items: items, Negate: v.Negate}, nil
 	case *sqlparser.BetweenExpr:
@@ -199,6 +218,8 @@ func (b *binder) bind(e sqlparser.Expr) (expr.Expr, error) {
 		}
 		b.params.infer(lo, inner)
 		b.params.infer(hi, inner)
+		_, lo = coerceComparison(inner, lo)
+		_, hi = coerceComparison(inner, hi)
 		return &expr.Between{E: inner, Lo: lo, Hi: hi, Negate: v.Negate}, nil
 	case *sqlparser.IsNullExpr:
 		inner, err := b.bind(v.E)
@@ -341,7 +362,7 @@ func (b *binder) bindBinary(v *sqlparser.BinExpr) (expr.Expr, error) {
 	b.params.infer(l, r)
 	b.params.infer(r, l)
 	// Comparing a date column with a string literal: coerce the literal.
-	if op >= expr.OpEq && op <= expr.OpGe {
+	if op.IsComparison() {
 		l, r = coerceComparison(l, r)
 	}
 	return expr.NewBinOp(op, l, r), nil
@@ -380,7 +401,11 @@ func (b *binder) bindCase(v *sqlparser.CaseExpr) (expr.Expr, error) {
 			return nil, err
 		}
 		if operand != nil {
+			_, cond = coerceComparison(operand, cond)
 			cond = expr.NewBinOp(expr.OpEq, operand, cond)
+			if err := expr.CheckComparison(cond); err != nil {
+				return nil, fmt.Errorf("planner: %w", err)
+			}
 		}
 		res, err := b.bind(w.Result)
 		if err != nil {

@@ -20,14 +20,13 @@ type joinEdge struct {
 // repeatedly pick the connected unit whose join yields the smallest
 // estimated output. The classic approach for bushy-averse MPP planners;
 // cost-based in the sense of §3 ("evaluates potential plans and selects
-// the one that leads to the most efficient execution").
+// the one that leads to the most efficient execution"). Candidates are
+// tried in FROM order and only a strictly cheaper one displaces the
+// best so far, so a tie goes to the unit written first: one statement
+// over one snapshot has one plan.
 func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, error) {
 	if len(units) == 1 {
 		return units[0].rel, nil
-	}
-	remaining := map[int]bool{}
-	for i := range units {
-		remaining[i] = true
 	}
 	// Start from the smallest relation.
 	start := 0
@@ -38,13 +37,15 @@ func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, er
 	}
 	cur := units[start].rel
 	merged := map[int]bool{start: true}
-	delete(remaining, start)
 	usedEdges := map[int]bool{}
 
-	for len(remaining) > 0 {
+	for len(merged) < len(units) {
 		bestUnit, bestCost := -1, math.MaxFloat64
 		var bestEdges []int
-		for u := range remaining {
+		for u := range units {
+			if merged[u] {
+				continue
+			}
 			var es []int
 			for ei, e := range edges {
 				if usedEdges[ei] {
@@ -64,8 +65,8 @@ func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, er
 		}
 		if bestUnit == -1 {
 			// No connecting edge: cross join with the smallest remaining.
-			for u := range remaining {
-				if bestUnit == -1 || units[u].rel.rows < units[bestUnit].rel.rows {
+			for u := range units {
+				if !merged[u] && (bestUnit == -1 || units[u].rel.rows < units[bestUnit].rel.rows) {
 					bestUnit = u
 				}
 			}
@@ -94,7 +95,6 @@ func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, er
 		}
 		cur = joined
 		merged[bestUnit] = true
-		delete(remaining, bestUnit)
 	}
 	// Any unused edges become residual filters (redundant cycle edges).
 	for ei, e := range edges {

@@ -188,6 +188,9 @@ func (p *Planner) allSegments() []int {
 // PlanSelect plans a SELECT statement into a sliced plan whose top slice
 // runs on the QD.
 func (p *Planner) PlanSelect(stmt *sqlparser.SelectStmt) (*plan.Plan, error) {
+	// What an earlier statement inferred about its placeholders says
+	// nothing about this one's.
+	p.prm = nil
 	rel, err := p.planQuery(stmt)
 	if err != nil {
 		return nil, err

@@ -463,7 +463,7 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 		ok := false
 		pl.Walk(func(n plan.Node) {
 			if sc, isScan := n.(*plan.Scan); isScan {
-				ok = sc.Filter != nil && expr.VecFilterable(sc.Filter, sc.Schema.Len())
+				ok = sc.Filter != nil && expr.CompileFilter(sc.Filter).Residual() == nil
 			}
 		})
 		return ok

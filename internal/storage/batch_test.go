@@ -190,8 +190,8 @@ func benchLowCardSetup(b *testing.B, orientation string) (*hdfs.FileSystem, cata
 }
 
 // benchEncodedFilter pits the materialize-then-filter batch path
-// against the encoded path (zone-map page skipping, FilterVec on
-// still-encoded vectors, then materializing only the survivors) on a
+// against the vector path (zone-map page skipping, the filter kernels
+// on the scan's vectors, then materializing only the survivors) on a
 // selective low-cardinality predicate — the same pipeline the executor
 // builds from a scan filter. Both deliver the same decoded rows to the
 // consumer.
@@ -222,21 +222,20 @@ func benchEncodedFilter(b *testing.B, orientation string) {
 		}
 	})
 	b.Run("encoded", func(b *testing.B) {
+		filter := expr.CompileFilter(pred)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
 			out := types.GetBatch(0)
 			err := ScanVecBatches(fs, spec, schema, sf, proj, zpreds, nil, func(vb *types.VecBatch) error {
 				defer types.PutVecBatch(vb)
-				if _, err := expr.FilterVec(pred, vb); err != nil {
+				if err := filter.Apply(vb); err != nil {
 					return err
 				}
 				if vb.SelCount() == 0 {
 					return nil
 				}
-				if err := vb.Materialize(out); err != nil {
-					return err
-				}
+				vb.Materialize(out)
 				n += out.Len()
 				return nil
 			})
@@ -337,9 +336,7 @@ func benchWideScan(b *testing.B, orientation, name string, proj []int) {
 		out := types.GetBatch(0)
 		err := cache.ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
 			defer types.PutVecBatch(vb)
-			if err := vb.Materialize(out); err != nil {
-				return err
-			}
+			vb.Materialize(out)
 			n += out.Len()
 			return nil
 		})

@@ -7,11 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
 	"hawq/internal/hdfs"
 	"hawq/internal/obs"
+	"hawq/internal/testutil"
 	"hawq/internal/types"
 )
 
@@ -307,14 +309,13 @@ func TestCacheReaderRacesAppender(t *testing.T) {
 						n := 0
 						err := c.ScanVecBatches(fs, spec, testSchema(), sf, []int{0}, nil, nil, func(vb *types.VecBatch) error {
 							defer types.PutVecBatch(vb)
-							vals, err := vb.Cols[0].Decode(nil)
-							for _, d := range vals {
+							for _, d := range testutil.VectorRows(&vb.Cols[0]) {
 								if d.I != int64(n) {
 									return fmt.Errorf("row %d has key %d", n, d.I)
 								}
 								n++
 							}
-							return err
+							return nil
 						})
 						if err != nil || int64(n) != sf.Tuples {
 							t.Errorf("scan at %d committed rows saw %d: %v", sf.Tuples, n, err)
@@ -445,9 +446,7 @@ func TestCacheCapacity(t *testing.T) {
 					}
 					b := types.GetBatch(0)
 					defer types.PutBatch(b)
-					if err := vb.Materialize(b); err != nil {
-						return err
-					}
+					vb.Materialize(b)
 					for r := 0; r < b.Len(); r++ {
 						if !reflect.DeepEqual(b.Row(r), want[i]) {
 							return fmt.Errorf("row %d = %v, want %v", i, b.Row(r), want[i])
@@ -519,5 +518,96 @@ func TestCacheCorruptBlockStaysOutOfTheDirectory(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Errorf("scan %d (proj %v) of a corrupted file: %v", i, proj, err)
 		}
+	}
+}
+
+// TestCacheHoldsTypedVectors: what the cache keeps of an int, decimal,
+// string or date column — with NULLs or without, from any format — is
+// pointer-free typed storage: no Datum per row, no pointer per row, one
+// backing string per column of strings. MemBytes is exactly the bytes
+// those slices hold (the cache's account charges nothing else for a
+// vector), a float column and a column whose kinds differ included, and
+// the fallback is taken by that last column alone.
+func TestCacheHoldsTypedVectors(t *testing.T) {
+	schema := types.NewSchema(append(testSchema().Columns,
+		types.Column{Name: "f", Kind: types.KindFloat64}, types.Column{Name: "any", Kind: types.KindInt64})...)
+	rows := testRows(9000)
+	for i := range rows {
+		mixed := types.NewInt64(int64(i))
+		if i%2 == 0 {
+			mixed = types.NewDecimal(int64(i), int8(i%3))
+		}
+		rows[i] = append(rows[i], types.NewFloat64(float64(i)/3), mixed)
+	}
+	for _, spec := range cacheSpecs {
+		t.Run(fmt.Sprintf("%s/%s", spec.Orientation, spec.Codec), func(t *testing.T) {
+			fs := testFS(t)
+			sf := catalog.SegFile{Path: "/data/typed/0/1"}
+			w, err := NewWriter(fs, spec, schema, sf, hdfs.CreateOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sf.LogicalLen, sf.ColLens = w.Lens()
+			c := NewBlockCache()
+			for i := 0; i < 2; i++ {
+				err := c.ScanVecBatches(fs, spec, schema, sf, schema.AllCols(), nil, nil, func(vb *types.VecBatch) error {
+					types.PutVecBatch(vb)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			var vectors, mixed, charged int64
+			for _, f := range c.files {
+				charged += f.charged
+				for key, el := range f.vecs {
+					e := el.Value.(*cacheEntry)
+					v := &e.vec
+					vectors++
+					charged += e.size
+					col := int(key.col)
+					if spec.Orientation == catalog.OrientColumn {
+						col = -1 // one file per column: the class says which
+					}
+					held := int64(len(v.Ints)+len(v.Floats)+len(v.Nulls))*8 + int64(len(v.Offs)+len(v.Runs)+len(v.Codes))*4 + int64(len(v.Str))
+					for _, d := range v.Values {
+						held += int64(unsafe.Sizeof(d)) + int64(len(d.S))
+					}
+					// Only a bitmap or codes grown by append may hold spare
+					// capacity, and MemBytes counts that too.
+					if got := v.MemBytes(); got < held || got > held+int64(8*cap(v.Nulls)+4*cap(v.Codes)+4*cap(v.Runs)) || e.size != got+entryOverhead {
+						t.Errorf("block %d col %d: MemBytes %d, slices hold %d, charged %d", key.block, key.col, got, held, e.size)
+					}
+					if !v.Shared {
+						t.Errorf("block %d col %d: a cached vector is not marked shared", key.block, key.col)
+					}
+					if v.Mixed != (col == 5 || col == -1 && len(v.Values) > 0) || !v.Mixed && len(v.Values) != 0 {
+						t.Errorf("block %d col %d: mixed %v with %d Datums", key.block, key.col, v.Mixed, len(v.Values))
+					}
+					if v.Mixed {
+						mixed++
+						continue
+					}
+					if want := map[int]types.VecClass{0: types.ClassInt, 1: types.ClassInt, 2: types.ClassStr, 3: types.ClassInt, 4: types.ClassFloat}[col]; col >= 0 && v.Class() != want {
+						t.Errorf("block %d col %d: class %d, want %d", key.block, key.col, v.Class(), want)
+					}
+					if v.Class() == types.ClassStr && len(v.Offs) != v.Entries()+1 {
+						t.Errorf("block %d col %d: %d offsets for %d strings", key.block, key.col, len(v.Offs), v.Entries())
+					}
+				}
+			}
+			if vectors == 0 || mixed*6 != vectors || charged != c.Bytes() {
+				t.Errorf("%d vectors (%d mixed) charged %d, the account holds %d", vectors, mixed, charged, c.Bytes())
+			}
+		})
 	}
 }

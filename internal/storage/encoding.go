@@ -97,19 +97,34 @@ func encodePage(dst []byte, vals []types.Datum) (byte, []byte) {
 	return pageEncFlat, dst
 }
 
-// decodePage parses one page payload into v according to its encoding.
-// Flat pages become zero-copy VecRaw vectors (nothing is decoded until
-// a consumer materializes); RLE and dictionary pages decode only their
-// run values / dictionary entries, which is the point of the exercise.
-func decodePage(enc byte, raw []byte, rowCount int, v *types.Vector) error {
-	v.N = rowCount
+// decodePage decodes one page payload into v, typed: a flat page's
+// rows, a run-length page's run values or a dictionary page's entries
+// go through b into pointer-free storage (Mixed only when the values do
+// not share one kind and scale), and the runs or codes beside them. This
+// is the one decode a page ever gets: what it leaves in v is what the
+// block cache keeps and every kernel reads. exact asks for slices of
+// v's own, sized to the page, for a vector the cache will keep.
+func decodePage(b *types.VecBuilder, enc byte, raw []byte, rowCount int, v *types.Vector, exact bool) error {
 	switch enc {
 	case pageEncFlat:
-		v.Enc = types.VecRaw
-		v.Raw = raw
+		// Every row is at least a kind byte, so a row count beyond the
+		// payload is corruption, not an allocation size.
+		b.Reset(v, min(rowCount, len(raw)), exact)
+		pos := 0
+		for i := 0; i < rowCount; i++ {
+			n, err := b.AppendEncoded(raw[pos:])
+			if err != nil {
+				return fmt.Errorf("storage: flat page row %d: %w", i, err)
+			}
+			pos += n
+		}
+		if pos != len(raw) {
+			return fmt.Errorf("storage: %d trailing bytes after flat page", len(raw)-pos)
+		}
+		b.Finish()
 		return nil
 	case pageEncRLE:
-		v.Enc = types.VecRLE
+		b.Reset(v, 0, exact)
 		pos, total := 0, 0
 		for pos < len(raw) {
 			run, n := binary.Uvarint(raw[pos:])
@@ -117,36 +132,40 @@ func decodePage(enc byte, raw []byte, rowCount int, v *types.Vector) error {
 				return fmt.Errorf("storage: bad RLE run header")
 			}
 			pos += n
-			d, n, err := types.DecodeDatum(raw[pos:])
+			if run > uint64(rowCount-total) {
+				return fmt.Errorf("storage: RLE runs exceed page row count %d", rowCount)
+			}
+			total += int(run)
+			n, err := b.AppendEncoded(raw[pos:])
 			if err != nil {
 				return fmt.Errorf("storage: RLE value: %w", err)
 			}
 			pos += n
-			total += int(run)
-			if total > rowCount {
-				return fmt.Errorf("storage: RLE runs exceed page row count %d", rowCount)
-			}
-			v.Values = append(v.Values, d)
 			v.Runs = append(v.Runs, int32(run))
 		}
 		if total != rowCount {
 			return fmt.Errorf("storage: RLE runs cover %d of %d rows", total, rowCount)
 		}
+		b.Finish()
+		v.Enc, v.N = types.VecRLE, rowCount
 		return nil
 	case pageEncDict:
-		v.Enc = types.VecDict
 		size, n := binary.Uvarint(raw)
 		if n <= 0 || size > maxDictEntries {
 			return fmt.Errorf("storage: bad dictionary size")
 		}
 		pos := n
+		b.Reset(v, int(size), exact)
 		for i := 0; i < int(size); i++ {
-			d, n, err := types.DecodeDatum(raw[pos:])
+			n, err := b.AppendEncoded(raw[pos:])
 			if err != nil {
 				return fmt.Errorf("storage: dictionary entry %d: %w", i, err)
 			}
 			pos += n
-			v.Values = append(v.Values, d)
+		}
+		b.Finish()
+		if exact {
+			v.Codes = make([]int32, 0, min(rowCount, len(raw)-pos))
 		}
 		for i := 0; i < rowCount; i++ {
 			c, n := binary.Uvarint(raw[pos:])
@@ -162,6 +181,7 @@ func decodePage(enc byte, raw []byte, rowCount int, v *types.Vector) error {
 		if pos != len(raw) {
 			return fmt.Errorf("storage: %d trailing bytes after dictionary page", len(raw)-pos)
 		}
+		v.Enc, v.N = types.VecDict, rowCount
 		return nil
 	default:
 		return fmt.Errorf("storage: unknown page encoding %d", enc)
@@ -196,7 +216,7 @@ func buildZone(dst []byte, vals []types.Datum) []byte {
 			minD, maxD, seen = d, d, true
 			continue
 		}
-		if !zoneComparable(d.K, minD.K) {
+		if !types.Comparable(d.K, minD.K) {
 			return append(dst, zoneNone)
 		}
 		if types.Compare(d, minD) < 0 {
@@ -212,28 +232,6 @@ func buildZone(dst []byte, vals []types.Datum) []byte {
 	dst = append(dst, zoneMinMax)
 	dst = types.EncodeDatum(dst, minD)
 	return types.EncodeDatum(dst, maxD)
-}
-
-// zoneComparable reports whether types.Compare can order kinds a and b,
-// mirroring its comparability classes (it panics on anything else, and
-// a pruning decision must never panic on data read from disk).
-func zoneComparable(a, b types.Kind) bool {
-	class := func(k types.Kind) int {
-		switch k {
-		case types.KindInt32, types.KindInt64, types.KindFloat64, types.KindDecimal:
-			return 1
-		case types.KindDate:
-			return 2
-		case types.KindBool:
-			return 3
-		case types.KindString, types.KindBytes:
-			return 4
-		default:
-			return 0
-		}
-	}
-	ca, cb := class(a), class(b)
-	return ca != 0 && ca == cb
 }
 
 // ZoneOp is a comparison operator in a scan's pushed-down zone
@@ -283,7 +281,7 @@ func zoneMayMatch(zone []byte, pred ZonePred) bool {
 		if err != nil {
 			return true
 		}
-		if !zoneComparable(minD.K, pred.Val.K) || !zoneComparable(maxD.K, pred.Val.K) {
+		if !types.Comparable(minD.K, pred.Val.K) || !types.Comparable(maxD.K, pred.Val.K) {
 			return true
 		}
 		cmpMin := types.Compare(pred.Val, minD) // val vs min

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -175,8 +174,7 @@ type fileScan struct {
 	cf    *cachedFile // nil: uncached
 	known fileDir     // snapshot of the cached directory
 	grown fileDir     // blocks parsed by this scan, continuing known
-	// win holds the file's bytes [base, base+len(win)). A window is
-	// never written twice: vectors may alias it.
+	// win holds the file's bytes [base, base+len(win)).
 	win  []byte
 	base int64
 	// off is the offset of the next block; cur, chunks and zones
@@ -305,9 +303,9 @@ func (f *fileScan) stored(k int) ([]byte, error) {
 // decompressed. Deferring this until after the zone-map decision is
 // what makes page skipping pay: a skipped page costs one header parse,
 // or nothing once the directory is cached. The result is read-only:
-// under the identity codec it is the window itself, unless the caller
-// means to keep it (own), in which case it is a copy.
-func (f *fileScan) payload(k int, codec compress.Codec, own bool) ([]byte, error) {
+// under the identity codec it is the window itself. Nothing decoded
+// from it aliases it.
+func (f *fileScan) payload(k int, codec compress.Codec) ([]byte, error) {
 	comp, err := f.stored(k)
 	if err != nil {
 		return nil, err
@@ -318,9 +316,6 @@ func (f *fileScan) payload(k int, codec compress.Codec, own bool) ([]byte, error
 	}
 	if want := f.chunks[k].rawLen; want >= 0 && len(raw) != int(want) {
 		return nil, fmt.Errorf("storage: block raw length %d, want %d", len(raw), want)
-	}
-	if own && len(raw) > 0 && &raw[0] == &comp[0] {
-		raw = bytes.Clone(raw)
 	}
 	return raw, nil
 }
@@ -456,10 +451,12 @@ type blockFill struct {
 	// admit[s]: source s missed and its vector is to be offered.
 	admit []bool
 	// missed lists the sources of the current block that missed; slot
-	// and builders serve the row-major transposition.
+	// and builders serve the row-major transposition, page the decode
+	// of a columnar page.
 	missed   []int
 	slot     []int
-	builders []types.FlatBuilder
+	builders []types.VecBuilder
+	page     types.VecBuilder
 }
 
 func (b *blockFill) block(bi int, vb *types.VecBatch) error {
@@ -490,15 +487,12 @@ func (b *blockFill) block(bi int, vb *types.VecBatch) error {
 		f := b.files[src.file]
 		if !l.rowMajor {
 			// What the cache is to keep is decoded into slices of its
-			// own: no pooled capacity, no alias of the read window.
-			raw, err := f.payload(src.chunk, b.codec, b.admit[s])
+			// own: no pooled capacity.
+			raw, err := f.payload(src.chunk, b.codec)
 			if err != nil {
 				return err
 			}
-			if b.admit[s] {
-				*v = types.Vector{}
-			}
-			if err := decodePage(f.chunks[src.chunk].enc, raw, vb.Len(), v); err != nil {
+			if err := decodePage(&b.page, f.chunks[src.chunk].enc, raw, vb.Len(), v, b.admit[s]); err != nil {
 				return err
 			}
 		}
@@ -516,17 +510,17 @@ func (b *blockFill) block(bi int, vb *types.VecBatch) error {
 }
 
 // transpose decodes the missed columns of the current row-major block
-// into flat vectors, walking every row once: wanted columns decode onto
-// their vectors, the rest are stepped over.
+// into flat typed vectors, walking every row once: wanted columns decode
+// onto their vectors, the rest are stepped over.
 func (b *blockFill) transpose(vb *types.VecBatch) error {
 	l := b.l
-	raw, err := b.files[0].payload(0, b.codec, false)
+	raw, err := b.files[0].payload(0, b.codec)
 	if err != nil {
 		return err
 	}
 	b.slot = b.slot[:0]
 	if cap(b.builders) < len(b.missed) {
-		b.builders = make([]types.FlatBuilder, len(b.missed))
+		b.builders = make([]types.VecBuilder, len(b.missed))
 	}
 	b.builders = b.builders[:len(b.missed)]
 	for k, s := range b.missed {
@@ -535,7 +529,9 @@ func (b *blockFill) transpose(vb *types.VecBatch) error {
 			b.slot = append(b.slot, -1)
 		}
 		b.slot[c] = k
-		b.builders[k].Reset(&vb.Cols[l.first[s]], vb.Len(), b.admit[s])
+		// A row is at least its header byte: a row count beyond the
+		// payload is corruption the walk below reports.
+		b.builders[k].Reset(&vb.Cols[l.first[s]], min(vb.Len(), len(raw)), b.admit[s])
 	}
 	pos := 0
 	for i := 0; i < vb.Len(); i++ {

@@ -106,24 +106,10 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 // bounded by the logical lengths in sf, so bytes appended by uncommitted
 // or aborted transactions are never surfaced.
 func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(types.Row) error) error {
-	cols := make([][]types.Datum, len(proj))
-	return ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
-		n := vb.Len()
-		for j := range vb.Cols {
-			var err error
-			cols[j], err = vb.Cols[j].Decode(cols[j][:0])
-			if err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-		}
-		types.PutVecBatch(vb)
-		for i := 0; i < n; i++ {
-			out := make(types.Row, len(proj))
-			for j := range cols {
-				out[j] = cols[j][i]
-			}
-			if err := fn(out); err != nil {
+	return ScanBatches(fs, spec, schema, sf, proj, func(b *types.Batch) error {
+		defer types.PutBatch(b)
+		for i := 0; i < b.Len(); i++ {
+			if err := fn(b.Row(i).Clone()); err != nil {
 				return err
 			}
 		}
@@ -140,23 +126,20 @@ func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, s
 func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(*types.Batch) error) error {
 	return ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
 		b := types.GetBatch(0)
-		err := vb.Materialize(b)
+		vb.Materialize(b)
 		types.PutVecBatch(vb)
-		if err != nil {
-			types.PutBatch(b)
-			return err
-		}
 		return fn(b)
 	})
 }
 
 // ScanVecBatches is the scan every other entry point wraps: fn receives
-// each block as a types.VecBatch of column vectors, so predicate and
-// aggregation kernels can run before anything is materialized. The
-// columnar formats hand their pages over still encoded (flat pages as
-// undecoded VecRaw streams); a row-oriented block is transposed once
-// into flat vectors. Pages ruled out by preds against the on-page zone
-// maps are skipped before checksum and decompression and counted in st.
+// each block as a types.VecBatch of typed column vectors, so predicate
+// and aggregation kernels can run before anything is materialized. A
+// columnar page is decoded once into typed entries, keeping its runs or
+// dictionary codes; a row-oriented block is transposed once into flat
+// vectors of the same form. Pages ruled out by preds against the on-page
+// zone maps are skipped before checksum and decompression and counted in
+// st; every other projected page is decoded in full.
 // Ownership of each vec batch transfers to fn, which must release it
 // with types.PutVecBatch (or hand it on).
 //

@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hawq/internal/catalog"
 	"hawq/internal/hdfs"
+	"hawq/internal/testutil"
 	"hawq/internal/types"
 )
 
@@ -33,9 +36,7 @@ func scanAllCached(t *testing.T, c *BlockCache, fs *hdfs.FileSystem, spec catalo
 		b := types.GetBatch(0)
 		defer types.PutBatch(b)
 		defer types.PutVecBatch(vb)
-		if err := vb.Materialize(b); err != nil {
-			return err
-		}
+		vb.Materialize(b)
 		for i := 0; i < b.Len(); i++ {
 			out = append(out, b.Row(i).Clone())
 		}
@@ -172,15 +173,11 @@ func TestEncodePageChoosesEncodings(t *testing.T) {
 				t.Fatalf("chose encoding %d, want %d", enc, c.enc)
 			}
 			var v types.Vector
-			if err := decodePage(enc, payload, len(c.vals), &v); err != nil {
+			if err := decodePage(new(types.VecBuilder), enc, payload, len(c.vals), &v, false); err != nil {
 				t.Fatal(err)
 			}
-			got, err := v.Decode(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, c.vals) {
-				t.Fatal("round trip mismatch")
+			if got := testutil.VectorRows(&v); !reflect.DeepEqual(got, c.vals) || v.Mixed {
+				t.Fatalf("round trip mismatch (mixed %v)", v.Mixed)
 			}
 		})
 	}
@@ -239,10 +236,10 @@ func TestScanVecBatchesRowOrientation(t *testing.T) {
 		defer types.PutVecBatch(vb)
 		for j := range vb.Cols {
 			v := &vb.Cols[j]
-			if v.Enc != types.VecFlat || v.N != vb.Len() || len(v.Values) != vb.Len() || v.Shared {
-				t.Errorf("col %d: enc %d, N %d, %d values, shared %v", j, v.Enc, v.N, len(v.Values), v.Shared)
+			if v.Enc != types.VecFlat || v.N != vb.Len() || v.Mixed || len(v.Values) != 0 || v.Shared {
+				t.Errorf("col %d: enc %d, N %d, mixed %v, %d Datums, shared %v", j, v.Enc, v.N, v.Mixed, len(v.Values), v.Shared)
 			}
-			for i, d := range v.Values {
+			for i, d := range testutil.VectorRows(v) {
 				if d != rows[seen+i][j] {
 					t.Errorf("row %d col %d: %v, want %v", seen+i, j, d, rows[seen+i][j])
 				}
@@ -256,59 +253,183 @@ func TestScanVecBatchesRowOrientation(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRLE fuzzes the RLE page decoder with a corpus seeded from
-// real writer output: it must never panic, and on valid input must
-// round-trip.
-func FuzzDecodeRLE(f *testing.F) {
-	vals := make([]types.Datum, 500)
-	for i := range vals {
-		vals[i] = types.NewInt64(int64(i / 50))
+// refDecodePage is what a page's bytes mean, spelled with DecodeDatum: a
+// Datum per row, under the same rules of well-formedness decodePage
+// enforces.
+func refDecodePage(enc byte, raw []byte, rowCount int) ([]types.Datum, error) {
+	var rows []types.Datum
+	pos := 0
+	datum := func() (types.Datum, error) {
+		d, n, err := types.DecodeDatum(raw[pos:])
+		pos += n
+		return d, err
 	}
-	if enc, payload := encodePage(nil, vals); enc == pageEncRLE {
-		f.Add(payload, 500)
+	switch enc {
+	case pageEncFlat:
+		for len(rows) < rowCount {
+			d, err := datum()
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, d)
+		}
+	case pageEncRLE:
+		for pos < len(raw) {
+			run, n := binary.Uvarint(raw[pos:])
+			if n <= 0 || run == 0 || run > uint64(rowCount-len(rows)) {
+				return nil, fmt.Errorf("bad run")
+			}
+			pos += n
+			d, err := datum()
+			if err != nil {
+				return nil, err
+			}
+			for ; run > 0; run-- {
+				rows = append(rows, d)
+			}
+		}
+		if len(rows) != rowCount {
+			return nil, fmt.Errorf("runs cover %d of %d rows", len(rows), rowCount)
+		}
+	case pageEncDict:
+		size, n := binary.Uvarint(raw)
+		if n <= 0 || size > maxDictEntries {
+			return nil, fmt.Errorf("bad dictionary size")
+		}
+		pos = n
+		dict := make([]types.Datum, size)
+		for i := range dict {
+			var err error
+			if dict[i], err = datum(); err != nil {
+				return nil, err
+			}
+		}
+		for len(rows) < rowCount {
+			c, n := binary.Uvarint(raw[pos:])
+			if n <= 0 || c >= size {
+				return nil, fmt.Errorf("bad code")
+			}
+			pos += n
+			rows = append(rows, dict[c])
+		}
+	default:
+		return nil, fmt.Errorf("unknown encoding")
 	}
-	strs := make([]types.Datum, 100)
+	if pos != len(raw) {
+		return nil, fmt.Errorf("trailing bytes")
+	}
+	return rows, nil
+}
+
+// checkDecodePage holds decodePage to refDecodePage on arbitrary bytes:
+// it must never panic, it must refuse exactly what the reference
+// refuses, and what it accepts must read back, row for row, as the
+// Datums the same bytes decode to — typed when those share one kind and
+// scale, in the Mixed fallback when they do not.
+func checkDecodePage(t *testing.T, enc byte, raw []byte, rowCount int) {
+	if rowCount < 0 || rowCount > 1<<20 {
+		return
+	}
+	want, refErr := refDecodePage(enc, raw, rowCount)
+	for _, exact := range []bool{false, true} {
+		var v types.Vector
+		err := decodePage(new(types.VecBuilder), enc, raw, rowCount, &v, exact)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("enc %d: decodePage says %v, the reference %v", enc, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		got := testutil.VectorRows(&v)
+		if len(got) != len(want) {
+			t.Fatalf("enc %d: %d rows, want %d", enc, len(got), len(want))
+		}
+		kinds := map[[2]int]bool{}
+		for i := range got {
+			if string(types.EncodeDatum(nil, got[i])) != string(types.EncodeDatum(nil, want[i])) {
+				t.Fatalf("enc %d row %d: %#v, want %#v", enc, i, got[i], want[i])
+			}
+			if !want[i].IsNull() {
+				kinds[[2]int{int(want[i].K), int(want[i].Scale)}] = true
+			}
+		}
+		// A dictionary may hold an entry of another kind no row uses.
+		if enc != pageEncDict && v.Mixed != (len(kinds) > 1) {
+			t.Fatalf("enc %d: %d kinds among the values, mixed %v", enc, len(kinds), v.Mixed)
+		}
+		if !v.Mixed && len(v.Values) != 0 {
+			t.Fatalf("enc %d: a typed page kept %d Datums", enc, len(v.Values))
+		}
+	}
+}
+
+// pageSeeds returns writer output of every encoding, typed pages and
+// pages of several kinds, as (encoding, payload, rows).
+func pageSeeds() (seeds []struct {
+	enc  byte
+	raw  []byte
+	rows int
+}) {
+	add := func(vals []types.Datum) {
+		enc, raw := encodePage(nil, vals)
+		seeds = append(seeds, struct {
+			enc  byte
+			raw  []byte
+			rows int
+		}{enc, raw, len(vals)})
+	}
+	runs, strs, words, flat, mixed, nulls := make([]types.Datum, 500), make([]types.Datum, 100), make([]types.Datum, 400),
+		make([]types.Datum, 64), make([]types.Datum, 64), make([]types.Datum, 10)
+	for i := range runs {
+		runs[i] = types.NewInt64(int64(i / 50))
+	}
 	for i := range strs {
 		strs[i] = types.NewString("run")
 	}
-	if enc, payload := encodePage(nil, strs); enc == pageEncRLE {
-		f.Add(payload, 100)
+	for i := range words {
+		words[i] = types.NewString([]string{"aa", "bb", "cc"}[i%3])
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, rowCount int) {
-		if rowCount < 0 || rowCount > 1<<20 {
-			return
-		}
-		var v types.Vector
-		if err := decodePage(pageEncRLE, raw, rowCount, &v); err != nil {
-			return
-		}
-		if _, err := v.Decode(nil); err != nil {
-			t.Fatalf("decodePage accepted input Decode rejects: %v", err)
-		}
-	})
+	for i := range flat {
+		flat[i] = types.NewDecimal(int64(i*7919), 2)
+		mixed[i] = []types.Datum{types.NewInt64(int64(i)), types.NewString("s"), types.Null, types.NewDecimal(int64(i), int8(i%3)),
+			types.NewFloat64(float64(i)), types.NewDate(int32(i)), types.NewBool(i%2 == 0)}[i%7]
+	}
+	flat[3] = types.Null
+	add(runs)
+	add(strs)
+	add(words)
+	add(flat)
+	add(mixed)
+	add(nulls)
+	add(append(append([]types.Datum{}, words[:50]...), types.Null, types.Null))
+	return seeds
 }
 
-// FuzzDecodeDict fuzzes the dictionary page decoder with writer-seeded
-// corpus entries.
+// FuzzDecodePage fuzzes the page decoder over all three encodings with a
+// corpus seeded from real writer output.
+func FuzzDecodePage(f *testing.F) {
+	for _, s := range pageSeeds() {
+		f.Add(s.enc, s.raw, s.rows)
+		f.Add(s.enc, s.raw[:len(s.raw)/2], s.rows)
+		f.Add(byte((s.enc+1)%3), s.raw, s.rows)
+	}
+	f.Add(byte(pageEncFlat), []byte{byte(types.KindDecimal), 200, 2}, 1<<20)
+	f.Add(byte(pageEncRLE), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0}, 7)
+	f.Add(byte(9), []byte{1, 2, 3}, 3)
+	f.Fuzz(func(t *testing.T, enc byte, raw []byte, rowCount int) { checkDecodePage(t, enc, raw, rowCount) })
+}
+
+// FuzzDecodeRLE fuzzes the RLE page decoder alone.
+func FuzzDecodeRLE(f *testing.F) {
+	for _, s := range pageSeeds()[:2] {
+		f.Add(s.raw, s.rows)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, rowCount int) { checkDecodePage(t, pageEncRLE, raw, rowCount) })
+}
+
+// FuzzDecodeDict fuzzes the dictionary page decoder alone.
 func FuzzDecodeDict(f *testing.F) {
-	vals := make([]types.Datum, 400)
-	words := []string{"aa", "bb", "cc"}
-	for i := range vals {
-		vals[i] = types.NewString(words[i%3])
-	}
-	if enc, payload := encodePage(nil, vals); enc == pageEncDict {
-		f.Add(payload, 400)
-	}
-	f.Fuzz(func(t *testing.T, raw []byte, rowCount int) {
-		if rowCount < 0 || rowCount > 1<<20 {
-			return
-		}
-		var v types.Vector
-		if err := decodePage(pageEncDict, raw, rowCount, &v); err != nil {
-			return
-		}
-		if _, err := v.Decode(nil); err != nil {
-			t.Fatalf("decodePage accepted input Decode rejects: %v", err)
-		}
-	})
+	s := pageSeeds()[2]
+	f.Add(s.raw, s.rows)
+	f.Fuzz(func(t *testing.T, raw []byte, rowCount int) { checkDecodePage(t, pageEncDict, raw, rowCount) })
 }

@@ -3,7 +3,6 @@ package tpch
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -251,15 +250,13 @@ func TestScanProjectionsAreExact(t *testing.T) {
 }
 
 // tpchShapes is each TPC-H plan's slice count and motion kinds
-// (Broadcast / Gather / Redistribute, sorted) as the planner drew them
-// before scans were pruned. Q2, Q5 and Q7 have several entries because
-// the greedy join order breaks cost ties by map iteration.
-var tpchShapes = map[int][]string{
-	1: {"3:GR"}, 2: {"10:BBBBGRRRR", "8:BBBGRRR", "9:BBBBGRRR"}, 3: {"3:BG"}, 4: {"3:GR"},
-	5: {"7:BBBBGR", "7:BBBGRR", "8:BBBBGRR"}, 6: {"2:G"}, 7: {"7:BGRRRR", "8:BGRRRRR"},
-	8: {"9:BBBGRRRR"}, 9: {"8:BGRRRRR"}, 10: {"5:BBGR"}, 11: {"4:BBG"}, 12: {"3:GR"},
-	13: {"4:GRR"}, 14: {"3:GR"}, 15: {"3:GR"}, 16: {"4:BGR"}, 17: {"5:BGRR"}, 18: {"3:BG"},
-	19: {"3:GR"}, 20: {"5:BGRR"}, 21: {"5:BBGR"}, 22: {"4:GRR"},
+// (Broadcast / Gather / Redistribute, sorted). One per query: the greedy
+// join order breaks cost ties by FROM position.
+var tpchShapes = map[int]string{
+	1: "3:GR", 2: "8:BBBGRRR", 3: "3:BG", 4: "3:GR", 5: "7:BBBBGR", 6: "2:G", 7: "7:BGRRRR",
+	8: "9:BBBGRRRR", 9: "8:BGRRRRR", 10: "5:BBGR", 11: "4:BBG", 12: "3:GR",
+	13: "4:GRR", 14: "3:GR", 15: "3:GR", 16: "4:BGR", 17: "5:BGRR", 18: "3:BG",
+	19: "3:GR", 20: "5:BGRR", 21: "5:BBGR", 22: "4:GRR",
 }
 
 // TestPruningKeepsPlanShape: narrowing scans moves no motion. Colocation
@@ -270,25 +267,59 @@ var tpchShapes = map[int][]string{
 func TestPruningKeepsPlanShape(t *testing.T) {
 	e, _ := loadedEngine(t, 4, LoadOptions{Scale: Scale{SF: testSF}, Orientation: "row", CompressType: "quicklz"})
 	for _, q := range AllQueryNumbers() {
-		seen := map[string]bool{}
-		for rep := 0; rep < 5; rep++ {
-			pl := planStmt(t, e, Queries[q])
-			var kinds []string
-			for _, s := range pl.Slices {
-				if m, ok := s.Root.(*plan.Motion); ok {
-					kinds = append(kinds, m.Type.String()[:1])
-				}
-			}
-			sort.Strings(kinds)
-			seen[fmt.Sprintf("%d:%s", len(pl.Slices), strings.Join(kinds, ""))] = true
-		}
-		for shape := range seen {
-			if !slices.Contains(tpchShapes[q], shape) {
-				t.Errorf("Q%d: plan shape %s, parent drew %q", q, shape, tpchShapes[q])
+		pl := planStmt(t, e, Queries[q])
+		var kinds []string
+		for _, s := range pl.Slices {
+			if m, ok := s.Root.(*plan.Motion); ok {
+				kinds = append(kinds, m.Type.String()[:1])
 			}
 		}
-		if len(tpchShapes[q]) == 1 && len(seen) != 1 {
-			t.Errorf("Q%d: %d plan variants, want 1", q, len(seen))
+		sort.Strings(kinds)
+		if shape := fmt.Sprintf("%d:%s", len(pl.Slices), strings.Join(kinds, "")); shape != tpchShapes[q] {
+			t.Errorf("Q%d: plan shape %s, want %s", q, shape, tpchShapes[q])
+		}
+	}
+}
+
+// TestPlanningIsDeterministic: one statement over one snapshot has one
+// plan. Every TPC-H query is planned twenty times and must render the
+// same EXPLAIN text each time — Q2, Q5, Q8, Q9 and Q21 drew two to six
+// join orders when the greedy merge ranged over a map of candidates.
+func TestPlanningIsDeterministic(t *testing.T) {
+	e, _ := loadedEngine(t, 4, LoadOptions{Scale: Scale{SF: testSF}, Orientation: "row", CompressType: "quicklz"})
+	for _, q := range AllQueryNumbers() {
+		first := planStmt(t, e, Queries[q]).Explain()
+		for rep := 1; rep < 20; rep++ {
+			if again := planStmt(t, e, Queries[q]).Explain(); again != first {
+				t.Errorf("Q%d: planning %d drew another plan:\n%s\nthe first was:\n%s", q, rep+1, again, first)
+				break
+			}
+		}
+	}
+}
+
+// TestFoldedConstantsAndSharedPartials pins two lines of EXPLAIN: the
+// binder folds literal arithmetic, so Q1's cutoff and Q6's bounds are
+// values a zone map and a filter kernel can take, and the partial phase
+// computes an aggregate once however many of the query's read it — 9 for
+// Q1's 10 aggregates, sum and count of each averaged column shared.
+func TestFoldedConstantsAndSharedPartials(t *testing.T) {
+	e, _ := loadedEngine(t, 4, LoadOptions{Scale: Scale{SF: testSF}, Orientation: "column", CompressType: "quicklz"})
+	for q, lines := range map[int][]string{
+		1: {
+			"-> HashAggregate (partial) [sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), " +
+				"sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), count(l_quantity), count(l_extendedprice), " +
+				"sum(l_discount), count(l_discount), count(*)]\n",
+			"-> Table Scan (lineitem) cols=7/16 filter: (l_shipdate <= 1998-09-02)\n",
+		},
+		6:  {"filter: ((((l_shipdate >= 1994-01-01) AND (l_shipdate < 1995-01-01)) AND (l_discount BETWEEN 0.05 AND 0.07)) AND (l_quantity < 24))\n"},
+		15: {"filter: ((l_shipdate >= 1996-01-01) AND (l_shipdate < 1996-04-01))\n"},
+	} {
+		text := planStmt(t, e, Queries[q]).Explain()
+		for _, line := range lines {
+			if !strings.Contains(text, line) {
+				t.Errorf("Q%d: EXPLAIN lacks %q:\n%s", q, line, text)
+			}
 		}
 	}
 }

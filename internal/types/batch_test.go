@@ -292,7 +292,7 @@ func TestDecodeRowVecsMatchesDecodeRow(t *testing.T) {
 	}
 	for _, slot := range [][]int{{}, {0}, {-1, -1, 0}, {1, -1, -1, -1, 0}, {0, 1, 2, 3, 4, 5, 6}} {
 		vecs := make([]Vector, 7)
-		cols := make([]FlatBuilder, 7)
+		cols := make([]VecBuilder, 7)
 		for i := range cols {
 			cols[i].Reset(&vecs[i], 2, i%2 == 0)
 		}
@@ -311,14 +311,14 @@ func TestDecodeRowVecsMatchesDecodeRow(t *testing.T) {
 				continue
 			}
 			v := vecs[s]
-			if v.Enc != VecFlat || v.N != 2 || !reflect.DeepEqual(v.Values, []Datum{full[c], full[c]}) {
+			if v.Enc != VecFlat || v.N != 2 || v.Mixed || v.Datum(0) != full[c] || v.Datum(1) != full[c] {
 				t.Fatalf("slot %v: column %d = %+v, want twice %v", slot, c, v, full[c])
 			}
 		}
 	}
 	// Cut inside column 1's string body; column 0 is all the caller wants.
 	var v Vector
-	one := make([]FlatBuilder, 1)
+	one := make([]VecBuilder, 1)
 	one[0].Reset(&v, 1, false)
 	cut := EncodeRow(nil, row)[:6]
 	if _, _, err := DecodeRowVecs(cut, []int{0}, one); err == nil {

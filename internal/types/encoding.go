@@ -135,12 +135,12 @@ func DecodeRow(buf []byte) (Row, int, error) {
 // DecodeRowVecs walks one encoded row once and appends only the columns
 // the caller wants to column builders: stored column c goes to
 // cols[slot[c]] when slot[c] >= 0, and every other column — those past
-// len(slot) too — is stepped over with SkipDatum, which stores no Datum
+// len(slot) too — is stepped over with SkipDatum, which stores nothing
 // and copies no string. It returns the bytes consumed and the stored
 // column count, so the caller can tell a row too narrow for its
 // projection. Truncation inside a skipped column is reported like any
 // other corruption.
-func DecodeRowVecs(buf []byte, slot []int, cols []FlatBuilder) (consumed, ncols int, err error) {
+func DecodeRowVecs(buf []byte, slot []int, cols []VecBuilder) (consumed, ncols int, err error) {
 	ncols, pos, err := rowHeader(buf)
 	if err != nil {
 		return 0, 0, err

@@ -6,6 +6,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"strconv"
 	"strings"
@@ -172,6 +173,16 @@ var pow10 = [...]int64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 10000
 
 func pow10f(scale int8) float64 { return float64(pow10[scale]) }
 
+// Pow10 returns the divisor Float applies to a decimal of the given
+// scale, for a loop that converts a whole column; ok is false for a
+// scale Float itself could not convert.
+func Pow10(scale int8) (float64, bool) {
+	if scale < 0 || int(scale) >= len(pow10) {
+		return 0, false
+	}
+	return pow10f(scale), true
+}
+
 // Rescale returns the decimal's unscaled value at the requested scale,
 // truncating extra digits toward zero when scaling down.
 func rescale(unscaled int64, from, to int8) int64 {
@@ -184,6 +195,36 @@ func rescale(unscaled int64, from, to int8) int64 {
 		from--
 	}
 	return unscaled
+}
+
+// UnscaledAt returns the unscaled value an integer or decimal datum has
+// at the given decimal scale, when that is exact and fits: 24 at scale 2
+// is 2400, 1.50 at scale 1 is 15, 0.005 at scale 2 is not ok. It is how
+// a constant is aligned once with a column of decimals that all share
+// one scale.
+func (d Datum) UnscaledAt(scale int8) (int64, bool) {
+	from := d.Scale
+	switch d.K {
+	case KindInt32, KindInt64:
+		from = 0
+	case KindDecimal:
+	default:
+		return 0, false
+	}
+	u := d.I
+	for ; from < scale; from++ {
+		if !within(u, math.MaxInt64/10) {
+			return 0, false
+		}
+		u *= 10
+	}
+	for ; from > scale; from-- {
+		if u%10 != 0 {
+			return 0, false
+		}
+		u /= 10
+	}
+	return u, true
 }
 
 // DecimalString renders a DECIMAL datum as text, e.g. "123.45".
@@ -240,9 +281,36 @@ func numericKind(k Kind) bool {
 	return false
 }
 
+// compareClass sorts the kinds into the classes Compare orders within:
+// numerics by value across kinds, dates, booleans, and strings with
+// bytes. Class 0 (NULL, unknown kinds) compares with nothing.
+func compareClass(k Kind) int {
+	switch k {
+	case KindInt32, KindInt64, KindFloat64, KindDecimal:
+		return 1
+	case KindDate:
+		return 2
+	case KindBool:
+		return 3
+	case KindString, KindBytes:
+		return 4
+	}
+	return 0
+}
+
+// Comparable reports whether Compare can order non-NULL values of kinds
+// a and b. The binder rejects a comparison for which it is false, the
+// kernel compiler and the zone maps ask it before they compare values
+// they did not type-check themselves.
+func Comparable(a, b Kind) bool {
+	c := compareClass(a)
+	return c != 0 && c == compareClass(b)
+}
+
 // Compare orders two datums. NULL sorts before every non-NULL value.
-// Numeric kinds compare by value across kinds; other kinds must match.
-// It panics on incomparable kinds, which indicates a planner bug.
+// Numeric kinds compare by value across kinds; other kinds must match
+// (Comparable). It panics on incomparable kinds: the binder lets no such
+// comparison into a plan.
 func Compare(a, b Datum) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {

@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -10,44 +11,73 @@ import (
 	"hawq/internal/obs"
 )
 
-// VecEnc identifies the in-memory representation of a Vector's values.
-// The encodings mirror the lightweight page encodings the storage
-// formats write, so a scan can hand pages to the executor without
-// eagerly decoding them.
+// VecEnc says how a Vector's rows map onto its entries. The mappings
+// mirror the lightweight page encodings the storage formats write, so a
+// run-length or dictionary page reaches the executor with one entry per
+// run or per distinct value, and a predicate is evaluated once per entry.
 type VecEnc uint8
 
 const (
-	// VecFlat stores one decoded Datum per row in Values.
+	// VecFlat has one entry per row: row i is entry i.
 	VecFlat VecEnc = iota
-	// VecRaw stores the rows as a concatenated EncodeDatum stream in
-	// Raw — nothing is decoded until a consumer asks. A v1 flat page
-	// payload is a valid VecRaw vector as-is.
-	VecRaw
-	// VecRLE stores run-length-encoded values: Runs[k] consecutive rows
-	// share the value Values[k].
+	// VecRLE has one entry per run: Runs[k] consecutive rows share
+	// entry k.
 	VecRLE
-	// VecDict stores dictionary-encoded values: row i has the value
-	// Values[Codes[i]].
+	// VecDict has one entry per dictionary value: row i is entry
+	// Codes[i].
 	VecDict
 )
 
-// Vector is one column of an encoded batch. Kernels that understand an
-// encoding operate on Values/Runs/Codes directly (evaluating a
-// predicate once per run or per dictionary entry instead of once per
-// row); everything else materializes through VecBatch.Materialize.
+// VecClass says which of a Vector's storage fields hold its entries.
+type VecClass uint8
+
+const (
+	// ClassNull: every entry is NULL and nothing is stored.
+	ClassNull VecClass = iota
+	// ClassInt: Ints (bool, int32, int64, date, decimal unscaled).
+	ClassInt
+	// ClassFloat: Floats.
+	ClassFloat
+	// ClassStr: Offs into Str (string, bytes).
+	ClassStr
+	// ClassMixed: Values, one Datum per entry.
+	ClassMixed
+)
+
+// Vector is one column of a VecBatch: entries, and the mapping from rows
+// onto them (Enc). Entries are stored typed and pointer-free — every
+// non-NULL entry has the kind Kind (and, for decimals, the scale Scale),
+// its value sits in Ints, Floats or Offs/Str according to Class, and a
+// NULL entry is a set bit in Nulls over a zero value. The one exception
+// is a column whose non-NULL entries do not share one kind and scale:
+// it is Mixed and keeps a Datum per entry in Values.
 type Vector struct {
-	// Enc selects which of the representation fields below are live.
+	// Enc maps rows onto entries.
 	Enc VecEnc
-	// N is the row count of the vector regardless of encoding.
+	// N is the row count regardless of encoding.
 	N int
-	// Raw is the undecoded datum stream (VecRaw).
-	Raw []byte
-	// Values holds the per-row values (VecFlat), the per-run values
-	// (VecRLE), or the dictionary entries (VecDict).
+	// Kind and Scale describe every non-NULL entry of a typed vector;
+	// Kind is KindNull when there is none.
+	Kind  Kind
+	Scale int8
+	// Mixed marks the generic fallback: the entries are in Values.
+	Mixed bool
+	// Ints holds the entries of the integer-like kinds.
+	Ints []int64
+	// Floats holds DOUBLE entries.
+	Floats []float64
+	// Offs and Str hold string-like entries: entry e is
+	// Str[Offs[e]:Offs[e+1]], so a column of strings is one allocation.
+	Offs []int32
+	Str  string
+	// Nulls has bit e set when typed entry e is NULL; it is empty when
+	// no entry is.
+	Nulls []uint64
+	// Values holds the entries of a Mixed vector.
 	Values []Datum
 	// Runs holds the per-run lengths (VecRLE); they sum to N.
 	Runs []int32
-	// Codes holds the per-row dictionary indexes (VecDict).
+	// Codes holds the per-row entry indexes (VecDict).
 	Codes []int32
 	// Shared marks a vector whose slices belong to someone else — the
 	// segment block cache hands the same vector to every scan that hits
@@ -63,71 +93,367 @@ func (v *Vector) reset() {
 		*v = Vector{}
 		return
 	}
-	v.Enc = VecFlat
-	v.N = 0
-	v.Raw = nil
-	v.Values = v.Values[:0]
-	v.Runs = v.Runs[:0]
-	v.Codes = v.Codes[:0]
+	*v = Vector{
+		Ints: v.Ints[:0], Floats: v.Floats[:0], Offs: v.Offs[:0], Nulls: v.Nulls[:0],
+		Values: v.Values[:0], Runs: v.Runs[:0], Codes: v.Codes[:0],
+	}
+}
+
+// Class returns where the entries are stored.
+func (v *Vector) Class() VecClass {
+	if v.Mixed {
+		return ClassMixed
+	}
+	switch v.Kind {
+	case KindNull:
+		return ClassNull
+	case KindFloat64:
+		return ClassFloat
+	case KindString, KindBytes:
+		return ClassStr
+	default:
+		return ClassInt
+	}
+}
+
+// Entries returns the number of entries: rows of a flat vector, runs,
+// or dictionary values (0 for a dictionary of only NULLs, whose codes
+// say nothing).
+func (v *Vector) Entries() int {
+	switch v.Enc {
+	case VecFlat:
+		return v.N
+	case VecRLE:
+		return len(v.Runs)
+	}
+	switch v.Class() {
+	case ClassInt:
+		return len(v.Ints)
+	case ClassFloat:
+		return len(v.Floats)
+	case ClassStr:
+		return len(v.Offs) - 1
+	case ClassMixed:
+		return len(v.Values)
+	}
+	return 0
+}
+
+// Null reports whether entry e is NULL.
+func (v *Vector) Null(e int) bool {
+	switch {
+	case v.Mixed:
+		return v.Values[e].K == KindNull
+	case v.Kind == KindNull:
+		return true
+	}
+	return len(v.Nulls) != 0 && v.Nulls[e>>6]>>(uint(e)&63)&1 != 0
+}
+
+// Text returns string-like entry e (the empty string for a NULL).
+func (v *Vector) Text(e int) string { return v.Str[v.Offs[e]:v.Offs[e+1]] }
+
+// Datum returns entry e as a Datum, exactly as DecodeDatum would have
+// produced it from the stored bytes.
+func (v *Vector) Datum(e int) Datum {
+	if v.Mixed {
+		return v.Values[e]
+	}
+	if v.Null(e) {
+		return Null
+	}
+	switch v.Class() {
+	case ClassFloat:
+		return Datum{K: KindFloat64, F: v.Floats[e]}
+	case ClassStr:
+		return Datum{K: v.Kind, S: v.Text(e)}
+	}
+	return Datum{K: v.Kind, Scale: v.Scale, I: v.Ints[e]}
+}
+
+// AppendEncoded appends the encoding of entry e to buf: the bytes
+// EncodeDatum(buf, v.Datum(e)) would append, straight from the typed
+// storage.
+func (v *Vector) AppendEncoded(buf []byte, e int) []byte {
+	if v.Mixed {
+		return EncodeDatum(buf, v.Values[e])
+	}
+	if v.Null(e) {
+		return append(buf, byte(KindNull))
+	}
+	buf = append(buf, byte(v.Kind))
+	switch v.Kind {
+	case KindBool:
+		return append(buf, byte(v.Ints[e]))
+	case KindDecimal:
+		buf = append(buf, byte(v.Scale))
+		return binary.AppendVarint(buf, v.Ints[e])
+	case KindFloat64:
+		return binary.BigEndian.AppendUint64(buf, math.Float64bits(v.Floats[e]))
+	case KindString, KindBytes:
+		s := v.Text(e)
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		return append(buf, s...)
+	}
+	return binary.AppendVarint(buf, v.Ints[e])
 }
 
 // datumSize is the in-memory size of one Datum, without its string bytes.
 const datumSize = int64(unsafe.Sizeof(Datum{}))
 
 // MemBytes returns the memory the vector's slices occupy, counting each
-// value's string bytes once (values of one vector that share a backing
-// string are still counted separately: an upper bound).
+// Mixed value's string bytes once.
 func (v *Vector) MemBytes() int64 {
-	n := int64(cap(v.Raw)) + int64(cap(v.Values))*datumSize + int64(cap(v.Runs)+cap(v.Codes))*4
+	n := int64(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls))*8 + int64(cap(v.Offs)+cap(v.Runs)+cap(v.Codes))*4 +
+		int64(len(v.Str)) + int64(cap(v.Values))*datumSize
 	for i := range v.Values {
 		n += int64(len(v.Values[i].S))
 	}
 	return n
 }
 
-// FlatBuilder fills one VecFlat vector from encoded datums. String and
-// bytes payloads are collected in one scratch buffer and become
-// substrings of a single allocation in Finish, so a column of a
-// thousand strings costs the collector two objects, not a thousand and
-// one. The zero value is ready for Reset; reusing a builder reuses its
-// scratch.
-type FlatBuilder struct {
-	v     *Vector
-	vals  []Datum
-	arena []byte
-	// ends holds the end offset in arena of every string-kind value
-	// appended so far, in order.
-	ends []int32
+// EntryIndex returns the entry of every surviving row — every row when
+// sel is nil, else the rows sel lists in ascending order. A nil result
+// means row i is entry i. The result may be sel, v.Codes, or scratch
+// (grown as needed and returned for reuse); it is read-only.
+func (v *Vector) EntryIndex(sel, scratch []int32) (idx, grown []int32) {
+	switch v.Enc {
+	case VecDict:
+		if sel == nil {
+			return v.Codes[:v.N], scratch
+		}
+		scratch = scratch[:0]
+		for _, ri := range sel {
+			scratch = append(scratch, v.Codes[ri])
+		}
+		return scratch, scratch
+	case VecRLE:
+		scratch = scratch[:0]
+		if sel == nil {
+			for k, run := range v.Runs {
+				for r := int32(0); r < run; r++ {
+					scratch = append(scratch, int32(k))
+				}
+			}
+			return scratch, scratch
+		}
+		// sel is sorted ascending, so one forward walk over the runs
+		// covers every selected row.
+		k, runEnd := 0, int32(0)
+		for _, ri := range sel {
+			for ri >= runEnd {
+				runEnd += v.Runs[k]
+				k++
+			}
+			scratch = append(scratch, int32(k-1))
+		}
+		return scratch, scratch
+	}
+	return sel, scratch
 }
 
-// Reset points the builder at v, which Finish will make a VecFlat
-// vector of up to rows values. With exact set, v gets a fresh slice of
-// exactly that capacity (the caller means to keep the vector beyond the
-// batch that carries it); otherwise v's own capacity is reused.
-func (b *FlatBuilder) Reset(v *Vector, rows int, exact bool) {
-	v.reset()
-	if exact || cap(v.Values) < rows {
-		v.Values = make([]Datum, 0, rows)
+// VecBuilder fills a vector's entries from encoded datums or Datums. It
+// stores them typed for as long as every non-NULL value shares the first
+// one's kind and scale, and turns the vector Mixed at the first that
+// does not. String and bytes payloads are collected in one scratch
+// buffer and become the vector's single backing string in Finish. The
+// zero value is ready for Reset; reusing a builder reuses its scratch.
+type VecBuilder struct {
+	v     *Vector
+	n     int  // entries appended
+	hint  int  // entries expected
+	exact bool // v keeps no capacity it does not use
+	// arena holds the string bytes of the entries appended so far.
+	arena []byte
+}
+
+// Reset points the builder at v, which Finish will leave holding the
+// appended entries as a flat vector (a caller building runs or a
+// dictionary sets Enc, N and the mapping itself). hint is the expected
+// entry count. With exact set, v gets fresh slices sized by hint (the
+// caller means to keep the vector beyond the batch that carries it);
+// otherwise v's own capacity is reused.
+func (b *VecBuilder) Reset(v *Vector, hint int, exact bool) {
+	if exact {
+		*v = Vector{}
+	} else {
+		v.reset()
 	}
-	b.v, b.vals = v, v.Values
+	b.v, b.n, b.hint, b.exact = v, 0, hint, exact
 	b.arena = b.arena[:0]
-	b.ends = b.ends[:0]
+}
+
+// fit reports whether the typed storage takes a value of kind k and
+// scale next. The first non-NULL value fixes the vector's kind; a later
+// one that differs turns the vector Mixed.
+func (b *VecBuilder) fit(k Kind, scale int8) bool {
+	v := b.v
+	switch {
+	case v.Mixed:
+		return false
+	case v.Kind == k && v.Scale == scale:
+		return true
+	case v.Kind != KindNull:
+		b.demote()
+		return false
+	}
+	// Every entry so far is NULL: a zero value each, and its null bit.
+	v.Kind, v.Scale = k, scale
+	size := max(b.hint, b.n+1)
+	switch v.Class() {
+	case ClassInt:
+		v.Ints = zeros(v.Ints, b.n, size)
+	case ClassFloat:
+		v.Floats = zeros(v.Floats, b.n, size)
+	case ClassStr:
+		v.Offs = zeros(v.Offs, b.n+1, size+1)
+	}
+	if b.n > 0 {
+		v.Nulls = zeros(v.Nulls, (b.n+63)/64, (size+63)/64)
+		for e := 0; e < b.n; e++ {
+			v.Nulls[e>>6] |= 1 << (uint(e) & 63)
+		}
+	}
+	return true
+}
+
+// zeros returns s resized to n zero values, with room for size.
+func zeros[T int32 | int64 | uint64 | float64](s []T, n, size int) []T {
+	if cap(s) < size {
+		return make([]T, n, size)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// demote turns the vector Mixed, rewriting the typed entries appended
+// so far as Datums.
+func (b *VecBuilder) demote() {
+	v := b.v
+	v.Str = string(b.arena)
+	vals := v.Values[:0]
+	if cap(vals) < max(b.hint, b.n+1) {
+		vals = make([]Datum, 0, max(b.hint, b.n+1))
+	}
+	for e := 0; e < b.n; e++ {
+		vals = append(vals, v.Datum(e))
+	}
+	v.Mixed, v.Values = true, vals
+	v.Kind, v.Scale, v.Str = KindNull, 0, ""
+	v.Ints, v.Floats, v.Offs, v.Nulls = v.Ints[:0], v.Floats[:0], v.Offs[:0], v.Nulls[:0]
+	if b.exact {
+		v.Ints, v.Floats, v.Offs, v.Nulls = nil, nil, nil, nil
+	}
+	b.arena = b.arena[:0]
+}
+
+// appendNull appends a NULL entry.
+func (b *VecBuilder) appendNull() {
+	v := b.v
+	switch v.Class() {
+	case ClassMixed:
+		v.Values = append(v.Values, Null)
+	case ClassInt:
+		v.Ints = append(v.Ints, 0)
+	case ClassFloat:
+		v.Floats = append(v.Floats, 0)
+	case ClassStr:
+		v.Offs = append(v.Offs, int32(len(b.arena)))
+	}
+	if !v.Mixed && v.Kind != KindNull {
+		for len(v.Nulls) <= b.n>>6 {
+			v.Nulls = append(v.Nulls, 0)
+		}
+		v.Nulls[b.n>>6] |= 1 << (uint(b.n) & 63)
+	}
+	b.n++
+}
+
+// appendInt appends an entry of an integer-like kind.
+func (b *VecBuilder) appendInt(k Kind, scale int8, x int64) {
+	if b.fit(k, scale) {
+		b.v.Ints = append(b.v.Ints, x)
+	} else {
+		b.v.Values = append(b.v.Values, Datum{K: k, Scale: scale, I: x})
+	}
+	b.n++
+}
+
+// appendFloat appends a DOUBLE entry.
+func (b *VecBuilder) appendFloat(f float64) {
+	if b.fit(KindFloat64, 0) {
+		b.v.Floats = append(b.v.Floats, f)
+	} else {
+		b.v.Values = append(b.v.Values, Datum{K: KindFloat64, F: f})
+	}
+	b.n++
+}
+
+// appendStr appends a string-like entry whose bytes are s.
+func appendStr[T string | []byte](b *VecBuilder, k Kind, s T) {
+	if b.fit(k, 0) {
+		b.arena = append(b.arena, s...)
+		b.v.Offs = append(b.v.Offs, int32(len(b.arena)))
+	} else {
+		b.v.Values = append(b.v.Values, Datum{K: k, S: string(s)})
+	}
+	b.n++
+}
+
+// Append appends d.
+func (b *VecBuilder) Append(d Datum) {
+	switch d.K {
+	case KindNull:
+		b.appendNull()
+	case KindFloat64:
+		b.appendFloat(d.F)
+	case KindString, KindBytes:
+		appendStr(b, d.K, d.S)
+	default:
+		b.appendInt(d.K, d.Scale, d.I)
+	}
 }
 
 // AppendEncoded decodes the datum at the head of buf onto the vector and
 // returns the bytes it occupied.
-func (b *FlatBuilder) AppendEncoded(buf []byte) (int, error) {
+func (b *VecBuilder) AppendEncoded(buf []byte) (int, error) {
 	if len(buf) == 0 {
 		return 0, fmt.Errorf("types: decode on empty buffer")
 	}
 	switch k := Kind(buf[0]); k {
+	case KindNull:
+		b.appendNull()
+		return 1, nil
+	case KindBool:
+		if len(buf) < 2 {
+			return 0, fmt.Errorf("types: truncated bool")
+		}
+		b.appendInt(k, 0, int64(buf[1]))
+		return 2, nil
 	case KindInt32, KindInt64, KindDate:
 		i, n := binary.Varint(buf[1:])
 		if n <= 0 {
 			return 0, fmt.Errorf("types: truncated varint")
 		}
-		b.vals = append(b.vals, Datum{K: k, I: i})
+		b.appendInt(k, 0, i)
 		return 1 + n, nil
+	case KindFloat64:
+		if len(buf) < 9 {
+			return 0, fmt.Errorf("types: truncated float")
+		}
+		b.appendFloat(math.Float64frombits(binary.BigEndian.Uint64(buf[1:])))
+		return 9, nil
+	case KindDecimal:
+		if len(buf) < 2 {
+			return 0, fmt.Errorf("types: truncated decimal")
+		}
+		i, n := binary.Varint(buf[2:])
+		if n <= 0 {
+			return 0, fmt.Errorf("types: truncated decimal value")
+		}
+		b.appendInt(k, int8(buf[1]), i)
+		return 2 + n, nil
 	case KindString, KindBytes:
 		l, n := binary.Uvarint(buf[1:])
 		if n <= 0 {
@@ -137,44 +463,32 @@ func (b *FlatBuilder) AppendEncoded(buf []byte) (int, error) {
 		if uint64(len(buf)-pos) < l {
 			return 0, fmt.Errorf("types: truncated string body")
 		}
-		b.arena = append(b.arena, buf[pos:pos+int(l)]...)
-		b.ends = append(b.ends, int32(len(b.arena)))
-		b.vals = append(b.vals, Datum{K: k})
+		appendStr(b, k, buf[pos:pos+int(l)])
 		return pos + int(l), nil
+	default:
+		return 0, fmt.Errorf("types: decode of bad kind %d", k)
 	}
-	d, n, err := DecodeDatum(buf)
-	if err != nil {
-		return 0, err
-	}
-	b.vals = append(b.vals, d)
-	return n, nil
 }
 
-// Finish completes the vector: the values are handed over and every
-// string-kind value receives its substring of the one backing
-// allocation.
-func (b *FlatBuilder) Finish() {
+// Finish completes the vector as a flat one of the appended entries:
+// string entries receive their one backing allocation.
+func (b *VecBuilder) Finish() {
 	v := b.v
-	v.Values, v.N = b.vals, len(b.vals)
-	b.v, b.vals = nil, nil
-	if len(b.ends) == 0 {
-		return
+	v.Enc, v.N = VecFlat, b.n
+	if v.Class() == ClassStr {
+		v.Str = string(b.arena)
 	}
-	s := string(b.arena)
-	k, start := 0, int32(0)
-	for i := range v.Values {
-		if d := &v.Values[i]; d.K == KindString || d.K == KindBytes {
-			d.S = s[start:b.ends[k]]
-			start = b.ends[k]
-			k++
+	if len(v.Nulls) != 0 {
+		for len(v.Nulls) < (b.n+63)/64 {
+			v.Nulls = append(v.Nulls, 0)
 		}
 	}
+	b.v = nil
 }
 
 // SkipDatum returns the encoded size of the next datum in buf without
-// materializing it — the selective-decode primitive that lets a reader
-// step over rows a selection vector killed without allocating their
-// string payloads.
+// materializing it: how a row-major block steps over the columns a scan
+// did not ask for.
 func SkipDatum(buf []byte) (int, error) {
 	if len(buf) == 0 {
 		return 0, fmt.Errorf("types: skip on empty buffer")
@@ -225,56 +539,23 @@ func SkipDatum(buf []byte) (int, error) {
 	}
 }
 
-// Decode appends all N row values of the vector to dst in row order,
-// fully decoding whatever the encoding is. It is the generic
-// decode-then-fallback path for consumers with no specialized kernel.
-func (v *Vector) Decode(dst []Datum) ([]Datum, error) {
-	switch v.Enc {
-	case VecFlat:
-		return append(dst, v.Values[:v.N]...), nil
-	case VecRaw:
-		pos := 0
-		for i := 0; i < v.N; i++ {
-			d, n, err := DecodeDatum(v.Raw[pos:])
-			if err != nil {
-				return dst, fmt.Errorf("types: vector row %d: %w", i, err)
-			}
-			dst = append(dst, d)
-			pos += n
-		}
-		return dst, nil
-	case VecRLE:
-		for k, run := range v.Runs {
-			for j := int32(0); j < run; j++ {
-				dst = append(dst, v.Values[k])
-			}
-		}
-		return dst, nil
-	case VecDict:
-		for _, c := range v.Codes[:v.N] {
-			if int(c) >= len(v.Values) {
-				return dst, fmt.Errorf("types: dict code %d out of range (%d entries)", c, len(v.Values))
-			}
-			dst = append(dst, v.Values[c])
-		}
-		return dst, nil
-	default:
-		return dst, fmt.Errorf("types: decode of bad vector encoding %d", v.Enc)
-	}
-}
-
-// VecBatch is a batch of encoded column vectors plus an optional
-// selection: the unit the compressed-execution scan path hands to the
-// executor. Like Batch it is pooled (GetVecBatch/PutVecBatch) and
-// ownership transfers with the value; the receiver must return it.
+// VecBatch is a batch of column vectors plus an optional selection: the
+// unit the scan hands to the executor. Like Batch it is pooled
+// (GetVecBatch/PutVecBatch) and ownership transfers with the value; the
+// receiver must return it.
 type VecBatch struct {
 	// Cols holds one vector per projected column; all share the row
 	// count n.
 	Cols []Vector
 	n    int
 	// Sel, when non-nil, is the sorted list of surviving row indexes
-	// after encoded-domain filtering; nil means every row survives.
+	// after filtering; nil means every row survives.
 	Sel []int32
+	// selBuf is the batch's own storage for Sel, idx its scratch for
+	// entry indexes and verdict for Narrow's per-entry answers; all keep
+	// their capacity across reuse.
+	selBuf, idx []int32
+	verdict     []uint8
 	// pooled marks a batch currently sitting in the pool; PutVecBatch
 	// uses it to panic on a double return.
 	pooled bool
@@ -309,132 +590,235 @@ func (vb *VecBatch) SelCount() int {
 	return len(vb.Sel)
 }
 
-// Materialize decodes the surviving rows of every column into b,
-// resetting b first. Killed rows are stepped over without allocation
-// (SkipDatum for raw streams, run arithmetic for RLE), which is what
-// makes filtering before decode profitable.
-func (vb *VecBatch) Materialize(b *Batch) error {
+// SelOut returns an empty slice with room for every surviving row, for
+// a filter to append the rows it keeps and store back in Sel. When Sel
+// is set the slice is Sel's own storage: a filter that walks Sel in
+// order reads position i before it writes position k <= i.
+func (vb *VecBatch) SelOut() []int32 {
+	if vb.Sel != nil {
+		return vb.Sel[:0]
+	}
+	if cap(vb.selBuf) < vb.n {
+		vb.selBuf = make([]int32, 0, vb.n)
+	}
+	return vb.selBuf[:0]
+}
+
+// SetSel stores a filter's output, the rows it appended to SelOut. A
+// filter every row of the batch passed leaves no selection at all, so
+// what follows keeps its dense loops.
+func (vb *VecBatch) SetSel(out []int32) {
+	if len(out) == vb.n {
+		out = nil
+	}
+	vb.Sel = out
+}
+
+// Narrow keeps the surviving rows of column col whose entry passes.
+// pass sees each entry at most once where rows share entries (runs, a
+// dictionary) and once per surviving row of a flat column.
+func (vb *VecBatch) Narrow(col int, pass func(e int) bool) {
+	v := &vb.Cols[col]
+	var idx []int32
+	idx, vb.idx = v.EntryIndex(vb.Sel, vb.idx)
+	out := vb.SelOut()
+	switch {
+	case v.Enc == VecFlat && vb.Sel == nil:
+		for i := 0; i < vb.n; i++ {
+			if pass(i) {
+				out = append(out, int32(i))
+			}
+		}
+	case v.Enc == VecFlat:
+		for _, ri := range vb.Sel {
+			if pass(int(ri)) {
+				out = append(out, ri)
+			}
+		}
+	default:
+		// verdict per entry: 0 not asked yet, 1 passes, 2 fails. An
+		// all-NULL dictionary is one entry whatever its codes say.
+		nullDict := v.Enc == VecDict && v.Class() == ClassNull
+		verdict := vb.verdict[:0]
+		for range max(v.Entries(), 1) {
+			verdict = append(verdict, 0)
+		}
+		vb.verdict = verdict
+		for i, e := range idx {
+			if nullDict {
+				e = 0
+			}
+			if verdict[e] == 0 {
+				verdict[e] = 2
+				if pass(int(e)) {
+					verdict[e] = 1
+				}
+			}
+			if verdict[e] == 1 {
+				ri := int32(i)
+				if vb.Sel != nil {
+					ri = vb.Sel[i]
+				}
+				out = append(out, ri)
+			}
+		}
+	}
+	vb.SetSel(out)
+}
+
+// RowReader reads the surviving rows of a vec batch one at a time into a
+// scratch Row, for whatever still evaluates row by row: a predicate with
+// no kernel, a row on its way to a spill file. Only the columns asked
+// for are filled; the other cells stay NULL.
+type RowReader struct {
+	vb   *VecBatch
+	cols []int
+	idx  [][]int32 // entry index of each column in cols, nil: identity
+	bufs [][]int32
+	row  Row
+}
+
+// Reset points the reader at vb's current selection and the columns it
+// is to fill (nil: every column). Columns beyond the batch's width are
+// ignored: whatever reads that cell reports it.
+func (r *RowReader) Reset(vb *VecBatch, cols []int) {
+	r.vb, r.cols = vb, r.cols[:0]
+	for _, c := range cols {
+		if c < len(vb.Cols) {
+			r.cols = append(r.cols, c)
+		}
+	}
+	if cols == nil {
+		for c := range vb.Cols {
+			r.cols = append(r.cols, c)
+		}
+	}
+	for len(r.bufs) < len(r.cols) {
+		r.bufs = append(r.bufs, nil)
+		r.idx = append(r.idx, nil)
+	}
+	for k, c := range r.cols {
+		r.idx[k], r.bufs[k] = vb.Cols[c].EntryIndex(vb.Sel, r.bufs[k])
+	}
+	if cap(r.row) < len(vb.Cols) {
+		r.row = make(Row, len(vb.Cols))
+	}
+	r.row = r.row[:len(vb.Cols)]
+	clear(r.row)
+}
+
+// Row returns the i'th surviving row. The result is the reader's
+// scratch, overwritten by the next call.
+func (r *RowReader) Row(i int) Row {
+	for k, c := range r.cols {
+		e := i
+		if r.idx[k] != nil {
+			e = int(r.idx[k][i])
+		}
+		r.row[c] = r.vb.Cols[c].Datum(e)
+	}
+	return r.row
+}
+
+// Materialize writes the surviving rows of every column into b as
+// Datums, resetting b first: the hand-off to the operators that consume
+// rows.
+func (vb *VecBatch) Materialize(b *Batch) {
 	b.Reset(len(vb.Cols))
 	// Every column writes every surviving row's cell below, so the rows
 	// need no initializing.
 	b.extendRaw(vb.SelCount())
 	if b.n == 0 {
-		return nil
+		return
 	}
 	for j := range vb.Cols {
-		if err := materializeCol(&vb.Cols[j], vb.Sel, b.arena[j:], b.width); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// materializeCol writes one column's surviving values into out, a view
-// of a batch arena that starts at the column's cell of row 0: row i's
-// cell is out[i*width]. sel is the selection vector (nil = all rows).
-func materializeCol(v *Vector, sel []int32, out []Datum, width int) error {
-	switch v.Enc {
-	case VecFlat:
-		if sel == nil {
-			for i, d := range v.Values[:v.N] {
-				out[i*width] = d
-			}
-			return nil
-		}
-		for oi, ri := range sel {
-			out[oi*width] = v.Values[ri]
-		}
-		return nil
-	case VecRaw:
-		pos, next := 0, 0
-		if sel == nil {
-			for i := 0; i < v.N; i++ {
-				d, n, err := DecodeDatum(v.Raw[pos:])
-				if err != nil {
-					return fmt.Errorf("types: vector row %d: %w", i, err)
-				}
-				out[i*width] = d
-				pos += n
-			}
-			return nil
-		}
-		for oi, ri := range sel {
-			for int32(next) < ri {
-				n, err := SkipDatum(v.Raw[pos:])
-				if err != nil {
-					return fmt.Errorf("types: vector row %d: %w", next, err)
-				}
-				pos += n
-				next++
-			}
-			d, n, err := DecodeDatum(v.Raw[pos:])
-			if err != nil {
-				return fmt.Errorf("types: vector row %d: %w", next, err)
-			}
-			out[oi*width] = d
-			pos += n
-			next++
-		}
-		return nil
-	case VecRLE:
-		if sel == nil {
-			i := 0
-			for k, run := range v.Runs {
-				for r := int32(0); r < run; r++ {
-					out[i*width] = v.Values[k]
-					i++
-				}
-			}
-			return nil
-		}
-		// sel is sorted ascending, so one forward walk over the runs
-		// covers every selected row.
-		k, runEnd := 0, int32(0)
-		if len(v.Runs) > 0 {
-			runEnd = v.Runs[0]
-		}
-		for oi, ri := range sel {
-			for k < len(v.Runs) && ri >= runEnd {
-				k++
-				if k < len(v.Runs) {
-					runEnd += v.Runs[k]
-				}
-			}
-			if k >= len(v.Runs) {
-				return fmt.Errorf("types: selection index %d beyond RLE runs (%d rows)", ri, v.N)
-			}
-			out[oi*width] = v.Values[k]
-		}
-		return nil
-	case VecDict:
-		if sel == nil {
-			for i := 0; i < v.N; i++ {
-				c := v.Codes[i]
-				if int(c) >= len(v.Values) {
-					return fmt.Errorf("types: dict code %d out of range (%d entries)", c, len(v.Values))
-				}
-				out[i*width] = v.Values[c]
-			}
-			return nil
-		}
-		for oi, ri := range sel {
-			c := v.Codes[ri]
-			if int(c) >= len(v.Values) {
-				return fmt.Errorf("types: dict code %d out of range (%d entries)", c, len(v.Values))
-			}
-			out[oi*width] = v.Values[c]
-		}
-		return nil
-	default:
-		return fmt.Errorf("types: materialize of bad vector encoding %d", v.Enc)
+		v := &vb.Cols[j]
+		var idx []int32
+		idx, vb.idx = v.EntryIndex(vb.Sel, vb.idx)
+		v.gather(idx, b.n, b.arena[j:], b.width)
 	}
 }
 
-// vecBatchPool recycles encoded batches across scan pipeline stages.
+// gather writes m entries of v as Datums into out, a view of a batch
+// arena that starts at the column's cell of row 0: position i goes to
+// out[i*width] and is entry idx[i], or entry i when idx is nil.
+func (v *Vector) gather(idx []int32, m int, out []Datum, width int) {
+	switch v.Class() {
+	case ClassNull:
+		for i := 0; i < m; i++ {
+			out[i*width] = Datum{}
+		}
+		return
+	case ClassMixed:
+		if idx == nil {
+			for i, d := range v.Values[:m] {
+				out[i*width] = d
+			}
+			return
+		}
+		for i, e := range idx {
+			out[i*width] = v.Values[e]
+		}
+		return
+	case ClassInt:
+		d := Datum{K: v.Kind, Scale: v.Scale}
+		if idx == nil {
+			for i, x := range v.Ints[:m] {
+				d.I = x
+				out[i*width] = d
+			}
+		} else {
+			for i, e := range idx {
+				d.I = v.Ints[e]
+				out[i*width] = d
+			}
+		}
+	case ClassFloat:
+		d := Datum{K: KindFloat64}
+		if idx == nil {
+			for i, f := range v.Floats[:m] {
+				d.F = f
+				out[i*width] = d
+			}
+		} else {
+			for i, e := range idx {
+				d.F = v.Floats[e]
+				out[i*width] = d
+			}
+		}
+	case ClassStr:
+		d := Datum{K: v.Kind}
+		if idx == nil {
+			for i := 0; i < m; i++ {
+				d.S = v.Text(i)
+				out[i*width] = d
+			}
+		} else {
+			for i, e := range idx {
+				d.S = v.Text(int(e))
+				out[i*width] = d
+			}
+		}
+	}
+	if len(v.Nulls) == 0 {
+		return
+	}
+	for i := 0; i < m; i++ {
+		e := i
+		if idx != nil {
+			e = int(idx[i])
+		}
+		if v.Nulls[e>>6]>>(uint(e)&63)&1 != 0 {
+			out[i*width] = Datum{}
+		}
+	}
+}
+
+// vecBatchPool recycles vec batches across scan pipeline stages.
 var vecBatchPool = sync.Pool{New: func() any { return new(VecBatch) }}
 
 // vecGets and vecPuts count vec-batch pool traffic; their difference is
-// the number of encoded batches currently checked out (leaked ones show
+// the number of vec batches currently checked out (leaked ones show
 // up as a non-zero residue, exactly like types.batch_in_use).
 var vecGets, vecPuts atomic.Int64
 
@@ -443,7 +827,7 @@ func VecPoolStats() (gets, puts int64) {
 	return vecGets.Load(), vecPuts.Load()
 }
 
-// VecPoolInUse returns the number of encoded batches currently checked
+// VecPoolInUse returns the number of vec batches currently checked
 // out of the pool (gets − puts).
 func VecPoolInUse() int64 {
 	return vecGets.Load() - vecPuts.Load()
@@ -457,7 +841,7 @@ func init() {
 	obs.RegisterGauge("types.vecbatch_in_use", VecPoolInUse)
 }
 
-// GetVecBatch returns a pooled encoded batch reset to ncols columns.
+// GetVecBatch returns a pooled vec batch reset to ncols columns.
 func GetVecBatch(ncols int) *VecBatch {
 	vecGets.Add(1)
 	vb := vecBatchPool.Get().(*VecBatch)
@@ -466,7 +850,7 @@ func GetVecBatch(ncols int) *VecBatch {
 	return vb
 }
 
-// PutVecBatch returns an encoded batch to the pool. The caller must not
+// PutVecBatch returns a vec batch to the pool. The caller must not
 // touch the batch (or any vector in it) afterwards; returning the same
 // batch twice panics rather than silently aliasing its vectors to two
 // future owners.

@@ -1,9 +1,13 @@
-package types
+package types_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"hawq/internal/testutil"
+	. "hawq/internal/types"
 )
 
 // randDatum returns a pseudo-random datum spanning every kind the
@@ -27,105 +31,199 @@ func randDatum(rng *rand.Rand) Datum {
 	}
 }
 
-// vecVariants builds every encoding of the same logical column.
-func vecVariants(vals []Datum) []Vector {
-	flat := Vector{Enc: VecFlat, N: len(vals), Values: append([]Datum(nil), vals...)}
-	var raw []byte
-	for _, d := range vals {
-		raw = EncodeDatum(raw, d)
+// typedColumns returns one column per storage class, with and without
+// NULLs, plus the columns only the Mixed fallback can hold.
+func typedColumns(rng *rand.Rand, n int) map[string][]Datum {
+	gen := map[string]func() Datum{
+		"int64":   func() Datum { return NewInt64(rng.Int63n(50) - 25) },
+		"int32":   func() Datum { return NewInt32(int32(rng.Intn(9))) },
+		"bool":    func() Datum { return NewBool(rng.Intn(2) == 0) },
+		"date":    func() Datum { return NewDate(int32(rng.Intn(40))) },
+		"decimal": func() Datum { return NewDecimal(rng.Int63n(5000), 2) },
+		"float":   func() Datum { return NewFloat64(float64(rng.Intn(7)) / 2) },
+		"string":  func() Datum { return NewString(string(rune('a' + rng.Intn(5)))) },
+		"bytes":   func() Datum { return NewBytes([]byte{byte(rng.Intn(3))}) },
+		"scales":  func() Datum { return NewDecimal(rng.Int63n(50), int8(1+rng.Intn(2))) },
+		"anything": func() Datum {
+			return randDatum(rng)
+		},
 	}
-	rawVec := Vector{Enc: VecRaw, N: len(vals), Raw: raw}
-	var rle Vector
-	rle.Enc = VecRLE
-	rle.N = len(vals)
-	for i := 0; i < len(vals); i++ {
-		if len(rle.Values) > 0 && vals[i] == rle.Values[len(rle.Values)-1] {
-			rle.Runs[len(rle.Runs)-1]++
-			continue
+	cols := map[string][]Datum{"all-null": make([]Datum, n)}
+	for name, g := range gen {
+		plain, nulls := make([]Datum, n), make([]Datum, n)
+		for i := range plain {
+			plain[i] = g()
+			if i%3 == 1 || i < 2 {
+				nulls[i] = Null
+			} else {
+				nulls[i] = g()
+			}
 		}
-		rle.Values = append(rle.Values, vals[i])
-		rle.Runs = append(rle.Runs, 1)
+		cols[name], cols[name+"+null"] = plain, nulls
 	}
-	var dict Vector
-	dict.Enc = VecDict
-	dict.N = len(vals)
-	seen := map[Datum]int32{}
-	for _, d := range vals {
-		c, ok := seen[d]
-		if !ok {
-			c = int32(len(dict.Values))
-			seen[d] = c
-			dict.Values = append(dict.Values, d)
-		}
-		dict.Codes = append(dict.Codes, c)
-	}
-	return []Vector{flat, rawVec, rle, dict}
+	return cols
 }
 
-// TestVectorDecodeAllEncodings checks Decode yields the original values
-// for every encoding of the same column.
+var allEncs = []VecEnc{VecFlat, VecRLE, VecDict}
+
+// sameDatums compares as canonical encodings: NaN is a legal float.
+func sameDatums(a, b []Datum) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if string(EncodeDatum(nil, a[i])) != string(EncodeDatum(nil, b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVectorDecodeAllEncodings: every encoding of every kind of column
+// reads back the values it was built from, through Datum, through
+// AppendEncoded (the bytes EncodeDatum writes) and with the storage
+// class the values call for — typed unless kinds or scales differ.
 func TestVectorDecodeAllEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	vals := make([]Datum, 257)
-	for i := range vals {
-		vals[i] = randDatum(rng)
+	wantClass := map[string]VecClass{
+		"int64": ClassInt, "int32": ClassInt, "bool": ClassInt, "date": ClassInt, "decimal": ClassInt,
+		"float": ClassFloat, "string": ClassStr, "bytes": ClassStr,
+		"scales": ClassMixed, "anything": ClassMixed, "all-null": ClassNull,
 	}
-	for _, v := range vecVariants(vals) {
-		got, err := v.Decode(nil)
-		if err != nil {
-			t.Fatalf("enc %d: %v", v.Enc, err)
-		}
-		if !reflect.DeepEqual(got, vals) {
-			t.Errorf("enc %d: decode mismatch", v.Enc)
+	for name, vals := range typedColumns(rng, 257) {
+		for _, enc := range allEncs {
+			v := testutil.Vector(enc, vals)
+			if got := testutil.VectorRows(&v); !sameDatums(got, vals) {
+				t.Errorf("%s enc %d: rows differ", name, enc)
+			}
+			base := name
+			if len(name) > 5 && name[len(name)-5:] == "+null" {
+				base = name[:len(name)-5]
+			}
+			if v.Class() != wantClass[base] {
+				t.Errorf("%s enc %d: class %d, want %d", name, enc, v.Class(), wantClass[base])
+			}
+			if v.Class() != ClassMixed && len(v.Values) != 0 {
+				t.Errorf("%s enc %d: a typed vector holds %d Datums", name, enc, len(v.Values))
+			}
+			for e := 0; e < v.Entries(); e++ {
+				if got, want := v.AppendEncoded(nil, e), EncodeDatum(nil, v.Datum(e)); string(got) != string(want) {
+					t.Fatalf("%s enc %d entry %d: AppendEncoded %x, EncodeDatum %x", name, enc, e, got, want)
+				}
+				if v.Null(e) != v.Datum(e).IsNull() {
+					t.Fatalf("%s enc %d entry %d: Null disagrees with Datum", name, enc, e)
+				}
+			}
 		}
 	}
 }
 
-// TestMaterializeHonorsSelection checks Materialize with and without a
-// selection vector against a straightforward per-row reference, for
-// every encoding.
+// TestMaterializeHonorsSelection checks Materialize, RowReader and
+// EntryIndex with and without a selection vector against a
+// straightforward per-row reference, for every encoding and class.
 func TestMaterializeHonorsSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	vals := make([]Datum, 100)
-	for i := range vals {
-		vals[i] = randDatum(rng)
-	}
 	sels := [][]int32{nil, {}, {0}, {99}, {0, 1, 2, 97, 98, 99}, {13, 14, 15, 16, 50}}
 	var everyThird []int32
 	for i := int32(0); i < 100; i += 3 {
 		everyThird = append(everyThird, i)
 	}
 	sels = append(sels, everyThird)
-	for _, v := range vecVariants(vals) {
-		for si, sel := range sels {
-			vb := GetVecBatch(1)
-			vb.Cols[0] = v
-			vb.SetLen(v.N)
-			vb.Sel = sel
-			b := GetBatch(0)
-			if err := vb.Materialize(b); err != nil {
-				t.Fatalf("enc %d sel %d: %v", v.Enc, si, err)
-			}
-			want := len(vals)
-			if sel != nil {
-				want = len(sel)
-			}
-			if b.Len() != want {
-				t.Fatalf("enc %d sel %d: got %d rows, want %d", v.Enc, si, b.Len(), want)
-			}
-			for oi := 0; oi < b.Len(); oi++ {
-				ri := oi
+	var rr RowReader
+	for name, vals := range typedColumns(rng, 100) {
+		for _, enc := range allEncs {
+			for si, sel := range sels {
+				vb := GetVecBatch(2)
+				vb.Cols[0] = testutil.Vector(enc, vals)
+				vb.Cols[1] = testutil.Vector(VecFlat, vals)
+				vb.SetLen(len(vals))
 				if sel != nil {
-					ri = int(sel[oi])
+					vb.Sel = append(make([]int32, 0, len(sel)), sel...)
 				}
-				if got := b.Row(oi)[0]; got != vals[ri] {
-					t.Errorf("enc %d sel %d row %d: got %v want %v", v.Enc, si, oi, got, vals[ri])
+				b := GetBatch(0)
+				vb.Materialize(b)
+				want := len(vals)
+				if sel != nil {
+					want = len(sel)
+				}
+				if b.Len() != want {
+					t.Fatalf("%s enc %d sel %d: got %d rows, want %d", name, enc, si, b.Len(), want)
+				}
+				rr.Reset(vb, []int{0})
+				for oi := 0; oi < b.Len(); oi++ {
+					ri := oi
+					if sel != nil {
+						ri = int(sel[oi])
+					}
+					for j := 0; j < 2; j++ {
+						if got := b.Row(oi)[j]; !sameDatums([]Datum{got}, vals[ri:ri+1]) {
+							t.Errorf("%s enc %d sel %d row %d col %d: got %v want %v", name, enc, si, oi, j, got, vals[ri])
+						}
+					}
+					row := rr.Row(oi)
+					if !sameDatums(row[:1], vals[ri:ri+1]) || !row[1].IsNull() {
+						t.Errorf("%s enc %d sel %d row %d: reader gave %v", name, enc, si, oi, row)
+					}
+				}
+				PutBatch(b)
+				PutVecBatch(vb)
+			}
+		}
+	}
+}
+
+// TestNarrowAsksEachEntryOnce: Narrow keeps exactly the rows whose entry
+// passes, asks a run or dictionary entry once however many rows share
+// it, and leaves no selection when every row passes.
+func TestNarrowAsksEachEntryOnce(t *testing.T) {
+	vals := make([]Datum, 90)
+	for i := range vals {
+		vals[i] = NewInt64(int64(i / 30))
+	}
+	for _, enc := range allEncs {
+		for _, sel := range [][]int32{nil, {1, 29, 30, 31, 89}} {
+			vb := GetVecBatch(1)
+			vb.Cols[0] = testutil.Vector(enc, vals)
+			vb.SetLen(len(vals))
+			vb.Sel = sel
+			asked := 0
+			vb.Narrow(0, func(e int) bool { asked++; return vb.Cols[0].Ints[e] != 1 })
+			var want []int32
+			for i := range vals {
+				if vals[i].I != 1 && (sel == nil || containsRow(sel, int32(i))) {
+					want = append(want, int32(i))
 				}
 			}
-			PutBatch(b)
+			if !reflect.DeepEqual(vb.Sel, want) {
+				t.Errorf("enc %d: kept %v, want %v", enc, vb.Sel, want)
+			}
+			if enc != VecFlat && asked > 3 {
+				t.Errorf("enc %d: asked %d times about 3 entries", enc, asked)
+			}
+			vb.Narrow(0, func(int) bool { return true })
+			if !reflect.DeepEqual(vb.Sel, want) {
+				t.Errorf("enc %d: a pass-all narrowing changed the selection to %v", enc, vb.Sel)
+			}
 			PutVecBatch(vb)
 		}
 	}
+	vb := GetVecBatch(1)
+	vb.Cols[0] = testutil.Vector(VecFlat, vals)
+	vb.SetLen(len(vals))
+	vb.Narrow(0, func(int) bool { return true })
+	if vb.Sel != nil {
+		t.Errorf("every row passed and a selection of %d rows was left", len(vb.Sel))
+	}
+	PutVecBatch(vb)
+}
+
+func containsRow(sel []int32, r int32) bool {
+	for _, x := range sel {
+		if x == r {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSkipDatumMatchesDecode checks SkipDatum steps exactly as far as
@@ -183,74 +281,83 @@ func TestVecPoolCountersBalance(t *testing.T) {
 // TestPooledBatchDropsSharedVectors: a vector the block cache shares
 // travels in a pooled batch like any other, but when the batch goes back
 // to the pool the next user must get fresh slices, not the cache's —
-// whereas a vector the batch owns keeps its capacity for reuse. The
-// next user here does what the storage decoders do: append.
+// typed slices, null bitmap, runs and codes alike — whereas a vector the
+// batch owns keeps its capacity for reuse. The next user here does what
+// the storage decoders do: build into the vector it was handed.
 func TestPooledBatchDropsSharedVectors(t *testing.T) {
-	cachedVals := []Datum{NewInt64(1), NewString("kept"), NewInt64(3)}
 	cached := []Vector{
-		{Enc: VecFlat, N: 3, Values: cachedVals, Shared: true},
-		{Enc: VecRaw, N: 1, Raw: EncodeDatum(nil, NewInt64(9)), Shared: true},
-		{Enc: VecRLE, N: 3, Values: []Datum{NewInt64(5)}, Runs: []int32{3}, Shared: true},
-		{Enc: VecDict, N: 2, Values: []Datum{NewString("d")}, Codes: []int32{0, 0}, Shared: true},
+		testutil.Vector(VecFlat, []Datum{NewInt64(1), Null, NewInt64(3)}),
+		testutil.Vector(VecFlat, []Datum{NewFloat64(1.5), NewFloat64(2.5)}),
+		testutil.Vector(VecFlat, []Datum{NewString("kept"), Null, NewString("too")}),
+		testutil.Vector(VecFlat, []Datum{NewInt64(1), NewString("mixed")}),
+		testutil.Vector(VecRLE, []Datum{NewDate(5), NewDate(5), NewDate(5)}),
+		testutil.Vector(VecDict, []Datum{NewString("d"), NewString("d")}),
 	}
-	want := make([]Vector, len(cached))
-	for i, v := range cached {
-		want[i] = Vector{Enc: v.Enc, N: v.N, Raw: append([]byte(nil), v.Raw...), Values: append([]Datum(nil), v.Values...),
-			Runs: append([]int32(nil), v.Runs...), Codes: append([]int32(nil), v.Codes...), Shared: true}
+	want := make([][]Datum, len(cached))
+	for i := range cached {
+		cached[i].Shared = true
+		want[i] = testutil.VectorRows(&cached[i])
 	}
 	vb := GetVecBatch(len(cached) + 1)
 	copy(vb.Cols, cached)
 	owned := &vb.Cols[len(cached)]
-	owned.Values = append(owned.Values, NewInt64(7), NewInt64(8))
-	owned.N = 2
-	ownedCap := cap(owned.Values)
+	var ob VecBuilder
+	ob.Reset(owned, 2, false)
+	ob.Append(NewInt64(7))
+	ob.Append(NewInt64(8))
+	ob.Finish()
+	ownedCap := cap(owned.Ints)
 	PutVecBatch(vb)
 
 	// Whichever batch the pool hands out next — the same object in
-	// practice — nothing appended to it may land in cached memory.
+	// practice — nothing built into it may land in cached memory.
+	overwrite := []Datum{NewInt64(-1), NewInt64(-1), NewInt64(-1), Null}
 	for round := 0; round < 4; round++ {
 		next := GetVecBatch(len(cached) + 1)
 		for j := range next.Cols {
 			v := &next.Cols[j]
-			if v.Shared || v.N != 0 || len(v.Values)+len(v.Runs)+len(v.Codes)+len(v.Raw) != 0 {
+			if v.Shared || v.N != 0 || v.Str != "" ||
+				len(v.Ints)+len(v.Floats)+len(v.Offs)+len(v.Nulls)+len(v.Values)+len(v.Runs)+len(v.Codes) != 0 {
 				t.Fatalf("round %d col %d: reused vector not empty: %+v", round, j, v)
 			}
-			if round == 0 && next == vb && j < len(cached) && cap(v.Values)+cap(v.Runs)+cap(v.Codes) != 0 {
+			if round == 0 && next == vb && j < len(cached) &&
+				cap(v.Ints)+cap(v.Floats)+cap(v.Offs)+cap(v.Nulls)+cap(v.Values)+cap(v.Runs)+cap(v.Codes) != 0 {
 				t.Fatalf("col %d kept capacity of slices it shared with the cache", j)
 			}
-			v.Values = append(v.Values, NewString("overwritten"), NewString("overwritten"), NewString("overwritten"))
+			if round == 0 && next == vb && j == len(cached) && cap(v.Ints) < ownedCap {
+				t.Error("a vector the batch owned lost its capacity")
+			}
+			var b VecBuilder
+			b.Reset(v, len(overwrite), false)
+			for _, d := range overwrite {
+				b.Append(d)
+			}
+			b.Finish()
 			v.Runs = append(v.Runs, -1, -1, -1)
 			v.Codes = append(v.Codes, -1, -1, -1)
-		}
-		if round == 0 && next == vb && cap(next.Cols[len(cached)].Values) < ownedCap {
-			t.Error("a vector the batch owned lost its capacity")
-		}
-		for j := range next.Cols {
-			next.Cols[j].Values, next.Cols[j].Runs, next.Cols[j].Codes = next.Cols[j].Values[:0], next.Cols[j].Runs[:0], next.Cols[j].Codes[:0]
 		}
 		PutVecBatch(next)
 	}
 	for i := range cached {
-		got := cached[i]
-		if !reflect.DeepEqual(got.Values, want[i].Values) || !reflect.DeepEqual(got.Runs, want[i].Runs) ||
-			!reflect.DeepEqual(got.Codes, want[i].Codes) || !reflect.DeepEqual(got.Raw, want[i].Raw) {
-			t.Errorf("cached vector %d was written through a pooled batch: %+v", i, got)
+		if got := testutil.VectorRows(&cached[i]); !sameDatums(got, want[i]) {
+			t.Errorf("cached vector %d was written through a pooled batch: %v", i, got)
 		}
 	}
 }
 
-// TestFlatBuilderSharesOneStringBacking: a column's strings are
-// substrings of one allocation, in order, NULLs and non-strings
-// untouched, and an exact build allocates exactly the rows asked for.
+// TestFlatBuilderSharesOneStringBacking: a column's strings are slices
+// of one allocation, in order; an exact build allocates exactly the
+// entries asked for; MemBytes is the bytes actually held, class by
+// class (the block cache's account depends on it); and a builder handed
+// a second kind or scale falls back to Datums without losing a value.
 func TestFlatBuilderSharesOneStringBacking(t *testing.T) {
-	vals := []Datum{NewString("alpha"), Null, NewString(""), NewBytes([]byte("be")), NewInt64(4), NewString("gamma")}
-	var enc []byte
-	for _, d := range vals {
-		enc = EncodeDatum(enc, d)
-	}
-	for _, exact := range []bool{false, true} {
+	build := func(vals []Datum, exact bool) Vector {
+		var enc []byte
+		for _, d := range vals {
+			enc = EncodeDatum(enc, d)
+		}
 		var v Vector
-		var b FlatBuilder
+		var b VecBuilder
 		b.Reset(&v, len(vals), exact)
 		for pos := 0; pos < len(enc); {
 			n, err := b.AppendEncoded(enc[pos:])
@@ -260,14 +367,43 @@ func TestFlatBuilderSharesOneStringBacking(t *testing.T) {
 			pos += n
 		}
 		b.Finish()
-		if v.Enc != VecFlat || v.N != len(vals) || !reflect.DeepEqual(v.Values, vals) {
-			t.Fatalf("exact=%v: built %+v", exact, v)
+		if v.Enc != VecFlat || v.N != len(vals) || !sameDatums(testutil.VectorRows(&v), vals) {
+			t.Fatalf("exact=%v: built %+v from %v", exact, v, vals)
 		}
-		if exact && cap(v.Values) != len(vals) {
-			t.Errorf("exact build has capacity %d for %d rows", cap(v.Values), len(vals))
+		return v
+	}
+	strs := []Datum{NewString("alpha"), Null, NewString(""), NewString("be"), NewString("gamma")}
+	ints := []Datum{Null, Null, NewDecimal(125, 2), NewDecimal(-7, 2), Null}
+	floats := []Datum{NewFloat64(math.NaN()), NewFloat64(-0.0), NewFloat64(2)}
+	mixed := []Datum{NewString("alpha"), Null, NewBytes([]byte("be")), NewInt64(4), NewDecimal(1, 1), NewString("gamma")}
+	for _, exact := range []bool{false, true} {
+		v := build(strs, exact)
+		if v.Class() != ClassStr || v.Str != "alphabegamma" || len(v.Offs) != len(strs)+1 {
+			t.Fatalf("strings built as %+v", v)
 		}
-		if got, want := v.MemBytes(), int64(cap(v.Values))*datumSize+int64(len("alphabegamma")); got != want {
-			t.Errorf("MemBytes = %d, want %d", got, want)
+		if exact && (cap(v.Offs) != len(strs)+1 || v.MemBytes() != int64(4*(len(strs)+1)+len(v.Str)+8*cap(v.Nulls))) {
+			t.Errorf("exact strings: cap(Offs) %d, MemBytes %d", cap(v.Offs), v.MemBytes())
+		}
+		v = build(ints, exact)
+		if v.Class() != ClassInt || v.Kind != KindDecimal || v.Scale != 2 || len(v.Nulls) != 1 || v.Nulls[0] != 0b10011 {
+			t.Fatalf("decimals built as %+v", v)
+		}
+		if exact && (cap(v.Ints) != len(ints) || v.MemBytes() != int64(8*len(ints)+8*cap(v.Nulls))) {
+			t.Errorf("exact decimals: cap(Ints) %d, MemBytes %d", cap(v.Ints), v.MemBytes())
+		}
+		v = build(floats, exact)
+		if v.Class() != ClassFloat || len(v.Nulls) != 0 {
+			t.Fatalf("floats built as %+v", v)
+		}
+		if exact && v.MemBytes() != int64(8*len(floats)) {
+			t.Errorf("exact floats: MemBytes %d", v.MemBytes())
+		}
+		v = build(mixed, exact)
+		if v.Class() != ClassMixed || len(v.Ints)+len(v.Offs)+len(v.Nulls) != 0 || v.Str != "" {
+			t.Fatalf("mixed kinds built as %+v", v)
+		}
+		if want := int64(cap(v.Values))*int64(reflect.TypeOf(Datum{}).Size()) + int64(len("alphabegamma")); exact && v.MemBytes() != want {
+			t.Errorf("exact mixed: MemBytes %d, want %d", v.MemBytes(), want)
 		}
 	}
 }

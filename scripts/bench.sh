@@ -7,7 +7,11 @@
 # (ScanAO/proj3of16, ScanCO/proj4of16 beside their /full16), and that
 # projection through a segment block cache emptied before every scan
 # and left warm (ScanAO/{cold,warm}, ScanCO/{cold,warm}) — the
-# quicklz page decompressor, the scan→filter→project pipeline, hash aggregation, and motion loopback),
+# quicklz page decompressor, the typed-vector kernels layer by layer
+# (VecFilter: one col < const kernel per kind and page encoding; VecArith:
+# the Q1 decimal expression; VecAgg: the Q1 and Q6 shapes and an integer
+# group key through the vector aggregate on a warm block cache), the
+# scan→filter→project pipeline, hash aggregation, and motion loopback),
 # the runtime bloom-filter join microbench (probe-side scan with the
 # build-side filter off vs on) plus the workload-manager
 # spill microbench (in-memory vs workfile-spilling hash join, with
@@ -60,8 +64,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
-PKGS="./internal/types ./internal/compress ./internal/storage ./internal/executor ./internal/cluster ."
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
+PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"
 RAW="$(mktemp)"

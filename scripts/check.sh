@@ -65,6 +65,19 @@
 #                                  re-run under -race at -cpu 2,8, the
 #                                  widths at which the lost-error
 #                                  ordering was reproduced
+#   4h. typed-vector gate        — the kernels are held to the row
+#                                  semantics, not to themselves: the
+#                                  differential test of every comparison
+#                                  and arithmetic kernel against
+#                                  expr.Eval, the grouped accumulators
+#                                  against the per-row ones, the page
+#                                  decoder's fuzz seed corpus against a
+#                                  DecodeDatum reference, the typed
+#                                  cache contents, and the vector
+#                                  aggregate against the plain-loop
+#                                  reference (spill diversion in the
+#                                  middle of a batch included), re-run
+#                                  explicitly under -race
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -159,6 +172,11 @@ go test -race -count=1 -run 'TestWarmEqualsCold' ./internal/tpch
 
 echo "==> scan-error gate (-race -cpu 2,8)"
 go test -race -count=1 -cpu 2,8 -run 'TestVecScanErrorReachesAgg|TestVecModeScanRejectsNextBatch' ./internal/executor
+
+echo "==> typed-vector gate (-race)"
+go test -race -count=1 -run 'TestKernelsMatchRowSemantics|TestKernelsTakeWhatTheyShould|TestGroupAccMatchesAccumulator|TestFilterVec' ./internal/expr
+go test -race -count=1 -run 'FuzzDecodePage|FuzzDecodeRLE|FuzzDecodeDict|TestCacheHoldsTypedVectors' ./internal/storage
+go test -race -count=1 -run 'TestAggVecMatchesBatchPath|TestBatchPipelineAllocBudget' ./internal/executor
 
 echo "==> bench smoke (-benchtime=1x -race)"
 scripts/bench.sh --smoke
