@@ -58,14 +58,21 @@ type hashAggOp struct {
 	prog    *expr.VecProg
 	groupAt []int
 	argAt   []int
-	// Per-batch scratch: the group of every surviving row, the group
-	// columns with the entry of every surviving row in each, the memo of
-	// groups by entry combination, the previous row's key, and the
-	// reader that rebuilds a whole row for the spill file.
+	// Per-batch scratch: the group of every surviving row; the group
+	// columns, the entry of every surviving row in each and, for a
+	// column of runs or codes, its entries numbered by distinct value
+	// and how many values that is (vals and valEnds hold them while
+	// they are counted); the memo of groups by combination of those
+	// numbers; the previous row's key; and the reader that rebuilds a
+	// whole row for the spill file.
 	gids    []int32
 	gvecs   []*types.Vector
 	gents   [][]int32
 	entBufs [][]int32
+	vids    [][]int32
+	cards   []int
+	vals    []byte
+	valEnds []int
 	memo    []int32
 	prevKey []byte
 	rr      types.RowReader
@@ -84,10 +91,16 @@ func aggGroupMem(keys types.Row, keyLen, naccs int) int64 {
 	return rowMem(keys) + int64(keyLen) + int64(48*naccs) + 96
 }
 
-// memoLimit bounds the entry combinations absorbVec remembers groups
-// for: a few dictionary or run-length group columns, not their product
-// gone wild.
-const memoLimit = 1 << 12
+// absorbVec remembers, within a batch, the group of each combination of
+// distinct group-column values while there are at most memoLimit
+// combinations of at most memoValues values a column: low-cardinality
+// keys, Q1's three flags and two statuses, not a product gone wild. The
+// second bound is also what numbering a column's entries may cost
+// before it gives up.
+const (
+	memoLimit  = 256
+	memoValues = 16
+)
 
 func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 	in, err := Build(ctx, node.Input)
@@ -120,6 +133,8 @@ func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 		a.gvecs = make([]*types.Vector, len(node.Groups))
 		a.gents = make([][]int32, len(node.Groups))
 		a.entBufs = make([][]int32, len(node.Groups))
+		a.vids = make([][]int32, len(node.Groups))
+		a.cards = make([]int, len(node.Groups))
 	}
 	return a, nil
 }
@@ -276,20 +291,47 @@ func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
 	return nil
 }
 
+// valueIDs numbers the entries of group column j, a vector of runs or
+// codes, by distinct value into a.vids[j], and returns how many values
+// there are — or 0 as soon as there are more than limit, or none at all.
+// The values seen are kept encoded back to back and searched in order:
+// there are a handful, or the search gives up.
+func (a *hashAggOp) valueIDs(j int, v *types.Vector, limit int) int {
+	ids, vals, ends := a.vids[j][:0], a.vals[:0], a.valEnds[:0]
+	for e, n := 0, v.Entries(); e < n; e++ {
+		a.keyBuf = v.AppendEncoded(a.keyBuf[:0], e)
+		id, from := 0, 0
+		for id < len(ends) && !bytes.Equal(vals[from:ends[id]], a.keyBuf) {
+			id, from = id+1, ends[id]
+		}
+		if id == len(ends) {
+			if id == limit {
+				return 0
+			}
+			vals = append(vals, a.keyBuf...)
+			ends = append(ends, len(vals))
+		}
+		ids = append(ids, int32(id))
+	}
+	a.vids[j], a.vals, a.valEnds = ids, vals, ends
+	return len(ends)
+}
+
 // groupIDs resolves the group of every surviving row of vb into gids,
 // creating groups on first sight; a row diverted to the spill partition
 // gets -1, and diverted reports whether any was. A group column that
-// arrives dictionary- or run-length-encoded is looked up once per entry:
-// when every group expression is such a column, the group of each
-// combination of entries is remembered for the batch. Otherwise the key
-// is encoded per row straight from the typed vectors, and looked up
+// arrives dictionary- or run-length-encoded is looked at once per entry,
+// not per row: its entries are numbered by distinct value, and when
+// every group expression is such a column the group of each combination
+// of values is looked up once per batch and remembered. Otherwise the
+// key is encoded per row straight from the typed vectors, and looked up
 // unless it repeats the previous row's.
 func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, err error) {
 	combos := 1
 	for j, g := range a.node.Groups {
 		if a.groupAt[j] >= 0 {
 			a.gvecs[j], a.gents[j] = a.prog.Result(a.groupAt[j]), nil
-			combos = memoLimit + 1
+			combos = 0
 			continue
 		}
 		col := g.(*expr.ColRef).Idx
@@ -299,14 +341,15 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 		v := &vb.Cols[col]
 		a.gvecs[j] = v
 		a.gents[j], a.entBufs[j] = v.EntryIndex(vb.Sel, a.entBufs[j])
-		if v.Enc == types.VecFlat || v.Entries() == 0 {
-			combos = memoLimit + 1
-		} else if combos <= memoLimit {
-			combos *= v.Entries()
+		if v.Enc == types.VecFlat {
+			combos = 0
+		} else if combos > 0 {
+			a.cards[j] = a.valueIDs(j, v, min(memoValues, memoLimit/combos))
+			combos *= a.cards[j]
 		}
 	}
 	memo := a.memo[:0]
-	if len(a.node.Groups) > 0 && combos <= memoLimit {
+	if len(a.node.Groups) > 0 {
 		for range combos {
 			memo = append(memo, -1)
 		}
@@ -326,8 +369,8 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 	for r := range gids {
 		combo := 0
 		if len(memo) > 0 {
-			for j, v := range a.gvecs {
-				combo = combo*v.Entries() + entry(j, r)
+			for j := range a.gvecs {
+				combo = combo*a.cards[j] + int(a.vids[j][entry(j, r)])
 			}
 			if g := memo[combo]; g >= 0 {
 				gids[r] = g

@@ -16,8 +16,10 @@ import (
 )
 
 // Columns of the lineitem-shaped table the vector aggregate is tested
-// and timed on. flag is low-cardinality (dictionary pages), status
-// arrives sorted (run-length pages), everything else is flat.
+// and timed on. As in lineitem, flag comes in short runs — the lines of
+// an order share it — so its pages are run-length encoded with hundreds
+// of runs of three values; status arrives sorted (a few long runs); note
+// draws from 24 strings (dictionary pages); everything else is flat.
 const (
 	liFlag = iota
 	liStatus
@@ -50,10 +52,10 @@ func liRows(rng *rand.Rand, n int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := range rows {
 		r := types.Row{
-			types.NewString([]string{"A", "N", "R"}[rng.Intn(3)]),
+			types.NewString([]string{"A", "N", "R"}[i/4*7919%3]),
 			types.NewString([]string{"F", "O", "P"}[3*i/n]),
 			types.NewInt64(rng.Int63n(1000)),
-			types.NewString(fmt.Sprintf("%s %d", []string{"alpha", "beta", "carefully", "among"}[rng.Intn(4)], rng.Intn(1000))),
+			types.NewString(fmt.Sprintf("%s %d", []string{"alpha", "beta", "carefully", "among"}[rng.Intn(4)], rng.Intn(6))),
 			types.NewDecimal(100*(1+rng.Int63n(50)), 2),
 			types.NewDecimal(90000+rng.Int63n(10000000), 2),
 			types.NewDecimal(rng.Int63n(11), 2),
@@ -61,10 +63,13 @@ func liRows(rng *rand.Rand, n int) []types.Row {
 			types.NewDate(int32(8036 + rng.Intn(2500))),
 			types.NewFloat64(rng.NormFloat64() * 1e6),
 		}
-		for _, c := range []int{liFlag, liDisc, liF} {
+		for _, c := range []int{liDisc, liF} {
 			if rng.Intn(10) == 0 {
 				r[c] = types.Null
 			}
+		}
+		if i/4%10 == 0 {
+			r[liFlag] = types.Null
 		}
 		rows[i] = r
 	}
@@ -147,6 +152,17 @@ func TestAggVecMatchesBatchPath(t *testing.T) {
 	rows := liRows(rand.New(rand.NewSource(11)), 16000)
 	desc, segFiles := writeCOTable(t, fs, 10, "li", liSchema, rows)
 	tables := map[string][]types.Row{desc.Name: rows}
+	err = storage.ScanVecBatches(fs, desc.Storage, liSchema, segFiles[0], []int{liFlag, liStatus, liNote, liSupp}, nil, nil, func(vb *types.VecBatch) error {
+		defer types.PutVecBatch(vb)
+		if f, s, n, k := &vb.Cols[0], &vb.Cols[1], &vb.Cols[2], &vb.Cols[3]; f.Enc != types.VecRLE || f.Entries() <= memoLimit ||
+			s.Enc != types.VecRLE || s.Entries() > 3 || n.Enc != types.VecDict || k.Enc != types.VecFlat {
+			t.Errorf("flag enc %d (%d entries), status enc %d (%d), note enc %d, supp enc %d", f.Enc, f.Entries(), s.Enc, s.Entries(), n.Enc, k.Enc)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	q1Filter, q1Groups, q1Aggs := q1Shape()
 	q6Filter, _, q6Aggs := q6Shape()
@@ -167,8 +183,9 @@ func TestAggVecMatchesBatchPath(t *testing.T) {
 		aggs   []expr.AggSpec
 		spills bool
 	}{
-		{"one dictionary key", q1Filter, []expr.Expr{liCol(liFlag)}, floats, false},
-		{"q1: dictionary and run-length keys", q1Filter, q1Groups, q1Aggs, false},
+		{"one key of many runs", q1Filter, []expr.Expr{liCol(liFlag)}, floats, false},
+		{"a dictionary key and a sorted one", residual, []expr.Expr{liCol(liNote), liCol(liStatus)}, floats[:3], false},
+		{"q1: two run-length keys", q1Filter, q1Groups, q1Aggs, false},
 		{"q1 with a residual", residual, q1Groups, append(append([]expr.AggSpec{}, q1Aggs...), floats...), false},
 		{"three keys, one flat", residual, []expr.Expr{liCol(liFlag), liCol(liStatus), liCol(liSupp)}, floats[:3], true},
 		{"a computed key", q1Filter, []expr.Expr{expr.NewBinOp(expr.OpMod, liCol(liSupp), expr.NewConst(types.NewInt64(7))), liCol(liStatus)}, floats[:2], true},

@@ -112,10 +112,10 @@ func colCmps(e Expr, dst []ColCmp) ([]ColCmp, bool) {
 type filterStep struct {
 	cmp ColCmp
 	r   int
-	// e is the comparison as an expression and cols the columns it
-	// reads, for the batch whose vectors the kernel cannot take.
-	e    Expr
-	cols []int
+	// e is the comparison as an expression, for the batch whose vectors
+	// the kernel cannot take; a comparison with a constant builds it
+	// when that batch comes.
+	e Expr
 }
 
 // VecFilter is a predicate compiled once per operator to run over vec
@@ -146,8 +146,7 @@ func CompileFilter(pred Expr) *VecFilter {
 		var ok bool
 		if cmps, ok = colCmps(c, cmps[:0]); ok {
 			for _, cmp := range cmps {
-				e := &BinOp{Op: cmp.Op, L: &ColRef{Idx: cmp.Col}, R: &Const{D: cmp.Val}}
-				f.steps = append(f.steps, filterStep{cmp: cmp, r: -1, e: e, cols: []int{cmp.Col}})
+				f.steps = append(f.steps, filterStep{cmp: cmp, r: -1})
 			}
 			continue
 		}
@@ -155,7 +154,7 @@ func CompileFilter(pred Expr) *VecFilter {
 			l, lok := bo.L.(*ColRef)
 			r, rok := bo.R.(*ColRef)
 			if lok && rok {
-				f.steps = append(f.steps, filterStep{cmp: ColCmp{Col: l.Idx, Op: bo.Op}, r: r.Idx, e: c, cols: []int{l.Idx, r.Idx}})
+				f.steps = append(f.steps, filterStep{cmp: ColCmp{Col: l.Idx, Op: bo.Op}, r: r.Idx, e: c})
 				continue
 			}
 		}
@@ -206,7 +205,10 @@ func (f *VecFilter) Apply(vb *types.VecBatch) error {
 				continue
 			}
 		}
-		if err := f.filterRows(vb, st.e, st.cols); err != nil {
+		if st.e == nil {
+			st.e = &BinOp{Op: st.cmp.Op, L: &ColRef{Idx: st.cmp.Col}, R: &Const{D: st.cmp.Val}}
+		}
+		if err := f.filterRows(vb, st.e, []int{st.cmp.Col, max(st.r, st.cmp.Col)}); err != nil {
 			return err
 		}
 	}

@@ -619,9 +619,23 @@ func (vb *VecBatch) SetSel(out []int32) {
 // dictionary) and once per surviving row of a flat column.
 func (vb *VecBatch) Narrow(col int, pass func(e int) bool) {
 	v := &vb.Cols[col]
+	out := vb.SelOut()
+	if v.Enc == VecRLE && vb.Sel == nil {
+		// Whole runs pass or fail: no row needs its entry looked up.
+		row := int32(0)
+		for k, run := range v.Runs {
+			if pass(k) {
+				for r := row; r < row+run; r++ {
+					out = append(out, r)
+				}
+			}
+			row += run
+		}
+		vb.SetSel(out)
+		return
+	}
 	var idx []int32
 	idx, vb.idx = v.EntryIndex(vb.Sel, vb.idx)
-	out := vb.SelOut()
 	switch {
 	case v.Enc == VecFlat && vb.Sel == nil:
 		for i := 0; i < vb.n; i++ {
@@ -733,6 +747,17 @@ func (vb *VecBatch) Materialize(b *Batch) {
 	}
 	for j := range vb.Cols {
 		v := &vb.Cols[j]
+		if v.Enc == VecRLE && vb.Sel == nil {
+			// One Datum per run, copied down its rows.
+			out, i := b.arena[j:], 0
+			for k, run := range v.Runs {
+				d := v.Datum(k)
+				for end := i + int(run)*b.width; i < end; i += b.width {
+					out[i] = d
+				}
+			}
+			continue
+		}
 		var idx []int32
 		idx, vb.idx = v.EntryIndex(vb.Sel, vb.idx)
 		v.gather(idx, b.n, b.arena[j:], b.width)
