@@ -233,12 +233,13 @@ func (a *hashAggOp) absorb(row types.Row) error {
 		}
 	}
 	for i, spec := range a.node.Aggs {
-		v := types.NewInt64(1)
-		if spec.Kind != expr.AggCountStar {
-			var err error
-			if v, err = spec.Arg.Eval(row); err != nil {
-				return err
-			}
+		if spec.Kind == expr.AggCountStar {
+			a.accs[i].Add(g, types.Datum{K: types.KindInt64, I: 1})
+			continue
+		}
+		v, err := spec.Arg.Eval(row)
+		if err != nil {
+			return err
 		}
 		a.accs[i].Add(g, v)
 	}

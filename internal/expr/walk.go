@@ -13,40 +13,43 @@ func Walk(e Expr, fn func(Expr)) {
 		return
 	}
 	fn(e)
-	switch v := e.(type) {
-	case *ColRef, *Const, *Param:
-	case *BinOp:
-		Walk(v.L, fn)
-		Walk(v.R, fn)
-	case *Not:
-		Walk(v.E, fn)
-	case *Neg:
-		Walk(v.E, fn)
-	case *IsNull:
-		Walk(v.E, fn)
-	case *Like:
-		Walk(v.E, fn)
-	case *InList:
-		Walk(v.E, fn)
-		for _, item := range v.Items {
-			Walk(item, fn)
+	operands(e, func(x Expr) { Walk(x, fn) })
+}
+
+// operands calls fn on each direct operand of e, in evaluation order.
+func operands(e Expr, fn func(Expr)) {
+	each := func(xs ...Expr) {
+		for _, x := range xs {
+			if x != nil {
+				fn(x)
+			}
 		}
+	}
+	switch v := e.(type) {
+	case *BinOp:
+		each(v.L, v.R)
+	case *Not:
+		each(v.E)
+	case *Neg:
+		each(v.E)
+	case *IsNull:
+		each(v.E)
+	case *Like:
+		each(v.E)
+	case *InList:
+		each(v.E)
+		each(v.Items...)
 	case *Between:
-		Walk(v.E, fn)
-		Walk(v.Lo, fn)
-		Walk(v.Hi, fn)
+		each(v.E, v.Lo, v.Hi)
 	case *Case:
 		for _, w := range v.Whens {
-			Walk(w.Cond, fn)
-			Walk(w.Result, fn)
+			each(w.Cond, w.Result)
 		}
-		Walk(v.Else, fn)
+		each(v.Else)
 	case *Cast:
-		Walk(v.E, fn)
+		each(v.E)
 	case *FuncCall:
-		for _, a := range v.Args {
-			Walk(a, fn)
-		}
+		each(v.Args...)
 	}
 }
 
@@ -87,8 +90,9 @@ func BindClock(e Expr, c clock.Clock) {
 	})
 }
 
-// Fold evaluates e at bind time when it is made of literals alone, and
-// returns the constant in its place: add_days(1998-12-01, -90) is
+// Fold evaluates e at bind time when its operands are literals (the
+// binder folds from the leaves up, so that is a subtree of literals
+// alone), and returns the constant in its place: add_days(1998-12-01, -90) is
 // 1998-09-02 and 1 - 0.05 is 0.95 before the plan exists, so zone maps,
 // partition elimination, the filter kernels and EXPLAIN all see the
 // value. Anything else comes back as it is. Two things are never
@@ -98,17 +102,16 @@ func BindClock(e Expr, c clock.Clock) {
 // expression that cannot be evaluated — abs('x') panics in types.Compare
 // — is a statement the binder refuses, here rather than in a QE.
 func Fold(e Expr) (folded Expr, err error) {
-	if _, leaf := e.(*Const); leaf {
-		return e, nil
-	}
 	literal := true
-	Walk(e, func(x Expr) {
-		switch v := x.(type) {
-		case *ColRef, *Param:
-			literal = false
-		case *FuncCall:
-			literal = literal && v.impl.evalClock == nil
-		}
+	switch v := e.(type) {
+	case *Const, *ColRef, *Param:
+		return e, nil
+	case *FuncCall:
+		literal = v.impl.evalClock == nil
+	}
+	operands(e, func(x Expr) {
+		_, isConst := x.(*Const)
+		literal = literal && isConst
 	})
 	if !literal {
 		return e, nil
