@@ -253,40 +253,25 @@ func NewGroupAcc(s AggSpec) GroupAcc {
 	case s.Kind == AggSum:
 		return &sumAccs{}
 	case s.Kind == AggMin:
-		return &minmaxAccs{accCol[minmaxAcc, *minmaxAcc]{zero: minmaxAcc{want: -1}}}
+		return &minmaxAccs{want: -1}
 	case s.Kind == AggMax:
-		return &minmaxAccs{accCol[minmaxAcc, *minmaxAcc]{zero: minmaxAcc{want: 1}}}
+		return &minmaxAccs{want: 1}
 	}
-	return &countAccs{accCol[countAcc, *countAcc]{zero: countAcc{star: s.Kind == AggCountStar}}}
+	return &countAccs{star: s.Kind == AggCountStar}
 }
 
-// accCol is the part of a GroupAcc every accumulator shares: a slice of
-// accumulator values, one per group.
-type accCol[A any, P interface {
-	*A
-	Accumulator
-}] struct {
-	zero A
-	accs []A
-}
-
-// Grow implements GroupAcc.
-func (c *accCol[A, P]) Grow(n int) {
-	for len(c.accs) < n {
-		c.accs = append(c.accs, c.zero)
+// extend appends zero until accs covers the groups below n.
+func extend[A any](accs []A, n int, zero A) []A {
+	for len(accs) < n {
+		accs = append(accs, zero)
 	}
+	return accs
 }
 
-// Add implements GroupAcc.
-func (c *accCol[A, P]) Add(g int32, d types.Datum) { P(&c.accs[g]).Add(d) }
-
-// Result implements GroupAcc.
-func (c *accCol[A, P]) Result(g int32) types.Datum { return P(&c.accs[g]).Result() }
-
-// addRows is AddVec a Datum at a time, for a vector no loop below takes.
-func (c *accCol[A, P]) addRows(gids []int32, v *types.Vector) {
+// addRows is AddVec a Datum at a time, for a vector no typed loop takes.
+func addRows(c GroupAcc, gids []int32, v *types.Vector) {
 	for i, g := range gids {
-		P(&c.accs[g]).Add(v.Datum(i))
+		c.Add(g, v.Datum(i))
 	}
 }
 
@@ -296,8 +281,18 @@ func isNull(nulls []uint64, i int) bool {
 }
 
 type countAccs struct {
-	accCol[countAcc, *countAcc]
+	star bool
+	accs []countAcc
 }
+
+// Grow implements GroupAcc.
+func (c *countAccs) Grow(n int) { c.accs = extend(c.accs, n, countAcc{star: c.star}) }
+
+// Add implements GroupAcc.
+func (c *countAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
+
+// Result implements GroupAcc.
+func (c *countAccs) Result(g int32) types.Datum { return c.accs[g].Result() }
 
 // AddVec implements GroupAcc.
 func (c *countAccs) AddVec(gids []int32, v *types.Vector) {
@@ -316,8 +311,17 @@ func (c *countAccs) AddVec(gids []int32, v *types.Vector) {
 }
 
 type sumAccs struct {
-	accCol[sumAcc, *sumAcc]
+	accs []sumAcc
 }
+
+// Grow implements GroupAcc.
+func (c *sumAccs) Grow(n int) { c.accs = extend(c.accs, n, sumAcc{}) }
+
+// Add implements GroupAcc.
+func (c *sumAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
+
+// Result implements GroupAcc.
+func (c *sumAccs) Result(g int32) types.Datum { return c.accs[g].Result() }
 
 // AddVec implements GroupAcc. A running sum already of the vector's kind
 // — the same decimal scale, an integer, a float — takes the next value
@@ -329,7 +333,7 @@ func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
 	case types.ClassInt:
 		ints := isInt(v.Kind)
 		if !ints && v.Kind != types.KindDecimal {
-			c.addRows(gids, v)
+			addRows(c, gids, v)
 			return
 		}
 		d := types.Datum{K: v.Kind, Scale: v.Scale}
@@ -359,19 +363,29 @@ func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
 			}
 		}
 	default:
-		c.addRows(gids, v)
+		addRows(c, gids, v)
 	}
 }
 
 type minmaxAccs struct {
-	accCol[minmaxAcc, *minmaxAcc]
+	want int // -1 for min, 1 for max
+	accs []minmaxAcc
 }
+
+// Grow implements GroupAcc.
+func (c *minmaxAccs) Grow(n int) { c.accs = extend(c.accs, n, minmaxAcc{want: c.want}) }
+
+// Add implements GroupAcc.
+func (c *minmaxAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
+
+// Result implements GroupAcc.
+func (c *minmaxAccs) Result(g int32) types.Datum { return c.accs[g].Result() }
 
 // AddVec implements GroupAcc: integers, dates and decimals of the
 // running value's kind and scale, and floats, compare as machine values;
 // everything else goes through minmaxAcc.Add.
 func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
-	want := c.zero.want
+	want := c.want
 	switch v.Class() {
 	case types.ClassNull:
 	case types.ClassInt:
@@ -405,7 +419,7 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 			}
 		}
 	default:
-		c.addRows(gids, v)
+		addRows(c, gids, v)
 	}
 }
 
