@@ -406,6 +406,45 @@ func TestStorageFormatsThroughSQL(t *testing.T) {
 	}
 }
 
+// TestMixedScaleColumnThroughSQL: a literal is stored at the scale it
+// was written with, so one DECIMAL column can hold several scales, and a
+// page of it turns Mixed wherever the second scale first shows — here
+// past entry 64 with the only NULL at entry 0, which used to read beyond
+// the null bitmap being built and take the process down from the scan
+// goroutine. Every format scans it, filters it and aggregates it.
+func TestMixedScaleColumnThroughSQL(t *testing.T) {
+	e := newTestEngine(t, 1)
+	s := e.NewSession()
+	for _, tc := range []struct{ name, with string }{
+		{"m_ao", "WITH (appendonly=true, orientation=row)"},
+		{"m_co", "WITH (appendonly=true, orientation=column, compresstype=quicklz)"},
+		{"m_pq", "WITH (appendonly=true, orientation=parquet)"},
+	} {
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, d DECIMAL(12,2)) %s DISTRIBUTED BY (k)", tc.name, tc.with))
+		vals := []string{"(0, NULL)"}
+		for i := 1; i < 100; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d.50)", i, i))
+		}
+		vals = append(vals, "(100, 2.5)")
+		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", tc.name, strings.Join(vals, ", ")))
+		// Thrice: the third scan is served from the block cache.
+		for pass := 0; pass < 3; pass++ {
+			res := mustExec(t, s, fmt.Sprintf("SELECT count(d), sum(d), min(d), count(*) FROM %s", tc.name))
+			if got := res.Rows[0].String(); got != "100|5002.00|1.50|101" {
+				t.Fatalf("%s pass %d: %s", tc.name, pass, got)
+			}
+			res = mustExec(t, s, fmt.Sprintf("SELECT k FROM %s WHERE d < 3 ORDER BY k", tc.name))
+			if got := fmt.Sprint(rowsString(res)); got != "[1 2 100]" {
+				t.Fatalf("%s pass %d: d < 3 gave %s", tc.name, pass, got)
+			}
+			res = mustExec(t, s, fmt.Sprintf("SELECT sum(CASE WHEN k < 100 THEN d ELSE k END) FROM %s", tc.name))
+			if got := res.Rows[0].String(); got != "5099.50" {
+				t.Fatalf("%s pass %d: CASE sum %s", tc.name, pass, got)
+			}
+		}
+	}
+}
+
 func TestInsertSelectBetweenTables(t *testing.T) {
 	e := newTestEngine(t, 3)
 	s := e.NewSession()

@@ -194,7 +194,11 @@ func (a *hashAggOp) addGroup(keys types.Row) (int32, error) {
 // newGroup enters a group into the table, unaccounted.
 func (a *hashAggOp) newGroup(keys types.Row) int32 {
 	g := int32(len(a.keys))
-	a.keys = append(a.keys, keys.Clone())
+	kept := keys.Clone()
+	for i := range kept {
+		kept[i] = kept[i].Detach()
+	}
+	a.keys = append(a.keys, kept)
 	for _, acc := range a.accs {
 		acc.Grow(len(a.keys))
 	}

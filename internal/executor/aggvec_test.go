@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"hawq/internal/catalog"
 	"hawq/internal/expr"
@@ -224,6 +225,65 @@ func TestAggVecMatchesBatchPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAggKeepsNoPageStrings: a string read out of a column vector is a
+// slice of the one string its page's column shares, and the aggregate
+// keeps group keys and running minima for as long as it runs. It must
+// keep copies: one kept slice would hold a whole page's strings alive —
+// beyond the block cache's byte account once the page is evicted, and
+// beyond what the aggregate's own grant was charged. On cached pages,
+// whose strings stay where they are, no string of the result may lie
+// inside one, absorbing vectors or rows.
+func TestAggKeepsNoPageStrings(t *testing.T) {
+	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, segFiles := writeCOTable(t, fs, 10, "li", liSchema, liRows(rand.New(rand.NewSource(5)), 3000))
+	cache := newWarmCache(t, fs, desc, segFiles)
+	type span struct{ lo, hi uintptr }
+	var pages []span
+	err = cache.ScanVecBatches(fs, desc.Storage, liSchema, segFiles[0], liSchema.AllCols(), nil, nil, func(vb *types.VecBatch) error {
+		defer types.PutVecBatch(vb)
+		for j := range vb.Cols {
+			if v := &vb.Cols[j]; v.Str != "" {
+				if !v.Shared {
+					t.Errorf("column %d was not served from the cache", j)
+				}
+				lo := uintptr(unsafe.Pointer(unsafe.StringData(v.Str)))
+				pages = append(pages, span{lo, lo + uintptr(len(v.Str))})
+			}
+		}
+		return nil
+	})
+	if err != nil || len(pages) == 0 {
+		t.Fatalf("%d string pages, err %v", len(pages), err)
+	}
+	filter := expr.NewBinOp(expr.OpGe, liCol(liSupp), expr.NewConst(types.NewInt64(0)))
+	groups := []expr.Expr{liCol(liNote), liCol(liFlag)}
+	aggs := []expr.AggSpec{{Kind: expr.AggMin, Arg: liCol(liNote)}, {Kind: expr.AggMax, Arg: liCol(liStatus)}}
+	for _, pushed := range []bool{true, false} {
+		ctx := &Context{Segment: 0, FS: fs, Cache: cache}
+		strs := 0
+		for _, row := range collect(t, ctx, liAgg(desc, segFiles, filter, pushed, groups, aggs)) {
+			for c, d := range row {
+				if d.S == "" {
+					continue
+				}
+				strs++
+				at := uintptr(unsafe.Pointer(unsafe.StringData(d.S)))
+				for _, p := range pages {
+					if at >= p.lo && at < p.hi {
+						t.Fatalf("pushed=%v: column %d of group %v is a slice of a cached page", pushed, c, row)
+					}
+				}
+			}
+		}
+		if strs == 0 {
+			t.Fatalf("pushed=%v: no string in the result", pushed)
+		}
 	}
 }
 

@@ -191,11 +191,11 @@ func (m *minmaxAcc) Add(d types.Datum) {
 		return
 	}
 	if !m.seen {
-		m.seen, m.cur = true, d
+		m.seen, m.cur = true, d.Detach()
 		return
 	}
 	if c := types.Compare(d, m.cur); (m.want < 0 && c < 0) || (m.want > 0 && c > 0) {
-		m.cur = d
+		m.cur = d.Detach()
 	}
 }
 
@@ -275,11 +275,6 @@ func addRows(c GroupAcc, gids []int32, v *types.Vector) {
 	}
 }
 
-// isNull reads bit i of a null bitmap that may be empty.
-func isNull(nulls []uint64, i int) bool {
-	return len(nulls) != 0 && nulls[i>>6]>>(uint(i)&63)&1 != 0
-}
-
 type countAccs struct {
 	star bool
 	accs []countAcc
@@ -340,7 +335,7 @@ func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
 		for i, g := range gids {
 			a := &c.accs[g]
 			switch {
-			case isNull(v.Nulls, i):
+			case v.Nulls.At(i):
 			case a.seen && ints && isInt(a.cur.K):
 				a.cur.K = types.KindInt64
 				a.cur.I += v.Ints[i]
@@ -355,7 +350,7 @@ func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
 		for i, g := range gids {
 			a := &c.accs[g]
 			switch {
-			case isNull(v.Nulls, i):
+			case v.Nulls.At(i):
 			case a.seen && a.cur.K == types.KindFloat64:
 				a.cur.F += v.Floats[i]
 			default:
@@ -394,7 +389,7 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 			a := &c.accs[g]
 			x := v.Ints[i]
 			switch {
-			case isNull(v.Nulls, i):
+			case v.Nulls.At(i):
 			case a.seen && a.cur.K == v.Kind && a.cur.Scale == v.Scale:
 				if want < 0 && x < a.cur.I || want > 0 && x > a.cur.I {
 					a.cur.I = x
@@ -409,7 +404,7 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 			a := &c.accs[g]
 			x := v.Floats[i]
 			switch {
-			case isNull(v.Nulls, i):
+			case v.Nulls.At(i):
 			case a.seen && a.cur.K == types.KindFloat64:
 				if want < 0 && x < a.cur.F || want > 0 && x > a.cur.F {
 					a.cur.F = x

@@ -356,7 +356,7 @@ func dropNulls(v *types.Vector, rows []int32) []int32 {
 	n := 0
 	for _, ri := range rows {
 		rows[n] = ri
-		if v.Nulls[ri>>6]>>(uint(ri)&63)&1 == 0 {
+		if !v.Nulls.At(int(ri)) {
 			n++
 		}
 	}

@@ -592,6 +592,54 @@ func TestKernelsMatchRowSemantics(t *testing.T) {
 	t.Logf("%d filters and %d programs checked", filters, progs)
 }
 
+// TestRowFallbackDemotesLate: a CASE whose arms are of different kinds
+// is evaluated row by row into a builder, and the result turns Mixed at
+// the first row of the second kind — here past row 64, with the only
+// NULL at row 0, where the null bitmap being built stops short. A
+// division over a column that changes scale late goes the same way.
+func TestRowFallbackDemotesLate(t *testing.T) {
+	const n = 130
+	c, d, late := make([]types.Datum, n), make([]types.Datum, n), make([]types.Datum, n)
+	for i := range c {
+		c[i], d[i], late[i] = types.NewInt64(int64(i)), types.NewDecimal(int64(i*3), 2), types.NewDecimal(int64(i+1), 2)
+	}
+	late[0], late[n-1] = types.Null, types.NewDecimal(5, 1)
+	data := [][]types.Datum{c, d, late}
+	ci, di := &ColRef{Idx: 0, Name: "c"}, &ColRef{Idx: 1, Name: "d"}
+	exprs := []Expr{
+		&Case{Whens: []When{
+			{Cond: &BinOp{Op: OpLt, L: ci, R: &Const{D: types.NewInt64(1)}}, Result: &Const{D: types.Null}},
+			{Cond: &BinOp{Op: OpLt, L: ci, R: &Const{D: types.NewInt64(100)}}, Result: di},
+		}, Else: ci},
+		&BinOp{Op: OpDiv, L: &ColRef{Idx: 2, Name: "late"}, R: &Const{D: types.NewInt64(1)}},
+		&BinOp{Op: OpAdd, L: &ColRef{Idx: 2, Name: "late"}, R: di},
+	}
+	for _, sel := range [][]int32{nil, testSels(n)[1]} {
+		vb := testutil.VecBatch(data, []types.VecEnc{types.VecFlat, types.VecFlat, types.VecFlat})
+		vb.Sel = sel
+		p := CompileVec(exprs)
+		if err := p.Eval(vb); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range exprs {
+			res := p.Result(i)
+			for pos, r := range selOf(vb) {
+				want, err := e.Eval(rowAt(data, int(r)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Datum(pos); string(types.EncodeDatum(nil, got)) != string(types.EncodeDatum(nil, want)) {
+					t.Fatalf("%s sel %v row %d: got %#v, want %#v", e, sel != nil, r, got, want)
+				}
+			}
+		}
+		if sel == nil && !p.Result(0).Mixed {
+			t.Error("a CASE over a decimal and an integer arm is not Mixed")
+		}
+		types.PutVecBatch(vb)
+	}
+}
+
 // TestGroupAccMatchesAccumulator: folding a vector with AddVec gives
 // every group what folding its rows one Add at a time gives, bit for
 // bit, for every aggregate over every kind of column — including a

@@ -180,11 +180,10 @@ func (p *VecProg) column(n *vecNode, vb *types.VecBatch) {
 		return
 	}
 	if len(v.Nulls) != 0 {
-		for range (p.rows + 63) / 64 {
-			out.Nulls = append(out.Nulls, 0)
-		}
 		for i, e := range idx {
-			out.Nulls[i>>6] |= v.Nulls[e>>6] >> (uint(e) & 63) & 1 << (uint(i) & 63)
+			if v.Nulls.At(int(e)) {
+				out.Nulls.Set(i)
+			}
 		}
 	}
 }
@@ -396,15 +395,8 @@ func arithFloats(op BinOpKind, a []float64, sa int, b []float64, sb int, out []f
 // vector and never reaches a kernel.
 func orNulls(out *types.Vector, a, b operand) {
 	for _, o := range []operand{a, b} {
-		if o.step == 0 || len(o.v.Nulls) == 0 {
-			continue
-		}
-		if len(out.Nulls) == 0 {
-			out.Nulls = append(out.Nulls, o.v.Nulls...)
-			continue
-		}
-		for i, w := range o.v.Nulls {
-			out.Nulls[i] |= w
+		if o.step != 0 {
+			out.Nulls.Or(o.v.Nulls)
 		}
 	}
 }

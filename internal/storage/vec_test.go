@@ -402,6 +402,13 @@ func pageSeeds() (seeds []struct {
 	add(mixed)
 	add(nulls)
 	add(append(append([]types.Datum{}, words[:50]...), types.Null, types.Null))
+	// A page that turns Mixed long after its only NULL: the demotion reads
+	// entries the null bitmap being built does not reach.
+	late := []types.Datum{types.Null}
+	for i := 0; i < 100; i++ {
+		late = append(late, types.NewDecimal(int64(i*7919), 2))
+	}
+	add(append(late, types.NewDecimal(25, 1)))
 	return seeds
 }
 

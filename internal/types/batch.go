@@ -240,11 +240,10 @@ func DecodeBatch(buf []byte, b *Batch) (int, error) {
 		pos += c
 		row := b.AddRow()
 		for j := 0; j < n; j++ {
-			d, sz, err := DecodeDatum(buf[pos:])
+			sz, err := decodeInto(buf[pos:], &row[j])
 			if err != nil {
 				return 0, fmt.Errorf("row %d column %d: %w", b.n-1, j, err)
 			}
-			row[j] = d
 			pos += sz
 		}
 	}

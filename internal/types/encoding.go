@@ -8,83 +8,131 @@ import (
 	"math"
 )
 
-// EncodeDatum appends a self-describing binary encoding of d to buf.
-// The encoding is used by the storage formats, the interconnect, and
-// serialized plans; DecodeDatum reverses it.
+// The datum wire format, used by the storage formats, the interconnect
+// and serialized plans: one kind byte, then nothing (NULL), one byte
+// (BOOLEAN), a varint (the integers, DATE), a scale byte and a varint
+// (DECIMAL), eight big-endian bytes (DOUBLE), or a uvarint length and the
+// bytes (TEXT, BYTEA). The three append helpers below are the only
+// writers of it and parseDatum the only reader.
+
+// appendIntDatum appends a value of an integer-like kind.
+func appendIntDatum(buf []byte, k Kind, scale int8, i int64) []byte {
+	switch k {
+	case KindBool:
+		return append(buf, byte(k), byte(i))
+	case KindDecimal:
+		buf = append(buf, byte(k), byte(scale))
+	default:
+		buf = append(buf, byte(k))
+	}
+	return binary.AppendVarint(buf, i)
+}
+
+// appendFloatDatum appends a DOUBLE.
+func appendFloatDatum(buf []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, byte(KindFloat64)), math.Float64bits(f))
+}
+
+// appendStrDatum appends a string-like value.
+func appendStrDatum(buf []byte, k Kind, s string) []byte {
+	buf = binary.AppendUvarint(append(buf, byte(k)), uint64(len(s)))
+	return append(buf, s...)
+}
+
+// EncodeDatum appends a self-describing binary encoding of d to buf;
+// DecodeDatum reverses it.
 func EncodeDatum(buf []byte, d Datum) []byte {
-	buf = append(buf, byte(d.K))
 	switch d.K {
 	case KindNull:
-	case KindBool:
-		buf = append(buf, byte(d.I))
-	case KindInt32, KindInt64, KindDate:
-		buf = binary.AppendVarint(buf, d.I)
+		return append(buf, byte(KindNull))
+	case KindBool, KindInt32, KindInt64, KindDate, KindDecimal:
+		return appendIntDatum(buf, d.K, d.Scale, d.I)
 	case KindFloat64:
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.F))
-	case KindDecimal:
-		buf = append(buf, byte(d.Scale))
-		buf = binary.AppendVarint(buf, d.I)
+		return appendFloatDatum(buf, d.F)
 	case KindString, KindBytes:
-		buf = binary.AppendUvarint(buf, uint64(len(d.S)))
-		buf = append(buf, d.S...)
-	default:
-		panic(fmt.Sprintf("types: encode of bad kind %d", d.K))
+		return appendStrDatum(buf, d.K, d.S)
 	}
-	return buf
+	panic(fmt.Sprintf("types: encode of bad kind %d", d.K))
+}
+
+// parseDatum is the one reader of the format. It takes apart the encoded
+// datum at the head of buf: its kind, then by kind the integer-like value
+// i (with a decimal's scale), the DOUBLE f, or the bytes of a string-like
+// value — body, a slice of buf and not a copy, for the caller to keep
+// (DecodeDatum), move elsewhere (VecBuilder) or ignore (SkipDatum) — and
+// the encoded size. What a kind does not use is zero. It never panics on
+// truncated or corrupt input.
+func parseDatum(buf []byte) (k Kind, scale int8, i int64, f float64, body []byte, size int, err error) {
+	if len(buf) == 0 {
+		return badDatum("datum in empty buffer")
+	}
+	k = Kind(buf[0])
+	pos := 1
+	switch k {
+	case KindNull:
+		return k, 0, 0, 0, nil, 1, nil
+	case KindBool:
+		if len(buf) < 2 {
+			return badDatum("truncated bool")
+		}
+		return k, 0, int64(buf[1]), 0, nil, 2, nil
+	case KindDecimal:
+		if len(buf) < 2 {
+			return badDatum("truncated decimal")
+		}
+		scale, pos = int8(buf[1]), 2
+		fallthrough
+	case KindInt32, KindInt64, KindDate:
+		v, n := binary.Varint(buf[pos:])
+		if n <= 0 {
+			return badDatum("truncated varint")
+		}
+		return k, scale, v, 0, nil, pos + n, nil
+	case KindFloat64:
+		if len(buf) < 9 {
+			return badDatum("truncated float")
+		}
+		return k, 0, 0, math.Float64frombits(binary.BigEndian.Uint64(buf[1:])), nil, 9, nil
+	case KindString, KindBytes:
+		l, n := binary.Uvarint(buf[1:])
+		if n <= 0 {
+			return badDatum("truncated string length")
+		}
+		pos += n
+		if uint64(len(buf)-pos) < l {
+			return badDatum("truncated string body")
+		}
+		return k, 0, 0, 0, buf[pos : pos+int(l)], pos + int(l), nil
+	}
+	return badDatum("datum of bad kind %d", k)
+}
+
+// badDatum is parseDatum's result for bytes that are no datum.
+func badDatum(format string, args ...any) (Kind, int8, int64, float64, []byte, int, error) {
+	return 0, 0, 0, 0, nil, 0, fmt.Errorf("types: "+format, args...)
+}
+
+// decodeInto decodes the datum at the head of buf into d, where it is to
+// stay, and returns the bytes consumed.
+func decodeInto(buf []byte, d *Datum) (int, error) {
+	k, scale, i, f, body, size, err := parseDatum(buf)
+	*d = Datum{K: k, Scale: scale, I: i, F: f, S: string(body)}
+	return size, err
 }
 
 // DecodeDatum decodes one datum from buf, returning it and the number of
 // bytes consumed.
-func DecodeDatum(buf []byte) (Datum, int, error) {
-	if len(buf) == 0 {
-		return Null, 0, fmt.Errorf("types: decode on empty buffer")
-	}
-	k := Kind(buf[0])
-	pos := 1
-	switch k {
-	case KindNull:
-		return Null, pos, nil
-	case KindBool:
-		if len(buf) < 2 {
-			return Null, 0, fmt.Errorf("types: truncated bool")
-		}
-		return Datum{K: KindBool, I: int64(buf[1])}, 2, nil
-	case KindInt32, KindInt64, KindDate:
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return Null, 0, fmt.Errorf("types: truncated varint")
-		}
-		return Datum{K: k, I: v}, pos + n, nil
-	case KindFloat64:
-		if len(buf) < pos+8 {
-			return Null, 0, fmt.Errorf("types: truncated float")
-		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(buf[pos:]))
-		return Datum{K: KindFloat64, F: f}, pos + 8, nil
-	case KindDecimal:
-		if len(buf) < pos+1 {
-			return Null, 0, fmt.Errorf("types: truncated decimal")
-		}
-		scale := int8(buf[pos])
-		pos++
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return Null, 0, fmt.Errorf("types: truncated decimal value")
-		}
-		return Datum{K: KindDecimal, I: v, Scale: scale}, pos + n, nil
-	case KindString, KindBytes:
-		l, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return Null, 0, fmt.Errorf("types: truncated string length")
-		}
-		pos += n
-		if uint64(len(buf)-pos) < l {
-			return Null, 0, fmt.Errorf("types: truncated string body")
-		}
-		return Datum{K: k, S: string(buf[pos : pos+int(l)])}, pos + int(l), nil
-	default:
-		return Null, 0, fmt.Errorf("types: decode of bad kind %d", k)
-	}
+func DecodeDatum(buf []byte) (d Datum, size int, err error) {
+	size, err = decodeInto(buf, &d)
+	return
+}
+
+// SkipDatum returns the encoded size of the next datum in buf without
+// materializing it: how a row-major block steps over the columns a scan
+// did not ask for.
+func SkipDatum(buf []byte) (int, error) {
+	_, _, _, _, _, size, err := parseDatum(buf)
+	return size, err
 }
 
 // EncodeRow appends the encoding of every datum in the row, prefixed with
@@ -122,11 +170,10 @@ func DecodeRow(buf []byte) (Row, int, error) {
 	}
 	row := make(Row, n)
 	for i := range row {
-		d, sz, err := DecodeDatum(buf[pos:])
+		sz, err := decodeInto(buf[pos:], &row[i])
 		if err != nil {
 			return nil, 0, fmt.Errorf("column %d: %w", i, err)
 		}
-		row[i] = d
 		pos += sz
 	}
 	return row, pos, nil

@@ -161,6 +161,16 @@ func (d Datum) Float() float64 {
 // Str returns the string value of a TEXT/BYTEA datum.
 func (d Datum) Str() string { return d.S }
 
+// Detach returns d with its string bytes copied. A Datum read out of a
+// column vector is a slice of the one string its page's column shares;
+// whatever keeps a value for as long as a query runs — a group key, a
+// running minimum — detaches it, so that it holds its own bytes (which
+// is what the memory accounting charges) and not the page's.
+func (d Datum) Detach() Datum {
+	d.S = strings.Clone(d.S)
+	return d
+}
+
 // Time returns the time.Time corresponding to a DATE datum.
 func (d Datum) Time() time.Time {
 	return time.Unix(d.I*86400, 0).UTC()

@@ -1,9 +1,6 @@
 package types
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -70,9 +67,8 @@ type Vector struct {
 	// Str[Offs[e]:Offs[e+1]], so a column of strings is one allocation.
 	Offs []int32
 	Str  string
-	// Nulls has bit e set when typed entry e is NULL; it is empty when
-	// no entry is.
-	Nulls []uint64
+	// Nulls says which typed entries are NULL.
+	Nulls NullBitmap
 	// Values holds the entries of a Mixed vector.
 	Values []Datum
 	// Runs holds the per-run lengths (VecRLE); they sum to N.
@@ -84,6 +80,36 @@ type Vector struct {
 	// it. A shared vector is read-only, and a pooled batch that carried
 	// one drops the slices on reuse instead of appending into them.
 	Shared bool
+}
+
+// NullBitmap has bit e set when entry e is NULL, 64 entries a word. It
+// need not reach past its last set bit: it is empty when no entry is
+// NULL, and an entry beyond its words is not NULL. This type is the only
+// code that knows the layout.
+type NullBitmap []uint64
+
+// At reports whether entry e is NULL.
+func (b NullBitmap) At(e int) bool {
+	w := uint(e) >> 6
+	return w < uint(len(b)) && b[w]>>(uint(e)&63)&1 != 0
+}
+
+// Set marks entry e NULL, growing the bitmap to reach it.
+func (b *NullBitmap) Set(e int) {
+	for len(*b) <= e>>6 {
+		*b = append(*b, 0)
+	}
+	(*b)[e>>6] |= 1 << (uint(e) & 63)
+}
+
+// Or marks NULL every entry that is NULL in o.
+func (b *NullBitmap) Or(o NullBitmap) {
+	for len(*b) < len(o) {
+		*b = append(*b, 0)
+	}
+	for i, w := range o {
+		(*b)[i] |= w
+	}
 }
 
 // reset clears the vector for reuse, retaining the capacity of slices it
@@ -147,7 +173,7 @@ func (v *Vector) Null(e int) bool {
 	case v.Kind == KindNull:
 		return true
 	}
-	return len(v.Nulls) != 0 && v.Nulls[e>>6]>>(uint(e)&63)&1 != 0
+	return v.Nulls.At(e)
 }
 
 // Text returns string-like entry e (the empty string for a NULL).
@@ -181,21 +207,13 @@ func (v *Vector) AppendEncoded(buf []byte, e int) []byte {
 	if v.Null(e) {
 		return append(buf, byte(KindNull))
 	}
-	buf = append(buf, byte(v.Kind))
-	switch v.Kind {
-	case KindBool:
-		return append(buf, byte(v.Ints[e]))
-	case KindDecimal:
-		buf = append(buf, byte(v.Scale))
-		return binary.AppendVarint(buf, v.Ints[e])
-	case KindFloat64:
-		return binary.BigEndian.AppendUint64(buf, math.Float64bits(v.Floats[e]))
-	case KindString, KindBytes:
-		s := v.Text(e)
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		return append(buf, s...)
+	switch v.Class() {
+	case ClassFloat:
+		return appendFloatDatum(buf, v.Floats[e])
+	case ClassStr:
+		return appendStrDatum(buf, v.Kind, v.Text(e))
 	}
-	return binary.AppendVarint(buf, v.Ints[e])
+	return appendIntDatum(buf, v.Kind, v.Scale, v.Ints[e])
 }
 
 // datumSize is the in-memory size of one Datum, without its string bytes.
@@ -287,12 +305,21 @@ func (b *VecBuilder) Reset(v *Vector, hint int, exact bool) {
 // scale next. The first non-NULL value fixes the vector's kind; a later
 // one that differs turns the vector Mixed.
 func (b *VecBuilder) fit(k Kind, scale int8) bool {
+	// A Mixed vector's Kind is KindNull, which k never is.
+	if b.v.Kind == k && b.v.Scale == scale {
+		return true
+	}
+	return b.fitFirst(k, scale)
+}
+
+// fitFirst is fit for a value that does not continue the vector's kind:
+// the first non-NULL one, whose kind the vector takes, or one that
+// differs, which turns it Mixed.
+func (b *VecBuilder) fitFirst(k Kind, scale int8) bool {
 	v := b.v
 	switch {
 	case v.Mixed:
 		return false
-	case v.Kind == k && v.Scale == scale:
-		return true
 	case v.Kind != KindNull:
 		b.demote()
 		return false
@@ -309,18 +336,18 @@ func (b *VecBuilder) fit(k Kind, scale int8) bool {
 		v.Offs = zeros(v.Offs, b.n+1, size+1)
 	}
 	if b.n > 0 {
-		v.Nulls = zeros(v.Nulls, (b.n+63)/64, (size+63)/64)
+		v.Nulls = zeros(v.Nulls, 0, (size+63)/64)
 		for e := 0; e < b.n; e++ {
-			v.Nulls[e>>6] |= 1 << (uint(e) & 63)
+			v.Nulls.Set(e)
 		}
 	}
 	return true
 }
 
 // zeros returns s resized to n zero values, with room for size.
-func zeros[T int32 | int64 | uint64 | float64](s []T, n, size int) []T {
+func zeros[S ~[]T, T int32 | int64 | uint64 | float64](s S, n, size int) S {
 	if cap(s) < size {
-		return make([]T, n, size)
+		return make(S, n, size)
 	}
 	s = s[:n]
 	clear(s)
@@ -362,10 +389,7 @@ func (b *VecBuilder) appendNull() {
 		v.Offs = append(v.Offs, int32(len(b.arena)))
 	}
 	if !v.Mixed && v.Kind != KindNull {
-		for len(v.Nulls) <= b.n>>6 {
-			v.Nulls = append(v.Nulls, 0)
-		}
-		v.Nulls[b.n>>6] |= 1 << (uint(b.n) & 63)
+		v.Nulls.Set(b.n)
 	}
 	b.n++
 }
@@ -390,7 +414,9 @@ func (b *VecBuilder) appendFloat(f float64) {
 	b.n++
 }
 
-// appendStr appends a string-like entry whose bytes are s.
+// appendStr appends a string-like entry whose bytes are s. The bytes are
+// copied into the arena; only the Mixed fallback keeps a string it was
+// handed.
 func appendStr[T string | []byte](b *VecBuilder, k Kind, s T) {
 	if b.fit(k, 0) {
 		b.arena = append(b.arena, s...)
@@ -418,56 +444,21 @@ func (b *VecBuilder) Append(d Datum) {
 // AppendEncoded decodes the datum at the head of buf onto the vector and
 // returns the bytes it occupied.
 func (b *VecBuilder) AppendEncoded(buf []byte) (int, error) {
-	if len(buf) == 0 {
-		return 0, fmt.Errorf("types: decode on empty buffer")
+	k, scale, i, f, body, size, err := parseDatum(buf)
+	if err != nil {
+		return 0, err
 	}
-	switch k := Kind(buf[0]); k {
+	switch k {
 	case KindNull:
 		b.appendNull()
-		return 1, nil
-	case KindBool:
-		if len(buf) < 2 {
-			return 0, fmt.Errorf("types: truncated bool")
-		}
-		b.appendInt(k, 0, int64(buf[1]))
-		return 2, nil
-	case KindInt32, KindInt64, KindDate:
-		i, n := binary.Varint(buf[1:])
-		if n <= 0 {
-			return 0, fmt.Errorf("types: truncated varint")
-		}
-		b.appendInt(k, 0, i)
-		return 1 + n, nil
 	case KindFloat64:
-		if len(buf) < 9 {
-			return 0, fmt.Errorf("types: truncated float")
-		}
-		b.appendFloat(math.Float64frombits(binary.BigEndian.Uint64(buf[1:])))
-		return 9, nil
-	case KindDecimal:
-		if len(buf) < 2 {
-			return 0, fmt.Errorf("types: truncated decimal")
-		}
-		i, n := binary.Varint(buf[2:])
-		if n <= 0 {
-			return 0, fmt.Errorf("types: truncated decimal value")
-		}
-		b.appendInt(k, int8(buf[1]), i)
-		return 2 + n, nil
+		b.appendFloat(f)
 	case KindString, KindBytes:
-		l, n := binary.Uvarint(buf[1:])
-		if n <= 0 {
-			return 0, fmt.Errorf("types: truncated string length")
-		}
-		pos := 1 + n
-		if uint64(len(buf)-pos) < l {
-			return 0, fmt.Errorf("types: truncated string body")
-		}
-		appendStr(b, k, buf[pos:pos+int(l)])
-		return pos + int(l), nil
+		appendStr(b, k, body)
 	default:
-		return 0, fmt.Errorf("types: decode of bad kind %d", k)
+		b.appendInt(k, scale, i)
 	}
+	return size, nil
 }
 
 // Finish completes the vector as a flat one of the appended entries:
@@ -478,65 +469,7 @@ func (b *VecBuilder) Finish() {
 	if v.Class() == ClassStr {
 		v.Str = string(b.arena)
 	}
-	if len(v.Nulls) != 0 {
-		for len(v.Nulls) < (b.n+63)/64 {
-			v.Nulls = append(v.Nulls, 0)
-		}
-	}
 	b.v = nil
-}
-
-// SkipDatum returns the encoded size of the next datum in buf without
-// materializing it: how a row-major block steps over the columns a scan
-// did not ask for.
-func SkipDatum(buf []byte) (int, error) {
-	if len(buf) == 0 {
-		return 0, fmt.Errorf("types: skip on empty buffer")
-	}
-	k := Kind(buf[0])
-	pos := 1
-	switch k {
-	case KindNull:
-		return pos, nil
-	case KindBool:
-		if len(buf) < 2 {
-			return 0, fmt.Errorf("types: truncated bool")
-		}
-		return 2, nil
-	case KindInt32, KindInt64, KindDate:
-		_, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("types: truncated varint")
-		}
-		return pos + n, nil
-	case KindFloat64:
-		if len(buf) < pos+8 {
-			return 0, fmt.Errorf("types: truncated float")
-		}
-		return pos + 8, nil
-	case KindDecimal:
-		pos++ // scale byte
-		if len(buf) < pos {
-			return 0, fmt.Errorf("types: truncated decimal")
-		}
-		_, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("types: truncated decimal value")
-		}
-		return pos + n, nil
-	case KindString, KindBytes:
-		l, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("types: truncated string length")
-		}
-		pos += n
-		if uint64(len(buf)-pos) < l {
-			return 0, fmt.Errorf("types: truncated string body")
-		}
-		return pos + int(l), nil
-	default:
-		return 0, fmt.Errorf("types: skip of bad kind %d", k)
-	}
 }
 
 // VecBatch is a batch of column vectors plus an optional selection: the
@@ -833,7 +766,7 @@ func (v *Vector) gather(idx []int32, m int, out []Datum, width int) {
 		if idx != nil {
 			e = int(idx[i])
 		}
-		if v.Nulls[e>>6]>>(uint(e)&63)&1 != 0 {
+		if v.Nulls.At(e) {
 			out[i*width] = Datum{}
 		}
 	}

@@ -407,3 +407,64 @@ func TestFlatBuilderSharesOneStringBacking(t *testing.T) {
 		}
 	}
 }
+
+// TestBuilderDemotesLate: a column turns Mixed at whatever entry first
+// breaks its kind or scale, however many typed entries and however few
+// NULL bits it holds by then. The null bitmap of a vector being built
+// stops at its last NULL, so a demotion past entry 64 reads entries the
+// bitmap does not reach.
+func TestBuilderDemotesLate(t *testing.T) {
+	repeat := func(head []Datum, d Datum, n int, tail ...Datum) []Datum {
+		out := append([]Datum{}, head...)
+		for i := 0; i < n; i++ {
+			out = append(out, d)
+		}
+		return append(out, tail...)
+	}
+	cols := map[string][]Datum{
+		"null, 100 decimals, another scale": repeat([]Datum{Null}, NewDecimal(150, 2), 100, NewDecimal(25, 1), Null),
+		"null, 100 ints, a decimal":         repeat([]Datum{Null}, NewInt64(7), 100, NewDecimal(25, 1)),
+		"null, 100 floats, an int":          repeat([]Datum{Null}, NewFloat64(0.5), 100, NewInt64(1)),
+		"null, 100 strings, an int":         repeat([]Datum{Null}, NewString("ab"), 100, NewInt64(1), NewString("c")),
+		"nulls up to 130, a date":           repeat(repeat(nil, Null, 65, NewInt64(3)), Null, 64, NewDate(9)),
+		"one string, an int":                {NewString("s"), NewInt64(1)},
+		"no null, 100 ints, a string":       repeat(nil, NewInt32(4), 100, NewString("x")),
+	}
+	for name, vals := range cols {
+		for _, exact := range []bool{false, true} {
+			var enc []byte
+			for _, d := range vals {
+				enc = EncodeDatum(enc, d)
+			}
+			var byDatum, byBytes Vector
+			var b VecBuilder
+			b.Reset(&byDatum, len(vals), exact)
+			for _, d := range vals {
+				b.Append(d)
+			}
+			b.Finish()
+			b.Reset(&byBytes, 0, exact)
+			for pos := 0; pos < len(enc); {
+				n, err := b.AppendEncoded(enc[pos:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				pos += n
+			}
+			b.Finish()
+			// The vector holds copies: the buffer it was decoded from may
+			// be reused.
+			for i := range enc {
+				enc[i] = 0xEE
+			}
+			for _, v := range []*Vector{&byDatum, &byBytes} {
+				if v.Class() != ClassMixed || v.N != len(vals) || !sameDatums(testutil.VectorRows(v), vals) {
+					t.Errorf("%s (exact=%v): class %d, %d rows, values differ", name, exact, v.Class(), v.N)
+				}
+				if len(v.Ints)+len(v.Floats)+len(v.Offs)+len(v.Nulls) != 0 || v.Str != "" {
+					t.Errorf("%s (exact=%v): a Mixed vector kept typed storage", name, exact)
+				}
+			}
+		}
+	}
+}

@@ -76,8 +76,11 @@
 #                                  cache contents, and the vector
 #                                  aggregate against the plain-loop
 #                                  reference (spill diversion in the
-#                                  middle of a batch included), re-run
-#                                  explicitly under -race
+#                                  middle of a batch included), and a
+#                                  column that turns Mixed past entry 64
+#                                  (builder, row fallback, SQL on all
+#                                  three formats), re-run explicitly
+#                                  under -race
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -174,9 +177,11 @@ echo "==> scan-error gate (-race -cpu 2,8)"
 go test -race -count=1 -cpu 2,8 -run 'TestVecScanErrorReachesAgg|TestVecModeScanRejectsNextBatch' ./internal/executor
 
 echo "==> typed-vector gate (-race)"
-go test -race -count=1 -run 'TestKernelsMatchRowSemantics|TestKernelsTakeWhatTheyShould|TestGroupAccMatchesAccumulator|TestFilterVec' ./internal/expr
+go test -race -count=1 -run 'TestBuilderDemotesLate|TestVectorDecodeAllEncodings' ./internal/types
+go test -race -count=1 -run 'TestKernelsMatchRowSemantics|TestKernelsTakeWhatTheyShould|TestGroupAccMatchesAccumulator|TestFilterVec|TestRowFallbackDemotesLate' ./internal/expr
 go test -race -count=1 -run 'FuzzDecodePage|FuzzDecodeRLE|FuzzDecodeDict|TestCacheHoldsTypedVectors' ./internal/storage
-go test -race -count=1 -run 'TestAggVecMatchesBatchPath|TestBatchPipelineAllocBudget' ./internal/executor
+go test -race -count=1 -run 'TestAggVecMatchesBatchPath|TestAggKeepsNoPageStrings|TestBatchPipelineAllocBudget' ./internal/executor
+go test -race -count=1 -run 'TestMixedScaleColumnThroughSQL' ./internal/engine
 
 echo "==> bench smoke (-benchtime=1x -race)"
 scripts/bench.sh --smoke
