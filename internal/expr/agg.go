@@ -331,7 +331,6 @@ func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
 			addRows(c, gids, v)
 			return
 		}
-		d := types.Datum{K: v.Kind, Scale: v.Scale}
 		for i, g := range gids {
 			a := &c.accs[g]
 			switch {
@@ -342,8 +341,7 @@ func (c *sumAccs) AddVec(gids []int32, v *types.Vector) {
 			case a.seen && a.cur.K == types.KindDecimal && !ints && a.cur.Scale == v.Scale:
 				a.cur.I += v.Ints[i]
 			default:
-				d.I = v.Ints[i]
-				a.Add(d)
+				a.Add(types.Datum{K: v.Kind, Scale: v.Scale, I: v.Ints[i]})
 			}
 		}
 	case types.ClassFloat:
@@ -384,7 +382,6 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 	switch v.Class() {
 	case types.ClassNull:
 	case types.ClassInt:
-		d := types.Datum{K: v.Kind, Scale: v.Scale}
 		for i, g := range gids {
 			a := &c.accs[g]
 			x := v.Ints[i]
@@ -395,8 +392,7 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 					a.cur.I = x
 				}
 			default:
-				d.I = x
-				a.Add(d)
+				a.Add(types.Datum{K: v.Kind, Scale: v.Scale, I: x})
 			}
 		}
 	case types.ClassFloat:

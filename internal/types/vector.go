@@ -718,43 +718,41 @@ func (v *Vector) gather(idx []int32, m int, out []Datum, width int) {
 			out[i*width] = v.Values[e]
 		}
 		return
+	// Each cell is written as a literal, which the compiler builds in
+	// place. A Datum has too many fields to live in registers: one kept
+	// in a local and copied out per row is a narrow store and a wide load
+	// of the same stack slot per row, and costs two to three times as
+	// much whenever that slot happens to straddle a cache line.
 	case ClassInt:
-		d := Datum{K: v.Kind, Scale: v.Scale}
+		k, scale := v.Kind, v.Scale
 		if idx == nil {
 			for i, x := range v.Ints[:m] {
-				d.I = x
-				out[i*width] = d
+				out[i*width] = Datum{K: k, Scale: scale, I: x}
 			}
 		} else {
 			for i, e := range idx {
-				d.I = v.Ints[e]
-				out[i*width] = d
+				out[i*width] = Datum{K: k, Scale: scale, I: v.Ints[e]}
 			}
 		}
 	case ClassFloat:
-		d := Datum{K: KindFloat64}
 		if idx == nil {
 			for i, f := range v.Floats[:m] {
-				d.F = f
-				out[i*width] = d
+				out[i*width] = Datum{K: KindFloat64, F: f}
 			}
 		} else {
 			for i, e := range idx {
-				d.F = v.Floats[e]
-				out[i*width] = d
+				out[i*width] = Datum{K: KindFloat64, F: v.Floats[e]}
 			}
 		}
 	case ClassStr:
-		d := Datum{K: v.Kind}
+		k := v.Kind
 		if idx == nil {
 			for i := 0; i < m; i++ {
-				d.S = v.Text(i)
-				out[i*width] = d
+				out[i*width] = Datum{K: k, S: v.Text(i)}
 			}
 		} else {
 			for i, e := range idx {
-				d.S = v.Text(int(e))
-				out[i*width] = d
+				out[i*width] = Datum{K: k, S: v.Text(int(e))}
 			}
 		}
 	}
