@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hawq/internal/cluster"
+	"hawq/internal/resource"
 	"hawq/internal/types"
 )
 
@@ -440,6 +441,61 @@ func TestMixedScaleColumnThroughSQL(t *testing.T) {
 			res = mustExec(t, s, fmt.Sprintf("SELECT sum(CASE WHEN k < 100 THEN d ELSE k END) FROM %s", tc.name))
 			if got := res.Rows[0].String(); got != "5099.50" {
 				t.Fatalf("%s pass %d: CASE sum %s", tc.name, pass, got)
+			}
+		}
+	}
+}
+
+// TestJoinKeysCompareAsValues: a join equality matches what the same
+// equality matches in a WHERE clause — by value, whatever the two
+// columns' kinds and scales. 7.00 joins 7 and 7.0 as hash keys (one
+// normal form for the exact numerics, in the join's table and in the
+// redistribute motion alike); a DOUBLE against an integer is no hash key
+// at all and joins through the predicate. In memory and through the
+// grace partitions, on row and on column storage.
+func TestJoinKeysCompareAsValues(t *testing.T) {
+	e := newTestEngine(t, 2)
+	s := e.NewSession()
+	for _, tc := range []struct{ suffix, with string }{
+		{"ao", "WITH (appendonly=true, orientation=row)"},
+		{"co", "WITH (appendonly=true, orientation=column, compresstype=quicklz)"},
+	} {
+		a, b := "ja_"+tc.suffix, "jb_"+tc.suffix
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, d DECIMAL(10,2), f DOUBLE) %s DISTRIBUTED BY (k)", a, tc.with))
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, i INT4, d1 DECIMAL(10,1)) %s DISTRIBUTED BY (k)", b, tc.with))
+		avals := []string{"(1, 7.00, 7.0)", "(2, 7.50, 7.5)"}
+		bvals := []string{"(1, 7, 7.0)", "(2, 8, 7.5)"}
+		// Rows that join nothing, so that the build side outgrows 1 kB.
+		for k := 10; k < 210; k++ {
+			avals = append(avals, fmt.Sprintf("(%d, %d.25, %d.25)", k, k, k))
+			bvals = append(bvals, fmt.Sprintf("(%d, %d, %d.3)", k, k+1000, k))
+		}
+		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", a, strings.Join(avals, ", ")))
+		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", b, strings.Join(bvals, ", ")))
+		if got := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM %s WHERE d = 7", a)).Rows[0].String(); got != "1" {
+			t.Fatalf("%s: WHERE d = 7 counts %s", a, got)
+		}
+		for _, workMem := range []string{"64MB", "1kB"} {
+			mustExec(t, s, fmt.Sprintf("SET work_mem = '%s'", workMem))
+			for _, q := range []struct {
+				sql, want string
+				hashed    bool
+			}{
+				{"SELECT a.k, b.k FROM %s a, %s b WHERE a.d = b.i ORDER BY a.k", "[1|1]", true},
+				{"SELECT a.k, b.k FROM %s a, %s b WHERE a.d = b.d1 ORDER BY a.k", "[1|1 2|2]", true},
+				{"SELECT a.k, b.k FROM %s a, %s b WHERE a.f = b.i ORDER BY a.k", "[1|1]", false},
+				// The other two ways an equality becomes a join key.
+				{"SELECT a.k, b.k FROM %s a JOIN %s b ON a.f = b.i AND a.k = b.k ORDER BY a.k", "[1|1]", true},
+				{"SELECT a.k FROM %s a WHERE a.f IN (SELECT i FROM %s) ORDER BY a.k", "[1]", false},
+			} {
+				files0, _ := resource.SpillStats()
+				res := mustExec(t, s, fmt.Sprintf(q.sql, a, b))
+				if got := fmt.Sprint(rowsString(res)); got != q.want {
+					t.Errorf("work_mem %s: %s gave %s, want %s", workMem, fmt.Sprintf(q.sql, a, b), got, q.want)
+				}
+				if files1, _ := resource.SpillStats(); q.hashed && (files1 > files0) != (workMem == "1kB") {
+					t.Errorf("work_mem %s: %s created %d workfiles", workMem, fmt.Sprintf(q.sql, a, b), files1-files0)
+				}
 			}
 		}
 	}

@@ -490,29 +490,24 @@ func (a *hashAggOp) loadPart() error {
 	a.newTable()
 	a.level = part.level
 	a.noSpill = part.level > maxSpillLevel
-	cur, err := openCursor(part.file)
+	cur, err := openCursor(a.ctx, part.file)
 	if err != nil {
 		return err
 	}
+	defer cur.close()
 	for {
-		if err := a.ctx.canceled(); err != nil {
-			cur.close()
+		row, ok, err := cur.next()
+		if err != nil {
 			return err
-		}
-		row, ok, rerr := cur.next()
-		if rerr != nil {
-			cur.close()
-			return rerr
 		}
 		if !ok {
 			break
 		}
 		if err := a.absorb(row); err != nil {
-			cur.close()
 			return err
 		}
 	}
-	cur.close()
+	cur.close() // the reader first, then the file it reads
 	part.file.Remove()
 	if err := a.sealSpill(); err != nil {
 		return err

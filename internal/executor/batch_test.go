@@ -169,10 +169,100 @@ func TestPipelinesMatchReference(t *testing.T) {
 			return ctx
 		}},
 	}
-	for _, kind := range []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.SemiJoin, plan.AntiJoin} {
+	kinds := []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.SemiJoin, plan.AntiJoin}
+	for _, kind := range kinds {
 		for name, extra := range extras {
 			trees[fmt.Sprintf("fat-join-%d%s", kind, name)] = tree{fat(kind, extra), true, plain}
 		}
+	}
+	// addJoin runs a join in memory, where the output order is defined
+	// (probe order, then build order), and under two work_mem budgets that
+	// send it through the grace partitions, one level deep and recursively.
+	addJoin := func(name string, j *plan.HashJoin, oneLevel, recursive int64) {
+		var buildMem int64
+		for _, r := range j.Right.(*plan.Values).Rows {
+			buildMem += rowMem(r)
+		}
+		spill := func(workMem int64) func(*testing.T) *Context {
+			return func(t *testing.T) *Context {
+				ctx, st := spillCtx(t, workMem)
+				files0, _ := resource.SpillStats()
+				t.Cleanup(func() {
+					if files1, _ := resource.SpillStats(); (files1 > files0) != (buildMem > workMem) {
+						t.Errorf("a build side of %d bytes under a work_mem of %d created %d workfiles", buildMem, workMem, files1-files0)
+					}
+					if st.Live() != 0 {
+						t.Errorf("%d workfiles leaked", st.Live())
+					}
+				})
+				return ctx
+			}
+		}
+		trees[name+"/mem"] = tree{j, true, plain}
+		trees[name+"/spill-1"] = tree{j, false, spill(oneLevel)}
+		trees[name+"/spill-n"] = tree{j, false, spill(recursive)}
+	}
+	// The budgets of TestHashJoinSpillParity.
+	const oneLevel, recursive = 8 << 10, 512
+	// Build sides that end just before, on and just after a seam of the
+	// row store's chunks: the first one, and the first between two chunks
+	// of full size. Build keys come in pairs (2i, 2i): every chain has two
+	// rows, met in build order. The probe side asks for the first and last
+	// rows, the rows around every seam, keys the build side lacks, NULL.
+	seam := rowStoreBase*(1<<rowStoreDoublings-1) + chunkRows(rowStoreDoublings)
+	if c, off := locate(seam); off != 0 || c != rowStoreDoublings+1 {
+		t.Fatalf("row %d is at %d in chunk %d, not at a seam", seam, off, c)
+	}
+	sizes := []int{0, 1, rowStoreBase - 1, rowStoreBase, rowStoreBase + 1, seam - 1, seam, seam + 1, 100000}
+	for _, n := range sizes {
+		build := valuesNode(intsSchema("rk", "rv"), seqRows(n, func(i int) int64 { return int64(i) })...)
+		for _, r := range build.Rows {
+			r[0], r[1] = types.NewInt64(r[1].I-r[1].I%2), r[0]
+		}
+		probe := valuesNode(intsSchema("lk", "lv"))
+		for i, k := range append([]int{-2, n - 2, n - 1, n, n + 1}, sizes...) {
+			for d := -2; d <= 2; d++ {
+				probe.Rows = append(probe.Rows, types.Row{types.NewInt64(int64(k + d)), types.NewInt64(int64(i))})
+			}
+		}
+		probe.Rows = append(probe.Rows, types.Row{types.Null, types.NewInt64(-1)})
+		j := &plan.HashJoin{Kind: plan.LeftJoin, Left: probe, Right: build, LeftKeys: []int{0}, RightKeys: []int{0},
+			Schema: probe.Schema.Concat(build.Schema)}
+		// Budgets in proportion: an eighth of the build fits the first, not
+		// the second.
+		bytes := int64(n) * rowMem(types.Row{types.Null, types.Null})
+		addJoin(fmt.Sprintf("join-build-%d", n), j, max(bytes/4, recursive), max(bytes/40, recursive))
+	}
+	// A build side of no columns (a cross join: there is no key to differ
+	// in), for the hash join and for the nested loop.
+	noCols := &plan.Values{Schema: types.NewSchema()}
+	for i := 0; i < 40; i++ {
+		noCols.Rows = append(noCols.Rows, types.Row{})
+	}
+	few := valuesNode(intsSchema("a", "b"), seqRows(30, func(i int) int64 { return int64(i % 4) })...)
+	addJoin("join-zero-column-build", &plan.HashJoin{Kind: plan.InnerJoin, Left: few, Right: noCols, Schema: few.Schema}, oneLevel, recursive)
+	trees["nestloop-zero-column-inner"] = tree{&plan.NestLoopJoin{Kind: plan.InnerJoin, Left: few, Right: noCols, Schema: few.Schema}, true, plain}
+	// Two key columns, one a string: rows that agree in one and not the
+	// other do not join.
+	strRows := func(n int, tag int64) *plan.Values {
+		v := &plan.Values{Schema: types.NewSchema(
+			types.Column{Name: "k", Kind: types.KindInt64}, types.Column{Name: "s", Kind: types.KindString}, types.Column{Name: "v", Kind: types.KindInt64})}
+		for i := 0; i < n; i++ {
+			v.Rows = append(v.Rows, types.Row{types.NewInt64(int64(i % 7)), types.NewString(fmt.Sprintf("name-%d", i%5)), types.NewInt64(tag + int64(i))})
+		}
+		return v
+	}
+	ls, rs := strRows(90, 0), strRows(300, 1000)
+	addJoin("join-two-column-string-key", &plan.HashJoin{Kind: plan.InnerJoin, Left: ls, Right: rs,
+		LeftKeys: []int{0, 1}, RightKeys: []int{0, 1}, Schema: ls.Schema.Concat(rs.Schema)}, 2*oneLevel, recursive)
+	// One key with 2 500 build rows: no partitioning spreads it.
+	addJoin("fat-join-spilled", fat(plan.InnerJoin, nil), 16<<10, recursive)
+	// NULL keys on both sides under every join kind.
+	for _, kind := range kinds {
+		left, right := bigJoinInputs()
+		left.Rows = append(left.Rows, types.Row{types.Null, types.NewInt64(-3)})
+		addJoin(fmt.Sprintf("join-null-keys-%d", kind), &plan.HashJoin{Kind: kind, Left: left, Right: right,
+			LeftKeys: []int{0}, RightKeys: []int{0}, Schema: left.Schema.Concat(right.Schema)}, oneLevel, recursive)
 	}
 	for name, tr := range trees {
 		t.Run(name, func(t *testing.T) {
@@ -357,23 +447,39 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	for name, tree := range map[string]plan.Node{
-		"scan-filter-project": sfpTree(desc, segFiles),
+	for name, tc := range map[string]struct {
+		tree   plan.Node
+		budget float64
+	}{
+		"scan-filter-project": {sfpTree(desc, segFiles), nrows / 4},
 		// Every probe row matches once: 4096 output rows over a build side
-		// of 97 cloned rows.
-		"join": &plan.HashJoin{
+		// of 97 rows. Nothing is allocated per build row or per probe row:
+		// the operators, the scan's batches, the table's few arrays — 56
+		// allocations, 13 more than the scan alone, and up to 67 under
+		// -race, where sync.Pool drops a quarter of what it is handed.
+		"join": {&plan.HashJoin{
 			Kind: plan.InnerJoin, Left: scan, Right: valuesNode(intsSchema("rk"), build...),
 			LeftKeys: []int{1}, RightKeys: []int{0}, Schema: intsSchema("k", "v", "w", "rk"),
-		},
+		}, 80},
 	} {
-		run := drain(tree)
+		run := drain(tc.tree)
 		run() // warm pools before measuring
 		if rows < nrows/4 {
 			t.Fatalf("%s: %d rows", name, rows)
 		}
-		if avg := testing.AllocsPerRun(5, run); avg > nrows/4 {
-			t.Errorf("%s allocates %.0f times per %d rows (budget %d)", name, avg, nrows, nrows/4)
+		if avg := testing.AllocsPerRun(5, run); avg > tc.budget {
+			t.Errorf("%s allocates %.0f times per %d rows (budget %.0f)", name, avg, nrows, tc.budget)
 		}
+	}
+	// A redistribute motion hashes and encodes every row and allocates for
+	// none: once the four send buffers have grown to a payload, routing
+	// four times the rows costs the same operators and buffers.
+	route := func(n int) float64 {
+		input := valuesNode(intsSchema("k", "v"), seqRows(n, func(i int) int64 { return int64(i % 97) })...)
+		return testing.AllocsPerRun(5, func() { routeSlice(t, plan.RedistributeMotion, input) })
+	}
+	if few, many := route(2*nrows), route(8*nrows); many > few+8 {
+		t.Errorf("routing %d rows allocates %.0f times, routing %d rows %.0f", 8*nrows, many, 2*nrows, few)
 	}
 	// 4096 groups out. The table pays a few allocations per group going
 	// in (key, accumulators, map entry) — what a run costs that stops
@@ -525,4 +631,62 @@ func BenchmarkMotionLoopback(b *testing.B) {
 			}
 		}
 	})
+}
+
+// sinkNode is an interconnect endpoint whose send streams count and drop
+// what they are given: a motion's routing and encoding, without a wire.
+type sinkNode struct{ sent, bytes int }
+
+func (n *sinkNode) Seg() interconnect.SegID { return 0 }
+func (n *sinkNode) OpenSend(interconnect.StreamID) (interconnect.SendStream, error) {
+	return n, nil
+}
+func (n *sinkNode) OpenRecv(uint64, int16, []interconnect.SegID) (interconnect.RecvStream, error) {
+	return nil, errors.New("sinkNode receives nothing")
+}
+func (n *sinkNode) CancelQuery(uint64) {}
+func (n *sinkNode) Close() error       { return nil }
+
+// Send implements interconnect.SendStream.
+func (n *sinkNode) Send(data []byte) error {
+	n.sent++
+	n.bytes += len(data)
+	return nil
+}
+
+// routeSlice runs a motion of the given type over rows to four receivers
+// on a sinkNode and returns the payload bytes it sent.
+func routeSlice(tb testing.TB, typ plan.MotionType, input *plan.Values) int {
+	tb.Helper()
+	net := &sinkNode{}
+	motion := &plan.Motion{ID: 1, Type: typ, HashCols: []int{0}, Input: input, Receivers: []int{0, 1, 2, 3}}
+	p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0}}}}
+	if err := RunSlice(&Context{Query: 1, Segment: 0, Net: net}, p, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return net.bytes
+}
+
+// BenchmarkMotionRoute times the send half of a motion without a wire:
+// 8 192 four-column rows hashed to one of four receivers, or encoded for
+// all four.
+func BenchmarkMotionRoute(b *testing.B) {
+	var rows [][]int64
+	for i := 0; i < 8192; i++ {
+		rows = append(rows, []int64{int64(i), int64(i * 3), int64(i % 11), int64(-i)})
+	}
+	input := valuesNode(intsSchema("a", "b", "c", "d"), rows...)
+	for _, tc := range []struct {
+		name string
+		typ  plan.MotionType
+	}{{"hash", plan.RedistributeMotion}, {"broadcast", plan.BroadcastMotion}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if routeSlice(b, tc.typ, input) == 0 {
+					b.Fatal("nothing sent")
+				}
+			}
+		})
+	}
 }

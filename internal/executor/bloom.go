@@ -69,21 +69,6 @@ func (b *Bloom) Merge(o *Bloom) {
 	}
 }
 
-// rtfHash hashes one join-key datum for runtime-filter membership:
-// FNV-1a over the datum's sort encoding after the same numeric
-// normalization joinKey applies, so an INT32 build key and an INT64
-// probe column hash identically. buf is a reusable scratch buffer;
-// the (possibly grown) buffer is returned for reuse.
-func rtfHash(buf []byte, d types.Datum) ([]byte, uint64) {
-	buf = types.EncodeDatum(buf[:0], normalizeKey(d))
-	h := uint64(14695981039346656037)
-	for _, c := range buf {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return buf, h
-}
-
 // FilterHub distributes runtime bloom filters from hash-join build
 // sides (publishers) to probe-side scans (consumers) within one query.
 // The dispatcher creates one hub per query and registers, per filter
@@ -164,10 +149,10 @@ func (f *FilterHub) Lookup(id int32) *Bloom {
 }
 
 // applyBloomVec narrows vb.Sel to the rows of column col whose key hash
-// may be in the filter — one membership test per dictionary entry or run
-// where the column has those — and returns the number of rows removed.
-// buf is hash scratch, returned for reuse.
-func applyBloomVec(col int, bloom *Bloom, vb *types.VecBatch, buf []byte) (int, []byte) {
+// (keyHash, the hash the join's build side fed the filter) may be in the
+// filter — one membership test per dictionary entry or run where the
+// column has those — and returns the number of rows removed.
+func applyBloomVec(col int, bloom *Bloom, vb *types.VecBatch) int {
 	before := vb.SelCount()
 	v := &vb.Cols[col]
 	vb.Narrow(col, func(e int) bool {
@@ -176,13 +161,12 @@ func applyBloomVec(col int, bloom *Bloom, vb *types.VecBatch, buf []byte) (int, 
 		if v.Null(e) {
 			return false
 		}
-		var h uint64
-		buf, h = rtfHash(buf, v.Datum(e))
-		return bloom.MayContain(h)
+		d := v.Datum(e)
+		return bloom.MayContain(keyHash(&d))
 	})
 	removed := before - vb.SelCount()
 	if removed > 0 {
 		rtfRowsRemoved.Add(int64(removed))
 	}
-	return removed, buf
+	return removed
 }

@@ -1,6 +1,9 @@
 package executor
 
 import (
+	"fmt"
+	"slices"
+
 	"hawq/internal/expr"
 	"hawq/internal/obs"
 	"hawq/internal/plan"
@@ -10,43 +13,46 @@ import (
 
 // hashJoinOp builds a hash table on the right input and probes with the
 // left. NULL join keys never match (SQL semantics). The build side is
-// consumed through drainRows (cloning retained rows out of the arena),
-// the probe side row-wise through a batchCursor, and output rows are
-// written straight into the caller's batch.
+// consumed through drainRows, each row copied once into the joinTable
+// with the hash of its keys; the probe side is taken row by row through
+// a rowCursor, hashed, and looked up — hash first, then the typed key
+// cells — and output rows are written straight into the caller's batch.
 //
 // When the build side outgrows its memory budget the join degrades to
 // partitioned (grace) spilling: both sides are partitioned into
-// workfiles by a level-salted key hash, then each partition pair is
-// joined in memory — recursing with a deeper salt on partitions that
-// still don't fit, and past maxSpillLevel loading the partition anyway
-// (a skewed key can defeat any partitioning).
+// workfiles by the level-salted key hash, then each partition pair is
+// joined in memory, in the same table — recursing with a deeper salt on
+// partitions that still don't fit, and past maxSpillLevel loading the
+// partition anyway (a skewed key can defeat any partitioning).
 type hashJoinOp struct {
 	ctx         *Context
 	node        *plan.HashJoin
 	left, right Operator
-	leftCur     batchCursor
 
 	mem   memBudget
-	table map[string]*buildBucket
-	// keyBuf is the reusable join-key encoding buffer: every key
-	// computation on the hot path encodes into it and looks up the table
-	// via the non-allocating map[string(keyBuf)] form; only inserting a
-	// previously unseen build key materializes a string.
-	keyBuf []byte
+	table joinTable
+	// cur serves the probe rows: the left input's, or in grace mode those
+	// of the current partition's probe file. matches is the scratch list
+	// of the build rows the current probe row pairs with.
+	cur     *rowCursor
+	matches []types.Row
 
 	// blooms are the runtime filters this build side is filling, one per
 	// plan.RuntimeFilterSpec, published to ctx.Filters when the build
 	// completes (nil when the context has no hub or the plan no specs).
+	// rtfKey says which build key each covers and cells holds the hash of
+	// every key column of the row being added: the filter is fed the
+	// hash the table was.
 	blooms []*Bloom
-	rtfBuf []byte
+	rtfKey []int
+	cells  []uint64
 
 	// spill state
-	spilled  bool
-	buildSP  *spillPartition // level-0 build partitions, filled while draining the build side
-	probeSP  *spillPartition // level-0 probe partitions, filled while draining the probe side
-	parts    []joinPart      // partition pairs still to join
-	curPart  joinPart        // partition currently loaded (files removed when its probe is exhausted)
-	probeCur *wfCursor       // probe rows of the current partition
+	spilled bool
+	buildSP *spillPartition // level-0 build partitions, filled while draining the build side
+	probeSP *spillPartition // level-0 probe partitions, filled while draining the probe side
+	parts   []joinPart      // partition pairs still to join
+	curPart joinPart        // partition currently loaded (files removed when its probe is exhausted)
 
 	probe joinProbe
 }
@@ -70,8 +76,18 @@ func newHashJoinOp(ctx *Context, node *plan.HashJoin) (Operator, error) {
 	}
 	j := &hashJoinOp{ctx: ctx, node: node, left: l, right: r}
 	j.mem = memBudget{ctx: ctx}
-	j.leftCur = batchCursor{ctx: ctx, src: l}
 	j.probe = newJoinProbe(node.Kind, node.ExtraPred, node.Right.OutSchema().Len())
+	if ctx.Filters != nil && len(node.RuntimeFilters) > 0 {
+		j.cells = make([]uint64, len(node.RightKeys))
+		for _, spec := range node.RuntimeFilters {
+			k := slices.Index(node.RightKeys, spec.BuildKey)
+			if k < 0 {
+				return nil, fmt.Errorf("executor: runtime filter %d is over build column %d, which is no join key", spec.ID, spec.BuildKey)
+			}
+			j.rtfKey = append(j.rtfKey, k)
+			j.blooms = append(j.blooms, &Bloom{})
+		}
+	}
 	return j, nil
 }
 
@@ -81,56 +97,14 @@ func (j *hashJoinOp) setOpStats(st *obs.OpStats) {
 	j.mem.st = st
 }
 
-// buildBucket holds the build rows sharing one join key. The pointer
-// indirection lets probes and repeated inserts go through the
-// non-allocating map[string(buf)] lookup — only the first insert of a
-// key converts the scratch buffer to a string.
-type buildBucket struct {
-	rows []types.Row
-}
-
-// appendJoinKey encodes the key columns into buf (reused across rows);
-// the bool reports whether any key was NULL (which never joins).
-func appendJoinKey(buf []byte, row types.Row, cols []int) ([]byte, bool) {
-	buf = buf[:0]
-	for _, c := range cols {
-		if row[c].IsNull() {
-			return buf[:0], false
-		}
-		// Normalize numerics so INT32 7 joins INT64 7 across tables.
-		buf = types.EncodeDatum(buf, normalizeKey(row[c]))
-	}
-	return buf, true
-}
-
-func normalizeKey(d types.Datum) types.Datum {
-	switch d.K {
-	case types.KindInt32:
-		return types.NewInt64(d.I)
-	case types.KindDecimal:
-		if d.Scale == 0 {
-			return types.NewInt64(d.I)
-		}
-	}
-	return d
-}
-
 // Open implements Operator: drains the build side, spilling both sides
 // into partition workfiles if the build outgrows its budget.
 func (j *hashJoinOp) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	if j.ctx != nil && j.ctx.Filters != nil && len(j.node.RuntimeFilters) > 0 {
-		j.blooms = make([]*Bloom, len(j.node.RuntimeFilters))
-		for i := range j.blooms {
-			j.blooms[i] = &Bloom{}
-		}
-	}
-	j.table = make(map[string]*buildBucket)
 	err := drainRows(j.ctx, j.right, func(row types.Row) error {
-		var valid bool
-		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.RightKeys)
+		h, valid := hashKeys(row, j.node.RightKeys, j.cells)
 		if !valid {
 			// Build rows with NULL keys can never match and no join kind
 			// here emits unmatched build rows.
@@ -138,34 +112,24 @@ func (j *hashJoinOp) Open() error {
 		}
 		// Fill the runtime filters before any spill diversion: the bloom
 		// must cover every build row regardless of where it lands.
-		for si, spec := range j.node.RuntimeFilters {
-			if j.blooms == nil {
-				break
+		for i, bloom := range j.blooms {
+			bloom.Add(j.cells[j.rtfKey[i]])
+		}
+		if !j.spilled {
+			// The row is charged before it is copied: the soft cap diverts
+			// it, and the table, to the partitions instead.
+			over, err := j.mem.grow(rowMem(row))
+			if err != nil {
+				return err
 			}
-			var h uint64
-			j.rtfBuf, h = rtfHash(j.rtfBuf, row[spec.BuildKey])
-			j.blooms[si].Add(h)
-		}
-		if j.spilled {
-			return j.buildSP.addBytes(j.keyBuf, row)
-		}
-		over, err := j.mem.grow(rowMem(row) + int64(len(j.keyBuf)))
-		if err != nil {
-			return err
-		}
-		if over {
+			if !over {
+				return j.table.add(h, row)
+			}
 			if err := j.spillBuild(); err != nil {
 				return err
 			}
-			return j.buildSP.addBytes(j.keyBuf, row)
 		}
-		bkt := j.table[string(j.keyBuf)]
-		if bkt == nil {
-			bkt = &buildBucket{}
-			j.table[string(j.keyBuf)] = bkt
-		}
-		bkt.rows = append(bkt.rows, row.Clone())
-		return nil
+		return j.buildSP.addHash(h, row)
 	})
 	if err != nil {
 		return err
@@ -177,18 +141,18 @@ func (j *hashJoinOp) Open() error {
 	// same-slice probe scans then see them from their very first page,
 	// while cross-slice scans pick them up as soon as every gang member's
 	// build finishes (best-effort, never blocking).
-	if j.blooms != nil {
-		for si, spec := range j.node.RuntimeFilters {
-			if err := j.ctx.Filters.Publish(spec.ID, j.blooms[si]); err != nil {
-				return err
-			}
+	for i, bloom := range j.blooms {
+		if err := j.ctx.Filters.Publish(j.node.RuntimeFilters[i].ID, bloom); err != nil {
+			return err
 		}
-		j.blooms = nil
 	}
+	j.blooms = nil
 	if err := j.left.Open(); err != nil {
 		return err
 	}
 	if !j.spilled {
+		j.table.seal()
+		j.cur = opCursor(j.ctx, j.left)
 		return nil
 	}
 	// Grace phase: the probe side streams straight into its own
@@ -201,19 +165,7 @@ func (j *hashJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
-	err = drainRows(j.ctx, j.left, func(row types.Row) error {
-		var valid bool
-		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.LeftKeys)
-		if !valid {
-			switch j.node.Kind {
-			case plan.InnerJoin, plan.SemiJoin:
-				return nil // can't match, can't be emitted
-			}
-			// Left/Anti must still see the row to emit it: empty key.
-		}
-		return j.probeSP.addBytes(j.keyBuf, row)
-	})
-	if err != nil {
+	if err := drainRows(j.ctx, j.left, j.probeRouter(j.probeSP)); err != nil {
 		return err
 	}
 	if err := j.probeSP.finish(); err != nil {
@@ -223,28 +175,40 @@ func (j *hashJoinOp) Open() error {
 		j.parts = append(j.parts, joinPart{build: j.buildSP.files[i], probe: j.probeSP.files[i], level: 0})
 	}
 	j.buildSP, j.probeSP = nil, nil
-	j.table = nil
 	return nil
 }
 
+// probeRouter returns the function that writes a probe row to its
+// partition in sp. A row with a NULL key joins nothing: an inner or semi
+// join drops it here, a left or anti join must still emit it and routes
+// it as hash 0.
+func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
+	return func(row types.Row) error {
+		h, valid := hashKeys(row, j.node.LeftKeys, nil)
+		if !valid && (j.node.Kind == plan.InnerJoin || j.node.Kind == plan.SemiJoin) {
+			return nil
+		}
+		return sp.addHash(h, row)
+	}
+}
+
 // spillBuild switches the join into grace mode: the in-memory table is
-// flushed into level-0 partition files and its reservation released;
-// the rest of the build side streams straight to the partitions.
+// flushed into level-0 partition files, in the order it was built, and
+// its reservation released; the rest of the build side streams straight
+// to the partitions.
 func (j *hashJoinOp) spillBuild() error {
 	sp, err := newSpillPartition(j.ctx, 0, j.mem.st)
 	if err != nil {
 		return err
 	}
-	for key, bkt := range j.table {
-		for _, r := range bkt.rows {
-			if err := sp.add(key, r); err != nil {
-				sp.remove()
-				return err
-			}
+	for i, h := range j.table.hashes {
+		if err := sp.addHash(h, j.table.rows.row(i)); err != nil {
+			sp.remove()
+			return err
 		}
 	}
 	j.buildSP = sp
-	j.table = nil
+	j.table.reset()
 	j.mem.releaseAll()
 	j.spilled = true
 	return nil
@@ -255,24 +219,18 @@ func (j *hashJoinOp) spillBuild() error {
 // file in grace mode — loading (or recursively re-partitioning) the
 // next partition pair as each one is exhausted.
 func (j *hashJoinOp) probeNext() (types.Row, bool, error) {
-	if !j.spilled {
-		return j.leftCur.next()
-	}
 	for {
-		if j.probeCur != nil {
-			row, ok, err := j.probeCur.next()
-			if err != nil {
-				return nil, false, err
+		if j.cur != nil {
+			row, ok, err := j.cur.next()
+			if err != nil || ok || !j.spilled {
+				return row, ok, err
 			}
-			if ok {
-				return row, true, nil
-			}
-			j.probeCur.close()
-			j.probeCur = nil
+			j.cur.close()
+			j.cur = nil
 			j.curPart.build.Remove()
 			j.curPart.probe.Remove()
 			j.curPart = joinPart{}
-			j.table = nil
+			j.table.reset()
 			j.mem.releaseAll()
 		}
 		if len(j.parts) == 0 {
@@ -289,7 +247,6 @@ func (j *hashJoinOp) probeNext() (types.Row, bool, error) {
 		}
 		if !loaded {
 			j.curPart = joinPart{} // re-partitioned deeper; files already removed
-			continue
 		}
 	}
 }
@@ -299,61 +256,46 @@ func (j *hashJoinOp) probeNext() (types.Row, bool, error) {
 // re-partitioned at the next level instead.
 func (j *hashJoinOp) loadPart(part joinPart) (bool, error) {
 	noSpill := part.level >= maxSpillLevel
-	table := make(map[string]*buildBucket)
-	cur, err := openCursor(part.build)
+	cur, err := openCursor(j.ctx, part.build)
 	if err != nil {
 		return false, err
 	}
+	defer cur.close()
 	for {
-		if err := j.ctx.canceled(); err != nil {
-			cur.close()
+		row, ok, err := cur.next()
+		if err != nil {
 			return false, err
-		}
-		row, ok, rerr := cur.next()
-		if rerr != nil {
-			cur.close()
-			return false, rerr
 		}
 		if !ok {
 			break
 		}
-		var valid bool
-		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.RightKeys)
+		h, valid := hashKeys(row, j.node.RightKeys, nil)
 		if !valid {
 			continue
 		}
-		cost := rowMem(row) + int64(len(j.keyBuf))
 		if noSpill {
-			if err := j.mem.growHard(cost); err != nil {
-				cur.close()
+			if err := j.mem.growHard(rowMem(row)); err != nil {
 				return false, err
 			}
 		} else {
-			over, gerr := j.mem.grow(cost)
-			if gerr != nil {
-				cur.close()
-				return false, gerr
+			over, err := j.mem.grow(rowMem(row))
+			if err != nil {
+				return false, err
 			}
 			if over {
-				cur.close()
+				cur.close() // repartition reads the file again, then removes it
+				j.table.reset()
 				j.mem.releaseAll()
 				return false, j.repartition(part)
 			}
 		}
-		bkt := table[string(j.keyBuf)]
-		if bkt == nil {
-			bkt = &buildBucket{}
-			table[string(j.keyBuf)] = bkt
+		if err := j.table.add(h, row); err != nil {
+			return false, err
 		}
-		bkt.rows = append(bkt.rows, row.Clone())
 	}
-	cur.close()
-	j.table = table
-	j.probeCur, err = openCursor(part.probe)
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	j.table.seal()
+	j.cur, err = openCursor(j.ctx, part.probe)
+	return err == nil, err
 }
 
 // repartition splits an oversized partition pair into spillFanout
@@ -369,8 +311,12 @@ func (j *hashJoinOp) repartition(part joinPart) error {
 		bsp.remove()
 		return err
 	}
-	if err := j.reroute(part.build, j.node.RightKeys, bsp, false); err == nil {
-		err = j.reroute(part.probe, j.node.LeftKeys, psp, true)
+	err = j.reroute(part.build, func(row types.Row) error {
+		h, _ := hashKeys(row, j.node.RightKeys, nil) // a build row in a file has its keys
+		return bsp.addHash(h, row)
+	})
+	if err == nil {
+		err = j.reroute(part.probe, j.probeRouter(psp))
 	}
 	if err == nil {
 		err = bsp.finish()
@@ -391,32 +337,20 @@ func (j *hashJoinOp) repartition(part joinPart) error {
 	return nil
 }
 
-// reroute streams one partition file into a deeper partition set.
-// keepInvalid retains NULL-key rows (probe side of outer joins) under
-// the empty key.
-func (j *hashJoinOp) reroute(f *resource.File, keys []int, sp *spillPartition, keepInvalid bool) error {
-	cur, err := openCursor(f)
+// reroute streams one partition file through route, which writes each
+// row into a deeper partition set.
+func (j *hashJoinOp) reroute(f *resource.File, route func(types.Row) error) error {
+	cur, err := openCursor(j.ctx, f)
 	if err != nil {
 		return err
 	}
 	defer cur.close()
 	for {
-		if err := j.ctx.canceled(); err != nil {
-			return err
-		}
 		row, ok, err := cur.next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		var valid bool
-		j.keyBuf, valid = appendJoinKey(j.keyBuf, row, keys)
-		if !valid && !keepInvalid {
-			continue
-		}
-		if err := sp.addBytes(j.keyBuf, row); err != nil {
+		if err := route(row); err != nil {
 			return err
 		}
 	}
@@ -436,15 +370,11 @@ func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
 			if !ok {
 				break
 			}
-			var valid bool
-			j.keyBuf, valid = appendJoinKey(j.keyBuf, row, j.node.LeftKeys)
-			var matches []types.Row
-			if valid {
-				if bkt := j.table[string(j.keyBuf)]; bkt != nil {
-					matches = bkt.rows
-				}
+			j.matches = j.matches[:0]
+			if h, valid := hashKeys(row, j.node.LeftKeys, nil); valid {
+				j.matches = j.table.lookup(h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
 			}
-			j.probe.start(row, matches)
+			j.probe.start(row, j.matches)
 		}
 		if err := j.probe.emit(b); err != nil {
 			return false, err
@@ -457,11 +387,8 @@ func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
 // remaining spill state — a canceled grace join removes its partition
 // files here rather than waiting for the store-wide cleanup.
 func (j *hashJoinOp) Close() error {
-	j.leftCur.release()
-	if j.probeCur != nil {
-		j.probeCur.close()
-		j.probeCur = nil
-	}
+	j.cur.close()
+	j.cur = nil
 	if j.curPart.build != nil {
 		j.curPart.build.Remove()
 		j.curPart.probe.Remove()
@@ -475,20 +402,20 @@ func (j *hashJoinOp) Close() error {
 	j.buildSP.remove()
 	j.probeSP.remove()
 	j.buildSP, j.probeSP = nil, nil
+	j.table.reset()
 	j.mem.releaseAll()
 	err := j.left.Close()
 	if cerr := j.right.Close(); err == nil {
 		err = cerr
 	}
-	j.table = nil
 	return err
 }
 
 // joinProbe is the probe-side state both joins share: the current probe
 // row, the build rows it may pair with, and how far emission got. The
 // probe row is a view into its cursor's batch and the candidates are
-// build-side clones, so neither moves while output is appended to the
-// caller's batch.
+// views into the build side's row store, so neither moves while output is
+// appended to the caller's batch.
 type joinProbe struct {
 	kind  plan.JoinKind
 	pred  expr.Expr // evaluated over probe‖build; nil passes every pair
@@ -561,10 +488,11 @@ type nestLoopOp struct {
 	node    *plan.NestLoopJoin
 	left    Operator
 	right   Operator
-	leftCur batchCursor
+	leftCur *rowCursor
 
 	mem   memBudget
-	inner []types.Row
+	store rowStore    // the inner side's rows
+	inner []types.Row // views into store, the candidates of every outer row
 	probe joinProbe
 }
 
@@ -579,7 +507,7 @@ func newNestLoopOp(ctx *Context, node *plan.NestLoopJoin) (Operator, error) {
 	}
 	n := &nestLoopOp{ctx: ctx, node: node, left: l, right: r}
 	n.mem = memBudget{ctx: ctx}
-	n.leftCur = batchCursor{ctx: ctx, src: l}
+	n.leftCur = opCursor(ctx, l)
 	n.probe = newJoinProbe(node.Kind, node.Pred, node.Right.OutSchema().Len())
 	return n, nil
 }
@@ -601,7 +529,7 @@ func (n *nestLoopOp) Open() error {
 		if err := n.mem.growHard(rowMem(row)); err != nil {
 			return err
 		}
-		n.inner = append(n.inner, row.Clone())
+		n.inner = append(n.inner, n.store.add(row))
 		return nil
 	})
 	if err != nil {
@@ -642,12 +570,13 @@ func (n *nestLoopOp) NextBatch(b *types.Batch) (bool, error) {
 
 // Close implements Operator.
 func (n *nestLoopOp) Close() error {
-	n.leftCur.release()
+	n.leftCur.close()
+	n.inner = nil
+	n.store.reset()
 	n.mem.releaseAll()
 	err := n.left.Close()
 	if cerr := n.right.Close(); err == nil {
 		err = cerr
 	}
-	n.inner = nil
 	return err
 }

@@ -1,0 +1,188 @@
+package executor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"hawq/internal/plan"
+	"hawq/internal/types"
+)
+
+// keyDatums draws join-key cells that collide on purpose: a handful of
+// small values in every representation that can hold them — either
+// integer width, a decimal of every scale from 0 to 8 with the zeros that
+// takes, a DOUBLE (−0.0 for 0) — beside dates, booleans, strings and
+// bytes over the same few values.
+func keyDatums(rng *rand.Rand) types.Datum {
+	v := int64(rng.Intn(7) - 3)
+	switch rng.Intn(9) {
+	case 0:
+		return types.NewInt32(int32(v))
+	case 1:
+		return types.NewInt64(v)
+	case 2: // an integral decimal, padded with zeros
+		sc := int8(rng.Intn(types.MaxDecimalScale + 1))
+		u := v
+		for i := int8(0); i < sc; i++ {
+			u *= 10
+		}
+		return types.NewDecimal(u, sc)
+	case 3: // halves and tenths, at the scale they need or a wider one
+		sc := int8(1 + rng.Intn(types.MaxDecimalScale))
+		u := v*10 + int64(rng.Intn(3))*5
+		for i := int8(1); i < sc; i++ {
+			u *= 10
+		}
+		return types.NewDecimal(u, sc)
+	case 4:
+		if v == 0 && rng.Intn(2) == 0 {
+			return types.NewFloat64(math.Copysign(0, -1))
+		}
+		return types.NewFloat64(float64(v) + float64(rng.Intn(3))*0.5)
+	case 5:
+		return types.NewDate(int32(v))
+	case 6:
+		return types.NewBool(v > 0)
+	case 7:
+		return types.NewString(string(rune('a' + v + 3)))
+	default:
+		return types.NewBytes([]byte{byte('a' + v + 3)})
+	}
+}
+
+// TestKeyHashMatchesCompare: for every pair of kinds the planner admits
+// as a hash key, two cells are the same key exactly when types.Compare
+// calls them equal, and equal keys have one hash. NaN is outside: Compare
+// orders it with nothing, and as a key it equals nothing.
+func TestKeyHashMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	pairs, equal, collisions := 0, 0, 0
+	for i := 0; i < 400000; i++ {
+		a, b := keyDatums(rng), keyDatums(rng)
+		if !types.Hashable(a.K, b.K) {
+			if keyEqual(&a, &b) {
+				t.Fatalf("%s %v and %s %v are one key, and no hash key at all", a.K, a, b.K, b)
+			}
+			continue
+		}
+		pairs++
+		want := types.Compare(a, b) == 0
+		if got := keyEqual(&a, &b); got != want {
+			t.Fatalf("keyEqual(%s %v, %s %v) = %v, Compare says %v", a.K, a, b.K, b, got, want)
+		}
+		same := keyHash(&a) == keyHash(&b)
+		switch {
+		case want && !same:
+			t.Fatalf("%s %v and %s %v compare equal and hash apart", a.K, a, b.K, b)
+		case want:
+			equal++
+		case same:
+			collisions++
+		}
+	}
+	if equal < pairs/50 || collisions > 0 {
+		t.Errorf("%d hashable pairs: %d equal, %d unequal with one hash", pairs, equal, collisions)
+	}
+	// A NULL key is no key, wherever it stands.
+	row := types.Row{types.NewInt64(1), types.Null, types.NewString("x")}
+	if _, ok := hashKeys(row, []int{0, 2}, nil); !ok {
+		t.Error("a row without NULL keys refused")
+	}
+	for _, cols := range [][]int{{1}, {0, 1}, {1, 2}} {
+		if _, ok := hashKeys(row, cols, nil); ok {
+			t.Errorf("keys %v include a NULL and hashed", cols)
+		}
+	}
+	// The per-column hashes are the single-column hashes, and the hash of
+	// a one-column key is its column's.
+	cells := make([]uint64, 2)
+	h, _ := hashKeys(row, []int{2, 0}, cells)
+	h0, _ := hashKeys(row, []int{0}, nil)
+	h2, _ := hashKeys(row, []int{2}, nil)
+	if cells[0] != h2 || cells[1] != h0 || h0 != keyHash(&row[0]) {
+		t.Errorf("cells %x, single-column hashes %x %x", cells, h2, h0)
+	}
+	if swapped, _ := hashKeys(row, []int{0, 2}, nil); swapped == h {
+		t.Error("a two-column key hashes the same in either column order")
+	}
+}
+
+// TestRowStoreLocate: the chunk arithmetic agrees with the chunk sizes,
+// row after row, across the doubling chunks and well into the fixed ones.
+func TestRowStoreLocate(t *testing.T) {
+	chunk, off := 0, 0
+	for i := 0; i < 5*chunkRows(rowStoreDoublings); i++ {
+		if c, o := locate(i); c != chunk || o != off {
+			t.Fatalf("row %d located at %d in chunk %d, want %d in chunk %d", i, o, c, off, chunk)
+		}
+		if off++; off == chunkRows(chunk) {
+			chunk, off = chunk+1, 0
+		}
+	}
+	var s rowStore
+	var views []types.Row
+	for i := 0; i < 100; i++ {
+		views = append(views, s.add(types.Row{types.NewInt64(int64(i)), types.NewString("s")}))
+	}
+	for i, v := range views {
+		if got := s.row(i); &got[0] != &v[0] || v[0].I != int64(i) || cap(v) != 2 {
+			t.Fatalf("row %d: view %v (cap %d), store has %v", i, v, cap(v), got)
+		}
+	}
+	if s.reset(); s.n != 0 || s.chunks != nil {
+		t.Error("reset kept rows or chunks")
+	}
+}
+
+// BenchmarkHashJoin times the two halves of the hash join by key shape.
+// build drains a join of 16 384 build rows and no probe row: hashing,
+// copying into the table, sizing the directory. probe drains a join of
+// 4 096 build rows and 16 384 probe rows that all match: hashing, the
+// chain walk, the key comparison and the output rows — sixteen a probe
+// row under int_dup16, one otherwise.
+func BenchmarkHashJoin(b *testing.B) {
+	schema := types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt64}, types.Column{Name: "s", Kind: types.KindString}, types.Column{Name: "v", Kind: types.KindInt64})
+	// Row i of a side whose keys repeat after distinct rows.
+	side := func(n, distinct int) *plan.Values {
+		v := &plan.Values{Schema: schema}
+		for i := 0; i < n; i++ {
+			k := i % distinct
+			v.Rows = append(v.Rows, types.Row{types.NewInt64(int64(k) * 7919), types.NewString(fmt.Sprintf("Customer#%09d", k)), types.NewInt64(int64(i))})
+		}
+		return v
+	}
+	const buildRows, probeBuildRows, probeRows = 16384, 4096, 16384
+	for _, tc := range []struct {
+		name string
+		keys []int
+		dup  int
+	}{
+		{"int_unique", []int{0}, 1},
+		{"int_dup16", []int{0}, 16},
+		{"str_key", []int{1}, 1},
+		{"two_col", []int{0, 1}, 1},
+	} {
+		run := func(name string, left, right *plan.Values, want int) {
+			j := &plan.HashJoin{Kind: plan.InnerJoin, Left: left, Right: right, LeftKeys: tc.keys, RightKeys: tc.keys,
+				Schema: left.Schema.Concat(right.Schema)}
+			b.Run(name+"/"+tc.name, func(b *testing.B) {
+				ctx := &Context{Segment: 0}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					n := 0
+					if err := Drain(nil, mustBuild(b, ctx, j), func(types.Row) error { n++; return nil }); err != nil {
+						b.Fatal(err)
+					}
+					if n != want {
+						b.Fatalf("%d rows, want %d", n, want)
+					}
+				}
+			})
+		}
+		run("build", side(0, 1), side(buildRows, buildRows/tc.dup), 0)
+		run("probe", side(probeRows, probeBuildRows/tc.dup), side(probeBuildRows, probeBuildRows/tc.dup), probeRows*tc.dup)
+	}
+}

@@ -29,8 +29,6 @@ type motionSendOp struct {
 	stopped  []bool
 	bufs     [][]byte
 	hashCols []int
-	norm     types.Row
-	normIdx  []int
 	rr       int
 	done     bool
 	inClosed bool
@@ -149,7 +147,9 @@ func (m *motionSendOp) routeBatch(b *types.Batch) error {
 				m.rr++
 				i = m.rr % len(m.streams)
 			} else {
-				i = int(m.hashRow(row) % uint64(len(m.streams)))
+				// The placement hash: redistribution agrees with
+				// hash-distributed storage, whatever the key's width.
+				i = int(types.HashRowCols(row, m.hashCols) % uint64(len(m.streams)))
 			}
 			if err := m.add(i, row); err != nil {
 				return err
@@ -159,22 +159,6 @@ func (m *motionSendOp) routeBatch(b *types.Batch) error {
 	default:
 		return fmt.Errorf("executor: bad motion type %d", m.node.Type)
 	}
-}
-
-// hashRow normalizes key datums (reusing a scratch row across calls) so
-// redistribution agrees with hash-distributed storage.
-func (m *motionSendOp) hashRow(row types.Row) uint64 {
-	if len(m.normIdx) != len(m.hashCols) {
-		m.norm = make(types.Row, len(m.hashCols))
-		m.normIdx = make([]int, len(m.hashCols))
-		for i := range m.normIdx {
-			m.normIdx[i] = i
-		}
-	}
-	for i, c := range m.hashCols {
-		m.norm[i] = normalizeKey(row[c])
-	}
-	return types.HashRowCols(m.norm, m.normIdx)
 }
 
 func (m *motionSendOp) add(i int, row types.Row) error {

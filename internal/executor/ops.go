@@ -221,7 +221,6 @@ func (s *scanOp) Open() error {
 func (s *scanOp) produce() error {
 	st := &storage.ScanStats{}
 	var rtfRemoved int64
-	var hashBuf []byte
 	defer func() {
 		if s.opStats != nil {
 			s.opStats.PagesSkipped += st.PagesSkipped
@@ -243,9 +242,7 @@ func (s *scanOp) produce() error {
 				if bloom == nil {
 					continue // not published yet: pass unfiltered, stay correct
 				}
-				var removed int
-				removed, hashBuf = applyBloomVec(t.Col, bloom, vb, hashBuf)
-				rtfRemoved += int64(removed)
+				rtfRemoved += int64(applyBloomVec(t.Col, bloom, vb))
 			}
 			if err := s.filter.Apply(vb); err != nil {
 				types.PutVecBatch(vb)

@@ -20,11 +20,10 @@ import (
 func TestBloomNoFalseNegatives(t *testing.T) {
 	var b Bloom
 	rng := rand.New(rand.NewSource(7))
-	var buf []byte
+	hash := func(d types.Datum) uint64 { return keyHash(&d) }
 	added := make([]uint64, 0, 2000)
 	for i := 0; i < 2000; i++ {
-		var h uint64
-		buf, h = rtfHash(buf, types.NewInt64(rng.Int63()))
+		h := hash(types.NewInt64(rng.Int63()))
 		b.Add(h)
 		added = append(added, h)
 	}
@@ -36,9 +35,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	// False-positive rate should stay modest at this fill level.
 	fp := 0
 	for i := 0; i < 10000; i++ {
-		var h uint64
-		buf, h = rtfHash(buf, types.NewString(fmt.Sprintf("absent-%d", i)))
-		if b.MayContain(h) {
+		if b.MayContain(hash(types.NewString(fmt.Sprintf("absent-%d", i)))) {
 			fp++
 		}
 	}
@@ -47,8 +44,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	}
 	// Merge is a union.
 	var c, merged Bloom
-	var h uint64
-	buf, h = rtfHash(buf, types.NewInt64(-12345))
+	h := hash(types.NewInt64(-12345))
 	c.Add(h)
 	merged.Merge(&b)
 	merged.Merge(&c)
@@ -58,11 +54,10 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 // TestRTFHashNormalizes pins that an INT32 build key and an INT64 probe
-// value hash identically (the same normalization joinKey applies).
+// value hash identically (the filter's hash is the join key's).
 func TestRTFHashNormalizes(t *testing.T) {
-	_, h32 := rtfHash(nil, types.NewInt32(7))
-	_, h64 := rtfHash(nil, types.NewInt64(7))
-	if h32 != h64 {
+	i32, i64 := types.NewInt32(7), types.NewInt64(7)
+	if keyHash(&i32) != keyHash(&i64) {
 		t.Error("INT32 and INT64 of the same value hash differently")
 	}
 }
@@ -74,8 +69,8 @@ func TestFilterHub(t *testing.T) {
 		t.Fatal("filter visible before any publish")
 	}
 	var a, b Bloom
-	_, ha := rtfHash(nil, types.NewInt64(1))
-	_, hb := rtfHash(nil, types.NewInt64(2))
+	one, two := types.NewInt64(1), types.NewInt64(2)
+	ha, hb := keyHash(&one), keyHash(&two)
 	a.Add(ha)
 	b.Add(hb)
 	if err := hub.Publish(1, &a); err != nil {

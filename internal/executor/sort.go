@@ -29,7 +29,8 @@ type sortOp struct {
 	keys []plan.OrderKey
 
 	mem      memBudget
-	buf      []types.Row
+	store    rowStore    // the buffered rows
+	buf      []types.Row // views into store, in the order being sorted
 	runs     []runSource
 	memLimit int
 
@@ -84,12 +85,11 @@ func (s *sortOp) Open() error {
 		return err
 	}
 	err := drainRows(s.ctx, s.in, func(row types.Row) error {
-		c := row.Clone()
-		over, err := s.mem.grow(rowMem(c))
+		over, err := s.mem.grow(rowMem(row))
 		if err != nil {
 			return err
 		}
-		s.buf = append(s.buf, c)
+		s.buf = append(s.buf, s.store.add(row))
 		if over || len(s.buf) >= s.memLimit {
 			return s.spill()
 		}
@@ -182,6 +182,7 @@ func (s *sortOp) spill() error {
 		s.runs = append(s.runs, &spillRun{path: f.Name()})
 	}
 	s.buf = s.buf[:0]
+	s.store.reset()
 	s.mem.releaseAll()
 	return nil
 }
@@ -225,6 +226,7 @@ func (s *sortOp) Close() error {
 	s.runs = nil
 	s.sources = nil
 	s.buf = nil
+	s.store.reset()
 	s.mem.releaseAll()
 	if !s.inClosed {
 		s.inClosed = true
@@ -235,12 +237,13 @@ func (s *sortOp) Close() error {
 
 // wfRun is a sorted run in the query's workfile store.
 type wfRun struct {
+	ctx *Context
 	f   *resource.File
-	cur *wfCursor
+	cur *rowCursor
 }
 
 func (r *wfRun) openForRead() error {
-	cur, err := openCursor(r.f)
+	cur, err := openCursor(r.ctx, r.f)
 	if err != nil {
 		return err
 	}
@@ -253,10 +256,8 @@ func (r *wfRun) next() (types.Row, bool, error) {
 }
 
 func (r *wfRun) close() {
-	if r.cur != nil {
-		r.cur.close()
-		r.cur = nil
-	}
+	r.cur.close()
+	r.cur = nil
 	r.f.Remove()
 }
 

@@ -22,8 +22,11 @@ const (
 // struct itself; string payloads are counted separately).
 const datumMem = 40
 
-// rowMem estimates the retained bytes of a cloned row: slice header
-// plus datums plus string payloads. An estimate is all accounting
+// rowMem is what one retained row is charged to the query's grant: its
+// Datum cells in the operator's rowStore, its string payloads, and 24
+// bytes of bookkeeping — for a join build row the key hash (8), the chain
+// link (4) and its share of the directory (4 to 8); for a sort or a
+// nested loop the row's slice header. An estimate is all accounting
 // needs — the budget triggers spilling, it doesn't malloc.
 func rowMem(r types.Row) int64 {
 	n := int64(24 + datumMem*len(r))
@@ -33,30 +36,23 @@ func rowMem(r types.Row) int64 {
 	return n
 }
 
-// partOf assigns a join/agg key to one of fanout partitions at the
-// given recursion level. FNV-1a salted with the level, so rows that
-// collided into one partition at level L spread across all partitions
-// at level L+1.
-func partOf(key string, level, fanout int) int {
-	h := uint64(14695981039346656037)
-	h ^= uint64(level) + 0x9e3779b97f4a7c15
-	h *= 1099511628211
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(fanout))
+// partOfHash assigns a join-key hash (hashKeys) to one of the spillFanout
+// partitions of a recursion level. The level is mixed in, so rows that
+// fell into one partition at level L spread over all of them at level
+// L+1, and the partition says nothing about the hash's low bits, which
+// index the table the partition is later loaded into.
+func partOfHash(h uint64, level int) int {
+	return int(mix64(h+uint64(level+1)*golden) % spillFanout)
 }
 
-// partOfBytes is partOf over a reusable byte-slice key: same hash, same
-// partition for the same bytes, no string conversion on the hot path.
+// partOfBytes assigns an encoded aggregate key to one of fanout
+// partitions at the given recursion level: FNV-1a salted with the level,
+// so rows that collided into one partition at level L spread across all
+// partitions at level L+1.
 func partOfBytes(key []byte, level, fanout int) int {
-	h := uint64(14695981039346656037)
-	h ^= uint64(level) + 0x9e3779b97f4a7c15
-	h *= 1099511628211
+	h := (fnvOffset ^ (uint64(level) + golden)) * fnvPrime
 	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+		h = (h ^ uint64(key[i])) * fnvPrime
 	}
 	return int(h % uint64(fanout))
 }
@@ -124,61 +120,9 @@ func (m *memBudget) releaseAll() {
 	m.used = 0
 }
 
-// wfCursor iterates a workfile reader row-at-a-time. Returned rows are
-// views into the cursor's batch, valid until the cursor crosses a
-// frame boundary (the same contract as rowReader over a batch input).
-type wfCursor struct {
-	r   *resource.Reader
-	b   *types.Batch
-	idx int
-}
-
-// openCursor starts a cursor over a finished workfile.
-func openCursor(f *resource.File) (*wfCursor, error) {
-	r, err := f.NewReader()
-	if err != nil {
-		return nil, err
-	}
-	return &wfCursor{r: r}, nil
-}
-
-// next returns the next row in the file.
-func (c *wfCursor) next() (types.Row, bool, error) {
-	//hawqcheck:ignore ctxflow — bounded by the finite workfile; Next returns false at EOF
-	for {
-		if c.b != nil && c.idx < c.b.Len() {
-			row := c.b.Row(c.idx)
-			c.idx++
-			return row, true, nil
-		}
-		if c.b == nil {
-			c.b = types.GetBatch(0)
-		}
-		ok, err := c.r.Next(c.b)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c.idx = 0
-	}
-}
-
-// close releases the cursor's batch and file handle.
-func (c *wfCursor) close() {
-	if c.b != nil {
-		types.PutBatch(c.b)
-		c.b = nil
-	}
-	if c.r != nil {
-		//hawqcheck:ignore errdrop — read-side close on teardown
-		_ = c.r.Close()
-		c.r = nil
-	}
-}
-
-// spillPartition routes rows into fanout workfiles by key partition.
-// Rows whose key extractor reports invalid (NULL join keys) go to
-// partition 0 — they match nothing, but outer-join semantics may still
-// need to emit them.
+// spillPartition routes rows into fanout workfiles by key partition. A
+// probe row with a NULL join key goes where hash 0 goes — it matches
+// nothing, but outer-join semantics may still need to emit it.
 type spillPartition struct {
 	files []*resource.File
 	level int
@@ -203,13 +147,13 @@ func newSpillPartition(ctx *Context, level int, st *obs.OpStats) (*spillPartitio
 	return sp, nil
 }
 
-// add writes a row to its key's partition file.
-func (sp *spillPartition) add(key string, row types.Row) error {
-	return sp.files[partOf(key, sp.level, spillFanout)].AppendRow(row)
+// addHash writes a join row to the partition of its key hash.
+func (sp *spillPartition) addHash(h uint64, row types.Row) error {
+	return sp.files[partOfHash(h, sp.level)].AppendRow(row)
 }
 
-// addBytes is add over a reusable byte-slice key (AppendRow copies the
-// row, so neither argument is retained).
+// addBytes writes an aggregate input row to the partition of its encoded
+// group key (AppendRow copies the row, so neither argument is retained).
 func (sp *spillPartition) addBytes(key []byte, row types.Row) error {
 	return sp.files[partOfBytes(key, sp.level, spillFanout)].AppendRow(row)
 }

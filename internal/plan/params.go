@@ -67,7 +67,7 @@ func (p *Plan) BindParams(args []types.Datum) error {
 // generic plan carries: each slice whose distribution keys are pinned
 // by placeholders shrinks to the single segment hashing the bound
 // values, exactly as a plan-time constant would have (§3's single value
-// lookup, preserved across the plan cache). HashDatum already hashes
+// lookup, preserved across the plan cache). HashRowCols already hashes
 // equal-comparing datums equally, so casting the argument to the
 // inferred column kind keeps the choice consistent with the insert and
 // redistribute paths.

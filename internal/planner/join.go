@@ -7,6 +7,7 @@ import (
 	"hawq/internal/expr"
 	"hawq/internal/plan"
 	"hawq/internal/sqlparser"
+	"hawq/internal/types"
 )
 
 // joinEdge is an equi-join predicate between two FROM units.
@@ -121,6 +122,7 @@ func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, er
 // side, broadcast the smaller side, or redistribute both — and picks the
 // cheapest (§3's cost-based optimization).
 func (p *Planner) joinRelations(left, right *relation, leftKeys, rightKeys []int, kind plan.JoinKind, residual expr.Expr) (*relation, error) {
+	leftKeys, rightKeys, residual = hashableKeys(left, right, leftKeys, rightKeys, residual)
 	outRows := estimateJoinRows(left.rows, right.rows, len(leftKeys))
 
 	if len(leftKeys) == 0 {
@@ -188,6 +190,37 @@ func (p *Planner) joinRelations(left, right *relation, leftKeys, rightKeys []int
 		out.equiv = l.equiv
 	}
 	return out, nil
+}
+
+// hashableKeys keeps as join keys the equalities whose two sides hash
+// alike (types.Hashable) and moves every other one — a DOUBLE against an
+// exact numeric — into the residual predicate over left‖right, where it
+// is evaluated by value. Neither the join's table nor a redistribute
+// motion can bring such a pair to one form, so as a key it would match
+// nothing.
+func hashableKeys(left, right *relation, leftKeys, rightKeys []int, residual expr.Expr) ([]int, []int, expr.Expr) {
+	ls, rs := left.schema(), right.schema()
+	var lk, rk []int
+	for i := range leftKeys {
+		lc, rc := ls.Columns[leftKeys[i]], rs.Columns[rightKeys[i]]
+		if types.Hashable(lc.Kind, rc.Kind) {
+			lk, rk = append(lk, leftKeys[i]), append(rk, rightKeys[i])
+			continue
+		}
+		eq := expr.NewBinOp(expr.OpEq,
+			&expr.ColRef{Idx: leftKeys[i], K: lc.Kind, Name: lc.Name},
+			&expr.ColRef{Idx: ls.Len() + rightKeys[i], K: rc.Kind, Name: rc.Name})
+		residual = conjoin(residual, eq)
+	}
+	return lk, rk, residual
+}
+
+// conjoin returns a AND b, or b alone when there is no a yet.
+func conjoin(a, b expr.Expr) expr.Expr {
+	if a == nil {
+		return b
+	}
+	return expr.NewBinOp(expr.OpAnd, a, b)
 }
 
 // hashedOnKeys reports whether rel's distribution equals the join keys

@@ -201,11 +201,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 		if err != nil {
 			return nil, err
 		}
-		if filter == nil {
-			filter = bound
-		} else {
-			filter = expr.NewBinOp(expr.OpAnd, filter, bound)
-		}
+		filter = conjoin(filter, bound)
 		sel *= selectivity(c)
 	}
 	var node plan.Node
@@ -366,34 +362,9 @@ func (p *Planner) directSegment(distCols []int, pushed []sqlparser.Expr, sc *sco
 	for i, k := range keys {
 		vals[i] = k.Const
 	}
-	h := hashDistRow(vals)
-	return int(h % uint64(p.NumSegments)), nil, true
-}
-
-// hashDistRow hashes distribution key values the same way the
-// redistribute motion and insert path do.
-func hashDistRow(keys types.Row) uint64 {
-	norm := make(types.Row, len(keys))
-	for i, d := range keys {
-		norm[i] = normalizeHashKey(d)
-	}
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	return types.HashRowCols(norm, idx)
-}
-
-func normalizeHashKey(d types.Datum) types.Datum {
-	switch d.K {
-	case types.KindInt32:
-		return types.NewInt64(d.I)
-	case types.KindDecimal:
-		if d.Scale == 0 {
-			return types.NewInt64(d.I)
-		}
-	}
-	return d
+	// The placement hash, as the redistribute motion and the insert path
+	// take it.
+	return int(types.HashRowCols(vals, nil) % uint64(p.NumSegments)), nil, true
 }
 
 // partitionPruned decides whether a child partition cannot contain
@@ -591,11 +562,7 @@ func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation,
 			if err != nil {
 				return nil, err
 			}
-			if residual == nil {
-				residual = bound
-			} else {
-				residual = expr.NewBinOp(expr.OpAnd, residual, bound)
-			}
+			residual = conjoin(residual, bound)
 		}
 	}
 	return p.joinRelations(left, right, leftKeys, rightKeys, kind, residual)

@@ -224,8 +224,16 @@ func EncodeBatch(buf []byte, b *Batch) []byte {
 // All frames must share one width (motion streams are homogeneous). It
 // returns the number of bytes consumed and never panics on truncated or
 // corrupt input.
+//
+// The string cells of the batch are slices of one copy of buf, made when
+// the first of them is met: a payload of numbers copies nothing, and a
+// payload of strings costs one allocation, not one per cell. A string
+// that outlives the batch therefore keeps that whole copy alive — a
+// motion payload or a workfile frame — which is right for whoever keeps
+// every row and wrong for whoever keeps a few of many (Datum.Detach).
 func DecodeBatch(buf []byte, b *Batch) (int, error) {
 	b.Reset(0)
+	var strs string // the copy of buf string cells are cut from
 	pos := 0
 	for pos < len(buf) {
 		n, c, err := rowHeader(buf[pos:])
@@ -240,11 +248,19 @@ func DecodeBatch(buf []byte, b *Batch) (int, error) {
 		pos += c
 		row := b.AddRow()
 		for j := 0; j < n; j++ {
-			sz, err := decodeInto(buf[pos:], &row[j])
+			k, scale, i, f, body, sz, err := parseDatum(buf[pos:])
 			if err != nil {
 				return 0, fmt.Errorf("row %d column %d: %w", b.n-1, j, err)
 			}
 			pos += sz
+			row[j] = Datum{K: k, Scale: scale, I: i, F: f}
+			if len(body) > 0 {
+				if strs == "" {
+					strs = string(buf)
+				}
+				// A string's bytes are the tail of its encoding.
+				row[j].S = strs[pos-len(body) : pos]
+			}
 		}
 	}
 	return pos, nil

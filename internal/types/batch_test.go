@@ -199,6 +199,41 @@ func BenchmarkDecodeRow(b *testing.B) {
 	})
 }
 
+// BenchmarkDecodeBatch decodes one motion-sized payload (about 7 KiB of
+// row frames): all numbers, which copies nothing, and a third of the
+// cells strings, which costs the one copy they are cut from.
+func BenchmarkDecodeBatch(b *testing.B) {
+	payload := func(row func(i int) Row) []byte {
+		var enc []byte
+		for i := 0; len(enc) < 7<<10; i++ {
+			enc = EncodeRow(enc, row(i))
+		}
+		return enc
+	}
+	ints := benchRows(DefaultBatchRows)
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"ints", payload(func(i int) Row { return ints[i] })},
+		{"strings", payload(func(i int) Row {
+			return Row{NewInt64(int64(i)), NewString("Customer#000012345"), NewDecimal(int64(i)*31, 2)}
+		})},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			batch := GetBatch(0)
+			defer PutBatch(batch)
+			b.SetBytes(int64(len(tc.enc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeBatch(tc.enc, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func FuzzDecodeDatum(f *testing.F) {
 	for _, d := range []Datum{Null, NewBool(true), NewInt64(-12345), NewFloat64(3.25), NewDecimal(9999, 2), NewString("hello"), NewDate(12000)} {
 		f.Add(EncodeDatum(nil, d))
@@ -253,13 +288,39 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out := GetBatch(0)
 		defer PutBatch(out)
+		// Decoded from a copy: the engine's bytes are not the test's to
+		// overwrite, and overwriting is part of the test.
+		in := bytes.Clone(data)
 		// Must never panic on arbitrary input.
-		n, err := DecodeBatch(data, out)
+		n, err := DecodeBatch(in, out)
 		if err != nil {
 			return
 		}
 		if n != len(data) {
 			t.Fatalf("consumed %d of %d bytes without error", n, len(data))
+		}
+		// Every cell is what decoding its datum alone gives, and a string
+		// cell holds its own bytes: overwriting the input changes none.
+		for i := range in {
+			in[i] = 0xAA
+		}
+		pos := 0
+		for r := 0; r < out.Len(); r++ {
+			_, c, err := rowHeader(data[pos:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos += c
+			for j, got := range out.Row(r) {
+				want, sz, err := DecodeDatum(data[pos:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				pos += sz
+				if got.K != want.K || got.S != want.S || !bytes.Equal(EncodeDatum(nil, got), EncodeDatum(nil, want)) {
+					t.Fatalf("row %d column %d: batch has %v, the datum alone decodes to %v", r, j, got, want)
+				}
+			}
 		}
 		// Whatever decoded must survive a re-encode/re-decode cycle.
 		re := EncodeBatch(nil, out)

@@ -3,8 +3,6 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
 )
 
@@ -207,24 +205,39 @@ func DecodeRowVecs(buf []byte, slot []int, cols []VecBuilder) (consumed, ncols i
 	return pos, ncols, nil
 }
 
-// HashDatum feeds a normalized representation of d into h so that datums
-// that compare equal hash equal (e.g. INT32 7 and INT64 7, and decimals
-// with different scales).
-func HashDatum(h hash.Hash, d Datum) {
-	var tmp [10]byte
+// FNV-1a, 64 bit: the hash behind data placement. It is written out here
+// rather than taken from hash/fnv so that hashing a row is a loop over
+// registers: no hash.Hash value, no scratch slice that escapes.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvByte folds one byte into h.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUint64 folds the eight bytes of v into h, most significant first.
+func fnvUint64(h, v uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = fnvByte(h, byte(v>>shift))
+	}
+	return h
+}
+
+// hashDatum folds a normalized representation of d into h so that datums
+// that compare equal hash equal (INT32 7 and INT64 7, decimals of
+// different scales): a tag byte, then the value. Stored rows were placed
+// by these exact bytes, so they never change.
+func hashDatum(h uint64, d *Datum) uint64 {
 	switch d.K {
 	case KindNull:
-		h.Write([]byte{0})
+		return fnvByte(h, 0)
 	case KindBool:
-		h.Write([]byte{1, byte(d.I)})
+		return fnvByte(fnvByte(h, 1), byte(d.I))
 	case KindInt32, KindInt64:
-		tmp[0] = 2
-		binary.BigEndian.PutUint64(tmp[1:9], uint64(d.I))
-		h.Write(tmp[:9])
+		return fnvUint64(fnvByte(h, 2), uint64(d.I))
 	case KindFloat64:
-		tmp[0] = 3
-		binary.BigEndian.PutUint64(tmp[1:9], math.Float64bits(d.F))
-		h.Write(tmp[:9])
+		return fnvUint64(fnvByte(h, 3), math.Float64bits(d.F))
 	case KindDecimal:
 		// Normalize by stripping trailing zeros of the unscaled value.
 		u, sc := d.I, d.Scale
@@ -234,38 +247,34 @@ func HashDatum(h hash.Hash, d Datum) {
 		}
 		if sc == 0 {
 			// Integral decimals hash like integers.
-			tmp[0] = 2
-			binary.BigEndian.PutUint64(tmp[1:9], uint64(u))
-			h.Write(tmp[:9])
-			return
+			return fnvUint64(fnvByte(h, 2), uint64(u))
 		}
-		tmp[0] = 4
-		tmp[1] = byte(sc)
-		binary.BigEndian.PutUint64(tmp[2:10], uint64(u))
-		h.Write(tmp[:10])
+		return fnvUint64(fnvByte(fnvByte(h, 4), byte(sc)), uint64(u))
 	case KindString, KindBytes:
-		h.Write([]byte{5})
-		h.Write([]byte(d.S))
+		h = fnvByte(h, 5)
+		for i := 0; i < len(d.S); i++ {
+			h = fnvByte(h, d.S[i])
+		}
+		return h
 	case KindDate:
-		tmp[0] = 6
-		binary.BigEndian.PutUint64(tmp[1:9], uint64(d.I))
-		h.Write(tmp[:9])
+		return fnvUint64(fnvByte(h, 6), uint64(d.I))
 	}
+	return h
 }
 
 // HashRowCols returns a stable 64-bit hash of the datums at cols, used by
 // hash distribution and the redistribute motion. An empty cols hashes the
 // whole row.
 func HashRowCols(r Row, cols []int) uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	if len(cols) == 0 {
-		for _, d := range r {
-			HashDatum(h, d)
+		for i := range r {
+			h = hashDatum(h, &r[i])
 		}
-		return h.Sum64()
+		return h
 	}
 	for _, c := range cols {
-		HashDatum(h, r[c])
+		h = hashDatum(h, &r[c])
 	}
-	return h.Sum64()
+	return h
 }

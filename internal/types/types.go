@@ -317,6 +317,21 @@ func Comparable(a, b Kind) bool {
 	return c != 0 && c == compareClass(b)
 }
 
+// Hashable reports whether an equality between values of kinds a and b
+// can be a hash-join key: both sides must have one normal form that equal
+// values share. The exact numerics have one between them (an integer, or
+// a decimal with its trailing zeros stripped), and so do TEXT and BYTEA;
+// DOUBLE, DATE and BOOLEAN hash only with themselves. A DOUBLE equals an
+// exact numeric by value under Compare, but not by any form both can be
+// brought to without rounding, so that pair is Comparable and not
+// Hashable: the planner leaves such an equality to a join predicate.
+func Hashable(a, b Kind) bool {
+	if a == KindFloat64 || b == KindFloat64 {
+		return a == b
+	}
+	return Comparable(a, b)
+}
+
 // Compare orders two datums. NULL sorts before every non-NULL value.
 // Numeric kinds compare by value across kinds; other kinds must match
 // (Comparable). It panics on incomparable kinds: the binder lets no such

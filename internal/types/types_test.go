@@ -1,7 +1,6 @@
 package types
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -340,10 +339,7 @@ func TestQuickHashConsistentWithEquality(t *testing.T) {
 		if Compare(a, b) != 0 {
 			return false
 		}
-		ha, hb := fnv.New64a(), fnv.New64a()
-		HashDatum(ha, a)
-		HashDatum(hb, b)
-		return ha.Sum64() == hb.Sum64()
+		return HashRowCols(Row{a}, nil) == HashRowCols(Row{b}, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

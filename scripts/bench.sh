@@ -11,7 +11,12 @@
 # (VecFilter: one col < const kernel per kind and page encoding; VecArith:
 # the Q1 decimal expression; VecAgg: the Q1 and Q6 shapes and an integer
 # group key through the vector aggregate on a warm block cache), the
-# scan→filter→project pipeline, hash aggregation, and motion loopback),
+# scan→filter→project pipeline, hash aggregation, motion loopback, the
+# send half of a motion without a wire (MotionRoute: hashed to one of
+# four receivers, or encoded for all), one motion payload decoded into a
+# batch (DecodeBatch: all numbers, a third strings), and the hash join's
+# two halves by key shape (HashJoin/{build,probe}: unique and sixteenfold
+# integer keys, a string key, a two-column key)),
 # the runtime bloom-filter join microbench (probe-side scan with the
 # build-side filter off vs on) plus the workload-manager
 # spill microbench (in-memory vs workfile-spilling hash join, with
@@ -64,7 +69,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkMotionLoopback|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
 PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"

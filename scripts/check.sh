@@ -81,6 +81,20 @@
 #                                  (builder, row fallback, SQL on all
 #                                  three formats), re-run explicitly
 #                                  under -race
+#   4i. join gate                — the hash join's table is held to
+#                                  types.Compare and to the plain-loop
+#                                  reference, not to itself: key hash and
+#                                  key equality against Compare over
+#                                  generated cells, the placement hash
+#                                  against hash/fnv, build sides ending on
+#                                  every seam of the row store, NULL,
+#                                  string, two-column and 2 500-fold keys
+#                                  in memory and through the grace
+#                                  partitions, 7.00 = 7 = 7.0 through SQL,
+#                                  and the Q1/Q3/Q13 spill parity at the
+#                                  low work_mem, re-run explicitly under
+#                                  -race; and what the table replaced
+#                                  stays deleted
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -126,7 +140,7 @@ go run ./cmd/hawq-check -json ./... > build/hawq-check-report.json
 echo "==> hawqcheck:ignore budget"
 # Raise this number only with a reason in the commit message; lower it
 # whenever a suppression goes away.
-ignore_budget=87
+ignore_budget=86
 ignores="$(git ls-files -z --cached --others --exclude-standard '*.go' | xargs -0 grep -h '//hawqcheck:ignore' | wc -l)"
 if (( ignores > ignore_budget )); then
     echo "hawqcheck:ignore count rose to $ignores (budget $ignore_budget): fix the finding instead of suppressing it" >&2
@@ -182,6 +196,18 @@ go test -race -count=1 -run 'TestKernelsMatchRowSemantics|TestKernelsTakeWhatThe
 go test -race -count=1 -run 'FuzzDecodePage|FuzzDecodeRLE|FuzzDecodeDict|TestCacheHoldsTypedVectors' ./internal/storage
 go test -race -count=1 -run 'TestAggVecMatchesBatchPath|TestAggKeepsNoPageStrings|TestBatchPipelineAllocBudget' ./internal/executor
 go test -race -count=1 -run 'TestMixedScaleColumnThroughSQL' ./internal/engine
+
+echo "==> join gate (-race)"
+go test -race -count=1 -run 'TestHashRowColsMatchesFNV|FuzzDecodeBatch' ./internal/types
+go test -race -count=1 \
+    -run 'TestKeyHashMatchesCompare|TestRowStoreLocate|TestPipelinesMatchReference|TestHashJoin|TestRuntimeFilterJoin|TestBloomNoFalseNegatives|TestRTFHashNormalizes|TestScanStatsIdenticalColdAndWarm' \
+    ./internal/executor
+go test -race -count=1 -run 'TestJoinKeysCompareAsValues' ./internal/engine
+go test -race -count=1 -run 'TestSpillParity' ./internal/tpch
+if grep -rnE 'buildBucket|appendJoinKey|rtfHash|partOf\(' internal bench_test.go; then
+    echo "join gate: the join's old key encoding is back (see above)" >&2
+    exit 1
+fi
 
 echo "==> bench smoke (-benchtime=1x -race)"
 scripts/bench.sh --smoke
