@@ -48,7 +48,7 @@ func TestAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
+	if len(r.Rows) != 3 {
 		t.Fatalf("ablation rows = %v", r.Rows)
 	}
 }

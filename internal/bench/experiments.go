@@ -479,38 +479,5 @@ func AblationReport(cfg Config) (*Report, error) {
 		engine.PlannerFlags{DisableColocation: true}); err != nil {
 		return nil, err
 	}
-	// Runtime filters act in the encoded scan path, so this ablation
-	// needs a column-oriented load; the row engine above never consults
-	// a bloom.
-	ec, err := newHAWQ(cfg, cfg.SFLarge, "column", "quicklz", 0, tpch.DistHash, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer ec.Close()
-	sc := ec.NewSession()
-	measureCol := func(q string, n int) (time.Duration, error) {
-		//hawqcheck:ignore clockwall — benchmarks measure real wall time by design
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := sc.Query(q); err != nil {
-				return 0, err
-			}
-		}
-		//hawqcheck:ignore clockwall — benchmarks measure real wall time by design
-		return time.Since(start), nil
-	}
-	ec.SetFlags(engine.PlannerFlags{})
-	on, err := measureCol(tpch.Queries[3], 3)
-	if err != nil {
-		return nil, err
-	}
-	ec.SetFlags(engine.PlannerFlags{DisableRuntimeFilters: true})
-	offT, err := measureCol(tpch.Queries[3], 3)
-	ec.SetFlags(engine.PlannerFlags{})
-	if err != nil {
-		return nil, err
-	}
-	r.Rows = append(r.Rows, []string{"runtime filters", "TPC-H Q3 x3 (CO)",
-		seconds(on), seconds(offT), fmt.Sprintf("%.2fx", offT.Seconds()/on.Seconds())})
 	return r, nil
 }

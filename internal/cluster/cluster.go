@@ -559,7 +559,6 @@ type dispatch struct {
 	ctx   context.Context
 	query uint64
 	p     *plan.Plan
-	hub   *executor.FilterHub
 
 	cancelOnce sync.Once
 
@@ -638,7 +637,6 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 		OnSegFileUpdate: d.addUpdate,
 		LocalHost:       localHost,
 		Clock:           c.clk,
-		Filters:         d.hub,
 	}
 	if segID != plan.QDSegment {
 		// Scans read through the executing segment's block cache; the QD
@@ -670,7 +668,7 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 // dispatched concurrently with itself. plan.Encode/Decode remain the
 // wire form, proven equivalent by TestSelfDescribedPlanExecutes.
 func (c *Cluster) Dispatch(ctx context.Context, p *plan.Plan, onRow func(types.Row) error) (*QueryResult, error) {
-	d := &dispatch{c: c, ctx: ctx, query: c.nextQuery.Add(1), p: p, hub: newFilterHub(p)}
+	d := &dispatch{c: c, ctx: ctx, query: c.nextQuery.Add(1), p: p}
 	d.res.Schema = p.Schema
 	p.Walk(func(n plan.Node) {
 		for _, e := range plan.NodeExprs(n) {
@@ -786,31 +784,4 @@ func (d *dispatch) runQE(sliceID, segID int) error {
 		d.addStats(ectx.Stats.Stats())
 	}
 	return nil
-}
-
-// newFilterHub scans the plan for runtime bloom-filter specs and builds
-// the per-query FilterHub, registering one expected publisher per gang
-// member of each spec's slice. Returns nil when the plan carries no
-// filters, which disables the whole machinery for the query.
-func newFilterHub(p *plan.Plan) *executor.FilterHub {
-	var hub *executor.FilterHub
-	for _, s := range p.Slices {
-		publishers := len(s.Segments)
-		var walk func(n plan.Node)
-		walk = func(n plan.Node) {
-			if hj, ok := n.(*plan.HashJoin); ok {
-				for _, spec := range hj.RuntimeFilters {
-					if hub == nil {
-						hub = executor.NewFilterHub()
-					}
-					hub.Expect(spec.ID, publishers)
-				}
-			}
-			for _, c := range n.Children() {
-				walk(c)
-			}
-		}
-		walk(s.Root)
-	}
-	return hub
 }

@@ -42,14 +42,11 @@ var ErrQueryCanceled = errors.New("engine: canceling statement due to user reque
 type Config = cluster.Config
 
 // PlannerFlags toggle optimizer features, for the ablation benchmarks
-// (§3's direct dispatch, §2.3's partition elimination and colocation,
-// and the runtime bloom filters hash joins push into probe-side
-// scans).
+// (§3's direct dispatch, §2.3's partition elimination and colocation).
 type PlannerFlags struct {
 	DisableDirectDispatch bool
 	DisablePartitionElim  bool
 	DisableColocation     bool
-	DisableRuntimeFilters bool
 }
 
 // Engine is an embedded HAWQ instance.

@@ -501,6 +501,73 @@ func TestJoinKeysCompareAsValues(t *testing.T) {
 	}
 }
 
+// TestGroupKeysCompareAsValues: GROUP BY, DISTINCT and count(DISTINCT …)
+// tell values apart as a WHERE clause does — by value, not by encoding:
+// 2.5, 2.50 and 2.500 are one group. On one segment and on two (where
+// the partial groups meet through a redistribute motion), on row and on
+// column storage, in memory and with the aggregate spilling.
+func TestGroupKeysCompareAsValues(t *testing.T) {
+	for _, segs := range []int{1, 2} {
+		e := newTestEngine(t, segs)
+		s := e.NewSession()
+		for _, tc := range []struct{ suffix, with string }{
+			{"ao", "WITH (appendonly=true, orientation=row)"},
+			{"co", "WITH (appendonly=true, orientation=column, compresstype=quicklz)"},
+		} {
+			g := "g_" + tc.suffix
+			mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, d DECIMAL(10,2), f DOUBLE) %s DISTRIBUTED BY (k)", g, tc.with))
+			vals := []string{"(1, 2.5, 0.0)", "(2, 2.50, 0.0)", "(3, 2.500, 0.0)", "(4, 3, 1.0)", "(5, 3.0, 1.0)"}
+			// Groups of one, so that the group table outgrows 1 kB.
+			const singles = 200
+			for k := 10; k < 10+singles; k++ {
+				vals = append(vals, fmt.Sprintf("(%d, %d.25, 2.0)", k, k))
+			}
+			mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", g, strings.Join(vals, ", ")))
+			if got := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM %s WHERE d = 2.5", g)).Rows[0].String(); got != "3" {
+				t.Fatalf("%s: WHERE d = 2.5 counts %s", g, got)
+			}
+			for _, workMem := range []string{"64MB", "1kB"} {
+				mustExec(t, s, fmt.Sprintf("SET work_mem = '%s'", workMem))
+				where := fmt.Sprintf("%d segments, %s, work_mem %s", segs, g, workMem)
+				files0, _ := resource.SpillStats()
+				res := mustExec(t, s, fmt.Sprintf("SELECT d, count(*) FROM %s GROUP BY d", g))
+				if files1, _ := resource.SpillStats(); (files1 > files0) != (workMem == "1kB") {
+					t.Errorf("%s: GROUP BY d created %d workfiles", where, files1-files0)
+				}
+				if len(res.Rows) != 2+singles {
+					t.Errorf("%s: GROUP BY d gave %d groups, want %d", where, len(res.Rows), 2+singles)
+				}
+				for _, want := range []struct {
+					d types.Datum
+					n int64
+				}{{types.NewDecimal(25, 1), 3}, {types.NewInt64(3), 2}} {
+					found := 0
+					for _, row := range res.Rows {
+						if types.Compare(row[0], want.d) == 0 {
+							found++
+							if row[1].Int() != want.n {
+								t.Errorf("%s: group %v counts %d, want %d", where, row[0], row[1].Int(), want.n)
+							}
+						}
+					}
+					if found != 1 {
+						t.Errorf("%s: %d groups for d = %v", where, found, want.d)
+					}
+				}
+				if got := len(mustExec(t, s, fmt.Sprintf("SELECT DISTINCT d FROM %s", g)).Rows); got != 2+singles {
+					t.Errorf("%s: SELECT DISTINCT d gave %d rows, want %d", where, got, 2+singles)
+				}
+				if got := len(mustExec(t, s, fmt.Sprintf("SELECT DISTINCT d, f FROM %s WHERE k < 10", g)).Rows); got != 2 {
+					t.Errorf("%s: SELECT DISTINCT d, f over the five rows gave %d, want 2", where, got)
+				}
+				if got := mustExec(t, s, fmt.Sprintf("SELECT count(DISTINCT d) FROM %s", g)).Rows[0][0].Int(); got != 2+singles {
+					t.Errorf("%s: count(DISTINCT d) is %d, want %d", where, got, 2+singles)
+				}
+			}
+		}
+	}
+}
+
 func TestInsertSelectBetweenTables(t *testing.T) {
 	e := newTestEngine(t, 3)
 	s := e.NewSession()

@@ -30,7 +30,6 @@ func (s *Session) newPlanner(ctx context.Context, t *tx.Tx) *planner.Planner {
 		DisableDirectDispatch: flags.DisableDirectDispatch,
 		DisablePartitionElim:  flags.DisablePartitionElim,
 		DisableColocation:     flags.DisableColocation,
-		DisableRuntimeFilters: flags.DisableRuntimeFilters,
 		// EXECUTE arguments default to specific planning: placeholders
 		// become constants, so direct dispatch and partition elimination
 		// see their values. The cache path opts into generic planning
@@ -201,7 +200,7 @@ func (s *Session) planCached(ctx context.Context, t *tx.Tx, stmt *sqlparser.Sele
 	flags := s.eng.Flags()
 	key := session.Fingerprint(stmt.String(), s.eng.cl.NumSegments(),
 		flags.DisableDirectDispatch, flags.DisablePartitionElim,
-		flags.DisableColocation, flags.DisableRuntimeFilters)
+		flags.DisableColocation)
 	ver := p.Snap.CatVer
 	if v, ok := cache.Get(key, ver); ok {
 		if cached, isPlan := v.(*plan.Plan); isPlan {

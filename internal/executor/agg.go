@@ -15,10 +15,12 @@ import (
 // hashAggOp groups input rows by the group expressions and folds each
 // aggregate. It serves all three phases (§3's two-phase aggregation):
 // the planner arranges the specs so that a partial phase's outputs line
-// up with the final phase's inputs. A group is a dense id: the map from
-// encoded group key to id is consulted without allocating, only a new
-// group pays for a key copy, and each aggregate keeps the state of every
-// group in one expr.GroupAcc.
+// up with the final phase's inputs. A group is a dense id, and its key
+// the grouping values' types.AppendKey bytes — which equal values share
+// whatever their width or scale, so 2.5 and 2.50 are one group, output
+// as the first of them seen. The map from key to id is consulted without
+// allocating, only a new group pays for a key copy, and each aggregate
+// keeps the state of every group in one expr.GroupAcc.
 //
 // When the group table outgrows its memory budget the agg spills
 // hybrid-style: groups already in memory keep absorbing their rows,
@@ -157,7 +159,7 @@ func (a *hashAggOp) newTable() {
 	}
 }
 
-// lookup returns the group whose encoded key is a.keyBuf, or -1.
+// lookup returns the group whose key is a.keyBuf, or -1.
 func (a *hashAggOp) lookup() int32 {
 	if g, ok := a.groups[string(a.keyBuf)]; ok {
 		return g
@@ -165,7 +167,7 @@ func (a *hashAggOp) lookup() int32 {
 	return -1
 }
 
-// addGroup creates the group whose encoded key is a.keyBuf and whose key
+// addGroup creates the group whose key is a.keyBuf and whose key
 // values are keys (copied). It returns -1 instead when the table may
 // not grow — spilling has begun, or begins with this group — and the
 // row that asked must be diverted to a.sp.
@@ -224,7 +226,7 @@ func (a *hashAggOp) absorb(row types.Row) error {
 			return err
 		}
 		keys[i] = v
-		a.keyBuf = types.EncodeDatum(a.keyBuf, v)
+		a.keyBuf = types.AppendKey(a.keyBuf, v)
 	}
 	g := a.lookup()
 	if g < 0 {
@@ -299,12 +301,12 @@ func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
 // valueIDs numbers the entries of group column j, a vector of runs or
 // codes, by distinct value into a.vids[j], and returns how many values
 // there are — or 0 as soon as there are more than limit, or none at all.
-// The values seen are kept encoded back to back and searched in order:
-// there are a handful, or the search gives up.
+// The keys of the values seen are kept back to back and searched in
+// order: there are a handful, or the search gives up.
 func (a *hashAggOp) valueIDs(j int, v *types.Vector, limit int) int {
 	ids, vals, ends := a.vids[j][:0], a.vals[:0], a.valEnds[:0]
 	for e, n := 0, v.Entries(); e < n; e++ {
-		a.keyBuf = v.AppendEncoded(a.keyBuf[:0], e)
+		a.keyBuf = v.AppendKey(a.keyBuf[:0], e)
 		id, from := 0, 0
 		for id < len(ends) && !bytes.Equal(vals[from:ends[id]], a.keyBuf) {
 			id, from = id+1, ends[id]
@@ -329,7 +331,7 @@ func (a *hashAggOp) valueIDs(j int, v *types.Vector, limit int) int {
 // not per row: its entries are numbered by distinct value, and when
 // every group expression is such a column the group of each combination
 // of values is looked up once per batch and remembered. Otherwise the
-// key is encoded per row straight from the typed vectors, and looked up
+// key is built per row straight from the typed vectors, and looked up
 // unless it repeats the previous row's.
 func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, err error) {
 	combos := 1
@@ -384,7 +386,7 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 		}
 		a.keyBuf = a.keyBuf[:0]
 		for j, v := range a.gvecs {
-			a.keyBuf = v.AppendEncoded(a.keyBuf, entry(j, r))
+			a.keyBuf = v.AppendKey(a.keyBuf, entry(j, r))
 		}
 		if prev >= 0 && bytes.Equal(a.keyBuf, a.prevKey) {
 			gids[r] = prev

@@ -98,11 +98,6 @@ type Context struct {
 	// dispatcher creates one recorder per (slice, segment) and collects
 	// it after the slice completes.
 	Stats *StatsRecorder
-	// Filters is the query's runtime bloom-filter hub, shared by every
-	// slice execution of the query on this node: hash-join build sides
-	// publish into it and probe-side scans poll it. nil disables runtime
-	// filters (the plan's filter annotations then have no effect).
-	Filters *FilterHub
 }
 
 // canceled reports the query's cancellation cause once Ctx is done, or

@@ -1,9 +1,6 @@
 package executor
 
 import (
-	"fmt"
-	"slices"
-
 	"hawq/internal/expr"
 	"hawq/internal/obs"
 	"hawq/internal/plan"
@@ -37,16 +34,6 @@ type hashJoinOp struct {
 	cur     *rowCursor
 	matches []types.Row
 
-	// blooms are the runtime filters this build side is filling, one per
-	// plan.RuntimeFilterSpec, published to ctx.Filters when the build
-	// completes (nil when the context has no hub or the plan no specs).
-	// rtfKey says which build key each covers and cells holds the hash of
-	// every key column of the row being added: the filter is fed the
-	// hash the table was.
-	blooms []*Bloom
-	rtfKey []int
-	cells  []uint64
-
 	// spill state
 	spilled bool
 	buildSP *spillPartition // level-0 build partitions, filled while draining the build side
@@ -77,17 +64,6 @@ func newHashJoinOp(ctx *Context, node *plan.HashJoin) (Operator, error) {
 	j := &hashJoinOp{ctx: ctx, node: node, left: l, right: r}
 	j.mem = memBudget{ctx: ctx}
 	j.probe = newJoinProbe(node.Kind, node.ExtraPred, node.Right.OutSchema().Len())
-	if ctx.Filters != nil && len(node.RuntimeFilters) > 0 {
-		j.cells = make([]uint64, len(node.RightKeys))
-		for _, spec := range node.RuntimeFilters {
-			k := slices.Index(node.RightKeys, spec.BuildKey)
-			if k < 0 {
-				return nil, fmt.Errorf("executor: runtime filter %d is over build column %d, which is no join key", spec.ID, spec.BuildKey)
-			}
-			j.rtfKey = append(j.rtfKey, k)
-			j.blooms = append(j.blooms, &Bloom{})
-		}
-	}
 	return j, nil
 }
 
@@ -104,16 +80,11 @@ func (j *hashJoinOp) Open() error {
 		return err
 	}
 	err := drainRows(j.ctx, j.right, func(row types.Row) error {
-		h, valid := hashKeys(row, j.node.RightKeys, j.cells)
+		h, valid := hashKeys(row, j.node.RightKeys)
 		if !valid {
 			// Build rows with NULL keys can never match and no join kind
 			// here emits unmatched build rows.
 			return nil
-		}
-		// Fill the runtime filters before any spill diversion: the bloom
-		// must cover every build row regardless of where it lands.
-		for i, bloom := range j.blooms {
-			bloom.Add(j.cells[j.rtfKey[i]])
 		}
 		if !j.spilled {
 			// The row is charged before it is copied: the soft cap diverts
@@ -137,16 +108,6 @@ func (j *hashJoinOp) Open() error {
 	if err := j.right.Close(); err != nil {
 		return err
 	}
-	// Publish the completed runtime filters before the probe side opens:
-	// same-slice probe scans then see them from their very first page,
-	// while cross-slice scans pick them up as soon as every gang member's
-	// build finishes (best-effort, never blocking).
-	for i, bloom := range j.blooms {
-		if err := j.ctx.Filters.Publish(j.node.RuntimeFilters[i].ID, bloom); err != nil {
-			return err
-		}
-	}
-	j.blooms = nil
 	if err := j.left.Open(); err != nil {
 		return err
 	}
@@ -184,7 +145,7 @@ func (j *hashJoinOp) Open() error {
 // it as hash 0.
 func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
 	return func(row types.Row) error {
-		h, valid := hashKeys(row, j.node.LeftKeys, nil)
+		h, valid := hashKeys(row, j.node.LeftKeys)
 		if !valid && (j.node.Kind == plan.InnerJoin || j.node.Kind == plan.SemiJoin) {
 			return nil
 		}
@@ -269,7 +230,7 @@ func (j *hashJoinOp) loadPart(part joinPart) (bool, error) {
 		if !ok {
 			break
 		}
-		h, valid := hashKeys(row, j.node.RightKeys, nil)
+		h, valid := hashKeys(row, j.node.RightKeys)
 		if !valid {
 			continue
 		}
@@ -312,7 +273,7 @@ func (j *hashJoinOp) repartition(part joinPart) error {
 		return err
 	}
 	err = j.reroute(part.build, func(row types.Row) error {
-		h, _ := hashKeys(row, j.node.RightKeys, nil) // a build row in a file has its keys
+		h, _ := hashKeys(row, j.node.RightKeys) // a build row in a file has its keys
 		return bsp.addHash(h, row)
 	})
 	if err == nil {
@@ -371,7 +332,7 @@ func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
 				break
 			}
 			j.matches = j.matches[:0]
-			if h, valid := hashKeys(row, j.node.LeftKeys, nil); valid {
+			if h, valid := hashKeys(row, j.node.LeftKeys); valid {
 				j.matches = j.table.lookup(h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
 			}
 			j.probe.start(row, j.matches)

@@ -47,12 +47,11 @@ const (
 // value, scale) with the trailing zeros stripped, so 7, 7.0 and 7.00 are
 // one key; -0.0 hashes as 0.0; TEXT and BYTEA hash their bytes.
 //
-// It is the hash of the join's build table, of its grace partitions
-// (partOfHash salts it by level) and of the runtime bloom filters, on the
-// build and on the scan side. It is deliberately not the placement hash
-// (types.HashRowCols): the rows a redistribute motion delivers to one
-// segment agree in that hash modulo the segment count, and a directory
-// indexed by it would use a fraction of its slots.
+// It is the hash of the join's build table and of its grace partitions
+// (partOfHash salts it by level). It is deliberately not the placement
+// hash (types.HashRowCols): the rows a redistribute motion delivers to
+// one segment agree in that hash modulo the segment count, and a
+// directory indexed by it would use a fraction of its slots.
 func keyHash(d *types.Datum) uint64 {
 	switch d.K {
 	case types.KindInt32, types.KindInt64:
@@ -115,21 +114,15 @@ func keyEqual(a, b *types.Datum) bool {
 }
 
 // hashKeys folds keyHash over the key columns of row. ok is false when a
-// key is NULL: such a row joins nothing. cells, when not nil, receives
-// the hash of each key column by itself — what a runtime filter over
-// that column is fed — so that no cell is hashed twice.
-func hashKeys(row types.Row, cols []int, cells []uint64) (h uint64, ok bool) {
-	for i, c := range cols {
+// key is NULL: such a row joins nothing.
+func hashKeys(row types.Row, cols []int) (h uint64, ok bool) {
+	for _, c := range cols {
 		d := &row[c]
 		if d.K == types.KindNull {
 			return 0, false
 		}
-		kh := keyHash(d)
-		if cells != nil {
-			cells[i] = kh
-		}
 		// One key column: the row's hash is the column's.
-		h = bits.RotateLeft64(h, 27)*golden + kh
+		h = bits.RotateLeft64(h, 27)*golden + keyHash(d)
 	}
 	return h, true
 }

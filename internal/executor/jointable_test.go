@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -54,8 +55,10 @@ func keyDatums(rng *rand.Rand) types.Datum {
 
 // TestKeyHashMatchesCompare: for every pair of kinds the planner admits
 // as a hash key, two cells are the same key exactly when types.Compare
-// calls them equal, and equal keys have one hash. NaN is outside: Compare
-// orders it with nothing, and as a key it equals nothing.
+// calls them equal, and equal keys have one hash — and exactly then they
+// have the same types.AppendKey bytes, the key GROUP BY and DISTINCT go
+// by. NaN is outside: Compare orders it with nothing, and as a join key
+// it equals nothing.
 func TestKeyHashMatchesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	pairs, equal, collisions := 0, 0, 0
@@ -72,6 +75,9 @@ func TestKeyHashMatchesCompare(t *testing.T) {
 		if got := keyEqual(&a, &b); got != want {
 			t.Fatalf("keyEqual(%s %v, %s %v) = %v, Compare says %v", a.K, a, b.K, b, got, want)
 		}
+		if got := bytes.Equal(types.AppendKey(nil, a), types.AppendKey(nil, b)); got != want {
+			t.Fatalf("AppendKey of %s %v and of %s %v the same: %v, Compare says %v", a.K, a, b.K, b, got, want)
+		}
 		same := keyHash(&a) == keyHash(&b)
 		switch {
 		case want && !same:
@@ -87,24 +93,20 @@ func TestKeyHashMatchesCompare(t *testing.T) {
 	}
 	// A NULL key is no key, wherever it stands.
 	row := types.Row{types.NewInt64(1), types.Null, types.NewString("x")}
-	if _, ok := hashKeys(row, []int{0, 2}, nil); !ok {
+	if _, ok := hashKeys(row, []int{0, 2}); !ok {
 		t.Error("a row without NULL keys refused")
 	}
 	for _, cols := range [][]int{{1}, {0, 1}, {1, 2}} {
-		if _, ok := hashKeys(row, cols, nil); ok {
+		if _, ok := hashKeys(row, cols); ok {
 			t.Errorf("keys %v include a NULL and hashed", cols)
 		}
 	}
-	// The per-column hashes are the single-column hashes, and the hash of
-	// a one-column key is its column's.
-	cells := make([]uint64, 2)
-	h, _ := hashKeys(row, []int{2, 0}, cells)
-	h0, _ := hashKeys(row, []int{0}, nil)
-	h2, _ := hashKeys(row, []int{2}, nil)
-	if cells[0] != h2 || cells[1] != h0 || h0 != keyHash(&row[0]) {
-		t.Errorf("cells %x, single-column hashes %x %x", cells, h2, h0)
+	// The hash of a one-column key is its column's.
+	h, _ := hashKeys(row, []int{2, 0})
+	if h0, _ := hashKeys(row, []int{0}); h0 != keyHash(&row[0]) {
+		t.Errorf("one-column key hashes %x, its column %x", h0, keyHash(&row[0]))
 	}
-	if swapped, _ := hashKeys(row, []int{0, 2}, nil); swapped == h {
+	if swapped, _ := hashKeys(row, []int{0, 2}); swapped == h {
 		t.Error("a two-column key hashes the same in either column order")
 	}
 }

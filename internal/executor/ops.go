@@ -146,12 +146,11 @@ func (f *batchFeed) close() {
 // block cache as types.VecBatch typed column vectors (columnar pages
 // decoded once, keeping their runs or dictionary; row-oriented blocks
 // transposed into flat vectors), zone maps prune pages before
-// decompression, runtime bloom filters and then the whole scan
-// predicate — kernels first, the rest row by row over the survivors —
-// narrow the selection, all before a row is materialized. A consumer
-// that called EnableVec receives the batches as-is through NextVecBatch;
-// otherwise the producer materializes the survivors into ordinary
-// pooled batches.
+// decompression, and the whole scan predicate — kernels first, the rest
+// row by row over the survivors — narrows the selection, all before a
+// row is materialized. A consumer that called EnableVec receives the
+// batches as-is through NextVecBatch; otherwise the producer
+// materializes the survivors into ordinary pooled batches.
 type scanOp struct {
 	batchFeed
 	ctx  *Context
@@ -215,16 +214,14 @@ func (s *scanOp) Open() error {
 	return nil
 }
 
-// produce is the scan's producer: per block it applies runtime bloom
-// filters, then the scan predicate, then either hands the vector batch
-// to a vec consumer or materializes survivors into a pooled batch.
+// produce is the scan's producer: per block it applies the scan
+// predicate, then either hands the vector batch to a vec consumer or
+// materializes survivors into a pooled batch.
 func (s *scanOp) produce() error {
 	st := &storage.ScanStats{}
-	var rtfRemoved int64
 	defer func() {
 		if s.opStats != nil {
 			s.opStats.PagesSkipped += st.PagesSkipped
-			s.opStats.RTFilterRows += rtfRemoved
 			s.opStats.CacheHits += st.CacheHits
 			s.opStats.CacheMisses += st.CacheMisses
 		}
@@ -234,16 +231,6 @@ func (s *scanOp) produce() error {
 			continue
 		}
 		err := s.ctx.Cache.ScanVecBatches(s.ctx.FS, s.node.Table.Storage, s.node.Table.Schema, sf, s.node.Proj, s.zonePreds, st, func(vb *types.VecBatch) error {
-			for _, t := range s.node.RuntimeFilters {
-				if t.Col >= len(vb.Cols) || vb.SelCount() == 0 {
-					continue
-				}
-				bloom := s.ctx.Filters.Lookup(t.ID)
-				if bloom == nil {
-					continue // not published yet: pass unfiltered, stay correct
-				}
-				rtfRemoved += int64(applyBloomVec(t.Col, bloom, vb))
-			}
 			if err := s.filter.Apply(vb); err != nil {
 				types.PutVecBatch(vb)
 				return err
@@ -516,7 +503,8 @@ func (l *limitOp) Close() error { return l.in.Close() }
 // encoded bytes: string header plus map-entry overhead.
 const distinctKeyMem = 48
 
-// distinctOp removes duplicates by full-row encoding, compacting each
+// distinctOp removes duplicates by full-row key (types.AppendKey, so
+// rows equal by value are one and the first stays), compacting each
 // input batch in place. Every retained key is charged to the query's
 // memory grant; there is no spill path, so exhausting the grant is a
 // clean out-of-memory error. Like selectOp its loop can skip
@@ -552,7 +540,10 @@ func (d *distinctOp) NextBatch(b *types.Batch) (bool, error) {
 		}
 		kept := 0
 		for i := 0; i < b.Len(); i++ {
-			d.buf = types.EncodeRow(d.buf[:0], b.Row(i))
+			d.buf = d.buf[:0]
+			for _, v := range b.Row(i) {
+				d.buf = types.AppendKey(d.buf, v)
+			}
 			if _, dup := d.seen[string(d.buf)]; dup {
 				continue
 			}

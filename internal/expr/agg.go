@@ -216,7 +216,7 @@ func (d *distinctAcc) Add(v types.Datum) {
 		// NULLs never contribute to DISTINCT aggregates.
 		return
 	}
-	key := string(types.EncodeDatum(nil, v))
+	key := string(types.AppendKey(nil, v))
 	if _, dup := d.seen[key]; dup {
 		return
 	}

@@ -32,9 +32,6 @@ type OpStats struct {
 	// PagesSkipped counts storage pages a scan pruned via zone maps
 	// before decompression (scan operators only).
 	PagesSkipped int64
-	// RTFilterRows counts probe-side rows a scan dropped via runtime
-	// bloom filters before decode (scan operators only).
-	RTFilterRows int64
 	// CacheHits and CacheMisses count the (block, column) vectors a scan
 	// took from its segment's block cache and those it had to read and
 	// decode (scan operators only).

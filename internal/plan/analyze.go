@@ -29,11 +29,9 @@ type NodeStats struct {
 	Bytes      int64
 	SpillBytes int64
 	SpillFiles int64
-	// PagesSkipped and RTFilterRows are summed over the gang: storage
-	// pages pruned via zone maps, and probe rows removed by runtime
-	// bloom filters before decode (scans only).
+	// PagesSkipped is summed over the gang: storage pages pruned via
+	// zone maps (scans only).
 	PagesSkipped int64
-	RTFilterRows int64
 	// CacheHits and CacheMisses are summed over the gang: block-cache
 	// lookups of (block, column) vectors by scans.
 	CacheHits   int64
@@ -82,7 +80,6 @@ func (p *Plan) MergeStats(stats []obs.SliceStats) [][]NodeStats {
 			n.SpillBytes += op.SpillBytes
 			n.SpillFiles += op.SpillFiles
 			n.PagesSkipped += op.PagesSkipped
-			n.RTFilterRows += op.RTFilterRows
 			n.CacheHits += op.CacheHits
 			n.CacheMisses += op.CacheMisses
 			if op.PeakMem > n.PeakMem {
@@ -131,9 +128,6 @@ func (p *Plan) ExplainAnalyze(stats []obs.SliceStats, resultRows int, elapsed ti
 			}
 			if n.PagesSkipped > 0 {
 				fmt.Fprintf(&b, " pages_skipped=%d", n.PagesSkipped)
-			}
-			if n.RTFilterRows > 0 {
-				fmt.Fprintf(&b, " rtfilter_removed=%d", n.RTFilterRows)
 			}
 			if n.PeakMem > 0 {
 				fmt.Fprintf(&b, " peak_mem=%d", n.PeakMem)

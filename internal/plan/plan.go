@@ -73,32 +73,6 @@ const (
 	AggFinal
 )
 
-// RuntimeFilterSpec declares one runtime bloom filter a hash join's
-// build side publishes: after the build input is fully consumed, the
-// join contributes a bloom filter over the build rows' BuildKey column
-// to the query's filter hub under ID. Probe-side scans carrying a
-// RuntimeFilterTarget with the same ID consult it (§3's partial
-// aggressive materialization in spirit: shed rows as early as
-// possible). The planner only attaches specs to Inner and Semi joins —
-// Left/Anti joins must still see unmatched probe rows.
-type RuntimeFilterSpec struct {
-	// ID identifies the filter within the query.
-	ID int32
-	// BuildKey is the build (right) input column the filter summarizes.
-	BuildKey int
-}
-
-// RuntimeFilterTarget wires one runtime bloom filter into a scan: rows
-// whose Col value cannot be in filter ID's build side are dropped
-// before decode and before any motion. Application is best-effort —
-// pages scanned before the filter is published pass unfiltered.
-type RuntimeFilterTarget struct {
-	// ID identifies the filter within the query.
-	ID int32
-	// Col is the scan output column (projection order) the filter tests.
-	Col int
-}
-
 // Scan reads the committed rows of one (non-partitioned) table. The node
 // is self-described: it embeds the table descriptor and the visible
 // segment files of every segment, so a QE needs no catalog access. Each
@@ -109,18 +83,15 @@ type Scan struct {
 	// columns the query references, chosen by the planner, and nothing
 	// else. Empty (or nil — the wire form does not tell them apart)
 	// means no columns: a COUNT(*) scan emits zero-width rows. Every
-	// other index in a plan (Filter's ColRefs, RuntimeFilters, join keys
-	// and motion hash columns above) is an output position — a position
-	// in Proj — never a table column index.
+	// other index in a plan (Filter's ColRefs, join keys and motion hash
+	// columns above) is an output position — a position in Proj — never
+	// a table column index.
 	Proj []int
 	// Filter is evaluated over the projected row; nil means no filter.
 	Filter expr.Expr
 	// SegFiles lists every visible file of the table (all segments).
 	SegFiles []catalog.SegFile
 	Schema   *types.Schema
-	// RuntimeFilters lists the runtime bloom filters this scan consults
-	// while reading (probe side of hash joins upstream).
-	RuntimeFilters []RuntimeFilterTarget
 }
 
 // OutSchema implements Node.
@@ -227,9 +198,6 @@ type HashJoin struct {
 	LeftKeys, RightKeys []int
 	ExtraPred           expr.Expr
 	Schema              *types.Schema
-	// RuntimeFilters lists the bloom filters this join's build (right)
-	// side publishes for probe-side scans (Inner/Semi joins only).
-	RuntimeFilters []RuntimeFilterSpec
 }
 
 // OutSchema implements Node.

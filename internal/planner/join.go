@@ -153,7 +153,6 @@ func (p *Planner) joinRelations(left, right *relation, leftKeys, rightKeys []int
 		LeftKeys: leftKeys, RightKeys: rightKeys,
 		ExtraPred: residual, Schema: schema,
 	}
-	p.attachRuntimeFilters(node)
 	// Output distribution: the probe side's partitioning survives (its
 	// columns keep their positions); a replicated probe inherits the
 	// build side's.

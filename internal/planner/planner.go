@@ -29,9 +29,6 @@ type Planner struct {
 	// DisableColocation makes every join redistribute, ignoring existing
 	// distributions (ablation).
 	DisableColocation bool
-	// DisableRuntimeFilters turns off runtime bloom-filter planning
-	// (hash-join build sides feeding probe-side scans), for ablation.
-	DisableRuntimeFilters bool
 
 	// Params supplies EXECUTE argument values for $n placeholders, bound
 	// into the plan as constants (specific planning; the plan must not be
@@ -42,8 +39,6 @@ type Planner struct {
 	// emitted plan's ParamKinds records each placeholder's inferred kind.
 	GenericParams bool
 
-	// rtfSeq numbers runtime filters within the statement being planned.
-	rtfSeq int32
 	// prm is the lazily created shared placeholder binder.
 	prm *paramBinder
 }

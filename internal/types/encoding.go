@@ -53,6 +53,52 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 	panic(fmt.Sprintf("types: encode of bad kind %d", d.K))
 }
 
+// AppendKey appends d's grouping key to buf: the bytes GROUP BY, DISTINCT
+// and count(DISTINCT …) tell values apart by. Two values of one Hashable
+// class have the same key exactly when Compare calls them equal — the
+// normal form the join's key hash and the placement hash (hashDatum)
+// bring them to, written out: an integer of either width and a decimal
+// of any scale as (unscaled value, scale) with the trailing zeros
+// stripped, so 7, 7.0 and 7.00 are one group; -0.0 as 0.0; TEXT and
+// BYTEA as their bytes; everything else as its encoding. Keys are
+// self-delimiting, so the keys of a row's columns concatenate into the
+// row's.
+func AppendKey(buf []byte, d Datum) []byte {
+	switch d.K {
+	case KindInt32, KindInt64, KindDecimal:
+		return appendNumKey(buf, d.Scale, d.I)
+	case KindFloat64:
+		return appendFloatKey(buf, d.F)
+	case KindString, KindBytes:
+		return appendStrDatum(buf, KindString, d.S)
+	}
+	return EncodeDatum(buf, d)
+}
+
+// stripZeros brings the exact numeric u × 10^-scale to the one form
+// equal values share: no trailing zero in u unless scale is 0.
+func stripZeros(u int64, scale int8) (int64, int8) {
+	for scale > 0 && u%10 == 0 {
+		u /= 10
+		scale--
+	}
+	return u, scale
+}
+
+// appendNumKey appends the key of the exact numeric u × 10^-scale.
+func appendNumKey(buf []byte, scale int8, u int64) []byte {
+	u, scale = stripZeros(u, scale)
+	return appendIntDatum(buf, KindDecimal, scale, u)
+}
+
+// appendFloatKey appends the key of a DOUBLE.
+func appendFloatKey(buf []byte, f float64) []byte {
+	if f == 0 {
+		f = 0 // -0.0 equals 0.0
+	}
+	return appendFloatDatum(buf, f)
+}
+
 // parseDatum is the one reader of the format. It takes apart the encoded
 // datum at the head of buf: its kind, then by kind the integer-like value
 // i (with a decimal's scale), the DOUBLE f, or the bytes of a string-like
@@ -226,8 +272,8 @@ func fnvUint64(h, v uint64) uint64 {
 
 // hashDatum folds a normalized representation of d into h so that datums
 // that compare equal hash equal (INT32 7 and INT64 7, decimals of
-// different scales): a tag byte, then the value. Stored rows were placed
-// by these exact bytes, so they never change.
+// different scales, -0.0 and 0.0): a tag byte, then the value. Stored
+// rows were placed by these exact bytes, so they never change.
 func hashDatum(h uint64, d *Datum) uint64 {
 	switch d.K {
 	case KindNull:
@@ -237,14 +283,13 @@ func hashDatum(h uint64, d *Datum) uint64 {
 	case KindInt32, KindInt64:
 		return fnvUint64(fnvByte(h, 2), uint64(d.I))
 	case KindFloat64:
-		return fnvUint64(fnvByte(h, 3), math.Float64bits(d.F))
-	case KindDecimal:
-		// Normalize by stripping trailing zeros of the unscaled value.
-		u, sc := d.I, d.Scale
-		for sc > 0 && u%10 == 0 {
-			u /= 10
-			sc--
+		f := d.F
+		if f == 0 {
+			f = 0 // -0.0 equals 0.0
 		}
+		return fnvUint64(fnvByte(h, 3), math.Float64bits(f))
+	case KindDecimal:
+		u, sc := stripZeros(d.I, d.Scale)
 		if sc == 0 {
 			// Integral decimals hash like integers.
 			return fnvUint64(fnvByte(h, 2), uint64(u))

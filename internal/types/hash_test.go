@@ -27,7 +27,7 @@ func refHashDatum(h hash.Hash, d Datum) {
 		h.Write(tmp[:9])
 	case KindFloat64:
 		tmp[0] = 3
-		binary.BigEndian.PutUint64(tmp[1:9], math.Float64bits(d.F))
+		binary.BigEndian.PutUint64(tmp[1:9], math.Float64bits(d.F+0)) // -0.0 + 0 is 0.0
 		h.Write(tmp[:9])
 	case KindDecimal:
 		u, sc := d.I, d.Scale
@@ -124,6 +124,9 @@ func TestHashRowColsMatchesFNV(t *testing.T) {
 	}
 	if HashRowCols(Row{NewDecimal(700, 2)}, nil) != HashRowCols(Row{NewInt32(7)}, nil) {
 		t.Error("7.00 and 7 hash apart")
+	}
+	if HashRowCols(Row{NewFloat64(math.Copysign(0, -1))}, nil) != HashRowCols(Row{NewFloat64(0)}, nil) {
+		t.Error("-0.0 and 0.0 hash apart")
 	}
 	rng := rand.New(rand.NewSource(18))
 	n := 100000

@@ -197,23 +197,27 @@ func (v *Vector) Datum(e int) Datum {
 	return Datum{K: v.Kind, Scale: v.Scale, I: v.Ints[e]}
 }
 
-// AppendEncoded appends the encoding of entry e to buf: the bytes
-// EncodeDatum(buf, v.Datum(e)) would append, straight from the typed
+// AppendKey appends the grouping key of entry e to buf: the bytes
+// AppendKey(buf, v.Datum(e)) would append, straight from the typed
 // storage.
-func (v *Vector) AppendEncoded(buf []byte, e int) []byte {
+func (v *Vector) AppendKey(buf []byte, e int) []byte {
 	if v.Mixed {
-		return EncodeDatum(buf, v.Values[e])
+		return AppendKey(buf, v.Values[e])
 	}
 	if v.Null(e) {
 		return append(buf, byte(KindNull))
 	}
 	switch v.Class() {
 	case ClassFloat:
-		return appendFloatDatum(buf, v.Floats[e])
+		return appendFloatKey(buf, v.Floats[e])
 	case ClassStr:
-		return appendStrDatum(buf, v.Kind, v.Text(e))
+		return appendStrDatum(buf, KindString, v.Text(e))
 	}
-	return appendIntDatum(buf, v.Kind, v.Scale, v.Ints[e])
+	switch v.Kind {
+	case KindInt32, KindInt64, KindDecimal:
+		return appendNumKey(buf, v.Scale, v.Ints[e])
+	}
+	return appendIntDatum(buf, v.Kind, 0, v.Ints[e])
 }
 
 // datumSize is the in-memory size of one Datum, without its string bytes.

@@ -16,9 +16,7 @@
 # four receivers, or encoded for all), one motion payload decoded into a
 # batch (DecodeBatch: all numbers, a third strings), and the hash join's
 # two halves by key shape (HashJoin/{build,probe}: unique and sixteenfold
-# integer keys, a string key, a two-column key)),
-# the runtime bloom-filter join microbench (probe-side scan with the
-# build-side filter off vs on) plus the workload-manager
+# integer keys, a string key, a two-column key)), the workload-manager
 # spill microbench (in-memory vs workfile-spilling hash join, with
 # spilled bytes per op) and the observability overhead microbench
 # (scan→filter→project with per-operator stats off vs on; the on/off
@@ -69,7 +67,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkJoinRuntimeFilter|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
 PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"
