@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -503,9 +504,12 @@ func TestJoinKeysCompareAsValues(t *testing.T) {
 
 // TestGroupKeysCompareAsValues: GROUP BY, DISTINCT and count(DISTINCT …)
 // tell values apart as a WHERE clause does — by value, not by encoding:
-// 2.5, 2.50 and 2.500 are one group. On one segment and on two (where
-// the partial groups meet through a redistribute motion), on row and on
-// column storage, in memory and with the aggregate spilling.
+// 2.5, 2.50 and 2.500 are one group. Where a WHERE clause has no answer a
+// grouping still has one: two NULLs are one group and so are two NaNs,
+// −0.0 and 0.0 are one zero — and an equality join goes on pairing
+// neither NULLs nor NaNs. On one segment and on two (where the partial
+// groups meet through a redistribute motion), on row and on column
+// storage, in memory and with the aggregate spilling.
 func TestGroupKeysCompareAsValues(t *testing.T) {
 	for _, segs := range []int{1, 2} {
 		e := newTestEngine(t, segs)
@@ -526,6 +530,14 @@ func TestGroupKeysCompareAsValues(t *testing.T) {
 			if got := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM %s WHERE d = 2.5", g)).Rows[0].String(); got != "3" {
 				t.Fatalf("%s: WHERE d = 2.5 counts %s", g, got)
 			}
+			// The same singles under a DOUBLE key, and four groups of two.
+			h := "h_" + tc.suffix
+			mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, f DOUBLE) %s DISTRIBUTED BY (k)", h, tc.with))
+			fvals := []string{"(1, 'NaN')", "(2, 'NaN')", "(3, '-0.0')", "(4, 0.0)", "(5, NULL)", "(6, NULL)", "(7, 2.5)", "(8, 2.50)"}
+			for k := 10; k < 10+singles; k++ {
+				fvals = append(fvals, fmt.Sprintf("(%d, %d.25)", k, k))
+			}
+			mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", h, strings.Join(fvals, ", ")))
 			for _, workMem := range []string{"64MB", "1kB"} {
 				mustExec(t, s, fmt.Sprintf("SET work_mem = '%s'", workMem))
 				where := fmt.Sprintf("%d segments, %s, work_mem %s", segs, g, workMem)
@@ -562,6 +574,33 @@ func TestGroupKeysCompareAsValues(t *testing.T) {
 				}
 				if got := mustExec(t, s, fmt.Sprintf("SELECT count(DISTINCT d) FROM %s", g)).Rows[0][0].Int(); got != 2+singles {
 					t.Errorf("%s: count(DISTINCT d) is %d, want %d", where, got, 2+singles)
+				}
+
+				where = fmt.Sprintf("%d segments, %s, work_mem %s", segs, h, workMem)
+				files0, _ = resource.SpillStats()
+				res = mustExec(t, s, fmt.Sprintf("SELECT f, count(*) FROM %s GROUP BY f", h))
+				if files1, _ := resource.SpillStats(); (files1 > files0) != (workMem == "1kB") {
+					t.Errorf("%s: GROUP BY f created %d workfiles", where, files1-files0)
+				}
+				pairs := map[string]int{}
+				for _, row := range res.Rows {
+					if row[1].Int() == 2 {
+						// The zero shows as whichever of the two came first.
+						pairs[strings.TrimPrefix(row[0].String(), "-")]++
+					}
+				}
+				if want := map[string]int{"NaN": 1, "NULL": 1, "0": 1, "2.5": 1}; len(res.Rows) != 4+singles || !reflect.DeepEqual(pairs, want) {
+					t.Errorf("%s: GROUP BY f gave %d groups, those of two rows %v, want %d and %v", where, len(res.Rows), pairs, 4+singles, want)
+				}
+				if got := len(mustExec(t, s, fmt.Sprintf("SELECT DISTINCT f FROM %s", h)).Rows); got != 4+singles {
+					t.Errorf("%s: SELECT DISTINCT f gave %d rows, want %d", where, got, 4+singles)
+				}
+				if got := mustExec(t, s, fmt.Sprintf("SELECT count(DISTINCT f) FROM %s", h)).Rows[0][0].Int(); got != 3+singles {
+					t.Errorf("%s: count(DISTINCT f) is %d, want %d (NULL counts for nothing)", where, got, 3+singles)
+				}
+				// Zero and 2.5 pair up two by two, every single with itself.
+				if got := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM %s a, %s b WHERE a.f = b.f", h, h)).Rows[0][0].Int(); got != 8+singles {
+					t.Errorf("%s: a.f = b.f joins %d pairs, want %d", where, got, 8+singles)
 				}
 			}
 		}

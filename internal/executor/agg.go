@@ -1,9 +1,9 @@
 package executor
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hawq/internal/expr"
 	"hawq/internal/obs"
@@ -15,12 +15,13 @@ import (
 // hashAggOp groups input rows by the group expressions and folds each
 // aggregate. It serves all three phases (§3's two-phase aggregation):
 // the planner arranges the specs so that a partial phase's outputs line
-// up with the final phase's inputs. A group is a dense id, and its key
-// the grouping values' types.AppendKey bytes — which equal values share
-// whatever their width or scale, so 2.5 and 2.50 are one group, output
-// as the first of them seen. The map from key to id is consulted without
-// allocating, only a new group pays for a key copy, and each aggregate
-// keeps the state of every group in one expr.GroupAcc.
+// up with the final phase's inputs. The groups are the rows of a
+// keyTable, their keys told apart as the join's are — 2.5 and 2.50 are
+// one group, output as the first of them seen, and so are two NULLs and
+// two NaNs — and a group's number there is the dense id under which each
+// aggregate keeps its state in one expr.GroupAcc. A DISTINCT aggregate is
+// fed a group's value once: the (group id, value) pairs it has met are a
+// keyTable of their own.
 //
 // When the group table outgrows its memory budget the agg spills
 // hybrid-style: groups already in memory keep absorbing their rows,
@@ -34,10 +35,11 @@ type hashAggOp struct {
 	in   Operator
 
 	mem      memBudget
-	groups   map[string]int32
-	keys     []types.Row     // by group id
+	table    keyTable        // the groups: a row is a group's key, its number the group's id
+	keyCols  []int           // every column of table
 	accs     []expr.GroupAcc // by aggregate
-	order    []string
+	seen     []keyTable      // by aggregate: the (group id, value) pairs a DISTINCT one has met
+	order    []int32         // the pass's group ids as they are emitted
 	emitted  int
 	inClosed bool
 
@@ -45,10 +47,8 @@ type hashAggOp struct {
 	sp      *spillPartition // open partition set unseen keys divert to
 	pending []aggPart       // partitions waiting to be aggregated
 	level   int             // salt the current pass spills with
-	noSpill bool            // past maxSpillLevel: absorb in memory regardless
 
 	keyScratch types.Row
-	keyBuf     []byte
 
 	// vecIn is set when the input delivers vector batches: Open then
 	// absorbs through absorbVec, a column at a time. prog computes the
@@ -63,20 +63,17 @@ type hashAggOp struct {
 	// Per-batch scratch: the group of every surviving row; the group
 	// columns, the entry of every surviving row in each and, for a
 	// column of runs or codes, its entries numbered by distinct value
-	// and how many values that is (vals and valEnds hold them while
-	// they are counted); the memo of groups by combination of those
-	// numbers; the previous row's key; and the reader that rebuilds a
-	// whole row for the spill file.
+	// and how many values that is (vals holds them while they are
+	// counted); the memo of groups by combination of those numbers; and
+	// the reader that rebuilds a whole row for the spill file.
 	gids    []int32
 	gvecs   []*types.Vector
 	gents   [][]int32
 	entBufs [][]int32
 	vids    [][]int32
 	cards   []int
-	vals    []byte
-	valEnds []int
+	vals    []types.Datum
 	memo    []int32
-	prevKey []byte
 	rr      types.RowReader
 }
 
@@ -87,11 +84,15 @@ type aggPart struct {
 	level int
 }
 
-// aggGroupMem estimates the retained bytes of one new group: cloned
-// key row, map key string, accumulators, and map-entry overhead.
-func aggGroupMem(keys types.Row, keyLen, naccs int) int64 {
-	return rowMem(keys) + int64(keyLen) + int64(48*naccs) + 96
+// aggGroupMem estimates the retained bytes of one new group: its key row
+// in the table and its accumulators.
+func aggGroupMem(keys types.Row, naccs int) int64 {
+	return rowMem(keys) + int64(48*naccs)
 }
+
+// seenCols are the columns of a DISTINCT aggregate's table: the group id
+// and the value.
+var seenCols = []int{0, 1}
 
 // absorbVec remembers, within a batch, the group of each combination of
 // distinct group-column values while there are at most memoLimit
@@ -110,6 +111,12 @@ func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 		return nil, err
 	}
 	a := &hashAggOp{ctx: ctx, node: node, in: in, mem: memBudget{ctx: ctx}}
+	a.keyCols = make([]int, len(node.Groups))
+	for i := range a.keyCols {
+		a.keyCols[i] = i
+	}
+	a.keyScratch = make(types.Row, len(node.Groups))
+	a.seen = make([]keyTable, len(node.Aggs))
 	if vs, ok := in.(VecSource); ok && vs.EnableVec() {
 		a.vecIn = vs
 		var exprs []expr.Expr
@@ -149,8 +156,8 @@ func (a *hashAggOp) setOpStats(st *obs.OpStats) {
 
 // newTable starts an empty group table.
 func (a *hashAggOp) newTable() {
-	a.groups = make(map[string]int32)
-	a.keys = a.keys[:0]
+	a.table.reset()
+	clear(a.seen)
 	a.order = a.order[:0]
 	a.emitted = 0
 	a.accs = a.accs[:0]
@@ -159,24 +166,16 @@ func (a *hashAggOp) newTable() {
 	}
 }
 
-// lookup returns the group whose key is a.keyBuf, or -1.
-func (a *hashAggOp) lookup() int32 {
-	if g, ok := a.groups[string(a.keyBuf)]; ok {
-		return g
+// group returns the group whose key is keys, hashing to h, creating it
+// on first sight. It returns -1 instead when the table may not grow —
+// spilling has begun, or begins with this group — and the row that asked
+// must be diverted to a.sp.
+func (a *hashAggOp) group(h uint64, keys types.Row) (int32, error) {
+	if g := a.table.find(h, keys, a.keyCols); g >= 0 || a.sp != nil {
+		return g, nil
 	}
-	return -1
-}
-
-// addGroup creates the group whose key is a.keyBuf and whose key
-// values are keys (copied). It returns -1 instead when the table may
-// not grow — spilling has begun, or begins with this group — and the
-// row that asked must be diverted to a.sp.
-func (a *hashAggOp) addGroup(keys types.Row) (int32, error) {
-	if a.sp != nil {
-		return -1, nil
-	}
-	cost := aggGroupMem(keys, len(a.keyBuf), len(a.node.Aggs))
-	if a.noSpill {
+	cost := aggGroupMem(keys, len(a.node.Aggs))
+	if a.level > maxSpillLevel { // absorb in memory regardless
 		if err := a.mem.growHard(cost); err != nil {
 			return -1, err
 		}
@@ -190,24 +189,34 @@ func (a *hashAggOp) addGroup(keys types.Row) (int32, error) {
 			return -1, err
 		}
 	}
-	return a.newGroup(keys), nil
+	return a.newGroup(h, keys)
 }
 
 // newGroup enters a group into the table, unaccounted.
-func (a *hashAggOp) newGroup(keys types.Row) int32 {
-	g := int32(len(a.keys))
-	kept := keys.Clone()
-	for i := range kept {
-		kept[i] = kept[i].Detach()
-	}
-	a.keys = append(a.keys, kept)
+func (a *hashAggOp) newGroup(h uint64, keys types.Row) (int32, error) {
+	g, err := a.table.insert(h, keys)
 	for _, acc := range a.accs {
-		acc.Grow(len(a.keys))
+		acc.Grow(a.table.len())
 	}
-	key := string(a.keyBuf)
-	a.groups[key] = g
-	a.order = append(a.order, key)
-	return g
+	return g, err
+}
+
+// fold adds d to aggregate i of group g — to a DISTINCT aggregate only
+// the first time the group meets the value, and never a NULL. A value of
+// a group in memory has no partition to be diverted to, so the set of
+// values met grows against the hard grant.
+func (a *hashAggOp) fold(i int, g int32, d types.Datum) error {
+	if a.node.Aggs[i].Distinct {
+		if d.IsNull() {
+			return nil
+		}
+		key := [2]types.Datum{types.NewInt64(int64(g)), d}
+		if novel, err := a.seen[i].admit(&a.mem, key[:], seenCols); err != nil || !novel {
+			return err
+		}
+	}
+	a.accs[i].Add(g, d)
+	return nil
 }
 
 // absorb folds one input row into its group, creating the group on first
@@ -215,39 +224,32 @@ func (a *hashAggOp) newGroup(keys types.Row) int32 {
 // their partition file. row may be an arena view; only datum values are
 // retained.
 func (a *hashAggOp) absorb(row types.Row) error {
-	if cap(a.keyScratch) < len(a.node.Groups) {
-		a.keyScratch = make(types.Row, len(a.node.Groups))
-	}
-	keys := a.keyScratch[:len(a.node.Groups)]
-	a.keyBuf = a.keyBuf[:0]
+	keys := a.keyScratch
 	for i, g := range a.node.Groups {
 		v, err := g.Eval(row)
 		if err != nil {
 			return err
 		}
 		keys[i] = v
-		a.keyBuf = types.AppendKey(a.keyBuf, v)
 	}
-	g := a.lookup()
+	h, _ := hashKeys(keys, a.keyCols)
+	g, err := a.group(h, keys)
+	if err != nil {
+		return err
+	}
 	if g < 0 {
-		var err error
-		if g, err = a.addGroup(keys); err != nil {
-			return err
-		}
-		if g < 0 {
-			return a.sp.addBytes(a.keyBuf, row)
-		}
+		return a.sp.addHash(h, row)
 	}
 	for i, spec := range a.node.Aggs {
-		if spec.Kind == expr.AggCountStar {
-			a.accs[i].Add(g, types.Datum{K: types.KindInt64, I: 1})
-			continue
+		v := types.NewInt64(1)
+		if spec.Kind != expr.AggCountStar {
+			if v, err = spec.Arg.Eval(row); err != nil {
+				return err
+			}
 		}
-		v, err := spec.Arg.Eval(row)
-		if err != nil {
+		if err := a.fold(i, g, v); err != nil {
 			return err
 		}
-		a.accs[i].Add(g, v)
 	}
 	return nil
 }
@@ -255,8 +257,8 @@ func (a *hashAggOp) absorb(row types.Row) error {
 // absorbVec folds one vector batch a column at a time: the group
 // expressions and aggregate arguments are evaluated as vectors over the
 // surviving rows, every row's group is resolved, and each aggregate
-// takes its argument vector and the group ids in one call. No row is
-// assembled unless it goes to a spill file.
+// takes its argument vector and the group ids in one call — one that is
+// not DISTINCT. No row is assembled unless it goes to a spill file.
 func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
 	m := vb.SelCount()
 	if m == 0 {
@@ -278,12 +280,12 @@ func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
 		if a.argAt[i] >= 0 {
 			v = a.prog.Result(a.argAt[i])
 		}
-		if !diverted {
+		if !diverted && !a.node.Aggs[i].Distinct {
 			acc.AddVec(gids, v)
 			continue
 		}
-		// Some rows of this batch went to the spill file: the others
-		// are folded one by one.
+		// A DISTINCT aggregate, or some rows of this batch went to the
+		// spill file: the others are folded one by one.
 		for r, g := range gids {
 			if g < 0 {
 				continue
@@ -292,7 +294,9 @@ func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
 			if v != nil {
 				d = v.Datum(r)
 			}
-			acc.Add(g, d)
+			if err := a.fold(i, g, d); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -301,27 +305,26 @@ func (a *hashAggOp) absorbVec(vb *types.VecBatch) error {
 // valueIDs numbers the entries of group column j, a vector of runs or
 // codes, by distinct value into a.vids[j], and returns how many values
 // there are — or 0 as soon as there are more than limit, or none at all.
-// The keys of the values seen are kept back to back and searched in
-// order: there are a handful, or the search gives up.
+// The values seen are kept in a list and searched in order: there are a
+// handful, or the search gives up.
 func (a *hashAggOp) valueIDs(j int, v *types.Vector, limit int) int {
-	ids, vals, ends := a.vids[j][:0], a.vals[:0], a.valEnds[:0]
+	ids, vals := a.vids[j][:0], a.vals[:0]
 	for e, n := 0, v.Entries(); e < n; e++ {
-		a.keyBuf = v.AppendKey(a.keyBuf[:0], e)
-		id, from := 0, 0
-		for id < len(ends) && !bytes.Equal(vals[from:ends[id]], a.keyBuf) {
-			id, from = id+1, ends[id]
+		d := v.Datum(e)
+		id := 0
+		for id < len(vals) && !keyEqual(&vals[id], &d) {
+			id++
 		}
-		if id == len(ends) {
+		if id == len(vals) {
 			if id == limit {
 				return 0
 			}
-			vals = append(vals, a.keyBuf...)
-			ends = append(ends, len(vals))
+			vals = append(vals, d)
 		}
 		ids = append(ids, int32(id))
 	}
-	a.vids[j], a.vals, a.valEnds = ids, vals, ends
-	return len(ends)
+	a.vids[j], a.vals = ids, vals
+	return len(vals)
 }
 
 // groupIDs resolves the group of every surviving row of vb into gids,
@@ -329,10 +332,10 @@ func (a *hashAggOp) valueIDs(j int, v *types.Vector, limit int) int {
 // gets -1, and diverted reports whether any was. A group column that
 // arrives dictionary- or run-length-encoded is looked at once per entry,
 // not per row: its entries are numbered by distinct value, and when
-// every group expression is such a column the group of each combination
-// of values is looked up once per batch and remembered. Otherwise the
-// key is built per row straight from the typed vectors, and looked up
-// unless it repeats the previous row's.
+// every group expression is such a column — or there is none: a scalar
+// aggregate's one group — the group of each combination of values is
+// looked up once per batch and remembered. Otherwise the key is read per
+// row straight from the typed vectors, hashed and looked up.
 func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, err error) {
 	combos := 1
 	for j, g := range a.node.Groups {
@@ -356,23 +359,17 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 		}
 	}
 	memo := a.memo[:0]
-	if len(a.node.Groups) > 0 {
-		for range combos {
-			memo = append(memo, -1)
-		}
-		a.memo = memo
+	for range combos {
+		memo = append(memo, -1)
 	}
-	if cap(a.keyScratch) < len(a.node.Groups) {
-		a.keyScratch = make(types.Row, len(a.node.Groups))
-	}
-	keys := a.keyScratch[:len(a.node.Groups)]
+	a.memo = memo
+	keys := a.keyScratch
 	entry := func(j, r int) int {
 		if a.gents[j] != nil {
 			return int(a.gents[j][r])
 		}
 		return r
 	}
-	prev := int32(-1)
 	for r := range gids {
 		combo := 0
 		if len(memo) > 0 {
@@ -384,22 +381,13 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 				continue
 			}
 		}
-		a.keyBuf = a.keyBuf[:0]
 		for j, v := range a.gvecs {
-			a.keyBuf = v.AppendKey(a.keyBuf, entry(j, r))
+			keys[j] = v.Datum(entry(j, r))
 		}
-		if prev >= 0 && bytes.Equal(a.keyBuf, a.prevKey) {
-			gids[r] = prev
-			continue
-		}
-		g := a.lookup()
-		if g < 0 {
-			for j, v := range a.gvecs {
-				keys[j] = v.Datum(entry(j, r))
-			}
-			if g, err = a.addGroup(keys); err != nil {
-				return false, err
-			}
+		h, _ := hashKeys(keys, a.keyCols)
+		g, err := a.group(h, keys)
+		if err != nil {
+			return false, err
 		}
 		if g < 0 {
 			// Never remembered: later rows of this key must divert too.
@@ -407,21 +395,38 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 				diverted = true
 				a.rr.Reset(vb, nil)
 			}
-			if err := a.sp.addBytes(a.keyBuf, a.rr.Row(r)); err != nil {
+			if err := a.sp.addHash(h, a.rr.Row(r)); err != nil {
 				return false, err
 			}
 		} else if len(memo) > 0 {
 			memo[combo] = g
 		}
-		gids[r], prev = g, g
-		a.prevKey = append(a.prevKey[:0], a.keyBuf...)
+		gids[r] = g
 	}
 	return diverted, nil
 }
 
-// sealSpill completes the current pass's spill partition (if any) and
-// queues its files for the next level.
-func (a *hashAggOp) sealSpill() error {
+// endPass completes the current pass: its groups are put in the order
+// they are emitted in — by key, NULL first and NaN last (types.Compare
+// ties a NaN with everything), the same run after run whatever order the
+// rows arrived in, though a spilled aggregate's only pass by pass — and
+// its spill partition (if any) is finished and queued for the next level.
+func (a *hashAggOp) endPass() error {
+	a.order = slices.Grow(a.order, a.table.len())
+	for g := range a.table.len() {
+		a.order = append(a.order, int32(g))
+	}
+	slices.SortFunc(a.order, func(x, y int32) int {
+		kx, ky := a.table.rows.row(int(x)), a.table.rows.row(int(y))
+		for i := range kx {
+			if xNaN, yNaN := isNaN(&kx[i]), isNaN(&ky[i]); xNaN != yNaN {
+				return cmp.Compare(ky[i].F, kx[i].F) // cmp puts a NaN first
+			} else if c := types.Compare(kx[i], ky[i]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 	if a.sp == nil {
 		return nil
 	}
@@ -442,7 +447,6 @@ func (a *hashAggOp) Open() error {
 	}
 	a.newTable()
 	a.level = 0
-	a.noSpill = false
 	if a.vecIn != nil {
 		for {
 			if err := a.ctx.canceled(); err != nil {
@@ -464,21 +468,18 @@ func (a *hashAggOp) Open() error {
 	} else if err := drainRows(a.ctx, a.in, a.absorb); err != nil {
 		return err
 	}
-	if err := a.sealSpill(); err != nil {
-		return err
-	}
 	// A scalar aggregate (no GROUP BY) over empty input yields one row of
 	// empty-input results in every phase: each segment's partial row
 	// carries count 0, so the final SUM over partial counts is 0 rather
 	// than NULL.
-	if len(a.node.Groups) == 0 && len(a.groups) == 0 && len(a.pending) == 0 {
-		a.keyBuf = a.keyBuf[:0]
-		a.newGroup(nil)
+	if len(a.node.Groups) == 0 && a.table.len() == 0 && a.sp == nil {
+		if _, err := a.newGroup(0, nil); err != nil {
+			return err
+		}
 	}
-	// Deterministic output order helps tests; production order is
-	// arbitrary anyway. (A spilled agg is only sorted within each
-	// partition's pass — real queries order with an explicit Sort.)
-	sort.Strings(a.order)
+	if err := a.endPass(); err != nil {
+		return err
+	}
 	a.inClosed = true
 	return a.in.Close()
 }
@@ -491,7 +492,6 @@ func (a *hashAggOp) loadPart() error {
 	a.mem.releaseAll()
 	a.newTable()
 	a.level = part.level
-	a.noSpill = part.level > maxSpillLevel
 	cur, err := openCursor(a.ctx, part.file)
 	if err != nil {
 		return err
@@ -511,11 +511,7 @@ func (a *hashAggOp) loadPart() error {
 	}
 	cur.close() // the reader first, then the file it reads
 	part.file.Remove()
-	if err := a.sealSpill(); err != nil {
-		return err
-	}
-	sort.Strings(a.order)
-	return nil
+	return a.endPass()
 }
 
 // NextBatch implements Operator: groups are appended to b as key columns
@@ -533,10 +529,10 @@ func (a *hashAggOp) NextBatch(b *types.Batch) (bool, error) {
 			}
 			continue
 		}
-		g := a.groups[a.order[a.emitted]]
+		g := a.order[a.emitted]
 		a.emitted++
 		out := b.AddRow()
-		n := copy(out, a.keys[g])
+		n := copy(out, a.table.rows.row(int(g)))
 		for i, acc := range a.accs {
 			out[n+i] = acc.Result(g)
 		}
@@ -547,10 +543,9 @@ func (a *hashAggOp) NextBatch(b *types.Batch) (bool, error) {
 // Close implements Operator: removes any partitions a cancel or error
 // left unprocessed and returns the memory reservation.
 func (a *hashAggOp) Close() error {
-	a.groups = nil
-	a.keys = nil
-	a.accs = nil
-	a.order = nil
+	a.table.reset()
+	clear(a.seen)
+	a.accs, a.order = nil, nil
 	a.sp.remove()
 	a.sp = nil
 	for _, p := range a.pending {

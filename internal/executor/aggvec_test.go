@@ -323,8 +323,9 @@ func benchAgg(b *testing.B, rows int, filter expr.Expr, groups []expr.Expr, aggs
 // BenchmarkVecAgg times the vector aggregate on 15 000 rows, a segment's
 // share of lineitem at the tracked scale: the Q1 shape (two encoded
 // group columns, nine aggregates over shared decimal arithmetic), the Q6
-// shape (four filter kernels, one product, no groups) and an integer
-// group key with a thousand groups.
+// shape (four filter kernels, one product, no groups), an integer group
+// key with a thousand groups, and a two-column key of a string and a
+// decimal with 1 200.
 func BenchmarkVecAgg(b *testing.B) {
 	const rows = 15000
 	b.Run("q1shape", func(b *testing.B) {
@@ -337,5 +338,8 @@ func BenchmarkVecAgg(b *testing.B) {
 	})
 	b.Run("int_key", func(b *testing.B) {
 		benchAgg(b, rows, nil, []expr.Expr{liCol(liSupp)}, []expr.AggSpec{{Kind: expr.AggSum, Arg: liCol(liPrice)}, {Kind: expr.AggCountStar}})
+	})
+	b.Run("str_key", func(b *testing.B) {
+		benchAgg(b, rows, nil, []expr.Expr{liCol(liNote), liCol(liQty)}, []expr.AggSpec{{Kind: expr.AggSum, Arg: liCol(liPrice)}, {Kind: expr.AggCountStar}})
 	})
 }

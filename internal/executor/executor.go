@@ -210,7 +210,7 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{ctx: ctx, in: in, mem: memBudget{ctx: ctx}}, nil
+		return &distinctOp{ctx: ctx, in: in, mem: memBudget{ctx: ctx}, cols: v.OutSchema().AllCols()}, nil
 	case *plan.Values:
 		return &valuesOp{rows: v.Rows}, nil
 	case *plan.Insert:

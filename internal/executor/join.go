@@ -10,7 +10,7 @@ import (
 
 // hashJoinOp builds a hash table on the right input and probes with the
 // left. NULL join keys never match (SQL semantics). The build side is
-// consumed through drainRows, each row copied once into the joinTable
+// consumed through drainRows, each row copied once into the keyTable
 // with the hash of its keys; the probe side is taken row by row through
 // a rowCursor, hashed, and looked up — hash first, then the typed key
 // cells — and output rows are written straight into the caller's batch.
@@ -27,7 +27,7 @@ type hashJoinOp struct {
 	left, right Operator
 
 	mem   memBudget
-	table joinTable
+	table keyTable
 	// cur serves the probe rows: the left input's, or in grace mode those
 	// of the current partition's probe file. matches is the scratch list
 	// of the build rows the current probe row pairs with.
@@ -142,7 +142,7 @@ func (j *hashJoinOp) Open() error {
 // probeRouter returns the function that writes a probe row to its
 // partition in sp. A row with a NULL key joins nothing: an inner or semi
 // join drops it here, a left or anti join must still emit it and routes
-// it as hash 0.
+// it by its hash all the same.
 func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
 	return func(row types.Row) error {
 		h, valid := hashKeys(row, j.node.LeftKeys)

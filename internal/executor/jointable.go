@@ -25,8 +25,7 @@ func mix64(x uint64) uint64 {
 // over all 64 bits before it is mixed in.
 const golden = 0x9e3779b97f4a7c15
 
-// FNV-1a, 64 bit, for what is hashed a byte at a time: a string key
-// here, the aggregate's encoded group key in partOfBytes.
+// FNV-1a, 64 bit, for what is hashed a byte at a time: a string key.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -37,36 +36,40 @@ const (
 	saltFloat = 0xc2b2ae3d27d4eb4f
 	saltDate  = 0x165667b19e3779f9
 	saltBool  = 0x27d4eb2f165667c5
+	saltNull  = 0x85ebca6b2c1b3c6d
 )
 
-// keyHash hashes one non-NULL join-key cell, from its typed fields and
-// without encoding it, after the one normal form equal values share: for
-// every pair of kinds the planner admits as a hash key (types.Hashable),
-// keyHash(a) == keyHash(b) whenever types.Compare(a, b) == 0. An integer
-// of either width and a decimal of any scale are brought to (unscaled
-// value, scale) with the trailing zeros stripped, so 7, 7.0 and 7.00 are
-// one key; -0.0 hashes as 0.0; TEXT and BYTEA hash their bytes.
+// keyHash hashes one key cell, from its typed fields and without encoding
+// it, after the one normal form equal values share: for every pair of
+// kinds the planner admits as a hash key (types.Hashable), keyHash(a) ==
+// keyHash(b) whenever types.Compare(a, b) == 0. An integer of either
+// width and a decimal of any scale are brought to (unscaled value, scale)
+// with the trailing zeros stripped, so 7, 7.0 and 7.00 are one key; -0.0
+// hashes as 0.0; TEXT and BYTEA hash their bytes. NULL is a key too, and
+// so is NaN whatever its bits: a grouping's, which hashKeys tells a join
+// to refuse.
 //
-// It is the hash of the join's build table and of its grace partitions
-// (partOfHash salts it by level). It is deliberately not the placement
-// hash (types.HashRowCols): the rows a redistribute motion delivers to
-// one segment agree in that hash modulo the segment count, and a
-// directory indexed by it would use a fraction of its slots.
+// It is the hash of every keyTable and spill partition (partOfHash salts
+// it by level), and deliberately not the placement hash
+// (types.HashRowCols): the rows a redistribute motion delivers to one
+// segment agree in that hash modulo the segment count, and a directory
+// indexed by it would use a fraction of its slots.
 func keyHash(d *types.Datum) uint64 {
 	switch d.K {
+	case types.KindNull:
+		return saltNull // mix64(0) is the integer 0's
 	case types.KindInt32, types.KindInt64:
 		return mix64(uint64(d.I))
 	case types.KindDecimal:
-		u, sc := d.I, d.Scale
-		for sc > 0 && u%10 == 0 {
-			u /= 10
-			sc--
-		}
+		u, sc := types.StripZeros(d.I, d.Scale)
 		return mix64(uint64(u) + uint64(sc)*golden)
 	case types.KindFloat64:
 		f := d.F
-		if f == 0 {
+		switch {
+		case f == 0:
 			f = 0 // -0.0 equals 0.0
+		case f != f:
+			f = math.NaN() // one NaN
 		}
 		return mix64(math.Float64bits(f) ^ saltFloat)
 	case types.KindDate:
@@ -83,12 +86,15 @@ func keyHash(d *types.Datum) uint64 {
 	return 0
 }
 
-// keyEqual reports whether two non-NULL key cells are the same key:
+// keyEqual reports whether two key cells are the same key:
 // types.Compare(a, b) == 0 within a hashable class, false across classes
 // (the planner lets no such pair be a hash key; a DOUBLE against an
-// exact numeric is a join predicate, not a key).
+// exact numeric is a join predicate, not a key) — and, as only a grouping
+// gets to ask, NULL the same key as NULL and NaN as NaN.
 func keyEqual(a, b *types.Datum) bool {
 	switch a.K {
+	case types.KindNull:
+		return b.K == types.KindNull
 	case types.KindInt32, types.KindInt64, types.KindDecimal:
 		switch b.K {
 		case types.KindInt32, types.KindInt64:
@@ -104,7 +110,7 @@ func keyEqual(a, b *types.Datum) bool {
 		}
 		return types.Compare(*a, *b) == 0 // a decimal against another scale, exactly
 	case types.KindFloat64:
-		return b.K == types.KindFloat64 && a.F == b.F
+		return b.K == types.KindFloat64 && (a.F == b.F || isNaN(a) && isNaN(b))
 	case types.KindDate, types.KindBool:
 		return b.K == a.K && a.I == b.I
 	case types.KindString, types.KindBytes:
@@ -113,42 +119,57 @@ func keyEqual(a, b *types.Datum) bool {
 	return false
 }
 
+// isNaN reports whether d is the DOUBLE that is not a number.
+func isNaN(d *types.Datum) bool { return d.K == types.KindFloat64 && d.F != d.F }
+
 // hashKeys folds keyHash over the key columns of row. ok is false when a
-// key is NULL: such a row joins nothing.
+// key is NULL or NaN: to a join such a row joins nothing; a grouping does
+// not ask.
 func hashKeys(row types.Row, cols []int) (h uint64, ok bool) {
+	ok = true
 	for _, c := range cols {
 		d := &row[c]
-		if d.K == types.KindNull {
-			return 0, false
+		if d.K == types.KindNull || isNaN(d) {
+			ok = false
 		}
 		// One key column: the row's hash is the column's.
 		h = bits.RotateLeft64(h, 27)*golden + keyHash(d)
 	}
-	return h, true
+	return h, ok
 }
 
-// joinTable is the hash join's build table: the build rows, copied once
-// into a rowStore, the key hash of each, and — sized exactly once, by
-// seal, when the last row is in — a power-of-two directory of chain
-// heads with one link per row. Links are row numbers plus one, zero
-// ending a chain, and a chain runs in insertion order, so a probe row
-// meets its matches in the order the build side delivered them.
+// keyTable is the executor's one hash table: rows copied once into a
+// rowStore, the key hash of each, and a power-of-two directory of chain
+// heads, at least a slot a row, with one link per row. Links are row
+// numbers plus one, zero ending a chain.
+//
+// A hash join adds its build rows and seals the table when the last one
+// is in: the directory is sized exactly once, and a chain runs in
+// insertion order, so a probe row meets its matches in the order the
+// build side delivered them. A grouping — the aggregate's groups, the
+// values its DISTINCT aggregates have met, DISTINCT's rows — finds a key
+// or inserts it: the rows are the keys, all their columns, each once; a
+// row's number is the dense id of its group; and seal runs again, over
+// the stored hashes, whenever the rows outnumber the slots.
 //
 // The rows are Datum cells, not typed columns: the probe hands
 // joinProbe whole build rows to concatenate and to evaluate the join
 // predicate over, and batches of Datum rows are what operators exchange.
-type joinTable struct {
+type keyTable struct {
 	rows   rowStore
 	hashes []uint64
 	head   []int32
 	next   []int32
 }
 
-// add appends a build row whose keys hash to h. A link is an int32: the
-// table refuses the row that would not fit one.
-func (t *joinTable) add(h uint64, row types.Row) error {
+// len returns the number of rows.
+func (t *keyTable) len() int { return len(t.hashes) }
+
+// add appends a row whose keys hash to h, unlinked until seal. A link is
+// an int32: the table refuses the row that would not fit one.
+func (t *keyTable) add(h uint64, row types.Row) error {
 	if len(t.hashes) == math.MaxInt32-1 {
-		return fmt.Errorf("executor: hash join build side exceeds %d rows", math.MaxInt32-1)
+		return fmt.Errorf("executor: hash table exceeds %d rows", math.MaxInt32-1)
 	}
 	if len(t.hashes) == cap(t.hashes) {
 		// Doubled, from what the first chunk holds: append's own growth of
@@ -160,15 +181,16 @@ func (t *joinTable) add(h uint64, row types.Row) error {
 	return nil
 }
 
-// seal builds the directory over the rows added. Linking from the last
-// row to the first leaves every chain in insertion order.
-func (t *joinTable) seal() {
+// seal builds the directory over the rows added, with room in the links
+// for as many rows as it has slots. Linking from the last row to the
+// first leaves every chain in insertion order.
+func (t *keyTable) seal() {
 	n := len(t.hashes)
 	if n == 0 {
 		return
 	}
-	t.head = make([]int32, 1<<bits.Len(uint(n-1)))
-	t.next = make([]int32, n)
+	t.head = make([]int32, max(rowStoreBase, 1<<bits.Len(uint(n-1))))
+	t.next = make([]int32, n, len(t.head))
 	mask := uint64(len(t.head) - 1)
 	for i := n - 1; i >= 0; i-- {
 		slot := t.hashes[i] & mask
@@ -177,28 +199,81 @@ func (t *joinTable) seal() {
 	}
 }
 
-// lookup appends to out the build rows whose key hash is h and whose key
-// cells equal probe's, in insertion order. The rows are views into the
-// table, valid until reset.
-func (t *joinTable) lookup(h uint64, probe types.Row, probeKeys, buildKeys []int, out []types.Row) []types.Row {
+// insert adds a key that find did not find, linked in at once, and
+// returns its number. The key's strings are copied: a grouping keeps its
+// keys for as long as it runs, and a string cut out of a page would keep
+// the page.
+func (t *keyTable) insert(h uint64, key types.Row) (int32, error) {
+	if err := t.add(h, key); err != nil {
+		return -1, err
+	}
+	n := len(t.hashes)
+	kept := t.rows.row(n - 1)
+	for i := range kept {
+		kept[i] = kept[i].Detach()
+	}
+	if n > len(t.head) {
+		t.seal() // a row for every slot: the directory doubles
+	} else {
+		slot := h & uint64(len(t.head)-1)
+		t.next = append(t.next, t.head[slot])
+		t.head[slot] = int32(n)
+	}
+	return int32(n - 1), nil
+}
+
+// sameKey reports whether the key cells of row equal probe's.
+func sameKey(probe, row types.Row, probeKeys, keys []int) bool {
+	for j, c := range probeKeys {
+		if !keyEqual(&probe[c], &row[keys[j]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the number of the row that is key, whose columns cols hash
+// to h, or -1.
+func (t *keyTable) find(h uint64, key types.Row, cols []int) int32 {
+	if len(t.head) == 0 {
+		return -1
+	}
+	for l := t.head[h&uint64(len(t.head)-1)]; l != 0; l = t.next[l-1] {
+		if t.hashes[l-1] == h && sameKey(key, t.rows.row(int(l-1)), cols, cols) {
+			return l - 1
+		}
+	}
+	return -1
+}
+
+// admit reports whether key is new to the table, and then inserts it,
+// charged to mem's hard grant: the set it joins has no spill path.
+func (t *keyTable) admit(mem *memBudget, key types.Row, cols []int) (bool, error) {
+	h, _ := hashKeys(key, cols)
+	if t.find(h, key, cols) >= 0 {
+		return false, nil
+	}
+	if err := mem.growHard(rowMem(key)); err != nil {
+		return false, err
+	}
+	_, err := t.insert(h, key)
+	return err == nil, err
+}
+
+// lookup appends to out every row whose key hash is h and whose key cells
+// equal probe's, in insertion order. The rows are views into the table,
+// valid until reset.
+func (t *keyTable) lookup(h uint64, probe types.Row, probeKeys, keys []int, out []types.Row) []types.Row {
 	if len(t.head) == 0 {
 		return out
 	}
-next:
 	for l := t.head[h&uint64(len(t.head)-1)]; l != 0; l = t.next[l-1] {
-		if t.hashes[l-1] != h {
-			continue
+		if row := t.rows.row(int(l - 1)); t.hashes[l-1] == h && sameKey(probe, row, probeKeys, keys) {
+			out = append(out, row)
 		}
-		row := t.rows.row(int(l - 1))
-		for i, c := range probeKeys {
-			if !keyEqual(&probe[c], &row[buildKeys[i]]) {
-				continue next
-			}
-		}
-		out = append(out, row)
 	}
 	return out
 }
 
 // reset empties the table and lets go of its memory.
-func (t *joinTable) reset() { *t = joinTable{} }
+func (t *keyTable) reset() { *t = keyTable{} }

@@ -195,7 +195,7 @@ func zoneOpOf(op expr.BinOpKind) (storage.ZoneOp, bool) {
 }
 
 // setOpStats implements statsSink: the scan attributes pages skipped and
-// runtime-filter row removals to its own slot (flushed once when the
+// block-cache hits and misses to its own slot (flushed once when the
 // producer goroutine exits; Stats is read only after Close joins it).
 func (s *scanOp) setOpStats(st *obs.OpStats) { s.opStats = st }
 
@@ -499,34 +499,27 @@ func (l *limitOp) NextBatch(b *types.Batch) (bool, error) {
 // Close implements Operator.
 func (l *limitOp) Close() error { return l.in.Close() }
 
-// distinctKeyMem is the retained cost of one DISTINCT key beyond its
-// encoded bytes: string header plus map-entry overhead.
-const distinctKeyMem = 48
-
-// distinctOp removes duplicates by full-row key (types.AppendKey, so
-// rows equal by value are one and the first stays), compacting each
-// input batch in place. Every retained key is charged to the query's
-// memory grant; there is no spill path, so exhausting the grant is a
-// clean out-of-memory error. Like selectOp its loop can skip
+// distinctOp removes duplicate rows, compacting each input batch in
+// place: the rows met so far are the keys of a keyTable, so rows equal by
+// value are one and the first stays. Every retained row is charged to
+// the query's memory grant; there is no spill path, so exhausting the
+// grant is a clean out-of-memory error. Like selectOp its loop can skip
 // unboundedly many duplicates, so it checks the query context each
 // iteration.
 type distinctOp struct {
 	ctx  *Context
 	in   Operator
 	mem  memBudget
-	seen map[string]struct{}
-	buf  []byte
+	seen keyTable
+	cols []int // every column of a row
 }
 
-// setOpStats implements statsSink: DISTINCT charges its key-set peak to
+// setOpStats implements statsSink: DISTINCT charges its row-set peak to
 // this slot.
 func (d *distinctOp) setOpStats(st *obs.OpStats) { d.mem.st = st }
 
 // Open implements Operator.
-func (d *distinctOp) Open() error {
-	d.seen = make(map[string]struct{})
-	return d.in.Open()
-}
+func (d *distinctOp) Open() error { return d.in.Open() }
 
 // NextBatch implements Operator.
 func (d *distinctOp) NextBatch(b *types.Batch) (bool, error) {
@@ -540,19 +533,12 @@ func (d *distinctOp) NextBatch(b *types.Batch) (bool, error) {
 		}
 		kept := 0
 		for i := 0; i < b.Len(); i++ {
-			d.buf = d.buf[:0]
-			for _, v := range b.Row(i) {
-				d.buf = types.AppendKey(d.buf, v)
-			}
-			if _, dup := d.seen[string(d.buf)]; dup {
-				continue
-			}
-			if err := d.mem.growHard(int64(len(d.buf)) + distinctKeyMem); err != nil {
+			if novel, err := d.seen.admit(&d.mem, b.Row(i), d.cols); err != nil {
 				return false, err
+			} else if novel {
+				b.MoveRow(kept, i)
+				kept++
 			}
-			d.seen[string(d.buf)] = struct{}{}
-			b.MoveRow(kept, i)
-			kept++
 		}
 		b.Truncate(kept)
 		if kept > 0 {
@@ -563,7 +549,7 @@ func (d *distinctOp) NextBatch(b *types.Batch) (bool, error) {
 
 // Close implements Operator.
 func (d *distinctOp) Close() error {
-	d.seen = nil
+	d.seen.reset()
 	d.mem.releaseAll()
 	return d.in.Close()
 }

@@ -59,24 +59,20 @@ func (s *rowStore) add(row types.Row) types.Row {
 	}
 	k, off := locate(s.n)
 	s.n++
-	if s.width == 0 {
-		return types.Row{}
-	}
 	if k == len(s.chunks) {
 		s.chunks = append(s.chunks, make([]types.Datum, chunkRows(k)*s.width))
 	}
-	dst := s.chunks[k][off*s.width : (off+1)*s.width : (off+1)*s.width]
+	off *= s.width
+	dst := s.chunks[k][off : off+s.width : off+s.width]
 	copy(dst, row)
 	return dst
 }
 
 // row returns row i, the view add returned for it.
 func (s *rowStore) row(i int) types.Row {
-	if s.width == 0 {
-		return types.Row{}
-	}
 	k, off := locate(i)
-	return s.chunks[k][off*s.width : (off+1)*s.width : (off+1)*s.width]
+	off *= s.width
+	return s.chunks[k][off : off+s.width : off+s.width]
 }
 
 // reset forgets every row and lets go of the chunks: whoever resets has

@@ -24,9 +24,10 @@ const datumMem = 40
 
 // rowMem is what one retained row is charged to the query's grant: its
 // Datum cells in the operator's rowStore, its string payloads, and 24
-// bytes of bookkeeping — for a join build row the key hash (8), the chain
-// link (4) and its share of the directory (4 to 8); for a sort or a
-// nested loop the row's slice header. An estimate is all accounting
+// bytes of bookkeeping — for a row of a keyTable (a join's build row, an
+// aggregate's group key, a DISTINCT row or value) the key hash (8), the
+// chain link (4 to 8) and its share of the directory (4 to 8); for a sort
+// or a nested loop the row's slice header. An estimate is all accounting
 // needs — the budget triggers spilling, it doesn't malloc.
 func rowMem(r types.Row) int64 {
 	n := int64(24 + datumMem*len(r))
@@ -36,25 +37,14 @@ func rowMem(r types.Row) int64 {
 	return n
 }
 
-// partOfHash assigns a join-key hash (hashKeys) to one of the spillFanout
-// partitions of a recursion level. The level is mixed in, so rows that
-// fell into one partition at level L spread over all of them at level
-// L+1, and the partition says nothing about the hash's low bits, which
-// index the table the partition is later loaded into.
+// partOfHash assigns a key hash (hashKeys: a join's key, an aggregate's
+// group key) to one of the spillFanout partitions of a recursion level.
+// The level is mixed in, so rows that fell into one partition at level L
+// spread over all of them at level L+1, and the partition says nothing
+// about the hash's low bits, which index the table the partition is
+// later loaded into.
 func partOfHash(h uint64, level int) int {
 	return int(mix64(h+uint64(level+1)*golden) % spillFanout)
-}
-
-// partOfBytes assigns an encoded aggregate key to one of fanout
-// partitions at the given recursion level: FNV-1a salted with the level,
-// so rows that collided into one partition at level L spread across all
-// partitions at level L+1.
-func partOfBytes(key []byte, level, fanout int) int {
-	h := (fnvOffset ^ (uint64(level) + golden)) * fnvPrime
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * fnvPrime
-	}
-	return int(h % uint64(fanout))
 }
 
 // spillable reports whether budget-triggered spilling is available
@@ -121,8 +111,8 @@ func (m *memBudget) releaseAll() {
 }
 
 // spillPartition routes rows into fanout workfiles by key partition. A
-// probe row with a NULL join key goes where hash 0 goes — it matches
-// nothing, but outer-join semantics may still need to emit it.
+// probe row with a NULL join key goes where its hash goes all the same —
+// it matches nothing, but outer-join semantics may still need to emit it.
 type spillPartition struct {
 	files []*resource.File
 	level int
@@ -147,15 +137,10 @@ func newSpillPartition(ctx *Context, level int, st *obs.OpStats) (*spillPartitio
 	return sp, nil
 }
 
-// addHash writes a join row to the partition of its key hash.
+// addHash writes a row to the partition of its key hash (AppendRow copies
+// the row, so it is not retained).
 func (sp *spillPartition) addHash(h uint64, row types.Row) error {
 	return sp.files[partOfHash(h, sp.level)].AppendRow(row)
-}
-
-// addBytes writes an aggregate input row to the partition of its encoded
-// group key (AppendRow copies the row, so neither argument is retained).
-func (sp *spillPartition) addBytes(key []byte, row types.Row) error {
-	return sp.files[partOfBytes(key, sp.level, spillFanout)].AppendRow(row)
 }
 
 // finish completes the write phase of every partition file and charges

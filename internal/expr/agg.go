@@ -98,7 +98,8 @@ type Accumulator interface {
 }
 
 // NewAccumulator builds the accumulator for a spec. DISTINCT is handled
-// by wrapping with a dedup set keyed on the datum's binary encoding.
+// by wrapping with a dedup set keyed on the datum's grouping key, for the
+// Stinger baseline and the tests' reference: the executor has its own.
 func NewAccumulator(s AggSpec) Accumulator {
 	var a Accumulator
 	switch s.Kind {
@@ -243,18 +244,19 @@ type GroupAcc interface {
 	Result(g int32) types.Datum
 }
 
-// NewGroupAcc builds the grouped accumulator for a spec. SUM, COUNT, MIN
-// and MAX take typed vectors in tight loops; AVG and DISTINCT keep one
-// Accumulator per group and take a vector a Datum at a time.
+// NewGroupAcc builds the grouped accumulator for a spec's function. SUM,
+// COUNT, MIN and MAX take typed vectors in tight loops; AVG takes a
+// vector a Datum at a time. DISTINCT is the aggregate operator's to
+// apply: it hands such an aggregate each of a group's values once.
 func NewGroupAcc(s AggSpec) GroupAcc {
-	switch {
-	case s.Distinct || s.Kind == AggAvg:
-		return &anyAccs{spec: s}
-	case s.Kind == AggSum:
+	switch s.Kind {
+	case AggAvg:
+		return &avgAccs{}
+	case AggSum:
 		return &sumAccs{}
-	case s.Kind == AggMin:
+	case AggMin:
 		return &minmaxAccs{want: -1}
-	case s.Kind == AggMax:
+	case AggMax:
 		return &minmaxAccs{want: 1}
 	}
 	return &countAccs{star: s.Kind == AggCountStar}
@@ -414,32 +416,18 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 	}
 }
 
-// anyAccs keeps one Accumulator per group: AVG, and anything DISTINCT.
-type anyAccs struct {
-	spec AggSpec
-	accs []Accumulator
+type avgAccs struct {
+	accs []avgAcc
 }
 
 // Grow implements GroupAcc.
-func (c *anyAccs) Grow(n int) {
-	for len(c.accs) < n {
-		c.accs = append(c.accs, NewAccumulator(c.spec))
-	}
-}
+func (c *avgAccs) Grow(n int) { c.accs = extend(c.accs, n, avgAcc{}) }
 
 // Add implements GroupAcc.
-func (c *anyAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
+func (c *avgAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
 
 // AddVec implements GroupAcc.
-func (c *anyAccs) AddVec(gids []int32, v *types.Vector) {
-	for i, g := range gids {
-		d := types.NewInt64(1)
-		if v != nil {
-			d = v.Datum(i)
-		}
-		c.accs[g].Add(d)
-	}
-}
+func (c *avgAccs) AddVec(gids []int32, v *types.Vector) { addRows(c, gids, v) }
 
 // Result implements GroupAcc.
-func (c *anyAccs) Result(g int32) types.Datum { return c.accs[g].Result() }
+func (c *avgAccs) Result(g int32) types.Datum { return c.accs[g].Result() }

@@ -53,50 +53,44 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 	panic(fmt.Sprintf("types: encode of bad kind %d", d.K))
 }
 
-// AppendKey appends d's grouping key to buf: the bytes GROUP BY, DISTINCT
-// and count(DISTINCT …) tell values apart by. Two values of one Hashable
-// class have the same key exactly when Compare calls them equal — the
-// normal form the join's key hash and the placement hash (hashDatum)
-// bring them to, written out: an integer of either width and a decimal
-// of any scale as (unscaled value, scale) with the trailing zeros
-// stripped, so 7, 7.0 and 7.00 are one group; -0.0 as 0.0; TEXT and
-// BYTEA as their bytes; everything else as its encoding. Keys are
-// self-delimiting, so the keys of a row's columns concatenate into the
-// row's.
+// AppendKey appends d's grouping key to buf: bytes that two values of
+// one Hashable class share exactly when the executor's key table calls
+// them one key (Compare calls them equal, or both are NaN) — an integer
+// of either width and a decimal of any scale as (unscaled value, scale)
+// with the trailing zeros stripped, so 7, 7.0 and 7.00 are one key; -0.0
+// as 0.0; TEXT and BYTEA as their bytes; everything else as its
+// encoding. The executor hashes typed cells and builds no such bytes:
+// they are the form its references keep — count(DISTINCT …) in the
+// Stinger baseline and the tests' plain-loop evaluator — and a
+// differential test holds the two equal.
 func AppendKey(buf []byte, d Datum) []byte {
 	switch d.K {
 	case KindInt32, KindInt64, KindDecimal:
-		return appendNumKey(buf, d.Scale, d.I)
+		u, scale := StripZeros(d.I, d.Scale)
+		return appendIntDatum(buf, KindDecimal, scale, u)
 	case KindFloat64:
-		return appendFloatKey(buf, d.F)
+		f := d.F
+		switch {
+		case f == 0:
+			f = 0 // -0.0 equals 0.0
+		case f != f:
+			f = math.NaN() // one NaN
+		}
+		return appendFloatDatum(buf, f)
 	case KindString, KindBytes:
 		return appendStrDatum(buf, KindString, d.S)
 	}
 	return EncodeDatum(buf, d)
 }
 
-// stripZeros brings the exact numeric u × 10^-scale to the one form
+// StripZeros brings the exact numeric u × 10^-scale to the one form
 // equal values share: no trailing zero in u unless scale is 0.
-func stripZeros(u int64, scale int8) (int64, int8) {
+func StripZeros(u int64, scale int8) (int64, int8) {
 	for scale > 0 && u%10 == 0 {
 		u /= 10
 		scale--
 	}
 	return u, scale
-}
-
-// appendNumKey appends the key of the exact numeric u × 10^-scale.
-func appendNumKey(buf []byte, scale int8, u int64) []byte {
-	u, scale = stripZeros(u, scale)
-	return appendIntDatum(buf, KindDecimal, scale, u)
-}
-
-// appendFloatKey appends the key of a DOUBLE.
-func appendFloatKey(buf []byte, f float64) []byte {
-	if f == 0 {
-		f = 0 // -0.0 equals 0.0
-	}
-	return appendFloatDatum(buf, f)
 }
 
 // parseDatum is the one reader of the format. It takes apart the encoded
@@ -289,7 +283,7 @@ func hashDatum(h uint64, d *Datum) uint64 {
 		}
 		return fnvUint64(fnvByte(h, 3), math.Float64bits(f))
 	case KindDecimal:
-		u, sc := stripZeros(d.I, d.Scale)
+		u, sc := StripZeros(d.I, d.Scale)
 		if sc == 0 {
 			// Integral decimals hash like integers.
 			return fnvUint64(fnvByte(h, 2), uint64(u))

@@ -197,29 +197,6 @@ func (v *Vector) Datum(e int) Datum {
 	return Datum{K: v.Kind, Scale: v.Scale, I: v.Ints[e]}
 }
 
-// AppendKey appends the grouping key of entry e to buf: the bytes
-// AppendKey(buf, v.Datum(e)) would append, straight from the typed
-// storage.
-func (v *Vector) AppendKey(buf []byte, e int) []byte {
-	if v.Mixed {
-		return AppendKey(buf, v.Values[e])
-	}
-	if v.Null(e) {
-		return append(buf, byte(KindNull))
-	}
-	switch v.Class() {
-	case ClassFloat:
-		return appendFloatKey(buf, v.Floats[e])
-	case ClassStr:
-		return appendStrDatum(buf, KindString, v.Text(e))
-	}
-	switch v.Kind {
-	case KindInt32, KindInt64, KindDecimal:
-		return appendNumKey(buf, v.Scale, v.Ints[e])
-	}
-	return appendIntDatum(buf, v.Kind, 0, v.Ints[e])
-}
-
 // datumSize is the in-memory size of one Datum, without its string bytes.
 const datumSize = int64(unsafe.Sizeof(Datum{}))
 

@@ -107,9 +107,6 @@ func TestVectorDecodeAllEncodings(t *testing.T) {
 				t.Errorf("%s enc %d: a typed vector holds %d Datums", name, enc, len(v.Values))
 			}
 			for e := 0; e < v.Entries(); e++ {
-				if got, want := v.AppendKey(nil, e), AppendKey(nil, v.Datum(e)); string(got) != string(want) {
-					t.Fatalf("%s enc %d entry %d: Vector.AppendKey %x, AppendKey of its Datum %x", name, enc, e, got, want)
-				}
 				if v.Null(e) != v.Datum(e).IsNull() {
 					t.Fatalf("%s enc %d entry %d: Null disagrees with Datum", name, enc, e)
 				}

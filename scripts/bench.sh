@@ -9,9 +9,10 @@
 # and left warm (ScanAO/{cold,warm}, ScanCO/{cold,warm}) — the
 # quicklz page decompressor, the typed-vector kernels layer by layer
 # (VecFilter: one col < const kernel per kind and page encoding; VecArith:
-# the Q1 decimal expression; VecAgg: the Q1 and Q6 shapes and an integer
-# group key through the vector aggregate on a warm block cache), the
-# scan→filter→project pipeline, hash aggregation, motion loopback, the
+# the Q1 decimal expression; VecAgg: the Q1 and Q6 shapes, an integer
+# group key and a string-and-decimal one through the vector aggregate on
+# a warm block cache), the scan→filter→project pipeline, hash
+# aggregation, DISTINCT over integer and string rows, motion loopback, the
 # send half of a motion without a wire (MotionRoute: hashed to one of
 # four receivers, or encoded for all), one motion payload decoded into a
 # batch (DecodeBatch: all numbers, a third strings), and the hash join's
@@ -67,7 +68,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
 PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/cluster ."
 
 OUT="BENCH_micro.json"
