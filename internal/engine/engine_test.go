@@ -566,6 +566,16 @@ func TestGroupKeysCompareAsValues(t *testing.T) {
 						t.Errorf("%s: %d groups for d = %v", where, found, want.d)
 					}
 				}
+				// Arms of two kinds make keys that no comparison orders.
+				mixed := "CASE WHEN k < 3 THEN 'x' ELSE 2 END"
+				res = mustExec(t, s, fmt.Sprintf("SELECT %s, count(*) FROM %s GROUP BY %s", mixed, g, mixed))
+				counts := map[string]int64{}
+				for _, row := range res.Rows {
+					counts[row[0].String()] += row[1].Int()
+				}
+				if want := map[string]int64{"x": 2, "2": 3 + singles}; len(res.Rows) != 2 || !reflect.DeepEqual(counts, want) {
+					t.Errorf("%s: GROUP BY a CASE of TEXT and INT arms gave %d groups %v, want %v", where, len(res.Rows), counts, want)
+				}
 				if got := len(mustExec(t, s, fmt.Sprintf("SELECT DISTINCT d FROM %s", g)).Rows); got != 2+singles {
 					t.Errorf("%s: SELECT DISTINCT d gave %d rows, want %d", where, got, 2+singles)
 				}

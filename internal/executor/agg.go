@@ -407,25 +407,19 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 }
 
 // endPass completes the current pass: its groups are put in the order
-// they are emitted in — by key, NULL first and NaN last (types.Compare
-// ties a NaN with everything), the same run after run whatever order the
-// rows arrived in, though a spilled aggregate's only pass by pass — and
-// its spill partition (if any) is finished and queued for the next level.
+// they are emitted in — by key hash, a function of the key's value alone,
+// so the same run after run whatever order the rows arrived in (two keys
+// of one hash, if that ever happens, stay as they arrived), though a
+// spilled aggregate's only pass by pass — and its spill partition (if
+// any) is finished and queued for the next level.
 func (a *hashAggOp) endPass() error {
 	a.order = slices.Grow(a.order, a.table.len())
 	for g := range a.table.len() {
 		a.order = append(a.order, int32(g))
 	}
+	hashes := a.table.hashes
 	slices.SortFunc(a.order, func(x, y int32) int {
-		kx, ky := a.table.rows.row(int(x)), a.table.rows.row(int(y))
-		for i := range kx {
-			if xNaN, yNaN := isNaN(&kx[i]), isNaN(&ky[i]); xNaN != yNaN {
-				return cmp.Compare(ky[i].F, kx[i].F) // cmp puts a NaN first
-			} else if c := types.Compare(kx[i], ky[i]); c != 0 {
-				return c
-			}
-		}
-		return 0
+		return cmp.Or(cmp.Compare(hashes[x], hashes[y]), cmp.Compare(x, y))
 	})
 	if a.sp == nil {
 		return nil

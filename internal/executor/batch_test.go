@@ -533,54 +533,48 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	for name, tc := range map[string]struct {
-		tree   plan.Node
-		budget float64
-	}{
-		"scan-filter-project": {sfpTree(desc, segFiles), nrows / 4},
-		// Every probe row matches once: 4096 output rows over a build side
-		// of 97 rows. Nothing is allocated per build row or per probe row:
-		// the operators, the scan's batches, the table's few arrays — 56
-		// allocations, 13 more than the scan alone, and up to 67 under
-		// -race, where sync.Pool drops a quarter of what it is handed.
-		"join": {&plan.HashJoin{
-			Kind: plan.InnerJoin, Left: scan, Right: valuesNode(intsSchema("rk"), build...),
-			LeftKeys: []int{1}, RightKeys: []int{0}, Schema: intsSchema("k", "v", "w", "rk"),
-		}, 80},
-		// 4096 rows in, 4096 groups (or rows) out. Nothing is allocated per
-		// row or per group: the key table's chunks (9), its hashes and its
-		// directory and links as they double (9 and 2 × 9), the
-		// accumulators' growth, the list of groups in emission order — 114
-		// allocations and 84, up to 143 and 97 under -race with a collection
-		// emptying the pools midway.
-		"agg": {&plan.HashAgg{
-			Input: scan, Phase: plan.AggSingle, Groups: []expr.Expr{colK},
-			Aggs:   []expr.AggSpec{{Kind: expr.AggCountStar}},
-			Schema: intsSchema("k", "count"),
-		}, 160},
-		"distinct": {&plan.Distinct{Input: scan}, 120},
-	} {
-		run := drain(tc.tree)
+	within := func(name string, tree plan.Node, budget float64) {
+		run := drain(tree)
 		run() // warm pools before measuring
 		if rows < nrows/4 {
 			t.Fatalf("%s: %d rows", name, rows)
 		}
-		if avg := testing.AllocsPerRun(5, run); avg > tc.budget {
-			t.Errorf("%s allocates %.0f times per %d rows (budget %.0f)", name, avg, nrows, tc.budget)
+		if avg := testing.AllocsPerRun(5, run); avg > budget {
+			t.Errorf("%s allocates %.0f times per %d rows (budget %.0f)", name, avg, nrows, budget)
 		}
 	}
+	within("scan-filter-project", sfpTree(desc, segFiles), nrows/4)
+	// Every probe row matches once: 4096 output rows over a build side
+	// of 97 rows. Nothing is allocated per build row or per probe row:
+	// the operators, the scan's batches, the table's few arrays — 56
+	// allocations, 13 more than the scan alone, and up to 67 under
+	// -race, where sync.Pool drops a quarter of what it is handed.
+	within("join", &plan.HashJoin{
+		Kind: plan.InnerJoin, Left: scan, Right: valuesNode(intsSchema("rk"), build...),
+		LeftKeys: []int{1}, RightKeys: []int{0}, Schema: intsSchema("k", "v", "w", "rk"),
+	}, 80)
 	// A redistribute motion hashes and encodes every row and allocates for
 	// none: once the four send buffers have grown to a payload, routing
-	// four times the rows costs the same operators and buffers (and, under
-	// -race, the batches a collection or sync.Pool's random drops take
-	// from the pool midway: 13 more at the worst seen).
+	// four times the rows costs the same operators and buffers.
 	route := func(n int) float64 {
 		input := valuesNode(intsSchema("k", "v"), seqRows(n, func(i int) int64 { return int64(i % 97) })...)
 		return testing.AllocsPerRun(5, func() { routeSlice(t, plan.RedistributeMotion, input) })
 	}
-	if few, many := route(2*nrows), route(8*nrows); many > few+16 {
+	if few, many := route(2*nrows), route(8*nrows); many > few+8 {
 		t.Errorf("routing %d rows allocates %.0f times, routing %d rows %.0f", 8*nrows, many, 2*nrows, few)
 	}
+	// 4096 rows in, 4096 groups (or rows) out. Nothing is allocated per
+	// row or per group: the key table's chunks (9), its hashes and its
+	// directory and links as they double (9 and 2 × 9), the
+	// accumulators' growth, the list of groups in emission order — 114
+	// allocations and 84, up to 143 and 97 under -race with a collection
+	// emptying the pools midway.
+	within("agg", &plan.HashAgg{
+		Input: scan, Phase: plan.AggSingle, Groups: []expr.Expr{colK},
+		Aggs:   []expr.AggSpec{{Kind: expr.AggCountStar}},
+		Schema: intsSchema("k", "count"),
+	}, 160)
+	within("distinct", &plan.Distinct{Input: scan}, 120)
 	// The Q1 shape over warm vectors: absorbing a batch costs a constant
 	// number of allocations, not one per row — building the operators and
 	// growing their scratch, then nothing that scales with the 16 000 rows.

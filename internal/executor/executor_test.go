@@ -224,6 +224,7 @@ func TestHashAggGroupsAndScalar(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("groups = %d", len(rows))
 	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i][0].Int() < rows[j][0].Int() })
 	if rows[0][0].Int() != 1 || rows[0][1].Int() != 40 || rows[0][2].Int() != 2 || rows[0][3].Float() != 20 {
 		t.Errorf("group 1 = %v", rows[0])
 	}

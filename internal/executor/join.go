@@ -82,7 +82,7 @@ func (j *hashJoinOp) Open() error {
 	err := drainRows(j.ctx, j.right, func(row types.Row) error {
 		h, valid := hashKeys(row, j.node.RightKeys)
 		if !valid {
-			// Build rows with NULL keys can never match and no join kind
+			// Build rows with NULL or NaN keys can never match and no join kind
 			// here emits unmatched build rows.
 			return nil
 		}
@@ -140,9 +140,9 @@ func (j *hashJoinOp) Open() error {
 }
 
 // probeRouter returns the function that writes a probe row to its
-// partition in sp. A row with a NULL key joins nothing: an inner or semi
-// join drops it here, a left or anti join must still emit it and routes
-// it by its hash all the same.
+// partition in sp. A row with a NULL or NaN key joins nothing: an inner
+// or semi join drops it here, a left or anti join must still emit it and
+// routes it by its hash all the same.
 func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
 	return func(row types.Row) error {
 		h, valid := hashKeys(row, j.node.LeftKeys)
