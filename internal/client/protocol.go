@@ -54,11 +54,13 @@ const (
 // maxMessage bounds a single protocol message.
 const maxMessage = 64 << 20
 
-// writeMsg frames and writes one message.
+// writeMsg frames one message into w. Both ends hand it a bufio.Writer,
+// so a frame costs no write of its own: header and payload leave with
+// whatever else the writer holds when it is flushed.
 func writeMsg(w io.Writer, typ byte, payload []byte) error {
 	hdr := [5]byte{typ}
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil || len(payload) == 0 {
 		return err
 	}
 	_, err := w.Write(payload)

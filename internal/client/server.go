@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -172,8 +173,19 @@ func (s *Server) acceptLoop() {
 // announced with a backend key; a cancel request naming that key may
 // arrive on any other connection (this one is busy while a query runs)
 // and aborts the in-flight statement.
+//
+// Frames are read through br and written into bw, and bw reaches the
+// socket only when the next read would block (nothing of a further
+// request is buffered), when the connection is stopping, and when serve
+// returns: a statement's whole reply, and the replies of requests that
+// arrived pipelined in one segment, leave as one write. A client cannot
+// be waiting for a reply that is held back, because a reply is held
+// back only while bytes it sent after that request are still unread.
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	// The peer may be gone; there is nobody to report a failed flush to.
+	defer bw.Flush()
 	cs := &connState{conn: conn, sess: s.eng.NewSession()}
 	key := s.nextKey.Add(1)
 	s.smu.Lock()
@@ -196,17 +208,20 @@ func (s *Server) serve(conn net.Conn) {
 	}
 	var keyBuf [8]byte
 	binary.BigEndian.PutUint64(keyBuf[:], key)
-	if err := writeMsg(conn, MsgBackendKey, keyBuf[:]); err != nil {
+	if err := writeMsg(bw, MsgBackendKey, keyBuf[:]); err != nil {
 		return
 	}
-	if err := writeMsg(conn, MsgReady, nil); err != nil {
+	if err := writeMsg(bw, MsgReady, nil); err != nil {
+		return
+	}
+	if err := bw.Flush(); err != nil {
 		return
 	}
 	// portals are the connection's bound statements (extended protocol);
 	// only the serve goroutine touches them.
 	portals := map[string]portalState{}
 	for {
-		typ, payload, err := readMsg(conn)
+		typ, payload, err := readMsg(br)
 		if err != nil {
 			return
 		}
@@ -218,13 +233,13 @@ func (s *Server) serve(conn net.Conn) {
 			cs.endUnit()
 			return
 		case MsgQuery:
-			err = s.handleQuery(conn, cs.sess, string(payload))
+			err = s.handleQuery(bw, cs.sess, string(payload))
 		case MsgParse:
-			err = s.handleParse(conn, cs.sess, payload)
+			err = s.handleParse(bw, cs.sess, payload)
 		case MsgBind:
-			err = s.handleBind(conn, portals, payload)
+			err = s.handleBind(bw, portals, payload)
 		case MsgExecute:
-			err = s.handleExecute(conn, cs.sess, portals, payload)
+			err = s.handleExecute(bw, cs.sess, portals, payload)
 		case MsgCancel:
 			// Cancel connections do their work and hang up.
 			if len(payload) == 8 {
@@ -233,9 +248,12 @@ func (s *Server) serve(conn net.Conn) {
 			cs.endUnit()
 			return
 		default:
-			if err = writeMsg(conn, MsgError, []byte(fmt.Sprintf("unexpected message %q", typ))); err == nil {
-				err = writeMsg(conn, MsgReady, nil)
-			}
+			err = respondError(bw, fmt.Errorf("unexpected message %q", typ))
+		}
+		// Flushed while the unit is still busy, so that Close cannot take
+		// the connection for idle and shut the socket under the reply.
+		if err == nil && (br.Buffered() == 0 || cs.stopping()) {
+			err = bw.Flush()
 		}
 		cs.endUnit()
 		if err != nil || cs.stopping() {
@@ -264,94 +282,94 @@ func (s *Server) cancelSession(key uint64) {
 }
 
 // respondError sends an error unit (error + ready).
-func respondError(conn net.Conn, err error) error {
-	if werr := writeMsg(conn, MsgError, []byte(err.Error())); werr != nil {
+func respondError(w *bufio.Writer, err error) error {
+	if werr := writeMsg(w, MsgError, []byte(err.Error())); werr != nil {
 		return werr
 	}
-	return writeMsg(conn, MsgReady, nil)
+	return writeMsg(w, MsgReady, nil)
 }
 
 // handleQuery executes one query and streams its results. The returned
 // error is non-nil only for wire failures; query errors go to the peer
 // as MsgError.
-func (s *Server) handleQuery(conn net.Conn, sess *engine.Session, sql string) error {
+func (s *Server) handleQuery(w *bufio.Writer, sess *engine.Session, sql string) error {
 	results, err := sess.Execute(sql)
 	if err != nil {
-		return respondError(conn, err)
+		return respondError(w, err)
 	}
 	for _, res := range results {
-		if err := writeResult(conn, res); err != nil {
+		if err := writeResult(w, res); err != nil {
 			return err
 		}
 	}
-	return writeMsg(conn, MsgReady, nil)
+	return writeMsg(w, MsgReady, nil)
 }
 
 // handleParse registers a prepared statement in the connection's
 // session.
-func (s *Server) handleParse(conn net.Conn, sess *engine.Session, payload []byte) error {
+func (s *Server) handleParse(w *bufio.Writer, sess *engine.Session, payload []byte) error {
 	name, sql, err := decodeParse(payload)
 	if err == nil {
 		err = sess.Prepare(name, sql)
 	}
 	if err != nil {
-		return respondError(conn, err)
+		return respondError(w, err)
 	}
-	if err := writeMsg(conn, MsgParseOK, nil); err != nil {
+	if err := writeMsg(w, MsgParseOK, nil); err != nil {
 		return err
 	}
-	return writeMsg(conn, MsgReady, nil)
+	return writeMsg(w, MsgReady, nil)
 }
 
 // handleBind creates (or replaces) a portal binding argument values to
 // a prepared statement. Validation of the statement name and argument
 // count happens at execute time, where the engine resolves the portal.
-func (s *Server) handleBind(conn net.Conn, portals map[string]portalState, payload []byte) error {
+func (s *Server) handleBind(w *bufio.Writer, portals map[string]portalState, payload []byte) error {
 	portal, stmt, args, err := decodeBind(payload)
 	if err != nil {
-		return respondError(conn, err)
+		return respondError(w, err)
 	}
 	portals[portal] = portalState{stmt: stmt, args: args}
-	if err := writeMsg(conn, MsgBindOK, nil); err != nil {
+	if err := writeMsg(w, MsgBindOK, nil); err != nil {
 		return err
 	}
-	return writeMsg(conn, MsgReady, nil)
+	return writeMsg(w, MsgReady, nil)
 }
 
 // handleExecute runs a bound portal and streams its result.
-func (s *Server) handleExecute(conn net.Conn, sess *engine.Session, portals map[string]portalState, payload []byte) error {
+func (s *Server) handleExecute(w *bufio.Writer, sess *engine.Session, portals map[string]portalState, payload []byte) error {
 	portal, err := decodeExecute(payload)
 	if err != nil {
-		return respondError(conn, err)
+		return respondError(w, err)
 	}
 	ps, ok := portals[portal]
 	if !ok {
-		return respondError(conn, fmt.Errorf("portal %q does not exist", portal))
+		return respondError(w, fmt.Errorf("portal %q does not exist", portal))
 	}
 	res, err := sess.ExecutePrepared(ps.stmt, ps.args...)
 	if err != nil {
-		return respondError(conn, err)
+		return respondError(w, err)
 	}
-	if err := writeResult(conn, res); err != nil {
+	if err := writeResult(w, res); err != nil {
 		return err
 	}
-	return writeMsg(conn, MsgReady, nil)
+	return writeMsg(w, MsgReady, nil)
 }
 
 // writeResult streams one statement result: row description and rows
 // when present, then the command tag.
-func writeResult(conn net.Conn, res *engine.Result) error {
+func writeResult(w *bufio.Writer, res *engine.Result) error {
 	if res.Schema != nil {
-		if err := writeMsg(conn, MsgRowDesc, encodeSchema(res.Schema)); err != nil {
+		if err := writeMsg(w, MsgRowDesc, encodeSchema(res.Schema)); err != nil {
 			return err
 		}
 		var buf []byte
 		for _, row := range res.Rows {
 			buf = types.EncodeRow(buf[:0], row)
-			if err := writeMsg(conn, MsgDataRow, buf); err != nil {
+			if err := writeMsg(w, MsgDataRow, buf); err != nil {
 				return err
 			}
 		}
 	}
-	return writeMsg(conn, MsgComplete, []byte(res.Tag))
+	return writeMsg(w, MsgComplete, []byte(res.Tag))
 }

@@ -723,6 +723,9 @@ func (n *sinkNode) Send(data []byte) error {
 	return nil
 }
 
+// Finish implements interconnect.SendStream.
+func (n *sinkNode) Finish(data []byte) error { return n.Send(data) }
+
 // routeSlice runs a motion of the given type over rows to four receivers
 // on a sinkNode and returns the payload bytes it sent.
 func routeSlice(tb testing.TB, typ plan.MotionType, input *plan.Values) int {

@@ -71,18 +71,23 @@ func (m *motionSendOp) Open() error {
 	return m.in.Open()
 }
 
-// finish flushes and EOS-closes every live stream, then closes the
-// input. Called once at end of stream.
+// finish ends every live stream — what is left in its buffer and the
+// end-of-stream leave as one packet — and only then waits for the
+// acknowledgements, so the receivers' round trips overlap. Then it
+// closes the input. Called once at end of stream.
 func (m *motionSendOp) finish() error {
 	m.done = true
-	for i := range m.streams {
+	for i, s := range m.streams {
 		if m.stopped[i] {
 			continue
 		}
-		if err := m.flush(i); err != nil && err != interconnect.ErrStopped {
+		if err := m.sent(i, s.Finish(m.bufs[i])); err != nil {
 			return err
 		}
-		if err := m.streams[i].Close(); err != nil {
+	}
+	for _, s := range m.streams {
+		// A stopped stream has nothing to wait for; Close lets it go.
+		if err := s.Close(); err != nil {
 			return err
 		}
 	}
@@ -189,16 +194,20 @@ func (m *motionSendOp) flush(i int) error {
 	if len(m.bufs[i]) == 0 {
 		return nil
 	}
-	sent := len(m.bufs[i])
-	err := m.streams[i].Send(m.bufs[i])
-	m.bufs[i] = m.bufs[i][:0]
+	return m.sent(i, m.streams[i].Send(m.bufs[i]))
+}
+
+// sent accounts for receiver i's buffer having been handed to its
+// stream with the given outcome: a stopped receiver is remembered, not
+// an error.
+func (m *motionSendOp) sent(i int, err error) error {
 	if err == interconnect.ErrStopped {
 		m.stopped[i] = true
-		return nil
+		err = nil
+	} else if err == nil && m.st != nil {
+		m.st.Bytes += int64(len(m.bufs[i]))
 	}
-	if err == nil && m.st != nil {
-		m.st.Bytes += int64(sent)
-	}
+	m.bufs[i] = m.bufs[i][:0]
 	return err
 }
 

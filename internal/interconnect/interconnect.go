@@ -72,8 +72,14 @@ type SendStream interface {
 	// for flow control and returns ErrStopped once the receiver asked
 	// senders to stop.
 	Send(data []byte) error
-	// Close sends EOS and waits until the receiver acknowledged
-	// everything (or the stream was stopped).
+	// Finish transmits the stream's last message and its end-of-stream
+	// as one sequenced packet (no message at all when data is empty)
+	// and returns once the packet is handed to the transport. Nothing
+	// may be sent after it; Close still has to follow.
+	Finish(data []byte) error
+	// Close waits until the receiver acknowledged everything (or the
+	// stream was stopped). A stream that was never finished sends a bare
+	// EOS first, so that an abnormal close still ends the receiver.
 	Close() error
 }
 
@@ -117,7 +123,7 @@ type Node interface {
 // Packet types of the UDP protocol.
 const (
 	ptData  = 1 // sequenced tuple payload
-	ptEOS   = 2 // sequenced end-of-stream marker
+	ptEOS   = 2 // sequenced end-of-stream marker; a payload is the last message
 	ptAck   = 3 // SC/SR acknowledgement
 	ptDup   = 4 // duplicate-detected ack (cumulative, §4.4)
 	ptOOO   = 5 // out-of-order notice listing missing sequences (§4.4)
@@ -144,6 +150,13 @@ const headerSize = 1 + 1 + 8 + 2 + 2 + 2 + 4 + 4 + 4
 
 func encodePacket(h header, payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload))
+	putHeader(buf, h)
+	copy(buf[headerSize:], payload)
+	return buf
+}
+
+// putHeader encodes h into the first headerSize bytes of buf.
+func putHeader(buf []byte, h header) {
 	buf[0] = packetMagic
 	buf[1] = h.Type
 	binary.BigEndian.PutUint64(buf[2:], h.Query)
@@ -153,8 +166,6 @@ func encodePacket(h header, payload []byte) []byte {
 	binary.BigEndian.PutUint32(buf[16:], h.Seq)
 	binary.BigEndian.PutUint32(buf[20:], h.SC)
 	binary.BigEndian.PutUint32(buf[24:], h.SR)
-	copy(buf[headerSize:], payload)
-	return buf
 }
 
 func decodePacket(buf []byte) (header, []byte, error) {

@@ -189,47 +189,63 @@ func TestUDPSenderBeforeReceiver(t *testing.T) {
 // An early sender must not depend on the retransmission timer: on a
 // simulated clock no timer fires unless the test advances it, so the
 // sender can only finish if the receiving node buffers and acknowledges
-// packets that beat OpenRecv.
+// packets that beat OpenRecv — the final one with its payload, when
+// Finish gave it one.
 func TestUDPEarlyArrivalIsBufferedAndAcked(t *testing.T) {
-	sim := clock.NewSim(time.Unix(0, 0))
-	_, nodes := buildUDP(t, 1, UDPConfig{Clock: sim})
-	before := udpRetransmits.Value()
-	s, err := nodes[0].OpenSend(StreamID{Query: 8, Motion: 3, Sender: 0, Receiver: QDSeg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window = 4 // udpSend's initial cwnd
-	for i := 0; i < window; i++ {
-		if err := s.Send([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("close before the receiver opened: %v", err)
-	}
-	sim.Advance(50 * time.Millisecond) // far past rtoInit
-	recv, err := nodes[QDSeg].OpenRecv(8, 3, []SegID{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	for want := 0; ; want++ {
-		item, done, err := recv.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			if want != window {
-				t.Fatalf("got %d payloads, want %d", want, window)
+	for _, finish := range []bool{false, true} {
+		t.Run(fmt.Sprintf("finish=%v", finish), func(t *testing.T) {
+			sim := clock.NewSim(time.Unix(0, 0))
+			_, nodes := buildUDP(t, 1, UDPConfig{Clock: sim})
+			before, sent := udpRetransmits.Value(), udpPacketsSent.Value()
+			s, err := nodes[0].OpenSend(StreamID{Query: 8, Motion: 3, Sender: 0, Receiver: QDSeg})
+			if err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
-		if len(item.Data) != 1 || item.Data[0] != byte(want) {
-			t.Fatalf("payload %d = %v", want, item.Data)
-		}
-	}
-	if d := udpRetransmits.Value() - before; d != 0 {
-		t.Errorf("interconnect.udp_retransmits grew by %d, want 0", d)
+			window := 4 // udpSend's initial cwnd
+			for i := 0; i < window; i++ {
+				if err := s.Send([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if finish {
+				if err := s.Finish([]byte{byte(window)}); err != nil {
+					t.Fatal(err)
+				}
+				window++
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("close before the receiver opened: %v", err)
+			}
+			sim.Advance(50 * time.Millisecond) // far past rtoInit
+			recv, err := nodes[QDSeg].OpenRecv(8, 3, []SegID{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.Close()
+			for want := 0; ; want++ {
+				item, done, err := recv.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					if want != window {
+						t.Fatalf("got %d payloads, want %d", want, window)
+					}
+					break
+				}
+				if len(item.Data) != 1 || item.Data[0] != byte(want) {
+					t.Fatalf("payload %d = %v", want, item.Data)
+				}
+			}
+			if d := udpRetransmits.Value() - before; d != 0 {
+				t.Errorf("interconnect.udp_retransmits grew by %d, want 0", d)
+			}
+			// Four data packets and the final one, each acknowledged when it
+			// was buffered and not a second time when it was replayed.
+			if d := udpPacketsSent.Value() - sent; d != 10 {
+				t.Errorf("interconnect.udp_packets_sent grew by %d, want 10", d)
+			}
+		})
 	}
 }
 

@@ -87,7 +87,7 @@ type tcpPendingConn struct {
 // Frame types on a TCP stream.
 const (
 	tcpFrameData = 1
-	tcpFrameEOS  = 2
+	tcpFrameEOS  = 2 // a non-zero length is the stream's last message
 	tcpFrameStop = 3 // receiver -> sender on the same connection
 )
 
@@ -354,6 +354,7 @@ type tcpSend struct {
 	mu       sync.Mutex
 	stopped  atomic.Bool
 	canceled atomic.Bool
+	finished bool // the EOS frame is written
 	closed   bool
 	stop     chan struct{}
 }
@@ -400,7 +401,12 @@ func (s *tcpSend) watchStop() {
 }
 
 // Send implements SendStream.
-func (s *tcpSend) Send(data []byte) error {
+func (s *tcpSend) Send(data []byte) error { return s.send(tcpFrameData, data) }
+
+// Finish implements SendStream.
+func (s *tcpSend) Finish(data []byte) error { return s.send(tcpFrameEOS, data) }
+
+func (s *tcpSend) send(ftype byte, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.canceled.Load() {
@@ -413,7 +419,7 @@ func (s *tcpSend) Send(data []byte) error {
 		return ErrClosed
 	}
 	frame := make([]byte, 5+len(data))
-	frame[0] = tcpFrameData
+	frame[0] = ftype
 	binary.BigEndian.PutUint32(frame[1:], uint32(len(data)))
 	copy(frame[5:], data)
 	//hawqcheck:ignore lockorder — frame write serialized under s.mu by design; stop watchdog breaks a blocked write
@@ -426,8 +432,11 @@ func (s *tcpSend) Send(data []byte) error {
 		}
 		return err
 	}
-	tcpMsgsSent.Inc()
-	tcpBytesSent.Add(int64(len(data)))
+	s.finished = ftype == tcpFrameEOS
+	if len(data) > 0 || !s.finished {
+		tcpMsgsSent.Inc()
+		tcpBytesSent.Add(int64(len(data)))
+	}
 	return nil
 }
 
@@ -443,7 +452,7 @@ func (s *tcpSend) Close() error {
 	if s.canceled.Load() {
 		return ErrCanceled
 	}
-	if !s.stopped.Load() {
+	if !s.stopped.Load() && !s.finished {
 		frame := []byte{tcpFrameEOS, 0, 0, 0, 0}
 		//hawqcheck:ignore lockorder — frame write serialized under s.mu by design; stop watchdog breaks a blocked write
 		s.conn.Write(frame)
@@ -504,13 +513,15 @@ func (r *tcpRecv) adopt(sender SegID, conn net.Conn) {
 				r.push(recvItem{sender: sender, eos: true})
 				return
 			}
-			if hdr[0] == tcpFrameEOS {
-				r.push(recvItem{sender: sender, eos: true})
+			item := recvItem{sender: sender, data: data, eos: hdr[0] == tcpFrameEOS}
+			if item.hasData() {
+				tcpMsgsRecv.Inc()
+				tcpBytesRecv.Add(int64(len(data)))
+			}
+			r.push(item)
+			if item.eos {
 				return
 			}
-			tcpMsgsRecv.Inc()
-			tcpBytesRecv.Add(int64(len(data)))
-			r.push(recvItem{sender: sender, data: data})
 		}
 	}()
 }
@@ -542,16 +553,15 @@ func (r *tcpRecv) Recv() (RecvItem, bool, error) {
 			return RecvItem{}, false, ErrClosed
 		}
 		if item.eos {
+			// Counted here, seen by the next call: a final frame's
+			// message is delivered before its end-of-stream.
 			r.mu.Lock()
 			r.left--
-			done := r.left == 0
 			r.mu.Unlock()
-			if done {
-				return RecvItem{}, true, nil
-			}
-			continue
 		}
-		return RecvItem{Sender: item.sender, Data: item.data}, false, nil
+		if item.hasData() {
+			return RecvItem{Sender: item.sender, Data: item.data}, false, nil
+		}
 	}
 }
 

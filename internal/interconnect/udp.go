@@ -109,6 +109,8 @@ const (
 	// is how often timerLoop looks for expired ones.
 	tombstoneTTL   = time.Minute
 	tombstoneSweep = time.Second
+	// maxMissing is how many absent sequences one OOO notice lists.
+	maxMissing = 64
 )
 
 // UDPNode is one endpoint of the UDP interconnect: a single UDP socket
@@ -223,6 +225,15 @@ func (n *UDPNode) transmit(raddr *net.UDPAddr, buf []byte) {
 	n.conn.WriteToUDP(buf, raddr)
 }
 
+// transmitCtl sends an unsequenced packet — an acknowledgement (extra is
+// an OOO's missing list), a STOP, a status query — encoded on the
+// caller's stack: none of them is kept for retransmission.
+func (n *UDPNode) transmitCtl(raddr *net.UDPAddr, h header, extra []byte) {
+	var buf [headerSize + 4*maxMissing]byte
+	putHeader(buf[:], h)
+	n.transmit(raddr, buf[:headerSize+copy(buf[headerSize:], extra)])
+}
+
 func (n *UDPNode) recvLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 64*1024)
@@ -274,9 +285,9 @@ func (n *UDPNode) dispatch(h header, payload []byte, raddr *net.UDPAddr) {
 		}
 		n.mu.Unlock()
 		if r != nil {
-			r.handlePacket(h, payload, raddr)
+			r.handlePacket(h, payload, raddr, false)
 		} else if reply.Type != 0 {
-			n.transmit(raddr, encodePacket(reply, nil))
+			n.transmitCtl(raddr, reply, nil)
 		}
 	case ptAck, ptDup, ptOOO, ptStop:
 		n.mu.Lock()
@@ -396,13 +407,13 @@ func (n *UDPNode) OpenRecv(query uint64, motion int16, senders []SegID) (RecvStr
 	r := &udpRecv{
 		n:      n,
 		key:    key,
-		conns:  map[SegID]*rcvConn{},
-		ch:     make(chan recvItem, (n.cfg.RecvWindow+1)*len(senders)+1),
+		conns:  make(map[SegID]*rcvConn, len(senders)),
+		wake:   make(chan struct{}, 1),
 		left:   len(senders),
 		cancel: make(chan struct{}),
 	}
 	for _, s := range senders {
-		r.conns[s] = &rcvConn{sender: s, expected: 1, pending: map[uint32][]byte{}}
+		r.conns[s] = &rcvConn{sender: s, expected: 1}
 	}
 	n.mu.Lock()
 	if n.closed {
@@ -428,7 +439,7 @@ func (n *UDPNode) OpenRecv(query uint64, motion int16, senders []SegID) (RecvStr
 	// out-of-order ring until the replay catches up.
 	if early != nil {
 		for _, p := range early.pkts {
-			r.handlePacket(p.h, p.payload, p.raddr)
+			r.handlePacket(p.h, p.payload, p.raddr, true)
 		}
 	}
 	return r, nil
@@ -504,12 +515,21 @@ type udpSend struct {
 	stopped  bool
 	canceled bool
 	closed   bool
+	drainBy  time.Time // EOS emitted: when Close gives up on its acknowledgement
 	blocked  time.Time // since when Send has been waiting
 	lastQry  time.Time
 }
 
 // Send implements SendStream.
-func (s *udpSend) Send(data []byte) error {
+func (s *udpSend) Send(data []byte) error { return s.send(ptData, data) }
+
+// Finish implements SendStream.
+func (s *udpSend) Finish(data []byte) error { return s.send(ptEOS, data) }
+
+// send emits one sequenced packet once both windows have room for it.
+// The final packet waits for neither, as a bare EOS never has: the
+// receiver's queue keeps a slot for it beyond the window.
+func (s *udpSend) send(ptype uint8, data []byte) error {
 	if len(data) > s.n.cfg.MaxPayload {
 		return fmt.Errorf("interconnect: payload %d exceeds max %d", len(data), s.n.cfg.MaxPayload)
 	}
@@ -528,7 +548,7 @@ func (s *udpSend) Send(data []byte) error {
 		}
 		inflight := len(s.unacked)
 		unconsumed := int(s.nextSeq - 1 - s.sc)
-		if inflight < int(s.cwnd) && unconsumed < s.n.cfg.RecvWindow {
+		if ptype == ptEOS || inflight < int(s.cwnd) && unconsumed < s.n.cfg.RecvWindow {
 			s.blocked = time.Time{}
 			break
 		}
@@ -538,7 +558,7 @@ func (s *udpSend) Send(data []byte) error {
 		s.cond.Wait()
 	}
 	//hawqcheck:ignore lockorder — UDP datagram write under s.mu never blocks on a peer
-	s.emitLocked(ptData, data)
+	s.emitLocked(ptype, data)
 	return nil
 }
 
@@ -552,6 +572,9 @@ func (s *udpSend) emitLocked(ptype uint8, data []byte) {
 		Sender: s.sid.Sender, Receiver: s.sid.Receiver, Seq: seq,
 	}, data)
 	p := &outPkt{seq: seq, buf: buf, sentAt: s.n.clk.Now()}
+	if ptype == ptEOS {
+		s.drainBy = p.sentAt.Add(s.n.cfg.DrainTimeout)
+	}
 	s.unacked[seq] = p
 	s.n.transmit(s.raddr, buf)
 }
@@ -671,16 +694,13 @@ func (s *udpSend) tick(now time.Time) {
 			s.rto = rtoMax
 		}
 	}
-	var query []byte
+	query := false
 	if !s.blocked.IsZero() && len(s.unacked) == 0 && !s.stopped && !s.closed &&
 		now.Sub(s.blocked) > queryAfter && now.Sub(s.lastQry) > queryAfter {
 		// Sender is blocked on receiver capacity with nothing in flight:
 		// the consumption ack may have been lost. Ask for status.
 		s.lastQry = now
-		query = encodePacket(header{
-			Type: ptQuery, Query: s.sid.Query, Motion: s.sid.Motion,
-			Sender: s.sid.Sender, Receiver: s.sid.Receiver,
-		}, nil)
+		query = true
 	}
 	raddr := s.raddr
 	s.cond.Broadcast()
@@ -689,13 +709,18 @@ func (s *udpSend) tick(now time.Time) {
 	for _, buf := range resend {
 		s.n.transmit(raddr, buf)
 	}
-	if query != nil {
-		s.n.transmit(raddr, query)
+	if query {
+		s.n.transmitCtl(raddr, header{
+			Type: ptQuery, Query: s.sid.Query, Motion: s.sid.Motion,
+			Sender: s.sid.Sender, Receiver: s.sid.Receiver,
+		}, nil)
 	}
 }
 
-// Close implements SendStream: emits EOS and drains the unacked queue.
-// The wait is bounded by UDPConfig.DrainTimeout and aborted by a query
+// Close implements SendStream: emits a bare EOS unless Finish already
+// sent the stream's last packet, and drains the unacked queue. The wait
+// is bounded by UDPConfig.DrainTimeout from the moment the EOS left —
+// streams finished together time out together — and aborted by a query
 // cancel, so teardown cannot wall-block on a dead receiver.
 func (s *udpSend) Close() error {
 	s.mu.Lock()
@@ -709,12 +734,11 @@ func (s *udpSend) Close() error {
 		s.unregister()
 		return ErrCanceled
 	}
-	if !s.stopped {
+	if !s.stopped && s.drainBy.IsZero() {
 		s.emitLocked(ptEOS, nil)
 	}
-	deadline := s.n.clk.Now().Add(s.n.cfg.DrainTimeout)
 	for len(s.unacked) > 0 && !s.stopped && !s.canceled {
-		if s.n.clk.Now().After(deadline) {
+		if s.n.clk.Now().After(s.drainBy) {
 			s.closed = true
 			s.mu.Unlock()
 			s.unregister()
@@ -756,6 +780,9 @@ func (s *udpSend) unregister() {
 	s.n.mu.Unlock()
 }
 
+// recvItem is one in-order packet on its way to Recv. An eos item ends
+// its sender's stream, and its data, when there is any, is the stream's
+// last message (hasData); a data item's payload may be empty.
 type recvItem struct {
 	sender SegID
 	data   []byte
@@ -763,27 +790,32 @@ type recvItem struct {
 	conn   *rcvConn
 }
 
+func (it recvItem) hasData() bool { return !it.eos || len(it.data) > 0 }
+
 // rcvConn tracks one sender's stream at the receiver: the in-order
 // cursor, the out-of-order ring and the consumption counter feeding SC.
 type rcvConn struct {
 	sender   SegID
-	expected uint32            // next in-order seq
-	pending  map[uint32][]byte // buffered out-of-order packets (nil = EOS)
-	pendEOS  map[uint32]bool
-	consumed uint32 // SC: highest seq handed to the executor
+	expected uint32              // next in-order seq
+	pending  map[uint32]recvItem // buffered out-of-order packets; made on the first gap
+	consumed uint32              // SC: highest seq handed to the executor
 	done     bool
 }
 
 // udpRecv is the receiving side of one motion on this node, merging all
 // sender streams. A separate channel per stream pair is modeled by the
 // per-sender rcvConn (avoiding the §4.2 deadlock), with a single fan-in
-// channel sized to hold every window.
+// queue that grows with what arrives, up to every sender's window.
 type udpRecv struct {
-	n        *UDPNode
-	key      motionKey
-	mu       sync.Mutex
-	conns    map[SegID]*rcvConn
-	ch       chan recvItem
+	n     *UDPNode
+	key   motionKey
+	mu    sync.Mutex
+	conns map[SegID]*rcvConn
+	// queue[head:] are the delivered, unread items, oldest first; wake
+	// holds a token whenever Recv (one goroutine) may find one.
+	queue    []recvItem
+	head     int
+	wake     chan struct{}
 	left     int // senders that have not delivered EOS
 	cancel   chan struct{}
 	canceled bool
@@ -791,8 +823,11 @@ type udpRecv struct {
 	closed   bool
 }
 
-// handlePacket runs on the node's receive goroutine.
-func (r *udpRecv) handlePacket(h header, payload []byte, raddr *net.UDPAddr) {
+// handlePacket runs on the node's receive goroutine, and in OpenRecv for
+// the replay of early arrivals: those were acknowledged when they were
+// buffered, so a replayed packet is answered again only if it tells the
+// sender something new.
+func (r *udpRecv) handlePacket(h header, payload []byte, raddr *net.UDPAddr, replay bool) {
 	r.mu.Lock()
 	c := r.conns[h.Sender]
 	if c == nil || r.closed {
@@ -804,10 +839,10 @@ func (r *udpRecv) handlePacket(h header, payload []byte, raddr *net.UDPAddr) {
 		// stopped sender still transmits (Figure 5's Stop-sent state is
 		// left only when the sender goes quiet).
 		r.mu.Unlock()
-		r.n.transmit(raddr, encodePacket(header{
+		r.n.transmitCtl(raddr, header{
 			Type: ptStop, Query: r.key.Query, Motion: r.key.Motion,
 			Sender: h.Sender, Receiver: r.key.Receiver,
-		}, nil))
+		}, nil)
 		return
 	}
 	if h.Type == ptQuery {
@@ -816,7 +851,7 @@ func (r *udpRecv) handlePacket(h header, payload []byte, raddr *net.UDPAddr) {
 		r.sendAck(ptAck, h.Sender, sc, sr, nil, raddr)
 		return
 	}
-	eos := h.Type == ptEOS
+	item := recvItem{sender: c.sender, data: payload, eos: h.Type == ptEOS, conn: c}
 	switch {
 	case h.Seq < c.expected:
 		// Duplicate: answer with a cumulative ack so the sender clears
@@ -826,40 +861,37 @@ func (r *udpRecv) handlePacket(h header, payload []byte, raddr *net.UDPAddr) {
 		r.sendAck(ptDup, h.Sender, sc, sr, nil, raddr)
 		return
 	case h.Seq == c.expected:
-		r.deliverLocked(c, payload, eos)
+		r.deliverLocked(item)
 		c.expected++
 		// Drain buffered successors.
 		//hawqcheck:ignore ctxflow — drains a bounded pending ring; no waits inside
 		for {
-			data, ok := c.pending[c.expected]
+			next, ok := c.pending[c.expected]
 			if !ok {
 				break
 			}
 			delete(c.pending, c.expected)
-			e := c.pendEOS[c.expected]
-			delete(c.pendEOS, c.expected)
-			r.deliverLocked(c, data, e)
+			r.deliverLocked(next)
 			c.expected++
 		}
 		sc, sr := c.consumed, c.expected-1
 		r.mu.Unlock()
-		r.sendAck(ptAck, h.Sender, sc, sr, nil, raddr)
+		if !replay || sr > h.Seq {
+			r.sendAck(ptAck, h.Sender, sc, sr, nil, raddr)
+		}
 		return
 	default:
 		// Gap: buffer within a bounded ring and report what is missing.
 		if int(h.Seq-c.expected) < 4*r.n.cfg.RecvWindow {
+			if c.pending == nil {
+				c.pending = map[uint32]recvItem{}
+			}
 			if _, dup := c.pending[h.Seq]; !dup {
-				c.pending[h.Seq] = append([]byte(nil), payload...)
-				if c.pendEOS == nil {
-					c.pendEOS = map[uint32]bool{}
-				}
-				if eos {
-					c.pendEOS[h.Seq] = true
-				}
+				c.pending[h.Seq] = item // recvLoop made the payload ours
 			}
 		}
 		var missing []byte
-		for seq := c.expected; seq < h.Seq && len(missing) < 64*4; seq++ {
+		for seq := c.expected; seq < h.Seq && len(missing) < 4*maxMissing; seq++ {
 			if _, buffered := c.pending[seq]; !buffered {
 				missing = append(missing, byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq))
 			}
@@ -871,83 +903,82 @@ func (r *udpRecv) handlePacket(h header, payload []byte, raddr *net.UDPAddr) {
 	}
 }
 
-// deliverLocked hands an in-order packet to the executor channel.
-// Callers hold r.mu; the channel is sized so this never blocks.
-func (r *udpRecv) deliverLocked(c *rcvConn, data []byte, eos bool) {
+// deliverLocked queues an in-order packet for Recv. Callers hold r.mu.
+func (r *udpRecv) deliverLocked(it recvItem) {
+	c := it.conn
 	if c.done {
 		return
 	}
-	if eos {
-		c.done = true
-	}
-	if r.stopped && !eos {
+	c.done = it.eos
+	if r.stopped && !it.eos {
 		// After Stop we discard data but keep consuming so acks flow.
 		c.consumed++
 		return
 	}
+	if len(r.queue)-r.head > (r.n.cfg.RecvWindow+1)*len(r.conns) {
+		// Flow control holds every sender to its window plus the final
+		// packet, so this is a protocol accounting bug, not backpressure.
+		panic("interconnect: receive queue overflow")
+	}
+	if len(r.queue) == cap(r.queue) && 2*r.head >= len(r.queue) {
+		// Full, and at least half of it read: reuse the front, not grow.
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.queue = append(r.queue, it)
 	select {
-	case r.ch <- recvItem{sender: c.sender, data: data, eos: eos, conn: c}:
+	case r.wake <- struct{}{}:
 	default:
-		// The channel is sized to hold every sender's full window, so
-		// this indicates a protocol accounting bug, not backpressure.
-		panic("interconnect: receive channel overflow")
 	}
 }
 
-func (r *udpRecv) sendAck(ptype uint8, sender SegID, sc, sr uint32, payload []byte, raddr *net.UDPAddr) {
-	buf := encodePacket(header{
+func (r *udpRecv) sendAck(ptype uint8, sender SegID, sc, sr uint32, missing []byte, raddr *net.UDPAddr) {
+	r.n.transmitCtl(raddr, header{
 		Type: ptype, Query: r.key.Query, Motion: r.key.Motion,
 		Sender: sender, Receiver: r.key.Receiver, SC: sc, SR: sr,
-	}, payload)
-	r.n.transmit(raddr, buf)
+	}, missing)
 }
 
 // Recv implements RecvStream.
 func (r *udpRecv) Recv() (RecvItem, bool, error) {
 	for {
 		r.mu.Lock()
-		if r.closed {
+		switch {
+		case r.closed:
+			// Node shutdown, e.g. a killed segment.
 			r.mu.Unlock()
 			return RecvItem{}, false, ErrClosed
-		}
-		if r.left == 0 || r.stopped {
+		case r.left == 0 || r.stopped:
 			r.mu.Unlock()
 			return RecvItem{}, true, nil
-		}
-		r.mu.Unlock()
-		var item recvItem
-		var ok bool
-		select {
-		case item, ok = <-r.ch:
-		case <-r.cancel:
-			// Both Close (node shutdown, e.g. a killed segment) and
-			// CancelQuery land here; report the one that happened.
-			r.mu.Lock()
-			closed := r.closed
+		case r.canceled:
 			r.mu.Unlock()
-			if closed {
-				return RecvItem{}, false, ErrClosed
-			}
 			return RecvItem{}, false, ErrCanceled
-		}
-		if !ok {
-			return RecvItem{}, false, ErrClosed
-		}
-		if item.eos {
-			r.mu.Lock()
-			r.left--
-			done := r.left == 0
+		case r.head == len(r.queue):
 			r.mu.Unlock()
-			if done {
-				return RecvItem{}, true, nil
+			select {
+			case <-r.wake:
+			case <-r.cancel:
 			}
 			continue
 		}
-		// Advance SC for the sender's flow control.
-		r.mu.Lock()
-		item.conn.consumed++
+		item := r.queue[r.head]
+		r.queue[r.head] = recvItem{}
+		r.head++
+		if item.eos {
+			// Counted here, seen by the next pass: a final packet's
+			// payload is delivered before its end-of-stream.
+			r.left--
+		}
+		if item.hasData() {
+			// Advance SC for the sender's flow control.
+			item.conn.consumed++
+		}
 		r.mu.Unlock()
-		return RecvItem{Sender: item.sender, Data: item.data}, false, nil
+		if item.hasData() {
+			return RecvItem{Sender: item.sender, Data: item.data}, false, nil
+		}
 	}
 }
 
@@ -966,11 +997,10 @@ func (r *udpRecv) Stop() {
 	r.mu.Unlock()
 	for _, s := range senders {
 		if raddr, ok := r.n.book.UDP(s); ok {
-			buf := encodePacket(header{
+			r.n.transmitCtl(raddr, header{
 				Type: ptStop, Query: r.key.Query, Motion: r.key.Motion,
 				Sender: s, Receiver: r.key.Receiver,
 			}, nil)
-			r.n.transmit(raddr, buf)
 		}
 	}
 }

@@ -128,7 +128,9 @@ func (p Policy) Do(ctx context.Context, attempt func(n int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	// The jitter source is seeded at the first backoff: an attempt that
+	// succeeds first time, which is every healthy statement, pays nothing.
+	var rng *rand.Rand
 	var err error
 	for n := 1; ; n++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -144,6 +146,9 @@ func (p Policy) Do(ctx context.Context, attempt func(n int) error) error {
 		}
 		if n >= p.MaxAttempts {
 			return fmt.Errorf("retry: %d attempts failed: %w", n, err)
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(p.Seed))
 		}
 		if !sleepCtx(ctx, p.Clock, p.jittered(p.Backoff(n), rng)) {
 			return canceledErr(ctx, err)

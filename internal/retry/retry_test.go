@@ -142,3 +142,46 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		t.Fatal("different seeds produced an identical jitter schedule")
 	}
 }
+
+// recClock records every backoff Do asks for and lets it elapse at once.
+type recClock struct {
+	clock.Wall
+	slept []time.Duration
+}
+
+func (c *recClock) NewTimer(d time.Duration) clock.Timer {
+	c.slept = append(c.slept, d)
+	return c.Wall.NewTimer(0)
+}
+
+// Do seeds its jitter source at the first backoff, not on entry: a
+// first-try success allocates nothing, and the delays of a failing run
+// are still the ones its Seed has always produced.
+func TestDoSeedsJitterLazily(t *testing.T) {
+	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Seed: 42, Clock: clock.Wall{}}
+	ok := func(int) error { return nil }
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := p.Do(ctx, ok); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a first-try success allocates %v objects, want 0", n)
+	}
+
+	rec := &recClock{}
+	p.Clock = rec
+	if err := p.Do(ctx, func(int) error { return errors.New("transient") }); err == nil {
+		t.Fatal("five failing attempts reported success")
+	}
+	f := p.filled()
+	rng := rand.New(rand.NewSource(42))
+	for i, got := range rec.slept {
+		if want := f.jittered(f.Backoff(i+1), rng); got != want {
+			t.Errorf("backoff %d = %v, want %v (the schedule of seed 42)", i+1, got, want)
+		}
+	}
+	if len(rec.slept) != 4 {
+		t.Errorf("%d backoffs for 5 attempts, want 4", len(rec.slept))
+	}
+}

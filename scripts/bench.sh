@@ -27,7 +27,11 @@
 # one-QE direct dispatch and a four-QE gather on an empty table: the
 # fixed cost of every statement) with the three ways a plan can reach
 # an executor (gob+quicklz encode, decode, structural clone), the
-# prepared point lookup on warm block caches (PointLookup/prepared), and the
+# prepared point lookup on warm block caches (PointLookup/prepared), the
+# same statement through the serving layer on loopback (ServedPoint,
+# which also prints server socket writes/op and interconnect
+# datagrams/op), a one-payload motion stream on the UDP interconnect
+# (UDPShortStream: open, finish, acknowledge, close), and the
 # hawq-check self-benchmark (one full ten-analyzer run over the
 # repository; budget <10s), and writes the results to
 # BENCH_micro.json as {"BenchmarkName/variant": {ns_op, b_op,
@@ -68,8 +72,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup'
-PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/cluster ."
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup|BenchmarkServedPoint|BenchmarkUDPShortStream'
+PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/interconnect ./internal/cluster ./internal/client ."
 
 OUT="BENCH_micro.json"
 RAW="$(mktemp)"

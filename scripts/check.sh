@@ -49,7 +49,9 @@
 #   4e. stays deleted            — the join's old key encoding, the
 #                                  runtime bloom filters and the
 #                                  string-keyed group maps with their
-#                                  second key normal form are not back
+#                                  second key normal form are not back,
+#                                  and no frame is written to a served
+#                                  connection's raw socket again
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -117,8 +119,8 @@ echo "==> benchmark module (go vet + go test in benchmark/)"
 echo "==> stays deleted"
 # One letter of each name is bracketed so that this line is no match
 # for its own pattern.
-if grep -rnE 'buildBucket|appendJoinKey|rtfHash|partOf\(|Filter[H]ub|Runtime[F]ilter|apply[B]loomVec|rtfilter[_]removed|map\[string\][i]nt32|partOf[B]ytes|add[B]ytes|\*Vector\) Append[K]ey' internal cmd bench_test.go; then
-    echo "stays deleted: the join's old key encoding, the runtime filters or the string-keyed group maps are back (see above)" >&2
+if grep -rnE 'buildBucket|appendJoinKey|rtfHash|partOf\(|Filter[H]ub|Runtime[F]ilter|apply[B]loomVec|rtfilter[_]removed|map\[string\][i]nt32|partOf[B]ytes|add[B]ytes|\*Vector\) Append[K]ey|writeMsg\([c]onn' internal cmd bench_test.go; then
+    echo "stays deleted: the join's old key encoding, the runtime filters, the string-keyed group maps or an unbuffered reply write are back (see above)" >&2
     exit 1
 fi
 
