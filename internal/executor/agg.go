@@ -117,7 +117,7 @@ func newHashAggOp(ctx *Context, node *plan.HashAgg) (Operator, error) {
 	}
 	a.keyScratch = make(types.Row, len(node.Groups))
 	a.seen = make([]keyTable, len(node.Aggs))
-	if vs, ok := in.(VecSource); ok && vs.EnableVec() {
+	if vs, ok := in.(VecSource); ok {
 		a.vecIn = vs
 		var exprs []expr.Expr
 		at := func(e expr.Expr) int {

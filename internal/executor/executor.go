@@ -36,18 +36,20 @@ type SegFileUpdate struct {
 // injects the implementation; plans only carry the external table
 // descriptor.
 type ExternalEngine interface {
-	// ScanExternal reads the fragments assigned to the given segment,
-	// invoking fn per row (already projected to scan.Proj order).
-	ScanExternal(scan *plan.ExternalScan, segment int, fn func(types.Row) error) error
+	// OpenExternal starts reading the fragments assigned to the given
+	// segment. next returns the next row, already projected to scan.Proj
+	// order and valid until the following call, or nil at the end. The
+	// source holds nothing that has to be released.
+	OpenExternal(scan *plan.ExternalScan, segment int) (next func() (types.Row, error), err error)
 }
 
 // Context is everything a slice execution needs on one node.
 type Context struct {
 	// Ctx is the per-query cancellation context (nil means
 	// context.Background()): statement timeouts and client cancels
-	// cancel it, and every operator loop, scan producer and batch pump
-	// checks it so a sliced plan tears down within bounded time and
-	// returns its pooled batches.
+	// cancel it, and every operator checks it before each pull from its
+	// input or from storage, so a sliced plan tears down within bounded
+	// time and returns its pooled batches.
 	Ctx context.Context
 	// Query is the interconnect query ID (unique per dispatched
 	// statement).
@@ -113,24 +115,6 @@ func (ctx *Context) canceled() error {
 	default:
 		return nil
 	}
-}
-
-// doneCh returns the context's done channel, or nil (which blocks
-// forever in a select) when the query has no cancellation context.
-func (ctx *Context) doneCh() <-chan struct{} {
-	if ctx == nil || ctx.Ctx == nil {
-		return nil
-	}
-	return ctx.Ctx.Done()
-}
-
-// cause returns the cancellation cause of a done context (used by
-// producers that woke up on doneCh).
-func (ctx *Context) cause() error {
-	if ctx == nil || ctx.Ctx == nil {
-		return context.Canceled
-	}
-	return context.Cause(ctx.Ctx)
 }
 
 // Operator is a pull-based batch iterator: the one contract every

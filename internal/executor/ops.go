@@ -1,9 +1,7 @@
 package executor
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"hawq/internal/expr"
 	"hawq/internal/obs"
@@ -12,135 +10,8 @@ import (
 	"hawq/internal/types"
 )
 
-// errScanStopped aborts a storage push-scan when the consumer closed.
-var errScanStopped = errors.New("executor: scan stopped")
-
-// scanBatchDepth is the batch-channel depth between a scan's producer
-// goroutine and the operator (each entry is a whole block's rows).
-const scanBatchDepth = 4
-
-// feedItem is one hand-off from a producer goroutine: a materialized
-// batch or, from a scan in vector mode, a vector batch.
-type feedItem struct {
-	b  *types.Batch
-	vb *types.VecBatch
-}
-
-// release returns the item's batch to its pool.
-func (it feedItem) release() {
-	types.PutBatch(it.b)
-	types.PutVecBatch(it.vb)
-}
-
-// batchFeed is the bounded channel between a push-style producer
-// goroutine (a storage or PXF scan) and the pull-based operator in front
-// of it. It owns the whole producer lifecycle for both kinds of batch:
-// one channel, one end-of-stream, one error path. The producer is joined
-// by close, and exits — returning its in-flight batch to the pool — when
-// the consumer abandons the scan early or the per-query context is
-// canceled.
-type batchFeed struct {
-	ch   chan feedItem
-	errc chan error
-	stop chan struct{}
-	wg   sync.WaitGroup
-	open bool
-}
-
-// start runs produce in a goroutine; its error, unless it is the
-// consumer's own stop, surfaces from next/nextVec after the last batch.
-// The error is published before the channel closes, so a consumer that
-// sees end-of-stream always sees the error with it.
-func (f *batchFeed) start(produce func() error) {
-	f.ch = make(chan feedItem, scanBatchDepth)
-	f.errc = make(chan error, 1)
-	f.stop = make(chan struct{})
-	f.open = true
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		defer close(f.ch)
-		if err := produce(); err != nil && err != errScanStopped {
-			f.errc <- err
-		}
-	}()
-}
-
-// put hands it to the consumer, or releases it when the consumer stopped
-// or the query was canceled.
-func (f *batchFeed) put(ctx *Context, it feedItem) error {
-	select {
-	case f.ch <- it:
-		return nil
-	case <-f.stop:
-		it.release()
-		return errScanStopped
-	case <-ctx.doneCh():
-		it.release()
-		return ctx.cause()
-	}
-}
-
-// err reports the producer's failure once its channel is closed.
-func (f *batchFeed) err() error {
-	select {
-	case err := <-f.errc:
-		return err
-	default:
-		return nil
-	}
-}
-
-// next swaps the next produced batch into b, recycling b's previous
-// arena through the pool. A vector batch here means the consumer enabled
-// vector delivery and then pulled rows: an error, never a silent
-// end-of-stream.
-func (f *batchFeed) next(b *types.Batch) (bool, error) {
-	it, ok := <-f.ch
-	if !ok {
-		return false, f.err()
-	}
-	if it.b == nil {
-		it.release()
-		return false, errors.New("executor: NextBatch on a scan in vector mode")
-	}
-	*b, *it.b = *it.b, *b
-	types.PutBatch(it.b)
-	return true, nil
-}
-
-// nextVec returns the next produced vector batch (the caller releases
-// it), or nil at end of stream.
-func (f *batchFeed) nextVec() (*types.VecBatch, error) {
-	it, ok := <-f.ch
-	if !ok {
-		return nil, f.err()
-	}
-	if it.vb == nil {
-		it.release()
-		return nil, errors.New("executor: NextVecBatch on a scan in row-batch mode")
-	}
-	return it.vb, nil
-}
-
-// close stops the producer, drains whatever it already handed off back
-// into the pools, and joins the goroutine so no scan work (or pooled
-// batch) outlives the operator.
-func (f *batchFeed) close() {
-	if !f.open {
-		return
-	}
-	f.open = false
-	close(f.stop)
-	for it := range f.ch {
-		it.release()
-	}
-	f.wg.Wait()
-}
-
 // scanOp streams the committed rows of the segment files belonging to
-// this segment. The push-style storage scan runs in a goroutine feeding
-// a bounded channel, which keeps the operator pull-based.
+// this segment, pulled a block at a time on the caller's goroutine.
 //
 // Every format is a vector source: blocks arrive through the segment's
 // block cache as types.VecBatch typed column vectors (columnar pages
@@ -148,19 +19,20 @@ func (f *batchFeed) close() {
 // transposed into flat vectors), zone maps prune pages before
 // decompression, and the whole scan predicate — kernels first, the rest
 // row by row over the survivors — narrows the selection, all before a
-// row is materialized. A consumer that called EnableVec receives the
-// batches as-is through NextVecBatch; otherwise the producer
-// materializes the survivors into ordinary pooled batches.
+// row is materialized. NextVecBatch hands a block on as it is; NextBatch
+// materializes its survivors into the caller's batch. The two may be
+// mixed on one scan: every call takes the next block.
 type scanOp struct {
-	batchFeed
 	ctx  *Context
 	node *plan.Scan
-
-	vecMode bool // consumer called EnableVec: deliver vector batches
 
 	zonePreds []storage.ZonePred
 	filter    *expr.VecFilter
 	opStats   *obs.OpStats
+	st        storage.ScanStats
+
+	next int                // the segment file to open after cur
+	cur  *storage.BlockScan // the open segment file, nil between files
 }
 
 func newScanOp(ctx *Context, node *plan.Scan) *scanOp {
@@ -195,83 +67,104 @@ func zoneOpOf(op expr.BinOpKind) (storage.ZoneOp, bool) {
 }
 
 // setOpStats implements statsSink: the scan attributes pages skipped and
-// block-cache hits and misses to its own slot (flushed once when the
-// producer goroutine exits; Stats is read only after Close joins it).
+// block-cache hits and misses to its own slot, in Close.
 func (s *scanOp) setOpStats(st *obs.OpStats) { s.opStats = st }
 
-// EnableVec implements VecSource: a scan that has not started yet can
-// always deliver vectors.
-func (s *scanOp) EnableVec() bool {
-	if !s.open {
-		s.vecMode = true
-	}
-	return s.vecMode
-}
-
-// Open implements Operator: it starts the storage reader goroutine.
+// Open implements Operator. Files are opened as the scan reaches them.
 func (s *scanOp) Open() error {
-	s.start(s.produce)
+	s.next = 0
 	return nil
 }
 
-// produce is the scan's producer: per block it applies the scan
-// predicate, then either hands the vector batch to a vec consumer or
-// materializes survivors into a pooled batch.
-func (s *scanOp) produce() error {
-	st := &storage.ScanStats{}
-	defer func() {
-		if s.opStats != nil {
-			s.opStats.PagesSkipped += st.PagesSkipped
-			s.opStats.CacheHits += st.CacheHits
-			s.opStats.CacheMisses += st.CacheMisses
+// NextVecBatch implements VecSource: the next block with a surviving
+// row, the scan predicate applied to its selection.
+func (s *scanOp) NextVecBatch() (*types.VecBatch, error) {
+	vb, err := s.pull()
+	if err != nil {
+		s.next = len(s.node.SegFiles) // a failed scan has no more rows
+	}
+	return vb, err
+}
+
+func (s *scanOp) pull() (*types.VecBatch, error) {
+	for {
+		if err := s.ctx.canceled(); err != nil {
+			return nil, err
 		}
-	}()
-	for _, sf := range s.node.SegFiles {
-		if sf.SegmentID != s.ctx.Segment {
+		if s.cur == nil {
+			files := s.node.SegFiles
+			for s.next < len(files) && files[s.next].SegmentID != s.ctx.Segment {
+				s.next++
+			}
+			if s.next >= len(files) {
+				return nil, nil
+			}
+			cur, err := s.ctx.Cache.OpenScan(s.ctx.FS, s.node.Table.Storage, files[s.next], s.node.Proj, s.zonePreds, &s.st)
+			if err != nil {
+				return nil, err
+			}
+			s.cur = cur
+			s.next++
+		}
+		vb, err := s.cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if vb == nil {
+			if err := s.closeFile(); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		err := s.ctx.Cache.ScanVecBatches(s.ctx.FS, s.node.Table.Storage, s.node.Table.Schema, sf, s.node.Proj, s.zonePreds, st, func(vb *types.VecBatch) error {
-			if err := s.filter.Apply(vb); err != nil {
-				types.PutVecBatch(vb)
-				return err
-			}
-			if vb.SelCount() == 0 {
-				types.PutVecBatch(vb)
-				return nil
-			}
-			if s.vecMode {
-				return s.put(s.ctx, feedItem{vb: vb})
-			}
-			b := types.GetBatch(0)
-			vb.Materialize(b)
+		if err := s.filter.Apply(vb); err != nil {
 			types.PutVecBatch(vb)
-			return s.put(s.ctx, feedItem{b: b})
-		})
-		if err != nil {
-			return err
+			return nil, err
 		}
+		if vb.SelCount() > 0 {
+			return vb, nil
+		}
+		types.PutVecBatch(vb)
 	}
-	return nil
 }
 
-// NextVecBatch implements VecSource.
-func (s *scanOp) NextVecBatch() (*types.VecBatch, error) { return s.nextVec() }
-
 // NextBatch implements Operator.
-func (s *scanOp) NextBatch(b *types.Batch) (bool, error) { return s.next(b) }
+func (s *scanOp) NextBatch(b *types.Batch) (bool, error) {
+	vb, err := s.NextVecBatch()
+	if vb == nil {
+		return false, err
+	}
+	vb.Materialize(b)
+	types.PutVecBatch(vb)
+	return true, nil
+}
+
+func (s *scanOp) closeFile() error {
+	if s.cur == nil {
+		return nil
+	}
+	err := s.cur.Close()
+	s.cur = nil
+	return err
+}
 
 // Close implements Operator.
 func (s *scanOp) Close() error {
-	s.close()
-	return nil
+	s.next = len(s.node.SegFiles)
+	if s.opStats != nil {
+		s.opStats.PagesSkipped += s.st.PagesSkipped
+		s.opStats.CacheHits += s.st.CacheHits
+		s.opStats.CacheMisses += s.st.CacheMisses
+	}
+	s.st = storage.ScanStats{}
+	return s.closeFile()
 }
 
-// externalScanOp bridges to the PXF engine, whose push-style row
-// callback fills pooled batches in a producer goroutine.
+// externalScanOp reads the segment's share of a PXF table, pulling rows
+// from the engine's source into the caller's batch.
 type externalScanOp struct {
-	batchFeed
 	ctx  *Context
 	node *plan.ExternalScan
+	next func() (types.Row, error) // nil before Open and past the end
 }
 
 func newExternalScanOp(ctx *Context, node *plan.ExternalScan) (Operator, error) {
@@ -282,43 +175,44 @@ func newExternalScanOp(ctx *Context, node *plan.ExternalScan) (Operator, error) 
 }
 
 // Open implements Operator.
-func (e *externalScanOp) Open() error {
-	e.start(e.produce)
-	return nil
+func (e *externalScanOp) Open() (err error) {
+	e.next, err = e.ctx.External.OpenExternal(e.node, e.ctx.Segment)
+	return err
 }
 
-// produce copies the rows that pass the scan filter into a batch and
-// hands it over each time it reaches types.DefaultBatchRows.
-func (e *externalScanOp) produce() error {
-	b := types.GetBatch(0)
-	err := e.ctx.External.ScanExternal(e.node, e.ctx.Segment, func(row types.Row) error {
+// NextBatch implements Operator: up to types.DefaultBatchRows rows that
+// pass the scan filter.
+func (e *externalScanOp) NextBatch(b *types.Batch) (bool, error) {
+	b.Reset(len(e.node.Proj))
+	for e.next != nil && b.Len() < types.DefaultBatchRows {
+		if err := e.ctx.canceled(); err != nil {
+			return false, err
+		}
+		row, err := e.next()
+		if err != nil {
+			return false, err
+		}
+		if row == nil {
+			e.next = nil
+			break
+		}
 		if e.node.Filter != nil {
 			ok, err := expr.EvalBool(e.node.Filter, row)
-			if err != nil || !ok {
-				return err
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				continue
 			}
 		}
 		b.AppendRow(row)
-		if b.Len() < types.DefaultBatchRows {
-			return nil
-		}
-		full := b
-		b = types.GetBatch(0)
-		return e.put(e.ctx, feedItem{b: full})
-	})
-	if err != nil || b.Len() == 0 {
-		types.PutBatch(b)
-		return err
 	}
-	return e.put(e.ctx, feedItem{b: b})
+	return b.Len() > 0, nil
 }
-
-// NextBatch implements Operator.
-func (e *externalScanOp) NextBatch(b *types.Batch) (bool, error) { return e.next(b) }
 
 // Close implements Operator.
 func (e *externalScanOp) Close() error {
-	e.close()
+	e.next = nil
 	return nil
 }
 
@@ -411,10 +305,17 @@ func (s *selectOp) NextBatch(b *types.Batch) (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		if err := expr.FilterBatch(s.pred, b); err != nil {
-			return false, err
+		kept := 0
+		for i := 0; i < b.Len(); i++ {
+			if pass, err := expr.EvalBool(s.pred, b.Row(i)); err != nil {
+				return false, err
+			} else if pass {
+				b.MoveRow(kept, i)
+				kept++
+			}
 		}
-		if b.Len() > 0 {
+		b.Truncate(kept)
+		if kept > 0 {
 			return true, nil
 		}
 	}
@@ -443,7 +344,17 @@ func (p *projectOp) NextBatch(b *types.Batch) (bool, error) {
 	if err != nil || !ok {
 		return false, err
 	}
-	return true, expr.ProjectBatch(p.exprs, p.scratch, b)
+	b.Reset(len(p.exprs))
+	b.Extend(p.scratch.Len())
+	for i := 0; i < b.Len(); i++ {
+		in, out := p.scratch.Row(i), b.Row(i)
+		for j, e := range p.exprs {
+			if out[j], err = e.Eval(in); err != nil {
+				return false, err
+			}
+		}
+	}
+	return true, nil
 }
 
 // Close implements Operator.

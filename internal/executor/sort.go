@@ -151,7 +151,7 @@ func (s *sortOp) spill() error {
 			s.mem.st.SpillBytes += f.Bytes()
 			s.mem.st.SpillFiles++
 		}
-		s.runs = append(s.runs, &wfRun{f: f})
+		s.runs = append(s.runs, &wfRun{ctx: s.ctx, f: f})
 	} else {
 		dir := s.ctx.SpillDir
 		if dir == "" {

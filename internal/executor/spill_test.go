@@ -266,3 +266,46 @@ func TestSpillObservesCancel(t *testing.T) {
 		t.Fatalf("got %v after the cancel, want its cause", lastErr)
 	}
 }
+
+// TestSpilledSortMergeObservesCancel: the merge of a spilled sort reads
+// its runs back through row cursors, and a cursor checks the query
+// context before every refill — so a cancel between two batches of the
+// merge comes out as its cause once a run's batch is used up, not as the
+// rest of the sorted rows, and Close leaves no workfile.
+func TestSpilledSortMergeObservesCancel(t *testing.T) {
+	var rows [][]int64
+	for i := 0; i < 9000; i++ {
+		rows = append(rows, []int64{int64((i * 7919) % 9000), int64(i)})
+	}
+	cause := errors.New("canceled by test")
+	cctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	ctx, st := spillCtx(t, 0)
+	ctx.Ctx, ctx.SortMemRows = cctx, 4000 // two runs of 4 000 rows and a tail in memory
+	op := mustBuild(t, ctx, &plan.Sort{Input: valuesNode(intsSchema("k", "v"), rows...), Keys: []plan.OrderKey{{Col: 0}}})
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Live() != 2 {
+		t.Fatalf("%d runs in the workfile store, want 2", st.Live())
+	}
+	b := types.GetBatch(0)
+	defer types.PutBatch(b)
+	if ok, err := op.NextBatch(b); err != nil || !ok {
+		t.Fatalf("first merged batch: ok=%v err=%v", ok, err)
+	}
+	cancel(cause)
+	var err error
+	for ok := true; ok && err == nil; {
+		ok, err = op.NextBatch(b)
+	}
+	if !errors.Is(err, cause) {
+		t.Fatalf("the merge ended with %v after the cancel, want its cause", err)
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Live() != 0 {
+		t.Fatalf("%d workfiles survive cancel + Close", st.Live())
+	}
+}

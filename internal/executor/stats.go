@@ -82,7 +82,9 @@ func (r *StatsRecorder) wrap(n plan.Node, op Operator) Operator {
 		sink.setOpStats(st)
 	}
 	d := &statsOp{in: op, st: st, clk: r.clk}
-	d.vs, _ = op.(VecSource)
+	if vs, ok := op.(VecSource); ok {
+		return &statsVecOp{statsOp: d, vs: vs}
+	}
 	return d
 }
 
@@ -95,7 +97,6 @@ type statsOp struct {
 	in  Operator
 	st  *obs.OpStats
 	clk clock.Clock
-	vs  VecSource // non-nil when the wrapped operator can emit vector batches
 }
 
 // Open implements Operator.
@@ -126,15 +127,15 @@ func (o *statsOp) Close() error {
 	return err
 }
 
-// EnableVec implements VecSource by delegation; a decorated operator
-// without a vector path reports false.
-func (o *statsOp) EnableVec() bool {
-	return o.vs != nil && o.vs.EnableVec()
+// statsVecOp decorates an operator that is a VecSource, and is one.
+type statsVecOp struct {
+	*statsOp
+	vs VecSource
 }
 
 // NextVecBatch implements VecSource, charging the vector batch's
 // selected rows to the same slot the row path would.
-func (o *statsOp) NextVecBatch() (*types.VecBatch, error) {
+func (o *statsVecOp) NextVecBatch() (*types.VecBatch, error) {
 	start := o.clk.Now()
 	vb, err := o.vs.NextVecBatch()
 	o.st.Wall += o.clk.Since(start)

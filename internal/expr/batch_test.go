@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"hawq/internal/testutil"
 	"hawq/internal/types"
 )
 
-// kernelTestRows mixes kinds and NULLs to exercise both the vectorized
-// kernels and their generic fallbacks.
+// kernelTestRows mixes kinds and NULLs to exercise both the vector
+// kernels and their row-by-row fallbacks.
 func kernelTestRows() []types.Row {
 	return []types.Row{
 		{types.NewInt64(1), types.NewInt64(10), types.NewString("a")},
@@ -19,15 +20,19 @@ func kernelTestRows() []types.Row {
 	}
 }
 
-func fillBatch(rows []types.Row) *types.Batch {
-	b := types.GetBatch(0)
-	for _, r := range rows {
-		b.AppendRow(r)
+// vecBatchOf holds rows as flat vectors, one per column.
+func vecBatchOf(rows []types.Row) *types.VecBatch {
+	cols := make([][]types.Datum, len(rows[0]))
+	encs := make([]types.VecEnc, len(cols))
+	for j := range cols {
+		for _, r := range rows {
+			cols[j] = append(cols[j], r[j])
+		}
 	}
-	return b
+	return testutil.VecBatch(cols, encs)
 }
 
-// filterRowPath is the reference semantics FilterBatch must match.
+// filterRowPath is the reference semantics filtering a batch must match.
 func filterRowPath(t *testing.T, pred Expr, rows []types.Row) []types.Row {
 	t.Helper()
 	var out []types.Row
@@ -43,6 +48,10 @@ func filterRowPath(t *testing.T, pred Expr, rows []types.Row) []types.Row {
 	return out
 }
 
+// TestFilterBatchMatchesEvalBool: a batch filtered as vectors — the only
+// compiled filter there is; the row-batch kernels this test was named for
+// are gone and selectOp runs the plain loop that is the reference here —
+// keeps the rows EvalBool passes, over columns of mixed kinds too.
 func TestFilterBatchMatchesEvalBool(t *testing.T) {
 	rows := kernelTestRows()
 	col0 := &ColRef{Idx: 0, K: types.KindInt64}
@@ -60,11 +69,14 @@ func TestFilterBatchMatchesEvalBool(t *testing.T) {
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
 			want := filterRowPath(t, pred, rows)
-			b := fillBatch(rows)
-			defer types.PutBatch(b)
-			if err := FilterBatch(pred, b); err != nil {
+			vb := vecBatchOf(rows)
+			defer types.PutVecBatch(vb)
+			if err := CompileFilter(pred).Apply(vb); err != nil {
 				t.Fatal(err)
 			}
+			b := types.GetBatch(0)
+			defer types.PutBatch(b)
+			vb.Materialize(b)
 			if b.Len() != len(want) {
 				t.Fatalf("kept %d rows, want %d", b.Len(), len(want))
 			}
@@ -77,6 +89,9 @@ func TestFilterBatchMatchesEvalBool(t *testing.T) {
 	}
 }
 
+// TestProjectBatchMatchesEval: expressions computed over a batch as
+// vectors, by kernel or row by row, are what Eval computes a row at a
+// time, which is all projectOp does.
 func TestProjectBatchMatchesEval(t *testing.T) {
 	rows := kernelTestRows()
 	col0 := &ColRef{Idx: 0, K: types.KindInt64}
@@ -90,24 +105,24 @@ func TestProjectBatchMatchesEval(t *testing.T) {
 	}
 	for name, exprs := range exprSets {
 		t.Run(name, func(t *testing.T) {
-			in := fillBatch(rows)
-			out := types.GetBatch(0)
-			defer types.PutBatch(in)
-			defer types.PutBatch(out)
-			if err := ProjectBatch(exprs, in, out); err != nil {
+			vb := vecBatchOf(rows)
+			defer types.PutVecBatch(vb)
+			prog := CompileVec(exprs)
+			if err := prog.Eval(vb); err != nil {
 				t.Fatal(err)
 			}
-			if out.Len() != len(rows) {
-				t.Fatalf("projected %d rows", out.Len())
-			}
-			for i, r := range rows {
-				for j, e := range exprs {
+			for j, e := range exprs {
+				got := testutil.VectorRows(prog.Result(j))
+				if len(got) != len(rows) {
+					t.Fatalf("col %d: projected %d rows", j, len(got))
+				}
+				for i, r := range rows {
 					want, err := e.Eval(r)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(out.Row(i)[j], want) {
-						t.Errorf("row %d col %d = %v, want %v", i, j, out.Row(i)[j], want)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("row %d col %d = %v, want %v", i, j, got[i], want)
 					}
 				}
 			}
@@ -115,23 +130,19 @@ func TestProjectBatchMatchesEval(t *testing.T) {
 	}
 }
 
+// TestBatchKernelsOutOfRangeColumn: a column the row does not have is an
+// error of Eval, whatever loop calls it.
 func TestBatchKernelsOutOfRangeColumn(t *testing.T) {
-	rows := []types.Row{{types.NewInt64(1)}}
+	row := types.Row{types.NewInt64(1)}
 	bad := &ColRef{Idx: 5, K: types.KindInt64}
-	b := fillBatch(rows)
-	defer types.PutBatch(b)
-	// Both paths must report the error, not panic or silently pass.
-	if err := FilterBatch(NewBinOp(OpGt, bad, NewConst(types.NewInt64(0))), b); err == nil {
+	// The error is reported, not a panic or a silent pass.
+	if _, err := EvalBool(NewBinOp(OpGt, bad, NewConst(types.NewInt64(0))), row); err == nil {
 		t.Error("filter on out-of-range column accepted")
 	}
-	in := fillBatch(rows)
-	out := types.GetBatch(0)
-	defer types.PutBatch(in)
-	defer types.PutBatch(out)
-	if err := ProjectBatch([]Expr{bad}, in, out); err == nil {
+	if _, err := bad.Eval(row); err == nil {
 		t.Error("projection of out-of-range column accepted")
 	}
-	if err := ProjectBatch([]Expr{NewBinOp(OpAdd, bad, NewConst(types.NewInt64(1)))}, in, out); err == nil {
+	if _, err := NewBinOp(OpAdd, bad, NewConst(types.NewInt64(1))).Eval(row); err == nil {
 		t.Error("arithmetic on out-of-range column accepted")
 	}
 }

@@ -86,8 +86,8 @@ func wantSel(t *testing.T, pred Expr, cols [][]types.Datum, sel []int32) []int32
 // TestFilterVecMatchesFilterBatch is the property test: for random
 // batches, random per-column encodings, and random conjunctions of
 // kernel and non-kernel predicates, filtering the vectors then
-// materializing must be byte-identical to materializing then running
-// the row-batch FilterBatch.
+// materializing must be byte-identical to materializing then keeping
+// the rows EvalBool passes.
 func TestFilterVecMatchesFilterBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 300; trial++ {
@@ -165,14 +165,23 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 			continue
 		}
 
-		// Reference: materialize everything, then FilterBatch.
+		// Reference: materialize everything, then an EvalBool loop.
 		vbRef := testutil.VecBatch(cols, colEnc)
 		ref := types.GetBatch(0)
 		vbRef.Materialize(ref)
 		types.PutVecBatch(vbRef)
-		if err := FilterBatch(pred, ref); err != nil {
-			t.Fatal(err)
+		kept := 0
+		for i := 0; i < ref.Len(); i++ {
+			pass, err := EvalBool(pred, ref.Row(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass {
+				ref.MoveRow(kept, i)
+				kept++
+			}
 		}
+		ref.Truncate(kept)
 
 		// Vector path: FilterVec then materialize survivors.
 		vb := testutil.VecBatch(cols, colEnc)
@@ -247,8 +256,8 @@ func TestConjunctsAndAll(t *testing.T) {
 }
 
 // TestBoundParamIsAConstant: a bound $n is to the kernels what a literal
-// is — `col = $1` narrows the selection in a kernel and compacts in
-// FilterBatch — and so is anything computed from bound values alone,
+// is — `col = $1` narrows the selection in a kernel — and so is
+// anything computed from bound values alone,
 // while an unbound or NULL-bound placeholder is left to the row path,
 // which still answers as SQL says: NULL keeps no row, unbound is the
 // protocol error.
@@ -270,13 +279,13 @@ func TestBoundParamIsAConstant(t *testing.T) {
 	} {
 		param := &Param{Idx: 0, K: tc.val.K}
 		pred := &BinOp{Op: OpEq, L: &ColRef{Idx: j}, R: param}
-		if CompileFilter(pred).Residual() == nil || filterKernel(pred) != nil {
+		if CompileFilter(pred).Residual() == nil {
 			t.Fatalf("col %d: unbound parameter was kernelized", j)
 		}
 		if err := BindParams(pred, []types.Datum{tc.val}); err != nil {
 			t.Fatal(err)
 		}
-		if CompileFilter(pred).Residual() != nil || filterKernel(pred) == nil {
+		if CompileFilter(pred).Residual() != nil {
 			t.Fatalf("col %d: bound %v parameter is not kernelized", j, tc.val.K)
 		}
 		vb := testutil.VecBatch(cols, encs)
@@ -301,7 +310,7 @@ func TestBoundParamIsAConstant(t *testing.T) {
 	if err := BindParams(pred, []types.Datum{types.Null}); err != nil {
 		t.Fatal(err)
 	}
-	if CompileFilter(pred).Residual() == nil || filterKernel(pred) != nil {
+	if CompileFilter(pred).Residual() == nil {
 		t.Fatal("NULL-bound parameter was kernelized")
 	}
 	vb := testutil.VecBatch(cols, []types.VecEnc{types.VecFlat, types.VecFlat, types.VecFlat})
@@ -315,11 +324,7 @@ func TestBoundParamIsAConstant(t *testing.T) {
 	if err := FilterVec(unbound, vb); err == nil {
 		t.Fatal("unbound parameter evaluated over vectors")
 	}
-	b := types.GetBatch(0)
-	defer types.PutBatch(b)
-	vb.Sel = nil
-	vb.Materialize(b)
-	if err := FilterBatch(unbound, b); err == nil {
+	if _, err := EvalBool(unbound, types.Row{types.NewInt64(1)}); err == nil {
 		t.Fatal("unbound parameter evaluated")
 	}
 }

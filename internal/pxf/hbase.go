@@ -1,6 +1,7 @@
 package pxf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"regexp"
 	"sort"
@@ -160,28 +161,28 @@ func (b keyBound) admits(key string) bool {
 	return true
 }
 
-// ReadFragment implements Accessor: iterate the fragment's key range,
-// skipping keys excluded by pushed-down bounds, and emit rows encoded
-// per the request schema.
-func (c *HBaseConnector) ReadFragment(req *Request, f Fragment, emit func([]byte) error) error {
+// ReadFragment implements Accessor: under the table's read lock it walks
+// the fragment's key range, skipping keys excluded by pushed-down bounds,
+// and encodes the admitted rows per the request schema. The reader serves
+// that snapshot and holds no lock, so a Put between two Next calls is
+// neither seen nor waited for.
+func (c *HBaseConnector) ReadFragment(req *Request, f Fragment) (RecordReader, error) {
 	t, err := c.table(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	keys := t.sortedKeys()
 	// Region i covers an equal slice of the sorted keyspace.
 	per := (len(keys) + t.regions - 1) / t.regions
-	lo := f.Index * per
-	hi := lo + per
-	if lo > len(keys) {
-		lo = len(keys)
-	}
-	if hi > len(keys) {
-		hi = len(keys)
-	}
+	lo := min(f.Index*per, len(keys))
+	hi := min(lo+per, len(keys))
 	bounds := parseKeyFilter(req.Filter, req.Schema.Columns[0].Name)
-	var buf []byte
+	// The snapshot is in the sequence connector's framing.
+	r := &seqReader{}
+	var rec []byte
+	row := make(types.Row, req.Schema.Len())
 	skipped := int64(0)
 	for _, key := range keys[lo:hi] {
 		admit := true
@@ -196,7 +197,6 @@ func (c *HBaseConnector) ReadFragment(req *Request, f Fragment, emit func([]byte
 			continue
 		}
 		cells := t.rows[key]
-		row := make(types.Row, req.Schema.Len())
 		row[0] = types.NewString(key)
 		for i := 1; i < req.Schema.Len(); i++ {
 			col := req.Schema.Columns[i]
@@ -207,22 +207,18 @@ func (c *HBaseConnector) ReadFragment(req *Request, f Fragment, emit func([]byte
 			}
 			d, err := types.Cast(types.NewString(v), col.Kind)
 			if err != nil {
-				t.mu.RUnlock()
-				return fmt.Errorf("pxf hbase: cell %s of %s: %w", col.Name, key, err)
+				return nil, fmt.Errorf("pxf hbase: cell %s of %s: %w", col.Name, key, err)
 			}
 			row[i] = d
 		}
-		buf = types.EncodeRow(buf[:0], row)
-		if err := emit(buf); err != nil {
-			t.mu.RUnlock()
-			return err
-		}
+		rec = types.EncodeRow(rec[:0], row)
+		r.data = binary.AppendUvarint(r.data, uint64(len(rec)))
+		r.data = append(r.data, rec...)
 	}
-	t.mu.RUnlock()
 	c.mu.Lock()
 	c.pushdownHits += skipped
 	c.mu.Unlock()
-	return nil
+	return r, nil
 }
 
 // Resolve implements Resolver.

@@ -1,7 +1,6 @@
 package pxf
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -19,36 +18,13 @@ type JSONConnector struct {
 
 // Fragments implements Fragmenter (file granularity, like text).
 func (c *JSONConnector) Fragments(req *Request) ([]Fragment, error) {
-	files, err := listFiles(c.FS, req.Loc.Path)
-	if err != nil {
-		return nil, fmt.Errorf("pxf json: %w", err)
-	}
-	var out []Fragment
-	for i, f := range files {
-		frag := Fragment{Index: i, Source: f.Path, Length: f.Length}
-		if locs, err := c.FS.BlockLocations(f.Path); err == nil && len(locs) > 0 {
-			frag.Hosts = locs[0].Hosts
-		}
-		out = append(out, frag)
-	}
-	return out, nil
+	return fileFragments(c.FS, "pxf json", req.Loc.Path)
 }
 
 // ReadFragment implements Accessor: one record per line.
-func (c *JSONConnector) ReadFragment(req *Request, f Fragment, emit func([]byte) error) error {
+func (c *JSONConnector) ReadFragment(req *Request, f Fragment) (RecordReader, error) {
 	data, err := c.FS.ReadFile(f.Source)
-	if err != nil {
-		return err
-	}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if err := emit(line); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &lineReader{data: data, blank: true}, err
 }
 
 // Resolve implements Resolver: decode the object and map fields by

@@ -90,10 +90,19 @@ type Fragmenter interface {
 	Fragments(req *Request) ([]Fragment, error)
 }
 
-// Accessor reads all records of one fragment (§6.4). Records are opaque
+// Accessor reads the records of one fragment (§6.4). Records are opaque
 // bytes interpreted by the Resolver.
 type Accessor interface {
-	ReadFragment(req *Request, f Fragment, emit func(record []byte) error) error
+	ReadFragment(req *Request, f Fragment) (RecordReader, error)
+}
+
+// RecordReader is one fragment's records, pulled one at a time. A reader
+// holds the fragment's bytes and no lock or handle, so it is dropped, not
+// closed.
+type RecordReader interface {
+	// Next returns the next record, valid until the following call, or
+	// nil at the end of the fragment.
+	Next() ([]byte, error)
 }
 
 // Resolver deserializes one record into a row matching the request
@@ -181,41 +190,80 @@ func assignFragments(frags []Fragment, numSegments int) map[int][]Fragment {
 	return out
 }
 
-// ScanExternal implements the executor binding: reads the fragments
-// assigned to one segment and emits rows projected to scan.Proj order.
-func (e *Engine) ScanExternal(scan *plan.ExternalScan, segment int, fn func(types.Row) error) error {
+// OpenExternal implements the executor binding: next pulls the rows of
+// the fragments assigned to one segment, projected to scan.Proj order.
+func (e *Engine) OpenExternal(scan *plan.ExternalScan, segment int) (next func() (types.Row, error), err error) {
 	loc, err := ParseLocation(scan.Table.Location)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c, err := e.connector(loc.Profile)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req := &Request{Loc: loc, Schema: scan.Table.Schema, Filter: scan.PushedFilter}
 	frags, err := c.Fragments(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sort.Slice(frags, func(i, j int) bool { return frags[i].Index < frags[j].Index })
-	mine := assignFragments(frags, scan.NumSegments)[segment]
-	for _, f := range mine {
-		err := c.ReadFragment(req, f, func(record []byte) error {
-			row, err := c.Resolve(req, record)
-			if err != nil {
-				return err
-			}
-			out := make(types.Row, len(scan.Proj))
-			for i, idx := range scan.Proj {
-				out[i] = row[idx]
-			}
-			return fn(out)
-		})
-		if err != nil {
-			return fmt.Errorf("pxf: fragment %s[%d]: %w", f.Source, f.Index, err)
-		}
+	r := &rowReader{
+		c: c, req: req, proj: scan.Proj, out: make(types.Row, len(scan.Proj)),
+		frags: assignFragments(frags, scan.NumSegments)[segment],
 	}
-	return nil
+	return r.next, nil
+}
+
+// rowReader resolves and projects the records of a list of fragments,
+// one fragment open at a time.
+type rowReader struct {
+	c     Connector
+	req   *Request
+	proj  []int
+	out   types.Row
+	frags []Fragment   // not yet opened
+	at    Fragment     // the open one
+	cur   RecordReader // nil between fragments
+}
+
+// next returns the next row, valid until the following call, or nil
+// after the last fragment.
+func (r *rowReader) next() (types.Row, error) {
+	for {
+		if r.cur == nil {
+			if len(r.frags) == 0 {
+				return nil, nil
+			}
+			r.at, r.frags = r.frags[0], r.frags[1:]
+			cur, err := r.c.ReadFragment(r.req, r.at)
+			if err != nil {
+				return nil, r.fail(err)
+			}
+			r.cur = cur
+		}
+		record, err := r.cur.Next()
+		if err != nil {
+			return nil, r.fail(err)
+		}
+		if record == nil {
+			r.cur = nil
+			continue
+		}
+		row, err := r.c.Resolve(r.req, record)
+		if err != nil {
+			return nil, r.fail(err)
+		}
+		for i, idx := range r.proj {
+			r.out[i] = row[idx]
+		}
+		return r.out, nil
+	}
+}
+
+// fail names the fragment an error came from and ends the stream.
+func (r *rowReader) fail(err error) error {
+	r.cur, r.frags = nil, nil
+	return fmt.Errorf("pxf: fragment %s[%d]: %w", r.at.Source, r.at.Index, err)
 }
 
 // AnalyzeExternal implements the engine's optional statistics hook: it
@@ -240,13 +288,20 @@ func (e *Engine) AnalyzeExternal(desc *catalog.TableDesc) (int64, int64, error) 
 	}
 	var rows, bytes int64
 	for _, f := range frags {
-		err := c.ReadFragment(req, f, func(record []byte) error {
-			rows++
-			bytes += int64(len(record))
-			return nil
-		})
+		r, err := c.ReadFragment(req, f)
 		if err != nil {
 			return 0, 0, err
+		}
+		for {
+			record, err := r.Next()
+			if err != nil {
+				return 0, 0, err
+			}
+			if record == nil {
+				break
+			}
+			rows++
+			bytes += int64(len(record))
 		}
 	}
 	return rows, bytes, nil

@@ -19,48 +19,45 @@ type SeqConnector struct {
 
 const seqMagic = 0x53454131 // "SEA1"
 
-// Fragments implements Fragmenter (file granularity with locality).
+// Fragments implements Fragmenter (file granularity, like text).
 func (c *SeqConnector) Fragments(req *Request) ([]Fragment, error) {
-	files, err := listFiles(c.FS, req.Loc.Path)
-	if err != nil {
-		return nil, fmt.Errorf("pxf sequence: %w", err)
-	}
-	var out []Fragment
-	for i, f := range files {
-		frag := Fragment{Index: i, Source: f.Path, Length: f.Length}
-		if locs, err := c.FS.BlockLocations(f.Path); err == nil && len(locs) > 0 {
-			frag.Hosts = locs[0].Hosts
-		}
-		out = append(out, frag)
-	}
-	return out, nil
+	return fileFragments(c.FS, "pxf sequence", req.Loc.Path)
 }
 
 // ReadFragment implements Accessor.
-func (c *SeqConnector) ReadFragment(req *Request, f Fragment, emit func([]byte) error) error {
+func (c *SeqConnector) ReadFragment(req *Request, f Fragment) (RecordReader, error) {
 	data, err := c.FS.ReadFile(f.Source)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(data) < 4 || binary.BigEndian.Uint32(data) != seqMagic {
-		return fmt.Errorf("pxf sequence: %s is not a sequence file", f.Source)
+		return nil, fmt.Errorf("pxf sequence: %s is not a sequence file", f.Source)
 	}
-	pos := 4
-	for pos < len(data) {
-		l, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return fmt.Errorf("pxf sequence: truncated record length at %d", pos)
-		}
-		pos += n
-		if pos+int(l) > len(data) {
-			return fmt.Errorf("pxf sequence: truncated record at %d", pos)
-		}
-		if err := emit(data[pos : pos+int(l)]); err != nil {
-			return err
-		}
-		pos += int(l)
+	return &seqReader{data: data, pos: 4}, nil
+}
+
+// seqReader serves the length-prefixed records of a sequence file's
+// bytes.
+type seqReader struct {
+	data []byte
+	pos  int
+}
+
+// Next implements RecordReader.
+func (r *seqReader) Next() ([]byte, error) {
+	if r.pos >= len(r.data) {
+		return nil, nil
 	}
-	return nil
+	l, n := binary.Uvarint(r.data[r.pos:])
+	if n <= 0 {
+		return nil, fmt.Errorf("pxf sequence: truncated record length at %d", r.pos)
+	}
+	start := r.pos + n
+	if uint64(len(r.data)-start) < l {
+		return nil, fmt.Errorf("pxf sequence: truncated record at %d", start)
+	}
+	r.pos = start + int(l)
+	return r.data[start:r.pos], nil
 }
 
 // Resolve implements Resolver.

@@ -50,17 +50,18 @@ func listFiles(fs *hdfs.FileSystem, path string) ([]hdfs.FileStatus, error) {
 	return out, nil
 }
 
-// Fragments implements Fragmenter: one fragment per file, with the
-// file's first block's replica hosts as locality hints.
-func (c *TextConnector) Fragments(req *Request) ([]Fragment, error) {
-	files, err := listFiles(c.FS, req.Loc.Path)
+// fileFragments lists path's data files as one fragment each, with the
+// file's first block's replica hosts as locality hints; who names the
+// connector in the error.
+func fileFragments(fs *hdfs.FileSystem, who, path string) ([]Fragment, error) {
+	files, err := listFiles(fs, path)
 	if err != nil {
-		return nil, fmt.Errorf("pxf text: %w", err)
+		return nil, fmt.Errorf("%s: %w", who, err)
 	}
 	var out []Fragment
 	for i, f := range files {
 		frag := Fragment{Index: i, Source: f.Path, Length: f.Length}
-		if locs, err := c.FS.BlockLocations(f.Path); err == nil && len(locs) > 0 {
+		if locs, err := fs.BlockLocations(f.Path); err == nil && len(locs) > 0 {
 			frag.Hosts = locs[0].Hosts
 		}
 		out = append(out, frag)
@@ -68,28 +69,38 @@ func (c *TextConnector) Fragments(req *Request) ([]Fragment, error) {
 	return out, nil
 }
 
+// Fragments implements Fragmenter: one fragment per file.
+func (c *TextConnector) Fragments(req *Request) ([]Fragment, error) {
+	return fileFragments(c.FS, "pxf text", req.Loc.Path)
+}
+
 // ReadFragment implements Accessor: one record per line.
-func (c *TextConnector) ReadFragment(req *Request, f Fragment, emit func([]byte) error) error {
+func (c *TextConnector) ReadFragment(req *Request, f Fragment) (RecordReader, error) {
 	data, err := c.FS.ReadFile(f.Source)
-	if err != nil {
-		return err
-	}
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		var line []byte
-		if nl < 0 {
-			line, data = data, nil
+	return &lineReader{data: data}, err
+}
+
+// lineReader serves the lines of a file's bytes, skipping empty ones —
+// with blank set, lines of white space too; the last needs no newline.
+type lineReader struct {
+	data  []byte
+	blank bool
+}
+
+// Next implements RecordReader.
+func (r *lineReader) Next() ([]byte, error) {
+	for len(r.data) > 0 {
+		line := r.data
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line, r.data = line[:nl], line[nl+1:]
 		} else {
-			line, data = data[:nl], data[nl+1:]
+			r.data = nil
 		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := emit(line); err != nil {
-			return err
+		if len(line) > 0 && !(r.blank && len(bytes.TrimSpace(line)) == 0) {
+			return line, nil
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // Resolve implements Resolver: split on the delimiter, cast per column.

@@ -365,43 +365,68 @@ func (l *layout) project(proj []int, src func(c int) colSrc) {
 	}
 }
 
-// scan is the one reader of all three formats. It walks the layout's
-// files block by block; a block ruled out by preds against the zone
-// maps costs nothing further; for the others every output column comes
-// from the cache or, failing that, from storage: fetched, checksummed,
-// decompressed and decoded, and offered to the cache if this is not
-// the key's first miss. fn owns each batch it receives.
-func (c *BlockCache) scan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
-	files := make([]*fileScan, 0, len(l.paths))
+// BlockScan is the one reader of all three formats: an iterator over
+// the blocks of a lane. It walks the layout's files block by block; a
+// block ruled out by the zone predicates costs nothing further; for the
+// others every output column comes from the cache or, failing that, from
+// storage: fetched, checksummed, decompressed and decoded, and offered to
+// the cache if this is not the key's first miss. It runs on its caller's
+// goroutine and holds the files' readers until Close.
+type BlockScan struct {
+	preds []ZonePred
+	fill  blockFill // holds the open files
+	bi    int       // the next block's ordinal
+	done  bool      // end of stream, an error or Close came: nothing follows
+}
+
+// openScan opens every file of the layout.
+func (c *BlockCache) openScan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, preds []ZonePred, st *ScanStats) (*BlockScan, error) {
+	s := &BlockScan{preds: preds}
+	s.fill = blockFill{files: make([]*fileScan, 0, len(l.paths)), l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
 	for i, p := range l.paths {
 		f, err := c.openFileScan(fs, p, l.lens[i], l.parse)
 		if err != nil {
-			return err
+			return nil, errors.Join(err, s.Close())
 		}
-		defer f.close()
-		files = append(files, f)
+		s.fill.files = append(s.fill.files, f)
 	}
-	if len(files) == 0 {
-		return nil
+	return s, nil
+}
+
+// Next returns the next block that the zone predicates do not rule out,
+// or nil at the end of the committed region. The caller owns the batch
+// and releases it with types.PutVecBatch (or hands it on). After an
+// error, and after Close, Next reports the end of the stream.
+func (s *BlockScan) Next() (*types.VecBatch, error) {
+	if s.done {
+		return nil, nil
 	}
-	fill := blockFill{files: files, l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
-	for bi := 0; ; bi++ {
+	vb, err := s.next()
+	s.done = vb == nil
+	return vb, err
+}
+
+func (s *BlockScan) next() (*types.VecBatch, error) {
+	files, l := s.fill.files, s.fill.l
+	for len(files) > 0 {
+		bi := s.bi
+		s.bi++
 		rows := int32(-1)
 		for i, f := range files {
 			more, err := f.advance(bi)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !more {
 				if i == 0 {
-					return nil
+					return nil, nil
 				}
-				return fmt.Errorf("storage: CO column files out of sync (early EOF)")
+				return nil, fmt.Errorf("storage: CO column files out of sync (early EOF)")
 			}
 			if rows == -1 {
 				rows = f.cur.rows
 			} else if f.cur.rows != rows {
-				return fmt.Errorf("storage: CO block row counts diverge (%d vs %d)", rows, f.cur.rows)
+				return nil, fmt.Errorf("storage: CO block row counts diverge (%d vs %d)", rows, f.cur.rows)
 			}
 		}
 		if rows <= 0 {
@@ -410,35 +435,46 @@ func (c *BlockCache) scan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, 
 		// One impossible conjunct against any column's zone map rules
 		// the whole aligned page set out before any checksum work.
 		skip := false
-		for j, s := range l.out {
-			src := l.srcs[s]
+		for j, o := range l.out {
+			src := l.srcs[o]
 			if src.chunk >= len(files[src.file].chunks) {
-				return fmt.Errorf("storage: projection column %d out of range", src.chunk)
+				return nil, fmt.Errorf("storage: projection column %d out of range", src.chunk)
 			}
-			if !pageMayMatch(files[src.file].zone(src.chunk), j, preds) {
+			if !pageMayMatch(files[src.file].zone(src.chunk), j, s.preds) {
 				skip = true
 				break
 			}
 		}
 		if skip {
-			st.notePageSkipped()
+			s.fill.st.notePageSkipped()
 			continue
 		}
 		vb := types.GetVecBatch(len(l.out))
 		vb.SetLen(int(rows))
-		if err := fill.block(bi, vb); err != nil {
+		if err := s.fill.block(bi, vb); err != nil {
 			// What this scan learned about the files ends at a block
 			// that would not decode: none of it goes to the cache.
 			for _, f := range files {
 				f.grown = fileDir{}
 			}
 			types.PutVecBatch(vb)
-			return err
+			return nil, err
 		}
-		if err := fn(vb); err != nil {
-			return err
-		}
+		return vb, nil
 	}
+	return nil, nil
+}
+
+// Close offers the blocks this scan parsed to the cache — after k blocks
+// as after all of them — and releases the readers. Closing twice is
+// harmless.
+func (s *BlockScan) Close() error {
+	var err error
+	for _, f := range s.fill.files {
+		err = errors.Join(err, f.close())
+	}
+	s.fill.files, s.done = nil, true
+	return err
 }
 
 // blockFill fills one block's batch: the per-block half of scan, with

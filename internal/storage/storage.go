@@ -132,14 +132,15 @@ func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sc
 	})
 }
 
-// ScanVecBatches is the scan every other entry point wraps: fn receives
-// each block as a types.VecBatch of typed column vectors, so predicate
-// and aggregation kernels can run before anything is materialized. A
-// columnar page is decoded once into typed entries, keeping its runs or
-// dictionary codes; a row-oriented block is transposed once into flat
-// vectors of the same form. Pages ruled out by preds against the on-page
-// zone maps are skipped before checksum and decompression and counted in
-// st; every other projected page is decoded in full.
+// ScanVecBatches is the callback form of OpenScan, uncached: fn
+// receives each block as a types.VecBatch of typed column vectors, so
+// predicate and aggregation kernels can run before anything is
+// materialized. A columnar page is decoded once into typed entries,
+// keeping its runs or dictionary codes; a row-oriented block is
+// transposed once into flat vectors of the same form. Pages ruled out by
+// preds against the on-page zone maps are skipped before checksum and
+// decompression and counted in st; every other projected page is decoded
+// in full.
 // Ownership of each vec batch transfers to fn, which must release it
 // with types.PutVecBatch (or hand it on).
 //
@@ -152,10 +153,34 @@ func ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types
 // ScanVecBatches is the package-level ScanVecBatches through the cache:
 // the same batches, with every vector taken from memory when the cache
 // holds it and shared read-only (Vector.Shared) when it does.
-func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
-	codec, err := compress.Lookup(spec.Codec)
+func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, _ *types.Schema, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
+	s, err := c.OpenScan(fs, spec, sf, proj, preds, st)
 	if err != nil {
 		return err
+	}
+	for {
+		vb, err := s.Next()
+		if vb != nil {
+			err = fn(vb)
+		}
+		if vb == nil || err != nil {
+			// fn's error comes back as it is, not wrapped.
+			if cerr := s.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
+	}
+}
+
+// OpenScan starts a scan of the committed contents of one segment file
+// through the cache (a nil cache reads storage every time): the iterator
+// every other entry point loops over. The caller pulls blocks with Next
+// and must Close the scan, early or at the end.
+func (c *BlockCache) OpenScan(fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats) (*BlockScan, error) {
+	codec, err := compress.Lookup(spec.Codec)
+	if err != nil {
+		return nil, err
 	}
 	var l *layout
 	switch spec.Orientation {
@@ -169,9 +194,9 @@ func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpe
 		err = fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.scan(fs, codec, l, preds, st, fn)
+	return c.openScan(fs, codec, l, preds, st)
 }
 
 // ColFilePath returns the HDFS path of column i of a CO table lane.

@@ -27,14 +27,9 @@
 #                                  TestMain. Every named gate this
 #                                  script once re-ran afterwards (spill
 #                                  parity, EXPLAIN ANALYZE, serving,
-#                                  block cache, typed vectors, join) is
-#                                  a set of tests this step runs
-#   4b. scan-error gate          — a failing scan under a vector-mode
-#                                  hash agg must surface its error, not
-#                                  a partial aggregate: the looped case
-#                                  at -cpu 2,8, the widths at which the
-#                                  lost-error ordering was reproduced
-#                                  and step 4 does not run at
+#                                  block cache, typed vectors, join,
+#                                  scan errors) is a set of tests this
+#                                  step runs
 #   4c. concurrency cell         — a 16-session hawq-bench concurrency
 #                                  cell end to end under -race: the
 #                                  binary, not the package tests
@@ -47,11 +42,15 @@
 #                                  session, interconnect.NewUDPNode)
 #                                  fails locally, not in the pipeline
 #   4e. stays deleted            — the join's old key encoding, the
-#                                  runtime bloom filters and the
+#                                  runtime bloom filters, the
 #                                  string-keyed group maps with their
-#                                  second key normal form are not back,
-#                                  and no frame is written to a served
-#                                  connection's raw socket again
+#                                  second key normal form, the scan's
+#                                  producer goroutine with its feed and
+#                                  mode handshake and the row-batch
+#                                  expression kernels are not back, no
+#                                  frame is written to a served
+#                                  connection's raw socket again, and
+#                                  the executor starts no goroutine
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -107,9 +106,6 @@ fi
 echo "==> go test -race -count=1 ./..."
 go test -race -count=1 ./...
 
-echo "==> scan-error gate (-race -cpu 2,8)"
-go test -race -count=1 -cpu 2,8 -run 'TestVecScanErrorReachesAgg|TestVecModeScanRejectsNextBatch' ./internal/executor
-
 echo "==> hawq-bench concurrency cell (-race)"
 go run -race ./cmd/hawq-bench -exp concurrency -concurrency 16 -ops 64
 
@@ -121,6 +117,14 @@ echo "==> stays deleted"
 # for its own pattern.
 if grep -rnE 'buildBucket|appendJoinKey|rtfHash|partOf\(|Filter[H]ub|Runtime[F]ilter|apply[B]loomVec|rtfilter[_]removed|map\[string\][i]nt32|partOf[B]ytes|add[B]ytes|\*Vector\) Append[K]ey|writeMsg\([c]onn' internal cmd bench_test.go; then
     echo "stays deleted: the join's old key encoding, the runtime filters, the string-keyed group maps or an unbuffered reply write are back (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'batch[F]eed|feed[I]tem|Enable[V]ec|errScan[S]topped|func Filter[B]atch|func Project[B]atch' internal cmd bench_test.go; then
+    echo "stays deleted: the scan's producer goroutine, its feed, the vector/row mode handshake or the row-batch kernels are back (see above)" >&2
+    exit 1
+fi
+if grep -nE 'go func' $(ls internal/executor/*.go | grep -v '_test\.go$'); then
+    echo "stays deleted: a slice runs on one goroutine; internal/executor starts none (see above)" >&2
     exit 1
 fi
 
