@@ -267,3 +267,44 @@ func BenchmarkPlanShip(b *testing.B) {
 		}
 	})
 }
+
+var planSink *plan.Plan
+
+// BenchmarkPlan prices parse + plan with no dispatch: the serve_point
+// text statement (planned per statement, it never hits the plan cache)
+// and the three join queries predicate placement replans — Q7 (an OR
+// split per nation scan), Q13 (an ON conjunct planned below its outer
+// join) and Q18 (an IN joined to orders before the join order is chosen).
+func BenchmarkPlan(b *testing.B) {
+	e, err := engine.New(engine.Config{Segments: 4, SpillDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	if _, err := tpch.Load(e, tpch.LoadOptions{Scale: tpch.Scale{SF: 0.001}, Orientation: "row"}); err != nil {
+		b.Fatal(err)
+	}
+	cl := e.Cluster()
+	t := cl.TxMgr.Begin(tx.ReadCommitted)
+	defer t.Abort()
+	for _, c := range []struct{ name, sql string }{
+		{"text_point", "SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 42"},
+		{"q7", tpch.Queries[7]},
+		{"q13", tpch.Queries[13]},
+		{"q18", tpch.Queries[18]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stmt, err := sqlparser.ParseOne(c.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := &planner.Planner{Cat: cl.Cat(), Snap: t.Snapshot(), NumSegments: cl.NumSegments()}
+				if planSink, err = p.PlanSelect(stmt.(*sqlparser.SelectStmt)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -330,9 +330,42 @@ func (l *Like) String() string {
 	return fmt.Sprintf("(%s %s '%s')", l.E, op, l.Pattern)
 }
 
-// likeMatch matches s against a SQL LIKE pattern using a two-pointer scan
-// with backtracking on '%' (the classic wildcard algorithm).
+// likeMatch matches s against a SQL LIKE pattern. A pattern without '_'
+// is literal runs between '%'s: the first run must start s, the last end
+// it, and each one between is found leftmost after the one before — the
+// leftmost match leaves the most of s to the runs after it, so no
+// backtracking is needed. A pattern with '_' takes likeBacktrack.
 func likeMatch(s, pat string) bool {
+	if strings.IndexByte(pat, '_') >= 0 {
+		return likeBacktrack(s, pat)
+	}
+	i := strings.IndexByte(pat, '%')
+	if i < 0 {
+		return s == pat
+	}
+	if !strings.HasPrefix(s, pat[:i]) {
+		return false
+	}
+	s, pat = s[i:], pat[i+1:]
+	for {
+		i = strings.IndexByte(pat, '%')
+		if i < 0 {
+			return strings.HasSuffix(s, pat)
+		}
+		if i > 0 {
+			at := strings.Index(s, pat[:i])
+			if at < 0 {
+				return false
+			}
+			s = s[at+i:]
+		}
+		pat = pat[i+1:]
+	}
+}
+
+// likeBacktrack matches s against a SQL LIKE pattern using a two-pointer
+// scan with backtracking on '%' (the classic wildcard algorithm).
+func likeBacktrack(s, pat string) bool {
 	si, pi := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {

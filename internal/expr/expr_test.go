@@ -106,6 +106,71 @@ func TestLikeMatching(t *testing.T) {
 	}
 }
 
+// refLike is the matcher likeMatch replaced for '%'-only patterns, kept
+// here as the reference it must agree with.
+func refLike(s, pat string) bool {
+	si, pi := 0, 0
+	star, mark := -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
+			si++
+			pi++
+		case pi < len(pat) && pat[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case star >= 0:
+			mark++
+			si = mark
+			pi = star + 1
+		default:
+			return false
+		}
+	}
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
+}
+
+// TestLikeMatchesBacktracking holds likeMatch to the backtracking matcher:
+// the listed corner cases, then every string over {a, b} and every
+// pattern over {a, b, %, _} up to length five.
+func TestLikeMatchesBacktracking(t *testing.T) {
+	check := func(s, pat string) {
+		if got, want := likeMatch(s, pat), refLike(s, pat); got != want {
+			t.Errorf("%q LIKE %q = %v, the backtracking matcher says %v", s, pat, got, want)
+		}
+	}
+	for _, c := range [][2]string{
+		{"", ""}, {"", "%"}, {"", "%%"}, {"", "_"}, {"", "a"}, {"a", ""},
+		{"abc", "%%"}, {"abc", "%c"}, {"abc", "a%"}, {"abc", "%b%"}, {"abc", "%%b%%"},
+		{"aaa", "%aa%aa%"}, {"aaaa", "%aa%aa%"}, {"aaa", "aa%aa"}, {"aaa", "a%a%a"},
+		{"special packages requests", "%special%requests%"}, {"requests special", "%special%requests%"},
+		{"abc", "_b%"}, {"abc", "%_c"}, {"abc", "a_%_"}, {"ab", "%_%_%_%"}, {"xaby", "%a_y"},
+	} {
+		check(c[0], c[1])
+	}
+	var strs, pats []string
+	var grow func(cur string, alphabet string, n int, out *[]string)
+	grow = func(cur, alphabet string, n int, out *[]string) {
+		*out = append(*out, cur)
+		if n == 0 {
+			return
+		}
+		for i := range alphabet {
+			grow(cur+alphabet[i:i+1], alphabet, n-1, out)
+		}
+	}
+	grow("", "ab", 5, &strs)
+	grow("", "ab%_", 5, &pats)
+	for _, s := range strs {
+		for _, pat := range pats {
+			check(s, pat)
+		}
+	}
+}
+
 func TestInListAndBetween(t *testing.T) {
 	in := &InList{E: ci(2), Items: []Expr{ci(1), ci(2), ci(3)}}
 	if !mustEval(t, in, nil).Bool() {

@@ -490,5 +490,14 @@ func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error
 	if su.anti {
 		kind = plan.AntiJoin
 	}
-	return p.joinRelations(outer, innerRel, leftKeys, rightKeys, kind, nil)
+	rel, err := p.joinRelations(outer, innerRel, leftKeys, rightKeys, kind, nil)
+	if err == nil && su.anti && su.outerExpr != nil {
+		rel, err = p.notInNulls(rel, inner, leftKeys)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// A semi or anti join keeps at most the rows it filters.
+	rel.rows = math.Min(rel.rows, outer.rows)
+	return rel, nil
 }

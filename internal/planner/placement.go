@@ -1,0 +1,276 @@
+package planner
+
+import (
+	"hawq/internal/expr"
+	"hawq/internal/plan"
+	"hawq/internal/sqlparser"
+	"hawq/internal/types"
+)
+
+// Predicate placement (DESIGN.md §18): every relation is filtered as far
+// down as the predicates allow before the join order is chosen. Three
+// rules, each sound under NULLs and outer joins:
+//
+//   - an OR over several FROM units implies, for each unit, the OR of
+//     every disjunct's conjuncts on that unit alone (orImplied);
+//   - an ON conjunct over one side of an inner join, or over the nullable
+//     side of an outer join, filters that side's input (placeOn);
+//   - an IN / EXISTS subquery whose outer references all bind to one FROM
+//     unit joins that unit before the others (semiHome).
+
+// disjuncts flattens an OR tree.
+func disjuncts(e sqlparser.Expr) []sqlparser.Expr {
+	if b, ok := e.(*sqlparser.BinExpr); ok && b.Op == "or" {
+		return append(disjuncts(b.L), disjuncts(b.R)...)
+	}
+	return []sqlparser.Expr{e}
+}
+
+// fold joins es with op, left to right.
+func fold(op string, es []sqlparser.Expr) sqlparser.Expr {
+	out := es[0]
+	for _, e := range es[1:] {
+		out = &sqlparser.BinExpr{Op: op, L: out, R: e}
+	}
+	return out
+}
+
+// idents collects e's identifiers and reports whether it holds a
+// subquery of any kind.
+func idents(e sqlparser.Expr) (ids []*sqlparser.Ident, sub bool) {
+	identRefs(e, &ids, func(*sqlparser.SelectStmt) { sub = true })
+	return ids, sub
+}
+
+// orImplied returns what the multi-unit OR conjunct c implies about unit
+// u alone: the OR, over c's disjuncts, of each disjunct's conjuncts that
+// reference u and nothing else. It is nil when some disjunct has no such
+// conjunct — a row of u can then satisfy c through that disjunct whatever
+// it holds. A row c keeps makes some disjunct, hence all its conjuncts,
+// true, so u loses only rows c would have rejected; c itself stays as the
+// join's residual.
+func (p *Planner) orImplied(c sqlparser.Expr, units []*fromUnit, u int) sqlparser.Expr {
+	ds := disjuncts(c)
+	if len(ds) < 2 {
+		return nil
+	}
+	implied := make([]sqlparser.Expr, 0, len(ds))
+	for _, d := range ds {
+		var on []sqlparser.Expr
+		for _, dc := range conjuncts(d) {
+			if _, sub := idents(dc); sub {
+				continue
+			}
+			if refs, ambiguous := p.unitsReferenced(dc, units); !ambiguous && len(refs) == 1 && refs[0] == u {
+				on = append(on, dc)
+			}
+		}
+		if len(on) == 0 {
+			return nil
+		}
+		implied = append(implied, fold("and", on))
+	}
+	return fold("or", implied)
+}
+
+// onPlacement is an explicit join's ON clause divided by where each
+// conjunct is evaluated: table[i] inside side i's base table, planned as
+// filterTable's derived table; side[i] over side i's input when that is
+// not a base table; join by the join itself. blockRefs decides it once
+// per join (colRefs.on) and planExplicitJoin plans exactly that.
+type onPlacement struct {
+	table, side [2][]sqlparser.Expr
+	join        []sqlparser.Expr
+}
+
+// inBlock returns the conjuncts the enclosing block evaluates, and so
+// must expose the columns of: all but those inside a base table.
+func (o onPlacement) inBlock() []sqlparser.Expr {
+	return append(append(append([]sqlparser.Expr{}, o.join...), o.side[0]...), o.side[1]...)
+}
+
+// placeOn places each ON conjunct. One that references a single side
+// filters that side's input when the join keeps none of that side's
+// unmatched rows — either side of an inner join, the nullable side of an
+// outer join: a row it rejects matches nothing, and an unmatched nullable
+// row never reaches the output. On the preserved side of an outer join it
+// stays in the join, where failing it NULL-extends the row instead of
+// removing it. Conjuncts with a subquery, or with no identifier, stay in
+// the join too.
+func (p *Planner) placeOn(j *sqlparser.Join) onPlacement {
+	var o onPlacement
+	if j.On == nil {
+		return o
+	}
+	refs := [2]sqlparser.TableRef{j.Left, j.Right}
+	scopes := [2]*scope{p.fromScope(refs[:1]), p.fromScope(refs[1:])}
+	filters := [2]bool{
+		j.Type == sqlparser.JoinInner || j.Type == sqlparser.JoinRight,
+		j.Type == sqlparser.JoinInner || j.Type == sqlparser.JoinLeft,
+	}
+	for _, c := range conjuncts(j.On) {
+		side := oneSide(c, scopes)
+		switch {
+		case side < 0 || !filters[side]:
+			o.join = append(o.join, c)
+		case isBaseTable(refs[side]):
+			o.table[side] = append(o.table[side], c)
+		default:
+			o.side[side] = append(o.side[side], c)
+		}
+	}
+	return o
+}
+
+func isBaseTable(ref sqlparser.TableRef) bool {
+	_, ok := ref.(*sqlparser.TableName)
+	return ok
+}
+
+// oneSide returns the index of the scope that binds every identifier of
+// c while the other binds none of them, or -1.
+func oneSide(c sqlparser.Expr, scopes [2]*scope) int {
+	ids, sub := idents(c)
+	if sub {
+		return -1
+	}
+	side := -1
+	for _, id := range ids {
+		l, r := scopes[0].binds(id), scopes[1].binds(id)
+		s := 0
+		if r {
+			s = 1
+		}
+		if l == r || (side >= 0 && s != side) {
+			return -1
+		}
+		side = s
+	}
+	return side
+}
+
+// filterTable plans base table t filtered by conds as the derived table
+// (SELECT <every column of t> FROM t WHERE conds) under t's own name.
+// newFromUnit prunes its select list to the columns the block references
+// (§16), so a column only conds read — Q13's o_comment — stops at the
+// scan instead of riding through the motions and the join.
+func (p *Planner) filterTable(t *sqlparser.TableName, conds []sqlparser.Expr) (sqlparser.TableRef, error) {
+	desc, err := p.Cat.LookupTable(p.Snap, t.Name)
+	if err != nil {
+		return nil, err
+	}
+	alias := aliasOf(t)
+	var items []sqlparser.SelectItem
+	for _, name := range desc.Schema.Names() {
+		items = append(items, sqlparser.SelectItem{Expr: &sqlparser.Ident{Parts: []string{alias, name}}})
+	}
+	sel := &sqlparser.SelectStmt{Projections: items, From: []sqlparser.TableRef{t}, Where: fold("and", conds)}
+	return &sqlparser.SubqueryRef{Select: sel, Alias: alias}, nil
+}
+
+// semiHome returns the FROM unit every outer reference of su binds to —
+// its IN expression's identifiers and the subquery's correlated ones — or
+// -1 when they bind to several, to none (an uncorrelated EXISTS), or past
+// this block. The subquery then filters that unit alone, before the join
+// order is chosen: the predicate reads nothing else, so applying it below
+// the inner joins keeps exactly the rows applying it above would.
+func (p *Planner) semiHome(su *semiUnit, units []*fromUnit) int {
+	var ids []*sqlparser.Ident
+	if su.outerExpr != nil {
+		ids, _ = idents(su.outerExpr)
+	}
+	ids = append(ids, p.freeIdents(su.sub)...)
+	home := -1
+	for _, id := range ids {
+		hit := -1
+		for ui, u := range units {
+			if u.scope.binds(id) {
+				if hit >= 0 {
+					return -1
+				}
+				hit = ui
+			}
+		}
+		if hit < 0 || (home >= 0 && hit != home) {
+			return -1
+		}
+		home = hit
+	}
+	return home
+}
+
+// notInNulls completes x NOT IN (subquery), which the anti join on x = y
+// gets wrong wherever a NULL takes part: the predicate is NULL, so the
+// row fails, for every outer row once the subquery yields a NULL y, and
+// for a NULL x unless the subquery yields nothing — and a hash join pairs
+// no NULLs, so neither case ever matches. Both are facts about the
+// subquery's rows for the outer row's correlation key (about all of them
+// when uncorrelated): count(*) and count(y) per key, from a second plan of
+// the subquery, anti-joined on the key so that an outer row whose group
+// is non-empty and holds a NULL y, or meets a NULL x, is dropped. Each
+// probing segment sees the facts it needs: the single key-less row is
+// broadcast, keyed groups are placed by key like any join input.
+func (p *Planner) notInNulls(rel *relation, inner *sqlparser.SelectStmt, leftKeys []int) (*relation, error) {
+	sub, err := p.planQuery(inner)
+	if err != nil {
+		return nil, err
+	}
+	in := sub.schema()
+	nCorr := len(leftKeys) - 1
+	groups := make([]expr.Expr, nCorr)
+	cols := make([]types.Column, 0, nCorr+2)
+	rightKeys := make([]int, nCorr)
+	for i := range groups {
+		c := in.Columns[1+i]
+		groups[i] = &expr.ColRef{Idx: 1 + i, K: c.Kind, Name: c.Name}
+		cols = append(cols, c)
+		rightKeys[i] = i
+	}
+	y := in.Columns[0]
+	specs := []expr.AggSpec{
+		{Kind: expr.AggCountStar},
+		{Kind: expr.AggCount, Arg: &expr.ColRef{Idx: 0, K: y.Kind, Name: y.Name}},
+	}
+	cols = append(cols, types.Column{Name: "rows", Kind: types.KindInt64}, types.Column{Name: "nonnull", Kind: types.KindInt64})
+	schema := &types.Schema{Columns: cols}
+	facts, err := p.buildAggNodes(sub, groups, specs, schema, false)
+	if err != nil {
+		return nil, err
+	}
+	facts.cols = schemaCols(schema)
+	w := rel.schema().Len()
+	x := rel.schema().Columns[leftKeys[0]]
+	rows := &expr.ColRef{Idx: w + nCorr, K: types.KindInt64, Name: "rows"}
+	nonNull := &expr.ColRef{Idx: w + nCorr + 1, K: types.KindInt64, Name: "nonnull"}
+	drop := expr.NewBinOp(expr.OpOr,
+		expr.NewBinOp(expr.OpLt, nonNull, rows),
+		expr.NewBinOp(expr.OpAnd,
+			&expr.IsNull{E: &expr.ColRef{Idx: leftKeys[0], K: x.Kind, Name: x.Name}},
+			expr.NewBinOp(expr.OpGt, rows, expr.NewConst(types.NewInt64(0)))))
+	return p.joinRelations(rel, facts, leftKeys[1:], rightKeys, plan.AntiJoin, drop)
+}
+
+// permute projects rel's columns into the order perm lists, carrying its
+// distribution and column equivalences along.
+func permute(rel *relation, perm []int) *relation {
+	in := rel.schema()
+	exprs := make([]expr.Expr, len(perm))
+	cols := make([]scopeCol, len(perm))
+	out := make([]types.Column, len(perm))
+	pos := make([]int, len(perm))
+	for i, c := range perm {
+		exprs[i] = &expr.ColRef{Idx: c, K: in.Columns[c].Kind, Name: in.Columns[c].Name}
+		cols[i], out[i], pos[c] = rel.cols[c], in.Columns[c], i
+	}
+	equiv := make([][]int, len(rel.equiv))
+	for i, class := range rel.equiv {
+		equiv[i] = make([]int, len(class))
+		for k, c := range class {
+			equiv[i][k] = pos[c]
+		}
+	}
+	return &relation{
+		node: &plan.Project{Input: rel.node, Exprs: exprs, Schema: &types.Schema{Columns: out}},
+		cols: cols, dist: projectDist(rel.dist, exprs), rows: rel.rows, equiv: equiv,
+	}
+}

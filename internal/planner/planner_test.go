@@ -523,8 +523,9 @@ func TestRefNamesMatchResolvedScope(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", from, err)
 		}
-		ref := stmt.(*sqlparser.SelectStmt).From[0]
-		u, err := p.newFromUnit(ref, &colRefs{star: true})
+		sel := stmt.(*sqlparser.SelectStmt)
+		ref := sel.From[0]
+		u, err := p.newFromUnit(ref, p.blockRefs(sel))
 		if err != nil {
 			t.Fatalf("%s: %v", from, err)
 		}
@@ -539,5 +540,164 @@ func TestRefNamesMatchResolvedScope(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: refNames %v, planned scope %v", from, p.refNames(ref), u.scope.cols)
 		}
+	}
+}
+
+// unsliced plans sql and returns its tree before slicing: motions keep
+// their inputs, so a node's subtree is everything below it.
+func unsliced(t *testing.T, p *Planner, sql string) plan.Node {
+	t.Helper()
+	stmt, err := sqlparser.ParseOne(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.prm = nil
+	rel, err := p.planQuery(stmt.(*sqlparser.SelectStmt))
+	if err != nil {
+		t.Fatalf("plan %q: %v", sql, err)
+	}
+	return rel.node
+}
+
+func walkTree(n plan.Node, fn func(plan.Node)) {
+	fn(n)
+	for _, c := range n.Children() {
+		walkTree(c, fn)
+	}
+}
+
+// scanFilters maps each scanned table of the subtree to its filter, ""
+// for none.
+func scanFilters(n plan.Node) map[string]string {
+	out := map[string]string{}
+	walkTree(n, func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok {
+			out[s.Table.Name] = ""
+			if s.Filter != nil {
+				out[s.Table.Name] = s.Filter.String()
+			}
+		}
+	})
+	return out
+}
+
+// joinsOf returns the subtree's hash joins of one kind.
+func joinsOf(n plan.Node, kind plan.JoinKind) []*plan.HashJoin {
+	var out []*plan.HashJoin
+	walkTree(n, func(n plan.Node) {
+		if hj, ok := n.(*plan.HashJoin); ok && hj.Kind == kind {
+			out = append(out, hj)
+		}
+	})
+	return out
+}
+
+// TestOrImpliesScanFilters: an OR over two tables gives each table the OR
+// of what every disjunct says about it alone, and stays as the residual.
+// A disjunct that says nothing about a table leaves that table unfiltered.
+func TestOrImpliesScanFilters(t *testing.T) {
+	p, tr := fixture(t)
+	defer tr.Commit()
+	tree := unsliced(t, p, `SELECT o_orderkey FROM orders, lineitem WHERE o_orderkey = l_orderkey
+		AND ((o_custkey = 1 AND l_partkey = 2) OR (o_custkey = 3 AND l_partkey = 4 AND o_comment = 'x'))`)
+	want := map[string]string{
+		"orders":   "((o_custkey = 1) OR ((o_custkey = 3) AND (o_comment = 'x')))",
+		"lineitem": "((l_partkey = 2) OR (l_partkey = 4))",
+	}
+	if got := scanFilters(tree); !reflect.DeepEqual(got, want) {
+		t.Errorf("scan filters %q, want %q", got, want)
+	}
+	residual := false
+	walkTree(tree, func(n plan.Node) {
+		if s, ok := n.(*plan.Select); ok && strings.Contains(s.Pred.String(), "(o_custkey = 1) AND (l_partkey = 2)") {
+			residual = true
+		}
+	})
+	if !residual {
+		t.Error("the OR itself is not evaluated above the join")
+	}
+	// The second disjunct has no conjunct on orders: nothing is derived
+	// for it. lineitem still gets (l_partkey = 2) OR (l_partkey = 4).
+	tree = unsliced(t, p, `SELECT o_orderkey FROM orders, lineitem WHERE o_orderkey = l_orderkey
+		AND ((o_custkey = 1 AND l_partkey = 2) OR l_partkey = 4)`)
+	want = map[string]string{"orders": "", "lineitem": "((l_partkey = 2) OR (l_partkey = 4))"}
+	if got := scanFilters(tree); !reflect.DeepEqual(got, want) {
+		t.Errorf("scan filters %q, want %q", got, want)
+	}
+}
+
+// TestOnConjunctPlacement: an ON conjunct over one side filters that
+// side's input for an inner join, and for an outer join only on the
+// nullable side; on the preserved side it stays in the join. A column
+// only the pushed conjunct reads leaves nothing above the scan.
+func TestOnConjunctPlacement(t *testing.T) {
+	p, tr := fixture(t)
+	defer tr.Commit()
+	for _, c := range []struct {
+		join    string
+		filters map[string]string
+		extra   string // the join's own predicate, "" for none
+	}{
+		{"orders LEFT JOIN lineitem", map[string]string{"orders": "", "lineitem": "(l_partkey = 9)"}, "(o_custkey = 7)"},
+		{"orders RIGHT JOIN lineitem", map[string]string{"orders": "(o_custkey = 7)", "lineitem": ""}, "(l_partkey = 9)"},
+		{"orders JOIN lineitem", map[string]string{"orders": "(o_custkey = 7)", "lineitem": "(l_partkey = 9)"}, ""},
+	} {
+		tree := unsliced(t, p, "SELECT o_orderkey, l_tax FROM "+c.join+
+			" ON o_orderkey = l_orderkey AND l_partkey = 9 AND o_custkey = 7")
+		if got := scanFilters(tree); !reflect.DeepEqual(got, c.filters) {
+			t.Errorf("%s: scan filters %q, want %q", c.join, got, c.filters)
+		}
+		var joins []*plan.HashJoin
+		walkTree(tree, func(n plan.Node) {
+			if hj, ok := n.(*plan.HashJoin); ok {
+				joins = append(joins, hj)
+			}
+		})
+		if len(joins) != 1 {
+			t.Fatalf("%s: %d hash joins", c.join, len(joins))
+		}
+		extra := ""
+		if joins[0].ExtraPred != nil {
+			extra = joins[0].ExtraPred.String()
+		}
+		if extra != c.extra {
+			t.Errorf("%s: join predicate %q, want %q", c.join, extra, c.extra)
+		}
+		for _, in := range joins[0].Children() {
+			for _, name := range in.OutSchema().Names() {
+				if (name == "l_partkey" && c.filters["lineitem"] != "") || (name == "o_custkey" && c.filters["orders"] != "") {
+					t.Errorf("%s: join input carries %s, which only its pushed filter reads", c.join, name)
+				}
+			}
+		}
+	}
+}
+
+// TestSemiJoinPlacement: a subquery predicate whose outer references all
+// bind to one table filters that table before the join; one that reads
+// two tables stays above their join.
+func TestSemiJoinPlacement(t *testing.T) {
+	p, tr := fixture(t)
+	defer tr.Commit()
+	tree := unsliced(t, p, `SELECT o_custkey FROM orders, lineitem WHERE o_orderkey = l_orderkey
+		AND o_custkey IN (SELECT t_k FROM tiny WHERE t_name = 'x')`)
+	semis := joinsOf(tree, plan.SemiJoin)
+	if len(semis) != 1 {
+		t.Fatalf("%d semi joins", len(semis))
+	}
+	if got := scanFilters(semis[0].Left); !reflect.DeepEqual(got, map[string]string{"orders": ""}) {
+		t.Errorf("the semi join's outer input scans %q, want orders alone", got)
+	}
+	if inner := joinsOf(tree, plan.InnerJoin); len(inner) != 1 || len(joinsOf(inner[0], plan.SemiJoin)) != 1 {
+		t.Error("the semi join is not below the inner join")
+	}
+	tree = unsliced(t, p, `SELECT o_custkey FROM orders, lineitem WHERE o_orderkey = l_orderkey
+		AND EXISTS (SELECT 1 FROM randtab WHERE r_orderkey = o_custkey AND r_v = l_partkey)`)
+	semis = joinsOf(tree, plan.SemiJoin)
+	if len(semis) != 1 {
+		t.Fatalf("%d semi joins", len(semis))
+	}
+	if got := scanFilters(semis[0].Left); len(got) != 2 || len(joinsOf(semis[0].Left, plan.InnerJoin)) != 1 {
+		t.Errorf("a two-table EXISTS sits below the join: its outer input scans %q", got)
 	}
 }

@@ -19,10 +19,14 @@ type colRefs struct {
 	// tables holds the lower-case qualifiers of t.* items.
 	tables map[string]bool
 	// idents are the block's identifiers, from every clause (select
-	// list, WHERE, GROUP BY, HAVING, ORDER BY, JOIN ... ON) plus the free
-	// identifiers of its EXISTS / IN / scalar subqueries — the correlated
-	// references those subqueries make to this block.
+	// list, WHERE, GROUP BY, HAVING, ORDER BY, JOIN ... ON — less the ON
+	// conjuncts planned inside a filtered base table, filterTable) plus the
+	// free identifiers of its EXISTS / IN / scalar subqueries — the
+	// correlated references those subqueries make to this block.
 	idents []*sqlparser.Ident
+	// on holds the placement of each explicit join's ON conjuncts
+	// (placeOn), the one decision both idents and planExplicitJoin follow.
+	on map[*sqlparser.Join]onPlacement
 }
 
 // blockRefs collects the column references of one SELECT block.
@@ -53,7 +57,14 @@ func (p *Planner) blockRefs(stmt *sqlparser.SelectStmt) *colRefs {
 	var onClauses func(ref sqlparser.TableRef)
 	onClauses = func(ref sqlparser.TableRef) {
 		if j, ok := ref.(*sqlparser.Join); ok {
-			identRefs(j.On, &r.idents, sub)
+			on := p.placeOn(j)
+			if r.on == nil {
+				r.on = map[*sqlparser.Join]onPlacement{}
+			}
+			r.on[j] = on
+			for _, c := range on.inBlock() {
+				identRefs(c, &r.idents, sub)
+			}
 			onClauses(j.Left)
 			onClauses(j.Right)
 		}

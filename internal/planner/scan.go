@@ -65,22 +65,42 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 				residual = append(residual, c)
 			case len(refs) == 1:
 				units[refs[0]].pushed = append(units[refs[0]].pushed, c)
-			case len(refs) == 2:
-				if l, r, ok := equiJoinSides(c); ok {
+			default:
+				if l, r, ok := equiJoinSides(c); ok && len(refs) == 2 {
 					edges = append(edges, joinEdge{a: refs[0], b: refs[1], l: l, r: r, raw: c})
 					continue
 				}
-				residual = append(residual, c)
-			default:
+				for _, u := range refs {
+					if implied := p.orImplied(c, units, u); implied != nil {
+						units[u].pushed = append(units[u].pushed, implied)
+					}
+				}
 				residual = append(residual, c)
 			}
 		}
 	}
-	// Materialize relations with their pushed-down filters.
+	// Materialize relations with their pushed-down filters, then give each
+	// subquery predicate that reads one unit alone to that unit.
 	for _, u := range units {
 		if err := p.materialize(u); err != nil {
 			return nil, err
 		}
+	}
+	var late []*semiUnit
+	for _, su := range semis {
+		home := -1
+		if len(units) > 1 {
+			home = p.semiHome(su, units)
+		}
+		if home < 0 {
+			late = append(late, su)
+			continue
+		}
+		rel, err := p.applySemiJoin(units[home].rel, su)
+		if err != nil {
+			return nil, err
+		}
+		units[home].rel = rel
 	}
 	rel, err := p.orderJoins(units, edges)
 	if err != nil {
@@ -99,8 +119,8 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 			cols: rel.cols, dist: rel.dist, rows: rel.rows * sel, direct: rel.direct, directKeys: rel.directKeys,
 		}
 	}
-	// Semi/anti-join predicates (EXISTS / IN subqueries).
-	for _, su := range semis {
+	// The remaining semi/anti-join predicates (EXISTS / IN subqueries).
+	for _, su := range late {
 		rel, err = p.applySemiJoin(rel, su)
 		if err != nil {
 			return nil, err
@@ -506,66 +526,86 @@ func equiJoinSides(e sqlparser.Expr) (*sqlparser.Ident, *sqlparser.Ident, bool) 
 	return l, r, true
 }
 
-// planExplicitJoin plans an explicit JOIN ... ON tree.
+// planExplicitJoin plans an explicit JOIN ... ON tree, placing its ON
+// conjuncts where blockRefs recorded (need.on): a base table's inside the
+// derived table filterTable builds, another side's as a Select over it,
+// the rest in the join.
 func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation, error) {
-	lu, err := p.newFromUnit(j.Left, need)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.materialize(lu); err != nil {
-		return nil, err
-	}
-	ru, err := p.newFromUnit(j.Right, need)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.materialize(ru); err != nil {
-		return nil, err
-	}
-	left, right := lu.rel, ru.rel
-
 	var kind plan.JoinKind
 	switch j.Type {
 	case sqlparser.JoinInner, sqlparser.JoinCross:
 		kind = plan.InnerJoin
-	case sqlparser.JoinLeft:
-		kind = plan.LeftJoin
-	case sqlparser.JoinRight:
-		// Flip to a left join.
-		left, right = right, left
-		kind = plan.LeftJoin
+	case sqlparser.JoinLeft, sqlparser.JoinRight:
+		kind = plan.LeftJoin // a RIGHT JOIN is planned flipped
 	default:
 		return nil, fmt.Errorf("planner: %s not supported", j.Type)
 	}
-	// Split the ON clause into equi keys and residual predicates.
-	combined := combinedScope(left, right)
-	var leftKeys, rightKeys []int
-	var residual expr.Expr
-	if j.On != nil {
-		for _, c := range conjuncts(j.On) {
-			if lid, rid, ok := equiJoinSides(c); ok {
-				li, lerr := left.scope().resolve(lid)
-				ri, rerr := right.scope().resolve(rid)
-				if lerr != nil || rerr != nil {
-					// Maybe written b.y = a.x.
-					li, lerr = left.scope().resolve(rid)
-					ri, rerr = right.scope().resolve(lid)
-				}
-				if lerr == nil && rerr == nil {
-					leftKeys = append(leftKeys, li)
-					rightKeys = append(rightKeys, ri)
-					continue
-				}
-			}
-			b := &binder{scope: combined, subquery: p.scalarSubquery(), params: p.paramBinder()}
-			bound, err := b.bind(c)
+	on, ok := need.on[j]
+	if !ok {
+		return nil, fmt.Errorf("planner: JOIN planned outside the block that references it")
+	}
+	var sides [2]*relation
+	for i, ref := range [2]sqlparser.TableRef{j.Left, j.Right} {
+		if t, ok := ref.(*sqlparser.TableName); ok && len(on.table[i]) > 0 {
+			filtered, err := p.filterTable(t, on.table[i])
 			if err != nil {
 				return nil, err
 			}
-			residual = conjoin(residual, bound)
+			ref = filtered
 		}
+		u, err := p.newFromUnit(ref, need)
+		if err != nil {
+			return nil, err
+		}
+		u.pushed = on.side[i]
+		if err := p.materialize(u); err != nil {
+			return nil, err
+		}
+		sides[i] = u.rel
 	}
-	return p.joinRelations(left, right, leftKeys, rightKeys, kind, residual)
+	left, right := sides[0], sides[1]
+	if j.Type == sqlparser.JoinRight {
+		left, right = right, left
+	}
+	// Split the rest of the ON clause into equi keys and residual
+	// predicates.
+	combined := combinedScope(left, right)
+	var leftKeys, rightKeys []int
+	var residual expr.Expr
+	for _, c := range on.join {
+		if lid, rid, ok := equiJoinSides(c); ok {
+			li, lerr := left.scope().resolve(lid)
+			ri, rerr := right.scope().resolve(rid)
+			if lerr != nil || rerr != nil {
+				// Maybe written b.y = a.x.
+				li, lerr = left.scope().resolve(rid)
+				ri, rerr = right.scope().resolve(lid)
+			}
+			if lerr == nil && rerr == nil {
+				leftKeys = append(leftKeys, li)
+				rightKeys = append(rightKeys, ri)
+				continue
+			}
+		}
+		b := &binder{scope: combined, subquery: p.scalarSubquery(), params: p.paramBinder()}
+		bound, err := b.bind(c)
+		if err != nil {
+			return nil, err
+		}
+		residual = conjoin(residual, bound)
+	}
+	rel, err := p.joinRelations(left, right, leftKeys, rightKeys, kind, residual)
+	if err != nil || j.Type != sqlparser.JoinRight {
+		return rel, err
+	}
+	// The flip put the right side's columns first; a RIGHT JOIN lists
+	// its left side's first, like any other join.
+	nLeft, nRight := sides[0].schema().Len(), sides[1].schema().Len()
+	perm := make([]int, nLeft+nRight)
+	for i := range perm {
+		perm[i] = (nRight + i) % len(perm)
+	}
+	return permute(rel, perm), nil
 }
 
 func combinedScope(l, r *relation) *scope {

@@ -132,17 +132,58 @@ type keyBound struct {
 // parseKeyFilter extracts row-key comparisons from the rendered filter
 // expression (the filter-pushdown API of §6.3 hands the connector the
 // scan qualifiers; comparisons on other columns are ignored and applied
-// by the executor).
+// by the executor). Only a comparison that is a whole conjunct of the
+// filter bounds the scan: every row the filter keeps satisfies it. One
+// inside an OR, a NOT or any other operator is left to the executor.
 func parseKeyFilter(filter, keyCol string) []keyBound {
 	if filter == "" {
 		return nil
 	}
-	re := regexp.MustCompile(`\(` + regexp.QuoteMeta(keyCol) + ` (=|<=|>=|<|>) '([^']*)'\)`)
+	re := regexp.MustCompile(`^\(` + regexp.QuoteMeta(keyCol) + ` (=|<=|>=|<|>) '([^']*)'\)$`)
 	var out []keyBound
-	for _, m := range re.FindAllStringSubmatch(filter, -1) {
-		out = append(out, keyBound{op: m[1], val: m[2]})
+	for _, c := range filterConjuncts(filter) {
+		if m := re.FindStringSubmatch(c); m != nil {
+			out = append(out, keyBound{op: m[1], val: m[2]})
+		}
 	}
 	return out
+}
+
+// filterConjuncts splits a rendered filter into the operands of its
+// top-level ANDs: "(A AND B)" — an AND node, whose left operand is itself
+// parenthesized — is A's conjuncts then B's; anything else is one.
+func filterConjuncts(s string) []string {
+	if groupEnd(s) == len(s)-1 {
+		inner := s[1 : len(s)-1]
+		if a := groupEnd(inner); a > 0 && strings.HasPrefix(inner[a+1:], " AND ") {
+			return append(filterConjuncts(inner[:a+1]), filterConjuncts(inner[a+len(" AND ")+1:])...)
+		}
+	}
+	return []string{s}
+}
+
+// groupEnd returns the index of the parenthesis closing the one s starts
+// with, skipping quoted literals, or -1.
+func groupEnd(s string) int {
+	if !strings.HasPrefix(s, "(") {
+		return -1
+	}
+	depth, quoted := 0, false
+	for i := 0; i < len(s); i++ {
+		switch {
+		case s[i] == '\'':
+			quoted = !quoted
+		case quoted:
+		case s[i] == '(':
+			depth++
+		case s[i] == ')':
+			depth--
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 func (b keyBound) admits(key string) bool {

@@ -154,14 +154,15 @@ func TestJSONAndSequenceConnectors(t *testing.T) {
 	}
 }
 
-func TestHBaseConnectorWithPushdown(t *testing.T) {
+// hbaseSales boots the paper's §6.1 example: a sales table keyed by
+// timestamp-ish row keys 20130000..20130099 with details:storeid (i % 5)
+// and details:price (i.50) cells, as the external table my_hbase_sales.
+func hbaseSales(t *testing.T) (*engine.Session, *HBaseConnector) {
+	t.Helper()
 	e, px := pxfEngine(t, 2)
 	store := NewHBase()
 	hb := &HBaseConnector{Store: store}
 	px.Register("hbase", hb)
-
-	// The paper's §6.1 example: a sales table keyed by timestamp-ish
-	// row keys with details:storeid and details:price cells.
 	tab := store.CreateTable("sales", 4)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("2013%04d", i)
@@ -174,6 +175,11 @@ func TestHBaseConnectorWithPushdown(t *testing.T) {
 	) LOCATION ('pxf://svc/sales?profile=hbase') FORMAT 'CUSTOM'`); err != nil {
 		t.Fatal(err)
 	}
+	return s, hb
+}
+
+func TestHBaseConnectorWithPushdown(t *testing.T) {
+	s, hb := hbaseSales(t)
 	res, err := s.Query(`SELECT sum("details:price") FROM my_hbase_sales WHERE recordkey < '20130010'`)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +203,82 @@ func TestHBaseConnectorWithPushdown(t *testing.T) {
 	}
 	if len(res.Rows) != 5 || res.Rows[0][1].Int() != 20 {
 		t.Fatalf("group = %v", res.Rows)
+	}
+}
+
+// TestHBaseKeyBoundsOnlyFromConjuncts: the connector skips keys only by
+// comparisons the whole filter ANDs together. A row-key comparison under an
+// OR or a NOT — a single-table OR, the per-table OR the planner derives
+// from a join's OR (DESIGN.md §18), an OR in an ON clause pushed to the
+// HBase side — bounds nothing, or the scan drops rows the filter keeps.
+func TestHBaseKeyBoundsOnlyFromConjuncts(t *testing.T) {
+	s, hb := hbaseSales(t)
+	for _, q := range []string{
+		"CREATE TABLE t (k INT8) DISTRIBUTED BY (k)",
+		"INSERT INTO t VALUES (1), (2), (3)",
+	} {
+		if _, err := s.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	two := "20130001|1 20130002|2"
+	cases := []struct{ q, want string }{
+		{`SELECT recordkey, "details:storeid" FROM my_hbase_sales
+			WHERE recordkey = '20130001' OR recordkey = '20130002' ORDER BY recordkey`, two},
+		{`SELECT count(*) FROM my_hbase_sales WHERE NOT (recordkey = '20130001')`, "99"},
+		{`SELECT recordkey, k FROM my_hbase_sales, t
+			WHERE (recordkey = '20130001' AND k = 1) OR (recordkey = '20130002' AND k = 2)
+			ORDER BY recordkey`, two},
+		{`SELECT recordkey, k FROM t JOIN my_hbase_sales
+			ON k = "details:storeid" AND (recordkey = '20130001' OR recordkey = '20130002')
+			ORDER BY recordkey`, two},
+		{`SELECT recordkey, k FROM t JOIN my_hbase_sales
+			ON k = "details:storeid" AND recordkey >= '20130001' AND recordkey < '20130003'
+			ORDER BY recordkey`, two},
+	}
+	for _, c := range cases {
+		res, err := s.Query(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			var vals []string
+			for _, d := range r {
+				vals = append(vals, d.String())
+			}
+			rows = append(rows, strings.Join(vals, "|"))
+		}
+		if got := strings.Join(rows, " "); got != c.want {
+			t.Errorf("%s\n= %q, want %q", c.q, got, c.want)
+		}
+	}
+	// The last query's bounds are a conjunction: still pushed.
+	if hb.PushdownHits() == 0 {
+		t.Error("conjunctive row-key bounds were not pushed down")
+	}
+}
+
+func TestParseKeyFilter(t *testing.T) {
+	for _, c := range []struct{ filter, want string }{
+		{"", ""},
+		{"(recordkey < '20130010')", "<20130010"},
+		{"((recordkey >= 'a') AND (recordkey < 'b'))", ">=a <b"},
+		{"(((recordkey >= 'a') AND (v = 1)) AND (recordkey < 'b'))", ">=a <b"},
+		{"((recordkey = 'a') OR (recordkey = 'b'))", ""},
+		{"(((recordkey = 'a') OR (recordkey = 'b')) AND (recordkey < 'c'))", "<c"},
+		{"(NOT (recordkey = 'a'))", ""},
+		{"((recordkey = 'a') IS NULL)", ""},
+		{"(v BETWEEN 1 AND (recordkey = 'a'))", ""},
+		{"(name = 'x AND (recordkey = ''a'')')", ""},
+	} {
+		var got []string
+		for _, b := range parseKeyFilter(c.filter, "recordkey") {
+			got = append(got, b.op+b.val)
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("parseKeyFilter(%q) = %v, want %q", c.filter, got, c.want)
+		}
 	}
 }
 

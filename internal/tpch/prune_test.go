@@ -93,7 +93,8 @@ func scanColumns(t *testing.T, pl *plan.Plan) []string {
 // and residual predicates, join keys, group and order keys, aggregate
 // arguments, and the correlated references of EXISTS / IN subqueries.
 // A table scanned in two blocks (Q2, Q17, Q18, Q21) gets each block's
-// own set. Scalar subqueries (Q11, Q15, Q22) are planned as statements
+// own set; Q16's NOT IN plans its subquery twice (the anti join and its
+// NULL facts, planner.notInNulls). Scalar subqueries (Q11, Q15, Q22) are planned as statements
 // of their own and do not appear.
 var tpchScans = map[int][]string{
 	1: {"lineitem(l_quantity l_extendedprice l_discount l_tax l_returnflag l_linestatus l_shipdate)"},
@@ -127,7 +128,8 @@ var tpchScans = map[int][]string{
 	13: {"customer(c_custkey)", "orders(o_orderkey o_custkey o_comment)"},
 	14: {"lineitem(l_partkey l_extendedprice l_discount l_shipdate)", "part(p_partkey p_type)"},
 	15: {"lineitem(l_suppkey l_extendedprice l_discount l_shipdate)", "supplier(s_suppkey s_name s_address s_phone)"},
-	16: {"part(p_partkey p_brand p_type p_size)", "partsupp(ps_partkey ps_suppkey)", "supplier(s_suppkey s_comment)"},
+	16: {"part(p_partkey p_brand p_type p_size)", "partsupp(ps_partkey ps_suppkey)", "supplier(s_suppkey s_comment)",
+		"supplier(s_suppkey s_comment)"},
 	17: {"lineitem(l_partkey l_quantity l_extendedprice)", "lineitem(l_partkey l_quantity)",
 		"part(p_partkey p_brand p_container)"},
 	18: {"customer(c_custkey c_name)", "lineitem(l_orderkey l_quantity)", "lineitem(l_orderkey l_quantity)",
@@ -251,12 +253,16 @@ func TestScanProjectionsAreExact(t *testing.T) {
 
 // tpchShapes is each TPC-H plan's slice count and motion kinds
 // (Broadcast / Gather / Redistribute, sorted). One per query: the greedy
-// join order breaks cost ties by FROM position.
+// join order breaks cost ties by FROM position. Predicate placement
+// (DESIGN.md §18) moved three: Q16's NOT IN gathers and broadcasts its
+// NULL facts (4:BGR → 6:BBGGR), Q18's IN filters orders before customer
+// joins it (3:BG → 4:GRR), and Q19's OR gives part a filter that makes
+// it the broadcast side (3:GR → 3:BG).
 var tpchShapes = map[int]string{
 	1: "3:GR", 2: "8:BBBGRRR", 3: "3:BG", 4: "3:GR", 5: "7:BBBBGR", 6: "2:G", 7: "7:BGRRRR",
 	8: "9:BBBGRRRR", 9: "8:BGRRRRR", 10: "5:BBGR", 11: "4:BBG", 12: "3:GR",
-	13: "4:GRR", 14: "3:GR", 15: "3:GR", 16: "4:BGR", 17: "5:BGRR", 18: "3:BG",
-	19: "3:GR", 20: "5:BGRR", 21: "5:BBGR", 22: "4:GRR",
+	13: "4:GRR", 14: "3:GR", 15: "3:GR", 16: "6:BBGGR", 17: "5:BGRR", 18: "4:GRR",
+	19: "3:BG", 20: "5:BGRR", 21: "5:BBGR", 22: "4:GRR",
 }
 
 // TestPruningKeepsPlanShape: narrowing scans moves no motion. Colocation

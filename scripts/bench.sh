@@ -26,7 +26,9 @@
 # catalog from a ~10k-record durable WAL), the dispatch floor (a
 # one-QE direct dispatch and a four-QE gather on an empty table: the
 # fixed cost of every statement) with the three ways a plan can reach
-# an executor (gob+quicklz encode, decode, structural clone), the
+# an executor (gob+quicklz encode, decode, structural clone), parse +
+# plan without dispatch (Plan: the serve_point text statement, Q7, Q13,
+# Q18 — the cost of predicate placement, DESIGN.md §18), the
 # prepared point lookup on warm block caches (PointLookup/prepared), the
 # same statement through the serving layer on loopback (ServedPoint,
 # which also prints server socket writes/op and interconnect
@@ -72,7 +74,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPointLookup|BenchmarkServedPoint|BenchmarkUDPShortStream'
+PATTERN='BenchmarkEncodeRow|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPlan$|BenchmarkPointLookup|BenchmarkServedPoint|BenchmarkUDPShortStream'
 PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/interconnect ./internal/cluster ./internal/client ."
 
 OUT="BENCH_micro.json"
