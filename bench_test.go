@@ -271,10 +271,13 @@ func BenchmarkPlanShip(b *testing.B) {
 var planSink *plan.Plan
 
 // BenchmarkPlan prices parse + plan with no dispatch: the serve_point
-// text statement (planned per statement, it never hits the plan cache)
-// and the three join queries predicate placement replans — Q7 (an OR
-// split per nation scan), Q13 (an ON conjunct planned below its outer
-// join) and Q18 (an IN joined to orders before the join order is chosen).
+// text statement (planned per statement, it never hits the plan cache;
+// a single-table statement reads no statistics), the three join queries
+// predicate placement replans — Q7 (an OR split per nation scan), Q13
+// (an ON conjunct on its outer join's scan) and Q18 (an IN joined to
+// orders before the join order is chosen) — and the four costing from
+// statistics replans: Q3 and Q10 (build sides and join order), Q17 and
+// Q20 (a magic set planned into the grouped derived table).
 func BenchmarkPlan(b *testing.B) {
 	e, err := engine.New(engine.Config{Segments: 4, SpillDir: b.TempDir()})
 	if err != nil {
@@ -289,9 +292,13 @@ func BenchmarkPlan(b *testing.B) {
 	defer t.Abort()
 	for _, c := range []struct{ name, sql string }{
 		{"text_point", "SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 42"},
+		{"q3", tpch.Queries[3]},
 		{"q7", tpch.Queries[7]},
+		{"q10", tpch.Queries[10]},
 		{"q13", tpch.Queries[13]},
+		{"q17", tpch.Queries[17]},
 		{"q18", tpch.Queries[18]},
+		{"q20", tpch.Queries[20]},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -524,18 +524,16 @@ func (c *Catalog) loadSchema(snap tx.Snapshot, oid int64) *types.Schema {
 		col types.Column
 	}
 	var atts []att
-	c.sys[SysAttribute].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == oid {
-			atts = append(atts, att{
-				num: int(row[1].Int()),
-				col: types.Column{
-					Name:    row[2].Str(),
-					Kind:    types.Kind(row[3].Int()),
-					Scale:   int8(row[4].Int()),
-					NotNull: row[5].Bool(),
-				},
-			})
-		}
+	c.sys[SysAttribute].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == oid }, func(_ uint64, row types.Row) bool {
+		atts = append(atts, att{
+			num: int(row[1].Int()),
+			col: types.Column{
+				Name:    row[2].Str(),
+				Kind:    types.Kind(row[3].Int()),
+				Scale:   int8(row[4].Int()),
+				NotNull: row[5].Bool(),
+			},
+		})
 		return true
 	})
 	sort.Slice(atts, func(i, j int) bool { return atts[i].num < atts[j].num })
@@ -550,12 +548,9 @@ func (c *Catalog) loadSchema(snap tx.Snapshot, oid int64) *types.Schema {
 // (nil, error) when absent.
 func (c *Catalog) LookupTable(snap tx.Snapshot, name string) (*TableDesc, error) {
 	var desc *TableDesc
-	c.sys[SysClass].Scan(snap, func(_ uint64, row types.Row) bool {
-		if strings.EqualFold(row[1].Str(), name) {
-			desc = decodeClassRow(row)
-			return false
-		}
-		return true
+	c.sys[SysClass].ScanWhere(snap, func(row types.Row) bool { return strings.EqualFold(row[1].Str(), name) }, func(_ uint64, row types.Row) bool {
+		desc = decodeClassRow(row)
+		return false
 	})
 	if desc == nil {
 		return nil, fmt.Errorf("catalog: table %q does not exist", name)

@@ -228,6 +228,15 @@ func TestStats(t *testing.T) {
 	if !ok || cs.NDistinct != 900 || cs.Min.Int() != 1 || cs.Max.Int() != 1000 {
 		t.Errorf("col stats = %+v", cs)
 	}
+	// One pass returns every analyzed column, a gap reading as zero.
+	c.SetColStats(tr, oid, 2, ColStats{NDistinct: 3, NullFrac: 0.5})
+	if n := len(c.ColStatsOf(tr.Snapshot(), []int64{oid + 1})); n != 0 {
+		t.Errorf("stats of %d tables read for one unanalyzed table", n)
+	}
+	all := c.ColStatsOf(tr.Snapshot(), []int64{oid})[oid]
+	if len(all) != 3 || all[0].NDistinct != 900 || all[0].Max.Int() != 1000 || all[1].NDistinct != 0 || all[2].NullFrac != 0.5 {
+		t.Errorf("all col stats = %+v", all)
+	}
 	// Re-analyze replaces.
 	c.SetRelStats(tr, oid, RelStats{Rows: 2000})
 	rs, _ = c.RelStatsFor(tr.Snapshot(), oid)

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,10 +72,8 @@ func (c *Catalog) SegFiles(snap tx.Snapshot, tableOID int64, segmentID int) []Se
 // AllSegFiles lists every file of a table across segments.
 func (c *Catalog) AllSegFiles(snap tx.Snapshot, tableOID int64) []SegFile {
 	var out []SegFile
-	c.sys[SysAoseg].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == tableOID {
-			out = append(out, decodeSegFile(row))
-		}
+	c.sys[SysAoseg].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == tableOID }, func(_ uint64, row types.Row) bool {
+		out = append(out, decodeSegFile(row))
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -171,13 +170,9 @@ func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) {
 func (c *Catalog) RelStatsFor(snap tx.Snapshot, oid int64) (RelStats, bool) {
 	var out RelStats
 	found := false
-	c.sys[SysStatRel].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == oid {
-			out = RelStats{Rows: row[1].Int(), Bytes: row[2].Int()}
-			found = true
-			return false
-		}
-		return true
+	c.sys[SysStatRel].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == oid }, func(_ uint64, row types.Row) bool {
+		out, found = RelStats{Rows: row[1].Int(), Bytes: row[2].Int()}, true
+		return false
 	})
 	return out, found
 }
@@ -211,20 +206,42 @@ func (c *Catalog) ColStatsFor(snap tx.Snapshot, oid int64, attnum int) (ColStats
 	found := false
 	c.sys[SysStatCol].Scan(snap, func(_ uint64, row types.Row) bool {
 		if row[0].Int() == oid && row[1].Int() == int64(attnum) {
-			out.NDistinct = row[2].Float()
-			out.NullFrac = row[3].Float()
-			if d, _, err := types.DecodeDatum([]byte(row[4].Str())); err == nil {
-				out.Min = d
-			}
-			if d, _, err := types.DecodeDatum([]byte(row[5].Str())); err == nil {
-				out.Max = d
-			}
-			found = true
+			out, found = colStatsOf(row), true
 			return false
 		}
 		return true
 	})
 	return out, found
+}
+
+// ColStatsOf returns the statistics of every analyzed column of the
+// tables oids, by table OID and attribute number, from one pass over the
+// statistics table. A column ANALYZE has not reached reads as the zero
+// ColStats.
+func (c *Catalog) ColStatsOf(snap tx.Snapshot, oids []int64) map[int64][]ColStats {
+	out := map[int64][]ColStats{}
+	c.sys[SysStatCol].ScanWhere(snap, func(row types.Row) bool { return slices.Contains(oids, row[0].Int()) }, func(_ uint64, row types.Row) bool {
+		oid, att := row[0].Int(), int(row[1].Int())
+		cols := out[oid]
+		for len(cols) <= att {
+			cols = append(cols, ColStats{})
+		}
+		cols[att] = colStatsOf(row)
+		out[oid] = cols
+		return true
+	})
+	return out
+}
+
+func colStatsOf(row types.Row) ColStats {
+	out := ColStats{NDistinct: row[2].Float(), NullFrac: row[3].Float()}
+	if d, _, err := types.DecodeDatum([]byte(row[4].Str())); err == nil {
+		out.Min = d
+	}
+	if d, _, err := types.DecodeDatum([]byte(row[5].Str())); err == nil {
+		out.Max = d
+	}
+	return out
 }
 
 // RegisterSegment records a compute segment in the system catalog.

@@ -91,11 +91,19 @@ func (t *SysTable) Delete(xid tx.XID, id uint64) bool {
 // Scan calls fn for every row version visible to the snapshot. Returning
 // false stops the scan.
 func (t *SysTable) Scan(snap tx.Snapshot, fn func(id uint64, row types.Row) bool) {
+	t.ScanWhere(snap, nil, fn)
+}
+
+// ScanWhere is Scan over the row versions match accepts, or all when
+// match is nil. match sees a version's data before its visibility is
+// judged, so a lookup by key pays the snapshot check — a transaction
+// status read under the manager's lock — for its own rows only.
+func (t *SysTable) ScanWhere(snap tx.Snapshot, match func(types.Row) bool, fn func(id uint64, row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for i := range t.rows {
 		r := &t.rows[i]
-		if snap.RowVisible(r.xmin, r.xmax) {
+		if (match == nil || match(r.data)) && snap.RowVisible(r.xmin, r.xmax) {
 			if !fn(r.id, r.data) {
 				return
 			}

@@ -42,9 +42,7 @@ func (s *Session) runInsert(ctx context.Context, t *tx.Tx, stmt *sqlparser.Inser
 		return nil, err
 	}
 	if stmt.Select != nil {
-		tables := map[string]bool{}
-		collectTables(stmt.Select, tables)
-		if err := s.lockTables(t, tables, tx.AccessShare); err != nil {
+		if err := s.lockTables(t, stmt.Select, tx.AccessShare); err != nil {
 			return nil, err
 		}
 	}

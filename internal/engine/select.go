@@ -55,49 +55,10 @@ func (s *Session) newPlanner(ctx context.Context, t *tx.Tx) *planner.Planner {
 	return p
 }
 
-// collectTables lists the user tables a SELECT references (for lock
-// acquisition).
-func collectTables(stmt *sqlparser.SelectStmt, out map[string]bool) {
-	var fromRef func(ref sqlparser.TableRef)
-	fromRef = func(ref sqlparser.TableRef) {
-		switch v := ref.(type) {
-		case *sqlparser.TableName:
-			out[strings.ToLower(v.Name)] = true
-		case *sqlparser.SubqueryRef:
-			collectTables(v.Select, out)
-		case *sqlparser.Join:
-			fromRef(v.Left)
-			fromRef(v.Right)
-		}
-	}
-	for _, r := range stmt.From {
-		fromRef(r)
-	}
-	var walkExpr func(e sqlparser.Expr)
-	walkExpr = func(e sqlparser.Expr) {
-		switch v := e.(type) {
-		case nil:
-		case *sqlparser.BinExpr:
-			walkExpr(v.L)
-			walkExpr(v.R)
-		case *sqlparser.UnExpr:
-			walkExpr(v.E)
-		case *sqlparser.InExpr:
-			if v.Sub != nil {
-				collectTables(v.Sub, out)
-			}
-		case *sqlparser.ExistsExpr:
-			collectTables(v.Sub, out)
-		case *sqlparser.SubqueryExpr:
-			collectTables(v.Sub, out)
-		}
-	}
-	walkExpr(stmt.Where)
-	walkExpr(stmt.Having)
-}
-
-// lockTables takes the given mode on every named table.
-func (s *Session) lockTables(t *tx.Tx, names map[string]bool, mode tx.LockMode) error {
+// lockTables takes the given mode on every table sel reads.
+func (s *Session) lockTables(t *tx.Tx, sel *sqlparser.SelectStmt, mode tx.LockMode) error {
+	names := map[string]bool{}
+	sqlparser.Tables(sel, func(name string) { names[name] = true })
 	for name := range names {
 		if isSystemTable(name) {
 			continue
@@ -136,9 +97,7 @@ func (s *Session) runSelect(ctx context.Context, t *tx.Tx, stmt *sqlparser.Selec
 // restart"). Errors the detector cannot attribute to a fault are
 // permanent; cancellation stops the loop immediately.
 func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.SelectStmt) ([]types.Row, *types.Schema, error) {
-	tables := map[string]bool{}
-	collectTables(stmt, tables)
-	if err := s.lockTables(t, tables, tx.AccessShare); err != nil {
+	if err := s.lockTables(t, stmt, tx.AccessShare); err != nil {
 		return nil, nil, err
 	}
 	var rows []types.Row
@@ -275,9 +234,7 @@ func (s *Session) runExplain(ctx context.Context, t *tx.Tx, stmt *sqlparser.Expl
 		// Execute like runSelectRows does (same locks, same resource
 		// limits), but with stats collection on and no restart policy:
 		// an analyze run that hit a fault reports the failed attempt.
-		tables := map[string]bool{}
-		collectTables(sel, tables)
-		if err := s.lockTables(t, tables, tx.AccessShare); err != nil {
+		if err := s.lockTables(t, sel, tx.AccessShare); err != nil {
 			return nil, err
 		}
 		p := s.newPlanner(ctx, t)

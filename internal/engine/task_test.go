@@ -120,9 +120,10 @@ func TestCreateTaskReservedNameAndDrop(t *testing.T) {
 
 // TestAutoAnalyzeChangesPlanE2E is the stats-staleness end-to-end: a
 // table analyzed while tiny keeps its stale 2-row estimate through a
-// 300-row load, so the planner leads the join with it; the insert's
-// modification counters cross the auto-ANALYZE threshold, one scheduler
-// pass refreshes RelStats, and the same EXPLAIN flips the join order.
+// 300-row load, so the planner builds the join's hash table on it (the
+// build side, listed second); the insert's modification counters cross
+// the auto-ANALYZE threshold, one scheduler pass refreshes RelStats, and
+// the same EXPLAIN flips the sides.
 func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
 	e, sim := newSimEngine(t, 2, nil)
 	s := e.NewSession()
@@ -150,8 +151,8 @@ func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
 	}
 
 	before := explain()
-	if scanIdx(before, "big") > scanIdx(before, "small") {
-		t.Fatalf("stale stats should lead the join with big (2 estimated rows):\n%s", before)
+	if scanIdx(before, "big") < scanIdx(before, "small") {
+		t.Fatalf("stale stats should build on big (2 estimated rows):\n%s", before)
 	}
 
 	// 300 inserted rows against 2 analyzed rows: far past the 0.2 ratio
@@ -169,8 +170,8 @@ func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
 	e.TaskScheduler().TickOnce(context.Background())
 
 	after := explain()
-	if scanIdx(after, "small") > scanIdx(after, "big") {
-		t.Fatalf("refreshed stats should lead the join with small:\nbefore:\n%s\nafter:\n%s", before, after)
+	if scanIdx(after, "small") < scanIdx(after, "big") {
+		t.Fatalf("refreshed stats should build on small:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 	// The one-shot auto task retired itself after succeeding.
 	if row := taskRow(t, s, "auto_analyze_big"); row != nil {

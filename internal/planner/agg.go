@@ -12,50 +12,20 @@ import (
 
 // collectAggs finds the aggregate calls in an expression tree.
 func collectAggs(e sqlparser.Expr, out *[]*sqlparser.FuncExpr, seen map[string]bool) {
-	switch v := e.(type) {
-	case nil:
-	case *sqlparser.FuncExpr:
-		if _, ok := expr.AggKindByName(v.Name); ok {
-			key := v.String()
-			if !seen[key] {
-				seen[key] = true
-				*out = append(*out, v)
-			}
-			return
+	sqlparser.Inspect(e, func(x sqlparser.Expr) bool {
+		f, ok := x.(*sqlparser.FuncExpr)
+		if !ok {
+			return true
 		}
-		for _, a := range v.Args {
-			collectAggs(a, out, seen)
+		if _, agg := expr.AggKindByName(f.Name); !agg {
+			return true
 		}
-	case *sqlparser.BinExpr:
-		collectAggs(v.L, out, seen)
-		collectAggs(v.R, out, seen)
-	case *sqlparser.UnExpr:
-		collectAggs(v.E, out, seen)
-	case *sqlparser.CaseExpr:
-		collectAggs(v.Operand, out, seen)
-		for _, w := range v.Whens {
-			collectAggs(w.Cond, out, seen)
-			collectAggs(w.Result, out, seen)
+		if key := f.String(); !seen[key] {
+			seen[key] = true
+			*out = append(*out, f)
 		}
-		collectAggs(v.Else, out, seen)
-	case *sqlparser.CastExpr:
-		collectAggs(v.E, out, seen)
-	case *sqlparser.BetweenExpr:
-		collectAggs(v.E, out, seen)
-		collectAggs(v.Lo, out, seen)
-		collectAggs(v.Hi, out, seen)
-	case *sqlparser.LikeExpr:
-		collectAggs(v.E, out, seen)
-	case *sqlparser.IsNullExpr:
-		collectAggs(v.E, out, seen)
-	case *sqlparser.InExpr:
-		collectAggs(v.E, out, seen)
-		for _, it := range v.List {
-			collectAggs(it, out, seen)
-		}
-	case *sqlparser.ExtractExpr:
-		collectAggs(v.E, out, seen)
-	}
+		return false
+	})
 }
 
 // planAggregation builds the (possibly two-phase) aggregation for a
@@ -81,7 +51,7 @@ func (p *Planner) planAggregation(rel *relation, stmt *sqlparser.SelectStmt) (*r
 		return rel, nil, nil
 	}
 
-	b := &binder{scope: rel.scope(), subquery: p.scalarSubquery(), params: p.paramBinder()}
+	b := p.binder(rel.scope())
 	// Bind group expressions.
 	groupExprs := make([]expr.Expr, len(stmt.GroupBy))
 	groupNames := make([]string, len(stmt.GroupBy))
@@ -120,6 +90,9 @@ func (p *Planner) planAggregation(rel *relation, stmt *sqlparser.SelectStmt) (*r
 				return nil, nil, err
 			}
 			spec.Arg = arg
+			if kind == expr.AggCount && !call.Distinct && notNull(arg, rel.cols) {
+				spec = expr.AggSpec{Kind: expr.AggCountStar} // count(c) of a NOT NULL c
+			}
 		}
 		if spec.Distinct {
 			hasDistinct = true
@@ -135,18 +108,20 @@ func (p *Planner) planAggregation(rel *relation, stmt *sqlparser.SelectStmt) (*r
 	if err != nil {
 		return nil, nil, err
 	}
-	outRel.cols = schemaCols(outSchema)
+	// A group column carries its key's facts; of the aggregates only a
+	// count is never NULL.
+	outRel.cols = withFacts(schemaCols(outSchema), groupExprs, rel.cols)
+	for i, s := range specs {
+		outRel.cols[len(groupExprs)+i].notNull = s.Kind == expr.AggCount || s.Kind == expr.AggCountStar
+	}
 	// Apply HAVING.
 	if stmt.Having != nil {
-		hb := &binder{scope: outRel.scope(), aggScope: scp, subquery: p.scalarSubquery(), params: p.paramBinder()}
+		hb := &binder{scope: outRel.scope(), aggScope: scp, subquery: p.SubqueryEval, params: p.paramBinder()}
 		pred, err := hb.bind(stmt.Having)
 		if err != nil {
 			return nil, nil, err
 		}
-		outRel = &relation{
-			node: &plan.Select{Input: outRel.node, Pred: pred},
-			cols: outRel.cols, dist: outRel.dist, rows: outRel.rows * 0.5,
-		}
+		outRel = filtered(outRel, pred)
 	}
 	return outRel, scp, nil
 }
@@ -174,7 +149,7 @@ func aggOutputSchema(groups []expr.Expr, groupNames []string, specs []expr.AggSp
 // input distribution (§3).
 func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.AggSpec, outSchema *types.Schema, hasDistinct bool) (*relation, error) {
 	nGroups := len(groups)
-	estGroups := estimateGroups(rel.rows, nGroups)
+	estGroups := groupRows(rel, groups)
 
 	// Can the aggregation complete locally? Yes if each segment holds
 	// whole groups: hashed on a subset of the group columns.
@@ -204,22 +179,13 @@ func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.
 	if hasDistinct {
 		// DISTINCT aggregates need whole groups in one place: move the
 		// data first, aggregate once.
-		var moved *relation
-		if nGroups > 0 {
-			groupCols, ok := plainCols(groups)
-			if !ok {
-				// Group keys are computed: redistribute on a projection
-				// of the keys. Project keys + all needed inputs is
-				// complex; fall back to gathering.
-				moved = p.gatherToQD(rel)
-			} else {
-				moved = p.redistributeCols(rel, groupCols)
-			}
-		} else {
-			moved = p.gatherToQD(rel)
+		// Computed group keys, or none, gather to the QD.
+		moved, dist := p.gatherToQD(rel), distInfo{kind: distQD}
+		if groupCols, ok := plainCols(groups); ok && nGroups > 0 {
+			moved, dist = p.redistributeCols(rel, groupCols), distInfo{kind: distHash, cols: upTo(nGroups)}
 		}
 		node := &plan.HashAgg{Input: moved.node, Phase: plan.AggSingle, Groups: groups, Aggs: specs, Schema: outSchema}
-		return &relation{node: node, dist: distInfo{kind: moved.dist.kind, cols: outDistColsFrom(groups, moved.dist)}, rows: estGroups}, nil
+		return &relation{node: node, dist: dist, rows: estGroups}, nil
 	}
 
 	// Two-phase: partial on every segment, motion, final.
@@ -230,10 +196,7 @@ func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.
 	var motion *plan.Motion
 	var finalDist distInfo
 	if nGroups > 0 {
-		hashCols := make([]int, nGroups)
-		for i := range hashCols {
-			hashCols[i] = i
-		}
+		hashCols := upTo(nGroups)
 		motion = &plan.Motion{Type: plan.RedistributeMotion, Input: partial, HashCols: hashCols}
 		finalDist = distInfo{kind: distHash, cols: hashCols}
 	} else {
@@ -360,31 +323,4 @@ func plainCols(exprs []expr.Expr) ([]int, bool) {
 		out[i] = cr.Idx
 	}
 	return out, true
-}
-
-func outDistColsFrom(groups []expr.Expr, d distInfo) []int {
-	if d.kind != distHash {
-		return nil
-	}
-	var out []int
-	for _, dc := range d.cols {
-		for gi, g := range groups {
-			if cr, ok := g.(*expr.ColRef); ok && cr.Idx == dc {
-				out = append(out, gi)
-			}
-		}
-	}
-	return out
-}
-
-// estimateGroups guesses the number of output groups.
-func estimateGroups(rows float64, nGroups int) float64 {
-	if nGroups == 0 {
-		return 1
-	}
-	est := rows / 10
-	if est < 1 {
-		est = 1
-	}
-	return est
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hawq/internal/catalog"
 	"hawq/internal/expr"
 	"hawq/internal/sqlparser"
 	"hawq/internal/types"
@@ -20,53 +21,50 @@ import (
 type scopeCol struct {
 	qual string // table alias (lower case), may be ""
 	name string // column name (lower case)
+	// st is the ANALYZE statistics of the base column this one carries,
+	// through projections and joins; nil when unknown or not read.
+	st *catalog.ColStats
+	// notNull: no row holds NULL here (nullability, DESIGN.md §19).
+	notNull bool
 }
 
 // scope resolves identifiers to column positions.
 type scope struct {
 	cols   []scopeCol
 	schema *types.Schema
-	// outer, when non-nil, resolves names this scope cannot: correlated
-	// subqueries bind outer references through it. Resolved outer
-	// references are reported via the correlated list.
-	outer *scope
 }
 
 // resolve returns the column index for an identifier, or an error.
 func (s *scope) resolve(id *sqlparser.Ident) (int, error) {
-	qual := strings.ToLower(id.Qualifier())
-	name := strings.ToLower(id.Column())
+	switch i := s.index(id); i {
+	case -1:
+		return 0, fmt.Errorf("planner: column %q does not exist", id)
+	case -2:
+		return 0, fmt.Errorf("planner: column reference %q is ambiguous", id)
+	default:
+		return i, nil
+	}
+}
+
+// index is resolve without the error: the column's position, -1 when no
+// column answers to the identifier and -2 when several do.
+func (s *scope) index(id *sqlparser.Ident) int {
+	qual, name := strings.ToLower(id.Qualifier()), strings.ToLower(id.Column())
 	found := -1
 	for i, c := range s.cols {
-		if c.name != name {
-			continue
+		if c.name == name && (qual == "" || c.qual == qual) {
+			if found >= 0 {
+				return -2
+			}
+			found = i
 		}
-		if qual != "" && c.qual != qual {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("planner: column reference %q is ambiguous", id)
-		}
-		found = i
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("planner: column %q does not exist", id)
-	}
-	return found, nil
+	return found
 }
 
 // binds reports whether any column of the scope answers to the
 // identifier (an ambiguous name still binds here, not further out).
-func (s *scope) binds(id *sqlparser.Ident) bool {
-	qual := strings.ToLower(id.Qualifier())
-	name := strings.ToLower(id.Column())
-	for _, c := range s.cols {
-		if c.name == name && (qual == "" || c.qual == qual) {
-			return true
-		}
-	}
-	return false
-}
+func (s *scope) binds(id *sqlparser.Ident) bool { return s.index(id) != -1 }
 
 // binder turns syntax expressions into bound executable expressions.
 type binder struct {

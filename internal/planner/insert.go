@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"hawq/internal/expr"
 	"hawq/internal/plan"
@@ -88,7 +89,7 @@ func (p *Planner) planInsertFrom(src *relation, targets []plan.InsertTarget, seg
 		if len(cols) == 0 {
 			cols = []int{0}
 		}
-		if src.dist.kind == distHash && sameCols(src.dist.cols, cols) {
+		if src.dist.kind == distHash && slices.Equal(src.dist.cols, cols) {
 			distributed = src // already in place (INSERT ... SELECT same key)
 		} else {
 			distributed = p.redistributeCols(src, cols)
@@ -125,7 +126,7 @@ func (p *Planner) evalValuesRows(stmt *sqlparser.InsertStmt, schema *types.Schem
 			colIdx = append(colIdx, i)
 		}
 	}
-	b := &binder{scope: &scope{schema: types.NewSchema()}, subquery: p.scalarSubquery(), params: p.paramBinder()}
+	b := p.binder(&scope{schema: types.NewSchema()})
 	var rows []types.Row
 	for _, astRow := range stmt.Rows {
 		if len(astRow) != len(colIdx) {

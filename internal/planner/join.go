@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hawq/internal/expr"
 	"hawq/internal/plan"
@@ -17,102 +18,136 @@ type joinEdge struct {
 	raw  sqlparser.Expr
 }
 
-// orderJoins greedily joins the units: start with the smallest relation,
-// repeatedly pick the connected unit whose join yields the smallest
-// estimated output. The classic approach for bushy-averse MPP planners;
-// cost-based in the sense of §3 ("evaluates potential plans and selects
-// the one that leads to the most efficient execution"). Candidates are
-// tried in FROM order and only a strictly cheaper one displaces the
-// best so far, so a tie goes to the unit written first: one statement
-// over one snapshot has one plan.
-func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, error) {
+// orderJoins greedily joins the units, cost-based in the sense of §3
+// ("evaluates potential plans and selects the one that leads to the most
+// efficient execution"): it starts with the connected pair whose join is
+// estimated smallest in bytes, then repeatedly adds the connected unit
+// whose join is — so Q10 joins its orders to lineitem, where both lie,
+// before customer's wide rows join them. Each join builds its hash
+// table on the side smaller in bytes. Candidates are tried in FROM order
+// and only a strictly cheaper one displaces the best so far, so a tie
+// goes to the unit written first: one statement over one snapshot has
+// one plan. perm lists the result's columns in FROM order, nil when they
+// already are.
+func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (cur *relation, perm []int, err error) {
 	if len(units) == 1 {
-		return units[0].rel, nil
+		return units[0].rel, nil, nil
 	}
-	// Start from the smallest relation.
-	start := 0
-	for i := range units {
-		if units[i].rel.rows < units[start].rel.rows {
-			start = i
-		}
-	}
-	cur := units[start].rel
-	merged := map[int]bool{start: true}
-	usedEdges := map[int]bool{}
-
-	for len(merged) < len(units) {
-		bestUnit, bestCost := -1, math.MaxFloat64
-		var bestEdges []int
-		for u := range units {
-			if merged[u] {
+	merged := make([]bool, len(units))
+	used := make([]bool, len(edges))
+	var order []int // the joined units, in the order of cur's columns
+	for len(order) < len(units) {
+		from, next, cost := -1, -1, math.MaxFloat64
+		var bestEdges, lk, rk []int
+		// A start pair is any two units (a >= 0); after it, cur and one
+		// more (a = -1).
+		for a := -1; a < len(units); a++ {
+			if (a >= 0) == (cur != nil) {
 				continue
 			}
-			var es []int
-			for ei, e := range edges {
-				if usedEdges[ei] {
+			left, in := cur, func(u int) bool { return merged[u] }
+			if a >= 0 {
+				left, in = units[a].rel, func(u int) bool { return u == a }
+			}
+			for u := range units {
+				var es []int
+				for ei, e := range edges {
+					if !used[ei] && !in(u) && ((in(e.a) && e.b == u) || (in(e.b) && e.a == u)) {
+						es = append(es, ei)
+					}
+				}
+				if len(es) == 0 {
 					continue
 				}
-				if (merged[e.a] && e.b == u) || (merged[e.b] && e.a == u) {
-					es = append(es, ei)
+				l, r, err := edgeKeys(left, units[u].rel, edges, es)
+				if err != nil {
+					return nil, nil, err
+				}
+				out := joinRows(left, units[u].rel, l, r)
+				if c := out * (width(left) + width(units[u].rel)); c < cost {
+					from, next, cost, bestEdges, lk, rk = a, u, c, es, l, r
 				}
 			}
-			if len(es) == 0 {
-				continue
-			}
-			out := estimateJoinRows(cur.rows, units[u].rel.rows, len(es))
-			if out < bestCost {
-				bestCost, bestUnit, bestEdges = out, u, es
-			}
 		}
-		if bestUnit == -1 {
+		if next < 0 {
 			// No connecting edge: cross join with the smallest remaining.
 			for u := range units {
-				if !merged[u] && (bestUnit == -1 || units[u].rel.rows < units[bestUnit].rel.rows) {
-					bestUnit = u
+				if !merged[u] && (next < 0 || units[u].rel.rows < units[next].rel.rows) {
+					next = u
 				}
 			}
+			if cur == nil {
+				cur, merged[next], order = units[next].rel, true, []int{next}
+				continue
+			}
 		}
-		next := units[bestUnit].rel
-		// Resolve key columns for the chosen edges against (cur, next).
-		var leftKeys, rightKeys []int
+		if cur == nil {
+			cur, merged[from], order = units[from].rel, true, []int{from}
+		}
 		for _, ei := range bestEdges {
-			e := edges[ei]
-			usedEdges[ei] = true
-			li, lerr := cur.scope().resolve(e.l)
-			ri, rerr := next.scope().resolve(e.r)
-			if lerr != nil || rerr != nil {
-				li, lerr = cur.scope().resolve(e.r)
-				ri, rerr = next.scope().resolve(e.l)
-			}
-			if lerr != nil || rerr != nil {
-				return nil, fmt.Errorf("planner: cannot resolve join predicate %s", e.raw)
-			}
-			leftKeys = append(leftKeys, li)
-			rightKeys = append(rightKeys, ri)
+			used[ei] = true
 		}
-		joined, err := p.joinRelations(cur, next, leftKeys, rightKeys, plan.InnerJoin, nil)
-		if err != nil {
-			return nil, err
+		l, r := cur, units[next].rel
+		if bytes(l) < bytes(r) {
+			// Build on cur: the next unit's columns come first.
+			l, r, lk, rk = r, l, rk, lk
+			order = append([]int{next}, order...)
+		} else {
+			order = append(order, next)
 		}
-		cur = joined
-		merged[bestUnit] = true
+		if cur, err = p.joinRelations(l, r, lk, rk, plan.InnerJoin, nil); err != nil {
+			return nil, nil, err
+		}
+		merged[next] = true
 	}
 	// Any unused edges become residual filters (redundant cycle edges).
 	for ei, e := range edges {
-		if usedEdges[ei] {
+		if used[ei] {
 			continue
 		}
-		b := &binder{scope: cur.scope(), subquery: p.scalarSubquery(), params: p.paramBinder()}
+		b := p.binder(cur.scope())
 		bound, err := b.bind(e.raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		cur = &relation{
-			node: &plan.Select{Input: cur.node, Pred: bound},
-			cols: cur.cols, dist: cur.dist, rows: cur.rows * 0.3,
+		cur = filtered(cur, bound)
+	}
+	at, off := make([]int, len(units)), 0
+	for _, u := range order {
+		at[u], off = off, off+units[u].rel.schema().Len()
+	}
+	for u := range units {
+		for k := 0; k < units[u].rel.schema().Len(); k++ {
+			perm = append(perm, at[u]+k)
 		}
 	}
-	return cur, nil
+	if slices.IsSorted(perm) {
+		perm = nil
+	}
+	return cur, perm, nil
+}
+
+// edgeKeys resolves the columns of the equi-join edges es against the
+// relation being joined (cur) and the unit joining it (next).
+func edgeKeys(cur, next *relation, edges []joinEdge, es []int) (lk, rk []int, err error) {
+	for _, ei := range es {
+		li, ri, ok := eqSides(cur.scope(), next.scope(), edges[ei].l, edges[ei].r)
+		if !ok {
+			return nil, nil, fmt.Errorf("planner: cannot resolve join predicate %s", edges[ei].raw)
+		}
+		lk, rk = append(lk, li), append(rk, ri)
+	}
+	return lk, rk, nil
+}
+
+// eqSides resolves the two identifiers of an equality one in each scope,
+// whichever way round it is written.
+func eqSides(ls, rs *scope, l, r *sqlparser.Ident) (int, int, bool) {
+	li, ri := ls.index(l), rs.index(r)
+	if li < 0 || ri < 0 {
+		li, ri = ls.index(r), rs.index(l)
+	}
+	return li, ri, li >= 0 && ri >= 0
 }
 
 // joinRelations builds the physical join with the motions it needs,
@@ -123,7 +158,19 @@ func (p *Planner) orderJoins(units []*fromUnit, edges []joinEdge) (*relation, er
 // cheapest (§3's cost-based optimization).
 func (p *Planner) joinRelations(left, right *relation, leftKeys, rightKeys []int, kind plan.JoinKind, residual expr.Expr) (*relation, error) {
 	leftKeys, rightKeys, residual = hashableKeys(left, right, leftKeys, rightKeys, residual)
-	outRows := estimateJoinRows(left.rows, right.rows, len(leftKeys))
+	outRows := joinRows(left, right, leftKeys, rightKeys)
+	// The output's columns: an outer join's nullable side may be NULL
+	// whatever the catalog says, a semi or anti join has the left's only.
+	cols := append(append([]scopeCol{}, left.cols...), right.cols...)
+	for i := len(left.cols); kind == plan.LeftJoin && i < len(cols); i++ {
+		cols[i].notNull = false
+	}
+	if kind == plan.LeftJoin {
+		outRows = math.Max(outRows, left.rows)
+	}
+	if kind == plan.SemiJoin || kind == plan.AntiJoin {
+		cols = left.cols
+	}
 
 	if len(leftKeys) == 0 {
 		// No equi keys: broadcast the inner side, nested loop join.
@@ -133,20 +180,14 @@ func (p *Planner) joinRelations(left, right *relation, leftKeys, rightKeys []int
 			schema = left.schema()
 		}
 		node := &plan.NestLoopJoin{Kind: kind, Left: left.node, Right: inner.node, Pred: residual, Schema: schema}
-		cols := append(append([]scopeCol{}, left.cols...), inner.cols...)
-		if kind == plan.SemiJoin || kind == plan.AntiJoin {
-			cols = left.cols
-		}
 		return &relation{node: node, cols: cols, dist: left.dist, rows: outRows, equiv: left.equiv}, nil
 	}
 
 	l, r := p.placeJoinSides(left, right, leftKeys, rightKeys, kind)
 
 	schema := l.schema().Concat(r.schema())
-	cols := append(append([]scopeCol{}, l.cols...), r.cols...)
 	if kind == plan.SemiJoin || kind == plan.AntiJoin {
 		schema = l.schema()
-		cols = l.cols
 	}
 	node := &plan.HashJoin{
 		Kind: kind, Left: l.node, Right: r.node,
@@ -247,7 +288,7 @@ func hashedOnKeys(rel *relation, keys []int) []int {
 }
 
 // placeJoinSides decides the motions for a hash join, comparing the
-// viable placements by estimated tuple movement.
+// viable placements by the estimated bytes they move.
 func (p *Planner) placeJoinSides(left, right *relation, leftKeys, rightKeys []int, kind plan.JoinKind) (*relation, *relation) {
 	nseg := float64(p.NumSegments)
 	lAligned := hashedOnKeys(left, leftKeys)
@@ -258,92 +299,67 @@ func (p *Planner) placeJoinSides(left, right *relation, leftKeys, rightKeys []in
 	// Replicated sides are free wherever they are.
 	if right.dist.kind == distReplicated {
 		if left.dist.kind == distQD {
-			left = p.redistribute(left, leftKeys)
+			left = p.redistributeCols(left, leftKeys)
 		}
 		return left, right
 	}
 	if left.dist.kind == distReplicated {
 		if right.dist.kind == distQD {
-			right = p.redistribute(right, rightKeys)
+			right = p.redistributeCols(right, rightKeys)
 		}
 		return left, right
 	}
 
-	type option struct {
-		cost     float64
-		leftFix  func() *relation
-		rightFix func() *relation
-	}
 	keep := func(r *relation) func() *relation { return func() *relation { return r } }
-	var opts []option
+	move := func(r *relation, cols []int) func() *relation {
+		return func() *relation { return p.redistributeCols(r, cols) }
+	}
+	bcast := func(r *relation) func() *relation { return func() *relation { return p.broadcast(r) } }
+	// realign lists keys in the order of a side's distribution columns.
+	realign := func(pairing, keys []int) []int {
+		out := make([]int, len(pairing))
+		for i, ki := range pairing {
+			out[i] = keys[ki]
+		}
+		return out
+	}
+	// The cheapest option wins; a tie keeps the one tried first.
+	cost, fixL, fixR := math.MaxFloat64, keep(left), keep(right)
+	try := func(c float64, l, r func() *relation) {
+		if c < cost {
+			cost, fixL, fixR = c, l, r
+		}
+	}
 	lMovable := left.dist.kind != distQD
 	rMovable := right.dist.kind != distQD
 	// Colocated: free.
-	if lAligned != nil && rAligned != nil && pairingsAlign(lAligned, rAligned) && lMovable && rMovable {
-		opts = append(opts, option{0, keep(left), keep(right)})
+	if lAligned != nil && rAligned != nil && slices.Equal(lAligned, rAligned) && lMovable && rMovable {
+		try(0, keep(left), keep(right))
 	}
-	// Keep left, redistribute right to match left's key pairing.
+	// Keep one side, redistribute the other to match its key pairing.
 	if lAligned != nil && lMovable {
-		aligned := make([]int, len(lAligned))
-		for i, ki := range lAligned {
-			aligned[i] = rightKeys[ki]
-		}
-		rr := right
-		opts = append(opts, option{right.rows, keep(left), func() *relation { return p.redistributeCols(rr, aligned) }})
+		try(bytes(right), keep(left), move(right, realign(lAligned, rightKeys)))
 	}
-	// Keep right, redistribute left to match (probe side moves).
 	if rAligned != nil && rMovable {
-		aligned := make([]int, len(rAligned))
-		for i, ki := range rAligned {
-			aligned[i] = leftKeys[ki]
-		}
-		ll := left
-		opts = append(opts, option{left.rows, func() *relation { return p.redistributeCols(ll, aligned) }, keep(right)})
+		try(bytes(left), move(left, realign(rAligned, leftKeys)), keep(right))
 	}
 	// Broadcast the build side; the probe stays wherever it is (valid
 	// for every join kind — each probe row sees every build row).
 	if lMovable {
-		rr := right
-		opts = append(opts, option{right.rows * nseg, keep(left), func() *relation { return p.broadcast(rr) }})
+		try(bytes(right)*nseg, keep(left), bcast(right))
 	}
 	// Broadcast the probe side (inner joins only: outer/semi/anti would
 	// duplicate probe-side rows).
 	if kind == plan.InnerJoin && rMovable {
-		ll := left
-		opts = append(opts, option{left.rows * nseg, func() *relation { return p.broadcast(ll) }, keep(right)})
+		try(bytes(left)*nseg, bcast(left), keep(right))
 	}
 	// Redistribute both on the join keys.
-	opts = append(opts, option{left.rows + right.rows,
-		func() *relation { return p.redistribute(left, leftKeys) },
-		func() *relation { return p.redistribute(right, rightKeys) }})
-
-	best := opts[0]
-	for _, o := range opts[1:] {
-		if o.cost < best.cost {
-			best = o
-		}
-	}
-	return best.leftFix(), best.rightFix()
+	try(bytes(left)+bytes(right), move(left, leftKeys), move(right, rightKeys))
+	return fixL(), fixR()
 }
 
-func pairingsAlign(lp, rp []int) bool {
-	if len(lp) != len(rp) {
-		return false
-	}
-	for i := range lp {
-		if lp[i] != rp[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// redistribute hashes a relation across the cluster on the given key
+// redistributeCols hashes a relation across the cluster on the given
 // columns.
-func (p *Planner) redistribute(rel *relation, keys []int) *relation {
-	return p.redistributeCols(rel, keys)
-}
-
 func (p *Planner) redistributeCols(rel *relation, cols []int) *relation {
 	var input plan.Node = rel.node
 	if rel.dist.kind == distQD {
@@ -382,22 +398,22 @@ type semiUnit struct {
 }
 
 // asSemiUnit recognizes [NOT] EXISTS (...) and e [NOT] IN (SELECT ...).
-func (p *Planner) asSemiUnit(c sqlparser.Expr, units []*fromUnit) (*semiUnit, bool, error) {
+func asSemiUnit(c sqlparser.Expr) (*semiUnit, bool) {
 	switch v := c.(type) {
 	case *sqlparser.ExistsExpr:
-		return &semiUnit{sub: v.Sub, anti: v.Negate}, true, nil
+		return &semiUnit{sub: v.Sub, anti: v.Negate}, true
 	case *sqlparser.UnExpr:
 		if v.Op == "not" {
 			if ex, ok := v.E.(*sqlparser.ExistsExpr); ok {
-				return &semiUnit{sub: ex.Sub, anti: !ex.Negate}, true, nil
+				return &semiUnit{sub: ex.Sub, anti: !ex.Negate}, true
 			}
 		}
 	case *sqlparser.InExpr:
 		if v.Sub != nil {
-			return &semiUnit{sub: v.Sub, anti: v.Negate, outerExpr: v.E}, true, nil
+			return &semiUnit{sub: v.Sub, anti: v.Negate, outerExpr: v.E}, true
 		}
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // applySemiJoin turns an EXISTS/IN subquery into a semi/anti hash join
@@ -410,36 +426,25 @@ func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error
 
 	// Split the subquery's WHERE into correlated equalities (outer col =
 	// inner col) and local predicates.
-	var localWhere sqlparser.Expr
+	var local []sqlparser.Expr
 	var corrOuter, corrInner []*sqlparser.Ident
-	if sub.Where != nil {
-		for _, c := range conjuncts(sub.Where) {
-			if l, r, ok := equiJoinSides(c); ok {
-				_, lOuterErr := outerScope.resolve(l)
-				_, rOuterErr := outerScope.resolve(r)
-				// A correlated equality has one side that only resolves
-				// in the outer scope and one that resolves locally.
-				if lOuterErr == nil && subScope.binds(r) && !subScope.binds(l) {
-					corrOuter = append(corrOuter, l)
-					corrInner = append(corrInner, r)
-					continue
-				}
-				if rOuterErr == nil && subScope.binds(l) && !subScope.binds(r) {
-					corrOuter = append(corrOuter, r)
-					corrInner = append(corrInner, l)
-					continue
-				}
+	for _, c := range conjuncts(sub.Where) {
+		if l, r, ok := equiJoinSides(c); ok {
+			if subScope.binds(l) {
+				l, r = r, l
 			}
-			if localWhere == nil {
-				localWhere = c
-			} else {
-				localWhere = &sqlparser.BinExpr{Op: "and", L: localWhere, R: c}
+			// A correlated equality has one side that only resolves in
+			// the outer scope and one that resolves locally.
+			if outerScope.index(l) >= 0 && subScope.binds(r) && !subScope.binds(l) {
+				corrOuter, corrInner = append(corrOuter, l), append(corrInner, r)
+				continue
 			}
 		}
+		local = append(local, c)
 	}
 	// Plan the subquery with correlated columns appended to its
 	// projection so they become join keys.
-	inner := &sqlparser.SelectStmt{From: sub.From, Where: localWhere}
+	inner := &sqlparser.SelectStmt{From: sub.From, Where: fold("and", local)}
 	if su.outerExpr != nil {
 		// IN (SELECT x ...): key is the subquery's projection.
 		if len(sub.Projections) != 1 || sub.Projections[0].Star {
@@ -463,7 +468,7 @@ func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error
 	}
 	// Outer join keys.
 	var leftKeys []int
-	bOuter := &binder{scope: outerScope, subquery: p.scalarSubquery(), params: p.paramBinder()}
+	bOuter := p.binder(outerScope)
 	if su.outerExpr != nil {
 		bound, err := bOuter.bind(su.outerExpr)
 		if err != nil {
@@ -491,7 +496,8 @@ func (p *Planner) applySemiJoin(outer *relation, su *semiUnit) (*relation, error
 		kind = plan.AntiJoin
 	}
 	rel, err := p.joinRelations(outer, innerRel, leftKeys, rightKeys, kind, nil)
-	if err == nil && su.anti && su.outerExpr != nil {
+	// NOT IN needs its NULL facts only where x or y can be NULL.
+	if err == nil && su.anti && su.outerExpr != nil && !(outer.cols[leftKeys[0]].notNull && innerRel.cols[0].notNull) {
 		rel, err = p.notInNulls(rel, inner, leftKeys)
 	}
 	if err != nil {

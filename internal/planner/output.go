@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,7 +20,7 @@ func (p *Planner) planOutput(rel *relation, aggScp *aggScope, stmt *sqlparser.Se
 	if err != nil {
 		return nil, err
 	}
-	b := &binder{scope: rel.scope(), aggScope: aggScp, subquery: p.scalarSubquery(), params: p.paramBinder()}
+	b := &binder{scope: rel.scope(), aggScope: aggScp, subquery: p.SubqueryEval, params: p.paramBinder()}
 	var exprs []expr.Expr
 	var outCols []types.Column
 	identity := aggScp == nil
@@ -87,13 +88,10 @@ func (p *Planner) planOutput(rel *relation, aggScp *aggScope, stmt *sqlparser.Se
 	}
 
 	outSchema := &types.Schema{Columns: outCols}
-	out := rel
+	out := &relation{node: rel.node, cols: withFacts(schemaCols(outSchema), exprs, rel.cols), dist: rel.dist, rows: rel.rows, direct: rel.direct, directKeys: rel.directKeys}
 	if !identity {
-		node := &plan.Project{Input: rel.node, Exprs: exprs, Schema: outSchema}
-		out = &relation{node: node, cols: schemaCols(outSchema), dist: projectDist(rel.dist, exprs), rows: rel.rows, direct: rel.direct, directKeys: rel.directKeys}
-	} else {
-		// Keep the (possibly renamed) output names.
-		out = &relation{node: rel.node, cols: schemaCols(outSchema), dist: rel.dist, rows: rel.rows, direct: rel.direct, directKeys: rel.directKeys}
+		out.node = &plan.Project{Input: rel.node, Exprs: exprs, Schema: outSchema}
+		out.dist = projectDist(rel.dist, exprs)
 	}
 
 	if stmt.Distinct {
@@ -211,11 +209,8 @@ func (p *Planner) planDistinct(rel *relation) *relation {
 	out := rel
 	if rel.dist.kind == distHash || rel.dist.kind == distRandom {
 		// Redistribute by all columns so duplicates meet.
-		all := make([]int, rel.schema().Len())
-		for i := range all {
-			all[i] = i
-		}
-		if rel.dist.kind != distHash || !sameCols(rel.dist.cols, all) {
+		all := upTo(rel.schema().Len())
+		if rel.dist.kind != distHash || !slices.Equal(rel.dist.cols, all) {
 			out = p.redistributeCols(rel, all)
 		}
 	}
@@ -223,16 +218,4 @@ func (p *Planner) planDistinct(rel *relation) *relation {
 		node: &plan.Distinct{Input: out.node},
 		cols: out.cols, dist: out.dist, rows: out.rows / 2,
 	}
-}
-
-func sameCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,9 @@
 package planner
 
 import (
+	"slices"
+
+	"hawq/internal/catalog"
 	"hawq/internal/expr"
 	"hawq/internal/plan"
 	"hawq/internal/sqlparser"
@@ -18,16 +21,11 @@ import (
 //   - an IN / EXISTS subquery whose outer references all bind to one FROM
 //     unit joins that unit before the others (semiHome).
 
-// disjuncts flattens an OR tree.
-func disjuncts(e sqlparser.Expr) []sqlparser.Expr {
-	if b, ok := e.(*sqlparser.BinExpr); ok && b.Op == "or" {
-		return append(disjuncts(b.L), disjuncts(b.R)...)
-	}
-	return []sqlparser.Expr{e}
-}
-
-// fold joins es with op, left to right.
+// fold joins es with op, left to right; nil when es is empty.
 func fold(op string, es []sqlparser.Expr) sqlparser.Expr {
+	if len(es) == 0 {
+		return nil
+	}
 	out := es[0]
 	for _, e := range es[1:] {
 		out = &sqlparser.BinExpr{Op: op, L: out, R: e}
@@ -50,7 +48,7 @@ func idents(e sqlparser.Expr) (ids []*sqlparser.Ident, sub bool) {
 // true, so u loses only rows c would have rejected; c itself stays as the
 // join's residual.
 func (p *Planner) orImplied(c sqlparser.Expr, units []*fromUnit, u int) sqlparser.Expr {
-	ds := disjuncts(c)
+	ds := flatten("or", c)
 	if len(ds) < 2 {
 		return nil
 	}
@@ -74,10 +72,10 @@ func (p *Planner) orImplied(c sqlparser.Expr, units []*fromUnit, u int) sqlparse
 }
 
 // onPlacement is an explicit join's ON clause divided by where each
-// conjunct is evaluated: table[i] inside side i's base table, planned as
-// filterTable's derived table; side[i] over side i's input when that is
-// not a base table; join by the join itself. blockRefs decides it once
-// per join (colRefs.on) and planExplicitJoin plans exactly that.
+// conjunct is evaluated: table[i] on side i's base-table scan; side[i]
+// over side i's input when that is not a base table; join by the join
+// itself. blockRefs decides it once per join (colRefs.on) and
+// planExplicitJoin plans exactly that.
 type onPlacement struct {
 	table, side [2][]sqlparser.Expr
 	join        []sqlparser.Expr
@@ -149,25 +147,6 @@ func oneSide(c sqlparser.Expr, scopes [2]*scope) int {
 	return side
 }
 
-// filterTable plans base table t filtered by conds as the derived table
-// (SELECT <every column of t> FROM t WHERE conds) under t's own name.
-// newFromUnit prunes its select list to the columns the block references
-// (§16), so a column only conds read — Q13's o_comment — stops at the
-// scan instead of riding through the motions and the join.
-func (p *Planner) filterTable(t *sqlparser.TableName, conds []sqlparser.Expr) (sqlparser.TableRef, error) {
-	desc, err := p.Cat.LookupTable(p.Snap, t.Name)
-	if err != nil {
-		return nil, err
-	}
-	alias := aliasOf(t)
-	var items []sqlparser.SelectItem
-	for _, name := range desc.Schema.Names() {
-		items = append(items, sqlparser.SelectItem{Expr: &sqlparser.Ident{Parts: []string{alias, name}}})
-	}
-	sel := &sqlparser.SelectStmt{Projections: items, From: []sqlparser.TableRef{t}, Where: fold("and", conds)}
-	return &sqlparser.SubqueryRef{Select: sel, Alias: alias}, nil
-}
-
 // semiHome returns the FROM unit every outer reference of su binds to —
 // its IN expression's identifiers and the subquery's correlated ones — or
 // -1 when they bind to several, to none (an uncorrelated EXISTS), or past
@@ -197,6 +176,107 @@ func (p *Planner) semiHome(su *semiUnit, units []*fromUnit) int {
 		home = hit
 	}
 	return home
+}
+
+// magicSet returns the block of derived table units[d] rewritten to
+// compute only the groups the enclosing block can join, or nil (DESIGN.md
+// §19). It applies when d groups by a plain column k of one of its base
+// tables that equality edges join, directly or through other base
+// tables, to a column y of a filtered base table U whose surviving keys
+// are estimated fewer than k's distinct values: d's WHERE gains
+// `k IN (SELECT y FROM U WHERE <U's filters>)`, a semi join below d's
+// aggregate. It is decided from k's statistics before d is planned, so d
+// is planned once. Sound because k is a grouping key: a group is kept or
+// dropped whole, and a dropped group's k is no y that U keeps, so the
+// block's inner joins would have dropped every row it produced. A NULL k
+// joins nothing either way.
+func (p *Planner) magicSet(units []*fromUnit, edges []joinEdge, d int) *sqlparser.SelectStmt {
+	sel := units[d].sel
+	if sel == nil || len(edges) == 0 || len(sel.GroupBy) == 0 || sel.Distinct || sel.Limit != nil || sel.Offset != nil {
+		return nil
+	}
+	type col struct{ u, idx int }
+	ends := func(e joinEdge) (col, col, bool) {
+		li, ri, ok := eqSides(units[e.a].scope, units[e.b].scope, e.l, e.r)
+		return col{e.a, li}, col{e.b, ri}, ok
+	}
+	alias := units[d].ref.(*sqlparser.SubqueryRef).Alias
+	for i, item := range sel.Projections {
+		id, isCol := item.Expr.(*sqlparser.Ident)
+		if !isCol || !slices.ContainsFunc(sel.GroupBy, func(g sqlparser.Expr) bool { return g.String() == id.String() }) {
+			continue
+		}
+		kc, st := p.baseCol(sel, id)
+		k := units[d].scope.index(&sqlparser.Ident{Parts: []string{alias, outputName(item, i)}})
+		if st == nil || k < 0 {
+			continue
+		}
+		// Every base-table column k equals through the edges, by value
+		// alike.
+		reached := []col{{d, k}}
+		for at := 0; at < len(reached); at++ {
+			for _, e := range edges {
+				a, b, ok := ends(e)
+				if b == reached[at] {
+					a, b = b, a
+				}
+				if ok && a == reached[at] && units[b.u].desc != nil && !slices.Contains(reached, b) &&
+					types.Hashable(kc.Kind, units[b.u].scope.schema.Columns[b.idx].Kind) {
+					reached = append(reached, b)
+				}
+			}
+		}
+		best, keys := col{-1, 0}, st.NDistinct
+		var conds []sqlparser.Expr
+		for _, c := range reached[1:] {
+			u := units[c.u]
+			var cs []sqlparser.Expr
+			for _, f := range u.pushed {
+				if _, sub := idents(f); !sub {
+					cs = append(cs, f)
+				}
+			}
+			if len(cs) > 0 && ndv(u.rel, c.idx) < keys {
+				best, keys, conds = c, ndv(u.rel, c.idx), cs
+			}
+		}
+		if best.u < 0 {
+			continue
+		}
+		t := units[best.u].ref.(*sqlparser.TableName)
+		y := &sqlparser.Ident{Parts: []string{aliasOf(t), units[best.u].scope.cols[best.idx].name}}
+		sub := &sqlparser.SelectStmt{Projections: []sqlparser.SelectItem{{Expr: y}}, From: []sqlparser.TableRef{t}, Where: fold("and", conds)}
+		cp := *sel
+		cp.Where = &sqlparser.InExpr{E: id, Sub: sub}
+		if sel.Where != nil {
+			cp.Where = &sqlparser.BinExpr{Op: "and", L: sel.Where, R: cp.Where}
+		}
+		return &cp
+	}
+	return nil
+}
+
+// baseCol resolves id against the base tables in sel's FROM list: the
+// column and its statistics, or a nil ColStats when no single base-table
+// column answers to id or ANALYZE has not counted it.
+func (p *Planner) baseCol(sel *sqlparser.SelectStmt, id *sqlparser.Ident) (types.Column, *catalog.ColStats) {
+	if p.fromScope(sel.From).index(id) < 0 {
+		return types.Column{}, nil // unknown or ambiguous
+	}
+	for _, ref := range sel.From {
+		t, ok := ref.(*sqlparser.TableName)
+		if !ok {
+			continue
+		}
+		desc, err := p.table(t.Name)
+		if err != nil {
+			continue
+		}
+		if c := (&scope{cols: tableCols(desc.Schema.Names(), aliasOf(t))}).index(id); c >= 0 {
+			return desc.Schema.Columns[c], p.colStat(desc.OID, c)
+		}
+	}
+	return types.Column{}, nil
 }
 
 // notInNulls completes x NOT IN (subquery), which the anti join on x = y
@@ -250,23 +330,31 @@ func (p *Planner) notInNulls(rel *relation, inner *sqlparser.SelectStmt, leftKey
 	return p.joinRelations(rel, facts, leftKeys[1:], rightKeys, plan.AntiJoin, drop)
 }
 
-// permute projects rel's columns into the order perm lists, carrying its
+// project keeps rel's columns keep, in that order, carrying its
 // distribution and column equivalences along.
-func permute(rel *relation, perm []int) *relation {
+func project(rel *relation, keep []int) *relation {
 	in := rel.schema()
-	exprs := make([]expr.Expr, len(perm))
-	cols := make([]scopeCol, len(perm))
-	out := make([]types.Column, len(perm))
-	pos := make([]int, len(perm))
-	for i, c := range perm {
+	exprs := make([]expr.Expr, len(keep))
+	cols := make([]scopeCol, len(keep))
+	out := make([]types.Column, len(keep))
+	pos := make([]int, in.Len())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, c := range keep {
 		exprs[i] = &expr.ColRef{Idx: c, K: in.Columns[c].Kind, Name: in.Columns[c].Name}
 		cols[i], out[i], pos[c] = rel.cols[c], in.Columns[c], i
 	}
-	equiv := make([][]int, len(rel.equiv))
-	for i, class := range rel.equiv {
-		equiv[i] = make([]int, len(class))
-		for k, c := range class {
-			equiv[i][k] = pos[c]
+	var equiv [][]int
+	for _, class := range rel.equiv {
+		var kept []int
+		for _, c := range class {
+			if pos[c] >= 0 {
+				kept = append(kept, pos[c])
+			}
+		}
+		if len(kept) > 1 {
+			equiv = append(equiv, kept)
 		}
 	}
 	return &relation{

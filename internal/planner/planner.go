@@ -39,8 +39,35 @@ type Planner struct {
 	// emitted plan's ParamKinds records each placeholder's inferred kind.
 	GenericParams bool
 
-	// prm is the lazily created shared placeholder binder.
-	prm *paramBinder
+	// st is what the statement being planned shares across its blocks,
+	// made afresh by PlanSelect and lazily by the other entry points.
+	st *stmtState
+}
+
+// stmtState is one statement's shared planning state.
+type stmtState struct {
+	prm paramBinder
+	// stats holds every analyzed column's statistics by table OID, read
+	// in one catalog pass when the statement joins (joins); nil otherwise.
+	stats map[int64][]catalog.ColStats
+	descs []*catalog.TableDesc // the tables looked up so far (Planner.table), each once
+}
+
+// joins reports whether some block of stmt joins: several FROM items, an
+// explicit JOIN or a subquery in WHERE. Only then does an estimate decide
+// anything, so only then are statistics read.
+func joins(stmt *sqlparser.SelectStmt) bool {
+	found := len(stmt.From) > 1
+	identRefs(stmt.Where, new([]*sqlparser.Ident), func(*sqlparser.SelectStmt) { found = true })
+	for _, ref := range stmt.From {
+		switch v := ref.(type) {
+		case *sqlparser.Join:
+			found = true
+		case *sqlparser.SubqueryRef:
+			found = found || joins(v.Select)
+		}
+	}
+	return found
 }
 
 // paramBinder resolves $n placeholders during binding. In specific mode
@@ -53,13 +80,12 @@ type paramBinder struct {
 	kinds   []types.Kind // generic mode: inferred kind per 0-based index
 }
 
-// paramBinder returns the planner's shared placeholder binder, creating
-// it on first use.
+// paramBinder returns the statement's shared placeholder binder.
 func (p *Planner) paramBinder() *paramBinder {
-	if p.prm == nil {
-		p.prm = &paramBinder{vals: p.Params, generic: p.GenericParams}
+	if p.st == nil {
+		p.st = &stmtState{prm: paramBinder{vals: p.Params, generic: p.GenericParams}}
 	}
-	return p.prm
+	return &p.st.prm
 }
 
 // bind resolves the 1-based placeholder idx.
@@ -172,12 +198,15 @@ func (r *relation) scope() *scope {
 }
 
 // allSegments returns [0..n).
-func (p *Planner) allSegments() []int {
-	segs := make([]int, p.NumSegments)
-	for i := range segs {
-		segs[i] = i
+func (p *Planner) allSegments() []int { return upTo(p.NumSegments) }
+
+// upTo returns [0, n).
+func upTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	return segs
+	return out
 }
 
 // PlanSelect plans a SELECT statement into a sliced plan whose top slice
@@ -185,15 +214,26 @@ func (p *Planner) allSegments() []int {
 func (p *Planner) PlanSelect(stmt *sqlparser.SelectStmt) (*plan.Plan, error) {
 	// What an earlier statement inferred about its placeholders says
 	// nothing about this one's.
-	p.prm = nil
+	p.st = nil
+	p.paramBinder()
+	if joins(stmt) {
+		// One catalog pass for the statistics of every table it reads.
+		var oids []int64
+		sqlparser.Tables(stmt, func(name string) {
+			if desc, err := p.table(name); err == nil {
+				oids = append(oids, desc.OID)
+			}
+		})
+		p.st.stats = p.Cat.ColStatsOf(p.Snap, oids)
+	}
 	rel, err := p.planQuery(stmt)
 	if err != nil {
 		return nil, err
 	}
 	rel = p.gatherToQD(rel)
 	sliced := plan.Build(rel.node, []int{plan.QDSegment}, p.allSegments(), p.NumSegments)
-	if p.prm != nil && p.prm.generic {
-		sliced.ParamKinds = p.prm.kinds
+	if p.st.prm.generic {
+		sliced.ParamKinds = p.st.prm.kinds
 	}
 	return sliced, nil
 }
@@ -233,9 +273,12 @@ func (p *Planner) planQuery(stmt *sqlparser.SelectStmt) (*relation, error) {
 }
 
 // conjuncts flattens an AND tree.
-func conjuncts(e sqlparser.Expr) []sqlparser.Expr {
-	if b, ok := e.(*sqlparser.BinExpr); ok && b.Op == "and" {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
+func conjuncts(e sqlparser.Expr) []sqlparser.Expr { return flatten("and", e) }
+
+// flatten lists the operands of a tree of one binary operator.
+func flatten(op string, e sqlparser.Expr) []sqlparser.Expr {
+	if b, ok := e.(*sqlparser.BinExpr); ok && b.Op == op {
+		return append(flatten(op, b.L), flatten(op, b.R)...)
 	}
 	return []sqlparser.Expr{e}
 }
@@ -243,51 +286,21 @@ func conjuncts(e sqlparser.Expr) []sqlparser.Expr {
 // identRefs collects the identifiers in a syntax expression. Subqueries
 // are not descended into: sub is called on each instead.
 func identRefs(e sqlparser.Expr, out *[]*sqlparser.Ident, sub func(*sqlparser.SelectStmt)) {
-	switch v := e.(type) {
-	case nil:
-	case *sqlparser.Ident:
-		*out = append(*out, v)
-	case *sqlparser.BinExpr:
-		identRefs(v.L, out, sub)
-		identRefs(v.R, out, sub)
-	case *sqlparser.UnExpr:
-		identRefs(v.E, out, sub)
-	case *sqlparser.FuncExpr:
-		for _, a := range v.Args {
-			identRefs(a, out, sub)
-		}
-	case *sqlparser.LikeExpr:
-		identRefs(v.E, out, sub)
-	case *sqlparser.InExpr:
-		identRefs(v.E, out, sub)
-		for _, it := range v.List {
-			identRefs(it, out, sub)
-		}
-		if v.Sub != nil {
+	sqlparser.Inspect(e, func(x sqlparser.Expr) bool {
+		switch v := x.(type) {
+		case *sqlparser.Ident:
+			*out = append(*out, v)
+		case *sqlparser.InExpr:
+			if v.Sub != nil {
+				sub(v.Sub)
+			}
+		case *sqlparser.ExistsExpr:
+			sub(v.Sub)
+		case *sqlparser.SubqueryExpr:
 			sub(v.Sub)
 		}
-	case *sqlparser.BetweenExpr:
-		identRefs(v.E, out, sub)
-		identRefs(v.Lo, out, sub)
-		identRefs(v.Hi, out, sub)
-	case *sqlparser.IsNullExpr:
-		identRefs(v.E, out, sub)
-	case *sqlparser.CaseExpr:
-		identRefs(v.Operand, out, sub)
-		for _, w := range v.Whens {
-			identRefs(w.Cond, out, sub)
-			identRefs(w.Result, out, sub)
-		}
-		identRefs(v.Else, out, sub)
-	case *sqlparser.CastExpr:
-		identRefs(v.E, out, sub)
-	case *sqlparser.ExtractExpr:
-		identRefs(v.E, out, sub)
-	case *sqlparser.ExistsExpr:
-		sub(v.Sub)
-	case *sqlparser.SubqueryExpr:
-		sub(v.Sub)
-	}
+		return true
+	})
 }
 
 // bindSelectListExprs binds the projection expressions and returns the

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -480,7 +481,7 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	got = pl.Slices[pl.DeferredDirect[0].SliceID].Segments
 	for _, sql := range []string{"SELECT c_name FROM customer WHERE c_custkey = 42", "SELECT * FROM customer WHERE c_custkey = 42"} {
 		want := planOf(t, p, sql).Slices[1].Segments
-		if len(want) != 1 || !sameCols(got, want) {
+		if len(want) != 1 || !slices.Equal(got, want) {
 			t.Fatalf("bound segments = %v, %q dispatches to %v", got, sql, want)
 		}
 	}
@@ -526,19 +527,24 @@ func TestRefNamesMatchResolvedScope(t *testing.T) {
 		sel := stmt.(*sqlparser.SelectStmt)
 		ref := sel.From[0]
 		u, err := p.newFromUnit(ref, p.blockRefs(sel))
+		if err == nil {
+			err = p.materialize(u)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", from, err)
 		}
+		// Names only: a planned column also carries statistics and
+		// nullability, which names cannot.
 		want := map[scopeCol]int{}
-		for _, c := range u.scope.cols {
-			want[c]++
+		for _, c := range u.rel.cols {
+			want[scopeCol{qual: c.qual, name: c.name}]++
 		}
 		got := map[scopeCol]int{}
 		for _, c := range p.refNames(ref) {
 			got[c]++
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: refNames %v, planned scope %v", from, p.refNames(ref), u.scope.cols)
+			t.Errorf("%s: refNames %v, planned scope %v", from, p.refNames(ref), u.rel.cols)
 		}
 	}
 }
@@ -551,7 +557,7 @@ func unsliced(t *testing.T, p *Planner, sql string) plan.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.prm = nil
+	p.st = nil
 	rel, err := p.planQuery(stmt.(*sqlparser.SelectStmt))
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
@@ -699,5 +705,46 @@ func TestSemiJoinPlacement(t *testing.T) {
 	}
 	if got := scanFilters(semis[0].Left); len(got) != 2 || len(joinsOf(semis[0].Left, plan.InnerJoin)) != 1 {
 		t.Errorf("a two-table EXISTS sits below the join: its outer input scans %q", got)
+	}
+}
+
+// TestDateConstantComparisons: a comparison with a DATE on either side
+// binds whatever the other side is — a string literal, coerced to a date,
+// another DATE literal, or a scalar subquery folded to a date — and folds
+// to its answer.
+func TestDateConstantComparisons(t *testing.T) {
+	maxDate, err := types.Cast(types.NewString("1998-08-02"), types.KindDate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &binder{
+		scope:    &scope{schema: types.NewSchema()},
+		subquery: func(*sqlparser.SelectStmt) (types.Datum, error) { return maxDate, nil },
+	}
+	for _, c := range []struct {
+		e    string
+		want bool
+	}{
+		{"DATE '1995-01-01' < DATE '1996-01-01'", true},
+		{"DATE '1995-01-01' = DATE '1995-01-01'", true},
+		{"DATE '1996-01-01' <= DATE '1995-01-01'", false},
+		{"'1995-01-01' < DATE '1996-01-01'", true},
+		{"DATE '1995-01-01' > '1996-01-01'", false},
+		{"(SELECT max(o_orderdate) FROM orders) > DATE '1998-01-01'", true},
+		{"DATE '1998-01-01' >= (SELECT max(o_orderdate) FROM orders)", false},
+	} {
+		stmt, err := sqlparser.ParseOne("SELECT " + c.e)
+		if err != nil {
+			t.Fatalf("%s: %v", c.e, err)
+		}
+		bound, err := b.bind(stmt.(*sqlparser.SelectStmt).Projections[0].Expr)
+		if err != nil {
+			t.Errorf("%s: %v", c.e, err)
+			continue
+		}
+		got, err := bound.Eval(nil)
+		if err != nil || got.IsNull() || got.Bool() != c.want {
+			t.Errorf("%s = %v (%v), want %v", c.e, got, err, c.want)
+		}
 	}
 }

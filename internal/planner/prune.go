@@ -183,7 +183,7 @@ func (p *Planner) fromScope(from []sqlparser.TableRef) *scope {
 func (p *Planner) refNames(ref sqlparser.TableRef) []scopeCol {
 	switch v := ref.(type) {
 	case *sqlparser.TableName:
-		desc, err := p.Cat.LookupTable(p.Snap, v.Name)
+		desc, err := p.table(v.Name)
 		if err != nil {
 			return nil
 		}

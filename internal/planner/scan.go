@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hawq/internal/catalog"
@@ -24,6 +25,9 @@ type fromUnit struct {
 	// output position, not a table position.
 	desc *catalog.TableDesc
 	proj []int
+	// sel is a derived table's block, pruned to what the enclosing block
+	// references; materialize plans it.
+	sel *sqlparser.SelectStmt
 }
 
 // planFromWhere resolves FROM, classifies WHERE conjuncts (pushdown, join
@@ -50,9 +54,7 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 	var semis []*semiUnit
 	if stmt.Where != nil {
 		for _, c := range conjuncts(stmt.Where) {
-			if su, ok, err := p.asSemiUnit(c, units); err != nil {
-				return nil, err
-			} else if ok {
+			if su, ok := asSemiUnit(c); ok {
 				semis = append(semis, su)
 				continue
 			}
@@ -79,9 +81,23 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 			}
 		}
 	}
-	// Materialize relations with their pushed-down filters, then give each
-	// subquery predicate that reads one unit alone to that unit.
+	// Materialize relations with their pushed-down filters — derived
+	// tables last, each once magicSet has decided its block — then give
+	// each subquery predicate that reads one unit alone to that unit.
 	for _, u := range units {
+		if u.sel == nil {
+			if err := p.materialize(u); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i, u := range units {
+		if u.sel == nil {
+			continue
+		}
+		if sel := p.magicSet(units, edges, i); sel != nil {
+			u.sel = sel
+		}
 		if err := p.materialize(u); err != nil {
 			return nil, err
 		}
@@ -102,22 +118,18 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 		}
 		units[home].rel = rel
 	}
-	rel, err := p.orderJoins(units, edges)
+	rel, perm, err := p.orderJoins(units, edges)
 	if err != nil {
 		return nil, err
 	}
 	// Residual predicates over the full join.
 	for _, c := range residual {
-		b := &binder{scope: rel.scope(), subquery: p.scalarSubquery(), params: p.paramBinder()}
+		b := p.binder(rel.scope())
 		bound, err := b.bind(c)
 		if err != nil {
 			return nil, err
 		}
-		sel := selectivity(c)
-		rel = &relation{
-			node: &plan.Select{Input: rel.node, Pred: bound},
-			cols: rel.cols, dist: rel.dist, rows: rel.rows * sel, direct: rel.direct, directKeys: rel.directKeys,
-		}
+		rel = filtered(rel, bound)
 	}
 	// The remaining semi/anti-join predicates (EXISTS / IN subqueries).
 	for _, su := range late {
@@ -126,14 +138,42 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 			return nil, err
 		}
 	}
+	// The join order put the units' columns in its own order; * and t.*
+	// list them in FROM order.
+	if perm != nil && (need.star || len(need.tables) > 0) {
+		rel = project(rel, perm)
+	}
 	return rel, nil
 }
 
-func (p *Planner) scalarSubquery() func(*sqlparser.SelectStmt) (types.Datum, error) {
-	if p.SubqueryEval == nil {
-		return nil
+// filtered is rel under a Select on pred, its rows scaled by pred's
+// selectivity.
+func filtered(rel *relation, pred expr.Expr) *relation {
+	return &relation{
+		node: &plan.Select{Input: rel.node, Pred: pred},
+		cols: rel.cols, dist: rel.dist, rows: rel.rows * selectivity(pred, rel.cols), direct: rel.direct, directKeys: rel.directKeys,
 	}
-	return p.SubqueryEval
+}
+
+// table resolves a table name, once per statement.
+func (p *Planner) table(name string) (*catalog.TableDesc, error) {
+	p.paramBinder() // makes p.st
+	for _, desc := range p.st.descs {
+		if strings.EqualFold(desc.Name, name) {
+			return desc, nil
+		}
+	}
+	desc, err := p.Cat.LookupTable(p.Snap, name)
+	if err == nil {
+		p.st.descs = append(p.st.descs, desc)
+	}
+	return desc, err
+}
+
+// binder binds over sc, with the statement's placeholders and scalar
+// subqueries.
+func (p *Planner) binder(sc *scope) *binder {
+	return &binder{scope: sc, subquery: p.SubqueryEval, params: p.paramBinder()}
 }
 
 // newFromUnit resolves one FROM item far enough to answer name lookups,
@@ -143,7 +183,7 @@ func (p *Planner) newFromUnit(ref sqlparser.TableRef, need *colRefs) (*fromUnit,
 	u := &fromUnit{ref: ref}
 	switch v := ref.(type) {
 	case *sqlparser.TableName:
-		desc, err := p.Cat.LookupTable(p.Snap, v.Name)
+		desc, err := p.table(v.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -157,17 +197,13 @@ func (p *Planner) newFromUnit(ref sqlparser.TableRef, need *colRefs) (*fromUnit,
 		}
 		u.scope = &scope{schema: desc.Schema.Project(u.proj)}
 		u.scope.cols = tableCols(u.scope.schema.Names(), aliasOf(v))
+		for i, c := range u.proj {
+			u.scope.cols[i].st = p.colStat(desc.OID, c)
+			u.scope.cols[i].notNull = desc.Schema.Columns[c].NotNull && !desc.IsExternal()
+		}
 	case *sqlparser.SubqueryRef:
-		rel, err := p.planQuery(pruneOutputs(v.Select, strings.ToLower(v.Alias), need))
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]scopeCol, len(rel.cols))
-		for i := range rel.cols {
-			cols[i] = scopeCol{qual: strings.ToLower(v.Alias), name: rel.cols[i].name}
-		}
-		u.rel = &relation{node: rel.node, cols: cols, dist: rel.dist, rows: rel.rows}
-		u.scope = u.rel.scope()
+		u.sel = pruneOutputs(v.Select, strings.ToLower(v.Alias), need)
+		u.scope = &scope{cols: p.refNames(&sqlparser.SubqueryRef{Select: u.sel, Alias: v.Alias})}
 	case *sqlparser.Join:
 		rel, err := p.planExplicitJoin(v, need)
 		if err != nil {
@@ -182,21 +218,31 @@ func (p *Planner) newFromUnit(ref sqlparser.TableRef, need *colRefs) (*fromUnit,
 }
 
 // materialize builds the relation for a base-table unit, binding pushed
-// filters and running partition elimination.
+// filters and running partition elimination, or plans a derived table's
+// block.
 func (p *Planner) materialize(u *fromUnit) error {
+	if u.sel != nil {
+		rel, err := p.planQuery(u.sel)
+		if err != nil {
+			return err
+		}
+		qual := strings.ToLower(u.ref.(*sqlparser.SubqueryRef).Alias)
+		cols := make([]scopeCol, len(rel.cols))
+		for i, c := range rel.cols {
+			c.qual = qual
+			cols[i] = c
+		}
+		u.rel = &relation{node: rel.node, cols: cols, dist: rel.dist, rows: rel.rows}
+	}
 	if u.rel != nil {
 		// Derived/join units: apply pushed filters as a Select.
 		for _, c := range u.pushed {
-			b := &binder{scope: u.rel.scope(), subquery: p.scalarSubquery(), params: p.paramBinder()}
+			b := p.binder(u.rel.scope())
 			bound, err := b.bind(c)
 			if err != nil {
 				return err
 			}
-			u.rel = &relation{
-				node: &plan.Select{Input: u.rel.node, Pred: bound},
-				cols: u.rel.cols, dist: u.rel.dist,
-				rows: u.rel.rows * selectivity(c),
-			}
+			u.rel = filtered(u.rel, bound)
 		}
 		return nil
 	}
@@ -214,15 +260,18 @@ func (p *Planner) materialize(u *fromUnit) error {
 // positions.
 func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sqlparser.Expr, sc *scope) (*relation, error) {
 	var filter expr.Expr
+	conds := make([]expr.Expr, len(pushed))
 	sel := 1.0
-	b := &binder{scope: sc, subquery: p.scalarSubquery(), params: p.paramBinder()}
-	for _, c := range pushed {
+	b := p.binder(sc)
+	for i, c := range pushed {
 		bound, err := b.bind(c)
 		if err != nil {
 			return nil, err
 		}
-		filter = conjoin(filter, bound)
-		sel *= selectivity(c)
+		filter, conds[i] = conjoin(filter, bound), bound
+	}
+	if filter != nil {
+		sel = selectivity(filter, sc.cols)
 	}
 	var node plan.Node
 	var totalRows float64
@@ -243,7 +292,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 		}
 		var inputs []plan.Node
 		for _, kid := range kids {
-			if !p.DisablePartitionElim && p.partitionPruned(kid, pushed, sc, proj) {
+			if !p.DisablePartitionElim && partitionPruned(kid, conds, proj) {
 				continue
 			}
 			inputs = append(inputs, &plan.Scan{
@@ -287,7 +336,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 		// (segment known now) or by $n placeholders (segment chosen at
 		// bind time, so generic cached plans keep the fast path).
 		if !p.DisableDirectDispatch {
-			if seg, keys, ok := p.directSegment(distCols, pushed, sc); ok {
+			if seg, keys, ok := p.directSegment(distCols, conds); ok {
 				if keys == nil {
 					rel.direct = []int{seg}
 				} else {
@@ -319,57 +368,31 @@ func outputPositions(proj, tableCols []int) []int {
 }
 
 // directSegment checks for "distcol = const" (or, in generic mode,
-// "distcol = $n") constraints pinning the scan to one segment (§3:
-// single value lookup); distCols are the distribution columns as scan
-// output positions, the index space sc resolves into. When every
+// "distcol = $n") conjuncts pinning the scan to one segment (§3: single
+// value lookup); distCols are the distribution columns as scan output
+// positions, the index space the bound conjuncts use. When every
 // distribution column is pinned and at least one pin is a placeholder,
 // the segment cannot be computed yet: the per-column value sources come
 // back as keys for the plan to resolve in BindParams. With constants
 // only, keys is nil and the segment is final.
-func (p *Planner) directSegment(distCols []int, pushed []sqlparser.Expr, sc *scope) (int, []plan.DirectKey, bool) {
+func (p *Planner) directSegment(distCols []int, conds []expr.Expr) (int, []plan.DirectKey, bool) {
 	keys := make([]plan.DirectKey, len(distCols))
 	pinned := make([]bool, len(distCols))
 	found, params := 0, 0
-	for _, c := range pushed {
-		be, ok := c.(*sqlparser.BinExpr)
-		if !ok || be.Op != "=" {
+	for _, c := range conds {
+		col, op, val, ok := colValue(c)
+		i := slices.Index(distCols, col)
+		if !ok || op != expr.OpEq || i < 0 || pinned[i] {
 			continue
 		}
-		id, lit := be.L, be.R
-		if _, isID := id.(*sqlparser.Ident); !isID {
-			id, lit = be.R, be.L
-		}
-		ident, ok := id.(*sqlparser.Ident)
-		if !ok {
-			continue
-		}
-		b := &binder{scope: sc, params: p.paramBinder()}
-		lb, err := b.bind(lit)
-		if err != nil {
-			continue
-		}
-		key := plan.DirectKey{Param: -1}
-		switch v := lb.(type) {
+		keys[i], pinned[i] = plan.DirectKey{Param: -1}, true
+		found++
+		switch v := val.(type) {
 		case *expr.Const:
-			key.Const = v.D
+			keys[i].Const = v.D
 		case *expr.Param:
-			key.Param = v.Idx
-		default:
-			continue
-		}
-		idx, err := sc.resolve(ident)
-		if err != nil {
-			continue
-		}
-		for i, dc := range distCols {
-			if dc == idx && !pinned[i] {
-				keys[i] = key
-				pinned[i] = true
-				found++
-				if key.Param >= 0 {
-					params++
-				}
-			}
+			keys[i].Param = v.Idx
+			params++
 		}
 	}
 	if found != len(distCols) {
@@ -388,67 +411,44 @@ func (p *Planner) directSegment(distCols []int, pushed []sqlparser.Expr, sc *sco
 }
 
 // partitionPruned decides whether a child partition cannot contain
-// matching rows given the pushed-down conjuncts; proj maps the positions
-// sc resolves to back to table columns, where PartCol lives.
-func (p *Planner) partitionPruned(kid *catalog.TableDesc, pushed []sqlparser.Expr, sc *scope, proj []int) bool {
-	for _, c := range pushed {
-		be, ok := c.(*sqlparser.BinExpr)
-		if !ok {
+// matching rows given the bound conjuncts; proj maps their column
+// positions back to table columns, where PartCol lives.
+func partitionPruned(kid *catalog.TableDesc, conds []expr.Expr, proj []int) bool {
+	for _, c := range conds {
+		col, op, val, ok := colValue(c)
+		v, isConst := val.(*expr.Const)
+		if !ok || !isConst || proj[col] != kid.PartCol {
 			continue
 		}
-		id, lit := be.L, be.R
-		op := be.Op
-		if _, isID := id.(*sqlparser.Ident); !isID {
-			id, lit = be.R, be.L
-			op = flipComparison(op)
-		}
-		ident, ok := id.(*sqlparser.Ident)
-		if !ok {
-			continue
-		}
-		idx, err := sc.resolve(ident)
-		if err != nil || proj[idx] != kid.PartCol {
-			continue
-		}
-		b := &binder{scope: sc, params: p.paramBinder()}
-		bound, err := b.bind(lit)
-		if err != nil {
-			continue
-		}
-		konst, ok := bound.(*expr.Const)
-		if !ok {
-			continue
-		}
-		v := konst.D
 		if kid.PartKind == catalog.PartRange && !kid.RangeLo.IsNull() {
 			// Child covers [lo, hi).
 			switch op {
-			case "=":
-				if types.Compare(v, kid.RangeLo) < 0 || types.Compare(v, kid.RangeHi) >= 0 {
+			case expr.OpEq:
+				if types.Compare(v.D, kid.RangeLo) < 0 || types.Compare(v.D, kid.RangeHi) >= 0 {
 					return true
 				}
-			case "<":
-				if types.Compare(kid.RangeLo, v) >= 0 {
+			case expr.OpLt:
+				if types.Compare(kid.RangeLo, v.D) >= 0 {
 					return true
 				}
-			case "<=":
-				if types.Compare(kid.RangeLo, v) > 0 {
+			case expr.OpLe:
+				if types.Compare(kid.RangeLo, v.D) > 0 {
 					return true
 				}
-			case ">":
-				if types.Compare(v, kid.RangeHi) >= 0 || types.Equal(v, sub1(kid.RangeHi)) {
+			case expr.OpGt:
+				if types.Compare(v.D, kid.RangeHi) >= 0 || types.Equal(v.D, sub1(kid.RangeHi)) {
 					return true
 				}
-			case ">=":
-				if types.Compare(v, kid.RangeHi) >= 0 {
+			case expr.OpGe:
+				if types.Compare(v.D, kid.RangeHi) >= 0 {
 					return true
 				}
 			}
 		}
-		if kid.PartKind == catalog.PartList && len(kid.ListValues) > 0 && op == "=" {
+		if kid.PartKind == catalog.PartList && len(kid.ListValues) > 0 && op == expr.OpEq {
 			match := false
 			for _, lv := range kid.ListValues {
-				if types.Equal(lv, v) {
+				if types.Equal(lv, v.D) {
 					match = true
 					break
 				}
@@ -471,18 +471,29 @@ func sub1(d types.Datum) types.Datum {
 	return d
 }
 
-func flipComparison(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
+// colValue recognizes a bound comparison between a column and a value —
+// a constant or a placeholder — either way round: the column, the
+// operator as if the column were on the left, and the value.
+func colValue(e expr.Expr) (col int, op expr.BinOpKind, val expr.Expr, ok bool) {
+	b, isBin := e.(*expr.BinOp)
+	if !isBin || !b.Op.IsComparison() {
+		return -1, 0, nil, false
 	}
-	return op
+	c, op, val := b.L, b.Op, b.R
+	if _, isCol := c.(*expr.ColRef); !isCol {
+		c, val = b.R, b.L
+		if f, flip := flipped[op]; flip {
+			op = f
+		}
+	}
+	cr, isCol := c.(*expr.ColRef)
+	switch val.(type) {
+	case *expr.Const, *expr.Param:
+		if isCol {
+			return cr.Idx, op, val, true
+		}
+	}
+	return -1, 0, nil, false
 }
 
 // unitsReferenced reports which units an expression's identifiers bind
@@ -494,7 +505,7 @@ func (p *Planner) unitsReferenced(e sqlparser.Expr, units []*fromUnit) (refs []i
 	for _, id := range ids {
 		hits := 0
 		for ui, u := range units {
-			if _, err := u.scope.resolve(id); err == nil {
+			if u.scope.index(id) >= 0 {
 				if !seen[ui] {
 					seen[ui] = true
 					refs = append(refs, ui)
@@ -527,9 +538,8 @@ func equiJoinSides(e sqlparser.Expr) (*sqlparser.Ident, *sqlparser.Ident, bool) 
 }
 
 // planExplicitJoin plans an explicit JOIN ... ON tree, placing its ON
-// conjuncts where blockRefs recorded (need.on): a base table's inside the
-// derived table filterTable builds, another side's as a Select over it,
-// the rest in the join.
+// conjuncts where blockRefs recorded (need.on): a base table's on its
+// scan, another side's as a Select over it, the rest in the join.
 func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation, error) {
 	var kind plan.JoinKind
 	switch j.Type {
@@ -546,22 +556,40 @@ func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation,
 	}
 	var sides [2]*relation
 	for i, ref := range [2]sqlparser.TableRef{j.Left, j.Right} {
-		if t, ok := ref.(*sqlparser.TableName); ok && len(on.table[i]) > 0 {
-			filtered, err := p.filterTable(t, on.table[i])
-			if err != nil {
-				return nil, err
+		// A base table's conjuncts filter its scan, which reads the
+		// columns only they read too; a Project drops those above the
+		// filter, so Q13's o_comment crosses no motion.
+		wide := need
+		if len(on.table[i]) > 0 {
+			w := *need
+			w.idents = nil
+			for _, c := range on.table[i] {
+				identRefs(c, &w.idents, nil)
 			}
-			ref = filtered
+			w.idents = append(w.idents, need.idents...)
+			wide = &w
 		}
-		u, err := p.newFromUnit(ref, need)
+		u, err := p.newFromUnit(ref, wide)
 		if err != nil {
 			return nil, err
 		}
-		u.pushed = on.side[i]
+		u.pushed = append(on.side[i], on.table[i]...)
 		if err := p.materialize(u); err != nil {
 			return nil, err
 		}
 		sides[i] = u.rel
+		if wide != need {
+			used := need.used(strings.ToLower(aliasOf(ref.(*sqlparser.TableName))), u.desc.Schema.Names())
+			var keep []int
+			for pos, c := range u.proj {
+				if used[c] {
+					keep = append(keep, pos)
+				}
+			}
+			if len(keep) < len(u.proj) {
+				sides[i] = project(u.rel, keep)
+			}
+		}
 	}
 	left, right := sides[0], sides[1]
 	if j.Type == sqlparser.JoinRight {
@@ -569,26 +597,17 @@ func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation,
 	}
 	// Split the rest of the ON clause into equi keys and residual
 	// predicates.
-	combined := combinedScope(left, right)
+	combined := &scope{cols: append(append([]scopeCol{}, left.cols...), right.cols...), schema: left.schema().Concat(right.schema())}
 	var leftKeys, rightKeys []int
 	var residual expr.Expr
 	for _, c := range on.join {
 		if lid, rid, ok := equiJoinSides(c); ok {
-			li, lerr := left.scope().resolve(lid)
-			ri, rerr := right.scope().resolve(rid)
-			if lerr != nil || rerr != nil {
-				// Maybe written b.y = a.x.
-				li, lerr = left.scope().resolve(rid)
-				ri, rerr = right.scope().resolve(lid)
-			}
-			if lerr == nil && rerr == nil {
-				leftKeys = append(leftKeys, li)
-				rightKeys = append(rightKeys, ri)
+			if li, ri, ok := eqSides(left.scope(), right.scope(), lid, rid); ok {
+				leftKeys, rightKeys = append(leftKeys, li), append(rightKeys, ri)
 				continue
 			}
 		}
-		b := &binder{scope: combined, subquery: p.scalarSubquery(), params: p.paramBinder()}
-		bound, err := b.bind(c)
+		bound, err := p.binder(combined).bind(c)
 		if err != nil {
 			return nil, err
 		}
@@ -605,10 +624,5 @@ func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation,
 	for i := range perm {
 		perm[i] = (nRight + i) % len(perm)
 	}
-	return permute(rel, perm), nil
-}
-
-func combinedScope(l, r *relation) *scope {
-	cols := append(append([]scopeCol{}, l.cols...), r.cols...)
-	return &scope{cols: cols, schema: l.schema().Concat(r.schema())}
+	return project(rel, perm), nil
 }

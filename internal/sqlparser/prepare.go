@@ -228,49 +228,100 @@ func walkTableRef(t TableRef, fn func(Expr)) {
 }
 
 func walkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
+	Inspect(e, func(x Expr) bool {
+		fn(x)
+		switch v := x.(type) {
+		case *InExpr:
+			walkSelect(v.Sub, fn)
+		case *ExistsExpr:
+			walkSelect(v.Sub, fn)
+		case *SubqueryExpr:
+			walkSelect(v.Sub, fn)
+		}
+		return true
+	})
+}
+
+// Inspect calls fn on e and, while fn returns true, on every expression
+// below it in the same query block: a subquery's SELECT is not entered.
+func Inspect(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
 		return
 	}
-	fn(e)
 	switch v := e.(type) {
 	case *BinExpr:
-		walkExpr(v.L, fn)
-		walkExpr(v.R, fn)
+		Inspect(v.L, fn)
+		Inspect(v.R, fn)
 	case *UnExpr:
-		walkExpr(v.E, fn)
+		Inspect(v.E, fn)
 	case *FuncExpr:
 		for _, a := range v.Args {
-			walkExpr(a, fn)
+			Inspect(a, fn)
 		}
 	case *CaseExpr:
-		walkExpr(v.Operand, fn)
+		Inspect(v.Operand, fn)
 		for _, w := range v.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Result, fn)
+			Inspect(w.Cond, fn)
+			Inspect(w.Result, fn)
 		}
-		walkExpr(v.Else, fn)
+		Inspect(v.Else, fn)
 	case *CastExpr:
-		walkExpr(v.E, fn)
+		Inspect(v.E, fn)
 	case *IsNullExpr:
-		walkExpr(v.E, fn)
+		Inspect(v.E, fn)
 	case *LikeExpr:
-		walkExpr(v.E, fn)
-		walkExpr(v.Pattern, fn)
+		Inspect(v.E, fn)
+		Inspect(v.Pattern, fn)
 	case *InExpr:
-		walkExpr(v.E, fn)
+		Inspect(v.E, fn)
 		for _, it := range v.List {
-			walkExpr(it, fn)
+			Inspect(it, fn)
 		}
-		walkSelect(v.Sub, fn)
 	case *BetweenExpr:
-		walkExpr(v.E, fn)
-		walkExpr(v.Lo, fn)
-		walkExpr(v.Hi, fn)
-	case *ExistsExpr:
-		walkSelect(v.Sub, fn)
-	case *SubqueryExpr:
-		walkSelect(v.Sub, fn)
+		Inspect(v.E, fn)
+		Inspect(v.Lo, fn)
+		Inspect(v.Hi, fn)
 	case *ExtractExpr:
-		walkExpr(v.E, fn)
+		Inspect(v.E, fn)
 	}
+}
+
+// Tables calls add with the lower-cased name of every table s reads, in
+// any of its blocks, in the order they are written; a table read twice
+// is added twice.
+func Tables(s *SelectStmt, add func(name string)) {
+	sub := func(e Expr) bool {
+		switch v := e.(type) {
+		case *InExpr:
+			if v.Sub != nil {
+				Tables(v.Sub, add)
+			}
+		case *ExistsExpr:
+			Tables(v.Sub, add)
+		case *SubqueryExpr:
+			Tables(v.Sub, add)
+		}
+		return true
+	}
+	var ref func(TableRef)
+	ref = func(t TableRef) {
+		switch v := t.(type) {
+		case *TableName:
+			add(strings.ToLower(v.Name))
+		case *SubqueryRef:
+			Tables(v.Select, add)
+		case *Join:
+			ref(v.Left)
+			ref(v.Right)
+			Inspect(v.On, sub)
+		}
+	}
+	for _, r := range s.From {
+		ref(r)
+	}
+	for _, p := range s.Projections {
+		Inspect(p.Expr, sub)
+	}
+	Inspect(s.Where, sub)
+	Inspect(s.Having, sub)
 }

@@ -93,13 +93,16 @@ func scanColumns(t *testing.T, pl *plan.Plan) []string {
 // and residual predicates, join keys, group and order keys, aggregate
 // arguments, and the correlated references of EXISTS / IN subqueries.
 // A table scanned in two blocks (Q2, Q17, Q18, Q21) gets each block's
-// own set; Q16's NOT IN plans its subquery twice (the anti join and its
-// NULL facts, planner.notInNulls). Scalar subqueries (Q11, Q15, Q22) are planned as statements
-// of their own and do not appear.
+// own set, and the magic set of a grouped derived table (planner.magicSet)
+// scans its filtered table a second time for the keys: part in Q2, Q17
+// and Q20, orders in each of Q21's two.
+// Q16's NOT IN reads NOT NULL columns only, so it plans no NULL facts.
+// Scalar subqueries (Q11, Q15, Q22) are planned as statements of their
+// own and do not appear.
 var tpchScans = map[int][]string{
 	1: {"lineitem(l_quantity l_extendedprice l_discount l_tax l_returnflag l_linestatus l_shipdate)"},
 	2: {"nation(n_nationkey n_name n_regionkey)", "nation(n_nationkey n_regionkey)",
-		"part(p_partkey p_mfgr p_type p_size)",
+		"part(p_partkey p_mfgr p_type p_size)", "part(p_partkey p_type p_size)",
 		"partsupp(ps_partkey ps_suppkey ps_supplycost)", "partsupp(ps_partkey ps_suppkey ps_supplycost)",
 		"region(r_regionkey r_name)", "region(r_regionkey r_name)",
 		"supplier(s_suppkey s_name s_address s_nationkey s_phone s_acctbal s_comment)", "supplier(s_suppkey s_nationkey)"},
@@ -128,19 +131,18 @@ var tpchScans = map[int][]string{
 	13: {"customer(c_custkey)", "orders(o_orderkey o_custkey o_comment)"},
 	14: {"lineitem(l_partkey l_extendedprice l_discount l_shipdate)", "part(p_partkey p_type)"},
 	15: {"lineitem(l_suppkey l_extendedprice l_discount l_shipdate)", "supplier(s_suppkey s_name s_address s_phone)"},
-	16: {"part(p_partkey p_brand p_type p_size)", "partsupp(ps_partkey ps_suppkey)", "supplier(s_suppkey s_comment)",
-		"supplier(s_suppkey s_comment)"},
+	16: {"part(p_partkey p_brand p_type p_size)", "partsupp(ps_partkey ps_suppkey)", "supplier(s_suppkey s_comment)"},
 	17: {"lineitem(l_partkey l_quantity l_extendedprice)", "lineitem(l_partkey l_quantity)",
-		"part(p_partkey p_brand p_container)"},
+		"part(p_partkey p_brand p_container)", "part(p_partkey p_brand p_container)"},
 	18: {"customer(c_custkey c_name)", "lineitem(l_orderkey l_quantity)", "lineitem(l_orderkey l_quantity)",
 		"orders(o_orderkey o_custkey o_totalprice o_orderdate)"},
 	19: {"lineitem(l_partkey l_quantity l_extendedprice l_discount l_shipinstruct l_shipmode)",
 		"part(p_partkey p_brand p_size p_container)"},
 	20: {"lineitem(l_partkey l_quantity l_shipdate)", "nation(n_nationkey n_name)", "part(p_partkey p_name)",
-		"partsupp(ps_partkey ps_suppkey ps_availqty)", "supplier(s_suppkey s_name s_address s_nationkey)"},
+		"part(p_partkey p_name)", "partsupp(ps_partkey ps_suppkey ps_availqty)", "supplier(s_suppkey s_name s_address s_nationkey)"},
 	21: {"lineitem(l_orderkey l_suppkey l_commitdate l_receiptdate)", "lineitem(l_orderkey l_suppkey l_commitdate l_receiptdate)",
 		"lineitem(l_orderkey l_suppkey)", "nation(n_nationkey n_name)", "orders(o_orderkey o_orderstatus)",
-		"supplier(s_suppkey s_name s_nationkey)"},
+		"orders(o_orderkey o_orderstatus)", "orders(o_orderkey o_orderstatus)", "supplier(s_suppkey s_name s_nationkey)"},
 	22: {"customer(c_custkey c_phone c_acctbal)", "orders(o_custkey)"},
 }
 
@@ -254,15 +256,18 @@ func TestScanProjectionsAreExact(t *testing.T) {
 // tpchShapes is each TPC-H plan's slice count and motion kinds
 // (Broadcast / Gather / Redistribute, sorted). One per query: the greedy
 // join order breaks cost ties by FROM position. Predicate placement
-// (DESIGN.md §18) moved three: Q16's NOT IN gathers and broadcasts its
-// NULL facts (4:BGR → 6:BBGGR), Q18's IN filters orders before customer
-// joins it (3:BG → 4:GRR), and Q19's OR gives part a filter that makes
-// it the broadcast side (3:GR → 3:BG).
+// (DESIGN.md §18) moved three: Q16's NOT IN gathered and broadcast its
+// NULL facts, Q18's IN filters orders before customer joins it (3:BG →
+// 4:GRR), and Q19's OR gives part a filter that makes it the broadcast
+// side (3:GR → 3:BG). Costing from statistics (§19) moved ten: join
+// order and sides by estimated bytes (Q5, Q7, Q8, Q9, Q10, Q11), a magic
+// set's broadcast keys (Q2, Q17, Q20), and Q16's NOT IN over NOT NULL
+// columns, which needs no facts (6:BBGGR → 4:BGR).
 var tpchShapes = map[int]string{
-	1: "3:GR", 2: "8:BBBGRRR", 3: "3:BG", 4: "3:GR", 5: "7:BBBBGR", 6: "2:G", 7: "7:BGRRRR",
-	8: "9:BBBGRRRR", 9: "8:BGRRRRR", 10: "5:BBGR", 11: "4:BBG", 12: "3:GR",
-	13: "4:GRR", 14: "3:GR", 15: "3:GR", 16: "6:BBGGR", 17: "5:BGRR", 18: "4:GRR",
-	19: "3:BG", 20: "5:BGRR", 21: "5:BBGR", 22: "4:GRR",
+	1: "3:GR", 2: "9:BBGRRRRR", 3: "3:BG", 4: "3:GR", 5: "8:BBGRRRR", 6: "2:G", 7: "7:BBBGRR",
+	8: "10:BBBBGRRRR", 9: "7:BBBGRR", 10: "4:BGR", 11: "4:BGR", 12: "3:GR",
+	13: "4:GRR", 14: "3:GR", 15: "3:GR", 16: "4:BGR", 17: "6:BBBGR", 18: "4:GRR",
+	19: "3:BG", 20: "6:BBGRR", 21: "5:BBGR", 22: "4:GRR",
 }
 
 // TestPruningKeepsPlanShape: narrowing scans moves no motion. Colocation

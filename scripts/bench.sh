@@ -28,7 +28,8 @@
 # fixed cost of every statement) with the three ways a plan can reach
 # an executor (gob+quicklz encode, decode, structural clone), parse +
 # plan without dispatch (Plan: the serve_point text statement, Q7, Q13,
-# Q18 — the cost of predicate placement, DESIGN.md §18), the
+# Q18 — the cost of predicate placement, DESIGN.md §18 — and Q3, Q10,
+# Q17, Q20 — the cost of costing from statistics, §19), the
 # prepared point lookup on warm block caches (PointLookup/prepared), the
 # same statement through the serving layer on loopback (ServedPoint,
 # which also prints server socket writes/op and interconnect
