@@ -95,9 +95,9 @@ func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		op, err := binOpFromSQL(v.Op)
-		if err != nil {
-			return nil, err
+		op, ok := expr.BinOpFromSQL(v.Op)
+		if !ok {
+			return nil, fmt.Errorf("caql: unsupported operator %q", v.Op)
 		}
 		return expr.NewBinOp(op, l, r), nil
 	case *sqlparser.LikeExpr:
@@ -134,40 +134,6 @@ func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 		return &expr.IsNull{E: inner, Negate: v.Negate}, nil
 	}
 	return nil, fmt.Errorf("caql: unsupported expression %T", e)
-}
-
-func binOpFromSQL(op string) (expr.BinOpKind, error) {
-	switch op {
-	case "+":
-		return expr.OpAdd, nil
-	case "-":
-		return expr.OpSub, nil
-	case "*":
-		return expr.OpMul, nil
-	case "/":
-		return expr.OpDiv, nil
-	case "%":
-		return expr.OpMod, nil
-	case "=":
-		return expr.OpEq, nil
-	case "<>":
-		return expr.OpNe, nil
-	case "<":
-		return expr.OpLt, nil
-	case "<=":
-		return expr.OpLe, nil
-	case ">":
-		return expr.OpGt, nil
-	case ">=":
-		return expr.OpGe, nil
-	case "and":
-		return expr.OpAnd, nil
-	case "or":
-		return expr.OpOr, nil
-	case "||":
-		return expr.OpConcat, nil
-	}
-	return 0, fmt.Errorf("caql: unsupported operator %q", op)
 }
 
 func (c *Catalog) caqlTable(ref []sqlparser.TableRef) (*SysTable, error) {

@@ -66,8 +66,9 @@ type Context struct {
 	Net interconnect.Node
 	// External resolves external-table scans (nil when unused).
 	External ExternalEngine
-	// SpillDir is the segment-local scratch directory for external
-	// sorts; empty disables spilling (all in memory).
+	// SpillDir is the segment-local scratch directory under which a sort
+	// that spills without a workfile store (Work nil) makes its own;
+	// empty means os.TempDir().
 	SpillDir string
 	// Mem is this node's share of the query's memory grant (nil =
 	// unlimited). Memory-hungry operators reserve their in-memory state
@@ -80,7 +81,7 @@ type Context struct {
 	// soft trigger.
 	WorkMem int64
 	// Work is the query's workfile store on this node. nil disables
-	// budget-triggered spilling (operators then only honor the legacy
+	// budget-triggered spilling (operators then only honor the
 	// SortMemRows row-count trigger).
 	Work *resource.Store
 	// SortMemRows caps in-memory sort buffers before a spill run is

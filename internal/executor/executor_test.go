@@ -12,6 +12,7 @@ import (
 	"hawq/internal/hdfs"
 	"hawq/internal/interconnect"
 	"hawq/internal/plan"
+	"hawq/internal/resource"
 	"hawq/internal/storage"
 	"hawq/internal/types"
 )
@@ -251,14 +252,19 @@ func TestHashAggGroupsAndScalar(t *testing.T) {
 	}
 }
 
+// TestSortWithSpill: a sort over its row limit with no query workfile
+// store spills its runs as workfiles of its own under SpillDir, and
+// leaves nothing there after Close.
 func TestSortWithSpill(t *testing.T) {
-	ctx := &Context{Segment: 0, SortMemRows: 100, SpillDir: t.TempDir()}
+	dir := t.TempDir()
+	ctx := &Context{Segment: 0, SortMemRows: 100, SpillDir: dir}
 	var rows [][]int64
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, []int64{int64((i * 7919) % 1000), int64(i)})
 	}
 	base := valuesNode(intsSchema("k", "v"), rows...)
 	s := &plan.Sort{Input: base, Keys: []plan.OrderKey{{Col: 0}}}
+	files, _ := resource.SpillStats()
 	got := rowsToInts(collect(t, ctx, s))
 	if len(got) != 1000 {
 		t.Fatalf("rows = %d", len(got))
@@ -267,6 +273,12 @@ func TestSortWithSpill(t *testing.T) {
 		if got[i][0] < got[i-1][0] {
 			t.Fatalf("not sorted at %d: %v < %v", i, got[i], got[i-1])
 		}
+	}
+	if now, _ := resource.SpillStats(); now-files < 1000/100 {
+		t.Errorf("sort wrote %d workfiles, want a run per 100 rows", now-files)
+	}
+	if left, err := resource.Leftovers(dir); err != nil || len(left) > 0 {
+		t.Errorf("after Close: leftovers %v, %v", left, err)
 	}
 	// Descending.
 	s2 := &plan.Sort{Input: valuesNode(intsSchema("k"), []int64{1}, []int64{3}, []int64{2}),

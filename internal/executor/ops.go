@@ -26,7 +26,7 @@ type scanOp struct {
 	ctx  *Context
 	node *plan.Scan
 
-	zonePreds []storage.ZonePred
+	zonePreds []expr.ColCmp
 	filter    *expr.VecFilter
 	opStats   *obs.OpStats
 	st        storage.ScanStats
@@ -40,30 +40,11 @@ func newScanOp(ctx *Context, node *plan.Scan) *scanOp {
 	// What the filter compares with a constant, over the projected
 	// width, is what zone maps can refute per page.
 	for _, cmp := range s.filter.Cmps() {
-		if op, ok := zoneOpOf(cmp.Op); ok && cmp.Col < node.Schema.Len() {
-			s.zonePreds = append(s.zonePreds, storage.ZonePred{Col: cmp.Col, Op: op, Val: cmp.Val})
+		if cmp.Col < node.Schema.Len() {
+			s.zonePreds = append(s.zonePreds, cmp)
 		}
 	}
 	return s
-}
-
-// zoneOpOf maps a comparison operator onto its zone-map counterpart.
-func zoneOpOf(op expr.BinOpKind) (storage.ZoneOp, bool) {
-	switch op {
-	case expr.OpEq:
-		return storage.ZoneEq, true
-	case expr.OpNe:
-		return storage.ZoneNe, true
-	case expr.OpLt:
-		return storage.ZoneLt, true
-	case expr.OpLe:
-		return storage.ZoneLe, true
-	case expr.OpGt:
-		return storage.ZoneGt, true
-	case expr.OpGe:
-		return storage.ZoneGe, true
-	}
-	return 0, false
 }
 
 // setOpStats implements statsSink: the scan attributes pages skipped and

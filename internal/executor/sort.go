@@ -1,8 +1,6 @@
 package executor
 
 import (
-	"fmt"
-	"os"
 	"sort"
 
 	"hawq/internal/obs"
@@ -16,13 +14,13 @@ const defaultSortMemRows = 1 << 18
 
 // sortOp is an external sort: it buffers rows in memory, spills sorted
 // runs when the buffer fills — by row count, or by bytes once the
-// memory budget is exhausted — and merges the runs on output. Runs go
-// to the query's workfile store when the dispatcher provided one
-// (budget-accounted, removed on teardown/cancel), else to bare temp
-// files on the legacy SpillDir path. Spill files model HAWQ writing
-// intermediate data to local disks for performance (§2.6); a write
-// failure there is surfaced so the cluster can mark the disk down and
-// restart the query.
+// memory budget is exhausted — and merges the runs on output. Runs are
+// workfiles: in the query's store when the dispatcher provided one
+// (removed on teardown/cancel), else in a store of the sort's own under
+// SpillDir, made at its first spill and removed in Close. Spill files
+// model HAWQ writing intermediate data to local disks for performance
+// (§2.6); a write failure there is surfaced so the cluster can mark the
+// disk down and restart the query.
 type sortOp struct {
 	ctx  *Context
 	in   Operator
@@ -31,7 +29,8 @@ type sortOp struct {
 	mem      memBudget
 	store    rowStore    // the buffered rows
 	buf      []types.Row // views into store, in the order being sorted
-	runs     []runSource
+	runs     []*wfRun
+	own      *resource.Store // the runs' store when the query has none
 	memLimit int
 
 	// merge state
@@ -43,13 +42,6 @@ type sortOp struct {
 type rowSource interface {
 	next() (types.Row, bool, error)
 	close()
-}
-
-// runSource is a spilled run: a rowSource that defers opening until the
-// merge phase.
-type runSource interface {
-	rowSource
-	openForRead() error
 }
 
 // setOpStats implements statsSink: the sort charges its buffer peak
@@ -132,55 +124,32 @@ func (s *sortOp) spill() error {
 	sort.SliceStable(s.buf, func(i, j int) bool {
 		return compareRows(s.buf[i], s.buf[j], s.keys) < 0
 	})
-	if s.ctx.Work != nil {
-		f, err := s.ctx.Work.Create()
-		if err != nil {
-			return err
+	work := s.ctx.Work
+	if work == nil {
+		if s.own == nil {
+			s.own = resource.NewStore(s.ctx.SpillDir, "sort", nil)
 		}
-		for _, row := range s.buf {
-			if err := f.AppendRow(row); err != nil {
-				f.Remove()
-				return err
-			}
-		}
-		if err := f.Finish(); err != nil {
+		work = s.own
+	}
+	f, err := work.Create()
+	if err != nil {
+		return err
+	}
+	for _, row := range s.buf {
+		if err := f.AppendRow(row); err != nil {
 			f.Remove()
 			return err
 		}
-		if s.mem.st != nil {
-			s.mem.st.SpillBytes += f.Bytes()
-			s.mem.st.SpillFiles++
-		}
-		s.runs = append(s.runs, &wfRun{ctx: s.ctx, f: f})
-	} else {
-		dir := s.ctx.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		f, err := os.CreateTemp(dir, "hawq-sort-*.run")
-		if err != nil {
-			return fmt.Errorf("executor: spill to local disk: %w", err)
-		}
-		var buf []byte
-		var written int64
-		for _, row := range s.buf {
-			buf = types.EncodeRow(buf[:0], row)
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				os.Remove(f.Name())
-				return fmt.Errorf("executor: spill write: %w", err)
-			}
-			written += int64(len(buf))
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if s.mem.st != nil {
-			s.mem.st.SpillBytes += written
-			s.mem.st.SpillFiles++
-		}
-		s.runs = append(s.runs, &spillRun{path: f.Name()})
 	}
+	if err := f.Finish(); err != nil {
+		f.Remove()
+		return err
+	}
+	if s.mem.st != nil {
+		s.mem.st.SpillBytes += f.Bytes()
+		s.mem.st.SpillFiles++
+	}
+	s.runs = append(s.runs, &wfRun{ctx: s.ctx, f: f})
 	s.buf = s.buf[:0]
 	s.store.reset()
 	s.mem.releaseAll()
@@ -224,6 +193,10 @@ func (s *sortOp) Close() error {
 		r.close()
 	}
 	s.runs = nil
+	if s.own != nil {
+		s.own.Cleanup()
+		s.own = nil
+	}
 	s.sources = nil
 	s.buf = nil
 	s.store.reset()
@@ -259,40 +232,6 @@ func (r *wfRun) close() {
 	r.cur.close()
 	r.cur = nil
 	r.f.Remove()
-}
-
-// spillRun reads one sorted run back from a bare temp file (the legacy
-// path when the query has no workfile store).
-type spillRun struct {
-	path string
-	data []byte
-	pos  int
-}
-
-func (r *spillRun) openForRead() error {
-	data, err := os.ReadFile(r.path)
-	if err != nil {
-		return fmt.Errorf("executor: read spill run: %w", err)
-	}
-	r.data = data
-	return nil
-}
-
-func (r *spillRun) next() (types.Row, bool, error) {
-	if r.pos >= len(r.data) {
-		return nil, false, nil
-	}
-	row, n, err := types.DecodeRow(r.data[r.pos:])
-	if err != nil {
-		return nil, false, err
-	}
-	r.pos += n
-	return row, true, nil
-}
-
-func (r *spillRun) close() {
-	r.data = nil
-	os.Remove(r.path)
 }
 
 // memRun serves the in-memory tail of the sort.

@@ -96,6 +96,17 @@ var binOpNames = [...]string{"+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">",
 // String returns the SQL spelling of the operator.
 func (o BinOpKind) String() string { return binOpNames[o] }
 
+// BinOpFromSQL returns the operator the parser spells op ("+", "<>",
+// "and", "||", ...), or false when op names none.
+func BinOpFromSQL(op string) (BinOpKind, bool) {
+	for k, name := range binOpNames {
+		if strings.EqualFold(name, op) {
+			return BinOpKind(k), true
+		}
+	}
+	return 0, false
+}
+
 // IsComparison reports whether the operator yields a boolean from two
 // comparable operands.
 func (o BinOpKind) IsComparison() bool { return o >= OpEq && o <= OpGe }

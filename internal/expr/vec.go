@@ -58,8 +58,20 @@ func ExecConst(e Expr) (types.Datum, bool) {
 	return d, err == nil
 }
 
-// ColCmp is a comparison of a column with a non-NULL value fixed for
-// the execution: the shape a filter kernel and a zone map consume.
+// ColCmpTerm is a comparison of a column with a value that reads no
+// column, the column on the left. It is the one shape zone maps, the
+// filter kernels, partition elimination, direct dispatch, the planner's
+// range estimates and a connector's pushdown look for in a conjunct. Val
+// is still an expression: the planner reads a literal or a placeholder
+// from it, and an execution resolves it with ExecConst into a ColCmp.
+type ColCmpTerm struct {
+	Col int
+	Op  BinOpKind
+	Val Expr
+}
+
+// ColCmp is a comparison of a column with a value fixed for the
+// execution: the form a filter kernel, a zone map and a connector take.
 type ColCmp struct {
 	Col int
 	Op  BinOpKind
@@ -69,43 +81,54 @@ type ColCmp struct {
 // commuted maps a comparison onto the one with its operands swapped.
 var commuted = [...]BinOpKind{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
 
-// colCmps appends the column-against-constant comparisons the conjunct
-// e amounts to — col ⋄ const, const ⋄ col (commuted), col BETWEEN lo AND
-// hi (two) — and reports false for any other shape. A NULL constant is
-// another shape: no row passes it, and the row path says so.
-func colCmps(e Expr, dst []ColCmp) ([]ColCmp, bool) {
-	fixed := func(e Expr) (types.Datum, bool) {
-		d, ok := ExecConst(e)
-		return d, ok && !d.IsNull()
-	}
+// ColCmpTerms appends the comparisons the conjunct e amounts to — col ⋄
+// v, v ⋄ col (commuted), col BETWEEN lo AND hi (two) — where each value
+// reads no column, and reports false, dst unchanged, for any other shape.
+func ColCmpTerms(e Expr, dst []ColCmpTerm) ([]ColCmpTerm, bool) {
 	switch v := e.(type) {
 	case *BinOp:
 		if !v.Op.IsComparison() {
-			return dst, false
+			break
 		}
-		if col, ok := v.L.(*ColRef); ok {
-			if val, ok := fixed(v.R); ok {
-				return append(dst, ColCmp{col.Idx, v.Op, val}), true
-			}
+		if col, ok := v.L.(*ColRef); ok && refCols(v.R) == nil {
+			return append(dst, ColCmpTerm{col.Idx, v.Op, v.R}), true
 		}
-		if col, ok := v.R.(*ColRef); ok {
-			if val, ok := fixed(v.L); ok {
-				return append(dst, ColCmp{col.Idx, commuted[v.Op], val}), true
-			}
+		if col, ok := v.R.(*ColRef); ok && refCols(v.L) == nil {
+			return append(dst, ColCmpTerm{col.Idx, commuted[v.Op], v.L}), true
 		}
 	case *Between:
-		col, ok := v.E.(*ColRef)
-		if !ok || v.Negate {
-			return dst, false
-		}
-		lo, okLo := fixed(v.Lo)
-		hi, okHi := fixed(v.Hi)
-		if okLo && okHi {
-			return append(dst, ColCmp{col.Idx, OpGe, lo}, ColCmp{col.Idx, OpLe, hi}), true
+		if col, ok := v.E.(*ColRef); ok && !v.Negate && refCols(v.Lo) == nil && refCols(v.Hi) == nil {
+			return append(dst, ColCmpTerm{col.Idx, OpGe, v.Lo}, ColCmpTerm{col.Idx, OpLe, v.Hi}), true
 		}
 	}
 	return dst, false
 }
+
+// MayMatch reports whether a value in [lo, hi] may satisfy the
+// comparison: false only when none does. Bounds or a value that do not
+// compare — a NULL among them, kinds types.Comparable refuses — may.
+func (c ColCmp) MayMatch(lo, hi types.Datum) bool {
+	if !types.Comparable(lo.K, c.Val.K) || !types.Comparable(hi.K, c.Val.K) {
+		return true
+	}
+	// The outcomes comparing a value of [lo, hi] with Val can have.
+	l, h := types.Compare(lo, c.Val), types.Compare(hi, c.Val)
+	var can uint8
+	if l < 0 {
+		can |= ordLt
+	}
+	if l <= 0 && h >= 0 {
+		can |= ordEq
+	}
+	if h > 0 {
+		can |= ordGt
+	}
+	return can&opMask[c.Op] != 0
+}
+
+// Admits reports whether d satisfies the comparison, or may: it is
+// MayMatch over the one value.
+func (c ColCmp) Admits(d types.Datum) bool { return c.MayMatch(d, d) }
 
 // filterStep is one kernel of a compiled filter: a column against a
 // constant (r < 0) or against another column.
@@ -141,14 +164,23 @@ func CompileFilter(pred Expr) *VecFilter {
 		return f
 	}
 	var rest []Expr
-	var cmps []ColCmp
+	var terms []ColCmpTerm
 	for _, c := range Conjuncts(pred, nil) {
+		// A comparison is a kernel when its values are fixed for the
+		// execution and none is NULL: no row passes a comparison with
+		// NULL, and the row path says so.
 		var ok bool
-		if cmps, ok = colCmps(c, cmps[:0]); ok {
-			for _, cmp := range cmps {
-				f.steps = append(f.steps, filterStep{cmp: cmp, r: -1})
+		if terms, ok = ColCmpTerms(c, terms[:0]); ok {
+			n := len(f.steps)
+			for _, t := range terms {
+				d, fixed := ExecConst(t.Val)
+				ok = ok && fixed && !d.IsNull()
+				f.steps = append(f.steps, filterStep{cmp: ColCmp{t.Col, t.Op, d}, r: -1})
 			}
-			continue
+			if ok {
+				continue
+			}
+			f.steps = f.steps[:n]
 		}
 		if bo, ok := c.(*BinOp); ok && bo.Op.IsComparison() {
 			l, lok := bo.L.(*ColRef)
@@ -167,7 +199,7 @@ func CompileFilter(pred Expr) *VecFilter {
 
 // Cmps returns the predicate's comparisons of a column with a constant,
 // every one of which a passing row satisfies: what a zone map can refute
-// for a whole page.
+// for a whole page, and a connector for a record it need not send.
 func (f *VecFilter) Cmps() []ColCmp {
 	var out []ColCmp
 	for _, st := range f.steps {

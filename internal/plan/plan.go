@@ -111,15 +111,14 @@ func (s *Scan) Label() string {
 
 // ExternalScan reads an external table through PXF (§6). Fragments are
 // assigned to QEs by the executor's PXF binding with locality awareness.
+// The binding hands the connector Filter's comparisons of a column with a
+// constant (§6.3's filter pushdown); they are advisory — Filter is still
+// applied, so connectors may ignore them.
 type ExternalScan struct {
 	Table  *catalog.TableDesc
 	Proj   []int
 	Filter expr.Expr
-	// PushedFilter describes the filter forwarded to the connector via
-	// the filter-pushdown API (§6.3); it is advisory — Filter is still
-	// applied, so connectors may ignore it.
-	PushedFilter string
-	Schema       *types.Schema
+	Schema *types.Schema
 	// NumSegments is the gang size fragments are distributed over.
 	NumSegments int
 }

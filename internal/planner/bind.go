@@ -324,37 +324,8 @@ func (b *binder) bindBinary(v *sqlparser.BinExpr) (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	var op expr.BinOpKind
-	switch v.Op {
-	case "+":
-		op = expr.OpAdd
-	case "-":
-		op = expr.OpSub
-	case "*":
-		op = expr.OpMul
-	case "/":
-		op = expr.OpDiv
-	case "%":
-		op = expr.OpMod
-	case "=":
-		op = expr.OpEq
-	case "<>":
-		op = expr.OpNe
-	case "<":
-		op = expr.OpLt
-	case "<=":
-		op = expr.OpLe
-	case ">":
-		op = expr.OpGt
-	case ">=":
-		op = expr.OpGe
-	case "and":
-		op = expr.OpAnd
-	case "or":
-		op = expr.OpOr
-	case "||":
-		op = expr.OpConcat
-	default:
+	op, ok := expr.BinOpFromSQL(v.Op)
+	if !ok {
 		return nil, fmt.Errorf("planner: unknown operator %q", v.Op)
 	}
 	b.params.infer(l, r)

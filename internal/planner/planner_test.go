@@ -339,6 +339,8 @@ func TestPartitionPruningOperators(t *testing.T) {
 		{"d >= DATE '2020-03-01'", 1},
 		{"d > DATE '2020-03-31'", 0}, // beyond the last partition's end
 		{"d >= DATE '2020-01-01'", 3},
+		{"d BETWEEN DATE '2020-02-10' AND DATE '2020-02-20'", 1},
+		{"d NOT BETWEEN DATE '2020-02-10' AND DATE '2020-02-20'", 3},
 		{"id = 5", 3}, // non-partition column: no pruning
 	}
 	for _, c := range cases {

@@ -260,15 +260,16 @@ func (p *Planner) materialize(u *fromUnit) error {
 // positions.
 func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sqlparser.Expr, sc *scope) (*relation, error) {
 	var filter expr.Expr
-	conds := make([]expr.Expr, len(pushed))
+	var terms []expr.ColCmpTerm // the conjuncts' comparisons of a column with a value
 	sel := 1.0
 	b := p.binder(sc)
-	for i, c := range pushed {
+	for _, c := range pushed {
 		bound, err := b.bind(c)
 		if err != nil {
 			return nil, err
 		}
-		filter, conds[i] = conjoin(filter, bound), bound
+		filter = conjoin(filter, bound)
+		terms, _ = expr.ColCmpTerms(bound, terms)
 	}
 	if filter != nil {
 		sel = selectivity(filter, sc.cols)
@@ -276,12 +277,8 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 	var node plan.Node
 	var totalRows float64
 	if desc.IsExternal() {
-		pushedStr := ""
-		if filter != nil {
-			pushedStr = filter.String()
-		}
 		node = &plan.ExternalScan{
-			Table: desc, Proj: proj, Filter: filter, PushedFilter: pushedStr,
+			Table: desc, Proj: proj, Filter: filter,
 			Schema: sc.schema, NumSegments: p.NumSegments,
 		}
 		totalRows = p.tableRows(desc)
@@ -292,7 +289,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 		}
 		var inputs []plan.Node
 		for _, kid := range kids {
-			if !p.DisablePartitionElim && partitionPruned(kid, conds, proj) {
+			if !p.DisablePartitionElim && partitionPruned(kid, terms, proj) {
 				continue
 			}
 			inputs = append(inputs, &plan.Scan{
@@ -336,7 +333,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 		// (segment known now) or by $n placeholders (segment chosen at
 		// bind time, so generic cached plans keep the fast path).
 		if !p.DisableDirectDispatch {
-			if seg, keys, ok := p.directSegment(distCols, conds); ok {
+			if seg, keys, ok := p.directSegment(distCols, terms); ok {
 				if keys == nil {
 					rel.direct = []int{seg}
 				} else {
@@ -370,30 +367,31 @@ func outputPositions(proj, tableCols []int) []int {
 // directSegment checks for "distcol = const" (or, in generic mode,
 // "distcol = $n") conjuncts pinning the scan to one segment (§3: single
 // value lookup); distCols are the distribution columns as scan output
-// positions, the index space the bound conjuncts use. When every
-// distribution column is pinned and at least one pin is a placeholder,
-// the segment cannot be computed yet: the per-column value sources come
-// back as keys for the plan to resolve in BindParams. With constants
-// only, keys is nil and the segment is final.
-func (p *Planner) directSegment(distCols []int, conds []expr.Expr) (int, []plan.DirectKey, bool) {
+// positions, the index space the conjuncts' comparisons (terms) use.
+// When every distribution column is pinned and at least one pin is a
+// placeholder, the segment cannot be computed yet: the per-column value
+// sources come back as keys for the plan to resolve in BindParams. With
+// constants only, keys is nil and the segment is final.
+func (p *Planner) directSegment(distCols []int, terms []expr.ColCmpTerm) (int, []plan.DirectKey, bool) {
 	keys := make([]plan.DirectKey, len(distCols))
 	pinned := make([]bool, len(distCols))
 	found, params := 0, 0
-	for _, c := range conds {
-		col, op, val, ok := colValue(c)
-		i := slices.Index(distCols, col)
-		if !ok || op != expr.OpEq || i < 0 || pinned[i] {
+	for _, t := range terms {
+		i := slices.Index(distCols, t.Col)
+		if t.Op != expr.OpEq || i < 0 || pinned[i] {
 			continue
 		}
-		keys[i], pinned[i] = plan.DirectKey{Param: -1}, true
-		found++
-		switch v := val.(type) {
+		switch v := t.Val.(type) {
 		case *expr.Const:
-			keys[i].Const = v.D
+			keys[i] = plan.DirectKey{Param: -1, Const: v.D}
 		case *expr.Param:
-			keys[i].Param = v.Idx
+			keys[i] = plan.DirectKey{Param: v.Idx}
 			params++
+		default:
+			continue
 		}
+		pinned[i] = true
+		found++
 	}
 	if found != len(distCols) {
 		return 0, nil, false
@@ -411,18 +409,21 @@ func (p *Planner) directSegment(distCols []int, conds []expr.Expr) (int, []plan.
 }
 
 // partitionPruned decides whether a child partition cannot contain
-// matching rows given the bound conjuncts; proj maps their column
-// positions back to table columns, where PartCol lives.
-func partitionPruned(kid *catalog.TableDesc, conds []expr.Expr, proj []int) bool {
-	for _, c := range conds {
-		col, op, val, ok := colValue(c)
-		v, isConst := val.(*expr.Const)
-		if !ok || !isConst || proj[col] != kid.PartCol {
+// matching rows given the conjuncts' comparisons (terms); proj maps their
+// column positions back to table columns, where PartCol lives.
+//
+// The range test is its own switch, not ColCmp.MayMatch: a child covers
+// the half-open [lo, hi), and over the one-value integer child [v, v+1)
+// "<> v" keeps the child here where a zone map of [v, v] skips its page.
+func partitionPruned(kid *catalog.TableDesc, terms []expr.ColCmpTerm, proj []int) bool {
+	for _, t := range terms {
+		v, isConst := t.Val.(*expr.Const)
+		if !isConst || proj[t.Col] != kid.PartCol {
 			continue
 		}
 		if kid.PartKind == catalog.PartRange && !kid.RangeLo.IsNull() {
 			// Child covers [lo, hi).
-			switch op {
+			switch t.Op {
 			case expr.OpEq:
 				if types.Compare(v.D, kid.RangeLo) < 0 || types.Compare(v.D, kid.RangeHi) >= 0 {
 					return true
@@ -445,7 +446,7 @@ func partitionPruned(kid *catalog.TableDesc, conds []expr.Expr, proj []int) bool
 				}
 			}
 		}
-		if kid.PartKind == catalog.PartList && len(kid.ListValues) > 0 && op == expr.OpEq {
+		if kid.PartKind == catalog.PartList && len(kid.ListValues) > 0 && t.Op == expr.OpEq {
 			match := false
 			for _, lv := range kid.ListValues {
 				if types.Equal(lv, v.D) {
@@ -469,31 +470,6 @@ func sub1(d types.Datum) types.Datum {
 		return out
 	}
 	return d
-}
-
-// colValue recognizes a bound comparison between a column and a value —
-// a constant or a placeholder — either way round: the column, the
-// operator as if the column were on the left, and the value.
-func colValue(e expr.Expr) (col int, op expr.BinOpKind, val expr.Expr, ok bool) {
-	b, isBin := e.(*expr.BinOp)
-	if !isBin || !b.Op.IsComparison() {
-		return -1, 0, nil, false
-	}
-	c, op, val := b.L, b.Op, b.R
-	if _, isCol := c.(*expr.ColRef); !isCol {
-		c, val = b.R, b.L
-		if f, flip := flipped[op]; flip {
-			op = f
-		}
-	}
-	cr, isCol := c.(*expr.ColRef)
-	switch val.(type) {
-	case *expr.Const, *expr.Param:
-		if isCol {
-			return cr.Idx, op, val, true
-		}
-	}
-	return -1, 0, nil, false
 }
 
 // unitsReferenced reports which units an expression's identifiers bind

@@ -145,46 +145,36 @@ func termSelectivity(e expr.Expr, cols []scopeCol) float64 {
 	return 0.5
 }
 
-// flipped turns "const op col" into "col op' const".
-var flipped = map[expr.BinOpKind]expr.BinOpKind{expr.OpLt: expr.OpGt, expr.OpLe: expr.OpGe, expr.OpGt: expr.OpLt, expr.OpGe: expr.OpLe}
-
 // rangeOf recognizes a bound on a numeric or date column with Min and Max
 // (col < c, c <= col, col BETWEEN a AND b, ...) and interpolates it.
 func rangeOf(e expr.Expr, cols []scopeCol) (colRange, bool) {
-	col, op, val, ok := colValue(e)
-	var lo, hi expr.Expr
-	switch {
-	case op == expr.OpLt || op == expr.OpLe:
-		hi = val
-	case op == expr.OpGt || op == expr.OpGe:
-		lo = val
-	default:
-		b, isBetween := e.(*expr.Between)
-		if !isBetween || b.Negate {
-			return colRange{}, false
-		}
-		if cr, isCol := b.E.(*expr.ColRef); isCol {
-			col, lo, hi, ok = cr.Idx, b.Lo, b.Hi, true
-		}
-	}
-	if !ok || col >= len(cols) || cols[col].st == nil {
+	var buf [2]expr.ColCmpTerm
+	terms, _ := expr.ColCmpTerms(e, buf[:0])
+	if len(terms) == 0 || terms[0].Col >= len(cols) || cols[terms[0].Col].st == nil {
 		return colRange{}, false
 	}
-	st := cols[col].st
+	r := colRange{col: terms[0].Col, lo: 0, hi: 1}
+	st := cols[r.col].st
 	min, max := st.Min.Float(), st.Max.Float()
 	if !ordered(st.Min.K) || !ordered(st.Max.K) || max <= min {
 		return colRange{}, false
 	}
-	share := func(b expr.Expr, open float64) (float64, bool) {
-		c, isConst := b.(*expr.Const)
-		if b == nil || !isConst {
-			return open, b == nil
+	for _, t := range terms {
+		c, isConst := t.Val.(*expr.Const)
+		if !isConst || !ordered(c.D.K) {
+			return colRange{}, false
 		}
-		return math.Min(math.Max((c.D.Float()-min)/(max-min), 0), 1), ordered(c.D.K)
+		share := math.Min(math.Max((c.D.Float()-min)/(max-min), 0), 1)
+		switch t.Op {
+		case expr.OpLt, expr.OpLe:
+			r.hi = share
+		case expr.OpGt, expr.OpGe:
+			r.lo = share
+		default:
+			return colRange{}, false
+		}
 	}
-	l, okLo := share(lo, 0)
-	h, okHi := share(hi, 1)
-	return colRange{col, l, h}, okLo && okHi
+	return r, true
 }
 
 func ordered(k types.Kind) bool {

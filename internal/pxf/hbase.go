@@ -3,11 +3,11 @@ package pxf
 import (
 	"encoding/binary"
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
 
+	"hawq/internal/expr"
 	"hawq/internal/types"
 )
 
@@ -123,90 +123,13 @@ func (c *HBaseConnector) Fragments(req *Request) ([]Fragment, error) {
 	return out, nil
 }
 
-// keyBound is a parsed row-key constraint from the pushed-down filter.
-type keyBound struct {
-	op  string
-	val string
-}
-
-// parseKeyFilter extracts row-key comparisons from the rendered filter
-// expression (the filter-pushdown API of §6.3 hands the connector the
-// scan qualifiers; comparisons on other columns are ignored and applied
-// by the executor). Only a comparison that is a whole conjunct of the
-// filter bounds the scan: every row the filter keeps satisfies it. One
-// inside an OR, a NOT or any other operator is left to the executor.
-func parseKeyFilter(filter, keyCol string) []keyBound {
-	if filter == "" {
-		return nil
-	}
-	re := regexp.MustCompile(`^\(` + regexp.QuoteMeta(keyCol) + ` (=|<=|>=|<|>) '([^']*)'\)$`)
-	var out []keyBound
-	for _, c := range filterConjuncts(filter) {
-		if m := re.FindStringSubmatch(c); m != nil {
-			out = append(out, keyBound{op: m[1], val: m[2]})
-		}
-	}
-	return out
-}
-
-// filterConjuncts splits a rendered filter into the operands of its
-// top-level ANDs: "(A AND B)" — an AND node, whose left operand is itself
-// parenthesized — is A's conjuncts then B's; anything else is one.
-func filterConjuncts(s string) []string {
-	if groupEnd(s) == len(s)-1 {
-		inner := s[1 : len(s)-1]
-		if a := groupEnd(inner); a > 0 && strings.HasPrefix(inner[a+1:], " AND ") {
-			return append(filterConjuncts(inner[:a+1]), filterConjuncts(inner[a+len(" AND ")+1:])...)
-		}
-	}
-	return []string{s}
-}
-
-// groupEnd returns the index of the parenthesis closing the one s starts
-// with, skipping quoted literals, or -1.
-func groupEnd(s string) int {
-	if !strings.HasPrefix(s, "(") {
-		return -1
-	}
-	depth, quoted := 0, false
-	for i := 0; i < len(s); i++ {
-		switch {
-		case s[i] == '\'':
-			quoted = !quoted
-		case quoted:
-		case s[i] == '(':
-			depth++
-		case s[i] == ')':
-			depth--
-			if depth == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-func (b keyBound) admits(key string) bool {
-	switch b.op {
-	case "=":
-		return key == b.val
-	case "<":
-		return key < b.val
-	case "<=":
-		return key <= b.val
-	case ">":
-		return key > b.val
-	case ">=":
-		return key >= b.val
-	}
-	return true
-}
-
 // ReadFragment implements Accessor: under the table's read lock it walks
-// the fragment's key range, skipping keys excluded by pushed-down bounds,
-// and encodes the admitted rows per the request schema. The reader serves
-// that snapshot and holds no lock, so a Put between two Next calls is
-// neither seen nor waited for.
+// the fragment's key range, skipping each key a pushed-down comparison on
+// the row key (column 0) refuses — one it cannot decide admits the key;
+// comparisons on other columns are the executor's (§6.3) — and encodes
+// the admitted rows per the request schema. The reader serves that
+// snapshot and holds no lock, so a Put between two Next calls is neither
+// seen nor waited for.
 func (c *HBaseConnector) ReadFragment(req *Request, f Fragment) (RecordReader, error) {
 	t, err := c.table(req)
 	if err != nil {
@@ -219,21 +142,13 @@ func (c *HBaseConnector) ReadFragment(req *Request, f Fragment) (RecordReader, e
 	per := (len(keys) + t.regions - 1) / t.regions
 	lo := min(f.Index*per, len(keys))
 	hi := min(lo+per, len(keys))
-	bounds := parseKeyFilter(req.Filter, req.Schema.Columns[0].Name)
 	// The snapshot is in the sequence connector's framing.
 	r := &seqReader{}
 	var rec []byte
 	row := make(types.Row, req.Schema.Len())
 	skipped := int64(0)
 	for _, key := range keys[lo:hi] {
-		admit := true
-		for _, b := range bounds {
-			if !b.admits(key) {
-				admit = false
-				break
-			}
-		}
-		if !admit {
+		if !admitsKey(req.Filter, key) {
 			skipped++
 			continue
 		}
@@ -260,6 +175,16 @@ func (c *HBaseConnector) ReadFragment(req *Request, f Fragment) (RecordReader, e
 	c.pushdownHits += skipped
 	c.mu.Unlock()
 	return r, nil
+}
+
+// admitsKey reports whether no comparison on the row key refuses key.
+func admitsKey(filter []expr.ColCmp, key string) bool {
+	for _, c := range filter {
+		if c.Col == 0 && !c.Admits(types.NewString(key)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Resolve implements Resolver.

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"hawq/internal/catalog"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/plan"
 	"hawq/internal/types"
@@ -75,14 +76,15 @@ type Fragment struct {
 }
 
 // Request carries the scan context to a connector: location, the target
-// schema, and the pushed-down filter rendered as text (§6.3; connectors
-// are free to ignore it — the executor re-applies the filter).
+// schema, and the pushed-down filter (§6.3; connectors are free to ignore
+// it — the executor re-applies the scan's whole predicate).
 type Request struct {
 	Loc    *Location
 	Schema *types.Schema
-	// Filter is the scan predicate pushed down by the planner ("" when
-	// none).
-	Filter string
+	// Filter lists comparisons of a table column (Col indexes Schema)
+	// with a constant, every one of which a row the scan keeps satisfies:
+	// the top-level conjuncts of the scan predicate that have that shape.
+	Filter []expr.ColCmp
 }
 
 // Fragmenter lists a source's fragments (§6.4).
@@ -201,7 +203,13 @@ func (e *Engine) OpenExternal(scan *plan.ExternalScan, segment int) (next func()
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{Loc: loc, Schema: scan.Table.Schema, Filter: scan.PushedFilter}
+	req := &Request{Loc: loc, Schema: scan.Table.Schema}
+	for _, cmp := range expr.CompileFilter(scan.Filter).Cmps() {
+		if cmp.Col < len(scan.Proj) {
+			cmp.Col = scan.Proj[cmp.Col]
+			req.Filter = append(req.Filter, cmp)
+		}
+	}
 	frags, err := c.Fragments(req)
 	if err != nil {
 		return nil, err

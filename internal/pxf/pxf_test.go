@@ -208,35 +208,56 @@ func TestHBaseConnectorWithPushdown(t *testing.T) {
 
 // TestHBaseKeyBoundsOnlyFromConjuncts: the connector skips keys only by
 // comparisons the whole filter ANDs together. A row-key comparison under an
-// OR or a NOT — a single-table OR, the per-table OR the planner derives
-// from a join's OR (DESIGN.md §18), an OR in an ON clause pushed to the
-// HBase side — bounds nothing, or the scan drops rows the filter keeps.
+// OR, a NOT or an IS NULL — a single-table OR, the per-table OR the planner
+// derives from a join's OR (DESIGN.md §18), an OR in an ON clause pushed to
+// the HBase side — bounds nothing, or the scan drops rows the filter keeps.
+// A comparison that is a conjunct bounds the scan whichever side the key is
+// on, as a BETWEEN, and with a placeholder's value.
 func TestHBaseKeyBoundsOnlyFromConjuncts(t *testing.T) {
 	s, hb := hbaseSales(t)
 	for _, q := range []string{
 		"CREATE TABLE t (k INT8) DISTRIBUTED BY (k)",
 		"INSERT INTO t VALUES (1), (2), (3)",
+		`PREPARE below AS SELECT count(*) FROM my_hbase_sales WHERE recordkey < $1`,
 	} {
 		if _, err := s.Query(q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	two := "20130001|1 20130002|2"
-	cases := []struct{ q, want string }{
+	cases := []struct {
+		q, want string
+		bounded bool // the scan skips keys at the store
+	}{
 		{`SELECT recordkey, "details:storeid" FROM my_hbase_sales
-			WHERE recordkey = '20130001' OR recordkey = '20130002' ORDER BY recordkey`, two},
-		{`SELECT count(*) FROM my_hbase_sales WHERE NOT (recordkey = '20130001')`, "99"},
+			WHERE recordkey = '20130001' OR recordkey = '20130002' ORDER BY recordkey`, two, false},
+		{`SELECT count(*) FROM my_hbase_sales WHERE NOT (recordkey = '20130001')`, "99", false},
+		{`SELECT count(*) FROM my_hbase_sales WHERE (recordkey = '20130001') IS NOT NULL`, "100", false},
 		{`SELECT recordkey, k FROM my_hbase_sales, t
 			WHERE (recordkey = '20130001' AND k = 1) OR (recordkey = '20130002' AND k = 2)
-			ORDER BY recordkey`, two},
+			ORDER BY recordkey`, two, false},
 		{`SELECT recordkey, k FROM t JOIN my_hbase_sales
 			ON k = "details:storeid" AND (recordkey = '20130001' OR recordkey = '20130002')
-			ORDER BY recordkey`, two},
+			ORDER BY recordkey`, two, false},
+		// A literal that reads like a conjunct is a value, nothing more.
+		{`SELECT count(*) FROM my_hbase_sales
+			WHERE recordkey <> 'x'') AND (recordkey = ''20130050'`, "100", false},
 		{`SELECT recordkey, k FROM t JOIN my_hbase_sales
 			ON k = "details:storeid" AND recordkey >= '20130001' AND recordkey < '20130003'
-			ORDER BY recordkey`, two},
+			ORDER BY recordkey`, two, true},
+		{`SELECT recordkey, "details:storeid" FROM my_hbase_sales
+			WHERE recordkey >= '20130001' AND "details:storeid" = 1 AND recordkey < '20130010'
+			ORDER BY recordkey`, "20130001|1 20130006|1", true},
+		{`SELECT recordkey, "details:storeid" FROM my_hbase_sales
+			WHERE (recordkey = '20130001' OR recordkey = '20130002') AND recordkey < '20130003'
+			ORDER BY recordkey`, two, true},
+		{`SELECT count(*) FROM my_hbase_sales WHERE '20130010' > recordkey`, "10", true},
+		{`SELECT recordkey, "details:storeid" FROM my_hbase_sales
+			WHERE recordkey BETWEEN '20130001' AND '20130002' ORDER BY recordkey`, two, true},
+		{`EXECUTE below('20130003')`, "3", true},
 	}
 	for _, c := range cases {
+		before := hb.PushdownHits()
 		res, err := s.Query(c.q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
@@ -252,32 +273,8 @@ func TestHBaseKeyBoundsOnlyFromConjuncts(t *testing.T) {
 		if got := strings.Join(rows, " "); got != c.want {
 			t.Errorf("%s\n= %q, want %q", c.q, got, c.want)
 		}
-	}
-	// The last query's bounds are a conjunction: still pushed.
-	if hb.PushdownHits() == 0 {
-		t.Error("conjunctive row-key bounds were not pushed down")
-	}
-}
-
-func TestParseKeyFilter(t *testing.T) {
-	for _, c := range []struct{ filter, want string }{
-		{"", ""},
-		{"(recordkey < '20130010')", "<20130010"},
-		{"((recordkey >= 'a') AND (recordkey < 'b'))", ">=a <b"},
-		{"(((recordkey >= 'a') AND (v = 1)) AND (recordkey < 'b'))", ">=a <b"},
-		{"((recordkey = 'a') OR (recordkey = 'b'))", ""},
-		{"(((recordkey = 'a') OR (recordkey = 'b')) AND (recordkey < 'c'))", "<c"},
-		{"(NOT (recordkey = 'a'))", ""},
-		{"((recordkey = 'a') IS NULL)", ""},
-		{"(v BETWEEN 1 AND (recordkey = 'a'))", ""},
-		{"(name = 'x AND (recordkey = ''a'')')", ""},
-	} {
-		var got []string
-		for _, b := range parseKeyFilter(c.filter, "recordkey") {
-			got = append(got, b.op+b.val)
-		}
-		if strings.Join(got, " ") != c.want {
-			t.Errorf("parseKeyFilter(%q) = %v, want %q", c.filter, got, c.want)
+		if hit := hb.PushdownHits() > before; hit != c.bounded {
+			t.Errorf("%s\nskipped keys at the store: %v, want %v", c.q, hit, c.bounded)
 		}
 	}
 }

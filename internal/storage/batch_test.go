@@ -199,7 +199,7 @@ func benchEncodedFilter(b *testing.B, orientation string) {
 	fs, spec, sf, schema := benchLowCardSetup(b, orientation)
 	proj := []int{0, 1, 2}
 	pred := expr.NewBinOp(expr.OpEq, &expr.ColRef{Idx: 0, K: types.KindInt64}, expr.NewConst(types.NewInt64(3)))
-	zpreds := []ZonePred{{Col: 0, Op: ZoneEq, Val: types.NewInt64(3)}}
+	zpreds := []expr.ColCmp{{Col: 0, Op: expr.OpEq, Val: types.NewInt64(3)}}
 	const want = 20000 / 8
 	b.Run("filter-batch", func(b *testing.B) {
 		b.ReportAllocs()

@@ -11,6 +11,7 @@ import (
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/obs"
 	"hawq/internal/testutil"
@@ -79,7 +80,7 @@ func residentVectors(c *BlockCache) int {
 // which now come from the directory.
 func TestCacheWarmReadsNothing(t *testing.T) {
 	rows := testRows(6000)
-	preds := []ZonePred{{Col: 0, Op: ZoneGe, Val: types.NewInt64(1500)}, {Col: 0, Op: ZoneLt, Val: types.NewInt64(1700)}}
+	preds := []expr.ColCmp{{Col: 0, Op: expr.OpGe, Val: types.NewInt64(1500)}, {Col: 0, Op: expr.OpLt, Val: types.NewInt64(1700)}}
 	readBytes := func() int64 { return obs.Value("hdfs.read_bytes") }
 	for _, spec := range cacheSpecs {
 		t.Run(spec.Orientation+"/"+spec.Codec, func(t *testing.T) {

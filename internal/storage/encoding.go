@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"hawq/internal/expr"
 	"hawq/internal/types"
 )
 
@@ -234,39 +235,24 @@ func buildZone(dst []byte, vals []types.Datum) []byte {
 	return types.EncodeDatum(dst, maxD)
 }
 
-// ZoneOp is a comparison operator in a scan's pushed-down zone
-// predicate. It deliberately duplicates the comparison subset of the
-// expression language so storage does not import expr.
-type ZoneOp uint8
+// ZonePred names expr.ColCmp only because the benchmark module's scan
+// probe still spells it so; everything in this module says expr.ColCmp.
+type ZonePred = expr.ColCmp
 
-// Zone predicate operators, matching SQL comparison semantics over
-// non-NULL operands.
-const (
-	ZoneEq ZoneOp = iota
-	ZoneNe
-	ZoneLt
-	ZoneLe
-	ZoneGt
-	ZoneGe
-)
+// ZoneGe is expr.OpGe, kept for the same probe.
+const ZoneGe = expr.OpGe
 
-// ZonePred is one pushed-down conjunct of the form <column> <op>
-// <constant>: Col indexes the scan's projected columns (the same space
-// a scan filter's column references use), and Val is the non-NULL
-// comparison constant.
-type ZonePred struct {
-	Col int
-	Op  ZoneOp
-	Val types.Datum
-}
+// ZoneLt is expr.OpLt, kept for the same probe.
+const ZoneLt = expr.OpLt
 
 // zoneMayMatch reports whether any row of a page whose zone bytes are
-// zone could satisfy pred. NULL rows never satisfy a comparison, so a
-// page is skippable as soon as no non-NULL value in [min, max] can
-// pass. Any parsing or comparability doubt answers true — pruning is
-// an optimization, never a correctness gate.
-func zoneMayMatch(zone []byte, pred ZonePred) bool {
-	if len(zone) == 0 || pred.Val.IsNull() {
+// zone could satisfy pred, a comparison whose Col indexes the scan's
+// projected columns. NULL rows never satisfy a comparison, so an
+// all-NULL page is always skippable, and any other page as soon as no
+// value in [min, max] can pass. Any parsing or comparability doubt
+// answers true — pruning is an optimization, never a correctness gate.
+func zoneMayMatch(zone []byte, pred expr.ColCmp) bool {
+	if len(zone) == 0 {
 		return true
 	}
 	switch zone[0] {
@@ -278,30 +264,7 @@ func zoneMayMatch(zone []byte, pred ZonePred) bool {
 			return true
 		}
 		maxD, _, err := types.DecodeDatum(zone[1+n:])
-		if err != nil {
-			return true
-		}
-		if !types.Comparable(minD.K, pred.Val.K) || !types.Comparable(maxD.K, pred.Val.K) {
-			return true
-		}
-		cmpMin := types.Compare(pred.Val, minD) // val vs min
-		cmpMax := types.Compare(pred.Val, maxD) // val vs max
-		switch pred.Op {
-		case ZoneEq:
-			return cmpMin >= 0 && cmpMax <= 0
-		case ZoneNe:
-			// Only a single-valued page of exactly val is skippable.
-			return !(cmpMin == 0 && cmpMax == 0 && types.Compare(minD, maxD) == 0)
-		case ZoneLt:
-			return cmpMin > 0 // min < val
-		case ZoneLe:
-			return cmpMin >= 0 // min <= val
-		case ZoneGt:
-			return cmpMax < 0 // max > val
-		case ZoneGe:
-			return cmpMax <= 0 // max >= val
-		}
-		return true
+		return err != nil || pred.MayMatch(minD, maxD)
 	default:
 		return true
 	}
@@ -309,7 +272,7 @@ func zoneMayMatch(zone []byte, pred ZonePred) bool {
 
 // pageMayMatch evaluates every pushed-down predicate on col against the
 // page's zone bytes; one impossible conjunct rules the whole page out.
-func pageMayMatch(zone []byte, col int, preds []ZonePred) bool {
+func pageMayMatch(zone []byte, col int, preds []expr.ColCmp) bool {
 	for _, p := range preds {
 		if p.Col != col {
 			continue

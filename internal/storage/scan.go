@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"hawq/internal/compress"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/types"
 )
@@ -373,14 +374,14 @@ func (l *layout) project(proj []int, src func(c int) colSrc) {
 // the cache if this is not the key's first miss. It runs on its caller's
 // goroutine and holds the files' readers until Close.
 type BlockScan struct {
-	preds []ZonePred
+	preds []expr.ColCmp
 	fill  blockFill // holds the open files
 	bi    int       // the next block's ordinal
 	done  bool      // end of stream, an error or Close came: nothing follows
 }
 
 // openScan opens every file of the layout.
-func (c *BlockCache) openScan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, preds []ZonePred, st *ScanStats) (*BlockScan, error) {
+func (c *BlockCache) openScan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, preds []expr.ColCmp, st *ScanStats) (*BlockScan, error) {
 	s := &BlockScan{preds: preds}
 	s.fill = blockFill{files: make([]*fileScan, 0, len(l.paths)), l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
 	for i, p := range l.paths {

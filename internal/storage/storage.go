@@ -18,6 +18,7 @@ import (
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/obs"
 	"hawq/internal/types"
@@ -146,14 +147,14 @@ func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sc
 //
 // This entry point reads storage every time. A segment's scans go
 // through its BlockCache instead.
-func ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
+func ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, preds []expr.ColCmp, st *ScanStats, fn func(*types.VecBatch) error) error {
 	return (*BlockCache)(nil).ScanVecBatches(fs, spec, schema, sf, proj, preds, st, fn)
 }
 
 // ScanVecBatches is the package-level ScanVecBatches through the cache:
 // the same batches, with every vector taken from memory when the cache
 // holds it and shared read-only (Vector.Shared) when it does.
-func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, _ *types.Schema, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats, fn func(*types.VecBatch) error) error {
+func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, _ *types.Schema, sf catalog.SegFile, proj []int, preds []expr.ColCmp, st *ScanStats, fn func(*types.VecBatch) error) error {
 	s, err := c.OpenScan(fs, spec, sf, proj, preds, st)
 	if err != nil {
 		return err
@@ -177,7 +178,7 @@ func (c *BlockCache) ScanVecBatches(fs *hdfs.FileSystem, spec catalog.StorageSpe
 // through the cache (a nil cache reads storage every time): the iterator
 // every other entry point loops over. The caller pulls blocks with Next
 // and must Close the scan, early or at the end.
-func (c *BlockCache) OpenScan(fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats) (*BlockScan, error) {
+func (c *BlockCache) OpenScan(fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []expr.ColCmp, st *ScanStats) (*BlockScan, error) {
 	codec, err := compress.Lookup(spec.Codec)
 	if err != nil {
 		return nil, err

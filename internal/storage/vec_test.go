@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hawq/internal/catalog"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/testutil"
 	"hawq/internal/types"
@@ -22,14 +23,14 @@ var vecSpecs = []catalog.StorageSpec{
 
 // scanAllVec materializes every vec batch an uncached vector scan
 // produces.
-func scanAllVec(t *testing.T, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats) []types.Row {
+func scanAllVec(t *testing.T, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []expr.ColCmp, st *ScanStats) []types.Row {
 	t.Helper()
 	return scanAllCached(t, nil, fs, spec, sf, proj, preds, st)
 }
 
 // scanAllCached materializes every vec batch a scan through c produces
 // (nil: uncached).
-func scanAllCached(t *testing.T, c *BlockCache, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []ZonePred, st *ScanStats) []types.Row {
+func scanAllCached(t *testing.T, c *BlockCache, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile, proj []int, preds []expr.ColCmp, st *ScanStats) []types.Row {
 	t.Helper()
 	var out []types.Row
 	err := c.ScanVecBatches(fs, spec, testSchema(), sf, proj, preds, st, func(vb *types.VecBatch) error {
@@ -76,7 +77,7 @@ func TestZoneMapSkipsPages(t *testing.T) {
 			fs := testFS(t)
 			sf := writeAll(t, fs, spec, rows)
 			// k = row index, ascending: k < 100 lives in the first page.
-			preds := []ZonePred{{Col: 0, Op: ZoneLt, Val: types.NewInt64(100)}}
+			preds := []expr.ColCmp{{Col: 0, Op: expr.OpLt, Val: types.NewInt64(100)}}
 			var st ScanStats
 			got := scanAllVec(t, fs, spec, sf, allCols, preds, &st)
 			if st.PagesSkipped == 0 {
@@ -99,9 +100,9 @@ func TestZoneMapSkipsPages(t *testing.T) {
 // any comparison predicate.
 func TestZoneAllNullPageSkips(t *testing.T) {
 	zone := buildZone(nil, []types.Datum{types.Null, types.Null})
-	for op := ZoneEq; op <= ZoneGe; op++ {
-		if zoneMayMatch(zone, ZonePred{Op: op, Val: types.NewInt64(1)}) {
-			t.Errorf("all-NULL page not skipped for op %d", op)
+	for op := expr.OpEq; op <= expr.OpGe; op++ {
+		if zoneMayMatch(zone, expr.ColCmp{Op: op, Val: types.NewInt64(1)}) {
+			t.Errorf("all-NULL page not skipped for op %s", op)
 		}
 	}
 }
@@ -111,32 +112,32 @@ func TestZoneAllNullPageSkips(t *testing.T) {
 func TestZoneMayMatchBounds(t *testing.T) {
 	zone := buildZone(nil, []types.Datum{types.NewInt64(10), types.NewInt64(20)})
 	cases := []struct {
-		op   ZoneOp
+		op   expr.BinOpKind
 		val  int64
 		want bool
 	}{
-		{ZoneEq, 9, false}, {ZoneEq, 10, true}, {ZoneEq, 15, true}, {ZoneEq, 20, true}, {ZoneEq, 21, false},
-		{ZoneLt, 10, false}, {ZoneLt, 11, true},
-		{ZoneLe, 9, false}, {ZoneLe, 10, true},
-		{ZoneGt, 20, false}, {ZoneGt, 19, true},
-		{ZoneGe, 21, false}, {ZoneGe, 20, true},
-		{ZoneNe, 15, true},
+		{expr.OpEq, 9, false}, {expr.OpEq, 10, true}, {expr.OpEq, 15, true}, {expr.OpEq, 20, true}, {expr.OpEq, 21, false},
+		{expr.OpLt, 10, false}, {expr.OpLt, 11, true},
+		{expr.OpLe, 9, false}, {expr.OpLe, 10, true},
+		{expr.OpGt, 20, false}, {expr.OpGt, 19, true},
+		{expr.OpGe, 21, false}, {expr.OpGe, 20, true},
+		{expr.OpNe, 15, true},
 	}
 	for _, c := range cases {
-		if got := zoneMayMatch(zone, ZonePred{Op: c.op, Val: types.NewInt64(c.val)}); got != c.want {
-			t.Errorf("op %d val %d: mayMatch=%v, want %v", c.op, c.val, got, c.want)
+		if got := zoneMayMatch(zone, expr.ColCmp{Op: c.op, Val: types.NewInt64(c.val)}); got != c.want {
+			t.Errorf("op %s val %d: mayMatch=%v, want %v", c.op, c.val, got, c.want)
 		}
 	}
 	// A single-valued page is skippable for Ne of exactly that value.
 	single := buildZone(nil, []types.Datum{types.NewInt64(7), types.NewInt64(7)})
-	if zoneMayMatch(single, ZonePred{Op: ZoneNe, Val: types.NewInt64(7)}) {
+	if zoneMayMatch(single, expr.ColCmp{Op: expr.OpNe, Val: types.NewInt64(7)}) {
 		t.Error("single-valued page not skipped for Ne of its value")
 	}
-	if !zoneMayMatch(single, ZonePred{Op: ZoneNe, Val: types.NewInt64(8)}) {
+	if !zoneMayMatch(single, expr.ColCmp{Op: expr.OpNe, Val: types.NewInt64(8)}) {
 		t.Error("single-valued page wrongly skipped for Ne of another value")
 	}
 	// Incomparable constant kinds never prune.
-	if !zoneMayMatch(zone, ZonePred{Op: ZoneEq, Val: types.NewString("x")}) {
+	if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpEq, Val: types.NewString("x")}) {
 		t.Error("incomparable predicate pruned a page")
 	}
 }

@@ -49,8 +49,13 @@
 #                                  mode handshake and the row-batch
 #                                  expression kernels are not back, no
 #                                  frame is written to a served
-#                                  connection's raw socket again, and
-#                                  the executor starts no goroutine
+#                                  connection's raw socket again, the
+#                                  executor starts no goroutine, no
+#                                  second form of "column ⋄ constant"
+#                                  (zone operators, the planner's own
+#                                  recognizer, the HBase text parser —
+#                                  no regexp in internal/pxf) returns,
+#                                  and a sort spills only to workfiles
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -125,6 +130,14 @@ if grep -rnE 'batch[F]eed|feed[I]tem|Enable[V]ec|errScan[S]topped|func Filter[B]
 fi
 if grep -nE 'go func' $(ls internal/executor/*.go | grep -v '_test\.go$'); then
     echo "stays deleted: a slice runs on one goroutine; internal/executor starts none (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'parseKey[F]ilter|filter[C]onjuncts|Pushed[F]ilter|zoneOp[O]f|func col[V]alue|type Zone[O]p|spill[R]un|hawq-[s]ort-' internal cmd bench_test.go; then
+    echo "stays deleted: a second comparison form (storage's zone operators, the planner's recognizer, the HBase text parser) or the sort's bare temp-file runs are back (see above)" >&2
+    exit 1
+fi
+if grep -nE '"regexp"' $(ls internal/pxf/*.go | grep -v '_test\.go$'); then
+    echo "stays deleted: a connector reads its pushed filter as expr.ColCmp values, never by parsing text (see above)" >&2
     exit 1
 fi
 
