@@ -135,28 +135,16 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 // truncateToLogical trims a lane's physical files back to the committed
 // logical lengths, using the HDFS truncate operation (§5.3).
 func (c *Cluster) truncateToLogical(desc *catalog.TableDesc, sf catalog.SegFile) error {
-	trunc := func(path string, logical int64) error {
-		st, err := c.FS.Stat(path)
+	for _, f := range storage.LaneFiles(desc.Storage, desc.Schema.Len(), sf) {
+		st, err := c.FS.Stat(f.Path)
 		if err != nil {
-			return nil // never materialized
+			continue // never materialized
 		}
-		if st.Length > logical {
-			return c.FS.Truncate(path, logical)
-		}
-		return nil
-	}
-	if desc.Storage.Orientation == catalog.OrientColumn {
-		n := desc.Schema.Len()
-		for i := 0; i < n; i++ {
-			logical := int64(0)
-			if i < len(sf.ColLens) {
-				logical = sf.ColLens[i]
-			}
-			if err := trunc(storage.ColFilePath(sf.Path, i), logical); err != nil {
+		if st.Length > f.Len {
+			if err := c.FS.Truncate(f.Path, f.Len); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	return trunc(sf.Path, sf.LogicalLen)
+	return nil
 }

@@ -171,19 +171,11 @@ func (e *Engine) compactThreshold() int64 {
 	return defaultCompactSmallBytes
 }
 
-// deleteSegFilePhysical removes a segment file's HDFS bytes: the single
-// lane file for row/parquet orientation, one file per column for CO.
+// deleteSegFilePhysical removes every HDFS file of a segment file's lane.
 func deleteSegFilePhysical(fs *hdfs.FileSystem, desc *catalog.TableDesc, sf catalog.SegFile) {
-	paths := []string{sf.Path}
-	if desc.Storage.Orientation == catalog.OrientColumn {
-		paths = paths[:0]
-		for i := range desc.Schema.Columns {
-			paths = append(paths, storage.ColFilePath(sf.Path, i))
-		}
-	}
-	for _, p := range paths {
+	for _, f := range storage.LaneFiles(desc.Storage, desc.Schema.Len(), sf) {
 		// Best-effort: a missing file is fine, a leaked one is a leak.
 		//hawqcheck:ignore errdrop
-		fs.Delete(p, false)
+		fs.Delete(f.Path, false)
 	}
 }

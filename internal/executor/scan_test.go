@@ -141,7 +141,7 @@ func TestVecScanErrorReachesAgg(t *testing.T) {
 	// A flipped byte in the middle of column k's file: the blocks before
 	// it are with the consumer when a checksum fails.
 	descBad, bad := writeCOTable(t, fs, 8, "bad", intsSchema("k", "v"), rows)
-	path := storage.ColFilePath(bad[0].Path, 0)
+	path := storage.LaneFiles(descBad.Storage, descBad.Schema.Len(), bad[0])[0].Path
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -441,9 +441,17 @@ func TestProjectionParity(t *testing.T) {
 	}
 }
 
+// rowGroup frames raw, rows EncodeRow frames, as one AO group: what the
+// AO writer flushes.
+func rowGroup(codec compress.Codec, rows int, raw []byte) []byte {
+	var g group
+	g.add(codec, pageEncRows, nil, raw)
+	return g.appendTo(nil, rows)
+}
+
 // TestAOTruncatedSkippedColumnIsCorruption: the projected row walk
 // steps over unwanted columns without decoding them, and must notice a
-// row that ends inside one as surely as a full decode would. The block
+// row that ends inside one as surely as a full decode would. The group
 // is framed over the short payload, so its checksum is good and only
 // the walk can tell.
 func TestAOTruncatedSkippedColumnIsCorruption(t *testing.T) {
@@ -458,7 +466,7 @@ func TestAOTruncatedSkippedColumnIsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		block := appendBlock(nil, c, 1, raw)
+		block := rowGroup(c, 1, raw)
 		sf := catalog.SegFile{Path: "/data/cut/" + codec, LogicalLen: int64(len(block))}
 		if err := fs.WriteFile(sf.Path, block, hdfs.CreateOptions{}); err != nil {
 			t.Fatal(err)

@@ -53,16 +53,10 @@ func appendRows(t testing.TB, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf 
 // lengths in sf.
 func truncateLane(t testing.TB, fs *hdfs.FileSystem, spec catalog.StorageSpec, sf catalog.SegFile) {
 	t.Helper()
-	if spec.Orientation == catalog.OrientColumn {
-		for i, n := range sf.ColLens {
-			if err := fs.Truncate(ColFilePath(sf.Path, i), n); err != nil {
-				t.Fatal(err)
-			}
+	for _, f := range LaneFiles(spec, testSchema().Len(), sf) {
+		if err := fs.Truncate(f.Path, f.Len); err != nil {
+			t.Fatal(err)
 		}
-		return
-	}
-	if err := fs.Truncate(sf.Path, sf.LogicalLen); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -346,11 +340,10 @@ func TestCacheNeverAdmitsCorruption(t *testing.T) {
 	for _, spec := range cacheSpecs {
 		fs := testFS(t)
 		sf := writeAll(t, fs, spec, testRows(30000))
-		// The last bytes of a Parquet group belong to its last column.
-		path, proj := sf.Path, []int{3}
-		if spec.Orientation == catalog.OrientColumn {
-			path = ColFilePath(sf.Path, 3)
-		}
+		// The last bytes of a Parquet group belong to its last column, and
+		// a CO lane's last file is that column's.
+		files, proj := LaneFiles(spec, testSchema().Len(), sf), []int{3}
+		path := files[len(files)-1].Path
 		blocks := int32(0)
 		if err := ScanVecBatches(fs, spec, testSchema(), sf, proj, nil, nil, func(vb *types.VecBatch) error {
 			blocks++
@@ -403,7 +396,7 @@ func TestCacheNeverAdmitsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := appendBlock(nil, codec, 1, raw)
+	block := rowGroup(codec, 1, raw)
 	sf := catalog.SegFile{Path: "/data/cut", LogicalLen: int64(len(block))}
 	if err := fs.WriteFile(sf.Path, block, hdfs.CreateOptions{}); err != nil {
 		t.Fatal(err)

@@ -8,10 +8,10 @@ import (
 	"hawq/internal/types"
 )
 
-// Per-page lightweight encodings (the enc byte in a page header).
-// The payload these describe is what gets compressed by the block
-// codec, so a well-encoded page is both smaller on disk and cheaper to
-// evaluate: predicates run once per run or per dictionary entry.
+// Per-chunk encodings (the enc byte of a chunk in a group header). The
+// payload these describe is what gets compressed by the block codec, so
+// a well-encoded page is both smaller on disk and cheaper to evaluate:
+// predicates run once per run or per dictionary entry.
 const (
 	// pageEncFlat is one EncodeDatum per row.
 	pageEncFlat = 0
@@ -20,6 +20,11 @@ const (
 	// pageEncDict stores a dictionary (count uvarint, then the entries)
 	// followed by one uvarint code per row.
 	pageEncDict = 2
+	// pageEncRows is an AO chunk: one EncodeRow frame per row, every
+	// column. It is no column page (decodePage refuses it) and the only
+	// chunk the row transposition accepts, which is what tells a lane
+	// read under the wrong orientation from its own.
+	pageEncRows = 3
 )
 
 // maxDictEntries caps the per-page dictionary. A page whose column
@@ -189,7 +194,7 @@ func decodePage(b *types.VecBuilder, enc byte, raw []byte, rowCount int, v *type
 	}
 }
 
-// Zone-map flags (first byte of the zone bytes in a v2 page header).
+// Zone-map flags (first byte of a chunk's zone bytes).
 const (
 	// zoneNone means no zone information — the page may contain
 	// anything, so it can never be skipped.

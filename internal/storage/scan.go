@@ -6,41 +6,43 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"unsafe"
 
+	"hawq/internal/catalog"
 	"hawq/internal/compress"
 	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/types"
 )
 
-// blockMeta is one directory entry: where a block (AO, CO) or row group
-// (Parquet) sits in its file and how many rows it holds.
+// blockMeta is one directory entry: where a row group sits in its file
+// and how many rows it holds.
 type blockMeta struct {
 	off, end int64
 	rows     int32
 }
 
-// chunkMeta locates one checksummed, compressed payload: the payload of
-// an AO or CO block, or one column chunk of a Parquet row group. In all
-// three formats the four checksum bytes sit immediately before the
-// compressed bytes, so off addresses the checksum.
+// chunkMeta locates one checksummed, compressed chunk of a row group: an
+// AO file's rows, a CO column page or one of a Parquet group's column
+// pages. The four checksum bytes sit immediately before the compressed
+// bytes, so off addresses the checksum.
 type chunkMeta struct {
 	off     int64
 	compLen int32
-	// rawLen is the decompressed length the header promises, -1 when the
-	// format records none (Parquet).
+	// rawLen is the decompressed length the header promises.
 	rawLen int32
 	// zoneOff and zoneLen locate the chunk's zone-map bytes in the
 	// directory's zone arena (zoneLen 0: no zone information).
 	zoneOff, zoneLen int32
-	// enc is the page encoding (pageEncFlat for AO).
+	// enc is the chunk's encoding: pageEncRows for AO, a page encoding
+	// for a column.
 	enc byte
 }
 
-// fileDir is the block directory of a prefix of one file. Every block
+// fileDir is the group directory of a prefix of one file. Every group
 // has per chunks (1 for AO and CO, the column count for Parquet), kept
-// flat: block i owns chunks[i*per : (i+1)*per]. The three slices are
+// flat: group i owns chunks[i*per : (i+1)*per]. The three slices are
 // pointer-free and only ever appended to, so a copy of the struct is a
 // consistent snapshot.
 type fileDir struct {
@@ -84,78 +86,87 @@ type truncated string
 
 func (e truncated) Error() string { return string(e) }
 
-// parseFn parses the block that starts at file offset off, whose bytes
-// from there on are d, and appends it to dir: one blockMeta, its
-// chunkMetas and their zone bytes. The whole block must lie inside d.
-type parseFn func(d []byte, off int64, dir *fileDir) error
-
-// parseAOBlock is the parseFn of AO files: a flat block (appendBlock).
-func parseAOBlock(d []byte, off int64, dir *fileDir) error {
-	return parseBlock(blockMagic, d, off, dir)
-}
-
-// parseCOBlock is the parseFn of CO files: a block that carries its page
-// encoding and zone map (appendBlockV2).
-func parseCOBlock(d []byte, off int64, dir *fileDir) error {
-	return parseBlock(blockMagicV2, d, off, dir)
-}
-
-// parseBlock parses one block of the format magic names; any other
-// first byte is not a block of this file.
-func parseBlock(magic byte, d []byte, off int64, dir *fileDir) error {
-	short := truncated("storage: truncated block header")
-	if len(d) < 2 {
-		return short
+// parseGroup parses the row group that starts at file offset off, whose
+// bytes from there on are d, and appends it to dir: one blockMeta, its
+// chunkMetas and their zone bytes. It is the one header parser of every
+// format. The whole group must lie inside d; a truncated error means d
+// ran out first, and any other error that the bytes it read are no group.
+func parseGroup(d []byte, off int64, dir *fileDir) error {
+	if len(d) == 0 {
+		return truncated("storage: truncated group header")
 	}
-	if d[0] != magic {
-		return fmt.Errorf("storage: bad block magic 0x%02x at offset %d", d[0], off)
+	if d[0] != groupMagic {
+		return fmt.Errorf("storage: bad group magic 0x%02x at offset %d", d[0], off)
 	}
-	ch := chunkMeta{zoneOff: int32(len(dir.zones))}
 	p := 1
-	if magic == blockMagicV2 {
-		ch.enc = d[1]
-		p = 2
-	}
-	rowCount, n := binary.Uvarint(d[p:])
-	if n <= 0 {
-		return short
-	}
-	p += n
-	var zone []byte
-	if magic == blockMagicV2 {
-		zoneLen, n := binary.Uvarint(d[p:])
-		if n <= 0 {
-			return short
+	next := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(d[p:])
+		if n == 0 {
+			return 0, truncated("storage: truncated group " + what)
+		}
+		if n < 0 || v > math.MaxInt32 {
+			return 0, fmt.Errorf("storage: group at offset %d: %s out of range", off, what)
 		}
 		p += n
-		if uint64(len(d)-p) < zoneLen {
-			return truncated("storage: truncated zone map")
+		return v, nil
+	}
+	rows, err := next("row count")
+	if err != nil {
+		return err
+	}
+	nchunks, err := next("chunk count")
+	if err != nil {
+		return err
+	}
+	if nchunks == 0 || len(dir.blocks) > 0 && int(nchunks) != dir.per {
+		return fmt.Errorf("storage: group at offset %d has %d chunks, earlier groups %d", off, nchunks, dir.per)
+	}
+	// Nothing is kept until the whole group has parsed: a truncated parse
+	// is retried on a longer window.
+	nch, nzones := len(dir.chunks), len(dir.zones)
+	fail := func(err error) error {
+		dir.chunks, dir.zones = dir.chunks[:nch], dir.zones[:nzones]
+		return err
+	}
+	for i := 0; i < int(nchunks); i++ {
+		if p >= len(d) {
+			return fail(truncated("storage: truncated group header"))
 		}
-		zone = d[p : p+int(zoneLen)]
+		ch := chunkMeta{enc: d[p], zoneOff: int32(len(dir.zones))}
+		p++
+		zoneLen, err := next("zone map length")
+		if err != nil {
+			return fail(err)
+		}
+		if uint64(len(d)-p) < zoneLen {
+			return fail(truncated("storage: truncated zone map"))
+		}
+		ch.zoneLen = int32(zoneLen)
+		dir.zones = append(dir.zones, d[p:p+int(zoneLen)]...)
 		p += int(zoneLen)
+		dir.chunks = append(dir.chunks, ch)
 	}
-	rawLen, n := binary.Uvarint(d[p:])
-	if n <= 0 {
-		return short
+	for i := nch; i < len(dir.chunks); i++ {
+		rawLen, err := next("chunk length")
+		if err != nil {
+			return fail(err)
+		}
+		compLen, err := next("chunk length")
+		if err != nil {
+			return fail(err)
+		}
+		dir.chunks[i].rawLen, dir.chunks[i].compLen = int32(rawLen), int32(compLen)
 	}
-	p += n
-	compLen, n := binary.Uvarint(d[p:])
-	if n <= 0 {
-		return short
+	end := off + int64(p)
+	for i := nch; i < len(dir.chunks); i++ {
+		dir.chunks[i].off = end
+		end += 4 + int64(dir.chunks[i].compLen)
 	}
-	p += n
-	if uint64(len(d)-p) < 4+compLen {
-		return truncated("storage: truncated block body")
+	if end-off > int64(len(d)) {
+		return fail(truncated("storage: truncated group body"))
 	}
-	if rowCount > math.MaxInt32 || rawLen > math.MaxInt32 {
-		return fmt.Errorf("storage: block header at offset %d out of range (%d rows, %d bytes)", off, rowCount, rawLen)
-	}
-	ch.off = off + int64(p)
-	ch.compLen, ch.rawLen, ch.zoneLen = int32(compLen), int32(rawLen), int32(len(zone))
-	dir.per = 1
-	dir.blocks = append(dir.blocks, blockMeta{off: off, end: ch.off + 4 + int64(compLen), rows: int32(rowCount)})
-	dir.chunks = append(dir.chunks, ch)
-	dir.zones = append(dir.zones, zone...)
+	dir.per = int(nchunks)
+	dir.blocks = append(dir.blocks, blockMeta{off: off, end: end, rows: int32(rows)})
 	return nil
 }
 
@@ -170,8 +181,7 @@ const readAhead = 1 << 20
 type fileScan struct {
 	path  string
 	r     *hdfs.FileReader
-	end   int64 // committed logical length: nothing past it exists
-	parse parseFn
+	end   int64       // committed logical length: nothing past it exists
 	cf    *cachedFile // nil: uncached
 	known fileDir     // snapshot of the cached directory
 	grown fileDir     // blocks parsed by this scan, continuing known
@@ -193,8 +203,8 @@ type fileScan struct {
 // the cache validates against) and its physical length. A zero length
 // opens nothing: the file may not exist yet when the lane has never
 // committed an insert.
-func (c *BlockCache) openFileScan(fs *hdfs.FileSystem, path string, length int64, parse parseFn) (*fileScan, error) {
-	f := &fileScan{path: path, end: length, parse: parse}
+func (c *BlockCache) openFileScan(fs *hdfs.FileSystem, path string, length int64) (*fileScan, error) {
+	f := &fileScan{path: path, end: length}
 	if length == 0 {
 		return f, nil
 	}
@@ -250,7 +260,7 @@ func (f *fileScan) advance(bi int) (bool, error) {
 				}
 			}
 			d := f.win[f.off-f.base:]
-			err := f.parse(d, f.off, &f.grown)
+			err := parseGroup(d, f.off, &f.grown)
 			if err == nil {
 				break
 			}
@@ -315,7 +325,7 @@ func (f *fileScan) payload(k int, codec compress.Codec) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	if want := f.chunks[k].rawLen; want >= 0 && len(raw) != int(want) {
+	if want := f.chunks[k].rawLen; len(raw) != int(want) {
 		return nil, fmt.Errorf("storage: block raw length %d, want %d", len(raw), want)
 	}
 	return raw, nil
@@ -331,13 +341,11 @@ type colSrc struct{ file, chunk, col int }
 func (s colSrc) key(block int) vecKey { return vecKey{int32(block), int32(s.chunk + s.col)} }
 
 // layout is how one table format lays a lane out, as far as a scan of
-// given columns is concerned: the files to walk in lockstep (block i of
-// each covers the same rows), their header parser, and the source of
-// every distinct column the scan outputs.
+// given columns is concerned: the files to walk in lockstep (group i of
+// each covers the same rows) and the source of every distinct column the
+// scan outputs.
 type layout struct {
-	paths []string
-	lens  []int64
-	parse parseFn
+	files []LaneFile
 	// rowMajor: chunks hold whole encoded rows (AO) and are transposed
 	// into column vectors; otherwise a chunk is one column's page.
 	rowMajor bool
@@ -348,6 +356,43 @@ type layout struct {
 	// its other positions.
 	out   []int
 	first []int
+}
+
+// newLayout lays out the lane sf of a table stored as spec says for a
+// scan of proj. AO and Parquet walk the lane's one file: AO transposes
+// the one chunk of a group, Parquet decodes the chunk of each projected
+// column. CO walks the projected columns' files, one page each, and a
+// zero-column scan (COUNT(*)) only the smallest file: every column file
+// carries the row counts. Only the files walked are named.
+func newLayout(spec catalog.StorageSpec, sf catalog.SegFile, proj []int) (*layout, error) {
+	l := &layout{}
+	switch spec.Orientation {
+	case catalog.OrientRow, "":
+		l.files, l.rowMajor = []LaneFile{laneFile(spec, sf, 0)}, true
+		l.project(proj, func(c int) colSrc { return colSrc{col: c} })
+	case catalog.OrientParquet:
+		l.files = []LaneFile{laneFile(spec, sf, 0)}
+		l.project(proj, func(c int) colSrc { return colSrc{chunk: c} })
+	case catalog.OrientColumn:
+		if len(sf.ColLens) == 0 {
+			return l, nil // never committed
+		}
+		if len(proj) == 0 {
+			l.files = []LaneFile{laneFile(spec, sf, slices.Index(sf.ColLens, slices.Min(sf.ColLens)))}
+		}
+		for _, c := range proj {
+			if c >= len(sf.ColLens) {
+				return nil, fmt.Errorf("storage: CO projection column %d out of range", c)
+			}
+		}
+		l.project(proj, func(c int) colSrc {
+			l.files = append(l.files, laneFile(spec, sf, c))
+			return colSrc{file: len(l.files) - 1}
+		})
+	default:
+		return nil, fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
+	}
+	return l, nil
 }
 
 // project fills srcs and out from a projection, with src building the
@@ -383,9 +428,9 @@ type BlockScan struct {
 // openScan opens every file of the layout.
 func (c *BlockCache) openScan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, preds []expr.ColCmp, st *ScanStats) (*BlockScan, error) {
 	s := &BlockScan{preds: preds}
-	s.fill = blockFill{files: make([]*fileScan, 0, len(l.paths)), l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
-	for i, p := range l.paths {
-		f, err := c.openFileScan(fs, p, l.lens[i], l.parse)
+	s.fill = blockFill{files: make([]*fileScan, 0, len(l.files)), l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
+	for _, lf := range l.files {
+		f, err := c.openFileScan(fs, lf.Path, lf.Len)
 		if err != nil {
 			return nil, errors.Join(err, s.Close())
 		}
@@ -498,12 +543,15 @@ type blockFill struct {
 
 func (b *blockFill) block(bi int, vb *types.VecBatch) error {
 	l := b.l
-	if len(l.srcs) == 0 && l.rowMajor && b.files[0].fresh {
+	if f := b.files[0]; len(l.srcs) == 0 && f.fresh {
 		// A zero-column scan takes row counts from the headers, but a
-		// row-major block enters the directory verified: a corrupted
-		// file fails COUNT(*) like any other scan of it.
-		if _, err := b.files[0].stored(0); err != nil {
-			return err
+		// group it parsed itself, whose bytes are in the window, enters
+		// the directory verified: a corrupted file fails COUNT(*) like
+		// any other scan of it, in every format.
+		for k := range f.chunks {
+			if _, err := f.stored(k); err != nil {
+				return err
+			}
 		}
 	}
 	b.missed = b.missed[:0]
@@ -550,8 +598,13 @@ func (b *blockFill) block(bi int, vb *types.VecBatch) error {
 // into flat typed vectors, walking every row once: wanted columns decode
 // onto their vectors, the rest are stepped over.
 func (b *blockFill) transpose(vb *types.VecBatch) error {
-	l := b.l
-	raw, err := b.files[0].payload(0, b.codec)
+	l, f := b.l, b.files[0]
+	// The one encoding that marks a row file: a page of any other lane
+	// read as rows is refused, as decodePage refuses rows.
+	if enc := f.chunks[0].enc; enc != pageEncRows {
+		return fmt.Errorf("storage: %s: group at offset %d holds a column page (encoding %d), not rows", f.path, f.cur.off, enc)
+	}
+	raw, err := f.payload(0, b.codec)
 	if err != nil {
 		return err
 	}

@@ -1,20 +1,27 @@
 // Package storage implements HAWQ's read-optimized table formats on HDFS
 // (§2.5): AO (row-oriented append-only), CO (column-oriented, one file
-// per column) and a Parquet-like PAX format storing column chunks inside
-// row groups of a single file. All three compress blocks with any codec
-// from internal/compress and checksum every block.
+// per column) and a Parquet-like PAX format. The three differ only in how
+// a lane's columns are split across files. Every file of every format is
+// a run of row groups in one framing (group, parseGroup): a group holds
+// checksummed, compressed chunks — an AO group one chunk of whole encoded
+// rows, a CO group one column page, a Parquet group a page of every
+// column — each chunk with its encoding and zone map in the header, ahead
+// of every payload. LaneFiles is the one place that knows which files
+// make up a lane.
 //
 // Writers append only; visibility is enforced by the caller scanning no
 // further than the committed logical length recorded in the catalog
-// (§5). Writers always flush whole blocks, so a committed logical length
-// always falls on a block boundary, and garbage from an aborted insert
+// (§5). Writers always flush whole groups, so a committed logical length
+// always falls on a group boundary, and garbage from an aborted insert
 // beyond it is skipped entirely (and truncated before the next append).
 package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"hawq/internal/catalog"
 	"hawq/internal/compress"
@@ -27,14 +34,10 @@ import (
 // DefaultBlockTarget is the uncompressed block size writers aim for.
 const DefaultBlockTarget = 64 * 1024
 
-// blockMagic marks an AO block: flat datum payload, no page metadata (a
-// row-oriented payload has no per-column encoding to describe).
-const blockMagic = 0xA7
-
-// blockMagicV2 marks a CO block, whose header additionally carries the
-// page encoding byte and the zone-map bytes. Each format's reader
-// accepts its own magic only.
-const blockMagicV2 = 0xA8
+// groupMagic opens every row group. The magics of the framings it
+// replaced (0xA7 AO, 0xA8 CO, 0xB3 and 0xB4 Parquet) are bad magic: HDFS
+// is in-process, so no file of theirs outlives the process that wrote it.
+const groupMagic = 0xB5
 
 // pagesSkipped counts pages (CO aligned block sets, Parquet row groups)
 // whose zone maps proved no row could match a pushed-down predicate, so
@@ -65,7 +68,8 @@ func (st *ScanStats) notePageSkipped() {
 type Writer interface {
 	// Append buffers one row.
 	Append(row types.Row) error
-	// Flush writes buffered rows as a block.
+	// Flush writes buffered rows as one row group in each of the lane's
+	// files.
 	Flush() error
 	// Close flushes and closes the underlying HDFS files.
 	Close() error
@@ -88,15 +92,62 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 		return nil, err
 	}
 	switch spec.Orientation {
-	case catalog.OrientRow, "":
-		return newAOWriter(fs, codec, sf, opts)
-	case catalog.OrientColumn:
-		return newCOWriter(fs, codec, schema, sf, opts)
-	case catalog.OrientParquet:
-		return newParquetWriter(fs, codec, schema, sf, opts)
+	case catalog.OrientRow, "", catalog.OrientColumn, catalog.OrientParquet:
 	default:
 		return nil, fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
 	}
+	files := LaneFiles(spec, schema.Len(), sf)
+	out := laneOut{codec: codec, lens: make([]int64, len(files)), tuples: sf.Tuples, co: spec.Orientation == catalog.OrientColumn}
+	for i, f := range files {
+		fw, err := fs.CreateOrAppend(f.Path, opts)
+		if err != nil {
+			return nil, errors.Join(err, out.close())
+		}
+		out.files = append(out.files, fw)
+		out.lens[i] = f.Len
+	}
+	switch spec.Orientation {
+	case catalog.OrientColumn, catalog.OrientParquet:
+		return &colWriter{laneOut: out, vals: make([][]types.Datum, schema.Len())}, nil
+	default:
+		return &aoWriter{laneOut: out}, nil
+	}
+}
+
+// LaneFile is one HDFS file of a lane and how many of its bytes are
+// committed.
+type LaneFile struct {
+	Path string
+	Len  int64
+}
+
+// LaneFiles returns the files that make up the lane sf of a table of
+// ncols columns stored as spec says, each at its committed length: AO
+// and Parquet keep a lane in one file, CO one file per column. Nothing
+// outside this package knows how a format splits a lane.
+func LaneFiles(spec catalog.StorageSpec, ncols int, sf catalog.SegFile) []LaneFile {
+	if spec.Orientation != catalog.OrientColumn {
+		ncols = 1
+	}
+	files := make([]LaneFile, ncols)
+	for i := range files {
+		files[i] = laneFile(spec, sf, i)
+	}
+	return files
+}
+
+// laneFile is file i of LaneFiles: the lane's one file, or CO's file of
+// column i. A column file the catalog has no length for (the lane's
+// first insert has not committed) is at length 0.
+func laneFile(spec catalog.StorageSpec, sf catalog.SegFile, i int) LaneFile {
+	if spec.Orientation != catalog.OrientColumn {
+		return LaneFile{sf.Path, sf.LogicalLen}
+	}
+	f := LaneFile{Path: fmt.Sprintf("%s.c%d", sf.Path, i)}
+	if i < len(sf.ColLens) {
+		f.Len = sf.ColLens[i]
+	}
+	return f
 }
 
 // Scan reads the committed contents of one segment file, calling fn for
@@ -119,8 +170,8 @@ func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, s
 }
 
 // ScanBatches is the batch variant of Scan: fn receives the projected
-// rows of one storage block (AO, CO) or row group (Parquet) at a time,
-// materialized column by column into a pooled types.Batch. Ownership of
+// rows of one row group at a time, materialized column by column into a
+// pooled types.Batch. Ownership of
 // each batch transfers to fn, which must release it with types.PutBatch
 // (or hand it on) — the scan never touches a batch again after fn
 // returns.
@@ -183,62 +234,101 @@ func (c *BlockCache) OpenScan(fs *hdfs.FileSystem, spec catalog.StorageSpec, sf 
 	if err != nil {
 		return nil, err
 	}
-	var l *layout
-	switch spec.Orientation {
-	case catalog.OrientRow, "":
-		l = aoLayout(sf, proj)
-	case catalog.OrientColumn:
-		l, err = coLayout(sf, proj)
-	case catalog.OrientParquet:
-		l = parquetLayout(sf, proj)
-	default:
-		err = fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
-	}
+	l, err := newLayout(spec, sf, proj)
 	if err != nil {
 		return nil, err
 	}
 	return c.openScan(fs, codec, l, preds, st)
 }
 
-// ColFilePath returns the HDFS path of column i of a CO table lane.
-func ColFilePath(base string, col int) string {
-	return fmt.Sprintf("%s.c%d", base, col)
+// group builds one row group a chunk at a time. Its buffers are the
+// writer's scratch, reused from group to group:
+//
+//	magic(1) | rows uvarint | nchunks uvarint |
+//	  nchunks × (enc(1) | zoneLen uvarint | zone) |
+//	  nchunks × (rawLen uvarint | compLen uvarint) |
+//	  nchunks × (crc32(comp)(4) | comp)
+//
+// Every encoding byte and zone map sits before any payload, so a reader
+// can skip a group, or a chunk, from the header alone; every chunk's
+// checksum sits immediately before its compressed bytes.
+type group struct {
+	head, lens, body []byte
+	n                int
 }
 
-// appendBlock frames payload as one checksummed, compressed AO block:
-//
-//	magic(1) | rowCount uvarint | rawLen uvarint | compLen uvarint |
-//	crc32(comp)(4) | comp bytes
-func appendBlock(dst []byte, codec compress.Codec, rowCount int, raw []byte) []byte {
-	comp := codec.Compress(nil, raw)
-	dst = append(dst, blockMagic)
-	dst = binary.AppendUvarint(dst, uint64(rowCount))
-	dst = binary.AppendUvarint(dst, uint64(len(raw)))
-	dst = binary.AppendUvarint(dst, uint64(len(comp)))
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(comp))
-	dst = append(dst, crc[:]...)
-	return append(dst, comp...)
+// add compresses raw, a chunk of encoding enc with zone map zone, into
+// the group.
+func (g *group) add(codec compress.Codec, enc byte, zone, raw []byte) {
+	g.head = append(g.head, enc)
+	g.head = binary.AppendUvarint(g.head, uint64(len(zone)))
+	g.head = append(g.head, zone...)
+	at := len(g.body)
+	g.body = codec.Compress(append(g.body, 0, 0, 0, 0), raw)
+	comp := g.body[at+4:]
+	binary.BigEndian.PutUint32(g.body[at:], crc32.ChecksumIEEE(comp))
+	g.lens = binary.AppendUvarint(g.lens, uint64(len(raw)))
+	g.lens = binary.AppendUvarint(g.lens, uint64(len(comp)))
+	g.n++
 }
 
-// appendBlockV2 frames one encoded column page as a v2 block:
-//
-//	magic(1) | enc(1) | rowCount uvarint | zoneLen uvarint | zone |
-//	rawLen uvarint | compLen uvarint | crc32(comp)(4) | comp bytes
-//
-// The encoding byte and zone map sit before the compressed payload so
-// a reader can decide to skip the page without checksumming or
-// decompressing it.
-func appendBlockV2(dst []byte, codec compress.Codec, rowCount int, enc byte, zone, raw []byte) []byte {
-	comp := codec.Compress(nil, raw)
-	dst = append(dst, blockMagicV2, enc)
-	dst = binary.AppendUvarint(dst, uint64(rowCount))
-	dst = binary.AppendUvarint(dst, uint64(len(zone)))
-	dst = append(dst, zone...)
-	dst = binary.AppendUvarint(dst, uint64(len(raw)))
-	dst = binary.AppendUvarint(dst, uint64(len(comp)))
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(comp))
-	dst = append(dst, crc[:]...)
-	return append(dst, comp...)
+// appendTo frames the group's chunks, which cover rows rows, onto dst and
+// empties the group for the next.
+func (g *group) appendTo(dst []byte, rows int) []byte {
+	dst = append(dst, groupMagic)
+	dst = binary.AppendUvarint(dst, uint64(rows))
+	dst = binary.AppendUvarint(dst, uint64(g.n))
+	dst = append(append(append(dst, g.head...), g.lens...), g.body...)
+	g.head, g.lens, g.body, g.n = g.head[:0], g.lens[:0], g.body[:0], 0
+	return dst
 }
+
+// laneOut is the file side of every writer: the lane's files open for
+// append, their lengths after the last flush, the rows written and the
+// framing scratch.
+type laneOut struct {
+	files  []*hdfs.FileWriter
+	lens   []int64
+	co     bool // the catalog records every file's length (CO)
+	tuples int64
+	codec  compress.Codec
+	group  group
+	out    []byte
+}
+
+// Lens implements Writer: CO reports every column file's length beside
+// their sum, AO and Parquet their one file's.
+func (o *laneOut) Lens() (int64, []int64) {
+	if !o.co {
+		return o.lens[0], nil
+	}
+	var total int64
+	for _, l := range o.lens {
+		total += l
+	}
+	return total, slices.Clone(o.lens)
+}
+
+// write frames the group built so far, covering rows rows, onto file i.
+func (o *laneOut) write(i, rows int) error {
+	o.out = o.group.appendTo(o.out[:0], rows)
+	if _, err := o.files[i].Write(o.out); err != nil {
+		return err
+	}
+	o.lens[i] += int64(len(o.out))
+	return nil
+}
+
+// close closes every file, reporting the first error.
+func (o *laneOut) close() error {
+	var err error
+	for _, fw := range o.files {
+		if cerr := fw.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// Tuples implements Writer.
+func (o *laneOut) Tuples() int64 { return o.tuples }

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"hawq/internal/catalog"
@@ -188,33 +191,65 @@ func TestAppendResumeAcrossSessions(t *testing.T) {
 	}
 }
 
-func TestChecksumDetectsCorruption(t *testing.T) {
-	rows := testRows(200)
-	spec := catalog.StorageSpec{Orientation: catalog.OrientRow, Codec: "none"}
-	fs := testFS(t)
-	sf := writeAll(t, fs, spec, rows)
-	// Corrupt a byte in the middle of the file by rewriting it.
-	data, err := fs.ReadFile(sf.Path)
+// flipInChunk flips a byte in the middle of chunk k's compressed bytes
+// in the first group of the file at path.
+func flipInChunk(t *testing.T, fs *hdfs.FileSystem, path string, k int) {
+	t.Helper()
+	data, err := fs.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := fs.WriteFile(sf.Path, data, hdfs.CreateOptions{}); err != nil {
+	var dir fileDir
+	if err := parseGroup(data, 0, &dir); err != nil {
 		t.Fatal(err)
 	}
-	// Every AO scan checksums every block, whatever it projects: a
-	// zero-column COUNT(*) reads row counts off the headers, and still
-	// does not answer from a corrupted file.
-	for _, proj := range [][]int{allCols, {1}, {}} {
-		if err := Scan(fs, spec, testSchema(), sf, proj, func(types.Row) error { return nil }); err == nil {
-			t.Errorf("Scan proj %v: corruption not detected", proj)
-		}
-		err := ScanBatches(fs, spec, testSchema(), sf, proj, func(b *types.Batch) error {
-			types.PutBatch(b)
-			return nil
-		})
-		if err == nil {
-			t.Errorf("ScanBatches proj %v: corruption not detected", proj)
+	ch := dir.chunks[k]
+	data[ch.off+4+int64(ch.compLen)/2] ^= 0xFF
+	if err := fs.WriteFile(path, data, hdfs.CreateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChecksumDetectsCorruption: a byte flipped inside a compressed
+// chunk that a scan walks fails the scan, in every format and whatever
+// it projects. A zero-column COUNT(*) reads row counts off the headers
+// and still does not answer from a corrupted file: it verifies every
+// chunk of each group it parses in the one file it walks (CO's smallest
+// column file).
+func TestChecksumDetectsCorruption(t *testing.T) {
+	rows := testRows(200)
+	for _, o := range []string{catalog.OrientRow, catalog.OrientColumn, catalog.OrientParquet} {
+		spec := catalog.StorageSpec{Orientation: o, Codec: "quicklz"}
+		for _, proj := range [][]int{allCols, {1}, {}} {
+			fs := testFS(t)
+			sf := writeAll(t, fs, spec, rows)
+			files := LaneFiles(spec, testSchema().Len(), sf)
+			// The first projected column's chunk: CO's file of it, Parquet's
+			// chunk of it; with no column, CO's smallest file and chunk 0.
+			at := 0
+			if len(proj) > 0 {
+				at = proj[0]
+			}
+			path, chunk := files[0].Path, 0
+			switch {
+			case o == catalog.OrientColumn && len(proj) == 0:
+				path = slices.MinFunc(files, func(a, b LaneFile) int { return cmp.Compare(a.Len, b.Len) }).Path
+			case o == catalog.OrientColumn:
+				path = files[at].Path
+			case o == catalog.OrientParquet:
+				chunk = at
+			}
+			flipInChunk(t, fs, path, chunk)
+			if err := Scan(fs, spec, testSchema(), sf, proj, func(types.Row) error { return nil }); err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Errorf("%s Scan proj %v: %v", o, proj, err)
+			}
+			err := ScanBatches(fs, spec, testSchema(), sf, proj, func(b *types.Batch) error {
+				types.PutBatch(b)
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Errorf("%s ScanBatches proj %v: %v", o, proj, err)
+			}
 		}
 	}
 }

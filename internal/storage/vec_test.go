@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -184,44 +185,160 @@ func TestEncodePageChoosesEncodings(t *testing.T) {
 	}
 }
 
-// TestOldMagicIsBadMagic: the readers of the retired formats are gone —
-// a CO block under the flat-block magic (0xA7, AO's) or a Parquet group
-// under the old group magic (0xB3) is a clean bad-magic error from every
-// scan entry point, cached or not, never a mis-scan of the bytes behind
-// it.
+// orientations are the three table formats.
+var orientations = []string{catalog.OrientRow, catalog.OrientColumn, catalog.OrientParquet}
+
+// TestOldMagicIsBadMagic: the framings the row group replaced are gone —
+// a lane whose first block opens with any retired magic (0xA7 AO, 0xA8
+// CO, 0xB3 and 0xB4 Parquet) is a clean bad-magic error from every scan
+// entry point, cached or not, in every format, never a mis-scan of the
+// bytes behind it.
 func TestOldMagicIsBadMagic(t *testing.T) {
-	for _, tc := range []struct {
-		spec  catalog.StorageSpec
-		magic byte
-	}{
-		{catalog.StorageSpec{Orientation: catalog.OrientColumn, Codec: "quicklz"}, blockMagic},
-		{catalog.StorageSpec{Orientation: catalog.OrientParquet, Codec: "snappy"}, 0xB3},
-	} {
-		fs := testFS(t)
-		sf := writeAll(t, fs, tc.spec, testRows(3000))
-		path := sf.Path
-		if tc.spec.Orientation == catalog.OrientColumn {
-			path = ColFilePath(sf.Path, 0)
-		}
-		data, err := fs.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] = tc.magic
-		if err := fs.WriteFile(path, data, hdfs.CreateOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		drop := func(vb *types.VecBatch) error { types.PutVecBatch(vb); return nil }
-		for name, err := range map[string]error{
-			"Scan":           Scan(fs, tc.spec, testSchema(), sf, allCols, func(types.Row) error { return nil }),
-			"ScanVecBatches": ScanVecBatches(fs, tc.spec, testSchema(), sf, allCols, nil, nil, drop),
-			"cached":         NewBlockCache().ScanVecBatches(fs, tc.spec, testSchema(), sf, allCols, nil, nil, drop),
-		} {
-			if err == nil || !strings.Contains(err.Error(), "magic") {
-				t.Errorf("%s %s over magic 0x%02x: %v", tc.spec.Orientation, name, tc.magic, err)
+	for _, o := range orientations {
+		spec := catalog.StorageSpec{Orientation: o, Codec: "quicklz"}
+		for _, magic := range []byte{0xA7, 0xA8, 0xB3, 0xB4} {
+			fs := testFS(t)
+			sf := writeAll(t, fs, spec, testRows(3000))
+			path := LaneFiles(spec, testSchema().Len(), sf)[0].Path
+			data, err := fs.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] = magic
+			if err := fs.WriteFile(path, data, hdfs.CreateOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			drop := func(vb *types.VecBatch) error { types.PutVecBatch(vb); return nil }
+			for name, err := range map[string]error{
+				"Scan":           Scan(fs, spec, testSchema(), sf, allCols, func(types.Row) error { return nil }),
+				"ScanVecBatches": ScanVecBatches(fs, spec, testSchema(), sf, allCols, nil, nil, drop),
+				"cached":         NewBlockCache().ScanVecBatches(fs, spec, testSchema(), sf, allCols, nil, nil, drop),
+			} {
+				if err == nil || !strings.Contains(err.Error(), "magic") {
+					t.Errorf("%s %s over magic 0x%02x: %v", o, name, magic, err)
+				}
 			}
 		}
 	}
+}
+
+// TestWrongOrientationIsAnError: every format frames the same groups, so
+// the chunk encoding is what tells a row file from a column file. A lane
+// read under another orientation — AO as Parquet, Parquet as AO, a CO
+// column file as AO — is an error before any row, cached or not; read
+// for its first column, the error is the encoding's, not whatever the
+// decoder would stumble on.
+func TestWrongOrientationIsAnError(t *testing.T) {
+	rows := testRows(3000)
+	for _, tc := range []struct{ wrote, read string }{
+		{catalog.OrientRow, catalog.OrientParquet},
+		{catalog.OrientParquet, catalog.OrientRow},
+		{catalog.OrientColumn, catalog.OrientRow},
+	} {
+		fs := testFS(t)
+		wrote := catalog.StorageSpec{Orientation: tc.wrote, Codec: "quicklz"}
+		lane := LaneFiles(wrote, testSchema().Len(), writeAll(t, fs, wrote, rows))[0]
+		sf := catalog.SegFile{Path: lane.Path, LogicalLen: lane.Len}
+		spec := catalog.StorageSpec{Orientation: tc.read, Codec: "quicklz"}
+		for _, proj := range [][]int{allCols, {0}} {
+			got := 0
+			count := func(vb *types.VecBatch) error { got += vb.Len(); types.PutVecBatch(vb); return nil }
+			for name, err := range map[string]error{
+				"ScanVecBatches": ScanVecBatches(fs, spec, testSchema(), sf, proj, nil, nil, count),
+				"cached":         NewBlockCache().ScanVecBatches(fs, spec, testSchema(), sf, proj, nil, nil, count),
+			} {
+				if err == nil || got != 0 || len(proj) == 1 && !strings.Contains(err.Error(), "encoding") {
+					t.Errorf("%s lane read as %s, %s proj %v: %d rows, err %v", tc.wrote, tc.read, name, proj, got, err)
+				}
+			}
+		}
+	}
+}
+
+// checkParseGroup holds parseGroup to its contract on arbitrary bytes:
+// it never panics; a verdict other than truncated, reached on a prefix,
+// is the verdict on the whole — so truncated is reported only where the
+// bytes ran out, and nothing it kept depends on bytes it did not need;
+// and a group it accepts has every chunk's checksum and compressed bytes
+// inside the group, in ascending order.
+func checkParseGroup(t *testing.T, d []byte) {
+	const off = 1 << 20
+	var dir fileDir
+	err := parseGroup(d, off, &dir)
+	var short truncated
+	if errors.As(err, &short) && len(dir.blocks)+len(dir.chunks)+len(dir.zones) != 0 {
+		t.Fatalf("a truncated parse kept %+v", dir)
+	}
+	step := max(1, len(d)/256)
+	for k := 0; k < len(d); k += step {
+		var pre fileDir
+		perr := parseGroup(d[:k], off, &pre)
+		if errors.As(perr, &short) {
+			continue
+		}
+		if fmt.Sprint(perr) != fmt.Sprint(err) || !reflect.DeepEqual(pre, dir) {
+			t.Fatalf("%d of %d bytes: %v, %+v; all of them: %v, %+v", k, len(d), perr, pre, err, dir)
+		}
+	}
+	if err != nil {
+		return
+	}
+	b := dir.blocks[0]
+	if len(dir.blocks) != 1 || b.off != off || b.end-off > int64(len(d)) || len(dir.chunks) != dir.per {
+		t.Fatalf("group %+v of %d chunks (per %d) over %d bytes", dir.blocks, len(dir.chunks), dir.per, len(d))
+	}
+	at := b.off
+	for i, ch := range dir.chunks {
+		if ch.off < at || ch.off+4+int64(ch.compLen) > b.end || ch.rawLen < 0 {
+			t.Fatalf("chunk %d %+v of group [%d, %d) after %d", i, ch, b.off, b.end, at)
+		}
+		at = ch.off + 4 + int64(ch.compLen)
+	}
+}
+
+// FuzzParseGroup fuzzes the one group-header parser, whose input comes
+// from HDFS, from outside the program. The corpus is seeded with a real
+// group of each format, every strict prefix of which is truncated, and
+// with headers that are corrupt however many bytes follow them.
+func FuzzParseGroup(f *testing.F) {
+	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var short truncated
+	for _, o := range orientations {
+		spec := catalog.StorageSpec{Orientation: o, Codec: "quicklz"}
+		sf := appendRows(f, fs, spec, catalog.SegFile{Path: "/seed/" + o}, testRows(20))
+		data, err := fs.ReadFile(LaneFiles(spec, testSchema().Len(), sf)[0].Path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for k := 0; k <= len(data); k++ {
+			if err := parseGroup(data[:k], 0, &fileDir{}); (k < len(data)) != errors.As(err, &short) || k == len(data) && err != nil {
+				f.Fatalf("%s group, %d of %d bytes: %v", o, k, len(data), err)
+			}
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	tail := make([]byte, 64)
+	for _, bad := range []struct {
+		name string
+		b    []byte
+	}{
+		{"a retired magic", []byte{0xB4, 1, 1}},
+		{"an overflowing varint", []byte{groupMagic, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1}},
+		{"2^31 rows", []byte{groupMagic, 0x80, 0x80, 0x80, 0x80, 0x08, 1}},
+		{"no chunk", []byte{groupMagic, 1, 0}},
+		{"a 2^31-byte zone map", []byte{groupMagic, 1, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x08}},
+		{"a 2^31-byte chunk", []byte{groupMagic, 1, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x08}},
+	} {
+		if err := parseGroup(append(bad.b, tail...), 0, &fileDir{}); err == nil || errors.As(err, &short) {
+			f.Fatalf("%s: %v", bad.name, err)
+		}
+		f.Add(bad.b)
+	}
+	f.Fuzz(checkParseGroup)
 }
 
 // TestScanVecBatchesRowOrientation: an AO block arrives transposed into

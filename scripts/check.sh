@@ -55,7 +55,11 @@
 #                                  (zone operators, the planner's own
 #                                  recognizer, the HBase text parser —
 #                                  no regexp in internal/pxf) returns,
-#                                  and a sort spills only to workfiles
+#                                  a sort spills only to workfiles, no
+#                                  second block framing, header parser
+#                                  or columnar writer returns, and no
+#                                  package but storage names a column
+#                                  file's path
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -138,6 +142,14 @@ if grep -rnE 'parseKey[F]ilter|filter[C]onjuncts|Pushed[F]ilter|zoneOp[O]f|func 
 fi
 if grep -nE '"regexp"' $(ls internal/pxf/*.go | grep -v '_test\.go$'); then
     echo "stays deleted: a connector reads its pushed filter as expr.ColCmp values, never by parsing text (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'block[M]agic|appendBlock[V]2|parse[A]OBlock|parse[C]OBlock|group[M]agicV2|co[W]riter|parquet[W]riter|parse[F]n' internal cmd bench_test.go; then
+    echo "stays deleted: a second block framing, its parser or a second columnar writer is back; every format frames row groups (see above)" >&2
+    exit 1
+fi
+if grep -rnE '[Cc]ol[F]ilePath' --include='*.go' --exclude='*_test.go' --exclude-dir=storage internal cmd; then
+    echo "stays deleted: only internal/storage knows which files make up a lane; ask storage.LaneFiles (see above)" >&2
     exit 1
 fi
 
