@@ -229,6 +229,11 @@ func TestPlannerErrors(t *testing.T) {
 		"SELECT * FROM orders WHERE o_orderkey LIKE o_custkey", // LIKE needs literal
 		"SELECT o_orderkey FROM orders ORDER BY 99",
 		"SELECT * FROM orders, lineitem WHERE o_comment = l_orderkey AND missing = 1",
+		// A qualifier names exactly one FROM unit.
+		"SELECT count(*) FROM orders n, tiny n",
+		"SELECT count(*) FROM orders, orders",
+		"SELECT n.* FROM orders n, tiny n",
+		"SELECT count(*) FROM orders o JOIN lineitem O ON o_orderkey = l_orderkey",
 	}
 	for _, sql := range bad {
 		stmt, err := sqlparser.ParseOne(sql)

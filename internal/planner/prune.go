@@ -10,9 +10,8 @@ import (
 // planner's answer to "which columns does this scan produce". It is
 // computed from the syntax before any FROM item is resolved, so a base
 // table enters the block already narrowed to the columns in it and every
-// index above the scan — join keys, distribution columns, equivalence
-// classes, runtime-filter targets — is an output position from the
-// start. Nothing narrows a plan afterwards.
+// index above the scan — join keys, distribution columns — is an output
+// position from the start. Nothing narrows a plan afterwards.
 type colRefs struct {
 	// star is set by SELECT *: every column of every FROM item.
 	star bool
@@ -54,10 +53,10 @@ func (p *Planner) blockRefs(stmt *sqlparser.SelectStmt) *colRefs {
 	for _, o := range stmt.OrderBy {
 		identRefs(o.Expr, &r.idents, sub)
 	}
-	var onClauses func(ref sqlparser.TableRef)
-	onClauses = func(ref sqlparser.TableRef) {
+	var onClauses func(ref sqlparser.TableRef, nullable bool)
+	onClauses = func(ref sqlparser.TableRef, nullable bool) {
 		if j, ok := ref.(*sqlparser.Join); ok {
-			on := p.placeOn(j)
+			on := p.placeOn(j, nullable)
 			if r.on == nil {
 				r.on = map[*sqlparser.Join]onPlacement{}
 			}
@@ -65,12 +64,12 @@ func (p *Planner) blockRefs(stmt *sqlparser.SelectStmt) *colRefs {
 			for _, c := range on.inBlock() {
 				identRefs(c, &r.idents, sub)
 			}
-			onClauses(j.Left)
-			onClauses(j.Right)
+			onClauses(j.Left, nullable || j.Type == sqlparser.JoinRight || j.Type == sqlparser.JoinFull)
+			onClauses(j.Right, nullable || j.Type == sqlparser.JoinLeft || j.Type == sqlparser.JoinFull)
 		}
 	}
 	for _, ref := range stmt.From {
-		onClauses(ref)
+		onClauses(ref, false)
 	}
 	return r
 }

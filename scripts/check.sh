@@ -57,9 +57,11 @@
 #                                  no regexp in internal/pxf) returns,
 #                                  a sort spills only to workfiles, no
 #                                  second block framing, header parser
-#                                  or columnar writer returns, and no
+#                                  or columnar writer returns, no
 #                                  package but storage names a column
-#                                  file's path
+#                                  file's path, and the planner neither
+#                                  resolves a join's sides by name nor
+#                                  keeps per-relation equivalence lists
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -150,6 +152,10 @@ if grep -rnE 'block[M]agic|appendBlock[V]2|parse[A]OBlock|parse[C]OBlock|group[M
 fi
 if grep -rnE '[Cc]ol[F]ilePath' --include='*.go' --exclude='*_test.go' --exclude-dir=storage internal cmd; then
     echo "stays deleted: only internal/storage knows which files make up a lane; ask storage.LaneFiles (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'eq[S]ides|edge[K]eys|same[C]ol|units[R]eferenced' internal cmd bench_test.go || grep -rnE 'equiv +\[\]\[\]int' internal/planner; then
+    echo "stays deleted: the planner resolves a join's sides by name again or keeps per-relation equivalence lists; a column has one id and the block's classes say which are equal (see above)" >&2
     exit 1
 fi
 
