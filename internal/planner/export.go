@@ -75,6 +75,6 @@ func EquiJoinSides(e sqlparser.Expr) (*sqlparser.Ident, *sqlparser.Ident, bool) 
 
 // ResolveIn reports whether an identifier resolves in the scope.
 func ResolveIn(id *sqlparser.Ident, sc BindScope) (int, bool) {
-	idx, err := sc.toScope().resolve(id)
-	return idx, err == nil
+	at, err := resolveIn([]*scope{sc.toScope()}, id)
+	return at.i, err == nil
 }

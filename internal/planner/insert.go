@@ -15,29 +15,24 @@ import (
 // every segment (index 0 is the table itself; partitioned parents list
 // their children after it), and segno is the lane number.
 func (p *Planner) PlanInsert(stmt *sqlparser.InsertStmt, targets []plan.InsertTarget, segno int) (*plan.Plan, error) {
-	desc := targets[0].Table
-	schema := desc.Schema
-
-	// Source relation.
-	var src *relation
 	if stmt.Select != nil {
-		rel, err := p.planQuery(stmt.Select)
+		src, err := p.planQuery(stmt.Select)
 		if err != nil {
 			return nil, err
 		}
-		src = rel
-	} else {
-		rows, err := p.evalValuesRows(stmt, schema)
-		if err != nil {
-			return nil, err
-		}
-		src = &relation{
-			node: &plan.Values{Rows: rows, Schema: schema},
-			dist: distInfo{kind: distQD},
-			rows: float64(len(rows)),
-		}
+		return p.planInsertFrom(src, targets, segno)
 	}
-	return p.planInsertFrom(src, targets, segno)
+	schema := targets[0].Table.Schema
+	rows, err := p.evalValuesRows(stmt, schema)
+	if err != nil {
+		return nil, err
+	}
+	return p.planInsertFrom(values(rows, schema), targets, segno)
+}
+
+// values is rows, on the master.
+func values(rows []types.Row, schema *types.Schema) *relation {
+	return &relation{node: &plan.Values{Rows: rows, Schema: schema}, dist: distInfo{kind: distQD}, rows: float64(len(rows))}
 }
 
 // PlanCopy plans a bulk load of pre-built rows (the COPY path): same
@@ -51,22 +46,15 @@ func (p *Planner) PlanCopy(rows []types.Row, targets []plan.InsertTarget, segno 
 			return nil, fmt.Errorf("planner: COPY row %d has %d columns, table %s has %d",
 				i, len(r), desc.Name, schema.Len())
 		}
-		out := make(types.Row, len(r))
+		cast[i] = make(types.Row, len(r))
 		for j, d := range r {
-			v, err := types.Cast(d, schema.Columns[j].Kind)
-			if err != nil {
+			var err error
+			if cast[i][j], err = types.Cast(d, schema.Columns[j].Kind); err != nil {
 				return nil, fmt.Errorf("planner: COPY column %s: %w", schema.Columns[j].Name, err)
 			}
-			out[j] = v
 		}
-		cast[i] = out
 	}
-	src := &relation{
-		node: &plan.Values{Rows: cast, Schema: schema},
-		dist: distInfo{kind: distQD},
-		rows: float64(len(cast)),
-	}
-	return p.planInsertFrom(src, targets, segno)
+	return p.planInsertFrom(values(cast, schema), targets, segno)
 }
 
 // planInsertFrom is the shared tail of INSERT/COPY planning.
@@ -80,20 +68,17 @@ func (p *Planner) planInsertFrom(src *relation, targets []plan.InsertTarget, seg
 	// Coerce source columns to the table's kinds.
 	src = castTo(src, schema)
 
-	// Route rows to their segments.
-	var distributed *relation
-	if desc.Dist.Random {
-		distributed = p.redistributeCols(src, nil)
-	} else {
-		cols := desc.Dist.Cols
-		if len(cols) == 0 {
+	// Route rows to their segments, unless INSERT ... SELECT has them
+	// hashed on the table's key already. A random table has no key.
+	var cols []int
+	if !desc.Dist.Random {
+		if cols = desc.Dist.Cols; len(cols) == 0 {
 			cols = []int{0}
 		}
-		if src.dist.kind == distHash && slices.Equal(src.dist.cols, cols) {
-			distributed = src // already in place (INSERT ... SELECT same key)
-		} else {
-			distributed = p.redistributeCols(src, cols)
-		}
+	}
+	distributed := src
+	if cols == nil || src.dist.kind != distHash || !slices.Equal(src.dist.cols, cols) {
+		distributed = p.redistributeCols(src, cols)
 	}
 
 	countSchema := types.NewSchema(types.Column{Name: "count", Kind: types.KindInt64})
@@ -112,18 +97,15 @@ func (p *Planner) planInsertFrom(src *relation, targets []plan.InsertTarget, seg
 // evalValuesRows evaluates INSERT ... VALUES literal rows, honoring an
 // explicit column list (missing columns become NULL).
 func (p *Planner) evalValuesRows(stmt *sqlparser.InsertStmt, schema *types.Schema) ([]types.Row, error) {
-	colIdx := make([]int, 0, len(stmt.Columns))
+	colIdx := upTo(schema.Len())
 	if len(stmt.Columns) > 0 {
+		colIdx = colIdx[:0]
 		for _, name := range stmt.Columns {
 			idx := schema.IndexOf(name)
 			if idx < 0 {
 				return nil, fmt.Errorf("planner: column %q of relation does not exist", name)
 			}
 			colIdx = append(colIdx, idx)
-		}
-	} else {
-		for i := 0; i < schema.Len(); i++ {
-			colIdx = append(colIdx, i)
 		}
 	}
 	b := p.binder(&scope{schema: types.NewSchema()})
@@ -132,10 +114,7 @@ func (p *Planner) evalValuesRows(stmt *sqlparser.InsertStmt, schema *types.Schem
 		if len(astRow) != len(colIdx) {
 			return nil, fmt.Errorf("planner: INSERT has %d expressions but %d target columns", len(astRow), len(colIdx))
 		}
-		row := make(types.Row, schema.Len())
-		for i := range row {
-			row[i] = types.Null
-		}
+		row := make(types.Row, schema.Len()) // all NULL: the zero Datum
 		for i, e := range astRow {
 			bound, err := b.bind(e)
 			if err != nil {
@@ -161,13 +140,11 @@ func castTo(rel *relation, target *types.Schema) *relation {
 	in := rel.schema()
 	needs := false
 	exprs := make([]expr.Expr, target.Len())
-	for i := 0; i < target.Len(); i++ {
-		ref := &expr.ColRef{Idx: i, K: in.Columns[i].Kind, Name: in.Columns[i].Name}
+	for i := range exprs {
+		exprs[i] = refCol(in.Columns, i)
 		if in.Columns[i].Kind != target.Columns[i].Kind {
-			exprs[i] = &expr.Cast{E: ref, To: target.Columns[i].Kind}
+			exprs[i] = &expr.Cast{E: exprs[i], To: target.Columns[i].Kind}
 			needs = true
-		} else {
-			exprs[i] = ref
 		}
 	}
 	if !needs {

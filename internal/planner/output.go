@@ -23,7 +23,7 @@ func (p *Planner) planOutput(rel *relation, aggScp *aggScope, stmt *sqlparser.Se
 	b := &binder{scope: rel.scope(), aggScope: aggScp, subquery: p.SubqueryEval, params: p.paramBinder()}
 	var exprs []expr.Expr
 	var outCols []types.Column
-	identity := aggScp == nil
+	identity := aggScp == nil && len(items) == rel.schema().Len()
 	for i, item := range items {
 		bound, err := b.bind(item.Expr)
 		if err != nil {
@@ -35,9 +35,6 @@ func (p *Planner) planOutput(rel *relation, aggScp *aggScope, stmt *sqlparser.Se
 		if cr, ok := bound.(*expr.ColRef); !ok || cr.Idx != i {
 			identity = false
 		}
-	}
-	if identity && len(exprs) != rel.schema().Len() {
-		identity = false
 	}
 
 	// Resolve ORDER BY keys against the projection.
@@ -65,12 +62,7 @@ func (p *Planner) planOutput(rel *relation, aggScp *aggScope, stmt *sqlparser.Se
 		if idx == -1 {
 			// Match against the projection syntax.
 			s := o.Expr.String()
-			for i, item := range items {
-				if item.Expr.String() == s {
-					idx = i
-					break
-				}
-			}
+			idx = slices.IndexFunc(items, func(item sqlparser.SelectItem) bool { return item.Expr.String() == s })
 		}
 		if idx == -1 {
 			// Hidden sort column.
@@ -139,8 +131,8 @@ func (p *Planner) planOutput(rel *relation, aggScp *aggScope, stmt *sqlparser.Se
 	if hidden > 0 {
 		visible := outCols[:len(outCols)-hidden]
 		exprs := make([]expr.Expr, len(visible))
-		for i, c := range visible {
-			exprs[i] = &expr.ColRef{Idx: i, K: c.Kind, Name: c.Name}
+		for i := range visible {
+			exprs[i] = refCol(visible, i)
 		}
 		node = &plan.Project{Input: node, Exprs: exprs, Schema: &types.Schema{Columns: visible}}
 	}
@@ -187,13 +179,10 @@ func projectDist(d distInfo, exprs []expr.Expr) distInfo {
 	}
 	var mapped []int
 	for _, dc := range d.cols {
-		found := -1
-		for i, e := range exprs {
-			if cr, ok := e.(*expr.ColRef); ok && cr.Idx == dc {
-				found = i
-				break
-			}
-		}
+		found := slices.IndexFunc(exprs, func(e expr.Expr) bool {
+			cr, ok := e.(*expr.ColRef)
+			return ok && cr.Idx == dc
+		})
 		if found == -1 {
 			// The partitioning column was projected away: rows stay
 			// where they are but the key is gone.
