@@ -505,11 +505,12 @@ func TestJoinKeysCompareAsValues(t *testing.T) {
 // TestGroupKeysCompareAsValues: GROUP BY, DISTINCT and count(DISTINCT …)
 // tell values apart as a WHERE clause does — by value, not by encoding:
 // 2.5, 2.50 and 2.500 are one group. Where a WHERE clause has no answer a
-// grouping still has one: two NULLs are one group and so are two NaNs,
-// −0.0 and 0.0 are one zero — and an equality join goes on pairing
-// neither NULLs nor NaNs. On one segment and on two (where the partial
-// groups meet through a redistribute motion), on row and on column
-// storage, in memory and with the aggregate spilling.
+// grouping still has one: two NULLs are one group. Two NaNs are one
+// group too, and −0.0 and 0.0 are one zero — and an equality join pairs
+// NaN with NaN, as a WHERE clause does, but no NULL. On one segment and
+// on two (where the partial groups meet through a redistribute motion),
+// on row and on column storage, in memory and with the aggregate
+// spilling.
 func TestGroupKeysCompareAsValues(t *testing.T) {
 	for _, segs := range []int{1, 2} {
 		e := newTestEngine(t, segs)
@@ -608,9 +609,63 @@ func TestGroupKeysCompareAsValues(t *testing.T) {
 				if got := mustExec(t, s, fmt.Sprintf("SELECT count(DISTINCT f) FROM %s", h)).Rows[0][0].Int(); got != 3+singles {
 					t.Errorf("%s: count(DISTINCT f) is %d, want %d (NULL counts for nothing)", where, got, 3+singles)
 				}
-				// Zero and 2.5 pair up two by two, every single with itself.
-				if got := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM %s a, %s b WHERE a.f = b.f", h, h)).Rows[0][0].Int(); got != 8+singles {
-					t.Errorf("%s: a.f = b.f joins %d pairs, want %d", where, got, 8+singles)
+				// NaN, zero and 2.5 pair up two by two, every single with
+				// itself.
+				if got := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM %s a, %s b WHERE a.f = b.f", h, h)).Rows[0][0].Int(); got != 12+singles {
+					t.Errorf("%s: a.f = b.f joins %d pairs, want %d", where, got, 12+singles)
+				}
+			}
+		}
+	}
+}
+
+// TestNaNOrdersAsPostgres: a DOUBLE NaN equals NaN and is greater than
+// every other number (PostgreSQL's float8_cmp_internal), in a WHERE
+// clause's kernels and its row path, IN and BETWEEN, min and max, a zone
+// map's page bounds, and an equality join, hashed or nested. On row,
+// column and Parquet storage, on one segment and on four.
+func TestNaNOrdersAsPostgres(t *testing.T) {
+	for _, segs := range []int{1, 4} {
+		e := newTestEngine(t, segs)
+		s := e.NewSession()
+		for _, tc := range []struct{ name, with string }{
+			{"nan_ao", "WITH (appendonly=true, orientation=row)"},
+			{"nan_co", "WITH (appendonly=true, orientation=column, compresstype=quicklz)"},
+			{"nan_pq", "WITH (appendonly=true, orientation=parquet)"},
+		} {
+			mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT, d DOUBLE PRECISION) %s DISTRIBUTED BY (k)", tc.name, tc.with))
+			mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES (1, 'NaN'), (2, 1.5), (3, 2.5), (4, NULL)", tc.name))
+			where := fmt.Sprintf("%d segments, %s", segs, tc.name)
+			for _, q := range []struct{ sql, want string }{
+				{"SELECT k FROM %s WHERE d = 1.5 ORDER BY k", "[2]"},
+				{"SELECT k FROM %s WHERE d IN (1.5) ORDER BY k", "[2]"},
+				{"SELECT k FROM %s WHERE d BETWEEN 1.0 AND 2.0 ORDER BY k", "[2]"},
+				{"SELECT k FROM %s WHERE d <> 1.5 ORDER BY k", "[1 3]"},
+				{"SELECT max(d), min(d) FROM %s", "[NaN|1.5]"},
+				// The page that holds the NaN may match d > c for any c.
+				{"SELECT k FROM %s WHERE d > 3.0 ORDER BY k", "[1]"},
+				{"SELECT k FROM %s WHERE d > 1.0e300 ORDER BY k", "[1]"},
+				{"SELECT k FROM %s WHERE d = CAST('NaN' AS DOUBLE PRECISION) ORDER BY k", "[1]"},
+				// NULL sorts first here, NaN after every number.
+				{"SELECT k FROM %s ORDER BY d, k", "[4 2 3 1]"},
+			} {
+				sql := fmt.Sprintf(q.sql, tc.name)
+				if got := fmt.Sprint(rowsString(mustExec(t, s, sql))); got != q.want {
+					t.Errorf("%s: %s gave %s, want %s", where, sql, got, q.want)
+				}
+			}
+			// NaN joins NaN, hashed and nested alike.
+			for _, j := range []struct{ pred, op string }{
+				{"a.d = b.d", "Hash Join"},
+				{"a.d <= b.d AND a.d >= b.d", "Nested Loop"},
+			} {
+				sql := fmt.Sprintf("SELECT count(*) FROM %s a, %s b WHERE %s", tc.name, tc.name, j.pred)
+				plan := strings.Join(rowsString(mustExec(t, s, "EXPLAIN "+sql)), "\n")
+				if !strings.Contains(plan, j.op) {
+					t.Fatalf("%s: %s does not plan a %s:\n%s", where, sql, j.op, plan)
+				}
+				if got := mustExec(t, s, sql).Rows[0][0].Int(); got != 3 {
+					t.Errorf("%s: %s counts %d, want 3", where, sql, got)
 				}
 			}
 		}

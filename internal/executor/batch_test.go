@@ -97,18 +97,45 @@ func TestPipelinesMatchReference(t *testing.T) {
 		return &plan.Scan{Table: desc, Proj: proj, SegFiles: segFiles, Schema: intsSchema(names...)}
 	}
 	// One probe key with more build matches than a batch holds: emission
-	// must resume mid-match-list on the next call. rv runs 0..2499.
-	fat := func(kind plan.JoinKind, extra expr.Expr) *plan.HashJoin {
-		left := valuesNode(intsSchema("lk", "lv"), []int64{7, 1}, []int64{8, 2}, []int64{7, 3}, []int64{9, 4})
-		left.Rows = append(left.Rows, types.Row{types.Null, types.NewInt64(5)})
+	// must resume mid-match-list on the next call. rv runs 0..2499. The
+	// probe side is a Values node, or the scan of fatProbe below.
+	fatValues := valuesNode(intsSchema("lk", "lv"), []int64{7, 1}, []int64{8, 2}, []int64{7, 3}, []int64{9, 4})
+	fatValues.Rows = append(fatValues.Rows, types.Row{types.Null, types.NewInt64(5)})
+	fat := func(kind plan.JoinKind, extra expr.Expr, left plan.Node) *plan.HashJoin {
 		build := [][]int64{{9, -1}}
 		for i := 0; i < 2500; i++ {
 			build = append(build, []int64{7, int64(i)})
 		}
 		right := valuesNode(intsSchema("rk", "rv"), build...)
 		return &plan.HashJoin{Kind: kind, Left: left, Right: right, LeftKeys: []int{0}, RightKeys: []int{0},
-			ExtraPred: extra, Schema: left.Schema.Concat(right.Schema)}
+			ExtraPred: extra, Schema: left.OutSchema().Concat(right.Schema)}
 	}
+	// The same probe rows in a column table, spread over 3 000 rows that
+	// join nothing: three blocks, the first with a key column of runs,
+	// NULL keys, and a scan filter that leaves a selection.
+	var fatRows []types.Row
+	for i := 0; i < 3000; i++ {
+		key := 1000 + i%40
+		if i < 1500 {
+			key = 1000 + i/25
+		}
+		row := types.Row{types.NewInt64(int64(key)), types.NewInt64(int64(i))}
+		switch i % 600 {
+		case 0, 2:
+			row[0] = types.NewInt64(7)
+		case 1:
+			row[0] = types.NewInt64(8)
+		case 3:
+			row[0] = types.NewInt64(9)
+		case 4, 5:
+			row[0] = types.Null
+		}
+		fatRows = append(fatRows, row)
+	}
+	fatDesc, fatFiles := writeCOTable(t, fs, 3, "fat", intsSchema("lk", "lv"), fatRows, 1000)
+	tables[fatDesc.Name] = fatRows
+	fatScan := &plan.Scan{Table: fatDesc, Proj: []int{0, 1}, SegFiles: fatFiles, Schema: fatDesc.Schema,
+		Filter: expr.NewBinOp(expr.OpNe, &expr.ColRef{Idx: 1, K: types.KindInt64}, expr.NewConst(types.NewInt64(1202)))}
 	rv := &expr.ColRef{Idx: 3, K: types.KindInt64}
 	extras := map[string]expr.Expr{
 		"":            nil,
@@ -172,7 +199,7 @@ func TestPipelinesMatchReference(t *testing.T) {
 	kinds := []plan.JoinKind{plan.InnerJoin, plan.LeftJoin, plan.SemiJoin, plan.AntiJoin}
 	for _, kind := range kinds {
 		for name, extra := range extras {
-			trees[fmt.Sprintf("fat-join-%d%s", kind, name)] = tree{fat(kind, extra), true, plain}
+			trees[fmt.Sprintf("fat-join-%d%s", kind, name)] = tree{fat(kind, extra, fatValues), true, plain}
 		}
 	}
 	// spill is the context of an operator whose table takes need bytes
@@ -260,7 +287,13 @@ func TestPipelinesMatchReference(t *testing.T) {
 	addJoin("join-two-column-string-key", &plan.HashJoin{Kind: plan.InnerJoin, Left: ls, Right: rs,
 		LeftKeys: []int{0, 1}, RightKeys: []int{0, 1}, Schema: ls.Schema.Concat(rs.Schema)}, 2*oneLevel, recursive)
 	// One key with 2 500 build rows: no partitioning spreads it.
-	addJoin("fat-join-spilled", fat(plan.InnerJoin, nil), 16<<10, recursive)
+	addJoin("fat-join-spilled", fat(plan.InnerJoin, nil, fatValues), 16<<10, recursive)
+	// The fat joins again, probed from the scan's vectors.
+	for _, kind := range kinds {
+		for name, extra := range extras {
+			addJoin(fmt.Sprintf("fat-join-scan-probed-%d%s", kind, name), fat(kind, extra, fatScan), 16<<10, recursive)
+		}
+	}
 	// NULL keys on both sides under every join kind.
 	for _, kind := range kinds {
 		left, right := bigJoinInputs()
@@ -337,9 +370,42 @@ func TestPipelinesMatchReference(t *testing.T) {
 			if refs[tr.node] == nil {
 				refs[tr.node] = refRows(t, tr.node, tables)
 			}
-			sameRows(t, collect(t, tr.ctx(t), tr.node), refs[tr.node], tr.ordered)
+			got := collect(t, tr.ctx(t), tr.node)
+			sameRows(t, got, refs[tr.node], tr.ordered)
+			// A join that probes from a scan's vectors gives what it gives
+			// probing the same scan's rows.
+			if j, ok := tr.node.(*plan.HashJoin); ok {
+				if _, scanned := j.Left.(*plan.Scan); scanned {
+					sameRows(t, got, collectJoin(t, tr.ctx(t), j, false), tr.ordered)
+				}
+			}
 		})
 	}
+}
+
+// rowsOnly hides that an operator is a VecSource.
+type rowsOnly struct{ Operator }
+
+// collectJoin runs a hash join whose probe input is a scan, probing it
+// from vectors or, with them hidden behind rowsOnly, row by row.
+func collectJoin(t *testing.T, ctx *Context, j *plan.HashJoin, vectors bool) []types.Row {
+	t.Helper()
+	op := mustBuild(t, ctx, j).(*hashJoinOp)
+	if !vectors {
+		op.left = rowsOnly{op.left}
+	}
+	var out []types.Row
+	err := Drain(nil, op, func(r types.Row) error {
+		out = append(out, r.Clone())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (op.vin != nil) != vectors {
+		t.Fatalf("probed from vectors: %v, want %v", op.vin != nil, vectors)
+	}
+	return out
 }
 
 // TestSpilledAggFillsBatchesAcrossPartitions: 3000 groups under a 1 KiB
@@ -476,6 +542,37 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 		Kind: plan.InnerJoin, Left: scan, Right: valuesNode(intsSchema("rk"), build...),
 		LeftKeys: []int{1}, RightKeys: []int{0}, Schema: intsSchema("k", "v", "w", "rk"),
 	}, 72)
+	// An inner join that probes from a scan's vectors and matches 1 % of
+	// the first table's rows builds a row for each match and allocates for
+	// none it passes over: probing four times the rows costs the same
+	// operators and scratch, and the scan's few more blocks.
+	var keys [][]int64
+	for k := 0; k < nrows; k += 100 {
+		keys = append(keys, []int64{int64(k)})
+	}
+	sel1pct := func(n int) float64 {
+		fs, desc, segFiles := writeIntsTable(t, n)
+		ctx := &Context{Segment: 0, FS: fs}
+		j := &plan.HashJoin{
+			Kind:     plan.InnerJoin,
+			Left:     &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: desc.Schema},
+			Right:    valuesNode(intsSchema("rk"), keys...),
+			LeftKeys: []int{0}, RightKeys: []int{0}, Schema: intsSchema("k", "v", "w", "rk"),
+		}
+		run := func() {
+			rows = 0
+			if err := Drain(nil, mustBuild(t, ctx, j), func(types.Row) error { rows++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if run(); rows != len(keys) {
+			t.Fatalf("the join over %d rows gave %d, want %d", n, rows, len(keys))
+		}
+		return testing.AllocsPerRun(5, run)
+	}
+	if few, many := sel1pct(nrows), sel1pct(4*nrows); many > few+8 {
+		t.Errorf("a 1%% join probing %d scanned rows allocates %.0f times, probing %d rows %.0f", 4*nrows, many, nrows, few)
+	}
 	// A redistribute motion hashes and encodes every row and allocates for
 	// none: once the four send buffers have grown to a payload, routing
 	// four times the rows costs the same operators and buffers.

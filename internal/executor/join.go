@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"fmt"
+
 	"hawq/internal/expr"
 	"hawq/internal/obs"
 	"hawq/internal/plan"
@@ -11,9 +13,17 @@ import (
 // hashJoinOp builds a hash table on the right input and probes with the
 // left. NULL join keys never match (SQL semantics). The build side is
 // consumed through drainRows, each row copied once into the keyTable
-// with the hash of its keys; the probe side is taken row by row through
-// a rowCursor, hashed, and looked up — hash first, then the typed key
-// cells — and output rows are written straight into the caller's batch.
+// with the hash of its keys. Output rows are written straight into the
+// caller's batch.
+//
+// A probe input that is a VecSource (a scan) is probed without being
+// materialized: each vector batch's key columns are hashed from their
+// typed entries (vecKeyHash), every surviving row's chain is walked once,
+// its key cells are read out only when a build row has its hash, and the
+// whole row only when joinProbe is to emit it — so a selective join over
+// a scan builds a row for what it outputs, not for what it reads. Any
+// other probe input is taken row by row through a rowCursor and hashed
+// with hashKeys; both meet the build rows in the same slots.
 //
 // When the build side outgrows its memory budget the join degrades to
 // partitioned (grace) spilling: both sides are partitioned into
@@ -28,10 +38,13 @@ type hashJoinOp struct {
 
 	mem   memBudget
 	table keyTable
-	// cur serves the probe rows: the left input's, or in grace mode those
-	// of the current partition's probe file. matches is the scratch list
-	// of the build rows the current probe row pairs with.
+	// cur serves the probe rows of a row input or, in grace mode, those
+	// of the current partition's probe file; vin is the probe input when
+	// it is a vector source and vec its current batch. matches is the
+	// scratch list of the build rows the current probe row pairs with.
 	cur     *rowCursor
+	vin     VecSource
+	vec     vecProbe
 	matches []types.Row
 
 	// spill state
@@ -42,6 +55,94 @@ type hashJoinOp struct {
 	curPart joinPart        // partition currently loaded (files removed when its probe is exhausted)
 
 	probe joinProbe
+}
+
+// vecProbe is one vector batch of the probe side as the join reads it:
+// the key hash of every surviving row and which rows have a NULL key,
+// each key column's vector and the entry of every surviving row in it,
+// and the next row to probe. A key's cells and a whole row are read out
+// on demand.
+type vecProbe struct {
+	vb     *types.VecBatch // nil between batches
+	n      int             // surviving rows
+	next   int             // the next of them to probe
+	hashes []uint64
+	nulls  types.NullBitmap // bit i: row i has a NULL key
+
+	cols    []vecKeyCol
+	entHash []uint64  // scratch: the hash of each entry of a column of runs or codes
+	key     types.Row // the key cells of the row being probed, in key order
+	keyCols []int     // 0, 1, …: where key holds each key column
+	rr      types.RowReader
+	rrSet   bool // rr points at vb
+}
+
+// vecKeyCol is one key column of a vecProbe's batch: its vector, and the
+// entry of every surviving row (nil when row i is entry i) in buf's
+// storage or the batch's.
+type vecKeyCol struct {
+	v         *types.Vector
+	ents, buf []int32
+}
+
+// load makes vb the current batch, ownership included, and hashes the
+// key columns cols of its surviving rows.
+func (p *vecProbe) load(vb *types.VecBatch, cols []int) error {
+	p.vb, p.n, p.next, p.rrSet = vb, vb.SelCount(), 0, false
+	if p.cols == nil {
+		p.cols = make([]vecKeyCol, len(cols))
+		p.key = make(types.Row, len(cols))
+		for k := range cols {
+			p.keyCols = append(p.keyCols, k)
+		}
+	}
+	if cap(p.hashes) < p.n {
+		p.hashes = make([]uint64, p.n)
+	}
+	p.hashes = p.hashes[:p.n]
+	clear(p.hashes)
+	p.nulls = p.nulls[:0]
+	for k, c := range cols {
+		if c >= len(vb.Cols) {
+			return fmt.Errorf("executor: join key column %d out of range (batch width %d)", c, len(vb.Cols))
+		}
+		kc := &p.cols[k]
+		kc.v = &vb.Cols[c]
+		kc.ents, kc.buf = kc.v.EntryIndex(vb.Sel, kc.buf)
+		p.entHash = foldVecKeys(kc.v, kc.ents, p.hashes, &p.nulls, p.entHash)
+	}
+	return nil
+}
+
+// keyOf returns the key cells of surviving row i: the probe key
+// sameKey compares, in the vecProbe's scratch.
+func (p *vecProbe) keyOf(i int) types.Row {
+	for k := range p.cols {
+		kc := &p.cols[k]
+		e := i
+		if kc.ents != nil {
+			e = int(kc.ents[i])
+		}
+		p.key[k] = kc.v.Datum(e)
+	}
+	return p.key
+}
+
+// row returns surviving row i, every column, in the reader's scratch:
+// valid until the next call.
+func (p *vecProbe) row(i int) types.Row {
+	if !p.rrSet {
+		p.rr.Reset(p.vb, nil)
+		p.rrSet = true
+	}
+	return p.rr.Row(i)
+}
+
+// release hands the batch back to the pool. The rows read from it do not
+// refer to it: their strings are the vectors' immutable ones.
+func (p *vecProbe) release() {
+	types.PutVecBatch(p.vb)
+	p.vb, p.n, p.next = nil, 0, 0
 }
 
 // joinPart is one build/probe partition pair awaiting its in-memory
@@ -82,7 +183,7 @@ func (j *hashJoinOp) Open() error {
 	err := drainRows(j.ctx, j.right, func(row types.Row) error {
 		h, valid := hashKeys(row, j.node.RightKeys)
 		if !valid {
-			// Build rows with NULL or NaN keys can never match and no join kind
+			// Build rows with NULL keys can never match and no join kind
 			// here emits unmatched build rows.
 			return nil
 		}
@@ -111,9 +212,12 @@ func (j *hashJoinOp) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
+	j.vin, _ = j.left.(VecSource)
 	if !j.spilled {
 		j.table.seal()
-		j.cur = opCursor(j.ctx, j.left)
+		if j.vin == nil {
+			j.cur = opCursor(j.ctx, j.left)
+		}
 		return nil
 	}
 	// Grace phase: the probe side streams straight into its own
@@ -126,7 +230,12 @@ func (j *hashJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
-	if err := drainRows(j.ctx, j.left, j.probeRouter(j.probeSP)); err != nil {
+	if j.vin != nil {
+		err = j.partitionVec(j.probeSP)
+	} else {
+		err = drainRows(j.ctx, j.left, j.probeRouter(j.probeSP))
+	}
+	if err != nil {
 		return err
 	}
 	if err := j.probeSP.finish(); err != nil {
@@ -140,17 +249,58 @@ func (j *hashJoinOp) Open() error {
 }
 
 // probeRouter returns the function that writes a probe row to its
-// partition in sp. A row with a NULL or NaN key joins nothing: an inner
-// or semi join drops it here, a left or anti join must still emit it and
-// routes it by its hash all the same.
+// partition in sp. A row with a NULL key joins nothing: an inner or semi
+// join drops it here, a left or anti join must still emit it and routes
+// it by its hash all the same.
 func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
 	return func(row types.Row) error {
 		h, valid := hashKeys(row, j.node.LeftKeys)
-		if !valid && (j.node.Kind == plan.InnerJoin || j.node.Kind == plan.SemiJoin) {
+		if !valid && !j.emitsUnmatched() {
 			return nil
 		}
 		return sp.addHash(h, row)
 	}
+}
+
+// partitionVec is probeRouter over the vector probe input: every batch's
+// keys are hashed from the vectors, and a row an inner or semi join drops
+// is dropped before it is read.
+func (j *hashJoinOp) partitionVec(sp *spillPartition) error {
+	for {
+		ok, err := j.pullVec()
+		if !ok {
+			return err
+		}
+		for i := 0; i < j.vec.n; i++ {
+			if j.vec.nulls.At(i) && !j.emitsUnmatched() {
+				continue
+			}
+			if err := sp.addHash(j.vec.hashes[i], j.vec.row(i)); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// emitsUnmatched reports whether a probe row that pairs with nothing has
+// output: the left join's NULL-extended row, the anti join's row.
+func (j *hashJoinOp) emitsUnmatched() bool {
+	return j.node.Kind == plan.LeftJoin || j.node.Kind == plan.AntiJoin
+}
+
+// pullVec replaces the vector probe's batch with the next one of the
+// probe input. It reports false at the input's end.
+func (j *hashJoinOp) pullVec() (bool, error) {
+	j.vec.release()
+	if err := j.ctx.canceled(); err != nil {
+		return false, err
+	}
+	vb, err := j.vin.NextVecBatch()
+	if err != nil || vb == nil {
+		types.PutVecBatch(vb)
+		return false, err
+	}
+	return true, j.vec.load(vb, j.node.LeftKeys)
 }
 
 // spillBuild switches the join into grace mode: the in-memory table is
@@ -324,18 +474,19 @@ func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
 	b.Reset(0)
 	for b.Len() < types.DefaultBatchRows {
 		if j.probe.cur == nil {
-			row, ok, err := j.probeNext()
+			var ok bool
+			var err error
+			if j.vin != nil && !j.spilled {
+				ok, err = j.nextVecProbe()
+			} else {
+				ok, err = j.nextRowProbe()
+			}
 			if err != nil {
 				return false, err
 			}
 			if !ok {
 				break
 			}
-			j.matches = j.matches[:0]
-			if h, valid := hashKeys(row, j.node.LeftKeys); valid {
-				j.matches = j.table.lookup(h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
-			}
-			j.probe.start(row, j.matches)
 		}
 		if err := j.probe.emit(b); err != nil {
 			return false, err
@@ -344,12 +495,61 @@ func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
 	return b.Len() > 0, nil
 }
 
+// nextRowProbe starts joinProbe on the next probe row of a row input or
+// partition file. It reports false when there is none.
+func (j *hashJoinOp) nextRowProbe() (bool, error) {
+	row, ok, err := j.probeNext()
+	if !ok {
+		return false, err
+	}
+	j.matches = j.matches[:0]
+	if h, valid := hashKeys(row, j.node.LeftKeys); valid {
+		if l := j.table.first(h); l != 0 {
+			j.matches = j.table.lookup(l, h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
+		}
+	}
+	j.probe.start(row, j.matches)
+	return true, nil
+}
+
+// nextVecProbe starts joinProbe on the next probe row of the vector input
+// that has output, reading that row and no other: an inner or semi
+// join's unmatched rows, and an anti join's matched ones when no join
+// predicate can disqualify the matches, are passed over unread. It
+// reports false at the input's end.
+func (j *hashJoinOp) nextVecProbe() (bool, error) {
+	p := &j.vec
+	for {
+		for p.next < p.n {
+			i := p.next
+			p.next++
+			j.matches = j.matches[:0]
+			if !p.nulls.At(i) {
+				h := p.hashes[i]
+				if l := j.table.first(h); l != 0 {
+					j.matches = j.table.lookup(l, h, p.keyOf(i), p.keyCols, j.node.RightKeys, j.matches)
+				}
+			}
+			if len(j.matches) == 0 && !j.emitsUnmatched() ||
+				len(j.matches) > 0 && j.node.Kind == plan.AntiJoin && j.node.ExtraPred == nil {
+				continue
+			}
+			j.probe.start(p.row(i), j.matches)
+			return true, nil
+		}
+		if ok, err := j.pullVec(); !ok {
+			return false, err
+		}
+	}
+}
+
 // Close implements Operator: beyond the inputs, it tears down any
 // remaining spill state — a canceled grace join removes its partition
 // files here rather than waiting for the store-wide cleanup.
 func (j *hashJoinOp) Close() error {
 	j.cur.close()
 	j.cur = nil
+	j.vec.release()
 	if j.curPart.build != nil {
 		j.curPart.build.Remove()
 		j.curPart.probe.Remove()
@@ -374,9 +574,9 @@ func (j *hashJoinOp) Close() error {
 
 // joinProbe is the probe-side state both joins share: the current probe
 // row, the build rows it may pair with, and how far emission got. The
-// probe row is a view into its cursor's batch and the candidates are
-// views into the build side's row store, so neither moves while output is
-// appended to the caller's batch.
+// probe row is a view into its cursor's batch or a vector reader's
+// scratch, and the candidates are views into the build side's row store,
+// so neither moves while output is appended to the caller's batch.
 type joinProbe struct {
 	kind  plan.JoinKind
 	pred  expr.Expr // evaluated over probe‖build; nil passes every pair

@@ -45,9 +45,9 @@ const (
 // keyHash(b) whenever types.Compare(a, b) == 0. An integer of either
 // width and a decimal of any scale are brought to (unscaled value, scale)
 // with the trailing zeros stripped, so 7, 7.0 and 7.00 are one key; -0.0
-// hashes as 0.0; TEXT and BYTEA hash their bytes. NULL is a key too, and
-// so is NaN whatever its bits: a grouping's, which hashKeys tells a join
-// to refuse.
+// hashes as 0.0 and every NaN as one NaN; TEXT and BYTEA hash their
+// bytes. NULL is a key too: a grouping's, which hashKeys tells a join to
+// refuse. vecKeyHash is the same function read from a vector's entries.
 //
 // It is the hash of every keyTable and spill partition (partOfHash salts
 // it by level), and deliberately not the placement hash
@@ -58,39 +58,132 @@ func keyHash(d *types.Datum) uint64 {
 	switch d.K {
 	case types.KindNull:
 		return saltNull // mix64(0) is the integer 0's
-	case types.KindInt32, types.KindInt64:
-		return mix64(uint64(d.I))
-	case types.KindDecimal:
-		u, sc := types.StripZeros(d.I, d.Scale)
-		return mix64(uint64(u) + uint64(sc)*golden)
 	case types.KindFloat64:
-		f := d.F
-		switch {
-		case f == 0:
-			f = 0 // -0.0 equals 0.0
-		case f != f:
-			f = math.NaN() // one NaN
-		}
-		return mix64(math.Float64bits(f) ^ saltFloat)
-	case types.KindDate:
-		return mix64(uint64(d.I) ^ saltDate)
-	case types.KindBool:
-		return mix64(uint64(d.I) ^ saltBool)
+		return floatHash(d.F)
 	case types.KindString, types.KindBytes:
-		h := uint64(fnvOffset)
-		for i := 0; i < len(d.S); i++ {
-			h = (h ^ uint64(d.S[i])) * fnvPrime
-		}
-		return mix64(h)
+		return strHash(d.S)
+	}
+	return intHash(d.K, d.Scale, d.I)
+}
+
+// intHash is keyHash of a cell of an integer-like kind: an integer, a
+// decimal of the given scale, a date or a bool.
+func intHash(k types.Kind, scale int8, x int64) uint64 {
+	switch k {
+	case types.KindInt32, types.KindInt64:
+		return mix64(uint64(x))
+	case types.KindDecimal:
+		u, sc := types.StripZeros(x, scale)
+		return mix64(uint64(u) + uint64(sc)*golden)
+	case types.KindDate:
+		return mix64(uint64(x) ^ saltDate)
+	case types.KindBool:
+		return mix64(uint64(x) ^ saltBool)
 	}
 	return 0
 }
 
+// floatHash is keyHash of a DOUBLE.
+func floatHash(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0 // -0.0 equals 0.0
+	case f != f:
+		f = math.NaN() // one NaN
+	}
+	return mix64(math.Float64bits(f) ^ saltFloat)
+}
+
+// strHash is keyHash of a TEXT or BYTEA cell: FNV-1a over its bytes.
+func strHash(s string) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return mix64(h)
+}
+
+// vecKeyHash is keyHash(&d) for d := v.Datum(e), read from the vector's
+// typed fields; valid is false when the entry is NULL.
+func vecKeyHash(v *types.Vector, e int) (h uint64, valid bool) {
+	switch v.Class() {
+	case types.ClassNull:
+		return saltNull, false
+	case types.ClassMixed:
+		d := &v.Values[e]
+		return keyHash(d), d.K != types.KindNull
+	}
+	if v.Nulls.At(e) {
+		return saltNull, false
+	}
+	switch v.Class() {
+	case types.ClassFloat:
+		return floatHash(v.Floats[e]), true
+	case types.ClassStr:
+		return strHash(v.Text(e)), true
+	}
+	return intHash(v.Kind, v.Scale, v.Ints[e]), true
+}
+
+// foldKey folds the hash of one more key column into a key's hash.
+func foldKey(h, kh uint64) uint64 { return bits.RotateLeft64(h, 27)*golden + kh }
+
+// foldVecKeys folds the key hash of column v into hashes, one per
+// surviving row, whose entries idx lists (nil: row i is entry i), and
+// marks in nulls the rows whose entry is NULL. A column of runs or codes
+// is hashed once per entry, into ents (grown and returned for reuse),
+// and spread to its rows.
+func foldVecKeys(v *types.Vector, idx []int32, hashes []uint64, nulls *types.NullBitmap, ents []uint64) []uint64 {
+	switch {
+	case v.Class() == types.ClassNull:
+		for i := range hashes {
+			hashes[i] = foldKey(hashes[i], saltNull)
+			nulls.Set(i)
+		}
+	case v.Enc != types.VecFlat:
+		ents = ents[:0]
+		for e := range v.Entries() {
+			h, _ := vecKeyHash(v, e)
+			ents = append(ents, h)
+		}
+		for i, e := range idx {
+			hashes[i] = foldKey(hashes[i], ents[e])
+			if v.Null(int(e)) {
+				nulls.Set(i)
+			}
+		}
+	case v.Class() == types.ClassInt && len(v.Nulls) == 0 && (v.Kind == types.KindInt64 || v.Kind == types.KindInt32):
+		// The common key, a flat integer column without NULLs.
+		if idx == nil {
+			for i, x := range v.Ints[:len(hashes)] {
+				hashes[i] = foldKey(hashes[i], mix64(uint64(x)))
+			}
+		} else {
+			for i, e := range idx {
+				hashes[i] = foldKey(hashes[i], mix64(uint64(v.Ints[e])))
+			}
+		}
+	default:
+		for i := range hashes {
+			e := i
+			if idx != nil {
+				e = int(idx[i])
+			}
+			h, valid := vecKeyHash(v, e)
+			hashes[i] = foldKey(hashes[i], h)
+			if !valid {
+				nulls.Set(i)
+			}
+		}
+	}
+	return ents
+}
+
 // keyEqual reports whether two key cells are the same key:
-// types.Compare(a, b) == 0 within a hashable class, false across classes
-// (the planner lets no such pair be a hash key; a DOUBLE against an
-// exact numeric is a join predicate, not a key) — and, as only a grouping
-// gets to ask, NULL the same key as NULL and NaN as NaN.
+// types.Compare(a, b) == 0 within a hashable class, NaN the same key as
+// NaN, false across classes (the planner lets no such pair be a hash key;
+// a DOUBLE against an exact numeric is a join predicate, not a key) —
+// and, as only a grouping gets to ask, NULL the same key as NULL.
 func keyEqual(a, b *types.Datum) bool {
 	switch a.K {
 	case types.KindNull:
@@ -110,7 +203,7 @@ func keyEqual(a, b *types.Datum) bool {
 		}
 		return types.Compare(*a, *b) == 0 // a decimal against another scale, exactly
 	case types.KindFloat64:
-		return b.K == types.KindFloat64 && (a.F == b.F || isNaN(a) && isNaN(b))
+		return b.K == types.KindFloat64 && (a.F == b.F || a.F != a.F && b.F != b.F)
 	case types.KindDate, types.KindBool:
 		return b.K == a.K && a.I == b.I
 	case types.KindString, types.KindBytes:
@@ -119,21 +212,18 @@ func keyEqual(a, b *types.Datum) bool {
 	return false
 }
 
-// isNaN reports whether d is the DOUBLE that is not a number.
-func isNaN(d *types.Datum) bool { return d.K == types.KindFloat64 && d.F != d.F }
-
 // hashKeys folds keyHash over the key columns of row. ok is false when a
-// key is NULL or NaN: to a join such a row joins nothing; a grouping does
-// not ask.
+// key is NULL: to a join such a row joins nothing; a grouping does not
+// ask. A NaN is a key like any other number, equal to NaN alone.
 func hashKeys(row types.Row, cols []int) (h uint64, ok bool) {
 	ok = true
 	for _, c := range cols {
 		d := &row[c]
-		if d.K == types.KindNull || isNaN(d) {
+		if d.K == types.KindNull {
 			ok = false
 		}
 		// One key column: the row's hash is the column's.
-		h = bits.RotateLeft64(h, 27)*golden + keyHash(d)
+		h = foldKey(h, keyHash(d))
 	}
 	return h, ok
 }
@@ -260,15 +350,29 @@ func (t *keyTable) admit(mem *memBudget, key types.Row, cols []int) (bool, error
 	return err == nil, err
 }
 
-// lookup appends to out every row whose key hash is h and whose key cells
-// equal probe's, in insertion order. The rows are views into the table,
-// valid until reset.
-func (t *keyTable) lookup(h uint64, probe types.Row, probeKeys, keys []int, out []types.Row) []types.Row {
+// first returns the link of the first row whose key hash is h — its
+// number plus one — or 0 when there is none: the place lookup starts
+// from, found before the probe's key cells need to exist.
+func (t *keyTable) first(h uint64) int32 {
 	if len(t.head) == 0 {
-		return out
+		return 0
 	}
-	for l := t.head[h&uint64(len(t.head)-1)]; l != 0; l = t.next[l-1] {
-		if row := t.rows.row(int(l - 1)); t.hashes[l-1] == h && sameKey(probe, row, probeKeys, keys) {
+	l := t.head[h&uint64(len(t.head)-1)]
+	for l != 0 && t.hashes[l-1] != h {
+		l = t.next[l-1]
+	}
+	return l
+}
+
+// lookup appends to out every row from link l on (first's) whose key
+// hash is h and whose key cells equal probe's, in insertion order. The
+// rows are views into the table, valid until reset.
+func (t *keyTable) lookup(l int32, h uint64, probe types.Row, probeKeys, keys []int, out []types.Row) []types.Row {
+	for ; l != 0; l = t.next[l-1] {
+		if t.hashes[l-1] != h {
+			continue
+		}
+		if row := t.rows.row(int(l - 1)); sameKey(probe, row, probeKeys, keys) {
 			out = append(out, row)
 		}
 	}

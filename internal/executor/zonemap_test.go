@@ -14,8 +14,9 @@ import (
 )
 
 // writeCOTable writes one single-segment CO table and returns its scan
-// ingredients.
-func writeCOTable(t testing.TB, fs *hdfs.FileSystem, oid int64, name string, schema *types.Schema, rows []types.Row) (*catalog.TableDesc, []catalog.SegFile) {
+// ingredients. A block ends every blockRows rows, if given, and
+// otherwise where the writer ends it.
+func writeCOTable(t testing.TB, fs *hdfs.FileSystem, oid int64, name string, schema *types.Schema, rows []types.Row, blockRows ...int) (*catalog.TableDesc, []catalog.SegFile) {
 	t.Helper()
 	desc := &catalog.TableDesc{
 		OID: oid, Name: name, Schema: schema,
@@ -26,9 +27,14 @@ func writeCOTable(t testing.TB, fs *hdfs.FileSystem, oid int64, name string, sch
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
+		}
+		if len(blockRows) > 0 && (i+1)%blockRows[0] == 0 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := w.Close(); err != nil {

@@ -377,8 +377,9 @@ func (c *minmaxAccs) Add(g int32, d types.Datum) { c.accs[g].Add(d) }
 func (c *minmaxAccs) Result(g int32) types.Datum { return c.accs[g].Result() }
 
 // AddVec implements GroupAcc: integers, dates and decimals of the
-// running value's kind and scale, and floats, compare as machine values;
-// everything else goes through minmaxAcc.Add.
+// running value's kind and scale compare as machine values, floats as
+// types.CompareFloat orders them (NaN above every number); everything
+// else goes through minmaxAcc.Add.
 func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 	want := c.want
 	switch v.Class() {
@@ -404,7 +405,7 @@ func (c *minmaxAccs) AddVec(gids []int32, v *types.Vector) {
 			switch {
 			case v.Nulls.At(i):
 			case a.seen && a.cur.K == types.KindFloat64:
-				if want < 0 && x < a.cur.F || want > 0 && x > a.cur.F {
+				if c := types.CompareFloat(x, a.cur.F); want < 0 && c < 0 || want > 0 && c > 0 {
 					a.cur.F = x
 				}
 			default:

@@ -285,14 +285,23 @@ var opMask = [...]uint8{
 	OpEq: ordEq, OpNe: ordLt | ordGt, OpLt: ordLt, OpLe: ordLt | ordEq, OpGt: ordGt, OpGe: ordGt | ordEq,
 }
 
-// ord compares like types.Compare does within a class: a NaN is neither
-// below nor above anything, so it comes out equal.
+// ord compares like types.Compare does within a class: a NaN equals NaN
+// and is above every other number. Only a float can be unequal to
+// itself, so the integer and string instances compile the test away.
 func ord[T int64 | float64 | string](x, k T) uint8 {
 	if x < k {
 		return ordLt
 	}
 	if x > k {
 		return ordGt
+	}
+	if x != x || k != k {
+		switch {
+		case k == k:
+			return ordGt
+		case x == x:
+			return ordLt
+		}
 	}
 	return ordEq
 }

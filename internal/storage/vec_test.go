@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,6 +141,24 @@ func TestZoneMayMatchBounds(t *testing.T) {
 	// Incomparable constant kinds never prune.
 	if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpEq, Val: types.NewString("x")}) {
 		t.Error("incomparable predicate pruned a page")
+	}
+}
+
+// TestZoneKeepsNaNPages: NaN is above every number, so a page that holds
+// one has it as its maximum, wherever it stands in the page, and no
+// d > c prunes the page; d = NaN does not either.
+func TestZoneKeepsNaNPages(t *testing.T) {
+	nan, x := types.NewFloat64(math.NaN()), types.NewFloat64(1.5)
+	for _, page := range [][]types.Datum{{nan, x}, {x, nan}, {nan, types.Null, x}, {nan}} {
+		zone := buildZone(nil, page)
+		for _, c := range []float64{1.0, 3.0, 1e300, math.Inf(1)} {
+			if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpGt, Val: types.NewFloat64(c)}) {
+				t.Errorf("page %v skipped for d > %v", page, c)
+			}
+		}
+		if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpEq, Val: nan}) {
+			t.Errorf("page %v skipped for d = NaN", page)
+		}
 	}
 }
 

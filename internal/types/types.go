@@ -333,7 +333,8 @@ func Hashable(a, b Kind) bool {
 }
 
 // Compare orders two datums. NULL sorts before every non-NULL value.
-// Numeric kinds compare by value across kinds; other kinds must match
+// Numeric kinds compare by value across kinds, a NaN equal to NaN and
+// above every other number (PostgreSQL's order); other kinds must match
 // (Comparable). It panics on incomparable kinds: the binder lets no such
 // comparison into a plan.
 func Compare(a, b Datum) int {
@@ -371,17 +372,27 @@ func cmpInt64(a, b int64) int {
 	}
 }
 
+// CompareFloat orders two DOUBLEs as Compare does: by value, with NaN
+// equal to NaN and greater than every other number.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a != a && b != b:
+		return 0
+	case a != a:
+		return 1
+	}
+	return -1
+}
+
 func compareNumeric(a, b Datum) int {
 	if a.K == KindFloat64 || b.K == KindFloat64 {
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return CompareFloat(a.Float(), b.Float())
 	}
 	if a.K == KindDecimal || b.K == KindDecimal {
 		as, bs := a.I, b.I
