@@ -169,6 +169,16 @@ func TestPipelinesMatchReference(t *testing.T) {
 			RightKeys: []int{0},
 			Schema:    intsSchema("k", "v", "rk"),
 		}, true, plain},
+		// All but one value in 97 match: the probe reads its blocks out
+		// whole, where "join" reads out a row at a time.
+		"join-most-match": {&plan.HashJoin{
+			Kind:      plan.InnerJoin,
+			Left:      scan([]int{0, 1}, "k", "v"),
+			Right:     valuesNode(intsSchema("rk"), seqRows(96, func(i int) int64 { return 0 })...),
+			LeftKeys:  []int{1},
+			RightKeys: []int{0},
+			Schema:    intsSchema("k", "v", "rk", "rz"),
+		}, true, plain},
 		"nestloop-left": {&plan.NestLoopJoin{
 			Kind:   plan.LeftJoin,
 			Left:   scan([]int{0, 1}, "k", "v"),

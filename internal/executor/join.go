@@ -1,7 +1,8 @@
 package executor
 
 import (
-	"fmt"
+	"slices"
+	"sync"
 
 	"hawq/internal/expr"
 	"hawq/internal/obs"
@@ -44,7 +45,7 @@ type hashJoinOp struct {
 	// scratch list of the build rows the current probe row pairs with.
 	cur     *rowCursor
 	vin     VecSource
-	vec     vecProbe
+	vec     *vecProbe
 	matches []types.Row
 
 	// spill state
@@ -61,13 +62,19 @@ type hashJoinOp struct {
 // the key hash of every surviving row and which rows have a NULL key,
 // each key column's vector and the entry of every surviving row in it,
 // and the next row to probe. A key's cells and a whole row are read out
-// on demand.
+// on demand. Its scratch, sized to a block, is pooled across joins.
 type vecProbe struct {
 	vb     *types.VecBatch // nil between batches
 	n      int             // surviving rows
 	next   int             // the next of them to probe
 	hashes []uint64
 	nulls  types.NullBitmap // bit i: row i has a NULL key
+	firsts []int32          // by row: the table's first row of its hash (keyTable.first), 0 for none
+	// rows holds the batch's rows, materialized at once, when most of
+	// them are to be emitted: a column at a time costs a fraction of
+	// reading each row out through rr.
+	rows  *types.Batch
+	dense bool
 
 	cols    []vecKeyCol
 	entHash []uint64  // scratch: the hash of each entry of a column of runs or codes
@@ -85,33 +92,44 @@ type vecKeyCol struct {
 	ents, buf []int32
 }
 
-// load makes vb the current batch, ownership included, and hashes the
-// key columns cols of its surviving rows.
-func (p *vecProbe) load(vb *types.VecBatch, cols []int) error {
-	p.vb, p.n, p.next, p.rrSet = vb, vb.SelCount(), 0, false
-	if p.cols == nil {
-		p.cols = make([]vecKeyCol, len(cols))
-		p.key = make(types.Row, len(cols))
-		for k := range cols {
+// vecProbes recycles the vector probes of finished joins.
+var vecProbes = sync.Pool{New: func() any { return new(vecProbe) }}
+
+// getVecProbe returns a pooled vector probe for a key of nkeys columns.
+func getVecProbe(nkeys int) *vecProbe {
+	p := vecProbes.Get().(*vecProbe)
+	if len(p.cols) != nkeys {
+		p.cols = make([]vecKeyCol, nkeys)
+		p.key = make(types.Row, nkeys)
+		p.keyCols = p.keyCols[:0]
+		for k := range nkeys {
 			p.keyCols = append(p.keyCols, k)
 		}
 	}
-	if cap(p.hashes) < p.n {
-		p.hashes = make([]uint64, p.n)
-	}
-	p.hashes = p.hashes[:p.n]
+	return p
+}
+
+// put releases the probe's batch and returns the probe to the pool.
+func (p *vecProbe) put() {
+	p.release()
+	types.PutBatch(p.rows)
+	p.rows = nil
+	vecProbes.Put(p)
+}
+
+// load makes vb the current batch, ownership included, and hashes the
+// key columns cols of its surviving rows.
+func (p *vecProbe) load(vb *types.VecBatch, cols []int) {
+	p.vb, p.n, p.next, p.rrSet = vb, vb.SelCount(), 0, false
+	p.hashes = slices.Grow(p.hashes[:0], p.n)[:p.n]
 	clear(p.hashes)
 	p.nulls = p.nulls[:0]
 	for k, c := range cols {
-		if c >= len(vb.Cols) {
-			return fmt.Errorf("executor: join key column %d out of range (batch width %d)", c, len(vb.Cols))
-		}
 		kc := &p.cols[k]
 		kc.v = &vb.Cols[c]
 		kc.ents, kc.buf = kc.v.EntryIndex(vb.Sel, kc.buf)
 		p.entHash = foldVecKeys(kc.v, kc.ents, p.hashes, &p.nulls, p.entHash)
 	}
-	return nil
 }
 
 // keyOf returns the key cells of surviving row i: the probe key
@@ -128,9 +146,11 @@ func (p *vecProbe) keyOf(i int) types.Row {
 	return p.key
 }
 
-// row returns surviving row i, every column, in the reader's scratch:
-// valid until the next call.
+// row returns surviving row i, every column: valid until the next call.
 func (p *vecProbe) row(i int) types.Row {
+	if p.dense {
+		return p.rows.Row(i)
+	}
 	if !p.rrSet {
 		p.rr.Reset(p.vb, nil)
 		p.rrSet = true
@@ -142,7 +162,7 @@ func (p *vecProbe) row(i int) types.Row {
 // refer to it: their strings are the vectors' immutable ones.
 func (p *vecProbe) release() {
 	types.PutVecBatch(p.vb)
-	p.vb, p.n, p.next = nil, 0, 0
+	p.vb, p.n, p.next, p.dense = nil, 0, 0, false
 }
 
 // joinPart is one build/probe partition pair awaiting its in-memory
@@ -212,7 +232,9 @@ func (j *hashJoinOp) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	j.vin, _ = j.left.(VecSource)
+	if j.vin, _ = j.left.(VecSource); j.vin != nil {
+		j.vec = getVecProbe(len(j.node.LeftKeys))
+	}
 	if !j.spilled {
 		j.table.seal()
 		if j.vin == nil {
@@ -300,7 +322,42 @@ func (j *hashJoinOp) pullVec() (bool, error) {
 		types.PutVecBatch(vb)
 		return false, err
 	}
-	return true, j.vec.load(vb, j.node.LeftKeys)
+	j.vec.load(vb, j.node.LeftKeys)
+	return true, nil
+}
+
+// match finds the first candidate of every row of the vector probe's
+// batch in one loop, and materializes the batch when at least a quarter
+// of its rows are to be read out: the rows with a candidate for an inner
+// or semi join, those without for an anti join (all of them under a join
+// predicate), every row for a left join.
+func (j *hashJoinOp) match() {
+	p := j.vec
+	p.firsts = slices.Grow(p.firsts[:0], p.n)[:p.n]
+	cands := 0
+	for i, h := range p.hashes {
+		l := int32(0)
+		if !p.nulls.At(i) {
+			l = j.table.first(h)
+		}
+		p.firsts[i] = l
+		if l != 0 {
+			cands++
+		}
+	}
+	read := cands
+	switch {
+	case j.node.Kind == plan.LeftJoin, j.node.Kind == plan.AntiJoin && j.node.ExtraPred != nil:
+		read = p.n
+	case j.node.Kind == plan.AntiJoin:
+		read = p.n - cands
+	}
+	if p.dense = 4*read >= p.n; p.dense {
+		if p.rows == nil {
+			p.rows = types.GetBatch(0)
+		}
+		p.vb.Materialize(p.rows)
+	}
 }
 
 // spillBuild switches the join into grace mode: the in-memory table is
@@ -518,17 +575,14 @@ func (j *hashJoinOp) nextRowProbe() (bool, error) {
 // predicate can disqualify the matches, are passed over unread. It
 // reports false at the input's end.
 func (j *hashJoinOp) nextVecProbe() (bool, error) {
-	p := &j.vec
+	p := j.vec
 	for {
 		for p.next < p.n {
 			i := p.next
 			p.next++
 			j.matches = j.matches[:0]
-			if !p.nulls.At(i) {
-				h := p.hashes[i]
-				if l := j.table.first(h); l != 0 {
-					j.matches = j.table.lookup(l, h, p.keyOf(i), p.keyCols, j.node.RightKeys, j.matches)
-				}
+			if l := p.firsts[i]; l != 0 {
+				j.matches = j.table.lookup(l, p.hashes[i], p.keyOf(i), p.keyCols, j.node.RightKeys, j.matches)
 			}
 			if len(j.matches) == 0 && !j.emitsUnmatched() ||
 				len(j.matches) > 0 && j.node.Kind == plan.AntiJoin && j.node.ExtraPred == nil {
@@ -540,6 +594,7 @@ func (j *hashJoinOp) nextVecProbe() (bool, error) {
 		if ok, err := j.pullVec(); !ok {
 			return false, err
 		}
+		j.match()
 	}
 }
 
@@ -549,7 +604,10 @@ func (j *hashJoinOp) nextVecProbe() (bool, error) {
 func (j *hashJoinOp) Close() error {
 	j.cur.close()
 	j.cur = nil
-	j.vec.release()
+	if j.vec != nil {
+		j.vec.put()
+		j.vec = nil
+	}
 	if j.curPart.build != nil {
 		j.curPart.build.Remove()
 		j.curPart.probe.Remove()
