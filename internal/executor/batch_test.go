@@ -98,7 +98,7 @@ func TestPipelinesMatchReference(t *testing.T) {
 	}
 	// One probe key with more build matches than a batch holds: emission
 	// must resume mid-match-list on the next call. rv runs 0..2499. The
-	// probe side is a Values node, or the scan of fatProbe below.
+	// probe side is a Values node, or the scan of fatScan below.
 	fatValues := valuesNode(intsSchema("lk", "lv"), []int64{7, 1}, []int64{8, 2}, []int64{7, 3}, []int64{9, 4})
 	fatValues.Rows = append(fatValues.Rows, types.Row{types.Null, types.NewInt64(5)})
 	fat := func(kind plan.JoinKind, extra expr.Expr, left plan.Node) *plan.HashJoin {
@@ -380,15 +380,17 @@ func TestPipelinesMatchReference(t *testing.T) {
 			if refs[tr.node] == nil {
 				refs[tr.node] = refRows(t, tr.node, tables)
 			}
-			got := collect(t, tr.ctx(t), tr.node)
-			sameRows(t, got, refs[tr.node], tr.ordered)
 			// A join that probes from a scan's vectors gives what it gives
 			// probing the same scan's rows.
 			if j, ok := tr.node.(*plan.HashJoin); ok {
 				if _, scanned := j.Left.(*plan.Scan); scanned {
+					got := collectJoin(t, tr.ctx(t), j, true)
 					sameRows(t, got, collectJoin(t, tr.ctx(t), j, false), tr.ordered)
+					sameRows(t, got, refs[tr.node], tr.ordered)
+					return
 				}
 			}
+			sameRows(t, collect(t, tr.ctx(t), tr.node), refs[tr.node], tr.ordered)
 		})
 	}
 }
@@ -554,8 +556,10 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 	}, 72)
 	// An inner join that probes from a scan's vectors and matches 1 % of
 	// the first table's rows builds a row for each match and allocates for
-	// none it passes over: probing four times the rows costs the same
-	// operators and scratch, and the scan's few more blocks.
+	// none it passes over: probing 12 288 more rows costs the same
+	// operators and scratch, and a few allocations for each of the scan's
+	// few more blocks — up to 14 more under -race, where sync.Pool drops a
+	// quarter of what it is handed.
 	var keys [][]int64
 	for k := 0; k < nrows; k += 100 {
 		keys = append(keys, []int64{int64(k)})
@@ -580,7 +584,7 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 		}
 		return testing.AllocsPerRun(5, run)
 	}
-	if few, many := sel1pct(nrows), sel1pct(4*nrows); many > few+8 {
+	if few, many := sel1pct(nrows), sel1pct(4*nrows); many > few+32 {
 		t.Errorf("a 1%% join probing %d scanned rows allocates %.0f times, probing %d rows %.0f", 4*nrows, many, nrows, few)
 	}
 	// A redistribute motion hashes and encodes every row and allocates for

@@ -22,9 +22,11 @@ import (
 // typed entries (vecKeyHash), every surviving row's chain is walked once,
 // its key cells are read out only when a build row has its hash, and the
 // whole row only when joinProbe is to emit it — so a selective join over
-// a scan builds a row for what it outputs, not for what it reads. Any
-// other probe input is taken row by row through a rowCursor and hashed
-// with hashKeys; both meet the build rows in the same slots.
+// a scan builds a row for what it outputs, not for what it reads (a
+// block most of whose rows are emitted is materialized whole, which is
+// cheaper). Any other probe input is taken row by row through a
+// rowCursor and hashed with hashKeys; both meet the build rows in the
+// same slots.
 //
 // When the build side outgrows its memory budget the join degrades to
 // partitioned (grace) spilling: both sides are partitioned into
@@ -70,9 +72,9 @@ type vecProbe struct {
 	hashes []uint64
 	nulls  types.NullBitmap // bit i: row i has a NULL key
 	firsts []int32          // by row: the table's first row of its hash (keyTable.first), 0 for none
-	// rows holds the batch's rows, materialized at once, when most of
-	// them are to be emitted: a column at a time costs a fraction of
-	// reading each row out through rr.
+	// rows holds the batch's rows, materialized at once (dense) when a
+	// quarter of them or more are to be read out: a column at a time
+	// costs a fraction of reading each row out through rr.
 	rows  *types.Batch
 	dense bool
 
@@ -561,9 +563,7 @@ func (j *hashJoinOp) nextRowProbe() (bool, error) {
 	}
 	j.matches = j.matches[:0]
 	if h, valid := hashKeys(row, j.node.LeftKeys); valid {
-		if l := j.table.first(h); l != 0 {
-			j.matches = j.table.lookup(l, h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
-		}
+		j.matches = j.table.lookup(j.table.first(h), h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
 	}
 	j.probe.start(row, j.matches)
 	return true, nil

@@ -325,10 +325,7 @@ func sameKey(probe, row types.Row, probeKeys, keys []int) bool {
 // find returns the number of the row that is key, whose columns cols hash
 // to h, or -1.
 func (t *keyTable) find(h uint64, key types.Row, cols []int) int32 {
-	if len(t.head) == 0 {
-		return -1
-	}
-	for l := t.head[h&uint64(len(t.head)-1)]; l != 0; l = t.next[l-1] {
+	for l := t.first(h); l != 0; l = t.next[l-1] {
 		if t.hashes[l-1] == h && sameKey(key, t.rows.row(int(l-1)), cols, cols) {
 			return l - 1
 		}
@@ -364,9 +361,9 @@ func (t *keyTable) first(h uint64) int32 {
 	return l
 }
 
-// lookup appends to out every row from link l on (first's) whose key
-// hash is h and whose key cells equal probe's, in insertion order. The
-// rows are views into the table, valid until reset.
+// lookup appends to out every row from link l on (first's; 0 is none)
+// whose key hash is h and whose key cells equal probe's, in insertion
+// order. The rows are views into the table, valid until reset.
 func (t *keyTable) lookup(l int32, h uint64, probe types.Row, probeKeys, keys []int, out []types.Row) []types.Row {
 	for ; l != 0; l = t.next[l-1] {
 		if t.hashes[l-1] != h {
