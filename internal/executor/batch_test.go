@@ -399,7 +399,8 @@ func TestPipelinesMatchReference(t *testing.T) {
 type rowsOnly struct{ Operator }
 
 // collectJoin runs a hash join whose probe input is a scan, probing it
-// from vectors or, with them hidden behind rowsOnly, row by row.
+// from vectors or, with them hidden behind rowsOnly, row by row. A join
+// that spilled probes row by row either way.
 func collectJoin(t *testing.T, ctx *Context, j *plan.HashJoin, vectors bool) []types.Row {
 	t.Helper()
 	op := mustBuild(t, ctx, j).(*hashJoinOp)
@@ -414,8 +415,8 @@ func collectJoin(t *testing.T, ctx *Context, j *plan.HashJoin, vectors bool) []t
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (op.vin != nil) != vectors {
-		t.Fatalf("probed from vectors: %v, want %v", op.vin != nil, vectors)
+	if want := vectors && !op.spilled; (op.vin != nil) != want {
+		t.Fatalf("probed from vectors: %v, want %v", op.vin != nil, want)
 	}
 	return out
 }

@@ -33,7 +33,8 @@ import (
 // workfiles by the level-salted key hash, then each partition pair is
 // joined in memory, in the same table — recursing with a deeper salt on
 // partitions that still don't fit, and past maxSpillLevel loading the
-// partition anyway (a skewed key can defeat any partitioning).
+// partition anyway (a skewed key can defeat any partitioning). A grace
+// join takes every probe input as rows, a scan included.
 type hashJoinOp struct {
 	ctx         *Context
 	node        *plan.HashJoin
@@ -43,8 +44,9 @@ type hashJoinOp struct {
 	table keyTable
 	// cur serves the probe rows of a row input or, in grace mode, those
 	// of the current partition's probe file; vin is the probe input when
-	// it is a vector source and vec its current batch. matches is the
-	// scratch list of the build rows the current probe row pairs with.
+	// it is a vector source and the build fit in memory, and vec its
+	// current batch. matches is the scratch list of the build rows the
+	// current probe row pairs with.
 	cur     *rowCursor
 	vin     VecSource
 	vec     *vecProbe
@@ -73,8 +75,8 @@ type vecProbe struct {
 	nulls  types.NullBitmap // bit i: row i has a NULL key
 	firsts []int32          // by row: the table's first row of its hash (keyTable.first), 0 for none
 	// rows holds the batch's rows, materialized at once (dense) when a
-	// quarter of them or more are to be read out: a column at a time
-	// costs a fraction of reading each row out through rr.
+	// quarter of them or more are to be read out (see match): a column at
+	// a time costs less than reading each of them out through rr.
 	rows  *types.Batch
 	dense bool
 
@@ -234,12 +236,11 @@ func (j *hashJoinOp) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	if j.vin, _ = j.left.(VecSource); j.vin != nil {
-		j.vec = getVecProbe(len(j.node.LeftKeys))
-	}
 	if !j.spilled {
 		j.table.seal()
-		if j.vin == nil {
+		if j.vin, _ = j.left.(VecSource); j.vin != nil {
+			j.vec = getVecProbe(len(j.node.LeftKeys))
+		} else {
 			j.cur = opCursor(j.ctx, j.left)
 		}
 		return nil
@@ -254,12 +255,7 @@ func (j *hashJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
-	if j.vin != nil {
-		err = j.partitionVec(j.probeSP)
-	} else {
-		err = drainRows(j.ctx, j.left, j.probeRouter(j.probeSP))
-	}
-	if err != nil {
+	if err := drainRows(j.ctx, j.left, j.probeRouter(j.probeSP)); err != nil {
 		return err
 	}
 	if err := j.probeSP.finish(); err != nil {
@@ -283,26 +279,6 @@ func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
 			return nil
 		}
 		return sp.addHash(h, row)
-	}
-}
-
-// partitionVec is probeRouter over the vector probe input: every batch's
-// keys are hashed from the vectors, and a row an inner or semi join drops
-// is dropped before it is read.
-func (j *hashJoinOp) partitionVec(sp *spillPartition) error {
-	for {
-		ok, err := j.pullVec()
-		if !ok {
-			return err
-		}
-		for i := 0; i < j.vec.n; i++ {
-			if j.vec.nulls.At(i) && !j.emitsUnmatched() {
-				continue
-			}
-			if err := sp.addHash(j.vec.hashes[i], j.vec.row(i)); err != nil {
-				return err
-			}
-		}
 	}
 }
 
@@ -332,7 +308,10 @@ func (j *hashJoinOp) pullVec() (bool, error) {
 // batch in one loop, and materializes the batch when at least a quarter
 // of its rows are to be read out: the rows with a candidate for an inner
 // or semi join, those without for an anti join (all of them under a join
-// predicate), every row for a left join.
+// predicate), every row for a left join. A quarter is where reading the
+// block out whole starts to win on BenchmarkHashJoin/scanprobe's integer
+// rows: at a tenth of them reading row by row is the faster, at a sixth
+// the two tie.
 func (j *hashJoinOp) match() {
 	p := j.vec
 	p.firsts = slices.Grow(p.firsts[:0], p.n)[:p.n]
@@ -535,7 +514,7 @@ func (j *hashJoinOp) NextBatch(b *types.Batch) (bool, error) {
 		if j.probe.cur == nil {
 			var ok bool
 			var err error
-			if j.vin != nil && !j.spilled {
+			if j.vin != nil {
 				ok, err = j.nextVecProbe()
 			} else {
 				ok, err = j.nextRowProbe()

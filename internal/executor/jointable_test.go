@@ -285,7 +285,9 @@ func TestRowStoreLocate(t *testing.T) {
 // row under int_dup16, one otherwise. scanprobe probes from a scan of
 // writeIntsTable's 16 384 rows, through its vectors, on an integer key:
 // sel1pct against 164 build rows, which one probe row in a hundred
-// matches, all against 16 384, which every probe row matches once.
+// matches, sel25pct against 4 096, which one in four matches (where the
+// probe starts to read a block out whole), all against 16 384, which
+// every probe row matches once.
 func BenchmarkHashJoin(b *testing.B) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt64}, types.Column{Name: "s", Kind: types.KindString}, types.Column{Name: "v", Kind: types.KindInt64})
@@ -333,7 +335,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		step int
-	}{{"sel1pct", 100}, {"all", 1}} {
+	}{{"sel1pct", 100}, {"sel25pct", 4}, {"all", 1}} {
 		var keys [][]int64
 		for k := 0; k < probeRows; k += tc.step {
 			keys = append(keys, []int64{int64(k)})

@@ -266,8 +266,9 @@ func fnvUint64(h, v uint64) uint64 {
 
 // hashDatum folds a normalized representation of d into h so that datums
 // that compare equal hash equal (INT32 7 and INT64 7, decimals of
-// different scales, -0.0 and 0.0): a tag byte, then the value. Stored
-// rows were placed by these exact bytes, so they never change.
+// different scales, -0.0 and 0.0, every NaN): a tag byte, then the value.
+// Stored rows were placed by these exact bytes, so they never change; a
+// NaN hashes as math.NaN(), the bits a parsed 'NaN' has.
 func hashDatum(h uint64, d *Datum) uint64 {
 	switch d.K {
 	case KindNull:
@@ -278,8 +279,11 @@ func hashDatum(h uint64, d *Datum) uint64 {
 		return fnvUint64(fnvByte(h, 2), uint64(d.I))
 	case KindFloat64:
 		f := d.F
-		if f == 0 {
+		switch {
+		case f == 0:
 			f = 0 // -0.0 equals 0.0
+		case f != f:
+			f = math.NaN() // NaN equals NaN
 		}
 		return fnvUint64(fnvByte(h, 3), math.Float64bits(f))
 	case KindDecimal:

@@ -13,7 +13,8 @@ import (
 // written before it was inlined — hash/fnv fed through the hash.Hash
 // interface — kept as the reference HashRowCols must equal bit for bit:
 // every stored row, direct dispatch and colocated join depends on the
-// values.
+// values. Every NaN is written with the bits of math.NaN(), which a
+// parsed 'NaN' has.
 func refHashDatum(h hash.Hash, d Datum) {
 	var tmp [10]byte
 	switch d.K {
@@ -27,7 +28,11 @@ func refHashDatum(h hash.Hash, d Datum) {
 		h.Write(tmp[:9])
 	case KindFloat64:
 		tmp[0] = 3
-		binary.BigEndian.PutUint64(tmp[1:9], math.Float64bits(d.F+0)) // -0.0 + 0 is 0.0
+		f := d.F + 0 // -0.0 + 0 is 0.0
+		if math.IsNaN(f) {
+			f = math.NaN()
+		}
+		binary.BigEndian.PutUint64(tmp[1:9], math.Float64bits(f))
 		h.Write(tmp[:9])
 	case KindDecimal:
 		u, sc := d.I, d.Scale
@@ -112,6 +117,7 @@ func TestHashRowColsMatchesFNV(t *testing.T) {
 	every := Row{
 		Null, NewBool(false), NewBool(true), NewInt32(-7), NewInt64(math.MinInt64), NewInt64(0),
 		NewFloat64(0), NewFloat64(math.Copysign(0, -1)), NewFloat64(math.Inf(1)), NewFloat64(2.5),
+		NewFloat64(math.NaN()), NewFloat64(math.Float64frombits(0xfff8000000000000)),
 		NewDecimal(700, 2), NewDecimal(750, 2), NewDecimal(75, 1), NewDecimal(0, 4), NewDecimal(-1230000, 8), NewDecimal(5, 0),
 		NewString(""), NewString("x"), NewString("héllo wörld"), NewBytes([]byte{0, 255, 7}), NewDate(0), NewDate(-400),
 	}
@@ -127,6 +133,9 @@ func TestHashRowColsMatchesFNV(t *testing.T) {
 	}
 	if HashRowCols(Row{NewFloat64(math.Copysign(0, -1))}, nil) != HashRowCols(Row{NewFloat64(0)}, nil) {
 		t.Error("-0.0 and 0.0 hash apart")
+	}
+	if HashRowCols(Row{NewFloat64(math.Float64frombits(0xfff8000000000000))}, nil) != HashRowCols(Row{NewFloat64(math.NaN())}, nil) {
+		t.Error("two NaNs hash apart")
 	}
 	rng := rand.New(rand.NewSource(18))
 	n := 100000

@@ -18,8 +18,8 @@
 # batch (DecodeBatch: all numbers, a third strings), and the hash join's
 # two halves by key shape (HashJoin/{build,probe}: unique and sixteenfold
 # integer keys, a string key, a two-column key) and its probe from a
-# scan's vectors (HashJoin/scanprobe/{sel1pct,all}: one probe row in a
-# hundred matching, or every one)), the workload-manager
+# scan's vectors (HashJoin/scanprobe/{sel1pct,sel25pct,all}: one probe
+# row in a hundred matching, one in four, or every one)), the workload-manager
 # spill microbench (in-memory vs workfile-spilling hash join, with
 # spilled bytes per op) and the observability overhead microbench
 # (scan→filter→project with per-operator stats off vs on; the on/off
