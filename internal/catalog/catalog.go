@@ -109,8 +109,7 @@ type SegFile struct {
 
 // RelStats carries planner statistics for a table (§6.3, ANALYZE).
 type RelStats struct {
-	Rows  int64
-	Bytes int64
+	Rows int64
 }
 
 // ColStats carries per-column statistics.
@@ -189,7 +188,6 @@ const (
 	SysSegment   = "hawq_segment"
 	SysResQueue  = "hawq_resqueue"
 	SysTask      = "hawq_task"
-	SysStatMod   = "hawq_stat_mod"
 )
 
 // New creates a catalog with empty system tables. Mutations are logged to
@@ -239,7 +237,6 @@ func New(wal *tx.WAL) *Catalog {
 	add(SysStatRel,
 		types.Column{Name: "tableoid", Kind: types.KindInt64},
 		types.Column{Name: "rows", Kind: types.KindInt64},
-		types.Column{Name: "bytes", Kind: types.KindInt64},
 	)
 	add(SysStatCol,
 		types.Column{Name: "tableoid", Kind: types.KindInt64},
@@ -272,10 +269,6 @@ func New(wal *tx.WAL) *Catalog {
 		types.Column{Name: "nextrun", Kind: types.KindInt64},
 		types.Column{Name: "retries", Kind: types.KindInt64},
 		types.Column{Name: "lasterror", Kind: types.KindString},
-	)
-	add(SysStatMod,
-		types.Column{Name: "tableoid", Kind: types.KindInt64},
-		types.Column{Name: "modrows", Kind: types.KindInt64},
 	)
 	return c
 }
@@ -455,22 +448,16 @@ func (c *Catalog) DropTable(t *tx.Tx, name string) error {
 }
 
 func (c *Catalog) dropOne(t *tx.Tx, snap tx.Snapshot, oid int64) {
-	collect := func(table string, oidCol int) []uint64 {
+	// Every table here keys on the table's oid in column 0.
+	for _, table := range []string{SysClass, SysAttribute, SysAoseg, SysStatRel, SysStatCol} {
 		var ids []uint64
 		c.sys[table].Scan(snap, func(id uint64, row types.Row) bool {
-			if row[oidCol].Int() == oid {
+			if row[0].Int() == oid {
 				ids = append(ids, id)
 			}
 			return true
 		})
-		return ids
-	}
-	for _, table := range []string{SysClass, SysAttribute, SysAoseg, SysStatRel, SysStatCol, SysStatMod} {
-		oidCol := 0
-		if table != SysClass {
-			oidCol = 0 // all these key on tableoid in column 0 except SysClass's oid, also 0
-		}
-		for _, id := range collect(table, oidCol) {
+		for _, id := range ids {
 			c.delete(t.XID(), table, id)
 		}
 	}

@@ -218,7 +218,7 @@ func TestStats(t *testing.T) {
 	if _, ok := c.RelStatsFor(tr.Snapshot(), oid); ok {
 		t.Error("stats before analyze")
 	}
-	c.SetRelStats(tr, oid, RelStats{Rows: 1000, Bytes: 4096})
+	c.SetRelStats(tr, oid, RelStats{Rows: 1000})
 	c.SetColStats(tr, oid, 0, ColStats{NDistinct: 900, Min: types.NewInt64(1), Max: types.NewInt64(1000)})
 	rs, ok := c.RelStatsFor(tr.Snapshot(), oid)
 	if !ok || rs.Rows != 1000 {
@@ -242,6 +242,11 @@ func TestStats(t *testing.T) {
 	rs, _ = c.RelStatsFor(tr.Snapshot(), oid)
 	if rs.Rows != 2000 {
 		t.Errorf("replaced stats = %+v", rs)
+	}
+	// TRUNCATE's rule: the table reads as never analyzed again.
+	c.DropRelStats(tr, oid)
+	if rs, ok := c.RelStatsFor(tr.Snapshot(), oid); ok {
+		t.Errorf("stats after DropRelStats = %+v", rs)
 	}
 	tr.Commit()
 }

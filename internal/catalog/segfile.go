@@ -150,9 +150,16 @@ func (c *Catalog) SwapSegFiles(t *tx.Tx, tableOID int64, segmentID int, oldSegNo
 
 // SetRelStats stores (replacing) table-level statistics.
 func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) {
-	snap := t.Snapshot()
+	c.DropRelStats(t, oid)
+	c.insert(t.XID(), SysStatRel, types.Row{types.NewInt64(oid), types.NewInt64(s.Rows)})
+}
+
+// DropRelStats deletes a table's stored row count, so the table reads as
+// never analyzed: the planner counts its rows from the segment files and
+// the auto-ANALYZE sweep counts every one of them as churn.
+func (c *Catalog) DropRelStats(t *tx.Tx, oid int64) {
 	var old []uint64
-	c.sys[SysStatRel].Scan(snap, func(id uint64, row types.Row) bool {
+	c.sys[SysStatRel].Scan(t.Snapshot(), func(id uint64, row types.Row) bool {
 		if row[0].Int() == oid {
 			old = append(old, id)
 		}
@@ -161,9 +168,6 @@ func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) {
 	for _, id := range old {
 		c.delete(t.XID(), SysStatRel, id)
 	}
-	c.insert(t.XID(), SysStatRel, types.Row{
-		types.NewInt64(oid), types.NewInt64(s.Rows), types.NewInt64(s.Bytes),
-	})
 }
 
 // RelStatsFor returns table statistics; ok is false if never analyzed.
@@ -171,7 +175,7 @@ func (c *Catalog) RelStatsFor(snap tx.Snapshot, oid int64) (RelStats, bool) {
 	var out RelStats
 	found := false
 	c.sys[SysStatRel].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == oid }, func(_ uint64, row types.Row) bool {
-		out, found = RelStats{Rows: row[1].Int(), Bytes: row[2].Int()}, true
+		out, found = RelStats{Rows: row[1].Int()}, true
 		return false
 	})
 	return out, found

@@ -168,48 +168,3 @@ func decodeTaskRow(row types.Row) *TaskDesc {
 		LastError:   row[10].Str(),
 	}
 }
-
-// BumpModCount records delta rows changed on a table since its last
-// ANALYZE. Each transaction appends its own delta row instead of updating
-// a shared counter — concurrent writers to the same table never
-// write-write conflict, and an aborted transaction's delta simply stays
-// invisible. ModCountFor sums the visible deltas; the ANALYZE that
-// consumes them calls ResetModCount.
-func (c *Catalog) BumpModCount(t *tx.Tx, tableOID, delta int64) {
-	if delta == 0 {
-		return
-	}
-	c.insert(t.XID(), SysStatMod, types.Row{
-		types.NewInt64(tableOID),
-		types.NewInt64(delta),
-	})
-}
-
-// ModCountFor sums the visible modification deltas of a table: rows
-// changed since the last ANALYZE reset.
-func (c *Catalog) ModCountFor(snap tx.Snapshot, tableOID int64) int64 {
-	var sum int64
-	c.sys[SysStatMod].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == tableOID {
-			sum += row[1].Int()
-		}
-		return true
-	})
-	return sum
-}
-
-// ResetModCount MVCC-deletes every visible delta row of a table: ANALYZE
-// absorbing the accumulated churn into fresh statistics.
-func (c *Catalog) ResetModCount(t *tx.Tx, tableOID int64) {
-	snap := t.Snapshot()
-	var victims []uint64
-	c.sys[SysStatMod].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Int() == tableOID {
-			victims = append(victims, id)
-		}
-		return true
-	})
-	for _, id := range victims {
-		c.delete(t.XID(), SysStatMod, id)
-	}
-}

@@ -79,51 +79,6 @@ func TestTaskCRUDAndMVCC(t *testing.T) {
 	tr.Abort()
 }
 
-func TestModCountDeltasAndReset(t *testing.T) {
-	c, m := newEnv()
-
-	// Two concurrent transactions bump the same table without
-	// conflicting: each inserts its own delta row.
-	t1 := m.Begin(tx.ReadCommitted)
-	t2 := m.Begin(tx.ReadCommitted)
-	c.BumpModCount(t1, 7, 100)
-	c.BumpModCount(t2, 7, 50)
-	c.BumpModCount(t2, 9, 5)
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// An aborted bump leaves no churn.
-	t3 := m.Begin(tx.ReadCommitted)
-	c.BumpModCount(t3, 7, 999)
-	t3.Abort()
-
-	tr := m.Begin(tx.ReadCommitted)
-	if got := c.ModCountFor(tr.Snapshot(), 7); got != 150 {
-		t.Errorf("ModCountFor(7) = %d, want 150", got)
-	}
-	if got := c.ModCountFor(tr.Snapshot(), 9); got != 5 {
-		t.Errorf("ModCountFor(9) = %d, want 5", got)
-	}
-
-	// ANALYZE resets one table's counters, leaving the other's.
-	c.ResetModCount(tr, 7)
-	if err := tr.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tr = m.Begin(tx.ReadCommitted)
-	defer tr.Abort()
-	if got := c.ModCountFor(tr.Snapshot(), 7); got != 0 {
-		t.Errorf("ModCountFor(7) after reset = %d, want 0", got)
-	}
-	if got := c.ModCountFor(tr.Snapshot(), 9); got != 5 {
-		t.Errorf("ModCountFor(9) after reset of 7 = %d, want 5", got)
-	}
-}
-
 func TestTaskRowsReplicateThroughWALRecords(t *testing.T) {
 	c, m := newEnv()
 	replica := New(nil)
@@ -141,14 +96,14 @@ func TestTaskRowsReplicateThroughWALRecords(t *testing.T) {
 	if err := c.CreateTask(tr, TaskDesc{Name: "rollup", Kind: TaskKindStatement, Target: "SELECT 1", Interval: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
-	c.BumpModCount(tr, 3, 17)
+	c.SetRelStats(tr, 3, RelStats{Rows: 17})
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The replica sees the committed task row and churn through record
-	// replay alone — the property standby catalogs and crash recovery
-	// rely on.
+	// The replica sees the committed task row and the stored row count
+	// the sweep measures churn against through record replay alone — the
+	// property standby catalogs and crash recovery rely on.
 	check := m.Begin(tx.ReadCommitted)
 	defer check.Abort()
 	d, err := replica.LookupTask(check.Snapshot(), "rollup")
@@ -158,7 +113,7 @@ func TestTaskRowsReplicateThroughWALRecords(t *testing.T) {
 	if d.Interval != time.Minute || d.State != TaskQueued {
 		t.Errorf("replica task = %+v", d)
 	}
-	if got := replica.ModCountFor(check.Snapshot(), 3); got != 17 {
-		t.Errorf("replica ModCountFor(3) = %d, want 17", got)
+	if rs, ok := replica.RelStatsFor(check.Snapshot(), 3); !ok || rs.Rows != 17 {
+		t.Errorf("replica RelStatsFor(3) = %+v, %v; want 17 rows", rs, ok)
 	}
 }

@@ -181,7 +181,7 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					if err != nil {
 						return err
 					}
-					m.Cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows, Bytes: rows * 64})
+					m.Cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
 					return nil
 				}),
 			})
@@ -279,15 +279,16 @@ func crashWorkload(seed int64, n int) []CrashOp {
 				})
 			}
 		case k < 12:
-			// Modification counters: the insert-only churn rows the
-			// auto-ANALYZE sweep reads, occasionally reset like ANALYZE
-			// does.
+			// The row-count writes of DML: the segfile update an INSERT or
+			// COPY commits (a new lane's file when the table has none on
+			// segment 0), or now and then a TRUNCATE dropping the files
+			// and the stored row count together.
 			target := live[rng.Intn(len(live))]
 			delta := rng.Int63n(500) + 1
-			reset := rng.Intn(4) == 0
-			desc := "bumpmod " + target
-			if reset {
-				desc = "resetmod " + target
+			truncate := rng.Intn(4) == 0
+			desc := "appendrows " + target
+			if truncate {
+				desc = "truncate " + target
 			}
 			ops = append(ops, CrashOp{
 				Desc: desc,
@@ -296,11 +297,23 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					if err != nil {
 						return err
 					}
-					if reset {
-						m.Cat.ResetModCount(t, d.OID)
+					if truncate {
+						m.Cat.DropSegFiles(t, d.OID)
+						m.Cat.DropRelStats(t, d.OID)
 						return nil
 					}
-					m.Cat.BumpModCount(t, d.OID, delta)
+					if sfs := m.Cat.SegFiles(t.Snapshot(), d.OID, 0); len(sfs) > 0 {
+						sf := sfs[0]
+						sf.Tuples += delta
+						sf.LogicalLen += delta * 64
+						return m.Cat.UpdateSegFile(t, sf)
+					}
+					next := m.Cat.MaxSegNo(t.Snapshot(), d.OID, 0) + 1
+					m.Cat.AddSegFile(t, catalog.SegFile{
+						TableOID: d.OID, SegmentID: 0, SegNo: next,
+						Path:       fmt.Sprintf("/%s/%d", target, next),
+						LogicalLen: delta * 64, Tuples: delta,
+					})
 					return nil
 				}),
 			})

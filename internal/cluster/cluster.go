@@ -20,7 +20,6 @@ import (
 
 	"hawq/internal/catalog"
 	"hawq/internal/clock"
-	"hawq/internal/compress"
 	"hawq/internal/executor"
 	"hawq/internal/expr"
 	"hawq/internal/hdfs"
@@ -45,9 +44,6 @@ type Config struct {
 	Interconnect string
 	// UDP tunes the UDP interconnect (loss injection etc.).
 	UDP interconnect.UDPConfig
-	// TCP tunes the TCP interconnect (dial/handshake deadlines, dial
-	// retry policy).
-	TCP interconnect.TCPConfig
 	// Clock drives failure-detector timing (segment blacklist backoff)
 	// and the interconnect deadlines; nil means the wall clock. Chaos
 	// tests inject clock.Sim here.
@@ -68,9 +64,6 @@ type Config struct {
 	// SpillDir is the base directory for segment-local spill files
 	// (empty: system temp).
 	SpillDir string
-	// SpillCodec optionally compresses workfile frames ("quicklz",
-	// "zlib-1", ...; empty or "none" disables compression).
-	SpillCodec string
 	// WALDisk is the device the master's catalog WAL is persisted on
 	// (wal.NewDirDisk for real files, wal.NewFaultDisk under the crash
 	// harness). nil keeps the log volatile and in-memory, as before this
@@ -79,16 +72,10 @@ type Config struct {
 	// the newest checkpoint, redo committed transactions past it, and
 	// discard in-flight ones (§2.6).
 	WALDisk wal.Disk
-	// WALSegmentBytes rolls WAL segment files at this size (0: 256 KiB).
-	WALSegmentBytes int
 	// WALGroupWindow batches commit fsyncs: the group-commit leader
 	// waits this long (on Clock) for followers before one fsync covers
 	// the batch. 0 syncs per commit.
 	WALGroupWindow time.Duration
-	// CheckpointEvery writes a catalog checkpoint after this many WAL
-	// records (0 disables automatic checkpoints; Checkpoint() is always
-	// available).
-	CheckpointEvery int
 
 	// Background maintenance (consumed by the engine's task scheduler;
 	// the cluster itself only carries them). DisableTasks turns the
@@ -97,18 +84,8 @@ type Config struct {
 	// by default so tests with golden plans keep static statistics.
 	DisableTasks bool
 	TaskSweep    bool
-	// TaskTick and TaskLease tune the scheduler loop (0: 1s / 30s).
-	TaskTick  time.Duration
+	// TaskLease is how long a task claim is honoured (0: 30s).
 	TaskLease time.Duration
-	// AutoAnalyzeRatio fires auto-ANALYZE when modified/total rows meets
-	// it (0: 0.2); AutoAnalyzeMinRows is the absolute modified-row floor
-	// (0: 50). CompactSmallBytes classifies an undersized segfile
-	// (0: 64KB); CompactMinFiles is how many one segment needs before
-	// compaction is enqueued (0: 3).
-	AutoAnalyzeRatio   float64
-	AutoAnalyzeMinRows int64
-	CompactSmallBytes  int64
-	CompactMinFiles    int
 }
 
 // Cluster is a running HAWQ cluster. The active catalog and WAL are held
@@ -130,8 +107,6 @@ type Cluster struct {
 	clk       clock.Clock
 
 	lanes *laneManager
-	// spillCodec is the resolved workfile compression codec (nil = none).
-	spillCodec compress.Codec
 	// External is the PXF binding used by external-table scans.
 	External executor.ExternalEngine
 
@@ -197,19 +172,10 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var spillCodec compress.Codec
-	if cfg.SpillCodec != "" && cfg.SpillCodec != "none" {
-		spillCodec, err = compress.Lookup(cfg.SpillCodec)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: spill codec: %w", err)
-		}
-	}
 	m, err := OpenMaster(MasterOptions{
-		Disk:            cfg.WALDisk,
-		SegmentBytes:    cfg.WALSegmentBytes,
-		GroupWindow:     cfg.WALGroupWindow,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Clock:           cfg.Clock,
+		Disk:        cfg.WALDisk,
+		GroupWindow: cfg.WALGroupWindow,
+		Clock:       cfg.Clock,
 	})
 	if err != nil {
 		return nil, err
@@ -223,8 +189,6 @@ func New(cfg Config) (*Cluster, error) {
 		book:   interconnect.NewAddrBook(),
 		lanes:  newLaneManager(),
 		clk:    clock.Default(cfg.Clock),
-
-		spillCodec: spillCodec,
 	}
 	c.cat.Store(m.Cat)
 	c.wal.Store(m.WAL)
@@ -286,11 +250,7 @@ func (c *Cluster) Recovery() RecoveryStats { return c.master.Recovery }
 
 func (c *Cluster) newNode(id interconnect.SegID) (interconnect.Node, error) {
 	if c.cfg.Interconnect == "tcp" {
-		tcp := c.cfg.TCP
-		if tcp.Clock == nil {
-			tcp.Clock = c.cfg.Clock
-		}
-		return interconnect.NewTCPNode(id, c.book, tcp)
+		return interconnect.NewTCPNode(id, c.book, interconnect.TCPConfig{Clock: c.cfg.Clock})
 	}
 	return interconnect.NewUDPNode(id, c.book, c.cfg.UDP)
 }
@@ -595,7 +555,7 @@ func (d *dispatch) resFor(segID int) queryNodeRes {
 	if !ok {
 		nr = queryNodeRes{
 			mem:  resource.NewAccount(d.p.MemGrant),
-			work: resource.NewStore(d.c.cfg.SpillDir, fmt.Sprintf("q%d-seg%d", d.query, segID), d.c.spillCodec),
+			work: resource.NewStore(d.c.cfg.SpillDir, fmt.Sprintf("q%d-seg%d", d.query, segID)),
 		}
 		d.nodeRes[segID] = nr
 	}

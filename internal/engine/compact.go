@@ -19,9 +19,9 @@ var (
 	metCompactedBytes = obs.GetCounter("task.compacted_bytes")
 )
 
-// defaultCompactSmallBytes mirrors the scheduler's default undersized
-// threshold for direct CompactTable calls.
-const defaultCompactSmallBytes = 64 << 10
+// compactSmallBytes is the undersized-file cutoff: the scheduler's
+// default, which decides when it enqueues a compaction.
+const compactSmallBytes = 64 << 10
 
 // CompactTable merges each segment's undersized AO files into one
 // larger file under a transactional catalog swap (the background
@@ -63,12 +63,11 @@ func (s *Session) compactInTx(ctx context.Context, t *tx.Tx, name string) error 
 	if err := s.eng.cl.Locks.Acquire(t.XID(), name, tx.AccessExclusive); err != nil {
 		return err
 	}
-	small := s.eng.compactThreshold()
 	snap := t.Snapshot()
 	bySeg := map[int][]catalog.SegFile{}
 	segIDs := []int{}
 	for _, sf := range cat.AllSegFiles(snap, desc.OID) {
-		if sf.Tuples > 0 && sf.LogicalLen > 0 && sf.LogicalLen < small {
+		if sf.Tuples > 0 && sf.LogicalLen > 0 && sf.LogicalLen < compactSmallBytes {
 			if len(bySeg[sf.SegmentID]) == 0 {
 				segIDs = append(segIDs, sf.SegmentID)
 			}
@@ -160,15 +159,6 @@ func (s *Session) mergeSegFiles(ctx context.Context, t *tx.Tx, desc *catalog.Tab
 	merged.LogicalLen, merged.ColLens = w.Lens()
 	merged.Tuples = w.Tuples()
 	return merged, nil
-}
-
-// compactThreshold is the undersized-file cutoff, from the engine
-// config or the scheduler default.
-func (e *Engine) compactThreshold() int64 {
-	if n := e.cl.Config().CompactSmallBytes; n > 0 {
-		return n
-	}
-	return defaultCompactSmallBytes
 }
 
 // deleteSegFilePhysical removes every HDFS file of a segment file's lane.

@@ -298,15 +298,11 @@ func (s *Session) runTruncate(t *tx.Tx, stmt *sqlparser.TruncateStmt) (*Result, 
 	}
 	fs := s.eng.cl.FS
 	for _, d := range targets {
-		var droppedTuples int64
-		for _, sf := range cat.DropSegFiles(t, d.OID) {
-			droppedTuples += sf.Tuples
-		}
-		// Removing every row is churn like any other: counted so the
-		// auto-ANALYZE sweep refreshes the now-stale statistics.
-		if droppedTuples > 0 {
-			cat.BumpModCount(t, d.OID, droppedTuples)
-		}
+		cat.DropSegFiles(t, d.OID)
+		// The stored row count describes rows that are gone: drop it, so
+		// the table reads as never analyzed and the auto-ANALYZE sweep
+		// counts every row the next load brings as churn.
+		cat.DropRelStats(t, d.OID)
 		oid := d.OID
 		t.OnCommit(func() {
 			// Best-effort post-commit cleanup; see runDrop.
@@ -317,7 +313,7 @@ func (s *Session) runTruncate(t *tx.Tx, stmt *sqlparser.TruncateStmt) (*Result, 
 	return &Result{Tag: "TRUNCATE TABLE"}, nil
 }
 
-// runAnalyze collects planner statistics (§6.3): row/byte counts from the
+// runAnalyze collects planner statistics (§6.3): row counts from the
 // segment-file catalog plus per-column min/max/NDV computed by running
 // aggregate queries through the engine itself.
 func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.AnalyzeStmt) (*Result, error) {
@@ -329,6 +325,15 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 			return nil, err
 		}
 		targets = append(targets, desc)
+		if desc.IsPartitionParent() {
+			// As in PostgreSQL, analyzing a parent analyzes each of its
+			// partitions too. (ANALYZE of every table lists them itself.)
+			kids, err := cat.PartitionChildren(t.Snapshot(), desc.OID)
+			if err != nil {
+				return nil, err
+			}
+			targets = append(targets, kids...)
+		}
 	} else {
 		for _, d := range cat.ListTables(t.Snapshot()) {
 			if !d.IsExternal() {
@@ -343,7 +348,7 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 			}
 			continue
 		}
-		var rows, bytes int64
+		var rows int64
 		countOids := []int64{desc.OID}
 		if desc.IsPartitionParent() {
 			kids, err := cat.PartitionChildren(t.Snapshot(), desc.OID)
@@ -358,15 +363,9 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 		for _, oid := range countOids {
 			for _, sf := range cat.AllSegFiles(t.Snapshot(), oid) {
 				rows += sf.Tuples
-				bytes += sf.LogicalLen
 			}
 		}
-		cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows, Bytes: bytes})
-		// Fresh statistics zero the churn the auto-ANALYZE sweep watches.
-		cat.ResetModCount(t, desc.OID)
-		for _, oid := range countOids {
-			cat.ResetModCount(t, oid)
-		}
+		cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
 		if rows == 0 {
 			continue
 		}
@@ -412,7 +411,7 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 // ExternalAnalyzer is implemented by PXF bindings that support the
 // optional Analyzer plugin (§6.4).
 type ExternalAnalyzer interface {
-	AnalyzeExternal(desc *catalog.TableDesc) (rows, bytes int64, err error)
+	AnalyzeExternal(desc *catalog.TableDesc) (rows int64, err error)
 }
 
 func (s *Session) analyzeExternal(t *tx.Tx, desc *catalog.TableDesc) error {
@@ -420,10 +419,10 @@ func (s *Session) analyzeExternal(t *tx.Tx, desc *catalog.TableDesc) error {
 	if !ok {
 		return fmt.Errorf("engine: ANALYZE on external table %s: connector has no analyzer", desc.Name)
 	}
-	rows, bytes, err := an.AnalyzeExternal(desc)
+	rows, err := an.AnalyzeExternal(desc)
 	if err != nil {
 		return err
 	}
-	s.eng.cl.Cat().SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows, Bytes: bytes})
+	s.eng.cl.Cat().SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
 	return nil
 }

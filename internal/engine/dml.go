@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"hawq/internal/catalog"
@@ -110,32 +109,13 @@ func (s *Session) dispatchDML(ctx context.Context, t *tx.Tx, pl *plan.Plan) (*Re
 	for _, row := range res.Rows {
 		affected += row[0].Int()
 	}
-	// Fold the piggybacked segfile updates in, accumulating per-table
-	// tuple deltas for the modification counters the auto-ANALYZE sweep
-	// watches. The pre-update snapshot supplies the old tuple counts.
+	// Fold the piggybacked segfile updates in: their tuple counts are the
+	// table's row count, which the auto-ANALYZE sweep reads as is.
 	cat := s.eng.cl.Cat()
-	snap := t.Snapshot()
-	deltas := map[int64]int64{}
 	for _, u := range res.Updates {
-		var old int64
-		for _, sf := range cat.SegFiles(snap, u.File.TableOID, u.File.SegmentID) {
-			if sf.SegNo == u.File.SegNo {
-				old = sf.Tuples
-				break
-			}
-		}
-		deltas[u.File.TableOID] += u.File.Tuples - old
 		if err := cat.UpdateSegFile(t, u.File); err != nil {
 			return nil, err
 		}
-	}
-	oids := make([]int64, 0, len(deltas))
-	for oid := range deltas {
-		oids = append(oids, oid)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, oid := range oids {
-		cat.BumpModCount(t, oid, deltas[oid])
 	}
 	return &Result{Affected: affected, Tag: fmt.Sprintf("INSERT 0 %d", affected)}, nil
 }

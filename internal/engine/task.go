@@ -25,18 +25,13 @@ var ownerSeq atomic.Int64
 // catalog takes over.
 func (e *Engine) startScheduler(cfg Config) {
 	e.sched = task.New(task.Config{
-		Clock:             e.cl.Clock(),
-		Cat:               e.cl.Cat,
-		TxMgr:             func() *tx.Manager { return e.cl.TxMgr },
-		Exec:              taskExecutor{eng: e},
-		Owner:             fmt.Sprintf("qd-%d", ownerSeq.Add(1)),
-		Tick:              cfg.TaskTick,
-		Lease:             cfg.TaskLease,
-		AnalyzeRatio:      cfg.AutoAnalyzeRatio,
-		AnalyzeMinRows:    cfg.AutoAnalyzeMinRows,
-		CompactSmallBytes: cfg.CompactSmallBytes,
-		CompactMinFiles:   cfg.CompactMinFiles,
-		DisableSweep:      !cfg.TaskSweep,
+		Clock:        e.cl.Clock(),
+		Cat:          e.cl.Cat,
+		TxMgr:        func() *tx.Manager { return e.cl.TxMgr },
+		Exec:         taskExecutor{eng: e},
+		Owner:        fmt.Sprintf("qd-%d", ownerSeq.Add(1)),
+		Lease:        cfg.TaskLease,
+		DisableSweep: !cfg.TaskSweep,
 	})
 	e.sched.Start()
 }

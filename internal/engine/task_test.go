@@ -11,6 +11,7 @@ import (
 	"hawq/internal/clock"
 	"hawq/internal/obs"
 	"hawq/internal/tx"
+	"hawq/internal/types"
 )
 
 // newSimEngine boots an engine on a simulated clock and stops the
@@ -121,16 +122,16 @@ func TestCreateTaskReservedNameAndDrop(t *testing.T) {
 // TestAutoAnalyzeChangesPlanE2E is the stats-staleness end-to-end: a
 // table analyzed while tiny keeps its stale 2-row estimate through a
 // 300-row load, so the planner builds the join's hash table on it (the
-// build side, listed second); the insert's modification counters cross
-// the auto-ANALYZE threshold, one scheduler pass refreshes RelStats, and
-// the same EXPLAIN flips the sides.
+// build side, listed second); the insert moves the row count its segment
+// files commit past the auto-ANALYZE threshold, one scheduler pass
+// refreshes RelStats, and the same EXPLAIN flips the sides.
 func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
 	e, sim := newSimEngine(t, 2, nil)
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE big (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
 	mustExec(t, s, "CREATE TABLE small (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
 	mustExec(t, s, "INSERT INTO big VALUES (1, 1), (2, 2)")
-	mustExec(t, s, "ANALYZE big") // RelStats.Rows = 2, mod counter reset
+	mustExec(t, s, "ANALYZE big") // RelStats.Rows = 2: no churn
 	mustExec(t, s, "INSERT INTO small VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)")
 
 	explain := func() string {
@@ -184,6 +185,148 @@ func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
 	e.TaskScheduler().TickOnce(context.Background())
 	if row := taskRow(t, s, "auto_analyze_big"); row != nil {
 		t.Errorf("auto-ANALYZE re-triggered on 1 modified row: %v", row)
+	}
+}
+
+// sweepAnalyzes runs one scheduler pass and returns how many
+// auto-ANALYZE tasks its sweep enqueued.
+func sweepAnalyzes(e *Engine, sim *clock.Sim) int64 {
+	before := obs.GetCounter("task.analyze_auto").Value()
+	sim.Advance(time.Second)
+	e.TaskScheduler().TickOnce(context.Background())
+	return obs.GetCounter("task.analyze_auto").Value() - before
+}
+
+// relRows reads a table's stored ANALYZE row count.
+func relRows(t testing.TB, e *Engine, table string) (int64, bool) {
+	t.Helper()
+	tr := e.Cluster().TxMgr.Begin(tx.ReadCommitted)
+	defer tr.Abort()
+	desc, err := e.Cluster().Cat().LookupTable(tr.Snapshot(), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, ok := e.Cluster().Cat().RelStatsFor(tr.Snapshot(), desc.OID)
+	return rs.Rows, ok
+}
+
+func insertRange(t testing.TB, s *Session, table string, lo, hi int) {
+	t.Helper()
+	var vals []string
+	for i := lo; i < hi; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i))
+	}
+	mustExec(t, s, "INSERT INTO "+table+" VALUES "+strings.Join(vals, ", "))
+}
+
+// TestTruncateReloadReanalyzes: a count of rows alone cannot tell a
+// truncated and reloaded table from an untouched one, so TRUNCATE drops
+// the stored count; the reload to the same size is all churn.
+func TestTruncateReloadReanalyzes(t *testing.T) {
+	e, sim := newSimEngine(t, 2, nil)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE t (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
+	insertRange(t, s, "t", 0, 100)
+	mustExec(t, s, "ANALYZE t")
+	if n := sweepAnalyzes(e, sim); n != 0 {
+		t.Fatalf("sweep after ANALYZE enqueued %d auto-ANALYZEs", n)
+	}
+
+	mustExec(t, s, "TRUNCATE t")
+	if rows, ok := relRows(t, e, "t"); ok {
+		t.Fatalf("TRUNCATE kept the stored row count %d", rows)
+	}
+	// An empty table has nothing to analyze.
+	if n := sweepAnalyzes(e, sim); n != 0 {
+		t.Fatalf("sweep of the truncated table enqueued %d auto-ANALYZEs", n)
+	}
+	insertRange(t, s, "t", 0, 100)
+	if n := sweepAnalyzes(e, sim); n != 1 {
+		t.Fatalf("sweep after truncate and reload enqueued %d auto-ANALYZEs, want auto_analyze_t", n)
+	}
+	if rows, ok := relRows(t, e, "t"); !ok || rows != 100 {
+		t.Errorf("stored row count after auto-ANALYZE = %d, %v; want 100", rows, ok)
+	}
+}
+
+// TestAnalyzeParentAnalyzesPartitions: as in PostgreSQL, ANALYZE of a
+// partitioned table gives every partition statistics, so the sweep has
+// none of them left to analyze.
+func TestAnalyzeParentAnalyzesPartitions(t *testing.T) {
+	e, sim := newSimEngine(t, 2, nil)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE p (k INT8, d DATE)
+		DISTRIBUTED BY (k) PARTITION BY RANGE (d)
+		(START (DATE '2008-01-01') INCLUSIVE END (DATE '2008-04-01') EXCLUSIVE EVERY (INTERVAL '1 month'))`)
+	var vals []string
+	for i := 0; i < 240; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, DATE '2008-0%d-1%d')", i, i%3+1, i%9))
+	}
+	mustExec(t, s, "INSERT INTO p VALUES "+strings.Join(vals, ", "))
+	mustExec(t, s, "ANALYZE p")
+
+	for _, part := range []string{"p_1_prt_1", "p_1_prt_2", "p_1_prt_3"} {
+		if rows, ok := relRows(t, e, part); !ok || rows != 80 {
+			t.Errorf("%s stored row count = %d, %v; want 80", part, rows, ok)
+		}
+	}
+	if rows, ok := relRows(t, e, "p"); !ok || rows != 240 {
+		t.Errorf("p stored row count = %d, %v; want 240", rows, ok)
+	}
+	if n := sweepAnalyzes(e, sim); n != 0 {
+		t.Errorf("sweep after ANALYZE p enqueued %d auto-ANALYZEs of its partitions", n)
+	}
+}
+
+// TestRolledBackCopyAddsNoChurn: an aborted COPY never advances the
+// segment files' committed row count, so the sweep sees no churn; the
+// same COPY committed is churn.
+func TestRolledBackCopyAddsNoChurn(t *testing.T) {
+	e, sim := newSimEngine(t, 2, nil)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE t (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
+	rows := make([]types.Row, 100)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt64(int64(i)), types.NewInt64(int64(i))}
+	}
+	mustExec(t, s, "BEGIN")
+	if _, err := s.CopyFrom("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "ROLLBACK")
+	if n := sweepAnalyzes(e, sim); n != 0 {
+		t.Fatalf("sweep after a rolled-back COPY enqueued %d auto-ANALYZEs", n)
+	}
+	if _, err := s.CopyFrom("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	if n := sweepAnalyzes(e, sim); n != 1 {
+		t.Fatalf("sweep after a committed COPY enqueued %d auto-ANALYZEs, want 1", n)
+	}
+}
+
+// TestInsertLogsOnlySegfileUpdates pins the catalog writes of one INSERT
+// transaction into a table whose lanes exist: per lane it wrote, the
+// MVCC update of its hawq_aoseg row (a delete and an insert), then the
+// commit. The row count lives in those rows; nothing else is logged.
+func TestInsertLogsOnlySegfileUpdates(t *testing.T) {
+	e := newTestEngine(t, 2)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE w (k INT8) DISTRIBUTED BY (k)")
+	mustExec(t, s, "INSERT INTO w VALUES (1), (2), (3), (4)")
+	w := e.Cluster().WAL()
+	before := w.NextLSN()
+	mustExec(t, s, "INSERT INTO w VALUES (5), (6), (7), (8)")
+	n := int(w.NextLSN() - before)
+	recs := w.Records()
+	logged := recs[len(recs)-n:]
+	var kinds []string
+	for _, r := range logged {
+		kinds = append(kinds, fmt.Sprintf("%v %s", r.Type, r.Table))
+	}
+	want := "DELETE hawq_aoseg, INSERT hawq_aoseg, DELETE hawq_aoseg, INSERT hawq_aoseg, COMMIT "
+	if got := strings.Join(kinds, ", "); got != want {
+		t.Errorf("one INSERT logged %d records: %s\nwant 5: %s", n, got, want)
 	}
 }
 

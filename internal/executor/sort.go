@@ -127,7 +127,7 @@ func (s *sortOp) spill() error {
 	work := s.ctx.Work
 	if work == nil {
 		if s.own == nil {
-			s.own = resource.NewStore(s.ctx.SpillDir, "sort", nil)
+			s.own = resource.NewStore(s.ctx.SpillDir, "sort")
 		}
 		work = s.own
 	}

@@ -18,7 +18,7 @@ import (
 // store at the given work_mem, plus the store for asserting cleanup.
 func spillCtx(t *testing.T, workMem int64) (*Context, *resource.Store) {
 	t.Helper()
-	st := resource.NewStore(t.TempDir(), "test", nil)
+	st := resource.NewStore(t.TempDir(), "test")
 	t.Cleanup(st.Cleanup)
 	return &Context{Segment: 0, Work: st, WorkMem: workMem}, st
 }
@@ -182,7 +182,7 @@ func BenchmarkSpillJoin(b *testing.B) {
 		run(b, &Context{Segment: 0})
 	})
 	b.Run("spill", func(b *testing.B) {
-		st := resource.NewStore(b.TempDir(), "bench", nil)
+		st := resource.NewStore(b.TempDir(), "bench")
 		defer st.Cleanup()
 		run(b, &Context{Segment: 0, Work: st, WorkMem: 32 << 10})
 	})

@@ -276,41 +276,42 @@ func (r *rowReader) fail(err error) error {
 
 // AnalyzeExternal implements the engine's optional statistics hook: it
 // consults the connector's Analyzer when present (§6.3, ANALYZE on PXF
-// tables), falling back to a full count through the Accessor.
-func (e *Engine) AnalyzeExternal(desc *catalog.TableDesc) (int64, int64, error) {
+// tables), falling back to a full count through the Accessor. The
+// catalog stores only the row count.
+func (e *Engine) AnalyzeExternal(desc *catalog.TableDesc) (int64, error) {
 	loc, err := ParseLocation(desc.Location)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	c, err := e.connector(loc.Profile)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	req := &Request{Loc: loc, Schema: desc.Schema}
 	if an, ok := c.(Analyzer); ok {
-		return an.Estimate(req)
+		rows, _, err := an.Estimate(req)
+		return rows, err
 	}
 	frags, err := c.Fragments(req)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	var rows, bytes int64
+	var rows int64
 	for _, f := range frags {
 		r, err := c.ReadFragment(req, f)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		for {
 			record, err := r.Next()
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			if record == nil {
 				break
 			}
 			rows++
-			bytes += int64(len(record))
 		}
 	}
-	return rows, bytes, nil
+	return rows, nil
 }

@@ -11,19 +11,16 @@ import (
 	"strings"
 	"sync"
 
-	"hawq/internal/compress"
 	"hawq/internal/types"
 )
 
 // Store is a query-scoped workfile store: one per node per query,
 // holding every spill file its operators create under a single lazily
 // created scratch directory so teardown (normal, error, or cancel) is
-// one recursive delete. Files are batch-encoded (EncodeBatch frames)
-// with optional per-frame compression.
+// one recursive delete. Files are batch-encoded (EncodeBatch frames).
 type Store struct {
-	root  string
-	tag   string
-	codec compress.Codec
+	root string
+	tag  string
 
 	mu    sync.Mutex
 	dir   string
@@ -33,9 +30,9 @@ type Store struct {
 // NewStore creates a workfile store rooted at the given scratch
 // directory (typically executor.Context.SpillDir). The tag — usually
 // "q<id>-seg<n>" — names the scratch subdirectory so leftovers are
-// attributable. A nil codec stores frames raw.
-func NewStore(root, tag string, codec compress.Codec) *Store {
-	return &Store{root: root, tag: tag, codec: codec}
+// attributable.
+func NewStore(root, tag string) *Store {
+	return &Store{root: root, tag: tag}
 }
 
 // wfDirPrefix names workfile scratch directories; Leftovers matches it.
@@ -118,16 +115,15 @@ func Leftovers(root string) ([]string, error) {
 //
 //	[uvarint rawLen][uvarint storedLen][storedLen payload bytes]
 //
-// where storedLen == rawLen marks an uncompressed frame (compression is
-// skipped per frame when it doesn't shrink the payload). Writing ends
-// with Finish; reading goes through NewReader; Remove deletes the file.
+// where storedLen always equals rawLen: frames are stored raw, and a
+// frame whose lengths differ is corrupt. Writing ends with Finish;
+// reading goes through NewReader; Remove deletes the file.
 type File struct {
 	st       *Store
 	f        *os.File
 	w        *bufio.Writer
 	batch    *types.Batch
 	enc      []byte
-	cbuf     []byte
 	rows     int64
 	bytes    int64
 	finished bool
@@ -156,26 +152,18 @@ func (f *File) flush() error {
 		return nil
 	}
 	f.enc = types.EncodeBatch(f.enc[:0], f.batch)
-	raw := f.enc
-	stored := raw
-	if f.st.codec != nil {
-		f.cbuf = f.st.codec.Compress(f.cbuf[:0], raw)
-		if len(f.cbuf) < len(raw) {
-			stored = f.cbuf
-		}
-	}
 	var hdr [2 * binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(raw)))
-	hn += binary.PutUvarint(hdr[hn:], uint64(len(stored)))
+	hn := binary.PutUvarint(hdr[:], uint64(len(f.enc)))
+	hn += binary.PutUvarint(hdr[hn:], uint64(len(f.enc)))
 	if _, err := f.w.Write(hdr[:hn]); err != nil {
 		return fmt.Errorf("resource: write workfile frame: %w", err)
 	}
-	if _, err := f.w.Write(stored); err != nil {
+	if _, err := f.w.Write(f.enc); err != nil {
 		return fmt.Errorf("resource: write workfile frame: %w", err)
 	}
 	f.rows += int64(n)
-	f.bytes += int64(hn + len(stored))
-	spillBytes.Add(int64(hn + len(stored)))
+	f.bytes += int64(hn + len(f.enc))
+	spillBytes.Add(int64(hn + len(f.enc)))
 	f.batch.Reset(f.batch.Width())
 	return nil
 }
@@ -210,7 +198,7 @@ func (f *File) NewReader() (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resource: open workfile: %w", err)
 	}
-	return &Reader{f: rf, br: bufio.NewReader(rf), codec: f.st.codec}, nil
+	return &Reader{f: rf, br: bufio.NewReader(rf)}, nil
 }
 
 // Remove closes and deletes the workfile, releasing it from the store.
@@ -244,11 +232,9 @@ func (f *File) release() {
 // Reader iterates a workfile's frames, decoding each into a
 // caller-supplied batch.
 type Reader struct {
-	f     *os.File
-	br    *bufio.Reader
-	codec compress.Codec
-	sbuf  []byte
-	rbuf  []byte
+	f    *os.File
+	br   *bufio.Reader
+	sbuf []byte
 }
 
 // Next decodes the next frame into b (resetting it), reporting ok=false
@@ -266,8 +252,11 @@ func (r *Reader) Next(b *types.Batch) (bool, error) {
 		return false, fmt.Errorf("resource: workfile frame header: %w", err)
 	}
 	const maxFrame = 1 << 30
-	if rawLen > maxFrame || storedLen > maxFrame {
-		return false, fmt.Errorf("resource: workfile frame too large (%d/%d bytes)", rawLen, storedLen)
+	if storedLen != rawLen {
+		return false, fmt.Errorf("resource: corrupt workfile frame (stored %d bytes, raw %d)", storedLen, rawLen)
+	}
+	if rawLen > maxFrame {
+		return false, fmt.Errorf("resource: workfile frame too large (%d bytes)", rawLen)
 	}
 	if cap(r.sbuf) < int(storedLen) {
 		r.sbuf = make([]byte, storedLen)
@@ -276,23 +265,7 @@ func (r *Reader) Next(b *types.Batch) (bool, error) {
 	if _, err := io.ReadFull(r.br, r.sbuf); err != nil {
 		return false, fmt.Errorf("resource: workfile frame body: %w", err)
 	}
-	payload := r.sbuf
-	if storedLen != rawLen {
-		if r.codec == nil {
-			return false, fmt.Errorf("resource: compressed workfile frame without codec")
-		}
-		r.rbuf = r.rbuf[:0]
-		raw, err := r.codec.Decompress(r.rbuf, r.sbuf)
-		if err != nil {
-			return false, fmt.Errorf("resource: workfile frame decompress: %w", err)
-		}
-		r.rbuf = raw
-		if uint64(len(raw)) != rawLen {
-			return false, fmt.Errorf("resource: workfile frame decompressed to %d bytes, header says %d", len(raw), rawLen)
-		}
-		payload = raw
-	}
-	if _, err := types.DecodeBatch(payload, b); err != nil {
+	if _, err := types.DecodeBatch(r.sbuf, b); err != nil {
 		return false, fmt.Errorf("resource: workfile frame decode: %w", err)
 	}
 	return true, nil

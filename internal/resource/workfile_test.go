@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"hawq/internal/compress"
 	"hawq/internal/types"
 )
 
@@ -22,9 +22,9 @@ func testRows(n int) []types.Row {
 	return rows
 }
 
-func roundTrip(t *testing.T, codec compress.Codec, n int) {
+func roundTrip(t *testing.T, n int) {
 	t.Helper()
-	st := NewStore(t.TempDir(), "test", codec)
+	st := NewStore(t.TempDir(), "test")
 	defer st.Cleanup()
 	f, err := st.Create()
 	if err != nil {
@@ -81,23 +81,13 @@ func roundTrip(t *testing.T, codec compress.Codec, n int) {
 
 func TestWorkfileRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, types.DefaultBatchRows, 3*types.DefaultBatchRows + 17} {
-		roundTrip(t, nil, n)
-	}
-}
-
-func TestWorkfileRoundTripCompressed(t *testing.T) {
-	codec, err := compress.Lookup("quicklz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 3*types.DefaultBatchRows + 17} {
-		roundTrip(t, codec, n)
+		roundTrip(t, n)
 	}
 }
 
 func TestWorkfileSpillStats(t *testing.T) {
 	files0, bytes0 := SpillStats()
-	st := NewStore(t.TempDir(), "stats", nil)
+	st := NewStore(t.TempDir(), "stats")
 	defer st.Cleanup()
 	f, err := st.Create()
 	if err != nil {
@@ -122,7 +112,7 @@ func TestWorkfileSpillStats(t *testing.T) {
 
 func TestWorkfileCleanupRemovesEverything(t *testing.T) {
 	root := t.TempDir()
-	st := NewStore(root, "clean", nil)
+	st := NewStore(root, "clean")
 	var files []*File
 	for i := 0; i < 3; i++ {
 		f, err := st.Create()
@@ -171,7 +161,7 @@ func TestWorkfileCleanupRemovesEverything(t *testing.T) {
 
 func TestWorkfileRemove(t *testing.T) {
 	root := t.TempDir()
-	st := NewStore(root, "rm", nil)
+	st := NewStore(root, "rm")
 	defer st.Cleanup()
 	f, err := st.Create()
 	if err != nil {
@@ -204,7 +194,7 @@ func TestWorkfileRemove(t *testing.T) {
 }
 
 func TestWorkfileReadBeforeFinish(t *testing.T) {
-	st := NewStore(t.TempDir(), "early", nil)
+	st := NewStore(t.TempDir(), "early")
 	defer st.Cleanup()
 	f, err := st.Create()
 	if err != nil {
@@ -215,11 +205,32 @@ func TestWorkfileReadBeforeFinish(t *testing.T) {
 	}
 }
 
+// TestWorkfileFrameLengthMismatchIsCorrupt: frames are stored raw, so a
+// stored length that differs from the raw one is damage, not a
+// compressed frame.
+func TestWorkfileFrameLengthMismatchIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "frames")
+	if err := os.WriteFile(path, []byte{4, 2, 0xAA, 0xBB}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Reader{f: fh, br: bufio.NewReader(fh)}
+	defer r.Close()
+	b := types.GetBatch(0)
+	defer types.PutBatch(b)
+	if ok, err := r.Next(b); err == nil || ok || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Next = %v, %v; want a corrupt-frame error", ok, err)
+	}
+}
+
 // FuzzWorkfileFrame feeds arbitrary bytes through the frame reader: it
 // must reject corrupt frames with an error, never panic or over-read.
 func FuzzWorkfileFrame(f *testing.F) {
 	// Seed with a real workfile's bytes.
-	st := NewStore(f.TempDir(), "fuzz", nil)
+	st := NewStore(f.TempDir(), "fuzz")
 	defer st.Cleanup()
 	wf, err := st.Create()
 	if err != nil {
@@ -242,32 +253,26 @@ func FuzzWorkfileFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add(valid[:len(valid)/2])
 
-	codec, err := compress.Lookup("quicklz")
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []compress.Codec{nil, codec} {
-			path := filepath.Join(t.TempDir(), "frames")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
+		path := filepath.Join(t.TempDir(), "frames")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fh, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &Reader{f: fh, br: bufio.NewReader(fh)}
+		b := types.GetBatch(0)
+		for {
+			ok, err := r.Next(b)
+			if err != nil || !ok {
+				break
 			}
-			fh, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := &Reader{f: fh, br: bufio.NewReader(fh), codec: c}
-			b := types.GetBatch(0)
-			for {
-				ok, err := r.Next(b)
-				if err != nil || !ok {
-					break
-				}
-			}
-			types.PutBatch(b)
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		types.PutBatch(b)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -9,11 +9,11 @@
 // clock.Clock so the chaos harness drives the whole machine under
 // clock.Sim.
 //
-// The daemon also originates its own work: a sweep pass watches per-table
-// modification counters (hawq_stat_mod) and segment-file shape, enqueuing
-// auto-ANALYZE when churn since the last ANALYZE crosses a threshold and
-// AO small-file compaction when a table fragments into undersized
-// segfiles.
+// The daemon also originates its own work: a sweep pass reads each
+// table's segment files (hawq_aoseg) once, enqueuing auto-ANALYZE when
+// their committed row count has drifted from the one the last ANALYZE
+// stored past a threshold and AO small-file compaction when a table
+// fragments into undersized segfiles.
 package task
 
 import (
@@ -47,6 +47,10 @@ var (
 // again.
 const AutoPrefix = "auto_"
 
+// analyzeRatio triggers auto-ANALYZE when churn reaches this share of
+// the row count the last ANALYZE stored.
+const analyzeRatio = 0.2
+
 // IsAuto reports whether a task was enqueued by the sweep rather than
 // CREATE TASK.
 func IsAuto(name string) bool { return strings.HasPrefix(name, AutoPrefix) }
@@ -78,11 +82,9 @@ type Config struct {
 	// requeue times (default: 5 attempts, 1s base, 30s cap).
 	Retry retry.Policy
 
-	// AnalyzeRatio triggers auto-ANALYZE when modified-rows/total-rows
-	// meets it (default 0.2). AnalyzeMinRows is the absolute floor of
-	// modified rows below which no ANALYZE is enqueued (default 50),
-	// keeping tiny tables from churning stats on every insert.
-	AnalyzeRatio   float64
+	// AnalyzeMinRows is the absolute floor of churned rows below which
+	// no ANALYZE is enqueued (default 50), keeping tiny tables from
+	// churning stats on every insert.
 	AnalyzeMinRows int64
 	// CompactSmallBytes classifies a segfile as undersized (default
 	// 64KB); CompactMinFiles is how many undersized files one segment
@@ -103,9 +105,6 @@ func (c Config) filled() Config {
 	}
 	if c.Retry.MaxAttempts == 0 {
 		c.Retry = retry.Policy{MaxAttempts: 5, BaseDelay: time.Second, MaxDelay: 30 * time.Second, Clock: c.Clock}
-	}
-	if c.AnalyzeRatio <= 0 {
-		c.AnalyzeRatio = 0.2
 	}
 	if c.AnalyzeMinRows <= 0 {
 		c.AnalyzeMinRows = 50
@@ -248,16 +247,17 @@ func (s *Scheduler) sweep(now int64) {
 		if desc.IsExternal() || desc.IsPartitionParent() {
 			continue
 		}
-		if name, kind := s.analyzeCandidate(cat, snap, desc); name != "" && !existing[name] {
+		files := cat.AllSegFiles(snap, desc.OID)
+		if name := s.analyzeCandidate(cat, snap, desc, files); name != "" && !existing[name] {
 			if err := cat.CreateTask(t, catalog.TaskDesc{
-				Name: name, Kind: kind, Target: desc.Name, NextRun: now,
+				Name: name, Kind: catalog.TaskKindAnalyze, Target: desc.Name, NextRun: now,
 			}); err == nil {
 				existing[name] = true
 				enqueued++
 				metAutoAnl.Inc()
 			}
 		}
-		if name := s.compactCandidate(cat, snap, desc); name != "" && !existing[name] {
+		if name := s.compactCandidate(desc, files); name != "" && !existing[name] {
 			if err := cat.CreateTask(t, catalog.TaskDesc{
 				Name: name, Kind: catalog.TaskKindCompact, Target: desc.Name, NextRun: now,
 			}); err == nil {
@@ -276,31 +276,34 @@ func (s *Scheduler) sweep(now int64) {
 }
 
 // analyzeCandidate decides whether a table's churn since its last
-// ANALYZE warrants a refresh. "Never analyzed" counts total rows as
-// churn, so freshly loaded tables get first statistics automatically.
-func (s *Scheduler) analyzeCandidate(cat *catalog.Catalog, snap tx.Snapshot, desc *catalog.TableDesc) (string, string) {
-	mod := cat.ModCountFor(snap, desc.OID)
-	if mod < s.cfg.AnalyzeMinRows {
-		return "", ""
+// ANALYZE warrants a refresh. Churn is how far the committed row count
+// of its segment files has moved from the count that ANALYZE stored;
+// "never analyzed" (or truncated since) counts every row as churn, so
+// freshly loaded tables get first statistics automatically.
+func (s *Scheduler) analyzeCandidate(cat *catalog.Catalog, snap tx.Snapshot, desc *catalog.TableDesc, files []catalog.SegFile) string {
+	var rows int64
+	for _, sf := range files {
+		rows += sf.Tuples
 	}
 	rs, analyzed := cat.RelStatsFor(snap, desc.OID)
-	if analyzed {
-		base := rs.Rows
-		if base < 1 {
-			base = 1
-		}
-		if float64(mod)/float64(base) < s.cfg.AnalyzeRatio {
-			return "", ""
-		}
+	churn := rows - rs.Rows
+	if churn < 0 {
+		churn = -churn
 	}
-	return AutoPrefix + "analyze_" + strings.ToLower(desc.Name), catalog.TaskKindAnalyze
+	if churn < s.cfg.AnalyzeMinRows {
+		return ""
+	}
+	if analyzed && float64(churn)/float64(max(rs.Rows, 1)) < analyzeRatio {
+		return ""
+	}
+	return AutoPrefix + "analyze_" + strings.ToLower(desc.Name)
 }
 
 // compactCandidate reports whether any segment of the table accumulated
 // enough undersized files to be worth merging.
-func (s *Scheduler) compactCandidate(cat *catalog.Catalog, snap tx.Snapshot, desc *catalog.TableDesc) string {
+func (s *Scheduler) compactCandidate(desc *catalog.TableDesc, files []catalog.SegFile) string {
 	small := map[int]int{}
-	for _, sf := range cat.AllSegFiles(snap, desc.OID) {
+	for _, sf := range files {
 		if sf.Tuples > 0 && sf.LogicalLen > 0 && sf.LogicalLen < s.cfg.CompactSmallBytes {
 			small[sf.SegmentID]++
 			if small[sf.SegmentID] >= s.cfg.CompactMinFiles {

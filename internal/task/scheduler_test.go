@@ -280,22 +280,24 @@ func sweepTable(t *testing.T, e *env, name string, files []catalog.SegFile) int6
 	return oid
 }
 
+// rowsFile is one committed segfile holding n rows: how INSERT and COPY
+// leave a table's row count in the catalog.
+func rowsFile(n int64) []catalog.SegFile {
+	return []catalog.SegFile{{SegmentID: 0, SegNo: 1, Path: "/t/0/1", Tuples: n}}
+}
+
 func TestSweepEnqueuesAutoAnalyzeOnChurn(t *testing.T) {
 	e := newEnv(t, func(c *Config) { c.AnalyzeMinRows = 10 })
 	ctx := context.Background()
-	quiet := sweepTable(t, e, "quiet", nil)
-	churned := sweepTable(t, e, "churned", nil)
-	stale := sweepTable(t, e, "stale", nil)
-
 	// quiet: churn below the absolute floor — never analyzed or not.
+	sweepTable(t, e, "quiet", rowsFile(9))
+	// churned: never analyzed, churn past the floor.
+	sweepTable(t, e, "churned", rowsFile(10))
+	// stale: analyzed at 1000 rows, 1100 now; 100 rows of churn is under
+	// the 20% ratio, so fresh enough.
+	stale := sweepTable(t, e, "stale", rowsFile(1100))
 	e.inTx(t, func(tr *tx.Tx) error {
-		e.cat.BumpModCount(tr, quiet, 9)
-		// churned: never analyzed, churn past the floor.
-		e.cat.BumpModCount(tr, churned, 10)
-		// stale: analyzed at 1000 rows; 100 modified is under the 20%
-		// ratio, so fresh enough.
 		e.cat.SetRelStats(tr, stale, catalog.RelStats{Rows: 1000})
-		e.cat.BumpModCount(tr, stale, 100)
 		return nil
 	})
 
@@ -315,10 +317,12 @@ func TestSweepEnqueuesAutoAnalyzeOnChurn(t *testing.T) {
 	}
 	tr.Abort()
 
-	// Push stale's churn over the ratio: next pass enqueues it.
+	// Push stale's churn over the ratio (250 of 1000 rows): next pass
+	// enqueues it.
 	e.inTx(t, func(tr *tx.Tx) error {
-		e.cat.BumpModCount(tr, stale, 150)
-		return nil
+		f := rowsFile(1250)[0]
+		f.TableOID = stale
+		return e.cat.UpdateSegFile(tr, f)
 	})
 	e.sched.TickOnce(ctx)
 	if got := e.exec.count("auto_analyze_stale"); got != 1 {
@@ -354,9 +358,8 @@ func TestSweepEnqueuesCompactionOnFragmentation(t *testing.T) {
 func TestSweepDisabledLeavesUserTasksOnly(t *testing.T) {
 	e := newEnv(t, func(c *Config) { c.DisableSweep = true; c.AnalyzeMinRows = 1 })
 	ctx := context.Background()
-	oid := sweepTable(t, e, "busy", nil)
+	sweepTable(t, e, "busy", rowsFile(1000))
 	e.inTx(t, func(tr *tx.Tx) error {
-		e.cat.BumpModCount(tr, oid, 1000)
 		return e.cat.CreateTask(tr, catalog.TaskDesc{
 			Name: "user_job", Kind: catalog.TaskKindStatement, Target: "SELECT 1",
 			NextRun: e.sim.Now().UnixNano(),

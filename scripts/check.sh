@@ -61,7 +61,11 @@
 #                                  package but storage names a column
 #                                  file's path, and the planner neither
 #                                  resolves a join's sides by name nor
-#                                  keeps per-relation equivalence lists
+#                                  keeps per-relation equivalence lists,
+#                                  and no second record of a table's
+#                                  rows (hawq_stat_mod and its modcount
+#                                  calls) or workfile frame compression
+#                                  returns
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -156,6 +160,10 @@ if grep -rnE '[Cc]ol[F]ilePath' --include='*.go' --exclude='*_test.go' --exclude
 fi
 if grep -rnE 'eq[S]ides|edge[K]eys|same[C]ol|units[R]eferenced' internal cmd bench_test.go || grep -rnE 'equiv +\[\]\[\]int' internal/planner; then
     echo "stays deleted: the planner resolves a join's sides by name again or keeps per-relation equivalence lists; a column has one id and the block's classes say which are equal (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'hawq_stat_[m]od|BumpMod[C]ount|ModCount[F]or|ResetMod[C]ount|Spill[C]odec' internal cmd; then
+    echo "stays deleted: a second record of a table's rows or the workfiles' frame compression is back; the sweep reads churn from the segment files (see above)" >&2
     exit 1
 fi
 
