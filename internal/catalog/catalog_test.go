@@ -282,17 +282,15 @@ func TestStandbyReplayFromWAL(t *testing.T) {
 	primary.AddSegFile(tr, SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/p"})
 	tr.Commit()
 
-	// Standby attaches: catch up on the backlog, then stream.
+	// Standby attaches: subscribe, copy a snapshot, then stream.
 	standby := New(nil)
-	_, backlog := wal.Subscribe(func(r tx.Record) {
+	wal.Subscribe(func(r tx.Record) {
 		if err := standby.ApplyRecord(r); err != nil {
 			t.Errorf("apply: %v", err)
 		}
 	})
-	for _, r := range backlog {
-		if err := standby.ApplyRecord(r); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := standby.RestoreSnapshot(primary.Snapshot(nil, nil)); err != nil {
+		t.Fatal(err)
 	}
 	tr2 := m.Begin(tx.ReadCommitted)
 	primary.SetRelStats(tr2, oid, RelStats{Rows: 7})

@@ -161,6 +161,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Segments <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one segment")
 	}
+	switch cfg.Interconnect {
+	case "", "udp", "tcp":
+	default:
+		return nil, fmt.Errorf("cluster: unknown interconnect %q (want udp or tcp)", cfg.Interconnect)
+	}
 	if cfg.DataNodes <= 0 {
 		cfg.DataNodes = cfg.Segments
 	}

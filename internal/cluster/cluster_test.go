@@ -44,6 +44,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownInterconnectRejected: a name the cluster does not know is an
+// error, never a silent fallback to UDP — "TCP" is not "tcp".
+func TestUnknownInterconnectRejected(t *testing.T) {
+	for _, ic := range []string{"TCP", "rdma"} {
+		c, err := New(Config{Segments: 1, SpillDir: t.TempDir(), Interconnect: ic})
+		if err == nil {
+			c.Close()
+			t.Errorf("interconnect %q accepted", ic)
+		}
+	}
+}
+
 // dispatchValues runs a trivial gather plan through the dispatcher.
 func TestDispatchGatherPlan(t *testing.T) {
 	c := testCluster(t, 2)

@@ -19,6 +19,9 @@ type Standby struct {
 	err     error
 	subID   int
 	lastLSN uint64
+	// pending holds the records shipped while the standby bootstraps; it
+	// is nil once they are applied and records apply as they arrive.
+	pending []tx.Record
 }
 
 // Err returns the first WAL-replay error, if any. A standby with a
@@ -48,10 +51,37 @@ func (sb *Standby) recordErr(err error) {
 	}
 }
 
-// apply replays one shipped record, checking LSN continuity. Records may
-// be delivered twice around the subscription point (snapshot + backlog
-// overlap); replay is idempotent, so an LSN at or below the watermark is
-// skipped, while a gap marks the replica diverged.
+// receive is the standby's WAL subscription: while the standby
+// bootstraps it buffers, afterwards it applies.
+func (sb *Standby) receive(r tx.Record) {
+	sb.mu.Lock()
+	if sb.pending != nil {
+		sb.pending = append(sb.pending, r)
+		sb.mu.Unlock()
+		return
+	}
+	sb.mu.Unlock()
+	sb.apply(r)
+}
+
+// takePending hands over the records buffered so far. Once none are
+// left it ends the bootstrap: records apply as they arrive.
+func (sb *Standby) takePending() []tx.Record {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	buf := sb.pending
+	if len(buf) == 0 {
+		sb.pending = nil
+		return nil
+	}
+	sb.pending = []tx.Record{}
+	return buf
+}
+
+// apply replays one shipped record, checking LSN continuity. A record
+// shipped during the bootstrap may already be in the snapshot; replay is
+// idempotent, so applying it again changes nothing. An LSN at or below
+// the watermark is skipped, while a gap marks the replica diverged.
 func (sb *Standby) apply(r tx.Record) {
 	sb.mu.Lock()
 	if r.LSN <= sb.lastLSN {
@@ -68,31 +98,31 @@ func (sb *Standby) apply(r tx.Record) {
 	sb.recordErr(sb.Cat.ApplyRecord(r))
 }
 
-// StartStandby attaches a standby master: it bootstraps from a
-// full-fidelity catalog snapshot, catches up on the WAL backlog, then
-// applies records as they stream. Calling it again after a promotion
-// attaches a fresh standby to the new primary epoch.
+// StartStandby attaches a standby master: it subscribes to the WAL,
+// buffering what arrives, bootstraps from a full-fidelity catalog
+// snapshot, applies the buffer, then applies records as they stream.
+// Calling it again after a promotion attaches a fresh standby to the new
+// primary epoch.
 func (c *Cluster) StartStandby() *Standby {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.standby != nil {
 		return c.standby
 	}
-	cat := c.Cat()
-	sb := &Standby{Cat: catalog.New(nil)}
-	// Bootstrap: copy the primary catalog verbatim (uncommitted versions
-	// included — the shared CLOG governs visibility), then subscribe.
-	// Records logged between the snapshot and the subscription are in
-	// the backlog; the overlap is deduplicated by the LSN watermark and
-	// idempotent replay.
-	snap := cat.Snapshot(nil, nil)
-	if _, err := sb.Cat.RestoreSnapshot(snap); err != nil {
+	// The catalog changes a row before it logs the change, so whatever
+	// was logged before the subscription is in the snapshot taken after
+	// it, and whatever is logged after it is in the buffer.
+	sb := &Standby{Cat: catalog.New(nil), pending: []tx.Record{}}
+	sb.subID = c.WAL().Subscribe(sb.receive)
+	// Copy the primary catalog verbatim: uncommitted versions included —
+	// the shared CLOG governs visibility.
+	if _, err := sb.Cat.RestoreSnapshot(c.Cat().Snapshot(nil, nil)); err != nil {
 		sb.recordErr(err)
 	}
-	subID, backlog := c.WAL().Subscribe(sb.apply)
-	sb.subID = subID
-	for _, r := range backlog {
-		sb.apply(r)
+	for buf := sb.takePending(); buf != nil; buf = sb.takePending() {
+		for _, r := range buf {
+			sb.apply(r)
+		}
 	}
 	c.standby = sb
 	return sb

@@ -384,6 +384,8 @@ func (s *Session) executeStmt(stmt sqlparser.Statement) (*Result, error) {
 				return nil, fmt.Errorf("engine: bad plan_cache_size %q", v.Value)
 			}
 			s.eng.planCache.Resize(n)
+		default:
+			return nil, fmt.Errorf("engine: unrecognized configuration parameter %q", v.Name)
 		}
 		return &Result{Tag: "SET"}, nil
 	case *sqlparser.PrepareStmt:

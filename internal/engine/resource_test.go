@@ -111,6 +111,13 @@ func TestSetWorkMemAndResourceQueue(t *testing.T) {
 	if _, err := s.Query("SET work_mem = 'lots'"); err == nil {
 		t.Fatal("bad work_mem accepted")
 	}
+	// A misspelt name is an error, and changes nothing.
+	if _, err := s.Query("SET wrok_mem = '1kB'"); err == nil || !strings.Contains(err.Error(), `unrecognized configuration parameter "wrok_mem"`) {
+		t.Fatalf("SET wrok_mem: %v", err)
+	}
+	if res := mustExec(t, s, "SHOW work_mem"); res.Rows[0][0].Str() != "64kB" {
+		t.Fatalf("SHOW work_mem after a misspelt SET = %v", res.Rows[0])
+	}
 
 	if _, err := s.Query("SET resource_queue = nosuch"); err == nil {
 		t.Fatal("SET to unknown resource queue succeeded")

@@ -314,12 +314,12 @@ func TestInsertLogsOnlySegfileUpdates(t *testing.T) {
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE w (k INT8) DISTRIBUTED BY (k)")
 	mustExec(t, s, "INSERT INTO w VALUES (1), (2), (3), (4)")
+	var logged []tx.Record
 	w := e.Cluster().WAL()
-	before := w.NextLSN()
+	sub := w.Subscribe(func(r tx.Record) { logged = append(logged, r) })
 	mustExec(t, s, "INSERT INTO w VALUES (5), (6), (7), (8)")
-	n := int(w.NextLSN() - before)
-	recs := w.Records()
-	logged := recs[len(recs)-n:]
+	w.Unsubscribe(sub)
+	n := len(logged)
 	var kinds []string
 	for _, r := range logged {
 		kinds = append(kinds, fmt.Sprintf("%v %s", r.Type, r.Table))

@@ -186,7 +186,7 @@ func TestPipelinesMatchReference(t *testing.T) {
 			Pred:   expr.NewBinOp(expr.OpLt, colV, &expr.ColRef{Idx: 2, K: types.KindInt64}),
 			Schema: intsSchema("k", "v", "b"),
 		}, true, plain},
-		"distinct": {&plan.Distinct{Input: scan([]int{1, 2}, "v", "w")}, true, plain},
+		"distinct": {distinctOf(scan([]int{1, 2}, "v", "w")), false, plain},
 		// OFFSET ends inside the first batch, LIMIT inside the third.
 		"limit-cuts-batches": {&plan.Limit{N: 1500, Offset: 1000,
 			Input: valuesNode(intsSchema("a", "b"), seqRows(3000, func(i int) int64 { return int64(-i) })...),
@@ -336,7 +336,7 @@ func TestPipelinesMatchReference(t *testing.T) {
 	for _, n := range []int{0, 1, rowStoreBase - 1, rowStoreBase, rowStoreBase + 1, 4095, 4096, 4097, 100000} {
 		in := valuesNode(intsSchema("k", "v"), seqRows(n+n/2, func(i int) int64 { return int64(i % n * 7919) })...)
 		addAgg(fmt.Sprintf("agg-groups-%d", n), []expr.Expr{colV}, sumCount, in)
-		trees[fmt.Sprintf("distinct-rows-%d", n)] = tree{&plan.Distinct{Input: &plan.Project{Input: in, Exprs: []expr.Expr{colV}, Schema: intsSchema("v")}}, true, plain}
+		trees[fmt.Sprintf("distinct-rows-%d", n)] = tree{distinctOf(&plan.Project{Input: in, Exprs: []expr.Expr{colV}, Schema: intsSchema("v")}), false, plain}
 	}
 	// Four groups of 2 500 rows.
 	addAgg("agg-fat-groups", []expr.Expr{colV}, sumCount, valuesNode(intsSchema("k", "v"), seqRows(10000, func(i int) int64 { return int64(i % 4) })...))
@@ -477,7 +477,7 @@ func TestDistinctHonoursMemoryGrant(t *testing.T) {
 		tree plan.Node
 		rows int
 	}{
-		"rows": {&plan.Distinct{Input: input}, 5000},
+		"rows": {distinctOf(input), 5000},
 		// One group: its key and accumulator fit any grant, its 5000 values
 		// do not.
 		"aggregate": {&plan.HashAgg{Input: input, Phase: plan.AggSingle, Schema: intsSchema("n"),
@@ -598,18 +598,18 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 	if few, many := route(2*nrows), route(8*nrows); many > few+8 {
 		t.Errorf("routing %d rows allocates %.0f times, routing %d rows %.0f", 8*nrows, many, 2*nrows, few)
 	}
-	// 4096 rows in, 4096 groups (or rows) out. Nothing is allocated per
-	// row or per group: the key table's chunks (9), its hashes and its
-	// directory and links as they double (9 and 2 × 9), the
-	// accumulators' growth, the list of groups in emission order — 105
-	// allocations and 74, up to 123 and 88 under -race with a collection
-	// emptying the pools midway.
+	// 4096 rows in, 4096 groups out, with an aggregate and without (a
+	// DISTINCT). Nothing is allocated per row or per group: the key
+	// table's chunks (9), its hashes and its directory and links as they
+	// double (9 and 2 × 9), the accumulators' growth, the list of groups
+	// in emission order — 104 allocations and 87, up to 121 and 109
+	// under -race with a collection emptying the pools midway.
 	within("agg", &plan.HashAgg{
 		Input: scan, Phase: plan.AggSingle, Groups: []expr.Expr{colK},
 		Aggs:   []expr.AggSpec{{Kind: expr.AggCountStar}},
 		Schema: intsSchema("k", "count"),
 	}, 144)
-	within("distinct", &plan.Distinct{Input: scan}, 104)
+	within("distinct", distinctOf(scan), 124)
 	// The Q1 shape over warm vectors: absorbing a batch costs a constant
 	// number of allocations, not one per row — building the operators and
 	// growing their scratch, then nothing that scales with the 16 000 rows.

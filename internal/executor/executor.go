@@ -158,8 +158,6 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 		return newScanOp(ctx, v), nil
 	case *plan.ExternalScan:
 		return newExternalScanOp(ctx, v)
-	case *plan.Append:
-		return newAppendOp(ctx, v)
 	case *plan.Select:
 		in, err := Build(ctx, v.Input)
 		if err != nil {
@@ -190,12 +188,6 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 			return nil, err
 		}
 		return &limitOp{ctx: ctx, in: in, n: v.N, offset: v.Offset}, nil
-	case *plan.Distinct:
-		in, err := Build(ctx, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{ctx: ctx, in: in, mem: memBudget{ctx: ctx}, cols: v.OutSchema().AllCols()}, nil
 	case *plan.Values:
 		return &valuesOp{rows: v.Rows}, nil
 	case *plan.Insert:

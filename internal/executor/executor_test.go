@@ -37,6 +37,17 @@ func valuesNode(schema *types.Schema, rows ...[]int64) *plan.Values {
 	return v
 }
 
+// distinctOf is SELECT DISTINCT over n as the planner builds it on one
+// node: a grouping on every column with no aggregates.
+func distinctOf(n plan.Node) *plan.HashAgg {
+	s := n.OutSchema()
+	groups := make([]expr.Expr, s.Len())
+	for i, c := range s.Columns {
+		groups[i] = &expr.ColRef{Idx: i, K: c.Kind}
+	}
+	return &plan.HashAgg{Input: n, Phase: plan.AggSingle, Groups: groups, Schema: s}
+}
+
 func collect(t *testing.T, ctx *Context, n plan.Node) []types.Row {
 	t.Helper()
 	op, err := Build(ctx, n)
@@ -74,15 +85,16 @@ func TestProjectSelectLimitDistinct(t *testing.T) {
 	col := &expr.ColRef{Idx: 0, K: types.KindInt64}
 	tree := &plan.Limit{
 		N: 2,
-		Input: &plan.Distinct{
-			Input: &plan.Project{
+		Input: &plan.Sort{
+			Keys: []plan.OrderKey{{Col: 0}},
+			Input: distinctOf(&plan.Project{
 				Input: &plan.Select{
 					Input: base,
 					Pred:  expr.NewBinOp(expr.OpGt, col, expr.NewConst(types.NewInt64(1))),
 				},
 				Exprs:  []expr.Expr{expr.NewBinOp(expr.OpMul, col, expr.NewConst(types.NewInt64(10)))},
 				Schema: intsSchema("a10"),
-			},
+			}),
 		},
 	}
 	got := rowsToInts(collect(t, ctx, tree))
@@ -560,22 +572,6 @@ func TestInsertNotNullViolation(t *testing.T) {
 	err = Drain(nil, op, func(types.Row) error { return nil })
 	if err == nil {
 		t.Fatal("not-null violation accepted")
-	}
-}
-
-func TestAppendOperator(t *testing.T) {
-	ctx := &Context{Segment: 0}
-	a := &plan.Append{
-		Inputs: []plan.Node{
-			valuesNode(intsSchema("v"), []int64{1}),
-			valuesNode(intsSchema("v"), []int64{2}, []int64{3}),
-			valuesNode(intsSchema("v")),
-		},
-		Schema: intsSchema("v"),
-	}
-	got := rowsToInts(collect(t, ctx, a))
-	if !reflect.DeepEqual(got, [][]int64{{1}, {2}, {3}}) {
-		t.Errorf("append = %v", got)
 	}
 }
 

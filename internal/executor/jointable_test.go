@@ -379,7 +379,7 @@ func BenchmarkDistinct(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if err := Drain(nil, mustBuild(b, ctx, &plan.Distinct{Input: in}), func(types.Row) error { n++; return nil }); err != nil {
+				if err := Drain(nil, mustBuild(b, ctx, distinctOf(in)), func(types.Row) error { n++; return nil }); err != nil {
 					b.Fatal(err)
 				}
 				if n != 4096 {

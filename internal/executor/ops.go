@@ -197,73 +197,6 @@ func (e *externalScanOp) Close() error {
 	return nil
 }
 
-// appendOp concatenates children (partition scans).
-type appendOp struct {
-	ops []Operator
-	cur int
-}
-
-func newAppendOp(ctx *Context, node *plan.Append) (Operator, error) {
-	a := &appendOp{}
-	for _, c := range node.Inputs {
-		op, err := Build(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		a.ops = append(a.ops, op)
-	}
-	return a, nil
-}
-
-// Open implements Operator.
-func (a *appendOp) Open() error {
-	if len(a.ops) == 0 {
-		return nil
-	}
-	return a.ops[0].Open()
-}
-
-// advance closes the exhausted current child and opens the next.
-func (a *appendOp) advance() error {
-	if err := a.ops[a.cur].Close(); err != nil {
-		return err
-	}
-	a.cur++
-	if a.cur < len(a.ops) {
-		return a.ops[a.cur].Open()
-	}
-	return nil
-}
-
-// NextBatch implements Operator.
-func (a *appendOp) NextBatch(b *types.Batch) (bool, error) {
-	for a.cur < len(a.ops) {
-		ok, err := a.ops[a.cur].NextBatch(b)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-		if err := a.advance(); err != nil {
-			return false, err
-		}
-	}
-	return false, nil
-}
-
-// Close implements Operator.
-func (a *appendOp) Close() error {
-	var err error
-	for i := a.cur; i < len(a.ops); i++ {
-		if cerr := a.ops[i].Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	a.cur = len(a.ops)
-	return err
-}
-
 // selectOp filters rows, compacting each input batch in place. Its loop
 // skips an unbounded number of non-matching batches, so it checks the
 // query context each iteration.
@@ -390,61 +323,6 @@ func (l *limitOp) NextBatch(b *types.Batch) (bool, error) {
 
 // Close implements Operator.
 func (l *limitOp) Close() error { return l.in.Close() }
-
-// distinctOp removes duplicate rows, compacting each input batch in
-// place: the rows met so far are the keys of a keyTable, so rows equal by
-// value are one and the first stays. Every retained row is charged to
-// the query's memory grant; there is no spill path, so exhausting the
-// grant is a clean out-of-memory error. Like selectOp its loop can skip
-// unboundedly many duplicates, so it checks the query context each
-// iteration.
-type distinctOp struct {
-	ctx  *Context
-	in   Operator
-	mem  memBudget
-	seen keyTable
-	cols []int // every column of a row
-}
-
-// setOpStats implements statsSink: DISTINCT charges its row-set peak to
-// this slot.
-func (d *distinctOp) setOpStats(st *obs.OpStats) { d.mem.st = st }
-
-// Open implements Operator.
-func (d *distinctOp) Open() error { return d.in.Open() }
-
-// NextBatch implements Operator.
-func (d *distinctOp) NextBatch(b *types.Batch) (bool, error) {
-	for {
-		if err := d.ctx.canceled(); err != nil {
-			return false, err
-		}
-		ok, err := d.in.NextBatch(b)
-		if err != nil || !ok {
-			return false, err
-		}
-		kept := 0
-		for i := 0; i < b.Len(); i++ {
-			if novel, err := d.seen.admit(&d.mem, b.Row(i), d.cols); err != nil {
-				return false, err
-			} else if novel {
-				b.MoveRow(kept, i)
-				kept++
-			}
-		}
-		b.Truncate(kept)
-		if kept > 0 {
-			return true, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (d *distinctOp) Close() error {
-	d.seen.reset()
-	d.mem.releaseAll()
-	return d.in.Close()
-}
 
 // valuesOp emits literal rows.
 type valuesOp struct {

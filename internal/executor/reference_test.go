@@ -100,16 +100,6 @@ func refRows(t testing.TB, n plan.Node, tables map[string][]types.Row) []types.R
 		in := refRows(t, v.Input, tables)
 		lo := min(v.Offset, int64(len(in)))
 		return in[lo:min(lo+v.N, int64(len(in)))]
-	case *plan.Distinct:
-		var out []types.Row
-		seen := map[string]bool{}
-		for _, r := range refRows(t, v.Input, tables) {
-			if k := fmt.Sprint(r); !seen[k] {
-				seen[k] = true
-				out = append(out, r)
-			}
-		}
-		return out
 	case *plan.Sort:
 		out := append([]types.Row(nil), refRows(t, v.Input, tables)...)
 		sort.SliceStable(out, func(i, j int) bool {

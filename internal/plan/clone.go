@@ -59,17 +59,6 @@ func cloneNode(n Node) (Node, error) {
 		}
 		c.Filter = f
 		return &c, nil
-	case *Append:
-		c := *v
-		c.Inputs = make([]Node, len(v.Inputs))
-		for i, in := range v.Inputs {
-			ci, err := cloneNode(in)
-			if err != nil {
-				return nil, err
-			}
-			c.Inputs[i] = ci
-		}
-		return &c, nil
 	case *Select:
 		c := *v
 		in, err := cloneNode(v.Input)
@@ -163,14 +152,6 @@ func cloneNode(n Node) (Node, error) {
 		c.Input = in
 		return &c, nil
 	case *Limit:
-		c := *v
-		in, err := cloneNode(v.Input)
-		if err != nil {
-			return nil, err
-		}
-		c.Input = in
-		return &c, nil
-	case *Distinct:
 		c := *v
 		in, err := cloneNode(v.Input)
 		if err != nil {

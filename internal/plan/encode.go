@@ -13,7 +13,6 @@ func init() {
 	// Plan nodes.
 	gob.Register(&Scan{})
 	gob.Register(&ExternalScan{})
-	gob.Register(&Append{})
 	gob.Register(&Select{})
 	gob.Register(&Project{})
 	gob.Register(&HashJoin{})
@@ -21,7 +20,6 @@ func init() {
 	gob.Register(&HashAgg{})
 	gob.Register(&Sort{})
 	gob.Register(&Limit{})
-	gob.Register(&Distinct{})
 	gob.Register(&Values{})
 	gob.Register(&Insert{})
 	gob.Register(&Motion{})

@@ -73,10 +73,13 @@ const (
 	AggFinal
 )
 
-// Scan reads the committed rows of one (non-partitioned) table. The node
-// is self-described: it embeds the table descriptor and the visible
-// segment files of every segment, so a QE needs no catalog access. Each
-// QE scans only the files whose SegmentID matches its own.
+// Scan reads the committed rows of one table. The node is
+// self-described: it embeds the table descriptor and the visible segment
+// files of every segment, so a QE needs no catalog access. Each QE scans
+// only the files whose SegmentID matches its own. A partitioned table is
+// scanned as its parent: SegFiles holds the files of every partition
+// that survived elimination (§2.3), which share the parent's schema and
+// storage.
 type Scan struct {
 	Table *catalog.TableDesc
 	// Proj are the table column indexes produced, in output order: the
@@ -92,6 +95,9 @@ type Scan struct {
 	// SegFiles lists every visible file of the table (all segments).
 	SegFiles []catalog.SegFile
 	Schema   *types.Schema
+	// Parts is how many partitions of a partitioned table SegFiles
+	// covers.
+	Parts int
 }
 
 // OutSchema implements Node.
@@ -103,6 +109,9 @@ func (s *Scan) Children() []Node { return nil }
 // Label implements Node.
 func (s *Scan) Label() string {
 	l := fmt.Sprintf("Table Scan (%s) cols=%d/%d", s.Table.Name, len(s.Proj), s.Table.Schema.Len())
+	if s.Table.IsPartitionParent() {
+		l += fmt.Sprintf(" parts=%d", s.Parts)
+	}
 	if s.Filter != nil {
 		l += fmt.Sprintf(" filter: %s", s.Filter)
 	}
@@ -133,22 +142,6 @@ func (s *ExternalScan) Children() []Node { return nil }
 func (s *ExternalScan) Label() string {
 	return fmt.Sprintf("External Scan (%s via %s)", s.Table.Name, s.Table.Location)
 }
-
-// Append concatenates its children (partitioned table scans after
-// partition elimination, §2.3).
-type Append struct {
-	Inputs []Node
-	Schema *types.Schema
-}
-
-// OutSchema implements Node.
-func (a *Append) OutSchema() *types.Schema { return a.Schema }
-
-// Children implements Node.
-func (a *Append) Children() []Node { return a.Inputs }
-
-// Label implements Node.
-func (a *Append) Label() string { return fmt.Sprintf("Append (%d parts)", len(a.Inputs)) }
 
 // Select filters rows by a predicate.
 type Select struct {
@@ -298,20 +291,6 @@ func (l *Limit) Children() []Node { return []Node{l.Input} }
 
 // Label implements Node.
 func (l *Limit) Label() string { return fmt.Sprintf("Limit %d", l.N) }
-
-// Distinct removes duplicate rows (SELECT DISTINCT).
-type Distinct struct {
-	Input Node
-}
-
-// OutSchema implements Node.
-func (d *Distinct) OutSchema() *types.Schema { return d.Input.OutSchema() }
-
-// Children implements Node.
-func (d *Distinct) Children() []Node { return []Node{d.Input} }
-
-// Label implements Node.
-func (d *Distinct) Label() string { return "Unique" }
 
 // Values produces literal rows (INSERT ... VALUES, SELECT without FROM).
 type Values struct {

@@ -176,16 +176,8 @@ func (b *builder) walk(n Node, parent *Slice) Node {
 	case *Limit:
 		v.Input = b.walk(v.Input, parent)
 		return v
-	case *Distinct:
-		v.Input = b.walk(v.Input, parent)
-		return v
 	case *Insert:
 		v.Input = b.walk(v.Input, parent)
-		return v
-	case *Append:
-		for i, c := range v.Inputs {
-			v.Inputs[i] = b.walk(c, parent)
-		}
 		return v
 	default:
 		return n

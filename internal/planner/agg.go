@@ -106,10 +106,7 @@ func (p *Planner) planAggregation(rel *relation, stmt *sqlparser.SelectStmt) (*r
 	outSchema := aggSchema(keys, specs, func(i int) string { return strings.ToLower(aggCalls[i].Name) })
 	scp := &aggScope{groups: groupStrs, aggs: aggStrs, schema: outSchema}
 
-	outRel, err := p.buildAggNodes(rel, groupExprs, specs, outSchema, hasDistinct)
-	if err != nil {
-		return nil, nil, err
-	}
+	outRel := p.buildAggNodes(rel, groupExprs, specs, outSchema, hasDistinct)
 	// A group column carries its key's facts; of the aggregates only a
 	// count is never NULL.
 	outRel.cols = withFacts(schemaCols(outSchema), groupExprs, rel.cols)
@@ -148,7 +145,7 @@ func aggSchema(keys []types.Column, specs []expr.AggSpec, name func(i int) strin
 
 // buildAggNodes chooses one-phase vs two-phase aggregation based on the
 // input distribution (§3).
-func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.AggSpec, outSchema *types.Schema, hasDistinct bool) (*relation, error) {
+func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.AggSpec, outSchema *types.Schema, hasDistinct bool) *relation {
 	nGroups := len(groups)
 	estGroups := groupRows(rel, groups)
 
@@ -169,11 +166,11 @@ func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.
 	}
 	if rel.dist.kind == distQD {
 		node := &plan.HashAgg{Input: rel.node, Phase: plan.AggSingle, Groups: groups, Aggs: specs, Schema: outSchema}
-		return &relation{node: node, dist: distInfo{kind: distQD}, rows: estGroups}, nil
+		return &relation{node: node, dist: distInfo{kind: distQD}, rows: estGroups}
 	}
 	if local && !p.DisableColocation {
 		node := &plan.HashAgg{Input: rel.node, Phase: plan.AggSingle, Groups: groups, Aggs: specs, Schema: outSchema}
-		return &relation{node: node, dist: distInfo{kind: distHash, cols: outDistCols}, rows: estGroups}, nil
+		return &relation{node: node, dist: distInfo{kind: distHash, cols: outDistCols}, rows: estGroups}
 	}
 	if hasDistinct {
 		// DISTINCT aggregates need whole groups in one place: move the
@@ -184,7 +181,7 @@ func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.
 			moved, dist = p.redistributeCols(rel, groupCols), distInfo{kind: distHash, cols: upTo(nGroups)}
 		}
 		node := &plan.HashAgg{Input: moved.node, Phase: plan.AggSingle, Groups: groups, Aggs: specs, Schema: outSchema}
-		return &relation{node: node, dist: dist, rows: estGroups}, nil
+		return &relation{node: node, dist: dist, rows: estGroups}
 	}
 
 	// Two-phase: partial on every segment, motion, final.
@@ -241,7 +238,7 @@ func (p *Planner) buildAggNodes(rel *relation, groups []expr.Expr, specs []expr.
 	if needsReassembly(specs, lowering) {
 		node = &plan.Project{Input: final, Exprs: projExprs, Schema: outSchema}
 	}
-	return &relation{node: node, dist: finalDist, rows: estGroups}, nil
+	return &relation{node: node, dist: finalDist, rows: estGroups}
 }
 
 // needsReassembly reports whether the final phase's outputs are not

@@ -193,18 +193,15 @@ func projectDist(d distInfo, exprs []expr.Expr) distInfo {
 	return distInfo{kind: distHash, cols: mapped}
 }
 
-// planDistinct deduplicates the relation globally.
+// planDistinct deduplicates the relation globally: a grouping on every
+// column with no aggregates, planned as GROUP BY is.
 func (p *Planner) planDistinct(rel *relation) *relation {
-	out := rel
-	if rel.dist.kind == distHash || rel.dist.kind == distRandom {
-		// Redistribute by all columns so duplicates meet.
-		all := upTo(rel.schema().Len())
-		if rel.dist.kind != distHash || !slices.Equal(rel.dist.cols, all) {
-			out = p.redistributeCols(rel, all)
-		}
+	cols := rel.schema().Columns
+	groups := make([]expr.Expr, len(cols))
+	for i := range groups {
+		groups[i] = refCol(cols, i)
 	}
-	return &relation{
-		node: &plan.Distinct{Input: out.node},
-		cols: out.cols, dist: out.dist, rows: out.rows / 2,
-	}
+	out := p.buildAggNodes(rel, groups, nil, rel.schema(), false)
+	out.cols = rel.cols
+	return out
 }

@@ -279,10 +279,7 @@ func (p *Planner) notInNulls(rel *relation, inner *sqlparser.SelectStmt, leftKey
 	specs := []expr.AggSpec{{Kind: expr.AggCountStar}, {Kind: expr.AggCount, Arg: refCol(in.Columns, 0)}}
 	cols = append(cols, types.Column{Name: "rows", Kind: types.KindInt64}, types.Column{Name: "nonnull", Kind: types.KindInt64})
 	schema := &types.Schema{Columns: cols}
-	facts, err := p.buildAggNodes(sub, groups, specs, schema, false)
-	if err != nil {
-		return nil, err
-	}
+	facts := p.buildAggNodes(sub, groups, specs, schema, false)
 	facts.cols = schemaCols(schema)
 	w := rel.schema().Len()
 	rows := &expr.ColRef{Idx: w + nCorr, K: types.KindInt64, Name: "rows"}

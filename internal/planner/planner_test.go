@@ -328,8 +328,8 @@ func TestPartitionPruningOperators(t *testing.T) {
 		pl := planOf(t, p, sql)
 		n := -1
 		pl.Walk(func(node plan.Node) {
-			if a, ok := node.(*plan.Append); ok {
-				n = len(a.Inputs)
+			if s, ok := node.(*plan.Scan); ok && s.Table.IsPartitionParent() {
+				n = s.Parts
 			}
 		})
 		return n
@@ -366,32 +366,42 @@ func TestPartitionPruningOperators(t *testing.T) {
 func TestDistinctPlans(t *testing.T) {
 	p, tr := fixture(t)
 	defer tr.Commit()
-	// DISTINCT on a non-dist column forces a redistribute + unique.
+	// DISTINCT on a non-dist column groups as GROUP BY does: a partial
+	// grouping, a redistribute, a final one — and no aggregates.
 	pl := planOf(t, p, "SELECT DISTINCT o_custkey FROM orders")
-	uniques, redists := 0, 0
+	var phases []plan.AggPhase
+	redists := 0
 	pl.Walk(func(n plan.Node) {
 		switch v := n.(type) {
-		case *plan.Distinct:
-			uniques++
+		case *plan.HashAgg:
+			if len(v.Aggs) != 0 || len(v.Groups) != 1 {
+				t.Errorf("DISTINCT groups %v with aggregates %v", v.Groups, v.Aggs)
+			}
+			phases = append(phases, v.Phase)
 		case *plan.Motion:
 			if v.Type == plan.RedistributeMotion {
 				redists++
 			}
 		}
 	})
-	if uniques != 1 || redists != 1 {
-		t.Errorf("uniques=%d redists=%d:\n%s", uniques, redists, pl.Explain())
+	if !slices.Equal(phases, []plan.AggPhase{plan.AggFinal, plan.AggPartial}) || redists != 1 {
+		t.Errorf("phases=%v redists=%d:\n%s", phases, redists, pl.Explain())
 	}
-	// DISTINCT on the dist key needs no motion before the unique.
-	pl = planOf(t, p, "SELECT DISTINCT o_orderkey FROM orders")
-	redists = 0
+	// DISTINCT over the dist key groups once, where the rows are.
+	pl = planOf(t, p, "SELECT DISTINCT o_orderkey, o_custkey FROM orders")
+	phases, redists = nil, 0
 	pl.Walk(func(n plan.Node) {
-		if v, ok := n.(*plan.Motion); ok && v.Type == plan.RedistributeMotion {
-			redists++
+		switch v := n.(type) {
+		case *plan.HashAgg:
+			phases = append(phases, v.Phase)
+		case *plan.Motion:
+			if v.Type == plan.RedistributeMotion {
+				redists++
+			}
 		}
 	})
-	if redists != 0 {
-		t.Errorf("dist-key DISTINCT redistributes:\n%s", pl.Explain())
+	if !slices.Equal(phases, []plan.AggPhase{plan.AggSingle}) || redists != 0 {
+		t.Errorf("dist-key DISTINCT: phases=%v redists=%d:\n%s", phases, redists, pl.Explain())
 	}
 }
 

@@ -291,7 +291,7 @@ func (p *Planner) materialize(u *fromUnit) error {
 	return err
 }
 
-// scanRelation builds the (possibly partitioned) scan of one table,
+// scanRelation builds the scan of one table, partitioned or not,
 // producing the table columns proj; sc names them in that order, so the
 // bound filter, like everything above the scan, indexes output
 // positions.
@@ -319,31 +319,29 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 			Schema: sc.schema, NumSegments: p.NumSegments,
 		}
 		totalRows = p.tableRows(desc)
-	} else if desc.IsPartitionParent() {
-		kids, err := p.Cat.PartitionChildren(p.Snap, desc.OID)
-		if err != nil {
-			return nil, err
-		}
-		var inputs []plan.Node
-		for _, kid := range kids {
-			if !p.DisablePartitionElim && partitionPruned(kid, terms, proj) {
-				continue
-			}
-			inputs = append(inputs, &plan.Scan{
-				Table: kid, Proj: proj, Filter: filter,
-				SegFiles: p.Cat.AllSegFiles(p.Snap, kid.OID),
-				Schema:   sc.schema,
-			})
-			totalRows += p.tableRows(kid)
-		}
-		node = &plan.Append{Inputs: inputs, Schema: sc.schema}
 	} else {
-		node = &plan.Scan{
-			Table: desc, Proj: proj, Filter: filter,
-			SegFiles: p.Cat.AllSegFiles(p.Snap, desc.OID),
-			Schema:   sc.schema,
+		// A partitioned table is one scan of its parent over the files of
+		// every partition that survives elimination: the partitions share
+		// the parent's schema, storage and distribution.
+		scan := &plan.Scan{Table: desc, Proj: proj, Filter: filter, Schema: sc.schema}
+		if desc.IsPartitionParent() {
+			kids, err := p.Cat.PartitionChildren(p.Snap, desc.OID)
+			if err != nil {
+				return nil, err
+			}
+			for _, kid := range kids {
+				if !p.DisablePartitionElim && partitionPruned(kid, terms, proj) {
+					continue
+				}
+				scan.SegFiles = append(scan.SegFiles, p.Cat.AllSegFiles(p.Snap, kid.OID)...)
+				scan.Parts++
+				totalRows += p.tableRows(kid)
+			}
+		} else {
+			scan.SegFiles = p.Cat.AllSegFiles(p.Snap, desc.OID)
+			totalRows = p.tableRows(desc)
 		}
-		totalRows = p.tableRows(desc)
+		node = scan
 	}
 	rel := &relation{
 		node: node,

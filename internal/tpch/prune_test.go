@@ -57,7 +57,7 @@ func planStmt(t *testing.T, e *engine.Engine, sql string) *plan.Plan {
 }
 
 // scanColumns renders every scan of a plan as "table(col col ...)" in
-// output order, sorted so join order does not matter. The names come
+// output order — a partitioned table's as "table[n parts](...)" — sorted so join order does not matter. The names come
 // from the table descriptor through Proj, and must agree with the
 // scan's own schema.
 func scanColumns(t *testing.T, pl *plan.Plan) []string {
@@ -70,6 +70,9 @@ func scanColumns(t *testing.T, pl *plan.Plan) []string {
 		switch s := n.(type) {
 		case *plan.Scan:
 			name, table, schema, proj = s.Table.Name, s.Table.Schema, s.Schema, s.Proj
+			if s.Table.IsPartitionParent() {
+				name += fmt.Sprintf("[%d parts]", s.Parts)
+			}
 		case *plan.ExternalScan:
 			name, table, schema, proj = s.Table.Name, s.Table.Schema, s.Schema, s.Proj
 		default:
@@ -198,7 +201,7 @@ func TestScanProjectionsAreExact(t *testing.T) {
 			"SELECT o_orderkey FROM orders WHERE EXISTS (SELECT 1 FROM orders o2 WHERE o2.o_custkey = orders.o_orderkey AND o_totalprice > 5)",
 			[]string{"orders(o_custkey o_totalprice)", "orders(o_orderkey)"}},
 		{"partitioned parent", "SELECT sum(amt) FROM sales WHERE date >= DATE '2008-02-01'",
-			[]string{"sales_1_prt_2(date amt)", "sales_1_prt_3(date amt)"}},
+			[]string{"sales[2 parts](date amt)"}},
 		{"external table", "SELECT sum(n) FROM clicks WHERE who = 'ann'", []string{"clicks(who n)"}},
 		{"insert select star", "INSERT INTO nation_copy SELECT * FROM nation",
 			[]string{"nation(n_nationkey n_name n_regionkey n_comment)"}},
@@ -225,7 +228,7 @@ func TestScanProjectionsAreExact(t *testing.T) {
 	// Partition elimination compares the filter column with PartCol, a
 	// table index, through a scope that now holds output positions.
 	pl := planStmt(t, e, "SELECT sum(amt) FROM sales WHERE date = DATE '2008-03-15'")
-	if got := scanColumns(t, pl); !reflect.DeepEqual(got, []string{"sales_1_prt_3(date amt)"}) {
+	if got := scanColumns(t, pl); !reflect.DeepEqual(got, []string{"sales[1 parts](date amt)"}) {
 		t.Errorf("partition elimination under a narrow scan kept %q", got)
 	}
 	// And the narrow plans still answer: zero-width rows keep their count

@@ -227,24 +227,52 @@ func TestDeadlockDetection(t *testing.T) {
 func TestWALAppendSubscribeReplay(t *testing.T) {
 	w := NewWAL()
 	w.Append(Record{Type: RecBegin, XID: 7})
-	w.Append(Record{Type: RecInsert, XID: 7, Table: "pg_class", RowID: 3, Data: []byte("row")})
 
+	// A subscriber receives what is appended after it subscribed, LSNs
+	// counting on from those before.
 	var shipped []Record
-	_, backlog := w.Subscribe(func(r Record) { shipped = append(shipped, r) })
-	if len(backlog) != 2 {
-		t.Fatalf("backlog = %d", len(backlog))
-	}
+	sub := w.Subscribe(func(r Record) { shipped = append(shipped, r) })
+	w.Append(Record{Type: RecInsert, XID: 7, Table: "pg_class", RowID: 3, Data: []byte("row")})
 	w.Append(Record{Type: RecCommit, XID: 7})
-	if len(shipped) != 1 || shipped[0].Type != RecCommit {
+	if len(shipped) != 2 || shipped[0].Type != RecInsert || shipped[1].Type != RecCommit {
 		t.Fatalf("shipped = %+v", shipped)
 	}
-	if w.Len() != 3 {
-		t.Errorf("len = %d", w.Len())
-	}
-	// LSNs are monotonically increasing from 1.
-	for i, r := range w.Records() {
-		if r.LSN != uint64(i+1) {
+	for i, r := range shipped {
+		if r.LSN != uint64(i+2) {
 			t.Errorf("record %d LSN = %d", i, r.LSN)
+		}
+	}
+	w.Unsubscribe(sub)
+	w.Append(Record{Type: RecBegin, XID: 8})
+	if len(shipped) != 2 || w.NextLSN() != 5 {
+		t.Errorf("after Unsubscribe: %d shipped, next LSN %d", len(shipped), w.NextLSN())
+	}
+}
+
+// TestWALShipsInLSNOrder: appenders on many goroutines race for LSNs,
+// and a subscriber still receives every record in LSN order.
+func TestWALShipsInLSNOrder(t *testing.T) {
+	w := NewWAL()
+	var shipped []uint64 // written by the subscriber alone
+	w.Subscribe(func(r Record) { shipped = append(shipped, r.LSN) })
+	const writers, each = 8, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				w.Append(Record{Type: RecBegin, XID: XID(i + 1)})
+			}
+		}()
+	}
+	wg.Wait()
+	if len(shipped) != writers*each {
+		t.Fatalf("%d records shipped, want %d", len(shipped), writers*each)
+	}
+	for i, lsn := range shipped {
+		if lsn != uint64(i+1) {
+			t.Fatalf("record %d shipped with LSN %d", i, lsn)
 		}
 	}
 }

@@ -116,16 +116,16 @@ type Sink interface {
 	Commit(lsn uint64) error
 }
 
-// WAL is the master's write-ahead log. Subscribers receive each record as
-// it is appended; the standby master subscribes and replays records into
-// its catalog replica — the paper's transaction log replication process
-// that keeps the warm standby current (§2.6). When a durable Sink is
-// attached, records are mirrored to it on append and made durable at
-// commit; sink failures are latched and surfaced at commit time so the
-// logging fast path stays error-free.
+// WAL is the master's write-ahead log. It keeps no records itself:
+// subscribers receive each record as it is appended, in LSN order; the
+// standby master subscribes and replays records into its catalog replica
+// — the paper's transaction log replication process that keeps the warm
+// standby current (§2.6). When a durable Sink is attached, records are
+// mirrored to it on append and made durable at commit; sink failures are
+// latched and surfaced at commit time so the logging fast path stays
+// error-free.
 type WAL struct {
 	mu      sync.Mutex
-	records []Record
 	nextLSN uint64
 	subs    map[int]func(Record)
 	nextSub int
@@ -152,14 +152,16 @@ func NewWALAt(sink Sink, nextLSN uint64) *WAL {
 	}
 }
 
-// Append assigns an LSN, stores the record, mirrors it to the durable
-// sink and ships it to subscribers. Sink errors are latched and reported
-// by the next LogCommit.
+// Append assigns an LSN, mirrors the record to the durable sink and ships
+// it to subscribers. Sink errors are latched and reported by the next
+// LogCommit. Shipping happens under the log's lock, so every subscriber
+// sees records in LSN order however many goroutines append; a
+// subscriber must therefore not call back into the log.
 func (w *WAL) Append(r Record) uint64 {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	r.LSN = w.nextLSN
 	w.nextLSN++
-	w.records = append(w.records, r)
 	if r.XID != InvalidXID && (r.Type == RecInsert || r.Type == RecDelete) {
 		if _, ok := w.dirty[r.XID]; !ok {
 			w.dirty[r.XID] = r.LSN
@@ -170,12 +172,7 @@ func (w *WAL) Append(r Record) uint64 {
 			w.err = err
 		}
 	}
-	subs := make([]func(Record), 0, len(w.subs))
 	for _, s := range w.subs {
-		subs = append(subs, s)
-	}
-	w.mu.Unlock()
-	for _, s := range subs {
 		s(r)
 	}
 	return r.LSN
@@ -280,23 +277,23 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
-// Subscribe registers a shipping target and returns a token for
-// Unsubscribe plus every record logged so far, so a standby attaching
-// late can catch up before streaming.
-func (w *WAL) Subscribe(fn func(Record)) (int, []Record) {
+// Subscribe registers a shipping target, which receives every record
+// appended from now on, and returns a token for Unsubscribe. What was
+// logged before is not kept: a standby attaching late subscribes first
+// and then copies a catalog snapshot (see cluster.StartStandby).
+func (w *WAL) Subscribe(fn func(Record)) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	id := w.nextSub
 	w.nextSub++
 	w.subs[id] = fn
-	out := make([]Record, len(w.records))
-	copy(out, w.records)
-	return id, out
+	return id
 }
 
-// Unsubscribe detaches a shipping target. Promoting a standby must call
-// this: a subscription left attached keeps replaying the old primary's
-// records into the now-active catalog (double apply).
+// Unsubscribe detaches a shipping target; once it returns, no record is
+// being shipped to it, since shipping holds the log's lock. Promoting a
+// standby must call this: a subscription left attached keeps replaying
+// the old primary's records into the now-active catalog (double apply).
 func (w *WAL) Unsubscribe(id int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -308,21 +305,4 @@ func (w *WAL) Subscribers() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.subs)
-}
-
-// Len returns the number of records logged.
-func (w *WAL) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.records)
-}
-
-// Records returns a copy of all records held in memory (tests, standby
-// catch-up). After recovery this starts at the recovered tail, not LSN 1.
-func (w *WAL) Records() []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Record, len(w.records))
-	copy(out, w.records)
-	return out
 }

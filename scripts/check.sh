@@ -65,7 +65,10 @@
 #                                  and no second record of a table's
 #                                  rows (hawq_stat_mod and its modcount
 #                                  calls) or workfile frame compression
-#                                  returns
+#                                  returns, no plan node or operator of
+#                                  DISTINCT's or of a partitioned
+#                                  table's own (Distinct, Append) comes
+#                                  back, and the WAL keeps no records
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -164,6 +167,10 @@ if grep -rnE 'eq[S]ides|edge[K]eys|same[C]ol|units[R]eferenced' internal cmd ben
 fi
 if grep -rnE 'hawq_stat_[m]od|BumpMod[C]ount|ModCount[F]or|ResetMod[C]ount|Spill[C]odec' internal cmd; then
     echo "stays deleted: a second record of a table's rows or the workfiles' frame compression is back; the sweep reads churn from the segment files (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'type (Distinct|Append) struct' internal/plan || grep -rnE 'distinct[O]p|append[O]p|records +\[\][R]ecord' internal; then
+    echo "stays deleted: SELECT DISTINCT is a HashAgg with no aggregates, a partitioned table is one Scan, and the WAL keeps no history (see above)" >&2
     exit 1
 fi
 
