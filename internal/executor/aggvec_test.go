@@ -1,8 +1,10 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -301,20 +303,27 @@ func newWarmCache(tb testing.TB, fs *hdfs.FileSystem, desc *catalog.TableDesc, s
 	return ctx.Cache
 }
 
-// benchAgg times one aggregate over a warm segment block cache: what a
-// statement's partial phase costs on one segment once its blocks are
-// cached.
+// benchAgg times one aggregate over the lineitem-shaped table on a warm
+// segment block cache: what a statement's partial phase costs on one
+// segment once its blocks are cached.
 func benchAgg(b *testing.B, rows int, filter expr.Expr, groups []expr.Expr, aggs []expr.AggSpec) {
+	benchAggOver(b, liSchema, liRows(rand.New(rand.NewSource(1)), rows), filter, groups, aggs)
+}
+
+// benchAggOver is benchAgg over a table of the given rows.
+func benchAggOver(b *testing.B, schema *types.Schema, rows []types.Row, filter expr.Expr, groups []expr.Expr, aggs []expr.AggSpec) {
 	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	desc, segFiles := writeCOTable(b, fs, 10, "li", liSchema, liRows(rand.New(rand.NewSource(1)), rows))
+	desc, segFiles := writeCOTable(b, fs, 10, "li", schema, rows)
 	ctx := &Context{Segment: 0, FS: fs, Cache: newWarmCache(b, fs, desc, segFiles)}
+	node := liAgg(desc, segFiles, filter, true, groups, aggs)
+	node.Input.(*plan.Scan).Proj, node.Input.(*plan.Scan).Schema = schema.AllCols(), schema
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Drain(ctx, mustBuild(b, ctx, liAgg(desc, segFiles, filter, true, groups, aggs)), nil); err != nil {
+		if err := Drain(ctx, mustBuild(b, ctx, node), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,8 +333,9 @@ func benchAgg(b *testing.B, rows int, filter expr.Expr, groups []expr.Expr, aggs
 // share of lineitem at the tracked scale: the Q1 shape (two encoded
 // group columns, nine aggregates over shared decimal arithmetic), the Q6
 // shape (four filter kernels, one product, no groups), an integer group
-// key with a thousand groups, and a two-column key of a string and a
-// decimal with 1 200.
+// key with a thousand groups, a two-column key of a string and a decimal
+// with 1 200, and the Q18 shape (a flat integer key of about four rows a
+// group, an order's lines, summing a decimal).
 func BenchmarkVecAgg(b *testing.B) {
 	const rows = 15000
 	b.Run("q1shape", func(b *testing.B) {
@@ -342,4 +352,105 @@ func BenchmarkVecAgg(b *testing.B) {
 	b.Run("str_key", func(b *testing.B) {
 		benchAgg(b, rows, nil, []expr.Expr{liCol(liNote), liCol(liQty)}, []expr.AggSpec{{Kind: expr.AggSum, Arg: liCol(liPrice)}, {Kind: expr.AggCountStar}})
 	})
+	b.Run("q18shape", func(b *testing.B) {
+		// The keys are shuffled so that no page of them is run-length
+		// encoded: the key vectors are flat, as a row table's are.
+		schema := types.NewSchema(types.Column{Name: "okey", Kind: types.KindInt64}, types.Column{Name: "qty", Kind: types.KindDecimal, Scale: 2})
+		rng := rand.New(rand.NewSource(1))
+		in := make([]types.Row, rows)
+		for i, k := range rng.Perm(rows) {
+			in[i] = types.Row{types.NewInt64(int64(k/4) * 32), types.NewDecimal(100*(1+rng.Int63n(50)), 2)}
+		}
+		okey := &expr.ColRef{Idx: 0, K: types.KindInt64, Name: "okey"}
+		qty := &expr.ColRef{Idx: 1, K: types.KindDecimal, Name: "qty"}
+		benchAggOver(b, schema, in, nil, []expr.Expr{okey}, []expr.AggSpec{{Kind: expr.AggSum, Arg: qty}})
+	})
+}
+
+// TestRadixOrderIsStableHashOrder: the order a pass emits its groups in
+// is a stable sort by key hash — hash first, then the order the groups
+// were made in — on random hashes, on hashes drawn from a handful (ties
+// everywhere), on hashes that differ in one byte alone, and at the sizes
+// where the radix pass has nothing to do.
+func TestRadixOrderIsStableHashOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var order, tmp []int32
+	for _, n := range []int{0, 1, 2, 3, 100, 256, 1000, 5000} {
+		for _, shape := range []string{"random", "ties", "one byte"} {
+			pool := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), 0, ^uint64(0)}
+			hashes := make([]uint64, n)
+			for i := range hashes {
+				switch shape {
+				case "random":
+					hashes[i] = rng.Uint64()
+				case "ties":
+					hashes[i] = pool[rng.Intn(len(pool))]
+				default:
+					hashes[i] = 0xdeadbeef_0000_cafe | uint64(rng.Intn(256))<<24
+				}
+			}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			sort.SliceStable(want, func(x, y int) bool { return hashes[want[x]] < hashes[want[y]] })
+			if order, tmp = radixOrder(hashes, order, tmp); !slices.Equal(order, want) {
+				t.Fatalf("%d %s hashes: radix order %v, want %v", n, shape, order[:min(n, 20)], want[:min(n, 20)])
+			}
+		}
+	}
+}
+
+// TestGroupOrderIsAFunctionOfTheKeys: a hash aggregate emits its groups
+// in one order whatever order its rows arrive in — by the hash of the
+// key, ties as the groups were made — through the vector absorb (a
+// column scan's batches) and the row absorb (a Values input) alike.
+func TestGroupOrderIsAFunctionOfTheKeys(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt64}, types.Column{Name: "s", Kind: types.KindString}, types.Column{Name: "v", Kind: types.KindInt64})
+	var rows []types.Row
+	keys := map[string]bool{}
+	for i := range 3000 {
+		r := types.Row{types.NewInt64(int64(i % 400)), types.NewString(fmt.Sprintf("s%d ", i%3)), types.NewInt64(int64(i))}
+		if i%37 == 0 {
+			r[0] = types.Null
+		}
+		if i%41 == 0 {
+			r[1] = types.NewString("")
+		}
+		keys[r[:2].String()] = true
+		rows = append(rows, r)
+	}
+	shuffled := slices.Clone(rows)
+	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	groups := []expr.Expr{&expr.ColRef{Idx: 0, K: types.KindInt64}, &expr.ColRef{Idx: 1, K: types.KindString}}
+	aggs := []expr.AggSpec{{Kind: expr.AggCountStar}, {Kind: expr.AggSum, Arg: &expr.ColRef{Idx: 2, K: types.KindInt64}}}
+	out := intsSchema("k", "s", "count", "sum")
+	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []types.Row
+	for i, in := range [][]types.Row{rows, shuffled} {
+		desc, segFiles := writeCOTable(t, fs, int64(20+i), fmt.Sprintf("perm%d", i), schema, in, 512)
+		for _, src := range []plan.Node{
+			&plan.Scan{Table: desc, Proj: schema.AllCols(), SegFiles: segFiles, Schema: schema},
+			&plan.Values{Rows: in, Schema: schema},
+		} {
+			got := collect(t, &Context{Segment: 0, FS: fs}, &plan.HashAgg{Input: src, Phase: plan.AggSingle, Groups: groups, Aggs: aggs, Schema: out})
+			if first == nil {
+				first = got
+				if !slices.IsSortedFunc(got, func(a, b types.Row) int {
+					ha, _ := hashKeys(a, []int{0, 1})
+					hb, _ := hashKeys(b, []int{0, 1})
+					return cmp.Compare(ha, hb)
+				}) || len(got) != len(keys) {
+					t.Fatalf("%d groups, want %d in key-hash order", len(got), len(keys))
+				}
+				continue
+			}
+			if fmt.Sprint(got) != fmt.Sprint(first) {
+				t.Fatalf("permutation %d, %T input: groups in another order", i, src)
+			}
+		}
+	}
 }

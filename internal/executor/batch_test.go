@@ -648,8 +648,10 @@ func BenchmarkScanFilterProject(b *testing.B) {
 	})
 }
 
-// BenchmarkHashAgg measures the hash aggregate's input consumption
-// (grouped sum over a storage scan).
+// BenchmarkHashAgg measures the hash aggregate's input consumption: a
+// grouped sum over a storage scan's vectors (97 groups), and one over
+// rows (a Values input, as a join's output arrives) where a group is
+// four rows.
 func BenchmarkHashAgg(b *testing.B) {
 	const nrows = 20000
 	fs, desc, segFiles := writeIntsTable(b, nrows)
@@ -672,6 +674,24 @@ func BenchmarkHashAgg(b *testing.B) {
 				b.Fatal(err)
 			}
 			if n != 97 {
+				b.Fatalf("groups = %d", n)
+			}
+		}
+	})
+	b.Run("rows_highcard", func(b *testing.B) {
+		in := &plan.Values{Schema: intsSchema("k", "v")}
+		for i := range nrows {
+			in.Rows = append(in.Rows, types.Row{types.NewInt64(int64(i%(nrows/4)) * 7919), types.NewInt64(int64(i))})
+		}
+		node := &plan.HashAgg{Input: in, Phase: plan.AggSingle, Groups: []expr.Expr{colK}, Aggs: []expr.AggSpec{{Kind: expr.AggSum, Arg: colV}}, Schema: intsSchema("k", "sum")}
+		ctx := &Context{Segment: 0}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			if err := Drain(nil, mustBuild(b, ctx, node), func(types.Row) error { n++; return nil }); err != nil {
+				b.Fatal(err)
+			}
+			if n != nrows/4 {
 				b.Fatalf("groups = %d", n)
 			}
 		}

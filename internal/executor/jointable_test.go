@@ -143,8 +143,10 @@ func vecKeyClasses() map[string]func(rng *rand.Rand) types.Datum {
 			nan := math.Float64frombits(math.Float64bits(math.NaN()) ^ uint64(rng.Intn(2)))
 			return types.NewFloat64([]float64{0, math.Copysign(0, -1), 1.5, -7.25, nan}[rng.Intn(5)])
 		},
-		"string": func(rng *rand.Rand) types.Datum { return types.NewString([]string{"", "a", "ab", "MAIL"}[rng.Intn(4)]) },
-		"bytes":  func(rng *rand.Rand) types.Datum { return types.NewBytes([]byte([]string{"", "a", "ab"}[rng.Intn(3)])) },
+		"string": func(rng *rand.Rand) types.Datum {
+			return types.NewString([]string{"", "a", "ab", "ba", "MAIL"}[rng.Intn(5)])
+		},
+		"bytes": func(rng *rand.Rand) types.Datum { return types.NewBytes([]byte([]string{"", "a", "ab"}[rng.Intn(3)])) },
 		"mixed": func(rng *rand.Rand) types.Datum {
 			return []types.Datum{types.NewInt64(7), types.NewDecimal(70, 1), types.NewDecimal(75, 1), types.NewInt32(7)}[rng.Intn(4)]
 		},
@@ -164,7 +166,9 @@ func vecKeyClasses() map[string]func(rng *rand.Rand) types.Datum {
 
 // TestVecKeyHashMatchesKeyHash: a key hashed from a vector's entries is
 // the key hashed from the Datum the entry reads as, valid exactly when
-// that Datum is not NULL — entry by entry through vecKeyHash, and row by
+// that Datum is not NULL, and a stored key cell of any class equals an
+// entry (vecKeyEqual) exactly when it equals that Datum (keyEqual) —
+// entry by entry through vecKeyHash and vecKeyEqual, and row by
 // row through foldVecKeys over every class, in every encoding, with and
 // without NULLs, under no selection and a sparse one, one key column and
 // two (against hashKeys over the rows).
@@ -208,6 +212,16 @@ func TestVecKeyHashMatchesKeyHash(t *testing.T) {
 					h, valid := vecKeyHash(&v, e)
 					if h != keyHash(&d) || valid != !d.IsNull() {
 						t.Fatalf("%s: entry %d (%s %v) hashes %x valid %v, keyHash %x", where, e, d.K, d, h, valid, keyHash(&d))
+					}
+					// A stored cell of every class against the entry.
+					for _, cls := range append(names, name) {
+						c := classes[cls](rng)
+						if cls == name && rng.Intn(2) == 0 {
+							c = d
+						}
+						if vecKeyEqual(&c, &v, e) != keyEqual(&c, &d) {
+							t.Fatalf("%s: entry %d (%s %v) against %s %v: vecKeyEqual %v, keyEqual %v", where, e, d.K, d, c.K, c, !keyEqual(&c, &d), keyEqual(&c, &d))
+						}
 					}
 				}
 				// Two key columns, this one and another class, as a batch.

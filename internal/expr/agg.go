@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hawq/internal/types"
@@ -262,8 +263,13 @@ func NewGroupAcc(s AggSpec) GroupAcc {
 	return &countAccs{star: s.Kind == AggCountStar}
 }
 
-// extend appends zero until accs covers the groups below n.
+// extend appends zero until accs covers the groups below n, in at most
+// one allocation, at least doubling: an aggregate grows its accumulators
+// once per batch of new groups.
 func extend[A any](accs []A, n int, zero A) []A {
+	if n > cap(accs) {
+		accs = slices.Grow(accs, max(n, 2*cap(accs))-len(accs))
+	}
 	for len(accs) < n {
 		accs = append(accs, zero)
 	}

@@ -64,7 +64,7 @@ func Clone(e Expr) (Expr, bool) {
 		return &Case{Whens: whens, Else: els}, ok && ok4
 	case *Cast:
 		in, ok := Clone(v.E)
-		return &Cast{E: in, To: v.To}, ok
+		return &Cast{E: in, To: v.To, Scale: v.Scale}, ok
 	case *FuncCall:
 		ok := true
 		args := make([]Expr, len(v.Args))

@@ -263,7 +263,7 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &expr.Cast{E: inner, To: col.Kind}, nil
+		return &expr.Cast{E: inner, To: col.Kind, Scale: col.Scale}, nil
 	case *sqlparser.ExtractExpr:
 		inner, err := b.bind(v.E)
 		if err != nil {

@@ -161,7 +161,7 @@ func (c *HBaseConnector) ReadFragment(req *Request, f Fragment) (RecordReader, e
 				row[i] = types.Null
 				continue
 			}
-			d, err := types.Cast(types.NewString(v), col.Kind)
+			d, err := types.CastScale(types.NewString(v), col.Kind, col.Scale)
 			if err != nil {
 				return nil, fmt.Errorf("pxf hbase: cell %s of %s: %w", col.Name, key, err)
 			}

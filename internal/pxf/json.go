@@ -41,7 +41,7 @@ func (c *JSONConnector) Resolve(req *Request, record []byte) (types.Row, error) 
 			row[i] = types.Null
 			continue
 		}
-		d, err := jsonToDatum(v, col.Kind)
+		d, err := jsonToDatum(v, col)
 		if err != nil {
 			return nil, fmt.Errorf("pxf json: column %s: %w", col.Name, err)
 		}
@@ -50,7 +50,8 @@ func (c *JSONConnector) Resolve(req *Request, record []byte) (types.Row, error) 
 	return row, nil
 }
 
-func jsonToDatum(v any, kind types.Kind) (types.Datum, error) {
+func jsonToDatum(v any, col types.Column) (types.Datum, error) {
+	kind := col.Kind
 	switch x := v.(type) {
 	case float64:
 		switch kind {
@@ -60,10 +61,10 @@ func jsonToDatum(v any, kind types.Kind) (types.Datum, error) {
 			}
 			return types.Cast(types.NewInt64(int64(x)), kind)
 		default:
-			return types.Cast(types.NewFloat64(x), kind)
+			return types.CastScale(types.NewFloat64(x), kind, col.Scale)
 		}
 	case string:
-		return types.Cast(types.NewString(x), kind)
+		return types.CastScale(types.NewString(x), kind, col.Scale)
 	case bool:
 		return types.Cast(types.NewBool(x), kind)
 	default:

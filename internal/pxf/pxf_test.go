@@ -88,6 +88,37 @@ func TestTextExternalTableEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExternalDecimalKeepsDeclaredScale: a connector's DECIMAL(p,s)
+// column reads every value at scale s, rounded half away from zero, as a
+// table's does: text and JSON alike.
+func TestExternalDecimalKeepsDeclaredScale(t *testing.T) {
+	e, _ := pxfEngine(t, 1)
+	fs := e.Cluster().FS
+	fs.WriteFile("/ext/dec.txt", []byte("1|2.5\n2|1.235\n3|-1.235\n4|7\n"), hdfs.CreateOptions{})
+	fs.WriteFile("/ext/dec.json", []byte(`{"k": 1, "d": 2.5}`+"\n"+`{"k": 2, "d": 1.005}`+"\n"+`{"k": 3, "d": "-1.235"}`+"\n"), hdfs.CreateOptions{})
+	s := e.NewSession()
+	for _, tc := range []struct{ profile, file, want string }{
+		{"text", "dec.txt", "[2.50 1.24 -1.24 7.00]"},
+		{"json", "dec.json", "[2.50 1.01 -1.24]"},
+	} {
+		if _, err := s.Query(fmt.Sprintf(`CREATE EXTERNAL TABLE dec_%s (k INT8, d DECIMAL(10,2))
+			LOCATION ('pxf://svc/ext/%s?profile=%s') FORMAT 'CUSTOM'`, tc.profile, tc.file, tc.profile)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Query(fmt.Sprintf("SELECT d FROM dec_%s ORDER BY k", tc.profile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, r[0].String())
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("%s: %v, want %s", tc.profile, got, tc.want)
+		}
+	}
+}
+
 func TestExternalJoinsInternal(t *testing.T) {
 	e, _ := pxfEngine(t, 2)
 	fs := e.Cluster().FS

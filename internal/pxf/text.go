@@ -117,7 +117,7 @@ func (c *TextConnector) Resolve(req *Request, record []byte) (types.Row, error) 
 			row[i] = types.Null
 			continue
 		}
-		d, err := types.Cast(types.NewString(raw), col.Kind)
+		d, err := types.CastScale(types.NewString(raw), col.Kind, col.Scale)
 		if err != nil {
 			return nil, fmt.Errorf("pxf text: column %s: %w", col.Name, err)
 		}

@@ -10,9 +10,12 @@
 # quicklz page decompressor, the typed-vector kernels layer by layer
 # (VecFilter: one col < const kernel per kind and page encoding; VecArith:
 # the Q1 decimal expression; VecAgg: the Q1 and Q6 shapes, an integer
-# group key and a string-and-decimal one through the vector aggregate on
-# a warm block cache), the scan→filter→project pipeline, hash
-# aggregation, DISTINCT over integer and string rows, motion loopback, the
+# group key, a string-and-decimal one and the Q18 shape (VecAgg/q18shape:
+# a flat integer key, about four rows a group) through the vector
+# aggregate on a warm block cache), the scan→filter→project pipeline,
+# hash aggregation (HashAgg/batch over a scan's vectors,
+# HashAgg/rows_highcard over rows, four a group, as a join's output
+# arrives), DISTINCT over integer and string rows, motion loopback, the
 # send half of a motion without a wire (MotionRoute: hashed to one of
 # four receivers, or encoded for all), one motion payload decoded into a
 # batch (DecodeBatch: all numbers, a third strings), and the hash join's

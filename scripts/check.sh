@@ -68,7 +68,9 @@
 #                                  returns, no plan node or operator of
 #                                  DISTINCT's or of a partitioned
 #                                  table's own (Distinct, Append) comes
-#                                  back, and the WAL keeps no records
+#                                  back, the WAL keeps no records,
+#                                  and an aggregate's pass orders its
+#                                  groups without a comparison sort
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -171,6 +173,10 @@ if grep -rnE 'hawq_stat_[m]od|BumpMod[C]ount|ModCount[F]or|ResetMod[C]ount|Spill
 fi
 if grep -rnE 'type (Distinct|Append) struct' internal/plan || grep -rnE 'distinct[O]p|append[O]p|records +\[\][R]ecord' internal; then
     echo "stays deleted: SELECT DISTINCT is a HashAgg with no aggregates, a partitioned table is one Scan, and the WAL keeps no history (see above)" >&2
+    exit 1
+fi
+if awk '/^func \(a \*hashAggOp\) endPass\(|^func radixOrder\(/,/^}/' internal/executor/agg.go | grep -nE 'slices\.Sort|sort\.|cmp\.Compare'; then
+    echo "stays deleted: an aggregate's pass orders its groups by a radix pass over their hashes, not a comparison sort (see above)" >&2
     exit 1
 fi
 
