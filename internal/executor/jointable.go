@@ -130,7 +130,7 @@ func foldKey(h, kh uint64) uint64 { return bits.RotateLeft64(h, 27)*golden + kh 
 
 // foldVecKeys folds the key hash of column v into hashes, one per
 // surviving row, whose entries idx lists (nil: row i is entry i), and
-// marks in nulls the rows whose entry is NULL. A column of runs or codes
+// marks in nulls, unless it is nil, the rows whose entry is NULL. A column of runs or codes
 // is hashed once per entry, into ents (grown and returned for reuse),
 // and spread to its rows.
 func foldVecKeys(v *types.Vector, idx []int32, hashes []uint64, nulls *types.NullBitmap, ents []uint64) []uint64 {
@@ -138,7 +138,9 @@ func foldVecKeys(v *types.Vector, idx []int32, hashes []uint64, nulls *types.Nul
 	case v.Class() == types.ClassNull:
 		for i := range hashes {
 			hashes[i] = foldKey(hashes[i], saltNull)
-			nulls.Set(i)
+			if nulls != nil {
+				nulls.Set(i)
+			}
 		}
 	case v.Enc != types.VecFlat:
 		ents = ents[:0]
@@ -148,7 +150,7 @@ func foldVecKeys(v *types.Vector, idx []int32, hashes []uint64, nulls *types.Nul
 		}
 		for i, e := range idx {
 			hashes[i] = foldKey(hashes[i], ents[e])
-			if v.Null(int(e)) {
+			if nulls != nil && v.Null(int(e)) {
 				nulls.Set(i)
 			}
 		}
@@ -173,7 +175,7 @@ func foldVecKeys(v *types.Vector, idx []int32, hashes []uint64, nulls *types.Nul
 			}
 			h, valid := vecKeyHash(v, e)
 			hashes[i] = foldKey(hashes[i], h)
-			if !valid {
+			if !valid && nulls != nil {
 				nulls.Set(i)
 			}
 		}
