@@ -469,6 +469,9 @@ func TestNumericCastsRound(t *testing.T) {
 		{"SELECT CAST(1.5 AS INT), CAST(2.7 AS BIGINT), CAST(-1.5 AS INT), CAST(1.49 AS INT)", "2|3|-2|1"},
 		{"SELECT CAST(CAST(1.7 AS DOUBLE PRECISION) AS INT), CAST(CAST(2.5 AS DOUBLE PRECISION) AS INT), CAST(CAST(-0.5 AS DOUBLE PRECISION) AS BIGINT)", "2|2|0"},
 		{"SELECT CAST(CAST(1.005 AS DOUBLE PRECISION) AS DECIMAL(10,2))", "1.01"},
+		// A literal or a string rounds once, from all its digits.
+		{"SELECT CAST(0.000000005 AS DECIMAL(20,8)), CAST('0.000000005' AS DECIMAL(20,8)), CAST(-0.000000005 AS DECIMAL(20,8))", "0.00000001|0.00000001|-0.00000001"},
+		{"SELECT CAST(0.123456785 AS DECIMAL(20,8)), CAST(0.0049999999 AS DECIMAL(10,2)), CAST('0.0049999999' AS DECIMAL(10,2))", "0.12345679|0.00|0.00"},
 	} {
 		if got := mustExec(t, s, q.sql).Rows[0].String(); got != q.want {
 			t.Errorf("%s = %s, want %s", q.sql, got, q.want)
@@ -502,8 +505,8 @@ func TestNumericCastsRound(t *testing.T) {
 	if _, err := s.CopyFrom("nw", []types.Row{{types.NewInt64(1), types.NewInt64(1e11), types.NewInt64(0)}}); err == nil || !strings.Contains(err.Error(), "numeric field overflow") {
 		t.Errorf("COPY of 1e11 into DECIMAL(20,8): err %v, want numeric field overflow", err)
 	}
-	mustExec(t, s, "INSERT INTO nw VALUES (1, 92233720368, 1.5), (2, -92233720368.547758, 0.12345678)")
-	want = []string{"1|92233720368.00000000|1.50000000", "2|-92233720368.54775800|0.12345678"}
+	mustExec(t, s, "INSERT INTO nw VALUES (1, 92233720368, 1.5), (2, -92233720368.547758, 0.12345678), (3, 0.000000005, -0.123456785)")
+	want = []string{"1|92233720368.00000000|1.50000000", "2|-92233720368.54775800|0.12345678", "3|0.00000001|-0.12345679"}
 	if got := rowsString(mustExec(t, s, "SELECT k, d, e FROM nw ORDER BY k")); !reflect.DeepEqual(got, want) {
 		t.Errorf("stored %v, want %v", got, want)
 	}

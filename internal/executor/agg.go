@@ -66,8 +66,8 @@ type hashAggOp struct {
 	// column of runs or codes, its entries numbered by distinct value
 	// and how many values that is (vals holds them while they are
 	// counted); the memo of groups by combination of those numbers, or
-	// else every row's key hash (foldVecKeys' scratch beside it); and
-	// the reader that rebuilds a whole row for the spill file.
+	// else every row's key hash (types.FoldVecKeys' scratch beside it);
+	// and the reader that rebuilds a whole row for the spill file.
 	gids    []int32
 	gvecs   []*types.Vector
 	gents   [][]int32
@@ -234,7 +234,7 @@ func (a *hashAggOp) absorb(row types.Row) error {
 		keys[i] = v
 	}
 	var err error
-	h, _ := hashKeys(keys, a.keyCols)
+	h, _ := types.HashKeys(keys, a.keyCols)
 	g := a.table.find(h, keys, a.keyCols)
 	if g < 0 {
 		if g, err = a.newGroup(h, keys); err != nil {
@@ -374,7 +374,7 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 		a.hashes = slices.Grow(a.hashes[:0], len(gids))[:len(gids)]
 		clear(a.hashes)
 		for j, v := range a.gvecs {
-			a.entHash = foldVecKeys(v, a.gents[j], a.hashes, nil, a.entHash)
+			a.entHash = types.FoldVecKeys(v, a.gents[j], a.hashes, nil, a.entHash)
 		}
 	}
 	for r := range gids {
@@ -388,8 +388,8 @@ func (a *hashAggOp) groupIDs(vb *types.VecBatch, gids []int32) (diverted bool, e
 				continue
 			}
 			for j, v := range a.gvecs {
-				kh, _ := vecKeyHash(v, a.entry(j, r))
-				h = foldKey(h, kh)
+				kh, _ := types.VecKeyWord(v, a.entry(j, r))
+				h = types.FoldKey(h, kh)
 			}
 		} else {
 			h = a.hashes[r]

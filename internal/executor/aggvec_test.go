@@ -440,8 +440,8 @@ func TestGroupOrderIsAFunctionOfTheKeys(t *testing.T) {
 			if first == nil {
 				first = got
 				if !slices.IsSortedFunc(got, func(a, b types.Row) int {
-					ha, _ := hashKeys(a, []int{0, 1})
-					hb, _ := hashKeys(b, []int{0, 1})
+					ha, _ := types.HashKeys(a, []int{0, 1})
+					hb, _ := types.HashKeys(b, []int{0, 1})
 					return cmp.Compare(ha, hb)
 				}) || len(got) != len(keys) {
 					t.Fatalf("%d groups, want %d in key-hash order", len(got), len(keys))

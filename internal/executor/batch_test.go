@@ -795,7 +795,8 @@ func routeSlice(tb testing.TB, typ plan.MotionType, input *plan.Values) int {
 }
 
 // BenchmarkMotionRoute times the send half of a motion without a wire:
-// 8 192 four-column rows hashed to one of four receivers, or encoded for
+// 8 192 four-column rows hashed to one of four receivers on an integer
+// key (hash) or on an 18-byte string key (hash_string), or encoded for
 // all four.
 func BenchmarkMotionRoute(b *testing.B) {
 	var rows [][]int64
@@ -803,14 +804,21 @@ func BenchmarkMotionRoute(b *testing.B) {
 		rows = append(rows, []int64{int64(i), int64(i * 3), int64(i % 11), int64(-i)})
 	}
 	input := valuesNode(intsSchema("a", "b", "c", "d"), rows...)
+	strInput := &plan.Values{Schema: types.NewSchema(
+		types.Column{Name: "a", Kind: types.KindString}, types.Column{Name: "b", Kind: types.KindInt64},
+		types.Column{Name: "c", Kind: types.KindInt64}, types.Column{Name: "d", Kind: types.KindInt64})}
+	for _, r := range input.Rows {
+		strInput.Rows = append(strInput.Rows, types.Row{types.NewString(fmt.Sprintf("Customer#%09d", r[0].I)), r[1], r[2], r[3]})
+	}
 	for _, tc := range []struct {
-		name string
-		typ  plan.MotionType
-	}{{"hash", plan.RedistributeMotion}, {"broadcast", plan.BroadcastMotion}} {
+		name  string
+		typ   plan.MotionType
+		input *plan.Values
+	}{{"hash", plan.RedistributeMotion, input}, {"hash_string", plan.RedistributeMotion, strInput}, {"broadcast", plan.BroadcastMotion, input}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if routeSlice(b, tc.typ, input) == 0 {
+				if routeSlice(b, tc.typ, tc.input) == 0 {
 					b.Fatal("nothing sent")
 				}
 			}

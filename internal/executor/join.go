@@ -19,14 +19,14 @@ import (
 //
 // A probe input that is a VecSource (a scan) is probed without being
 // materialized: each vector batch's key columns are hashed from their
-// typed entries (vecKeyHash), every surviving row's chain is walked once,
-// its key cells are read out only when a build row has its hash, and the
-// whole row only when joinProbe is to emit it — so a selective join over
-// a scan builds a row for what it outputs, not for what it reads (a
-// block most of whose rows are emitted is materialized whole, which is
-// cheaper). Any other probe input is taken row by row through a
-// rowCursor and hashed with hashKeys; both meet the build rows in the
-// same slots.
+// typed entries (types.FoldVecKeys), every surviving row's chain is
+// walked once, its key cells are read out only when a build row has its
+// hash, and the whole row only when joinProbe is to emit it — so a
+// selective join over a scan builds a row for what it outputs, not for
+// what it reads (a block most of whose rows are emitted is materialized
+// whole, which is cheaper). Any other probe input is taken row by row
+// through a rowCursor and hashed with types.HashKeys; both meet the
+// build rows in the same slots.
 //
 // When the build side outgrows its memory budget the join degrades to
 // partitioned (grace) spilling: both sides are partitioned into
@@ -132,7 +132,7 @@ func (p *vecProbe) load(vb *types.VecBatch, cols []int) {
 		kc := &p.cols[k]
 		kc.v = &vb.Cols[c]
 		kc.ents, kc.buf = kc.v.EntryIndex(vb.Sel, kc.buf)
-		p.entHash = foldVecKeys(kc.v, kc.ents, p.hashes, &p.nulls, p.entHash)
+		p.entHash = types.FoldVecKeys(kc.v, kc.ents, p.hashes, &p.nulls, p.entHash)
 	}
 }
 
@@ -205,7 +205,7 @@ func (j *hashJoinOp) Open() error {
 		return err
 	}
 	err := drainRows(j.ctx, j.right, func(row types.Row) error {
-		h, valid := hashKeys(row, j.node.RightKeys)
+		h, valid := types.HashKeys(row, j.node.RightKeys)
 		if !valid {
 			// Build rows with NULL keys can never match and no join kind
 			// here emits unmatched build rows.
@@ -274,7 +274,7 @@ func (j *hashJoinOp) Open() error {
 // it by its hash all the same.
 func (j *hashJoinOp) probeRouter(sp *spillPartition) func(types.Row) error {
 	return func(row types.Row) error {
-		h, valid := hashKeys(row, j.node.LeftKeys)
+		h, valid := types.HashKeys(row, j.node.LeftKeys)
 		if !valid && !j.emitsUnmatched() {
 			return nil
 		}
@@ -418,7 +418,7 @@ func (j *hashJoinOp) loadPart(part joinPart) (bool, error) {
 		if !ok {
 			break
 		}
-		h, valid := hashKeys(row, j.node.RightKeys)
+		h, valid := types.HashKeys(row, j.node.RightKeys)
 		if !valid {
 			continue
 		}
@@ -461,7 +461,7 @@ func (j *hashJoinOp) repartition(part joinPart) error {
 		return err
 	}
 	err = j.reroute(part.build, func(row types.Row) error {
-		h, _ := hashKeys(row, j.node.RightKeys) // a build row in a file has its keys
+		h, _ := types.HashKeys(row, j.node.RightKeys) // a build row in a file has its keys
 		return bsp.addHash(h, row)
 	})
 	if err == nil {
@@ -541,7 +541,7 @@ func (j *hashJoinOp) nextRowProbe() (bool, error) {
 		return false, err
 	}
 	j.matches = j.matches[:0]
-	if h, valid := hashKeys(row, j.node.LeftKeys); valid {
+	if h, valid := types.HashKeys(row, j.node.LeftKeys); valid {
 		j.matches = j.table.lookup(j.table.first(h), h, row, j.node.LeftKeys, j.node.RightKeys, j.matches)
 	}
 	j.probe.start(row, j.matches)

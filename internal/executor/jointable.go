@@ -9,180 +9,6 @@ import (
 	"hawq/internal/types"
 )
 
-// mix64 is the 64-bit finalizer of MurmurHash3: a bijection under which
-// every input bit reaches every output bit.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// golden is 2^64 divided by the golden ratio: the odd multiplier that
-// spreads a small integer (a scale, a spill level, a position in a key)
-// over all 64 bits before it is mixed in.
-const golden = 0x9e3779b97f4a7c15
-
-// FNV-1a, 64 bit, for what is hashed a byte at a time: a string key.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// Salts that keep the hashable classes (types.Hashable) apart.
-const (
-	saltFloat = 0xc2b2ae3d27d4eb4f
-	saltDate  = 0x165667b19e3779f9
-	saltBool  = 0x27d4eb2f165667c5
-	saltNull  = 0x85ebca6b2c1b3c6d
-)
-
-// keyHash hashes one key cell, from its typed fields and without encoding
-// it, after the one normal form equal values share: for every pair of
-// kinds the planner admits as a hash key (types.Hashable), keyHash(a) ==
-// keyHash(b) whenever types.Compare(a, b) == 0. An integer of either
-// width and a decimal of any scale are brought to (unscaled value, scale)
-// with the trailing zeros stripped, so 7, 7.0 and 7.00 are one key; -0.0
-// hashes as 0.0 and every NaN as one NaN; TEXT and BYTEA hash their
-// bytes. NULL is a key too: a grouping's, which hashKeys tells a join to
-// refuse. vecKeyHash is the same function read from a vector's entries.
-//
-// It is the hash of every keyTable and spill partition (partOfHash salts
-// it by level), and deliberately not the placement hash
-// (types.HashRowCols): the rows a redistribute motion delivers to one
-// segment agree in that hash modulo the segment count, and a directory
-// indexed by it would use a fraction of its slots.
-func keyHash(d *types.Datum) uint64 {
-	switch d.K {
-	case types.KindNull:
-		return saltNull // mix64(0) is the integer 0's
-	case types.KindFloat64:
-		return floatHash(d.F)
-	case types.KindString, types.KindBytes:
-		return strHash(d.S)
-	}
-	return intHash(d.K, d.Scale, d.I)
-}
-
-// intHash is keyHash of a cell of an integer-like kind: an integer, a
-// decimal of the given scale, a date or a bool.
-func intHash(k types.Kind, scale int8, x int64) uint64 {
-	switch k {
-	case types.KindInt32, types.KindInt64:
-		return mix64(uint64(x))
-	case types.KindDecimal:
-		u, sc := types.StripZeros(x, scale)
-		return mix64(uint64(u) + uint64(sc)*golden)
-	case types.KindDate:
-		return mix64(uint64(x) ^ saltDate)
-	case types.KindBool:
-		return mix64(uint64(x) ^ saltBool)
-	}
-	return 0
-}
-
-// floatHash is keyHash of a DOUBLE.
-func floatHash(f float64) uint64 {
-	switch {
-	case f == 0:
-		f = 0 // -0.0 equals 0.0
-	case f != f:
-		f = math.NaN() // one NaN
-	}
-	return mix64(math.Float64bits(f) ^ saltFloat)
-}
-
-// strHash is keyHash of a TEXT or BYTEA cell: FNV-1a over its bytes.
-func strHash(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return mix64(h)
-}
-
-// vecKeyHash is keyHash(&d) for d := v.Datum(e), read from the vector's
-// typed fields; valid is false when the entry is NULL.
-func vecKeyHash(v *types.Vector, e int) (h uint64, valid bool) {
-	switch v.Class() {
-	case types.ClassNull:
-		return saltNull, false
-	case types.ClassMixed:
-		d := &v.Values[e]
-		return keyHash(d), d.K != types.KindNull
-	}
-	if v.Nulls.At(e) {
-		return saltNull, false
-	}
-	switch v.Class() {
-	case types.ClassFloat:
-		return floatHash(v.Floats[e]), true
-	case types.ClassStr:
-		return strHash(v.Text(e)), true
-	}
-	return intHash(v.Kind, v.Scale, v.Ints[e]), true
-}
-
-// foldKey folds the hash of one more key column into a key's hash.
-func foldKey(h, kh uint64) uint64 { return bits.RotateLeft64(h, 27)*golden + kh }
-
-// foldVecKeys folds the key hash of column v into hashes, one per
-// surviving row, whose entries idx lists (nil: row i is entry i), and
-// marks in nulls, unless it is nil, the rows whose entry is NULL. A column of runs or codes
-// is hashed once per entry, into ents (grown and returned for reuse),
-// and spread to its rows.
-func foldVecKeys(v *types.Vector, idx []int32, hashes []uint64, nulls *types.NullBitmap, ents []uint64) []uint64 {
-	switch {
-	case v.Class() == types.ClassNull:
-		for i := range hashes {
-			hashes[i] = foldKey(hashes[i], saltNull)
-			if nulls != nil {
-				nulls.Set(i)
-			}
-		}
-	case v.Enc != types.VecFlat:
-		ents = ents[:0]
-		for e := range v.Entries() {
-			h, _ := vecKeyHash(v, e)
-			ents = append(ents, h)
-		}
-		for i, e := range idx {
-			hashes[i] = foldKey(hashes[i], ents[e])
-			if nulls != nil && v.Null(int(e)) {
-				nulls.Set(i)
-			}
-		}
-	case v.Class() == types.ClassInt && len(v.Nulls) == 0 && (v.Kind == types.KindInt64 || v.Kind == types.KindInt32):
-		// The common key, a flat integer column without NULLs, hashed in a
-		// loop of its own: the default loop's call per row made tpch_join
-		// 14 % slower (EXPERIMENTS.md, "A join probes vectors").
-		if idx == nil {
-			for i, x := range v.Ints[:len(hashes)] {
-				hashes[i] = foldKey(hashes[i], mix64(uint64(x)))
-			}
-		} else {
-			for i, e := range idx {
-				hashes[i] = foldKey(hashes[i], mix64(uint64(v.Ints[e])))
-			}
-		}
-	default:
-		for i := range hashes {
-			e := i
-			if idx != nil {
-				e = int(idx[i])
-			}
-			h, valid := vecKeyHash(v, e)
-			hashes[i] = foldKey(hashes[i], h)
-			if !valid && nulls != nil {
-				nulls.Set(i)
-			}
-		}
-	}
-	return ents
-}
-
 // keyEqual reports whether two key cells are the same key:
 // types.Compare(a, b) == 0 within a hashable class, NaN the same key as
 // NaN, false across classes (the planner lets no such pair be a hash key;
@@ -216,25 +42,11 @@ func keyEqual(a, b *types.Datum) bool {
 	return false
 }
 
-// hashKeys folds keyHash over the key columns of row. ok is false when a
-// key is NULL: to a join such a row joins nothing; a grouping does not
-// ask. A NaN is a key like any other number, equal to NaN alone.
-func hashKeys(row types.Row, cols []int) (h uint64, ok bool) {
-	ok = true
-	for _, c := range cols {
-		d := &row[c]
-		if d.K == types.KindNull {
-			ok = false
-		}
-		// One key column: the row's hash is the column's.
-		h = foldKey(h, keyHash(d))
-	}
-	return h, ok
-}
-
 // keyTable is the executor's one hash table: rows copied once into a
-// rowStore, the key hash of each, and a power-of-two directory of chain
-// heads, at least a slot a row, with one link per row. Links are row
+// rowStore, the key hash of each (types.HashKeys' P, the hash placement
+// reduces to a segment), and a power-of-two directory of chain heads,
+// indexed by the low bits of types.Mix64(P), at least a slot a row, with
+// one link per row. Links are row
 // numbers plus one, zero ending a chain.
 //
 // A hash join adds its build rows and seals the table when the last one
@@ -287,7 +99,7 @@ func (t *keyTable) seal() {
 	t.next = make([]int32, n, len(t.head))
 	mask := uint64(len(t.head) - 1)
 	for i := n - 1; i >= 0; i-- {
-		slot := t.hashes[i] & mask
+		slot := types.Mix64(t.hashes[i]) & mask
 		t.next[i] = t.head[slot]
 		t.head[slot] = int32(i + 1)
 	}
@@ -309,7 +121,7 @@ func (t *keyTable) insert(h uint64, key types.Row) (int32, error) {
 	if n > len(t.head) {
 		t.seal() // a row for every slot: the directory doubles
 	} else {
-		slot := h & uint64(len(t.head)-1)
+		slot := types.Mix64(h) & uint64(len(t.head)-1)
 		t.next = append(t.next, t.head[slot])
 		t.head[slot] = int32(n)
 	}
@@ -340,7 +152,7 @@ func (t *keyTable) find(h uint64, key types.Row, cols []int) int32 {
 // admit reports whether key is new to the table, and then inserts it,
 // charged to mem's hard grant: the set it joins has no spill path.
 func (t *keyTable) admit(mem *memBudget, key types.Row, cols []int) (bool, error) {
-	h, _ := hashKeys(key, cols)
+	h, _ := types.HashKeys(key, cols)
 	if t.find(h, key, cols) >= 0 {
 		return false, nil
 	}
@@ -358,7 +170,7 @@ func (t *keyTable) first(h uint64) int32 {
 	if len(t.head) == 0 {
 		return 0
 	}
-	l := t.head[h&uint64(len(t.head)-1)]
+	l := t.head[types.Mix64(h)&uint64(len(t.head)-1)]
 	for l != 0 && t.hashes[l-1] != h {
 		l = t.next[l-1]
 	}

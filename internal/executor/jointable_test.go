@@ -1,11 +1,9 @@
 package executor
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"hawq/internal/plan"
@@ -13,254 +11,112 @@ import (
 	"hawq/internal/types"
 )
 
-// keyDatums draws join-key cells that collide on purpose: a handful of
-// small values in every representation that can hold them — either
-// integer width, a decimal of every scale from 0 to 8 with the zeros that
-// takes, a DOUBLE (−0.0 for 0) — beside dates, booleans, strings and
-// bytes over the same few values, NULL, and NaN in two bit patterns.
-func keyDatums(rng *rand.Rand) types.Datum {
-	v := int64(rng.Intn(7) - 3)
-	switch rng.Intn(11) {
-	case 0:
-		return types.NewInt32(int32(v))
-	case 1:
-		return types.NewInt64(v)
-	case 2: // an integral decimal, padded with zeros
-		sc := int8(rng.Intn(types.MaxDecimalScale + 1))
-		u := v
-		for i := int8(0); i < sc; i++ {
-			u *= 10
-		}
-		return types.NewDecimal(u, sc)
-	case 3: // halves and tenths, at the scale they need or a wider one
-		sc := int8(1 + rng.Intn(types.MaxDecimalScale))
-		u := v*10 + int64(rng.Intn(3))*5
-		for i := int8(1); i < sc; i++ {
-			u *= 10
-		}
-		return types.NewDecimal(u, sc)
-	case 4:
-		if v == 0 && rng.Intn(2) == 0 {
-			return types.NewFloat64(math.Copysign(0, -1))
-		}
-		return types.NewFloat64(float64(v) + float64(rng.Intn(3))*0.5)
-	case 5:
-		return types.NewDate(int32(v))
-	case 6:
-		return types.NewBool(v > 0)
-	case 7:
-		return types.NewString(string(rune('a' + v + 3)))
-	case 8:
-		return types.Null
-	case 9:
-		return types.NewFloat64(math.Float64frombits(math.Float64bits(math.NaN()) ^ uint64(v&1)))
-	default:
-		return types.NewBytes([]byte{byte('a' + v + 3)})
-	}
+// keyCells are key cells of every class that collide on purpose: one
+// value in several representations — either integer width, decimals of
+// several scales, a DOUBLE (±0.0, two NaN bit patterns, ±Infinity) —
+// beside dates, booleans, strings and bytes (the empty one and a trailing
+// space among them), and NULL.
+var keyCells = []types.Datum{
+	types.NewInt32(0), types.NewInt32(7), types.NewInt32(-1), types.NewInt64(7), types.NewInt64(0), types.NewInt64(1 << 40),
+	types.NewDecimal(700, 2), types.NewDecimal(70, 1), types.NewDecimal(75, 1), types.NewDecimal(750, 2), types.NewDecimal(0, 4), types.NewDecimal(-100, 2),
+	types.NewFloat64(0), types.NewFloat64(math.Copysign(0, -1)), types.NewFloat64(7), types.NewFloat64(7.5),
+	types.NewFloat64(math.NaN()), types.NewFloat64(math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)),
+	types.NewFloat64(math.Inf(1)), types.NewFloat64(math.Inf(-1)),
+	types.NewDate(7), types.NewDate(0), types.NewBool(true), types.NewBool(false),
+	types.NewString(""), types.NewString("a"), types.NewString("a "), types.NewString("ab"), types.NewString("ba"),
+	types.NewBytes(nil), types.NewBytes([]byte("a")), types.NewBytes([]byte("ab")),
+	types.Null,
 }
 
-// TestKeyHashMatchesCompare: for every pair of kinds the planner admits
+// TestKeyEqualMatchesCompare: for every pair of kinds the planner admits
 // as a hash key, two cells are the same key exactly when types.Compare
-// calls them equal, and equal keys have one hash — and exactly then they
-// have the same types.AppendKey bytes, the key the references' DISTINCT
-// aggregates go by. NaN, of either bit pattern, is the same key as NaN,
-// as Compare says. One case is a grouping's, where Compare has no answer:
-// NULL is the same key as NULL and as nothing else. A join refuses it
-// before it asks.
-func TestKeyHashMatchesCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	pairs, equal, collisions := 0, 0, 0
-	for i := 0; i < 400000; i++ {
-		a, b := keyDatums(rng), keyDatums(rng)
-		var want bool
-		switch {
-		case a.IsNull() || b.IsNull():
-			want = a.IsNull() && b.IsNull()
-		case !types.Hashable(a.K, b.K):
-			if keyEqual(&a, &b) {
-				t.Fatalf("%s %v and %s %v are one key, and no hash key at all", a.K, a, b.K, b)
+// calls them equal — NaN, of either bit pattern, the same key as NaN —
+// and no cells across classes are; a grouping's NULL is the same key as
+// NULL and as nothing else. A stored cell equals a vector's entry
+// (vecKeyEqual) exactly when it equals the Datum the entry reads as, for
+// vectors of every class in every encoding.
+func TestKeyEqualMatchesCompare(t *testing.T) {
+	for _, a := range keyCells {
+		for _, b := range keyCells {
+			var want bool
+			switch {
+			case a.IsNull() || b.IsNull():
+				want = a.IsNull() && b.IsNull()
+			case types.Hashable(a.K, b.K):
+				want = types.Compare(a, b) == 0
 			}
-			continue
-		default:
-			want = types.Compare(a, b) == 0
-		}
-		pairs++
-		if got := keyEqual(&a, &b); got != want {
-			t.Fatalf("keyEqual(%s %v, %s %v) = %v, Compare says %v", a.K, a, b.K, b, got, want)
-		}
-		if got := bytes.Equal(types.AppendKey(nil, a), types.AppendKey(nil, b)); got != want {
-			t.Fatalf("AppendKey of %s %v and of %s %v the same: %v, Compare says %v", a.K, a, b.K, b, got, want)
-		}
-		same := keyHash(&a) == keyHash(&b)
-		switch {
-		case want && !same:
-			t.Fatalf("%s %v and %s %v compare equal and hash apart", a.K, a, b.K, b)
-		case want:
-			equal++
-		case same:
-			collisions++
+			if got := keyEqual(&a, &b); got != want {
+				t.Fatalf("keyEqual(%s %v, %s %v) = %v, want %v", a.K, a, b.K, b, got, want)
+			}
 		}
 	}
-	if equal < pairs/50 || collisions > 0 {
-		t.Errorf("%d hashable pairs: %d equal, %d unequal with one hash", pairs, equal, collisions)
-	}
-	// To a join a NULL key is no key, wherever it stands; a NaN is one.
-	row := types.Row{types.NewInt64(1), types.Null, types.NewString("x"), types.NewFloat64(math.NaN())}
-	for _, cols := range [][]int{{0, 2}, {3}, {3, 0}} {
-		if _, ok := hashKeys(row, cols); !ok {
-			t.Errorf("keys %v have no NULL and are refused", cols)
+	classes := map[types.Kind][]types.Datum{}
+	var mixed []types.Datum
+	for _, d := range keyCells {
+		classes[d.K] = append(classes[d.K], d, types.Null, d)
+		if d.K == types.KindInt64 || d.K == types.KindDecimal {
+			mixed = append(mixed, d)
 		}
 	}
-	for _, cols := range [][]int{{1}, {0, 1}, {1, 2}} {
-		if _, ok := hashKeys(row, cols); ok {
-			t.Errorf("keys %v include a NULL and pass for a join key", cols)
+	columns := [][]types.Datum{mixed, {types.Null, types.Null}, {types.NewDecimal(700, 2), types.NewDecimal(750, 2), types.NewDecimal(-100, 2)}}
+	for _, vals := range classes {
+		columns = append(columns, vals)
+	}
+	for _, vals := range columns {
+		for _, enc := range []types.VecEnc{types.VecFlat, types.VecRLE, types.VecDict} {
+			v := testutil.Vector(enc, vals)
+			for e := range v.Entries() {
+				d := v.Datum(e)
+				for _, c := range keyCells {
+					if got, want := vecKeyEqual(&c, &v, e), keyEqual(&c, &d); got != want {
+						t.Fatalf("vector %v enc %d, entry %d (%s %v) against %s %v: vecKeyEqual %v, keyEqual %v", vals, enc, e, d.K, d, c.K, c, got, want)
+					}
+				}
+			}
 		}
-	}
-	// The hash of a one-column key is its column's.
-	h, _ := hashKeys(row, []int{2, 0})
-	if h0, _ := hashKeys(row, []int{0}); h0 != keyHash(&row[0]) {
-		t.Errorf("one-column key hashes %x, its column %x", h0, keyHash(&row[0]))
-	}
-	if swapped, _ := hashKeys(row, []int{0, 2}); swapped == h {
-		t.Error("a two-column key hashes the same in either column order")
 	}
 }
 
-// vecKeyClasses draws the values of one vector per class of key: either
-// integer width, a decimal at each scale from 0 to 4 with the trailing
-// zeros that takes, dates, booleans, doubles (±0.0 and NaN of both bit
-// patterns among them), strings and bytes with the empty one, a Mixed
-// column, and a column of NULLs alone. A few values each, so that runs
-// and dictionaries form.
-func vecKeyClasses() map[string]func(rng *rand.Rand) types.Datum {
-	small := func(rng *rand.Rand) int64 { return int64(rng.Intn(5) - 2) }
-	classes := map[string]func(rng *rand.Rand) types.Datum{
-		"int32": func(rng *rand.Rand) types.Datum { return types.NewInt32(int32(small(rng))) },
-		"int64": func(rng *rand.Rand) types.Datum { return types.NewInt64(small(rng) << 40) },
-		"date":  func(rng *rand.Rand) types.Datum { return types.NewDate(int32(9000 + small(rng))) },
-		"bool":  func(rng *rand.Rand) types.Datum { return types.NewBool(rng.Intn(2) == 0) },
-		"float": func(rng *rand.Rand) types.Datum {
-			nan := math.Float64frombits(math.Float64bits(math.NaN()) ^ uint64(rng.Intn(2)))
-			return types.NewFloat64([]float64{0, math.Copysign(0, -1), 1.5, -7.25, nan}[rng.Intn(5)])
-		},
-		"string": func(rng *rand.Rand) types.Datum {
-			return types.NewString([]string{"", "a", "ab", "ba", "MAIL"}[rng.Intn(5)])
-		},
-		"bytes": func(rng *rand.Rand) types.Datum { return types.NewBytes([]byte([]string{"", "a", "ab"}[rng.Intn(3)])) },
-		"mixed": func(rng *rand.Rand) types.Datum {
-			return []types.Datum{types.NewInt64(7), types.NewDecimal(70, 1), types.NewDecimal(75, 1), types.NewInt32(7)}[rng.Intn(4)]
-		},
-		"null": func(*rand.Rand) types.Datum { return types.Null },
-	}
-	for sc := int8(0); sc <= 4; sc++ {
-		classes[fmt.Sprintf("dec%d", sc)] = func(rng *rand.Rand) types.Datum {
-			u := small(rng)
-			for i := int8(0); i < sc; i++ {
-				u *= 10
-			}
-			return types.NewDecimal(u+int64(rng.Intn(2)), sc)
-		}
-	}
-	return classes
-}
-
-// TestVecKeyHashMatchesKeyHash: a key hashed from a vector's entries is
-// the key hashed from the Datum the entry reads as, valid exactly when
-// that Datum is not NULL, and a stored key cell of any class equals an
-// entry (vecKeyEqual) exactly when it equals that Datum (keyEqual) —
-// entry by entry through vecKeyHash and vecKeyEqual, and row by
-// row through foldVecKeys over every class, in every encoding, with and
-// without NULLs, under no selection and a sparse one, one key column and
-// two (against hashKeys over the rows).
-func TestVecKeyHashMatchesKeyHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const n = 150
-	classes := vecKeyClasses()
-	var names []string
-	for name := range classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	column := func(name string, nulls bool) []types.Datum {
-		vals := make([]types.Datum, n)
-		for i := range vals {
-			if i > 0 && rng.Intn(3) == 0 {
-				vals[i] = vals[i-1] // runs
-				continue
-			}
-			if vals[i] = classes[name](rng); nulls && rng.Intn(4) == 0 {
-				vals[i] = types.Null
+// TestKeyTableFillsItsDirectoryEvenly: a keyTable built from the keys one
+// segment receives — which share the top bits of their hash, the bits
+// types.SegmentOf reads — fills its directory as evenly as one built from
+// random keys, for dense keys and for keys at a stride of 4 alike.
+func TestKeyTableFillsItsDirectoryEvenly(t *testing.T) {
+	const rows, segments = 20000, 4
+	used := func(keys []int64) float64 {
+		var tab keyTable
+		for _, k := range keys {
+			row := types.Row{types.NewInt64(k)}
+			h, _ := types.HashKeys(row, []int{0})
+			if err := tab.add(h, row); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return vals
-	}
-	var sparse []int32
-	for i := 2; i < n; i += 3 {
-		sparse = append(sparse, int32(i))
-	}
-	encs := []types.VecEnc{types.VecFlat, types.VecRLE, types.VecDict}
-	checked := map[types.VecClass]bool{}
-	for _, name := range names {
-		for _, nulls := range []bool{false, true} {
-			for _, enc := range encs {
-				where := fmt.Sprintf("%s nulls=%v enc=%d", name, nulls, enc)
-				vals := column(name, nulls)
-				v := testutil.Vector(enc, vals)
-				checked[v.Class()] = true
-				for e := range v.Entries() {
-					d := v.Datum(e)
-					h, valid := vecKeyHash(&v, e)
-					if h != keyHash(&d) || valid != !d.IsNull() {
-						t.Fatalf("%s: entry %d (%s %v) hashes %x valid %v, keyHash %x", where, e, d.K, d, h, valid, keyHash(&d))
-					}
-					// A stored cell of every class against the entry.
-					for _, cls := range append(names, name) {
-						c := classes[cls](rng)
-						if cls == name && rng.Intn(2) == 0 {
-							c = d
-						}
-						if vecKeyEqual(&c, &v, e) != keyEqual(&c, &d) {
-							t.Fatalf("%s: entry %d (%s %v) against %s %v: vecKeyEqual %v, keyEqual %v", where, e, d.K, d, c.K, c, !keyEqual(&c, &d), keyEqual(&c, &d))
-						}
-					}
-				}
-				// Two key columns, this one and another class, as a batch.
-				other := names[rng.Intn(len(names))]
-				vb := testutil.VecBatch([][]types.Datum{vals, column(other, true)}, []types.VecEnc{enc, encs[rng.Intn(len(encs))]})
-				rows := make([]types.Row, n)
-				for i := range rows {
-					rows[i] = types.Row{vals[i], testutil.VectorRows(&vb.Cols[1])[i]}
-				}
-				for _, sel := range [][]int32{nil, sparse} {
-					for _, cols := range [][]int{{0}, {1, 0}} {
-						m := n
-						if sel != nil {
-							m = len(sel)
-						}
-						hashes, bad := make([]uint64, m), types.NullBitmap(nil)
-						for _, c := range cols {
-							idx, _ := vb.Cols[c].EntryIndex(sel, nil)
-							foldVecKeys(&vb.Cols[c], idx, hashes, &bad, nil)
-						}
-						for i := range m {
-							r := i
-							if sel != nil {
-								r = int(sel[i])
-							}
-							want, valid := hashKeys(rows[r], cols)
-							if hashes[i] != want || bad.At(i) == valid {
-								t.Fatalf("%s with %s, keys %v, sel %v: row %d (%v) folds to %x NULL %v, hashKeys %x valid %v",
-									where, other, cols, sel != nil, r, rows[r], hashes[i], bad.At(i), want, valid)
-							}
-						}
-					}
-				}
-				types.PutVecBatch(vb)
+		tab.seal()
+		n := 0
+		for _, l := range tab.head {
+			if l != 0 {
+				n++
 			}
 		}
+		return float64(n) / float64(len(tab.head))
 	}
-	if len(checked) != 5 {
-		t.Errorf("vectors of %d classes checked, want all 5", len(checked))
+	rng := rand.New(rand.NewSource(37))
+	random := make([]int64, rows)
+	for i := range random {
+		random[i] = rng.Int63()
+	}
+	want := used(random)
+	for _, stride := range []int64{1, 4} {
+		var keys []int64
+		for k := stride; len(keys) < rows; k += stride {
+			if p, _ := types.HashKeys(types.Row{types.NewInt64(k)}, []int{0}); types.SegmentOf(p, segments) == 0 {
+				keys = append(keys, k)
+			}
+		}
+		if got := used(keys); got < 0.97*want {
+			t.Errorf("one segment's keys at stride %d use %.3f of the directory's slots, random keys %.3f", stride, got, want)
+		}
 	}
 }
 

@@ -154,7 +154,8 @@ func (m *motionSendOp) routeBatch(b *types.Batch) error {
 			} else {
 				// The placement hash: redistribution agrees with
 				// hash-distributed storage, whatever the key's width.
-				i = int(types.HashRowCols(row, m.hashCols) % uint64(len(m.streams)))
+				key, _ := types.HashKeys(row, m.hashCols)
+				i = types.SegmentOf(key, len(m.streams))
 			}
 			if err := m.add(i, row); err != nil {
 				return err

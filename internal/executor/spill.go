@@ -37,14 +37,14 @@ func rowMem(r types.Row) int64 {
 	return n
 }
 
-// partOfHash assigns a key hash (hashKeys: a join's key, an aggregate's
-// group key) to one of the spillFanout partitions of a recursion level.
-// The level is mixed in, so rows that fell into one partition at level L
-// spread over all of them at level L+1, and the partition says nothing
-// about the hash's low bits, which index the table the partition is
-// later loaded into.
+// partOfHash assigns a key hash (types.HashKeys: a join's key, an
+// aggregate's group key) to one of the spillFanout partitions of a
+// recursion level. The level is folded in as one more key column, then
+// mixed, so rows that fell into one partition at level L spread over all
+// of them at level L+1, and the partition says nothing about the bits
+// that index the table the partition is later loaded into.
 func partOfHash(h uint64, level int) int {
-	return int(mix64(h+uint64(level+1)*golden) % spillFanout)
+	return int(types.Mix64(types.FoldKey(h, uint64(level))) % spillFanout)
 }
 
 // spillable reports whether budget-triggered spilling is available

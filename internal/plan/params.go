@@ -67,27 +67,20 @@ func (p *Plan) BindParams(args []types.Datum) error {
 // generic plan carries: each slice whose distribution keys are pinned
 // by placeholders shrinks to the single segment hashing the bound
 // values, exactly as a plan-time constant would have (§3's single value
-// lookup, preserved across the plan cache). HashRowCols already hashes
+// lookup, preserved across the plan cache). The placement hash hashes
 // equal-comparing datums equally, so casting the argument to the
 // inferred column kind keeps the choice consistent with the insert and
 // redistribute paths.
 func (p *Plan) bindDirectDispatch(cast []types.Datum) error {
 	for _, dd := range p.DeferredDirect {
-		vals := make(types.Row, len(dd.Keys))
-		for i, k := range dd.Keys {
-			if k.Param < 0 {
-				vals[i] = k.Const
-				continue
-			}
-			if k.Param >= len(cast) {
-				return fmt.Errorf("plan: direct dispatch references parameter $%d, got %d", k.Param+1, len(cast))
-			}
-			vals[i] = cast[k.Param]
-		}
 		if dd.SliceID < 0 || dd.SliceID >= len(p.Slices) {
 			return fmt.Errorf("plan: direct dispatch names slice %d of %d", dd.SliceID, len(p.Slices))
 		}
-		seg := []int{int(types.HashRowCols(vals, nil) % uint64(p.NumSegments))}
+		at, err := KeySegment(dd.Keys, cast, p.NumSegments)
+		if err != nil {
+			return err
+		}
+		seg := []int{at}
 		p.Slices[dd.SliceID].Segments = seg
 		// The receiving side's sender list must shrink with the gang, or
 		// the parent slice waits forever for EOS from segments that were

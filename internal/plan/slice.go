@@ -84,6 +84,25 @@ type DirectKey struct {
 	Const types.Datum
 }
 
+// KeySegment returns the one of n segments that holds the rows whose
+// distribution key is keys, each a constant or a parameter bound in cast:
+// the key's hash folded as types.HashKeys folds a row's, reduced as the
+// insert path and the redistribute motion reduce it.
+func KeySegment(keys []DirectKey, cast []types.Datum, n int) (int, error) {
+	var key uint64
+	for _, k := range keys {
+		v := k.Const
+		if k.Param >= 0 {
+			if k.Param >= len(cast) {
+				return 0, fmt.Errorf("plan: direct dispatch references parameter $%d, got %d", k.Param+1, len(cast))
+			}
+			v = cast[k.Param]
+		}
+		key = types.FoldKey(key, types.KeyWord(&v))
+	}
+	return types.SegmentOf(key, n), nil
+}
+
 // SenderHint lets the planner pin a motion's child slice to a subset of
 // segments (direct dispatch). It is attached by wrapping the motion
 // input; nil hints mean "all segments". DeferredKeys, when set, defers

@@ -255,11 +255,15 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 	case *sqlparser.CaseExpr:
 		return b.bindCase(v)
 	case *sqlparser.CastExpr:
-		inner, err := b.bind(v.E)
+		col, err := ResolveType(v.TypeName)
 		if err != nil {
 			return nil, err
 		}
-		col, err := ResolveType(v.TypeName)
+		e := v.E
+		if col.Kind == types.KindDecimal {
+			e = decimalText(e)
+		}
+		inner, err := b.bind(e)
 		if err != nil {
 			return nil, err
 		}
@@ -318,6 +322,21 @@ func (b *binder) bindCompared(e sqlparser.Expr, vals []sqlparser.Expr) ([]expr.E
 		_, xs[1+i] = coerceComparison(xs[0], xs[1+i])
 	}
 	return xs, nil
+}
+
+// decimalText returns e, a numeric literal written without an exponent,
+// as the text a DECIMAL target parses, so that the literal rounds once,
+// at the target's scale, from all its digits rather than from the eight
+// a bare literal keeps. Any other e comes back as it is.
+func decimalText(e sqlparser.Expr) sqlparser.Expr {
+	lit, sign := e, ""
+	if u, ok := e.(*sqlparser.UnExpr); ok && u.Op == "-" {
+		lit, sign = u.E, "-"
+	}
+	if n, ok := lit.(*sqlparser.NumLit); ok && !strings.ContainsAny(n.S, "eE") {
+		return &sqlparser.StrLit{S: sign + n.S}
+	}
+	return e
 }
 
 // bindNumLit types a numeric literal: DOUBLE with an exponent, DECIMAL

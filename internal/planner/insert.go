@@ -113,6 +113,10 @@ func (p *Planner) evalValuesRows(stmt *sqlparser.InsertStmt, schema *types.Schem
 		}
 		row := make(types.Row, schema.Len()) // all NULL: the zero Datum
 		for i, e := range astRow {
+			target := schema.Columns[colIdx[i]]
+			if target.Kind == types.KindDecimal {
+				e = decimalText(e)
+			}
 			bound, err := b.bind(e)
 			if err != nil {
 				return nil, err
@@ -121,7 +125,6 @@ func (p *Planner) evalValuesRows(stmt *sqlparser.InsertStmt, schema *types.Schem
 			if err != nil {
 				return nil, err
 			}
-			target := schema.Columns[colIdx[i]]
 			if v, err = types.CastScale(v, target.Kind, target.Scale); err != nil {
 				return nil, fmt.Errorf("planner: column %q: %w", target.Name, err)
 			}

@@ -368,7 +368,7 @@ func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sql
 		// (segment known now) or by $n placeholders (segment chosen at
 		// bind time, so generic cached plans keep the fast path).
 		if !p.DisableDirectDispatch {
-			if seg, keys, ok := p.directSegment(distCols, terms); ok {
+			if seg, keys, ok := p.directSegment(node.OutSchema(), distCols, terms); ok {
 				if keys == nil {
 					rel.direct = []int{seg}
 				} else {
@@ -400,8 +400,10 @@ func outputPositions(proj, tableCols []int) []int {
 // When every distribution column is pinned and at least one pin is a
 // placeholder, the segment cannot be computed yet: the per-column value
 // sources come back as keys for the plan to resolve in BindParams. With
-// constants only, keys is nil and the segment is final.
-func (p *Planner) directSegment(distCols []int, terms []expr.ColCmpTerm) (int, []plan.DirectKey, bool) {
+// constants only, keys is nil and the segment is final. A constant of
+// a kind that hashes apart from the column's (an exact number against a
+// DOUBLE) is cast to the column's kind first, as a bound parameter is.
+func (p *Planner) directSegment(schema *types.Schema, distCols []int, terms []expr.ColCmpTerm) (int, []plan.DirectKey, bool) {
 	keys := make([]plan.DirectKey, len(distCols))
 	pinned := make([]bool, len(distCols))
 	found, params := 0, 0
@@ -412,7 +414,14 @@ func (p *Planner) directSegment(distCols []int, terms []expr.ColCmpTerm) (int, [
 		}
 		switch v := t.Val.(type) {
 		case *expr.Const:
-			keys[i] = plan.DirectKey{Param: -1, Const: v.D}
+			d, col := v.D, schema.Columns[t.Col]
+			if !types.Hashable(d.K, col.Kind) {
+				var err error
+				if d, err = types.CastScale(d, col.Kind, col.Scale); err != nil {
+					continue
+				}
+			}
+			keys[i] = plan.DirectKey{Param: -1, Const: d}
 		case *expr.Param:
 			keys[i] = plan.DirectKey{Param: v.Idx}
 			params++
@@ -428,13 +437,8 @@ func (p *Planner) directSegment(distCols []int, terms []expr.ColCmpTerm) (int, [
 	if params > 0 {
 		return 0, keys, true
 	}
-	vals := make(types.Row, len(distCols))
-	for i, k := range keys {
-		vals[i] = k.Const
-	}
-	// The placement hash, as the redistribute motion and the insert path
-	// take it.
-	return int(types.HashRowCols(vals, nil) % uint64(p.NumSegments)), nil, true
+	seg, err := plan.KeySegment(keys, nil, p.NumSegments)
+	return seg, nil, err == nil
 }
 
 // partitionPruned decides whether a child partition cannot contain

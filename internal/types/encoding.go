@@ -244,80 +244,3 @@ func DecodeRowVecs(buf []byte, slot []int, cols []VecBuilder) (consumed, ncols i
 	}
 	return pos, ncols, nil
 }
-
-// FNV-1a, 64 bit: the hash behind data placement. It is written out here
-// rather than taken from hash/fnv so that hashing a row is a loop over
-// registers: no hash.Hash value, no scratch slice that escapes.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvByte folds one byte into h.
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvUint64 folds the eight bytes of v into h, most significant first.
-func fnvUint64(h, v uint64) uint64 {
-	for shift := 56; shift >= 0; shift -= 8 {
-		h = fnvByte(h, byte(v>>shift))
-	}
-	return h
-}
-
-// hashDatum folds a normalized representation of d into h so that datums
-// that compare equal hash equal (INT32 7 and INT64 7, decimals of
-// different scales, -0.0 and 0.0, every NaN): a tag byte, then the value.
-// Stored rows were placed by these exact bytes, so they never change; a
-// NaN hashes as math.NaN(), the bits a parsed 'NaN' has.
-func hashDatum(h uint64, d *Datum) uint64 {
-	switch d.K {
-	case KindNull:
-		return fnvByte(h, 0)
-	case KindBool:
-		return fnvByte(fnvByte(h, 1), byte(d.I))
-	case KindInt32, KindInt64:
-		return fnvUint64(fnvByte(h, 2), uint64(d.I))
-	case KindFloat64:
-		f := d.F
-		switch {
-		case f == 0:
-			f = 0 // -0.0 equals 0.0
-		case f != f:
-			f = math.NaN() // NaN equals NaN
-		}
-		return fnvUint64(fnvByte(h, 3), math.Float64bits(f))
-	case KindDecimal:
-		u, sc := StripZeros(d.I, d.Scale)
-		if sc == 0 {
-			// Integral decimals hash like integers.
-			return fnvUint64(fnvByte(h, 2), uint64(u))
-		}
-		return fnvUint64(fnvByte(fnvByte(h, 4), byte(sc)), uint64(u))
-	case KindString, KindBytes:
-		h = fnvByte(h, 5)
-		for i := 0; i < len(d.S); i++ {
-			h = fnvByte(h, d.S[i])
-		}
-		return h
-	case KindDate:
-		return fnvUint64(fnvByte(h, 6), uint64(d.I))
-	}
-	return h
-}
-
-// HashRowCols returns a stable 64-bit hash of the datums at cols, used by
-// hash distribution and the redistribute motion. An empty cols hashes the
-// whole row.
-func HashRowCols(r Row, cols []int) uint64 {
-	h := uint64(fnvOffset64)
-	if len(cols) == 0 {
-		for i := range r {
-			h = hashDatum(h, &r[i])
-		}
-		return h
-	}
-	for _, c := range cols {
-		h = hashDatum(h, &r[c])
-	}
-	return h
-}

@@ -655,7 +655,9 @@ func CastScale(d Datum, to Kind, scale int8) (Datum, error) {
 	case to != KindDecimal || d.IsNull():
 		return Cast(d, to)
 	case d.K == KindFloat64: // by its shortest text, as PostgreSQL does: 1.005 is not 1.00499…
-		d = NewString(strconv.FormatFloat(d.F, 'f', -1, 64))
+		return parseDecimal(strconv.FormatFloat(d.F, 'f', -1, 64), scale)
+	case d.K == KindString:
+		return parseDecimal(strings.TrimSpace(d.S), scale)
 	}
 	v, err := Cast(d, to)
 	if err != nil {
@@ -708,28 +710,45 @@ func copysign(mag, sign float64) float64 {
 	return mag
 }
 
-// ParseDecimal parses a decimal literal such as "123.45" or "-0.07".
-func ParseDecimal(s string) (Datum, error) {
-	neg := false
-	t := s
-	if strings.HasPrefix(t, "-") {
-		neg, t = true, t[1:]
-	} else if strings.HasPrefix(t, "+") {
-		t = t[1:]
+// ParseDecimal parses a decimal literal such as "123.45" or "-0.07" at
+// the scale it is written with; digits past MaxDecimalScale are cut.
+func ParseDecimal(s string) (Datum, error) { return parseDecimal(s, -1) }
+
+// parseDecimal parses s at scale digits, rounding half away from zero on
+// the first digit it drops, so that the text rounds once, from all its
+// digits. A negative scale keeps the digits written, up to
+// MaxDecimalScale, and cuts the rest.
+func parseDecimal(s string, scale int8) (Datum, error) {
+	t, neg := s, false
+	if t != "" && (t[0] == '-' || t[0] == '+') {
+		t, neg = t[1:], t[0] == '-'
 	}
-	intPart, fracPart, _ := strings.Cut(t, ".")
+	intPart, frac, _ := strings.Cut(t, ".")
 	if intPart == "" {
 		intPart = "0"
 	}
-	if len(fracPart) > MaxDecimalScale {
-		fracPart = fracPart[:MaxDecimalScale]
-	}
-	v, err := strconv.ParseInt(intPart+fracPart, 10, 64)
-	if err != nil {
+	if strings.Trim(intPart+frac, "0123456789") != "" {
 		return Null, fmt.Errorf("invalid decimal %q", s)
+	}
+	up := false
+	if scale < 0 {
+		scale = int8(min(len(frac), MaxDecimalScale))
+	} else if len(frac) > int(scale) {
+		up = frac[scale] >= '5'
+	}
+	frac = (frac + strings.Repeat("0", int(scale)))[:scale]
+	v, err := strconv.ParseInt(intPart+frac, 10, 64)
+	if up && err == nil && v == math.MaxInt64 {
+		err = strconv.ErrRange
+	}
+	if err != nil {
+		return Null, fmt.Errorf("numeric field overflow: %q at scale %d", s, scale)
+	}
+	if up {
+		v++
 	}
 	if neg {
 		v = -v
 	}
-	return NewDecimal(v, int8(len(fracPart))), nil
+	return NewDecimal(v, scale), nil
 }

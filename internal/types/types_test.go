@@ -193,14 +193,24 @@ func TestCast(t *testing.T) {
 		{NewDecimal(1234, 3), 2, "1.23"}, {NewDecimal(1235, 3), 2, "1.24"}, {NewDecimal(-1235, 3), 2, "-1.24"},
 		{NewDecimal(25, 1), 2, "2.50"}, {NewInt64(7), 1, "7.0"}, {NewString("0.005"), 2, "0.01"},
 		{NewFloat64(1.005), 2, "1.01"}, {NewDecimal(-5, 1), 0, "-1"}, {Null, 2, "NULL"},
+		// Text rounds once, from all its digits, however many there are.
+		{NewString("0.000000005"), 8, "0.00000001"}, {NewString("-0.000000005"), 8, "-0.00000001"},
+		{NewString(" 0.123456785 "), 8, "0.12345679"}, {NewString("0.0049999999"), 2, "0.00"},
+		{NewString("+.125"), 2, "0.13"}, {NewString("7"), 3, "7.000"}, {NewFloat64(0.000000005), 8, "0.00000001"},
 	} {
 		got, err := CastScale(c.d, KindDecimal, c.scale)
 		if err != nil || got.String() != c.want || !got.IsNull() && got.Scale != c.scale {
 			t.Errorf("CastScale(%v, %d) = %v (scale %d), %v; want %s", c.d, c.scale, got, got.Scale, err, c.want)
 		}
 	}
-	if _, err := CastScale(NewFloat64(math.NaN()), KindDecimal, 2); err == nil {
-		t.Error("NaN cast to a decimal must error")
+	for _, bad := range []Datum{NewFloat64(math.NaN()), NewString("0.12x"), NewString("1.2.3"), NewString("- 1")} {
+		if _, err := CastScale(bad, KindDecimal, 2); err == nil {
+			t.Errorf("%v cast to a decimal must error", bad)
+		}
+	}
+	// A bare literal keeps the digits it is written with, up to eight.
+	if d, err := ParseDecimal("0.123456785"); err != nil || d.I != 12345678 || d.Scale != 8 {
+		t.Errorf("ParseDecimal(0.123456785) = %v, %v; want 0.12345678", d, err)
 	}
 	// Scaling up checks int64's range, both signs, exactly at its edge.
 	for _, c := range []struct {
@@ -208,6 +218,8 @@ func TestCast(t *testing.T) {
 		want string
 	}{
 		{NewInt64(1e11), ""}, {NewInt64(-1e11), ""}, {NewDecimal(math.MaxInt64/10+1, 7), ""},
+		{NewString("100000000000"), ""}, {NewString("92233720368.547758075"), ""},
+		{NewString("92233720368.547758074"), "92233720368.54775807"},
 		{NewDecimal(math.MaxInt64/10, 7), "92233720368.54775800"}, {NewDecimal(math.MinInt64/10, 7), "-92233720368.54775800"},
 	} {
 		got, err := CastScale(c.d, KindDecimal, 8)
@@ -379,27 +391,37 @@ func TestQuickHashConsistentWithEquality(t *testing.T) {
 		if Compare(a, b) != 0 {
 			return false
 		}
-		return HashRowCols(Row{a}, nil) == HashRowCols(Row{b}, nil)
+		return KeyWord(&a) == KeyWord(&b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestHashRowCols: a row's key hash (HashKeys, which placement reduces
+// with SegmentOf) depends on the key columns alone and equates equal
+// values of either integer width.
 func TestHashRowCols(t *testing.T) {
+	hash := func(r Row, cols []int) uint64 {
+		p, _ := HashKeys(r, cols)
+		return p
+	}
 	r1 := Row{NewInt64(1), NewString("x"), NewInt64(9)}
 	r2 := Row{NewInt64(1), NewString("y"), NewInt64(8)}
-	if HashRowCols(r1, []int{0}) != HashRowCols(r2, []int{0}) {
+	if hash(r1, []int{0}) != hash(r2, []int{0}) {
 		t.Error("same key column must hash equal")
 	}
-	if HashRowCols(r1, nil) == HashRowCols(r2, nil) {
+	if hash(r1, []int{0, 1, 2}) == hash(r2, []int{0, 1, 2}) {
 		t.Error("full-row hashes of different rows should differ")
 	}
 	// Cross-kind key equality: int32 vs int64.
 	a := Row{NewInt32(77)}
 	b := Row{NewInt64(77)}
-	if HashRowCols(a, []int{0}) != HashRowCols(b, []int{0}) {
+	if hash(a, []int{0}) != hash(b, []int{0}) {
 		t.Error("int32/int64 equal values must hash equal")
+	}
+	if SegmentOf(hash(a, []int{0}), 4) != SegmentOf(hash(b, []int{0}), 4) {
+		t.Error("int32/int64 equal values must be placed on one segment")
 	}
 }
 

@@ -17,7 +17,8 @@
 # HashAgg/rows_highcard over rows, four a group, as a join's output
 # arrives), DISTINCT over integer and string rows, motion loopback, the
 # send half of a motion without a wire (MotionRoute: hashed to one of
-# four receivers, or encoded for all), one motion payload decoded into a
+# four receivers on an integer key or, MotionRoute/hash_string, on a
+# string key, or encoded for all), one motion payload decoded into a
 # batch (DecodeBatch: all numbers, a third strings), and the hash join's
 # two halves by key shape (HashJoin/{build,probe}: unique and sixteenfold
 # integer keys, a string key, a two-column key) and its probe from a

@@ -69,8 +69,15 @@
 #                                  DISTINCT's or of a partitioned
 #                                  table's own (Distinct, Append) comes
 #                                  back, the WAL keeps no records,
-#                                  and an aggregate's pass orders its
-#                                  groups without a comparison sort
+#                                  an aggregate's pass orders its
+#                                  groups without a comparison sort,
+#                                  no second hash of a Datum (the
+#                                  byte-wise FNV placement hash and its
+#                                  reference) returns, and no code but
+#                                  internal/types reduces a hash to a
+#                                  segment with a modulo (Stinger's
+#                                  MapReduce shuffle, which picks a
+#                                  reducer, is not a segment)
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -177,6 +184,14 @@ if grep -rnE 'type (Distinct|Append) struct' internal/plan || grep -rnE 'distinc
 fi
 if awk '/^func \(a \*hashAggOp\) endPass\(|^func radixOrder\(/,/^}/' internal/executor/agg.go | grep -nE 'slices\.Sort|sort\.|cmp\.Compare'; then
     echo "stays deleted: an aggregate's pass orders its groups by a radix pass over their hashes, not a comparison sort (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'hash[D]atum|fnv[B]yte|fnv[U]int64|refHash[R]owCols' internal; then
+    echo "stays deleted: a second hash of a Datum is back; placement, motions and key tables share types.HashKeys (see above)" >&2
+    exit 1
+fi
+if grep -rnE '% uint64\(' --include='*.go' --exclude-dir=types --exclude-dir=stinger internal cmd; then
+    echo "stays deleted: a hash is reduced to a segment outside internal/types; call types.SegmentOf (see above)" >&2
     exit 1
 fi
 
