@@ -109,7 +109,11 @@ func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("caql: LIKE pattern must be a literal")
 		}
-		return &expr.Like{E: inner, Pattern: pat.S, Negate: v.Negate}, nil
+		l, err := expr.NewLike(inner, pat.S, v.Negate)
+		if err != nil {
+			return nil, fmt.Errorf("caql: %w", err)
+		}
+		return l, nil
 	case *sqlparser.InExpr:
 		if v.Sub != nil {
 			return nil, fmt.Errorf("caql: IN subqueries not supported")

@@ -213,6 +213,50 @@ func TestDistinctAndExpressions(t *testing.T) {
 	}
 }
 
+// TestLikeAnswersAsPostgres: '_' matches one character of TEXT, a
+// backslash escapes the character after it, a pattern may not end in a
+// lone escape, and only strings take LIKE: over constants, over a column
+// of a row table and of a column table, which the scan filters with the
+// LIKE kernel, and over a computed operand, which it filters row by row.
+func TestLikeAnswersAsPostgres(t *testing.T) {
+	e := newTestEngine(t, 2)
+	s := e.NewSession()
+	res := mustExec(t, s, `SELECT 'é' LIKE '_', 'aé' LIKE 'a_', 'a%b' LIKE 'a\%b', 'a_b' LIKE 'a\_b', 'axb' LIKE 'a\%b', 'axb' LIKE 'a\_b'`)
+	if got := rowsString(res); len(got) != 1 || got[0] != "t|t|t|t|f|f" {
+		t.Fatalf("constants: %v", got)
+	}
+	for _, c := range []struct{ sql, err string }{
+		{`SELECT 'a' LIKE 'a\'`, "must not end with escape character"},
+		{`SELECT 12 LIKE '%'`, "operator does not exist"},
+		{`SELECT 12 LIKE '1%'`, "operator does not exist"},
+		{`SELECT DATE '2013-01-01' LIKE '%'`, "operator does not exist"},
+		{`SELECT CAST(1.5 AS DOUBLE PRECISION) NOT LIKE '%'`, "operator does not exist"},
+	} {
+		if _, err := s.Query(c.sql); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: %v, want %q", c.sql, err, c.err)
+		}
+	}
+	for _, with := range []string{"", "WITH (appendonly=true, orientation=column, compresstype=quicklz)"} {
+		mustExec(t, s, "DROP TABLE IF EXISTS notes")
+		mustExec(t, s, "CREATE TABLE notes (k INT8, s TEXT) "+with+" DISTRIBUTED BY (k)")
+		mustExec(t, s, `INSERT INTO notes VALUES (1, 'é'), (2, 'aé'), (3, 'a%b'), (4, 'a_b'), (5, 'axb'), (6, NULL), (7, 'ab')`)
+		for _, c := range []struct{ where, want string }{
+			{`s LIKE '_'`, "1"},
+			{`s LIKE 'a_'`, "2 7"},
+			{`s NOT LIKE 'a_'`, "1 3 4 5"},
+			{`s LIKE 'a\%b'`, "3"},
+			{`s LIKE 'a\_b'`, "4"},
+			{`s LIKE 'a_b'`, "3 4 5"},
+			{`s || '' LIKE 'a_'`, "2 7"},
+		} {
+			res := mustExec(t, s, "SELECT k FROM notes WHERE "+c.where+" ORDER BY k")
+			if got := strings.Join(rowsString(res), " "); got != c.want {
+				t.Errorf("%q WHERE %s: %s, want %s", with, c.where, got, c.want)
+			}
+		}
+	}
+}
+
 func TestTransactionsCommitAbortVisibility(t *testing.T) {
 	e := newTestEngine(t, 2)
 	writer := e.NewSession()

@@ -627,25 +627,103 @@ func TestBatchPipelineAllocBudget(t *testing.T) {
 	}
 }
 
+// TestColumnProjectOverScans: a Project of columns alone over a scan of
+// each storage — its filter leaving a selection of runs, dictionary and
+// flat columns with NULLs, cold and on shared cached vectors — pulls
+// vectors and materializes only its columns, in its order and repeated
+// where it repeats them. It returns what the same Project returns over
+// the same rows as a Values input, and EXPLAIN ANALYZE counts the rows
+// at each operator as it does there.
+func TestColumnProjectOverScans(t *testing.T) {
+	fs, err := hdfs.New(hdfs.Config{DataNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := liRows(rand.New(rand.NewSource(5)), 5000)
+	filter := expr.NewBinOp(expr.OpAnd,
+		expr.NewBinOp(expr.OpLt, liCol(liQty), expr.NewConst(types.NewDecimal(3000, 2))),
+		&expr.Like{E: liCol(liNote), Pattern: "%e%", Negate: true})
+	exprs := []expr.Expr{liCol(liNote), liCol(liSupp), liCol(liFlag), liCol(liNote), liCol(liDisc)}
+	project := func(in plan.Node) *plan.Project {
+		return &plan.Project{Input: in, Exprs: exprs, Schema: types.NewSchema(
+			liSchema.Columns[liNote], liSchema.Columns[liSupp], liSchema.Columns[liFlag], liSchema.Columns[liNote], liSchema.Columns[liDisc])}
+	}
+	// rowCounts runs tree under a stats recorder and returns its rows and
+	// the rows each operator emitted, in preorder.
+	rowCounts := func(ctx *Context, tree plan.Node) ([]types.Row, []int64) {
+		ctx.Stats = NewStatsRecorder(nil, tree, 0, 0)
+		got := collect(t, ctx, tree)
+		var counts []int64
+		for _, op := range ctx.Stats.Stats().Ops {
+			counts = append(counts, op.Rows)
+		}
+		ctx.Stats = nil
+		return got, counts
+	}
+	want, wantCounts := rowCounts(&Context{}, project(&plan.Select{Input: &plan.Values{Rows: rows, Schema: liSchema}, Pred: filter}))
+	if len(want) == 0 || len(want) == len(rows) {
+		t.Fatalf("the filter keeps %d of %d rows", len(want), len(rows))
+	}
+	for i, orient := range []string{catalog.OrientRow, catalog.OrientColumn, catalog.OrientParquet} {
+		desc, segFiles := writeTableAs(t, fs, orient, int64(30+i), "li"+orient, liSchema, rows, 1500)
+		tree := project(&plan.Scan{Table: desc, Proj: liSchema.AllCols(), SegFiles: segFiles, Filter: filter, Schema: liSchema})
+		for _, cache := range []*storage.BlockCache{nil, newWarmCache(t, fs, desc, segFiles)} {
+			ctx := &Context{Segment: 0, FS: fs, Cache: cache}
+			if mustBuild(t, ctx, tree).(*projectOp).vs == nil {
+				t.Fatalf("%s: the Project over the scan takes rows", orient)
+			}
+			got, counts := rowCounts(ctx, tree)
+			sameRows(t, got, want, true)
+			// Project, Scan here; Project, Select, Values there: the
+			// Project's rows and the rows the filter kept.
+			if len(counts) != 2 || counts[0] != wantCounts[0] || counts[1] != wantCounts[1] {
+				t.Errorf("%s: operator rows %v, over Values %v", orient, counts, wantCounts)
+			}
+		}
+	}
+	// A computed expression keeps the Project on rows.
+	desc, segFiles := writeCOTable(t, fs, 40, "li2", liSchema, rows[:10])
+	computed := &plan.Project{Input: &plan.Scan{Table: desc, Proj: liSchema.AllCols(), SegFiles: segFiles, Schema: liSchema},
+		Exprs: []expr.Expr{expr.NewBinOp(expr.OpAdd, liCol(liSupp), expr.NewConst(types.NewInt64(1)))}, Schema: intsSchema("s")}
+	if mustBuild(t, &Context{FS: fs}, computed).(*projectOp).vs != nil {
+		t.Fatal("a computed Project took vectors")
+	}
+}
+
 // BenchmarkScanFilterProject is the headline pipeline: the full scan →
-// filter → project tree drained at the QD edge.
+// filter → project tree drained at the QD edge. colproject is the shape
+// of every Project over a scan in the TPC-H plans: the filter in the
+// scan, and a Project of columns alone above it.
 func BenchmarkScanFilterProject(b *testing.B) {
 	const nrows = 20000
 	fs, desc, segFiles := writeIntsTable(b, nrows)
-	tree := sfpTree(desc, segFiles)
-	b.Run("batch", func(b *testing.B) {
-		ctx := &Context{Segment: 0, FS: fs}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := Drain(nil, mustBuild(b, ctx, tree), func(types.Row) error { n++; return nil }); err != nil {
-				b.Fatal(err)
+	colK := &expr.ColRef{Idx: 0, K: types.KindInt64}
+	colV := &expr.ColRef{Idx: 1, K: types.KindInt64}
+	for _, tc := range []struct {
+		name string
+		tree plan.Node
+	}{
+		{"batch", sfpTree(desc, segFiles)},
+		{"colproject", &plan.Project{
+			Input: &plan.Scan{Table: desc, Proj: []int{0, 1, 2}, SegFiles: segFiles, Schema: desc.Schema,
+				Filter: expr.NewBinOp(expr.OpLt, colV, expr.NewConst(types.NewInt64(48)))},
+			Exprs: []expr.Expr{colV, colK}, Schema: intsSchema("v", "k"),
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := &Context{Segment: 0, FS: fs}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if err := Drain(nil, mustBuild(b, ctx, tc.tree), func(types.Row) error { n++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+				if n == 0 {
+					b.Fatal("no rows")
+				}
 			}
-			if n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkHashAgg measures the hash aggregate's input consumption: a

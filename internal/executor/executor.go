@@ -169,7 +169,7 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &projectOp{in: in, exprs: v.Exprs}, nil
+		return newProjectOp(in, v.Exprs), nil
 	case *plan.HashJoin:
 		return newHashJoinOp(ctx, v)
 	case *plan.NestLoopJoin:

@@ -337,7 +337,7 @@ func (j *hashJoinOp) match() {
 		if p.rows == nil {
 			p.rows = types.GetBatch(0)
 		}
-		p.vb.Materialize(p.rows)
+		p.vb.Materialize(p.rows, nil)
 	}
 }
 

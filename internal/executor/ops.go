@@ -114,7 +114,7 @@ func (s *scanOp) NextBatch(b *types.Batch) (bool, error) {
 	if vb == nil {
 		return false, err
 	}
-	vb.Materialize(b)
+	vb.Materialize(b, nil)
 	types.PutVecBatch(vb)
 	return true, nil
 }
@@ -239,11 +239,35 @@ func (s *selectOp) NextBatch(b *types.Batch) (bool, error) {
 func (s *selectOp) Close() error { return s.in.Close() }
 
 // projectOp computes expressions, evaluating them over a reused scratch
-// batch into the caller's output batch.
+// batch into the caller's output batch. A Project of columns alone over a
+// vector source — a scan — instead pulls vectors and materializes only
+// the columns it keeps, straight into the caller's batch.
 type projectOp struct {
 	in      Operator
 	exprs   []expr.Expr
 	scratch *types.Batch
+	// vs is in as a vector source, and cols the column each output cell
+	// is, when every expression is a column.
+	vs   VecSource
+	cols []int
+}
+
+func newProjectOp(in Operator, exprs []expr.Expr) *projectOp {
+	p := &projectOp{in: in, exprs: exprs}
+	vs, ok := in.(VecSource)
+	if !ok {
+		return p
+	}
+	cols := make([]int, len(exprs))
+	for j, e := range exprs {
+		c, ok := e.(*expr.ColRef)
+		if !ok {
+			return p
+		}
+		cols[j] = c.Idx
+	}
+	p.vs, p.cols = vs, cols
+	return p
 }
 
 // Open implements Operator.
@@ -251,6 +275,21 @@ func (p *projectOp) Open() error { return p.in.Open() }
 
 // NextBatch implements Operator.
 func (p *projectOp) NextBatch(b *types.Batch) (bool, error) {
+	if p.vs != nil {
+		vb, err := p.vs.NextVecBatch()
+		if vb == nil {
+			return false, err
+		}
+		for _, c := range p.cols {
+			if w := len(vb.Cols); c >= w {
+				types.PutVecBatch(vb)
+				return false, fmt.Errorf("executor: column %d out of range (row width %d)", c, w)
+			}
+		}
+		vb.Materialize(b, p.cols)
+		types.PutVecBatch(vb)
+		return true, nil
+	}
 	if p.scratch == nil {
 		p.scratch = types.GetBatch(0)
 	}

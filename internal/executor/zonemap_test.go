@@ -18,9 +18,15 @@ import (
 // otherwise where the writer ends it.
 func writeCOTable(t testing.TB, fs *hdfs.FileSystem, oid int64, name string, schema *types.Schema, rows []types.Row, blockRows ...int) (*catalog.TableDesc, []catalog.SegFile) {
 	t.Helper()
+	return writeTableAs(t, fs, catalog.OrientColumn, oid, name, schema, rows, blockRows...)
+}
+
+// writeTableAs is writeCOTable in the given orientation.
+func writeTableAs(t testing.TB, fs *hdfs.FileSystem, orient string, oid int64, name string, schema *types.Schema, rows []types.Row, blockRows ...int) (*catalog.TableDesc, []catalog.SegFile) {
+	t.Helper()
 	desc := &catalog.TableDesc{
 		OID: oid, Name: name, Schema: schema,
-		Storage: catalog.StorageSpec{Orientation: catalog.OrientColumn, Codec: "quicklz"},
+		Storage: catalog.StorageSpec{Orientation: orient, Codec: "quicklz"},
 	}
 	sf := catalog.SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: fmt.Sprintf("/d/%d/0/1", oid)}
 	w, err := storage.NewWriter(fs, desc.Storage, schema, sf, hdfs.CreateOptions{})

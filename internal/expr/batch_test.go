@@ -76,7 +76,7 @@ func TestFilterBatchMatchesEvalBool(t *testing.T) {
 			}
 			b := types.GetBatch(0)
 			defer types.PutBatch(b)
-			vb.Materialize(b)
+			vb.Materialize(b, nil)
 			if b.Len() != len(want) {
 				t.Fatalf("kept %d rows, want %d", b.Len(), len(want))
 			}

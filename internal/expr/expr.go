@@ -8,6 +8,7 @@ package expr
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"hawq/internal/types"
 )
@@ -312,11 +313,31 @@ func (i *IsNull) String() string {
 	return fmt.Sprintf("(%s IS NULL)", i.E)
 }
 
-// Like implements the SQL LIKE predicate with % and _ wildcards.
+// Like implements the SQL LIKE predicate: '%' matches any run of
+// characters, '_' one character (one byte of a BYTEA), and a backslash
+// makes the character after it literal, as in PostgreSQL. NewLike is the
+// binder's constructor.
 type Like struct {
 	E       Expr
 	Pattern string
 	Negate  bool
+}
+
+// NewLike binds "e [NOT] LIKE pattern", refusing what PostgreSQL
+// refuses: an operand of a known kind other than TEXT or BYTEA, and a
+// pattern that ends in a lone escape.
+func NewLike(e Expr, pattern string, negate bool) (*Like, error) {
+	if k := e.Kind(); k != types.KindString && k != types.KindBytes && k != types.KindNull {
+		return nil, fmt.Errorf("operator does not exist: %s LIKE TEXT", k)
+	}
+	for i := 0; i < len(pattern); i++ {
+		if pattern[i] == '\\' {
+			if i++; i == len(pattern) {
+				return nil, fmt.Errorf("LIKE pattern must not end with escape character")
+			}
+		}
+	}
+	return &Like{E: e, Pattern: pattern, Negate: negate}, nil
 }
 
 // Eval implements Expr.
@@ -325,7 +346,7 @@ func (l *Like) Eval(row types.Row) (types.Datum, error) {
 	if err != nil || v.IsNull() {
 		return types.Null, err
 	}
-	m := likeMatch(v.Str(), l.Pattern)
+	m := likeMatch(v.Str(), l.Pattern, v.K == types.KindBytes)
 	return types.NewBool(m != l.Negate), nil
 }
 
@@ -341,14 +362,16 @@ func (l *Like) String() string {
 	return fmt.Sprintf("(%s %s '%s')", l.E, op, l.Pattern)
 }
 
-// likeMatch matches s against a SQL LIKE pattern. A pattern without '_'
-// is literal runs between '%'s: the first run must start s, the last end
-// it, and each one between is found leftmost after the one before — the
-// leftmost match leaves the most of s to the runs after it, so no
-// backtracking is needed. A pattern with '_' takes likeBacktrack.
-func likeMatch(s, pat string) bool {
-	if strings.IndexByte(pat, '_') >= 0 {
-		return likeBacktrack(s, pat)
+// likeMatch matches s against a LIKE pattern, by UTF-8 character or, when
+// bytes is set (a BYTEA), by byte: the one matcher of the row path and the
+// filter kernel. A pattern without '_' or an escape is literal runs
+// between '%'s: the first run must start s, the last end it, and each one
+// between is found leftmost after the one before — the leftmost match
+// leaves the most of s to the runs after it, so no backtracking is
+// needed. Any other pattern takes likeBacktrack.
+func likeMatch(s, pat string, bytes bool) bool {
+	if strings.IndexByte(pat, '_') >= 0 || strings.IndexByte(pat, '\\') >= 0 {
+		return likeBacktrack(s, pat, bytes)
 	}
 	i := strings.IndexByte(pat, '%')
 	if i < 0 {
@@ -374,26 +397,50 @@ func likeMatch(s, pat string) bool {
 	}
 }
 
-// likeBacktrack matches s against a SQL LIKE pattern using a two-pointer
-// scan with backtracking on '%' (the classic wildcard algorithm).
-func likeBacktrack(s, pat string) bool {
+// likeBacktrack is the classic two-pointer wildcard scan, backtracking to
+// the last '%': that '%' takes one more character of s and the rest of
+// the pattern is tried again from there. A '_', and a '%' growing, step
+// over a whole character (a byte when bytes is set); a literal, escaped or
+// not, matches byte for byte, which keeps to character boundaries because
+// no UTF-8 character starts with a continuation byte.
+func likeBacktrack(s, pat string, bytes bool) bool {
+	char := func(at int) int {
+		if bytes || s[at] < utf8.RuneSelf {
+			return 1
+		}
+		_, n := utf8.DecodeRuneInString(s[at:])
+		return n
+	}
 	si, pi := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			star, mark = pi, si
-			pi++
-		case star >= 0:
-			mark++
-			si = mark
-			pi = star + 1
-		default:
+		if pi < len(pat) {
+			switch c := pat[pi]; {
+			case c == '%':
+				star, mark = pi, si
+				pi++
+				continue
+			case c == '_':
+				si += char(si)
+				pi++
+				continue
+			case c == '\\' && pi+1 < len(pat):
+				if pat[pi+1] == s[si] {
+					si++
+					pi += 2
+					continue
+				}
+			case c == s[si]:
+				si++
+				pi++
+				continue
+			}
+		}
+		if star < 0 {
 			return false
 		}
+		mark += char(mark)
+		si, pi = mark, star+1
 	}
 	for pi < len(pat) && pat[pi] == '%' {
 		pi++

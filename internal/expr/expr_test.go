@@ -1,9 +1,11 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 
 	"hawq/internal/clock"
 	"hawq/internal/types"
@@ -72,7 +74,10 @@ func TestThreeValuedLogic(t *testing.T) {
 	}
 }
 
+// TestLikeMatching: LIKE as PostgreSQL answers it, '_' one character of
+// TEXT and one byte of a BYTEA, a backslash escaping the next character.
 func TestLikeMatching(t *testing.T) {
+	bs := func(s string) *Const { return NewConst(types.NewBytes([]byte(s))) }
 	cases := []struct {
 		s, pat string
 		want   bool
@@ -90,11 +95,22 @@ func TestLikeMatching(t *testing.T) {
 		{"forest green metallic", "%green%", true},
 		{"abc", "abc%def", false},
 		{"aXbXc", "a%b%c", true},
+		{"é", "_", true}, {"aé", "a_", true}, {"aé", "a__", false}, {"日本", "__", true},
+		{"a%b", `a\%b`, true}, {"a_b", `a\_b`, true}, {"axb", `a\%b`, false}, {"axb", `a\_b`, false},
+		{`a\b`, `a\\b`, true}, {"ab", `a\b`, true}, {"100%", `%\%`, true}, {"100", `%\%`, false},
 	}
 	for _, c := range cases {
 		e := &Like{E: cs(c.s), Pattern: c.pat}
 		if got := mustEval(t, e, nil).Bool(); got != c.want {
 			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.pat, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		s, pat string
+		want   bool
+	}{{"é", "_", false}, {"é", "__", true}, {"aé", "a__", true}} {
+		if got := mustEval(t, &Like{E: bs(c.s), Pattern: c.pat}, nil).Bool(); got != c.want {
+			t.Errorf("BYTEA %q LIKE %q = %v, want %v", c.s, c.pat, got, c.want)
 		}
 	}
 	neg := &Like{E: cs("abc"), Pattern: "a%", Negate: true}
@@ -106,40 +122,62 @@ func TestLikeMatching(t *testing.T) {
 	}
 }
 
-// refLike is the matcher likeMatch replaced for '%'-only patterns, kept
-// here as the reference it must agree with.
-func refLike(s, pat string) bool {
-	si, pi := 0, 0
-	star, mark := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			star, mark = pi, si
-			pi++
-		case star >= 0:
-			mark++
-			si = mark
-			pi = star + 1
-		default:
-			return false
+// refLike is LIKE by its definition, for likeMatch to agree with: the
+// pattern as tokens (a '%', a '_', a literal character, escaped or not),
+// s as characters — runes, or bytes when bytes is set — and the set of
+// positions of s each prefix of the tokens can reach.
+func refLike(s, pat string, bytes bool) bool {
+	// split cuts x into characters, each escape kept with the one after
+	// it when esc is set.
+	split := func(x string, esc bool) []string {
+		var out []string
+		for i := 0; i < len(x); {
+			j := i
+			if esc && x[j] == '\\' && j+1 < len(x) {
+				j++
+			}
+			n := 1
+			if !bytes {
+				_, n = utf8.DecodeRuneInString(x[j:])
+			}
+			out = append(out, x[i:j+n])
+			i = j + n
 		}
+		return out
 	}
-	for pi < len(pat) && pat[pi] == '%' {
-		pi++
+	chars := split(s, false)
+	at := make([]bool, len(chars)+1)
+	at[0] = true
+	for _, tok := range split(pat, true) {
+		next := make([]bool, len(chars)+1)
+		for i, ok := range at {
+			switch {
+			case !ok:
+			case tok == "%":
+				for j := i; j <= len(chars); j++ {
+					next[j] = true
+				}
+			case i == len(chars):
+			case tok == "_" || strings.TrimPrefix(tok, "\\") == chars[i]:
+				next[i+1] = true
+			}
+		}
+		at = next
 	}
-	return pi == len(pat)
+	return at[len(chars)]
 }
 
-// TestLikeMatchesBacktracking holds likeMatch to the backtracking matcher:
-// the listed corner cases, then every string over {a, b} and every
-// pattern over {a, b, %, _} up to length five.
+// TestLikeMatchesBacktracking holds likeMatch, and the backtracking scan
+// it takes for a pattern with a '_' or an escape, to refLike: the listed
+// corner cases, then every string over {a, b, é} up to length four
+// against every pattern over {a, é, %, _, \} up to length five that
+// NewLike takes, as TEXT and as BYTEA.
 func TestLikeMatchesBacktracking(t *testing.T) {
 	check := func(s, pat string) {
-		if got, want := likeMatch(s, pat), refLike(s, pat); got != want {
-			t.Errorf("%q LIKE %q = %v, the backtracking matcher says %v", s, pat, got, want)
+		for _, bytes := range []bool{false, true} {
+			if got, want := likeMatch(s, pat, bytes), refLike(s, pat, bytes); got != want {
+				t.Errorf("%q LIKE %q (bytes %v) = %v, by definition %v", s, pat, bytes, got, want)
+			}
 		}
 	}
 	for _, c := range [][2]string{
@@ -148,25 +186,52 @@ func TestLikeMatchesBacktracking(t *testing.T) {
 		{"aaa", "%aa%aa%"}, {"aaaa", "%aa%aa%"}, {"aaa", "aa%aa"}, {"aaa", "a%a%a"},
 		{"special packages requests", "%special%requests%"}, {"requests special", "%special%requests%"},
 		{"abc", "_b%"}, {"abc", "%_c"}, {"abc", "a_%_"}, {"ab", "%_%_%_%"}, {"xaby", "%a_y"},
+		{"a%b", `a\%b`}, {"axb", `a\%b`}, {"a_b", `a\_b`}, {`a\b`, `a\\b`}, {"ab", `a\b`}, {"%", `%\%`},
+		{"é", "_"}, {"aé", "a_"}, {"éé", "_"}, {"日本語", "__語"}, {"日本語", "%本_"},
 	} {
 		check(c[0], c[1])
 	}
 	var strs, pats []string
-	var grow func(cur string, alphabet string, n int, out *[]string)
-	grow = func(cur, alphabet string, n int, out *[]string) {
+	var grow func(cur string, alphabet []string, n int, out *[]string)
+	grow = func(cur string, alphabet []string, n int, out *[]string) {
 		*out = append(*out, cur)
 		if n == 0 {
 			return
 		}
-		for i := range alphabet {
-			grow(cur+alphabet[i:i+1], alphabet, n-1, out)
+		for _, c := range alphabet {
+			grow(cur+c, alphabet, n-1, out)
 		}
 	}
-	grow("", "ab", 5, &strs)
-	grow("", "ab%_", 5, &pats)
-	for _, s := range strs {
-		for _, pat := range pats {
+	grow("", []string{"a", "b", "é"}, 4, &strs)
+	grow("", []string{"a", "é", "%", "_", `\`}, 5, &pats)
+	for _, pat := range pats {
+		if _, err := NewLike(cs(""), pat, false); err != nil {
+			continue
+		}
+		for _, s := range strs {
 			check(s, pat)
+		}
+	}
+}
+
+// TestNewLikeRefuses: the binder's constructor refuses a pattern that
+// ends in a lone escape and an operand of a known kind that is not a
+// string, and takes a string, a BYTEA and an operand of no known kind.
+func TestNewLikeRefuses(t *testing.T) {
+	for _, pat := range []string{`\`, `a\`, `a\\\`} {
+		if _, err := NewLike(cs("a"), pat, false); err == nil || !strings.Contains(err.Error(), "must not end with escape character") {
+			t.Errorf("LIKE '%s': %v, want the lone-escape error", pat, err)
+		}
+	}
+	for _, e := range []Expr{ci(12), NewConst(types.NewDate(1)), NewConst(types.NewFloat64(1.5)),
+		NewConst(types.NewDecimal(15, 1)), NewConst(types.NewBool(true))} {
+		if _, err := NewLike(e, "%", false); err == nil || !strings.Contains(err.Error(), "operator does not exist") {
+			t.Errorf("%s LIKE '%%': %v, want operator does not exist", e, err)
+		}
+	}
+	for _, e := range []Expr{cs("x"), NewConst(types.NewBytes([]byte("x"))), NewConst(types.Null), &Param{K: types.KindNull}} {
+		if _, err := NewLike(e, `%\%`, false); err != nil {
+			t.Errorf("%s LIKE '%%': %v", e, err)
 		}
 	}
 }
@@ -392,11 +457,11 @@ func TestQuickLikeSelfMatch(t *testing.T) {
 	f := func(s string) bool {
 		clean := ""
 		for _, r := range s {
-			if r != '%' && r != '_' {
+			if r != '%' && r != '_' && r != '\\' {
 				clean += string(r)
 			}
 		}
-		return likeMatch(clean, clean) && likeMatch(clean, clean+"%") && likeMatch(clean, "%"+clean)
+		return likeMatch(clean, clean, false) && likeMatch(clean, clean+"%", false) && likeMatch(clean, "%"+clean, false)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

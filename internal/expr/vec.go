@@ -131,11 +131,13 @@ func (c ColCmp) MayMatch(lo, hi types.Datum) bool {
 func (c ColCmp) Admits(d types.Datum) bool { return c.MayMatch(d, d) }
 
 // filterStep is one kernel of a compiled filter: a column against a
-// constant (r < 0) or against another column.
+// constant (r < 0), against another column, or — like set — against a
+// LIKE pattern.
 type filterStep struct {
-	cmp ColCmp
-	r   int
-	// e is the comparison as an expression, for the batch whose vectors
+	cmp  ColCmp
+	r    int
+	like *Like
+	// e is the conjunct as an expression, for the batch whose vectors
 	// the kernel cannot take; a comparison with a constant builds it
 	// when that batch comes.
 	e Expr
@@ -143,11 +145,11 @@ type filterStep struct {
 
 // VecFilter is a predicate compiled once per operator to run over vec
 // batches. Conjuncts that compare a column with a constant or with
-// another column are kernels: tight loops over the typed entries of a
-// flat vector, one verdict per run or per dictionary entry otherwise.
-// Every other conjunct (OR, LIKE, IN, CASE, IS NULL, builtins over
-// columns), and a kernel conjunct on a batch whose vectors are not of
-// the kinds the kernel was built for, is evaluated row by row over the
+// another column, and a column's LIKE, are kernels: tight loops over the
+// typed entries of a flat vector, one verdict per run or per dictionary
+// entry otherwise. Every other conjunct (OR, IN, CASE, IS NULL, builtins
+// over columns), and a kernel conjunct on a batch whose vectors are not
+// of the kinds the kernel was built for, is evaluated row by row over the
 // rows the kernels left, through a scratch Row. Nothing is materialized
 // either way. A VecFilter holds scratch and serves one goroutine.
 type VecFilter struct {
@@ -182,6 +184,12 @@ func CompileFilter(pred Expr) *VecFilter {
 			}
 			f.steps = f.steps[:n]
 		}
+		if l, ok := c.(*Like); ok {
+			if col, ok := l.E.(*ColRef); ok {
+				f.steps = append(f.steps, filterStep{cmp: ColCmp{Col: col.Idx}, r: -1, like: l, e: c})
+				continue
+			}
+		}
 		if bo, ok := c.(*BinOp); ok && bo.Op.IsComparison() {
 			l, lok := bo.L.(*ColRef)
 			r, rok := bo.R.(*ColRef)
@@ -203,7 +211,7 @@ func CompileFilter(pred Expr) *VecFilter {
 func (f *VecFilter) Cmps() []ColCmp {
 	var out []ColCmp
 	for _, st := range f.steps {
-		if st.r < 0 {
+		if st.r < 0 && st.like == nil {
 			out = append(out, st.cmp)
 		}
 	}
@@ -233,7 +241,16 @@ func (f *VecFilter) Apply(vb *types.VecBatch) error {
 		}
 		st := &f.steps[i]
 		if st.cmp.Col < len(vb.Cols) && st.r < len(vb.Cols) {
-			if st.r < 0 && cmpConst(vb, st.cmp) || st.r >= 0 && cmpCols(vb, st.cmp.Col, st.r, st.cmp.Op) {
+			var done bool
+			switch {
+			case st.like != nil:
+				done = likeCol(vb, st.cmp.Col, st.like)
+			case st.r < 0:
+				done = cmpConst(vb, st.cmp)
+			default:
+				done = cmpCols(vb, st.cmp.Col, st.r, st.cmp.Op)
+			}
+			if done {
 				continue
 			}
 		}
@@ -346,6 +363,20 @@ func cmpConst(vb *types.VecBatch, c ColCmp) bool {
 	default:
 		return false
 	}
+	return true
+}
+
+// likeCol runs the kernel of a column's LIKE: the matcher once per run,
+// dictionary entry or surviving row of a flat column, NULL passing
+// neither LIKE nor NOT LIKE. It reports false for a vector whose entries
+// are not all of one string kind.
+func likeCol(vb *types.VecBatch, col int, l *Like) bool {
+	v := &vb.Cols[col]
+	if v.Class() != types.ClassStr {
+		return false
+	}
+	bytes := v.Kind == types.KindBytes
+	vb.Narrow(col, func(e int) bool { return !v.Null(e) && likeMatch(v.Text(e), l.Pattern, bytes) != l.Negate })
 	return true
 }
 

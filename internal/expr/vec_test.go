@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hawq/internal/testutil"
@@ -59,7 +60,7 @@ func rowAt(cols [][]types.Datum, r int) types.Row {
 
 // wantSel is the row semantics of a filter: the rows of sel (nil: all)
 // for which EvalBool says true.
-func wantSel(t *testing.T, pred Expr, cols [][]types.Datum, sel []int32) []int32 {
+func wantSel(t testing.TB, pred Expr, cols [][]types.Datum, sel []int32) []int32 {
 	t.Helper()
 	out := []int32{}
 	keep := func(r int32) {
@@ -168,7 +169,7 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 		// Reference: materialize everything, then an EvalBool loop.
 		vbRef := testutil.VecBatch(cols, colEnc)
 		ref := types.GetBatch(0)
-		vbRef.Materialize(ref)
+		vbRef.Materialize(ref, nil)
 		types.PutVecBatch(vbRef)
 		kept := 0
 		for i := 0; i < ref.Len(); i++ {
@@ -189,7 +190,7 @@ func TestFilterVecMatchesFilterBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := types.GetBatch(0)
-		vb.Materialize(got)
+		vb.Materialize(got, nil)
 		types.PutVecBatch(vb)
 
 		if got.Len() != ref.Len() {
@@ -354,6 +355,15 @@ func kernelColumns(rng *rand.Rand, n int) (names []string, cols map[string][]typ
 		{"numbers", func(int) types.Datum {
 			return []types.Datum{types.NewInt64(24), types.NewFloat64(23.5), types.NewDecimal(2450, 2)}[rng.Intn(3)]
 		}},
+		{"text", func(int) types.Datum { return types.NewString(likeTexts[rng.Intn(len(likeTexts))]) }},
+		{"bytea", func(int) types.Datum { return types.NewBytes([]byte(likeTexts[rng.Intn(len(likeTexts))])) }},
+		{"strs", func(i int) types.Datum {
+			s := likeTexts[rng.Intn(len(likeTexts))]
+			if i%3 == 0 {
+				return types.NewBytes([]byte(s))
+			}
+			return types.NewString(s)
+		}},
 	}
 	cols = map[string][]types.Datum{}
 	for _, c := range gen {
@@ -369,6 +379,16 @@ func kernelColumns(rng *rand.Rand, n int) (names []string, cols map[string][]typ
 	}
 	return names, cols
 }
+
+// likeTexts are the values of the LIKE test columns: multibyte text,
+// wildcards and escapes as data, and comment-like text.
+var likeTexts = []string{"", "a", "é", "aé", "a%b", "a_b", "axb", `a\b`, "日本語", "special requests",
+	"quickly special foxes sleep. requests", "requests special"}
+
+// likePatterns are the patterns the LIKE kernel is held to the row path
+// over: prefix, suffix, infix runs, '_', escapes and the empty pattern.
+var likePatterns = []string{"", "%", "a%", "%b", "%a%b%", "_", "a_", "_é%", "__", `a\%b`, `%\_%`, `a\\b`,
+	"%special%requests%", "é%", "%語", "%日_語"}
 
 // kindOf is the kind of a test column's non-NULL values (KindNull:
 // several, or none).
@@ -484,6 +504,19 @@ func TestKernelsMatchRowSemantics(t *testing.T) {
 			}
 			for _, op := range ops {
 				checkFilter(&BinOp{Op: op, L: col, R: &ColRef{Idx: 1, Name: other}}, [][]types.Datum{vals, cols[other]})
+			}
+		}
+	}
+
+	// LIKE and NOT LIKE over every column that holds only strings, bytes
+	// and NULLs: typed, Mixed and all-NULL vectors.
+	for _, name := range names {
+		if !eachPair(cols[name], cols[name], func(a, _ types.Kind) bool { return a == types.KindString || a == types.KindBytes }) {
+			continue
+		}
+		for _, pat := range likePatterns {
+			for _, neg := range []bool{false, true} {
+				checkFilter(&Like{E: &ColRef{Idx: 0, Name: name}, Pattern: pat, Negate: neg}, [][]types.Datum{cols[name]})
 			}
 		}
 	}
@@ -725,27 +758,54 @@ func benchColumn(kind string, n int) ([]types.Datum, types.Datum) {
 	return vals, vals[n/2]
 }
 
+// benchComments returns n comment-like texts that repeat in runs of 64,
+// about one in three holding "special" before "requests".
+func benchComments(n int) []types.Datum {
+	words := []string{"quickly", "special", "final", "requests", "deposits", "among", "the", "carefully", "ironic", "packages"}
+	vals := make([]types.Datum, n)
+	for i := range vals {
+		rng := rand.New(rand.NewSource(int64(i / 64)))
+		var b strings.Builder
+		for w := 0; w < 6+rng.Intn(6); w++ {
+			b.WriteString(words[rng.Intn(len(words))])
+			b.WriteByte(' ')
+		}
+		vals[i] = types.NewString(b.String())
+	}
+	return vals
+}
+
 // BenchmarkVecFilter times one col < const kernel over 4 096 rows of
-// each kind in each encoding; about half the rows pass.
+// each kind in each encoding, about half the rows passing, and the LIKE
+// kernel over comment-like text with Q13's pattern.
 func BenchmarkVecFilter(b *testing.B) {
 	const n = 4096
+	run := func(name string, vals []types.Datum, enc types.VecEnc, pred Expr) {
+		want := len(wantSel(b, pred, [][]types.Datum{vals}, nil))
+		b.Run(name, func(b *testing.B) {
+			vb := testutil.VecBatch([][]types.Datum{vals}, []types.VecEnc{enc})
+			defer types.PutVecBatch(vb)
+			f := CompileFilter(pred)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vb.Sel = nil
+				if err := f.Apply(vb); err != nil || vb.SelCount() != want {
+					b.Fatalf("kept %d rows, want %d, err %v", vb.SelCount(), want, err)
+				}
+			}
+		})
+	}
+	encs := []string{"flat", "rle", "dict"}
 	for _, kind := range []string{"int", "date", "decimal", "string"} {
 		vals, mid := benchColumn(kind, n)
-		for i, enc := range []string{"flat", "rle", "dict"} {
-			b.Run(kind+"/"+enc, func(b *testing.B) {
-				vb := testutil.VecBatch([][]types.Datum{vals}, []types.VecEnc{vecEncs[i]})
-				defer types.PutVecBatch(vb)
-				f := CompileFilter(&BinOp{Op: OpLt, L: &ColRef{Idx: 0}, R: &Const{D: mid}})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					vb.Sel = nil
-					if err := f.Apply(vb); err != nil || vb.SelCount() != n/2 {
-						b.Fatalf("kept %d rows, err %v", vb.SelCount(), err)
-					}
-				}
-			})
+		for i, enc := range encs {
+			run(kind+"/"+enc, vals, vecEncs[i], &BinOp{Op: OpLt, L: &ColRef{Idx: 0}, R: &Const{D: mid}})
 		}
+	}
+	comments := benchComments(n)
+	for i, enc := range encs {
+		run("like/"+enc, comments, vecEncs[i], &Like{E: &ColRef{Idx: 0}, Pattern: "%special%requests%"})
 	}
 }
 
@@ -805,6 +865,38 @@ func TestKernelsTakeWhatTheyShould(t *testing.T) {
 				t.Errorf("%s <= %v (enc %d): kernel %v, want %v", tc.col, tc.val, enc, got, tc.kernel)
 			}
 			types.PutVecBatch(vb)
+		}
+	}
+	// A column's LIKE is a kernel over a vector of one string kind; a
+	// Mixed or all-NULL one is left to the row path.
+	for _, tc := range []struct {
+		col    string
+		kernel bool
+	}{
+		{"string", true}, {"string?", true}, {"text", true}, {"bytea?", true}, {"strs", false}, {"text!", false},
+	} {
+		for _, enc := range vecEncs {
+			vb := testutil.VecBatch([][]types.Datum{cols[tc.col]}, []types.VecEnc{enc})
+			if got := likeCol(vb, 0, &Like{E: &ColRef{Idx: 0}, Pattern: "a%"}); got != tc.kernel {
+				t.Errorf("%s LIKE 'a%%' (enc %d): kernel %v, want %v", tc.col, enc, got, tc.kernel)
+			}
+			types.PutVecBatch(vb)
+		}
+	}
+	comment := &ColRef{Idx: 0, Name: "o_comment", K: types.KindString}
+	if f := CompileFilter(&Like{E: comment, Pattern: "%special%requests%", Negate: true}); f.Residual() != nil || len(f.Cmps()) != 0 {
+		t.Errorf("o_comment NOT LIKE '%%special%%requests%%': residual %v, zone-map comparisons %v", f.Residual(), f.Cmps())
+	}
+	upper, err := NewFuncCall("upper", []Expr{comment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Expr{
+		&Like{E: upper, Pattern: "%SPECIAL%"},
+		NewBinOp(OpOr, &Like{E: comment, Pattern: "a%"}, NewBinOp(OpEq, comment, NewConst(types.NewString("b")))),
+	} {
+		if CompileFilter(e).Residual() == nil {
+			t.Errorf("%s was taken by a kernel", e)
 		}
 	}
 	for _, tc := range []struct {

@@ -225,12 +225,12 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 					return nil, err
 				}
 				if c, isConst := bound.(*expr.Const); isConst && c.D.K == types.KindString {
-					return &expr.Like{E: inner, Pattern: c.D.S, Negate: v.Negate}, nil
+					return bindLike(inner, c.D.S, v.Negate)
 				}
 			}
 			return nil, fmt.Errorf("planner: LIKE pattern must be a string literal")
 		}
-		return &expr.Like{E: inner, Pattern: pat.S, Negate: v.Negate}, nil
+		return bindLike(inner, pat.S, v.Negate)
 	case *sqlparser.InExpr:
 		if v.Sub != nil {
 			return nil, fmt.Errorf("planner: IN subquery not valid here (handled as a join)")
@@ -322,6 +322,15 @@ func (b *binder) bindCompared(e sqlparser.Expr, vals []sqlparser.Expr) ([]expr.E
 		_, xs[1+i] = coerceComparison(xs[0], xs[1+i])
 	}
 	return xs, nil
+}
+
+// bindLike builds "inner [NOT] LIKE pattern" with expr.NewLike's checks.
+func bindLike(inner expr.Expr, pattern string, negate bool) (expr.Expr, error) {
+	l, err := expr.NewLike(inner, pattern, negate)
+	if err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
+	}
+	return l, nil
 }
 
 // decimalText returns e, a numeric literal written without an exponent,

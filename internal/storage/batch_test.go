@@ -240,7 +240,7 @@ func benchEncodedFilter(b *testing.B, orientation string) {
 				if vb.SelCount() == 0 {
 					return nil
 				}
-				vb.Materialize(out)
+				vb.Materialize(out, nil)
 				n += out.Len()
 				return nil
 			})
@@ -341,7 +341,7 @@ func benchWideScan(b *testing.B, orientation, name string, proj []int) {
 		out := types.GetBatch(0)
 		err := cache.ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
 			defer types.PutVecBatch(vb)
-			vb.Materialize(out)
+			vb.Materialize(out, nil)
 			n += out.Len()
 			return nil
 		})

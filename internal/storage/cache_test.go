@@ -440,7 +440,7 @@ func TestCacheCapacity(t *testing.T) {
 					}
 					b := types.GetBatch(0)
 					defer types.PutBatch(b)
-					vb.Materialize(b)
+					vb.Materialize(b, nil)
 					for r := 0; r < b.Len(); r++ {
 						if !reflect.DeepEqual(b.Row(r), want[i]) {
 							return fmt.Errorf("row %d = %v, want %v", i, b.Row(r), want[i])

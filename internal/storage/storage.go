@@ -178,7 +178,7 @@ func Scan(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, s
 func ScanBatches(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Schema, sf catalog.SegFile, proj []int, fn func(*types.Batch) error) error {
 	return ScanVecBatches(fs, spec, schema, sf, proj, nil, nil, func(vb *types.VecBatch) error {
 		b := types.GetBatch(0)
-		vb.Materialize(b)
+		vb.Materialize(b, nil)
 		types.PutVecBatch(vb)
 		return fn(b)
 	})

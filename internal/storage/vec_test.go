@@ -39,7 +39,7 @@ func scanAllCached(t *testing.T, c *BlockCache, fs *hdfs.FileSystem, spec catalo
 		b := types.GetBatch(0)
 		defer types.PutBatch(b)
 		defer types.PutVecBatch(vb)
-		vb.Materialize(b)
+		vb.Materialize(b, nil)
 		for i := 0; i < b.Len(); i++ {
 			out = append(out, b.Row(i).Clone())
 		}

@@ -648,19 +648,28 @@ func (r *RowReader) Row(i int) Row {
 	return r.row
 }
 
-// Materialize writes the surviving rows of every column into b as
-// Datums, resetting b first: the hand-off to the operators that consume
-// rows.
-func (vb *VecBatch) Materialize(b *Batch) {
-	b.Reset(len(vb.Cols))
+// Materialize writes the surviving rows of the columns cols lists (nil:
+// every column) into b as Datums, resetting b first: cell j of a row is
+// column cols[j]. It is the hand-off to the operators that consume rows;
+// one that keeps a few columns names them and pays for those alone.
+func (vb *VecBatch) Materialize(b *Batch, cols []int) {
+	width := len(cols)
+	if cols == nil {
+		width = len(vb.Cols)
+	}
+	b.Reset(width)
 	// Every column writes every surviving row's cell below, so the rows
 	// need no initializing.
 	b.extendRaw(vb.SelCount())
 	if b.n == 0 {
 		return
 	}
-	for j := range vb.Cols {
-		v := &vb.Cols[j]
+	for j := range width {
+		c := j
+		if cols != nil {
+			c = cols[j]
+		}
+		v := &vb.Cols[c]
 		if v.Enc == VecRLE && vb.Sel == nil {
 			// One Datum per run, copied down its rows.
 			out, i := b.arena[j:], 0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hawq/internal/testutil"
@@ -115,8 +116,9 @@ func TestVectorDecodeAllEncodings(t *testing.T) {
 	}
 }
 
-// TestMaterializeHonorsSelection checks Materialize, RowReader and
-// EntryIndex with and without a selection vector against a
+// TestMaterializeHonorsSelection checks Materialize — of every column,
+// and of a column list that drops, reorders and repeats them — RowReader
+// and EntryIndex with and without a selection vector against a
 // straightforward per-row reference, for every encoding and class.
 func TestMaterializeHonorsSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -131,31 +133,45 @@ func TestMaterializeHonorsSelection(t *testing.T) {
 		for _, enc := range allEncs {
 			for si, sel := range sels {
 				vb := GetVecBatch(2)
+				rev := slices.Clone(vals)
+				slices.Reverse(rev)
+				data := [][]Datum{vals, rev}
 				vb.Cols[0] = testutil.Vector(enc, vals)
-				vb.Cols[1] = testutil.Vector(VecFlat, vals)
+				vb.Cols[1] = testutil.Vector(VecFlat, rev)
 				vb.SetLen(len(vals))
 				if sel != nil {
 					vb.Sel = append(make([]int32, 0, len(sel)), sel...)
 				}
-				b := GetBatch(0)
-				vb.Materialize(b)
 				want := len(vals)
 				if sel != nil {
 					want = len(sel)
 				}
-				if b.Len() != want {
-					t.Fatalf("%s enc %d sel %d: got %d rows, want %d", name, enc, si, b.Len(), want)
+				b := GetBatch(0)
+				for _, cols := range [][]int{nil, {1, 0, 0}, {0}, {}} {
+					vb.Materialize(b, cols)
+					if cols == nil {
+						cols = []int{0, 1}
+					}
+					if b.Len() != want || b.Width() != len(cols) {
+						t.Fatalf("%s enc %d sel %d cols %v: got %d rows of %d cells, want %d", name, enc, si, cols, b.Len(), b.Width(), want)
+					}
+					for oi := 0; oi < b.Len(); oi++ {
+						ri := oi
+						if sel != nil {
+							ri = int(sel[oi])
+						}
+						for j, c := range cols {
+							if got := b.Row(oi)[j]; !sameDatums([]Datum{got}, data[c][ri:ri+1]) {
+								t.Errorf("%s enc %d sel %d cols %v row %d cell %d: got %v want %v", name, enc, si, cols, oi, j, got, data[c][ri])
+							}
+						}
+					}
 				}
 				rr.Reset(vb, []int{0})
-				for oi := 0; oi < b.Len(); oi++ {
+				for oi := 0; oi < want; oi++ {
 					ri := oi
 					if sel != nil {
 						ri = int(sel[oi])
-					}
-					for j := 0; j < 2; j++ {
-						if got := b.Row(oi)[j]; !sameDatums([]Datum{got}, vals[ri:ri+1]) {
-							t.Errorf("%s enc %d sel %d row %d col %d: got %v want %v", name, enc, si, oi, j, got, vals[ri])
-						}
 					}
 					row := rr.Row(oi)
 					if !sameDatums(row[:1], vals[ri:ri+1]) || !row[1].IsNull() {
