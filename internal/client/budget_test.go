@@ -57,7 +57,7 @@ func (l countingListener) Accept() (net.Conn, error) {
 // net.Conn.
 func countingServer(tb testing.TB) (*Server, *ioCounts) {
 	tb.Helper()
-	eng, err := engine.New(engine.Config{Segments: 4, SpillDir: tb.TempDir()})
+	eng, err := engine.New(engine.Config{Segments: 4})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -96,10 +96,11 @@ func pointTable(tb testing.TB, conn *Conn, n int) {
 }
 
 // TestServedStatementSyscallBudget pins what a served statement costs
-// the server in socket calls — counts, not times: the whole reply of a
-// statement is one write however many frames it has, pipelined Bind +
-// Execute are one read, and a large result still leaves through a
-// bounded buffer.
+// the server in socket calls and frames — counts, not times: a prepared
+// execution is one Execute frame, one read and one write, its reply four
+// frames, the whole reply of any statement is one write however many
+// frames it has, and a large result still leaves through a bounded
+// buffer.
 func TestServedStatementSyscallBudget(t *testing.T) {
 	srv, n := countingServer(t)
 	conn, err := Connect(srv.Addr())
@@ -125,12 +126,16 @@ func TestServedStatementSyscallBudget(t *testing.T) {
 			t.Fatalf("getv(%d) = %+v, %v", k, res, err)
 		}
 	})
-	// BindOK, Ready, RowDesc, DataRow, Complete, Ready: six frames.
 	if writes != stmts {
 		t.Errorf("%d prepared point statements cost %d socket writes, want one each", stmts, writes)
 	}
-	if reads > 2*stmts {
-		t.Errorf("%d pipelined Bind+Execute pairs cost %d socket reads, want at most two each", stmts, reads)
+	// One read per statement; the count may take in the read the server
+	// posts after the last reply.
+	if reads > stmts+1 {
+		t.Errorf("%d prepared point statements cost %d socket reads, want one each", stmts, reads)
+	}
+	if got := preparedReplyFrames(t, srv, 7); string(got) != string([]byte{MsgRowDesc, MsgDataRow, MsgComplete, MsgReady}) {
+		t.Errorf("a prepared point statement's reply is frames %q, want RowDesc, DataRow, Complete, Ready", got)
 	}
 
 	_, writes = measure(func(k int64) {
@@ -157,8 +162,43 @@ func TestServedStatementSyscallBudget(t *testing.T) {
 	}
 }
 
+// preparedReplyFrames prepares "getv" on a raw connection, executes it
+// for key k, and returns the type tags of the reply's frames.
+func preparedReplyFrames(t *testing.T, srv *Server, k int64) []byte {
+	t.Helper()
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	unit := func() []byte {
+		var tags []byte
+		for {
+			typ, payload, err := readMsg(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ == MsgError {
+				t.Fatalf("server: %s", payload)
+			}
+			if tags = append(tags, typ); typ == MsgReady {
+				return tags
+			}
+		}
+	}
+	unit() // greeting
+	if err := writeMsg(c, MsgParse, encodeParse("getv", "SELECT v FROM kv WHERE k = $1")); err != nil {
+		t.Fatal(err)
+	}
+	unit()
+	if err := writeMsg(c, MsgExecute, encodeExecute("getv", []types.Datum{types.NewInt64(k)})); err != nil {
+		t.Fatal(err)
+	}
+	return unit()
+}
+
 // BenchmarkServedPoint is a prepared point lookup through the serving
-// layer on loopback: Bind + Execute out, six reply frames back, a
+// layer on loopback: one Execute out, four reply frames back, a
 // direct dispatch to one QE in between. Beside the time it reports what
 // the statement cost in server socket writes and interconnect datagrams.
 func BenchmarkServedPoint(b *testing.B) {

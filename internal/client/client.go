@@ -164,8 +164,8 @@ func (c *Conn) readUnit() (*Result, error) {
 			cur.Rows = append(cur.Rows, row)
 		case MsgComplete:
 			cur.Tag = string(payload)
-		case MsgParseOK, MsgBindOK:
-			// Acknowledgements carry no data.
+		case MsgParseOK:
+			// The acknowledgement carries no data.
 		case MsgError:
 			serverErr = fmt.Errorf("server: %s", payload)
 		case MsgReady:
@@ -190,22 +190,12 @@ func (c *Conn) Prepare(name, sql string) error {
 }
 
 // ExecPrepared runs a prepared statement with the given argument
-// values, pipelining Bind and Execute in one round trip.
+// values: one Execute message out, one unit back.
 func (c *Conn) ExecPrepared(name string, args ...types.Datum) (*Result, error) {
-	if err := writeMsg(c.rw, MsgBind, encodeBind("", name, args)); err != nil {
-		return nil, err
-	}
-	if err := writeMsg(c.rw, MsgExecute, encodeExecute("")); err != nil {
+	if err := writeMsg(c.rw, MsgExecute, encodeExecute(name, args)); err != nil {
 		return nil, err
 	}
 	if err := c.rw.Flush(); err != nil {
-		return nil, err
-	}
-	// Two units come back: the bind acknowledgement, then the execution.
-	if _, err := c.readUnit(); err != nil {
-		// Drain the execute unit before surfacing the bind error.
-		//hawqcheck:ignore errdrop
-		c.readUnit()
 		return nil, err
 	}
 	return c.readUnit()

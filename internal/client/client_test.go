@@ -13,7 +13,7 @@ import (
 
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	eng, err := engine.New(engine.Config{Segments: 2, SpillDir: t.TempDir()})
+	eng, err := engine.New(engine.Config{Segments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

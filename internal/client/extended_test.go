@@ -115,15 +115,16 @@ func TestMalformedFramesDoNotCrashServer(t *testing.T) {
 		{byte(MsgParse), []byte{}},
 		{byte(MsgParse), []byte{0xff, 0xff, 0xff}},
 		{byte(MsgParse), []byte{200, 1, 2}}, // length prefix past the end
-		{byte(MsgBind), []byte{}},
-		{byte(MsgBind), []byte{0, 0}},             // empty names, no row
-		{byte(MsgBind), []byte{5, 'a', 'b'}},      // truncated portal name
-		{byte(MsgBind), []byte{0, 0, 0xff, 0xff}}, // garbage row
 		{byte(MsgExecute), []byte{}},
 		{byte(MsgExecute), []byte{9}},
-		{byte(MsgExecute), []byte{1, 'p', 'x'}}, // trailing junk
-		{byte(MsgCancel), []byte{1, 2, 3}},      // short key is ignored
-		{byte('@'), []byte("junk")},             // unknown type tag
+		{byte(MsgExecute), []byte{0}},                  // empty name, no row
+		{byte(MsgExecute), []byte{5, 'a', 'b'}},        // truncated statement name
+		{byte(MsgExecute), []byte{1, 's', 0xff, 0xff}}, // garbage row
+		{byte(MsgExecute), []byte{1, 's', 2, 0}},       // row shorter than its header
+		{byte(MsgExecute), []byte{1, 's', 0, 'x'}},     // trailing junk after the row
+		{byte(MsgExecute), encodeExecute("nosuch", nil)},
+		{byte(MsgCancel), []byte{1, 2, 3}}, // short key is ignored
+		{byte('@'), []byte("junk")},        // unknown type tag
 	}
 	for i, h := range hostile {
 		typ, payload := h[0].(byte), h[1].([]byte)

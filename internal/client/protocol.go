@@ -9,20 +9,23 @@
 //
 //	client → server:  'Q' simple query (SQL text)
 //	                  'P' parse (prepare a named statement from SQL)
-//	                  'B' bind (create a portal: named statement + args)
-//	                  'E' execute (run a portal)
+//	                  'E' execute (a prepared statement's name and the
+//	                      argument row to run it with)
 //	                  'X' terminate
 //	                  'F' cancel request (8-byte backend key; sent on a
 //	                      separate connection, as in PostgreSQL)
 //	server → client:  'K' backend key data (8-byte cancellation key),
 //	                  'T' row description, 'D' data row,
 //	                  'C' command complete (tag), '1' parse complete,
-//	                  '2' bind complete, 'E' error, 'Z' ready
+//	                  'E' error, 'Z' ready
 //
 // ('E' appears in both directions with different meanings, as a type
 // tag is only interpreted in the direction it travels.) Every client →
 // server message is answered by a unit of responses terminated by
-// ready, so the extended-protocol messages may be pipelined.
+// ready, so messages may be pipelined. A prepared execution is one
+// message and one unit: row description, data rows, complete, ready.
+// There are no portals: libpq clients only ever bind the unnamed one,
+// and binding it is what Execute's argument row does.
 package client
 
 import (
@@ -37,7 +40,6 @@ import (
 const (
 	MsgQuery      = 'Q'
 	MsgParse      = 'P'
-	MsgBind       = 'B'
 	MsgExecute    = 'E'
 	MsgTerminate  = 'X'
 	MsgCancel     = 'F'
@@ -46,7 +48,6 @@ const (
 	MsgDataRow    = 'D'
 	MsgComplete   = 'C'
 	MsgParseOK    = '1'
-	MsgBindOK     = '2'
 	MsgError      = 'E'
 	MsgReady      = 'Z'
 )
@@ -115,43 +116,27 @@ func decodeParse(buf []byte) (name, sql string, err error) {
 	return name, string(buf[n:]), nil
 }
 
-// encodeBind renders a Bind payload: portal name, statement name, then
-// the argument values as an encoded row.
-func encodeBind(portal, stmt string, args []types.Datum) []byte {
-	buf := appendString(nil, portal)
-	buf = appendString(buf, stmt)
-	return types.EncodeRow(buf, types.Row(args))
+// encodeExecute renders an Execute payload: the prepared statement's
+// name, then the argument values as an encoded row.
+func encodeExecute(stmt string, args []types.Datum) []byte {
+	return types.EncodeRow(appendString(nil, stmt), types.Row(args))
 }
 
-// decodeBind reverses encodeBind.
-func decodeBind(buf []byte) (portal, stmt string, args types.Row, err error) {
-	portal, n, err := readString(buf)
+// decodeExecute reverses encodeExecute. The argument row must end the
+// payload.
+func decodeExecute(buf []byte) (stmt string, args types.Row, err error) {
+	stmt, n, err := readString(buf)
 	if err != nil {
-		return "", "", nil, fmt.Errorf("client: bad bind message: %w", err)
+		return "", nil, fmt.Errorf("client: bad execute message: %w", err)
 	}
-	stmt, m, err := readString(buf[n:])
+	args, m, err := types.DecodeRow(buf[n:])
 	if err != nil {
-		return "", "", nil, fmt.Errorf("client: bad bind message: %w", err)
+		return "", nil, fmt.Errorf("client: bad execute message: %w", err)
 	}
-	args, _, err = types.DecodeRow(buf[n+m:])
-	if err != nil {
-		return "", "", nil, fmt.Errorf("client: bad bind message: %w", err)
+	if n+m != len(buf) {
+		return "", nil, fmt.Errorf("client: bad execute message: %d trailing bytes", len(buf)-n-m)
 	}
-	return portal, stmt, args, nil
-}
-
-// encodeExecute renders an Execute payload: the portal name.
-func encodeExecute(portal string) []byte {
-	return appendString(nil, portal)
-}
-
-// decodeExecute reverses encodeExecute.
-func decodeExecute(buf []byte) (string, error) {
-	portal, n, err := readString(buf)
-	if err != nil || n != len(buf) {
-		return "", fmt.Errorf("client: bad execute message")
-	}
-	return portal, nil
+	return stmt, args, nil
 }
 
 // encodeSchema renders a row description payload.

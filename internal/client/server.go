@@ -217,9 +217,6 @@ func (s *Server) serve(conn net.Conn) {
 	if err := bw.Flush(); err != nil {
 		return
 	}
-	// portals are the connection's bound statements (extended protocol);
-	// only the serve goroutine touches them.
-	portals := map[string]portalState{}
 	for {
 		typ, payload, err := readMsg(br)
 		if err != nil {
@@ -236,10 +233,8 @@ func (s *Server) serve(conn net.Conn) {
 			err = s.handleQuery(bw, cs.sess, string(payload))
 		case MsgParse:
 			err = s.handleParse(bw, cs.sess, payload)
-		case MsgBind:
-			err = s.handleBind(bw, portals, payload)
 		case MsgExecute:
-			err = s.handleExecute(bw, cs.sess, portals, payload)
+			err = s.handleExecute(bw, cs.sess, payload)
 		case MsgCancel:
 			// Cancel connections do their work and hang up.
 			if len(payload) == 8 {
@@ -260,13 +255,6 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// portalState is one bound portal: a prepared statement name plus the
-// argument values to run it with.
-type portalState struct {
-	stmt string
-	args types.Row
 }
 
 // cancelSession aborts the in-flight statement of the session holding
@@ -321,32 +309,14 @@ func (s *Server) handleParse(w *bufio.Writer, sess *engine.Session, payload []by
 	return writeMsg(w, MsgReady, nil)
 }
 
-// handleBind creates (or replaces) a portal binding argument values to
-// a prepared statement. Validation of the statement name and argument
-// count happens at execute time, where the engine resolves the portal.
-func (s *Server) handleBind(w *bufio.Writer, portals map[string]portalState, payload []byte) error {
-	portal, stmt, args, err := decodeBind(payload)
-	if err != nil {
-		return respondError(w, err)
+// handleExecute runs a prepared statement with the argument row the
+// message carries and streams its result.
+func (s *Server) handleExecute(w *bufio.Writer, sess *engine.Session, payload []byte) error {
+	stmt, args, err := decodeExecute(payload)
+	var res *engine.Result
+	if err == nil {
+		res, err = sess.ExecutePrepared(stmt, args...)
 	}
-	portals[portal] = portalState{stmt: stmt, args: args}
-	if err := writeMsg(w, MsgBindOK, nil); err != nil {
-		return err
-	}
-	return writeMsg(w, MsgReady, nil)
-}
-
-// handleExecute runs a bound portal and streams its result.
-func (s *Server) handleExecute(w *bufio.Writer, sess *engine.Session, portals map[string]portalState, payload []byte) error {
-	portal, err := decodeExecute(payload)
-	if err != nil {
-		return respondError(w, err)
-	}
-	ps, ok := portals[portal]
-	if !ok {
-		return respondError(w, fmt.Errorf("portal %q does not exist", portal))
-	}
-	res, err := sess.ExecutePrepared(ps.stmt, ps.args...)
 	if err != nil {
 		return respondError(w, err)
 	}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -494,9 +495,10 @@ func (c *Cluster) failover(s *Segment) error {
 }
 
 // queryNodeRes is one node's share of a query's workload-manager
-// resources: the memory account its operators reserve against and the
-// workfile store their spills land in. The zero value (both nil) means
-// the query runs unmanaged.
+// resources: the workfile store its operators' spills land in and, when
+// the query has a memory grant, the account they reserve against (nil
+// otherwise: an unlimited account would cost an atomic add per retained
+// row and limit nothing).
 type queryNodeRes struct {
 	mem  *resource.Account
 	work *resource.Store
@@ -530,9 +532,9 @@ type dispatch struct {
 	mu    sync.Mutex
 	res   QueryResult
 	qeErr error
-	// nodeRes is nil for unmanaged queries (no memory grant, no
-	// work_mem): their slices run with zero-valued resources.
-	nodeRes map[int]queryNodeRes
+	// nodeRes is indexed by segment ID + 1 (the QD first); an entry is
+	// filled when a slice first runs on its node.
+	nodeRes []queryNodeRes
 }
 
 func (d *dispatch) addUpdate(u executor.SegFileUpdate) {
@@ -548,23 +550,23 @@ func (d *dispatch) addStats(ss obs.SliceStats) {
 }
 
 // resFor returns segID's share of the query's workload-manager resources
-// (§2.1's resource manager): one memory account and one workfile store
-// per node, shared by all the query's slices on that node.
+// (§2.1's resource manager): one workfile store per node, shared by all
+// the query's slices on that node, and one memory account when the query
+// has a grant. A store creates nothing on disk until its first file.
 func (d *dispatch) resFor(segID int) queryNodeRes {
-	if d.nodeRes == nil {
-		return queryNodeRes{}
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	nr, ok := d.nodeRes[segID]
-	if !ok {
-		nr = queryNodeRes{
-			mem:  resource.NewAccount(d.p.MemGrant),
-			work: resource.NewStore(d.c.cfg.SpillDir, fmt.Sprintf("q%d-seg%d", d.query, segID)),
+	nr := &d.nodeRes[segID+1]
+	if nr.work == nil {
+		// "q<query>-seg<segment>", without fmt's two boxed arguments.
+		var b [40]byte
+		tag := strconv.AppendInt(append(strconv.AppendUint(append(b[:0], 'q'), d.query, 10), "-seg"...), int64(segID), 10)
+		nr.work = resource.NewStore(d.c.cfg.SpillDir, string(tag))
+		if d.p.MemGrant > 0 {
+			nr.mem = resource.NewAccount(d.p.MemGrant)
 		}
-		d.nodeRes[segID] = nr
 	}
-	return nr
+	return *nr
 }
 
 // cancel tears the whole query down: it unblocks every receiver so no
@@ -595,9 +597,8 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 		FS:              c.FS,
 		Net:             net,
 		External:        c.External,
-		SpillDir:        c.cfg.SpillDir,
+		Plan:            d.p,
 		Mem:             nr.mem,
-		WorkMem:         d.p.WorkMem,
 		Work:            nr.work,
 		OnSegFileUpdate: d.addUpdate,
 		LocalHost:       localHost,
@@ -640,19 +641,18 @@ func (c *Cluster) Dispatch(ctx context.Context, p *plan.Plan, onRow func(types.R
 			expr.BindClock(e, c.clk)
 		}
 	})
-	if p.MemGrant > 0 || p.WorkMem > 0 {
-		// Stores are torn down when the dispatch returns — normal
-		// completion, error, or cancel — so no spill files outlive the
-		// query.
-		d.nodeRes = map[int]queryNodeRes{}
-		defer func() {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			for _, nr := range d.nodeRes {
+	// Stores are torn down when the dispatch returns — normal
+	// completion, error, or cancel — so no spill files outlive the query.
+	d.nodeRes = make([]queryNodeRes, len(c.segments)+1)
+	defer func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for _, nr := range d.nodeRes {
+			if nr.work != nil {
 				nr.work.Cleanup()
 			}
-		}()
-	}
+		}
+	}()
 	// The instant the query context fires, cancel every interconnect
 	// stream so no slice stays blocked in a motion wait.
 	if ctx != nil {
@@ -741,7 +741,7 @@ func (d *dispatch) runQE(sliceID, segID int) error {
 		seg.mu.Unlock()
 	}
 	ectx := d.execContext(sliceID, segID, net, localHost)
-	if err := executor.RunSlice(ectx, d.p, sliceID); err != nil {
+	if err := executor.RunSlice(ectx, sliceID); err != nil {
 		return err
 	}
 	// Ship this slice's stats back to the QD, piggybacked on completion.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"hawq/internal/obs"
+	"hawq/internal/plan"
 	"hawq/internal/types"
 )
 
@@ -305,6 +307,56 @@ func TestDirectDispatchWhenKeyIsNotFirstOutput(t *testing.T) {
 			if len(res.Rows) != 1 || res.Rows[0][0].Str() != want {
 				t.Fatalf("%s = %v, want %s", sql, rowsString(res), want)
 			}
+		}
+	}
+}
+
+// TestCachedPointPlanRunsOneQE: one prepared point statement, planned
+// once and served from the plan cache, answers keys held by each of
+// four segments, and each execution runs a single QE — the bound value
+// pins the slice to the segment that holds it. A QE's stream to the QD
+// is two datagrams (TestShortStreamDatagrams); a four-segment gang
+// sends eight.
+func TestCachedPointPlanRunsOneQE(t *testing.T) {
+	e := newTestEngine(t, 4)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE kv (k INT8, v TEXT) DISTRIBUTED BY (k)")
+	keyOf := map[int]int64{} // segment → a key it holds
+	var vals []string
+	for k := int64(0); len(keyOf) < 4; k++ {
+		seg, err := plan.KeySegment([]plan.DirectKey{{Param: -1, Const: types.NewInt64(k)}}, nil, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := keyOf[seg]; !ok {
+			keyOf[seg] = k
+		}
+		vals = append(vals, fmt.Sprintf("(%d, 'v%d')", k, k))
+	}
+	mustExec(t, s, "INSERT INTO kv VALUES "+strings.Join(vals, ", "))
+	if err := s.Prepare("getv", "SELECT v FROM kv WHERE k = $1"); err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < 4; seg++ { // planned once, then cached; caches warm
+		if _, err := s.ExecutePrepared("getv", types.NewInt64(keyOf[seg])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seg := 0; seg < 4; seg++ {
+		k := keyOf[seg]
+		hits, sent := e.PlanCache().Stats().Hits, obs.Value("interconnect.udp_packets_sent")
+		res, err := s.ExecutePrepared("getv", types.NewInt64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("v%d", k); len(res.Rows) != 1 || res.Rows[0][0].Str() != want {
+			t.Fatalf("getv(%d) on segment %d = %v, want %s", k, seg, rowsString(res), want)
+		}
+		if got := e.PlanCache().Stats().Hits - hits; got != 1 {
+			t.Errorf("getv(%d): %d plan cache hits, want 1", k, got)
+		}
+		if got := obs.Value("interconnect.udp_packets_sent") - sent; got != 2 {
+			t.Errorf("getv(%d) on segment %d: %d datagrams, want the 2 of one QE", k, seg, got)
 		}
 	}
 }

@@ -201,8 +201,7 @@ func TestPipelinesMatchReference(t *testing.T) {
 			Input: valuesNode(intsSchema("k", "v"), seqRows(10000, func(i int) int64 { return int64((i * 7919) % 1000) })...),
 			Keys:  []plan.OrderKey{{Col: 1}},
 		}, true, func(t *testing.T) *Context {
-			ctx, _ := spillCtx(t, 1<<30)
-			ctx.SortMemRows = 2500
+			ctx, _ := spillCtx(t, runBudget(2500))
 			return ctx
 		}},
 	}
@@ -813,14 +812,12 @@ func BenchmarkMotionLoopback(b *testing.B) {
 			query := loopbackQuery.Add(1)
 			done := make(chan error, 1)
 			go func() {
-				motion := &plan.Motion{ID: 1, Type: plan.GatherMotion,
-					Input: valuesNode(schema, rows...), Receivers: []int{plan.QDSegment}}
-				ctx := &Context{Query: query, Segment: 0, Net: send}
-				p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0}}}}
-				done <- RunSlice(ctx, p, 1)
+				motion := &plan.Motion{ID: 1, Type: plan.GatherMotion, Input: valuesNode(schema, rows...)}
+				ctx := &Context{Query: query, Segment: 0, Net: send, Plan: motionPlan(motion, []int{0}, []int{plan.QDSegment})}
+				done <- RunSlice(ctx, 1)
 			}()
-			recv := &plan.MotionRecv{ID: 1, Senders: []int{0}, Schema: schema}
-			ctx := &Context{Query: query, Segment: plan.QDSegment, Net: recvNode}
+			recv := &plan.MotionRecv{ID: 1, Schema: schema}
+			ctx := &Context{Query: query, Segment: plan.QDSegment, Net: recvNode, Plan: motionPlan(nil, []int{0}, []int{plan.QDSegment})}
 			n := 0
 			if err := Drain(nil, mustBuild(b, ctx, recv), func(types.Row) error { n++; return nil }); err != nil {
 				b.Fatal(err)
@@ -864,9 +861,9 @@ func (n *sinkNode) Finish(data []byte) error { return n.Send(data) }
 func routeSlice(tb testing.TB, typ plan.MotionType, input *plan.Values) int {
 	tb.Helper()
 	net := &sinkNode{}
-	motion := &plan.Motion{ID: 1, Type: typ, HashCols: []int{0}, Input: input, Receivers: []int{0, 1, 2, 3}}
-	p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0}}}}
-	if err := RunSlice(&Context{Query: 1, Segment: 0, Net: net}, p, 1); err != nil {
+	motion := &plan.Motion{ID: 1, Type: typ, HashCols: []int{0}, Input: input}
+	p := motionPlan(motion, []int{0}, []int{0, 1, 2, 3})
+	if err := RunSlice(&Context{Query: 1, Segment: 0, Net: net, Plan: p}, 1); err != nil {
 		tb.Fatal(err)
 	}
 	return net.bytes

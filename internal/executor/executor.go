@@ -66,27 +66,22 @@ type Context struct {
 	Net interconnect.Node
 	// External resolves external-table scans (nil when unused).
 	External ExternalEngine
-	// SpillDir is the segment-local scratch directory under which a sort
-	// that spills without a workfile store (Work nil) makes its own;
-	// empty means os.TempDir().
-	SpillDir string
+	// Plan is the dispatched plan. Its slice table places every motion
+	// (a motion's senders are the gang of the slice it roots, its
+	// receivers the gang of that slice's parent), and its WorkMem is the
+	// per-operator soft budget in bytes (the work_mem session setting): a
+	// hash join build, hash agg table or sort buffer that grows past it
+	// switches to workfile spilling. nil (tests without motions) means a
+	// WorkMem of 0, which disables the soft trigger.
+	Plan *plan.Plan
 	// Mem is this node's share of the query's memory grant (nil =
 	// unlimited). Memory-hungry operators reserve their in-memory state
 	// against it; exhausting it surfaces as a clean out-of-memory error
 	// when spilling can't absorb the pressure.
 	Mem *resource.Account
-	// WorkMem is the per-operator soft budget in bytes (the work_mem
-	// session setting): a hash join build, hash agg table or sort buffer
-	// that grows past it switches to workfile spilling. 0 disables the
-	// soft trigger.
-	WorkMem int64
-	// Work is the query's workfile store on this node. nil disables
-	// budget-triggered spilling (operators then only honor the
-	// SortMemRows row-count trigger).
+	// Work is the query's workfile store on this node, where every spill
+	// lands. nil (tests) disables spilling.
 	Work *resource.Store
-	// SortMemRows caps in-memory sort buffers before a spill run is
-	// written (0 = default).
-	SortMemRows int
 	// OnSegFileUpdate receives piggybacked catalog changes from Insert.
 	OnSegFileUpdate func(SegFileUpdate)
 	// LocalHost is the DataNode collocated with this segment, used for
@@ -201,13 +196,12 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 	}
 }
 
-// RunSlice executes one slice to completion on this node, discarding
-// output (every non-top slice's root is a Motion whose side effect is
-// sending). The top slice is instead consumed through Build + Drain by
-// the dispatcher.
-func RunSlice(ctx *Context, p *plan.Plan, sliceID int) error {
-	s := p.Slices[sliceID]
-	op, err := Build(ctx, s.Root)
+// RunSlice executes slice sliceID of ctx.Plan to completion on this
+// node, discarding output (every non-top slice's root is a Motion whose
+// side effect is sending). The top slice is instead consumed through
+// Build + Drain by the dispatcher.
+func RunSlice(ctx *Context, sliceID int) error {
+	op, err := Build(ctx, ctx.Plan.Slices[sliceID].Root)
 	if err != nil {
 		return err
 	}

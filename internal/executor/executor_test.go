@@ -264,12 +264,13 @@ func TestHashAggGroupsAndScalar(t *testing.T) {
 	}
 }
 
-// TestSortWithSpill: a sort over its row limit with no query workfile
-// store spills its runs as workfiles of its own under SpillDir, and
-// leaves nothing there after Close.
+// TestSortWithSpill: a sort over work_mem spills its runs as workfiles
+// of the query's store, removes each in Close, and the store's teardown
+// leaves nothing on disk.
 func TestSortWithSpill(t *testing.T) {
 	dir := t.TempDir()
-	ctx := &Context{Segment: 0, SortMemRows: 100, SpillDir: dir}
+	st := resource.NewStore(dir, "sort")
+	ctx := &Context{Segment: 0, Work: st, Plan: &plan.Plan{WorkMem: runBudget(100)}}
 	var rows [][]int64
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, []int64{int64((i * 7919) % 1000), int64(i)})
@@ -289,8 +290,12 @@ func TestSortWithSpill(t *testing.T) {
 	if now, _ := resource.SpillStats(); now-files < 1000/100 {
 		t.Errorf("sort wrote %d workfiles, want a run per 100 rows", now-files)
 	}
+	if st.Live() != 0 {
+		t.Errorf("after Close: %d workfiles live", st.Live())
+	}
+	st.Cleanup()
 	if left, err := resource.Leftovers(dir); err != nil || len(left) > 0 {
-		t.Errorf("after Close: leftovers %v, %v", left, err)
+		t.Errorf("after teardown: leftovers %v, %v", left, err)
 	}
 	// Descending.
 	s2 := &plan.Sort{Input: valuesNode(intsSchema("k"), []int64{1}, []int64{3}, []int64{2}),
@@ -370,6 +375,12 @@ func buildNet(t *testing.T, n int) map[int]interconnect.Node {
 	return nodes
 }
 
+// motionPlan is the slice table of one motion: slice 1, rooted at root,
+// runs on senders and sends to the gang of slice 0, receivers.
+func motionPlan(root plan.Node, senders, receivers []int) *plan.Plan {
+	return &plan.Plan{Slices: []*plan.Slice{{Segments: receivers}, {ID: 1, Root: root, Segments: senders}}}
+}
+
 func TestGatherMotionAcrossNodes(t *testing.T) {
 	nodes := buildNet(t, 2)
 	const query = 77
@@ -380,16 +391,16 @@ func TestGatherMotionAcrossNodes(t *testing.T) {
 		go func(seg int) {
 			defer wg.Done()
 			base := valuesNode(intsSchema("v"), []int64{int64(seg*10 + 1)}, []int64{int64(seg*10 + 2)})
-			motion := &plan.Motion{ID: 1, Type: plan.GatherMotion, Input: base, Receivers: []int{plan.QDSegment}}
-			ctx := &Context{Query: query, Segment: seg, Net: nodes[seg]}
-			p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0, 1}}}}
-			if err := RunSlice(ctx, p, 1); err != nil {
+			motion := &plan.Motion{ID: 1, Type: plan.GatherMotion, Input: base}
+			p := motionPlan(motion, []int{0, 1}, []int{plan.QDSegment})
+			ctx := &Context{Query: query, Segment: seg, Net: nodes[seg], Plan: p}
+			if err := RunSlice(ctx, 1); err != nil {
 				t.Error(err)
 			}
 		}(seg)
 	}
-	recv := &plan.MotionRecv{ID: 1, Senders: []int{0, 1}, Schema: intsSchema("v")}
-	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment]}
+	recv := &plan.MotionRecv{ID: 1, Schema: intsSchema("v")}
+	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment], Plan: motionPlan(nil, []int{0, 1}, []int{plan.QDSegment})}
 	rows := collect(t, ctx, recv)
 	wg.Wait()
 	var got []int64
@@ -413,8 +424,8 @@ func TestRedistributeMotionPartitionsByHash(t *testing.T) {
 		wg.Add(1)
 		go func(seg int) {
 			defer wg.Done()
-			recv := &plan.MotionRecv{ID: 1, Senders: []int{plan.QDSegment}, Schema: intsSchema("v")}
-			ctx := &Context{Query: query, Segment: seg, Net: nodes[seg]}
+			recv := &plan.MotionRecv{ID: 1, Schema: intsSchema("v")}
+			ctx := &Context{Query: query, Segment: seg, Net: nodes[seg], Plan: motionPlan(nil, []int{plan.QDSegment}, []int{0, 1})}
 			op, err := Build(ctx, recv)
 			if err != nil {
 				t.Error(err)
@@ -431,10 +442,9 @@ func TestRedistributeMotionPartitionsByHash(t *testing.T) {
 		rows = append(rows, []int64{int64(i)})
 	}
 	motion := &plan.Motion{ID: 1, Type: plan.RedistributeMotion, HashCols: []int{0},
-		Input: valuesNode(intsSchema("v"), rows...), Receivers: []int{0, 1}}
-	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment]}
-	p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{plan.QDSegment}}}}
-	if err := RunSlice(ctx, p, 1); err != nil {
+		Input: valuesNode(intsSchema("v"), rows...)}
+	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment], Plan: motionPlan(motion, []int{plan.QDSegment}, []int{0, 1})}
+	if err := RunSlice(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -465,8 +475,8 @@ func TestBroadcastMotionReplicates(t *testing.T) {
 		wg.Add(1)
 		go func(seg int) {
 			defer wg.Done()
-			recv := &plan.MotionRecv{ID: 1, Senders: []int{plan.QDSegment}, Schema: intsSchema("v")}
-			ctx := &Context{Query: query, Segment: seg, Net: nodes[seg]}
+			recv := &plan.MotionRecv{ID: 1, Schema: intsSchema("v")}
+			ctx := &Context{Query: query, Segment: seg, Net: nodes[seg], Plan: motionPlan(nil, []int{plan.QDSegment}, []int{0, 1})}
 			op, _ := Build(ctx, recv)
 			Drain(nil, op, func(r types.Row) error {
 				results[seg] = append(results[seg], r[0].Int())
@@ -475,10 +485,9 @@ func TestBroadcastMotionReplicates(t *testing.T) {
 		}(seg)
 	}
 	motion := &plan.Motion{ID: 1, Type: plan.BroadcastMotion,
-		Input: valuesNode(intsSchema("v"), []int64{1}, []int64{2}), Receivers: []int{0, 1}}
-	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment]}
-	p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{plan.QDSegment}}}}
-	if err := RunSlice(ctx, p, 1); err != nil {
+		Input: valuesNode(intsSchema("v"), []int64{1}, []int64{2})}
+	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment], Plan: motionPlan(motion, []int{plan.QDSegment}, []int{0, 1})}
+	if err := RunSlice(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -502,14 +511,13 @@ func TestLimitStopsMotionEarly(t *testing.T) {
 			rows = append(rows, []int64{int64(i)})
 		}
 		motion := &plan.Motion{ID: 1, Type: plan.GatherMotion,
-			Input: valuesNode(intsSchema("v"), rows...), Receivers: []int{plan.QDSegment}}
-		ctx := &Context{Query: query, Segment: 0, Net: nodes[0]}
-		p := &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: motion, Segments: []int{0}}}}
-		segDone <- RunSlice(ctx, p, 1)
+			Input: valuesNode(intsSchema("v"), rows...)}
+		ctx := &Context{Query: query, Segment: 0, Net: nodes[0], Plan: motionPlan(motion, []int{0}, []int{plan.QDSegment})}
+		segDone <- RunSlice(ctx, 1)
 	}()
-	recv := &plan.MotionRecv{ID: 1, Senders: []int{0}, Schema: intsSchema("v")}
+	recv := &plan.MotionRecv{ID: 1, Schema: intsSchema("v")}
 	lim := &plan.Limit{N: 3, Input: recv}
-	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment]}
+	ctx := &Context{Query: query, Segment: plan.QDSegment, Net: nodes[plan.QDSegment], Plan: motionPlan(nil, []int{0}, []int{plan.QDSegment})}
 	rows := collect(t, ctx, lim)
 	if len(rows) != 3 {
 		t.Fatalf("limit rows = %d", len(rows))

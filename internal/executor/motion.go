@@ -25,9 +25,7 @@ type motionSendOp struct {
 	ctx  *Context
 	node *plan.Motion
 
-	streams  []interconnect.SendStream
-	stopped  []bool
-	bufs     [][]byte
+	outs     []motionOut // one per receiver, in the receiving gang's order
 	hashCols []int
 	rr       int
 	done     bool
@@ -36,6 +34,14 @@ type motionSendOp struct {
 	// st, when stats are collected, is charged the payload bytes this
 	// sender pushed onto the interconnect (OpStats.Bytes).
 	st *obs.OpStats
+}
+
+// motionOut is a sender's stream to one receiver and the rows encoded
+// for it since the last send.
+type motionOut struct {
+	stream  interconnect.SendStream
+	buf     []byte
+	stopped bool // the receiver said stop: drop its rows
 }
 
 // setOpStats implements statsSink.
@@ -52,9 +58,24 @@ func newMotionSendOp(ctx *Context, node *plan.Motion) (Operator, error) {
 	return &motionSendOp{ctx: ctx, node: node, in: in, hashCols: node.HashCols}, nil
 }
 
+// motionSlice returns the slice a motion roots in the dispatched plan:
+// its gang sends, and its parent's gang receives.
+func (ctx *Context) motionSlice(id int16) (*plan.Slice, error) {
+	if ctx.Plan == nil || id <= 0 || int(id) >= len(ctx.Plan.Slices) {
+		return nil, fmt.Errorf("executor: motion %d has no slice in the plan", id)
+	}
+	return ctx.Plan.Slices[id], nil
+}
+
 // Open implements Operator: opens one stream per receiver.
 func (m *motionSendOp) Open() error {
-	for _, r := range m.node.Receivers {
+	sl, err := m.ctx.motionSlice(m.node.ID)
+	if err != nil {
+		return err
+	}
+	receivers := m.ctx.Plan.Slices[sl.Parent].Segments
+	m.outs = make([]motionOut, len(receivers))
+	for i, r := range receivers {
 		s, err := m.ctx.Net.OpenSend(interconnect.StreamID{
 			Query:    m.ctx.Query,
 			Motion:   m.node.ID,
@@ -62,11 +83,10 @@ func (m *motionSendOp) Open() error {
 			Receiver: interconnect.SegID(r),
 		})
 		if err != nil {
+			m.outs = m.outs[:i]
 			return err
 		}
-		m.streams = append(m.streams, s)
-		m.bufs = append(m.bufs, nil)
-		m.stopped = append(m.stopped, false)
+		m.outs[i].stream = s
 	}
 	return m.in.Open()
 }
@@ -77,17 +97,18 @@ func (m *motionSendOp) Open() error {
 // closes the input. Called once at end of stream.
 func (m *motionSendOp) finish() error {
 	m.done = true
-	for i, s := range m.streams {
-		if m.stopped[i] {
+	for i := range m.outs {
+		o := &m.outs[i]
+		if o.stopped {
 			continue
 		}
-		if err := m.sent(i, s.Finish(m.bufs[i])); err != nil {
+		if err := m.sent(o, o.stream.Finish(o.buf)); err != nil {
 			return err
 		}
 	}
-	for _, s := range m.streams {
+	for _, o := range m.outs {
 		// A stopped stream has nothing to wait for; Close lets it go.
-		if err := s.Close(); err != nil {
+		if err := o.stream.Close(); err != nil {
 			return err
 		}
 	}
@@ -123,12 +144,12 @@ func (m *motionSendOp) NextBatch(b *types.Batch) (bool, error) {
 }
 
 func (m *motionSendOp) allStopped() bool {
-	for _, s := range m.stopped {
-		if !s {
+	for _, o := range m.outs {
+		if !o.stopped {
 			return false
 		}
 	}
-	return len(m.stopped) > 0
+	return len(m.outs) > 0
 }
 
 // routeBatch appends every row of a batch to the right receiver
@@ -136,10 +157,10 @@ func (m *motionSendOp) allStopped() bool {
 func (m *motionSendOp) routeBatch(b *types.Batch) error {
 	switch m.node.Type {
 	case plan.GatherMotion:
-		return m.addBatch(0, b)
+		return m.addBatch(&m.outs[0], b)
 	case plan.BroadcastMotion:
-		for i := range m.streams {
-			if err := m.addBatch(i, b); err != nil {
+		for i := range m.outs {
+			if err := m.addBatch(&m.outs[i], b); err != nil {
 				return err
 			}
 		}
@@ -150,14 +171,14 @@ func (m *motionSendOp) routeBatch(b *types.Batch) error {
 			var i int
 			if len(m.hashCols) == 0 {
 				m.rr++
-				i = m.rr % len(m.streams)
+				i = m.rr % len(m.outs)
 			} else {
 				// The placement hash: redistribution agrees with
 				// hash-distributed storage, whatever the key's width.
 				key, _ := types.HashKeys(row, m.hashCols)
-				i = types.SegmentOf(key, len(m.streams))
+				i = types.SegmentOf(key, len(m.outs))
 			}
-			if err := m.add(i, row); err != nil {
+			if err := m.add(&m.outs[i], row); err != nil {
 				return err
 			}
 		}
@@ -167,48 +188,40 @@ func (m *motionSendOp) routeBatch(b *types.Batch) error {
 	}
 }
 
-func (m *motionSendOp) add(i int, row types.Row) error {
-	if m.stopped[i] {
+func (m *motionSendOp) add(o *motionOut, row types.Row) error {
+	if o.stopped {
 		return nil
 	}
-	m.bufs[i] = types.EncodeRow(m.bufs[i], row)
-	if len(m.bufs[i]) >= DefaultMotionPayload {
-		return m.flush(i)
+	o.buf = types.EncodeRow(o.buf, row)
+	if len(o.buf) >= DefaultMotionPayload {
+		return m.sent(o, o.stream.Send(o.buf))
 	}
 	return nil
 }
 
-// addBatch encodes every row of a batch into receiver i's buffer.
-func (m *motionSendOp) addBatch(i int, b *types.Batch) error {
+// addBatch encodes every row of a batch into o's buffer.
+func (m *motionSendOp) addBatch(o *motionOut, b *types.Batch) error {
 	for r := 0; r < b.Len(); r++ {
-		if m.stopped[i] {
+		if o.stopped {
 			return nil
 		}
-		if err := m.add(i, b.Row(r)); err != nil {
+		if err := m.add(o, b.Row(r)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *motionSendOp) flush(i int) error {
-	if len(m.bufs[i]) == 0 {
-		return nil
-	}
-	return m.sent(i, m.streams[i].Send(m.bufs[i]))
-}
-
-// sent accounts for receiver i's buffer having been handed to its
-// stream with the given outcome: a stopped receiver is remembered, not
-// an error.
-func (m *motionSendOp) sent(i int, err error) error {
+// sent accounts for o's buffer having been handed to its stream with
+// the given outcome: a stopped receiver is remembered, not an error.
+func (m *motionSendOp) sent(o *motionOut, err error) error {
 	if err == interconnect.ErrStopped {
-		m.stopped[i] = true
+		o.stopped = true
 		err = nil
 	} else if err == nil && m.st != nil {
-		m.st.Bytes += int64(len(m.bufs[i]))
+		m.st.Bytes += int64(len(o.buf))
 	}
-	m.bufs[i] = m.bufs[i][:0]
+	o.buf = o.buf[:0]
 	return err
 }
 
@@ -219,10 +232,10 @@ func (m *motionSendOp) Close() error {
 		m.inClosed = true
 		err = m.in.Close()
 	}
-	for i, s := range m.streams {
-		if !m.done && !m.stopped[i] {
+	for _, o := range m.outs {
+		if !m.done && !o.stopped {
 			// Abnormal close: still deliver EOS so receivers finish.
-			if cerr := s.Close(); cerr != nil && err == nil {
+			if cerr := o.stream.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}
@@ -258,8 +271,12 @@ func newMotionRecvOp(ctx *Context, node *plan.MotionRecv) (Operator, error) {
 
 // Open implements Operator.
 func (m *motionRecvOp) Open() error {
-	senders := make([]interconnect.SegID, len(m.node.Senders))
-	for i, s := range m.node.Senders {
+	sl, err := m.ctx.motionSlice(m.node.ID)
+	if err != nil {
+		return err
+	}
+	senders := make([]interconnect.SegID, len(sl.Segments))
+	for i, s := range sl.Segments {
 		senders[i] = interconnect.SegID(s)
 	}
 	st, err := m.ctx.Net.OpenRecv(m.ctx.Query, m.node.ID, senders)

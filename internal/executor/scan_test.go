@@ -53,7 +53,7 @@ var scanConsumers = []struct {
 		return &plan.Sort{Input: scan, Keys: []plan.OrderKey{{Col: 1}}}
 	}},
 	{"motion-send", func(scan *plan.Scan) plan.Node {
-		return &plan.Motion{ID: 1, Type: plan.RedistributeMotion, HashCols: []int{0}, Input: scan, Receivers: []int{0, 1, 2, 3}}
+		return &plan.Motion{ID: 1, Type: plan.RedistributeMotion, HashCols: []int{0}, Input: scan}
 	}},
 	// A LIMIT that closes its input early, but not before the block that
 	// fails or the pull that is canceled.
@@ -61,11 +61,11 @@ var scanConsumers = []struct {
 }
 
 // runTree runs root as its slice would be run: a motion sends into a
-// sinkNode, anything else is drained.
+// sinkNode, to four receivers, anything else is drained.
 func runTree(ctx *Context, root plan.Node) error {
 	if _, ok := root.(*plan.Motion); ok {
-		ctx.Net = &sinkNode{}
-		return RunSlice(ctx, &plan.Plan{Slices: []*plan.Slice{{}, {ID: 1, Root: root, Segments: []int{0}}}}, 1)
+		ctx.Net, ctx.Plan = &sinkNode{}, motionPlan(root, []int{0}, []int{0, 1, 2, 3})
+		return RunSlice(ctx, 1)
 	}
 	op, err := Build(ctx, root)
 	if err != nil {

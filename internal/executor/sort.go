@@ -9,15 +9,14 @@ import (
 	"hawq/internal/types"
 )
 
-// defaultSortMemRows is the in-memory buffer before a run spills.
-const defaultSortMemRows = 1 << 18
+// sortRunRows is the in-memory buffer, in rows, before a run spills.
+const sortRunRows = 1 << 18
 
 // sortOp is an external sort: it buffers rows in memory, spills sorted
 // runs when the buffer fills — by row count, or by bytes once the
 // memory budget is exhausted — and merges the runs on output. Runs are
-// workfiles: in the query's store when the dispatcher provided one
-// (removed on teardown/cancel), else in a store of the sort's own under
-// SpillDir, made at its first spill and removed in Close. Spill files
+// workfiles in the query's store on this node, removed on
+// teardown/cancel; without a store (tests) nothing spills. Spill files
 // model HAWQ writing intermediate data to local disks for performance
 // (§2.6); a write failure there is surfaced so the cluster can mark the
 // disk down and restart the query.
@@ -26,12 +25,10 @@ type sortOp struct {
 	in   Operator
 	keys []plan.OrderKey
 
-	mem      memBudget
-	store    rowStore    // the buffered rows
-	buf      []types.Row // views into store, in the order being sorted
-	runs     []*wfRun
-	own      *resource.Store // the runs' store when the query has none
-	memLimit int
+	mem   memBudget
+	store rowStore    // the buffered rows
+	buf   []types.Row // views into store, in the order being sorted
+	runs  []*wfRun
 
 	// merge state
 	heads    []types.Row // current head row per source (runs + final buf)
@@ -49,11 +46,7 @@ type rowSource interface {
 func (s *sortOp) setOpStats(st *obs.OpStats) { s.mem.st = st }
 
 func newSortOp(ctx *Context, in Operator, keys []plan.OrderKey) *sortOp {
-	lim := ctx.SortMemRows
-	if lim <= 0 {
-		lim = defaultSortMemRows
-	}
-	return &sortOp{ctx: ctx, in: in, keys: keys, memLimit: lim, mem: memBudget{ctx: ctx}}
+	return &sortOp{ctx: ctx, in: in, keys: keys, mem: memBudget{ctx: ctx}}
 }
 
 // compareRows orders rows by the sort keys (NULLs first, as in
@@ -82,7 +75,7 @@ func (s *sortOp) Open() error {
 			return err
 		}
 		s.buf = append(s.buf, s.store.add(row))
-		if over || len(s.buf) >= s.memLimit {
+		if over || (len(s.buf) >= sortRunRows && s.ctx.Work != nil) {
 			return s.spill()
 		}
 		return nil
@@ -124,14 +117,7 @@ func (s *sortOp) spill() error {
 	sort.SliceStable(s.buf, func(i, j int) bool {
 		return compareRows(s.buf[i], s.buf[j], s.keys) < 0
 	})
-	work := s.ctx.Work
-	if work == nil {
-		if s.own == nil {
-			s.own = resource.NewStore(s.ctx.SpillDir, "sort")
-		}
-		work = s.own
-	}
-	f, err := work.Create()
+	f, err := s.ctx.Work.Create()
 	if err != nil {
 		return err
 	}
@@ -193,10 +179,6 @@ func (s *sortOp) Close() error {
 		r.close()
 	}
 	s.runs = nil
-	if s.own != nil {
-		s.own.Cleanup()
-		s.own = nil
-	}
 	s.sources = nil
 	s.buf = nil
 	s.store.reset()

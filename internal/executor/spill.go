@@ -47,10 +47,18 @@ func partOfHash(h uint64, level int) int {
 	return int(types.Mix64(types.FoldKey(h, uint64(level))) % spillFanout)
 }
 
+// workMem is the plan's work_mem soft cap in bytes (0 = none).
+func (ctx *Context) workMem() int64 {
+	if ctx.Plan == nil {
+		return 0
+	}
+	return ctx.Plan.WorkMem
+}
+
 // spillable reports whether budget-triggered spilling is available
 // (the dispatcher gave this node a workfile store and a work_mem cap).
 func (ctx *Context) spillable() bool {
-	return ctx.Work != nil && ctx.WorkMem > 0
+	return ctx.Work != nil && ctx.workMem() > 0
 }
 
 // memBudget tracks one operator's reservation against the query's
@@ -85,7 +93,7 @@ func (m *memBudget) grow(n int64) (over bool, err error) {
 	}
 	m.used += n
 	m.notePeak()
-	if m.ctx.spillable() && m.used > m.ctx.WorkMem {
+	if m.ctx.spillable() && m.used > m.ctx.workMem() {
 		return true, nil
 	}
 	return false, nil

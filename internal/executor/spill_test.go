@@ -20,7 +20,13 @@ func spillCtx(t *testing.T, workMem int64) (*Context, *resource.Store) {
 	t.Helper()
 	st := resource.NewStore(t.TempDir(), "test")
 	t.Cleanup(st.Cleanup)
-	return &Context{Segment: 0, Work: st, WorkMem: workMem}, st
+	return &Context{Segment: 0, Work: st, Plan: &plan.Plan{WorkMem: workMem}}, st
+}
+
+// runBudget is the work_mem at which a sort of two-integer rows spills a
+// run of exactly n rows.
+func runBudget(n int) int64 {
+	return int64(n)*rowMem(make(types.Row, 2)) - 1
 }
 
 func sortedInts(rows []types.Row) [][]int64 {
@@ -184,7 +190,7 @@ func BenchmarkSpillJoin(b *testing.B) {
 	b.Run("spill", func(b *testing.B) {
 		st := resource.NewStore(b.TempDir(), "bench")
 		defer st.Cleanup()
-		run(b, &Context{Segment: 0, Work: st, WorkMem: 32 << 10})
+		run(b, &Context{Segment: 0, Work: st, Plan: &plan.Plan{WorkMem: 32 << 10}})
 	})
 }
 
@@ -280,8 +286,8 @@ func TestSpilledSortMergeObservesCancel(t *testing.T) {
 	cause := errors.New("canceled by test")
 	cctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	ctx, st := spillCtx(t, 0)
-	ctx.Ctx, ctx.SortMemRows = cctx, 4000 // two runs of 4 000 rows and a tail in memory
+	ctx, st := spillCtx(t, runBudget(4000)) // two runs of 4 000 rows and a tail in memory
+	ctx.Ctx = cctx
 	op := mustBuild(t, ctx, &plan.Sort{Input: valuesNode(intsSchema("k", "v"), rows...), Keys: []plan.OrderKey{{Col: 0}}})
 	if err := op.Open(); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,9 @@ func (p *Plan) Clone() (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp.Slices[i] = &Slice{ID: s.ID, Root: root, Segments: s.Segments}
+		c := *s
+		c.Root = root
+		cp.Slices[i] = &c
 	}
 	return &cp, nil
 }
@@ -37,7 +39,7 @@ func cloneExpr(e expr.Expr) (expr.Expr, error) {
 // cloneNode deep-copies an operator tree. Slice-valued fields that no
 // execution path mutates (projections, join keys, runtime-filter lists,
 // literal rows, insert targets) are shared; fields that BindParams or
-// the executor rewrite (expressions, motion sender lists) are copied.
+// the executor rewrite (expressions) are copied.
 func cloneNode(n Node) (Node, error) {
 	if n == nil {
 		return nil, nil

@@ -60,36 +60,27 @@ func (p *Plan) BindParams(args []types.Datum) error {
 	if bindErr != nil {
 		return bindErr
 	}
-	return p.bindDirectDispatch(cast)
+	return p.pinDeferredSlices(cast)
 }
 
-// bindDirectDispatch resolves the deferred direct-dispatch decisions a
-// generic plan carries: each slice whose distribution keys are pinned
-// by placeholders shrinks to the single segment hashing the bound
-// values, exactly as a plan-time constant would have (§3's single value
-// lookup, preserved across the plan cache). The placement hash hashes
+// pinDeferredSlices makes the direct-dispatch decisions a generic plan
+// deferred: each slice whose distribution keys are pinned by
+// placeholders runs on the single segment hashing the bound values,
+// exactly as a plan-time constant would have (§3's single value lookup,
+// preserved across the plan cache). The placement hash hashes
 // equal-comparing datums equally, so casting the argument to the
 // inferred column kind keeps the choice consistent with the insert and
 // redistribute paths.
-func (p *Plan) bindDirectDispatch(cast []types.Datum) error {
-	for _, dd := range p.DeferredDirect {
-		if dd.SliceID < 0 || dd.SliceID >= len(p.Slices) {
-			return fmt.Errorf("plan: direct dispatch names slice %d of %d", dd.SliceID, len(p.Slices))
+func (p *Plan) pinDeferredSlices(cast []types.Datum) error {
+	for _, s := range p.Slices {
+		if len(s.DeferredKeys) == 0 {
+			continue
 		}
-		at, err := KeySegment(dd.Keys, cast, p.NumSegments)
+		at, err := KeySegment(s.DeferredKeys, cast, p.NumSegments)
 		if err != nil {
 			return err
 		}
-		seg := []int{at}
-		p.Slices[dd.SliceID].Segments = seg
-		// The receiving side's sender list must shrink with the gang, or
-		// the parent slice waits forever for EOS from segments that were
-		// never dispatched.
-		p.Walk(func(n Node) {
-			if r, ok := n.(*MotionRecv); ok && int(r.ID) == dd.SliceID {
-				r.Senders = seg
-			}
-		})
+		s.Segments = []int{at}
 	}
 	return nil
 }

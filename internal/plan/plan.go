@@ -376,15 +376,15 @@ const (
 )
 
 // Motion is the sending half of a data movement (§3). Slicing replaces
-// the subtree above it with a MotionRecv carrying the same ID.
+// the subtree above it with a MotionRecv carrying the same ID: the index
+// of the slice the motion roots. The receivers are the gang of that
+// slice's Parent.
 type Motion struct {
 	ID    int16
 	Type  MotionType
 	Input Node
 	// HashCols are output-column indexes for RedistributeMotion.
 	HashCols []int
-	// Receivers lists receiving segment IDs (or -1 for the QD).
-	Receivers []int
 }
 
 // OutSchema implements Node.
@@ -402,14 +402,10 @@ func (m *Motion) Label() string {
 	return l
 }
 
-// MotionRecv is the receiving half of a motion.
+// MotionRecv is the receiving half of a motion. Its ID is the index of
+// the sending slice, whose Segments are the senders.
 type MotionRecv struct {
-	ID int16
-	// Senders lists sending segment IDs (or -1 for the QD).
-	Senders []int
-	// Merge, when non-nil, merges pre-sorted sender streams to preserve
-	// a global order (gather of sorted slices).
-	Merge  []OrderKey
+	ID     int16
 	Schema *types.Schema
 }
 

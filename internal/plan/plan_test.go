@@ -60,23 +60,25 @@ func TestBuildSlices(t *testing.T) {
 	if !ok {
 		t.Fatalf("top root = %T", top.Root)
 	}
-	if recv.ID != 1 || len(recv.Senders) != 2 {
+	if recv.ID != 1 {
 		t.Errorf("recv = %+v", recv)
 	}
-	child := p.Slices[1]
+	// The motion's senders are its slice's gang; its receivers are the
+	// gang of the slice it names as parent.
+	child := p.Slices[recv.ID]
 	m, ok := child.Root.(*Motion)
-	if !ok {
-		t.Fatalf("child root = %T", child.Root)
+	if !ok || m.ID != recv.ID {
+		t.Fatalf("child root = %T %+v", child.Root, child.Root)
 	}
-	if len(m.Receivers) != 1 || m.Receivers[0] != QDSegment {
-		t.Errorf("receivers = %v", m.Receivers)
+	if child.Parent != 0 {
+		t.Errorf("child parent = %d", child.Parent)
 	}
 	if len(child.Segments) != 2 {
 		t.Errorf("child segments = %v", child.Segments)
 	}
 }
 
-func TestBuildDirectDispatchHint(t *testing.T) {
+func TestBuildSenderHint(t *testing.T) {
 	scan := scanNode()
 	tree := &Motion{ID: 1, Type: GatherMotion, Input: &SenderHint{Input: scan, Segments: []int{1}}}
 	p := Build(tree, []int{QDSegment}, []int{0, 1, 2}, 3)
@@ -110,10 +112,11 @@ func TestThreeSlicePlan(t *testing.T) {
 	if _, ok := hj.Right.(*MotionRecv); !ok {
 		t.Errorf("join right = %T, want MotionRecv", hj.Right)
 	}
-	// Redistribute's receivers are the join slice's segments.
+	// Redistribute's receivers are the join slice's segments: its slice
+	// names the join slice as parent, and the join reads it by its ID.
 	redistSlice := p.Slices[2]
-	if got := redistSlice.Root.(*Motion).Receivers; len(got) != 2 {
-		t.Errorf("redistribute receivers = %v", got)
+	if r, ok := hj.Right.(*MotionRecv); !ok || redistSlice.Parent != joinSlice.ID || int(r.ID) != redistSlice.ID {
+		t.Errorf("redistribute slice %d has parent %d, join slice is %d", redistSlice.ID, redistSlice.Parent, joinSlice.ID)
 	}
 	out := p.Explain()
 	for _, want := range []string{"Slice 0", "Slice 2", "Gather Motion", "Redistribute Motion", "Hash Join", "Table Scan (t)"} {

@@ -20,8 +20,20 @@ type Slice struct {
 	Root Node
 	// Segments lists where the slice's gang runs: QDSegment for the
 	// 1-gang on the master, or segment IDs for N-gangs. Direct dispatch
-	// (§3) shrinks this to a single segment.
+	// (§3) shrinks this to a single segment. It is the one record of the
+	// gang: the executor reads a motion's senders here (the gang of the
+	// slice the motion roots) and its receivers in the parent's entry.
 	Segments []int
+	// Parent is the index of the slice that reads this slice's motion
+	// (the top slice has none).
+	Parent int
+	// DeferredKeys, when set, is a direct-dispatch decision the planner
+	// could not make because a distribution key is pinned by a $n
+	// placeholder (generic plans): Segments stays the full gang until
+	// BindParams hashes the bound values and pins the slice to the one
+	// segment holding them, so a cached plan keeps §3's single-segment
+	// point lookup.
+	DeferredKeys []DirectKey
 }
 
 // OnQD reports whether the slice runs on the master.
@@ -61,20 +73,6 @@ type Plan struct {
 	// EXECUTE casts argument values to these kinds before BindParams.
 	// Empty for plans without placeholders.
 	ParamKinds []types.Kind
-	// DeferredDirect lists slices whose direct-dispatch target could not
-	// be computed at plan time because a distribution key is pinned by a
-	// $n placeholder (generic plans). BindParams hashes the bound values
-	// and shrinks each slice to its single target segment, so a cached
-	// plan keeps §3's single-segment point-lookup dispatch.
-	DeferredDirect []DirectDispatch
-}
-
-// DirectDispatch records one deferred direct-dispatch decision: the
-// slice to pin and, per distribution key column, either the parameter
-// position supplying the value or the constant already known.
-type DirectDispatch struct {
-	SliceID int
-	Keys    []DirectKey
 }
 
 // DirectKey is one distribution-key value source: Param >= 0 names a
@@ -160,18 +158,13 @@ func (b *builder) walk(n Node, parent *Slice) Node {
 			child = hint.Input
 			v.Input = child
 		}
-		s := &Slice{ID: len(b.plan.Slices), Segments: segs}
+		s := &Slice{ID: len(b.plan.Slices), Segments: segs, Parent: parent.ID, DeferredKeys: deferred}
 		b.plan.Slices = append(b.plan.Slices, s)
-		if len(deferred) > 0 {
-			b.plan.DeferredDirect = append(b.plan.DeferredDirect,
-				DirectDispatch{SliceID: s.ID, Keys: deferred})
-		}
 		// The slice index is the motion's unique ID within the query.
 		v.ID = int16(s.ID)
-		v.Receivers = parent.Segments
 		v.Input = b.walk(child, s)
 		s.Root = v
-		return &MotionRecv{ID: v.ID, Senders: s.Segments, Schema: v.OutSchema()}
+		return &MotionRecv{ID: v.ID, Schema: v.OutSchema()}
 	case *Select:
 		v.Input = b.walk(v.Input, parent)
 		return v

@@ -437,14 +437,15 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	p.GenericParams = true
 	pl := planOf(t, p, "SELECT * FROM orders WHERE o_orderkey = $1")
 	p.GenericParams = false
-	if len(pl.DeferredDirect) != 1 {
-		t.Fatalf("deferred direct = %+v:\n%s", pl.DeferredDirect, pl.Explain())
+	deferred := deferredSlices(pl)
+	if len(deferred) != 1 {
+		t.Fatalf("deferred slices = %v:\n%s", deferred, pl.Explain())
 	}
-	dd := pl.DeferredDirect[0]
-	if len(dd.Keys) != 1 || dd.Keys[0].Param != 0 {
-		t.Fatalf("deferred keys = %+v", dd.Keys)
+	ds := pl.Slices[deferred[0]]
+	if len(ds.DeferredKeys) != 1 || ds.DeferredKeys[0].Param != 0 {
+		t.Fatalf("deferred keys = %+v", ds.DeferredKeys)
 	}
-	if got := len(pl.Slices[dd.SliceID].Segments); got != 4 {
+	if got := len(ds.Segments); got != 4 {
 		t.Fatalf("unbound generic plan segments = %d, want 4", got)
 	}
 	// Binding must pick exactly the segment the constant plan picks.
@@ -452,18 +453,27 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	if err := pl.BindParams([]types.Datum{types.NewInt64(42)}); err != nil {
 		t.Fatal(err)
 	}
-	got := pl.Slices[dd.SliceID].Segments
+	got := ds.Segments
 	if len(got) != 1 || got[0] != want.Slices[1].Segments[0] {
 		t.Fatalf("bound segments = %v, constant plan = %v", got, want.Slices[1].Segments)
 	}
-	// The receiver's sender list shrinks with the gang.
-	pl.Walk(func(n plan.Node) {
-		if r, ok := n.(*plan.MotionRecv); ok && int(r.ID) == dd.SliceID {
-			if len(r.Senders) != 1 || r.Senders[0] != got[0] {
-				t.Fatalf("recv senders = %v, want %v", r.Senders, got)
-			}
+	// The slice's list is the one record of its gang: the motion it
+	// roots is read by the slice it names as parent, through a receiver
+	// carrying the slice's index.
+	recvs := 0
+	var count func(n plan.Node)
+	count = func(n plan.Node) {
+		if r, ok := n.(*plan.MotionRecv); ok && int(r.ID) == ds.ID {
+			recvs++
 		}
-	})
+		for _, c := range n.Children() {
+			count(c)
+		}
+	}
+	count(pl.Slices[ds.Parent].Root)
+	if recvs != 1 {
+		t.Fatalf("slice %d's parent %d reads it through %d receivers, want 1", ds.ID, ds.Parent, recvs)
+	}
 	// The distribution key referenced only by the filter: the scan
 	// outputs (c_name, c_custkey), so the key sits at output position 1
 	// while desc.Dist.Cols says table column 2. The deferred choice must
@@ -472,8 +482,9 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	p.GenericParams = true
 	pl = planOf(t, p, "SELECT c_name FROM customer WHERE c_custkey = $1")
 	p.GenericParams = false
-	if len(pl.DeferredDirect) != 1 {
-		t.Fatalf("key referenced only by the filter: deferred direct = %+v:\n%s", pl.DeferredDirect, pl.Explain())
+	deferred = deferredSlices(pl)
+	if len(deferred) != 1 {
+		t.Fatalf("key referenced only by the filter: deferred slices = %v:\n%s", deferred, pl.Explain())
 	}
 	// Until it is bound the scan's filter is a residual; once bound it is
 	// a constant comparison the vector kernels (and zone maps) consume.
@@ -495,7 +506,7 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	if !kernelized() {
 		t.Fatalf("bound $1 filter is still a residual:\n%s", pl.Explain())
 	}
-	got = pl.Slices[pl.DeferredDirect[0].SliceID].Segments
+	got = pl.Slices[deferred[0]].Segments
 	for _, sql := range []string{"SELECT c_name FROM customer WHERE c_custkey = 42", "SELECT * FROM customer WHERE c_custkey = 42"} {
 		want := planOf(t, p, sql).Slices[1].Segments
 		if len(want) != 1 || !slices.Equal(got, want) {
@@ -506,15 +517,27 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	// deferred, the whole gang runs.
 	p.GenericParams = true
 	pl = planOf(t, p, "SELECT c_name FROM customer WHERE c_name = $1")
-	if len(pl.DeferredDirect) != 0 || len(pl.Slices[1].Segments) != 4 {
-		t.Fatalf("unreferenced key: deferred %+v, segments %v", pl.DeferredDirect, pl.Slices[1].Segments)
+	if d := deferredSlices(pl); len(d) != 0 || len(pl.Slices[1].Segments) != 4 {
+		t.Fatalf("unreferenced key: deferred %v, segments %v", d, pl.Slices[1].Segments)
 	}
 	// With direct dispatch disabled nothing is deferred.
 	p.DisableDirectDispatch = true
 	pl = planOf(t, p, "SELECT * FROM orders WHERE o_orderkey = $1")
-	if len(pl.DeferredDirect) != 0 {
-		t.Fatalf("ablation still deferred: %+v", pl.DeferredDirect)
+	if d := deferredSlices(pl); len(d) != 0 {
+		t.Fatalf("ablation still deferred: %v", d)
 	}
+}
+
+// deferredSlices lists the slices whose direct dispatch waits for
+// BindParams.
+func deferredSlices(pl *plan.Plan) []int {
+	var out []int
+	for _, s := range pl.Slices {
+		if len(s.DeferredKeys) > 0 {
+			out = append(out, s.ID)
+		}
+	}
+	return out
 }
 
 // TestRefNamesMatchResolvedScope: refNames decides where an identifier

@@ -28,7 +28,7 @@ type Store struct {
 }
 
 // NewStore creates a workfile store rooted at the given scratch
-// directory (typically executor.Context.SpillDir). The tag — usually
+// directory (the cluster's spill directory). The tag — usually
 // "q<id>-seg<n>" — names the scratch subdirectory so leftovers are
 // attributable.
 func NewStore(root, tag string) *Store {

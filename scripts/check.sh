@@ -77,7 +77,12 @@
 #                                  internal/types reduces a hash to a
 #                                  segment with a modulo (Stinger's
 #                                  MapReduce shuffle, which picks a
-#                                  reducer, is not a segment)
+#                                  reducer, is not a segment), and no
+#                                  second record of a gang (the plan's
+#                                  deferred-dispatch list), no portal
+#                                  or bind acknowledgement, and no
+#                                  sort row limit of a test's own
+#                                  comes back
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -123,7 +128,7 @@ go run ./cmd/hawq-check -json ./... > build/hawq-check-report.json
 echo "==> hawqcheck:ignore budget"
 # Raise this number only with a reason in the commit message; lower it
 # whenever a suppression goes away.
-ignore_budget=84
+ignore_budget=82
 ignores="$(git ls-files -z --cached --others --exclude-standard '*.go' | xargs -0 grep -h '//hawqcheck:ignore' | wc -l)"
 if (( ignores > ignore_budget )); then
     echo "hawqcheck:ignore count rose to $ignores (budget $ignore_budget): fix the finding instead of suppressing it" >&2
@@ -192,6 +197,10 @@ if grep -rnE 'hash[D]atum|fnv[B]yte|fnv[U]int64|refHash[R]owCols' internal; then
 fi
 if grep -rnE '% uint64\(' --include='*.go' --exclude-dir=types --exclude-dir=stinger internal cmd; then
     echo "stays deleted: a hash is reduced to a segment outside internal/types; call types.SegmentOf (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'Deferred[D]irect\b|MsgBind[O]K|portal[S]tate|SortMem[R]ows' internal; then
+    echo "stays deleted: a slice's Segments is the one record of its gang, a prepared execution is one Execute message, and a sort spills only into the query's workfile store (see above)" >&2
     exit 1
 fi
 
