@@ -34,10 +34,12 @@ func (c *Catalog) AddSegFile(t *tx.Tx, f SegFile) {
 // a segment file: an MVCC update (delete old version + insert new) so
 // concurrent snapshots keep seeing the old length until this transaction
 // commits. This is exactly how aborted inserts stay invisible — the
-// logical length never moves (§5).
+// logical length never moves (§5). The version it replaces is the
+// latest one, read through a snapshot taken now whatever t's isolation
+// level: the lane's file ends where that version says.
 func (c *Catalog) UpdateSegFile(t *tx.Tx, f SegFile) error {
 	sys := c.sys[SysAoseg]
-	snap := t.Snapshot()
+	snap := t.LatestSnapshot()
 	var oldID uint64
 	found := false
 	sys.Scan(snap, func(id uint64, row types.Row) bool {

@@ -526,6 +526,9 @@ type dispatch struct {
 	ctx   context.Context
 	query uint64
 	p     *plan.Plan
+	// onUpdate is addUpdate as a func value, made once per dispatch:
+	// every slice execution's context shares it.
+	onUpdate func(executor.SegFileUpdate)
 
 	cancelOnce sync.Once
 
@@ -600,7 +603,7 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 		Plan:            d.p,
 		Mem:             nr.mem,
 		Work:            nr.work,
-		OnSegFileUpdate: d.addUpdate,
+		OnSegFileUpdate: d.onUpdate,
 		LocalHost:       localHost,
 		Clock:           c.clk,
 	}
@@ -635,6 +638,7 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 // wire form, proven equivalent by TestSelfDescribedPlanExecutes.
 func (c *Cluster) Dispatch(ctx context.Context, p *plan.Plan, onRow func(types.Row) error) (*QueryResult, error) {
 	d := &dispatch{c: c, ctx: ctx, query: c.nextQuery.Add(1), p: p}
+	d.onUpdate = d.addUpdate
 	d.res.Schema = p.Schema
 	p.Walk(func(n plan.Node) {
 		for _, e := range plan.NodeExprs(n) {

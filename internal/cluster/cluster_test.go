@@ -136,18 +136,18 @@ func TestFaultDetectorAndRecovery(t *testing.T) {
 
 func TestLaneManagerConcurrency(t *testing.T) {
 	lm := newLaneManager()
-	a := lm.acquire(10, 1)
-	b := lm.acquire(10, 2)
+	a := lm.acquire(10, 1, nil)
+	b := lm.acquire(10, 2, nil)
 	if a == b {
 		t.Fatalf("two transactions share lane %d", a)
 	}
 	lm.release(10, a)
-	c := lm.acquire(10, 3)
+	c := lm.acquire(10, 3, nil)
 	if c != a {
 		t.Errorf("freed lane %d not reused (got %d)", a, c)
 	}
 	// Lanes on different tables are independent.
-	if other := lm.acquire(11, 1); other != 1 {
+	if other := lm.acquire(11, 1, nil); other != 1 {
 		t.Errorf("fresh table lane = %d", other)
 	}
 }

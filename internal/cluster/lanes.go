@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"hawq/internal/catalog"
@@ -24,9 +25,11 @@ func newLaneManager() *laneManager {
 	return &laneManager{busy: map[int64]map[int]tx.XID{}}
 }
 
-// acquire picks the lowest free lane for a table, which also prefers
-// lanes whose files already exist.
-func (lm *laneManager) acquire(tableOID int64, xid tx.XID) int {
+// acquire picks the lowest free lane for a table that usable accepts
+// (nil accepts any), which also prefers lanes whose files already
+// exist. usable runs under the manager's lock, so no other writer can
+// take the lane it judges before it is ours.
+func (lm *laneManager) acquire(tableOID int64, xid tx.XID, usable func(segno int) bool) int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	lanes := lm.busy[tableOID]
@@ -35,9 +38,9 @@ func (lm *laneManager) acquire(tableOID int64, xid tx.XID) int {
 		lm.busy[tableOID] = lanes
 	}
 	segno := 1
-	//hawqcheck:ignore ctxflow — bounded by the number of busy lanes; the map is finite and no iteration waits
+	//hawqcheck:ignore ctxflow — bounded by the busy lanes and the lanes in the catalog: every lane past both is free and usable
 	for {
-		if _, taken := lanes[segno]; !taken {
+		if _, taken := lanes[segno]; !taken && (usable == nil || usable(segno)) {
 			break
 		}
 		segno++
@@ -69,34 +72,32 @@ func LanePath(tableOID int64, segID, segno int) string {
 // away, §5), missing ones are registered in the catalog. It returns the
 // per-segment lane files at their committed lengths and arranges release
 // at transaction end.
+//
+// A lane's committed length is where its files end, so it is read
+// through a snapshot taken once the lane is ours, whatever t's
+// isolation level: an older length would truncate committed rows away.
+// A serializable transaction takes only a lane its own snapshot sees in
+// that same state; appending behind a commit it cannot see would show
+// it that commit's rows.
 func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]catalog.SegFile, error) {
-	segno := c.lanes.acquire(desc.OID, t.XID())
-	// Read the lane's committed lengths only now that it is ours. The
-	// previous owner releases it after its commit is visible, so a
-	// snapshot taken from here on sees that commit; one taken before the
-	// acquire may not, and truncating to its stale logical length would
-	// destroy the previous owner's committed rows.
-	snap := t.Snapshot()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			c.lanes.release(desc.OID, segno)
+	var usable func(segno int) bool
+	if t.Level() == tx.Serializable {
+		usable = func(segno int) bool {
+			return maps.EqualFunc(c.laneFiles(t.Snapshot(), desc.OID, segno), c.laneFiles(t.LatestSnapshot(), desc.OID, segno),
+				func(a, b catalog.SegFile) bool { return a.LogicalLen == b.LogicalLen && a.Tuples == b.Tuples })
 		}
 	}
+	segno := c.lanes.acquire(desc.OID, t.XID(), usable)
+	committed := c.laneFiles(t.LatestSnapshot(), desc.OID, segno)
+	// Exactly one of the two runs; an abort runs it after the truncate
+	// below, so the lane changes hands only once its garbage is gone.
+	release := func() { c.lanes.release(desc.OID, segno) }
 	t.OnCommit(release)
 	t.OnAbort(release)
 
 	files := make(map[int]catalog.SegFile, len(c.segments))
 	for segID := range c.segments {
-		var sf catalog.SegFile
-		found := false
-		for _, f := range c.Cat().SegFiles(snap, desc.OID, segID) {
-			if f.SegNo == segno {
-				sf, found = f, true
-				break
-			}
-		}
+		sf, found := committed[segID]
 		if !found {
 			sf = catalog.SegFile{
 				TableOID:  desc.OID,
@@ -115,10 +116,7 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 		files[segID] = sf
 	}
 	// Roll back the physical appends if this transaction aborts (§5.3).
-	preImage := make(map[int]catalog.SegFile, len(files))
-	for k, v := range files {
-		preImage[k] = v
-	}
+	preImage := maps.Clone(files)
 	descCopy := *desc
 	t.OnAbort(func() {
 		for _, sf := range preImage {
@@ -130,6 +128,17 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 		}
 	})
 	return segno, files, nil
+}
+
+// laneFiles returns a lane's file on each segment, as snap sees them.
+func (c *Cluster) laneFiles(snap tx.Snapshot, tableOID int64, segno int) map[int]catalog.SegFile {
+	files := map[int]catalog.SegFile{}
+	for _, f := range c.Cat().AllSegFiles(snap, tableOID) {
+		if f.SegNo == segno {
+			files[f.SegmentID] = f
+		}
+	}
+	return files
 }
 
 // truncateToLogical trims a lane's physical files back to the committed

@@ -32,16 +32,14 @@ const compactSmallBytes = 64 << 10
 // see either the old set or the new file, never a mix. On abort the
 // merged HDFS file is removed; the old files' bytes are untouched until
 // after commit.
+//
+// Like every statement it runs through the session lifecycle, as an
+// autocommit statement of a fresh session under ctx.
 func (e *Engine) CompactTable(ctx context.Context, name string) error {
 	s := e.NewSession()
-	t := e.cl.TxMgr.Begin(tx.ReadCommitted)
-	if err := s.compactInTx(ctx, t, name); err != nil {
-		t.Abort()
-		s.releaseTx(t)
-		return err
-	}
-	err := t.Commit()
-	s.releaseTx(t)
+	_, err := s.runTransactional(ctx, statementText("COMPACT "+name), func(ctx context.Context, t *tx.Tx) (*Result, error) {
+		return nil, s.compactInTx(ctx, t, name)
+	})
 	return err
 }
 

@@ -388,7 +388,7 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 		if err != nil {
 			return nil, err
 		}
-		out, _, err := s.runSelectRows(ctx, t, sel.(*sqlparser.SelectStmt))
+		out, _, err := s.runSelectRows(ctx, t, sel.(*sqlparser.SelectStmt), false)
 		if err != nil {
 			return nil, err
 		}

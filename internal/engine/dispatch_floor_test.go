@@ -34,7 +34,7 @@ func TestDirectDispatchFloorAllocs(t *testing.T) {
 	if qes := len(pl.Slices[1].Segments); len(pl.Slices) != 2 || qes != 1 {
 		t.Fatalf("not a direct dispatch: %d slices, %d QEs", len(pl.Slices), qes)
 	}
-	const ceiling = 55
+	const ceiling = 51
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := e.cl.Dispatch(context.Background(), pl, nil); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,6 +194,9 @@ type Session struct {
 	// statement — including nested subquery planners — resolve $n
 	// placeholders against it.
 	curParams []types.Datum
+	// slot is the resource queue whose slot the current statement holds
+	// (nil before its first dispatch and between statements).
+	slot *resource.Queue
 
 	// qmu guards qcancel, the cancel function of the statement
 	// currently executing (nil between statements).
@@ -212,19 +214,25 @@ func (e *Engine) NewSession() *Session {
 // according to their own transactions (autocommit) or the session
 // transaction is aborted.
 func (s *Session) Execute(sql string) ([]*Result, error) {
+	return s.execute(context.Background(), sql)
+}
+
+// execute runs sql's statements in turn, each under parent: a client's
+// under nothing but its own cancel scope, a maintenance task's under the
+// scheduler's context, so stopping the engine cancels it.
+func (s *Session) execute(parent context.Context, sql string) ([]*Result, error) {
 	stmts, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	var out []*Result
 	for _, stmt := range stmts {
-		res, err := s.executeStmt(stmt)
+		res, err := s.executeStmt(parent, stmt)
 		if err != nil {
-			if s.cur != nil {
-				s.cur.Abort()
-				s.releaseTx(s.cur)
-				s.cur = nil
-			}
+			// The lifecycle has aborted the open block already if the
+			// statement was one it runs; this is for the session's own
+			// (BEGIN, SET, PREPARE, ...).
+			s.abortBlock()
 			return out, err
 		}
 		out = append(out, res)
@@ -248,6 +256,16 @@ func (s *Session) releaseTx(t *tx.Tx) {
 	s.eng.cl.Locks.ReleaseAll(t.XID())
 }
 
+// abortBlock aborts the session's open transaction block, if any: what
+// ROLLBACK and a failed statement do to it.
+func (s *Session) abortBlock() {
+	if s.cur != nil {
+		s.cur.Abort()
+		s.releaseTx(s.cur)
+		s.cur = nil
+	}
+}
+
 // Cancel aborts the statement the session is currently executing, if
 // any: its query context is canceled with ErrQueryCanceled, which
 // tears down every slice of the dispatched plan. Safe to call from any
@@ -261,12 +279,13 @@ func (s *Session) Cancel() {
 	}
 }
 
-// beginStatement arms the per-statement cancellation scope: a context
-// canceled by Session.Cancel and, when statement_timeout is set, by
-// the engine clock. The returned release must be called when the
-// statement finishes.
-func (s *Session) beginStatement() (context.Context, func()) {
-	ctx, cancel := context.WithCancelCause(context.Background())
+// beginStatement arms the per-statement cancellation scope under
+// parent: a context canceled by Session.Cancel and, when
+// statement_timeout is set, by the engine clock. The returned release
+// must be called when the statement finishes; it also gives back the
+// resource-queue slot the statement's first dispatch took.
+func (s *Session) beginStatement(parent context.Context) (context.Context, func()) {
+	ctx, cancel := context.WithCancelCause(parent)
 	var tcancel context.CancelFunc
 	if s.timeout > 0 {
 		ctx, tcancel = clock.ContextWithTimeout(ctx, s.eng.cl.Clock(), s.timeout, ErrStatementTimeout)
@@ -278,6 +297,10 @@ func (s *Session) beginStatement() (context.Context, func()) {
 		s.qmu.Lock()
 		s.qcancel = nil
 		s.qmu.Unlock()
+		if s.slot != nil {
+			s.slot.Release()
+			s.slot = nil
+		}
 		if tcancel != nil {
 			tcancel()
 		}
@@ -285,24 +308,7 @@ func (s *Session) beginStatement() (context.Context, func()) {
 	}
 }
 
-// parseTimeout reads a duration-valued setting (statement_timeout,
-// slow_query_log_threshold): a bare integer is milliseconds (postgres
-// convention), otherwise a Go duration string; 0 disables the setting.
-func parseTimeout(v string) (time.Duration, error) {
-	if ms, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-		if ms < 0 {
-			return 0, fmt.Errorf("engine: timeout setting must be >= 0")
-		}
-		return time.Duration(ms) * time.Millisecond, nil
-	}
-	d, err := time.ParseDuration(strings.TrimSpace(v))
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("engine: bad timeout value %q", v)
-	}
-	return d, nil
-}
-
-func (s *Session) executeStmt(stmt sqlparser.Statement) (*Result, error) {
+func (s *Session) executeStmt(parent context.Context, stmt sqlparser.Statement) (*Result, error) {
 	switch v := stmt.(type) {
 	case *sqlparser.BeginStmt:
 		if s.cur != nil {
@@ -330,62 +336,15 @@ func (s *Session) executeStmt(stmt sqlparser.Statement) (*Result, error) {
 		}
 		return &Result{Tag: "COMMIT"}, nil
 	case *sqlparser.RollbackStmt:
-		if s.cur != nil {
-			s.cur.Abort()
-			s.releaseTx(s.cur)
-			s.cur = nil
-		}
+		s.abortBlock()
 		return &Result{Tag: "ROLLBACK"}, nil
 	case *sqlparser.SetStmt:
-		switch strings.ToLower(v.Name) {
-		case "transaction_isolation":
-			l, err := tx.ParseIsolationLevel(v.Value)
-			if err != nil {
-				return nil, err
-			}
-			s.level = l
-		case "statement_timeout":
-			d, err := parseTimeout(v.Value)
-			if err != nil {
-				return nil, err
-			}
-			s.timeout = d
-		case "slow_query_log_threshold":
-			d, err := parseTimeout(v.Value)
-			if err != nil {
-				return nil, err
-			}
-			s.slowThresh = d
-		case "work_mem":
-			n, err := resource.ParseBytes(v.Value)
-			if err != nil {
-				return nil, err
-			}
-			s.workMem = n
-		case "resource_queue":
-			name := strings.ToLower(strings.TrimSpace(v.Value))
-			if name == "" || name == "none" {
-				s.queue = ""
-				return &Result{Tag: "SET"}, nil
-			}
-			if s.eng.res.Lookup(name) == nil {
-				return nil, fmt.Errorf("engine: resource queue %q does not exist", name)
-			}
-			s.queue = name
-		case "plan_cache":
-			on, err := parseOnOff(v.Value)
-			if err != nil {
-				return nil, err
-			}
-			s.noPlanCache = !on
-		case "plan_cache_size":
-			n, err := strconv.Atoi(strings.TrimSpace(v.Value))
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("engine: bad plan_cache_size %q", v.Value)
-			}
-			s.eng.planCache.Resize(n)
-		default:
+		st, ok := settings[strings.ToLower(v.Name)]
+		if !ok {
 			return nil, fmt.Errorf("engine: unrecognized configuration parameter %q", v.Name)
+		}
+		if err := st.set(s, v.Value); err != nil {
+			return nil, err
 		}
 		return &Result{Tag: "SET"}, nil
 	case *sqlparser.PrepareStmt:
@@ -393,84 +352,48 @@ func (s *Session) executeStmt(stmt sqlparser.Statement) (*Result, error) {
 	case *sqlparser.DeallocateStmt:
 		return s.runDeallocate(v)
 	case *sqlparser.ExecuteStmt:
-		inner, args, err := s.resolveExecute(v)
-		if err != nil {
-			return nil, err
-		}
-		return s.runTransactional(stmt, inner, args)
+		return s.runTransactional(parent, v, func(ctx context.Context, t *tx.Tx) (*Result, error) {
+			args, err := executeArgs(v)
+			if err != nil {
+				return nil, err
+			}
+			return s.runPrepared(ctx, t, v.Name, args)
+		})
 	}
-	return s.runTransactional(stmt, stmt, nil)
+	return s.runTransactional(parent, stmt, func(ctx context.Context, t *tx.Tx) (*Result, error) {
+		return s.runInTx(ctx, t, stmt)
+	})
 }
 
-// parseOnOff reads a boolean-valued setting.
-func parseOnOff(v string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "on", "true", "1", "yes":
-		return true, nil
-	case "off", "false", "0", "no":
-		return false, nil
-	}
-	return false, fmt.Errorf("engine: bad boolean value %q", v)
-}
+// statementText is how a statement that has no SQL of its own (COPY, a
+// compaction) shows in the slow-query log.
+type statementText string
 
-// runTransactional executes a transactional statement in the session
-// transaction or an implicit autocommit one. display is the statement
-// as the client wrote it (what the slow-query log records), inner is
-// the statement actually executed — they differ for EXECUTE, which
-// runs the prepared statement's body with args bound to its $n
-// placeholders.
-func (s *Session) runTransactional(display, inner sqlparser.Statement, args []types.Datum) (*Result, error) {
-	t := s.cur
-	auto := false
-	if t == nil {
+func (t statementText) String() string { return string(t) }
+
+// runTransactional is the engine's one statement lifecycle: SQL text,
+// a prepared execution, COPY and the maintenance tasks all enter
+// through it, and work is the statement itself. It runs work in the
+// session's open transaction block, or in an autocommit transaction it
+// commits when work succeeds. It arms the statement's cancel scope
+// under parent, holds the resource-queue slot the statement's first
+// dispatch takes until the statement ends (Session.dispatch), counts
+// the statement in the engine counters and, under display, in the
+// slow-query log, and aborts the open block when work fails, whichever
+// way the statement came in.
+func (s *Session) runTransactional(parent context.Context, display fmt.Stringer, work func(context.Context, *tx.Tx) (*Result, error)) (*Result, error) {
+	t, auto := s.cur, s.cur == nil
+	if auto {
 		t = s.eng.cl.TxMgr.Begin(s.level)
-		auto = true
 	}
 	clk := s.eng.cl.Clock()
 	start := clk.Now()
 	s.lastStats = ""
-	s.curParams = args
-	defer func() { s.curParams = nil }()
 	engineQueries.Inc()
-	ctx, done := s.beginStatement()
-	release, err := s.admit(ctx, inner)
-	if err != nil {
-		done()
-		if auto {
-			t.Abort()
-			s.releaseTx(t)
-		}
-		s.noteStatementDone(display, clk.Since(start), err)
-		return nil, err
-	}
-	res, err := s.runInTx(ctx, t, inner)
-	if release != nil {
-		release()
-	}
+	ctx, done := s.beginStatement(parent)
+	res, err := work(ctx, t)
 	done()
-	s.noteStatementDone(display, clk.Since(start), err)
-	if auto {
-		if err != nil {
-			t.Abort()
-			s.releaseTx(t)
-			return nil, err
-		}
-		if cerr := t.Commit(); cerr != nil {
-			s.releaseTx(t)
-			return nil, cerr
-		}
-		s.releaseTx(t)
-		return res, nil
-	}
-	return res, err
-}
-
-// noteStatementDone records a finished transactional statement in the
-// engine counters and, when the session's slow_query_log_threshold is
-// armed and the statement ran at least that long, in the engine-wide
-// slow-query log (with the EXPLAIN ANALYZE summary runSelectRows left,
-// if the statement dispatched one).
-func (s *Session) noteStatementDone(stmt sqlparser.Statement, d time.Duration, err error) {
+	s.curParams = nil
 	if err != nil {
 		engineErrors.Inc()
 		switch {
@@ -480,9 +403,25 @@ func (s *Session) noteStatementDone(stmt sqlparser.Statement, d time.Duration, e
 			engineTimeouts.Inc()
 		}
 	}
-	if s.slowThresh > 0 && d >= s.slowThresh {
-		s.eng.slow.Add(obs.SlowLogEntry{SQL: stmt.String(), Duration: d, Summary: s.lastStats})
+	if d := clk.Since(start); s.slowThresh > 0 && d >= s.slowThresh {
+		// With the EXPLAIN ANALYZE summary runSelectRows left, if the
+		// statement dispatched a SELECT.
+		s.eng.slow.Add(obs.SlowLogEntry{SQL: display.String(), Duration: d, Summary: s.lastStats})
 	}
+	switch {
+	case auto && err == nil:
+		err = t.Commit()
+		s.releaseTx(t)
+	case auto:
+		t.Abort()
+		s.releaseTx(t)
+	case err != nil:
+		s.abortBlock()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func (s *Session) runInTx(ctx context.Context, t *tx.Tx, stmt sqlparser.Statement) (*Result, error) {

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"hawq/internal/planner"
 	"hawq/internal/session"
 	"hawq/internal/sqlparser"
+	"hawq/internal/tx"
 	"hawq/internal/types"
 )
 
@@ -53,27 +55,33 @@ func (s *Session) runDeallocate(v *sqlparser.DeallocateStmt) (*Result, error) {
 	return &Result{Tag: "DEALLOCATE"}, nil
 }
 
-// resolveExecute looks up the prepared statement an EXECUTE names and
-// evaluates its argument list to datum values. Arguments are constant
-// scalar expressions (literals, arithmetic on literals); they cannot
-// reference columns or other placeholders.
-func (s *Session) resolveExecute(v *sqlparser.ExecuteStmt) (sqlparser.Statement, []types.Datum, error) {
-	p, err := s.registry().Get(v.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := p.ValidateArgCount(len(v.Args)); err != nil {
-		return nil, nil, err
-	}
+// executeArgs evaluates an EXECUTE's argument list to datum values.
+// Arguments are constant scalar expressions (literals, arithmetic on
+// literals); they cannot reference columns or other placeholders.
+func executeArgs(v *sqlparser.ExecuteStmt) ([]types.Datum, error) {
 	args := make([]types.Datum, len(v.Args))
 	for i, a := range v.Args {
 		d, err := planner.EvalConst(a)
 		if err != nil {
-			return nil, nil, fmt.Errorf("engine: EXECUTE argument %d: %w", i+1, err)
+			return nil, fmt.Errorf("engine: EXECUTE argument %d: %w", i+1, err)
 		}
 		args[i] = d
 	}
-	return p.Stmt, args, nil
+	return args, nil
+}
+
+// runPrepared runs the body of prepared statement name with args bound
+// to its $n placeholders: the work of EXECUTE and of ExecutePrepared.
+func (s *Session) runPrepared(ctx context.Context, t *tx.Tx, name string, args []types.Datum) (*Result, error) {
+	p, err := s.registry().Get(name)
+	if err == nil {
+		err = p.ValidateArgCount(len(args))
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.curParams = args
+	return s.runInTx(ctx, t, p.Stmt)
 }
 
 // Prepare registers a prepared statement from raw SQL — the wire
@@ -90,41 +98,26 @@ func (s *Session) Prepare(name, sql string) error {
 	if len(stmts) != 1 {
 		return fmt.Errorf("engine: Prepare requires exactly one statement, got %d", len(stmts))
 	}
-	inner := stmts[0]
-	switch inner.(type) {
-	case *sqlparser.PrepareStmt, *sqlparser.ExecuteStmt, *sqlparser.DeallocateStmt:
-		return fmt.Errorf("engine: cannot prepare a %T", inner)
+	ps, err := sqlparser.NewPrepare(name, stmts[0])
+	if err == nil {
+		_, err = s.runPrepare(ps)
 	}
-	if err := sqlparser.CheckParams(inner); err != nil {
-		return err
-	}
-	return s.registry().Put(&session.Prepared{
-		Name:      name,
-		Stmt:      inner,
-		SQL:       inner.String(),
-		NumParams: sqlparser.MaxParam(inner),
-	})
+	return err
 }
 
 // ExecutePrepared runs a prepared statement with already-materialized
-// argument values — the wire protocol's Bind/Execute messages and the
-// benchmark driver use this instead of the EXECUTE syntax.
+// argument values — the wire protocol's Execute message and the
+// benchmark driver use this instead of the EXECUTE syntax. It is a
+// statement of the session like any other: a failure, an unknown name
+// included, aborts the open transaction block.
 func (s *Session) ExecutePrepared(name string, args ...types.Datum) (*Result, error) {
-	p, err := s.registry().Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.ValidateArgCount(len(args)); err != nil {
-		return nil, err
-	}
-	return s.runTransactional(&sqlparser.ExecuteStmt{Name: name}, p.Stmt, args)
+	return s.runTransactional(context.Background(), &sqlparser.ExecuteStmt{Name: name}, func(ctx context.Context, t *tx.Tx) (*Result, error) {
+		return s.runPrepared(ctx, t, name, args)
+	})
 }
 
 // Deallocate removes a prepared statement by name ("" removes all).
 func (s *Session) Deallocate(name string) error {
-	if name == "" {
-		s.registry().Clear()
-		return nil
-	}
-	return s.registry().Remove(name)
+	_, err := s.runDeallocate(&sqlparser.DeallocateStmt{Name: name, All: name == ""})
+	return err
 }

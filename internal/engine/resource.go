@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hawq/internal/catalog"
+	"hawq/internal/cluster"
 	"hawq/internal/plan"
 	"hawq/internal/resource"
 	"hawq/internal/sqlparser"
@@ -19,44 +20,31 @@ import (
 // statement never started executing.
 var ErrQueueTimeout = errors.New("engine: canceling statement while waiting in resource queue")
 
-// sessionQueue resolves the session's resource_queue setting to the
-// runtime queue; (nil, nil) when the session is not assigned to one.
-func (s *Session) sessionQueue() (*resource.Queue, error) {
-	if s.queue == "" {
-		return nil, nil
-	}
-	q := s.eng.res.Lookup(s.queue)
-	if q == nil {
-		return nil, fmt.Errorf("engine: resource queue %q does not exist", s.queue)
-	}
-	return q, nil
-}
-
-// admit runs the QD-side admission control (§2.4's dispatch
-// discipline): a dispatching statement waits FIFO for a slot in the
-// session's resource queue before any gang is started. The statement's
-// cancellation context aborts the wait cleanly — a queued statement
-// holds no slot, no locks beyond the ones already taken, and no
-// gangs. Returns the release for the acquired slot, or nil when the
-// statement bypasses admission (not a dispatching statement, or the
-// session has no queue).
-func (s *Session) admit(ctx context.Context, stmt sqlparser.Statement) (func(), error) {
-	switch stmt.(type) {
-	case *sqlparser.SelectStmt, *sqlparser.InsertStmt:
-	default:
-		return nil, nil
-	}
-	q, err := s.sessionQueue()
-	if err != nil || q == nil {
-		return nil, err
-	}
-	if err := q.Acquire(ctx); err != nil {
-		if errors.Is(err, ErrStatementTimeout) || errors.Is(err, ErrQueryCanceled) {
-			return nil, fmt.Errorf("%w (queue %q): %w", ErrQueueTimeout, q.Name(), err)
+// dispatch runs a plan on the cluster under the session's workload
+// settings (applyResourceLimits). A statement's first dispatch waits
+// FIFO for a slot in the session's resource queue before any gang is
+// started (§2.4's admission), whatever the statement is: SELECT,
+// INSERT, COPY, EXPLAIN ANALYZE or ANALYZE. Its later dispatches (a
+// restart, a scalar subquery, ANALYZE's next table) run under that one
+// slot, which the statement's lifecycle gives back when it ends. The
+// statement's cancellation context aborts the wait cleanly: a queued
+// statement holds no slot and has started no gang.
+func (s *Session) dispatch(ctx context.Context, pl *plan.Plan) (*cluster.QueryResult, error) {
+	if s.slot == nil && s.queue != "" {
+		q := s.eng.res.Lookup(s.queue)
+		if q == nil {
+			return nil, fmt.Errorf("engine: resource queue %q does not exist", s.queue)
 		}
-		return nil, err
+		if err := q.Acquire(ctx); err != nil {
+			if errors.Is(err, ErrStatementTimeout) || errors.Is(err, ErrQueryCanceled) {
+				return nil, fmt.Errorf("%w (queue %q): %w", ErrQueueTimeout, q.Name(), err)
+			}
+			return nil, err
+		}
+		s.slot = q
 	}
-	return q.Release, nil
+	s.applyResourceLimits(pl)
+	return s.eng.cl.Dispatch(ctx, pl, nil)
 }
 
 // applyResourceLimits stamps the session's workload-manager settings

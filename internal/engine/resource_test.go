@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hawq/internal/resource"
 	"hawq/internal/tx"
+	"hawq/internal/types"
 )
 
 func TestResourceQueueDDLRoundTrip(t *testing.T) {
@@ -133,6 +135,38 @@ func TestSetWorkMemAndResourceQueue(t *testing.T) {
 	if res.Rows[0][0].Str() != "none" {
 		t.Fatalf("SHOW resource_queue after clear = %v", res.Rows[0])
 	}
+
+	// SHOW prints back every setting SET accepts, in a column named
+	// after it; plan_cache's SHOW reports the cache's statistics.
+	values := map[string]string{
+		"transaction_isolation":    "serializable",
+		"statement_timeout":        "250ms",
+		"slow_query_log_threshold": "1s",
+		"work_mem":                 "4MB",
+		"resource_queue":           "adhoc",
+		"plan_cache":               "off",
+		"plan_cache_size":          "64",
+	}
+	if len(values) != len(settings) {
+		t.Fatalf("the loop covers %d settings, the engine has %d", len(values), len(settings))
+	}
+	for name := range settings {
+		v, ok := values[name]
+		if !ok {
+			t.Fatalf("no test value for setting %q", name)
+		}
+		mustExec(t, s, fmt.Sprintf("SET %s = '%s'", name, v))
+		res := mustExec(t, s, "SHOW "+name)
+		if name == "plan_cache" {
+			if len(res.Rows) == 0 || res.Rows[0][0].Str() != "size" {
+				t.Errorf("SHOW plan_cache = %v, want the cache statistics", rowsString(res))
+			}
+			continue
+		}
+		if got := res.Rows[0][0].String(); len(res.Rows) != 1 || res.Schema.Columns[0].Name != name || got != v {
+			t.Errorf("SET %s = '%s'; SHOW %s = %v (column %q)", name, v, name, rowsString(res), res.Schema.Columns[0].Name)
+		}
+	}
 }
 
 // TestResourceQueueSerializesStatements is the acceptance check for
@@ -189,6 +223,8 @@ func TestResourceQueueWaitAbortsOnTimeout(t *testing.T) {
 	e := newTestEngine(t, 2)
 	s := e.NewSession()
 	setupAccounts(t, s)
+	mustExec(t, s, "CREATE TABLE other (k INT8) DISTRIBUTED BY (k)")
+	mustExec(t, s, "INSERT INTO other VALUES (1), (2)")
 	mustExec(t, s, "CREATE RESOURCE QUEUE tq WITH (active_statements = 1)")
 	mustExec(t, s, "SET resource_queue = tq")
 
@@ -198,19 +234,44 @@ func TestResourceQueueWaitAbortsOnTimeout(t *testing.T) {
 	}
 	defer q.Release()
 
+	// Every statement that dispatches waits in the queue, whatever it
+	// is and however it entered the engine.
 	mustExec(t, s, "SET statement_timeout = 20")
-	_, err := s.Query("SELECT count(*) FROM accounts")
-	if !errors.Is(err, ErrQueueTimeout) || !errors.Is(err, ErrStatementTimeout) {
-		t.Fatalf("err = %v, want queue timeout wrapping statement timeout", err)
-	}
-	st := q.Stats()
-	if st.Queued != 0 {
-		t.Fatalf("timed-out waiter still queued: %+v", st)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"SELECT", func() error { _, err := s.Query("SELECT count(*) FROM accounts"); return err }},
+		{"COPY", func() error {
+			_, err := s.CopyFrom("accounts", []types.Row{{types.NewInt64(101), types.NewString("o"), types.NewDecimal(100, 2), types.NewDate(0)}})
+			return err
+		}},
+		{"EXPLAIN ANALYZE", func() error { _, err := s.Query("EXPLAIN ANALYZE SELECT count(*) FROM accounts"); return err }},
+		{"ANALYZE", func() error { _, err := s.Query("ANALYZE accounts"); return err }},
+	} {
+		err := c.run()
+		if !errors.Is(err, ErrQueueTimeout) || !errors.Is(err, ErrStatementTimeout) {
+			t.Fatalf("%s: err = %v, want queue timeout wrapping statement timeout", c.name, err)
+		}
+		if st := q.Stats(); st.Queued != 0 || st.Active != 1 {
+			t.Fatalf("%s: timed-out waiter still queued or holding a slot: %+v", c.name, st)
+		}
 	}
 
-	// The session is healthy once the queue frees up.
-	mustExec(t, s, "SET statement_timeout = 0")
+	// The session is healthy once the queue frees up, and a statement's
+	// nested dispatches (a scalar subquery, ANALYZE's scan of each
+	// table) run under its one slot instead of waiting for a second.
+	mustExec(t, s, "SET statement_timeout = '10s'")
 	q.Release()
+	for _, sql := range []string{
+		"SELECT count(*) FROM accounts WHERE balance > (SELECT avg(balance) FROM accounts)",
+		"ANALYZE",
+	} {
+		mustExec(t, s, sql)
+	}
+	if st := q.Stats(); st.Active != 0 || st.Queued != 0 {
+		t.Fatalf("slot leaked after nested dispatches: %+v", st)
+	}
 	if err := q.Acquire(context.Background()); err != nil { // re-hold for defer symmetry
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (s *Session) newPlanner(ctx context.Context, t *tx.Tx) *planner.Planner {
 		Params: s.curParams,
 	}
 	p.SubqueryEval = func(sub *sqlparser.SelectStmt) (types.Datum, error) {
-		rows, _, err := s.runSelectRows(ctx, t, sub)
+		rows, _, err := s.runSelectRows(ctx, t, sub, false)
 		if err != nil {
 			return types.Null, err
 		}
@@ -82,7 +82,7 @@ func (s *Session) runSelect(ctx context.Context, t *tx.Tx, stmt *sqlparser.Selec
 			return &Result{Schema: res.Schema, Rows: res.Rows, Tag: fmt.Sprintf("SELECT %d", len(res.Rows))}, nil
 		}
 	}
-	rows, schema, err := s.runSelectRows(ctx, t, stmt)
+	rows, schema, err := s.runSelectRows(ctx, t, stmt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -95,8 +95,11 @@ func (s *Session) runSelect(ctx context.Context, t *tx.Tx, stmt *sqlparser.Selec
 // restarted query fails over (§2.6 — "most of the time, heavy
 // materialization based query recovery is slower than simple query
 // restart"). Errors the detector cannot attribute to a fault are
-// permanent; cancellation stops the loop immediately.
-func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.SelectStmt) ([]types.Row, *types.Schema, error) {
+// permanent; cancellation stops the loop immediately. With stats, or
+// with the session's slow-query log armed, the dispatch collects
+// per-operator statistics and leaves its EXPLAIN ANALYZE summary in
+// s.lastStats.
+func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.SelectStmt, stats bool) ([]types.Row, *types.Schema, error) {
 	if err := s.lockTables(t, stmt, tx.AccessShare); err != nil {
 		return nil, nil, err
 	}
@@ -114,13 +117,10 @@ func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.S
 		if err != nil {
 			return retry.Permanent(err)
 		}
-		s.applyResourceLimits(pl)
-		// A session with the slow-query log armed instruments every
-		// dispatch so the log entry can carry the analyze summary.
-		pl.CollectStats = s.slowThresh > 0
+		pl.CollectStats = stats || s.slowThresh > 0
 		clk := s.eng.cl.Clock()
 		start := clk.Now()
-		res, err := s.eng.cl.Dispatch(ctx, pl, nil)
+		res, err := s.dispatch(ctx, pl)
 		if err != nil {
 			return s.classifyDispatchErr(err)
 		}
@@ -221,8 +221,8 @@ func (s *Session) classifyDispatchErr(err error) error {
 }
 
 // runExplain plans the inner statement and renders the sliced plan.
-// EXPLAIN ANALYZE additionally executes it with per-operator
-// instrumentation and annotates the rendering with the merged
+// EXPLAIN ANALYZE instead runs it as a SELECT, with per-operator
+// instrumentation, and renders the plan annotated with the merged
 // per-slice runtime statistics the gang reported.
 func (s *Session) runExplain(ctx context.Context, t *tx.Tx, stmt *sqlparser.ExplainStmt) (*Result, error) {
 	sel, ok := stmt.Stmt.(*sqlparser.SelectStmt)
@@ -231,26 +231,12 @@ func (s *Session) runExplain(ctx context.Context, t *tx.Tx, stmt *sqlparser.Expl
 	}
 	var text string
 	if stmt.Analyze {
-		// Execute like runSelectRows does (same locks, same resource
-		// limits), but with stats collection on and no restart policy:
-		// an analyze run that hit a fault reports the failed attempt.
-		if err := s.lockTables(t, sel, tx.AccessShare); err != nil {
+		// Run the statement as a SELECT runs, with stats on: the
+		// summary it leaves for the slow-query log is the answer.
+		if _, _, err := s.runSelectRows(ctx, t, sel, true); err != nil {
 			return nil, err
 		}
-		p := s.newPlanner(ctx, t)
-		pl, err := p.PlanSelect(sel)
-		if err != nil {
-			return nil, err
-		}
-		s.applyResourceLimits(pl)
-		pl.CollectStats = true
-		clk := s.eng.cl.Clock()
-		start := clk.Now()
-		res, err := s.eng.cl.Dispatch(ctx, pl, nil)
-		if err != nil {
-			return nil, err
-		}
-		text = pl.ExplainAnalyze(res.Stats, len(res.Rows), clk.Since(start))
+		text = s.lastStats
 	} else {
 		p := s.newPlanner(ctx, t)
 		pl, err := p.PlanSelect(sel)
@@ -273,7 +259,13 @@ func (s *Session) runExplain(ctx context.Context, t *tx.Tx, stmt *sqlparser.Expl
 // runShow serves SHOW segments / SHOW tables / SHOW metrics and the
 // session settings.
 func (s *Session) runShow(t *tx.Tx, stmt *sqlparser.ShowStmt) (*Result, error) {
-	switch strings.ToLower(stmt.Name) {
+	name := strings.ToLower(stmt.Name)
+	if st, ok := settings[name]; ok && st.show != nil {
+		d := st.show(s)
+		schema := types.NewSchema(types.Column{Name: name, Kind: d.K})
+		return &Result{Schema: schema, Rows: []types.Row{{d}}, Tag: "SHOW"}, nil
+	}
+	switch name {
 	case "metrics":
 		snap := obs.Snapshot()
 		names := make([]string, 0, len(snap))
@@ -290,9 +282,6 @@ func (s *Session) runShow(t *tx.Tx, stmt *sqlparser.ShowStmt) (*Result, error) {
 			rows = append(rows, types.Row{types.NewString(name), types.NewInt64(snap[name])})
 		}
 		return &Result{Schema: schema, Rows: rows, Tag: "SHOW"}, nil
-	case "slow_query_log_threshold":
-		schema := types.NewSchema(types.Column{Name: "slow_query_log_threshold", Kind: types.KindString})
-		return &Result{Schema: schema, Rows: []types.Row{{types.NewString(s.slowThresh.String())}}, Tag: "SHOW"}, nil
 	case "slow_queries":
 		schema := types.NewSchema(
 			types.Column{Name: "sql", Kind: types.KindString},
@@ -337,10 +326,6 @@ func (s *Session) runShow(t *tx.Tx, stmt *sqlparser.ShowStmt) (*Result, error) {
 			})
 		}
 		return &Result{Schema: schema, Rows: rows, Tag: "SHOW"}, nil
-	case "plan_cache_size":
-		st := s.eng.planCache.Stats()
-		schema := types.NewSchema(types.Column{Name: "plan_cache_size", Kind: types.KindInt64})
-		return &Result{Schema: schema, Rows: []types.Row{{types.NewInt64(int64(st.Capacity))}}, Tag: "SHOW"}, nil
 	case "plan_cache":
 		st := s.eng.planCache.Stats()
 		schema := types.NewSchema(
@@ -357,16 +342,6 @@ func (s *Session) runShow(t *tx.Tx, stmt *sqlparser.ShowStmt) (*Result, error) {
 			{types.NewString("stores"), types.NewInt64(st.Stores)},
 		}
 		return &Result{Schema: schema, Rows: rows, Tag: "SHOW"}, nil
-	case "work_mem":
-		schema := types.NewSchema(types.Column{Name: "work_mem", Kind: types.KindString})
-		return &Result{Schema: schema, Rows: []types.Row{{types.NewString(resource.FormatBytes(s.workMem))}}, Tag: "SHOW"}, nil
-	case "resource_queue":
-		name := s.queue
-		if name == "" {
-			name = "none"
-		}
-		schema := types.NewSchema(types.Column{Name: "resource_queue", Kind: types.KindString})
-		return &Result{Schema: schema, Rows: []types.Row{{types.NewString(name)}}, Tag: "SHOW"}, nil
 	case "tasks":
 		return s.runShowTasks(t)
 	case "resource_queues":

@@ -41,39 +41,24 @@ func (e *Engine) startScheduler(cfg Config) {
 func (e *Engine) TaskScheduler() *task.Scheduler { return e.sched }
 
 // taskExecutor adapts the engine to task.Executor: every task kind runs
-// through the normal statement machinery, so maintenance work obeys
-// admission control, locking, and MVCC like any client statement.
+// in a fresh session through the statement lifecycle, under the
+// scheduler's context, so maintenance work obeys admission control,
+// locking, and MVCC like any client statement, and stopping the
+// scheduler cancels it.
 type taskExecutor struct{ eng *Engine }
 
 func (x taskExecutor) ExecuteTask(ctx context.Context, d *catalog.TaskDesc) error {
+	var err error
 	switch d.Kind {
 	case catalog.TaskKindAnalyze:
-		return x.eng.runMaintenanceSQL(ctx, "ANALYZE "+d.Target)
+		_, err = x.eng.NewSession().execute(ctx, "ANALYZE "+d.Target)
 	case catalog.TaskKindStatement:
-		return x.eng.runMaintenanceSQL(ctx, d.Target)
+		_, err = x.eng.NewSession().execute(ctx, d.Target)
 	case catalog.TaskKindCompact:
-		return x.eng.CompactTable(ctx, d.Target)
+		err = x.eng.CompactTable(ctx, d.Target)
 	default:
-		return fmt.Errorf("engine: unknown task kind %q", d.Kind)
+		err = fmt.Errorf("engine: unknown task kind %q", d.Kind)
 	}
-}
-
-// runMaintenanceSQL executes one statement in a fresh autocommit
-// session. The scheduler's context is bridged to the session's
-// per-statement cancel, so engine shutdown tears down a running
-// maintenance statement like a client cancel would.
-func (e *Engine) runMaintenanceSQL(ctx context.Context, sql string) error {
-	s := e.NewSession()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.Cancel()
-		case <-done:
-		}
-	}()
-	_, err := s.Execute(sql)
 	return err
 }
 

@@ -10,11 +10,14 @@ import (
 )
 
 // DefaultMotionPayload is the encoded size a motion accumulates per
-// receiver before each interconnect send. It must stay under the
-// interconnect's maximum payload (interconnect.UDPConfig.MaxPayload,
-// 8 KiB by default for the UDP transport) with headroom for the rows
-// that straddle the flush threshold.
+// receiver before each interconnect send. It stays under the
+// interconnect's maximum payload (interconnect.MaxPayload) with
+// headroom for the rows that straddle the flush threshold.
 const DefaultMotionPayload = 7 * 1024
+
+// A DefaultMotionPayload at or above interconnect.MaxPayload makes this
+// constant negative, which does not compile.
+const _ = uint(interconnect.MaxPayload - DefaultMotionPayload - 1)
 
 // motionSendOp is the send half of a motion: it drives its input subtree
 // and routes encoded tuple batches to receiver streams. It is always the

@@ -14,17 +14,20 @@ import (
 	"hawq/internal/retry"
 )
 
-// TCPConfig tunes the TCP interconnect. Deadlines are enforced through
-// clock.Clock timers instead of raw socket deadlines, so a clock.Sim
-// chaos run never wall-blocks waiting for a peer: the timeout fires
-// only when the driver advances virtual time.
+// The TCP interconnect's deadlines are enforced through clock.Clock
+// timers instead of raw socket deadlines, so a clock.Sim chaos run
+// never wall-blocks waiting for a peer: the timeout fires only when the
+// driver advances virtual time.
+const (
+	// dialTimeout bounds connection setup for one dial attempt.
+	dialTimeout = 10 * time.Second
+	// handshakeTimeout bounds how long an accepted connection may take
+	// to deliver its 14-byte stream hello.
+	handshakeTimeout = 10 * time.Second
+)
+
+// TCPConfig tunes the TCP interconnect.
 type TCPConfig struct {
-	// DialTimeout bounds connection setup for one dial attempt.
-	// Default 10s.
-	DialTimeout time.Duration
-	// HandshakeTimeout bounds how long an accepted connection may take
-	// to deliver its 14-byte stream hello. Default 10s.
-	HandshakeTimeout time.Duration
 	// Retry is the bounded-backoff policy wrapped around dials, so a
 	// receiver that is restarting (failover re-registers its address)
 	// does not fail the whole query on the first refused connection.
@@ -37,12 +40,6 @@ type TCPConfig struct {
 }
 
 func (c *TCPConfig) fill() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
 	c.Clock = clock.Default(c.Clock)
 	if c.Retry.MaxAttempts == 0 {
 		c.Retry.MaxAttempts = 3
@@ -176,7 +173,7 @@ func (n *TCPNode) acceptLoop() {
 func (n *TCPNode) handleConn(conn net.Conn) {
 	var hello [14]byte
 	hsDone := make(chan struct{})
-	tm := n.clk.NewTimer(n.cfg.HandshakeTimeout)
+	tm := n.clk.NewTimer(handshakeTimeout)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -226,7 +223,7 @@ func (n *TCPNode) OpenSend(sid StreamID) (SendStream, error) {
 	}
 	var conn net.Conn
 	err := n.cfg.Retry.Do(context.Background(), func(int) error {
-		ctx, cancel := clock.ContextWithTimeout(context.Background(), n.clk, n.cfg.DialTimeout, ErrTimeout)
+		ctx, cancel := clock.ContextWithTimeout(context.Background(), n.clk, dialTimeout, ErrTimeout)
 		defer cancel()
 		c, derr := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
 		if derr != nil {

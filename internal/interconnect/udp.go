@@ -12,17 +12,18 @@ import (
 	"hawq/internal/clock"
 )
 
+// MaxPayload is the largest Send payload in bytes: one datagram per
+// payload, comfortably under typical MTU+jumbo limits without IP
+// fragmentation. The executor's motion operators keep their
+// accumulation target (executor.DefaultMotionPayload) below it, with
+// headroom for the row that straddles the flush threshold — Send fails
+// outright on oversized payloads.
+const MaxPayload = 8 * 1024
+
 // UDPConfig tunes the UDP interconnect.
 type UDPConfig struct {
 	// RecvWindow is the per-sender receive queue capacity in packets.
 	RecvWindow int
-	// MaxPayload is the largest Send payload in bytes (default 8 KiB:
-	// one datagram per payload, comfortably under typical MTU+jumbo
-	// limits without IP fragmentation). The executor's motion operators
-	// must keep their accumulation target (executor.DefaultMotionPayload)
-	// at or below this, with headroom for the row that straddles the
-	// flush threshold — Send fails outright on oversized payloads.
-	MaxPayload int
 	// LossRate injects random packet loss in [0,1) for testing the
 	// recovery machinery. Applies to every outgoing packet. Chaos runs
 	// adjust it at runtime through UDPNode.SetLossRate.
@@ -43,9 +44,6 @@ type UDPConfig struct {
 func (c *UDPConfig) fill() {
 	if c.RecvWindow <= 0 {
 		c.RecvWindow = 64
-	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = 8 * 1024
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -530,8 +528,8 @@ func (s *udpSend) Finish(data []byte) error { return s.send(ptEOS, data) }
 // The final packet waits for neither, as a bare EOS never has: the
 // receiver's queue keeps a slot for it beyond the window.
 func (s *udpSend) send(ptype uint8, data []byte) error {
-	if len(data) > s.n.cfg.MaxPayload {
-		return fmt.Errorf("interconnect: payload %d exceeds max %d", len(data), s.n.cfg.MaxPayload)
+	if len(data) > MaxPayload {
+		return fmt.Errorf("interconnect: payload %d exceeds max %d", len(data), MaxPayload)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

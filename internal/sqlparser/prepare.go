@@ -78,15 +78,21 @@ func (p *parser) parsePrepare() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewPrepare(name, inner)
+}
+
+// NewPrepare makes the PREPARE of inner under name, refusing what
+// cannot be prepared: a PREPARE, EXECUTE or DEALLOCATE, and
+// placeholders that are not $1 to $n.
+func NewPrepare(name string, inner Statement) (*PrepareStmt, error) {
 	switch inner.(type) {
 	case *PrepareStmt, *ExecuteStmt, *DeallocateStmt:
 		return nil, fmt.Errorf("sql: cannot PREPARE a %T", inner)
 	}
-	ps := &PrepareStmt{Name: name, Stmt: inner}
 	if err := CheckParams(inner); err != nil {
 		return nil, err
 	}
-	return ps, nil
+	return &PrepareStmt{Name: name, Stmt: inner}, nil
 }
 
 func (p *parser) parseExecute() (Statement, error) {

@@ -364,6 +364,14 @@ func (t *Tx) Snapshot() Snapshot {
 	if t.level == Serializable {
 		return *t.serialSnap
 	}
+	return t.LatestSnapshot()
+}
+
+// LatestSnapshot returns a snapshot taken now, whatever the isolation
+// level: what a write to state every transaction shares must read. A
+// swimming lane's committed length is where its file ends, not what
+// this transaction's statements see.
+func (t *Tx) LatestSnapshot() Snapshot {
 	t.mgr.mu.Lock()
 	defer t.mgr.mu.Unlock()
 	return t.mgr.snapshotLocked(t.xid)

@@ -82,7 +82,15 @@
 #                                  deferred-dispatch list), no portal
 #                                  or bind acknowledgement, and no
 #                                  sort row limit of a test's own
-#                                  comes back
+#                                  comes back, and no statement enters
+#                                  internal/engine but through the one
+#                                  lifecycle: no private COPY or
+#                                  maintenance path (copyInTx,
+#                                  runMaintenanceSQL), three
+#                                  TxMgr.Begin sites (BEGIN, the
+#                                  lifecycle, the boot-time queue
+#                                  read) and one caller of
+#                                  beginStatement
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -201,6 +209,18 @@ if grep -rnE '% uint64\(' --include='*.go' --exclude-dir=types --exclude-dir=sti
 fi
 if grep -rnE 'Deferred[D]irect\b|MsgBind[O]K|portal[S]tate|SortMem[R]ows' internal; then
     echo "stays deleted: a slice's Segments is the one record of its gang, a prepared execution is one Execute message, and a sort spills only into the query's workfile store (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'copyIn[T]x|runMaintenance[S]QL' internal cmd; then
+    echo "stays deleted: COPY shares INSERT's write path, and a maintenance task runs through the statement lifecycle under the scheduler's context (see above)" >&2
+    exit 1
+fi
+engine_src="$(ls internal/engine/*.go | grep -v '_test\.go$')"
+begins="$(grep -h 'TxMgr\.Begin(' $engine_src | wc -l)"
+starts="$(grep -h 'beginStatement(' $engine_src | grep -v '^func ' | wc -l)"
+if (( begins != 3 || starts != 1 )); then
+    grep -n 'TxMgr\.Begin(\|beginStatement(' $engine_src >&2
+    echo "stays deleted: internal/engine begins a transaction only for BEGIN, the statement lifecycle and the boot-time queue read ($begins sites, want 3), and only the lifecycle arms a statement ($starts callers of beginStatement, want 1); run a statement through Session.runTransactional (see above)" >&2
     exit 1
 fi
 
