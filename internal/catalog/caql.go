@@ -151,6 +151,27 @@ func (c *Catalog) caqlTable(ref []sqlparser.TableRef) (*SysTable, error) {
 	return c.SysTable(tn.Name)
 }
 
+// caqlWhere binds a WHERE clause as Select's match (nil when there is
+// none). The first evaluation error stops every later match and is kept
+// in *evalErr, which the caller reports once the read is done.
+func caqlWhere(where sqlparser.Expr, schema *types.Schema, evalErr *error) (func(types.Row) bool, error) {
+	if where == nil {
+		return nil, nil
+	}
+	bound, err := bindCaQL(where, schema)
+	if err != nil {
+		return nil, err
+	}
+	return func(row types.Row) bool {
+		if *evalErr != nil {
+			return false
+		}
+		ok, err := expr.EvalBool(bound, row)
+		*evalErr = err
+		return ok && err == nil
+	}, nil
+}
+
 func (c *Catalog) caqlSelect(t *tx.Tx, s *sqlparser.SelectStmt) (*CaQLResult, error) {
 	if len(s.GroupBy) > 0 || s.Having != nil || len(s.OrderBy) > 0 || s.Distinct {
 		return nil, fmt.Errorf("caql: GROUP BY / HAVING / ORDER BY / DISTINCT not supported")
@@ -159,38 +180,23 @@ func (c *Catalog) caqlSelect(t *tx.Tx, s *sqlparser.SelectStmt) (*CaQLResult, er
 	if err != nil {
 		return nil, err
 	}
-	var where expr.Expr
-	if s.Where != nil {
-		if where, err = bindCaQL(s.Where, sys.Schema); err != nil {
-			return nil, err
-		}
+	var evalErr error
+	match, err := caqlWhere(s.Where, sys.Schema, &evalErr)
+	if err != nil {
+		return nil, err
 	}
 	// COUNT(*) special form.
 	if len(s.Projections) == 1 && !s.Projections[0].Star {
 		if f, ok := s.Projections[0].Expr.(*sqlparser.FuncExpr); ok && strings.EqualFold(f.Name, "count") {
 			n := 0
-			var scanErr error
-			sys.Scan(t.Snapshot(), func(_ uint64, row types.Row) bool {
-				if where != nil {
-					ok, err := expr.EvalBool(where, row)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if !ok {
-						return true
-					}
-				}
+			sys.Select(t.Snapshot(), match, func(uint64, types.Row) bool {
 				n++
 				return true
 			})
-			if scanErr != nil {
-				return nil, scanErr
-			}
 			return &CaQLResult{
 				Schema: types.NewSchema(types.Column{Name: "count", Kind: types.KindInt64}),
 				Rows:   []types.Row{{types.NewInt64(int64(n))}},
-			}, nil
+			}, evalErr
 		}
 	}
 	// Projection list.
@@ -222,22 +228,11 @@ func (c *Catalog) caqlSelect(t *tx.Tx, s *sqlparser.SelectStmt) (*CaQLResult, er
 		outSchema = &types.Schema{Columns: cols}
 	}
 	res := &CaQLResult{Schema: outSchema}
-	var scanErr error
 	limit := -1
 	if s.Limit != nil {
 		limit = int(*s.Limit)
 	}
-	sys.Scan(t.Snapshot(), func(_ uint64, row types.Row) bool {
-		if where != nil {
-			ok, err := expr.EvalBool(where, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	sys.Select(t.Snapshot(), match, func(_ uint64, row types.Row) bool {
 		out := make(types.Row, len(projIdx))
 		for i, idx := range projIdx {
 			out[i] = row[idx]
@@ -245,10 +240,7 @@ func (c *Catalog) caqlSelect(t *tx.Tx, s *sqlparser.SelectStmt) (*CaQLResult, er
 		res.Rows = append(res.Rows, out)
 		return limit < 0 || len(res.Rows) < limit
 	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return res, nil
+	return res, evalErr
 }
 
 func (c *Catalog) caqlInsert(t *tx.Tx, s *sqlparser.InsertStmt) (*CaQLResult, error) {
@@ -290,35 +282,16 @@ func (c *Catalog) caqlDelete(t *tx.Tx, s *sqlparser.DeleteStmt) (*CaQLResult, er
 	if err != nil {
 		return nil, err
 	}
-	var where expr.Expr
-	if s.Where != nil {
-		if where, err = bindCaQL(s.Where, sys.Schema); err != nil {
-			return nil, err
-		}
+	var evalErr error
+	match, err := caqlWhere(s.Where, sys.Schema, &evalErr)
+	if err != nil {
+		return nil, err
 	}
-	var victims []uint64
-	var scanErr error
-	sys.Scan(t.Snapshot(), func(id uint64, row types.Row) bool {
-		if where != nil {
-			ok, err := expr.EvalBool(where, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		victims = append(victims, id)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+	victims, err := c.deleteWhere(t, t.Snapshot(), sys.Name, match)
+	if err == nil {
+		err = evalErr
 	}
-	for _, id := range victims {
-		c.delete(t.XID(), sys.Name, id)
-	}
-	return &CaQLResult{Affected: len(victims)}, nil
+	return &CaQLResult{Affected: len(victims)}, err
 }
 
 func (c *Catalog) caqlUpdate(t *tx.Tx, s *sqlparser.UpdateStmt) (*CaQLResult, error) {
@@ -326,11 +299,10 @@ func (c *Catalog) caqlUpdate(t *tx.Tx, s *sqlparser.UpdateStmt) (*CaQLResult, er
 	if err != nil {
 		return nil, err
 	}
-	var where expr.Expr
-	if s.Where != nil {
-		if where, err = bindCaQL(s.Where, sys.Schema); err != nil {
-			return nil, err
-		}
+	var evalErr error
+	match, err := caqlWhere(s.Where, sys.Schema, &evalErr)
+	if err != nil {
+		return nil, err
 	}
 	type assignment struct {
 		idx int
@@ -348,47 +320,33 @@ func (c *Catalog) caqlUpdate(t *tx.Tx, s *sqlparser.UpdateStmt) (*CaQLResult, er
 		}
 		assigns = append(assigns, assignment{idx: idx, e: bound})
 	}
-	type hit struct {
-		id  uint64
-		row types.Row
-	}
-	var hits []hit
-	var scanErr error
-	sys.Scan(t.Snapshot(), func(id uint64, row types.Row) bool {
-		if where != nil {
-			ok, err := expr.EvalBool(where, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		hits = append(hits, hit{id: id, row: row.Clone()})
-		return len(hits) <= 1
+	// UPDATE is single-row: count under the snapshot the write judges
+	// by, so a refused statement stamps nothing.
+	snap, n := t.Snapshot(), 0
+	sys.Select(snap, match, func(uint64, types.Row) bool {
+		n++
+		return n < 2
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	switch {
+	case evalErr != nil:
+		return nil, evalErr
+	case n > 1:
+		return nil, fmt.Errorf("caql: UPDATE matched more than one row; single-row only")
 	}
-	if len(hits) > 1 {
-		return nil, fmt.Errorf("caql: UPDATE matched %d rows; single-row only", len(hits))
-	}
-	if len(hits) == 0 {
-		return &CaQLResult{Affected: 0}, nil
-	}
-	h := hits[0]
-	for _, a := range assigns {
-		v, err := a.e.Eval(h.row)
-		if err != nil {
-			return nil, err
+	n, err = c.replace(t, snap, sys.Name, match, func(row types.Row) error {
+		for _, a := range assigns {
+			v, err := a.e.Eval(row)
+			if err != nil {
+				return err
+			}
+			if row[a.idx], err = types.Cast(v, sys.Schema.Columns[a.idx].Kind); err != nil {
+				return err
+			}
 		}
-		if v, err = types.Cast(v, sys.Schema.Columns[a.idx].Kind); err != nil {
-			return nil, err
-		}
-		h.row[a.idx] = v
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("caql: UPDATE: %w", err)
 	}
-	c.delete(t.XID(), sys.Name, h.id)
-	c.insert(t.XID(), sys.Name, h.row)
-	return &CaQLResult{Affected: 1}, nil
+	return &CaQLResult{Affected: n}, nil
 }

@@ -302,24 +302,83 @@ func (c *Catalog) SetWAL(w *tx.WAL) { c.wal.Store(w) }
 func (c *Catalog) WAL() *tx.WAL { return c.wal.Load() }
 
 // insert writes a row to a system table and WAL-logs it.
-func (c *Catalog) insert(xid tx.XID, table string, row types.Row) uint64 {
-	t := c.sys[table]
-	id := t.Insert(xid, row)
+func (c *Catalog) insert(xid tx.XID, table string, row types.Row) {
+	id := c.sys[table].Insert(xid, row)
 	if w := c.wal.Load(); w != nil {
 		w.Append(tx.Record{Type: tx.RecInsert, XID: xid, Table: table, RowID: id, Data: types.EncodeRow(nil, row)})
 	}
 	c.noteMutation(xid, table)
-	return id
 }
 
-// delete stamps a row deleted and WAL-logs it.
-func (c *Catalog) delete(xid tx.XID, table string, id uint64) {
-	if c.sys[table].Delete(xid, id) {
-		if w := c.wal.Load(); w != nil {
-			w.Append(tx.Record{Type: tx.RecDelete, XID: xid, Table: table, RowID: id})
-		}
-		c.noteMutation(xid, table)
+// deleteWhere retires, under the stamp rule, every version of table
+// that match accepts and snap sees, WAL-logs each, and returns their
+// rows. ErrConcurrentUpdate means another transaction retired one first;
+// t must then abort.
+func (c *Catalog) deleteWhere(t *tx.Tx, snap tx.Snapshot, table string, match func(types.Row) bool) ([]types.Row, error) {
+	retired, err := c.sys[table].retire(snap, t.XID(), match)
+	if err != nil || len(retired) == 0 {
+		return nil, err
 	}
+	rows := make([]types.Row, len(retired))
+	for i, r := range retired {
+		if w := c.wal.Load(); w != nil {
+			w.Append(tx.Record{Type: tx.RecDelete, XID: t.XID(), Table: table, RowID: r.id})
+		}
+		rows[i] = r.data
+	}
+	c.noteMutation(t.XID(), table)
+	return rows, nil
+}
+
+// replace is the catalog's MVCC update: it retires what deleteWhere
+// retires and inserts in the place of each version a copy that edit has
+// changed, so concurrent snapshots keep seeing the old versions until t
+// commits. It returns how many versions it replaced.
+func (c *Catalog) replace(t *tx.Tx, snap tx.Snapshot, table string, match func(types.Row) bool, edit func(types.Row) error) (int, error) {
+	old, err := c.deleteWhere(t, snap, table, match)
+	if err != nil {
+		return 0, err
+	}
+	for _, row := range old {
+		row = row.Clone()
+		if err := edit(row); err != nil {
+			return 0, err
+		}
+		c.insert(t.XID(), table, row)
+	}
+	return len(old), nil
+}
+
+// selectAll decodes every row of st that match accepts and snap sees.
+func selectAll[T any](st *SysTable, snap tx.Snapshot, match func(types.Row) bool, decode func(types.Row) T) []T {
+	var out []T
+	st.Select(snap, match, func(_ uint64, row types.Row) bool {
+		out = append(out, decode(row))
+		return true
+	})
+	return out
+}
+
+// selectOne decodes the first row of st that match accepts and snap
+// sees; ok is false when there is none.
+func selectOne[T any](st *SysTable, snap tx.Snapshot, match func(types.Row) bool, decode func(types.Row) T) (out T, ok bool) {
+	st.Select(snap, match, func(_ uint64, row types.Row) bool {
+		out, ok = decode(row), true
+		return false
+	})
+	return out, ok
+}
+
+// oidIs matches the rows of one table in the system tables keyed on a
+// table OID in column 0.
+func oidIs(oid int64) func(types.Row) bool {
+	return func(row types.Row) bool { return row[0].Int() == oid }
+}
+
+// nameIs matches the row of one task or resource queue (keyed on a
+// lower-case name in column 0).
+func nameIs(name string) func(types.Row) bool {
+	return func(row types.Row) bool { return row[0].Str() == name }
 }
 
 // ApplyRecord replays a WAL record into this catalog replica: the standby
@@ -348,7 +407,7 @@ func (c *Catalog) ApplyRecord(r tx.Record) error {
 		if !ok {
 			return fmt.Errorf("catalog: replay delete on unknown table %q", r.Table)
 		}
-		t.Delete(r.XID, r.RowID)
+		return t.redoStamp(r.XID, r.RowID)
 	}
 	return nil
 }
@@ -442,25 +501,14 @@ func (c *Catalog) DropTable(t *tx.Tx, name string) error {
 		victims = append(victims, kids...)
 	}
 	for _, v := range victims {
-		c.dropOne(t, snap, v.OID)
-	}
-	return nil
-}
-
-func (c *Catalog) dropOne(t *tx.Tx, snap tx.Snapshot, oid int64) {
-	// Every table here keys on the table's oid in column 0.
-	for _, table := range []string{SysClass, SysAttribute, SysAoseg, SysStatRel, SysStatCol} {
-		var ids []uint64
-		c.sys[table].Scan(snap, func(id uint64, row types.Row) bool {
-			if row[0].Int() == oid {
-				ids = append(ids, id)
+		// Every table here keys on the table's oid in column 0.
+		for _, table := range []string{SysClass, SysAttribute, SysAoseg, SysStatRel, SysStatCol} {
+			if _, err := c.deleteWhere(t, snap, table, oidIs(v.OID)); err != nil {
+				return err
 			}
-			return true
-		})
-		for _, id := range ids {
-			c.delete(t.XID(), table, id)
 		}
 	}
+	return nil
 }
 
 // decodeClassRow turns a hawq_class row into a TableDesc (schema filled
@@ -510,9 +558,8 @@ func (c *Catalog) loadSchema(snap tx.Snapshot, oid int64) *types.Schema {
 		num int
 		col types.Column
 	}
-	var atts []att
-	c.sys[SysAttribute].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == oid }, func(_ uint64, row types.Row) bool {
-		atts = append(atts, att{
+	atts := selectAll(c.sys[SysAttribute], snap, oidIs(oid), func(row types.Row) att {
+		return att{
 			num: int(row[1].Int()),
 			col: types.Column{
 				Name:    row[2].Str(),
@@ -520,8 +567,7 @@ func (c *Catalog) loadSchema(snap tx.Snapshot, oid int64) *types.Schema {
 				Scale:   int8(row[4].Int()),
 				NotNull: row[5].Bool(),
 			},
-		})
-		return true
+		}
 	})
 	sort.Slice(atts, func(i, j int) bool { return atts[i].num < atts[j].num })
 	cols := make([]types.Column, len(atts))
@@ -531,33 +577,22 @@ func (c *Catalog) loadSchema(snap tx.Snapshot, oid int64) *types.Schema {
 	return &types.Schema{Columns: cols}
 }
 
+// tables decodes the hawq_class rows match accepts, each with its
+// schema.
+func (c *Catalog) tables(snap tx.Snapshot, match func(types.Row) bool) []*TableDesc {
+	out := selectAll(c.sys[SysClass], snap, match, decodeClassRow)
+	for _, d := range out {
+		d.Schema = c.loadSchema(snap, d.OID)
+	}
+	return out
+}
+
 // LookupTable resolves a table by name under a snapshot. Returns
 // (nil, error) when absent.
 func (c *Catalog) LookupTable(snap tx.Snapshot, name string) (*TableDesc, error) {
-	var desc *TableDesc
-	c.sys[SysClass].ScanWhere(snap, func(row types.Row) bool { return strings.EqualFold(row[1].Str(), name) }, func(_ uint64, row types.Row) bool {
-		desc = decodeClassRow(row)
-		return false
-	})
-	if desc == nil {
+	desc, ok := selectOne(c.sys[SysClass], snap, func(row types.Row) bool { return strings.EqualFold(row[1].Str(), name) }, decodeClassRow)
+	if !ok {
 		return nil, fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	desc.Schema = c.loadSchema(snap, desc.OID)
-	return desc, nil
-}
-
-// LookupTableByOID resolves a table by OID.
-func (c *Catalog) LookupTableByOID(snap tx.Snapshot, oid int64) (*TableDesc, error) {
-	var desc *TableDesc
-	c.sys[SysClass].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == oid {
-			desc = decodeClassRow(row)
-			return false
-		}
-		return true
-	})
-	if desc == nil {
-		return nil, fmt.Errorf("catalog: no table with oid %d", oid)
 	}
 	desc.Schema = c.loadSchema(snap, desc.OID)
 	return desc, nil
@@ -565,14 +600,7 @@ func (c *Catalog) LookupTableByOID(snap tx.Snapshot, oid int64) (*TableDesc, err
 
 // ListTables returns all visible tables sorted by name.
 func (c *Catalog) ListTables(snap tx.Snapshot) []*TableDesc {
-	var out []*TableDesc
-	c.sys[SysClass].Scan(snap, func(_ uint64, row types.Row) bool {
-		out = append(out, decodeClassRow(row))
-		return true
-	})
-	for _, d := range out {
-		d.Schema = c.loadSchema(snap, d.OID)
-	}
+	out := c.tables(snap, nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -580,16 +608,7 @@ func (c *Catalog) ListTables(snap tx.Snapshot) []*TableDesc {
 // PartitionChildren returns the child partitions of a parent, ordered by
 // OID (creation order).
 func (c *Catalog) PartitionChildren(snap tx.Snapshot, parentOID int64) ([]*TableDesc, error) {
-	var out []*TableDesc
-	c.sys[SysClass].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[8].Int() == parentOID {
-			out = append(out, decodeClassRow(row))
-		}
-		return true
-	})
-	for _, d := range out {
-		d.Schema = c.loadSchema(snap, d.OID)
-	}
+	out := c.tables(snap, func(row types.Row) bool { return row[8].Int() == parentOID })
 	sort.Slice(out, func(i, j int) bool { return out[i].OID < out[j].OID })
 	return out, nil
 }

@@ -25,11 +25,7 @@ type ResQueueDesc struct {
 // CreateResourceQueue registers a resource queue under the transaction.
 func (c *Catalog) CreateResourceQueue(t *tx.Tx, d ResQueueDesc) error {
 	name := strings.ToLower(d.Name)
-	// The lookup error only says "does not exist" — exactly the state
-	// CREATE wants.
-	//hawqcheck:ignore errdrop
-	existing, _ := c.LookupResourceQueue(t.Snapshot(), name)
-	if existing != nil {
+	if _, exists := selectOne(c.sys[SysResQueue], t.Snapshot(), nameIs(name), decodeResQueueRow); exists {
 		return fmt.Errorf("catalog: resource queue %q already exists", name)
 	}
 	c.insert(t.XID(), SysResQueue, types.Row{
@@ -43,48 +39,16 @@ func (c *Catalog) CreateResourceQueue(t *tx.Tx, d ResQueueDesc) error {
 // DropResourceQueue removes a resource queue.
 func (c *Catalog) DropResourceQueue(t *tx.Tx, name string) error {
 	name = strings.ToLower(name)
-	snap := t.Snapshot()
-	var victim uint64
-	found := false
-	c.sys[SysResQueue].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Str() == name {
-			victim, found = id, true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return fmt.Errorf("catalog: resource queue %q does not exist", name)
+	old, err := c.deleteWhere(t, t.Snapshot(), SysResQueue, nameIs(name))
+	if err == nil && len(old) == 0 {
+		err = fmt.Errorf("catalog: resource queue %q does not exist", name)
 	}
-	c.delete(t.XID(), SysResQueue, victim)
-	return nil
-}
-
-// LookupResourceQueue resolves a queue by name under a snapshot;
-// (nil, error) when absent.
-func (c *Catalog) LookupResourceQueue(snap tx.Snapshot, name string) (*ResQueueDesc, error) {
-	name = strings.ToLower(name)
-	var out *ResQueueDesc
-	c.sys[SysResQueue].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Str() == name {
-			out = decodeResQueueRow(row)
-			return false
-		}
-		return true
-	})
-	if out == nil {
-		return nil, fmt.Errorf("catalog: resource queue %q does not exist", name)
-	}
-	return out, nil
+	return err
 }
 
 // ListResourceQueues returns all visible queues sorted by name.
 func (c *Catalog) ListResourceQueues(snap tx.Snapshot) []*ResQueueDesc {
-	var out []*ResQueueDesc
-	c.sys[SysResQueue].Scan(snap, func(_ uint64, row types.Row) bool {
-		out = append(out, decodeResQueueRow(row))
-		return true
-	})
+	out := selectAll(c.sys[SysResQueue], snap, nil, decodeResQueueRow)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

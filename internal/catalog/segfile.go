@@ -15,11 +15,15 @@ import (
 // zero logical length. Each concurrent writer transaction claims its own
 // segno — the swimming lanes of §5.4.
 func (c *Catalog) AddSegFile(t *tx.Tx, f SegFile) {
+	c.insert(t.XID(), SysAoseg, segFileRow(f))
+}
+
+func segFileRow(f SegFile) types.Row {
 	lens := make([]string, len(f.ColLens))
 	for i, l := range f.ColLens {
 		lens[i] = strconv.FormatInt(l, 10)
 	}
-	c.insert(t.XID(), SysAoseg, types.Row{
+	return types.Row{
 		types.NewInt64(f.TableOID),
 		types.NewInt32(int32(f.SegmentID)),
 		types.NewInt32(int32(f.SegNo)),
@@ -27,7 +31,12 @@ func (c *Catalog) AddSegFile(t *tx.Tx, f SegFile) {
 		types.NewInt64(f.LogicalLen),
 		types.NewInt64(f.Tuples),
 		types.NewString(strings.Join(lens, ",")),
-	})
+	}
+}
+
+// onSegment matches the seg-file rows of a table on one segment.
+func onSegment(tableOID int64, segmentID int) func(types.Row) bool {
+	return func(row types.Row) bool { return row[0].Int() == tableOID && row[1].Int() == int64(segmentID) }
 }
 
 // UpdateSegFile advances the committed logical length and tuple count of
@@ -38,46 +47,29 @@ func (c *Catalog) AddSegFile(t *tx.Tx, f SegFile) {
 // latest one, read through a snapshot taken now whatever t's isolation
 // level: the lane's file ends where that version says.
 func (c *Catalog) UpdateSegFile(t *tx.Tx, f SegFile) error {
-	sys := c.sys[SysAoseg]
-	snap := t.LatestSnapshot()
-	var oldID uint64
-	found := false
-	sys.Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Int() == f.TableOID && row[1].Int() == int64(f.SegmentID) && row[2].Int() == int64(f.SegNo) {
-			oldID, found = id, true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return fmt.Errorf("catalog: no segfile (table %d, segment %d, segno %d)", f.TableOID, f.SegmentID, f.SegNo)
+	onSeg := onSegment(f.TableOID, f.SegmentID)
+	n, err := c.replace(t, t.LatestSnapshot(), SysAoseg, func(row types.Row) bool { return onSeg(row) && row[2].Int() == int64(f.SegNo) },
+		func(row types.Row) error {
+			copy(row, segFileRow(f))
+			return nil
+		})
+	if err == nil && n == 0 {
+		err = fmt.Errorf("catalog: no segfile (table %d, segment %d, segno %d)", f.TableOID, f.SegmentID, f.SegNo)
 	}
-	c.delete(t.XID(), SysAoseg, oldID)
-	c.AddSegFile(t, f)
-	return nil
+	return err
 }
 
 // SegFiles lists the files of a table on one segment visible to the
 // snapshot, ordered by segno.
 func (c *Catalog) SegFiles(snap tx.Snapshot, tableOID int64, segmentID int) []SegFile {
-	var out []SegFile
-	c.sys[SysAoseg].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == tableOID && row[1].Int() == int64(segmentID) {
-			out = append(out, decodeSegFile(row))
-		}
-		return true
-	})
+	out := selectAll(c.sys[SysAoseg], snap, onSegment(tableOID, segmentID), decodeSegFile)
 	sort.Slice(out, func(i, j int) bool { return out[i].SegNo < out[j].SegNo })
 	return out
 }
 
 // AllSegFiles lists every file of a table across segments.
 func (c *Catalog) AllSegFiles(snap tx.Snapshot, tableOID int64) []SegFile {
-	var out []SegFile
-	c.sys[SysAoseg].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == tableOID }, func(_ uint64, row types.Row) bool {
-		out = append(out, decodeSegFile(row))
-		return true
-	})
+	out := selectAll(c.sys[SysAoseg], snap, oidIs(tableOID), decodeSegFile)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].SegmentID != out[j].SegmentID {
 			return out[i].SegmentID < out[j].SegmentID
@@ -89,16 +81,11 @@ func (c *Catalog) AllSegFiles(snap tx.Snapshot, tableOID int64) []SegFile {
 
 // MaxSegNo returns the highest segno in use for (table, segment), or -1.
 func (c *Catalog) MaxSegNo(snap tx.Snapshot, tableOID int64, segmentID int) int {
-	max := -1
-	c.sys[SysAoseg].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == tableOID && row[1].Int() == int64(segmentID) {
-			if n := int(row[2].Int()); n > max {
-				max = n
-			}
-		}
-		return true
-	})
-	return max
+	files := c.SegFiles(snap, tableOID, segmentID)
+	if len(files) == 0 {
+		return -1
+	}
+	return files[len(files)-1].SegNo
 }
 
 func decodeSegFile(row types.Row) SegFile {
@@ -125,76 +112,54 @@ func decodeSegFile(row types.Row) SegFile {
 // concurrent snapshot keeps seeing the old small files; after commit
 // only the merged file is visible; an abort leaves the old set intact.
 // Every victim must still be visible — a missing one means a concurrent
-// writer got there first and the compaction must be retried.
+// writer got there first and the compaction must abort and be retried.
 func (c *Catalog) SwapSegFiles(t *tx.Tx, tableOID int64, segmentID int, oldSegNos []int, merged SegFile) error {
-	snap := t.Snapshot()
-	want := make(map[int]bool, len(oldSegNos))
-	for _, n := range oldSegNos {
-		want[n] = true
-	}
-	var victims []uint64
-	c.sys[SysAoseg].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Int() == tableOID && row[1].Int() == int64(segmentID) && want[int(row[2].Int())] {
-			victims = append(victims, id)
-		}
-		return true
+	onSeg := onSegment(tableOID, segmentID)
+	victims, err := c.deleteWhere(t, t.Snapshot(), SysAoseg, func(row types.Row) bool {
+		return onSeg(row) && slices.Contains(oldSegNos, int(row[2].Int()))
 	})
-	if len(victims) != len(want) {
-		return fmt.Errorf("catalog: compaction of table %d segment %d lost a segfile (want %d, found %d)",
-			tableOID, segmentID, len(want), len(victims))
+	if err != nil {
+		return err
 	}
-	for _, id := range victims {
-		c.delete(t.XID(), SysAoseg, id)
+	if len(victims) != len(oldSegNos) {
+		return fmt.Errorf("catalog: compaction of table %d segment %d lost a segfile (want %d, found %d)",
+			tableOID, segmentID, len(oldSegNos), len(victims))
 	}
 	c.AddSegFile(t, merged)
 	return nil
 }
 
 // SetRelStats stores (replacing) table-level statistics.
-func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) {
-	c.DropRelStats(t, oid)
+func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) error {
+	if err := c.DropRelStats(t, oid); err != nil {
+		return err
+	}
 	c.insert(t.XID(), SysStatRel, types.Row{types.NewInt64(oid), types.NewInt64(s.Rows)})
+	return nil
 }
 
 // DropRelStats deletes a table's stored row count, so the table reads as
 // never analyzed: the planner counts its rows from the segment files and
 // the auto-ANALYZE sweep counts every one of them as churn.
-func (c *Catalog) DropRelStats(t *tx.Tx, oid int64) {
-	var old []uint64
-	c.sys[SysStatRel].Scan(t.Snapshot(), func(id uint64, row types.Row) bool {
-		if row[0].Int() == oid {
-			old = append(old, id)
-		}
-		return true
-	})
-	for _, id := range old {
-		c.delete(t.XID(), SysStatRel, id)
-	}
+func (c *Catalog) DropRelStats(t *tx.Tx, oid int64) error {
+	_, err := c.deleteWhere(t, t.Snapshot(), SysStatRel, oidIs(oid))
+	return err
 }
 
 // RelStatsFor returns table statistics; ok is false if never analyzed.
 func (c *Catalog) RelStatsFor(snap tx.Snapshot, oid int64) (RelStats, bool) {
-	var out RelStats
-	found := false
-	c.sys[SysStatRel].ScanWhere(snap, func(row types.Row) bool { return row[0].Int() == oid }, func(_ uint64, row types.Row) bool {
-		out, found = RelStats{Rows: row[1].Int()}, true
-		return false
-	})
-	return out, found
+	return selectOne(c.sys[SysStatRel], snap, oidIs(oid), func(row types.Row) RelStats { return RelStats{Rows: row[1].Int()} })
+}
+
+// attIs matches one column's statistics row.
+func attIs(oid int64, attnum int) func(types.Row) bool {
+	return func(row types.Row) bool { return row[0].Int() == oid && row[1].Int() == int64(attnum) }
 }
 
 // SetColStats stores (replacing) one column's statistics.
-func (c *Catalog) SetColStats(t *tx.Tx, oid int64, attnum int, s ColStats) {
-	snap := t.Snapshot()
-	var old []uint64
-	c.sys[SysStatCol].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Int() == oid && row[1].Int() == int64(attnum) {
-			old = append(old, id)
-		}
-		return true
-	})
-	for _, id := range old {
-		c.delete(t.XID(), SysStatCol, id)
+func (c *Catalog) SetColStats(t *tx.Tx, oid int64, attnum int, s ColStats) error {
+	if _, err := c.deleteWhere(t, t.Snapshot(), SysStatCol, attIs(oid, attnum)); err != nil {
+		return err
 	}
 	c.insert(t.XID(), SysStatCol, types.Row{
 		types.NewInt64(oid),
@@ -204,20 +169,12 @@ func (c *Catalog) SetColStats(t *tx.Tx, oid int64, attnum int, s ColStats) {
 		types.NewBytes(types.EncodeDatum(nil, s.Min)),
 		types.NewBytes(types.EncodeDatum(nil, s.Max)),
 	})
+	return nil
 }
 
 // ColStatsFor returns one column's statistics.
 func (c *Catalog) ColStatsFor(snap tx.Snapshot, oid int64, attnum int) (ColStats, bool) {
-	var out ColStats
-	found := false
-	c.sys[SysStatCol].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Int() == oid && row[1].Int() == int64(attnum) {
-			out, found = colStatsOf(row), true
-			return false
-		}
-		return true
-	})
-	return out, found
+	return selectOne(c.sys[SysStatCol], snap, attIs(oid, attnum), colStatsOf)
 }
 
 // ColStatsOf returns the statistics of every analyzed column of the
@@ -226,7 +183,7 @@ func (c *Catalog) ColStatsFor(snap tx.Snapshot, oid int64, attnum int) (ColStats
 // ColStats.
 func (c *Catalog) ColStatsOf(snap tx.Snapshot, oids []int64) map[int64][]ColStats {
 	out := map[int64][]ColStats{}
-	c.sys[SysStatCol].ScanWhere(snap, func(row types.Row) bool { return slices.Contains(oids, row[0].Int()) }, func(_ uint64, row types.Row) bool {
+	c.sys[SysStatCol].Select(snap, func(row types.Row) bool { return slices.Contains(oids, row[0].Int()) }, func(_ uint64, row types.Row) bool {
 		oid, att := row[0].Int(), int(row[1].Int())
 		cols := out[oid]
 		for len(cols) <= att {
@@ -262,62 +219,34 @@ func (c *Catalog) RegisterSegment(t *tx.Tx, info SegmentInfo) {
 
 // SetSegmentStatus marks a segment "up" or "down" (fault detector, §2.6).
 func (c *Catalog) SetSegmentStatus(t *tx.Tx, segmentID int, status string) error {
-	snap := t.Snapshot()
-	var oldID uint64
-	var oldRow types.Row
-	found := false
-	c.sys[SysSegment].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Int() == int64(segmentID) {
-			oldID, oldRow, found = id, row.Clone(), true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return fmt.Errorf("catalog: segment %d not registered", segmentID)
+	n, err := c.replace(t, t.Snapshot(), SysSegment, func(row types.Row) bool { return row[0].Int() == int64(segmentID) },
+		func(row types.Row) error {
+			row[3] = types.NewString(status)
+			return nil
+		})
+	if err == nil && n == 0 {
+		err = fmt.Errorf("catalog: segment %d not registered", segmentID)
 	}
-	c.delete(t.XID(), SysSegment, oldID)
-	oldRow[3] = types.NewString(status)
-	c.insert(t.XID(), SysSegment, oldRow)
-	return nil
+	return err
 }
 
 // Segments lists registered segments ordered by ID.
 func (c *Catalog) Segments(snap tx.Snapshot) []SegmentInfo {
-	var out []SegmentInfo
-	c.sys[SysSegment].Scan(snap, func(_ uint64, row types.Row) bool {
-		out = append(out, SegmentInfo{
+	out := selectAll(c.sys[SysSegment], snap, nil, func(row types.Row) SegmentInfo {
+		return SegmentInfo{
 			ID:     int(row[0].Int()),
 			Host:   row[1].Str(),
 			Port:   int(row[2].Int()),
 			Status: row[3].Str(),
-		})
-		return true
+		}
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // DropSegFiles MVCC-deletes every segment-file entry of a table
-// (TRUNCATE TABLE). It returns the dropped entries so the caller can
-// remove the physical files after commit.
-func (c *Catalog) DropSegFiles(t *tx.Tx, oid int64) []SegFile {
-	snap := t.Snapshot()
-	type victim struct {
-		id uint64
-		sf SegFile
-	}
-	var victims []victim
-	c.sys[SysAoseg].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Int() == oid {
-			victims = append(victims, victim{id: id, sf: decodeSegFile(row)})
-		}
-		return true
-	})
-	out := make([]SegFile, 0, len(victims))
-	for _, v := range victims {
-		c.delete(t.XID(), SysAoseg, v.id)
-		out = append(out, v.sf)
-	}
-	return out
+// (TRUNCATE TABLE).
+func (c *Catalog) DropSegFiles(t *tx.Tx, oid int64) error {
+	_, err := c.deleteWhere(t, t.Snapshot(), SysAoseg, oidIs(oid))
+	return err
 }

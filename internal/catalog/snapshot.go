@@ -215,13 +215,20 @@ func (c *Catalog) Dump(snap tx.Snapshot) string {
 	c.mu.Unlock()
 	sort.Strings(names)
 	var b strings.Builder
+	type version struct {
+		id  uint64
+		row types.Row
+	}
 	for _, name := range names {
-		t := c.sys[name]
-		t.versions(func(id uint64, xmin, xmax tx.XID, row types.Row) {
-			if snap.RowVisible(xmin, xmax) {
-				fmt.Fprintf(&b, "%s %d %s\n", name, id, row.String())
-			}
+		var vs []version
+		c.sys[name].Select(snap, nil, func(id uint64, row types.Row) bool {
+			vs = append(vs, version{id, row})
+			return true
 		})
+		sort.Slice(vs, func(i, j int) bool { return vs[i].id < vs[j].id })
+		for _, v := range vs {
+			fmt.Fprintf(&b, "%s %d %s\n", name, v.id, v.row.String())
+		}
 	}
 	return b.String()
 }

@@ -11,8 +11,8 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"hawq/internal/tx"
@@ -75,30 +75,31 @@ func (t *SysTable) InsertWithID(xid tx.XID, id uint64, row types.Row) bool {
 	return true
 }
 
-// Delete stamps xmax on the row version with the given ID. It reports
-// whether a live version was found; re-stamping an already-deleted row
-// is a no-op, which makes WAL replay of deletes idempotent.
-func (t *SysTable) Delete(xid tx.XID, id uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i, ok := t.byID[id]; ok && t.rows[i].xmax == tx.InvalidXID {
-		t.rows[i].xmax = xid
-		return true
+// ErrConcurrentUpdate refuses a write to a row version that another
+// live or committed transaction has already retired: the first writer
+// wins, and the refused one must abort.
+var ErrConcurrentUpdate = errors.New("catalog: row was updated by a concurrent transaction")
+
+// stamp is the one rule by which a row version is retired for xid: a
+// version with no delete stamp takes xid's, and so does one whose stamp
+// retired reports void (its transaction aborted, so the version is live
+// again). Any other stamp belongs to a concurrent update, which the rule
+// refuses.
+func (r *sysRow) stamp(xid tx.XID, retired func(tx.XID) bool) error {
+	if r.xmax != tx.InvalidXID && r.xmax != xid && !retired(r.xmax) {
+		return ErrConcurrentUpdate
 	}
-	return false
+	r.xmax = xid
+	return nil
 }
 
-// Scan calls fn for every row version visible to the snapshot. Returning
-// false stops the scan.
-func (t *SysTable) Scan(snap tx.Snapshot, fn func(id uint64, row types.Row) bool) {
-	t.ScanWhere(snap, nil, fn)
-}
-
-// ScanWhere is Scan over the row versions match accepts, or all when
-// match is nil. match sees a version's data before its visibility is
-// judged, so a lookup by key pays the snapshot check — a transaction
-// status read under the manager's lock — for its own rows only.
-func (t *SysTable) ScanWhere(snap tx.Snapshot, match func(types.Row) bool, fn func(id uint64, row types.Row) bool) {
+// Select calls fn for every row version that match accepts (every one
+// when match is nil) and the snapshot sees; fn returning false stops it.
+// match sees a version's data before its visibility is judged, so a
+// lookup by key pays the snapshot check — a transaction status read
+// under the manager's lock — for its own rows only. This is the
+// catalog's one read: every accessor and CaQL statement goes through it.
+func (t *SysTable) Select(snap tx.Snapshot, match func(types.Row) bool, fn func(id uint64, row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for i := range t.rows {
@@ -109,6 +110,43 @@ func (t *SysTable) ScanWhere(snap tx.Snapshot, match func(types.Row) bool, fn fu
 			}
 		}
 	}
+}
+
+// retire stamps xid, under the stamp rule, on every version Select
+// would pass fn, and returns them. Judging and stamping happen under one
+// lock, so no other writer slips in between; if the rule refuses any
+// version, none is stamped.
+func (t *SysTable) retire(snap tx.Snapshot, xid tx.XID, match func(types.Row) bool) ([]sysRow, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var hits []int
+	for i := range t.rows {
+		r := t.rows[i] // a copy: the rule judges every version before any is stamped
+		if (match == nil || match(r.data)) && snap.RowVisible(r.xmin, r.xmax) {
+			if err := r.stamp(xid, snap.Aborted); err != nil {
+				return nil, err
+			}
+			hits = append(hits, i)
+		}
+	}
+	out := make([]sysRow, len(hits))
+	for k, i := range hits {
+		t.rows[i].xmax = xid
+		out[k] = t.rows[i]
+	}
+	return out, nil
+}
+
+// redoStamp is WAL replay's stamp rule. Records arrive in LSN order, so
+// whatever stamp the version holds is older than the logged one and is
+// replaced. A version no longer stored (vacuumed) stays gone.
+func (t *SysTable) redoStamp(xid tx.XID, id uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i, ok := t.byID[id]; ok {
+		return t.rows[i].stamp(xid, func(tx.XID) bool { return true })
+	}
+	return nil
 }
 
 // Vacuum removes versions deleted by transactions no longer visible to
@@ -136,20 +174,6 @@ func (t *SysTable) reindexLocked() {
 	t.byID = make(map[uint64]int, len(t.rows))
 	for i := range t.rows {
 		t.byID[t.rows[i].id] = i
-	}
-}
-
-// versions calls fn for every stored row version, visible or not, in
-// row-ID order (snapshot serialization and the crash harness's canonical
-// dump).
-func (t *SysTable) versions(fn func(id uint64, xmin, xmax tx.XID, row types.Row)) {
-	t.mu.RLock()
-	rows := make([]sysRow, len(t.rows))
-	copy(rows, t.rows)
-	t.mu.RUnlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	for _, r := range rows {
-		fn(r.id, r.xmin, r.xmax, r.data)
 	}
 }
 

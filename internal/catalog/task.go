@@ -48,15 +48,10 @@ type TaskDesc struct {
 
 // CreateTask registers a background task under the transaction.
 func (c *Catalog) CreateTask(t *tx.Tx, d TaskDesc) error {
-	name := strings.ToLower(d.Name)
-	// The lookup error only says "does not exist" — exactly the state
-	// CREATE wants.
-	//hawqcheck:ignore errdrop
-	existing, _ := c.LookupTask(t.Snapshot(), name)
-	if existing != nil {
-		return fmt.Errorf("catalog: task %q already exists", name)
+	d.Name = strings.ToLower(d.Name)
+	if _, exists := selectOne(c.sys[SysTask], t.Snapshot(), nameIs(d.Name), decodeTaskRow); exists {
+		return fmt.Errorf("catalog: task %q already exists", d.Name)
 	}
-	d.Name = name
 	if d.State == "" {
 		d.State = TaskQueued
 	}
@@ -67,72 +62,43 @@ func (c *Catalog) CreateTask(t *tx.Tx, d TaskDesc) error {
 // DropTask removes a task.
 func (c *Catalog) DropTask(t *tx.Tx, name string) error {
 	name = strings.ToLower(name)
-	snap := t.Snapshot()
-	var victim uint64
-	found := false
-	c.sys[SysTask].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Str() == name {
-			victim, found = id, true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return fmt.Errorf("catalog: task %q does not exist", name)
+	old, err := c.deleteWhere(t, t.Snapshot(), SysTask, nameIs(name))
+	if err == nil && len(old) == 0 {
+		err = fmt.Errorf("catalog: task %q does not exist", name)
 	}
-	c.delete(t.XID(), SysTask, victim)
-	return nil
+	return err
 }
 
 // UpdateTask replaces a task row by name: an MVCC update (delete old
 // version + insert new) so concurrent snapshots keep seeing the previous
 // state until this transaction commits — a crash mid-update recovers to
-// exactly one of the two versions.
+// exactly one of the two versions. Two transactions updating one task
+// cannot both commit: the second gets ErrConcurrentUpdate.
 func (c *Catalog) UpdateTask(t *tx.Tx, d TaskDesc) error {
 	d.Name = strings.ToLower(d.Name)
-	snap := t.Snapshot()
-	var oldID uint64
-	found := false
-	c.sys[SysTask].Scan(snap, func(id uint64, row types.Row) bool {
-		if row[0].Str() == d.Name {
-			oldID, found = id, true
-			return false
-		}
-		return true
+	n, err := c.replace(t, t.Snapshot(), SysTask, nameIs(d.Name), func(row types.Row) error {
+		copy(row, encodeTaskRow(d))
+		return nil
 	})
-	if !found {
-		return fmt.Errorf("catalog: task %q does not exist", d.Name)
+	if err == nil && n == 0 {
+		err = fmt.Errorf("catalog: task %q does not exist", d.Name)
 	}
-	c.delete(t.XID(), SysTask, oldID)
-	c.insert(t.XID(), SysTask, encodeTaskRow(d))
-	return nil
+	return err
 }
 
 // LookupTask resolves a task by name under a snapshot; (nil, error) when
 // absent.
 func (c *Catalog) LookupTask(snap tx.Snapshot, name string) (*TaskDesc, error) {
 	name = strings.ToLower(name)
-	var out *TaskDesc
-	c.sys[SysTask].Scan(snap, func(_ uint64, row types.Row) bool {
-		if row[0].Str() == name {
-			out = decodeTaskRow(row)
-			return false
-		}
-		return true
-	})
-	if out == nil {
-		return nil, fmt.Errorf("catalog: task %q does not exist", name)
+	if d, ok := selectOne(c.sys[SysTask], snap, nameIs(name), decodeTaskRow); ok {
+		return d, nil
 	}
-	return out, nil
+	return nil, fmt.Errorf("catalog: task %q does not exist", name)
 }
 
 // ListTasks returns all visible tasks sorted by name.
 func (c *Catalog) ListTasks(snap tx.Snapshot) []*TaskDesc {
-	var out []*TaskDesc
-	c.sys[SysTask].Scan(snap, func(_ uint64, row types.Row) bool {
-		out = append(out, decodeTaskRow(row))
-		return true
-	})
+	out := selectAll(c.sys[SysTask], snap, nil, decodeTaskRow)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

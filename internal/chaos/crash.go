@@ -181,8 +181,7 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					if err != nil {
 						return err
 					}
-					m.Cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
-					return nil
+					return m.Cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
 				}),
 			})
 		case k < 8:
@@ -216,8 +215,7 @@ func crashWorkload(seed int64, n int) []CrashOp {
 						return err
 					}
 					m.Cat.AddSegFile(t, catalog.SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/" + name + "/1"})
-					m.Cat.SetRelStats(t, oid, catalog.RelStats{Rows: 1})
-					return nil
+					return m.Cat.SetRelStats(t, oid, catalog.RelStats{Rows: 1})
 				}),
 			})
 		case k < 10:
@@ -281,42 +279,61 @@ func crashWorkload(seed int64, n int) []CrashOp {
 		case k < 12:
 			// The row-count writes of DML: the segfile update an INSERT or
 			// COPY commits (a new lane's file when the table has none on
-			// segment 0), or now and then a TRUNCATE dropping the files
-			// and the stored row count together.
+			// segment 0). Now and then the commit follows an append to the
+			// same table that aborted, whose stamp on the lane's version
+			// the committing writer must replace (§5.3); now and then a
+			// TRUNCATE drops the files and the stored row count together.
 			target := live[rng.Intn(len(live))]
 			delta := rng.Int63n(500) + 1
-			truncate := rng.Intn(4) == 0
-			desc := "appendrows " + target
-			if truncate {
-				desc = "truncate " + target
+			mode := rng.Intn(4)
+			appendRows := func(m *cluster.Master, t *tx.Tx) error {
+				d, err := lookup(m, t, target)
+				if err != nil {
+					return err
+				}
+				if sfs := m.Cat.SegFiles(t.Snapshot(), d.OID, 0); len(sfs) > 0 {
+					sf := sfs[0]
+					sf.Tuples += delta
+					sf.LogicalLen += delta * 64
+					return m.Cat.UpdateSegFile(t, sf)
+				}
+				next := m.Cat.MaxSegNo(t.Snapshot(), d.OID, 0) + 1
+				m.Cat.AddSegFile(t, catalog.SegFile{
+					TableOID: d.OID, SegmentID: 0, SegNo: next,
+					Path:       fmt.Sprintf("/%s/%d", target, next),
+					LogicalLen: delta * 64, Tuples: delta,
+				})
+				return nil
 			}
-			ops = append(ops, CrashOp{
-				Desc: desc,
-				Run: inTx(func(m *cluster.Master, t *tx.Tx) error {
-					d, err := lookup(m, t, target)
+			op := CrashOp{Desc: "appendrows " + target, Run: inTx(appendRows)}
+			switch mode {
+			case 0:
+				op = CrashOp{
+					Desc: "truncate " + target,
+					Run: inTx(func(m *cluster.Master, t *tx.Tx) error {
+						d, err := lookup(m, t, target)
+						if err != nil {
+							return err
+						}
+						if err := m.Cat.DropSegFiles(t, d.OID); err != nil {
+							return err
+						}
+						return m.Cat.DropRelStats(t, d.OID)
+					}),
+				}
+			case 1:
+				op.Desc = "append, abort, append, commit " + target
+				op.Run = func(m *cluster.Master) error {
+					t := m.TxMgr.Begin(tx.ReadCommitted)
+					err := appendRows(m, t)
+					t.Abort()
 					if err != nil {
 						return err
 					}
-					if truncate {
-						m.Cat.DropSegFiles(t, d.OID)
-						m.Cat.DropRelStats(t, d.OID)
-						return nil
-					}
-					if sfs := m.Cat.SegFiles(t.Snapshot(), d.OID, 0); len(sfs) > 0 {
-						sf := sfs[0]
-						sf.Tuples += delta
-						sf.LogicalLen += delta * 64
-						return m.Cat.UpdateSegFile(t, sf)
-					}
-					next := m.Cat.MaxSegNo(t.Snapshot(), d.OID, 0) + 1
-					m.Cat.AddSegFile(t, catalog.SegFile{
-						TableOID: d.OID, SegmentID: 0, SegNo: next,
-						Path:       fmt.Sprintf("/%s/%d", target, next),
-						LogicalLen: delta * 64, Tuples: delta,
-					})
-					return nil
-				}),
-			})
+					return inTx(appendRows)(m)
+				}
+			}
+			ops = append(ops, op)
 		default:
 			// Compaction catalog swap: ensure at least two segment files
 			// exist, then replace them with one merged file — all in one

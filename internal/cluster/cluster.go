@@ -400,11 +400,14 @@ func (c *Cluster) FaultCheck() []int {
 			s.mu.Unlock()
 			t := c.TxMgr.Begin(tx.ReadCommitted)
 			if err := c.Cat().SetSegmentStatus(t, s.ID, "down"); err == nil {
-				// The next detector pass retries if the commit lost a
-				// race; the in-memory down flag is already set.
+				// The catalog row only records what the in-memory down
+				// flag already enforces, so a commit the WAL refuses
+				// loses nothing a dispatch reads.
 				//hawqcheck:ignore errdrop
 				t.Commit()
 			} else {
+				// ErrConcurrentUpdate: another pass or Recover is writing
+				// the row first, and its word stands.
 				t.Abort()
 			}
 			marked = append(marked, s.ID)

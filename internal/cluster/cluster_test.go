@@ -136,18 +136,22 @@ func TestFaultDetectorAndRecovery(t *testing.T) {
 
 func TestLaneManagerConcurrency(t *testing.T) {
 	lm := newLaneManager()
-	a := lm.acquire(10, 1, nil)
-	b := lm.acquire(10, 2, nil)
+	a, _ := lm.acquire(10, 1, nil)
+	b, _ := lm.acquire(10, 2, nil)
 	if a == b {
 		t.Fatalf("two transactions share lane %d", a)
 	}
+	// A transaction that holds a lane gets it back.
+	if again, held := lm.acquire(10, 2, nil); again != b || !held {
+		t.Errorf("transaction 2 re-acquired lane %d (held %v), want its lane %d", again, held, b)
+	}
 	lm.release(10, a)
-	c := lm.acquire(10, 3, nil)
-	if c != a {
-		t.Errorf("freed lane %d not reused (got %d)", a, c)
+	c, held := lm.acquire(10, 3, nil)
+	if c != a || held {
+		t.Errorf("freed lane %d not reused (got %d, held %v)", a, c, held)
 	}
 	// Lanes on different tables are independent.
-	if other := lm.acquire(11, 1, nil); other != 1 {
+	if other, _ := lm.acquire(11, 1, nil); other != 1 {
 		t.Errorf("fresh table lane = %d", other)
 	}
 }

@@ -27,9 +27,10 @@ func newLaneManager() *laneManager {
 
 // acquire picks the lowest free lane for a table that usable accepts
 // (nil accepts any), which also prefers lanes whose files already
-// exist. usable runs under the manager's lock, so no other writer can
-// take the lane it judges before it is ours.
-func (lm *laneManager) acquire(tableOID int64, xid tx.XID, usable func(segno int) bool) int {
+// exist. A transaction that already holds a lane of the table gets it
+// back, with held set. usable runs under the manager's lock, so no
+// other writer can take the lane it judges before it is ours.
+func (lm *laneManager) acquire(tableOID int64, xid tx.XID, usable func(segno int) bool) (segno int, held bool) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	lanes := lm.busy[tableOID]
@@ -37,7 +38,12 @@ func (lm *laneManager) acquire(tableOID int64, xid tx.XID, usable func(segno int
 		lanes = map[int]tx.XID{}
 		lm.busy[tableOID] = lanes
 	}
-	segno := 1
+	for segno, owner := range lanes {
+		if owner == xid {
+			return segno, true
+		}
+	}
+	segno = 1
 	//hawqcheck:ignore ctxflow — bounded by the busy lanes and the lanes in the catalog: every lane past both is free and usable
 	for {
 		if _, taken := lanes[segno]; !taken && (usable == nil || usable(segno)) {
@@ -46,7 +52,7 @@ func (lm *laneManager) acquire(tableOID int64, xid tx.XID, usable func(segno int
 		segno++
 	}
 	lanes[segno] = xid
-	return segno
+	return segno, false
 }
 
 // release frees a lane at transaction end.
@@ -87,8 +93,14 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 				func(a, b catalog.SegFile) bool { return a.LogicalLen == b.LogicalLen && a.Tuples == b.Tuples })
 		}
 	}
-	segno := c.lanes.acquire(desc.OID, t.XID(), usable)
+	segno, held := c.lanes.acquire(desc.OID, t.XID(), usable)
 	committed := c.laneFiles(t.LatestSnapshot(), desc.OID, segno)
+	if held {
+		// The transaction's first acquire registered the lane's files
+		// and the hooks that release it and roll it back to where it
+		// stood before the transaction; its own appends end the files.
+		return segno, committed, nil
+	}
 	// Exactly one of the two runs; an abort runs it after the truncate
 	// below, so the lane changes hands only once its garbage is gone.
 	release := func() { c.lanes.release(desc.OID, segno) }

@@ -121,3 +121,56 @@ func TestStandbyTracksManyTransactions(t *testing.T) {
 		t.Fatalf("standby catalog diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestStandbyMatchesAfterAbortedAppend: a table appended to, then by a
+// transaction that aborts, then again keeps one version of each lane
+// file on the primary, and a standby replaying the log shows what the
+// primary shows.
+func TestStandbyMatchesAfterAbortedAppend(t *testing.T) {
+	c := testCluster(t, 2)
+	sb := c.StartStandby()
+	createClusterTable(t, c, "t")
+	tr := c.TxMgr.Begin(tx.ReadCommitted)
+	desc, err := c.Cat().LookupTable(tr.Snapshot(), "t")
+	tr.Abort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows := func(commit bool) {
+		t.Helper()
+		tr := c.TxMgr.Begin(tx.ReadCommitted)
+		_, files, err := c.AcquireLane(tr, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sf := range files {
+			sf.LogicalLen += 64
+			sf.Tuples++
+			if err := c.Cat().UpdateSegFile(tr, sf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !commit {
+			tr.Abort()
+		} else if err := tr.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRows(true)
+	appendRows(false)
+	appendRows(true)
+
+	check := c.TxMgr.Begin(tx.ReadCommitted)
+	defer check.Abort()
+	snap := check.Snapshot()
+	files := c.Cat().AllSegFiles(snap, desc.OID)
+	if len(files) != 2 || files[0].Tuples != 2 || files[1].Tuples != 2 {
+		t.Fatalf("lane files after commit, abort, commit: %+v; want one per segment with 2 tuples", files)
+	}
+	if err := sb.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sb.Cat.Dump(snap), c.Cat().Dump(snap); got != want {
+		t.Errorf("standby catalog:\n%s\nprimary catalog:\n%s", got, want)
+	}
+}

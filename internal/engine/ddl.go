@@ -298,11 +298,15 @@ func (s *Session) runTruncate(t *tx.Tx, stmt *sqlparser.TruncateStmt) (*Result, 
 	}
 	fs := s.eng.cl.FS
 	for _, d := range targets {
-		cat.DropSegFiles(t, d.OID)
+		if err := cat.DropSegFiles(t, d.OID); err != nil {
+			return nil, err
+		}
 		// The stored row count describes rows that are gone: drop it, so
 		// the table reads as never analyzed and the auto-ANALYZE sweep
 		// counts every row the next load brings as churn.
-		cat.DropRelStats(t, d.OID)
+		if err := cat.DropRelStats(t, d.OID); err != nil {
+			return nil, err
+		}
 		oid := d.OID
 		t.OnCommit(func() {
 			// Best-effort post-commit cleanup; see runDrop.
@@ -365,7 +369,9 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 				rows += sf.Tuples
 			}
 		}
-		cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
+		if err := cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows}); err != nil {
+			return nil, err
+		}
 		if rows == 0 {
 			continue
 		}
@@ -397,12 +403,14 @@ func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.Anal
 		}
 		for i := range desc.Schema.Columns {
 			r := out[0][4*i:]
-			cat.SetColStats(t, desc.OID, i, catalog.ColStats{
+			if err := cat.SetColStats(t, desc.OID, i, catalog.ColStats{
 				Min:       r[0],
 				Max:       r[1],
 				NDistinct: float64(r[2].Int()),
 				NullFrac:  1 - float64(r[3].Int())/float64(rows),
-			})
+			}); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return &Result{Tag: "ANALYZE"}, nil
@@ -423,6 +431,5 @@ func (s *Session) analyzeExternal(t *tx.Tx, desc *catalog.TableDesc) error {
 	if err != nil {
 		return err
 	}
-	s.eng.cl.Cat().SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
-	return nil
+	return s.eng.cl.Cat().SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
 }

@@ -316,7 +316,9 @@ func (s *Scheduler) compactCandidate(desc *catalog.TableDesc, files []catalog.Se
 
 // claimNext claims the most overdue queued task, transitioning it
 // queued→claimed under this owner's lease. ok is false when nothing is
-// due.
+// due, or when another scheduler claimed the pick first: its update
+// wins, this one gets catalog.ErrConcurrentUpdate and aborts, and the
+// next tick looks again.
 func (s *Scheduler) claimNext(now int64) (*catalog.TaskDesc, bool) {
 	cat, t := s.begin()
 	var pick *catalog.TaskDesc
@@ -422,8 +424,9 @@ func (s *Scheduler) runTask(ctx context.Context, d *catalog.TaskDesc) {
 }
 
 // updateTask commits one task-row replacement; false means the update
-// lost (task dropped concurrently, or the WAL rejected the commit) and
-// the cycle should stop touching it.
+// lost (task dropped or updated concurrently — catalog.ErrConcurrentUpdate
+// — or the WAL rejected the commit) and the cycle should stop touching
+// it.
 func (s *Scheduler) updateTask(d catalog.TaskDesc) bool {
 	cat, t := s.begin()
 	if err := cat.UpdateTask(t, d); err != nil {

@@ -335,6 +335,11 @@ func (s Snapshot) RowVisible(xmin, xmax XID) bool {
 	return !s.XidVisible(xmax)
 }
 
+// Aborted reports whether xid has aborted. Unlike visibility it does
+// not depend on when the snapshot was taken: an abort is final, and a
+// row version an aborted transaction stamped deleted is live again.
+func (s Snapshot) Aborted(xid XID) bool { return s.mgr.StatusOf(xid) == StatusAborted }
+
 // Tx is one transaction's handle.
 type Tx struct {
 	mgr   *Manager
