@@ -273,7 +273,7 @@ func (c *Catalog) caqlInsert(t *tx.Tx, s *sqlparser.InsertStmt) (*CaQLResult, er
 		}
 		row[i] = v
 	}
-	c.insert(t.XID(), sys.Name, row)
+	c.insert(t, sys.Name, row)
 	return &CaQLResult{Affected: 1}, nil
 }
 

@@ -274,8 +274,9 @@ func New(wal *tx.WAL) *Catalog {
 }
 
 // VacuumAll reclaims dead row versions in every system table, given the
-// transaction manager's horizon snapshot. It returns the number of
-// versions removed.
+// transaction manager's horizon snapshot (the explicit VACUUM). Writes
+// reclaim a table's versions on their own as it grows (see reclaim). It
+// returns the number of versions removed.
 func (c *Catalog) VacuumAll(horizon tx.Snapshot) int {
 	total := 0
 	for _, t := range c.sys {
@@ -302,12 +303,24 @@ func (c *Catalog) SetWAL(w *tx.WAL) { c.wal.Store(w) }
 func (c *Catalog) WAL() *tx.WAL { return c.wal.Load() }
 
 // insert writes a row to a system table and WAL-logs it.
-func (c *Catalog) insert(xid tx.XID, table string, row types.Row) {
-	id := c.sys[table].Insert(xid, row)
+func (c *Catalog) insert(t *tx.Tx, table string, row types.Row) {
+	id := c.sys[table].Insert(t.XID(), row)
 	if w := c.wal.Load(); w != nil {
-		w.Append(tx.Record{Type: tx.RecInsert, XID: xid, Table: table, RowID: id, Data: types.EncodeRow(nil, row)})
+		w.Append(tx.Record{Type: tx.RecInsert, XID: t.XID(), Table: table, RowID: id, Data: types.EncodeRow(nil, row)})
 	}
-	c.noteMutation(xid, table)
+	c.noteMutation(t.XID(), table)
+	c.reclaim(t, table)
+}
+
+// reclaim vacuums table under t's horizon once its stored versions have
+// doubled since the last vacuum, so a write never walks an unbounded
+// history. Only the primary reclaims: replay inserts through
+// SysTable.InsertWithID, and the vacuum itself is not logged, since the
+// versions it removes are visible to no snapshot.
+func (c *Catalog) reclaim(t *tx.Tx, table string) {
+	if st := c.sys[table]; st.needsVacuum() {
+		st.Vacuum(t.Horizon())
+	}
 }
 
 // deleteWhere retires, under the stamp rule, every version of table
@@ -316,6 +329,7 @@ func (c *Catalog) insert(xid tx.XID, table string, row types.Row) {
 // t must then abort.
 func (c *Catalog) deleteWhere(t *tx.Tx, snap tx.Snapshot, table string, match func(types.Row) bool) ([]types.Row, error) {
 	retired, err := c.sys[table].retire(snap, t.XID(), match)
+	c.reclaim(t, table)
 	if err != nil || len(retired) == 0 {
 		return nil, err
 	}
@@ -344,7 +358,7 @@ func (c *Catalog) replace(t *tx.Tx, snap tx.Snapshot, table string, match func(t
 		if err := edit(row); err != nil {
 			return 0, err
 		}
-		c.insert(t.XID(), table, row)
+		c.insert(t, table, row)
 	}
 	return len(old), nil
 }
@@ -456,7 +470,7 @@ func (c *Catalog) CreateTable(t *tx.Tx, desc *TableDesc) (int64, error) {
 	if !desc.RangeHi.IsNull() {
 		rangeHi = types.EncodeDatum(nil, desc.RangeHi)
 	}
-	c.insert(t.XID(), SysClass, types.Row{
+	c.insert(t, SysClass, types.Row{
 		types.NewInt64(oid),
 		types.NewString(desc.Name),
 		types.NewBool(desc.Dist.Random),
@@ -473,7 +487,7 @@ func (c *Catalog) CreateTable(t *tx.Tx, desc *TableDesc) (int64, error) {
 		types.NewString(desc.Format),
 	})
 	for i, col := range desc.Schema.Columns {
-		c.insert(t.XID(), SysAttribute, types.Row{
+		c.insert(t, SysAttribute, types.Row{
 			types.NewInt64(oid),
 			types.NewInt32(int32(i)),
 			types.NewString(col.Name),

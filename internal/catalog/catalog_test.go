@@ -398,26 +398,45 @@ func TestCaQLRejectsComplexSQL(t *testing.T) {
 	}
 }
 
+// TestVacuum: writes reclaim dead versions on their own once a table's
+// stored versions have doubled since the last reclaim, an open snapshot
+// pins every version it can see, and VACUUM reclaims the rest once no
+// snapshot needs them.
 func TestVacuum(t *testing.T) {
 	c, m := newEnv()
 	tr := m.Begin(tx.ReadCommitted)
 	oid, _ := c.CreateTable(tr, &TableDesc{Name: "t", Schema: testSchema()})
 	c.AddSegFile(tr, SegFile{TableOID: oid, SegmentID: 0, SegNo: 1})
 	tr.Commit()
-	// Ten MVCC updates create ten dead versions.
-	for i := 0; i < 10; i++ {
-		u := m.Begin(tx.ReadCommitted)
-		c.UpdateSegFile(u, SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, LogicalLen: int64(i)})
-		u.Commit()
-	}
 	sys, _ := c.SysTable(SysAoseg)
-	if sys.Len() != 11 {
-		t.Fatalf("versions before vacuum = %d", sys.Len())
+	update := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			u := m.Begin(tx.ReadCommitted)
+			if err := c.UpdateSegFile(u, SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, LogicalLen: int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			u.Commit()
+		}
 	}
-	h := m.Begin(tx.ReadCommitted)
-	removed := sys.Vacuum(h.Snapshot())
-	h.Commit()
-	if removed != 10 || sys.Len() != 1 {
+	// Ten MVCC updates leave at most twice what a reclaim keeps: the
+	// live version and the writer's own two, not ten dead versions.
+	update(10)
+	if n := sys.Len(); n > 4 {
+		t.Fatalf("versions after ten updates = %d, want at most 4", n)
+	}
+	// An open snapshot pins the version it sees and every later one.
+	old := m.Begin(tx.Serializable)
+	update(10)
+	if n := sys.Len(); n < 11 {
+		t.Fatalf("versions under an open snapshot = %d, want at least 11", n)
+	}
+	if files := c.SegFiles(old.Snapshot(), oid, 0); len(files) != 1 || files[0].LogicalLen != 9 {
+		t.Fatalf("open snapshot after reclaim sees %+v", files)
+	}
+	old.Commit()
+	removed := c.VacuumAll(m.Horizon())
+	if removed == 0 || sys.Len() != 1 {
 		t.Errorf("vacuum removed %d, left %d", removed, sys.Len())
 	}
 	r := m.Begin(tx.ReadCommitted)

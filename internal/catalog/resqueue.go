@@ -28,7 +28,7 @@ func (c *Catalog) CreateResourceQueue(t *tx.Tx, d ResQueueDesc) error {
 	if _, exists := selectOne(c.sys[SysResQueue], t.Snapshot(), nameIs(name), decodeResQueueRow); exists {
 		return fmt.Errorf("catalog: resource queue %q already exists", name)
 	}
-	c.insert(t.XID(), SysResQueue, types.Row{
+	c.insert(t, SysResQueue, types.Row{
 		types.NewString(name),
 		types.NewInt64(d.ActiveStatements),
 		types.NewInt64(d.MemLimit),

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,11 +12,20 @@ import (
 	"hawq/internal/types"
 )
 
+// ErrSegFileExists refuses to register a lane (table, segment, segno)
+// that already has a visible version.
+var ErrSegFileExists = errors.New("catalog: segfile already registered")
+
 // AddSegFile registers a new data file for (table, segment, segno) with
 // zero logical length. Each concurrent writer transaction claims its own
-// segno — the swimming lanes of §5.4.
-func (c *Catalog) AddSegFile(t *tx.Tx, f SegFile) {
-	c.insert(t.XID(), SysAoseg, segFileRow(f))
+// segno — the swimming lanes of §5.4. A lane a snapshot taken now
+// already sees is refused with ErrSegFileExists.
+func (c *Catalog) AddSegFile(t *tx.Tx, f SegFile) error {
+	if _, ok := selectOne(c.sys[SysAoseg], t.LatestSnapshot(), laneIs(f.TableOID, f.SegmentID, f.SegNo), decodeSegFile); ok {
+		return fmt.Errorf("%w: table %d, segment %d, segno %d", ErrSegFileExists, f.TableOID, f.SegmentID, f.SegNo)
+	}
+	c.insert(t, SysAoseg, segFileRow(f))
+	return nil
 }
 
 func segFileRow(f SegFile) types.Row {
@@ -39,6 +49,12 @@ func onSegment(tableOID int64, segmentID int) func(types.Row) bool {
 	return func(row types.Row) bool { return row[0].Int() == tableOID && row[1].Int() == int64(segmentID) }
 }
 
+// laneIs matches the seg-file rows of one lane on one segment.
+func laneIs(tableOID int64, segmentID, segno int) func(types.Row) bool {
+	onSeg := onSegment(tableOID, segmentID)
+	return func(row types.Row) bool { return onSeg(row) && row[2].Int() == int64(segno) }
+}
+
 // UpdateSegFile advances the committed logical length and tuple count of
 // a segment file: an MVCC update (delete old version + insert new) so
 // concurrent snapshots keep seeing the old length until this transaction
@@ -47,8 +63,7 @@ func onSegment(tableOID int64, segmentID int) func(types.Row) bool {
 // latest one, read through a snapshot taken now whatever t's isolation
 // level: the lane's file ends where that version says.
 func (c *Catalog) UpdateSegFile(t *tx.Tx, f SegFile) error {
-	onSeg := onSegment(f.TableOID, f.SegmentID)
-	n, err := c.replace(t, t.LatestSnapshot(), SysAoseg, func(row types.Row) bool { return onSeg(row) && row[2].Int() == int64(f.SegNo) },
+	n, err := c.replace(t, t.LatestSnapshot(), SysAoseg, laneIs(f.TableOID, f.SegmentID, f.SegNo),
 		func(row types.Row) error {
 			copy(row, segFileRow(f))
 			return nil
@@ -125,8 +140,7 @@ func (c *Catalog) SwapSegFiles(t *tx.Tx, tableOID int64, segmentID int, oldSegNo
 		return fmt.Errorf("catalog: compaction of table %d segment %d lost a segfile (want %d, found %d)",
 			tableOID, segmentID, len(oldSegNos), len(victims))
 	}
-	c.AddSegFile(t, merged)
-	return nil
+	return c.AddSegFile(t, merged)
 }
 
 // SetRelStats stores (replacing) table-level statistics.
@@ -134,7 +148,7 @@ func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) error {
 	if err := c.DropRelStats(t, oid); err != nil {
 		return err
 	}
-	c.insert(t.XID(), SysStatRel, types.Row{types.NewInt64(oid), types.NewInt64(s.Rows)})
+	c.insert(t, SysStatRel, types.Row{types.NewInt64(oid), types.NewInt64(s.Rows)})
 	return nil
 }
 
@@ -161,7 +175,7 @@ func (c *Catalog) SetColStats(t *tx.Tx, oid int64, attnum int, s ColStats) error
 	if _, err := c.deleteWhere(t, t.Snapshot(), SysStatCol, attIs(oid, attnum)); err != nil {
 		return err
 	}
-	c.insert(t.XID(), SysStatCol, types.Row{
+	c.insert(t, SysStatCol, types.Row{
 		types.NewInt64(oid),
 		types.NewInt32(int32(attnum)),
 		types.NewFloat64(s.NDistinct),
@@ -209,7 +223,7 @@ func colStatsOf(row types.Row) ColStats {
 
 // RegisterSegment records a compute segment in the system catalog.
 func (c *Catalog) RegisterSegment(t *tx.Tx, info SegmentInfo) {
-	c.insert(t.XID(), SysSegment, types.Row{
+	c.insert(t, SysSegment, types.Row{
 		types.NewInt32(int32(info.ID)),
 		types.NewString(info.Host),
 		types.NewInt32(int32(info.Port)),

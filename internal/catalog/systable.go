@@ -28,6 +28,7 @@ type SysTable struct {
 	rows    []sysRow
 	byID    map[uint64]int // row ID → index in rows (IDs are never reused)
 	nextRow uint64
+	kept    int // versions the last Vacuum kept (see needsVacuum)
 }
 
 type sysRow struct {
@@ -149,23 +150,35 @@ func (t *SysTable) redoStamp(xid tx.XID, id uint64) error {
 	return nil
 }
 
-// Vacuum removes versions deleted by transactions no longer visible to
-// anyone (the horizon). It returns the number of versions reclaimed.
+// Vacuum removes the versions no snapshot can see: those whose deleter
+// is visible to the horizon, and those whose creator aborted. It returns
+// the number of versions reclaimed.
 func (t *SysTable) Vacuum(horizon tx.Snapshot) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	kept := t.rows[:0]
 	removed := 0
 	for _, r := range t.rows {
-		if r.xmax != tx.InvalidXID && horizon.XidVisible(r.xmax) {
+		if (r.xmax != tx.InvalidXID && horizon.XidVisible(r.xmax)) || horizon.Aborted(r.xmin) {
 			removed++
 			continue
 		}
 		kept = append(kept, r)
 	}
 	t.rows = kept
+	t.kept = len(kept)
 	t.reindexLocked()
 	return removed
+}
+
+// needsVacuum reports whether the stored versions have grown past twice
+// what the last Vacuum kept: a write that finds it so reclaims, which
+// costs O(1) per write amortized, and a table whose versions an old
+// snapshot pins doubles before the next try.
+func (t *SysTable) needsVacuum() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.rows) > 2*t.kept
 }
 
 // reindexLocked rebuilds the row-ID index after compaction. Callers hold

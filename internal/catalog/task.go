@@ -55,7 +55,7 @@ func (c *Catalog) CreateTask(t *tx.Tx, d TaskDesc) error {
 	if d.State == "" {
 		d.State = TaskQueued
 	}
-	c.insert(t.XID(), SysTask, encodeTaskRow(d))
+	c.insert(t, SysTask, encodeTaskRow(d))
 	return nil
 }
 

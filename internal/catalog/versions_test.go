@@ -197,3 +197,118 @@ func TestRacingUpdatesOfOneRowLeaveOneVersion(t *testing.T) {
 		t.Fatalf("%d visible versions after %d committed updates; want 1", n, committed.Load())
 	}
 }
+
+// TestVacuumKeepsWhatAReaderOfAnOlderWriterSees: a writer begins, then a
+// reader, whose snapshot counts the writer as running. The writer
+// updates a lane and commits, and VACUUM runs while the reader is open:
+// the reader must still read the lane's old version.
+func TestVacuumKeepsWhatAReaderOfAnOlderWriterSees(t *testing.T) {
+	c, m := newEnv()
+	setup := m.Begin(tx.ReadCommitted)
+	oid, err := c.CreateTable(setup, &TableDesc{Name: "t", Schema: testSchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/hawq/t/0/1"}
+	if err := c.AddSegFile(setup, lane); err != nil {
+		t.Fatal(err)
+	}
+	setup.Commit()
+
+	w := m.Begin(tx.ReadCommitted)
+	r := m.Begin(tx.ReadCommitted)
+	defer r.Commit()
+	snap := r.Snapshot()
+	lane.LogicalLen, lane.Tuples = 128, 2
+	if err := c.UpdateSegFile(w, lane); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c.VacuumAll(m.Horizon())
+	if files := c.SegFiles(snap, oid, 0); len(files) != 1 || files[0].Tuples != 0 {
+		t.Fatalf("reader after vacuum sees %+v; want the lane's old version", files)
+	}
+}
+
+// TestVacuumReclaimsAbortedCreators: the versions a rolled-back
+// transaction created — a new lane and a lane's next version — are
+// visible to no snapshot, and VACUUM leaves none of them.
+func TestVacuumReclaimsAbortedCreators(t *testing.T) {
+	c, m := newEnv()
+	setup := m.Begin(tx.ReadCommitted)
+	oid, err := c.CreateTable(setup, &TableDesc{Name: "t", Schema: testSchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/hawq/t/0/1"}
+	if err := c.AddSegFile(setup, lane); err != nil {
+		t.Fatal(err)
+	}
+	setup.Commit()
+
+	a := m.Begin(tx.ReadCommitted)
+	if err := c.AddSegFile(a, SegFile{TableOID: oid, SegmentID: 0, SegNo: 2, Path: "/hawq/t/0/2"}); err != nil {
+		t.Fatal(err)
+	}
+	lane.LogicalLen, lane.Tuples = 128, 2
+	if err := c.UpdateSegFile(a, lane); err != nil {
+		t.Fatal(err)
+	}
+	a.Abort()
+	c.VacuumAll(m.Horizon())
+
+	st, _ := c.SysTable(SysAoseg)
+	rows, _ := st.state()
+	for _, r := range rows {
+		if m.StatusOf(r.xmin) == tx.StatusAborted {
+			t.Errorf("version %d created by aborted xid %d survives VACUUM: %v", r.id, r.xmin, r.data)
+		}
+	}
+	r := m.Begin(tx.ReadCommitted)
+	defer r.Commit()
+	if files := c.SegFiles(r.Snapshot(), oid, 0); len(files) != 1 || files[0].Tuples != 0 {
+		t.Fatalf("after vacuum files = %+v; want the committed lane alone", files)
+	}
+}
+
+// TestAddSegFileRefusesARegisteredLane: a lane with a visible version
+// cannot be registered again, by its own transaction or a later one,
+// until a committed drop retires it.
+func TestAddSegFileRefusesARegisteredLane(t *testing.T) {
+	c, m := newEnv()
+	w := m.Begin(tx.ReadCommitted)
+	oid, err := c.CreateTable(w, &TableDesc{Name: "t", Schema: testSchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/hawq/t/0/1"}
+	if err := c.AddSegFile(w, lane); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddSegFile(w, lane); !errors.Is(err, ErrSegFileExists) {
+		t.Fatalf("second AddSegFile in one transaction: %v; want ErrSegFileExists", err)
+	}
+	w.Commit()
+	other := SegFile{TableOID: oid, SegmentID: 1, SegNo: 1, Path: "/hawq/t/1/1"}
+	w2 := m.Begin(tx.Serializable)
+	if err := c.AddSegFile(w2, lane); !errors.Is(err, ErrSegFileExists) {
+		t.Fatalf("AddSegFile of a committed lane: %v; want ErrSegFileExists", err)
+	}
+	if err := c.AddSegFile(w2, other); err != nil {
+		t.Fatalf("the same segno on another segment: %v", err)
+	}
+	if err := c.DropSegFiles(w2, oid); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddSegFile(w2, lane); err != nil {
+		t.Fatalf("AddSegFile after its own drop: %v", err)
+	}
+	w2.Commit()
+	r := m.Begin(tx.ReadCommitted)
+	defer r.Commit()
+	if files := c.AllSegFiles(r.Snapshot(), oid); len(files) != 1 {
+		t.Fatalf("lanes after drop and re-register = %+v; want one", files)
+	}
+}

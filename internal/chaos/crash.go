@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -164,11 +165,17 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					if err != nil {
 						return err
 					}
-					m.Cat.AddSegFile(t, catalog.SegFile{
-						TableOID: desc.OID, SegmentID: 0, SegNo: segno,
-						Path: fmt.Sprintf("/%s/%d", target, segno),
-					})
-					return nil
+					// A lane already registered is refused; take the next
+					// free segno instead.
+					for n := segno; ; n++ {
+						err := m.Cat.AddSegFile(t, catalog.SegFile{
+							TableOID: desc.OID, SegmentID: 0, SegNo: n,
+							Path: fmt.Sprintf("/%s/%d", target, n),
+						})
+						if !errors.Is(err, catalog.ErrSegFileExists) {
+							return err
+						}
+					}
 				}),
 			})
 		case k < 7:
@@ -214,7 +221,9 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					if err != nil {
 						return err
 					}
-					m.Cat.AddSegFile(t, catalog.SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/" + name + "/1"})
+					if err := m.Cat.AddSegFile(t, catalog.SegFile{TableOID: oid, SegmentID: 0, SegNo: 1, Path: "/" + name + "/1"}); err != nil {
+						return err
+					}
 					return m.Cat.SetRelStats(t, oid, catalog.RelStats{Rows: 1})
 				}),
 			})
@@ -298,12 +307,11 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					return m.Cat.UpdateSegFile(t, sf)
 				}
 				next := m.Cat.MaxSegNo(t.Snapshot(), d.OID, 0) + 1
-				m.Cat.AddSegFile(t, catalog.SegFile{
+				return m.Cat.AddSegFile(t, catalog.SegFile{
 					TableOID: d.OID, SegmentID: 0, SegNo: next,
 					Path:       fmt.Sprintf("/%s/%d", target, next),
 					LogicalLen: delta * 64, Tuples: delta,
 				})
-				return nil
 			}
 			op := CrashOp{Desc: "appendrows " + target, Run: inTx(appendRows)}
 			switch mode {
@@ -332,6 +340,31 @@ func crashWorkload(seed int64, n int) []CrashOp {
 					}
 					return inTx(appendRows)(m)
 				}
+			case 2:
+				// A reader's snapshot spans the append and a VACUUM: the
+				// appender began first, so the reader counts it as running
+				// even after it commits, and the vacuum must keep every
+				// version the reader sees.
+				op.Desc = "append under a reader, vacuum " + target
+				op.Run = func(m *cluster.Master) error {
+					w := m.TxMgr.Begin(tx.ReadCommitted)
+					r := m.TxMgr.Begin(tx.ReadCommitted)
+					defer r.Abort()
+					snap := r.Snapshot()
+					before := m.Cat.Dump(snap)
+					if err := appendRows(m, w); err != nil {
+						w.Abort()
+						return err
+					}
+					if err := w.Commit(); err != nil {
+						return err
+					}
+					m.Cat.VacuumAll(m.TxMgr.Horizon())
+					if after := m.Cat.Dump(snap); after != before {
+						return fmt.Errorf("vacuum changed what an open snapshot reads:\nbefore:\n%s\nafter:\n%s", before, after)
+					}
+					return nil
+				}
 			}
 			ops = append(ops, op)
 		default:
@@ -355,7 +388,9 @@ func crashWorkload(seed int64, n int) []CrashOp {
 							Path:       fmt.Sprintf("/%s/%d", target, next),
 							LogicalLen: 64, Tuples: 1,
 						}
-						m.Cat.AddSegFile(t, sf)
+						if err := m.Cat.AddSegFile(t, sf); err != nil {
+							return err
+						}
 						sfs = append(sfs, sf)
 						next++
 					}

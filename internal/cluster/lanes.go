@@ -117,7 +117,9 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 				SegNo:     segno,
 				Path:      LanePath(desc.OID, segID, segno),
 			}
-			c.Cat().AddSegFile(t, sf)
+			if err := c.Cat().AddSegFile(t, sf); err != nil {
+				return 0, nil, err
+			}
 		}
 		// Truncate garbage left by an aborted writer beyond the
 		// committed logical length (§5: "the garbage data needs to be

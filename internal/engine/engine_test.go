@@ -1170,21 +1170,28 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	}
 }
 
+// TestVacuumReclaimsDeadCatalogVersions: INSERTs reclaim the dead
+// hawq_aoseg versions they leave as they go, VACUUM reclaims the rest,
+// and a long-running snapshot holds both back from what it can see.
 func TestVacuumReclaimsDeadCatalogVersions(t *testing.T) {
-	e := newTestEngine(t, 2)
+	const segments = 2
+	e := newTestEngine(t, segments)
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE v (k INT8) DISTRIBUTED BY (k)")
-	// Each insert MVCC-updates the segment-file rows, leaving dead
-	// versions behind.
+	// Each insert MVCC-updates the segment-file rows; the writes reclaim
+	// the dead versions once the stored ones have doubled.
 	for i := 0; i < 10; i++ {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO v VALUES (%d)", i))
 	}
-	res := mustExec(t, s, "VACUUM")
-	if res.Affected == 0 {
-		t.Fatal("vacuum reclaimed nothing")
+	if stored, live := segFileVersions(t, e); stored > 2*(live+segments) {
+		t.Fatalf("%d stored versions for %d live after ten inserts", stored, live)
+	}
+	mustExec(t, s, "VACUUM")
+	if stored, live := segFileVersions(t, e); stored != live {
+		t.Fatalf("VACUUM left %d stored versions for %d live", stored, live)
 	}
 	// Data untouched.
-	res = mustExec(t, s, "SELECT count(*), sum(k) FROM v")
+	res := mustExec(t, s, "SELECT count(*), sum(k) FROM v")
 	if res.Rows[0][0].Int() != 10 || res.Rows[0][1].Int() != 45 {
 		t.Fatalf("after vacuum: %v", res.Rows[0])
 	}
@@ -1192,13 +1199,21 @@ func TestVacuumReclaimsDeadCatalogVersions(t *testing.T) {
 	old := e.NewSession()
 	mustExec(t, old, "BEGIN ISOLATION LEVEL SERIALIZABLE")
 	mustExec(t, old, "SELECT count(*) FROM v")
-	mustExec(t, s, "INSERT INTO v VALUES (100)")
+	for i := 0; i < 10; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO v VALUES (%d)", 100+i))
+	}
 	mustExec(t, s, "VACUUM")
 	res = mustExec(t, old, "SELECT count(*) FROM v")
 	if res.Rows[0][0].Int() != 10 {
 		t.Fatalf("old snapshot sees %v rows after vacuum, want 10", res.Rows[0])
 	}
 	mustExec(t, old, "COMMIT")
+	if res := mustExec(t, s, "VACUUM"); res.Affected == 0 {
+		t.Fatal("vacuum reclaimed nothing once the old snapshot ended")
+	}
+	if stored, live := segFileVersions(t, e); stored != live {
+		t.Fatalf("VACUUM left %d stored versions for %d live", stored, live)
+	}
 }
 
 // slowCrossJoin is a nested-loop cross join large enough (~10^8 pairs)

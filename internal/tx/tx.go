@@ -77,7 +77,10 @@ type Manager struct {
 	mu      sync.Mutex
 	nextXID XID
 	status  map[XID]Status
-	running map[XID]struct{}
+	// running maps each running transaction to the lowest XID running
+	// when it began (its own if none was lower): no snapshot it takes
+	// can count an older XID as running (see Horizon).
+	running map[XID]XID
 	// floor: transactions below it are committed unless the status map
 	// says otherwise. A manager restored from a checkpoint cannot carry
 	// the full CLOG; every XID the snapshot could reference is < floor
@@ -102,7 +105,7 @@ func NewManager() *Manager {
 	return &Manager{
 		nextXID:  BootstrapXID + 1,
 		status:   map[XID]Status{BootstrapXID: StatusCommitted},
-		running:  map[XID]struct{}{},
+		running:  map[XID]XID{},
 		catDirty: map[XID]struct{}{},
 	}
 }
@@ -118,7 +121,7 @@ func NewManagerAt(nextXID XID) *Manager {
 	return &Manager{
 		nextXID:  nextXID,
 		status:   map[XID]Status{BootstrapXID: StatusCommitted},
-		running:  map[XID]struct{}{},
+		running:  map[XID]XID{},
 		floor:    nextXID,
 		catDirty: map[XID]struct{}{},
 	}
@@ -216,7 +219,11 @@ func (m *Manager) Begin(level IsolationLevel) *Tx {
 	xid := m.nextXID
 	m.nextXID++
 	m.status[xid] = StatusInProgress
-	m.running[xid] = struct{}{}
+	low := xid
+	for x := range m.running {
+		low = min(low, x)
+	}
+	m.running[xid] = low
 	t := &Tx{mgr: m, xid: xid, level: level}
 	if level == Serializable {
 		s := m.snapshotLocked(xid)
@@ -264,20 +271,20 @@ func (m *Manager) finish(xid XID, s Status) Status {
 }
 
 // Horizon returns the vacuum horizon: a snapshot to which a transaction
-// is visible only if it committed before every currently running
-// transaction began. Row versions whose deleter is visible to the
-// horizon can be reclaimed — no present or future snapshot can need
-// them.
+// is visible only if it committed and is older than every XID a running
+// transaction's snapshot can count as running. That is the lowest XID
+// any running transaction saw running at its Begin, not the lowest one
+// running now: a statement snapshot may list an older XID that has
+// committed since. Row versions whose deleter is visible to the horizon
+// can be reclaimed — no present or future snapshot can need them.
 func (m *Manager) Horizon() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	min := m.nextXID
-	for x := range m.running {
-		if x < min {
-			min = x
-		}
+	low := m.nextXID
+	for _, x := range m.running {
+		low = min(low, x)
 	}
-	return Snapshot{XMax: min, Running: map[XID]struct{}{}, mgr: m}
+	return Snapshot{XMax: low, Running: map[XID]struct{}{}, mgr: m}
 }
 
 // snapshotLocked builds a snapshot of running transactions. Callers hold
@@ -371,6 +378,9 @@ func (t *Tx) Snapshot() Snapshot {
 	}
 	return t.LatestSnapshot()
 }
+
+// Horizon returns the manager's vacuum horizon (see Manager.Horizon).
+func (t *Tx) Horizon() Snapshot { return t.mgr.Horizon() }
 
 // LatestSnapshot returns a snapshot taken now, whatever the isolation
 // level: what a write to state every transaction shares must read. A

@@ -66,6 +66,27 @@ func TestSnapshotVisibility(t *testing.T) {
 	future.Abort()
 }
 
+// TestHorizonHoldsBackForOlderRunningXIDs: a reader that began while a
+// writer ran counts the writer as running in every snapshot it takes
+// before the commit, so the horizon must not see the writer until the
+// reader ends, even though the writer is no longer running.
+func TestHorizonHoldsBackForOlderRunningXIDs(t *testing.T) {
+	m := NewManager()
+	writer := m.Begin(ReadCommitted)
+	reader := m.Begin(ReadCommitted)
+	snap := reader.Snapshot()
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if snap.XidVisible(writer.XID()) || m.Horizon().XidVisible(writer.XID()) {
+		t.Fatal("horizon sees a commit an open reader's snapshot counts as running")
+	}
+	reader.Commit()
+	if !m.Horizon().XidVisible(writer.XID()) {
+		t.Error("horizon still holds back once no transaction runs")
+	}
+}
+
 func TestSerializableSnapshotFixed(t *testing.T) {
 	m := NewManager()
 	ser := m.Begin(Serializable)

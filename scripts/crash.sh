@@ -3,7 +3,8 @@
 # (internal/chaos TestCrashMatrix) over a set of workload seeds under
 # the race detector. For each seed it replays a seeded catalog
 # workload (TPC-H DDL, segment-file registration, stats updates,
-# resource queues, multi-record transactions, explicit aborts) and
+# resource queues, multi-record transactions, explicit aborts, a VACUUM
+# under a reader whose snapshot spans it) and
 # crashes the master at EVERY fsync boundary — three ways each: before
 # the fsync persists anything, mid-fsync (a prefix of the dirty bytes
 # reaches the platter), and just after the fsync but before the ack —
