@@ -219,34 +219,15 @@ func TestStats(t *testing.T) {
 		t.Error("stats before analyze")
 	}
 	c.SetRelStats(tr, oid, RelStats{Rows: 1000})
-	c.SetColStats(tr, oid, 0, ColStats{NDistinct: 900, Min: types.NewInt64(1), Max: types.NewInt64(1000)})
 	rs, ok := c.RelStatsFor(tr.Snapshot(), oid)
 	if !ok || rs.Rows != 1000 {
 		t.Errorf("rel stats = %+v, %v", rs, ok)
-	}
-	cs, ok := c.ColStatsFor(tr.Snapshot(), oid, 0)
-	if !ok || cs.NDistinct != 900 || cs.Min.Int() != 1 || cs.Max.Int() != 1000 {
-		t.Errorf("col stats = %+v", cs)
-	}
-	// One pass returns every analyzed column, a gap reading as zero.
-	c.SetColStats(tr, oid, 2, ColStats{NDistinct: 3, NullFrac: 0.5})
-	if n := len(c.ColStatsOf(tr.Snapshot(), []int64{oid + 1})); n != 0 {
-		t.Errorf("stats of %d tables read for one unanalyzed table", n)
-	}
-	all := c.ColStatsOf(tr.Snapshot(), []int64{oid})[oid]
-	if len(all) != 3 || all[0].NDistinct != 900 || all[0].Max.Int() != 1000 || all[1].NDistinct != 0 || all[2].NullFrac != 0.5 {
-		t.Errorf("all col stats = %+v", all)
 	}
 	// Re-analyze replaces.
 	c.SetRelStats(tr, oid, RelStats{Rows: 2000})
 	rs, _ = c.RelStatsFor(tr.Snapshot(), oid)
 	if rs.Rows != 2000 {
 		t.Errorf("replaced stats = %+v", rs)
-	}
-	// TRUNCATE's rule: the table reads as never analyzed again.
-	c.DropRelStats(tr, oid)
-	if rs, ok := c.RelStatsFor(tr.Snapshot(), oid); ok {
-		t.Errorf("stats after DropRelStats = %+v", rs)
 	}
 	tr.Commit()
 }

@@ -41,6 +41,7 @@ func segFileRow(f SegFile) types.Row {
 		types.NewInt64(f.LogicalLen),
 		types.NewInt64(f.Tuples),
 		types.NewString(strings.Join(lens, ",")),
+		{K: types.KindBytes, S: f.Stats},
 	}
 }
 
@@ -94,6 +95,19 @@ func (c *Catalog) AllSegFiles(snap tx.Snapshot, tableOID int64) []SegFile {
 	return out
 }
 
+// LaneSegFiles returns the files of one lane of a table by segment, with
+// their statistics: what a writer appending to the lane starts from.
+func (c *Catalog) LaneSegFiles(snap tx.Snapshot, tableOID int64, segno int) map[int]SegFile {
+	files := map[int]SegFile{}
+	c.sys[SysAoseg].Select(snap, func(row types.Row) bool { return row[0].Int() == tableOID && row[2].Int() == int64(segno) }, func(_ uint64, row types.Row) bool {
+		f := decodeSegFile(row)
+		f.Stats = row[7].Str()
+		files[f.SegmentID] = f
+		return true
+	})
+	return files
+}
+
 // MaxSegNo returns the highest segno in use for (table, segment), or -1.
 func (c *Catalog) MaxSegNo(snap tx.Snapshot, tableOID int64, segmentID int) int {
 	files := c.SegFiles(snap, tableOID, segmentID)
@@ -145,19 +159,11 @@ func (c *Catalog) SwapSegFiles(t *tx.Tx, tableOID int64, segmentID int, oldSegNo
 
 // SetRelStats stores (replacing) table-level statistics.
 func (c *Catalog) SetRelStats(t *tx.Tx, oid int64, s RelStats) error {
-	if err := c.DropRelStats(t, oid); err != nil {
+	if _, err := c.deleteWhere(t, t.Snapshot(), SysStatRel, oidIs(oid)); err != nil {
 		return err
 	}
 	c.insert(t, SysStatRel, types.Row{types.NewInt64(oid), types.NewInt64(s.Rows)})
 	return nil
-}
-
-// DropRelStats deletes a table's stored row count, so the table reads as
-// never analyzed: the planner counts its rows from the segment files and
-// the auto-ANALYZE sweep counts every one of them as churn.
-func (c *Catalog) DropRelStats(t *tx.Tx, oid int64) error {
-	_, err := c.deleteWhere(t, t.Snapshot(), SysStatRel, oidIs(oid))
-	return err
 }
 
 // RelStatsFor returns table statistics; ok is false if never analyzed.
@@ -165,58 +171,31 @@ func (c *Catalog) RelStatsFor(snap tx.Snapshot, oid int64) (RelStats, bool) {
 	return selectOne(c.sys[SysStatRel], snap, oidIs(oid), func(row types.Row) RelStats { return RelStats{Rows: row[1].Int()} })
 }
 
-// attIs matches one column's statistics row.
-func attIs(oid int64, attnum int) func(types.Row) bool {
-	return func(row types.Row) bool { return row[0].Int() == oid && row[1].Int() == int64(attnum) }
-}
-
-// SetColStats stores (replacing) one column's statistics.
-func (c *Catalog) SetColStats(t *tx.Tx, oid int64, attnum int, s ColStats) error {
-	if _, err := c.deleteWhere(t, t.Snapshot(), SysStatCol, attIs(oid, attnum)); err != nil {
-		return err
-	}
-	c.insert(t, SysStatCol, types.Row{
-		types.NewInt64(oid),
-		types.NewInt32(int32(attnum)),
-		types.NewFloat64(s.NDistinct),
-		types.NewFloat64(s.NullFrac),
-		types.NewBytes(types.EncodeDatum(nil, s.Min)),
-		types.NewBytes(types.EncodeDatum(nil, s.Max)),
-	})
-	return nil
-}
-
-// ColStatsFor returns one column's statistics.
-func (c *Catalog) ColStatsFor(snap tx.Snapshot, oid int64, attnum int) (ColStats, bool) {
-	return selectOne(c.sys[SysStatCol], snap, attIs(oid, attnum), colStatsOf)
-}
-
-// ColStatsOf returns the statistics of every analyzed column of the
-// tables oids, by table OID and attribute number, from one pass over the
-// statistics table. A column ANALYZE has not reached reads as the zero
-// ColStats.
+// ColStatsOf returns the column statistics of the tables oids (shared:
+// read only), merged from their visible lanes, a partitioned table's
+// from its partitions'. A table with no rows, or with a lane registered
+// without statistics, has none.
 func (c *Catalog) ColStatsOf(snap tx.Snapshot, oids []int64) map[int64][]ColStats {
-	out := map[int64][]ColStats{}
-	c.sys[SysStatCol].Select(snap, func(row types.Row) bool { return slices.Contains(oids, row[0].Int()) }, func(_ uint64, row types.Row) bool {
-		oid, att := row[0].Int(), int(row[1].Int())
-		cols := out[oid]
-		for len(cols) <= att {
-			cols = append(cols, ColStats{})
-		}
-		cols[att] = colStatsOf(row)
-		out[oid] = cols
+	countsFor := map[int64][]int64{} // a table -> the tables asked about whose lanes include its own
+	for _, oid := range oids {
+		countsFor[oid] = []int64{oid}
+	}
+	c.sys[SysClass].Select(snap, func(row types.Row) bool { return slices.Contains(oids, row[8].Int()) }, func(_ uint64, row types.Row) bool {
+		countsFor[row[0].Int()] = append(countsFor[row[0].Int()], row[8].Int())
 		return true
 	})
-	return out
-}
-
-func colStatsOf(row types.Row) ColStats {
-	out := ColStats{NDistinct: row[2].Float(), NullFrac: row[3].Float()}
-	if d, _, err := types.DecodeDatum([]byte(row[4].Str())); err == nil {
-		out.Min = d
-	}
-	if d, _, err := types.DecodeDatum([]byte(row[5].Str())); err == nil {
-		out.Max = d
+	visible := map[int64][]lane{}
+	c.sys[SysAoseg].Select(snap, func(row types.Row) bool { return countsFor[row[0].Int()] != nil }, func(id uint64, row types.Row) bool {
+		for _, oid := range countsFor[row[0].Int()] {
+			visible[oid] = append(visible[oid], lane{id, row[5].Int(), row[7].Str()})
+		}
+		return true
+	})
+	out := map[int64][]ColStats{}
+	for _, oid := range oids {
+		if st := c.mergeLanes(oid, visible[oid]); st != nil {
+			out[oid] = st
+		}
 	}
 	return out
 }

@@ -12,7 +12,6 @@ import (
 
 // Task kinds: what a hawq_task row asks the scheduler to do.
 const (
-	TaskKindAnalyze   = "analyze"   // refresh RelStats/ColStats of Target table
 	TaskKindCompact   = "compact"   // merge undersized AO segfiles of Target table
 	TaskKindStatement = "statement" // execute Target as SQL (CREATE TASK ... AS)
 )
@@ -32,8 +31,8 @@ const (
 // the chaos harness drives them deterministically under clock.Sim.
 type TaskDesc struct {
 	Name     string
-	Kind     string        // TaskKindAnalyze | TaskKindCompact | TaskKindStatement
-	Target   string        // table name (analyze/compact) or SQL text (statement)
+	Kind     string        // TaskKindCompact | TaskKindStatement
+	Target   string        // table name (compact) or SQL text (statement)
 	Interval time.Duration // 0 = one-shot
 	State    string
 	// Owner identifies the scheduler instance holding the lease; "" when

@@ -88,10 +88,10 @@ func TestConcurrentUpdatesOfOneRowRefuseTheSecond(t *testing.T) {
 			name:  "UpdateTask",
 			table: SysTask,
 			create: func(c *Catalog, t *tx.Tx) error {
-				return c.CreateTask(t, TaskDesc{Name: "job", Kind: TaskKindAnalyze, Target: "t"})
+				return c.CreateTask(t, TaskDesc{Name: "job", Kind: TaskKindCompact, Target: "t"})
 			},
 			update: func(c *Catalog, t *tx.Tx, i int) error {
-				return c.UpdateTask(t, TaskDesc{Name: "job", Kind: TaskKindAnalyze, Target: "t", Owner: fmt.Sprint("owner", i)})
+				return c.UpdateTask(t, TaskDesc{Name: "job", Kind: TaskKindCompact, Target: "t", Owner: fmt.Sprint("owner", i)})
 			},
 		},
 		{
@@ -162,7 +162,7 @@ func TestConcurrentUpdatesOfOneRowRefuseTheSecond(t *testing.T) {
 func TestRacingUpdatesOfOneRowLeaveOneVersion(t *testing.T) {
 	c, m := newEnv()
 	setup := m.Begin(tx.ReadCommitted)
-	if err := c.CreateTask(setup, TaskDesc{Name: "job", Kind: TaskKindAnalyze, Target: "t"}); err != nil {
+	if err := c.CreateTask(setup, TaskDesc{Name: "job", Kind: TaskKindCompact, Target: "t"}); err != nil {
 		t.Fatal(err)
 	}
 	setup.Commit()
@@ -174,7 +174,7 @@ func TestRacingUpdatesOfOneRowLeaveOneVersion(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				tr := m.Begin(tx.ReadCommitted)
-				err := c.UpdateTask(tr, TaskDesc{Name: "job", Kind: TaskKindAnalyze, Target: "t", Owner: fmt.Sprint(w, "/", i)})
+				err := c.UpdateTask(tr, TaskDesc{Name: "job", Kind: TaskKindCompact, Target: "t", Owner: fmt.Sprint(w, "/", i)})
 				switch {
 				case err == nil:
 					if tr.Commit() == nil {

@@ -323,10 +323,7 @@ func crashWorkload(seed int64, n int) []CrashOp {
 						if err != nil {
 							return err
 						}
-						if err := m.Cat.DropSegFiles(t, d.OID); err != nil {
-							return err
-						}
-						return m.Cat.DropRelStats(t, d.OID)
+						return m.Cat.DropSegFiles(t, d.OID)
 					}),
 				}
 			case 1:

@@ -81,8 +81,8 @@ type Config struct {
 	// Background maintenance (consumed by the engine's task scheduler;
 	// the cluster itself only carries them). DisableTasks turns the
 	// scheduler off entirely. TaskSweep opts into scheduler-originated
-	// work — auto-ANALYZE and AO small-file compaction — which stays off
-	// by default so tests with golden plans keep static statistics.
+	// work, AO small-file compaction, which stays off by default so a
+	// test's segment files change only when it changes them.
 	DisableTasks bool
 	TaskSweep    bool
 	// TaskLease is how long a task claim is honoured (0: 30s).

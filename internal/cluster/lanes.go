@@ -89,12 +89,12 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 	var usable func(segno int) bool
 	if t.Level() == tx.Serializable {
 		usable = func(segno int) bool {
-			return maps.EqualFunc(c.laneFiles(t.Snapshot(), desc.OID, segno), c.laneFiles(t.LatestSnapshot(), desc.OID, segno),
+			return maps.EqualFunc(c.Cat().LaneSegFiles(t.Snapshot(), desc.OID, segno), c.Cat().LaneSegFiles(t.LatestSnapshot(), desc.OID, segno),
 				func(a, b catalog.SegFile) bool { return a.LogicalLen == b.LogicalLen && a.Tuples == b.Tuples })
 		}
 	}
 	segno, held := c.lanes.acquire(desc.OID, t.XID(), usable)
-	committed := c.laneFiles(t.LatestSnapshot(), desc.OID, segno)
+	committed := c.Cat().LaneSegFiles(t.LatestSnapshot(), desc.OID, segno)
 	if held {
 		// The transaction's first acquire registered the lane's files
 		// and the hooks that release it and roll it back to where it
@@ -142,17 +142,6 @@ func (c *Cluster) AcquireLane(t *tx.Tx, desc *catalog.TableDesc) (int, map[int]c
 		}
 	})
 	return segno, files, nil
-}
-
-// laneFiles returns a lane's file on each segment, as snap sees them.
-func (c *Cluster) laneFiles(snap tx.Snapshot, tableOID int64, segno int) map[int]catalog.SegFile {
-	files := map[int]catalog.SegFile{}
-	for _, f := range c.Cat().AllSegFiles(snap, tableOID) {
-		if f.SegNo == segno {
-			files[f.SegmentID] = f
-		}
-	}
-	return files
 }
 
 // truncateToLogical trims a lane's physical files back to the committed

@@ -10,6 +10,7 @@ import (
 	"hawq/internal/hdfs"
 	"hawq/internal/obs"
 	"hawq/internal/storage"
+	"hawq/internal/task"
 	"hawq/internal/tx"
 	"hawq/internal/types"
 )
@@ -19,14 +20,11 @@ var (
 	metCompactedBytes = obs.GetCounter("task.compacted_bytes")
 )
 
-// compactSmallBytes is the undersized-file cutoff: the scheduler's
-// default, which decides when it enqueues a compaction.
-const compactSmallBytes = 64 << 10
-
-// CompactTable merges each segment's undersized AO files into one
-// larger file under a transactional catalog swap (the background
-// maintenance pass for §5.4's swimming lanes: every concurrent writer
-// epoch leaves another small file behind). The merged file is written
+// CompactTable merges the undersized files of each segment that has
+// enough of them (task.Fragments) into one larger file under a
+// transactional catalog swap (the background maintenance pass for §5.4's
+// swimming lanes: every concurrent writer epoch leaves another small
+// file behind). The merged file is written
 // to a fresh segno first; the swap — delete the small files' catalog
 // rows, insert the merged row — happens in one transaction, so readers
 // see either the old set or the new file, never a mix. On abort the
@@ -61,23 +59,9 @@ func (s *Session) compactInTx(ctx context.Context, t *tx.Tx, name string) error 
 	if err := s.eng.cl.Locks.Acquire(t.XID(), name, tx.AccessExclusive); err != nil {
 		return err
 	}
-	snap := t.Snapshot()
-	bySeg := map[int][]catalog.SegFile{}
-	segIDs := []int{}
-	for _, sf := range cat.AllSegFiles(snap, desc.OID) {
-		if sf.Tuples > 0 && sf.LogicalLen > 0 && sf.LogicalLen < compactSmallBytes {
-			if len(bySeg[sf.SegmentID]) == 0 {
-				segIDs = append(segIDs, sf.SegmentID)
-			}
-			bySeg[sf.SegmentID] = append(bySeg[sf.SegmentID], sf)
-		}
-	}
 	fs := s.eng.cl.FS
-	for _, segID := range segIDs {
-		files := bySeg[segID]
-		if len(files) < 2 {
-			continue
-		}
+	for _, files := range task.Fragments(cat.AllSegFiles(t.Snapshot(), desc.OID)) {
+		segID := files[0].SegmentID
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -156,6 +140,7 @@ func (s *Session) mergeSegFiles(ctx context.Context, t *tx.Tx, desc *catalog.Tab
 	}
 	merged.LogicalLen, merged.ColLens = w.Lens()
 	merged.Tuples = w.Tuples()
+	merged.Stats = w.Stats()
 	return merged, nil
 }
 

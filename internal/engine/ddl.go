@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -301,12 +300,6 @@ func (s *Session) runTruncate(t *tx.Tx, stmt *sqlparser.TruncateStmt) (*Result, 
 		if err := cat.DropSegFiles(t, d.OID); err != nil {
 			return nil, err
 		}
-		// The stored row count describes rows that are gone: drop it, so
-		// the table reads as never analyzed and the auto-ANALYZE sweep
-		// counts every row the next load brings as churn.
-		if err := cat.DropRelStats(t, d.OID); err != nil {
-			return nil, err
-		}
 		oid := d.OID
 		t.OnCommit(func() {
 			// Best-effort post-commit cleanup; see runDrop.
@@ -317,119 +310,32 @@ func (s *Session) runTruncate(t *tx.Tx, stmt *sqlparser.TruncateStmt) (*Result, 
 	return &Result{Tag: "TRUNCATE TABLE"}, nil
 }
 
-// runAnalyze collects planner statistics (§6.3): row counts from the
-// segment-file catalog plus per-column min/max/NDV computed by running
-// aggregate queries through the engine itself.
-func (s *Session) runAnalyze(ctx context.Context, t *tx.Tx, stmt *sqlparser.AnalyzeStmt) (*Result, error) {
-	cat := s.eng.cl.Cat()
-	var targets []*catalog.TableDesc
-	if stmt.Table != "" {
-		desc, err := cat.LookupTable(t.Snapshot(), stmt.Table)
-		if err != nil {
-			return nil, err
-		}
-		targets = append(targets, desc)
-		if desc.IsPartitionParent() {
-			// As in PostgreSQL, analyzing a parent analyzes each of its
-			// partitions too. (ANALYZE of every table lists them itself.)
-			kids, err := cat.PartitionChildren(t.Snapshot(), desc.OID)
-			if err != nil {
-				return nil, err
-			}
-			targets = append(targets, kids...)
-		}
-	} else {
-		for _, d := range cat.ListTables(t.Snapshot()) {
-			if !d.IsExternal() {
-				targets = append(targets, d)
-			}
-		}
-	}
-	for _, desc := range targets {
-		if desc.IsExternal() {
-			if err := s.analyzeExternal(t, desc); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var rows int64
-		countOids := []int64{desc.OID}
-		if desc.IsPartitionParent() {
-			kids, err := cat.PartitionChildren(t.Snapshot(), desc.OID)
-			if err != nil {
-				return nil, err
-			}
-			countOids = countOids[:0]
-			for _, k := range kids {
-				countOids = append(countOids, k.OID)
-			}
-		}
-		for _, oid := range countOids {
-			for _, sf := range cat.AllSegFiles(t.Snapshot(), oid) {
-				rows += sf.Tuples
-			}
-		}
-		if err := cat.SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows}); err != nil {
-			return nil, err
-		}
-		if rows == 0 {
-			continue
-		}
-		// Column statistics via one self-issued statement per table: four
-		// aggregates per column, so a row table is walked once, not once
-		// per column. Partition children get their own per-column stats
-		// too: partition elimination prices each child scan individually,
-		// and the stats refresh must be observable in EXPLAIN after an
-		// auto-ANALYZE pass invalidates cached plans.
-		var q strings.Builder
-		q.WriteString("SELECT ")
-		for i, col := range desc.Schema.Columns {
-			if i > 0 {
-				q.WriteString(", ")
-			}
-			fmt.Fprintf(&q, "min(%[1]s), max(%[1]s), count(DISTINCT %[1]s), count(%[1]s)", col.Name)
-		}
-		fmt.Fprintf(&q, " FROM %s", desc.Name)
-		sel, err := sqlparser.ParseOne(q.String())
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := s.runSelectRows(ctx, t, sel.(*sqlparser.SelectStmt), false)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != 1 {
-			continue
-		}
-		for i := range desc.Schema.Columns {
-			r := out[0][4*i:]
-			if err := cat.SetColStats(t, desc.OID, i, catalog.ColStats{
-				Min:       r[0],
-				Max:       r[1],
-				NDistinct: float64(r[2].Int()),
-				NullFrac:  1 - float64(r[3].Int())/float64(rows),
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &Result{Tag: "ANALYZE"}, nil
-}
-
 // ExternalAnalyzer is implemented by PXF bindings that support the
 // optional Analyzer plugin (§6.4).
 type ExternalAnalyzer interface {
 	AnalyzeExternal(desc *catalog.TableDesc) (rows int64, err error)
 }
 
-func (s *Session) analyzeExternal(t *tx.Tx, desc *catalog.TableDesc) error {
+// runAnalyze asks a PXF connector's analyzer for an external table's
+// row count (§6.4). An internal table needs no ANALYZE: its statistics
+// are written with its data (DESIGN.md §19), so ANALYZE of one, or of
+// every table, is accepted and does nothing.
+func (s *Session) runAnalyze(t *tx.Tx, stmt *sqlparser.AnalyzeStmt) (*Result, error) {
+	done := &Result{Tag: "ANALYZE"}
+	if stmt.Table == "" {
+		return done, nil
+	}
+	desc, err := s.eng.cl.Cat().LookupTable(t.Snapshot(), stmt.Table)
+	if err != nil || !desc.IsExternal() {
+		return done, err
+	}
 	an, ok := s.eng.cl.External.(ExternalAnalyzer)
 	if !ok {
-		return fmt.Errorf("engine: ANALYZE on external table %s: connector has no analyzer", desc.Name)
+		return nil, fmt.Errorf("engine: ANALYZE on external table %s: connector has no analyzer", desc.Name)
 	}
 	rows, err := an.AnalyzeExternal(desc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return s.eng.cl.Cat().SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
+	return done, s.eng.cl.Cat().SetRelStats(t, desc.OID, catalog.RelStats{Rows: rows})
 }

@@ -100,8 +100,7 @@ func (s *Session) write(ctx context.Context, t *tx.Tx, table string, source func
 	for _, row := range res.Rows {
 		affected += row[0].Int()
 	}
-	// The segfile updates' tuple counts are the table's row count, which
-	// the auto-ANALYZE sweep reads as is.
+	// The updates carry the lanes' tuple counts and column statistics.
 	for _, u := range res.Updates {
 		if err := s.eng.cl.Cat().UpdateSegFile(t, u.File); err != nil {
 			return nil, err

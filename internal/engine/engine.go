@@ -59,7 +59,7 @@ type Engine struct {
 	// that long, together with their EXPLAIN ANALYZE summary.
 	slow *obs.SlowLog
 	// sched is the background maintenance daemon (nil when disabled):
-	// auto-ANALYZE, AO compaction, and user-defined periodic tasks.
+	// AO compaction and user-defined periodic tasks.
 	sched *task.Scheduler
 	// planCache is the engine-wide compiled-plan cache (§2.4's
 	// parse-once / dispatch-many path); sized by plan_cache_size.
@@ -447,7 +447,7 @@ func (s *Session) runInTx(ctx context.Context, t *tx.Tx, stmt sqlparser.Statemen
 	case *sqlparser.TruncateStmt:
 		return s.runTruncate(t, v)
 	case *sqlparser.AnalyzeStmt:
-		return s.runAnalyze(ctx, t, v)
+		return s.runAnalyze(t, v)
 	case *sqlparser.ExplainStmt:
 		return s.runExplain(ctx, t, v)
 	case *sqlparser.ShowStmt:

@@ -24,8 +24,8 @@ var ErrQueueTimeout = errors.New("engine: canceling statement while waiting in r
 // settings (applyResourceLimits). A statement's first dispatch waits
 // FIFO for a slot in the session's resource queue before any gang is
 // started (§2.4's admission), whatever the statement is: SELECT,
-// INSERT, COPY, EXPLAIN ANALYZE or ANALYZE. Its later dispatches (a
-// restart, a scalar subquery, ANALYZE's next table) run under that one
+// INSERT, COPY or EXPLAIN ANALYZE. Its later dispatches (a restart, a
+// scalar subquery) run under that one
 // slot, which the statement's lifecycle gives back when it ends. The
 // statement's cancellation context aborts the wait cleanly: a queued
 // statement holds no slot and has started no gang.

@@ -50,8 +50,6 @@ type taskExecutor struct{ eng *Engine }
 func (x taskExecutor) ExecuteTask(ctx context.Context, d *catalog.TaskDesc) error {
 	var err error
 	switch d.Kind {
-	case catalog.TaskKindAnalyze:
-		_, err = x.eng.NewSession().execute(ctx, "ANALYZE "+d.Target)
 	case catalog.TaskKindStatement:
 		_, err = x.eng.NewSession().execute(ctx, d.Target)
 	case catalog.TaskKindCompact:

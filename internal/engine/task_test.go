@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -119,19 +121,17 @@ func TestCreateTaskReservedNameAndDrop(t *testing.T) {
 	mustExec(t, s, "DROP TASK IF EXISTS nightly")
 }
 
-// TestAutoAnalyzeChangesPlanE2E is the stats-staleness end-to-end: a
-// table analyzed while tiny keeps its stale 2-row estimate through a
-// 300-row load, so the planner builds the join's hash table on it (the
-// build side, listed second); the insert moves the row count its segment
-// files commit past the auto-ANALYZE threshold, one scheduler pass
-// refreshes RelStats, and the same EXPLAIN flips the sides.
+// TestAutoAnalyzeChangesPlanE2E: statistics are written with the data,
+// so a committed load changes the plan at once, with no ANALYZE and no
+// scheduler pass. While big holds 2 rows the planner builds the join's
+// hash table on it (the build side, listed second); a 300-row load into
+// big flips the sides, and a rolled-back load does not.
 func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
-	e, sim := newSimEngine(t, 2, nil)
+	e, _ := newSimEngine(t, 2, nil)
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE big (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
 	mustExec(t, s, "CREATE TABLE small (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
 	mustExec(t, s, "INSERT INTO big VALUES (1, 1), (2, 2)")
-	mustExec(t, s, "ANALYZE big") // RelStats.Rows = 2: no churn
 	mustExec(t, s, "INSERT INTO small VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)")
 
 	explain := func() string {
@@ -153,61 +153,22 @@ func TestAutoAnalyzeChangesPlanE2E(t *testing.T) {
 
 	before := explain()
 	if scanIdx(before, "big") < scanIdx(before, "small") {
-		t.Fatalf("stale stats should build on big (2 estimated rows):\n%s", before)
+		t.Fatalf("a 2-row big should be the build side:\n%s", before)
 	}
-
-	// 300 inserted rows against 2 analyzed rows: far past the 0.2 ratio
-	// and the 50-row floor.
-	var vals []string
-	for i := 10; i < 310; i++ {
-		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i))
-	}
-	mustExec(t, s, "INSERT INTO big VALUES "+strings.Join(vals, ", "))
+	mustExec(t, s, "BEGIN")
+	insertRange(t, s, "big", 10, 310)
+	mustExec(t, s, "ROLLBACK")
 	if got := explain(); got != before {
-		t.Fatalf("plan changed before the scheduler ran:\n%s", got)
+		t.Fatalf("a rolled-back load changed the plan:\n%s", got)
 	}
-
-	sim.Advance(time.Second)
-	e.TaskScheduler().TickOnce(context.Background())
-
+	insertRange(t, s, "big", 10, 310)
 	after := explain()
 	if scanIdx(after, "small") < scanIdx(after, "big") {
-		t.Fatalf("refreshed stats should build on small:\nbefore:\n%s\nafter:\n%s", before, after)
+		t.Fatalf("after the load small should be the build side:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	// The one-shot auto task retired itself after succeeding.
 	if row := taskRow(t, s, "auto_analyze_big"); row != nil {
-		t.Errorf("auto task still present after success: %v", row)
+		t.Errorf("a load enqueued a task: %v", row)
 	}
-	// And the refreshed estimate is immediately consumable: a second
-	// churn below the floor must NOT re-trigger.
-	mustExec(t, s, "INSERT INTO big VALUES (1000, 1000)")
-	sim.Advance(time.Second)
-	e.TaskScheduler().TickOnce(context.Background())
-	if row := taskRow(t, s, "auto_analyze_big"); row != nil {
-		t.Errorf("auto-ANALYZE re-triggered on 1 modified row: %v", row)
-	}
-}
-
-// sweepAnalyzes runs one scheduler pass and returns how many
-// auto-ANALYZE tasks its sweep enqueued.
-func sweepAnalyzes(e *Engine, sim *clock.Sim) int64 {
-	before := obs.GetCounter("task.analyze_auto").Value()
-	sim.Advance(time.Second)
-	e.TaskScheduler().TickOnce(context.Background())
-	return obs.GetCounter("task.analyze_auto").Value() - before
-}
-
-// relRows reads a table's stored ANALYZE row count.
-func relRows(t testing.TB, e *Engine, table string) (int64, bool) {
-	t.Helper()
-	tr := e.Cluster().TxMgr.Begin(tx.ReadCommitted)
-	defer tr.Abort()
-	desc, err := e.Cluster().Cat().LookupTable(tr.Snapshot(), table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, ok := e.Cluster().Cat().RelStatsFor(tr.Snapshot(), desc.OID)
-	return rs.Rows, ok
 }
 
 func insertRange(t testing.TB, s *Session, table string, lo, hi int) {
@@ -219,41 +180,32 @@ func insertRange(t testing.TB, s *Session, table string, lo, hi int) {
 	mustExec(t, s, "INSERT INTO "+table+" VALUES "+strings.Join(vals, ", "))
 }
 
-// TestTruncateReloadReanalyzes: a count of rows alone cannot tell a
-// truncated and reloaded table from an untouched one, so TRUNCATE drops
-// the stored count; the reload to the same size is all churn.
-func TestTruncateReloadReanalyzes(t *testing.T) {
-	e, sim := newSimEngine(t, 2, nil)
+// TestTruncateReloadRecomputesStats: TRUNCATE deletes the lanes and with
+// them their statistics, so a reload's statistics describe the reload
+// alone — an ANALYZE before the TRUNCATE leaves nothing behind.
+func TestTruncateReloadRecomputesStats(t *testing.T) {
+	e := newTestEngine(t, 2)
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE t (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
 	insertRange(t, s, "t", 0, 100)
 	mustExec(t, s, "ANALYZE t")
-	if n := sweepAnalyzes(e, sim); n != 0 {
-		t.Fatalf("sweep after ANALYZE enqueued %d auto-ANALYZEs", n)
+	if st := colStats(t, e, "t"); len(st) != 2 || st[0].NDistinct != 100 || st[0].Min.Int() != 0 || st[0].Max.Int() != 99 {
+		t.Fatalf("statistics after the load = %+v", st)
 	}
-
 	mustExec(t, s, "TRUNCATE t")
-	if rows, ok := relRows(t, e, "t"); ok {
-		t.Fatalf("TRUNCATE kept the stored row count %d", rows)
+	if st := colStats(t, e, "t"); st != nil {
+		t.Fatalf("statistics after TRUNCATE = %+v", st)
 	}
-	// An empty table has nothing to analyze.
-	if n := sweepAnalyzes(e, sim); n != 0 {
-		t.Fatalf("sweep of the truncated table enqueued %d auto-ANALYZEs", n)
-	}
-	insertRange(t, s, "t", 0, 100)
-	if n := sweepAnalyzes(e, sim); n != 1 {
-		t.Fatalf("sweep after truncate and reload enqueued %d auto-ANALYZEs, want auto_analyze_t", n)
-	}
-	if rows, ok := relRows(t, e, "t"); !ok || rows != 100 {
-		t.Errorf("stored row count after auto-ANALYZE = %d, %v; want 100", rows, ok)
+	insertRange(t, s, "t", 500, 510)
+	if st := colStats(t, e, "t"); len(st) != 2 || st[0].NDistinct != 10 || st[0].Min.Int() != 500 || st[0].Max.Int() != 509 {
+		t.Errorf("statistics after the reload of ids 500-509 = %+v", st)
 	}
 }
 
-// TestAnalyzeParentAnalyzesPartitions: as in PostgreSQL, ANALYZE of a
-// partitioned table gives every partition statistics, so the sweep has
-// none of them left to analyze.
-func TestAnalyzeParentAnalyzesPartitions(t *testing.T) {
-	e, sim := newSimEngine(t, 2, nil)
+// TestParentStatsMergePartitions: a partitioned table's statistics are
+// its partitions' lanes merged, with no ANALYZE of either.
+func TestParentStatsMergePartitions(t *testing.T) {
+	e := newTestEngine(t, 2)
 	s := e.NewSession()
 	mustExec(t, s, `CREATE TABLE p (k INT8, d DATE)
 		DISTRIBUTED BY (k) PARTITION BY RANGE (d)
@@ -263,45 +215,50 @@ func TestAnalyzeParentAnalyzesPartitions(t *testing.T) {
 		vals = append(vals, fmt.Sprintf("(%d, DATE '2008-0%d-1%d')", i, i%3+1, i%9))
 	}
 	mustExec(t, s, "INSERT INTO p VALUES "+strings.Join(vals, ", "))
-	mustExec(t, s, "ANALYZE p")
-
-	for _, part := range []string{"p_1_prt_1", "p_1_prt_2", "p_1_prt_3"} {
-		if rows, ok := relRows(t, e, part); !ok || rows != 80 {
-			t.Errorf("%s stored row count = %d, %v; want 80", part, rows, ok)
+	for m, part := range []string{"p_1_prt_1", "p_1_prt_2", "p_1_prt_3"} {
+		st := colStats(t, e, part)
+		if len(st) != 2 || math.Abs(st[0].NDistinct-80) > 2 || st[1].Min.String() != fmt.Sprintf("2008-0%d-1%d", m+1, m) || st[1].NDistinct != 3 {
+			t.Errorf("%s statistics = %+v", part, st)
 		}
 	}
-	if rows, ok := relRows(t, e, "p"); !ok || rows != 240 {
-		t.Errorf("p stored row count = %d, %v; want 240", rows, ok)
-	}
-	if n := sweepAnalyzes(e, sim); n != 0 {
-		t.Errorf("sweep after ANALYZE p enqueued %d auto-ANALYZEs of its partitions", n)
+	st := colStats(t, e, "p")
+	if len(st) != 2 || math.Abs(st[0].NDistinct-240) > 7 || st[0].Min.Int() != 0 || st[0].Max.Int() != 239 ||
+		st[1].Min.String() != "2008-01-10" || st[1].Max.String() != "2008-03-18" || st[1].NDistinct != 9 {
+		t.Errorf("p statistics = %+v", st)
 	}
 }
 
-// TestRolledBackCopyAddsNoChurn: an aborted COPY never advances the
-// segment files' committed row count, so the sweep sees no churn; the
-// same COPY committed is churn.
-func TestRolledBackCopyAddsNoChurn(t *testing.T) {
-	e, sim := newSimEngine(t, 2, nil)
+// TestRolledBackCopyLeavesStats: an aborted COPY never replaces the
+// lanes' rows, so the statistics are exactly as before it; the same
+// COPY committed moves them.
+func TestRolledBackCopyLeavesStats(t *testing.T) {
+	e := newTestEngine(t, 2)
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE t (id INT8 NOT NULL, v INT8) DISTRIBUTED BY (id)")
-	rows := make([]types.Row, 100)
-	for i := range rows {
-		rows[i] = types.Row{types.NewInt64(int64(i)), types.NewInt64(int64(i))}
+	rows := func(lo int) []types.Row {
+		out := make([]types.Row, 100)
+		for i := range out {
+			out[i] = types.Row{types.NewInt64(int64(lo + i)), types.NewInt64(int64(i % 10))}
+		}
+		return out
 	}
+	if _, err := s.CopyFrom("t", rows(0)); err != nil {
+		t.Fatal(err)
+	}
+	before := colStats(t, e, "t")
 	mustExec(t, s, "BEGIN")
-	if _, err := s.CopyFrom("t", rows); err != nil {
+	if _, err := s.CopyFrom("t", rows(1000)); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, s, "ROLLBACK")
-	if n := sweepAnalyzes(e, sim); n != 0 {
-		t.Fatalf("sweep after a rolled-back COPY enqueued %d auto-ANALYZEs", n)
+	if after := colStats(t, e, "t"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a rolled-back COPY changed the statistics:\n%+v\nwant %+v", after, before)
 	}
-	if _, err := s.CopyFrom("t", rows); err != nil {
+	if _, err := s.CopyFrom("t", rows(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if n := sweepAnalyzes(e, sim); n != 1 {
-		t.Fatalf("sweep after a committed COPY enqueued %d auto-ANALYZEs, want 1", n)
+	if st := colStats(t, e, "t"); st[0].Max.Int() != 1099 || st[0].NDistinct < 190 || st[0].NDistinct > 210 || st[1].NDistinct != 10 {
+		t.Errorf("statistics after a committed COPY = %+v", st)
 	}
 }
 
@@ -483,6 +440,26 @@ func TestCompactionAbortLeavesOldSetIntact(t *testing.T) {
 		t.Fatal("compaction changed SELECT results")
 	}
 	assertNoOrphans(t, e, "frag")
+}
+
+// TestCompactionKeepsStats: compaction rewrites the same values into
+// one lane, so the merged lane's statistics — registers, NULLs, min and
+// max — are exactly what the small lanes' added up to.
+func TestCompactionKeepsStats(t *testing.T) {
+	e, _ := newSimEngine(t, 2, func(c *Config) { c.TaskSweep = false })
+	mustExec(t, e.NewSession(), "CREATE TABLE frag (id INT8 NOT NULL, v TEXT) DISTRIBUTED BY (id)")
+	fragmentTable(t, e, "frag", 8)
+	before := colStats(t, e, "frag")
+	filesBefore, _ := segFileState(t, e, "frag")
+	if err := e.CompactTable(context.Background(), "frag"); err != nil {
+		t.Fatal(err)
+	}
+	if filesAfter, _ := segFileState(t, e, "frag"); len(filesAfter) >= len(filesBefore) {
+		t.Fatalf("compaction did not reduce segfiles: %d -> %d", len(filesBefore), len(filesAfter))
+	}
+	if after := colStats(t, e, "frag"); !reflect.DeepEqual(after, before) || len(after) != 2 || after[0].NDistinct != 32 {
+		t.Errorf("statistics across compaction:\n%+v\nwant %+v", after, before)
+	}
 }
 
 // TestFailoverTaskHandoffE2E walks the master-failover protocol: a task

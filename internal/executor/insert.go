@@ -12,8 +12,8 @@ import (
 // insertOp appends its input rows to this segment's lane file of the
 // target table (§5.4 swimming lanes: the master assigned the lane, so no
 // two concurrent writers share a file). For partitioned tables each row
-// is routed to its partition's lane. The resulting file lengths are
-// piggybacked back to the master as SegFileUpdates; the master turns
+// is routed to its partition's lane. The lanes' lengths and statistics
+// are piggybacked back to the master as SegFileUpdates; the master turns
 // them into MVCC catalog updates, so the rows only become visible when
 // the transaction commits, and an abort truncates the files back (§5.3).
 type insertOp struct {
@@ -101,6 +101,7 @@ func (i *insertOp) NextBatch(b *types.Batch) (bool, error) {
 		sf := i.node.Targets[ti].Files[i.ctx.Segment]
 		sf.LogicalLen, sf.ColLens = w.Lens()
 		sf.Tuples = w.Tuples()
+		sf.Stats = w.Stats()
 		if i.ctx.OnSegFileUpdate != nil {
 			i.ctx.OnSegFileUpdate(SegFileUpdate{File: sf})
 		}

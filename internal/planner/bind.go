@@ -22,7 +22,7 @@ import (
 type scopeCol struct {
 	qual string // table alias (lower case), may be ""
 	name string // column name (lower case)
-	// st is the ANALYZE statistics of the base column this one carries,
+	// st is the statistics of the base column this one carries,
 	// through projections and joins; nil when unknown or not read.
 	st *catalog.ColStats
 	// id is the column's identity in its query block, given once when its

@@ -234,7 +234,7 @@ func (p *Planner) magicSet(units []*fromUnit, edges []joinEdge, d int) *sqlparse
 
 // baseCol resolves id against the base tables in sel's FROM list: the
 // column and its statistics, or a nil ColStats when no single base-table
-// column answers to id or ANALYZE has not counted it.
+// column answers to id or the column has none.
 func (p *Planner) baseCol(sel *sqlparser.SelectStmt, id *sqlparser.Ident) (types.Column, *catalog.ColStats) {
 	scopes := make([]*scope, len(sel.From))
 	for i := range sel.From {

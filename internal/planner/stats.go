@@ -8,24 +8,17 @@ import (
 	"hawq/internal/types"
 )
 
-// Costing from statistics (DESIGN.md §19): ANALYZE's per-column
-// NDistinct, NullFrac, Min and Max size filters, joins and groups, and
-// the System R constants are the fallback for a table ANALYZE has not
-// reached.
+// Costing from statistics (DESIGN.md §19): the per-column NDistinct,
+// NullFrac, Min and Max written with a table's data size filters, joins
+// and groups; the System R constants stand in where a column has none.
 
-// tableRows estimates a table's cardinality: ANALYZE statistics when
-// present, else the tuple counts the segment-file catalog tracks for
-// free, else a default.
+// tableRows estimates a table's cardinality: an external table's
+// ANALYZE count when present, else the tuple counts of its segment
+// files, else a default.
 func (p *Planner) tableRows(desc *catalog.TableDesc) float64 {
 	if rs, ok := p.Cat.RelStatsFor(p.Snap, desc.OID); ok {
-		// An analyzed-but-empty table is a known-empty table, not an
-		// unknown one: clamp to 1 row instead of falling through to the
-		// never-analyzed default (which would inflate it 1000x and drag
-		// join orders with it).
-		if rs.Rows < 1 {
-			return 1
-		}
-		return float64(rs.Rows)
+		// Known empty is 1 row, not the unknown default.
+		return max(float64(rs.Rows), 1)
 	}
 	var tuples int64
 	for _, sf := range p.Cat.AllSegFiles(p.Snap, desc.OID) {
@@ -34,11 +27,11 @@ func (p *Planner) tableRows(desc *catalog.TableDesc) float64 {
 	if tuples > 0 {
 		return float64(tuples)
 	}
-	return 1000 // never analyzed, never loaded through us
+	return 1000 // never analyzed, never loaded
 }
 
 // colStat returns the statistics of column att of table oid, or nil when
-// the statement read none (it joins nothing) or ANALYZE did not count it.
+// the statement read none (it joins nothing) or the column has none.
 func (p *Planner) colStat(oid int64, att int) *catalog.ColStats {
 	cols := p.st.stats[oid] // p.st exists: the table was looked up
 	if att >= len(cols) || cols[att].NDistinct < 1 {

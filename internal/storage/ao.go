@@ -17,6 +17,7 @@ type aoWriter struct {
 // Append implements Writer.
 func (w *aoWriter) Append(row types.Row) error {
 	w.buf = types.EncodeRow(w.buf, row)
+	w.stats.Add(row)
 	w.rows++
 	w.tuples++
 	if len(w.buf) >= DefaultBlockTarget {

@@ -128,8 +128,8 @@ func TestCacheWarmReadsNothing(t *testing.T) {
 	}
 }
 
-// TestCacheOneOffScanDoesNotFlush: a single pass over another table — an
-// ANALYZE, a compaction, a load's check — neither enters the cache nor
+// TestCacheOneOffScanDoesNotFlush: a single pass over another table — a
+// compaction, a load's check — neither enters the cache nor
 // pushes out what is hot.
 func TestCacheOneOffScanDoesNotFlush(t *testing.T) {
 	spec := catalog.StorageSpec{Orientation: catalog.OrientRow, Codec: "quicklz"}

@@ -38,6 +38,7 @@ func (w *colWriter) Append(row types.Row) error {
 		w.vals[i] = append(w.vals[i], d)
 		w.size += datumSizeEst(d)
 	}
+	w.stats.Add(row)
 	w.rows++
 	w.tuples++
 	if w.size >= DefaultBlockTarget*len(w.vals) {

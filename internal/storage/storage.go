@@ -80,6 +80,8 @@ type Writer interface {
 	// Tuples returns the number of rows appended so far plus the count
 	// existing at open.
 	Tuples() int64
+	// Stats returns, once closed, the lane's statistics, for SegFile.Stats.
+	Stats() string
 }
 
 // NewWriter opens a writer for the given storage spec, appending to the
@@ -97,7 +99,7 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 		return nil, fmt.Errorf("storage: unknown orientation %q", spec.Orientation)
 	}
 	files := LaneFiles(spec, schema.Len(), sf)
-	out := laneOut{codec: codec, lens: make([]int64, len(files)), tuples: sf.Tuples, co: spec.Orientation == catalog.OrientColumn}
+	out := laneOut{codec: codec, lens: make([]int64, len(files)), tuples: sf.Tuples, co: spec.Orientation == catalog.OrientColumn, stats: catalog.OpenLaneStats(sf, schema.Len())}
 	for i, f := range files {
 		fw, err := fs.CreateOrAppend(f.Path, opts)
 		if err != nil {
@@ -284,13 +286,14 @@ func (g *group) appendTo(dst []byte, rows int) []byte {
 }
 
 // laneOut is the file side of every writer: the lane's files open for
-// append, their lengths after the last flush, the rows written and the
-// framing scratch.
+// append, their lengths after the last flush, the rows written, the
+// lane's column statistics and the framing scratch.
 type laneOut struct {
 	files  []*hdfs.FileWriter
 	lens   []int64
 	co     bool // the catalog records every file's length (CO)
 	tuples int64
+	stats  *catalog.LaneStats // nil: the lane keeps none
 	codec  compress.Codec
 	group  group
 	out    []byte
@@ -332,3 +335,6 @@ func (o *laneOut) close() error {
 
 // Tuples implements Writer.
 func (o *laneOut) Tuples() int64 { return o.tuples }
+
+// Stats implements Writer.
+func (o *laneOut) Stats() string { return o.stats.Encode() }

@@ -10,10 +10,8 @@
 // clock.Sim.
 //
 // The daemon also originates its own work: a sweep pass reads each
-// table's segment files (hawq_aoseg) once, enqueuing auto-ANALYZE when
-// their committed row count has drifted from the one the last ANALYZE
-// stored past a threshold and AO small-file compaction when a table
-// fragments into undersized segfiles.
+// table's segment files (hawq_aoseg) once and enqueues compaction when
+// a segment of the table has fragmented into undersized segfiles.
 package task
 
 import (
@@ -36,7 +34,6 @@ var (
 	metFailures = obs.GetCounter("task.failures")
 	metRetries  = obs.GetCounter("task.retries")
 	metReclaims = obs.GetCounter("task.lease_reclaims")
-	metAutoAnl  = obs.GetCounter("task.analyze_auto")
 	metAutoCmp  = obs.GetCounter("task.compact_auto")
 	metRunMS    = obs.GetHistogram("task.run_ms", []int64{1, 5, 10, 50, 100, 500, 1000, 5000, 30000})
 )
@@ -47,17 +44,20 @@ var (
 // again.
 const AutoPrefix = "auto_"
 
-// analyzeRatio triggers auto-ANALYZE when churn reaches this share of
-// the row count the last ANALYZE stored.
-const analyzeRatio = 0.2
+// The compaction thresholds, read by the sweep and the compaction alike
+// through Fragments.
+const (
+	SmallFileBytes       = 64 << 10
+	SmallFilesPerSegment = 3
+)
 
 // IsAuto reports whether a task was enqueued by the sweep rather than
 // CREATE TASK.
 func IsAuto(name string) bool { return strings.HasPrefix(name, AutoPrefix) }
 
 // Executor runs one claimed task to effect. The engine implements it:
-// analyze and statement tasks run through a normal session (admission,
-// work_mem, statement timeout), compaction through the storage swap.
+// statement tasks run through a normal session (admission, work_mem,
+// statement timeout), compaction through the storage swap.
 type Executor interface {
 	ExecuteTask(ctx context.Context, d *catalog.TaskDesc) error
 }
@@ -82,17 +82,8 @@ type Config struct {
 	// requeue times (default: 5 attempts, 1s base, 30s cap).
 	Retry retry.Policy
 
-	// AnalyzeMinRows is the absolute floor of churned rows below which
-	// no ANALYZE is enqueued (default 50), keeping tiny tables from
-	// churning stats on every insert.
-	AnalyzeMinRows int64
-	// CompactSmallBytes classifies a segfile as undersized (default
-	// 64KB); CompactMinFiles is how many undersized files one segment
-	// must accumulate before compaction is enqueued (default 3).
-	CompactSmallBytes int64
-	CompactMinFiles   int
-	// DisableSweep turns off scheduler-originated work (auto-ANALYZE and
-	// auto-compaction), leaving only user-defined tasks.
+	// DisableSweep turns off scheduler-originated work (auto-compaction),
+	// leaving only user-defined tasks.
 	DisableSweep bool
 }
 
@@ -105,15 +96,6 @@ func (c Config) filled() Config {
 	}
 	if c.Retry.MaxAttempts == 0 {
 		c.Retry = retry.Policy{MaxAttempts: 5, BaseDelay: time.Second, MaxDelay: 30 * time.Second, Clock: c.Clock}
-	}
-	if c.AnalyzeMinRows <= 0 {
-		c.AnalyzeMinRows = 50
-	}
-	if c.CompactSmallBytes <= 0 {
-		c.CompactSmallBytes = 64 << 10
-	}
-	if c.CompactMinFiles <= 0 {
-		c.CompactMinFiles = 3
 	}
 	return c
 }
@@ -232,9 +214,9 @@ func (s *Scheduler) reclaimExpired(now int64) {
 	}
 }
 
-// sweep originates maintenance work from catalog state: auto-ANALYZE for
-// churned tables, compaction for fragmented ones. Each candidate gets a
-// one-shot auto task unless one already exists.
+// sweep originates maintenance work from catalog state: compaction for
+// fragmented tables. Each candidate gets a one-shot auto task unless one
+// already exists.
 func (s *Scheduler) sweep(now int64) {
 	cat, t := s.begin()
 	snap := t.Snapshot()
@@ -247,21 +229,11 @@ func (s *Scheduler) sweep(now int64) {
 		if desc.IsExternal() || desc.IsPartitionParent() {
 			continue
 		}
-		files := cat.AllSegFiles(snap, desc.OID)
-		if name := s.analyzeCandidate(cat, snap, desc, files); name != "" && !existing[name] {
-			if err := cat.CreateTask(t, catalog.TaskDesc{
-				Name: name, Kind: catalog.TaskKindAnalyze, Target: desc.Name, NextRun: now,
-			}); err == nil {
-				existing[name] = true
-				enqueued++
-				metAutoAnl.Inc()
-			}
-		}
-		if name := s.compactCandidate(desc, files); name != "" && !existing[name] {
+		name := AutoPrefix + "compact_" + strings.ToLower(desc.Name)
+		if len(Fragments(cat.AllSegFiles(snap, desc.OID))) > 0 && !existing[name] {
 			if err := cat.CreateTask(t, catalog.TaskDesc{
 				Name: name, Kind: catalog.TaskKindCompact, Target: desc.Name, NextRun: now,
 			}); err == nil {
-				existing[name] = true
 				enqueued++
 				metAutoCmp.Inc()
 			}
@@ -275,43 +247,28 @@ func (s *Scheduler) sweep(now int64) {
 	t.Commit()
 }
 
-// analyzeCandidate decides whether a table's churn since its last
-// ANALYZE warrants a refresh. Churn is how far the committed row count
-// of its segment files has moved from the count that ANALYZE stored;
-// "never analyzed" (or truncated since) counts every row as churn, so
-// freshly loaded tables get first statistics automatically.
-func (s *Scheduler) analyzeCandidate(cat *catalog.Catalog, snap tx.Snapshot, desc *catalog.TableDesc, files []catalog.SegFile) string {
-	var rows int64
+// Fragments returns the undersized files (rows in fewer than
+// SmallFileBytes) of each segment that has SmallFilesPerSegment of them,
+// one list per segment in the order files first name it: what the sweep
+// enqueues a compaction for and what the compaction merges.
+func Fragments(files []catalog.SegFile) [][]catalog.SegFile {
+	bySeg := map[int][]catalog.SegFile{}
+	var segs []int
 	for _, sf := range files {
-		rows += sf.Tuples
-	}
-	rs, analyzed := cat.RelStatsFor(snap, desc.OID)
-	churn := rows - rs.Rows
-	if churn < 0 {
-		churn = -churn
-	}
-	if churn < s.cfg.AnalyzeMinRows {
-		return ""
-	}
-	if analyzed && float64(churn)/float64(max(rs.Rows, 1)) < analyzeRatio {
-		return ""
-	}
-	return AutoPrefix + "analyze_" + strings.ToLower(desc.Name)
-}
-
-// compactCandidate reports whether any segment of the table accumulated
-// enough undersized files to be worth merging.
-func (s *Scheduler) compactCandidate(desc *catalog.TableDesc, files []catalog.SegFile) string {
-	small := map[int]int{}
-	for _, sf := range files {
-		if sf.Tuples > 0 && sf.LogicalLen > 0 && sf.LogicalLen < s.cfg.CompactSmallBytes {
-			small[sf.SegmentID]++
-			if small[sf.SegmentID] >= s.cfg.CompactMinFiles {
-				return AutoPrefix + "compact_" + strings.ToLower(desc.Name)
+		if sf.Tuples > 0 && sf.LogicalLen > 0 && sf.LogicalLen < SmallFileBytes {
+			if bySeg[sf.SegmentID] == nil {
+				segs = append(segs, sf.SegmentID)
 			}
+			bySeg[sf.SegmentID] = append(bySeg[sf.SegmentID], sf)
 		}
 	}
-	return ""
+	var out [][]catalog.SegFile
+	for _, seg := range segs {
+		if len(bySeg[seg]) >= SmallFilesPerSegment {
+			out = append(out, bySeg[seg])
+		}
+	}
+	return out
 }
 
 // claimNext claims the most overdue queued task, transitioning it

@@ -280,75 +280,43 @@ func sweepTable(t *testing.T, e *env, name string, files []catalog.SegFile) int6
 	return oid
 }
 
-// rowsFile is one committed segfile holding n rows: how INSERT and COPY
-// leave a table's row count in the catalog.
-func rowsFile(n int64) []catalog.SegFile {
-	return []catalog.SegFile{{SegmentID: 0, SegNo: 1, Path: "/t/0/1", Tuples: n}}
+// smallFile is a committed segfile of one row and length bytes on
+// segment seg.
+func smallFile(seg, segno int, length int64) catalog.SegFile {
+	return catalog.SegFile{SegmentID: seg, SegNo: segno, Path: fmt.Sprintf("/t/%d/%d", seg, segno), LogicalLen: length, Tuples: 1}
 }
 
-func TestSweepEnqueuesAutoAnalyzeOnChurn(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.AnalyzeMinRows = 10 })
-	ctx := context.Background()
-	// quiet: churn below the absolute floor — never analyzed or not.
-	sweepTable(t, e, "quiet", rowsFile(9))
-	// churned: never analyzed, churn past the floor.
-	sweepTable(t, e, "churned", rowsFile(10))
-	// stale: analyzed at 1000 rows, 1100 now; 100 rows of churn is under
-	// the 20% ratio, so fresh enough.
-	stale := sweepTable(t, e, "stale", rowsFile(1100))
-	e.inTx(t, func(tr *tx.Tx) error {
-		e.cat.SetRelStats(tr, stale, catalog.RelStats{Rows: 1000})
-		return nil
-	})
-
-	e.sched.TickOnce(ctx)
-	if got := e.exec.count("auto_analyze_churned"); got != 1 {
-		t.Errorf("auto_analyze_churned runs = %d, want 1", got)
+// fragmented is SmallFilesPerSegment undersized files on segment 0.
+func fragmented() []catalog.SegFile {
+	var files []catalog.SegFile
+	for i := 1; i <= SmallFilesPerSegment; i++ {
+		files = append(files, smallFile(0, i, SmallFileBytes-int64(i)))
 	}
-	for _, name := range []string{"auto_analyze_quiet", "auto_analyze_stale"} {
-		if got := e.exec.count(name); got != 0 {
-			t.Errorf("%s ran %d times, want 0", name, got)
-		}
-	}
-	// Successful auto tasks retire themselves.
-	tr := e.mgr.Begin(tx.ReadCommitted)
-	if left := e.cat.ListTasks(tr.Snapshot()); len(left) != 0 {
-		t.Errorf("auto tasks left behind: %+v", left)
-	}
-	tr.Abort()
-
-	// Push stale's churn over the ratio (250 of 1000 rows): next pass
-	// enqueues it.
-	e.inTx(t, func(tr *tx.Tx) error {
-		f := rowsFile(1250)[0]
-		f.TableOID = stale
-		return e.cat.UpdateSegFile(tr, f)
-	})
-	e.sched.TickOnce(ctx)
-	if got := e.exec.count("auto_analyze_stale"); got != 1 {
-		t.Errorf("auto_analyze_stale runs after ratio crossed = %d, want 1", got)
-	}
+	return files
 }
 
 func TestSweepEnqueuesCompactionOnFragmentation(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.CompactSmallBytes = 1024; c.CompactMinFiles = 3 })
+	e := newEnv(t, nil)
 	ctx := context.Background()
-	mk := func(seg, segno int, length int64) catalog.SegFile {
-		return catalog.SegFile{SegmentID: seg, SegNo: segno, Path: fmt.Sprintf("/t/%d/%d", seg, segno), LogicalLen: length, Tuples: 1}
-	}
-	// fragmented: three undersized files on one segment.
-	sweepTable(t, e, "fragmented", []catalog.SegFile{mk(0, 1, 100), mk(0, 2, 200), mk(0, 3, 300)})
+	sweepTable(t, e, "fragmented", fragmented())
 	// scattered: undersized files spread across segments, none at the
 	// per-segment threshold.
-	sweepTable(t, e, "scattered", []catalog.SegFile{mk(0, 1, 100), mk(1, 1, 100), mk(2, 1, 100)})
-	// chunky: plenty of files, all full-sized.
-	sweepTable(t, e, "chunky", []catalog.SegFile{mk(0, 1, 4096), mk(0, 2, 4096), mk(0, 3, 4096)})
+	var scattered, chunky []catalog.SegFile
+	for i := 0; i < SmallFilesPerSegment; i++ {
+		scattered = append(scattered, smallFile(i, 1, 100))
+		// chunky: plenty of files, all full-sized.
+		chunky = append(chunky, smallFile(0, i+1, SmallFileBytes))
+	}
+	// short: one undersized file short of the threshold.
+	sweepTable(t, e, "short", fragmented()[1:])
+	sweepTable(t, e, "scattered", scattered)
+	sweepTable(t, e, "chunky", chunky)
 
 	e.sched.TickOnce(ctx)
 	if got := e.exec.count("auto_compact_fragmented"); got != 1 {
 		t.Errorf("auto_compact_fragmented runs = %d, want 1", got)
 	}
-	for _, name := range []string{"auto_compact_scattered", "auto_compact_chunky"} {
+	for _, name := range []string{"auto_compact_short", "auto_compact_scattered", "auto_compact_chunky"} {
 		if got := e.exec.count(name); got != 0 {
 			t.Errorf("%s ran %d times, want 0", name, got)
 		}
@@ -356,9 +324,9 @@ func TestSweepEnqueuesCompactionOnFragmentation(t *testing.T) {
 }
 
 func TestSweepDisabledLeavesUserTasksOnly(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.DisableSweep = true; c.AnalyzeMinRows = 1 })
+	e := newEnv(t, func(c *Config) { c.DisableSweep = true })
 	ctx := context.Background()
-	sweepTable(t, e, "busy", rowsFile(1000))
+	sweepTable(t, e, "busy", fragmented())
 	e.inTx(t, func(tr *tx.Tx) error {
 		return e.cat.CreateTask(tr, catalog.TaskDesc{
 			Name: "user_job", Kind: catalog.TaskKindStatement, Target: "SELECT 1",
@@ -366,7 +334,7 @@ func TestSweepDisabledLeavesUserTasksOnly(t *testing.T) {
 		})
 	})
 	e.sched.TickOnce(ctx)
-	if got := e.exec.count("auto_analyze_busy"); got != 0 {
+	if got := e.exec.count("auto_compact_busy"); got != 0 {
 		t.Errorf("sweep ran with DisableSweep: %d", got)
 	}
 	if got := e.exec.count("user_job"); got != 1 {

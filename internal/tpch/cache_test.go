@@ -40,8 +40,7 @@ func TestWarmEqualsCold(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// The load's ANALYZE was the first touch of every block;
-				// start from nothing instead.
+				// Start from nothing, whatever touched the blocks before.
 				e.Cluster().DropCaches()
 				type outcome struct {
 					rows    string

@@ -102,8 +102,5 @@ func Load(e *engine.Engine, opts LoadOptions) (*Gen, error) {
 	if err := flush(); err != nil {
 		return nil, err
 	}
-	if _, err := s.Query("ANALYZE"); err != nil {
-		return nil, fmt.Errorf("tpch: analyze: %w", err)
-	}
 	return g, nil
 }

@@ -711,13 +711,15 @@ func copysign(mag, sign float64) float64 {
 }
 
 // ParseDecimal parses a decimal literal such as "123.45" or "-0.07" at
-// the scale it is written with; digits past MaxDecimalScale are cut.
+// the scale it is written with, up to MaxDecimalScale; a literal with
+// more digits rounds half away from zero at MaxDecimalScale, as a CAST
+// to that scale does.
 func ParseDecimal(s string) (Datum, error) { return parseDecimal(s, -1) }
 
 // parseDecimal parses s at scale digits, rounding half away from zero on
 // the first digit it drops, so that the text rounds once, from all its
-// digits. A negative scale keeps the digits written, up to
-// MaxDecimalScale, and cuts the rest.
+// digits. A negative scale is the digits written, up to
+// MaxDecimalScale.
 func parseDecimal(s string, scale int8) (Datum, error) {
 	t, neg := s, false
 	if t != "" && (t[0] == '-' || t[0] == '+') {
@@ -730,12 +732,11 @@ func parseDecimal(s string, scale int8) (Datum, error) {
 	if strings.Trim(intPart+frac, "0123456789") != "" {
 		return Null, fmt.Errorf("invalid decimal %q", s)
 	}
-	up := false
 	if scale < 0 {
 		scale = int8(min(len(frac), MaxDecimalScale))
-	} else if len(frac) > int(scale) {
-		up = frac[scale] >= '5'
 	}
+	up := len(frac) > int(scale) && frac[scale] >= '5'
+
 	frac = (frac + strings.Repeat("0", int(scale)))[:scale]
 	v, err := strconv.ParseInt(intPart+frac, 10, 64)
 	if up && err == nil && v == math.MaxInt64 {

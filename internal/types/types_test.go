@@ -86,6 +86,22 @@ func TestParseDecimal(t *testing.T) {
 	if d.I != 42 || d.Scale != 0 {
 		t.Errorf("ParseDecimal(42) = %+v", d)
 	}
+	// Past MaxDecimalScale digits a literal rounds half away from zero,
+	// as CAST to that scale does, carrying into the integer part.
+	for in, want := range map[string]string{
+		"0.123456785":  "0.12345679",
+		"-0.123456785": "-0.12345679",
+		"0.123456784":  "0.12345678",
+		"-0.123456784": "-0.12345678",
+		"0.999999995":  "1.00000000",
+		"-0.999999995": "-1.00000000",
+		"9.9999999949": "9.99999999",
+	} {
+		d, err := ParseDecimal(in)
+		if err != nil || d.String() != want || d.Scale != MaxDecimalScale {
+			t.Errorf("ParseDecimal(%s) = %v (scale %d), %v; want %s", in, d, d.Scale, err, want)
+		}
+	}
 }
 
 func TestCompareCrossNumeric(t *testing.T) {
@@ -208,9 +224,10 @@ func TestCast(t *testing.T) {
 			t.Errorf("%v cast to a decimal must error", bad)
 		}
 	}
-	// A bare literal keeps the digits it is written with, up to eight.
-	if d, err := ParseDecimal("0.123456785"); err != nil || d.I != 12345678 || d.Scale != 8 {
-		t.Errorf("ParseDecimal(0.123456785) = %v, %v; want 0.12345678", d, err)
+	// A bare literal keeps the digits it is written with, up to eight,
+	// and rounds past them as the cast above does.
+	if d, err := ParseDecimal("0.123456785"); err != nil || d.I != 12345679 || d.Scale != 8 {
+		t.Errorf("ParseDecimal(0.123456785) = %v, %v; want 0.12345679", d, err)
 	}
 	// Scaling up checks int64's range, both signs, exactly at its edge.
 	for _, c := range []struct {

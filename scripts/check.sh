@@ -90,7 +90,12 @@
 #                                  TxMgr.Begin sites (BEGIN, the
 #                                  lifecycle, the boot-time queue
 #                                  read) and one caller of
-#                                  beginStatement
+#                                  beginStatement, and no second record
+#                                  of a column's statistics returns:
+#                                  no hawq_stat_col, no auto-ANALYZE
+#                                  task or churn threshold, and no
+#                                  self-issued count(DISTINCT …) in
+#                                  internal/engine
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -188,7 +193,12 @@ if grep -rnE 'eq[S]ides|edge[K]eys|same[C]ol|units[R]eferenced' internal cmd ben
     exit 1
 fi
 if grep -rnE 'hawq_stat_[m]od|BumpMod[C]ount|ModCount[F]or|ResetMod[C]ount|Spill[C]odec' internal cmd; then
-    echo "stays deleted: a second record of a table's rows or the workfiles' frame compression is back; the sweep reads churn from the segment files (see above)" >&2
+    echo "stays deleted: a second record of a table's rows or the workfiles' frame compression is back; the row count is the segment files' tuples (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'hawq_stat_[c]ol|SysStat[C]ol|TaskKind[A]nalyze|AnalyzeMin[R]ows|analyze[C]andidate' internal cmd ||
+    grep -nE 'count\(DISTIN[C]T' $(ls internal/engine/*.go | grep -v '_test\.go$'); then
+    echo "stays deleted: a second record of a column's statistics, the auto-ANALYZE tenant or ANALYZE's self-issued statement is back; statistics ride in each lane's hawq_aoseg row, written with the data (see above)" >&2
     exit 1
 fi
 if grep -rnE 'type (Distinct|Append) struct' internal/plan || grep -rnE 'distinct[O]p|append[O]p|records +\[\][R]ecord' internal; then
