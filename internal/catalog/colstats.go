@@ -22,15 +22,15 @@ type colSketch struct {
 	regs     [1 << (sketchBits - 1)]uint8 // register i: the low nibble of byte i/2 if i is even
 }
 
-// add counts one value, hashed as grouping hashes it (types.KeyWord) so
-// the sketch tells values apart as GROUP BY does. The register is the
-// hash's top bits, the rank the position of the first 1 in the rest.
+// add counts a value in the sketch, hashed as grouping hashes it
+// (types.KeyWord) so the sketch tells values apart as GROUP BY does. The
+// register is the hash's top bits, the rank the position of the first 1
+// in the rest; a register keeps the largest rank, so a value counted
+// again changes nothing. A NULL is no value to it.
 func (c *colSketch) add(d *types.Datum) {
 	if d.K == types.KindNull {
-		c.nulls++
 		return
 	}
-	c.extend(d, d)
 	h := types.Mix64(types.KeyWord(d))
 	i, rank := h>>(64-sketchBits), uint8(min(bits.LeadingZeros64(h<<sketchBits)+1, 15))
 	if r, shift := &c.regs[i/2], i%2*4; rank > *r>>shift&15 {
@@ -84,10 +84,39 @@ func OpenLaneStats(sf SegFile, ncols int) *LaneStats {
 	return s
 }
 
-// Add counts one row; a nil LaneStats counts nothing.
+// Add counts one row (a row-oriented lane's writer does); a nil
+// LaneStats counts nothing.
 func (s *LaneStats) Add(row types.Row) {
 	for i := 0; s != nil && i < len(row); i++ {
-		s.cols[i].add(&row[i])
+		c := &s.cols[i]
+		if row[i].K == types.KindNull {
+			c.nulls++
+		}
+		c.extend(&row[i], &row[i])
+		c.add(&row[i])
+	}
+}
+
+// PageStats is one column page as the storage writer's pass over it
+// found it: NULLs, range, and the values its encoding stores (a run's
+// value once, a dictionary's entries, a flat page's every row).
+type PageStats struct {
+	Nulls    int64
+	Min, Max types.Datum // NULL for a page of NULLs
+	Values   []types.Datum
+}
+
+// AddPage counts a page of column col as adding its rows one by one
+// would, register for register; a nil LaneStats counts nothing.
+func (s *LaneStats) AddPage(col int, p *PageStats) {
+	if s == nil {
+		return
+	}
+	c := &s.cols[col]
+	c.nulls += p.Nulls
+	c.extend(&p.Min, &p.Max)
+	for i := range p.Values {
+		c.add(&p.Values[i])
 	}
 }
 

@@ -106,9 +106,7 @@ func OpenMaster(o MasterOptions) (*Master, error) {
 	dirty := map[tx.XID]bool{}
 	var maxXID tx.XID
 	for _, r := range recd.Records {
-		if r.XID > maxXID {
-			maxXID = r.XID
-		}
+		maxXID = max(maxXID, r.XID)
 		switch r.Type {
 		case tx.RecCommit:
 			committed[r.XID] = true
@@ -146,11 +144,7 @@ func OpenMaster(o MasterOptions) (*Master, error) {
 	// The next XID must clear every XID the log has ever seen — reusing
 	// an in-flight transaction's XID would let its orphaned records be
 	// adopted by a future commit.
-	next := maxXID + 1
-	if floor > next {
-		next = floor
-	}
-	mgr := tx.NewManagerAt(next)
+	mgr := tx.NewManagerAt(max(maxXID+1, floor))
 	for xid := range committed {
 		mgr.MarkCommitted(xid)
 	}

@@ -501,6 +501,28 @@ func TestMixedScaleColumnThroughSQL(t *testing.T) {
 	}
 }
 
+// TestSignedZeroAndNaNReadBack: a DOUBLE reads back as it was written
+// from every storage format. A column page tells its runs apart by the
+// values' bits, so a page that starts with −0 and goes on with 0s keeps
+// both, and a page of NaNs is one run of NaN.
+func TestSignedZeroAndNaNReadBack(t *testing.T) {
+	e := newTestEngine(t, 1)
+	s := e.NewSession()
+	for _, o := range []string{"row", "column", "parquet"} {
+		name := "z_" + o
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k INT8, f DOUBLE PRECISION) WITH (appendonly=true, orientation=%s) DISTRIBUTED BY (k)", name, o))
+		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES (1, -CAST(0.0 AS DOUBLE PRECISION)), (2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0), (6, '-0.0')", name))
+		if got := fmt.Sprint(rowsString(mustExec(t, s, fmt.Sprintf("SELECT f FROM %s ORDER BY k", name)))); got != "[-0 0 0 0 0 -0]" {
+			t.Errorf("%s: signed zeros read back as %s", o, got)
+		}
+		nans := strings.Repeat(", (7, 'NaN')", 8)
+		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", name, nans[2:]))
+		if got := mustExec(t, s, fmt.Sprintf("SELECT count(*), min(f), max(f) FROM %s WHERE k = 7 AND f = CAST('NaN' AS DOUBLE PRECISION)", name)).Rows[0].String(); got != "8|NaN|NaN" {
+			t.Errorf("%s: a page of NaNs reads back as %s", o, got)
+		}
+	}
+}
+
 // TestNumericCastsRound: a value written to a DECIMAL(p,s) column — by
 // INSERT … VALUES, INSERT … SELECT or COPY — is rounded to s digits, half
 // away from zero, and so is CAST … AS DECIMAL(p,s); a decimal cast to an

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"errors"
-
-	"hawq/internal/types"
-)
+import "hawq/internal/types"
 
 // aoWriter writes the row-oriented append-only format: one file of
 // one-chunk groups, the chunk holding whole encoded rows (pageEncRows).
@@ -41,6 +37,4 @@ func (w *aoWriter) Flush() error {
 }
 
 // Close implements Writer.
-func (w *aoWriter) Close() error {
-	return errors.Join(w.Flush(), w.close())
-}
+func (w *aoWriter) Close() error { return w.close(w.Flush()) }

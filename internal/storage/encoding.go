@@ -3,7 +3,9 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"hawq/internal/catalog"
 	"hawq/internal/expr"
 	"hawq/internal/types"
 )
@@ -32,75 +34,119 @@ const (
 // distinct strings than this gains little from a dictionary anyway.
 const maxDictEntries = 256
 
-// encodePage picks the cheapest lightweight encoding for one page of a
-// column and returns the encoding id and the raw (pre-compression)
-// payload appended to dst. The policy is deliberately simple and fully
-// deterministic: RLE when the average run length reaches 2 (sorted or
-// low-cardinality clustered data), a dictionary for string pages whose
-// distinct count is small, flat otherwise.
-func encodePage(dst []byte, vals []types.Datum) (byte, []byte) {
-	n := len(vals)
-	if n == 0 {
-		return pageEncFlat, dst
-	}
-	runs := 1
-	stringsOnly := vals[0].K == types.KindString || vals[0].K == types.KindNull
-	for i := 1; i < n; i++ {
-		if vals[i] != vals[i-1] {
-			runs++
+// pagePass is the one pass over a column page (encode): the page's
+// runs, NULLs and range give its encoding, its zone map and its share of
+// the lane's statistics (PageStats), so no value is ranged twice. Its
+// slices are scratch, reused from page to page.
+type pagePass struct {
+	catalog.PageStats               // Min and Max stay NULL under zoneNone
+	raw, zone         []byte        // the page's payload and zone map
+	starts            []int32       // each run's first row, then len(vals)
+	strs              bool          // every value is a string or NULL
+	stored            []types.Datum // the run values or dictionary entries
+}
+
+// same reports whether a and b are one value to a run: every field
+// equal, a DOUBLE's by its bits, so −0 and 0 are two values and a NaN
+// repeats as itself.
+func same(a, b *types.Datum) bool {
+	return a.K == b.K && a.Scale == b.Scale && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// scan is the pass, and builds the zone map. Only a run's first value is
+// ranged: the same value again cannot move the range. A page with values
+// the comparator can't order (mixed incomparable kinds, which a typed
+// column never produces) degrades to zoneNone rather than lying.
+func (p *pagePass) scan(vals []types.Datum) {
+	zone := byte(zoneAllNull)
+	p.starts, p.Nulls, p.Min, p.Max, p.strs = p.starts[:0], 0, types.Null, types.Null, true
+	for i := range vals {
+		d := &vals[i]
+		if d.K == types.KindNull {
+			p.Nulls++
 		}
-		if k := vals[i].K; k != types.KindString && k != types.KindNull {
-			stringsOnly = false
+		if i > 0 && same(d, &vals[i-1]) {
+			continue
 		}
-	}
-	if runs*2 <= n {
-		for i := 0; i < n; {
-			j := i + 1
-			for j < n && vals[j] == vals[i] {
-				j++
+		p.starts = append(p.starts, int32(i))
+		p.strs = p.strs && (d.K == types.KindString || d.K == types.KindNull)
+		switch {
+		case d.K == types.KindNull, zone == zoneNone:
+		case zone == zoneAllNull:
+			p.Min, p.Max, zone = *d, *d, zoneMinMax
+		case !types.Comparable(d.K, p.Min.K):
+			p.Min, p.Max, zone = types.Null, types.Null, zoneNone
+		default:
+			if types.Compare(*d, p.Min) < 0 {
+				p.Min = *d
 			}
-			dst = binary.AppendUvarint(dst, uint64(j-i))
-			dst = types.EncodeDatum(dst, vals[i])
-			i = j
+			if types.Compare(*d, p.Max) > 0 {
+				p.Max = *d
+			}
 		}
-		return pageEncRLE, dst
 	}
-	if stringsOnly {
-		// Build the dictionary in first-appearance order so identical
-		// input pages always produce identical bytes (on-disk output
-		// must not depend on map iteration order).
-		codes := make([]int32, n)
-		index := make(map[types.Datum]int32, 16)
-		var entries []types.Datum
-		ok := true
-		for i, d := range vals {
-			c, seen := index[d]
+	p.starts = append(p.starts, int32(len(vals)))
+	if p.zone = append(p.zone[:0], zone); zone == zoneMinMax {
+		p.zone = types.EncodeDatum(types.EncodeDatum(p.zone, p.Min), p.Max)
+	}
+}
+
+// encode makes the pass over a non-empty page of a column, leaves the
+// raw (pre-compression) payload of the cheapest lightweight encoding in
+// p.raw and what it stores in p.Values, and returns the encoding's id.
+// The policy is deliberately simple and fully deterministic: RLE when
+// the average run length reaches 2 (sorted or low-cardinality clustered
+// data), a dictionary for string pages whose distinct count is small,
+// flat otherwise.
+func (p *pagePass) encode(vals []types.Datum) byte {
+	p.scan(vals)
+	n, runs := len(vals), len(p.starts)-1
+	p.raw, p.stored = p.raw[:0], p.stored[:0]
+	if runs*2 <= n {
+		for r, at := range p.starts[:runs] {
+			p.raw = types.EncodeDatum(binary.AppendUvarint(p.raw, uint64(p.starts[r+1]-at)), vals[at])
+			p.stored = append(p.stored, vals[at])
+		}
+		p.Values = p.stored
+		return pageEncRLE
+	}
+	if p.strs {
+		// Entries in first-appearance order (on-disk bytes must not
+		// depend on map iteration order), looked up once a run; past
+		// either bound the page is lost to a dictionary.
+		codes, index := make([]int32, 0, n), make(map[types.Datum]int32, 16)
+		for r, at := range p.starts[:runs] {
+			c, seen := index[vals[at]]
 			if !seen {
-				if len(entries) >= maxDictEntries {
-					ok = false
+				if len(p.stored) == maxDictEntries || 2*(len(p.stored)+1) > n {
+					codes = nil
 					break
 				}
-				c = int32(len(entries))
-				index[d] = c
-				entries = append(entries, d)
+				c = int32(len(p.stored))
+				index[vals[at]] = c
+				p.stored = append(p.stored, vals[at])
 			}
-			codes[i] = c
+			for range p.starts[r+1] - at {
+				codes = append(codes, c)
+			}
 		}
-		if ok && n >= 2*len(entries) {
-			dst = binary.AppendUvarint(dst, uint64(len(entries)))
-			for _, e := range entries {
-				dst = types.EncodeDatum(dst, e)
+		if codes != nil {
+			p.Values = p.stored
+			p.raw = binary.AppendUvarint(p.raw, uint64(len(p.stored)))
+			for _, e := range p.stored {
+				p.raw = types.EncodeDatum(p.raw, e)
 			}
 			for _, c := range codes {
-				dst = binary.AppendUvarint(dst, uint64(c))
+				p.raw = binary.AppendUvarint(p.raw, uint64(c))
 			}
-			return pageEncDict, dst
+			return pageEncDict
 		}
 	}
+	p.Values = vals
 	for _, d := range vals {
-		dst = types.EncodeDatum(dst, d)
+		p.raw = types.EncodeDatum(p.raw, d)
 	}
-	return pageEncFlat, dst
+	return pageEncFlat
 }
 
 // decodePage decodes one page payload into v, typed: a flat page's
@@ -207,39 +253,6 @@ const (
 	zoneAllNull = 0x02
 )
 
-// buildZone appends the zone map for one page of a column: min/max over
-// the non-NULL values, or the all-NULL marker. A page with values the
-// comparator can't order (mixed incomparable kinds, which a typed
-// column never produces) degrades to zoneNone rather than lying.
-func buildZone(dst []byte, vals []types.Datum) []byte {
-	var minD, maxD types.Datum
-	seen := false
-	for _, d := range vals {
-		if d.IsNull() {
-			continue
-		}
-		if !seen {
-			minD, maxD, seen = d, d, true
-			continue
-		}
-		if !types.Comparable(d.K, minD.K) {
-			return append(dst, zoneNone)
-		}
-		if types.Compare(d, minD) < 0 {
-			minD = d
-		}
-		if types.Compare(d, maxD) > 0 {
-			maxD = d
-		}
-	}
-	if !seen {
-		return append(dst, zoneAllNull)
-	}
-	dst = append(dst, zoneMinMax)
-	dst = types.EncodeDatum(dst, minD)
-	return types.EncodeDatum(dst, maxD)
-}
-
 // ZonePred names expr.ColCmp only because the benchmark module's scan
 // probe still spells it so; everything in this module says expr.ColCmp.
 type ZonePred = expr.ColCmp
@@ -250,40 +263,30 @@ const ZoneGe = expr.OpGe
 // ZoneLt is expr.OpLt, kept for the same probe.
 const ZoneLt = expr.OpLt
 
-// zoneMayMatch reports whether any row of a page whose zone bytes are
-// zone could satisfy pred, a comparison whose Col indexes the scan's
-// projected columns. NULL rows never satisfy a comparison, so an
-// all-NULL page is always skippable, and any other page as soon as no
-// value in [min, max] can pass. Any parsing or comparability doubt
-// answers true — pruning is an optimization, never a correctness gate.
-func zoneMayMatch(zone []byte, pred expr.ColCmp) bool {
-	if len(zone) == 0 {
-		return true
-	}
-	switch zone[0] {
-	case zoneAllNull:
-		return false
-	case zoneMinMax:
-		minD, n, err := types.DecodeDatum(zone[1:])
-		if err != nil {
-			return true
-		}
-		maxD, _, err := types.DecodeDatum(zone[1+n:])
-		return err != nil || pred.MayMatch(minD, maxD)
-	default:
-		return true
-	}
-}
-
-// pageMayMatch evaluates every pushed-down predicate on col against the
-// page's zone bytes; one impossible conjunct rules the whole page out.
-func pageMayMatch(zone []byte, col int, preds []expr.ColCmp) bool {
+// zoneMayMatch reports whether any row of a page of column col whose
+// zone bytes are zone could satisfy every one of preds on col,
+// comparisons whose Col indexes the scan's projected columns. NULL rows
+// never satisfy a comparison, so an all-NULL page is always skippable,
+// and any other page as soon as no value in [min, max] can pass one of
+// them. Any parsing or comparability doubt answers true — pruning is an
+// optimization, never a correctness gate.
+func zoneMayMatch(zone []byte, col int, preds ...expr.ColCmp) bool {
 	for _, p := range preds {
-		if p.Col != col {
+		if p.Col != col || len(zone) == 0 {
 			continue
 		}
-		if !zoneMayMatch(zone, p) {
+		switch zone[0] {
+		case zoneAllNull:
 			return false
+		case zoneMinMax:
+			minD, n, err := types.DecodeDatum(zone[1:])
+			if err != nil {
+				return true
+			}
+			maxD, _, err := types.DecodeDatum(zone[1+n:])
+			if err == nil && !p.MayMatch(minD, maxD) {
+				return false
+			}
 		}
 	}
 	return true

@@ -425,20 +425,6 @@ type BlockScan struct {
 	done  bool      // end of stream, an error or Close came: nothing follows
 }
 
-// openScan opens every file of the layout.
-func (c *BlockCache) openScan(fs *hdfs.FileSystem, codec compress.Codec, l *layout, preds []expr.ColCmp, st *ScanStats) (*BlockScan, error) {
-	s := &BlockScan{preds: preds}
-	s.fill = blockFill{files: make([]*fileScan, 0, len(l.files)), l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
-	for _, lf := range l.files {
-		f, err := c.openFileScan(fs, lf.Path, lf.Len)
-		if err != nil {
-			return nil, errors.Join(err, s.Close())
-		}
-		s.fill.files = append(s.fill.files, f)
-	}
-	return s, nil
-}
-
 // Next returns the next block that the zone predicates do not rule out,
 // or nil at the end of the committed region. The caller owns the batch
 // and releases it with types.PutVecBatch (or hands it on). After an
@@ -486,7 +472,7 @@ func (s *BlockScan) next() (*types.VecBatch, error) {
 			if src.chunk >= len(files[src.file].chunks) {
 				return nil, fmt.Errorf("storage: projection column %d out of range", src.chunk)
 			}
-			if !pageMayMatch(files[src.file].zone(src.chunk), j, s.preds) {
+			if !zoneMayMatch(files[src.file].zone(src.chunk), j, s.preds...) {
 				skip = true
 				break
 			}

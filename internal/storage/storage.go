@@ -103,7 +103,7 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 	for i, f := range files {
 		fw, err := fs.CreateOrAppend(f.Path, opts)
 		if err != nil {
-			return nil, errors.Join(err, out.close())
+			return nil, out.close(err)
 		}
 		out.files = append(out.files, fw)
 		out.lens[i] = f.Len
@@ -240,7 +240,16 @@ func (c *BlockCache) OpenScan(fs *hdfs.FileSystem, spec catalog.StorageSpec, sf 
 	if err != nil {
 		return nil, err
 	}
-	return c.openScan(fs, codec, l, preds, st)
+	s := &BlockScan{preds: preds}
+	s.fill = blockFill{files: make([]*fileScan, 0, len(l.files)), l: l, codec: codec, st: st, admit: make([]bool, len(l.srcs))}
+	for _, lf := range l.files {
+		f, err := c.openFileScan(fs, lf.Path, lf.Len)
+		if err != nil {
+			return nil, errors.Join(err, s.Close())
+		}
+		s.fill.files = append(s.fill.files, f)
+	}
+	return s, nil
 }
 
 // group builds one row group a chunk at a time. Its buffers are the
@@ -322,9 +331,9 @@ func (o *laneOut) write(i, rows int) error {
 	return nil
 }
 
-// close closes every file, reporting the first error.
-func (o *laneOut) close() error {
-	var err error
+// close closes every file after a flush (or an open) that failed with
+// err, reporting the first error.
+func (o *laneOut) close(err error) error {
 	for _, fw := range o.files {
 		if cerr := fw.Close(); err == nil {
 			err = cerr

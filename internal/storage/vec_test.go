@@ -101,9 +101,9 @@ func TestZoneMapSkipsPages(t *testing.T) {
 // TestZoneAllNullPageSkips checks a page of only NULLs is skippable by
 // any comparison predicate.
 func TestZoneAllNullPageSkips(t *testing.T) {
-	zone := buildZone(nil, []types.Datum{types.Null, types.Null})
+	zone := zoneOf([]types.Datum{types.Null, types.Null})
 	for op := expr.OpEq; op <= expr.OpGe; op++ {
-		if zoneMayMatch(zone, expr.ColCmp{Op: op, Val: types.NewInt64(1)}) {
+		if zoneMayMatch(zone, 0, expr.ColCmp{Op: op, Val: types.NewInt64(1)}) {
 			t.Errorf("all-NULL page not skipped for op %s", op)
 		}
 	}
@@ -112,7 +112,7 @@ func TestZoneAllNullPageSkips(t *testing.T) {
 // TestZoneMayMatchBounds pins the pruning decisions at the interval
 // boundaries for every operator.
 func TestZoneMayMatchBounds(t *testing.T) {
-	zone := buildZone(nil, []types.Datum{types.NewInt64(10), types.NewInt64(20)})
+	zone := zoneOf([]types.Datum{types.NewInt64(10), types.NewInt64(20)})
 	cases := []struct {
 		op   expr.BinOpKind
 		val  int64
@@ -126,20 +126,20 @@ func TestZoneMayMatchBounds(t *testing.T) {
 		{expr.OpNe, 15, true},
 	}
 	for _, c := range cases {
-		if got := zoneMayMatch(zone, expr.ColCmp{Op: c.op, Val: types.NewInt64(c.val)}); got != c.want {
+		if got := zoneMayMatch(zone, 0, expr.ColCmp{Op: c.op, Val: types.NewInt64(c.val)}); got != c.want {
 			t.Errorf("op %s val %d: mayMatch=%v, want %v", c.op, c.val, got, c.want)
 		}
 	}
 	// A single-valued page is skippable for Ne of exactly that value.
-	single := buildZone(nil, []types.Datum{types.NewInt64(7), types.NewInt64(7)})
-	if zoneMayMatch(single, expr.ColCmp{Op: expr.OpNe, Val: types.NewInt64(7)}) {
+	single := zoneOf([]types.Datum{types.NewInt64(7), types.NewInt64(7)})
+	if zoneMayMatch(single, 0, expr.ColCmp{Op: expr.OpNe, Val: types.NewInt64(7)}) {
 		t.Error("single-valued page not skipped for Ne of its value")
 	}
-	if !zoneMayMatch(single, expr.ColCmp{Op: expr.OpNe, Val: types.NewInt64(8)}) {
+	if !zoneMayMatch(single, 0, expr.ColCmp{Op: expr.OpNe, Val: types.NewInt64(8)}) {
 		t.Error("single-valued page wrongly skipped for Ne of another value")
 	}
 	// Incomparable constant kinds never prune.
-	if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpEq, Val: types.NewString("x")}) {
+	if !zoneMayMatch(zone, 0, expr.ColCmp{Op: expr.OpEq, Val: types.NewString("x")}) {
 		t.Error("incomparable predicate pruned a page")
 	}
 }
@@ -150,13 +150,13 @@ func TestZoneMayMatchBounds(t *testing.T) {
 func TestZoneKeepsNaNPages(t *testing.T) {
 	nan, x := types.NewFloat64(math.NaN()), types.NewFloat64(1.5)
 	for _, page := range [][]types.Datum{{nan, x}, {x, nan}, {nan, types.Null, x}, {nan}} {
-		zone := buildZone(nil, page)
+		zone := zoneOf(page)
 		for _, c := range []float64{1.0, 3.0, 1e300, math.Inf(1)} {
-			if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpGt, Val: types.NewFloat64(c)}) {
+			if !zoneMayMatch(zone, 0, expr.ColCmp{Op: expr.OpGt, Val: types.NewFloat64(c)}) {
 				t.Errorf("page %v skipped for d > %v", page, c)
 			}
 		}
-		if !zoneMayMatch(zone, expr.ColCmp{Op: expr.OpEq, Val: nan}) {
+		if !zoneMayMatch(zone, 0, expr.ColCmp{Op: expr.OpEq, Val: nan}) {
 			t.Errorf("page %v skipped for d = NaN", page)
 		}
 	}
@@ -189,7 +189,7 @@ func TestEncodePageChoosesEncodings(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			enc, payload := encodePage(nil, c.vals)
+			enc, payload := encodeOf(c.vals)
 			if enc != c.enc {
 				t.Fatalf("chose encoding %d, want %d", enc, c.enc)
 			}
@@ -508,7 +508,7 @@ func pageSeeds() (seeds []struct {
 	rows int
 }) {
 	add := func(vals []types.Datum) {
-		enc, raw := encodePage(nil, vals)
+		enc, raw := encodeOf(vals)
 		seeds = append(seeds, struct {
 			enc  byte
 			raw  []byte

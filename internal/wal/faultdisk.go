@@ -191,13 +191,7 @@ func (h *faultHandle) Write(p []byte) (int, error) {
 	d.writes++
 	keep := len(p)
 	if wb := d.plan.WriteByte; wb > 0 && d.bytes+int64(len(p)) >= wb {
-		keep = int(wb - d.bytes)
-		if keep < 0 {
-			keep = 0
-		}
-		if keep > len(p) {
-			keep = len(p)
-		}
+		keep = min(max(int(wb-d.bytes), 0), len(p))
 		f.content = append(f.content, p[:keep]...)
 		d.bytes += int64(keep)
 		d.crashed = true

@@ -75,6 +75,7 @@ func (o Options) fill() Options {
 type segInfo struct {
 	name     string
 	firstLSN uint64
+	f        File // the open handle, nil for a segment recovery only read
 }
 
 // Log is the durable write-ahead log: an ordered sequence of segment
@@ -87,14 +88,14 @@ type Log struct {
 
 	// flushMu serializes fsyncs: the holder is the group-commit leader
 	// and followers blocked on it are usually satisfied by the leader's
-	// sync. It is always acquired before mu, never inside it.
+	// sync, and closes a segment's handle only under it. It is always
+	// acquired before mu, never inside it.
 	flushMu sync.Mutex
 
 	mu         sync.Mutex
 	seg        File // current append segment (nil until first append)
 	segBytes   int
 	segs       []segInfo
-	handles    []File // every open handle, closed by Close
 	nextSegNo  uint64
 	lastLSN    uint64
 	durableLSN uint64
@@ -167,15 +168,13 @@ func Open(disk Disk, opts Options) (*Log, *Recovered, error) {
 		if !ok {
 			continue
 		}
-		if no >= l.nextSegNo {
-			l.nextSegNo = no + 1
-		}
+		l.nextSegNo = max(l.nextSegNo, no+1)
 		data, err := disk.ReadFile(name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: read %s: %w", name, err)
 		}
 		last := i == len(segNames)-1
-		firstLSN, recs, validEnd, segErr := scanSegment(data, rec.lastOr(0))
+		firstLSN, recs, validEnd, segErr := scanSegment(data, rec.LastLSN)
 		if segErr != nil && !last {
 			return nil, nil, fmt.Errorf("wal: segment %s: %w", name, segErr)
 		}
@@ -192,7 +191,7 @@ func Open(disk Disk, opts Options) (*Log, *Recovered, error) {
 			rec.LastLSN = recs[n-1].LSN
 		}
 		rec.TornBytes += len(data) - validEnd
-		l.segs = append(l.segs, segInfo{name: name, firstLSN: firstLSN})
+		seg := segInfo{name: name, firstLSN: firstLSN}
 		if last {
 			// Rewrite the final segment to its intact prefix: this both
 			// truncates any torn tail and yields an appendable handle
@@ -207,10 +206,10 @@ func Open(disk Disk, opts Options) (*Log, *Recovered, error) {
 			if err := f.Sync(); err != nil {
 				return nil, nil, err
 			}
-			l.seg = f
+			l.seg, seg.f = f, f
 			l.segBytes = validEnd
-			l.handles = append(l.handles, f)
 		}
+		l.segs = append(l.segs, seg)
 	}
 	l.lastLSN = rec.LastLSN
 	if l.lastLSN == 0 && rec.RedoLSN > 0 {
@@ -221,13 +220,6 @@ func Open(disk Disk, opts Options) (*Log, *Recovered, error) {
 	walRecRecords.Add(int64(len(rec.Records)))
 	walTornBytes.Add(int64(rec.TornBytes))
 	return l, rec, nil
-}
-
-func (r *Recovered) lastOr(v uint64) uint64 {
-	if r.LastLSN != 0 {
-		return r.LastLSN
-	}
-	return v
 }
 
 // scanSegment walks one segment's frames. It returns the header's first
@@ -368,8 +360,7 @@ func (l *Log) rollLocked(firstLSN uint64) error {
 	}
 	l.seg = f
 	l.segBytes = segHdrLen
-	l.segs = append(l.segs, segInfo{name: name, firstLSN: firstLSN})
-	l.handles = append(l.handles, f)
+	l.segs = append(l.segs, segInfo{name: name, firstLSN: firstLSN, f: f})
 	walSegRolls.Inc()
 	walBytes.Add(segHdrLen)
 	return nil
@@ -382,14 +373,10 @@ func (l *Log) rollLocked(firstLSN uint64) error {
 // durable and return without touching the disk.
 func (l *Log) Commit(lsn uint64) error {
 	l.mu.Lock()
-	done := l.durableLSN >= lsn
-	err := l.err
+	done, err := l.durableLSN >= lsn, l.err
 	l.mu.Unlock()
-	if err != nil {
+	if err != nil || done {
 		return err
-	}
-	if done {
-		return nil
 	}
 	return l.force(lsn, true)
 }
@@ -488,17 +475,24 @@ func (l *Log) WriteCheckpointFile(redoLSN uint64, snapshot []byte) error {
 
 // TruncateBelow drops log state no recovery can need once a checkpoint
 // at redoLSN is installed: segments whose every record is below redoLSN
-// (low-water-mark truncation) and checkpoint files older than it.
+// (low-water-mark truncation), closed before they are removed, and
+// checkpoint files older than it.
 func (l *Log) TruncateBelow(redoLSN uint64) error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	var drop []string
+	var drop []segInfo
 	for len(l.segs) >= 2 && l.segs[1].firstLSN <= redoLSN {
-		drop = append(drop, l.segs[0].name)
-		l.segs = l.segs[1:]
+		drop, l.segs = append(drop, l.segs[0]), l.segs[1:]
 	}
 	l.mu.Unlock()
-	for _, name := range drop {
-		if err := l.disk.Remove(name); err != nil {
+	for _, seg := range drop {
+		if seg.f != nil {
+			if err := seg.f.Close(); err != nil {
+				return err
+			}
+		}
+		if err := l.disk.Remove(seg.name); err != nil {
 			return err
 		}
 	}
@@ -553,12 +547,14 @@ func (l *Log) Close() error {
 			l.durableLSN = l.lastLSN
 		}
 	}
-	for _, h := range l.handles {
-		if err := h.Close(); err != nil && first == nil {
-			first = err
+	for i := range l.segs {
+		if f := l.segs[i].f; f != nil {
+			if err := f.Close(); err != nil && first == nil {
+				first = err
+			}
+			l.segs[i].f = nil
 		}
 	}
-	l.handles = nil
 	l.seg = nil
 	return first
 }

@@ -110,6 +110,70 @@ func TestLogSegmentRollAndTruncate(t *testing.T) {
 	t.Fatal("no record at or past redo LSN 90 survived")
 }
 
+// handleDisk is a Disk that counts the handles its Create opened and
+// nobody has closed yet.
+type handleDisk struct {
+	*FaultDisk
+	open int
+}
+
+func (d *handleDisk) Create(name string) (File, error) {
+	f, err := d.FaultDisk.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	d.open++
+	return &countedFile{File: f, d: d}, nil
+}
+
+type countedFile struct {
+	File
+	d *handleDisk
+}
+
+func (f *countedFile) Close() error {
+	f.d.open--
+	return f.File.Close()
+}
+
+// TestTruncateClosesDroppedSegments: a segment truncation deletes is
+// closed too (an unlinked file still open keeps its blocks), so after
+// every checkpoint the log holds one handle per live segment it wrote,
+// and none once closed.
+func TestTruncateClosesDroppedSegments(t *testing.T) {
+	d := &handleDisk{FaultDisk: NewFaultDisk()}
+	l, _, err := Open(d, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lsn := uint64(1); lsn <= 300; lsn++ {
+		if err := l.Append(rec(lsn, tx.RecInsert, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if lsn%50 != 0 {
+			continue
+		}
+		if err := l.Commit(lsn); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteCheckpointFile(lsn-10, []byte("snapshot")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.TruncateBelow(lsn - 10); err != nil {
+			t.Fatal(err)
+		}
+		if d.open != l.Segments() {
+			t.Fatalf("at LSN %d: %d open handles, %d live segments", lsn, d.open, l.Segments())
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d.open != 0 {
+		t.Fatalf("%d handles open after Close", d.open)
+	}
+}
+
 // TestTornTailEveryByte is the satellite torn-tail sweep at the log
 // level: truncating the durable image at EVERY byte boundary must
 // recover a clean prefix of the original records — never a panic, never

@@ -95,7 +95,11 @@
 #                                  no hawq_stat_col, no auto-ANALYZE
 #                                  task or churn threshold, and no
 #                                  self-issued count(DISTINCT …) in
-#                                  internal/engine
+#                                  internal/engine, and a column page
+#                                  is walked once: no second walk for
+#                                  its zone map (buildZone) and no
+#                                  per-row statistics in the columnar
+#                                  writer
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -199,6 +203,10 @@ fi
 if grep -rnE 'hawq_stat_[c]ol|SysStat[C]ol|TaskKind[A]nalyze|AnalyzeMin[R]ows|analyze[C]andidate' internal cmd ||
     grep -nE 'count\(DISTIN[C]T' $(ls internal/engine/*.go | grep -v '_test\.go$'); then
     echo "stays deleted: a second record of a column's statistics, the auto-ANALYZE tenant or ANALYZE's self-issued statement is back; statistics ride in each lane's hawq_aoseg row, written with the data (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'build[Z]one\(dst \[\]byte, vals' internal || grep -nE 'stats\.[A]dd\(' internal/storage/columnar.go; then
+    echo "stays deleted: a column page is walked once, and its encoding, zone map and share of the lane's statistics all come from that pass (pagePass); a columnar lane's statistics take pages, not rows (see above)" >&2
     exit 1
 fi
 if grep -rnE 'type (Distinct|Append) struct' internal/plan || grep -rnE 'distinct[O]p|append[O]p|records +\[\][R]ecord' internal; then
