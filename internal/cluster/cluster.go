@@ -22,7 +22,6 @@ import (
 	"hawq/internal/catalog"
 	"hawq/internal/clock"
 	"hawq/internal/executor"
-	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/interconnect"
 	"hawq/internal/obs"
@@ -634,20 +633,16 @@ func (d *dispatch) execContext(sliceID, segID int, net interconnect.Node, localH
 // Metadata dispatch (§3.1): the plan is self-described — a QE needs
 // nothing beyond it — and in this one-process cluster the gang executes
 // the QD's *plan.Plan itself rather than each member decoding a
-// serialized copy. That is sound because execution only reads plan
-// nodes; the one per-query binding, the clock behind current_date, is
-// stamped here before any gang member starts, so p must not be
-// dispatched concurrently with itself. plan.Encode/Decode remain the
-// wire form, proven equivalent by TestSelfDescribedPlanExecutes.
+// serialized copy. That is sound because execution only reads a plan:
+// an operator binds the arguments in p's header and its node's clock
+// into copies of its own as it is built (executor.Build), so one p may
+// be dispatched any number of times, concurrently too. plan.Encode/Decode
+// remain the wire form, proven equivalent by
+// TestSelfDescribedPlanExecutes.
 func (c *Cluster) Dispatch(ctx context.Context, p *plan.Plan, onRow func(types.Row) error) (*QueryResult, error) {
 	d := &dispatch{c: c, ctx: ctx, query: c.nextQuery.Add(1), p: p}
 	d.onUpdate = d.addUpdate
 	d.res.Schema = p.Schema
-	p.Walk(func(n plan.Node) {
-		for _, e := range plan.NodeExprs(n) {
-			expr.BindClock(e, c.clk)
-		}
-	})
 	// Stores are torn down when the dispatch returns — normal
 	// completion, error, or cancel — so no spill files outlive the query.
 	d.nodeRes = make([]queryNodeRes, len(c.segments)+1)

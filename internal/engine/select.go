@@ -141,15 +141,14 @@ func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.S
 // and the transaction has no uncommitted plan-relevant catalog writes of
 // its own (the cache key's catalog version only covers committed state).
 //
-// Cached entries hold pristine plans — parameters unbound, no resource
-// stamps — keyed by canonical SQL + cluster shape + planner flags, and
-// validated against the snapshot's catalog version. A hit deep-clones
-// the entry (sharing immutable leaves; the statement's only copy — the
-// dispatcher ships no second one) and binds the current EXECUTE arguments; a
-// miss plans generically when the statement has placeholders (so the
-// plan is value-independent), stores a pristine clone, then binds.
-// Statements whose generic planning fails (e.g. a $n LIKE pattern) fall
-// back to an uncached value-specific plan.
+// A cached entry is the plan as planned — keyed by canonical SQL +
+// cluster shape + planner flags, validated against the snapshot's
+// catalog version — and is never written: every execution, the one that
+// stored it included, takes a header copy (plan.Clone shares every node)
+// and binds the current EXECUTE arguments into that. A miss plans
+// generically when the statement has placeholders, so the plan is
+// value-independent. Statements whose generic planning fails (e.g. a $n
+// LIKE pattern) fall back to an uncached value-specific plan.
 func (s *Session) planCached(ctx context.Context, t *tx.Tx, stmt *sqlparser.SelectStmt, firstAttempt bool) (*plan.Plan, error) {
 	p := s.newPlanner(ctx, t)
 	cache := s.eng.planCache
@@ -161,29 +160,28 @@ func (s *Session) planCached(ctx context.Context, t *tx.Tx, stmt *sqlparser.Sele
 		flags.DisableDirectDispatch, flags.DisablePartitionElim,
 		flags.DisableColocation)
 	ver := p.Snap.CatVer
-	if v, ok := cache.Get(key, ver); ok {
-		if cached, isPlan := v.(*plan.Plan); isPlan {
-			if pl, err := cached.Clone(); err == nil {
-				if len(pl.ParamKinds) > 0 {
-					err = pl.BindParams(s.curParams)
-				}
-				if err == nil {
-					return pl, nil
-				}
-			}
+	execution := func(shared *plan.Plan) (*plan.Plan, error) {
+		pl, err := shared.Clone()
+		if err == nil {
+			err = pl.BindParams(s.curParams)
 		}
-		// Unclonable or unbindable entries fall through to planning.
+		return pl, err
+	}
+	if v, ok := cache.Get(key, ver); ok {
+		// Only this function stores entries. One the arguments do not
+		// bind falls through to planning.
+		if pl, err := execution(v.(*plan.Plan)); err == nil {
+			return pl, nil
+		}
 	}
 	if sqlparser.MaxParam(stmt) > 0 && len(s.curParams) > 0 {
 		gp := s.newPlanner(ctx, t)
 		gp.Snap = p.Snap // same snapshot as the lookup version
 		gp.Params = nil
 		gp.GenericParams = true
-		if pl, err := gp.PlanSelect(stmt); err == nil {
-			if keep, cerr := pl.Clone(); cerr == nil {
-				cache.Put(key, ver, keep)
-			}
-			if berr := pl.BindParams(s.curParams); berr == nil {
+		if shared, err := gp.PlanSelect(stmt); err == nil {
+			cache.Put(key, ver, shared)
+			if pl, err := execution(shared); err == nil {
 				return pl, nil
 			}
 		}
@@ -191,14 +189,12 @@ func (s *Session) planCached(ctx context.Context, t *tx.Tx, stmt *sqlparser.Sele
 		// the user sees.
 		return p.PlanSelect(stmt)
 	}
-	pl, err := p.PlanSelect(stmt)
+	shared, err := p.PlanSelect(stmt)
 	if err != nil {
 		return nil, err
 	}
-	if keep, cerr := pl.Clone(); cerr == nil {
-		cache.Put(key, ver, keep)
-	}
-	return pl, nil
+	cache.Put(key, ver, shared)
+	return execution(shared)
 }
 
 // classifyDispatchErr decides whether a failed dispatch is worth

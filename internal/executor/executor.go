@@ -17,6 +17,7 @@ import (
 
 	"hawq/internal/catalog"
 	"hawq/internal/clock"
+	"hawq/internal/expr"
 	"hawq/internal/hdfs"
 	"hawq/internal/interconnect"
 	"hawq/internal/plan"
@@ -88,8 +89,9 @@ type Context struct {
 	// write locality.
 	LocalHost string
 	// Clock is the node's time source for operator wall-time statistics
-	// (nil = wall clock; the chaos harness and golden tests inject
-	// clock.Sim so recorded durations are deterministic).
+	// and for current_date (nil = wall clock; the chaos harness and
+	// golden tests inject clock.Sim so recorded durations and dates are
+	// deterministic).
 	Clock clock.Clock
 	// Stats, when non-nil, makes Build wrap every operator of this slice
 	// in a stats decorator (EXPLAIN ANALYZE, slow-query log). The
@@ -135,8 +137,12 @@ type Operator interface {
 // recursion, its children) is wrapped in a stats decorator; parents
 // capture decorated children, so rows are counted at every plan edge.
 //
-// Build and the operators it returns only read the plan: every member
-// of a gang executes the same *plan.Plan (see cluster.Dispatch).
+// Build and the operators it returns only read the plan: every member of
+// a gang executes the same *plan.Plan (see cluster.Dispatch), and a
+// cached plan serves every execution of its statement. What varies by
+// execution — the arguments in the plan's header, the node's clock — an
+// operator binds into its own copy of an expression as it is built
+// (bindNode).
 func Build(ctx *Context, n plan.Node) (Operator, error) {
 	op, err := buildNode(ctx, n)
 	if err != nil || ctx.Stats == nil {
@@ -145,9 +151,14 @@ func Build(ctx *Context, n plan.Node) (Operator, error) {
 	return ctx.Stats.wrap(n, op), nil
 }
 
-// buildNode constructs the undecorated operator for one plan node;
-// children recurse through Build so they pick up decoration.
+// buildNode constructs the undecorated operator for one plan node, its
+// expressions bound (bindNode); children recurse through Build so they
+// pick up decoration.
 func buildNode(ctx *Context, n plan.Node) (Operator, error) {
+	n, err := bindNode(ctx, n)
+	if err != nil {
+		return nil, err
+	}
 	switch v := n.(type) {
 	case *plan.Scan:
 		return newScanOp(ctx, v), nil
@@ -194,6 +205,27 @@ func buildNode(ctx *Context, n plan.Node) (Operator, error) {
 	default:
 		return nil, fmt.Errorf("executor: no operator for %T", n)
 	}
+}
+
+// bindNode returns n as this execution runs it: n itself when none of
+// its expressions holds a placeholder or a clock builtin, otherwise a
+// copy of n holding bound copies of them (expr.Bind) — the plan's
+// arguments in place of its $n and the node's clock behind current_date.
+// The plan itself is never written.
+func bindNode(ctx *Context, n plan.Node) (plan.Node, error) {
+	var args []types.Datum
+	if ctx.Plan != nil {
+		args = ctx.Plan.Args
+	}
+	var err error
+	n = plan.MapExprs(n, func(e expr.Expr) expr.Expr {
+		b, berr := expr.Bind(e, args, ctx.Clock)
+		if err == nil {
+			err = berr
+		}
+		return b
+	})
+	return n, err
 }
 
 // RunSlice executes slice sliceID of ctx.Plan to completion on this

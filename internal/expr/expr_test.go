@@ -338,43 +338,84 @@ func TestFuncCalls(t *testing.T) {
 }
 
 // TestCurrentDateUsesBoundClock is the golden test for the clock-driven
-// current_date: under clock.Sim the result is the simulated date
-// (deterministic and replayable), never the wall date.
+// current_date: bound at clock.Sim the result is the simulated date
+// (deterministic and replayable), never the wall date, and binding
+// copies — the plan's expression is left as it was.
 func TestCurrentDateUsesBoundClock(t *testing.T) {
 	f, err := NewFuncCall("current_date", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := clock.NewSim(time.Time{}) // SIGMOD'14 epoch, 2014-06-22 UTC
-	BindClock(f, sim)
-	got := mustEval(t, f, nil).String()
-	if got != "2014-06-22" {
+	bound, err := Bind(f, nil, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustEval(t, bound, nil).String(); got != "2014-06-22" {
 		t.Errorf("current_date under Sim = %q, want %q", got, "2014-06-22")
 	}
 	sim.Advance(48 * time.Hour)
-	if got := mustEval(t, f, nil).String(); got != "2014-06-24" {
+	if bound, err = Bind(f, nil, sim); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustEval(t, bound, nil).String(); got != "2014-06-24" {
 		t.Errorf("current_date after Advance = %q, want %q", got, "2014-06-24")
 	}
 
 	// An unbound call falls back to the wall clock (the pre-PR behavior).
-	unbound, err := NewFuncCall("current_date", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	//hawqcheck:ignore clockwall asserting the wall-clock fallback itself
 	want := types.DateFromTime(time.Now().UTC()).String()
-	if got := mustEval(t, unbound, nil).String(); got != want {
+	if got := mustEval(t, f, nil).String(); got != want {
 		t.Errorf("unbound current_date = %q, want wall date %q", got, want)
 	}
 
-	// BindClock reaches FuncCalls nested anywhere in an expression tree.
+	// Bind reaches FuncCalls nested anywhere in an expression tree.
 	nested, err := NewFuncCall("extract_year", []Expr{f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	BindClock(nested, sim)
-	if got := mustEval(t, nested, nil).String(); got != "2014" {
+	if bound, err = Bind(nested, nil, sim); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustEval(t, bound, nil).String(); got != "2014" {
 		t.Errorf("extract_year(current_date) under Sim = %q, want 2014", got)
+	}
+	if nested.Args[0] != Expr(f) {
+		t.Error("Bind wrote into the expression it was given")
+	}
+}
+
+// TestBindCopiesOnlyWhatVaries: an expression with no placeholder and no
+// clock builtin comes back as it is, without an allocation; one with a
+// placeholder is copied on the way to it, its other operands shared.
+func TestBindCopiesOnlyWhatVaries(t *testing.T) {
+	plain := &BinOp{Op: OpAnd,
+		L: &BinOp{Op: OpLt, L: &ColRef{Idx: 0, K: types.KindInt64}, R: NewConst(types.NewInt64(5))},
+		R: &IsNull{E: &ColRef{Idx: 1, K: types.KindString}, Negate: true}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if b, err := Bind(plain, nil, nil); err != nil || b != Expr(plain) {
+			t.Fatalf("plain expression rebound: %v %v", b, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("binding an expression with nothing to bind allocates %.0f objects", allocs)
+	}
+	withParam := &BinOp{Op: OpAnd, L: plain.L, R: &BinOp{Op: OpEq, L: &ColRef{Idx: 0, K: types.KindInt64}, R: &Param{Idx: 1, K: types.KindInt64}}}
+	b, err := Bind(withParam, []types.Datum{types.Null, types.NewInt64(7)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.(*BinOp)
+	if got == withParam || got.L != withParam.L || got.R.String() != "($0 = 7)" {
+		t.Fatalf("bound %s: copied root %v, shared left %v", got, got != withParam, got.L == withParam.L)
+	}
+	if _, err := Bind(withParam, []types.Datum{types.Null}, nil); err == nil {
+		t.Error("a placeholder past the arguments bound")
+	}
+	// An untyped placeholder takes the kind of its value, and the copy's
+	// comparison is checked again.
+	untyped := &BinOp{Op: OpEq, L: &Param{Idx: 0}, R: &Param{Idx: 1}}
+	if _, err := Bind(untyped, []types.Datum{types.NewInt64(1), types.NewString("x")}, nil); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+		t.Errorf("$1 = $2 bound to a number and a string: %v", err)
 	}
 }
 

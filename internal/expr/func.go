@@ -12,13 +12,10 @@ import (
 type FuncCall struct {
 	Name string
 	Args []Expr
-	// impl and clk are local bindings, deliberately rebuilt after decode
-	// by RebindFuncs/BindClock (§3.1); only Name and Args travel on the
-	// wire.
+	// impl is a local binding, deliberately rebuilt after decode by
+	// RebindFuncs (§3.1); only Name and Args travel on the wire.
 	//hawqcheck:ignore wiresafe impl is rebound by RebindFuncs after decode
 	impl *builtin
-	//hawqcheck:ignore wiresafe clk is rebound by BindClock at cluster.Dispatch
-	clk clock.Clock
 }
 
 type builtin struct {
@@ -26,8 +23,9 @@ type builtin struct {
 	kind             func(args []Expr) types.Kind
 	eval             func(args []types.Datum) (types.Datum, error)
 	// evalClock is set instead of eval for builtins whose result depends
-	// on the current time (current_date); the executor binds the query's
-	// clock so results are deterministic under clock.Sim.
+	// on the current time (current_date); Bind evaluates it at the
+	// executing node's clock, so results are deterministic under
+	// clock.Sim.
 	evalClock func(c clock.Clock, args []types.Datum) (types.Datum, error)
 }
 
@@ -202,7 +200,8 @@ func (f *FuncCall) Eval(row types.Row) (types.Datum, error) {
 		args[i] = v
 	}
 	if f.impl.evalClock != nil {
-		return f.impl.evalClock(clock.Default(f.clk), args)
+		// Unbound (see Bind): the wall clock.
+		return f.impl.evalClock(clock.Default(nil), args)
 	}
 	return f.impl.eval(args)
 }

@@ -29,26 +29,18 @@ func AndAll(conjuncts []Expr) Expr {
 }
 
 // ExecConst evaluates e when nothing in it varies by row — no column
-// reference, no unbound $n — to the value it has for the whole
-// execution: a literal, a bound placeholder, current_date once the
-// query's clock is bound, and anything computed from those. An operator
-// calls it as it is built, so such a subtree costs one evaluation per
-// execution instead of one per row. The binder's Fold is the plan-time
-// half, and stricter: what it leaves is what must wait for execution.
+// reference, no placeholder left unbound — to the value it has for the
+// whole execution: a literal, and anything computed from literals, a
+// bound $n and current_date being literals once Bind has replaced them.
+// An operator calls it as it is built, so such a subtree costs one
+// evaluation per execution instead of one per row. The binder's Fold is
+// the plan-time half, and stricter: what it leaves is what must wait for
+// execution.
 func ExecConst(e Expr) (types.Datum, bool) {
-	switch v := e.(type) {
-	case *Const:
-		return v.D, true
-	case *Param:
-		return v.V, v.Bound
-	}
 	fixed := true
 	Walk(e, func(x Expr) {
-		switch v := x.(type) {
-		case *ColRef:
+		if _, ok := x.(*ColRef); ok {
 			fixed = false
-		case *Param:
-			fixed = fixed && v.Bound
 		}
 	})
 	if !fixed {

@@ -283,14 +283,15 @@ func TestBoundParamIsAConstant(t *testing.T) {
 		if CompileFilter(pred).Residual() == nil {
 			t.Fatalf("col %d: unbound parameter was kernelized", j)
 		}
-		if err := BindParams(pred, []types.Datum{tc.val}); err != nil {
+		bound, err := Bind(pred, []types.Datum{tc.val}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if CompileFilter(pred).Residual() != nil {
+		if CompileFilter(bound).Residual() != nil {
 			t.Fatalf("col %d: bound %v parameter is not kernelized", j, tc.val.K)
 		}
 		vb := testutil.VecBatch(cols, encs)
-		if err := FilterVec(pred, vb); err != nil || !reflect.DeepEqual(vb.Sel, tc.want) {
+		if err := FilterVec(bound, vb); err != nil || !reflect.DeepEqual(vb.Sel, tc.want) {
 			t.Fatalf("col %d: FilterVec sel %v err %v, want %v", j, vb.Sel, err, tc.want)
 		}
 		types.PutVecBatch(vb)
@@ -300,15 +301,16 @@ func TestBoundParamIsAConstant(t *testing.T) {
 	if _, ok := ExecConst(sum.R); ok {
 		t.Fatal("an expression over an unbound parameter has a value")
 	}
-	if err := BindParams(sum, []types.Datum{types.NewInt64(1)}); err != nil {
+	boundSum, err := Bind(sum, []types.Datum{types.NewInt64(1)}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := ExecConst(sum.R); !ok || d != types.NewInt64(2) || CompileFilter(sum).Residual() != nil {
+	if d, ok := ExecConst(boundSum.(*BinOp).R); !ok || d != types.NewInt64(2) || CompileFilter(boundSum).Residual() != nil {
 		t.Fatalf("$1 + 1 bound to 1: %v %v", d, ok)
 	}
 	// NULL-bound: no kernel, and the row path keeps nothing.
-	pred := &BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}
-	if err := BindParams(pred, []types.Datum{types.Null}); err != nil {
+	pred, err := Bind(&BinOp{Op: OpEq, L: &ColRef{Idx: 0}, R: &Param{Idx: 0, K: types.KindInt64}}, []types.Datum{types.Null}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if CompileFilter(pred).Residual() == nil {

@@ -2,8 +2,8 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
-	"hawq/internal/clock"
 	"hawq/internal/types"
 )
 
@@ -13,81 +13,115 @@ func Walk(e Expr, fn func(Expr)) {
 		return
 	}
 	fn(e)
-	operands(e, func(x Expr) { Walk(x, fn) })
+	mapOperands(e, func(x Expr) Expr {
+		Walk(x, fn)
+		return x
+	})
 }
 
-// operands calls fn on each direct operand of e, in evaluation order.
-func operands(e Expr, fn func(Expr)) {
-	each := func(xs ...Expr) {
-		for _, x := range xs {
-			if x != nil {
-				fn(x)
-			}
-		}
-	}
+// mapOperands calls f on each direct operand of e, in evaluation order
+// (an absent ELSE is skipped), and returns e with each replaced by what
+// f returned: e itself when f returned every operand as it was, a copy
+// otherwise. Walk visits through it and Bind copies through it. It
+// takes no closure of its own: Bind runs it on every QE that builds an
+// operator over a placeholder, on the QE's fresh goroutine stack, and a
+// bigger frame there costs a stack copy per QE per statement.
+func mapOperands(e Expr, f func(Expr) Expr) Expr {
 	switch v := e.(type) {
 	case *BinOp:
-		each(v.L, v.R)
-	case *Not:
-		each(v.E)
-	case *Neg:
-		each(v.E)
-	case *IsNull:
-		each(v.E)
-	case *Like:
-		each(v.E)
-	case *InList:
-		each(v.E)
-		each(v.Items...)
-	case *Between:
-		each(v.E, v.Lo, v.Hi)
-	case *Case:
-		for _, w := range v.Whens {
-			each(w.Cond, w.Result)
+		if l, r := f(v.L), f(v.R); l != v.L || r != v.R {
+			return &BinOp{Op: v.Op, L: l, R: r}
 		}
-		each(v.Else)
+	case *Not:
+		if x := f(v.E); x != v.E {
+			return &Not{E: x}
+		}
+	case *Neg:
+		if x := f(v.E); x != v.E {
+			return &Neg{E: x}
+		}
+	case *IsNull:
+		if x := f(v.E); x != v.E {
+			return &IsNull{E: x, Negate: v.Negate}
+		}
+	case *Like:
+		if x := f(v.E); x != v.E {
+			return &Like{E: x, Pattern: v.Pattern, Negate: v.Negate}
+		}
+	case *InList:
+		x := f(v.E)
+		if items, changed := MapAll(v.Items, f); changed || x != v.E {
+			return &InList{E: x, Items: items, Negate: v.Negate}
+		}
+	case *Between:
+		if x, lo, hi := f(v.E), f(v.Lo), f(v.Hi); x != v.E || lo != v.Lo || hi != v.Hi {
+			return &Between{E: x, Lo: lo, Hi: hi, Negate: v.Negate}
+		}
+	case *Case:
+		return mapCase(v, f)
 	case *Cast:
-		each(v.E)
+		if x := f(v.E); x != v.E {
+			return &Cast{E: x, To: v.To, Scale: v.Scale}
+		}
 	case *FuncCall:
-		each(v.Args...)
+		if args, changed := MapAll(v.Args, f); changed {
+			return &FuncCall{Name: v.Name, Args: args, impl: v.impl}
+		}
 	}
+	return e
 }
 
-// Rebind restores the function implementation pointer after the
-// expression crossed a serialization boundary (self-described plans ship
-// only the function name; implementations live in each segment's
-// read-only bootstrap store of native metadata, §3.1).
-func (f *FuncCall) Rebind() error {
-	impl, ok := builtins[f.Name]
-	if !ok {
-		return fmt.Errorf("expr: unknown function %s after decode", f.Name)
+// MapAll returns xs with f applied to each element: xs itself and false
+// when f returned every one as it was, a copy and true otherwise.
+func MapAll(xs []Expr, f func(Expr) Expr) ([]Expr, bool) {
+	out, changed := xs, false
+	for i, x := range xs {
+		if y := f(x); y != x {
+			if !changed {
+				out, changed = slices.Clone(xs), true
+			}
+			out[i] = y
+		}
 	}
-	f.impl = impl
-	return nil
+	return out, changed
 }
 
-// RebindFuncs walks an expression and rebinds every FuncCall.
+// mapCase is mapOperands of a CASE.
+func mapCase(v *Case, f func(Expr) Expr) Expr {
+	whens, changed := v.Whens, false
+	for i, w := range v.Whens {
+		if c, r := f(w.Cond), f(w.Result); c != w.Cond || r != w.Result {
+			if !changed {
+				whens, changed = slices.Clone(v.Whens), true
+			}
+			whens[i] = When{Cond: c, Result: r}
+		}
+	}
+	els := v.Else
+	if els != nil {
+		els = f(els)
+	}
+	if !changed && els == v.Else {
+		return v
+	}
+	return &Case{Whens: whens, Else: els}
+}
+
+// RebindFuncs restores the function implementation of every FuncCall
+// under e after the expression crossed a serialization boundary
+// (self-described plans ship only the function name; implementations
+// live in each segment's read-only bootstrap store of native metadata,
+// §3.1).
 func RebindFuncs(e Expr) error {
 	var err error
 	Walk(e, func(x Expr) {
 		if f, ok := x.(*FuncCall); ok && f.impl == nil {
-			if e2 := f.Rebind(); e2 != nil && err == nil {
-				err = e2
+			if f.impl = builtins[f.Name]; f.impl == nil && err == nil {
+				err = fmt.Errorf("expr: unknown function %s after decode", f.Name)
 			}
 		}
 	})
 	return err
-}
-
-// BindClock injects the query's clock into every FuncCall under e, so
-// time-dependent builtins (current_date) read executor time instead of
-// the wall. A nil clock leaves evaluation on clock.Wall.
-func BindClock(e Expr, c clock.Clock) {
-	Walk(e, func(x Expr) {
-		if f, ok := x.(*FuncCall); ok {
-			f.clk = c
-		}
-	})
 }
 
 // Fold evaluates e at bind time when its operands are literals (the
@@ -98,7 +132,7 @@ func BindClock(e Expr, c clock.Clock) {
 // value. Anything else comes back as it is. Two things are never
 // literals: a $n placeholder, whose value differs between executions of
 // one cached plan, and a clock builtin such as current_date, whose value
-// is the execution's, not the plan's; both wait for ExecConst. A literal
+// is the execution's, not the plan's; both wait for Bind. A literal
 // expression that cannot be evaluated — abs('x') panics in types.Compare
 // — is a statement the binder refuses, here rather than in a QE.
 func Fold(e Expr) (folded Expr, err error) {
@@ -109,9 +143,10 @@ func Fold(e Expr) (folded Expr, err error) {
 	case *FuncCall:
 		literal = v.impl.evalClock == nil
 	}
-	operands(e, func(x Expr) {
+	mapOperands(e, func(x Expr) Expr {
 		_, isConst := x.(*Const)
 		literal = literal && isConst
+		return x
 	})
 	if !literal {
 		return e, nil
@@ -132,19 +167,13 @@ func Fold(e Expr) (folded Expr, err error) {
 // = <> < <= > >=, BETWEEN, IN — of two operands types.Compare cannot
 // order (types.Comparable): a DATE with a BIGINT, a TEXT with a number.
 // Compare panics on those, inside a QE, so no such node may reach a
-// plan: the binder asks of every comparison it builds, and the plan asks
-// again once placeholders have values, a bound $n counting as the kind
-// of its value. NULL and operands of unknown kind compare with
-// everything (to NULL). Only x itself is looked at, not what is under it.
+// plan: the binder asks of every comparison it builds, and Bind asks
+// again of each it copies, a placeholder now a constant of its value's
+// kind. NULL and operands of unknown kind compare with everything (to
+// NULL). Only x itself is looked at, not what is under it.
 func CheckComparison(x Expr) error {
-	kind := func(e Expr) types.Kind {
-		if p, ok := e.(*Param); ok && p.Bound {
-			return p.V.K
-		}
-		return e.Kind()
-	}
 	pair := func(l, r Expr) error {
-		if lk, rk := kind(l), kind(r); lk != types.KindNull && rk != types.KindNull && !types.Comparable(lk, rk) {
+		if lk, rk := l.Kind(), r.Kind(); lk != types.KindNull && rk != types.KindNull && !types.Comparable(lk, rk) {
 			return fmt.Errorf("cannot compare %s with %s in %s", lk, rk, x)
 		}
 		return nil

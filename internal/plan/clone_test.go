@@ -7,9 +7,10 @@ import (
 	"hawq/internal/types"
 )
 
-// TestCloneIsolation verifies a cloned plan shares nothing mutable with
-// its source: binding parameters and shrinking direct-dispatch gangs on
-// the clone must leave the original pristine (the plan-cache contract).
+// TestCloneIsolation: a Clone is a header copy. BindParams on it pins the
+// copy's deferred slice and records the arguments in the copy alone; the
+// original keeps its full gang, no arguments and the very same nodes, and
+// a second copy binds independently.
 func TestCloneIsolation(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt64})
 	filter := expr.NewBinOp(expr.OpEq,
@@ -22,6 +23,9 @@ func TestCloneIsolation(t *testing.T) {
 	}}
 	p := Build(motion, []int{QDSegment}, []int{0, 1, 2, 3}, 4)
 	p.ParamKinds = []types.Kind{types.KindInt64}
+	segs := p.Slices[1].Segments
+	var nodes []Node
+	p.Walk(func(n Node) { nodes = append(nodes, n) })
 
 	c, err := p.Clone()
 	if err != nil {
@@ -31,28 +35,39 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(c.Slices[1].Segments); got != 1 {
-		t.Fatalf("clone not direct-dispatched: %v", c.Slices[1].Segments)
+		t.Fatalf("copy not direct-dispatched: %v", c.Slices[1].Segments)
 	}
-	// The original is untouched: full gang, parameter unbound.
-	if got := len(p.Slices[1].Segments); got != 4 {
-		t.Fatalf("original segments mutated: %v", p.Slices[1].Segments)
+	if len(c.Args) != 1 || c.Args[0] != types.NewInt64(42) {
+		t.Fatalf("copy's arguments = %v", c.Args)
 	}
-	p.Walk(func(n Node) {
-		for _, e := range NodeExprs(n) {
-			expr.Walk(e, func(x expr.Expr) {
-				if pm, ok := x.(*expr.Param); ok && pm.Bound {
-					t.Fatal("original parameter bound through clone")
-				}
-			})
+	// The original is untouched: full gang, the same list, no arguments.
+	if got := p.Slices[1].Segments; len(got) != 4 || &got[0] != &segs[0] {
+		t.Fatalf("original segments changed: %v", got)
+	}
+	if p.Args != nil {
+		t.Fatalf("original took the copy's arguments: %v", p.Args)
+	}
+	// Both walk the very same nodes, and the filter still holds $1.
+	i := 0
+	c.Walk(func(n Node) {
+		if i >= len(nodes) || n != nodes[i] {
+			t.Fatalf("node %d of the copy is not the original's", i)
 		}
+		i++
 	})
-	// And a second clone of the pristine original binds independently.
+	if i != len(nodes) || filter.R.String() != "$1" {
+		t.Fatalf("copy walked %d of %d nodes; filter %s", i, len(nodes), filter)
+	}
+	// And a second copy of the original binds independently.
 	c2, err := p.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.BindParams([]types.Datum{types.NewInt64(7)}); err != nil {
 		t.Fatal(err)
+	}
+	if c2.Args[0] != types.NewInt64(7) || c.Args[0] != types.NewInt64(42) {
+		t.Fatalf("copies share arguments: %v %v", c.Args, c2.Args)
 	}
 	if c2.Slices[1].Segments[0] == 0 && c.Slices[1].Segments[0] == 0 {
 		t.Log("both keys hash to segment 0 (legal, just unlucky)")

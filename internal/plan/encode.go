@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"hawq/internal/compress"
 	"hawq/internal/expr"
@@ -77,11 +78,12 @@ func Decode(data []byte) (*Plan, error) {
 	}
 	var rebindErr error
 	p.Walk(func(n Node) {
-		for _, e := range NodeExprs(n) {
+		MapExprs(n, func(e expr.Expr) expr.Expr {
 			if err := expr.RebindFuncs(e); err != nil && rebindErr == nil {
 				rebindErr = err
 			}
-		}
+			return e
+		})
 	})
 	if rebindErr != nil {
 		return nil, rebindErr
@@ -89,29 +91,82 @@ func Decode(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// NodeExprs returns the expressions held by a node, so callers (the
-// executor, clock binding) can walk a plan's scalar surface without
-// knowing every node shape.
-func NodeExprs(n Node) []expr.Expr {
+// MapExprs calls f on each expression n holds — a scan's filter, a
+// Select's or a join's predicate (nil when absent), a Project's list,
+// an aggregate's group keys and arguments — and returns n with each
+// replaced by what f returned: n itself when f returned every one as it
+// was, a shallow copy otherwise. Decode rebinds functions through it and
+// the executor binds an execution's values through it, so no caller
+// needs to know every node shape.
+func MapExprs(n Node, f func(expr.Expr) expr.Expr) Node {
 	switch v := n.(type) {
 	case *Scan:
-		return []expr.Expr{v.Filter}
-	case *ExternalScan:
-		return []expr.Expr{v.Filter}
-	case *Select:
-		return []expr.Expr{v.Pred}
-	case *Project:
-		return v.Exprs
-	case *HashJoin:
-		return []expr.Expr{v.ExtraPred}
-	case *NestLoopJoin:
-		return []expr.Expr{v.Pred}
-	case *HashAgg:
-		out := append([]expr.Expr{}, v.Groups...)
-		for _, a := range v.Aggs {
-			out = append(out, a.Arg)
+		if x := f(v.Filter); x != v.Filter {
+			c := *v
+			c.Filter = x
+			return &c
 		}
-		return out
+	case *ExternalScan:
+		if x := f(v.Filter); x != v.Filter {
+			c := *v
+			c.Filter = x
+			return &c
+		}
+	case *Select:
+		if x := f(v.Pred); x != v.Pred {
+			c := *v
+			c.Pred = x
+			return &c
+		}
+	case *Project:
+		return mapProject(v, f)
+	case *HashJoin:
+		if x := f(v.ExtraPred); x != v.ExtraPred {
+			c := *v
+			c.ExtraPred = x
+			return &c
+		}
+	case *NestLoopJoin:
+		if x := f(v.Pred); x != v.Pred {
+			c := *v
+			c.Pred = x
+			return &c
+		}
+	case *HashAgg:
+		return mapAgg(v, f)
 	}
-	return nil
+	return n
+}
+
+// mapProject is MapExprs of a Project. It and mapAgg are functions of
+// their own so that MapExprs keeps a small frame on the QE stacks that
+// bind as they build (see expr.mapOperands).
+func mapProject(v *Project, f func(expr.Expr) expr.Expr) Node {
+	es, changed := expr.MapAll(v.Exprs, f)
+	if !changed {
+		return v
+	}
+	c := *v
+	c.Exprs = es
+	return &c
+}
+
+// mapAgg is MapExprs of an aggregate.
+func mapAgg(v *HashAgg, f func(expr.Expr) expr.Expr) Node {
+	groups, changed := expr.MapAll(v.Groups, f)
+	aggs, cloned := v.Aggs, false
+	for i, a := range v.Aggs {
+		if x := f(a.Arg); x != a.Arg {
+			if !cloned {
+				aggs, cloned = slices.Clone(v.Aggs), true
+			}
+			aggs[i].Arg = x
+		}
+	}
+	if !changed && !cloned {
+		return v
+	}
+	c := *v
+	c.Groups, c.Aggs = groups, aggs
+	return &c
 }

@@ -8,11 +8,12 @@ import (
 	"hawq/internal/types"
 )
 
-// BindParams binds every expr.Param placeholder in the plan to its
-// positional argument value, casting each value to the kind the planner
-// inferred at prepare time. It is called on the statement's own clone
-// (cached plans stay pristine) before dispatch; the gang executes that
-// clone, bound values included.
+// BindParams gives the plan an execution's arguments: each cast to the
+// kind the planner inferred at prepare time, kept in Args, where
+// executor.Build reads them as it binds an operator's expressions
+// (expr.Bind), and hashed into the direct-dispatch choices the plan
+// deferred. It writes only the plan's header — call it on a Clone of a
+// shared plan — and never a node.
 func (p *Plan) BindParams(args []types.Datum) error {
 	// A plan may reference a prefix of the EXECUTE arguments: a scalar
 	// subquery planned on its own uses only the placeholders it
@@ -34,32 +35,26 @@ func (p *Plan) BindParams(args []types.Datum) error {
 		}
 		cast[i] = c
 	}
-	untyped := slices.Contains(p.ParamKinds, types.KindNull)
-	var bindErr error
-	p.Walk(func(n Node) {
-		for _, e := range NodeExprs(n) {
-			if e == nil {
-				continue
-			}
-			if err := expr.BindParams(e, cast); err != nil && bindErr == nil {
-				bindErr = err
-			}
-			// A placeholder whose kind nothing fixed at prepare time
-			// arrives as whatever the client sent: it must still be
-			// something its comparison can order. The others were cast
-			// to the kind the binder checked.
-			if untyped {
-				expr.Walk(e, func(x expr.Expr) {
-					if err := expr.CheckComparison(x); err != nil && bindErr == nil {
-						bindErr = fmt.Errorf("plan: %w", err)
-					}
-				})
-			}
+	// A placeholder whose kind nothing fixed at prepare time arrives as
+	// whatever the client sent: it must still be something its
+	// comparison can order, and that is asked here, on the QD, of a bound
+	// copy (expr.Bind checks each comparison it copies) before any QE
+	// compares a row. The others were cast to the kind the binder checked.
+	if slices.Contains(p.ParamKinds, types.KindNull) {
+		var bindErr error
+		p.Walk(func(n Node) {
+			MapExprs(n, func(e expr.Expr) expr.Expr {
+				if _, err := expr.Bind(e, cast, nil); err != nil && bindErr == nil {
+					bindErr = fmt.Errorf("plan: %w", err)
+				}
+				return e
+			})
+		})
+		if bindErr != nil {
+			return bindErr
 		}
-	})
-	if bindErr != nil {
-		return bindErr
 	}
+	p.Args = cast
 	return p.pinDeferredSlices(cast)
 }
 

@@ -73,6 +73,11 @@ type Plan struct {
 	// EXECUTE casts argument values to these kinds before BindParams.
 	// Empty for plans without placeholders.
 	ParamKinds []types.Kind
+	// Args are one execution's placeholder values, cast to ParamKinds
+	// (BindParams). Like the rest of the header they travel with the plan;
+	// the nodes keep their $n, and an operator binds the values in as it
+	// is built.
+	Args []types.Datum
 }
 
 // DirectKey is one distribution-key value source: Param >= 0 names a

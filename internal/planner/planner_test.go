@@ -486,13 +486,16 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	if len(deferred) != 1 {
 		t.Fatalf("key referenced only by the filter: deferred slices = %v:\n%s", deferred, pl.Explain())
 	}
-	// Until it is bound the scan's filter is a residual; once bound it is
-	// a constant comparison the vector kernels (and zone maps) consume.
+	// Until it is bound the scan's filter is a residual; bound with the
+	// plan's arguments, as the scan operator binds it when it is built,
+	// it is a constant comparison the vector kernels (and zone maps)
+	// consume. The plan's own filter keeps its $1.
 	kernelized := func() bool {
 		ok := false
 		pl.Walk(func(n plan.Node) {
-			if sc, isScan := n.(*plan.Scan); isScan {
-				ok = sc.Filter != nil && expr.CompileFilter(sc.Filter).Residual() == nil
+			if sc, isScan := n.(*plan.Scan); isScan && sc.Filter != nil {
+				f, err := expr.Bind(sc.Filter, pl.Args, nil)
+				ok = err == nil && expr.CompileFilter(f).Residual() == nil
 			}
 		})
 		return ok
@@ -505,6 +508,9 @@ func TestDeferredDirectDispatchOnParam(t *testing.T) {
 	}
 	if !kernelized() {
 		t.Fatalf("bound $1 filter is still a residual:\n%s", pl.Explain())
+	}
+	if !strings.Contains(pl.Explain(), "filter: (c_custkey = $1)") {
+		t.Fatalf("binding wrote into the plan:\n%s", pl.Explain())
 	}
 	got = pl.Slices[deferred[0]].Segments
 	for _, sql := range []string{"SELECT c_name FROM customer WHERE c_custkey = 42", "SELECT * FROM customer WHERE c_custkey = 42"} {

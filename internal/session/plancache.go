@@ -8,10 +8,11 @@ import (
 // PlanCache is a bounded LRU of plans keyed by statement fingerprint.
 // Every entry records the catalog version it was planned under; a
 // lookup whose snapshot carries a different version treats the entry as
-// invalid. Values are opaque to the cache; by contract callers store
-// pristine plans (parameters unbound, no per-statement resource stamps)
-// and never mutate a stored value — every hit takes a private clone, so
-// one cached plan serves any number of concurrent sessions.
+// invalid. Values are opaque to the cache; by contract callers store a
+// plan as planned and never write it: an execution's state — its
+// arguments, pinned slices and resource stamps — goes into a header copy
+// (plan.Clone shares every node), so one cached plan serves any number
+// of concurrent sessions.
 type PlanCache struct {
 	mu  sync.Mutex
 	cap int

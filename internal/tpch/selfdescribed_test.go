@@ -43,6 +43,9 @@ func rowsMultiset(rows []types.Row) string {
 // Two more statements carry zero-column scans (a COUNT(*), and a join
 // side nothing references): gob drops an empty Proj to nil, which must
 // still mean "no columns", not "every column under a zero-width schema".
+// A generic plan bound through BindParams carries its arguments in its
+// header, and a current_date plan is bound where it runs: both travel
+// the wire form too.
 func TestSelfDescribedPlanExecutes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite is slow")
@@ -51,13 +54,19 @@ func TestSelfDescribedPlanExecutes(t *testing.T) {
 	cl := e.Cluster()
 	sub := e.NewSession()
 	rows := 0
-	type stmtCase struct{ name, sql string }
+	type stmtCase struct {
+		name, sql string
+		args      []types.Datum // planned generically and bound when set
+	}
 	cases := []stmtCase{
-		{"count(*)", "SELECT count(*) FROM lineitem"},
-		{"zero-column join side", "SELECT n_name FROM nation, region WHERE n_nationkey < 3"},
+		{"count(*)", "SELECT count(*) FROM lineitem", nil},
+		{"zero-column join side", "SELECT n_name FROM nation, region WHERE n_nationkey < 3", nil},
+		{"generic $n", "SELECT l_returnflag, sum(l_quantity * $1) FROM lineitem WHERE l_orderkey <= $2 GROUP BY l_returnflag",
+			[]types.Datum{types.NewInt64(2), types.NewInt64(400)}},
+		{"current_date", "SELECT count(*) FROM orders WHERE o_orderdate < current_date()", nil},
 	}
 	for _, n := range AllQueryNumbers() {
-		cases = append(cases, stmtCase{fmt.Sprintf("Q%d", n), Queries[n]})
+		cases = append(cases, stmtCase{fmt.Sprintf("Q%d", n), Queries[n], nil})
 	}
 	for _, c := range cases {
 		q := c.name
@@ -74,10 +83,16 @@ func TestSelfDescribedPlanExecutes(t *testing.T) {
 			}
 			return res.Rows[0][0], nil
 		}
+		p.GenericParams = c.args != nil
 		pl, err := p.PlanSelect(stmt.(*sqlparser.SelectStmt))
 		tr.Abort()
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q, err)
+		}
+		if c.args != nil {
+			if err := pl.BindParams(c.args); err != nil {
+				t.Fatalf("%s: bind: %v", q, err)
+			}
 		}
 		enc, err := plan.Encode(pl)
 		if err != nil {

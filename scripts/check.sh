@@ -99,7 +99,11 @@
 #                                  is walked once: no second walk for
 #                                  its zone map (buildZone) and no
 #                                  per-row statistics in the columnar
-#                                  writer
+#                                  writer, and a planned tree is never
+#                                  written: no per-node plan copy
+#                                  (cloneNode, expr.Clone) and no
+#                                  clock stamped into a plan's
+#                                  expressions (BindClock) returns
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -145,7 +149,7 @@ go run ./cmd/hawq-check -json ./... > build/hawq-check-report.json
 echo "==> hawqcheck:ignore budget"
 # Raise this number only with a reason in the commit message; lower it
 # whenever a suppression goes away.
-ignore_budget=80
+ignore_budget=79
 ignores="$(git ls-files -z --cached --others --exclude-standard '*.go' | xargs -0 grep -h '//hawqcheck:ignore' | wc -l)"
 if (( ignores > ignore_budget )); then
     echo "hawqcheck:ignore count rose to $ignores (budget $ignore_budget): fix the finding instead of suppressing it" >&2
@@ -231,6 +235,10 @@ if grep -rnE 'Deferred[D]irect\b|MsgBind[O]K|portal[S]tate|SortMem[R]ows' intern
 fi
 if grep -rnE 'copyIn[T]x|runMaintenance[S]QL' internal cmd; then
     echo "stays deleted: COPY shares INSERT's write path, and a maintenance task runs through the statement lifecycle under the scheduler's context (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'clone[N]ode|clone[E]xpr|CloneAgg[S]pec|expr\.Clo[n]e\(|Bind[C]lock' internal cmd bench_test.go; then
+    echo "stays deleted: a plan is read-only once planned; an operator binds the arguments and the clock into its own copy of an expression as it is built (expr.Bind), and plan.Clone copies only the header (see above)" >&2
     exit 1
 fi
 engine_src="$(ls internal/engine/*.go | grep -v '_test\.go$')"
