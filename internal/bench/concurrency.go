@@ -17,8 +17,7 @@ import (
 // (the throughput-vs-concurrency curve of Tapdiya & Fabbri's SQL-engine
 // evaluations). Each session admits through a resource queue and runs a
 // parameterized mix of short TPC-H-derived queries; modes compare the
-// prepared-statement fast path (plan cache on), prepared with the cache
-// disabled, and simple-query text round trips.
+// prepared-statement fast path with simple-query text round trips.
 
 // mixQuery is one statement of the serving mix: SQL with $1 plus a
 // generator for the i-th argument value.
@@ -53,7 +52,7 @@ type ConcurrencyConfig struct {
 	// QueueActive is the resource queue's ACTIVE_STATEMENTS (default
 	// 64: admission is exercised without serializing the high levels).
 	QueueActive int
-	// Modes restricts the ablation (default all three).
+	// Modes restricts the comparison (default both).
 	Modes []string
 }
 
@@ -81,9 +80,8 @@ type ConcurrencyResult struct {
 
 // Modes.
 const (
-	ModePrepared = "prepared"         // Parse once per session, EXECUTE many, plan cache on
-	ModeNoCache  = "prepared_nocache" // prepared, but SET plan_cache = off
-	ModeSimple   = "simple"           // full SQL text per statement
+	ModePrepared = "prepared" // Parse once per session, EXECUTE many
+	ModeSimple   = "simple"   // full SQL text per statement
 )
 
 func (c *ConcurrencyConfig) defaults() {
@@ -98,7 +96,7 @@ func (c *ConcurrencyConfig) defaults() {
 		c.QueueActive = 64
 	}
 	if len(c.Modes) == 0 {
-		c.Modes = []string{ModePrepared, ModeNoCache, ModeSimple}
+		c.Modes = []string{ModePrepared, ModeSimple}
 	}
 }
 
@@ -270,18 +268,12 @@ func runConcurrencyCell(e *engine.Engine, mix []mixQuery, sessions int, mode str
 	}, nil
 }
 
-// setupSession opens one bench session: queue admission, the cell's
-// cache mode, and (outside simple mode) one prepared statement per mix
-// entry named mix<i>.
+// setupSession opens one bench session: queue admission and (outside
+// simple mode) one prepared statement per mix entry named mix<i>.
 func setupSession(e *engine.Engine, mix []mixQuery, mode string) (*engine.Session, error) {
 	s := e.NewSession()
 	if _, err := s.Query("SET resource_queue = serving"); err != nil {
 		return nil, err
-	}
-	if mode == ModeNoCache {
-		if _, err := s.Query("SET plan_cache = off"); err != nil {
-			return nil, err
-		}
 	}
 	if mode != ModeSimple {
 		for qi, q := range mix {
@@ -319,7 +311,7 @@ func (r *ConcurrencyResult) Report() *Report {
 		Columns: []string{"sessions", "mode", "ops", "errors", "QPS", "p50 ms", "p95 ms", "p99 ms", "cache hit"},
 		Notes: []string{
 			fmt.Sprintf("TPC-H SF %g, %d segments; closed loop through resource queue", r.ScaleFactor, r.Segments),
-			"modes: prepared (plan cache on), prepared_nocache (SET plan_cache = off), simple (SQL text per op)",
+			"modes: prepared (PREPARE once, EXECUTE per op), simple (SQL text per op)",
 		},
 	}
 	for _, p := range r.Points {

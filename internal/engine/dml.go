@@ -82,7 +82,9 @@ func (s *Session) write(ctx context.Context, t *tx.Tx, table string, source func
 	if err != nil {
 		return nil, err
 	}
-	pl, err := source(s.newPlanner(ctx, t), targets, segno)
+	p := s.newPlanner(ctx, t)
+	p.Params, p.GenericParams = s.curParams, false // a DML plan is never stored
+	pl, err := source(p, targets, segno)
 	if err != nil {
 		return nil, err
 	}

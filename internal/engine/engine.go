@@ -25,7 +25,7 @@ import (
 	"hawq/internal/types"
 )
 
-// DefaultPlanCacheSize is the boot value of the plan_cache_size setting.
+// DefaultPlanCacheSize is how many plans the engine's plan cache keeps.
 const DefaultPlanCacheSize = 256
 
 // ErrStatementTimeout is the cancellation cause when a statement
@@ -62,7 +62,7 @@ type Engine struct {
 	// AO compaction and user-defined periodic tasks.
 	sched *task.Scheduler
 	// planCache is the engine-wide compiled-plan cache (§2.4's
-	// parse-once / dispatch-many path); sized by plan_cache_size.
+	// parse-once / dispatch-many path), DefaultPlanCacheSize plans.
 	planCache *session.PlanCache
 	// flags holds the planner ablation flags behind an atomic pointer:
 	// hundreds of concurrent sessions read them per statement, so a
@@ -186,13 +186,10 @@ type Session struct {
 	// prep holds the session's prepared statements (lazily allocated on
 	// the first PREPARE).
 	prep *session.Registry
-	// noPlanCache opts this session out of the engine plan cache
-	// (SET plan_cache = off), for the cache ablation benchmarks.
-	noPlanCache bool
 	// curParams holds the current statement's parameter values while an
-	// EXECUTE is in flight (nil otherwise). Planners built for the
-	// statement — including nested subquery planners — resolve $n
-	// placeholders against it.
+	// EXECUTE is in flight (nil otherwise). Every SELECT of the statement
+	// — a nested scalar subquery's included — binds them into its plan
+	// (plan.BindParams); a DML planner takes them as constants.
 	curParams []types.Datum
 	// slot is the resource queue whose slot the current statement holds
 	// (nil before its first dispatch and between statements).

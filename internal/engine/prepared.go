@@ -34,7 +34,6 @@ func (s *Session) runPrepare(v *sqlparser.PrepareStmt) (*Result, error) {
 	p := &session.Prepared{
 		Name:      v.Name,
 		Stmt:      v.Stmt,
-		SQL:       v.Stmt.String(),
 		NumParams: sqlparser.MaxParam(v.Stmt),
 	}
 	if err := s.registry().Put(p); err != nil {

@@ -137,15 +137,13 @@ func TestSetWorkMemAndResourceQueue(t *testing.T) {
 	}
 
 	// SHOW prints back every setting SET accepts, in a column named
-	// after it; plan_cache's SHOW reports the cache's statistics.
+	// after it.
 	values := map[string]string{
 		"transaction_isolation":    "serializable",
 		"statement_timeout":        "250ms",
 		"slow_query_log_threshold": "1s",
 		"work_mem":                 "4MB",
 		"resource_queue":           "adhoc",
-		"plan_cache":               "off",
-		"plan_cache_size":          "64",
 	}
 	if len(values) != len(settings) {
 		t.Fatalf("the loop covers %d settings, the engine has %d", len(values), len(settings))
@@ -157,12 +155,6 @@ func TestSetWorkMemAndResourceQueue(t *testing.T) {
 		}
 		mustExec(t, s, fmt.Sprintf("SET %s = '%s'", name, v))
 		res := mustExec(t, s, "SHOW "+name)
-		if name == "plan_cache" {
-			if len(res.Rows) == 0 || res.Rows[0][0].Str() != "size" {
-				t.Errorf("SHOW plan_cache = %v, want the cache statistics", rowsString(res))
-			}
-			continue
-		}
 		if got := res.Rows[0][0].String(); len(res.Rows) != 1 || res.Schema.Columns[0].Name != name || got != v {
 			t.Errorf("SET %s = '%s'; SHOW %s = %v (column %q)", name, v, name, rowsString(res), res.Schema.Columns[0].Name)
 		}

@@ -20,7 +20,8 @@ import (
 )
 
 // newPlanner builds a planner bound to a statement snapshot, with scalar
-// subquery evaluation wired to a nested dispatch.
+// subquery evaluation wired to a nested dispatch. A SELECT is planned
+// generically on every path; only DML sets Params instead.
 func (s *Session) newPlanner(ctx context.Context, t *tx.Tx) *planner.Planner {
 	flags := s.eng.Flags()
 	p := &planner.Planner{
@@ -30,11 +31,7 @@ func (s *Session) newPlanner(ctx context.Context, t *tx.Tx) *planner.Planner {
 		DisableDirectDispatch: flags.DisableDirectDispatch,
 		DisablePartitionElim:  flags.DisablePartitionElim,
 		DisableColocation:     flags.DisableColocation,
-		// EXECUTE arguments default to specific planning: placeholders
-		// become constants, so direct dispatch and partition elimination
-		// see their values. The cache path opts into generic planning
-		// separately.
-		Params: s.curParams,
+		GenericParams:         true,
 	}
 	p.SubqueryEval = func(sub *sqlparser.SelectStmt) (types.Datum, error) {
 		rows, _, err := s.runSelectRows(ctx, t, sub, false)
@@ -136,65 +133,48 @@ func (s *Session) runSelectRows(ctx context.Context, t *tx.Tx, stmt *sqlparser.S
 	return rows, schema, nil
 }
 
-// planCached returns a dispatch-ready plan for a SELECT, consulting the
-// engine-wide plan cache when it may: first attempt, session opted in,
-// and the transaction has no uncommitted plan-relevant catalog writes of
-// its own (the cache key's catalog version only covers committed state).
+// planCached returns a dispatch-ready plan for a SELECT, planned
+// generically (newPlanner) on every path, consulting the engine-wide
+// plan cache on a first attempt (a restart follows a segment-state change
+// a cached plan predates) whose transaction has no uncommitted catalog
+// writes of its own (the key's catalog version covers committed state).
 //
 // A cached entry is the plan as planned — keyed by canonical SQL +
 // cluster shape + planner flags, validated against the snapshot's
-// catalog version — and is never written: every execution, the one that
-// stored it included, takes a header copy (plan.Clone shares every node)
-// and binds the current EXECUTE arguments into that. A miss plans
-// generically when the statement has placeholders, so the plan is
-// value-independent. Statements whose generic planning fails (e.g. a $n
-// LIKE pattern) fall back to an uncached value-specific plan.
+// catalog version — and is never written: every execution takes a header
+// copy (plan.Clone shares every node) and binds its arguments into that.
+// A plan that holds a value of one execution (planner.OneShot) is never
+// stored.
 func (s *Session) planCached(ctx context.Context, t *tx.Tx, stmt *sqlparser.SelectStmt, firstAttempt bool) (*plan.Plan, error) {
-	p := s.newPlanner(ctx, t)
-	cache := s.eng.planCache
-	if !firstAttempt || s.noPlanCache || s.eng.cl.TxMgr.IsCatalogDirty(t.XID()) {
-		return p.PlanSelect(stmt)
-	}
-	flags := s.eng.Flags()
-	key := session.Fingerprint(stmt.String(), s.eng.cl.NumSegments(),
-		flags.DisableDirectDispatch, flags.DisablePartitionElim,
-		flags.DisableColocation)
-	ver := p.Snap.CatVer
-	execution := func(shared *plan.Plan) (*plan.Plan, error) {
-		pl, err := shared.Clone()
-		if err == nil {
-			err = pl.BindParams(s.curParams)
-		}
-		return pl, err
-	}
-	if v, ok := cache.Get(key, ver); ok {
-		// Only this function stores entries. One the arguments do not
-		// bind falls through to planning.
-		if pl, err := execution(v.(*plan.Plan)); err == nil {
-			return pl, nil
+	snap := t.Snapshot()
+	cached := firstAttempt && !s.eng.cl.TxMgr.IsCatalogDirty(t.XID())
+	var key string
+	var shared *plan.Plan
+	if cached {
+		flags := s.eng.Flags()
+		key = session.Fingerprint(stmt.String(), s.eng.cl.NumSegments(),
+			flags.DisableDirectDispatch, flags.DisablePartitionElim,
+			flags.DisableColocation)
+		if v, ok := s.eng.planCache.Get(key, snap.CatVer); ok {
+			shared = v.(*plan.Plan)
 		}
 	}
-	if sqlparser.MaxParam(stmt) > 0 && len(s.curParams) > 0 {
-		gp := s.newPlanner(ctx, t)
-		gp.Snap = p.Snap // same snapshot as the lookup version
-		gp.Params = nil
-		gp.GenericParams = true
-		if shared, err := gp.PlanSelect(stmt); err == nil {
-			cache.Put(key, ver, shared)
-			if pl, err := execution(shared); err == nil {
-				return pl, nil
-			}
+	if shared == nil {
+		p := s.newPlanner(ctx, t)
+		p.Snap = snap // the lookup's version
+		var err error
+		if shared, err = p.PlanSelect(stmt); err != nil {
+			return nil, err
 		}
-		// Fall back to the specific plan; its error (if any) is the one
-		// the user sees.
-		return p.PlanSelect(stmt)
+		if cached && !p.OneShot() {
+			s.eng.planCache.Put(key, snap.CatVer, shared)
+		}
 	}
-	shared, err := p.PlanSelect(stmt)
-	if err != nil {
-		return nil, err
+	pl, err := shared.Clone()
+	if err == nil {
+		err = pl.BindParams(s.curParams)
 	}
-	cache.Put(key, ver, shared)
-	return execution(shared)
+	return pl, err
 }
 
 // classifyDispatchErr decides whether a failed dispatch is worth
@@ -234,8 +214,7 @@ func (s *Session) runExplain(ctx context.Context, t *tx.Tx, stmt *sqlparser.Expl
 		}
 		text = s.lastStats
 	} else {
-		p := s.newPlanner(ctx, t)
-		pl, err := p.PlanSelect(sel)
+		pl, err := s.newPlanner(ctx, t).PlanSelect(sel)
 		if err != nil {
 			return nil, err
 		}

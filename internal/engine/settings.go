@@ -57,22 +57,6 @@ var settings = map[string]setting{
 			return types.NewString(s.queue)
 		},
 	},
-	// plan_cache opts the session out of the engine plan cache; SHOW
-	// plan_cache reports the cache's statistics instead (runShow).
-	"plan_cache": {
-		set: func(s *Session, v string) error { return assign(&s.noPlanCache)(parseOff(v)) },
-	},
-	"plan_cache_size": {
-		set: func(s *Session, v string) error {
-			n, err := strconv.Atoi(strings.TrimSpace(v))
-			if err != nil || n < 0 {
-				return fmt.Errorf("engine: bad plan_cache_size %q", v)
-			}
-			s.eng.planCache.Resize(n)
-			return nil
-		},
-		show: func(s *Session) types.Datum { return types.NewInt64(int64(s.eng.planCache.Stats().Capacity)) },
-	},
 }
 
 // assign returns a function that stores a parsed value in *dst, unless
@@ -101,15 +85,4 @@ func parseTimeout(v string) (time.Duration, error) {
 		return 0, fmt.Errorf("engine: bad timeout value %q", v)
 	}
 	return d, nil
-}
-
-// parseOff reads a boolean-valued setting, reporting whether it is off.
-func parseOff(v string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "on", "true", "1", "yes":
-		return false, nil
-	case "off", "false", "0", "no":
-		return true, nil
-	}
-	return false, fmt.Errorf("engine: bad boolean value %q", v)
 }

@@ -320,7 +320,10 @@ func (i *IsNull) String() string {
 type Like struct {
 	E       Expr
 	Pattern string
-	Negate  bool
+	// Param, when set, is the pattern instead: a generic plan's $n,
+	// which Bind replaces, with the node, by the Like of its argument.
+	Param  *Param
+	Negate bool
 }
 
 // NewLike binds "e [NOT] LIKE pattern", refusing what PostgreSQL
@@ -342,6 +345,9 @@ func NewLike(e Expr, pattern string, negate bool) (*Like, error) {
 
 // Eval implements Expr.
 func (l *Like) Eval(row types.Row) (types.Datum, error) {
+	if l.Param != nil {
+		return l.Param.Eval(row) // unbound: no pattern yet
+	}
 	v, err := l.E.Eval(row)
 	if err != nil || v.IsNull() {
 		return types.Null, err
@@ -358,6 +364,9 @@ func (l *Like) String() string {
 	op := "LIKE"
 	if l.Negate {
 		op = "NOT LIKE"
+	}
+	if l.Param != nil {
+		return fmt.Sprintf("(%s %s %s)", l.E, op, l.Param)
 	}
 	return fmt.Sprintf("(%s %s '%s')", l.E, op, l.Pattern)
 }

@@ -411,11 +411,45 @@ func TestBindCopiesOnlyWhatVaries(t *testing.T) {
 	if _, err := Bind(withParam, []types.Datum{types.Null}, nil); err == nil {
 		t.Error("a placeholder past the arguments bound")
 	}
-	// An untyped placeholder takes the kind of its value, and the copy's
-	// comparison is checked again.
+	// Bind checks no comparison: the plan's were checked when it was
+	// made, and an untyped placeholder's by plan.BindParams on the QD.
 	untyped := &BinOp{Op: OpEq, L: &Param{Idx: 0}, R: &Param{Idx: 1}}
-	if _, err := Bind(untyped, []types.Datum{types.NewInt64(1), types.NewString("x")}, nil); err == nil || !strings.Contains(err.Error(), "cannot compare") {
-		t.Errorf("$1 = $2 bound to a number and a string: %v", err)
+	b, err = Bind(untyped, []types.Datum{types.NewInt64(1), types.NewString("x")}, nil)
+	if err != nil || CheckComparison(b) == nil {
+		t.Errorf("$1 = $2 bound to a number and a string: %v, then checked: %v", err, CheckComparison(b))
+	}
+}
+
+// TestBindLikePattern: a LIKE whose pattern is a placeholder prints it,
+// is no literal to fold, and binds to the Like of its argument — a
+// malformed pattern is NewLike's error, a NULL one is NULL.
+func TestBindLikePattern(t *testing.T) {
+	l := &Like{E: &ColRef{Idx: 0, K: types.KindString, Name: "s"}, Param: &Param{Idx: 0, K: types.KindString}}
+	if got := l.String(); got != "(s LIKE $1)" {
+		t.Errorf("String() = %q", got)
+	}
+	lit := &Like{E: NewConst(types.NewString("abc")), Param: l.Param}
+	if f, err := Fold(lit); err != nil || f != Expr(lit) {
+		t.Errorf("Fold of 'abc' LIKE $1 = %v, %v", f, err)
+	}
+	b, err := Bind(l, []types.Datum{types.NewString("a_c")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.(*Like); !ok || got.Param != nil || got.Pattern != "a_c" || got == l {
+		t.Fatalf("bound to %v", b)
+	}
+	if got := mustEval(t, b, types.Row{types.NewString("abc")}); !got.Bool() {
+		t.Errorf("'abc' LIKE 'a_c' = %v", got)
+	}
+	if _, err := Bind(l, []types.Datum{types.NewString(`a\`)}, nil); err == nil || !strings.Contains(err.Error(), "escape") {
+		t.Errorf("a pattern ending in an escape bound: %v", err)
+	}
+	if b, err := Bind(l, []types.Datum{types.Null}, nil); err != nil || !mustEval(t, b, types.Row{types.NewString("x")}).IsNull() {
+		t.Errorf("LIKE NULL = %v, %v", b, err)
+	}
+	if _, err := Bind(l, nil, nil); err == nil {
+		t.Error("a LIKE pattern with no argument bound")
 	}
 }
 

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 
 	"hawq/internal/clock"
 	"hawq/internal/types"
@@ -31,13 +32,13 @@ func (p *Param) Kind() types.Kind { return p.K }
 func (p *Param) String() string { return fmt.Sprintf("$%d", p.Idx+1) }
 
 // Bind returns e as one execution evaluates it: each $n placeholder
-// replaced by a constant holding args[n-1] (already cast to its kind),
-// and each clock builtin (current_date) by a constant holding its value
-// at clk (nil: the wall clock). Only the nodes on the way to one of
-// those are copied, and each comparison copied is checked again, its
-// operands now of their values' kinds (CheckComparison). Any other
-// expression comes back as it is: a plan's expressions are shared by
-// every execution of it and never written.
+// replaced by a constant holding args[n-1] (already cast to its kind), a
+// LIKE of a $n pattern by NewLike's of the argument, and each clock
+// builtin (current_date) by a constant holding its value at clk (nil:
+// the wall clock). Only the nodes on the way to one of those are copied,
+// and no comparison is checked (the planner did). Any other expression
+// comes back as it is: a plan's expressions are shared by every
+// execution of it and never written.
 func Bind(e Expr, args []types.Datum, clk clock.Clock) (Expr, error) {
 	var err error
 	var bind func(Expr) Expr
@@ -52,6 +53,17 @@ func Bind(e Expr, args []types.Datum, clk clock.Clock) (Expr, error) {
 				return e
 			}
 			return NewConst(args[v.Idx])
+		case *Like:
+			if v.Param != nil && v.Param.Idx < len(args) && err == nil {
+				if d = args[v.Param.Idx]; d.IsNull() {
+					return NewConst(d) // LIKE NULL is NULL
+				}
+				var l *Like
+				if l, err = NewLike(bind(v.E), d.S, v.Negate); err == nil {
+					return l
+				}
+				return e
+			}
 		case *FuncCall:
 			if v.impl.evalClock != nil && err == nil {
 				// A clock builtin takes no argument.
@@ -59,14 +71,17 @@ func Bind(e Expr, args []types.Datum, clk clock.Clock) (Expr, error) {
 				return NewConst(d)
 			}
 		}
-		c := mapOperands(e, bind)
-		if c != e && err == nil {
-			err = CheckComparison(c)
-		}
-		return c
+		return mapOperands(e, bind)
 	}
 	if out := bind(e); err == nil {
 		return out, nil
 	}
 	return e, err
+}
+
+// ReadsClock reports whether the builtin function name (any case) reads
+// the clock, as current_date does: its value is the execution's (Bind).
+func ReadsClock(name string) bool {
+	impl := builtins[strings.ToLower(name)]
+	return impl != nil && impl.evalClock != nil
 }

@@ -176,7 +176,7 @@ func CompileFilter(pred Expr) *VecFilter {
 			}
 			f.steps = f.steps[:n]
 		}
-		if l, ok := c.(*Like); ok {
+		if l, ok := c.(*Like); ok && l.Param == nil {
 			if col, ok := l.E.(*ColRef); ok {
 				f.steps = append(f.steps, filterStep{cmp: ColCmp{Col: col.Idx}, r: -1, like: l, e: c})
 				continue

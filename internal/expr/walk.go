@@ -45,8 +45,12 @@ func mapOperands(e Expr, f func(Expr) Expr) Expr {
 			return &IsNull{E: x, Negate: v.Negate}
 		}
 	case *Like:
-		if x := f(v.E); x != v.E {
-			return &Like{E: x, Pattern: v.Pattern, Negate: v.Negate}
+		x := f(v.E)
+		if v.Param != nil {
+			f(v.Param) // visited, never replaced: Bind makes the Like of its argument
+		}
+		if x != v.E {
+			return &Like{E: x, Pattern: v.Pattern, Param: v.Param, Negate: v.Negate}
 		}
 	case *InList:
 		x := f(v.E)
@@ -167,10 +171,11 @@ func Fold(e Expr) (folded Expr, err error) {
 // = <> < <= > >=, BETWEEN, IN — of two operands types.Compare cannot
 // order (types.Comparable): a DATE with a BIGINT, a TEXT with a number.
 // Compare panics on those, inside a QE, so no such node may reach a
-// plan: the binder asks of every comparison it builds, and Bind asks
-// again of each it copies, a placeholder now a constant of its value's
-// kind. NULL and operands of unknown kind compare with everything (to
-// NULL). Only x itself is looked at, not what is under it.
+// plan: the binder asks of each comparison it builds, and again of each
+// once a generic plan's placeholders have their kinds, and BindParams
+// of a bound copy where a kind is the argument's. NULL and operands of
+// unknown kind compare with everything (to NULL). Only x itself is
+// looked at, not what is under it.
 func CheckComparison(x Expr) error {
 	pair := func(l, r Expr) error {
 		if lk, rk := l.Kind(), r.Kind(); lk != types.KindNull && rk != types.KindNull && !types.Comparable(lk, rk) {

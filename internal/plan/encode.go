@@ -76,19 +76,24 @@ func Decode(data []byte) (*Plan, error) {
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("plan: decode: %w", err)
 	}
-	var rebindErr error
+	if err := p.EachExpr(expr.RebindFuncs); err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// EachExpr calls fn on each expression of each node of p (MapExprs's)
+// until fn returns an error, and returns that error.
+func (p *Plan) EachExpr(fn func(expr.Expr) error) (err error) {
 	p.Walk(func(n Node) {
 		MapExprs(n, func(e expr.Expr) expr.Expr {
-			if err := expr.RebindFuncs(e); err != nil && rebindErr == nil {
-				rebindErr = err
+			if err == nil {
+				err = fn(e)
 			}
 			return e
 		})
 	})
-	if rebindErr != nil {
-		return nil, rebindErr
-	}
-	return &p, nil
+	return err
 }
 
 // MapExprs calls f on each expression n holds — a scan's filter, a

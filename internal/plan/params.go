@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 
 	"hawq/internal/expr"
 	"hawq/internal/types"
@@ -22,36 +21,31 @@ func (p *Plan) BindParams(args []types.Datum) error {
 		return fmt.Errorf("plan: expected %d parameters, got %d", len(p.ParamKinds), len(args))
 	}
 	cast := make([]types.Datum, len(p.ParamKinds))
-	for i := range p.ParamKinds {
-		a := args[i]
-		k := p.ParamKinds[i]
-		if k == types.KindNull || a.IsNull() {
-			cast[i] = a
-			continue
+	for i, k := range p.ParamKinds {
+		cast[i] = args[i]
+		if k != types.KindNull {
+			var err error
+			if cast[i], err = types.Cast(args[i], k); err != nil {
+				return fmt.Errorf("plan: parameter $%d: %w", i+1, err)
+			}
 		}
-		c, err := types.Cast(a, k)
-		if err != nil {
-			return fmt.Errorf("plan: parameter $%d: %w", i+1, err)
-		}
-		cast[i] = c
 	}
 	// A placeholder whose kind nothing fixed at prepare time arrives as
-	// whatever the client sent: it must still be something its
-	// comparison can order, and that is asked here, on the QD, of a bound
-	// copy (expr.Bind checks each comparison it copies) before any QE
-	// compares a row. The others were cast to the kind the binder checked.
-	if slices.Contains(p.ParamKinds, types.KindNull) {
-		var bindErr error
-		p.Walk(func(n Node) {
-			MapExprs(n, func(e expr.Expr) expr.Expr {
-				if _, err := expr.Bind(e, cast, nil); err != nil && bindErr == nil {
-					bindErr = fmt.Errorf("plan: %w", err)
+	// whatever the client sent, and a LIKE pattern must be well formed:
+	// both are asked here, on the QD, of a bound copy before any QE
+	// compares a row. The others were cast to the kind the planner
+	// checked.
+	if p.CheckArgs {
+		if err := p.EachExpr(func(e expr.Expr) error {
+			bound, err := expr.Bind(e, cast, nil)
+			expr.Walk(bound, func(x expr.Expr) {
+				if err == nil {
+					err = expr.CheckComparison(x)
 				}
-				return e
 			})
-		})
-		if bindErr != nil {
-			return bindErr
+			return err
+		}); err != nil {
+			return fmt.Errorf("plan: %w", err)
 		}
 	}
 	p.Args = cast

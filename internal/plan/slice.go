@@ -73,6 +73,10 @@ type Plan struct {
 	// EXECUTE casts argument values to these kinds before BindParams.
 	// Empty for plans without placeholders.
 	ParamKinds []types.Kind
+	// CheckArgs asks BindParams to check a bound copy of the plan's
+	// expressions on the QD: a placeholder's kind is left to its argument
+	// ($1 = $2), or it is a LIKE pattern, which must be well formed.
+	CheckArgs bool
 	// Args are one execution's placeholder values, cast to ParamKinds
 	// (BindParams). Like the rest of the header they travel with the plan;
 	// the nodes keep their $n, and an operator binds the values in as it

@@ -214,23 +214,11 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		pat, ok := v.Pattern.(*sqlparser.StrLit)
-		if !ok {
-			// A $n pattern works in specific mode, where the placeholder
-			// binds to its string value at plan time (generic plans cannot
-			// cache a LIKE pattern and fall back to specific planning).
-			if pe, isParam := v.Pattern.(*sqlparser.ParamExpr); isParam {
-				bound, err := b.params.bind(pe.Idx)
-				if err != nil {
-					return nil, err
-				}
-				if c, isConst := bound.(*expr.Const); isConst && c.D.K == types.KindString {
-					return bindLike(inner, c.D.S, v.Negate)
-				}
-			}
-			return nil, fmt.Errorf("planner: LIKE pattern must be a string literal")
+		pat, err := b.bind(v.Pattern)
+		if err != nil {
+			return nil, err
 		}
-		return bindLike(inner, pat.S, v.Negate)
+		return bindLike(inner, pat, v.Negate)
 	case *sqlparser.InExpr:
 		if v.Sub != nil {
 			return nil, fmt.Errorf("planner: IN subquery not valid here (handled as a join)")
@@ -299,11 +287,25 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if b.params != nil && perExecution(v.Sub) {
+			b.params.oneShot = true
+		}
 		return expr.NewConst(d), nil
 	case *sqlparser.ExistsExpr:
 		return nil, fmt.Errorf("planner: EXISTS only supported in WHERE (handled as a join)")
 	}
 	return nil, fmt.Errorf("planner: cannot bind %T", e)
+}
+
+// perExecution reports whether sub reads a placeholder or the clock, so
+// that its value may differ between two executions over the same data.
+func perExecution(sub *sqlparser.SelectStmt) (found bool) {
+	sqlparser.WalkStatement(sub, func(e sqlparser.Expr) {
+		f, isFunc := e.(*sqlparser.FuncExpr)
+		_, isParam := e.(*sqlparser.ParamExpr)
+		found = found || isParam || isFunc && expr.ReadsClock(f.Name)
+	})
+	return found
 }
 
 // bindCompared binds e followed by the values it is compared with, each
@@ -318,18 +320,31 @@ func (b *binder) bindCompared(e sqlparser.Expr, vals []sqlparser.Expr) ([]expr.E
 		if xs[1+i], err = b.bind(v); err != nil {
 			return nil, err
 		}
-		b.params.infer(xs[1+i], xs[0])
+		setKind(xs[1+i], xs[0].Kind())
 		_, xs[1+i] = coerceComparison(xs[0], xs[1+i])
 	}
 	return xs, nil
 }
 
-// bindLike builds "inner [NOT] LIKE pattern" with expr.NewLike's checks.
-func bindLike(inner expr.Expr, pattern string, negate bool) (expr.Expr, error) {
+// bindLike builds "inner [NOT] LIKE pat" with expr.NewLike's checks: pat
+// is a string constant or a placeholder, typed as the operand, which
+// stays the pattern until expr.Bind; an untyped operand is TEXT.
+func bindLike(inner, pat expr.Expr, negate bool) (expr.Expr, error) {
+	setKind(pat, inner.Kind())
+	setKind(pat, types.KindString)
+	setKind(inner, types.KindString)
+	var pattern string
+	param, isParam := pat.(*expr.Param)
+	if c, ok := pat.(*expr.Const); ok && c.D.K == types.KindString {
+		pattern = c.D.S
+	} else if !isParam || param.K != types.KindString && param.K != types.KindBytes {
+		return nil, fmt.Errorf("planner: LIKE pattern must be a string literal")
+	}
 	l, err := expr.NewLike(inner, pattern, negate)
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
+	l.Param = param
 	return l, nil
 }
 
@@ -393,8 +408,8 @@ func (b *binder) bindBinary(v *sqlparser.BinExpr) (expr.Expr, error) {
 	if !ok {
 		return nil, fmt.Errorf("planner: unknown operator %q", v.Op)
 	}
-	b.params.infer(l, r)
-	b.params.infer(r, l)
+	setKind(l, r.Kind())
+	setKind(r, l.Kind())
 	// Comparing a date column with a string literal: coerce the literal.
 	if op.IsComparison() {
 		l, r = coerceComparison(l, r)

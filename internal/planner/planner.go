@@ -32,12 +32,13 @@ type Planner struct {
 	DisableColocation bool
 
 	// Params supplies EXECUTE argument values for $n placeholders, bound
-	// into the plan as constants (specific planning; the plan must not be
-	// cached across different argument values).
+	// into the plan as constants (specific planning, which DML uses; the
+	// plan must not be cached across different argument values).
 	Params []types.Datum
 	// GenericParams plans $n placeholders as execution-time expr.Param
 	// nodes instead, so the plan is value-independent and cacheable; the
 	// emitted plan's ParamKinds records each placeholder's inferred kind.
+	// Every SELECT is planned so.
 	GenericParams bool
 
 	// st is what the statement being planned shares across its blocks,
@@ -77,12 +78,14 @@ func joins(stmt *sqlparser.SelectStmt) bool {
 
 // paramBinder resolves $n placeholders during binding. In specific mode
 // each placeholder becomes a Const holding the EXECUTE argument; in
-// generic mode it becomes an expr.Param whose kind is inferred from
-// comparison context.
+// generic mode it becomes the statement's one expr.Param of that index,
+// shared by every occurrence, so that the kind one comparison infers
+// (setKind) is every occurrence's.
 type paramBinder struct {
 	vals    []types.Datum // specific mode values (nil in generic mode)
 	generic bool
-	kinds   []types.Kind // generic mode: inferred kind per 0-based index
+	params  []*expr.Param // generic mode: $n's node at n-1
+	oneShot bool          // the plan holds a value of one execution (Planner.OneShot)
 }
 
 // paramBinder returns the statement's shared placeholder binder.
@@ -99,10 +102,10 @@ func (pb *paramBinder) bind(idx int) (expr.Expr, error) {
 		return nil, fmt.Errorf("planner: parameter $%d not allowed in this context", idx)
 	}
 	if pb.generic {
-		for len(pb.kinds) < idx {
-			pb.kinds = append(pb.kinds, types.KindNull)
+		for len(pb.params) < idx {
+			pb.params = append(pb.params, &expr.Param{Idx: len(pb.params)})
 		}
-		return &expr.Param{Idx: idx - 1, K: pb.kinds[idx-1]}, nil
+		return pb.params[idx-1], nil
 	}
 	if idx > len(pb.vals) {
 		return nil, fmt.Errorf("planner: parameter $%d out of range (%d supplied)", idx, len(pb.vals))
@@ -110,29 +113,41 @@ func (pb *paramBinder) bind(idx int) (expr.Expr, error) {
 	return expr.NewConst(pb.vals[idx-1]), nil
 }
 
-// infer fixes an unknown-kind Param on one side of a comparison or
-// arithmetic to the other side's kind, so EXECUTE can cast argument
-// values before binding (e.g. a date column compared to $1 makes $1 a
-// date even when the argument arrives as a string).
-func (pb *paramBinder) infer(a, b expr.Expr) {
-	if pb == nil || !pb.generic {
-		return
+// setKind gives e kind k when e is a placeholder of unknown kind: one
+// side of a comparison or arithmetic takes the other's, so EXECUTE can
+// cast argument values before binding (a date column compared to $1
+// makes $1 a date even when the argument arrives as a string).
+func setKind(e expr.Expr, k types.Kind) {
+	if pa, ok := e.(*expr.Param); ok && pa.K == types.KindNull {
+		pa.K = k
 	}
-	pa, ok := a.(*expr.Param)
-	if !ok || pa.K != types.KindNull {
-		return
+}
+
+// finish ends generic planning of pl: ParamKinds is read from the
+// placeholders, each comparison is checked again with their final kinds
+// (one typed after it was bound would reach a QE as BIGINT vs TEXT), and
+// CheckArgs is set where a kind is the argument's or a LIKE pattern's.
+func (pb *paramBinder) finish(pl *plan.Plan) error {
+	if len(pb.params) == 0 {
+		return nil
 	}
-	if _, otherParam := b.(*expr.Param); otherParam {
-		return
+	for _, pa := range pb.params {
+		pl.ParamKinds = append(pl.ParamKinds, pa.K)
+		pl.CheckArgs = pl.CheckArgs || pa.K == types.KindNull
 	}
-	k := b.Kind()
-	if k == types.KindNull {
-		return
+	if err := pl.EachExpr(func(e expr.Expr) (err error) {
+		expr.Walk(e, func(x expr.Expr) {
+			l, isLike := x.(*expr.Like)
+			pl.CheckArgs = pl.CheckArgs || isLike && l.Param != nil
+			if err == nil {
+				err = expr.CheckComparison(x)
+			}
+		})
+		return err
+	}); err != nil {
+		return fmt.Errorf("planner: %w", err)
 	}
-	pa.K = k
-	if pa.Idx < len(pb.kinds) && pb.kinds[pa.Idx] == types.KindNull {
-		pb.kinds[pa.Idx] = k
-	}
+	return nil
 }
 
 // distKind classifies how a relation's rows are spread across the
@@ -260,11 +275,15 @@ func (p *Planner) PlanSelect(stmt *sqlparser.SelectStmt) (*plan.Plan, error) {
 	}
 	rel = p.gatherToQD(rel)
 	sliced := plan.Build(rel.node, []int{plan.QDSegment}, p.allSegments(), p.NumSegments)
-	if p.st.prm.generic {
-		sliced.ParamKinds = p.st.prm.kinds
+	if err := p.st.prm.finish(sliced); err != nil {
+		return nil, err
 	}
 	return sliced, nil
 }
+
+// OneShot reports whether the last plan holds a value of one execution (a
+// scalar subquery over a placeholder or the clock): it is never stored.
+func (p *Planner) OneShot() bool { return p.st != nil && p.st.prm.oneShot }
 
 // gatherToQD adds a gather motion unless the relation is already on the
 // master.

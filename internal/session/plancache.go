@@ -28,8 +28,7 @@ type cacheEntry struct {
 	val any
 }
 
-// NewPlanCache creates a cache bounded to capacity entries; capacity
-// <= 0 disables caching (Get always misses, Put is a no-op).
+// NewPlanCache creates a cache bounded to capacity (> 0) entries.
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{cap: capacity, lru: list.New(), byK: map[string]*list.Element{}}
 }
@@ -71,9 +70,6 @@ func (c *PlanCache) Get(key string, ver uint64) (any, bool) {
 func (c *PlanCache) Put(key string, ver uint64, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
-	}
 	if el, ok := c.byK[key]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.ver > ver {
@@ -96,19 +92,6 @@ func (c *PlanCache) Put(key string, ver uint64, val any) {
 func (c *PlanCache) removeLocked(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.byK, e.key)
-}
-
-// Resize changes the capacity (the plan_cache_size setting), evicting
-// down to the new bound; 0 disables and flushes.
-func (c *PlanCache) Resize(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capacity
-	for c.lru.Len() > c.cap && c.lru.Len() > 0 {
-		c.removeLocked(c.lru.Back())
-		c.evictions++
-		cacheEvictions.Inc()
-	}
 }
 
 // Flush drops every entry (promotion installs a fresh transaction

@@ -65,25 +65,6 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheResizeAndDisable(t *testing.T) {
-	c := NewPlanCache(8)
-	for i := 0; i < 8; i++ {
-		c.Put(fmt.Sprintf("q%d", i), 0, []byte{byte(i)})
-	}
-	c.Resize(2)
-	if st := c.Stats(); st.Size != 2 || st.Capacity != 2 {
-		t.Fatalf("after resize: %+v", st)
-	}
-	c.Resize(0)
-	if st := c.Stats(); st.Size != 0 {
-		t.Fatalf("disable should flush, size=%d", st.Size)
-	}
-	c.Put("x", 0, []byte("x"))
-	if _, ok := c.Get("x", 0); ok {
-		t.Fatal("disabled cache stored an entry")
-	}
-}
-
 func TestPlanCacheConcurrent(t *testing.T) {
 	c := NewPlanCache(16)
 	var wg sync.WaitGroup
@@ -107,7 +88,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	p := &Prepared{Name: "Q1", SQL: "SELECT 1", NumParams: 2}
+	p := &Prepared{Name: "Q1", NumParams: 2}
 	if err := r.Put(p); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +96,7 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("duplicate name accepted (case-insensitive)")
 	}
 	got, err := r.Get("q1")
-	if err != nil || got.SQL != "SELECT 1" {
+	if err != nil || got != p {
 		t.Fatalf("get: %v %+v", err, got)
 	}
 	if err := got.ValidateArgCount(1); err == nil {
@@ -130,8 +111,11 @@ func TestRegistry(t *testing.T) {
 	if err := r.Remove("Q1"); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.Put(p); err != nil {
+		t.Fatal(err)
+	}
 	r.Clear()
-	if r.Len() != 0 {
+	if _, err := r.Get("q1"); err == nil {
 		t.Fatal("clear left statements behind")
 	}
 }

@@ -28,8 +28,6 @@ type Prepared struct {
 	Name string
 	// Stmt is the parsed inner statement (never re-parsed on EXECUTE).
 	Stmt sqlparser.Statement
-	// SQL is the canonical rendering, used for fingerprinting and logs.
-	SQL string
 	// NumParams is the number of $n placeholders.
 	NumParams int
 }
@@ -88,13 +86,6 @@ func (r *Registry) Clear() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	clear(r.stmts)
-}
-
-// Len returns the number of registered statements.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.stmts)
 }
 
 // Plan-cache counters in the process-wide obs registry, resolved once so

@@ -137,7 +137,7 @@ func (p *parser) parseDeallocate() (Statement, error) {
 // the statement (0 when the statement has none).
 func MaxParam(s Statement) int {
 	max := 0
-	walkStatement(s, func(e Expr) {
+	WalkStatement(s, func(e Expr) {
 		if pe, ok := e.(*ParamExpr); ok && pe.Idx > max {
 			max = pe.Idx
 		}
@@ -148,14 +148,10 @@ func MaxParam(s Statement) int {
 // CheckParams validates that a prepared statement's placeholders are
 // well-formed: indices start at $1 and are contiguous.
 func CheckParams(s Statement) error {
-	seen := map[int]bool{}
-	max := 0
-	walkStatement(s, func(e Expr) {
+	seen, max := map[int]bool{}, MaxParam(s)
+	WalkStatement(s, func(e Expr) {
 		if pe, ok := e.(*ParamExpr); ok {
 			seen[pe.Idx] = true
-			if pe.Idx > max {
-				max = pe.Idx
-			}
 		}
 	})
 	for i := 1; i <= max; i++ {
@@ -169,9 +165,9 @@ func CheckParams(s Statement) error {
 	return nil
 }
 
-// walkStatement visits every expression in the statement, including
+// WalkStatement visits every expression in the statement, including
 // subqueries, in syntax order.
-func walkStatement(s Statement, fn func(Expr)) {
+func WalkStatement(s Statement, fn func(Expr)) {
 	switch v := s.(type) {
 	case *SelectStmt:
 		walkSelect(v, fn)
@@ -192,9 +188,9 @@ func walkStatement(s Statement, fn func(Expr)) {
 	case *DeleteStmt:
 		walkExpr(v.Where, fn)
 	case *ExplainStmt:
-		walkStatement(v.Stmt, fn)
+		WalkStatement(v.Stmt, fn)
 	case *PrepareStmt:
-		walkStatement(v.Stmt, fn)
+		WalkStatement(v.Stmt, fn)
 	case *ExecuteStmt:
 		for _, e := range v.Args {
 			walkExpr(e, fn)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"hawq/internal/types"
 )
@@ -18,8 +19,13 @@ import (
 // to zip the columns back into rows.
 type colWriter struct {
 	laneOut
-	vals       [][]types.Datum
+	ncols int
+	// chunks hold the buffered rows' datums, row after row, each twice
+	// the one before, so a growing buffer is never copied; a flush
+	// gathers each column into col and keeps the last chunk, emptied.
+	chunks     [][]types.Datum
 	size, rows int
+	col        []types.Datum
 	// pass is per-flush scratch, reused with the group's from flush to
 	// flush.
 	pass pagePass
@@ -27,16 +33,20 @@ type colWriter struct {
 
 // Append implements Writer.
 func (w *colWriter) Append(row types.Row) error {
-	if len(row) != len(w.vals) {
-		return fmt.Errorf("storage: columnar row width %d, want %d", len(row), len(w.vals))
+	if len(row) != w.ncols {
+		return fmt.Errorf("storage: columnar row width %d, want %d", len(row), w.ncols)
 	}
-	for i, d := range row {
-		w.vals[i] = append(w.vals[i], d)
+	last := len(w.chunks) - 1
+	if c := w.chunks[last]; len(c) == cap(c) {
+		w.chunks, last = append(w.chunks, make([]types.Datum, 0, 2*cap(c))), last+1
+	}
+	w.chunks[last] = append(w.chunks[last], row...)
+	for _, d := range row {
 		w.size += 10 + len(d.S) // about d's flat encoded size
 	}
 	w.rows++
 	w.tuples++
-	if w.size >= DefaultBlockTarget*len(w.vals) {
+	if w.size >= DefaultBlockTarget*w.ncols {
 		return w.Flush()
 	}
 	return nil
@@ -48,20 +58,27 @@ func (w *colWriter) Flush() error {
 	if w.rows == 0 {
 		return nil
 	}
-	for i, vals := range w.vals {
-		w.group.add(w.codec, w.pass.encode(vals), w.pass.zone, w.pass.raw)
+	for i := range w.ncols {
+		col := slices.Grow(w.col[:0], w.rows)
+		for _, c := range w.chunks {
+			for at := i; at < len(c); at += w.ncols {
+				col = append(col, c[at])
+			}
+		}
+		w.col = col
+		w.group.add(w.codec, w.pass.encode(col), w.pass.zone, w.pass.raw)
 		w.stats.AddPage(i, &w.pass.PageStats)
-		w.vals[i] = vals[:0]
 		var err error
 		if w.co {
 			err = w.write(i, w.rows)
-		} else if i == len(w.vals)-1 {
+		} else if i == w.ncols-1 {
 			err = w.write(0, w.rows)
 		}
 		if err != nil {
 			return err
 		}
 	}
+	w.chunks = append(w.chunks[:0], w.chunks[len(w.chunks)-1][:0])
 	w.rows, w.size = 0, 0
 	return nil
 }

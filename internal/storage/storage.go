@@ -110,7 +110,8 @@ func NewWriter(fs *hdfs.FileSystem, spec catalog.StorageSpec, schema *types.Sche
 	}
 	switch spec.Orientation {
 	case catalog.OrientColumn, catalog.OrientParquet:
-		return &colWriter{laneOut: out, vals: make([][]types.Datum, schema.Len())}, nil
+		n := schema.Len()
+		return &colWriter{laneOut: out, ncols: n, chunks: [][]types.Datum{make([]types.Datum, 0, n)}}, nil
 	default:
 		return &aoWriter{laneOut: out}, nil
 	}

@@ -64,6 +64,8 @@ func TestSelfDescribedPlanExecutes(t *testing.T) {
 		{"generic $n", "SELECT l_returnflag, sum(l_quantity * $1) FROM lineitem WHERE l_orderkey <= $2 GROUP BY l_returnflag",
 			[]types.Datum{types.NewInt64(2), types.NewInt64(400)}},
 		{"current_date", "SELECT count(*) FROM orders WHERE o_orderdate < current_date()", nil},
+		{"LIKE $1", "SELECT p_partkey, p_name FROM part WHERE p_name LIKE $1 AND p_type NOT LIKE $2",
+			[]types.Datum{types.NewString("%gr_en%"), types.NewString(`%BRASS\%`)}},
 	}
 	for _, n := range AllQueryNumbers() {
 		cases = append(cases, stmtCase{fmt.Sprintf("Q%d", n), Queries[n], nil})

@@ -50,7 +50,7 @@
 #
 # It then runs the concurrent-serving sweep (hawq-bench -exp
 # concurrency): a closed-loop multi-session driver over the TPC-H mix
-# at 1..1024 sessions, prepared vs prepared_nocache vs simple, writing
+# at 1..1024 sessions, prepared vs simple, writing
 # QPS and p50/p95/p99 latency to BENCH_concurrency.json.
 #
 # Usage:

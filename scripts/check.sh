@@ -103,7 +103,12 @@
 #                                  written: no per-node plan copy
 #                                  (cloneNode, expr.Clone) and no
 #                                  clock stamped into a plan's
-#                                  expressions (BindClock) returns
+#                                  expressions (BindClock) returns,
+#                                  and a prepared SELECT has one plan:
+#                                  no plan-cache setting or resize
+#                                  (plan_cache_size, noPlanCache, the
+#                                  bench's ModeNoCache) and no second
+#                                  SELECT planner in planCached returns
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -239,6 +244,11 @@ if grep -rnE 'copyIn[T]x|runMaintenance[S]QL' internal cmd; then
 fi
 if grep -rnE 'clone[N]ode|clone[E]xpr|CloneAgg[S]pec|expr\.Clo[n]e\(|Bind[C]lock' internal cmd bench_test.go; then
     echo "stays deleted: a plan is read-only once planned; an operator binds the arguments and the clock into its own copy of an expression as it is built (expr.Bind), and plan.Clone copies only the header (see above)" >&2
+    exit 1
+fi
+if grep -rnE --exclude='*_test.go' 'plan_cache_[s]ize|noPlan[C]ache|ModeNo[C]ache|PlanCache\) [R]esize' internal cmd ||
+    (( $(awk '/^func \(s \*Session\) planCached\(/,/^}/' internal/engine/select.go | grep -cE '[Pp]lanner\(') > 1 )); then
+    echo "stays deleted: a prepared SELECT is planned one way, generically, on every path; the plan cache has no settings and planCached builds one planner (see above)" >&2
     exit 1
 fi
 engine_src="$(ls internal/engine/*.go | grep -v '_test\.go$')"
