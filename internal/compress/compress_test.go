@@ -163,13 +163,24 @@ func TestLookupAndNames(t *testing.T) {
 	}
 }
 
+// BenchmarkQuicklzCompress compresses a page-sized input (256B: most
+// pages of a COPY are smaller than that), a 4 KiB one and a 1 MiB one,
+// each into a reused buffer, so what is timed is the compressor alone.
 func BenchmarkQuicklzCompress(b *testing.B) {
-	data := mixedBytes(3, 1<<20)
 	c, _ := Lookup("quicklz")
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Compress(nil, data)
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"256B", 256}, {"4KiB", 4 << 10}, {"1MiB", 1 << 20}} {
+		b.Run(size.name, func(b *testing.B) {
+			data := mixedBytes(3, size.n)
+			var dst []byte
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = c.Compress(dst[:0], data)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 )
 
 // lzCodec is a from-scratch byte-oriented LZ77 in the spirit of
@@ -39,22 +41,36 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
+// lzTable is the hash table, kept between calls so that none clears 64 KiB.
+// Position i is stored as base+i and base then passes the input, so an older
+// entry, or a new table's zero (base starts at 1), reads as the cleared -1.
+type lzTable struct {
+	pos  [lzHashSize]int32
+	base int32
+}
+
+var lzTables = sync.Pool{New: func() any { return &lzTable{base: 1} }}
+
 func (c lzCodec) Compress(dst, src []byte) []byte {
+	t := lzTables.Get().(*lzTable)
+	defer lzTables.Put(t)
+	return t.compress(dst, src)
+}
+
+func (t *lzTable) compress(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if len(src) == 0 {
-		return dst
-	}
-	var table [lzHashSize]int32
-	for i := range table {
-		table[i] = -1
-	}
 	n := len(src)
+	if int64(t.base)+int64(n) > math.MaxInt32 {
+		*t = lzTable{base: 1}
+	}
+	base := t.base
+	t.base += int32(n)
 	litStart := 0
 	i := 0
 	for i+lzMinMatch <= n {
 		h := lzHash(load32(src, i))
-		cand := int(table[h])
-		table[h] = int32(i)
+		cand := int(t.pos[h] - base)
+		t.pos[h] = base + int32(i)
 		if cand >= 0 && i-cand < lzMaxOffset && load32(src, cand) == load32(src, i) {
 			// Extend the match forward.
 			m := i + lzMinMatch
@@ -67,7 +83,7 @@ func (c lzCodec) Compress(dst, src []byte) []byte {
 			// Index a couple of positions inside the match to help
 			// find subsequent overlapping matches.
 			if m+lzMinMatch <= n {
-				table[lzHash(load32(src, m-1))] = int32(m - 1)
+				t.pos[lzHash(load32(src, m-1))] = base + int32(m-1)
 			}
 			i = m
 			litStart = i

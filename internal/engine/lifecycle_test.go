@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +106,45 @@ func TestCopyIsCounted(t *testing.T) {
 	}
 	if engineQueries.Value() <= before {
 		t.Fatal("COPY did not advance engine.queries")
+	}
+}
+
+// TestCopyCastsWithoutWritingTheCallersRows: COPY casts a cell to its
+// column's kind and scale (text to DECIMAL, DECIMAL at scale 4 to scale
+// 2, INTEGER to BIGINT) in rows of its own, beside rows that need no
+// cast, and the rows the caller handed in are left as they were.
+func TestCopyCastsWithoutWritingTheCallersRows(t *testing.T) {
+	e := newTestEngine(t, 2)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE t (k INT8, amt DECIMAL(10,2), note TEXT) DISTRIBUTED BY (k)")
+	rows := []types.Row{
+		{types.NewInt64(1), types.NewDecimal(100, 2), types.NewString("as is")},
+		{types.NewInt64(2), types.NewString(" 3.456 "), types.NewString("text")},
+		{types.NewInt64(3), types.NewDecimal(12345, 4), types.NewString("scale")},
+		{types.NewInt64(4), types.NewDecimal(250, 2), types.NewString("as is")},
+		{types.NewInt32(5), types.NewDecimal(-5, 3), types.NewString("int, scale")},
+	}
+	before := make([]types.Row, len(rows))
+	for i, r := range rows {
+		before[i] = slices.Clone(r)
+	}
+	if n, err := s.CopyFrom("t", rows); err != nil || n != int64(len(rows)) {
+		t.Fatalf("COPY = %d rows, %v", n, err)
+	}
+	for i := range rows {
+		if !slices.Equal(rows[i], before[i]) {
+			t.Errorf("caller's row %d = %v after COPY, was %v", i, rows[i], before[i])
+		}
+	}
+	res := mustExec(t, s, "SELECT k, amt FROM t ORDER BY k")
+	want := []string{"1 1.00", "2 3.46", "3 1.23", "4 2.50", "5 -0.01"}
+	for i, r := range res.Rows {
+		if got := r[0].String() + " " + r[1].String(); i >= len(want) || got != want[i] {
+			t.Errorf("row %d = %q, want %q", i, got, want)
+		}
+	}
+	if len(res.Rows) != len(want) {
+		t.Errorf("%d rows loaded, want %d", len(res.Rows), len(want))
 	}
 }
 

@@ -51,9 +51,52 @@ func TestPrepareExecuteDeallocate(t *testing.T) {
 	if _, err := s.Query("PREPARE bad AS SELECT balance FROM accounts WHERE id = $2"); err == nil {
 		t.Fatal("gap in parameter numbering accepted")
 	}
-	// Placeholders outside PREPARE are rejected.
-	if _, err := s.Query("SELECT balance FROM accounts WHERE id = $1"); err == nil {
-		t.Fatal("bare placeholder accepted")
+	// Placeholders outside PREPARE are rejected before they are
+	// planned, so no cache slot holds a plan no execution can bind.
+	size := e.PlanCache().Stats().Size
+	if _, err := s.Query("SELECT owner FROM accounts WHERE id = $1"); err == nil ||
+		err.Error() != "plan: expected 1 parameters, got 0" {
+		t.Fatalf("bare placeholder: err = %v", err)
+	}
+	if got := e.PlanCache().Stats().Size; got != size {
+		t.Fatalf("plan cache holds %d plans after the refusal, %d before", got, size)
+	}
+}
+
+// TestDatePlusIntervalCoercesItsOperand: the operand of date ± INTERVAL
+// is a date whatever spells it — a string constant is cast to one, as a
+// comparison casts it, and a bare $n is typed as one, so an EXECUTE
+// with a string argument answers as one with a DATE argument.
+func TestDatePlusIntervalCoercesItsOperand(t *testing.T) {
+	e := newTestEngine(t, 2)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE days (k INT8, d DATE) DISTRIBUTED BY (k)")
+	mustExec(t, s, "INSERT INTO days VALUES (1, DATE '2014-01-01'), (2, DATE '2014-01-04')")
+
+	if got := mustExec(t, s, "SELECT '2014-01-02' + INTERVAL '3 day'").Rows[0][0].String(); got != "2014-01-05" {
+		t.Errorf("'2014-01-02' + INTERVAL '3 day' = %s, want 2014-01-05", got)
+	}
+	if got := mustExec(t, s, "SELECT '2014-01-02' - INTERVAL '1' MONTH").Rows[0][0].String(); got != "2013-12-02" {
+		t.Errorf("'2014-01-02' - INTERVAL '1' MONTH = %s, want 2013-12-02", got)
+	}
+	if _, err := s.Query("SELECT 'soon' + INTERVAL '3 day'"); err == nil {
+		t.Error("'soon' + INTERVAL accepted")
+	}
+	// The string form folds to a constant as the DATE form does, so the
+	// scan's filter (and a zone map) sees the value.
+	plan := strings.Join(rowsString(mustExec(t, s, "EXPLAIN SELECT k FROM days WHERE d < '2014-01-02' + INTERVAL '3 day'")), "\n")
+	if !strings.Contains(plan, "(d < 2014-01-05)") {
+		t.Errorf("filter not folded to a constant:\n%s", plan)
+	}
+	mustExec(t, s, "PREPARE q AS SELECT count(*) FROM days WHERE d < $1 + INTERVAL '3 day'")
+	for _, q := range []string{
+		"SELECT count(*) FROM days WHERE d < '2014-01-02' + INTERVAL '3 day'",
+		"EXECUTE q ('2014-01-02')",
+		"EXECUTE q (DATE '2014-01-02')",
+	} {
+		if got := mustExec(t, s, q).Rows[0][0].Int(); got != 2 {
+			t.Errorf("%s = %d rows, want 2", q, got)
+		}
 	}
 }
 

@@ -160,6 +160,12 @@ func (s *Session) planCached(ctx context.Context, t *tx.Tx, stmt *sqlparser.Sele
 		}
 	}
 	if shared == nil {
+		// A $n with no argument (a text statement outside PREPARE) is
+		// refused as BindParams refuses it, before a plan no execution
+		// could bind is made and stored.
+		if n := sqlparser.MaxParam(stmt); n > len(s.curParams) {
+			return nil, fmt.Errorf("plan: expected %d parameters, got %d", n, len(s.curParams))
+		}
 		p := s.newPlanner(ctx, t)
 		p.Snap = snap // the lookup's version
 		var err error

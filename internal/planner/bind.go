@@ -389,6 +389,12 @@ func (b *binder) bindBinary(v *sqlparser.BinExpr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		setKind(l, types.KindDate) // a date: a $n is typed, a string cast
+		if l.Kind() == types.KindString {
+			if l, err = expr.Fold(&expr.Cast{E: l, To: types.KindDate}); err != nil {
+				return nil, fmt.Errorf("planner: %w", err)
+			}
+		}
 		n := iv.N
 		if v.Op == "-" {
 			n = -n

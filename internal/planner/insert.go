@@ -44,17 +44,25 @@ func values(rows []types.Row, schema *types.Schema) *relation {
 func (p *Planner) PlanCopy(rows []types.Row, targets []plan.InsertTarget, segno int) (*plan.Plan, error) {
 	desc := targets[0].Table
 	schema := desc.Schema
-	cast := make([]types.Row, len(rows))
+	cast := rows // the caller's: a row a cast changes is copied, and the slice with it
 	for i, r := range rows {
 		if len(r) != schema.Len() {
 			return nil, fmt.Errorf("planner: COPY row %d has %d columns, table %s has %d",
 				i, len(r), desc.Name, schema.Len())
 		}
-		cast[i] = make(types.Row, len(r))
 		for j, d := range r {
-			var err error
-			if cast[i][j], err = types.CastScale(d, schema.Columns[j].Kind, schema.Columns[j].Scale); err != nil {
+			c, err := types.CastScale(d, schema.Columns[j].Kind, schema.Columns[j].Scale)
+			if err != nil {
 				return nil, fmt.Errorf("planner: COPY column %s: %w", schema.Columns[j].Name, err)
+			}
+			if c != d {
+				if &cast[0] == &rows[0] {
+					cast = slices.Clone(rows)
+				}
+				if &cast[i][0] == &r[0] {
+					cast[i] = slices.Clone(r)
+				}
+				cast[i][j] = c
 			}
 		}
 	}

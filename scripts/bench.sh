@@ -9,7 +9,8 @@
 # and left warm (ScanAO/{cold,warm}, ScanCO/{cold,warm}) — the
 # lane writers of the three formats over one segment's share of a
 # 500-row lineitem COPY (LaneWrite/{row,column,parquet}), the
-# quicklz page decompressor, the typed-vector kernels layer by layer
+# quicklz page decompressor and compressor (QuicklzCompress: a
+# 256 B page, 4 KiB and 1 MiB), the typed-vector kernels layer by layer
 # (VecFilter: one col < const kernel per kind and page encoding; VecArith:
 # the Q1 decimal expression; VecAgg: the Q1 and Q6 shapes, an integer
 # group key, a string-and-decimal one and the Q18 shape (VecAgg/q18shape:
@@ -83,7 +84,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     RACE=(-race)
 fi
 
-PATTERN='BenchmarkEncodeRow|BenchmarkLaneWrite|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPlan$|BenchmarkPointLookup|BenchmarkServedPoint|BenchmarkUDPShortStream'
+PATTERN='BenchmarkEncodeRow|BenchmarkLaneWrite|BenchmarkDecodeRow|BenchmarkDecodeBatch|BenchmarkLZDecompress|BenchmarkQuicklzCompress|BenchmarkScanAO|BenchmarkScanCO|BenchmarkScanParquet|BenchmarkVecFilter|BenchmarkVecArith|BenchmarkScanFilterProject|BenchmarkHashAgg|BenchmarkVecAgg|BenchmarkDistinct|BenchmarkMotionLoopback|BenchmarkMotionRoute|BenchmarkHashJoin|BenchmarkSpillJoin|BenchmarkStatsOverhead|BenchmarkMasterRecovery|BenchmarkDispatchFloor|BenchmarkPlanShip|BenchmarkPlan$|BenchmarkPointLookup|BenchmarkServedPoint|BenchmarkUDPShortStream'
 PKGS="./internal/types ./internal/compress ./internal/storage ./internal/expr ./internal/executor ./internal/interconnect ./internal/cluster ./internal/client ."
 
 OUT="BENCH_micro.json"
