@@ -48,7 +48,8 @@ func (c *Catalog) CaQL(t *tx.Tx, query string) (*CaQLResult, error) {
 
 // bindCaQL binds a parsed expression against a system table schema. Only
 // the forms CaQL needs are supported: column refs, literals, comparisons,
-// AND/OR/NOT, IN lists and LIKE.
+// AND/OR/NOT, IN lists and LIKE; each operator is resolved through the
+// planner's signature table (expr.Apply), so none reaches Eval ill-typed.
 func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 	switch v := e.(type) {
 	case *sqlparser.Ident:
@@ -82,10 +83,7 @@ func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v.Op == "not" {
-			return &expr.Not{E: inner}, nil
-		}
-		return &expr.Neg{E: inner}, nil
+		return expr.Apply(strings.ToUpper(v.Op), inner)
 	case *sqlparser.BinExpr:
 		l, err := bindCaQL(v.L, schema)
 		if err != nil {
@@ -99,7 +97,7 @@ func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("caql: unsupported operator %q", v.Op)
 		}
-		return expr.NewBinOp(op, l, r), nil
+		return expr.Apply(op.String(), l, r)
 	case *sqlparser.LikeExpr:
 		inner, err := bindCaQL(v.E, schema)
 		if err != nil {
@@ -124,10 +122,14 @@ func bindCaQL(e sqlparser.Expr, schema *types.Schema) (expr.Expr, error) {
 		}
 		items := make([]expr.Expr, len(v.List))
 		for i, item := range v.List {
-			items[i], err = bindCaQL(item, schema)
+			var pair []expr.Expr
+			if items[i], err = bindCaQL(item, schema); err == nil {
+				pair, err = expr.Resolve("=", inner, items[i])
+			}
 			if err != nil {
 				return nil, err
 			}
+			inner, items[i] = pair[0], pair[1]
 		}
 		return &expr.InList{E: inner, Items: items, Negate: v.Negate}, nil
 	case *sqlparser.IsNullExpr:
@@ -159,6 +161,9 @@ func caqlWhere(where sqlparser.Expr, schema *types.Schema, evalErr *error) (func
 		return nil, nil
 	}
 	bound, err := bindCaQL(where, schema)
+	if err == nil {
+		_, err = expr.Resolve("WHERE", bound)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -52,28 +52,19 @@ type AggSpec struct {
 	Distinct bool
 }
 
-// ResultKind is the output kind of the aggregate.
+// NewAggSpec resolves the aggregate k over arg through the signature
+// table (Resolve): arg as it takes it, or its refusal.
+func NewAggSpec(k AggKind, arg Expr, distinct bool) (AggSpec, error) {
+	args, err := Resolve(k.String(), arg)
+	return AggSpec{Kind: k, Arg: args[0], Distinct: distinct}, err
+}
+
+// ResultKind is the output kind of the aggregate: its signature's.
 func (s AggSpec) ResultKind() types.Kind {
-	switch s.Kind {
-	case AggCount, AggCountStar:
-		return types.KindInt64
-	case AggAvg:
-		return types.KindFloat64
-	case AggSum:
-		switch s.Arg.Kind() {
-		case types.KindFloat64:
-			return types.KindFloat64
-		case types.KindDecimal:
-			return types.KindDecimal
-		default:
-			return types.KindInt64
-		}
-	default:
-		if s.Arg == nil {
-			return types.KindNull
-		}
-		return s.Arg.Kind()
+	if s.Arg == nil {
+		return resultKind(s.Kind.String())
 	}
+	return resultKind(s.Kind.String(), s.Arg)
 }
 
 // String renders the aggregate for EXPLAIN output.

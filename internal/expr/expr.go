@@ -121,30 +121,8 @@ type BinOp struct {
 // NewBinOp builds a binary operation node.
 func NewBinOp(op BinOpKind, l, r Expr) *BinOp { return &BinOp{Op: op, L: l, R: r} }
 
-// Kind implements Expr.
-func (b *BinOp) Kind() types.Kind {
-	switch {
-	case b.Op.IsComparison(), b.Op == OpAnd, b.Op == OpOr:
-		return types.KindBool
-	case b.Op == OpConcat:
-		return types.KindString
-	default:
-		lk, rk := b.L.Kind(), b.R.Kind()
-		if lk == types.KindDate || rk == types.KindDate {
-			if lk == rk {
-				return types.KindInt64
-			}
-			return types.KindDate
-		}
-		if lk == types.KindFloat64 || rk == types.KindFloat64 || b.Op == OpDiv && (lk == types.KindDecimal || rk == types.KindDecimal) {
-			return types.KindFloat64
-		}
-		if lk == types.KindDecimal || rk == types.KindDecimal {
-			return types.KindDecimal
-		}
-		return types.KindInt64
-	}
-}
+// Kind implements Expr: its signature's (sigs).
+func (b *BinOp) Kind() types.Kind { return resultKind(b.Op.String(), b.L, b.R) }
 
 // String renders the expression as SQL-like text for EXPLAIN output.
 func (b *BinOp) String() string {
@@ -281,8 +259,8 @@ func (n *Neg) Eval(row types.Row) (types.Datum, error) {
 	return types.Neg(v), nil
 }
 
-// Kind implements Expr.
-func (n *Neg) Kind() types.Kind { return n.E.Kind() }
+// Kind implements Expr: its signature's (sigs).
+func (n *Neg) Kind() types.Kind { return resultKind("-", n.E) }
 
 // String renders the expression as SQL-like text for EXPLAIN output.
 func (n *Neg) String() string { return fmt.Sprintf("(-%s)", n.E) }
@@ -567,15 +545,21 @@ func (c *Case) Eval(row types.Row) (types.Datum, error) {
 	return c.Else.Eval(row)
 }
 
-// Kind implements Expr.
+// Kind implements Expr: the one kind binding brought the results to.
 func (c *Case) Kind() types.Kind {
-	if len(c.Whens) > 0 {
-		return c.Whens[0].Result.Kind()
+	var buf [8]Expr
+	return resultKind("CASE", c.results(buf[:0])...)
+}
+
+// results appends the CASE's results to buf, ELSE's last.
+func (c *Case) results(buf []Expr) []Expr {
+	for _, w := range c.Whens {
+		buf = append(buf, w.Result)
 	}
 	if c.Else != nil {
-		return c.Else.Kind()
+		buf = append(buf, c.Else)
 	}
-	return types.KindNull
+	return buf
 }
 
 // String renders the expression as SQL-like text for EXPLAIN output.

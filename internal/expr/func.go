@@ -18,10 +18,12 @@ type FuncCall struct {
 	impl *builtin
 }
 
+// builtin is a scalar function's implementation; its signatures are in
+// the table (sigs). It is strict, NULL on a NULL argument, unless nulls
+// is set: coalesce takes them.
 type builtin struct {
-	minArgs, maxArgs int
-	kind             func(args []Expr) types.Kind
-	eval             func(args []types.Datum) (types.Datum, error)
+	nulls bool
+	eval  func(args []types.Datum) (types.Datum, error)
 	// evalClock is set instead of eval for builtins whose result depends
 	// on the current time (current_date); Bind evaluates it at the
 	// executing node's clock, so results are deterministic under
@@ -29,63 +31,32 @@ type builtin struct {
 	evalClock func(c clock.Clock, args []types.Datum) (types.Datum, error)
 }
 
-func fixedKind(k types.Kind) func([]Expr) types.Kind {
-	return func([]Expr) types.Kind { return k }
-}
-
 var builtins = map[string]*builtin{
-	"extract_year": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindInt64), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"extract_year": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewInt64(int64(a[0].Year())), nil
 	}},
-	"extract_month": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindInt64), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"extract_month": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewInt64(int64(a[0].Time().Month())), nil
 	}},
-	"extract_day": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindInt64), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"extract_day": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewInt64(int64(a[0].Time().Day())), nil
 	}},
-	"add_months": {minArgs: 2, maxArgs: 2, kind: fixedKind(types.KindDate), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() || a[1].IsNull() {
-			return types.Null, nil
-		}
-		t := a[0].Time().AddDate(0, int(a[1].Int()), 0)
-		return types.DateFromTime(t), nil
+	"add_months": {eval: func(a []types.Datum) (types.Datum, error) {
+		return types.DateFromTime(a[0].Time().AddDate(0, int(a[1].Int()), 0)), nil
 	}},
-	"add_years": {minArgs: 2, maxArgs: 2, kind: fixedKind(types.KindDate), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() || a[1].IsNull() {
-			return types.Null, nil
-		}
-		t := a[0].Time().AddDate(int(a[1].Int()), 0, 0)
-		return types.DateFromTime(t), nil
+	"add_years": {eval: func(a []types.Datum) (types.Datum, error) {
+		return types.DateFromTime(a[0].Time().AddDate(int(a[1].Int()), 0, 0)), nil
 	}},
-	"add_days": {minArgs: 2, maxArgs: 2, kind: fixedKind(types.KindDate), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() || a[1].IsNull() {
-			return types.Null, nil
-		}
+	"add_days": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewDate(int32(a[0].I + a[1].Int())), nil
 	}},
-	"date": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindDate), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"date": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.Cast(a[0], types.KindDate)
 	}},
-	"current_date": {minArgs: 0, maxArgs: 0, kind: fixedKind(types.KindDate),
-		evalClock: func(c clock.Clock, a []types.Datum) (types.Datum, error) {
-			return types.DateFromTime(c.Now().UTC()), nil
-		}},
-	"substring": {minArgs: 2, maxArgs: 3, kind: fixedKind(types.KindString), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() || a[1].IsNull() {
-			return types.Null, nil
-		}
+	"current_date": {evalClock: func(c clock.Clock, a []types.Datum) (types.Datum, error) {
+		return types.DateFromTime(c.Now().UTC()), nil
+	}},
+	"substring": {eval: func(a []types.Datum) (types.Datum, error) {
 		s := a[0].Str()
 		from := int(a[1].Int()) - 1 // SQL is 1-based
 		if from < 0 {
@@ -95,7 +66,7 @@ var builtins = map[string]*builtin{
 			from = len(s)
 		}
 		end := len(s)
-		if len(a) == 3 && !a[2].IsNull() {
+		if len(a) == 3 {
 			end = from + int(a[2].Int())
 			if end > len(s) {
 				end = len(s)
@@ -106,46 +77,27 @@ var builtins = map[string]*builtin{
 		}
 		return types.NewString(s[from:end]), nil
 	}},
-	"upper": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindString), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"upper": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewString(strings.ToUpper(a[0].Str())), nil
 	}},
-	"lower": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindString), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"lower": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewString(strings.ToLower(a[0].Str())), nil
 	}},
-	"length": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindInt64), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"length": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewInt64(int64(len(a[0].Str()))), nil
 	}},
-	"trim": {minArgs: 1, maxArgs: 1, kind: fixedKind(types.KindString), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"trim": {eval: func(a []types.Datum) (types.Datum, error) {
 		return types.NewString(strings.TrimSpace(a[0].Str())), nil
 	}},
-	"abs": {minArgs: 1, maxArgs: 1, kind: func(args []Expr) types.Kind { return args[0].Kind() }, eval: func(a []types.Datum) (types.Datum, error) {
-		d := a[0]
-		if d.IsNull() {
-			return types.Null, nil
+	"abs": {eval: func(a []types.Datum) (types.Datum, error) {
+		if types.Compare(a[0], types.NewInt64(0)) < 0 {
+			return types.Neg(a[0]), nil
 		}
-		if types.Compare(d, types.NewInt64(0)) < 0 {
-			return types.Neg(d), nil
-		}
-		return d, nil
+		return a[0], nil
 	}},
-	"round": {minArgs: 1, maxArgs: 2, kind: fixedKind(types.KindFloat64), eval: func(a []types.Datum) (types.Datum, error) {
-		if a[0].IsNull() {
-			return types.Null, nil
-		}
+	"round": {eval: func(a []types.Datum) (types.Datum, error) {
 		digits := 0
-		if len(a) == 2 && !a[1].IsNull() {
+		if len(a) == 2 {
 			digits = int(a[1].Int())
 		}
 		mult := 1.0
@@ -160,7 +112,7 @@ var builtins = map[string]*builtin{
 		}
 		return types.NewFloat64(v / mult), nil
 	}},
-	"coalesce": {minArgs: 1, maxArgs: 16, kind: func(args []Expr) types.Kind { return args[0].Kind() }, eval: func(a []types.Datum) (types.Datum, error) {
+	"coalesce": {nulls: true, eval: func(a []types.Datum) (types.Datum, error) {
 		for _, d := range a {
 			if !d.IsNull() {
 				return d, nil
@@ -170,23 +122,18 @@ var builtins = map[string]*builtin{
 	}},
 }
 
-// NewFuncCall resolves a built-in function by name.
+// NewFuncCall resolves the built-in function name over args through the
+// signature table (Resolve), which may cast args in place.
 func NewFuncCall(name string, args []Expr) (*FuncCall, error) {
 	name = strings.ToLower(name)
-	impl, ok := builtins[name]
-	if !ok {
-		return nil, fmt.Errorf("expr: unknown function %s", name)
+	impl := builtins[name]
+	if impl == nil {
+		return nil, fmt.Errorf("function %s does not exist", name)
 	}
-	if len(args) < impl.minArgs || len(args) > impl.maxArgs {
-		return nil, fmt.Errorf("expr: %s takes %d..%d args, got %d", name, impl.minArgs, impl.maxArgs, len(args))
+	if _, err := Resolve(name, args...); err != nil {
+		return nil, err
 	}
 	return &FuncCall{Name: name, Args: args, impl: impl}, nil
-}
-
-// IsBuiltinFunc reports whether name resolves to a scalar built-in.
-func IsBuiltinFunc(name string) bool {
-	_, ok := builtins[strings.ToLower(name)]
-	return ok
 }
 
 // Eval implements Expr.
@@ -194,7 +141,7 @@ func (f *FuncCall) Eval(row types.Row) (types.Datum, error) {
 	args := make([]types.Datum, len(f.Args))
 	for i, a := range f.Args {
 		v, err := a.Eval(row)
-		if err != nil {
+		if err != nil || v.IsNull() && !f.impl.nulls {
 			return types.Null, err
 		}
 		args[i] = v
@@ -206,8 +153,8 @@ func (f *FuncCall) Eval(row types.Row) (types.Datum, error) {
 	return f.impl.eval(args)
 }
 
-// Kind implements Expr.
-func (f *FuncCall) Kind() types.Kind { return f.impl.kind(f.Args) }
+// Kind implements Expr: its signature's (sigs).
+func (f *FuncCall) Kind() types.Kind { return resultKind(f.Name, f.Args...) }
 
 // String renders the call as SQL-like text for EXPLAIN output.
 func (f *FuncCall) String() string {

@@ -3,8 +3,6 @@ package expr
 import (
 	"fmt"
 	"slices"
-
-	"hawq/internal/types"
 )
 
 // Walk visits e and every sub-expression in evaluation order.
@@ -137,8 +135,8 @@ func RebindFuncs(e Expr) error {
 // literals: a $n placeholder, whose value differs between executions of
 // one cached plan, and a clock builtin such as current_date, whose value
 // is the execution's, not the plan's; both wait for Bind. A literal
-// expression that cannot be evaluated — abs('x') panics in types.Compare
-// — is a statement the binder refuses, here rather than in a QE.
+// expression that cannot be evaluated — CAST('soon' AS DATE) — is a
+// statement the binder refuses, here rather than in a QE.
 func Fold(e Expr) (folded Expr, err error) {
 	literal := true
 	switch v := e.(type) {
@@ -165,40 +163,4 @@ func Fold(e Expr) (folded Expr, err error) {
 		return nil, err
 	}
 	return NewConst(d), nil
-}
-
-// CheckComparison reports an error when x is a comparison — one of
-// = <> < <= > >=, BETWEEN, IN — of two operands types.Compare cannot
-// order (types.Comparable): a DATE with a BIGINT, a TEXT with a number.
-// Compare panics on those, inside a QE, so no such node may reach a
-// plan: the binder asks of each comparison it builds, and again of each
-// once a generic plan's placeholders have their kinds, and BindParams
-// of a bound copy where a kind is the argument's. NULL and operands of
-// unknown kind compare with everything (to NULL). Only x itself is
-// looked at, not what is under it.
-func CheckComparison(x Expr) error {
-	pair := func(l, r Expr) error {
-		if lk, rk := l.Kind(), r.Kind(); lk != types.KindNull && rk != types.KindNull && !types.Comparable(lk, rk) {
-			return fmt.Errorf("cannot compare %s with %s in %s", lk, rk, x)
-		}
-		return nil
-	}
-	switch v := x.(type) {
-	case *BinOp:
-		if v.Op.IsComparison() {
-			return pair(v.L, v.R)
-		}
-	case *Between:
-		if err := pair(v.E, v.Lo); err != nil {
-			return err
-		}
-		return pair(v.E, v.Hi)
-	case *InList:
-		for _, item := range v.Items {
-			if err := pair(v.E, item); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -33,14 +33,14 @@ func (p *Plan) BindParams(args []types.Datum) error {
 	// A placeholder whose kind nothing fixed at prepare time arrives as
 	// whatever the client sent, and a LIKE pattern must be well formed:
 	// both are asked here, on the QD, of a bound copy before any QE
-	// compares a row. The others were cast to the kind the planner
-	// checked.
+	// evaluates a row — every node against the signature table. The
+	// others were cast to the kind the planner checked.
 	if p.CheckArgs {
 		if err := p.EachExpr(func(e expr.Expr) error {
 			bound, err := expr.Bind(e, cast, nil)
 			expr.Walk(bound, func(x expr.Expr) {
 				if err == nil {
-					err = expr.CheckComparison(x)
+					err = expr.Check(x)
 				}
 			})
 			return err

@@ -88,10 +88,12 @@ func (p *Planner) planAggregation(rel *relation, stmt *sqlparser.SelectStmt) (*r
 				return nil, nil, fmt.Errorf("planner: aggregate %s takes one argument", call.Name)
 			}
 			arg, err := b.bind(call.Args[0])
+			if err == nil {
+				spec, err = typed(expr.NewAggSpec(kind, arg, call.Distinct))
+			}
 			if err != nil {
 				return nil, nil, err
 			}
-			spec.Arg = arg
 			if kind == expr.AggCount && !call.Distinct && notNull(arg, rel.cols) {
 				spec = expr.AggSpec{Kind: expr.AggCountStar} // count(c) of a NOT NULL c
 			}
@@ -116,7 +118,7 @@ func (p *Planner) planAggregation(rel *relation, stmt *sqlparser.SelectStmt) (*r
 	// Apply HAVING.
 	if stmt.Having != nil {
 		hb := &binder{scope: outRel.scope(), aggScope: scp, subquery: p.SubqueryEval, params: p.paramBinder()}
-		pred, err := hb.bind(stmt.Having)
+		pred, err := hb.pred(stmt.Having, "HAVING")
 		if err != nil {
 			return nil, nil, err
 		}

@@ -9,7 +9,9 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"hawq/internal/catalog"
@@ -145,9 +147,6 @@ func (b *binder) bind(e sqlparser.Expr) (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := expr.CheckComparison(bound); err != nil {
-		return nil, fmt.Errorf("planner: %w", err)
-	}
 	folded, err := expr.Fold(bound)
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
@@ -200,13 +199,7 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v.Op == "not" {
-			return &expr.Not{E: inner}, nil
-		}
-		if c, ok := inner.(*expr.Const); ok {
-			return expr.NewConst(types.Neg(c.D)), nil
-		}
-		return &expr.Neg{E: inner}, nil
+		return typed(expr.Apply(strings.ToUpper(v.Op), inner))
 	case *sqlparser.BinExpr:
 		return b.bindBinary(v)
 	case *sqlparser.LikeExpr:
@@ -223,13 +216,13 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 		if v.Sub != nil {
 			return nil, fmt.Errorf("planner: IN subquery not valid here (handled as a join)")
 		}
-		xs, err := b.bindCompared(v.E, v.List)
+		xs, err := b.bindCompared("=", v.E, v.List)
 		if err != nil {
 			return nil, err
 		}
 		return &expr.InList{E: xs[0], Items: xs[1:], Negate: v.Negate}, nil
 	case *sqlparser.BetweenExpr:
-		xs, err := b.bindCompared(v.E, []sqlparser.Expr{v.Lo, v.Hi})
+		xs, err := b.bindCompared("<=", v.E, []sqlparser.Expr{v.Lo, v.Hi})
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +256,7 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 		}
 		switch f := strings.ToLower(v.Field); f {
 		case "year", "month", "day":
-			return expr.NewFuncCall("extract_"+f, []expr.Expr{inner})
+			return typed(expr.NewFuncCall("extract_"+f, []expr.Expr{inner}))
 		}
 		return nil, fmt.Errorf("planner: EXTRACT field %q unsupported", v.Field)
 	case *sqlparser.FuncExpr:
@@ -278,7 +271,7 @@ func (b *binder) bindNode(e sqlparser.Expr) (expr.Expr, error) {
 			}
 			args[i] = bound
 		}
-		return expr.NewFuncCall(v.Name, args)
+		return typed(expr.NewFuncCall(v.Name, args))
 	case *sqlparser.SubqueryExpr:
 		if b.subquery == nil {
 			return nil, fmt.Errorf("planner: subquery not supported in this context")
@@ -309,8 +302,8 @@ func perExecution(sub *sqlparser.SelectStmt) (found bool) {
 }
 
 // bindCompared binds e followed by the values it is compared with, each
-// value taking a placeholder's kind from e and, a string, its date-ness.
-func (b *binder) bindCompared(e sqlparser.Expr, vals []sqlparser.Expr) ([]expr.Expr, error) {
+// pair as the comparison op's signature takes it (expr.Resolve).
+func (b *binder) bindCompared(op string, e sqlparser.Expr, vals []sqlparser.Expr) ([]expr.Expr, error) {
 	xs := make([]expr.Expr, 1+len(vals))
 	var err error
 	if xs[0], err = b.bind(e); err != nil {
@@ -320,24 +313,29 @@ func (b *binder) bindCompared(e sqlparser.Expr, vals []sqlparser.Expr) ([]expr.E
 		if xs[1+i], err = b.bind(v); err != nil {
 			return nil, err
 		}
-		setKind(xs[1+i], xs[0].Kind())
-		_, xs[1+i] = coerceComparison(xs[0], xs[1+i])
+		pair, err := typed(expr.Resolve(op, xs[0], xs[1+i]))
+		if err != nil {
+			return nil, err
+		}
+		xs[0], xs[1+i] = pair[0], pair[1]
 	}
 	return xs, nil
 }
 
 // bindLike builds "inner [NOT] LIKE pat" with expr.NewLike's checks: pat
-// is a string constant or a placeholder, typed as the operand, which
-// stays the pattern until expr.Bind; an untyped operand is TEXT.
+// is a string constant or a placeholder, which stays the pattern until
+// expr.Bind, typed as LIKE's signature takes it.
 func bindLike(inner, pat expr.Expr, negate bool) (expr.Expr, error) {
-	setKind(pat, inner.Kind())
-	setKind(pat, types.KindString)
-	setKind(inner, types.KindString)
+	args, err := typed(expr.Resolve("LIKE", inner, pat))
+	if err != nil {
+		return nil, err
+	}
+	inner, pat = args[0], args[1]
 	var pattern string
 	param, isParam := pat.(*expr.Param)
 	if c, ok := pat.(*expr.Const); ok && c.D.K == types.KindString {
 		pattern = c.D.S
-	} else if !isParam || param.K != types.KindString && param.K != types.KindBytes {
+	} else if !isParam {
 		return nil, fmt.Errorf("planner: LIKE pattern must be a string literal")
 	}
 	l, err := expr.NewLike(inner, pattern, negate)
@@ -383,61 +381,43 @@ func bindNumLit(v *sqlparser.NumLit) (expr.Expr, error) {
 }
 
 func (b *binder) bindBinary(v *sqlparser.BinExpr) (expr.Expr, error) {
-	// Date +/- interval lowers to the date functions.
-	if iv, ok := v.R.(*sqlparser.IntervalLit); ok && (v.Op == "+" || v.Op == "-") {
-		l, err := b.bind(v.L)
-		if err != nil {
-			return nil, err
-		}
-		setKind(l, types.KindDate) // a date: a $n is typed, a string cast
-		if l.Kind() == types.KindString {
-			if l, err = expr.Fold(&expr.Cast{E: l, To: types.KindDate}); err != nil {
-				return nil, fmt.Errorf("planner: %w", err)
-			}
-		}
-		n := iv.N
-		if v.Op == "-" {
-			n = -n
-		}
-		fn := map[string]string{"day": "add_days", "month": "add_months", "year": "add_years"}[iv.Unit]
-		return expr.NewFuncCall(fn, []expr.Expr{l, expr.NewConst(types.NewInt64(n))})
+	op, ok := expr.BinOpFromSQL(v.Op)
+	if !ok {
+		return nil, fmt.Errorf("planner: unknown operator %q", v.Op)
 	}
 	l, err := b.bind(v.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := b.bind(v.R)
+	var r expr.Expr
+	if iv, isInterval := v.R.(*sqlparser.IntervalLit); isInterval && (op == expr.OpAdd || op == expr.OpSub) {
+		r, err = expr.Interval(iv.Unit, iv.N)
+	} else {
+		r, err = b.bind(v.R)
+	}
 	if err != nil {
 		return nil, err
 	}
-	op, ok := expr.BinOpFromSQL(v.Op)
-	if !ok {
-		return nil, fmt.Errorf("planner: unknown operator %q", v.Op)
-	}
-	setKind(l, r.Kind())
-	setKind(r, l.Kind())
-	// Comparing a date column with a string literal: coerce the literal.
-	if op.IsComparison() {
-		l, r = coerceComparison(l, r)
-	}
-	return expr.NewBinOp(op, l, r), nil
+	return typed(expr.Apply(op.String(), l, r))
 }
 
-// coerceComparison casts a string constant compared with a date to a
-// date.
-func coerceComparison(l, r expr.Expr) (expr.Expr, expr.Expr) {
-	return asDate(l, r), asDate(r, l)
+// typed is what the signature table built or took, its refusal the
+// planner's.
+func typed[T any](v T, err error) (T, error) {
+	if err != nil {
+		err = fmt.Errorf("planner: %w", err)
+	}
+	return v, err
 }
 
-// asDate returns e as a date constant when it is a string constant that
-// other, a date, is compared with; e itself otherwise.
-func asDate(e, other expr.Expr) expr.Expr {
-	if c, ok := e.(*expr.Const); ok && c.D.K == types.KindString && other.Kind() == types.KindDate {
-		if d, err := types.Cast(c.D, types.KindDate); err == nil {
-			return expr.NewConst(d)
-		}
+// pred binds e as the condition of clause — WHERE, HAVING, JOIN/ON,
+// CASE/WHEN — which must be BOOLEAN: an untyped $n becomes one.
+func (b *binder) pred(e sqlparser.Expr, clause string) (expr.Expr, error) {
+	bound, err := b.bind(e)
+	if err == nil { // nothing casts to a BOOLEAN: bound stays as it is
+		_, err = typed(expr.Resolve(clause, bound))
 	}
-	return e
+	return bound, err
 }
 
 func (b *binder) bindCase(v *sqlparser.CaseExpr) (expr.Expr, error) {
@@ -449,28 +429,36 @@ func (b *binder) bindCase(v *sqlparser.CaseExpr) (expr.Expr, error) {
 			return nil, err
 		}
 	}
+	var results []expr.Expr
 	for _, w := range v.Whens {
-		cond, err := b.bind(w.Cond)
+		var cond, res expr.Expr
+		if operand == nil {
+			cond, err = b.pred(w.Cond, "CASE/WHEN")
+		} else if cond, err = b.bind(w.Cond); err == nil {
+			cond, err = typed(expr.Apply("=", operand, cond))
+		}
 		if err != nil {
 			return nil, err
 		}
-		if operand != nil {
-			_, cond = coerceComparison(operand, cond)
-			cond = expr.NewBinOp(expr.OpEq, operand, cond)
-			if err := expr.CheckComparison(cond); err != nil {
-				return nil, fmt.Errorf("planner: %w", err)
-			}
-		}
-		res, err := b.bind(w.Result)
-		if err != nil {
+		if res, err = b.bind(w.Result); err != nil {
 			return nil, err
 		}
-		out.Whens = append(out.Whens, expr.When{Cond: cond, Result: res})
+		out.Whens, results = append(out.Whens, expr.When{Cond: cond}), append(results, res)
 	}
 	if v.Else != nil {
 		if out.Else, err = b.bind(v.Else); err != nil {
 			return nil, err
 		}
+		results = append(results, out.Else)
+	}
+	if _, err = typed(expr.Resolve("CASE", results...)); err != nil {
+		return nil, err
+	}
+	for i := range out.Whens {
+		out.Whens[i].Result = results[i]
+	}
+	if out.Else != nil {
+		out.Else = results[len(results)-1]
 	}
 	return out, nil
 }
@@ -509,18 +497,23 @@ func ResolveType(name string) (types.Column, error) {
 	case "float", "float8", "double", "double precision", "real", "float4":
 		return types.Column{Kind: types.KindFloat64}, nil
 	case "decimal", "numeric":
-		scale := int8(2)
-		if args != "" {
-			parts := strings.Split(args, ",")
-			if len(parts) == 2 {
-				var s int
-				fmt.Sscanf(parts[1], "%d", &s)
-				scale = int8(s)
-			} else {
-				scale = 0
-			}
+		if args == "" {
+			return types.Column{Kind: types.KindDecimal, Scale: 2}, nil
 		}
-		return types.Column{Kind: types.KindDecimal, Scale: scale}, nil
+		mods, scale := strings.Split(args+",0", ","), 0
+		prec, err := strconv.Atoi(strings.TrimSpace(mods[0]))
+		if err == nil {
+			scale, err = strconv.Atoi(strings.TrimSpace(mods[1]))
+		}
+		switch {
+		case err != nil || len(mods) > 3:
+			return types.Column{}, fmt.Errorf("planner: invalid NUMERIC type modifier in %q", name)
+		case prec < 1 || prec > 1000:
+			return types.Column{}, fmt.Errorf("planner: NUMERIC precision %d must be between 1 and 1000", prec)
+		case scale < 0 || scale > prec:
+			return types.Column{}, fmt.Errorf("planner: NUMERIC scale %d must be between 0 and precision %d", scale, prec)
+		}
+		return types.Column{Kind: types.KindDecimal, Scale: int8(min(scale, math.MaxInt8))}, nil
 	case "char", "varchar", "text", "character", "bpchar":
 		return types.Column{Kind: types.KindString}, nil
 	case "date":

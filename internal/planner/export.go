@@ -34,6 +34,12 @@ func Bind(e sqlparser.Expr, sc BindScope, subq func(*sqlparser.SelectStmt) (type
 	return b.bind(e)
 }
 
+// BindPredicate resolves a WHERE conjunct against a scope: Bind, then
+// BOOLEAN or refused.
+func BindPredicate(e sqlparser.Expr, sc BindScope, subq func(*sqlparser.SelectStmt) (types.Datum, error)) (expr.Expr, error) {
+	return (&binder{scope: sc.toScope(), subquery: subq}).pred(e, "WHERE")
+}
+
 // BindWithAggregates resolves an expression over an aggregation output:
 // groups and aggs are the rendered syntax of the GROUP BY expressions and
 // aggregate calls, matched by string as in SQL; schema describes the

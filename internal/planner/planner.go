@@ -79,8 +79,8 @@ func joins(stmt *sqlparser.SelectStmt) bool {
 // paramBinder resolves $n placeholders during binding. In specific mode
 // each placeholder becomes a Const holding the EXECUTE argument; in
 // generic mode it becomes the statement's one expr.Param of that index,
-// shared by every occurrence, so that the kind one comparison infers
-// (setKind) is every occurrence's.
+// shared by every occurrence, so that the kind the first signature to
+// take it gives (expr.Resolve) is every occurrence's.
 type paramBinder struct {
 	vals    []types.Datum // specific mode values (nil in generic mode)
 	generic bool
@@ -113,20 +113,11 @@ func (pb *paramBinder) bind(idx int) (expr.Expr, error) {
 	return expr.NewConst(pb.vals[idx-1]), nil
 }
 
-// setKind gives e kind k when e is a placeholder of unknown kind: one
-// side of a comparison or arithmetic takes the other's, so EXECUTE can
-// cast argument values before binding (a date column compared to $1
-// makes $1 a date even when the argument arrives as a string).
-func setKind(e expr.Expr, k types.Kind) {
-	if pa, ok := e.(*expr.Param); ok && pa.K == types.KindNull {
-		pa.K = k
-	}
-}
-
 // finish ends generic planning of pl: ParamKinds is read from the
-// placeholders, each comparison is checked again with their final kinds
-// (one typed after it was bound would reach a QE as BIGINT vs TEXT), and
-// CheckArgs is set where a kind is the argument's or a LIKE pattern's.
+// placeholders, each node is checked against the signature table again
+// with their final kinds (one typed after it was bound would reach a QE
+// as BIGINT vs TEXT), and CheckArgs is set where a kind is the
+// argument's or a LIKE pattern's.
 func (pb *paramBinder) finish(pl *plan.Plan) error {
 	if len(pb.params) == 0 {
 		return nil
@@ -140,7 +131,7 @@ func (pb *paramBinder) finish(pl *plan.Plan) error {
 			l, isLike := x.(*expr.Like)
 			pl.CheckArgs = pl.CheckArgs || isLike && l.Param != nil
 			if err == nil {
-				err = expr.CheckComparison(x)
+				err = expr.Check(x)
 			}
 		})
 		return err
@@ -369,9 +360,20 @@ func refCol(cols []types.Column, i int) *expr.ColRef {
 	return &expr.ColRef{Idx: i, K: cols[i].Kind, Name: cols[i].Name}
 }
 
-// kindToColumn derives an output column from a bound expression.
+// kindToColumn derives an output column from a bound expression. An
+// output whose kind nothing decided — a $n, or a CASE or coalesce of $n
+// and NULL alone — is TEXT, as PostgreSQL resolves an unknown output:
+// each $n left untyped in it becomes one.
 func kindToColumn(name string, e expr.Expr) types.Column {
 	col := types.Column{Name: name, Kind: e.Kind()}
+	if col.Kind == types.KindNull {
+		expr.Walk(e, func(x expr.Expr) {
+			if p, ok := x.(*expr.Param); ok && p.K == types.KindNull {
+				p.K = types.KindString
+			}
+		})
+		col.Kind = e.Kind()
+	}
 	if col.Kind == types.KindDecimal {
 		col.Scale = 2
 	}

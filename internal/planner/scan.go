@@ -21,6 +21,7 @@ type fromUnit struct {
 	// to their ids, before the unit is materialized.
 	scope  *scope
 	pushed []sqlparser.Expr
+	clause string // what pushed came from: WHERE, or an explicit join's JOIN/ON
 	// desc and proj are set for base tables: proj lists the table column
 	// indexes the block references, ascending — the scan's output. scope
 	// covers exactly those, so every index resolved through it is an
@@ -37,8 +38,16 @@ type fromUnit struct {
 // joined relation.
 func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 	if len(stmt.From) == 0 {
-		// Master-only query: SELECT <exprs>.
-		return values([]types.Row{{}}, types.NewSchema()), nil
+		// Master-only query: SELECT <exprs> [WHERE <constant>].
+		rel := values([]types.Row{{}}, types.NewSchema())
+		if stmt.Where == nil {
+			return rel, nil
+		}
+		pred, err := p.binder(rel.scope()).pred(stmt.Where, "WHERE")
+		if err != nil {
+			return nil, err
+		}
+		return filtered(rel, pred), nil
 	}
 	var seen [8]string
 	names := aliases(stmt.From, seen[:0])
@@ -143,8 +152,7 @@ func (p *Planner) planFromWhere(stmt *sqlparser.SelectStmt) (*relation, error) {
 	}
 	// Residual predicates over the full join.
 	for _, c := range residual {
-		b := p.binder(rel.scope())
-		bound, err := b.bind(c)
+		bound, err := p.binder(rel.scope()).pred(c, "WHERE")
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +225,7 @@ func (p *Planner) binder(sc *scope) *binder {
 // exposing only what the enclosing block references (need): a base
 // table's referenced columns, a derived table's referenced outputs.
 func (p *Planner) newFromUnit(ref sqlparser.TableRef, need *colRefs) (*fromUnit, error) {
-	u := &fromUnit{ref: ref}
+	u := &fromUnit{ref: ref, clause: "WHERE"}
 	switch v := ref.(type) {
 	case *sqlparser.TableName:
 		desc, err := p.table(v.Name)
@@ -277,8 +285,7 @@ func (p *Planner) materialize(u *fromUnit) error {
 	if u.rel != nil {
 		// Derived/join units: apply pushed filters as a Select.
 		for _, c := range u.pushed {
-			b := p.binder(u.rel.scope())
-			bound, err := b.bind(c)
+			bound, err := p.binder(u.rel.scope()).pred(c, u.clause)
 			if err != nil {
 				return err
 			}
@@ -287,7 +294,7 @@ func (p *Planner) materialize(u *fromUnit) error {
 		return nil
 	}
 	var err error
-	u.rel, err = p.scanRelation(u.desc, u.proj, u.pushed, u.scope)
+	u.rel, err = p.scanRelation(u.desc, u.proj, u.pushed, u.clause, u.scope)
 	return err
 }
 
@@ -295,13 +302,13 @@ func (p *Planner) materialize(u *fromUnit) error {
 // producing the table columns proj; sc names them in that order, so the
 // bound filter, like everything above the scan, indexes output
 // positions.
-func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sqlparser.Expr, sc *scope) (*relation, error) {
+func (p *Planner) scanRelation(desc *catalog.TableDesc, proj []int, pushed []sqlparser.Expr, clause string, sc *scope) (*relation, error) {
 	var filter expr.Expr
 	var terms []expr.ColCmpTerm // the conjuncts' comparisons of a column with a value
 	sel := 1.0
 	b := p.binder(sc)
 	for _, c := range pushed {
-		bound, err := b.bind(c)
+		bound, err := b.pred(c, clause)
 		if err != nil {
 			return nil, err
 		}
@@ -545,7 +552,7 @@ func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation,
 		if err != nil {
 			return nil, err
 		}
-		u.pushed = append(on.side[i], on.table[i]...)
+		u.pushed, u.clause = append(on.side[i], on.table[i]...), "JOIN/ON"
 		if err := p.materialize(u); err != nil {
 			return nil, err
 		}
@@ -581,7 +588,7 @@ func (p *Planner) planExplicitJoin(j *sqlparser.Join, need *colRefs) (*relation,
 			leftKeys, rightKeys = append(leftKeys, l.i), append(rightKeys, r.i)
 			continue
 		}
-		bound, err := p.binder(combined).bind(c)
+		bound, err := p.binder(combined).pred(c, "JOIN/ON")
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func (e *Engine) reader(r *rel) func(split, nsplits int, fn func(types.Row) erro
 func (e *Engine) filterFor(r *rel, extra []sqlparser.Expr) (expr.Expr, error) {
 	var out expr.Expr
 	for _, c := range append(append([]sqlparser.Expr{}, r.pushed...), extra...) {
-		bound, err := planner.Bind(c, r.scope(), e.scalarQuery)
+		bound, err := planner.BindPredicate(c, r.scope(), e.scalarQuery)
 		if err != nil {
 			return nil, err
 		}

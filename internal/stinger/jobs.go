@@ -35,7 +35,7 @@ func (e *Engine) joinJob(l, r *rel, leftKeys, rightKeys []int, leftOuter bool, n
 	}
 	var residual expr.Expr
 	for _, c := range now {
-		bound, err := planner.Bind(c, out.scope(), e.scalarQuery)
+		bound, err := planner.BindPredicate(c, out.scope(), e.scalarQuery)
 		if err != nil {
 			return nil, err
 		}
@@ -561,10 +561,12 @@ func (e *Engine) aggJob(acc *rel, stmt *sqlparser.SelectStmt, items []sqlparser.
 				return nil, 0, nil, fmt.Errorf("stinger: aggregate %s takes one argument", call.Name)
 			}
 			arg, err := planner.Bind(call.Args[0], acc.scope(), e.scalarQuery)
+			if err == nil {
+				spec, err = expr.NewAggSpec(kind, arg, call.Distinct)
+			}
 			if err != nil {
 				return nil, 0, nil, err
 			}
-			spec.Arg = arg
 		}
 		specs[i] = spec
 		aggStrs[i] = call.String()
@@ -575,6 +577,9 @@ func (e *Engine) aggJob(acc *rel, stmt *sqlparser.SelectStmt, items []sqlparser.
 	var having expr.Expr
 	if stmt.Having != nil {
 		having, err = planner.BindWithAggregates(stmt.Having, groupStrs, aggStrs, aggSchema, e.scalarQuery)
+		if err == nil {
+			_, err = expr.Resolve("HAVING", having) // nothing casts to a BOOLEAN
+		}
 		if err != nil {
 			return nil, 0, nil, err
 		}

@@ -108,7 +108,15 @@
 #                                  no plan-cache setting or resize
 #                                  (plan_cache_size, noPlanCache, the
 #                                  bench's ModeNoCache) and no second
-#                                  SELECT planner in planCached returns
+#                                  SELECT planner in planCached returns,
+#                                  and a kind is decided only by the
+#                                  signature table (internal/expr
+#                                  sig.go): no placeholder kind spread
+#                                  (setKind), string-to-date coercion
+#                                  (asDate, coerceComparison) or
+#                                  builtin kind closure (fixedKind, a
+#                                  builtin's kind: func) returns to
+#                                  internal/planner or internal/expr
 #   5. scripts/bench.sh --smoke  — every micro-benchmark for one
 #                                  iteration under -race, so the bench
 #                                  harness itself can't rot
@@ -257,6 +265,12 @@ starts="$(grep -h 'beginStatement(' $engine_src | grep -v '^func ' | wc -l)"
 if (( begins != 3 || starts != 1 )); then
     grep -n 'TxMgr\.Begin(\|beginStatement(' $engine_src >&2
     echo "stays deleted: internal/engine begins a transaction only for BEGIN, the statement lifecycle and the boot-time queue read ($begins sites, want 3), and only the lifecycle arms a statement ($starts callers of beginStatement, want 1); run a statement through Session.runTransactional (see above)" >&2
+    exit 1
+fi
+
+typing_src="$(ls internal/planner/*.go internal/expr/*.go | grep -v '_test\.go$')"
+if grep -nE 'func set[K]ind|func as[D]ate|func coerce[C]omparison|fixed[K]ind\(|[k]ind: *(func|fixed)' $typing_src; then
+    echo "stays deleted: a kind is decided in one place, the signature table (expr.Resolve); no placeholder kind spread, string-to-date coercion or builtin kind closure of the binder's own is back (see above)" >&2
     exit 1
 fi
 
