@@ -74,14 +74,12 @@ func init() {
 	add(boolean, ks{boolean, boolean}, "AND", "OR")
 	add(boolean, ks{boolean}, "NOT", "WHERE", "HAVING", "JOIN/ON", "CASE/WHEN")
 	add(boolean, ks{kindOrdered, kindOrdered}, binOpNames[OpEq:OpGe+1]...)
-	// Every pair of numerics, those of one kind first (an exact match
-	// ends the search) and BIGINT's first of all, so that two untyped $n
-	// are BIGINT: the wider operand's kind (an integer's a BIGINT), as
+	// Every pair of numerics, BIGINT's first, so that two untyped $n are
+	// BIGINT: the wider operand's kind (an integer's a BIGINT), as
 	// types.Add computes it; a quotient with a DECIMAL is a DOUBLE.
 	nums := ks{i8, i4, dec, f8}
-	for d := range nums {
-		for i, l := range nums {
-			r := nums[(i+d)%len(nums)]
+	for _, l := range nums {
+		for _, r := range nums {
 			wide, quot := ladder[max(slices.Index(ladder, l), slices.Index(ladder, r), 1)], f8
 			if wide != dec {
 				quot = wide
@@ -91,12 +89,10 @@ func init() {
 			if wide == i8 {
 				add(i8, ks{l, r}, "%")
 			}
-			if d == 0 {
-				add(l, ks{l}, "-", "abs")
-				add(ladder[max(slices.Index(ladder, l), 1)], ks{l}, "sum")
-				add(f8, ks{l}, "avg")
-			}
 		}
+		add(l, ks{l}, "-", "abs")
+		add(ladder[max(slices.Index(ladder, l), 1)], ks{l}, "sum")
+		add(f8, ks{l}, "avg")
 	}
 	add(date, ks{date, i8}, "+", "-", "add_days", "add_months", "add_years")
 	add(i8, ks{date, date}, "-")
